@@ -180,3 +180,150 @@ func wipeArchiveShards(t *testing.T, a *Archive, cluster *store.Cluster, node in
 		}
 	}
 }
+
+// mixedChain commits the five-version chain that walks every reader: a full
+// codeword, a sparse delta (2*gamma < k), a dense delta (gamma = k, read in
+// full), a CDEC-compressed delta (gamma within CompressGammaMax) and an
+// all-zero delta that costs nothing.
+func mixedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
+	t.Helper()
+	const blockSize = 16
+	cluster := store.NewMemCluster(0)
+	a, err := New(Config{
+		Name:             "mixed",
+		Scheme:           BasicSEC,
+		Code:             erasure.NonSystematicCauchy,
+		N:                10,
+		K:                5,
+		BlockSize:        blockSize,
+		CompressDeltas:   true,
+		CompressGammaMax: 1,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Repeat([]byte{0x3C}, a.Capacity())
+	v2 := editBlocks(v1, blockSize, 1, 3)
+	v3 := editBlocks(v2, blockSize, 0, 1, 2, 3, 4)
+	v4 := editBlocks(v3, blockSize, 2)
+	versions := [][]byte{v1, v2, v3, v4, v4}
+	for i, v := range versions {
+		if _, err := a.CommitContext(t.Context(), v); err != nil {
+			t.Fatalf("commit %d: %v", i+1, err)
+		}
+	}
+	return a, cluster, versions
+}
+
+// TestMixedChainReadAccounting pins the read accounting of the mixed chain
+// healthy, with one node down, and with one shard of every codeword lost on
+// a live node (found only when the read comes back short, so every reader
+// has to re-plan). The per-object accounting - which objects are read, how
+// many shards each costs and by which decode - is the same in all three:
+// only successful reads are charged and a re-plan fetches exactly the
+// deficit. What the damage moves is which rows are read, pinned here as
+// reads per node (colocated placement: row i lives on node i). Version 5's
+// zero delta never appears: it costs no reads. RetrieveContext prefetches
+// the whole chain; RetrieveAllContext reads the deltas past the first walk
+// one object at a time, and both must choose the same rows.
+func TestMixedChainReadAccounting(t *testing.T) {
+	objects := []ObjectRead{
+		{Version: 1, Reads: 5},
+		{Version: 2, Delta: true, Gamma: 2, Reads: 4, Sparse: true},
+		{Version: 3, Delta: true, Gamma: 5, Reads: 5},
+		{Version: 4, Delta: true, Gamma: 1, Reads: 1, Compressed: true},
+	}
+	for _, tt := range []struct {
+		name      string
+		damage    func(t *testing.T, cluster *store.Cluster)
+		nodeReads []uint64
+	}{
+		{
+			name:      "healthy",
+			damage:    func(*testing.T, *store.Cluster) {},
+			nodeReads: []uint64{4, 3, 3, 3, 2, 0, 0, 0, 0, 0},
+		},
+		{
+			name: "one dead node",
+			damage: func(t *testing.T, cluster *store.Cluster) {
+				if err := cluster.Fail(1); err != nil {
+					t.Fatal(err)
+				}
+			},
+			nodeReads: []uint64{4, 0, 3, 3, 3, 2, 0, 0, 0, 0},
+		},
+		{
+			name: "one lost row per codeword",
+			damage: func(t *testing.T, cluster *store.Cluster) {
+				for _, lost := range []struct {
+					id  string
+					row int
+				}{
+					{fullID("mixed", 1), 1},
+					{deltaID("mixed", 2), 1},
+					{deltaID("mixed", 3), 1},
+					{deltaID("mixed", 4), 0},
+				} {
+					nd, err := cluster.Node(lost.row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := nd.Delete(t.Context(), store.ShardID{Object: lost.id, Row: lost.row}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			nodeReads: []uint64{3, 1, 3, 3, 3, 2, 0, 0, 0, 0},
+		},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			a, cluster, versions := mixedChain(t)
+			tt.damage(t, cluster)
+			check := func(what string, stats RetrievalStats) {
+				t.Helper()
+				if len(stats.Objects) != len(objects) {
+					t.Fatalf("%s read objects %+v, want %+v", what, stats.Objects, objects)
+				}
+				total := 0
+				for i, o := range stats.Objects {
+					if o != objects[i] {
+						t.Errorf("%s object %d = %+v, want %+v", what, i, o, objects[i])
+					}
+					total += o.Reads
+				}
+				if stats.NodeReads != total || stats.FullReads != 2 || stats.SparseReads != 1 || stats.CompressedReads != 1 || stats.Hedges != 0 {
+					t.Errorf("%s totals = %+v, want %d reads over 2 full, 1 sparse, 1 compressed", what, stats, total)
+				}
+				for i, want := range tt.nodeReads {
+					nd, err := cluster.Node(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := nd.Stats().Reads; got != want {
+						t.Errorf("%s read %d shards from node %d, want %d", what, got, i, want)
+					}
+				}
+			}
+			cluster.ResetStats()
+			got, stats, err := a.RetrieveContext(t.Context(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, versions[4]) {
+				t.Error("version 5 content mismatch")
+			}
+			check("RetrieveContext(5)", stats)
+			cluster.ResetStats()
+			all, stats, err := a.RetrieveAllContext(t.Context(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range all {
+				if !bytes.Equal(all[j], versions[j]) {
+					t.Errorf("prefix version %d content mismatch", j+1)
+				}
+			}
+			check("RetrieveAllContext(5)", stats)
+		})
+	}
+}
