@@ -436,16 +436,12 @@ func BenchmarkArchiveRetrieveLatestSparseChain(b *testing.B) {
 	}
 }
 
-// benchRemoteArchive builds a (20,10) archive whose 20 nodes are real
+// BenchmarkArchiveRetrieveTCPBatched builds a (20,10) archive whose 20 nodes are real
 // RemoteNode clients talking to loopback TCP servers, commits a chain of
 // one full version plus four sparse deltas, and measures Retrieve of the
-// chain tip. With batching (the default) the whole retrieval costs one
-// concurrent liveness ping per node plus one get-batch RPC per node; with
-// DisableBatchIO it pays one serial ping per row per object and one get
-// RPC per shard over the same topology, so the pair quantifies what
-// per-node batching buys on the wire.
-func benchRemoteArchive(b *testing.B, disableBatch bool) {
-	b.Helper()
+// chain tip. The whole retrieval costs one concurrent liveness ping per
+// node plus one get-batch RPC per node touched.
+func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 	const n, k = 20, 10
 	nodes := make([]sec.StorageNode, n)
 	for i := 0; i < n; i++ {
@@ -460,12 +456,11 @@ func benchRemoteArchive(b *testing.B, disableBatch bool) {
 		nodes[i] = client
 	}
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
-		Scheme:         sec.BasicSEC,
-		Code:           sec.NonSystematicCauchy,
-		N:              n,
-		K:              k,
-		BlockSize:      4096,
-		DisableBatchIO: disableBatch,
+		Scheme:    sec.BasicSEC,
+		Code:      sec.NonSystematicCauchy,
+		N:         n,
+		K:         k,
+		BlockSize: 4096,
 	}, sec.NewCluster(nodes))
 	if err != nil {
 		b.Fatal(err)
@@ -494,9 +489,6 @@ func benchRemoteArchive(b *testing.B, disableBatch bool) {
 		}
 	}
 }
-
-func BenchmarkArchiveRetrieveTCPBatched(b *testing.B)  { benchRemoteArchive(b, false) }
-func BenchmarkArchiveRetrieveTCPPerShard(b *testing.B) { benchRemoteArchive(b, true) }
 
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	srv := transport.NewServer(store.NewMemNode("bench"))

@@ -31,7 +31,7 @@ type benchResult struct {
 	MBPerS     float64 `json:"mb_per_s,omitempty"`
 	BytesPerOp int64   `json:"bytes_per_op,omitempty"`
 	// RPC accounting per operation, for the TCP benchmarks: how many get
-	// RPCs (batch or per-shard) and liveness pings one retrieval costs.
+	// RPCs and liveness pings one retrieval costs.
 	GetRPCsPerOp  float64 `json:"get_rpcs_per_op,omitempty"`
 	PingRPCsPerOp float64 `json:"ping_rpcs_per_op,omitempty"`
 	// Wire accounting per operation: shard payload bytes moved between the
@@ -235,14 +235,13 @@ func benchEncode(ctx context.Context) (benchReport, error) {
 
 // chainArchive commits one full (20,10) version and four 2-sparse deltas,
 // the canonical SEC chain the retrieval benchmarks read back.
-func chainArchive(ctx context.Context, cluster *sec.Cluster, disableBatch bool) (*sec.Archive, int, error) {
+func chainArchive(ctx context.Context, cluster *sec.Cluster) (*sec.Archive, int, error) {
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
-		Scheme:         sec.BasicSEC,
-		Code:           sec.NonSystematicCauchy,
-		N:              20,
-		K:              10,
-		BlockSize:      4096,
-		DisableBatchIO: disableBatch,
+		Scheme:    sec.BasicSEC,
+		Code:      sec.NonSystematicCauchy,
+		N:         20,
+		K:         10,
+		BlockSize: 4096,
 	}, cluster)
 	if err != nil {
 		return nil, 0, err
@@ -274,7 +273,7 @@ func benchRetrieve(ctx context.Context) (benchReport, error) {
 		Description: "(20,10) BasicSEC Retrieve(5) of 1 full + 4 sparse deltas on in-memory nodes",
 		GoMaxProcs:  gomaxprocs(),
 	}
-	archive, size, err := chainArchive(ctx, sec.NewMemCluster(20), false)
+	archive, size, err := chainArchive(ctx, sec.NewMemCluster(20))
 	if err != nil {
 		return report, err
 	}
@@ -296,14 +295,13 @@ func benchRetrieve(ctx context.Context) (benchReport, error) {
 }
 
 // benchTCPRetrieve measures the same chain retrieval over 20 loopback TCP
-// nodes, once with per-node batching (the default) and once with the
-// per-shard path, reporting wall time and RPCs per retrieval for both.
-// This is the benchmark CI tracks: the batched path must issue one get
-// RPC per node, not one per shard.
+// nodes, reporting wall time and RPCs per retrieval. This is the benchmark
+// CI tracks: a retrieval must issue one get RPC per node touched, not one
+// per shard, and one liveness ping per node.
 func benchTCPRetrieve(ctx context.Context) (benchReport, error) {
 	report := benchReport{
 		Bench:       "tcp-retrieve",
-		Description: "(20,10) BasicSEC Retrieve(5) over 20 loopback TCP nodes: per-node batches vs per-shard RPCs",
+		Description: "(20,10) BasicSEC Retrieve(5) over 20 loopback TCP nodes: one get batch per node touched",
 		GoMaxProcs:  gomaxprocs(),
 	}
 	const n = 20
@@ -329,41 +327,33 @@ func benchTCPRetrieve(ctx context.Context) (benchReport, error) {
 		}
 		return gets, pings
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"batched", false},
-		{"per-shard", true},
-	} {
-		cluster := sec.NewCluster(nodes)
-		archive, size, err := chainArchive(ctx, cluster, mode.disable)
-		if err != nil {
-			return report, err
-		}
-		cluster.ResetWireStats()
-		getsBefore, pingsBefore := sumRPCs()
-		iters, nsPerOp, err := measure(ctx, func() error {
-			_, _, err := archive.RetrieveContext(ctx, 5)
-			return err
-		})
-		if err != nil {
-			return report, err
-		}
-		getsAfter, pingsAfter := sumRPCs()
-		// The warmup iteration is inside the RPC window too.
-		ops := float64(iters + 1)
-		report.Results = append(report.Results, benchResult{
-			Name:               mode.name,
-			Iterations:         iters,
-			NsPerOp:            nsPerOp,
-			BytesPerOp:         int64(size),
-			MBPerS:             mbPerS(int64(size), nsPerOp),
-			GetRPCsPerOp:       float64(getsAfter-getsBefore) / ops,
-			PingRPCsPerOp:      float64(pingsAfter-pingsBefore) / ops,
-			WireBytesReadPerOp: float64(cluster.WireStats().BytesRead) / ops,
-		})
+	cluster := sec.NewCluster(nodes)
+	archive, size, err := chainArchive(ctx, cluster)
+	if err != nil {
+		return report, err
 	}
+	cluster.ResetWireStats()
+	getsBefore, pingsBefore := sumRPCs()
+	iters, nsPerOp, err := measure(ctx, func() error {
+		_, _, err := archive.RetrieveContext(ctx, 5)
+		return err
+	})
+	if err != nil {
+		return report, err
+	}
+	getsAfter, pingsAfter := sumRPCs()
+	// The warmup iteration is inside the RPC window too.
+	ops := float64(iters + 1)
+	report.Results = append(report.Results, benchResult{
+		Name:               "batched",
+		Iterations:         iters,
+		NsPerOp:            nsPerOp,
+		BytesPerOp:         int64(size),
+		MBPerS:             mbPerS(int64(size), nsPerOp),
+		GetRPCsPerOp:       float64(getsAfter-getsBefore) / ops,
+		PingRPCsPerOp:      float64(pingsAfter-pingsBefore) / ops,
+		WireBytesReadPerOp: float64(cluster.WireStats().BytesRead) / ops,
+	})
 	return report, nil
 }
 

@@ -1059,9 +1059,6 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 // as they would have fetched in the first place, so read counts are
 // unchanged.
 func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]*shardSet {
-	if a.cfg.DisableBatchIO {
-		return nil
-	}
 	type objPlan struct {
 		id      string
 		version int
@@ -1490,56 +1487,16 @@ func (a *Archive) rowRefs(id string, version int, rows []int) []store.ShardRef {
 }
 
 // readRows fetches the given shard rows of an object, grouped into one
-// batch per placement node (per-shard cluster operations when
-// Config.DisableBatchIO is set). Results are aligned with rows; each row
-// fails or succeeds independently.
+// batch per placement node. Results are aligned with rows; each row fails
+// or succeeds independently.
 func (a *Archive) readRows(ctx context.Context, id string, version int, rows []int) []store.ShardResult {
-	refs := a.rowRefs(id, version, rows)
-	if a.cfg.DisableBatchIO {
-		return a.readRefsPerShard(ctx, refs)
-	}
-	return a.cluster.GetBatch(ctx, refs)
-}
-
-// readRefsPerShard is the pre-batching read path: one cluster Get per
-// shard, in parallel when ReadConcurrency > 1.
-func (a *Archive) readRefsPerShard(ctx context.Context, refs []store.ShardRef) []store.ShardResult {
-	results := make([]store.ShardResult, len(refs))
-	if a.cfg.ReadConcurrency > 1 && len(refs) > 1 {
-		sem := make(chan struct{}, a.cfg.ReadConcurrency)
-		var wg sync.WaitGroup
-		for i, ref := range refs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, ref store.ShardRef) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				data, err := a.cluster.Get(ctx, ref.Node, ref.ID)
-				results[i] = store.ShardResult{Data: data, Err: err}
-			}(i, ref)
-		}
-		wg.Wait()
-		return results
-	}
-	for i, ref := range refs {
-		data, err := a.cluster.Get(ctx, ref.Node, ref.ID)
-		results[i] = store.ShardResult{Data: data, Err: err}
-	}
-	return results
+	return a.cluster.GetBatch(ctx, a.rowRefs(id, version, rows))
 }
 
 // writeRows stores data[i] under row rows[i] of an object, grouped into
 // one batch per placement node. The returned errors are aligned with rows.
 func (a *Archive) writeRows(ctx context.Context, id string, version int, rows []int, data [][]byte) []error {
-	refs := a.rowRefs(id, version, rows)
-	if a.cfg.DisableBatchIO {
-		errs := make([]error, len(refs))
-		for i, ref := range refs {
-			errs[i] = a.cluster.Put(ctx, ref.Node, ref.ID, data[i])
-		}
-		return errs
-	}
-	return a.cluster.PutBatch(ctx, refs, data)
+	return a.cluster.PutBatch(ctx, a.rowRefs(id, version, rows), data)
 }
 
 // liveRows returns the shard rows of an object whose nodes are available,
@@ -1595,22 +1552,7 @@ func (a *Archive) deleteObject(ctx context.Context, code codec, id string, versi
 	for row := range rows {
 		rows[row] = row
 	}
-	refs := a.rowRefs(id, version, rows)
-	var errs []error
-	if a.cfg.DisableBatchIO {
-		errs = make([]error, len(refs))
-		for i, ref := range refs {
-			n, err := a.cluster.Node(ref.Node)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			errs[i] = n.Delete(ctx, ref.ID)
-		}
-	} else {
-		errs = a.cluster.DeleteBatch(ctx, refs)
-	}
-	for _, err := range errs {
+	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(id, version, rows)) {
 		if err != nil && !errors.Is(err, store.ErrNotFound) {
 			orphans++
 		}

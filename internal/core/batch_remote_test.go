@@ -5,7 +5,6 @@ package core_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -23,6 +22,7 @@ var (
 	editBlocks   = core.EditBlocksForExternal
 	fullID       = core.FullIDForExternal
 	deltaID      = core.DeltaIDForExternal
+	asPlainNode  = core.AsPlainNodeForExternal
 )
 
 // remoteCluster starts one transport server per backing node and returns a
@@ -101,10 +101,17 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 		t.Errorf("batched shards = %d, want %d", shards, k)
 	}
 
-	// The same retrieval with batching disabled pays one RPC per shard.
-	cfgPer := testConfig(core.NonDifferential, erasure.NonSystematicCauchy)
-	cfgPer.DisableBatchIO = true
-	aPer, err := core.New(cfgPer, cluster)
+	// The same retrieval through clients stripped of the batch capability
+	// pays one RPC per shard.
+	plain := make([]store.Node, cluster.Size())
+	for i := range plain {
+		n, err := cluster.Node(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain[i] = asPlainNode(n)
+	}
+	aPer, err := core.New(testConfig(core.NonDifferential, erasure.NonSystematicCauchy), store.NewCluster(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,24 +126,6 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 		t.Errorf("per-shard path issued %d batch RPCs, want 0", batches)
 	}
 }
-
-// opaqueNode hides every optional capability of a node, so the cluster
-// must fall back to per-shard operations for it.
-type opaqueNode struct{ inner store.Node }
-
-func (o opaqueNode) ID() string { return o.inner.ID() }
-func (o opaqueNode) Put(ctx context.Context, id store.ShardID, d []byte) error {
-	return o.inner.Put(ctx, id, d)
-}
-func (o opaqueNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
-	return o.inner.Get(ctx, id)
-}
-func (o opaqueNode) Delete(ctx context.Context, id store.ShardID) error {
-	return o.inner.Delete(ctx, id)
-}
-func (o opaqueNode) Available(ctx context.Context) bool { return o.inner.Available(ctx) }
-func (o opaqueNode) Stats() store.NodeStats             { return o.inner.Stats() }
-func (o opaqueNode) ResetStats()                        { o.inner.ResetStats() }
 
 // TestMixedClusterBatchedArchive runs a full commit/retrieve/damage/scrub
 // cycle on a cluster mixing MemNode, DiskNode, a plain (batch-incapable)
@@ -157,7 +146,7 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 	nodes := []store.Node{
 		store.NewMemNode("mem-0"),
 		disk0,
-		opaqueNode{store.NewMemNode("plain")},
+		asPlainNode(store.NewMemNode("plain")),
 		store.NewMemNode("mem-1"),
 		r0,
 		r1,

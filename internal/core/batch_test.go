@@ -48,24 +48,21 @@ func runBatchWorkload(t *testing.T, a *Archive, cluster *store.Cluster) []Retrie
 }
 
 // TestBatchAndPerShardPathsIdenticalStats is the differential accounting
-// test: the batched I/O path must produce exactly the same per-node
-// NodeStats and retrieval accounting as the per-shard path on an
-// identical workload - batching changes the wire plan, never the I/O
-// metric.
+// test: on batch-capable nodes the archive must produce exactly the same
+// per-node NodeStats and retrieval accounting as on plain nodes, where the
+// cluster runs every batch as a per-shard loop, for an identical workload
+// - batching changes the wire plan, never the I/O metric.
 func TestBatchAndPerShardPathsIdenticalStats(t *testing.T) {
-	run := func(disable bool) (store.NodeStats, []RetrievalStats, *store.Cluster) {
-		cluster := store.NewMemCluster(0)
-		cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
-		cfg.DisableBatchIO = disable
-		a, err := New(cfg, cluster)
+	run := func(cluster *store.Cluster) (store.NodeStats, []RetrievalStats, *store.Cluster) {
+		a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats := runBatchWorkload(t, a, cluster)
 		return cluster.TotalStats(), stats, cluster
 	}
-	batchedTotal, batchedStats, batchedCluster := run(false)
-	perShardTotal, perShardStats, perShardCluster := run(true)
+	batchedTotal, batchedStats, batchedCluster := run(store.NewMemCluster(0))
+	perShardTotal, perShardStats, perShardCluster := run(newPlainMemCluster())
 	if batchedTotal != perShardTotal {
 		t.Errorf("cluster totals diverge:\n  batched   %+v\n  per-shard %+v", batchedTotal, perShardTotal)
 	}

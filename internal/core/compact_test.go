@@ -671,18 +671,18 @@ func TestCompactKeepSupersededThenReclaim(t *testing.T) {
 	}
 }
 
-// TestCompactWithBatchIODisabled runs the same pass down the per-shard
-// cluster path (including per-shard deletes).
-func TestCompactWithBatchIODisabled(t *testing.T) {
-	cluster := store.NewMemCluster(20)
+// TestCompactOnPlainNodes runs the same pass on nodes without the batch
+// capability, so the cluster runs every batch (deletes included) as a
+// per-shard loop.
+func TestCompactOnPlainNodes(t *testing.T) {
+	cluster := newPlainMemCluster()
 	cfg := Config{
-		Name:           "t",
-		Scheme:         ReversedSEC,
-		Code:           erasure.NonSystematicCauchy,
-		N:              20,
-		K:              10,
-		BlockSize:      8,
-		DisableBatchIO: true,
+		Name:      "t",
+		Scheme:    ReversedSEC,
+		Code:      erasure.NonSystematicCauchy,
+		N:         20,
+		K:         10,
+		BlockSize: 8,
 	}
 	a, err := New(cfg, cluster)
 	if err != nil {

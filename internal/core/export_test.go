@@ -11,4 +11,5 @@ var (
 	EditBlocksForExternal   = editBlocks
 	FullIDForExternal       = fullID
 	DeltaIDForExternal      = deltaID
+	AsPlainNodeForExternal  = asPlainNode
 )

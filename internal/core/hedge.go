@@ -9,10 +9,8 @@ import (
 )
 
 // hedgeEnabled reports whether retrievals should hedge slow node batches.
-// Hedging rides the batched read path; with per-shard I/O forced there is
-// no node batch to hedge.
 func (a *Archive) hedgeEnabled() bool {
-	return a.cfg.HedgeDelay > 0 && !a.cfg.DisableBatchIO
+	return a.cfg.HedgeDelay > 0
 }
 
 // groupRefsByNode splits shard refs into one batch per node, preserving

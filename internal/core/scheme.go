@@ -153,18 +153,6 @@ type Config struct {
 	// than the limit would cost as much to read as a full codeword while
 	// being less resilient, so promotion is strictly better.
 	CompactGammaLimit int
-	// ReadConcurrency bounds the number of shards fetched in parallel
-	// during a retrieval when DisableBatchIO is set (values below 2 mean
-	// sequential reads). The default batched I/O path groups shards into
-	// one operation per node instead, with node batches always running
-	// concurrently. Read counts are unaffected either way; only latency
-	// changes, which matters for remote (TCP) nodes.
-	ReadConcurrency int
-	// DisableBatchIO forces one cluster operation per shard instead of
-	// grouping reads and writes into one batch per node. Batching changes
-	// neither read counts nor results - this switch exists for
-	// differential testing and for measuring what batching buys.
-	DisableBatchIO bool
 	// CompressDeltas enables compressed differential erasure coding
 	// (CDEC, the paper's follow-up work): a delta whose sparsity gamma is
 	// within CompressGammaMax is compacted to its gamma non-zero blocks
@@ -202,9 +190,7 @@ type Config struct {
 	// cluster's health tracker. Zero (the default) disables hedging,
 	// which keeps read counts exactly as the paper's formulas predict;
 	// with hedging on, a slow node costs extra speculative reads instead
-	// of extra latency (RetrievalStats.Hedges counts them). Hedging
-	// rides the batched I/O path and is ignored when DisableBatchIO is
-	// set.
+	// of extra latency (RetrievalStats.Hedges counts them).
 	HedgeDelay time.Duration
 }
 
