@@ -24,7 +24,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.Run(id)
+		table, err := experiments.Run(b.Context(), id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func benchArchive(b *testing.B, scheme sec.Scheme) (*sec.Archive, []byte) {
 	rng := rand.New(rand.NewSource(6))
 	v := make([]byte, archive.Capacity())
 	rng.Read(v)
-	if _, err := archive.Commit(v); err != nil {
+	if _, err := archive.CommitContext(b.Context(), v); err != nil {
 		b.Fatal(err)
 	}
 	return archive, v
@@ -407,7 +407,7 @@ func BenchmarkArchiveCommitSparseDelta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := archive.Commit(next); err != nil {
+		if _, err := archive.CommitContext(b.Context(), next); err != nil {
 			b.Fatal(err)
 		}
 		v = next
@@ -422,7 +422,7 @@ func BenchmarkArchiveRetrieveLatestSparseChain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := archive.Commit(next); err != nil {
+		if _, err := archive.CommitContext(b.Context(), next); err != nil {
 			b.Fatal(err)
 		}
 		v = next
@@ -430,7 +430,7 @@ func BenchmarkArchiveRetrieveLatestSparseChain(b *testing.B) {
 	b.SetBytes(int64(len(v)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := archive.Retrieve(5); err != nil {
+		if _, _, err := archive.RetrieveContext(b.Context(), 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,7 +468,7 @@ func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	v := make([]byte, archive.Capacity())
 	rng.Read(v)
-	if _, err := archive.Commit(v); err != nil {
+	if _, err := archive.CommitContext(b.Context(), v); err != nil {
 		b.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
@@ -476,7 +476,7 @@ func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := archive.Commit(next); err != nil {
+		if _, err := archive.CommitContext(b.Context(), next); err != nil {
 			b.Fatal(err)
 		}
 		v = next
@@ -484,7 +484,7 @@ func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 	b.SetBytes(int64(len(v)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := archive.Retrieve(5); err != nil {
+		if _, _, err := archive.RetrieveContext(b.Context(), 5); err != nil {
 			b.Fatal(err)
 		}
 	}

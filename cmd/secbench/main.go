@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("aborted before %s: %w", id, err)
 		}
-		table, err := experiments.Run(id)
+		table, err := experiments.Run(ctx, id)
 		if err != nil {
 			return err
 		}

@@ -57,16 +57,15 @@
 //
 // # Contexts, deadlines, and cancellation
 //
-// The ctx-first methods (CommitContext, RetrieveContext,
-// RetrieveAllContext, LatestContext, ScrubContext, RepairNodeContext,
-// CompactContext) are the primary API: the context bounds the whole
-// operation end to end. Against TCP nodes the context deadline becomes the
+// Every archive operation takes a context first (CommitContext,
+// RetrieveContext, RetrieveAllContext, LatestContext, ScrubContext,
+// RepairNodeContext, CompactContext) and there is no context-free spelling:
+// the context bounds the whole operation end to end. Against TCP nodes the context deadline becomes the
 // wire deadline (when earlier than the per-node operation timeout), and
 // cancellation interrupts in-flight RPCs immediately, so a retrieval
 // against a stalled node returns when the caller's deadline passes instead
 // of waiting out per-operation timeouts link by link along the version
-// chain. The context-free methods (Commit, Retrieve, ...) are thin
-// context.Background() wrappers kept for existing callers.
+// chain.
 //
 // # Error taxonomy
 //

@@ -67,7 +67,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	var versions [][]byte
 	commit := func() {
 		t.Helper()
-		if _, err := archive.Commit(doc.Bytes()); err != nil {
+		if _, err := archive.CommitContext(t.Context(), doc.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		versions = append(versions, doc.Bytes())
@@ -79,7 +79,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 		}
 		commit()
 	}
-	if err := archive.SaveToCluster(); err != nil {
+	if err := archive.SaveToClusterContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,7 +88,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 		backings[i].SetFailed(true)
 	}
 	for l, want := range versions {
-		got, _, err := archive.Retrieve(l + 1)
+		got, _, err := archive.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatalf("degraded version %d: %v", l+1, err)
 		}
@@ -98,7 +98,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	}
 	// One more failure is fatal...
 	backings[0].SetFailed(true)
-	if _, _, err := archive.Retrieve(1); !errors.Is(err, sec.ErrUnavailable) {
+	if _, _, err := archive.RetrieveContext(t.Context(), 1); !errors.Is(err, sec.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 	// ...until the cluster heals.
@@ -109,7 +109,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	// Phase 3: device replacement. Node 2's disk dies; a fresh device
 	// takes its place and repair rebuilds its shards over the network.
 	backings[2].Wipe()
-	report, err := archive.RepairNode(2)
+	report, err := archive.RepairNodeContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	if err := backings[6].Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)
 	}
-	scrub, err := archive.Scrub(true)
+	scrub, err := archive.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 
 	// Phase 5: the client machine is lost; recover metadata from the
 	// cluster and read everything back through a fresh archive handle.
-	recovered, err := core.LoadFromCluster("lifecycle", cluster)
+	recovered, err := core.LoadFromClusterContext(t.Context(), "lifecycle", cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, stats, err := recovered.RetrieveAll(len(versions))
+	all, stats, err := recovered.RetrieveAllContext(t.Context(), len(versions))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	if _, _, err := doc.Revise(rng, 80); err != nil {
 		t.Fatal(err)
 	}
-	info, err := recovered.Commit(doc.Bytes())
+	info, err := recovered.CommitContext(t.Context(), doc.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Version != len(versions)+1 {
 		t.Fatalf("continued commit got version %d", info.Version)
 	}
-	got, _, err := recovered.Latest()
+	got, _, err := recovered.LatestContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := archive.Commit(v); err != nil {
+		if _, err := archive.CommitContext(t.Context(), v); err != nil {
 			t.Fatal(err)
 		}
 		versions = append(versions, v)
@@ -323,7 +323,7 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 	for _, s := range servers {
 		s.kill()
 	}
-	if _, _, err := archive.Retrieve(1); !errors.Is(err, sec.ErrUnavailable) {
+	if _, _, err := archive.RetrieveContext(t.Context(), 1); !errors.Is(err, sec.ErrUnavailable) {
 		t.Fatalf("retrieve with all nodes killed = %v, want ErrUnavailable", err)
 	}
 	for _, s := range servers {
@@ -337,7 +337,7 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 		t.Fatalf("%d shards on disk after restart, want %d", shardsOnDisk, want)
 	}
 	for l, want := range versions {
-		got, _, err := archive.Retrieve(l + 1)
+		got, _, err := archive.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatalf("version %d after restart: %v", l+1, err)
 		}
@@ -345,7 +345,7 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 			t.Fatalf("version %d mismatch after restart", l+1)
 		}
 	}
-	if report, err := archive.Scrub(false); err != nil || report.ShardsMissing != 0 || report.ShardsCorrupt != 0 {
+	if report, err := archive.ScrubContext(t.Context(), false); err != nil || report.ShardsMissing != 0 || report.ShardsCorrupt != 0 {
 		t.Fatalf("post-restart scrub = %+v, %v", report, err)
 	}
 
@@ -365,14 +365,14 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 	if !sawCorrupt {
 		t.Fatal("no direct Get surfaced ErrShardCorrupt after bit flip")
 	}
-	report, err := archive.Scrub(true)
+	report, err := archive.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.ShardsCorrupt != 1 || report.Repaired != 1 {
 		t.Fatalf("healing scrub = %+v", report)
 	}
-	if report, err = archive.Scrub(false); err != nil || report.ShardsCorrupt != 0 {
+	if report, err = archive.ScrubContext(t.Context(), false); err != nil || report.ShardsCorrupt != 0 {
 		t.Fatalf("post-heal scrub = %+v, %v", report, err)
 	}
 
@@ -399,7 +399,7 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 	}
 	servers[0].restart()
 
-	repair, err := archive.RepairNode(4)
+	repair, err := archive.RepairNodeContext(t.Context(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,15 +407,15 @@ func TestIntegrationDurableNodesSurviveRestartAndDamage(t *testing.T) {
 		t.Fatalf("repair = %+v, want %d shards rebuilt", repair, len(versions))
 	}
 	// Heal node 0's holes too, then the archive is fully redundant again.
-	if _, err := archive.RepairNode(0); err != nil {
+	if _, err := archive.RepairNodeContext(t.Context(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if report, err := archive.Scrub(false); err != nil ||
+	if report, err := archive.ScrubContext(t.Context(), false); err != nil ||
 		report.ShardsMissing != 0 || report.ShardsCorrupt != 0 || report.ObjectsUndecodable != 0 {
 		t.Fatalf("final scrub = %+v, %v", report, err)
 	}
 	for l, want := range versions {
-		got, _, err := archive.Retrieve(l + 1)
+		got, _, err := archive.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatalf("final version %d: %v", l+1, err)
 		}
@@ -485,7 +485,7 @@ func TestIntegrationCompressedChainAcrossClusterKinds(t *testing.T) {
 			gammas := []int{1, k, 2, 1}
 			versions := [][]byte{append([]byte(nil), v...)}
 			compressed := []bool{false}
-			if _, err := archive.Commit(v); err != nil {
+			if _, err := archive.CommitContext(t.Context(), v); err != nil {
 				t.Fatal(err)
 			}
 			for _, gamma := range gammas {
@@ -493,7 +493,7 @@ func TestIntegrationCompressedChainAcrossClusterKinds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				info, err := archive.Commit(v)
+				info, err := archive.CommitContext(t.Context(), v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -503,18 +503,18 @@ func TestIntegrationCompressedChainAcrossClusterKinds(t *testing.T) {
 				versions = append(versions, append([]byte(nil), v...))
 				compressed = append(compressed, info.Compressed)
 			}
-			if err := archive.SaveToCluster(); err != nil {
+			if err := archive.SaveToClusterContext(t.Context()); err != nil {
 				t.Fatal(err)
 			}
 
 			// The recovered handle must see the same mixed chain: the
 			// compression markers live in the manifest, not the client.
-			recovered, err := core.LoadFromCluster("mixed", cluster)
+			recovered, err := core.LoadFromClusterContext(t.Context(), "mixed", cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for l, want := range versions {
-				got, stats, err := recovered.Retrieve(l + 1)
+				got, stats, err := recovered.RetrieveContext(t.Context(), l+1)
 				if err != nil {
 					t.Fatalf("recovered version %d: %v", l+1, err)
 				}
@@ -529,7 +529,7 @@ func TestIntegrationCompressedChainAcrossClusterKinds(t *testing.T) {
 			// Hot re-read of the tip: the chain walk above filled the
 			// decoded-version cache, so this must cost zero node reads.
 			tip := len(versions)
-			got, stats, err := recovered.Retrieve(tip)
+			got, stats, err := recovered.RetrieveContext(t.Context(), tip)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -559,15 +559,15 @@ func TestIntegrationRepositoryOverTCP(t *testing.T) {
 		"src/main.go": bytes.Repeat([]byte{'m'}, 300),
 		"docs/spec":   bytes.Repeat([]byte{'d'}, 200),
 	}
-	if _, err := repo.Commit("import", files); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "import", files); err != nil {
 		t.Fatal(err)
 	}
 	edited := append([]byte(nil), files["src/main.go"]...)
 	edited[5] = 'X'
-	if _, err := repo.Commit("fix", map[string][]byte{"src/main.go": edited}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "fix", map[string][]byte{"src/main.go": edited}); err != nil {
 		t.Fatal(err)
 	}
-	state, stats, err := repo.Checkout(2)
+	state, stats, err := repo.CheckoutContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func editBlocks(object []byte, blockSize int, blocks ...int) []byte {
 
 func mustCommit(t *testing.T, a *Archive, object []byte) CommitInfo {
 	t.Helper()
-	info, err := a.Commit(object)
+	info, err := a.CommitContext(t.Context(), object)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func mustCommit(t *testing.T, a *Archive, object []byte) CommitInfo {
 
 func mustRetrieve(t *testing.T, a *Archive, l int) ([]byte, RetrievalStats) {
 	t.Helper()
-	object, stats, err := a.Retrieve(l)
+	object, stats, err := a.RetrieveContext(t.Context(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRoundTripAllSchemesAndCodes(t *testing.T) {
 						t.Errorf("version %d mismatch", l)
 					}
 				}
-				all, _, err := a.RetrieveAll(len(versions))
+				all, _, err := a.RetrieveAllContext(t.Context(), len(versions))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -253,7 +253,7 @@ func TestPaperSectionIIIDExample(t *testing.T) {
 			t.Errorf("planned eta(x1..x5) = %d, want 42", plannedAll)
 		}
 		cluster.ResetStats()
-		_, stats, err := a.RetrieveAll(5)
+		_, stats, err := a.RetrieveAllContext(t.Context(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestPaperSectionIIIDExample(t *testing.T) {
 			}
 		}
 		// Reading the whole archive costs the same 42 as basic SEC.
-		_, stats, err := a.RetrieveAll(5)
+		_, stats, err := a.RetrieveAllContext(t.Context(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestPaperSectionIIIDExample(t *testing.T) {
 				t.Errorf("eta(x%d) = %d, want 10", l, stats.NodeReads)
 			}
 		}
-		_, stats, err := a.RetrieveAll(5)
+		_, stats, err := a.RetrieveAllContext(t.Context(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestPaperSectionIIIDExample(t *testing.T) {
 		}
 		// The backward walk materializes everything: whole-archive read
 		// costs the same 42, not 42 + re-reads.
-		_, statsAll, err := a.RetrieveAll(5)
+		_, statsAll, err := a.RetrieveAllContext(t.Context(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func TestCommitOverCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Commit(make([]byte, a.Capacity()+1)); err == nil {
+	if _, err := a.CommitContext(t.Context(), make([]byte, a.Capacity()+1)); err == nil {
 		t.Error("over-capacity commit: want error")
 	}
 }
@@ -417,16 +417,16 @@ func TestRetrieveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Retrieve(1); !errors.Is(err, ErrNoSuchVersion) {
+	if _, _, err := a.RetrieveContext(t.Context(), 1); !errors.Is(err, ErrNoSuchVersion) {
 		t.Errorf("Retrieve on empty archive: err = %v, want ErrNoSuchVersion", err)
 	}
 	mustCommit(t, a, []byte{1})
 	for _, l := range []int{0, -1, 2} {
-		if _, _, err := a.Retrieve(l); !errors.Is(err, ErrNoSuchVersion) {
+		if _, _, err := a.RetrieveContext(t.Context(), l); !errors.Is(err, ErrNoSuchVersion) {
 			t.Errorf("Retrieve(%d): err = %v, want ErrNoSuchVersion", l, err)
 		}
 	}
-	if _, _, err := a.RetrieveAll(2); !errors.Is(err, ErrNoSuchVersion) {
+	if _, _, err := a.RetrieveAllContext(t.Context(), 2); !errors.Is(err, ErrNoSuchVersion) {
 		t.Errorf("RetrieveAll(2): err = %v, want ErrNoSuchVersion", err)
 	}
 }
@@ -459,7 +459,7 @@ func TestDegradedReadsUnderFailures(t *testing.T) {
 	if err := cluster.Fail(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Retrieve(2); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := a.RetrieveContext(t.Context(), 2); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("err = %v, want ErrUnavailable (x1 needs k=3 live)", err)
 	}
 
@@ -559,7 +559,7 @@ func TestReversedSECOrphansWhenNodeDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := editBlocks(v, a.Config().BlockSize, 0)
-	if _, err := a.Commit(v2); err == nil {
+	if _, err := a.CommitContext(t.Context(), v2); err == nil {
 		t.Error("commit with a dead node: want error (shard writes must be durable)")
 	}
 	cluster.HealAll()
@@ -595,10 +595,10 @@ func TestDispersedPlacementUsesDistinctGroups(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2, 3, 4, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Retrieve(1); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := a.RetrieveContext(t.Context(), 1); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("x1 with group 0 dead: err = %v, want ErrUnavailable", err)
 	}
-	if _, _, err := a.Retrieve(2); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := a.RetrieveContext(t.Context(), 2); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("x2 with group 0 dead: err = %v, want ErrUnavailable", err)
 	}
 	// Failures spread across groups are survivable instead.
@@ -671,7 +671,7 @@ func TestLatest(t *testing.T) {
 	v2 := editBlocks(v1, a.Config().BlockSize, 0)
 	mustCommit(t, a, v1)
 	mustCommit(t, a, v2)
-	got, _, err := a.Latest()
+	got, _, err := a.LatestContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestConcurrentRetrieves(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 20; i++ {
-				got, _, err := a.Retrieve(2)
+				got, _, err := a.RetrieveContext(t.Context(), 2)
 				if err != nil {
 					done <- err
 					return

@@ -175,7 +175,7 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 	if err := remoteMem.Delete(t.Context(), store.ShardID{Object: deltaID(a.Config().Name, 2), Row: 4}); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

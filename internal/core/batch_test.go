@@ -23,7 +23,7 @@ func runBatchWorkload(t *testing.T, a *Archive, cluster *store.Cluster) []Retrie
 		_, stats := mustRetrieve(t, a, l)
 		all = append(all, stats)
 	}
-	if _, stats, err := a.RetrieveAll(3); err != nil {
+	if _, stats, err := a.RetrieveAllContext(t.Context(), 3); err != nil {
 		t.Fatal(err)
 	} else {
 		all = append(all, stats)
@@ -36,10 +36,10 @@ func runBatchWorkload(t *testing.T, a *Archive, cluster *store.Cluster) []Retrie
 	if err := n1.Delete(t.Context(), store.ShardID{Object: fullID(a.cfg.Name, 1), Row: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Scrub(true); err != nil {
+	if _, err := a.ScrubContext(t.Context(), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.RepairNode(2); err != nil {
+	if _, err := a.RepairNodeContext(t.Context(), 2); err != nil {
 		t.Fatal(err)
 	}
 	_, stats := mustRetrieve(t, a, 3)
@@ -106,7 +106,7 @@ func TestPartialFailureRefetchesOnlyMissingRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster.ResetStats()
-	got, stats, err := a.Retrieve(1)
+	got, stats, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestCompressedManifestRoundTrip(t *testing.T) {
 	}
 	for _, b := range []*Archive{reopened, loaded} {
 		for v, want := range [][]byte{v1, v2, v3} {
-			got, _, err := b.Retrieve(v + 1)
+			got, _, err := b.RetrieveContext(t.Context(), v+1)
 			if err != nil {
 				t.Fatalf("v%d: %v", v+1, err)
 			}
@@ -237,7 +237,7 @@ func TestCompressedCompaction(t *testing.T) {
 		versions = append(versions, next)
 		mustCommit(t, a, next)
 	}
-	info, err := a.CompactTo(2)
+	info, err := a.CompactToContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestCompressedCompaction(t *testing.T) {
 	if _, _, err := a.ReclaimSupersededContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(false)
+	report, err := a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestCompressedScrubAndRepair(t *testing.T) {
 	if err := node.Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +322,14 @@ func TestCompressedScrubAndRepair(t *testing.T) {
 	if err := node.Delete(t.Context(), id); err != nil {
 		t.Fatal(err)
 	}
-	rreport, err := a.RepairNode(2)
+	rreport, err := a.RepairNodeContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rreport.ShardsRepaired != 1 {
 		t.Fatalf("repair report = %+v", rreport)
 	}
-	clean, err := a.Scrub(false)
+	clean, err := a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestReadCacheHitsAndInvalidation(t *testing.T) {
 	if _, stats := mustRetrieve(t, a, 3); stats.CacheHits != 1 {
 		t.Fatalf("warm-up retrieval stats = %+v", stats)
 	}
-	if _, err := a.CompactTo(1); err != nil {
+	if _, err := a.CompactToContext(t.Context(), 1); err != nil {
 		t.Fatal(err)
 	}
 	cs, _ = a.ReadCacheStats()
@@ -501,7 +501,7 @@ func TestLatestServedFromWriterCache(t *testing.T) {
 	v2 := editBlocks(v1, 4, 2)
 	mustCommit(t, a, v1)
 	mustCommit(t, a, v2)
-	got, stats, err := a.Latest()
+	got, stats, err := a.LatestContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestLatestServedFromWriterCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err = reopened.Latest()
+	got, stats, err = reopened.LatestContext(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func FuzzLoadManifest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := a.Commit([]byte("seed")); err != nil {
+	if _, err := a.CommitContext(f.Context(), []byte("seed")); err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -34,7 +34,7 @@ func TestReclaimUnderPartitionNeverDeletesLiveCodewords(t *testing.T) {
 	checkAll := func(when string) {
 		t.Helper()
 		for l, want := range versions {
-			got, _, err := a.Retrieve(l + 1)
+			got, _, err := a.RetrieveContext(t.Context(), l+1)
 			if err != nil {
 				t.Fatalf("%s: retrieve v%d: %v", when, l+1, err)
 			}

@@ -36,7 +36,7 @@ func TestManifestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("reopened: versions=%d scheme=%v", b.Versions(), b.Scheme())
 	}
 	for l, want := range [][]byte{v1, v2, v3} {
-		got, _, err := b.Retrieve(l + 1)
+		got, _, err := b.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,14 +48,14 @@ func TestManifestSaveLoadRoundTrip(t *testing.T) {
 	// Committing after reopen restores the latest-version cache from
 	// storage and continues the chain.
 	v4 := editBlocks(v3, b.Config().BlockSize, 2)
-	info, err := b.Commit(v4)
+	info, err := b.CommitContext(t.Context(), v4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Version != 4 || info.Gamma != 1 {
 		t.Errorf("commit after reopen: %+v", info)
 	}
-	got, _, err := b.Retrieve(4)
+	got, _, err := b.RetrieveContext(t.Context(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,23 +140,23 @@ func TestSaveToClusterAndLoadFromCluster(t *testing.T) {
 	}
 	v1 := bytes.Repeat([]byte{4}, a.Capacity())
 	mustCommit(t, a, v1)
-	if err := a.SaveToCluster(); err != nil {
+	if err := a.SaveToClusterContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	v2 := editBlocks(v1, 4, 0)
 	mustCommit(t, a, v2)
-	if err := a.SaveToCluster(); err != nil {
+	if err := a.SaveToClusterContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 
-	b, err := LoadFromCluster("t", cluster)
+	b, err := LoadFromClusterContext(t.Context(), "t", cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Versions() != 2 {
 		t.Fatalf("reopened versions = %d, want 2", b.Versions())
 	}
-	got, _, err := b.Retrieve(2)
+	got, _, err := b.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 	}
 	v1 := bytes.Repeat([]byte{4}, a.Capacity())
 	mustCommit(t, a, v1)
-	if err := a.SaveToCluster(); err != nil {
+	if err := a.SaveToClusterContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 is down during the second save, so its replica goes stale.
@@ -181,11 +181,11 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 	if err := cluster.Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SaveToCluster(); err != nil {
+	if err := a.SaveToClusterContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	cluster.HealAll()
-	b, err := LoadFromCluster("t", cluster)
+	b, err := LoadFromClusterContext(t.Context(), "t", cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 }
 
 func TestLoadFromClusterMissing(t *testing.T) {
-	if _, err := LoadFromCluster("ghost", store.NewMemCluster(3)); err == nil {
+	if _, err := LoadFromClusterContext(t.Context(), "ghost", store.NewMemCluster(3)); err == nil {
 		t.Error("want error, got nil")
 	}
 }
@@ -210,7 +210,7 @@ func TestSaveToClusterAllNodesDown(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2, 3, 4, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SaveToCluster(); err == nil {
+	if err := a.SaveToClusterContext(t.Context()); err == nil {
 		t.Error("want error with every node down")
 	}
 }
@@ -238,7 +238,7 @@ func TestOpenDispersedPlacement(t *testing.T) {
 	if b.Config().Placement.Name() != "dispersed" {
 		t.Errorf("placement = %q", b.Config().Placement.Name())
 	}
-	got, _, err := b.Retrieve(2)
+	got, _, err := b.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 				t.Fatal(err)
 			}
 		}
-		if _, err := archive.Commit(next); err != nil {
+		if _, err := archive.CommitContext(t.Context(), next); err != nil {
 			t.Fatalf("commit %d: %v", len(model)+1, err)
 		}
 		current = next
@@ -81,7 +81,7 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 			commit()
 		case op < 6: // retrieve a random version
 			l := 1 + rng.Intn(len(model))
-			got, stats, err := archive.Retrieve(l)
+			got, stats, err := archive.RetrieveContext(t.Context(), l)
 			if err != nil {
 				t.Fatalf("step %d: retrieve %d: %v", step, l, err)
 			}
@@ -97,7 +97,7 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 			}
 		case op < 7: // retrieve a random prefix
 			l := 1 + rng.Intn(len(model))
-			got, _, err := archive.RetrieveAll(l)
+			got, _, err := archive.RetrieveAllContext(t.Context(), l)
 			if err != nil {
 				t.Fatalf("step %d: retrieveAll %d: %v", step, l, err)
 			}
@@ -117,7 +117,7 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 			cluster.HealAll()
 			node := rng.Intn(n)
 			wipeArchiveShards(t, archive, cluster, node)
-			if _, err := archive.RepairNode(node); err != nil {
+			if _, err := archive.RepairNodeContext(t.Context(), node); err != nil {
 				t.Fatalf("step %d: repair node %d: %v", step, node, err)
 			}
 		}
@@ -125,7 +125,7 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 
 	// Final full verification with all nodes healthy.
 	cluster.HealAll()
-	all, _, err := archive.RetrieveAll(len(model))
+	all, _, err := archive.RetrieveAllContext(t.Context(), len(model))
 	if err != nil {
 		t.Fatal(err)
 	}

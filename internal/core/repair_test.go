@@ -58,7 +58,7 @@ func TestRepairNodeRestoresRedundancy(t *testing.T) {
 		t.Fatalf("deleted %d shards, want 3", deleted)
 	}
 
-	report, err := a.RepairNode(3)
+	report, err := a.RepairNodeContext(t.Context(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRepairNodeRestoresRedundancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l, want := range [][]byte{v1, v2, v3} {
-		got, _, err := a.Retrieve(l + 1)
+		got, _, err := a.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatalf("version %d: %v", l+1, err)
 		}
@@ -94,7 +94,7 @@ func TestRepairNodeIdempotent(t *testing.T) {
 	v1 := bytes.Repeat([]byte{5}, a.Capacity())
 	mustCommit(t, a, v1)
 	mustCommit(t, a, editBlocks(v1, 4, 1))
-	report, err := a.RepairNode(2)
+	report, err := a.RepairNodeContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRepairNodeRequiresTargetUp(t *testing.T) {
 	if err := cluster.Fail(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.RepairNode(2); !errors.Is(err, store.ErrNodeDown) {
+	if _, err := a.RepairNodeContext(t.Context(), 2); !errors.Is(err, store.ErrNodeDown) {
 		t.Errorf("err = %v, want ErrNodeDown", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestRepairNodeFailsWhenTooFewSurvivors(t *testing.T) {
 	if err := cluster.Fail(1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.RepairNode(0); !errors.Is(err, ErrUnavailable) {
+	if _, err := a.RepairNodeContext(t.Context(), 0); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("err = %v, want ErrUnavailable", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestRepairNodeWithPuncturedDeltas(t *testing.T) {
 	// Node 7 holds only the full version's shard (deltas are punctured
 	// past row 5); node 2 holds both.
 	deleteArchiveShards(t, a, cluster, 7)
-	report, err := a.RepairNode(7)
+	report, err := a.RepairNodeContext(t.Context(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestRepairNodeWithPuncturedDeltas(t *testing.T) {
 		t.Errorf("node 7 report = %+v", report)
 	}
 	deleteArchiveShards(t, a, cluster, 2)
-	report, err = a.RepairNode(2)
+	report, err = a.RepairNodeContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRepairNodeWithSecondNodePartiallyWiped(t *testing.T) {
 		}
 	}
 
-	report, err := a.RepairNode(3)
+	report, err := a.RepairNodeContext(t.Context(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRepairNodeWithSecondNodePartiallyWiped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l, want := range [][]byte{v1, v2, v3} {
-		got, _, err := a.Retrieve(l + 1)
+		got, _, err := a.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatalf("version %d: %v", l+1, err)
 		}
@@ -257,7 +257,7 @@ func TestRepairNodeSkipsTruncatedSourceShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := a.RepairNode(4)
+	report, err := a.RepairNodeContext(t.Context(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRepairNodeSkipsTruncatedSourceShard(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestRepairNodeRefusesWithoutLengthMajority(t *testing.T) {
 	}
 	// Readable sources: rows 0,1 (truncated, equal length) and 2,3
 	// (healthy) - a 2-2 tie with k=3.
-	if _, err := a.RepairNode(5); !errors.Is(err, ErrUnavailable) {
+	if _, err := a.RepairNodeContext(t.Context(), 5); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("err = %v, want ErrUnavailable", err)
 	}
 }
@@ -340,7 +340,7 @@ func TestRepairNodeHealsCorruptShardOnDisk(t *testing.T) {
 	if n := corruptDiskShardFiles(t, diskNodeAt(t, cluster, 0), 1); n != 1 {
 		t.Fatal("no file damaged on node 0")
 	}
-	report, err := a.RepairNode(3)
+	report, err := a.RepairNodeContext(t.Context(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestRepairNodeHealsCorruptShardOnDisk(t *testing.T) {
 		t.Fatalf("repaired shard unreadable: %v", err)
 	}
 	// Row 0 is still corrupt; a full scrub heals it too.
-	report2, err := a.Scrub(true)
+	report2, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestRepairNodeHealsCorruptShardOnDisk(t *testing.T) {
 	if err := cluster.Fail(1, 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestRepairNodeDispersed(t *testing.T) {
 	if deleted != 1 {
 		t.Fatalf("deleted %d, want 1", deleted)
 	}
-	report, err := a.RepairNode(8)
+	report, err := a.RepairNodeContext(t.Context(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestRepairNodeDispersed(t *testing.T) {
 		t.Errorf("report = %+v", report)
 	}
 	// Node 0 belongs to x1's group only.
-	report, err = a.RepairNode(0)
+	report, err = a.RepairNodeContext(t.Context(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func scrubArchive(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 
 func TestScrubCleanArchive(t *testing.T) {
 	a, _, _ := scrubArchive(t)
-	report, err := a.Scrub(false)
+	report, err := a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestScrubDetectsMissingShards(t *testing.T) {
 	if err := node.Delete(t.Context(), store.ShardID{Object: "t/v1-full", Row: 2}); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(false)
+	report, err := a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 		t.Fatalf("report = %+v", report)
 	}
 	// Second scrub is clean.
-	report, err = a.Scrub(false)
+	report, err = a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(2)
+	got, _, err := a.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestScrubRepairsMissingShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestScrubSkipsUnreachableNodes(t *testing.T) {
 	if err := cluster.Fail(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(false)
+	report, err := a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestScrubUndecodableObject(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	report, err := a.Scrub(false)
+	report, err := a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func truncateShard(t *testing.T, cluster *store.Cluster, node int, id store.Shar
 func TestScrubHealsTruncatedShard(t *testing.T) {
 	a, cluster, versions := scrubArchive(t)
 	truncateShard(t, cluster, 2, store.ShardID{Object: "t/v1-full", Row: 2}, 2)
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestScrubHealsTruncatedShard(t *testing.T) {
 	if err := cluster.Fail(0, 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +219,14 @@ func TestScrubHealsGrownShard(t *testing.T) {
 	if err := node.Put(t.Context(), id, append(data, 0xEE, 0xEE)); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.ShardsCorrupt != 1 || report.Repaired != 1 {
 		t.Fatalf("report = %+v", report)
 	}
-	if report, err = a.Scrub(false); err != nil || report.ShardsCorrupt != 0 {
+	if report, err = a.ScrubContext(t.Context(), false); err != nil || report.ShardsCorrupt != 0 {
 		t.Errorf("post-repair report = %+v, %v", report, err)
 	}
 }
@@ -244,14 +244,14 @@ func TestScrubCombinedTruncatedAndMissingShards(t *testing.T) {
 	if err := node4.Delete(t.Context(), store.ShardID{Object: "t/v1-full", Row: 4}); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.ShardsCorrupt != 1 || report.ShardsMissing != 1 || report.Repaired != 2 {
 		t.Fatalf("report = %+v", report)
 	}
-	report, err = a.Scrub(false)
+	report, err = a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestScrubCombinedTruncatedAndMissingShards(t *testing.T) {
 	if err := cluster.Fail(1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestScrubLengthTieIsUndecodableNotDestructive(t *testing.T) {
 	for _, row := range []int{0, 1, 2} {
 		truncateShard(t, cluster, row, store.ShardID{Object: "t/v1-full", Row: row}, 2)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestScrubLengthTieIsUndecodableNotDestructive(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,14 +355,14 @@ func TestScrubHealsDiskBitRot(t *testing.T) {
 	if n := corruptDiskShardFiles(t, diskNodeAt(t, cluster, 5), 1); n != 1 {
 		t.Fatalf("damaged %d files, want 1", n)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.ShardsCorrupt != 1 || report.Repaired != 1 {
 		t.Fatalf("report = %+v", report)
 	}
-	report, err = a.Scrub(false)
+	report, err = a.ScrubContext(t.Context(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestScrubHealsDiskBitRot(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,14 +400,14 @@ func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
 	if err := node.Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)
 	}
-	report, err := a.Scrub(true)
+	report, err := a.ScrubContext(t.Context(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.ShardsCorrupt != 1 || report.Repaired != 1 {
 		t.Fatalf("report = %+v", report)
 	}
-	got, _, err := a.Retrieve(1)
+	got, _, err := a.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

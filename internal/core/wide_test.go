@@ -71,7 +71,7 @@ func TestWideArchiveSparseReads(t *testing.T) {
 	if i2.Gamma != 1 {
 		t.Fatalf("gamma = %d, want 1", i2.Gamma)
 	}
-	got, stats, err := a.Retrieve(2)
+	got, stats, err := a.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestWideArchiveDegradedRead(t *testing.T) {
 	if err := cluster.Fail(fail...); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := a.Retrieve(2)
+	got, stats, err := a.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestWideArchiveManifestRoundTrip(t *testing.T) {
 	if b.Config().Field != GF16 {
 		t.Errorf("reopened field = %v", b.Config().Field)
 	}
-	got, _, err := b.Retrieve(1)
+	got, _, err := b.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestWideArchiveRepair(t *testing.T) {
 	mustCommit(t, a, editBlocks(v1, 4, 3))
 
 	deleteArchiveShards(t, a, cluster, 17)
-	report, err := a.RepairNode(17)
+	report, err := a.RepairNodeContext(t.Context(), 17)
 	if err != nil {
 		t.Fatal(err)
 	}

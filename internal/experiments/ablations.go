@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"github.com/secarchive/sec/internal/analysis"
@@ -17,7 +18,7 @@ import (
 // dropping t of the n delta shards saves storage but introduces failure
 // patterns that lose the delta - and with it the later versions - even
 // though x_1 survives.
-func Puncture() (*Table, error) {
+func Puncture(ctx context.Context) (*Table, error) {
 	const gamma = 1
 	full, err := erasure.New(erasure.NonSystematicCauchy, exampleN, exampleK)
 	if err != nil {
@@ -61,7 +62,7 @@ func Puncture() (*Table, error) {
 // Reversed compares the per-version access cost of all four schemes on the
 // Section III-D chain, showing Reversed SEC's mirror-image profile: the
 // latest version costs k while the oldest costs the full chain walk.
-func Reversed() (*Table, error) {
+func Reversed(ctx context.Context) (*Table, error) {
 	const (
 		n, k      = 20, 10
 		blockSize = 8
@@ -87,7 +88,7 @@ func Reversed() (*Table, error) {
 	schemes := []core.Scheme{core.BasicSEC, core.OptimizedSEC, core.ReversedSEC, core.NonDifferential}
 	archives := make([]*core.Archive, len(schemes))
 	for i, scheme := range schemes {
-		a, err := buildArchive(scheme, erasure.NonSystematicCauchy, n, k, blockSize, versions)
+		a, err := buildArchive(ctx, scheme, erasure.NonSystematicCauchy, n, k, blockSize, versions)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +97,7 @@ func Reversed() (*Table, error) {
 	for l := 1; l <= len(versions); l++ {
 		row := []string{cellInt(l)}
 		for _, a := range archives {
-			_, stats, err := a.Retrieve(l)
+			_, stats, err := a.RetrieveContext(ctx, l)
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestPunctureTradeoff(t *testing.T) {
-	table, err := Puncture()
+	table, err := Puncture(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPunctureTradeoff(t *testing.T) {
 }
 
 func TestReversedMirrorsBasic(t *testing.T) {
-	table, err := Reversed()
+	table, err := Reversed(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func TestFig6RowsAreDistributions(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	table, err := Table1()
+	table, err := Table1(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig7MeasuredMatchesAnalytic(t *testing.T) {
-	table, err := Fig7()
+	table, err := Fig7(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFig7MeasuredMatchesAnalytic(t *testing.T) {
 }
 
 func TestFig8MeasuredMatchesAnalytic(t *testing.T) {
-	table, err := Fig8()
+	table, err := Fig8(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFig8MeasuredMatchesAnalytic(t *testing.T) {
 }
 
 func TestFig9MatchesPaperNumbers(t *testing.T) {
-	table, err := Fig9()
+	table, err := Fig9(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 		t.Skip("full registry run skipped in -short mode")
 	}
 	for _, id := range IDs() {
-		table, err := Run(id)
+		table, err := Run(t.Context(), id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -321,7 +321,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 			t.Errorf("%s: empty table", id)
 		}
 	}
-	if _, err := Run("nope"); err == nil {
+	if _, err := Run(t.Context(), "nope"); err == nil {
 		t.Error("unknown experiment: want error")
 	}
 }

@@ -42,7 +42,7 @@ func TestFormulasHoldOnUncompactedPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	object := make([]byte, k*blockSize)
 	rng.Read(object)
-	if _, err := a.Commit(object); err != nil {
+	if _, err := a.CommitContext(t.Context(), object); err != nil {
 		t.Fatal(err)
 	}
 	gammas := []int{0} // gammas[l-1] is version l's delta sparsity (v1 has none)
@@ -51,7 +51,7 @@ func TestFormulasHoldOnUncompactedPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := a.Commit(object)
+		info, err := a.CommitContext(t.Context(), object)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestFormulasHoldOnUncompactedPrefix(t *testing.T) {
 			formula += delta.ReadCost(gammas[l-1], k, maxSparse)
 		}
 		cluster.ResetStats()
-		if _, _, err := a.Retrieve(l); err != nil {
+		if _, _, err := a.RetrieveContext(t.Context(), l); err != nil {
 			t.Fatal(err)
 		}
 		if got := int(cluster.TotalStats().Reads); got != formula {
@@ -100,7 +100,7 @@ func TestFormulasHoldOnUncompactedPrefix(t *testing.T) {
 		}
 		want := k + delta.ReadCost(e.Gamma, k, maxSparse)
 		cluster.ResetStats()
-		if _, _, err := a.Retrieve(l); err != nil {
+		if _, _, err := a.RetrieveContext(t.Context(), l); err != nil {
 			t.Fatal(err)
 		}
 		if got := int(cluster.TotalStats().Reads); got != want {

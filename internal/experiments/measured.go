@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -16,7 +17,7 @@ import (
 const measuredTrials = 400
 
 // buildArchive commits the version chain to a fresh in-memory archive.
-func buildArchive(scheme core.Scheme, kind erasure.Kind, n, k, blockSize int, versions [][]byte) (*core.Archive, error) {
+func buildArchive(ctx context.Context, scheme core.Scheme, kind erasure.Kind, n, k, blockSize int, versions [][]byte) (*core.Archive, error) {
 	a, err := core.New(core.Config{
 		Name:      "exp",
 		Scheme:    scheme,
@@ -29,7 +30,7 @@ func buildArchive(scheme core.Scheme, kind erasure.Kind, n, k, blockSize int, ve
 		return nil, err
 	}
 	for _, v := range versions {
-		if _, err := a.Commit(v); err != nil {
+		if _, err := a.CommitContext(ctx, v); err != nil {
 			return nil, err
 		}
 	}
@@ -40,7 +41,7 @@ func buildArchive(scheme core.Scheme, kind erasure.Kind, n, k, blockSize int, ve
 // object in three 1KB blocks, a 1-sparse second version, and a (6,3) code.
 // Node counts and I/O reads are measured on live archives; the complexity
 // rows are the paper's qualitative classifications.
-func Table1() (*Table, error) {
+func Table1(ctx context.Context) (*Table, error) {
 	const blockSize = 1024
 	rng := rand.New(rand.NewSource(1))
 	v1 := make([]byte, 3*blockSize)
@@ -92,7 +93,7 @@ func Table1() (*Table, error) {
 	measurements := make([]measurement, len(columns))
 	for i, col := range columns {
 		t.Columns = append(t.Columns, col.name)
-		a, err := buildArchive(col.scheme, col.kind, exampleN, exampleK, blockSize, versions)
+		a, err := buildArchive(ctx, col.scheme, col.kind, exampleN, exampleK, blockSize, versions)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +101,7 @@ func Table1() (*Table, error) {
 		for v := 0; v < 2; v++ {
 			measurements[i].nodes[v] = exampleN
 			_ = info
-			_, stats, err := a.Retrieve(v + 1)
+			_, stats, err := a.RetrieveContext(ctx, v+1)
 			if err != nil {
 				return nil, err
 			}
@@ -138,7 +139,7 @@ func Fig7Params() (alphas, lambdas []float64) {
 // {x1, x2} versus the non-differential baseline, for truncated exponential
 // and Poisson sparsity PMFs: the paper's analytic expectation side by side
 // with a measured value from simulated archives.
-func Fig7() (*Table, error) {
+func Fig7(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "fig7",
 		Title:   "Percent reduction in I/O reads to access x1 and x2, (6,3) code (paper Fig. 7)",
@@ -148,7 +149,7 @@ func Fig7() (*Table, error) {
 	alphas, lambdas := Fig7Params()
 	run := func(family string, param float64, pmf []float64) error {
 		analytic := analysis.PercentReductionJoint(exampleK, pmf)
-		avg, err := measureJointReads(rng, pmf)
+		avg, err := measureJointReads(ctx, rng, pmf)
 		if err != nil {
 			return err
 		}
@@ -179,7 +180,7 @@ func Fig7() (*Table, error) {
 
 // measureJointReads builds trial archives with PMF-sampled delta sparsity
 // and returns the mean measured reads for RetrieveAll(2).
-func measureJointReads(rng *rand.Rand, pmf []float64) (float64, error) {
+func measureJointReads(ctx context.Context, rng *rand.Rand, pmf []float64) (float64, error) {
 	sampler, err := workload.NewSampler(pmf, rng)
 	if err != nil {
 		return 0, err
@@ -190,11 +191,11 @@ func measureJointReads(rng *rand.Rand, pmf []float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		a, err := buildArchive(core.BasicSEC, erasure.NonSystematicCauchy, exampleN, exampleK, 4, chain.Versions)
+		a, err := buildArchive(ctx, core.BasicSEC, erasure.NonSystematicCauchy, exampleN, exampleK, 4, chain.Versions)
 		if err != nil {
 			return 0, err
 		}
-		_, stats, err := a.RetrieveAll(2)
+		_, stats, err := a.RetrieveAllContext(ctx, 2)
 		if err != nil {
 			return 0, err
 		}
@@ -206,7 +207,7 @@ func measureJointReads(rng *rand.Rand, pmf []float64) (float64, error) {
 // Fig8 computes the average percentage increase in I/O reads to access x2
 // alone (relative to the non-differential k reads) for basic and optimized
 // SEC, analytic and measured.
-func Fig8() (*Table, error) {
+func Fig8(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "fig8",
 		Title:   "Percent increase in I/O reads to access x2, (6,3) code (paper Fig. 8)",
@@ -217,11 +218,11 @@ func Fig8() (*Table, error) {
 	run := func(family string, param float64, pmf []float64) error {
 		basicAnalytic := analysis.PercentIncreaseSecond(exampleK, pmf, false)
 		optAnalytic := analysis.PercentIncreaseSecond(exampleK, pmf, true)
-		basicMeasured, err := measureSecondReads(rng, pmf, core.BasicSEC)
+		basicMeasured, err := measureSecondReads(ctx, rng, pmf, core.BasicSEC)
 		if err != nil {
 			return err
 		}
-		optMeasured, err := measureSecondReads(rng, pmf, core.OptimizedSEC)
+		optMeasured, err := measureSecondReads(ctx, rng, pmf, core.OptimizedSEC)
 		if err != nil {
 			return err
 		}
@@ -255,7 +256,7 @@ func Fig8() (*Table, error) {
 
 // measureSecondReads returns the mean percentage increase over k of the
 // measured reads for Retrieve(2) under the given scheme.
-func measureSecondReads(rng *rand.Rand, pmf []float64, scheme core.Scheme) (float64, error) {
+func measureSecondReads(ctx context.Context, rng *rand.Rand, pmf []float64, scheme core.Scheme) (float64, error) {
 	sampler, err := workload.NewSampler(pmf, rng)
 	if err != nil {
 		return 0, err
@@ -266,11 +267,11 @@ func measureSecondReads(rng *rand.Rand, pmf []float64, scheme core.Scheme) (floa
 		if err != nil {
 			return 0, err
 		}
-		a, err := buildArchive(scheme, erasure.NonSystematicCauchy, exampleN, exampleK, 4, chain.Versions)
+		a, err := buildArchive(ctx, scheme, erasure.NonSystematicCauchy, exampleN, exampleK, 4, chain.Versions)
 		if err != nil {
 			return 0, err
 		}
-		_, stats, err := a.Retrieve(2)
+		_, stats, err := a.RetrieveContext(ctx, 2)
 		if err != nil {
 			return 0, err
 		}
@@ -287,7 +288,7 @@ var Fig9Gammas = []int{3, 8, 3, 6}
 // versions: measured reads to retrieve each individual version and each
 // prefix of versions, for basic SEC, optimized SEC and the non-differential
 // baseline.
-func Fig9() (*Table, error) {
+func Fig9(ctx context.Context) (*Table, error) {
 	const (
 		n, k      = 20, 10
 		blockSize = 8
@@ -314,7 +315,7 @@ func Fig9() (*Table, error) {
 	schemes := []core.Scheme{core.BasicSEC, core.OptimizedSEC, core.NonDifferential}
 	archives := make([]*core.Archive, len(schemes))
 	for i, scheme := range schemes {
-		a, err := buildArchive(scheme, erasure.NonSystematicCauchy, n, k, blockSize, versions)
+		a, err := buildArchive(ctx, scheme, erasure.NonSystematicCauchy, n, k, blockSize, versions)
 		if err != nil {
 			return nil, err
 		}
@@ -324,12 +325,12 @@ func Fig9() (*Table, error) {
 		row := []string{cellInt(l)}
 		var lth, firstL [3]int
 		for i, a := range archives {
-			_, stats, err := a.Retrieve(l)
+			_, stats, err := a.RetrieveContext(ctx, l)
 			if err != nil {
 				return nil, err
 			}
 			lth[i] = stats.NodeReads
-			_, statsAll, err := a.RetrieveAll(l)
+			_, statsAll, err := a.RetrieveAllContext(ctx, l)
 			if err != nil {
 				return nil, err
 			}

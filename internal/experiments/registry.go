@@ -1,34 +1,41 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
 
 // Runner produces one experiment's table using the paper's default
 // parameters.
-type Runner func() (*Table, error)
+type Runner func(ctx context.Context) (*Table, error)
 
 // Registry maps experiment IDs to runners, one per table/figure of the
 // paper plus the Section V-A census.
 func Registry() map[string]Runner {
 	return map[string]Runner{
 		"table1":   Table1,
-		"fig2":     func() (*Table, error) { return Fig2(DefaultPGrid()) },
-		"fig3":     func() (*Table, error) { return Fig3(DefaultPGrid()) },
-		"fig4":     func() (*Table, error) { return Fig4(DefaultPGrid()) },
-		"fig5":     func() (*Table, error) { return Fig5(DefaultPGrid()) },
-		"fig6":     Fig6,
+		"fig2":     analytic(func() (*Table, error) { return Fig2(DefaultPGrid()) }),
+		"fig3":     analytic(func() (*Table, error) { return Fig3(DefaultPGrid()) }),
+		"fig4":     analytic(func() (*Table, error) { return Fig4(DefaultPGrid()) }),
+		"fig5":     analytic(func() (*Table, error) { return Fig5(DefaultPGrid()) }),
+		"fig6":     analytic(Fig6),
 		"fig7":     Fig7,
 		"fig8":     Fig8,
 		"fig9":     Fig9,
-		"census":   Census,
+		"census":   analytic(Census),
 		"puncture": Puncture,
 		"reversed": Reversed,
 		"fig4sys":  Fig4System,
 		"lsweep":   LSweep,
 		"repair":   Repair,
 	}
+}
+
+// analytic adapts an experiment that evaluates formulas only, touching no
+// archive, to the Runner signature.
+func analytic(run func() (*Table, error)) Runner {
+	return func(context.Context) (*Table, error) { return run() }
 }
 
 // IDs returns the registered experiment IDs in stable order.
@@ -43,10 +50,10 @@ func IDs() []string {
 }
 
 // Run executes the experiment with the given ID.
-func Run(id string) (*Table, error) {
+func Run(ctx context.Context, id string) (*Table, error) {
 	runner, ok := Registry()[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return runner()
+	return runner(ctx)
 }

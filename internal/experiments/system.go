@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -26,7 +27,7 @@ var Fig4SysGrid = []float64{0.02, 0.06, 0.10, 0.14, 0.18}
 // each trial, nodes fail independently with probability p, and if at least
 // k survive the second version's 1-sparse delta is retrieved through the
 // archive's real degraded-read path.
-func Fig4System() (*Table, error) {
+func Fig4System(ctx context.Context) (*Table, error) {
 	const trials = 4000
 	gn, gs, err := exampleCodes()
 	if err != nil {
@@ -39,11 +40,11 @@ func Fig4System() (*Table, error) {
 		Columns: []string{"p", "systematic(measured)", "systematic(exact)", "non-systematic(measured)", "non-systematic(exact)"},
 	}
 	for _, p := range Fig4SysGrid {
-		sysMeasured, err := measureDegradedDeltaReads(rng, core.BasicSEC, erasure.SystematicCauchy, p, trials)
+		sysMeasured, err := measureDegradedDeltaReads(ctx, rng, core.BasicSEC, erasure.SystematicCauchy, p, trials)
 		if err != nil {
 			return nil, err
 		}
-		nonMeasured, err := measureDegradedDeltaReads(rng, core.BasicSEC, erasure.NonSystematicCauchy, p, trials)
+		nonMeasured, err := measureDegradedDeltaReads(ctx, rng, core.BasicSEC, erasure.NonSystematicCauchy, p, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +61,7 @@ func Fig4System() (*Table, error) {
 // second version, then samples failure patterns and averages the reads the
 // archive actually spends on the delta object, conditioned on x_1 being
 // retrievable (>= k live), exactly like eq. 21.
-func measureDegradedDeltaReads(rng *rand.Rand, scheme core.Scheme, kind erasure.Kind, p float64, trials int) (float64, error) {
+func measureDegradedDeltaReads(ctx context.Context, rng *rand.Rand, scheme core.Scheme, kind erasure.Kind, p float64, trials int) (float64, error) {
 	cluster := store.NewMemCluster(0)
 	a, err := core.New(core.Config{
 		Name: "deg", Scheme: scheme, Code: kind,
@@ -71,14 +72,14 @@ func measureDegradedDeltaReads(rng *rand.Rand, scheme core.Scheme, kind erasure.
 	}
 	v1 := make([]byte, a.Capacity())
 	rng.Read(v1)
-	if _, err := a.Commit(v1); err != nil {
+	if _, err := a.CommitContext(ctx, v1); err != nil {
 		return 0, err
 	}
 	v2, err := workload.SparseEdit(rng, v1, 4, 1)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := a.Commit(v2); err != nil {
+	if _, err := a.CommitContext(ctx, v2); err != nil {
 		return 0, err
 	}
 	var kept int
@@ -98,7 +99,7 @@ func measureDegradedDeltaReads(rng *rand.Rand, scheme core.Scheme, kind erasure.
 		if live < exampleK {
 			continue // the archive is lost; eq. 21 conditions this away
 		}
-		_, stats, err := a.Retrieve(2)
+		_, stats, err := a.RetrieveContext(ctx, 2)
 		if err != nil {
 			return 0, fmt.Errorf("degraded retrieve with %d live: %w", live, err)
 		}
@@ -122,7 +123,7 @@ var LSweepLengths = []int{2, 3, 5, 8, 12}
 // The reduction approaches the per-delta saving as the first version's
 // full read amortizes - the paper's Section V-C observation ("up to 20%"
 // for 5 versions) extended.
-func LSweep() (*Table, error) {
+func LSweep(ctx context.Context) (*Table, error) {
 	const trialsPerPoint = 150
 	rng := rand.New(rand.NewSource(15))
 	t := &Table{
@@ -142,7 +143,7 @@ func LSweep() (*Table, error) {
 		row := []string{cellInt(l)}
 		for _, pmf := range [][]float64{expPMF, poiPMF} {
 			analytic := analysis.PercentReductionArchive(exampleK, pmf, l)
-			measured, err := measureArchiveReduction(rng, pmf, l, trialsPerPoint)
+			measured, err := measureArchiveReduction(ctx, rng, pmf, l, trialsPerPoint)
 			if err != nil {
 				return nil, err
 			}
@@ -162,7 +163,7 @@ var RepairRates = []float64{0.02, 0.05, 0.08}
 // replacement plus shard rebuilding (core.Archive.RepairNode) holds
 // availability near 1 at the cost of k reads of repair traffic per rebuilt
 // object. 300-step simulations per failure rate, with and without repair.
-func Repair() (*Table, error) {
+func Repair(ctx context.Context) (*Table, error) {
 	const steps = 300
 	t := &Table{
 		ID:      "repair",
@@ -170,11 +171,11 @@ func Repair() (*Table, error) {
 		Columns: []string{"fail-rate/step", "availability(repair)", "availability(no-repair)", "failures", "repairs", "shards-rebuilt", "repair-reads"},
 	}
 	for _, rate := range RepairRates {
-		withRepair, err := runRepairSim(rate, 1, steps)
+		withRepair, err := runRepairSim(ctx, rate, 1, steps)
 		if err != nil {
 			return nil, err
 		}
-		noRepair, err := runRepairSim(rate, simulate.NoRepair, steps)
+		noRepair, err := runRepairSim(ctx, rate, simulate.NoRepair, steps)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +192,7 @@ func Repair() (*Table, error) {
 	return t, nil
 }
 
-func runRepairSim(rate float64, repairDelay, steps int) (simulate.Result, error) {
+func runRepairSim(ctx context.Context, rate float64, repairDelay, steps int) (simulate.Result, error) {
 	rng := rand.New(rand.NewSource(16))
 	cluster := store.NewMemCluster(0)
 	archive, err := core.New(core.Config{
@@ -203,7 +204,7 @@ func runRepairSim(rate float64, repairDelay, steps int) (simulate.Result, error)
 	}
 	v := make([]byte, archive.Capacity())
 	rng.Read(v)
-	if _, err := archive.Commit(v); err != nil {
+	if _, err := archive.CommitContext(ctx, v); err != nil {
 		return simulate.Result{}, err
 	}
 	for i := 0; i < 3; i++ {
@@ -211,11 +212,11 @@ func runRepairSim(rate float64, repairDelay, steps int) (simulate.Result, error)
 		if err != nil {
 			return simulate.Result{}, err
 		}
-		if _, err := archive.Commit(v); err != nil {
+		if _, err := archive.CommitContext(ctx, v); err != nil {
 			return simulate.Result{}, err
 		}
 	}
-	return simulate.Run(archive, cluster, simulate.Config{
+	return simulate.Run(ctx, archive, cluster, simulate.Config{
 		FailurePerStep: rate,
 		RepairDelay:    repairDelay,
 		Steps:          steps,
@@ -223,7 +224,7 @@ func runRepairSim(rate float64, repairDelay, steps int) (simulate.Result, error)
 	})
 }
 
-func measureArchiveReduction(rng *rand.Rand, pmf []float64, l, trials int) (float64, error) {
+func measureArchiveReduction(ctx context.Context, rng *rand.Rand, pmf []float64, l, trials int) (float64, error) {
 	sampler, err := workload.NewSampler(pmf, rng)
 	if err != nil {
 		return 0, err
@@ -234,11 +235,11 @@ func measureArchiveReduction(rng *rand.Rand, pmf []float64, l, trials int) (floa
 		if err != nil {
 			return 0, err
 		}
-		a, err := buildArchive(core.BasicSEC, erasure.NonSystematicCauchy, exampleN, exampleK, 4, chain.Versions)
+		a, err := buildArchive(ctx, core.BasicSEC, erasure.NonSystematicCauchy, exampleN, exampleK, 4, chain.Versions)
 		if err != nil {
 			return 0, err
 		}
-		_, stats, err := a.RetrieveAll(l)
+		_, stats, err := a.RetrieveAllContext(ctx, l)
 		if err != nil {
 			return 0, err
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig4SystemMatchesAnalysis(t *testing.T) {
-	table, err := Fig4System()
+	table, err := Fig4System(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFig4SystemMatchesAnalysis(t *testing.T) {
 }
 
 func TestRepairExperiment(t *testing.T) {
-	table, err := Repair()
+	table, err := Repair(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRepairExperiment(t *testing.T) {
 }
 
 func TestLSweepGrowsTowardPerDeltaSaving(t *testing.T) {
-	table, err := LSweep()
+	table, err := LSweep(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"path/filepath"
-)
+import "go/ast"
 
 // CtxCheck enforces the ctx-first API contract from PR 4 (DESIGN.md
 // section 8): library code never mints its own root context, so every
@@ -17,15 +14,8 @@ file) must not call context.Background() or context.TODO(): a root
 context minted mid-stack silently detaches the operation from its
 caller's deadline and cancellation. Context parameters must come first
 in the parameter list, and a context argument must never be a nil
-literal. Files named legacy.go are exempt: they exist precisely to hold
-the deprecated Background-wrapping compatibility shims.`,
+literal.`,
 	Run: runCtxCheck,
-}
-
-// ctxExemptFile reports whether an entire file is out of ctxcheck scope:
-// test files and legacy.go compatibility shims.
-func ctxExemptFile(name string) bool {
-	return isTestFile(name) || filepath.Base(name) == "legacy.go"
 }
 
 func runCtxCheck(pass *Pass) error {
@@ -34,7 +24,7 @@ func runCtxCheck(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pkg.Files {
-		if ctxExemptFile(pkg.fileName(file.Pos())) {
+		if isTestFile(pkg.fileName(file.Pos())) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {

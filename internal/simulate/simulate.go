@@ -8,6 +8,7 @@
 package simulate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -75,7 +76,7 @@ var (
 // cluster must be the archive's cluster with every node a *store.MemNode
 // (the simulation substrate); the archive must already hold its versions.
 // The cluster is healed when the run finishes.
-func Run(archive *core.Archive, cluster *store.Cluster, cfg Config) (Result, error) {
+func Run(ctx context.Context, archive *core.Archive, cluster *store.Cluster, cfg Config) (Result, error) {
 	var result Result
 	if archive == nil || cluster == nil {
 		return result, errNilInputs
@@ -130,7 +131,7 @@ func Run(archive *core.Archive, cluster *store.Cluster, cfg Config) (Result, err
 				}
 				nodes[i].Wipe()
 				nodes[i].SetFailed(false)
-				report, err := archive.RepairNode(i)
+				report, err := archive.RepairNodeContext(ctx, i)
 				if err != nil {
 					// Not enough survivors right now: put the node
 					// back in the repair queue and try next step.
@@ -145,7 +146,7 @@ func Run(archive *core.Archive, cluster *store.Cluster, cfg Config) (Result, err
 			}
 		}
 		// Probe: is the whole archive retrievable right now?
-		if _, _, err := archive.RetrieveAll(archive.Versions()); err == nil {
+		if _, _, err := archive.RetrieveAllContext(ctx, archive.Versions()); err == nil {
 			result.AvailableSteps++
 		}
 	}

@@ -31,7 +31,7 @@ func buildSimArchive(t *testing.T) (*core.Archive, *store.Cluster, [][]byte) {
 	v := make([]byte, archive.Capacity())
 	rng.Read(v)
 	versions := [][]byte{v}
-	if _, err := archive.Commit(v); err != nil {
+	if _, err := archive.CommitContext(t.Context(), v); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -39,7 +39,7 @@ func buildSimArchive(t *testing.T) (*core.Archive, *store.Cluster, [][]byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := archive.Commit(next); err != nil {
+		if _, err := archive.CommitContext(t.Context(), next); err != nil {
 			t.Fatal(err)
 		}
 		versions = append(versions, next)
@@ -50,7 +50,7 @@ func buildSimArchive(t *testing.T) (*core.Archive, *store.Cluster, [][]byte) {
 
 func TestRunWithoutFailures(t *testing.T) {
 	archive, cluster, _ := buildSimArchive(t)
-	result, err := Run(archive, cluster, Config{FailurePerStep: 0, RepairDelay: 1, Steps: 20, Seed: 1})
+	result, err := Run(t.Context(), archive, cluster, Config{FailurePerStep: 0, RepairDelay: 1, Steps: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunWithoutFailures(t *testing.T) {
 
 func TestRunWithRepairKeepsDataIntact(t *testing.T) {
 	archive, cluster, versions := buildSimArchive(t)
-	result, err := Run(archive, cluster, Config{
+	result, err := Run(t.Context(), archive, cluster, Config{
 		FailurePerStep: 0.05,
 		RepairDelay:    2,
 		Steps:          200,
@@ -87,7 +87,7 @@ func TestRunWithRepairKeepsDataIntact(t *testing.T) {
 	// After the run (cluster healed), every version must be bit-exact:
 	// repair never corrupted anything.
 	for l, want := range versions {
-		got, _, err := archive.Retrieve(l + 1)
+		got, _, err := archive.RetrieveContext(t.Context(), l+1)
 		if err != nil {
 			t.Fatalf("version %d after simulation: %v", l+1, err)
 		}
@@ -103,12 +103,12 @@ func TestRepairImprovesAvailability(t *testing.T) {
 	cfgNoRepair.RepairDelay = NoRepair
 
 	archiveA, clusterA, _ := buildSimArchive(t)
-	withRepair, err := Run(archiveA, clusterA, cfgRepair)
+	withRepair, err := Run(t.Context(), archiveA, clusterA, cfgRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
 	archiveB, clusterB, _ := buildSimArchive(t)
-	withoutRepair, err := Run(archiveB, clusterB, cfgNoRepair)
+	withoutRepair, err := Run(t.Context(), archiveB, clusterB, cfgNoRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +143,16 @@ func TestRunValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(archive, cluster, tt.cfg); err == nil {
+			if _, err := Run(t.Context(), archive, cluster, tt.cfg); err == nil {
 				t.Error("want error, got nil")
 			}
 		})
 	}
-	if _, err := Run(nil, cluster, Config{Steps: 1}); err == nil {
+	if _, err := Run(t.Context(), nil, cluster, Config{Steps: 1}); err == nil {
 		t.Error("nil archive: want error")
 	}
 	empty, emptyCluster := emptyArchive(t)
-	if _, err := Run(empty, emptyCluster, Config{Steps: 1}); err == nil {
+	if _, err := Run(t.Context(), empty, emptyCluster, Config{Steps: 1}); err == nil {
 		t.Error("empty archive: want error")
 	}
 }

@@ -10,10 +10,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	repo, cluster := testRepo(t)
 	v1 := []byte("one")
 	v2 := []byte("two")
-	if _, err := repo.Commit("first", map[string][]byte{"a": v1, "b": []byte("bee")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "first", map[string][]byte{"a": v1, "b": []byte("bee")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.Commit("second", map[string][]byte{"a": v2}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "second", map[string][]byte{"a": v2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -32,14 +32,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(log) != 2 || log[1].Message != "second" {
 		t.Fatalf("Log = %+v", log)
 	}
-	got, _, err := reopened.CheckoutFile("a", 1)
+	got, _, err := reopened.CheckoutFileContext(t.Context(), "a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, v1) {
 		t.Error("a@1 mismatch after reload")
 	}
-	state, _, err := reopened.Checkout(2)
+	state, _, err := reopened.CheckoutContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// The reloaded repository keeps working: commit another revision.
-	if _, err := reopened.Commit("third", map[string][]byte{"b": []byte("buzz")}); err != nil {
+	if _, err := reopened.CommitContext(t.Context(), "third", map[string][]byte{"b": []byte("buzz")}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = reopened.CheckoutFile("b", 3)
+	got, _, err = reopened.CheckoutFileContext(t.Context(), "b", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadValidation(t *testing.T) {
 	repo, cluster := testRepo(t)
-	if _, err := repo.Commit("a", map[string][]byte{"f": []byte("x")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

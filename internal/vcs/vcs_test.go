@@ -40,7 +40,7 @@ func TestCommitCheckoutAcrossRevisions(t *testing.T) {
 	repo, _ := testRepo(t)
 	readme1 := []byte("hello world")
 	main1 := []byte("package main")
-	c1, err := repo.Commit("init", map[string][]byte{"README": readme1, "main.go": main1})
+	c1, err := repo.CommitContext(t.Context(), "init", map[string][]byte{"README": readme1, "main.go": main1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCommitCheckoutAcrossRevisions(t *testing.T) {
 	}
 
 	readme2 := []byte("hello there")
-	c2, err := repo.Commit("tweak readme", map[string][]byte{"README": readme2})
+	c2, err := repo.CommitContext(t.Context(), "tweak readme", map[string][]byte{"README": readme2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestCommitCheckoutAcrossRevisions(t *testing.T) {
 	}
 
 	lib1 := []byte("package lib")
-	if _, err := repo.Commit("add lib", map[string][]byte{"lib.go": lib1}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "add lib", map[string][]byte{"lib.go": lib1}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Revision 1: original README, main.go, no lib.go.
-	state, _, err := repo.Checkout(1)
+	state, _, err := repo.CheckoutContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCommitCheckoutAcrossRevisions(t *testing.T) {
 	}
 
 	// Revision 2: updated README, main.go carried over.
-	state, _, err = repo.Checkout(2)
+	state, _, err = repo.CheckoutContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCommitCheckoutAcrossRevisions(t *testing.T) {
 	}
 
 	// Revision 3: everything.
-	state, _, err = repo.Checkout(3)
+	state, _, err = repo.CheckoutContext(t.Context(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +104,20 @@ func TestCheckoutFile(t *testing.T) {
 	repo, _ := testRepo(t)
 	v1 := []byte("v1 content")
 	v2 := []byte("v2 content")
-	if _, err := repo.Commit("a", map[string][]byte{"f": v1}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": v1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.Commit("b", map[string][]byte{"f": v2}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "b", map[string][]byte{"f": v2}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := repo.CheckoutFile("f", 1)
+	got, _, err := repo.CheckoutFileContext(t.Context(), "f", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, v1) {
 		t.Error("f@1 mismatch")
 	}
-	got, stats, err := repo.CheckoutFile("f", 2)
+	got, stats, err := repo.CheckoutFileContext(t.Context(), "f", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +132,15 @@ func TestCheckoutFile(t *testing.T) {
 func TestSmallEditsUseSparseReads(t *testing.T) {
 	repo, _ := testRepo(t)
 	content := bytes.Repeat([]byte{'x'}, 3*64) // full capacity
-	if _, err := repo.Commit("base", map[string][]byte{"doc": content}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "base", map[string][]byte{"doc": content}); err != nil {
 		t.Fatal(err)
 	}
 	edited := append([]byte(nil), content...)
 	edited[0] = 'y' // single-block edit
-	if _, err := repo.Commit("edit", map[string][]byte{"doc": edited}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "edit", map[string][]byte{"doc": edited}); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := repo.CheckoutFile("doc", 2)
+	_, stats, err := repo.CheckoutFileContext(t.Context(), "doc", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,10 @@ func TestSmallEditsUseSparseReads(t *testing.T) {
 
 func TestCommitErrors(t *testing.T) {
 	repo, _ := testRepo(t)
-	if _, err := repo.Commit("empty", nil); err == nil {
+	if _, err := repo.CommitContext(t.Context(), "empty", nil); err == nil {
 		t.Error("empty commit: want error")
 	}
-	if _, err := repo.Commit("big", map[string][]byte{"f": make([]byte, 3*64+1)}); err == nil {
+	if _, err := repo.CommitContext(t.Context(), "big", map[string][]byte{"f": make([]byte, 3*64+1)}); err == nil {
 		t.Error("over-capacity file: want error")
 	}
 	if repo.Head() != 0 {
@@ -167,22 +167,22 @@ func TestCommitErrors(t *testing.T) {
 
 func TestCheckoutErrors(t *testing.T) {
 	repo, _ := testRepo(t)
-	if _, _, err := repo.Checkout(1); !errors.Is(err, ErrNoSuchRevision) {
+	if _, _, err := repo.CheckoutContext(t.Context(), 1); !errors.Is(err, ErrNoSuchRevision) {
 		t.Errorf("err = %v, want ErrNoSuchRevision", err)
 	}
-	if _, err := repo.Commit("a", map[string][]byte{"f": []byte("x")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := repo.CheckoutFile("g", 1); !errors.Is(err, ErrNoSuchFile) {
+	if _, _, err := repo.CheckoutFileContext(t.Context(), "g", 1); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("err = %v, want ErrNoSuchFile", err)
 	}
-	if _, _, err := repo.CheckoutFile("f", 2); !errors.Is(err, ErrNoSuchRevision) {
+	if _, _, err := repo.CheckoutFileContext(t.Context(), "f", 2); !errors.Is(err, ErrNoSuchRevision) {
 		t.Errorf("err = %v, want ErrNoSuchRevision", err)
 	}
-	if _, err := repo.Commit("b", map[string][]byte{"g": []byte("y")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "b", map[string][]byte{"g": []byte("y")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := repo.CheckoutFile("g", 1); !errors.Is(err, ErrNoSuchFile) {
+	if _, _, err := repo.CheckoutFileContext(t.Context(), "g", 1); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("g@1: err = %v, want ErrNoSuchFile (added at r2)", err)
 	}
 }
@@ -190,17 +190,17 @@ func TestCheckoutErrors(t *testing.T) {
 func TestZeroDeltaRecommit(t *testing.T) {
 	repo, _ := testRepo(t)
 	content := []byte("same")
-	if _, err := repo.Commit("a", map[string][]byte{"f": content}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": content}); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := repo.Commit("b", map[string][]byte{"f": content})
+	c2, err := repo.CommitContext(t.Context(), "b", map[string][]byte{"f": content})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2.Changes[0].Gamma != 0 {
 		t.Errorf("gamma = %d, want 0", c2.Changes[0].Gamma)
 	}
-	got, stats, err := repo.CheckoutFile("f", 2)
+	got, stats, err := repo.CheckoutFileContext(t.Context(), "f", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestZeroDeltaRecommit(t *testing.T) {
 
 func TestLogIsACopy(t *testing.T) {
 	repo, _ := testRepo(t)
-	if _, err := repo.Commit("a", map[string][]byte{"f": []byte("x")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	log := repo.Log()
@@ -229,7 +229,7 @@ func TestLogIsACopy(t *testing.T) {
 
 func TestFileArchive(t *testing.T) {
 	repo, _ := testRepo(t)
-	if _, err := repo.Commit("a", map[string][]byte{"f": []byte("x")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := repo.FileArchive("f")
@@ -262,19 +262,19 @@ func TestRepositoryWithReversedScheme(t *testing.T) {
 	edit2 := append([]byte(nil), edit1...)
 	edit2[47] = 'c'
 	for i, c := range [][]byte{base, edit1, edit2} {
-		if _, err := repo.Commit("r", map[string][]byte{"doc": c}); err != nil {
+		if _, err := repo.CommitContext(t.Context(), "r", map[string][]byte{"doc": c}); err != nil {
 			t.Fatalf("commit %d: %v", i+1, err)
 		}
 	}
 	// Latest is cheap under Reversed SEC.
-	_, stats, err := repo.CheckoutFile("doc", 3)
+	_, stats, err := repo.CheckoutFileContext(t.Context(), "doc", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.NodeReads != 3 {
 		t.Errorf("latest reads = %d, want 3", stats.NodeReads)
 	}
-	got, _, err := repo.CheckoutFile("doc", 1)
+	got, _, err := repo.CheckoutFileContext(t.Context(), "doc", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestFailedCommitLeavesNoPhantomPaths(t *testing.T) {
 	// "a" sorts before "z-too-big", so its archive commit succeeds before
 	// the oversized file fails the batch: both paths were new, so both
 	// must be untracked again and no revision recorded.
-	if _, err := repo.Commit("r1", map[string][]byte{"a": good, "z-too-big": oversized}); err == nil {
+	if _, err := repo.CommitContext(t.Context(), "r1", map[string][]byte{"a": good, "z-too-big": oversized}); err == nil {
 		t.Fatal("oversized file: want commit error")
 	}
 	if head := repo.Head(); head != 0 {
@@ -312,15 +312,15 @@ func TestFailedCommitLeavesNoPhantomPaths(t *testing.T) {
 	}
 
 	// The retried commit starts clean.
-	if _, err := repo.Commit("r1", map[string][]byte{"a": good}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "r1", map[string][]byte{"a": good}); err != nil {
 		t.Fatalf("retry after failed commit: %v", err)
 	}
-	content, _, err := repo.CheckoutFile("a", 1)
+	content, _, err := repo.CheckoutFileContext(t.Context(), "a", 1)
 	if err != nil || !bytes.Equal(content, good) {
 		t.Errorf("a@1 = %q/%v after retry", content, err)
 	}
 	// Already-tracked paths survive a later failed commit untouched.
-	if _, err := repo.Commit("r2", map[string][]byte{"a": good, "b": oversized}); err == nil {
+	if _, err := repo.CommitContext(t.Context(), "r2", map[string][]byte{"a": good, "b": oversized}); err == nil {
 		t.Fatal("want commit error")
 	}
 	if files := repo.Files(); len(files) != 1 || files[0] != "a" {

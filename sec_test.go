@@ -28,21 +28,21 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v1 := make([]byte, archive.Capacity())
 	rng.Read(v1)
-	if _, err := archive.Commit(v1); err != nil {
+	if _, err := archive.CommitContext(t.Context(), v1); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := sec.SparseEdit(rng, v1, 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := archive.Commit(v2)
+	info, err := archive.CommitContext(t.Context(), v2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Gamma != 1 || !info.StoredDelta {
 		t.Fatalf("commit info = %+v", info)
 	}
-	got, stats, err := archive.Retrieve(2)
+	got, stats, err := archive.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if stats.NodeReads != 5 {
 		t.Errorf("NodeReads = %d, want 5", stats.NodeReads)
 	}
-	if _, _, err := archive.Retrieve(3); !errors.Is(err, sec.ErrNoSuchVersion) {
+	if _, _, err := archive.RetrieveContext(t.Context(), 3); !errors.Is(err, sec.ErrNoSuchVersion) {
 		t.Errorf("err = %v, want ErrNoSuchVersion", err)
 	}
 }
@@ -72,14 +72,14 @@ func TestPublicAPIManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := []byte("versioned content here!")
-	if _, err := archive.Commit(content); err != nil {
+	if _, err := archive.CommitContext(t.Context(), content); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := sec.OpenArchive(archive.Manifest(), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := reopened.Retrieve(1)
+	got, _, err := reopened.RetrieveContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +119,17 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	v1 := make([]byte, archive.Capacity())
 	rng.Read(v1)
-	if _, err := archive.Commit(v1); err != nil {
+	if _, err := archive.CommitContext(t.Context(), v1); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := sec.SparseEdit(rng, v1, 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := archive.Commit(v2); err != nil {
+	if _, err := archive.CommitContext(t.Context(), v2); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := archive.Retrieve(2)
+	got, stats, err := archive.RetrieveContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestPublicAPIRepository(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.Commit("init", map[string][]byte{"a.txt": []byte("one")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "init", map[string][]byte{"a.txt": []byte("one")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.Commit("more", map[string][]byte{"a.txt": []byte("two")}); err != nil {
+	if _, err := repo.CommitContext(t.Context(), "more", map[string][]byte{"a.txt": []byte("two")}); err != nil {
 		t.Fatal(err)
 	}
-	content, _, err := repo.CheckoutFile("a.txt", 1)
+	content, _, err := repo.CheckoutFileContext(t.Context(), "a.txt", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
