@@ -632,7 +632,7 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 		base := a.baseOf(j)
 		switch {
 		case e.hasDelta && materialized[base] != nil:
-			d, read, err := a.readDelta(ctx, j, e.gamma, nil)
+			d, read, err := a.readDelta(ctx, j, nil)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -715,8 +715,7 @@ func (a *Archive) materializeChain(ctx context.Context, plan chainPlan, stats *R
 	ver := plan.anchor
 	materialized := map[int][][]byte{ver: current}
 	for _, j := range plan.deltas {
-		e := a.entries[j-1]
-		d, read, err := a.readDelta(ctx, j, e.gamma, sets[a.deltaObjectID(j)])
+		d, read, err := a.readDelta(ctx, j, sets[a.deltaObjectID(j)])
 		if err != nil {
 			return nil, err
 		}
@@ -967,9 +966,10 @@ type shardSet struct {
 	// hedges counts the speculative reads issued for this object because
 	// a node batch outlived the hedge delay.
 	hedges int
-	// err records the last per-row error of the chain prefetch, so a
-	// reader that must abort (cancelled context) can surface the failure
-	// with its full node/shard provenance instead of a bare ctx error.
+	// err records the last per-row error of any fetch into the set, so a
+	// reader that must abort (cancelled context) or give up can surface
+	// the failure with its full node/shard provenance instead of a bare
+	// ctx error.
 	err error
 }
 
@@ -977,23 +977,21 @@ func newShardSet() *shardSet {
 	return &shardSet{data: make(map[int][]byte), dead: make(map[int]bool)}
 }
 
-// fetch reads the listed rows of an object into the set, one batch per
-// node, marking permanently lost rows dead. It returns the last per-row
-// error (nil when every row arrived).
-func (s *shardSet) fetch(ctx context.Context, a *Archive, id string, version int, rows []int) error {
-	var lastErr error
-	for i, res := range a.readRows(ctx, id, version, rows) {
-		if res.Err != nil {
-			if rowLost(res.Err) {
-				s.dead[rows[i]] = true
-			}
-			lastErr = fmt.Errorf("core: reading %s#%d: %w", id, rows[i], res.Err)
-			continue
+// record files one fetched row of object id into the set: its data and the
+// read it cost, or - when the fetch failed - its death (if the row is lost
+// for good) and the error, which names the node and shard.
+func (s *shardSet) record(id string, row int, res store.ShardResult) {
+	if res.Err != nil {
+		if rowLost(res.Err) {
+			s.dead[row] = true
 		}
-		s.data[rows[i]] = res.Data
+		s.err = fmt.Errorf("core: reading %s#%d: %w", id, row, res.Err)
+		return
+	}
+	if _, ok := s.data[row]; !ok {
+		s.data[row] = res.Data
 		s.reads++
 	}
-	return lastErr
 }
 
 // rowLost reports whether a per-row read error is permanent for this
@@ -1059,34 +1057,37 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 // as they would have fetched in the first place, so read counts are
 // unchanged.
 func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]*shardSet {
-	type objPlan struct {
-		id      string
-		version int
-		rows    []int
-		sparse  []int // non-nil when rows is a sparse read plan
-		n       int   // shard rows of the object's code, for hedged spares
-		k       int   // data rows that decode the object's code (gamma for CDEC)
+	// The codewords the walk reads: the anchor in full, then every delta
+	// that is not identically zero.
+	type object struct {
+		code        codec
+		id          string
+		version     int
+		sparseGamma int
+		rows        []int // what the object's reader fetches first
 	}
-	// Probe each distinct placement node once, concurrently.
-	var nodes []int
-	seen := make(map[int]bool)
-	addNodes := func(code codec, version int) {
-		for row := 0; row < code.N(); row++ {
-			nd := a.cfg.Placement.NodeFor(version-1, row)
-			if !seen[nd] {
-				seen[nd] = true
-				nodes = append(nodes, nd)
-			}
-		}
-	}
-	addNodes(a.code, plan.anchor)
+	objects := []object{{code: a.code, id: fullID(a.cfg.Name, plan.anchor), version: plan.anchor}}
 	for _, j := range plan.deltas {
 		e := a.entries[j-1]
 		if e.gamma == 0 {
 			continue
 		}
-		if code, err := a.entryDeltaCode(e); err == nil {
-			addNodes(code, j)
+		code, err := a.entryDeltaCode(e)
+		if err != nil {
+			continue // the reader surfaces the error
+		}
+		objects = append(objects, object{code: code, id: a.deltaObjectID(j), version: j, sparseGamma: sparseGamma(e)})
+	}
+	// Probe each distinct placement node once, concurrently.
+	var nodes []int
+	seen := make(map[int]bool)
+	for _, o := range objects {
+		for row := 0; row < o.code.N(); row++ {
+			nd := a.cfg.Placement.NodeFor(o.version-1, row)
+			if !seen[nd] {
+				seen[nd] = true
+				nodes = append(nodes, nd)
+			}
 		}
 	}
 	avail := make([]bool, len(nodes))
@@ -1103,85 +1104,42 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 	for i, nd := range nodes {
 		up[nd] = avail[i]
 	}
-	liveFor := func(code codec, version int) []int {
-		rows := make([]int, 0, code.N())
-		for row := 0; row < code.N(); row++ {
-			if up[a.cfg.Placement.NodeFor(version-1, row)] {
-				rows = append(rows, row)
-			}
-		}
-		return rows
-	}
 	// Choose the rows each object's reader would read. Objects whose live
 	// set is too small are skipped here; their reader reports the proper
 	// error (or catches a node that came back since the probe).
-	var plans []objPlan
-	if live := liveFor(a.code, plan.anchor); len(live) >= a.cfg.K {
-		if a.code.Systematic() {
-			live = preferSystematic(live, a.cfg.K)
-		}
-		plans = append(plans, objPlan{id: fullID(a.cfg.Name, plan.anchor), version: plan.anchor, rows: live[:a.cfg.K], n: a.code.N(), k: a.cfg.K})
-	}
-	for _, j := range plan.deltas {
-		e := a.entries[j-1]
-		if e.gamma == 0 {
-			continue
-		}
-		code, err := a.entryDeltaCode(e)
-		if err != nil {
-			continue // the reader surfaces the error
-		}
-		live := liveFor(code, j)
-		id := a.deltaObjectID(j)
-		if e.compressed {
-			// A compressed codeword decodes from any gamma of its rows;
-			// there is no separate sparse plan.
-			if len(live) >= code.K() {
-				if code.Systematic() {
-					live = preferSystematic(live, code.K())
-				}
-				plans = append(plans, objPlan{id: id, version: j, rows: live[:code.K()], n: code.N(), k: code.K()})
+	plans := objects[:0]
+	sets := make(map[string]*shardSet, len(objects))
+	var refs []store.ShardRef
+	for _, o := range objects {
+		live := make([]int, 0, o.code.N())
+		for row := 0; row < o.code.N(); row++ {
+			if up[a.cfg.Placement.NodeFor(o.version-1, row)] {
+				live = append(live, row)
 			}
+		}
+		rows, sparse := readPlan(o.code, live, o.sparseGamma, o.code.K())
+		if rows == nil {
 			continue
 		}
-		if rows := code.SparseReadRows(live, e.gamma); rows != nil {
-			plans = append(plans, objPlan{id: id, version: j, rows: rows, sparse: rows, n: code.N(), k: a.cfg.K})
-		} else if len(live) >= a.cfg.K {
-			plans = append(plans, objPlan{id: id, version: j, rows: live[:a.cfg.K], n: code.N(), k: a.cfg.K})
+		o.rows = rows
+		plans = append(plans, o)
+		set := newShardSet()
+		if sparse {
+			set.sparseRows = rows
+		}
+		sets[o.id] = set
+		for _, row := range rows {
+			refs = append(refs, store.ShardRef{
+				Node: a.cfg.Placement.NodeFor(o.version-1, row),
+				ID:   store.ShardID{Object: o.id, Row: row},
+			})
 		}
 	}
 	if len(plans) == 0 {
 		return nil
 	}
-	var refs []store.ShardRef
-	for _, p := range plans {
-		for _, row := range p.rows {
-			refs = append(refs, store.ShardRef{
-				Node: a.cfg.Placement.NodeFor(p.version-1, row),
-				ID:   store.ShardID{Object: p.id, Row: row},
-			})
-		}
-	}
-	sets := make(map[string]*shardSet, len(plans))
-	for _, p := range plans {
-		s := newShardSet()
-		s.sparseRows = p.sparse
-		sets[p.id] = s
-	}
 	sink := func(ref store.ShardRef, res store.ShardResult) {
-		s := sets[ref.ID.Object]
-		row := ref.ID.Row
-		if res.Err != nil {
-			if rowLost(res.Err) {
-				s.dead[row] = true
-			}
-			s.err = fmt.Errorf("core: reading %s#%d: %w", ref.ID.Object, row, res.Err)
-			return
-		}
-		if _, ok := s.data[row]; !ok {
-			s.data[row] = res.Data
-			s.reads++
-		}
+		sets[ref.ID.Object].record(ref.ID.Object, ref.ID.Row, res)
 	}
 	if !a.hedgeEnabled() {
 		for i, res := range a.cluster.GetBatch(ctx, refs) {
@@ -1195,9 +1153,9 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 	// the moment each object can decode (its planned rows arrived, or any
 	// K rows are in hand - readers decode full from K even when the
 	// sparse plan was hedged away).
-	satisfied := func(p objPlan) bool {
+	satisfied := func(p object) bool {
 		s := sets[p.id]
-		if len(s.data) >= p.k {
+		if len(s.data) >= p.code.K() {
 			return true
 		}
 		_, ok := s.selectRows(p.rows)
@@ -1214,8 +1172,8 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 			for _, r := range p.rows {
 				planned[r] = true
 			}
-			need := p.k - len(s.data)
-			for row := 0; row < p.n && need > 0; row++ {
+			need := p.code.K() - len(s.data)
+			for row := 0; row < p.code.N() && need > 0; row++ {
 				if planned[row] || s.dead[row] {
 					continue
 				}
@@ -1245,51 +1203,80 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 	return sets
 }
 
-// readFull reads and decodes a fully stored version. Reads are planned per
-// node and issued as one batch per node; rows that fail are marked dead
-// and only the deficit is re-fetched on the next attempt. A non-nil set
-// carries rows already prefetched by the chain planner. A done context
-// aborts the re-plan loop immediately - cancellation is not a node
-// failure, so no further liveness probing or re-planning is worth doing.
-func (a *Archive) readFull(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
-	id := fullID(a.cfg.Name, version)
-	k := a.cfg.K
-	if set == nil {
-		set = newShardSet()
+// sparseGamma is the sparsity a reader of the entry's delta may exploit
+// with a sparse read plan: the entry's gamma for a plain delta, 0 for a
+// CDEC-compacted one (gamma rows of its own code are already the floor).
+func sparseGamma(e entry) int {
+	if e.compressed {
+		return 0
 	}
-	lastErr := set.err
+	return e.gamma
+}
+
+// readPlan is the one answer to "which rows does a reader of this stored
+// codeword fetch first". candidates are the rows it may read, ascending (so
+// a systematic code's identity rows, which decode by plain copy, come
+// first); need is how many more rows a full decode lacks; sparseGamma is
+// the delta sparsity a sparse plan may exploit (0: none). The answer is the
+// code's sparse read plan when the candidates hold one (sparse true), else
+// the first need candidates, else nil: too few rows are live. The chain
+// prefetcher and the per-object readers both ask here, which is what keeps
+// prefetching a pure wire optimization.
+func readPlan(code codec, candidates []int, sparseGamma, need int) (rows []int, sparse bool) {
+	if rows := code.SparseReadRows(candidates, sparseGamma); rows != nil {
+		return rows, true
+	}
+	if len(candidates) < need {
+		return nil, false
+	}
+	return candidates[:need], false
+}
+
+// readAnyK owns the full read of one stored codeword: top the set up to any
+// K rows of the code from live nodes, one batch per node, and decode. Rows
+// that fail are marked dead and only the deficit is re-fetched against the
+// re-probed live set on the next attempt. The set carries the rows already
+// in hand - prefetched by the chain planner, or fetched by a sparse attempt
+// that could not complete - and they count toward the K. A done context
+// aborts the loop immediately: cancellation is not a node failure, so no
+// further liveness probing or re-planning is worth doing.
+func (a *Archive) readAnyK(ctx context.Context, code codec, id string, version int, set *shardSet) ([][]byte, error) {
+	k := code.K()
 	for attempt := 0; attempt < readAttempts; attempt++ {
-		if err := chainAbort(ctx, lastErr); err != nil {
-			return nil, ObjectRead{}, err
+		if err := chainAbort(ctx, set.err); err != nil {
+			return nil, err
 		}
 		if len(set.data) < k {
-			candidates := set.missing(a.liveRows(ctx, a.code, version, set.dead))
-			if a.code.Systematic() {
-				candidates = preferSystematic(candidates, k)
-			}
-			if len(set.data)+len(candidates) < k {
-				if err := chainAbort(ctx, lastErr); err != nil {
-					return nil, ObjectRead{}, err
+			candidates := set.missing(a.liveRows(ctx, code, version, set.dead))
+			rows, _ := readPlan(code, candidates, 0, k-len(set.data))
+			if rows == nil {
+				if err := chainAbort(ctx, set.err); err != nil {
+					return nil, err
 				}
-				return nil, ObjectRead{}, fmt.Errorf("%w: %d of %d shards of %s", ErrUnavailable, len(set.data)+len(candidates), k, id)
+				return nil, fmt.Errorf("%w: %d of %d shards of %s", ErrUnavailable, len(set.data)+len(candidates), k, id)
 			}
-			deficit := k - len(set.data)
-			err := a.fetchPlanned(ctx, set, id, version, candidates[:deficit], candidates[deficit:],
+			a.fetchPlanned(ctx, set, id, version, rows, candidates[len(rows):],
 				func() bool { return len(set.data) >= k })
-			if err != nil {
-				lastErr = err
-			}
 		}
 		if len(set.data) >= k {
 			rows, shards := set.take(k)
-			blocks, err := a.code.DecodeFull(rows, shards)
-			if err != nil {
-				return nil, ObjectRead{}, err
-			}
-			return blocks, ObjectRead{Version: version, Reads: set.reads, Hedges: set.hedges}, nil
+			return code.DecodeFull(rows, shards)
 		}
 	}
-	return nil, ObjectRead{}, lastErr
+	return nil, set.err
+}
+
+// readFull reads and decodes a fully stored version. A non-nil set carries
+// rows already prefetched by the chain planner.
+func (a *Archive) readFull(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
+	if set == nil {
+		set = newShardSet()
+	}
+	blocks, err := a.readAnyK(ctx, a.code, fullID(a.cfg.Name, version), version, set)
+	if err != nil {
+		return nil, ObjectRead{}, err
+	}
+	return blocks, ObjectRead{Version: version, Reads: set.reads, Hedges: set.hedges}, nil
 }
 
 // chainAbort decides whether a retrieval loop should stop because its
@@ -1320,10 +1307,12 @@ func chainAbort(ctx context.Context, lastErr error) error {
 // full read it falls back to. A non-nil set carries rows already
 // prefetched by the chain planner (and, for sparse plans, which rows they
 // are), so the healthy path decodes without any further cluster traffic.
-func (a *Archive) readDelta(ctx context.Context, version, gamma int, set *shardSet) ([][]byte, ObjectRead, error) {
-	if e := a.entries[version-1]; e.compressed {
+func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
+	e := a.entries[version-1]
+	if e.compressed {
 		return a.readCompressedDelta(ctx, version, e, set)
 	}
+	gamma := e.gamma
 	if gamma == 0 {
 		// Nothing changed: the delta is identically zero, no reads
 		// needed.
@@ -1338,84 +1327,54 @@ func (a *Archive) readDelta(ctx context.Context, version, gamma int, set *shardS
 	if set == nil {
 		set = newShardSet()
 	}
-	lastErr := set.err
-	trySparse := true
+	result := func(blocks [][]byte, sparse bool) ([][]byte, ObjectRead, error) {
+		return blocks, ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Sparse: sparse, Hedges: set.hedges}, nil
+	}
+	// A delta too dense for any sparse plan goes straight to the full
+	// read, with no liveness probe spent on planning one. So does one whose
+	// sparse decode fails (e.g. stale manifest gamma), reusing the fetched
+	// shards.
+	trySparse := gamma <= a.deltaCode.MaxSparseGamma()
 	if planned := set.sparseRows; planned != nil {
 		set.sparseRows = nil
 		if shards, ok := set.selectRows(planned); ok {
-			blocks, err := a.deltaCode.DecodeSparse(planned, shards, gamma)
-			if err == nil {
-				return blocks, ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Sparse: true, Hedges: set.hedges}, nil
+			if blocks, err := a.deltaCode.DecodeSparse(planned, shards, gamma); err == nil {
+				return result(blocks, true)
 			}
-			// Sparse decode failure (e.g. stale manifest gamma): fall
-			// through to a full read, reusing the fetched shards.
 			trySparse = false
 		}
 	}
-	for attempt := 0; attempt < readAttempts; attempt++ {
-		if err := chainAbort(ctx, lastErr); err != nil {
+	for attempt := 0; trySparse && attempt < readAttempts; attempt++ {
+		if err := chainAbort(ctx, set.err); err != nil {
 			return nil, ObjectRead{}, err
 		}
 		live := a.liveRows(ctx, a.deltaCode, version, set.dead)
-		if trySparse {
-			if rows := a.deltaCode.SparseReadRows(live, gamma); rows != nil {
-				sparseDone := func() bool { _, ok := set.selectRows(rows); return ok }
-				err := a.fetchPlanned(ctx, set, id, version, set.missing(rows), set.missing(rowsExcluding(live, rows)),
-					func() bool { return sparseDone() || len(set.data) >= k })
-				switch {
-				case sparseDone():
-					shards, _ := set.selectRows(rows)
-					blocks, derr := a.deltaCode.DecodeSparse(rows, shards, gamma)
-					if derr == nil {
-						return blocks, ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Sparse: true, Hedges: set.hedges}, nil
-					}
-					// Sparse decode failure (e.g. stale manifest gamma):
-					// fall through to a full read, reusing the fetched
-					// shards.
-					trySparse = false
-				case set.hedges > 0 && len(set.data) >= k:
-					// Hedged spares assembled a full decode's worth before
-					// the sparse plan completed; stop chasing the straggler
-					// for its sparse rows and decode full below.
-					if err != nil {
-						lastErr = err
-					}
-					trySparse = false
-				default:
-					// Some sparse rows are gone; re-plan against the
-					// shrunken live set, keeping what arrived.
-					if err != nil {
-						lastErr = err
-					}
-					continue
-				}
-			}
+		rows, sparse := readPlan(a.deltaCode, live, gamma, k)
+		if !sparse {
+			break
 		}
-		if len(set.data) < k {
-			candidates := set.missing(live)
-			if len(set.data)+len(candidates) < k {
-				if err := chainAbort(ctx, lastErr); err != nil {
-					return nil, ObjectRead{}, err
-				}
-				return nil, ObjectRead{}, fmt.Errorf("%w: %d of %d shards of %s", ErrUnavailable, len(set.data)+len(candidates), k, id)
+		sparseDone := func() bool { _, ok := set.selectRows(rows); return ok }
+		a.fetchPlanned(ctx, set, id, version, set.missing(rows), set.missing(rowsExcluding(live, rows)),
+			func() bool { return sparseDone() || len(set.data) >= k })
+		if shards, ok := set.selectRows(rows); ok {
+			if blocks, err := a.deltaCode.DecodeSparse(rows, shards, gamma); err == nil {
+				return result(blocks, true)
 			}
-			deficit := k - len(set.data)
-			err := a.fetchPlanned(ctx, set, id, version, candidates[:deficit], candidates[deficit:],
-				func() bool { return len(set.data) >= k })
-			if err != nil {
-				lastErr = err
-			}
+			trySparse = false
+		} else if set.hedges > 0 && len(set.data) >= k {
+			// Hedged spares assembled a full decode's worth before the
+			// sparse plan completed; stop chasing the straggler for its
+			// sparse rows and decode full.
+			trySparse = false
 		}
-		if len(set.data) >= k {
-			rows, shards := set.take(k)
-			blocks, err := a.deltaCode.DecodeFull(rows, shards)
-			if err != nil {
-				return nil, ObjectRead{}, err
-			}
-			return blocks, ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Hedges: set.hedges}, nil
-		}
+		// Otherwise some sparse rows are gone: re-plan against the
+		// shrunken live set, keeping what arrived.
 	}
-	return nil, ObjectRead{}, lastErr
+	blocks, err := a.readAnyK(ctx, a.deltaCode, id, version, set)
+	if err != nil {
+		return nil, ObjectRead{}, err
+	}
+	return result(blocks, false)
 }
 
 // readCompressedDelta reads a CDEC-compacted delta codeword: any gamma of
@@ -1428,50 +1387,19 @@ func (a *Archive) readCompressedDelta(ctx context.Context, version int, e entry,
 	if err != nil {
 		return nil, ObjectRead{}, err
 	}
-	id := a.deltaObjectID(version)
-	k := code.K()
 	if set == nil {
 		set = newShardSet()
 	}
-	set.sparseRows = nil // compressed reads have no sparse plan
-	lastErr := set.err
-	for attempt := 0; attempt < readAttempts; attempt++ {
-		if err := chainAbort(ctx, lastErr); err != nil {
-			return nil, ObjectRead{}, err
-		}
-		if len(set.data) < k {
-			candidates := set.missing(a.liveRows(ctx, code, version, set.dead))
-			if code.Systematic() {
-				candidates = preferSystematic(candidates, k)
-			}
-			if len(set.data)+len(candidates) < k {
-				if err := chainAbort(ctx, lastErr); err != nil {
-					return nil, ObjectRead{}, err
-				}
-				return nil, ObjectRead{}, fmt.Errorf("%w: %d of %d shards of %s", ErrUnavailable, len(set.data)+len(candidates), k, id)
-			}
-			deficit := k - len(set.data)
-			err := a.fetchPlanned(ctx, set, id, version, candidates[:deficit], candidates[deficit:],
-				func() bool { return len(set.data) >= k })
-			if err != nil {
-				lastErr = err
-			}
-		}
-		if len(set.data) >= k {
-			rows, shards := set.take(k)
-			nz, err := code.DecodeFull(rows, shards)
-			if err != nil {
-				return nil, ObjectRead{}, err
-			}
-			cd := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Support: e.support, Blocks: nz}
-			blocks, err := cd.Expand()
-			if err != nil {
-				return nil, ObjectRead{}, fmt.Errorf("core: expanding compressed delta of version %d: %w", version, err)
-			}
-			return blocks, ObjectRead{Version: version, Delta: true, Gamma: e.gamma, Reads: set.reads, Compressed: true, Hedges: set.hedges}, nil
-		}
+	nz, err := a.readAnyK(ctx, code, a.deltaObjectID(version), version, set)
+	if err != nil {
+		return nil, ObjectRead{}, err
 	}
-	return nil, ObjectRead{}, lastErr
+	cd := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Support: e.support, Blocks: nz}
+	blocks, err := cd.Expand()
+	if err != nil {
+		return nil, ObjectRead{}, fmt.Errorf("core: expanding compressed delta of version %d: %w", version, err)
+	}
+	return blocks, ObjectRead{Version: version, Delta: true, Gamma: e.gamma, Reads: set.reads, Compressed: true, Hedges: set.hedges}, nil
 }
 
 // rowRefs maps shard rows of an object to their placement nodes.
@@ -1581,24 +1509,6 @@ func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 func (a *Archive) setCache(blocks [][]byte, length int) {
 	a.cache = delta.Clone(blocks)
 	a.cacheLen = length
-}
-
-// preferSystematic reorders live rows so identity rows come first,
-// preserving relative order within each class: systematic decodes are then
-// plain copies whenever enough data shards are alive.
-func preferSystematic(rows []int, k int) []int {
-	ordered := make([]int, 0, len(rows))
-	for _, r := range rows {
-		if r < k {
-			ordered = append(ordered, r)
-		}
-	}
-	for _, r := range rows {
-		if r >= k {
-			ordered = append(ordered, r)
-		}
-	}
-	return ordered
 }
 
 // blockLenOf returns the uniform block length of a non-empty block vector

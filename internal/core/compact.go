@@ -521,7 +521,7 @@ func (a *Archive) materializeAllLocked(ctx context.Context, stats *RetrievalStat
 			if mat[e.to] != nil {
 				continue
 			}
-			d, read, err := a.readDelta(ctx, e.via, a.entries[e.via-1].gamma, nil)
+			d, read, err := a.readDelta(ctx, e.via, nil)
 			if err != nil {
 				return nil, err
 			}

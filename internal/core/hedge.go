@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"github.com/secarchive/sec/internal/store"
@@ -101,27 +100,22 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 	return hedges
 }
 
-// fetchRowsHedged is shardSet.fetch with hedging: rows are fetched one
-// batch per node, and if a node stalls past the hedge delay, spare rows
-// (extra parity rows beyond the plan, skipped when they live on a
-// straggling node or are already in hand) are fetched speculatively. The
-// call returns as soon as need() is satisfied; like fetch, it returns the
-// last per-row error. Speculative fetches are tallied in set.hedges.
-func (a *Archive) fetchRowsHedged(ctx context.Context, set *shardSet, id string, version int, rows, spares []int, need func() bool) error {
-	var lastErr error
+// fetchPlanned fetches rows of an object into the set, one batch per node,
+// recording every outcome (data, lost rows, the last error) in the set.
+// With hedging enabled, a node that stalls past the hedge delay triggers
+// speculative fetches of the spares (extra candidate rows beyond the plan,
+// skipped when they live on a straggling node, are dead or are already in
+// hand), tallied in set.hedges, and the call returns as soon as need() is
+// satisfied - typically "k rows in hand".
+func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, id string, version int, rows, spares []int, need func() bool) {
+	if !a.hedgeEnabled() {
+		for i, res := range a.readRows(ctx, id, version, rows) {
+			set.record(id, rows[i], res)
+		}
+		return
+	}
 	sink := func(ref store.ShardRef, res store.ShardResult) {
-		row := ref.ID.Row
-		if res.Err != nil {
-			if rowLost(res.Err) {
-				set.dead[row] = true
-			}
-			lastErr = fmt.Errorf("core: reading %s#%d: %w", id, row, res.Err)
-			return
-		}
-		if _, ok := set.data[row]; !ok {
-			set.data[row] = res.Data
-			set.reads++
-		}
+		set.record(id, ref.ID.Row, res)
 	}
 	spare := func(straggling map[int]bool) []store.ShardRef {
 		var extra []store.ShardRef
@@ -142,18 +136,6 @@ func (a *Archive) fetchRowsHedged(ctx context.Context, set *shardSet, id string,
 		return extra
 	}
 	a.hedgedRead(ctx, a.rowRefs(id, version, rows), spare, need, sink)
-	return lastErr
-}
-
-// fetchPlanned fetches the missing rows of a plan into the set: hedged
-// (with the remaining candidates as spares) when hedging is enabled,
-// plain otherwise. need is the satisfaction check hedging may stop at,
-// typically "k rows in hand".
-func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, id string, version int, rows, spares []int, need func() bool) error {
-	if a.hedgeEnabled() {
-		return a.fetchRowsHedged(ctx, set, id, version, rows, spares, need)
-	}
-	return set.fetch(ctx, a, id, version, rows)
 }
 
 // rowsExcluding returns the rows of live not present in exclude,
