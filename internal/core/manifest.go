@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -270,12 +271,20 @@ func (a *Archive) SaveToClusterContext(ctx context.Context) error {
 // LoadFromClusterContext reopens the named archive from manifest replicas
 // stored with SaveToCluster, picking the replica with the most entries
 // (replicas on nodes that were down during the last save may lag behind).
+// With no replica in hand, the error says why: the context's error when it
+// ended the search, the last node failure when some node could not be asked
+// (one of them may hold a replica), and store.ErrNotFound only when every
+// node answered and none holds one.
 func LoadFromClusterContext(ctx context.Context, name string, cluster *store.Cluster) (*Archive, error) {
 	id := store.ShardID{Object: manifestID(name)}
 	var best *Manifest
+	var unasked error
 	for node := 0; node < cluster.Size(); node++ {
 		data, err := cluster.Get(ctx, node, id)
 		if err != nil {
+			if !errors.Is(err, store.ErrNotFound) {
+				unasked = err
+			}
 			continue
 		}
 		var m Manifest
@@ -286,13 +295,16 @@ func LoadFromClusterContext(ctx context.Context, name string, cluster *store.Clu
 			best = &m
 		}
 	}
-	if best == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: loading manifest for %q: %w", name, err)
-		}
-		return nil, fmt.Errorf("core: no manifest replica for %q found on %d nodes", name, cluster.Size())
+	switch {
+	case best != nil:
+		return Open(*best, cluster)
+	case ctx.Err() != nil:
+		return nil, fmt.Errorf("core: loading manifest for %q: %w", name, ctx.Err())
+	case unasked != nil:
+		return nil, fmt.Errorf("core: loading manifest for %q: %w", name, unasked)
+	default:
+		return nil, fmt.Errorf("core: no manifest replica for %q on %d nodes: %w", name, cluster.Size(), store.ErrNotFound)
 	}
-	return Open(*best, cluster)
 }
 
 func parsePlacement(name string, n int) (store.Placement, error) {

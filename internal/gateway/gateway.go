@@ -230,35 +230,43 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil, ErrClosed
-	}
-	st, ok := g.archives[name]
-	if !ok {
-		st = newArchiveState(name)
-		g.archives[name] = st
-	}
-	g.mu.Unlock()
-	if !ok {
-		st.archive, st.err = g.load(ctx, name)
-		if st.err != nil {
-			g.mu.Lock()
-			delete(g.archives, name)
+	for {
+		g.mu.Lock()
+		if g.closed {
 			g.mu.Unlock()
+			return nil, ErrClosed
 		}
-		close(st.ready)
-	}
-	select {
-	case <-st.ready:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("gateway: opening archive %q: %w", name, context.Cause(ctx))
-	}
-	if st.err != nil {
+		st, ok := g.archives[name]
+		if !ok {
+			st = newArchiveState(name)
+			g.archives[name] = st
+		}
+		g.mu.Unlock()
+		if !ok {
+			st.archive, st.err = g.load(ctx, name)
+			if st.err != nil {
+				g.mu.Lock()
+				delete(g.archives, name)
+				g.mu.Unlock()
+			}
+			close(st.ready)
+		}
+		select {
+		case <-st.ready:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("gateway: opening archive %q: %w", name, context.Cause(ctx))
+		}
+		if st.err == nil {
+			return st, nil
+		}
+		// A load cut short by its loader's context says nothing about the
+		// archive: a waiter whose own context is live loads again (failed
+		// loads are evicted, so the next round starts a fresh one).
+		if ok && ctx.Err() == nil && (errors.Is(st.err, context.Canceled) || errors.Is(st.err, context.DeadlineExceeded)) {
+			continue
+		}
 		return nil, st.err
 	}
-	return st, nil
 }
 
 // load performs the actual open-by-name.
@@ -284,8 +292,11 @@ func (g *Gateway) load(ctx context.Context, name string) (*core.Archive, error) 
 	// No local manifest: fall back to the cluster-replicated copy, then
 	// persist it so the next open is local.
 	archive, err := core.LoadFromClusterContext(ctx, name, g.cfg.Cluster)
+	if errors.Is(err, store.ErrNotFound) {
+		return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("gateway: unknown archive %q: %w (cluster manifest: %w)", name, store.ErrNotFound, err)
+		return nil, fmt.Errorf("gateway: opening archive %q from its cluster manifest: %w", name, err)
 	}
 	if pathErr == nil {
 		if err := saveManifest(archive, path); err != nil {

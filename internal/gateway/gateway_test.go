@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/secarchive/sec/internal/store"
@@ -326,5 +329,111 @@ func TestGatewayCompactNeedsBound(t *testing.T) {
 	}
 	if _, err := g.Compact(t.Context(), "a", 0); !errors.Is(err, store.ErrConflict) {
 		t.Errorf("unbounded compact: err = %v, want ErrConflict", err)
+	}
+}
+
+// manifestBlock parks one read on a cluster of blockedNodes: once armed, the
+// next Get parks until its own context ends, signalling when it is parked;
+// every other read passes through.
+type manifestBlock struct {
+	armed  atomic.Bool
+	parked chan struct{}
+}
+
+type blockedNode struct {
+	store.Node
+	block *manifestBlock
+}
+
+func (n blockedNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
+	if n.block.armed.CompareAndSwap(true, false) {
+		close(n.block.parked)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return n.Node.Get(ctx, id)
+}
+
+// selectSignal is a context that reports the first time anyone asks for its
+// Done channel: in Gateway.open that is a waiter entering its wait for
+// another caller's load.
+type selectSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *selectSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestGatewayOpenWaiterSurvivesLoadersCancellation: an archive known only
+// from its cluster manifest is opened by two callers at once. The first
+// runs the load and is cancelled in the middle of it; the second, waiting
+// on that load with a live context, must still get the archive - not the
+// loader's cancellation dressed up as "unknown archive".
+func TestGatewayOpenWaiterSurvivesLoadersCancellation(t *testing.T) {
+	block := &manifestBlock{parked: make(chan struct{})}
+	nodes := make([]store.Node, 6)
+	for i := range nodes {
+		nodes[i] = blockedNode{Node: store.NewMemNode(fmt.Sprintf("mem-%d", i)), block: block}
+	}
+	cluster := store.NewCluster(nodes)
+	writer := newTestGateway(t, Config{Cluster: cluster})
+	if _, err := writer.Create(t.Context(), "a", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	want := payloadFor(32, 1)
+	if _, err := writer.Commit(t.Context(), "a", -1, want); err != nil {
+		t.Fatal(err)
+	}
+
+	// A second gateway has its own, empty manifest root: it knows the
+	// archive only from the manifest replicas on the cluster.
+	g := newTestGateway(t, Config{Cluster: cluster})
+	block.armed.Store(true)
+	loaderCtx, cancelLoader := context.WithCancel(t.Context())
+	loaderErr := make(chan error, 1)
+	go func() {
+		_, err := g.Retrieve(loaderCtx, "a", 1)
+		loaderErr <- err
+	}()
+	<-block.parked // the loader is inside the cluster load
+	waiterCtx := &selectSignal{Context: t.Context(), waiting: make(chan struct{})}
+	type result struct {
+		v   transport.ArchiveVersion
+		err error
+	}
+	waiterDone := make(chan result, 1)
+	go func() {
+		v, err := g.Retrieve(waiterCtx, "a", 1)
+		waiterDone <- result{v, err}
+	}()
+	<-waiterCtx.waiting // the waiter is waiting on the loader's load
+	cancelLoader()
+	if err := <-loaderErr; !errors.Is(err, context.Canceled) || errors.Is(err, store.ErrNotFound) {
+		t.Errorf("cancelled loader: err = %v, want its own cancellation and not ErrNotFound", err)
+	}
+	got := <-waiterDone
+	if got.err != nil {
+		t.Fatalf("waiter with a live context: %v", got.err)
+	}
+	if !bytes.Equal(got.v.Data, want) {
+		t.Error("waiter was served different bytes")
+	}
+}
+
+// TestGatewayOpenAllNodesDownIsNotUnknownArchive: with every node down the
+// gateway cannot know whether the archive exists, and must say so.
+func TestGatewayOpenAllNodesDownIsNotUnknownArchive(t *testing.T) {
+	cluster := store.NewMemCluster(6)
+	g := newTestGateway(t, Config{Cluster: cluster})
+	if err := cluster.Fail(0, 1, 2, 3, 4, 5); err != nil {
+		t.Fatal(err)
+	}
+	_, err := g.Retrieve(t.Context(), "a", 1)
+	if !errors.Is(err, store.ErrNodeDown) || errors.Is(err, store.ErrNotFound) {
+		t.Errorf("all nodes down: err = %v, want ErrNodeDown and not ErrNotFound", err)
 	}
 }
