@@ -336,6 +336,42 @@ func (g *Gateway) persist(st *archiveState) error {
 	return saveManifest(st.archive, path)
 }
 
+// publish makes a change to the chain durable and then frees what it
+// superseded, in the crash-safe order: persist the manifest (a failure is
+// returned as err and nothing further happens), replicate it onto the nodes
+// best effort, and only then, when the change included a compaction,
+// reclaim the superseded codewords. A reclaim cut short is reported apart
+// from err: the chain is safe, and what is left stays queued for the next
+// pass.
+func (g *Gateway) publish(ctx context.Context, st *archiveState, reclaim bool) (deleted, orphans int, reclaimErr, err error) {
+	if err := g.persist(st); err != nil {
+		return 0, 0, nil, err
+	}
+	_ = st.archive.SaveToClusterContext(ctx)
+	if !reclaim {
+		return 0, 0, nil, nil
+	}
+	deleted, orphans, reclaimErr = st.archive.ReclaimSupersededContext(ctx)
+	return deleted, orphans, reclaimErr, nil
+}
+
+// admit opens the named archive and, for a writer, takes its writer slot,
+// counting a full queue as a busy rejection. The caller must call release
+// when done (for a reader it does nothing).
+func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *archiveState, release func(), err error) {
+	st, err = g.open(ctx, name)
+	if err != nil || !writer {
+		return st, func() {}, err
+	}
+	if err := st.acquire(ctx, g.cfg.MaxQueuedWriters); err != nil {
+		if errors.Is(err, store.ErrBusy) {
+			g.busy.Add(1)
+		}
+		return nil, nil, err
+	}
+	return st, st.release, nil
+}
+
 // Create builds a fresh archive under the gateway and persists its
 // manifest. An archive that already exists (resident, on disk, or being
 // created concurrently) is a typed store.ErrConflict rejection.
@@ -386,17 +422,11 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 // is persisted before superseded codewords are reclaimed, in the same
 // crash-safe order the CLI uses.
 func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []byte) (core.CommitInfo, error) {
-	st, err := g.open(ctx, name)
+	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
 		return core.CommitInfo{}, err
 	}
-	if err := st.acquire(ctx, g.cfg.MaxQueuedWriters); err != nil {
-		if errors.Is(err, store.ErrBusy) {
-			g.busy.Add(1)
-		}
-		return core.CommitInfo{}, err
-	}
-	defer st.release()
+	defer release()
 	if expect >= 0 {
 		if v := st.archive.Versions(); v != expect {
 			g.conflicts.Add(1)
@@ -412,19 +442,11 @@ func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []
 	// and for Reversed SEC the previous tip's full codeword is already
 	// gone from the nodes — so the manifest MUST be persisted now either
 	// way, or a reopen would anchor on deleted objects.
-	if serr := g.persist(st); serr != nil {
-		err = errors.Join(err, serr)
-	} else {
-		// Replicate the manifest onto the nodes too (best effort), then —
-		// only after the manifest is safe — reclaim compaction-superseded
-		// codewords.
-		_ = st.archive.SaveToClusterContext(ctx)
-		if info.Compaction != nil {
-			deleted, _, rerr := st.archive.ReclaimSupersededContext(ctx)
-			if rerr == nil {
-				info.Compaction.ShardsDeleted += deleted
-			}
-		}
+	deleted, _, reclaimErr, perr := g.publish(ctx, st, info.Compaction != nil)
+	if perr != nil {
+		err = errors.Join(err, perr)
+	} else if info.Compaction != nil && reclaimErr == nil {
+		info.Compaction.ShardsDeleted += deleted
 	}
 	if err != nil {
 		return info, err
@@ -433,26 +455,27 @@ func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []
 	return info, nil
 }
 
-// resolveVersion maps the wire's "0 = latest" onto a concrete version.
-func resolveVersion(st *archiveState, version int) (int, error) {
+// openVersion opens the named archive and maps the wire's "0 = latest" onto
+// a concrete version of it.
+func (g *Gateway) openVersion(ctx context.Context, name string, version int) (*archiveState, int, error) {
+	st, err := g.open(ctx, name)
+	if err != nil {
+		return nil, 0, err
+	}
 	latest := st.archive.Versions()
 	if version == 0 {
 		version = latest
 	}
 	if version < 1 || version > latest {
-		return 0, fmt.Errorf("gateway: archive %q has %d versions, not version %d: %w", st.name, latest, version, store.ErrNotFound)
+		return nil, 0, fmt.Errorf("gateway: archive %q has %d versions, not version %d: %w", name, latest, version, store.ErrNotFound)
 	}
-	return version, nil
+	return st, version, nil
 }
 
 // Retrieve decodes one version (0 = the latest at request time). All
 // clients share the archive's decoded-version read cache.
 func (g *Gateway) Retrieve(ctx context.Context, name string, version int) (transport.ArchiveVersion, error) {
-	st, err := g.open(ctx, name)
-	if err != nil {
-		return transport.ArchiveVersion{}, err
-	}
-	v, err := resolveVersion(st, version)
+	st, v, err := g.openVersion(ctx, name, version)
 	if err != nil {
 		return transport.ArchiveVersion{}, err
 	}
@@ -466,11 +489,7 @@ func (g *Gateway) Retrieve(ctx context.Context, name string, version int) (trans
 
 // RetrieveAll decodes versions 1..version (0 = through the latest).
 func (g *Gateway) RetrieveAll(ctx context.Context, name string, version int) ([][]byte, core.RetrievalStats, error) {
-	st, err := g.open(ctx, name)
-	if err != nil {
-		return nil, core.RetrievalStats{}, err
-	}
-	v, err := resolveVersion(st, version)
+	st, v, err := g.openVersion(ctx, name, version)
 	if err != nil {
 		return nil, core.RetrievalStats{}, err
 	}
@@ -552,59 +571,41 @@ func (g *Gateway) Info(ctx context.Context, name string) (transport.ArchiveInfo,
 // Crash-safe ordering: rewrite and swap while keeping the superseded
 // codewords, persist the new manifest, and only then reclaim.
 func (g *Gateway) Compact(ctx context.Context, name string, maxChain int) (transport.CompactReport, error) {
-	st, err := g.open(ctx, name)
+	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
 		return transport.CompactReport{}, err
 	}
+	defer release()
 	if maxChain <= 0 {
 		maxChain = st.archive.Config().MaxChainLength
 	}
 	if maxChain <= 0 {
 		return transport.CompactReport{}, fmt.Errorf("gateway: archive %q has no MaxChainLength configured and no bound was given: %w", name, store.ErrConflict)
 	}
-	if err := st.acquire(ctx, g.cfg.MaxQueuedWriters); err != nil {
-		if errors.Is(err, store.ErrBusy) {
-			g.busy.Add(1)
-		}
-		return transport.CompactReport{}, err
-	}
-	defer st.release()
 	info, err := st.archive.CompactKeepSupersededContext(ctx, maxChain)
 	if err != nil {
 		return transport.CompactReport{}, err
 	}
 	report := transport.CompactReport{Info: info}
+	var reclaimErr error
+	if info.Changed() {
+		report.Deleted, report.Orphans, reclaimErr, err = g.publish(ctx, st, true)
+		if err != nil {
+			return report, err // not persisted: the pass does not count
+		}
+	}
 	g.compactions.Add(1)
-	if !info.Changed() {
-		return report, nil
-	}
-	if err := g.persist(st); err != nil {
-		return report, err
-	}
-	_ = st.archive.SaveToClusterContext(ctx)
-	report.Deleted, report.Orphans, err = st.archive.ReclaimSupersededContext(ctx)
-	if err != nil {
-		return report, err
-	}
-	return report, nil
+	return report, reclaimErr
 }
 
 // Scrub verifies every stored shard; repair additionally rewrites damage,
 // holding the writer slot so repairs never race a commit.
 func (g *Gateway) Scrub(ctx context.Context, name string, repair bool) (core.ScrubReport, error) {
-	st, err := g.open(ctx, name)
+	st, release, err := g.admit(ctx, name, repair)
 	if err != nil {
 		return core.ScrubReport{}, err
 	}
-	if repair {
-		if err := st.acquire(ctx, g.cfg.MaxQueuedWriters); err != nil {
-			if errors.Is(err, store.ErrBusy) {
-				g.busy.Add(1)
-			}
-			return core.ScrubReport{}, err
-		}
-		defer st.release()
-	}
+	defer release()
 	report, err := st.archive.ScrubContext(ctx, repair)
 	if err == nil {
 		g.scrubs.Add(1)
@@ -615,17 +616,11 @@ func (g *Gateway) Scrub(ctx context.Context, name string, repair bool) (core.Scr
 // Repair reconstructs the archive's shards on one cluster node, holding
 // the writer slot so rebuilt shards never race a commit.
 func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.RepairReport, error) {
-	st, err := g.open(ctx, name)
+	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
 		return core.RepairReport{}, err
 	}
-	if err := st.acquire(ctx, g.cfg.MaxQueuedWriters); err != nil {
-		if errors.Is(err, store.ErrBusy) {
-			g.busy.Add(1)
-		}
-		return core.RepairReport{}, err
-	}
-	defer st.release()
+	defer release()
 	report, err := st.archive.RepairNodeContext(ctx, node)
 	if err == nil {
 		g.repairs.Add(1)

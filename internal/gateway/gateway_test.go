@@ -281,7 +281,8 @@ func TestGatewayUnknownArchiveAndVersion(t *testing.T) {
 }
 
 func TestGatewayMaintenanceOps(t *testing.T) {
-	g := newTestGateway(t, Config{})
+	root := t.TempDir()
+	g := newTestGateway(t, Config{Root: root})
 	ctx := t.Context()
 	spec := testSpec()
 	spec.MaxChainLength = 2
@@ -299,6 +300,23 @@ func TestGatewayMaintenanceOps(t *testing.T) {
 	}
 	if report.Info.MaxChainLength != 2 {
 		t.Errorf("Compact report = %+v", report)
+	}
+	if got := g.Stats().Compactions; got != 1 {
+		t.Errorf("Compactions = %d after one pass, want 1", got)
+	}
+	// A pass whose manifest persist fails is not a successful compaction:
+	// the counter must not move.
+	if err := os.RemoveAll(root); err != nil {
+		t.Fatal(err)
+	}
+	if report, err := g.Compact(ctx, "a", 1); err == nil || !report.Info.Changed() {
+		t.Fatalf("compact with the manifest root gone: report %+v, err %v; want a changed chain and a persist error", report, err)
+	}
+	if got := g.Stats().Compactions; got != 1 {
+		t.Errorf("Compactions = %d after a pass that failed to persist, want 1", got)
+	}
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		t.Fatal(err)
 	}
 	sr, err := g.Scrub(ctx, "a", false)
 	if err != nil {

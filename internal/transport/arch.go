@@ -109,27 +109,6 @@ func (s ArchiveSpec) Manifest(name string) core.Manifest {
 	}
 }
 
-// SpecFromManifest recovers the creation spec of an existing manifest
-// (dropping its entries), so a client can clone an archive's shape.
-func SpecFromManifest(m core.Manifest) ArchiveSpec {
-	return ArchiveSpec{
-		Scheme:            m.Scheme,
-		Code:              m.Code,
-		Field:             m.Field,
-		N:                 m.N,
-		K:                 m.K,
-		BlockSize:         m.BlockSize,
-		PunctureDeltas:    m.PunctureDeltas,
-		Placement:         m.Placement,
-		MaxChainLength:    m.MaxChainLength,
-		CheckpointEvery:   m.CheckpointEvery,
-		CompactGammaLimit: m.CompactGammaLimit,
-		CompressDeltas:    m.CompressDeltas,
-		CompressGammaMax:  m.CompressGammaMax,
-		ReadCacheBytes:    m.ReadCacheBytes,
-	}
-}
-
 // ArchiveVersion is one retrieved version with its retrieval accounting.
 type ArchiveVersion struct {
 	// Version is the version number actually served (the latest at
@@ -311,133 +290,145 @@ func decodeArchVersions(payload []byte) ([][]byte, core.RetrievalStats, error) {
 	return versions, m.Stats, nil
 }
 
-// archName validates and returns the archive name of a request.
-func archName(id store.ShardID) (string, error) {
-	if id.Object == "" {
-		return "", fmt.Errorf("transport: archive op without archive name: %w", errArchMalformed)
-	}
-	return id.Object, nil
+// archOp describes one archive-level operation once; the server's dispatch
+// and counting and the client's error provenance are derived from it.
+type archOp struct {
+	// name is the ShardError.Op of the operation's failures, on both ends.
+	name string
+	// serve answers one request for the named archive with the response
+	// body. An archReject error is answered as a bare statusError; any
+	// other is a backend failure, answered with its provenance.
+	serve func(ctx context.Context, s *Server, name string, req request) ([]byte, error)
 }
 
-// archFail maps a backend error onto a wire status and provenance
-// payload, attributing it to the serving gateway when the backend did not
-// already name a culprit.
-func archFail(err error, op, name string) (byte, []byte) {
-	var se *store.ShardError
-	if !errors.As(err, &se) {
-		err = &store.ShardError{Node: "gateway", Op: op, Shard: store.ShardID{Object: name}, Err: err}
-	}
-	return statusFor(err), encodeWireError(err)
+// archReject is a request refused (or a reply lost) at the wire layer,
+// outside the backend: it is answered as a plain statusError message with
+// no provenance record, the form every peer understands.
+type archReject string
+
+func (e archReject) Error() string { return string(e) }
+
+// archOps is the op table, indexed by op code minus opArchCreate. The
+// server counts each op's requests in requestCounters.archOp.
+var archOps = [...]archOp{
+	opArchCreate - opArchCreate: {
+		name: "arch-create",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			var spec ArchiveSpec
+			if err := json.Unmarshal(req.payload, &spec); err != nil {
+				return nil, archReject(fmt.Sprintf("transport: decoding archive spec: %v", err))
+			}
+			return jsonBody(s.archive.Create(ctx, name, spec))
+		},
+	},
+	opArchCommit - opArchCreate: {
+		name: "arch-commit",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			expect, object, err := decodeArchCommit(req.payload)
+			if err != nil {
+				return nil, archReject(err.Error())
+			}
+			s.reqs.bytesWritten.Add(uint64(len(object)))
+			return jsonBody(s.archive.Commit(ctx, name, expect, object))
+		},
+	},
+	opArchGet - opArchCreate: {
+		name: "arch-get",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			v, err := s.archive.Retrieve(ctx, name, req.id.Row)
+			if err != nil {
+				return nil, err
+			}
+			s.reqs.bytesRead.Add(uint64(len(v.Data)))
+			return encodeArchVersion(v)
+		},
+	},
+	opArchGetAll - opArchCreate: {
+		name: "arch-get-all",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			versions, stats, err := s.archive.RetrieveAll(ctx, name, req.id.Row)
+			if err != nil {
+				return nil, err
+			}
+			for _, v := range versions {
+				s.reqs.bytesRead.Add(uint64(len(v)))
+			}
+			return encodeArchVersions(versions, stats)
+		},
+	},
+	opArchLog - opArchCreate: {
+		name: "arch-log",
+		serve: func(ctx context.Context, s *Server, name string, _ request) ([]byte, error) {
+			return jsonBody(s.archive.Log(ctx, name))
+		},
+	},
+	opArchInfo - opArchCreate: {
+		name: "arch-info",
+		serve: func(ctx context.Context, s *Server, name string, _ request) ([]byte, error) {
+			return jsonBody(s.archive.Info(ctx, name))
+		},
+	},
+	opArchCompact - opArchCreate: {
+		name: "arch-compact",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			return jsonBody(s.archive.Compact(ctx, name, req.id.Row))
+		},
+	},
+	opArchScrub - opArchCreate: {
+		name: "arch-scrub",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			return jsonBody(s.archive.Scrub(ctx, name, req.id.Row != 0))
+		},
+	},
+	opArchRepair - opArchCreate: {
+		name: "arch-repair",
+		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+			return jsonBody(s.archive.Repair(ctx, name, req.id.Row))
+		},
+	},
 }
 
-// handleArchive dispatches one archive-level request to the server's
-// backend. A server without a backend (a plain storage node) answers
-// statusError, which clients surface as ErrNotServed.
+// jsonBody marshals a backend's structured result, passing its error on.
+func jsonBody(v any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, archReject(fmt.Sprintf("transport: encoding response: %v", err))
+	}
+	return body, nil
+}
+
+// handleArchive dispatches one archive-level request (the caller has
+// checked req.op is one) to the server's backend through the op table. A
+// server without a backend (a plain storage node) answers statusError,
+// which clients surface as ErrNotServed.
 func (s *Server) handleArchive(ctx context.Context, req request) (status byte, payload []byte) {
 	if s.archive == nil {
 		return statusError, []byte("transport: archive ops not served")
 	}
-	name, err := archName(req.id)
-	if err != nil {
-		return statusError, []byte(err.Error())
+	name := req.id.Object
+	if name == "" {
+		return statusError, []byte(fmt.Sprintf("transport: archive op without archive name: %v", errArchMalformed))
 	}
-	switch req.op {
-	case opArchCreate:
-		s.reqs.archCreates.Add(1)
-		var spec ArchiveSpec
-		if err := json.Unmarshal(req.payload, &spec); err != nil {
-			return statusError, []byte(fmt.Sprintf("transport: decoding archive spec: %v", err))
-		}
-		info, err := s.archive.Create(ctx, name, spec)
-		if err != nil {
-			return archFail(err, "arch-create", name)
-		}
-		return jsonResponse(info)
-	case opArchCommit:
-		s.reqs.archCommits.Add(1)
-		expect, object, err := decodeArchCommit(req.payload)
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		s.reqs.bytesWritten.Add(uint64(len(object)))
-		ci, err := s.archive.Commit(ctx, name, expect, object)
-		if err != nil {
-			return archFail(err, "arch-commit", name)
-		}
-		return jsonResponse(ci)
-	case opArchGet:
-		s.reqs.archGets.Add(1)
-		v, err := s.archive.Retrieve(ctx, name, req.id.Row)
-		if err != nil {
-			return archFail(err, "arch-get", name)
-		}
-		s.reqs.bytesRead.Add(uint64(len(v.Data)))
-		body, err := encodeArchVersion(v)
-		if err != nil {
-			return archFail(err, "arch-get", name)
-		}
+	op := &archOps[req.op-opArchCreate]
+	s.reqs.archOp(req.op).Add(1)
+	body, err := op.serve(ctx, s, name, req)
+	var reject archReject
+	switch {
+	case err == nil:
 		return statusOK, body
-	case opArchGetAll:
-		s.reqs.archGetAlls.Add(1)
-		versions, stats, err := s.archive.RetrieveAll(ctx, name, req.id.Row)
-		if err != nil {
-			return archFail(err, "arch-get-all", name)
-		}
-		for _, v := range versions {
-			s.reqs.bytesRead.Add(uint64(len(v)))
-		}
-		body, err := encodeArchVersions(versions, stats)
-		if err != nil {
-			return archFail(err, "arch-get-all", name)
-		}
-		return statusOK, body
-	case opArchLog:
-		s.reqs.archLogs.Add(1)
-		entries, err := s.archive.Log(ctx, name)
-		if err != nil {
-			return archFail(err, "arch-log", name)
-		}
-		return jsonResponse(entries)
-	case opArchInfo:
-		s.reqs.archInfos.Add(1)
-		info, err := s.archive.Info(ctx, name)
-		if err != nil {
-			return archFail(err, "arch-info", name)
-		}
-		return jsonResponse(info)
-	case opArchCompact:
-		s.reqs.archCompacts.Add(1)
-		report, err := s.archive.Compact(ctx, name, req.id.Row)
-		if err != nil {
-			return archFail(err, "arch-compact", name)
-		}
-		return jsonResponse(report)
-	case opArchScrub:
-		s.reqs.archScrubs.Add(1)
-		report, err := s.archive.Scrub(ctx, name, req.id.Row != 0)
-		if err != nil {
-			return archFail(err, "arch-scrub", name)
-		}
-		return jsonResponse(report)
-	case opArchRepair:
-		s.reqs.archRepairs.Add(1)
-		report, err := s.archive.Repair(ctx, name, req.id.Row)
-		if err != nil {
-			return archFail(err, "arch-repair", name)
-		}
-		return jsonResponse(report)
-	default:
-		return statusError, []byte(fmt.Sprintf("transport: unknown archive op %d", req.op))
+	case errors.As(err, &reject):
+		return statusError, []byte(reject)
 	}
-}
-
-// jsonResponse marshals a structured archive response.
-func jsonResponse(v any) (byte, []byte) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return statusError, []byte(fmt.Sprintf("transport: encoding response: %v", err))
+	// A backend failure: attribute it to the serving gateway unless the
+	// backend already named a culprit.
+	var se *store.ShardError
+	if !errors.As(err, &se) {
+		err = &store.ShardError{Node: "gateway", Op: op.name, Shard: store.ShardID{Object: name}, Err: err}
 	}
-	return statusOK, body
+	return statusFor(err), encodeWireError(err)
 }
 
 // ArchiveClient speaks the archive-level ops to a remote gateway over the
@@ -490,13 +481,27 @@ func markNotServed(err error) {
 
 // call performs one archive-op round trip and converts a peer's
 // does-not-serve-archives rejection into ErrNotServed.
-func (c *ArchiveClient) call(ctx context.Context, op byte, opName string, id store.ShardID, payload []byte) ([]byte, error) {
-	resp, err := c.n.roundTrip(ctx, opName, request{op: op, id: id, payload: payload})
+func (c *ArchiveClient) call(ctx context.Context, op byte, id store.ShardID, payload []byte) ([]byte, error) {
+	resp, err := c.n.roundTrip(ctx, archOps[op-opArchCreate].name, request{op: op, id: id, payload: payload})
 	if err != nil {
 		markNotServed(err)
 		return nil, err
 	}
 	return resp, nil
+}
+
+// callJSON is call for the ops whose response body is one JSON value.
+func callJSON[T any](ctx context.Context, c *ArchiveClient, op byte, id store.ShardID, payload []byte) (T, error) {
+	var out T
+	resp, err := c.call(ctx, op, id, payload)
+	if err != nil {
+		return out, err
+	}
+	if err := json.Unmarshal(resp, &out); err != nil {
+		var zero T
+		return zero, fmt.Errorf("transport: decoding %s response: %w", archOps[op-opArchCreate].name, err)
+	}
+	return out, nil
 }
 
 // Create asks the gateway to create archive name with the given spec.
@@ -505,15 +510,7 @@ func (c *ArchiveClient) Create(ctx context.Context, name string, spec ArchiveSpe
 	if err != nil {
 		return ArchiveInfo{}, fmt.Errorf("transport: encoding archive spec: %w", err)
 	}
-	resp, err := c.call(ctx, opArchCreate, "arch-create", store.ShardID{Object: name}, payload)
-	if err != nil {
-		return ArchiveInfo{}, err
-	}
-	var info ArchiveInfo
-	if err := json.Unmarshal(resp, &info); err != nil {
-		return ArchiveInfo{}, fmt.Errorf("transport: decoding archive info: %w", err)
-	}
-	return info, nil
+	return callJSON[ArchiveInfo](ctx, c, opArchCreate, store.ShardID{Object: name}, payload)
 }
 
 // Commit appends object as the archive's next version. expect >= 0
@@ -523,20 +520,12 @@ func (c *ArchiveClient) Commit(ctx context.Context, name string, expect int, obj
 	if err != nil {
 		return core.CommitInfo{}, err
 	}
-	resp, err := c.call(ctx, opArchCommit, "arch-commit", store.ShardID{Object: name}, payload)
-	if err != nil {
-		return core.CommitInfo{}, err
-	}
-	var ci core.CommitInfo
-	if err := json.Unmarshal(resp, &ci); err != nil {
-		return core.CommitInfo{}, fmt.Errorf("transport: decoding commit info: %w", err)
-	}
-	return ci, nil
+	return callJSON[core.CommitInfo](ctx, c, opArchCommit, store.ShardID{Object: name}, payload)
 }
 
 // Retrieve fetches one version (0 = latest).
 func (c *ArchiveClient) Retrieve(ctx context.Context, name string, version int) (ArchiveVersion, error) {
-	resp, err := c.call(ctx, opArchGet, "arch-get", store.ShardID{Object: name, Row: version}, nil)
+	resp, err := c.call(ctx, opArchGet, store.ShardID{Object: name, Row: version}, nil)
 	if err != nil {
 		return ArchiveVersion{}, err
 	}
@@ -545,7 +534,7 @@ func (c *ArchiveClient) Retrieve(ctx context.Context, name string, version int) 
 
 // RetrieveAll fetches versions 1..version (0 = through the latest).
 func (c *ArchiveClient) RetrieveAll(ctx context.Context, name string, version int) ([][]byte, core.RetrievalStats, error) {
-	resp, err := c.call(ctx, opArchGetAll, "arch-get-all", store.ShardID{Object: name, Row: version}, nil)
+	resp, err := c.call(ctx, opArchGetAll, store.ShardID{Object: name, Row: version}, nil)
 	if err != nil {
 		return nil, core.RetrievalStats{}, err
 	}
@@ -554,42 +543,18 @@ func (c *ArchiveClient) RetrieveAll(ctx context.Context, name string, version in
 
 // Log fetches the archive's version history.
 func (c *ArchiveClient) Log(ctx context.Context, name string) ([]ArchiveLogEntry, error) {
-	resp, err := c.call(ctx, opArchLog, "arch-log", store.ShardID{Object: name}, nil)
-	if err != nil {
-		return nil, err
-	}
-	var entries []ArchiveLogEntry
-	if err := json.Unmarshal(resp, &entries); err != nil {
-		return nil, fmt.Errorf("transport: decoding archive log: %w", err)
-	}
-	return entries, nil
+	return callJSON[[]ArchiveLogEntry](ctx, c, opArchLog, store.ShardID{Object: name}, nil)
 }
 
 // Info fetches the archive description and cluster health snapshot.
 func (c *ArchiveClient) Info(ctx context.Context, name string) (ArchiveInfo, error) {
-	resp, err := c.call(ctx, opArchInfo, "arch-info", store.ShardID{Object: name}, nil)
-	if err != nil {
-		return ArchiveInfo{}, err
-	}
-	var info ArchiveInfo
-	if err := json.Unmarshal(resp, &info); err != nil {
-		return ArchiveInfo{}, fmt.Errorf("transport: decoding archive info: %w", err)
-	}
-	return info, nil
+	return callJSON[ArchiveInfo](ctx, c, opArchInfo, store.ShardID{Object: name}, nil)
 }
 
 // Compact bounds the archive's chain depth to maxChain (0 = the archive's
 // configured policy).
 func (c *ArchiveClient) Compact(ctx context.Context, name string, maxChain int) (CompactReport, error) {
-	resp, err := c.call(ctx, opArchCompact, "arch-compact", store.ShardID{Object: name, Row: maxChain}, nil)
-	if err != nil {
-		return CompactReport{}, err
-	}
-	var report CompactReport
-	if err := json.Unmarshal(resp, &report); err != nil {
-		return CompactReport{}, fmt.Errorf("transport: decoding compact report: %w", err)
-	}
-	return report, nil
+	return callJSON[CompactReport](ctx, c, opArchCompact, store.ShardID{Object: name, Row: maxChain}, nil)
 }
 
 // Scrub verifies every stored shard, optionally repairing damage.
@@ -598,26 +563,10 @@ func (c *ArchiveClient) Scrub(ctx context.Context, name string, repair bool) (co
 	if repair {
 		row = 1
 	}
-	resp, err := c.call(ctx, opArchScrub, "arch-scrub", store.ShardID{Object: name, Row: row}, nil)
-	if err != nil {
-		return core.ScrubReport{}, err
-	}
-	var report core.ScrubReport
-	if err := json.Unmarshal(resp, &report); err != nil {
-		return core.ScrubReport{}, fmt.Errorf("transport: decoding scrub report: %w", err)
-	}
-	return report, nil
+	return callJSON[core.ScrubReport](ctx, c, opArchScrub, store.ShardID{Object: name, Row: row}, nil)
 }
 
 // Repair reconstructs the archive's shards on the given cluster node.
 func (c *ArchiveClient) Repair(ctx context.Context, name string, node int) (core.RepairReport, error) {
-	resp, err := c.call(ctx, opArchRepair, "arch-repair", store.ShardID{Object: name, Row: node}, nil)
-	if err != nil {
-		return core.RepairReport{}, err
-	}
-	var report core.RepairReport
-	if err := json.Unmarshal(resp, &report); err != nil {
-		return core.RepairReport{}, fmt.Errorf("transport: decoding repair report: %w", err)
-	}
-	return report, nil
+	return callJSON[core.RepairReport](ctx, c, opArchRepair, store.ShardID{Object: name, Row: node}, nil)
 }

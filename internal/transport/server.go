@@ -69,11 +69,12 @@ type requestCounters struct {
 	getBatches, putBatches, deleteBatches atomic.Uint64
 	getBatchShards, putBatchShards        atomic.Uint64
 	deleteBatchShards                     atomic.Uint64
-	archCreates, archCommits, archGets    atomic.Uint64
-	archGetAlls, archLogs, archInfos      atomic.Uint64
-	archCompacts, archScrubs, archRepairs atomic.Uint64
+	arch                                  [opArchRepair - opArchCreate + 1]atomic.Uint64
 	bytesRead, bytesWritten               atomic.Uint64
 }
+
+// archOp returns the request counter of an archive-level op code.
+func (c *requestCounters) archOp(op byte) *atomic.Uint64 { return &c.arch[op-opArchCreate] }
 
 // RequestStats returns a snapshot of the server's request counters.
 func (s *Server) RequestStats() RequestStats {
@@ -89,15 +90,15 @@ func (s *Server) RequestStats() RequestStats {
 		GetBatchShards:    s.reqs.getBatchShards.Load(),
 		PutBatchShards:    s.reqs.putBatchShards.Load(),
 		DeleteBatchShards: s.reqs.deleteBatchShards.Load(),
-		ArchCreates:       s.reqs.archCreates.Load(),
-		ArchCommits:       s.reqs.archCommits.Load(),
-		ArchGets:          s.reqs.archGets.Load(),
-		ArchGetAlls:       s.reqs.archGetAlls.Load(),
-		ArchLogs:          s.reqs.archLogs.Load(),
-		ArchInfos:         s.reqs.archInfos.Load(),
-		ArchCompacts:      s.reqs.archCompacts.Load(),
-		ArchScrubs:        s.reqs.archScrubs.Load(),
-		ArchRepairs:       s.reqs.archRepairs.Load(),
+		ArchCreates:       s.reqs.archOp(opArchCreate).Load(),
+		ArchCommits:       s.reqs.archOp(opArchCommit).Load(),
+		ArchGets:          s.reqs.archOp(opArchGet).Load(),
+		ArchGetAlls:       s.reqs.archOp(opArchGetAll).Load(),
+		ArchLogs:          s.reqs.archOp(opArchLog).Load(),
+		ArchInfos:         s.reqs.archOp(opArchInfo).Load(),
+		ArchCompacts:      s.reqs.archOp(opArchCompact).Load(),
+		ArchScrubs:        s.reqs.archOp(opArchScrub).Load(),
+		ArchRepairs:       s.reqs.archOp(opArchRepair).Load(),
 		BytesRead:         s.reqs.bytesRead.Load(),
 		BytesWritten:      s.reqs.bytesWritten.Load(),
 	}
