@@ -180,44 +180,47 @@ func (n *RemoteNode) Delete(ctx context.Context, id store.ShardID) error {
 func (n *RemoteNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
 	results := make([]store.ShardResult, len(ids))
 	for start := 0; start < len(ids); start += maxBatchShards {
-		end := min(start+maxBatchShards, len(ids))
-		n.getBatchChunk(ctx, ids[start:end], results[start:end])
+		chunk := ids[start:min(start+maxBatchShards, len(ids))]
+		body, err := encodeGetBatch(chunk)
+		n.batchChunk(ctx, opGetBatch, "get", chunk, body, err,
+			func(i int, res store.ShardResult) { results[start+i] = res },
+			func(i int) store.ShardResult {
+				data, err := n.Get(ctx, chunk[i])
+				return store.ShardResult{Data: data, Err: err}
+			})
 	}
 	return results
 }
 
-func (n *RemoteNode) getBatchChunk(ctx context.Context, ids []store.ShardID, out []store.ShardResult) {
-	body, err := encodeGetBatch(ids)
-	if err != nil {
-		n.getPerShard(ctx, ids, out)
-		return
-	}
-	payload, err := n.roundTrip(ctx, "get", request{op: opGetBatch, payload: body})
-	if err != nil {
-		if errors.Is(err, store.ErrNodeDown) || ctxCause(ctx) != nil {
+// batchChunk runs one batch frame of op and hands each shard's outcome to
+// set. A frame can fail two ways. A node that is down, or a context that is
+// done, fails every shard of the frame outright with that cause. Any other
+// failure means the server answered but could not serve the batch (an
+// unknown op on an old peer, an oversized or malformed frame, a batch that
+// would not encode), and the frame degrades to per-shard operations -
+// perShard performs shard i on its own - instead of failing the shards.
+func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids []store.ShardID, body []byte, err error, set func(i int, res store.ShardResult), perShard func(i int) store.ShardResult) {
+	if err == nil {
+		var payload []byte
+		payload, err = n.roundTrip(ctx, name, request{op: op, payload: body})
+		if err != nil && (errors.Is(err, store.ErrNodeDown) || ctxCause(ctx) != nil) {
 			for i, id := range ids {
-				out[i] = store.ShardResult{Err: n.batchErr("get", id, err)}
+				set(i, store.ShardResult{Err: n.batchErr(name, id, err)})
 			}
 			return
 		}
-		// The server answered but could not serve the batch (unknown op on
-		// an old peer, oversized response, malformed frame): degrade to
-		// per-shard operations instead of failing the shards.
-		n.getPerShard(ctx, ids, out)
-		return
+		if err == nil {
+			var results []store.ShardResult
+			if results, err = decodeBatchResults(payload, ids, n.id, name); err == nil {
+				for i, res := range results {
+					set(i, res)
+				}
+				return
+			}
+		}
 	}
-	results, err := decodeBatchResults(payload, ids, n.id, "get")
-	if err != nil {
-		n.getPerShard(ctx, ids, out)
-		return
-	}
-	copy(out, results)
-}
-
-func (n *RemoteNode) getPerShard(ctx context.Context, ids []store.ShardID, out []store.ShardResult) {
-	for i, id := range ids {
-		data, err := n.Get(ctx, id)
-		out[i] = store.ShardResult{Data: data, Err: err}
+	for i := range ids {
+		set(i, perShard(i))
 	}
 }
 
@@ -250,43 +253,14 @@ func (n *RemoteNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][
 			size += entry
 			end++
 		}
-		n.putBatchChunk(ctx, ids[start:end], data[start:end], errs[start:end])
+		chunk, base := ids[start:end], start
+		body, err := encodePutBatch(chunk, data[start:end])
+		n.batchChunk(ctx, opPutBatch, "put", chunk, body, err,
+			func(i int, res store.ShardResult) { errs[base+i] = res.Err },
+			func(i int) store.ShardResult { return store.ShardResult{Err: n.Put(ctx, chunk[i], data[base+i])} })
 		start = end
 	}
 	return errs
-}
-
-func (n *RemoteNode) putBatchChunk(ctx context.Context, ids []store.ShardID, data [][]byte, out []error) {
-	body, err := encodePutBatch(ids, data)
-	if err != nil {
-		n.putPerShard(ctx, ids, data, out)
-		return
-	}
-	payload, err := n.roundTrip(ctx, "put", request{op: opPutBatch, payload: body})
-	if err != nil {
-		if errors.Is(err, store.ErrNodeDown) || ctxCause(ctx) != nil {
-			for i, id := range ids {
-				out[i] = n.batchErr("put", id, err)
-			}
-			return
-		}
-		n.putPerShard(ctx, ids, data, out)
-		return
-	}
-	results, err := decodeBatchResults(payload, ids, n.id, "put")
-	if err != nil {
-		n.putPerShard(ctx, ids, data, out)
-		return
-	}
-	for i, res := range results {
-		out[i] = res.Err
-	}
-}
-
-func (n *RemoteNode) putPerShard(ctx context.Context, ids []store.ShardID, data [][]byte, out []error) {
-	for i, id := range ids {
-		out[i] = n.Put(ctx, id, data[i])
-	}
 }
 
 // DeleteBatch removes several shards in one round trip per batch frame.
@@ -298,45 +272,13 @@ func (n *RemoteNode) putPerShard(ctx context.Context, ids []store.ShardID, data 
 func (n *RemoteNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
 	errs := make([]error, len(ids))
 	for start := 0; start < len(ids); start += maxBatchShards {
-		end := min(start+maxBatchShards, len(ids))
-		n.deleteBatchChunk(ctx, ids[start:end], errs[start:end])
+		chunk := ids[start:min(start+maxBatchShards, len(ids))]
+		body, err := encodeDeleteBatch(chunk)
+		n.batchChunk(ctx, opDeleteBatch, "delete", chunk, body, err,
+			func(i int, res store.ShardResult) { errs[start+i] = res.Err },
+			func(i int) store.ShardResult { return store.ShardResult{Err: n.Delete(ctx, chunk[i])} })
 	}
 	return errs
-}
-
-func (n *RemoteNode) deleteBatchChunk(ctx context.Context, ids []store.ShardID, out []error) {
-	body, err := encodeDeleteBatch(ids)
-	if err != nil {
-		n.deletePerShard(ctx, ids, out)
-		return
-	}
-	payload, err := n.roundTrip(ctx, "delete", request{op: opDeleteBatch, payload: body})
-	if err != nil {
-		if errors.Is(err, store.ErrNodeDown) || ctxCause(ctx) != nil {
-			for i, id := range ids {
-				out[i] = n.batchErr("delete", id, err)
-			}
-			return
-		}
-		// The server answered but could not serve the batch (unknown op on
-		// an old peer, malformed frame): degrade to per-shard deletes.
-		n.deletePerShard(ctx, ids, out)
-		return
-	}
-	results, err := decodeBatchResults(payload, ids, n.id, "delete")
-	if err != nil {
-		n.deletePerShard(ctx, ids, out)
-		return
-	}
-	for i, res := range results {
-		out[i] = res.Err
-	}
-}
-
-func (n *RemoteNode) deletePerShard(ctx context.Context, ids []store.ShardID, out []error) {
-	for i, id := range ids {
-		out[i] = n.Delete(ctx, id)
-	}
 }
 
 // Available reports whether the remote node answers a ping and is up
