@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -575,15 +576,9 @@ func (a *Archive) RetrieveContext(ctx context.Context, l int) ([]byte, Retrieval
 // this process), the read is served from memory with zero node reads and
 // reported as a cache hit; otherwise it falls back to a stored retrieval.
 func (a *Archive) LatestContext(ctx context.Context) ([]byte, RetrievalStats, error) {
-	a.mu.RLock()
-	if len(a.entries) > 0 && a.cache != nil {
-		object, err := a.blocking.Join(a.cache, a.cacheLen)
-		if err == nil {
-			a.mu.RUnlock()
-			return object, RetrievalStats{CacheHits: 1, CacheBytes: len(object)}, nil
-		}
+	if object, ok := a.CachedLatest(); ok {
+		return object, RetrievalStats{CacheHits: 1, CacheBytes: len(object)}, nil
 	}
-	a.mu.RUnlock()
 	return a.RetrieveContext(ctx, a.Versions())
 }
 
@@ -1021,7 +1016,7 @@ func (s *shardSet) take(k int) ([]int, [][]byte) {
 	for r := range s.data {
 		rows = append(rows, r)
 	}
-	sortInts(rows)
+	slices.Sort(rows)
 	if len(rows) > k {
 		rows = rows[:k]
 	}
@@ -1141,7 +1136,7 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 	sink := func(ref store.ShardRef, res store.ShardResult) {
 		sets[ref.ID.Object].record(ref.ID.Object, ref.ID.Row, res)
 	}
-	if !a.hedgeEnabled() {
+	if a.cfg.HedgeDelay == 0 {
 		for i, res := range a.cluster.GetBatch(ctx, refs) {
 			sink(refs[i], res)
 		}
@@ -1168,26 +1163,8 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 				continue
 			}
 			s := sets[p.id]
-			planned := make(map[int]bool, len(p.rows))
-			for _, r := range p.rows {
-				planned[r] = true
-			}
-			need := p.code.K() - len(s.data)
-			for row := 0; row < p.code.N() && need > 0; row++ {
-				if planned[row] || s.dead[row] {
-					continue
-				}
-				if _, ok := s.data[row]; ok {
-					continue
-				}
-				node := a.cfg.Placement.NodeFor(p.version-1, row)
-				if straggling[node] || !up[node] {
-					continue
-				}
-				extra = append(extra, store.ShardRef{Node: node, ID: store.ShardID{Object: p.id, Row: row}})
-				s.hedges++
-				need--
-			}
+			extra = a.spareRefs(extra, s, p.id, p.version, rowsExcluding(allRows(p.code.N()), p.rows), p.code.K()-len(s.data),
+				func(node int) bool { return straggling[node] || !up[node] })
 		}
 		return extra
 	}
@@ -1402,6 +1379,15 @@ func (a *Archive) readCompressedDelta(ctx context.Context, version int, e entry,
 	return blocks, ObjectRead{Version: version, Delta: true, Gamma: e.gamma, Reads: set.reads, Compressed: true, Hedges: set.hedges}, nil
 }
 
+// allRows lists the shard rows 0..n-1 of a codeword.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for row := range rows {
+		rows[row] = row
+	}
+	return rows
+}
+
 // rowRefs maps shard rows of an object to their placement nodes.
 func (a *Archive) rowRefs(id string, version int, rows []int) []store.ShardRef {
 	refs := make([]store.ShardRef, len(rows))
@@ -1454,12 +1440,8 @@ func (a *Archive) writeObject(ctx context.Context, code codec, id string, versio
 	if err := code.EncodeInto(blocks, bufs.Blocks); err != nil {
 		return err
 	}
-	rows := make([]int, code.N())
-	for row := range rows {
-		rows[row] = row
-	}
 	var firstErr error
-	for row, err := range a.writeRows(ctx, id, version, rows, bufs.Blocks) {
+	for row, err := range a.writeRows(ctx, id, version, allRows(code.N()), bufs.Blocks) {
 		if err == nil {
 			*writes++
 			continue
@@ -1476,11 +1458,7 @@ func (a *Archive) writeObject(ctx context.Context, code codec, id string, versio
 // already absent (ErrNotFound) counts as deleted: the goal is that the
 // shard is gone, not that this call removed it.
 func (a *Archive) deleteObject(ctx context.Context, code codec, id string, version int) (orphans int) {
-	rows := make([]int, code.N())
-	for row := range rows {
-		rows[row] = row
-	}
-	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(id, version, rows)) {
+	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(id, version, allRows(code.N()))) {
 		if err != nil && !errors.Is(err, store.ErrNotFound) {
 			orphans++
 		}

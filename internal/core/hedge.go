@@ -7,11 +7,6 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// hedgeEnabled reports whether retrievals should hedge slow node batches.
-func (a *Archive) hedgeEnabled() bool {
-	return a.cfg.HedgeDelay > 0
-}
-
 // groupRefsByNode splits shard refs into one batch per node, preserving
 // order within each batch.
 func groupRefsByNode(refs []store.ShardRef) map[int][]store.ShardRef {
@@ -34,11 +29,10 @@ func groupRefsByNode(refs []store.ShardRef) map[int][]store.ShardRef {
 // the retrieval stops waiting on it.
 //
 // sink, spare, and enough all run on the caller's goroutine and may share
-// state with it freely. The return value is the number of speculative
-// refs issued.
-func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare func(straggling map[int]bool) []store.ShardRef, enough func() bool, sink func(store.ShardRef, store.ShardResult)) int {
+// state with it freely.
+func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare func(straggling map[int]bool) []store.ShardRef, enough func() bool, sink func(store.ShardRef, store.ShardResult)) {
 	if len(refs) == 0 || enough() {
-		return 0
+		return
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -62,7 +56,6 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 	}
 	timer := time.NewTimer(a.cfg.HedgeDelay)
 	defer timer.Stop()
-	hedges := 0
 	satisfied := false
 	for returned := 0; returned < issued; {
 		select {
@@ -80,7 +73,7 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 				cancel()
 			}
 		case <-timer.C:
-			if satisfied || hedges > 0 {
+			if satisfied {
 				continue
 			}
 			straggling := make(map[int]bool)
@@ -90,14 +83,11 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 					a.cluster.ReportHedge(node)
 				}
 			}
-			extra := spare(straggling)
-			hedges = len(extra)
-			for node, batch := range groupRefsByNode(extra) {
+			for node, batch := range groupRefsByNode(spare(straggling)) {
 				issue(node, batch)
 			}
 		}
 	}
-	return hedges
 }
 
 // fetchPlanned fetches rows of an object into the set, one batch per node,
@@ -108,7 +98,7 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 // hand), tallied in set.hedges, and the call returns as soon as need() is
 // satisfied - typically "k rows in hand".
 func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, id string, version int, rows, spares []int, need func() bool) {
-	if !a.hedgeEnabled() {
+	if a.cfg.HedgeDelay == 0 {
 		for i, res := range a.readRows(ctx, id, version, rows) {
 			set.record(id, rows[i], res)
 		}
@@ -118,24 +108,25 @@ func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, id string, ve
 		set.record(id, ref.ID.Row, res)
 	}
 	spare := func(straggling map[int]bool) []store.ShardRef {
-		var extra []store.ShardRef
-		for _, row := range spares {
-			if set.dead[row] {
-				continue
-			}
-			if _, ok := set.data[row]; ok {
-				continue
-			}
-			node := a.cfg.Placement.NodeFor(version-1, row)
-			if straggling[node] {
-				continue
-			}
-			extra = append(extra, store.ShardRef{Node: node, ID: store.ShardID{Object: id, Row: row}})
-			set.hedges++
-		}
-		return extra
+		return a.spareRefs(nil, set, id, version, spares, len(spares), func(node int) bool { return straggling[node] })
 	}
 	a.hedgedRead(ctx, a.rowRefs(id, version, rows), spare, need, sink)
+}
+
+// spareRefs appends to extra at most max speculative fetches for an object,
+// tallying each in the set's hedges: the candidate rows, in order, that are
+// not dead, not already in hand and not on a node to skip.
+func (a *Archive) spareRefs(extra []store.ShardRef, set *shardSet, id string, version int, candidates []int, max int, skip func(node int) bool) []store.ShardRef {
+	for _, row := range candidates {
+		node := a.cfg.Placement.NodeFor(version-1, row)
+		if _, inHand := set.data[row]; max <= 0 || inHand || set.dead[row] || skip(node) {
+			continue
+		}
+		extra = append(extra, store.ShardRef{Node: node, ID: store.ShardID{Object: id, Row: row}})
+		set.hedges++
+		max--
+	}
+	return extra
 }
 
 // rowsExcluding returns the rows of live not present in exclude,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
@@ -78,14 +79,9 @@ func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, e
 // scrubObject checks one stored object's shards. All n rows are read up
 // front, one batch per node, and classified from the per-shard results.
 func (a *Archive) scrubObject(ctx context.Context, code codec, id string, version int, repair bool, report *ScrubReport) error {
-	n := code.N()
-	rows := make([]int, n)
-	for row := range rows {
-		rows[row] = row
-	}
-	present := make(map[int][]byte, n)
+	present := make(map[int][]byte, code.N())
 	var missing, corrupt, unreachable []int
-	for row, res := range a.readRows(ctx, id, version, rows) {
+	for row, res := range a.readRows(ctx, id, version, allRows(code.N())) {
 		switch {
 		case res.Err == nil:
 			report.ShardsChecked++
@@ -173,7 +169,7 @@ func (a *Archive) referenceCodeword(code codec, present map[int][]byte) ([][]byt
 	for row := range present {
 		rows = append(rows, row)
 	}
-	sortInts(rows)
+	slices.Sort(rows)
 	// Candidate decodes: sliding windows of k rows. With c corrupt
 	// shards, some window avoids them all as long as c <= len(rows)-k;
 	// each candidate is validated against all present shards, requiring
@@ -252,14 +248,6 @@ func lengthOutliers(present map[int][]byte) []int {
 			outliers = append(outliers, row)
 		}
 	}
-	sortInts(outliers)
+	slices.Sort(outliers)
 	return outliers
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -97,10 +97,8 @@ func Table1(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		info := a.Manifest()
 		for v := 0; v < 2; v++ {
 			measurements[i].nodes[v] = exampleN
-			_ = info
 			_, stats, err := a.RetrieveContext(ctx, v+1)
 			if err != nil {
 				return nil, err

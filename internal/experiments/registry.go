@@ -7,7 +7,8 @@ import (
 )
 
 // Runner produces one experiment's table using the paper's default
-// parameters.
+// parameters. The analytic experiments evaluate formulas only and ignore
+// the context; the measured ones run archives under it.
 type Runner func(ctx context.Context) (*Table, error)
 
 // Registry maps experiment IDs to runners, one per table/figure of the
@@ -15,27 +16,21 @@ type Runner func(ctx context.Context) (*Table, error)
 func Registry() map[string]Runner {
 	return map[string]Runner{
 		"table1":   Table1,
-		"fig2":     analytic(func() (*Table, error) { return Fig2(DefaultPGrid()) }),
-		"fig3":     analytic(func() (*Table, error) { return Fig3(DefaultPGrid()) }),
-		"fig4":     analytic(func() (*Table, error) { return Fig4(DefaultPGrid()) }),
-		"fig5":     analytic(func() (*Table, error) { return Fig5(DefaultPGrid()) }),
-		"fig6":     analytic(Fig6),
+		"fig2":     func(context.Context) (*Table, error) { return Fig2(DefaultPGrid()) },
+		"fig3":     func(context.Context) (*Table, error) { return Fig3(DefaultPGrid()) },
+		"fig4":     func(context.Context) (*Table, error) { return Fig4(DefaultPGrid()) },
+		"fig5":     func(context.Context) (*Table, error) { return Fig5(DefaultPGrid()) },
+		"fig6":     func(context.Context) (*Table, error) { return Fig6() },
 		"fig7":     Fig7,
 		"fig8":     Fig8,
 		"fig9":     Fig9,
-		"census":   analytic(Census),
+		"census":   func(context.Context) (*Table, error) { return Census() },
 		"puncture": Puncture,
 		"reversed": Reversed,
 		"fig4sys":  Fig4System,
 		"lsweep":   LSweep,
 		"repair":   Repair,
 	}
-}
-
-// analytic adapts an experiment that evaluates formulas only, touching no
-// archive, to the Runner signature.
-func analytic(run func() (*Table, error)) Runner {
-	return func(context.Context) (*Table, error) { return run() }
 }
 
 // IDs returns the registered experiment IDs in stable order.
