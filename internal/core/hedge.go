@@ -113,18 +113,21 @@ func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, id string, ve
 	a.hedgedRead(ctx, a.rowRefs(id, version, rows), spare, need, sink)
 }
 
-// spareRefs appends to extra at most max speculative fetches for an object,
-// tallying each in the set's hedges: the candidate rows, in order, that are
-// not dead, not already in hand and not on a node to skip.
-func (a *Archive) spareRefs(extra []store.ShardRef, set *shardSet, id string, version int, candidates []int, max int, skip func(node int) bool) []store.ShardRef {
+// spareRefs appends to extra at most limit speculative fetches for an
+// object, tallying each in the set's hedges: the candidate rows, in order,
+// that are not dead, not already in hand and not on a node to skip.
+func (a *Archive) spareRefs(extra []store.ShardRef, set *shardSet, id string, version int, candidates []int, limit int, skip func(node int) bool) []store.ShardRef {
 	for _, row := range candidates {
+		if limit <= 0 {
+			break
+		}
 		node := a.cfg.Placement.NodeFor(version-1, row)
-		if _, inHand := set.data[row]; max <= 0 || inHand || set.dead[row] || skip(node) {
+		if _, inHand := set.data[row]; inHand || set.dead[row] || skip(node) {
 			continue
 		}
 		extra = append(extra, store.ShardRef{Node: node, ID: store.ShardID{Object: id, Row: row}})
 		set.hedges++
-		max--
+		limit--
 	}
 	return extra
 }
