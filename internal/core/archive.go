@@ -1,39 +1,16 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
-	"time"
 
 	"github.com/secarchive/sec/internal/delta"
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/wide"
 )
-
-// planItem/planHeap implement the retrieval planner's priority queue:
-// versions ordered by (planned cost, delta hops, version number).
-type planItem struct{ v, dist, hops int }
-
-type planHeap []planItem
-
-func (h planHeap) Len() int { return len(h) }
-func (h planHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	if h[i].hops != h[j].hops {
-		return h[i].hops < h[j].hops
-	}
-	return h[i].v < h[j].v
-}
-func (h planHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *planHeap) Push(x any)   { *h = append(*h, x.(planItem)) }
-func (h *planHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // Retrieval errors.
 var (
@@ -46,10 +23,6 @@ var (
 
 // errNilCluster rejects archive construction without a cluster.
 var errNilCluster = errors.New("core: nil cluster")
-
-// readAttempts bounds the re-plan loop when nodes fail between the liveness
-// probe and the shard read.
-const readAttempts = 3
 
 // entry records what the archive stores for one version.
 type entry struct {
@@ -738,694 +711,6 @@ func (a *Archive) materializeChain(ctx context.Context, plan chainPlan, stats *R
 		}
 	}
 	return materialized, nil
-}
-
-// chainPlan describes how to reach a version from a fully stored anchor.
-type chainPlan struct {
-	anchor int   // version read in full
-	deltas []int // versions whose deltas are applied, in order
-	cost   int   // planned node reads (formula (3))
-	hops   int   // number of delta applications (the chain depth)
-}
-
-// planChain finds the cheapest way to materialize version l. Deltas form a
-// graph over versions - each stored delta z_j connects its base to j, and
-// XOR deltas are self-inverse, so every edge works in both directions
-// (forward: x_base + z_j = x_j; backward: x_j + z_j = x_base). On an
-// uncompacted chain (every base the chain predecessor) this reduces to the
-// paper's two candidates: forward from the nearest full version at or
-// before l, or backward from the nearest full version at or after l
-// (Reversed SEC). Compaction rebases deltas onto distant anchors, turning
-// the chain into a tree; the planner runs a small Dijkstra pass so those
-// shortcut edges are used whenever they are cheaper. Ties prefer fewer
-// delta applications (and then the smaller version) so plans are
-// deterministic.
-func (a *Archive) planChain(l int) (chainPlan, error) {
-	if l < 1 || l > len(a.entries) {
-		return chainPlan{}, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	dist, hops, via, prev, err := a.planAll(l)
-	if err != nil {
-		return chainPlan{}, err
-	}
-	if dist[l] == unreachedCost {
-		return chainPlan{}, fmt.Errorf("core: version %d unreachable from any full version", l)
-	}
-	plan := chainPlan{cost: dist[l], hops: hops[l]}
-	deltas := make([]int, 0, hops[l])
-	v := l
-	for via[v] != 0 {
-		deltas = append(deltas, via[v])
-		v = prev[v]
-	}
-	plan.anchor = v
-	for i, j := 0, len(deltas)-1; i < j; i, j = i+1, j-1 {
-		deltas[i], deltas[j] = deltas[j], deltas[i]
-	}
-	plan.deltas = deltas
-	return plan, nil
-}
-
-// unreachedCost marks versions the planner could not reach.
-const unreachedCost = int(^uint(0) >> 1)
-
-// planAll runs the planner's Dijkstra pass over the whole version graph,
-// returning per-version cost, hop count, the delta applied to reach each
-// version, and the path predecessor. With target > 0 the pass stops once
-// that version settles; target 0 prices every version (one pass instead
-// of one per version, for whole-archive summaries).
-func (a *Archive) planAll(target int) (dist, hops, via, prev []int, err error) {
-	L := len(a.entries)
-	type edge struct {
-		to, via, w int // neighbor version, delta version applied, read cost
-	}
-	adj := make([][]edge, L+1)
-	for j := 1; j <= L; j++ {
-		e := a.entries[j-1]
-		if !e.hasDelta {
-			continue
-		}
-		b := a.baseOf(j)
-		if b < 1 || b > L || b == j {
-			return nil, nil, nil, nil, fmt.Errorf("core: version %d has invalid delta base %d", j, b)
-		}
-		w := a.plannedEntryReads(e)
-		adj[b] = append(adj[b], edge{to: j, via: j, w: w})
-		adj[j] = append(adj[j], edge{to: b, via: j, w: w})
-	}
-	dist = make([]int, L+1)
-	hops = make([]int, L+1)
-	via = make([]int, L+1)  // delta applied to reach the version (0 at anchors)
-	prev = make([]int, L+1) // predecessor version on the best path
-	done := make([]bool, L+1)
-	for v := 1; v <= L; v++ {
-		dist[v] = unreachedCost
-	}
-	// Lazy-deletion Dijkstra off a heap keyed (cost, hops, version), so a
-	// retrieval plans in O(E log L) even on very long archives; stale heap
-	// entries are skipped on pop. Anchors enter in ascending version order,
-	// so equal-cost ties settle toward forward plans, matching the original
-	// nearest-anchor planner.
-	h := make(planHeap, 0, L)
-	for v := 1; v <= L; v++ {
-		if a.entries[v-1].hasFull {
-			dist[v] = a.cfg.K
-			hops[v] = 0
-			h = append(h, planItem{v: v, dist: a.cfg.K})
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 && (target == 0 || !done[target]) {
-		it := heap.Pop(&h).(planItem)
-		u := it.v
-		if done[u] || it.dist != dist[u] || it.hops != hops[u] {
-			continue // stale entry superseded by a later relaxation
-		}
-		done[u] = true
-		for _, e := range adj[u] {
-			nd, nh := dist[u]+e.w, hops[u]+1
-			if nd < dist[e.to] || (nd == dist[e.to] && nh < hops[e.to]) {
-				dist[e.to], hops[e.to] = nd, nh
-				via[e.to], prev[e.to] = e.via, u
-				heap.Push(&h, planItem{v: e.to, dist: nd, hops: nh})
-			}
-		}
-	}
-	return dist, hops, via, prev, nil
-}
-
-// plannedDeltaReads is the paper's eta_j, delegated to the delta package's
-// shared cost model so the retrieval planner and the lifecycle planners
-// can never drift apart.
-func (a *Archive) plannedDeltaReads(gamma int) int {
-	return delta.ReadCost(gamma, a.cfg.K, a.deltaCode.MaxSparseGamma())
-}
-
-// plannedEntryReads prices one stored delta for the planner, respecting its
-// stored form: CDEC-compacted deltas decode from gamma reads, plain deltas
-// from min(2*gamma, K) (sparse) or K (full).
-func (a *Archive) plannedEntryReads(e entry) int {
-	if e.compressed {
-		return delta.CompressedReadCost(e.gamma)
-	}
-	return a.plannedDeltaReads(e.gamma)
-}
-
-// PlannedReads returns the number of node reads formula (3) predicts for
-// retrieving version l, assuming every node is live.
-func (a *Archive) PlannedReads(l int) (int, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	plan, err := a.planChain(l)
-	if err != nil {
-		return 0, err
-	}
-	return plan.cost, nil
-}
-
-// PlannedReadsAll returns the number of node reads formula (4) predicts for
-// retrieving versions 1..l, assuming every node is live.
-func (a *Archive) PlannedReadsAll(l int) (int, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if l < 1 || l > len(a.entries) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	plan, err := a.planChain(1)
-	if err != nil {
-		return 0, err
-	}
-	total := plan.cost
-	covered := a.materializedVersions(plan)
-	for j := 2; j <= l; j++ {
-		if covered[j] {
-			continue
-		}
-		e := a.entries[j-1]
-		switch {
-		case e.hasDelta && covered[a.baseOf(j)]:
-			total += a.plannedEntryReads(e)
-			covered[j] = true
-		case e.hasFull:
-			total += a.cfg.K
-			covered[j] = true
-		case e.hasDelta:
-			// The delta's base is not on the walk (a compaction rebase onto
-			// a later anchor): the version costs its own chain plan, which
-			// materializes the base and anchor as side effects.
-			plan, err := a.planChain(j)
-			if err != nil {
-				return 0, err
-			}
-			total += plan.cost
-			for v := range a.materializedVersions(plan) {
-				covered[v] = true
-			}
-		default:
-			return 0, fmt.Errorf("core: version %d has neither delta nor full object", j)
-		}
-	}
-	return total, nil
-}
-
-// materializedVersions returns the set of versions a chain walk passes
-// through.
-func (a *Archive) materializedVersions(p chainPlan) map[int]bool {
-	covered := map[int]bool{p.anchor: true}
-	ver := p.anchor
-	for _, j := range p.deltas {
-		if b := a.baseOf(j); ver == b {
-			ver = j
-		} else {
-			ver = b
-		}
-		covered[ver] = true
-	}
-	return covered
-}
-
-// shardSet accumulates fetched shard rows across re-plan attempts, so a
-// partial failure re-fetches only the rows that are actually missing
-// instead of discarding everything already in hand.
-type shardSet struct {
-	data map[int][]byte // fetched shard contents by row
-	dead map[int]bool   // rows whose fetch failed (skip in later plans)
-	// reads counts successful node reads performed so far, the ObjectRead
-	// accounting (every fetched shard is eventually used or was needed by
-	// a plan at the time, so all of them are real retrieval I/O).
-	reads int
-	// sparseRows records the sparse read plan the chain prefetcher chose
-	// for a delta, so readDelta can decode straight from the prefetched
-	// rows without re-probing liveness.
-	sparseRows []int
-	// hedges counts the speculative reads issued for this object because
-	// a node batch outlived the hedge delay.
-	hedges int
-	// err records the last per-row error of any fetch into the set, so a
-	// reader that must abort (cancelled context) or give up can surface
-	// the failure with its full node/shard provenance instead of a bare
-	// ctx error.
-	err error
-}
-
-func newShardSet() *shardSet {
-	return &shardSet{data: make(map[int][]byte), dead: make(map[int]bool)}
-}
-
-// record files one fetched row of object id into the set: its data and the
-// read it cost, or - when the fetch failed - its death (if the row is lost
-// for good) and the error, which names the node and shard.
-func (s *shardSet) record(id string, row int, res store.ShardResult) {
-	if res.Err != nil {
-		if rowLost(res.Err) {
-			s.dead[row] = true
-		}
-		s.err = fmt.Errorf("core: reading %s#%d: %w", id, row, res.Err)
-		return
-	}
-	if _, ok := s.data[row]; !ok {
-		s.data[row] = res.Data
-		s.reads++
-	}
-}
-
-// rowLost reports whether a per-row read error is permanent for this
-// retrieval: the shard itself is missing or corrupt, so retrying the row
-// is pointless. Transient trouble (node down, transport errors) is NOT
-// marked dead - the next attempt's liveness probe excludes the node if it
-// is really gone and retries the row if it recovered, matching the
-// pre-batching re-plan behavior.
-func rowLost(err error) bool {
-	return errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrCorrupt)
-}
-
-// missing returns the subset of rows not yet fetched.
-func (s *shardSet) missing(rows []int) []int {
-	var missing []int
-	for _, r := range rows {
-		if _, ok := s.data[r]; !ok {
-			missing = append(missing, r)
-		}
-	}
-	return missing
-}
-
-// take returns up to k fetched rows (sorted) and their shards.
-func (s *shardSet) take(k int) ([]int, [][]byte) {
-	rows := make([]int, 0, len(s.data))
-	for r := range s.data {
-		rows = append(rows, r)
-	}
-	slices.Sort(rows)
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	shards := make([][]byte, len(rows))
-	for i, r := range rows {
-		shards[i] = s.data[r]
-	}
-	return rows, shards
-}
-
-// select returns the shards for an exact row plan; ok is false unless every
-// row has been fetched.
-func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
-	shards := make([][]byte, len(rows))
-	for i, r := range rows {
-		data, ok := s.data[r]
-		if !ok {
-			return nil, false
-		}
-		shards[i] = data
-	}
-	return shards, true
-}
-
-// prefetchChain plans every shard read of a chain walk up front and
-// issues one batch per node covering all objects in the chain: node
-// liveness is probed concurrently (once per node, not once per row per
-// object), each object's read rows are chosen against that snapshot, and
-// a single cluster batch fetches everything. The result is one get RPC
-// per node for the whole retrieval in the healthy case. Prefetching is
-// purely a wire optimization: rows that fail are marked dead in their
-// object's shard set and the per-object readers top up or re-plan exactly
-// as they would have fetched in the first place, so read counts are
-// unchanged.
-func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]*shardSet {
-	// The codewords the walk reads: the anchor in full, then every delta
-	// that is not identically zero.
-	type object struct {
-		code        codec
-		id          string
-		version     int
-		sparseGamma int
-		rows        []int // what the object's reader fetches first
-	}
-	objects := []object{{code: a.code, id: fullID(a.cfg.Name, plan.anchor), version: plan.anchor}}
-	for _, j := range plan.deltas {
-		e := a.entries[j-1]
-		if e.gamma == 0 {
-			continue
-		}
-		code, err := a.entryDeltaCode(e)
-		if err != nil {
-			continue // the reader surfaces the error
-		}
-		objects = append(objects, object{code: code, id: a.deltaObjectID(j), version: j, sparseGamma: sparseGamma(e)})
-	}
-	// Probe each distinct placement node once, concurrently.
-	var nodes []int
-	seen := make(map[int]bool)
-	for _, o := range objects {
-		for row := 0; row < o.code.N(); row++ {
-			nd := a.cfg.Placement.NodeFor(o.version-1, row)
-			if !seen[nd] {
-				seen[nd] = true
-				nodes = append(nodes, nd)
-			}
-		}
-	}
-	avail := make([]bool, len(nodes))
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		wg.Add(1)
-		go func(i, nd int) {
-			defer wg.Done()
-			avail[i] = a.cluster.Available(ctx, nd)
-		}(i, nd)
-	}
-	wg.Wait()
-	up := make(map[int]bool, len(nodes))
-	for i, nd := range nodes {
-		up[nd] = avail[i]
-	}
-	// Choose the rows each object's reader would read. Objects whose live
-	// set is too small are skipped here; their reader reports the proper
-	// error (or catches a node that came back since the probe).
-	plans := objects[:0]
-	sets := make(map[string]*shardSet, len(objects))
-	var refs []store.ShardRef
-	for _, o := range objects {
-		live := make([]int, 0, o.code.N())
-		for row := 0; row < o.code.N(); row++ {
-			if up[a.cfg.Placement.NodeFor(o.version-1, row)] {
-				live = append(live, row)
-			}
-		}
-		rows, sparse := readPlan(o.code, live, o.sparseGamma, o.code.K())
-		if rows == nil {
-			continue
-		}
-		o.rows = rows
-		plans = append(plans, o)
-		set := newShardSet()
-		if sparse {
-			set.sparseRows = rows
-		}
-		sets[o.id] = set
-		for _, row := range rows {
-			refs = append(refs, store.ShardRef{
-				Node: a.cfg.Placement.NodeFor(o.version-1, row),
-				ID:   store.ShardID{Object: o.id, Row: row},
-			})
-		}
-	}
-	if len(plans) == 0 {
-		return nil
-	}
-	sink := func(ref store.ShardRef, res store.ShardResult) {
-		sets[ref.ID.Object].record(ref.ID.Object, ref.ID.Row, res)
-	}
-	if a.cfg.HedgeDelay == 0 {
-		for i, res := range a.cluster.GetBatch(ctx, refs) {
-			sink(refs[i], res)
-		}
-		return sets
-	}
-	// Hedged prefetch: each node's batch lands independently; a straggler
-	// past the hedge delay triggers speculative fetches of spare parity
-	// rows for every not-yet-satisfied object, and the prefetch returns
-	// the moment each object can decode (its planned rows arrived, or any
-	// K rows are in hand - readers decode full from K even when the
-	// sparse plan was hedged away).
-	satisfied := func(p object) bool {
-		s := sets[p.id]
-		if len(s.data) >= p.code.K() {
-			return true
-		}
-		_, ok := s.selectRows(p.rows)
-		return ok
-	}
-	spare := func(straggling map[int]bool) []store.ShardRef {
-		var extra []store.ShardRef
-		for _, p := range plans {
-			if satisfied(p) {
-				continue
-			}
-			s := sets[p.id]
-			extra = a.spareRefs(extra, s, p.id, p.version, rowsExcluding(allRows(p.code.N()), p.rows), p.code.K()-len(s.data),
-				func(node int) bool { return straggling[node] || !up[node] })
-		}
-		return extra
-	}
-	enough := func() bool {
-		for _, p := range plans {
-			if !satisfied(p) {
-				return false
-			}
-		}
-		return true
-	}
-	a.hedgedRead(ctx, refs, spare, enough, sink)
-	return sets
-}
-
-// sparseGamma is the sparsity a reader of the entry's delta may exploit
-// with a sparse read plan: the entry's gamma for a plain delta, 0 for a
-// CDEC-compacted one (gamma rows of its own code are already the floor).
-func sparseGamma(e entry) int {
-	if e.compressed {
-		return 0
-	}
-	return e.gamma
-}
-
-// readPlan is the one answer to "which rows does a reader of this stored
-// codeword fetch first". candidates are the rows it may read, ascending (so
-// a systematic code's identity rows, which decode by plain copy, come
-// first); need is how many more rows a full decode lacks; sparseGamma is
-// the delta sparsity a sparse plan may exploit (0: none). The answer is the
-// code's sparse read plan when the candidates hold one (sparse true), else
-// the first need candidates, else nil: too few rows are live. The chain
-// prefetcher and the per-object readers both ask here, which is what keeps
-// prefetching a pure wire optimization.
-func readPlan(code codec, candidates []int, sparseGamma, need int) (rows []int, sparse bool) {
-	if rows := code.SparseReadRows(candidates, sparseGamma); rows != nil {
-		return rows, true
-	}
-	if len(candidates) < need {
-		return nil, false
-	}
-	return candidates[:need], false
-}
-
-// readAnyK owns the full read of one stored codeword: top the set up to any
-// K rows of the code from live nodes, one batch per node, and decode. Rows
-// that fail are marked dead and only the deficit is re-fetched against the
-// re-probed live set on the next attempt. The set carries the rows already
-// in hand - prefetched by the chain planner, or fetched by a sparse attempt
-// that could not complete - and they count toward the K. A done context
-// aborts the loop immediately: cancellation is not a node failure, so no
-// further liveness probing or re-planning is worth doing.
-func (a *Archive) readAnyK(ctx context.Context, code codec, id string, version int, set *shardSet) ([][]byte, error) {
-	k := code.K()
-	for attempt := 0; attempt < readAttempts; attempt++ {
-		if err := chainAbort(ctx, set.err); err != nil {
-			return nil, err
-		}
-		if len(set.data) < k {
-			candidates := set.missing(a.liveRows(ctx, code, version, set.dead))
-			rows, _ := readPlan(code, candidates, 0, k-len(set.data))
-			if rows == nil {
-				if err := chainAbort(ctx, set.err); err != nil {
-					return nil, err
-				}
-				return nil, fmt.Errorf("%w: %d of %d shards of %s", ErrUnavailable, len(set.data)+len(candidates), k, id)
-			}
-			a.fetchPlanned(ctx, set, id, version, rows, candidates[len(rows):],
-				func() bool { return len(set.data) >= k })
-		}
-		if len(set.data) >= k {
-			rows, shards := set.take(k)
-			return code.DecodeFull(rows, shards)
-		}
-	}
-	return nil, set.err
-}
-
-// readFull reads and decodes a fully stored version. A non-nil set carries
-// rows already prefetched by the chain planner.
-func (a *Archive) readFull(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
-	if set == nil {
-		set = newShardSet()
-	}
-	blocks, err := a.readAnyK(ctx, a.code, fullID(a.cfg.Name, version), version, set)
-	if err != nil {
-		return nil, ObjectRead{}, err
-	}
-	return blocks, ObjectRead{Version: version, Reads: set.reads, Hedges: set.hedges}, nil
-}
-
-// chainAbort decides whether a retrieval loop should stop because its
-// context is done (or its deadline has passed, even if the context timer
-// has not fired yet - the wire deadlines are copied from it, so further
-// reads are pointless). It prefers the last per-row error when that error
-// already carries the cancellation (it names the node and shard, so
-// errors.As finds the full provenance), falling back to a plain wrap of
-// the context's cause.
-func chainAbort(ctx context.Context, lastErr error) error {
-	cause := ctx.Err()
-	if cause == nil {
-		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-			cause = context.DeadlineExceeded
-		} else {
-			return nil
-		}
-	}
-	if lastErr != nil && errors.Is(lastErr, cause) {
-		return lastErr
-	}
-	return fmt.Errorf("core: retrieval aborted: %w", cause)
-}
-
-// readDelta reads and decodes the delta of a version, using a sparse read
-// when the code admits one from the live shards. Shards fetched by a
-// sparse attempt that could not complete are kept and count toward the
-// full read it falls back to. A non-nil set carries rows already
-// prefetched by the chain planner (and, for sparse plans, which rows they
-// are), so the healthy path decodes without any further cluster traffic.
-func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
-	e := a.entries[version-1]
-	if e.compressed {
-		return a.readCompressedDelta(ctx, version, e, set)
-	}
-	gamma := e.gamma
-	if gamma == 0 {
-		// Nothing changed: the delta is identically zero, no reads
-		// needed.
-		zero := make([][]byte, a.cfg.K)
-		for i := range zero {
-			zero[i] = make([]byte, a.cfg.BlockSize)
-		}
-		return zero, ObjectRead{Version: version, Delta: true}, nil
-	}
-	id := a.deltaObjectID(version)
-	k := a.cfg.K
-	if set == nil {
-		set = newShardSet()
-	}
-	result := func(blocks [][]byte, sparse bool) ([][]byte, ObjectRead, error) {
-		return blocks, ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Sparse: sparse, Hedges: set.hedges}, nil
-	}
-	// A delta too dense for any sparse plan goes straight to the full
-	// read, with no liveness probe spent on planning one. So does one whose
-	// sparse decode fails (e.g. stale manifest gamma), reusing the fetched
-	// shards.
-	trySparse := gamma <= a.deltaCode.MaxSparseGamma()
-	if planned := set.sparseRows; planned != nil {
-		set.sparseRows = nil
-		if shards, ok := set.selectRows(planned); ok {
-			if blocks, err := a.deltaCode.DecodeSparse(planned, shards, gamma); err == nil {
-				return result(blocks, true)
-			}
-			trySparse = false
-		}
-	}
-	for attempt := 0; trySparse && attempt < readAttempts; attempt++ {
-		if err := chainAbort(ctx, set.err); err != nil {
-			return nil, ObjectRead{}, err
-		}
-		live := a.liveRows(ctx, a.deltaCode, version, set.dead)
-		rows, sparse := readPlan(a.deltaCode, live, gamma, k)
-		if !sparse {
-			break
-		}
-		sparseDone := func() bool { _, ok := set.selectRows(rows); return ok }
-		a.fetchPlanned(ctx, set, id, version, set.missing(rows), set.missing(rowsExcluding(live, rows)),
-			func() bool { return sparseDone() || len(set.data) >= k })
-		if shards, ok := set.selectRows(rows); ok {
-			if blocks, err := a.deltaCode.DecodeSparse(rows, shards, gamma); err == nil {
-				return result(blocks, true)
-			}
-			trySparse = false
-		} else if set.hedges > 0 && len(set.data) >= k {
-			// Hedged spares assembled a full decode's worth before the
-			// sparse plan completed; stop chasing the straggler for its
-			// sparse rows and decode full.
-			trySparse = false
-		}
-		// Otherwise some sparse rows are gone: re-plan against the
-		// shrunken live set, keeping what arrived.
-	}
-	blocks, err := a.readAnyK(ctx, a.deltaCode, id, version, set)
-	if err != nil {
-		return nil, ObjectRead{}, err
-	}
-	return result(blocks, false)
-}
-
-// readCompressedDelta reads a CDEC-compacted delta codeword: any gamma of
-// its gamma+N-K shards decode the non-zero blocks, which the entry's
-// support expands back to the full K-block delta vector. There is no
-// separate sparse plan - gamma reads IS the floor, below both the sparse
-// read (2*gamma) and the full read (K) of uncompressed deltas.
-func (a *Archive) readCompressedDelta(ctx context.Context, version int, e entry, set *shardSet) ([][]byte, ObjectRead, error) {
-	code, err := a.compressedCode(e.gamma)
-	if err != nil {
-		return nil, ObjectRead{}, err
-	}
-	if set == nil {
-		set = newShardSet()
-	}
-	nz, err := a.readAnyK(ctx, code, a.deltaObjectID(version), version, set)
-	if err != nil {
-		return nil, ObjectRead{}, err
-	}
-	cd := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Support: e.support, Blocks: nz}
-	blocks, err := cd.Expand()
-	if err != nil {
-		return nil, ObjectRead{}, fmt.Errorf("core: expanding compressed delta of version %d: %w", version, err)
-	}
-	return blocks, ObjectRead{Version: version, Delta: true, Gamma: e.gamma, Reads: set.reads, Compressed: true, Hedges: set.hedges}, nil
-}
-
-// allRows lists the shard rows 0..n-1 of a codeword.
-func allRows(n int) []int {
-	rows := make([]int, n)
-	for row := range rows {
-		rows[row] = row
-	}
-	return rows
-}
-
-// rowRefs maps shard rows of an object to their placement nodes.
-func (a *Archive) rowRefs(id string, version int, rows []int) []store.ShardRef {
-	refs := make([]store.ShardRef, len(rows))
-	for i, row := range rows {
-		refs[i] = store.ShardRef{
-			Node: a.cfg.Placement.NodeFor(version-1, row),
-			ID:   store.ShardID{Object: id, Row: row},
-		}
-	}
-	return refs
-}
-
-// readRows fetches the given shard rows of an object, grouped into one
-// batch per placement node. Results are aligned with rows; each row fails
-// or succeeds independently.
-func (a *Archive) readRows(ctx context.Context, id string, version int, rows []int) []store.ShardResult {
-	return a.cluster.GetBatch(ctx, a.rowRefs(id, version, rows))
-}
-
-// writeRows stores data[i] under row rows[i] of an object, grouped into
-// one batch per placement node. The returned errors are aligned with rows.
-func (a *Archive) writeRows(ctx context.Context, id string, version int, rows []int, data [][]byte) []error {
-	return a.cluster.PutBatch(ctx, a.rowRefs(id, version, rows), data)
-}
-
-// liveRows returns the shard rows of an object whose nodes are available,
-// skipping rows already known dead this retrieval.
-func (a *Archive) liveRows(ctx context.Context, code codec, version int, dead map[int]bool) []int {
-	rows := make([]int, 0, code.N())
-	for row := 0; row < code.N(); row++ {
-		if dead[row] {
-			continue
-		}
-		if a.cluster.Available(ctx, a.cfg.Placement.NodeFor(version-1, row)) {
-			rows = append(rows, row)
-		}
-	}
-	return rows
 }
 
 // writeObject encodes blocks with the given code and stores every shard,
