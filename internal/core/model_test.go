@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/secarchive/sec/internal/delta"
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
 )
@@ -215,115 +217,219 @@ func mixedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 	return a, cluster, versions
 }
 
-// TestMixedChainReadAccounting pins the read accounting of the mixed chain
-// healthy, with one node down, and with one shard of every codeword lost on
-// a live node (found only when the read comes back short, so every reader
-// has to re-plan). The per-object accounting - which objects are read, how
-// many shards each costs and by which decode - is the same in all three:
-// only successful reads are charged and a re-plan fetches exactly the
-// deficit. What the damage moves is which rows are read, pinned here as
-// reads per node (colocated placement: row i lives on node i). Version 5's
-// zero delta never appears: it costs no reads. RetrieveContext prefetches
-// the whole chain; RetrieveAllContext reads the deltas past the first walk
-// one object at a time, and both must choose the same rows.
+// rebasedChain builds the ten-version chain that takes a whole-prefix read
+// through every way it can reach a version. Checkpoints every five commits
+// leave full codewords at v1 and v6; a compaction to depth 1 rebases v3 and
+// v4 onto v1 and v8 and v9 onto v6 (deltas whose base is not their
+// predecessor) and promotes v10 to a checkpoint. v5 is then rebased by hand
+// onto v6, a base LATER than the version that no earlier step of the walk has
+// in hand - legal in a manifest, though no compaction pass produces it today -
+// so the prefix read must fall back to v5's own chain plan, which reads v6 in
+// full before v5's delta.
+func rebasedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
+	t.Helper()
+	const blockSize = 16
+	cluster := store.NewMemCluster(0)
+	a, err := New(Config{
+		Name:            "rebased",
+		Scheme:          BasicSEC,
+		Code:            erasure.NonSystematicCauchy,
+		N:               10,
+		K:               5,
+		BlockSize:       blockSize,
+		CheckpointEvery: 5,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{0x3C}, a.Capacity())
+	var versions [][]byte
+	for i, edit := range [][]int{nil, {0}, {1}, {0}, {2}, {3}, {2}, {4}, {0, 4}, {1}} {
+		object = editBlocks(object, blockSize, edit...)
+		versions = append(versions, object)
+		if _, err := a.CommitContext(t.Context(), object); err != nil {
+			t.Fatalf("commit %d: %v", i+1, err)
+		}
+	}
+	if _, err := a.CompactToContext(t.Context(), 1); err != nil {
+		t.Fatal(err)
+	}
+	x5, err := a.blocking.Split(versions[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x6, err := a.blocking.Split(versions[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := delta.Compute(x6, x5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes int
+	if err := a.writeObject(t.Context(), a.deltaCode, rebasedDeltaID("rebased", 5, 6), 5, d, &writes); err != nil {
+		t.Fatal(err)
+	}
+	a.entries[4].base = 6
+	a.entries[4].gamma = delta.Sparsity(d)
+	return a, cluster, versions
+}
+
+// loseOneRowPerCodeword deletes, from a live node, one row of every stored
+// codeword that its healthy read plan fetches: row 1, or row 0 of a
+// single-row CDEC plan (colocated placement: row i lives on node i).
+func loseOneRowPerCodeword(t *testing.T, a *Archive, cluster *store.Cluster) {
+	t.Helper()
+	lose := func(id string, row int) {
+		nd, err := cluster.Node(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.Delete(t.Context(), store.ShardID{Object: id, Row: row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v, e := range a.entries {
+		if e.hasFull {
+			lose(fullID(a.cfg.Name, v+1), 1)
+		}
+		if e.hasDelta && e.gamma > 0 {
+			row := 1
+			if e.compressed {
+				row = 0
+			}
+			lose(a.deltaObjectID(v+1), row)
+		}
+	}
+}
+
+// TestMixedChainReadAccounting pins the read accounting of two chains healthy,
+// with one node down, and with one shard of every codeword lost on a live node
+// (found only when the read comes back short, so every reader has to
+// re-plan). The per-object accounting - which objects are read, in which
+// order, how many shards each costs and by which decode - is the same in all
+// three: only successful reads are charged and a re-plan fetches exactly the
+// deficit. What the damage moves is which rows are read, pinned here as reads
+// per node (colocated placement: row i lives on node i). A zero delta never
+// appears: it costs no reads. On the mixed chain (every reader: full, sparse,
+// dense, CDEC, zero) a read of the tip and a read of the whole prefix walk the
+// same objects; on the rebased chain the prefix read goes forward from v1,
+// through deltas rebased onto earlier anchors, a delta rebased onto a later
+// one (v6 is read in full for it, out of version order) and a promoted
+// checkpoint, while the tip alone is one full read.
 func TestMixedChainReadAccounting(t *testing.T) {
-	objects := []ObjectRead{
+	sparse := func(v, gamma int) ObjectRead {
+		return ObjectRead{Version: v, Delta: true, Gamma: gamma, Reads: 2 * gamma, Sparse: true}
+	}
+	mixed := []ObjectRead{
 		{Version: 1, Reads: 5},
-		{Version: 2, Delta: true, Gamma: 2, Reads: 4, Sparse: true},
+		sparse(2, 2),
 		{Version: 3, Delta: true, Gamma: 5, Reads: 5},
 		{Version: 4, Delta: true, Gamma: 1, Reads: 1, Compressed: true},
 	}
-	for _, tt := range []struct {
-		name      string
-		damage    func(t *testing.T, cluster *store.Cluster)
-		nodeReads []uint64
+	type damage struct {
+		name            string
+		apply           func(t *testing.T, a *Archive, cluster *store.Cluster)
+		tipNodeReads    []uint64
+		prefixNodeReads []uint64
+	}
+	healthy := func(*testing.T, *Archive, *store.Cluster) {}
+	deadNode := func(t *testing.T, _ *Archive, cluster *store.Cluster) {
+		if err := cluster.Fail(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, chain := range []struct {
+		name        string
+		build       func(t *testing.T) (*Archive, *store.Cluster, [][]byte)
+		tip, prefix []ObjectRead
+		damages     []damage
 	}{
 		{
-			name:      "healthy",
-			damage:    func(*testing.T, *store.Cluster) {},
-			nodeReads: []uint64{4, 3, 3, 3, 2, 0, 0, 0, 0, 0},
+			name: "mixed", build: mixedChain, tip: mixed, prefix: mixed,
+			damages: []damage{
+				{"healthy", healthy,
+					[]uint64{4, 3, 3, 3, 2, 0, 0, 0, 0, 0}, []uint64{4, 3, 3, 3, 2, 0, 0, 0, 0, 0}},
+				{"one dead node", deadNode,
+					[]uint64{4, 0, 3, 3, 3, 2, 0, 0, 0, 0}, []uint64{4, 0, 3, 3, 3, 2, 0, 0, 0, 0}},
+				{"one lost row per codeword", loseOneRowPerCodeword,
+					[]uint64{3, 1, 3, 3, 3, 2, 0, 0, 0, 0}, []uint64{3, 1, 3, 3, 3, 2, 0, 0, 0, 0}},
+			},
 		},
 		{
-			name: "one dead node",
-			damage: func(t *testing.T, cluster *store.Cluster) {
-				if err := cluster.Fail(1); err != nil {
-					t.Fatal(err)
-				}
+			name: "rebased", build: rebasedChain,
+			tip: []ObjectRead{{Version: 10, Reads: 5}},
+			prefix: []ObjectRead{
+				{Version: 1, Reads: 5},
+				sparse(2, 1), sparse(3, 2), sparse(4, 1),
+				{Version: 6, Reads: 5},
+				sparse(5, 1), sparse(7, 1), sparse(8, 2), sparse(9, 2),
+				{Version: 10, Reads: 5},
 			},
-			nodeReads: []uint64{4, 0, 3, 3, 3, 2, 0, 0, 0, 0},
-		},
-		{
-			name: "one lost row per codeword",
-			damage: func(t *testing.T, cluster *store.Cluster) {
-				for _, lost := range []struct {
-					id  string
-					row int
-				}{
-					{fullID("mixed", 1), 1},
-					{deltaID("mixed", 2), 1},
-					{deltaID("mixed", 3), 1},
-					{deltaID("mixed", 4), 0},
-				} {
-					nd, err := cluster.Node(lost.row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := nd.Delete(t.Context(), store.ShardID{Object: lost.id, Row: lost.row}); err != nil {
-						t.Fatal(err)
-					}
-				}
+			damages: []damage{
+				{"healthy", healthy,
+					[]uint64{1, 1, 1, 1, 1, 0, 0, 0, 0, 0}, []uint64{10, 10, 6, 6, 3, 0, 0, 0, 0, 0}},
+				{"one dead node", deadNode,
+					[]uint64{1, 0, 1, 1, 1, 1, 0, 0, 0, 0}, []uint64{10, 0, 10, 6, 6, 3, 0, 0, 0, 0}},
+				{"one lost row per codeword", loseOneRowPerCodeword,
+					[]uint64{1, 0, 1, 1, 1, 1, 0, 0, 0, 0}, []uint64{10, 0, 10, 6, 6, 3, 0, 0, 0, 0}},
 			},
-			nodeReads: []uint64{3, 1, 3, 3, 3, 2, 0, 0, 0, 0},
 		},
 	} {
-		t.Run(tt.name, func(t *testing.T) {
-			a, cluster, versions := mixedChain(t)
-			tt.damage(t, cluster)
-			check := func(what string, stats RetrievalStats) {
-				t.Helper()
-				if len(stats.Objects) != len(objects) {
-					t.Fatalf("%s read objects %+v, want %+v", what, stats.Objects, objects)
-				}
-				total := 0
-				for i, o := range stats.Objects {
-					if o != objects[i] {
-						t.Errorf("%s object %d = %+v, want %+v", what, i, o, objects[i])
+		for _, dmg := range chain.damages {
+			t.Run(chain.name+"/"+dmg.name, func(t *testing.T) {
+				a, cluster, versions := chain.build(t)
+				dmg.apply(t, a, cluster)
+				check := func(what string, stats RetrievalStats, objects []ObjectRead, nodeReads []uint64) {
+					t.Helper()
+					if len(stats.Objects) != len(objects) {
+						t.Fatalf("%s read objects %+v, want %+v", what, stats.Objects, objects)
 					}
-					total += o.Reads
-				}
-				if stats.NodeReads != total || stats.FullReads != 2 || stats.SparseReads != 1 || stats.CompressedReads != 1 || stats.Hedges != 0 {
-					t.Errorf("%s totals = %+v, want %d reads over 2 full, 1 sparse, 1 compressed", what, stats, total)
-				}
-				for i, want := range tt.nodeReads {
-					nd, err := cluster.Node(i)
-					if err != nil {
-						t.Fatal(err)
+					var want RetrievalStats
+					for i, o := range stats.Objects {
+						if o != objects[i] {
+							t.Errorf("%s object %d = %+v, want %+v", what, i, o, objects[i])
+						}
+						want.add(objects[i])
 					}
-					if got := nd.Stats().Reads; got != want {
-						t.Errorf("%s read %d shards from node %d, want %d", what, got, i, want)
+					if stats.NodeReads != want.NodeReads || stats.FullReads != want.FullReads || stats.SparseReads != want.SparseReads ||
+						stats.CompressedReads != want.CompressedReads || stats.Hedges != 0 || stats.CacheHits != 0 {
+						t.Errorf("%s totals = %+v, want %+v", what, stats, want)
+					}
+					var got []uint64
+					for i := range nodeReads {
+						nd, err := cluster.Node(i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, nd.Stats().Reads)
+					}
+					if !slices.Equal(got, nodeReads) {
+						t.Errorf("%s reads per node = %v, want %v", what, got, nodeReads)
 					}
 				}
-			}
-			cluster.ResetStats()
-			got, stats, err := a.RetrieveContext(t.Context(), 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, versions[4]) {
-				t.Error("version 5 content mismatch")
-			}
-			check("RetrieveContext(5)", stats)
-			cluster.ResetStats()
-			all, stats, err := a.RetrieveAllContext(t.Context(), 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range all {
-				if !bytes.Equal(all[j], versions[j]) {
-					t.Errorf("prefix version %d content mismatch", j+1)
+				L := len(versions)
+				cluster.ResetStats()
+				got, stats, err := a.RetrieveContext(t.Context(), L)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			check("RetrieveAllContext(5)", stats)
-		})
+				if !bytes.Equal(got, versions[L-1]) {
+					t.Errorf("version %d content mismatch", L)
+				}
+				check(fmt.Sprintf("RetrieveContext(%d)", L), stats, chain.tip, dmg.tipNodeReads)
+				cluster.ResetStats()
+				all, stats, err := a.RetrieveAllContext(t.Context(), L)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range all {
+					if !bytes.Equal(all[j], versions[j]) {
+						t.Errorf("prefix version %d content mismatch", j+1)
+					}
+				}
+				check(fmt.Sprintf("RetrieveAllContext(%d)", L), stats, chain.prefix, dmg.prefixNodeReads)
+			})
+		}
 	}
 }
