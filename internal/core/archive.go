@@ -465,7 +465,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	}
 	a.setCache(blocks, len(object))
 	if a.cfg.MaxChainLength > 0 {
-		if depths, _, err := a.chainDepths(); err == nil && maxDepth(depths) > a.cfg.MaxChainLength {
+		if depths, _, _, err := chainDepthsOf(a.entries); err == nil && maxDepth(depths) > a.cfg.MaxChainLength {
 			// Superseded codewords are kept (queued) rather than deleted:
 			// the caller has not persisted the post-compaction manifest
 			// yet, so deleting now could strand a crash-recovered manifest.
@@ -573,78 +573,28 @@ func (a *Archive) CachedLatest() ([]byte, bool) {
 
 // RetrieveAllContext reconstructs versions 1..l in order (the whole-
 // archive read of formula (4) when l = L), under the context's deadline
-// and cancellation.
+// and cancellation. It is one planned walk: one probe round and one batch per
+// node for the whole prefix. The decoded-version cache is left alone, so a
+// checkout does not evict the hot set.
 func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, RetrievalStats, error) {
 	//lint:allow lockheld archive read lock held across retrieval by design; writers are rare and reads are concurrent under RLock
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var stats RetrievalStats
-	if l < 1 || l > len(a.entries) {
-		return nil, stats, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	plan, err := a.planChain(1)
+	w, err := a.planPrefix(l)
 	if err != nil {
 		return nil, stats, err
 	}
-	// A backward walk to version 1 (Reversed SEC) materializes every
-	// intermediate version for free; keep them instead of re-reading.
-	materialized, err := a.materializeChain(ctx, plan, &stats)
+	inHand, err := a.runWalk(ctx, w, &stats)
 	if err != nil {
 		return nil, stats, err
-	}
-	for j := 2; j <= l; j++ {
-		if materialized[j] != nil {
-			continue
-		}
-		e := a.entries[j-1]
-		base := a.baseOf(j)
-		switch {
-		case e.hasDelta && materialized[base] != nil:
-			d, read, err := a.readDelta(ctx, j, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.add(read)
-			next, err := delta.Apply(materialized[base], d)
-			if err != nil {
-				return nil, stats, err
-			}
-			materialized[j] = next
-		case e.hasFull:
-			blocks, read, err := a.readFull(ctx, j, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.add(read)
-			materialized[j] = blocks
-		case e.hasDelta:
-			// The delta's base is not in hand (a compaction rebase onto a
-			// later anchor): walk the version's own chain plan, keeping
-			// every version it materializes on the way.
-			plan, err := a.planChain(j)
-			if err != nil {
-				return nil, stats, err
-			}
-			walked, err := a.materializeChain(ctx, plan, &stats)
-			if err != nil {
-				return nil, stats, err
-			}
-			for v, blocks := range walked {
-				if materialized[v] == nil {
-					materialized[v] = blocks
-				}
-			}
-		default:
-			return nil, stats, fmt.Errorf("core: version %d has neither delta nor full object", j)
-		}
 	}
 	out := make([][]byte, l)
-	for j := 1; j <= l; j++ {
-		object, err := a.blocking.Join(materialized[j], a.entries[j-1].length)
+	for j := range out {
+		out[j], err = a.blocking.Join(inHand[j+1], a.entries[j].length)
 		if err != nil {
 			return nil, stats, err
 		}
-		out[j-1] = object
 	}
 	return out, stats, nil
 }
@@ -652,65 +602,61 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 // retrieveBlocksLocked reconstructs the blocks of version l, adding reads
 // to stats. Caller holds at least a read lock.
 func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *RetrievalStats) ([][]byte, error) {
-	plan, err := a.planChain(l)
+	w, err := a.planChain(l)
 	if err != nil {
 		return nil, err
 	}
-	materialized, err := a.materializeChain(ctx, plan, stats)
+	inHand, err := a.runWalk(ctx, w, stats)
 	if err != nil {
 		return nil, err
-	}
-	blocks, ok := materialized[l]
-	if !ok {
-		return nil, fmt.Errorf("core: chain walk did not reach version %d", l)
-	}
-	return blocks, nil
-}
-
-// materializeChain executes a chain plan, returning every version the walk
-// passes through (keyed by version number). XOR deltas are self-inverse, so
-// the same Apply advances forward chains and rewinds backward ones. All
-// shard reads of the chain are prefetched up front as one batch per node;
-// the per-object readers consume the prefetched rows and fetch more only
-// where the prefetch fell short.
-func (a *Archive) materializeChain(ctx context.Context, plan chainPlan, stats *RetrievalStats) (map[int][][]byte, error) {
-	sets := a.prefetchChain(ctx, plan)
-	current, read, err := a.readFull(ctx, plan.anchor, sets[fullID(a.cfg.Name, plan.anchor)])
-	if err != nil {
-		return nil, err
-	}
-	stats.add(read)
-	ver := plan.anchor
-	materialized := map[int][][]byte{ver: current}
-	for _, j := range plan.deltas {
-		d, read, err := a.readDelta(ctx, j, sets[a.deltaObjectID(j)])
-		if err != nil {
-			return nil, err
-		}
-		stats.add(read)
-		current, err = delta.Apply(current, d)
-		if err != nil {
-			return nil, err
-		}
-		switch b := a.baseOf(j); ver {
-		case b:
-			ver = j // forward: applying z_j to x_base yields x_j
-		case j:
-			ver = b // backward: applying z_j to x_j yields x_base
-		default:
-			return nil, fmt.Errorf("core: chain plan applies delta %d at version %d", j, ver)
-		}
-		materialized[ver] = current
 	}
 	if a.rcache != nil {
 		// Keep every version the walk decoded: the requested version and
 		// all chain prefixes on the way. Cached blocks are shared
 		// read-only; decodes and delta application always fresh-allocate.
-		for v, blocks := range materialized {
+		for v, blocks := range inHand {
 			a.rcache.put(v, blocks, a.entries[v-1].length)
 		}
 	}
-	return materialized, nil
+	return inHand[l], nil
+}
+
+// runWalk executes a planned walk, returning every version it passes
+// through (keyed by version number). All shard reads of the walk are
+// prefetched up front as one batch per node; the per-object readers consume
+// the prefetched rows and fetch more only where the prefetch fell short.
+func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (map[int][][]byte, error) {
+	sets := a.prefetch(ctx, w)
+	prefetched := func(id string) *shardSet {
+		set := sets[id]
+		delete(sets, id) // read once: the rows are garbage as soon as they are decoded
+		return set
+	}
+	inHand := make(map[int][][]byte, len(w))
+	for _, s := range w {
+		if s.via == 0 {
+			blocks, read, err := a.readFull(ctx, s.to, prefetched(fullID(a.cfg.Name, s.to)))
+			if err != nil {
+				return nil, err
+			}
+			stats.add(read)
+			inHand[s.to] = blocks
+			continue
+		}
+		from, ok := inHand[s.from]
+		if !ok {
+			return nil, fmt.Errorf("core: walk applies delta %d at version %d, which it has not reached", s.via, s.from)
+		}
+		d, read, err := a.readDelta(ctx, s.via, prefetched(a.deltaObjectID(s.via)))
+		if err != nil {
+			return nil, err
+		}
+		stats.add(read)
+		if inHand[s.to], err = delta.Apply(from, d); err != nil {
+			return nil, err
+		}
+	}
+	return inHand, nil
 }
 
 // writeObject encodes blocks with the given code and stores every shard,

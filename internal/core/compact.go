@@ -175,7 +175,7 @@ func (a *Archive) CompactToContext(ctx context.Context, maxLen int) (CompactionI
 // Caller holds the write lock.
 func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded bool) (CompactionInfo, error) {
 	info := CompactionInfo{MaxChainLength: maxLen}
-	depths, _, err := a.chainDepths()
+	depths, _, every, err := chainDepthsOf(a.entries)
 	if err != nil {
 		return info, err
 	}
@@ -195,8 +195,11 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 		return info, nil
 	}
 
+	// Materialize every version with the fewest reads a single pass can
+	// manage - each full codeword once, each stored delta once, the reads
+	// RetrieveAll(L) performs - as one planned walk: one batch per node.
 	var stats RetrievalStats
-	mat, err := a.materializeAllLocked(ctx, &stats)
+	mat, err := a.runWalk(ctx, every, &stats)
 	if err != nil {
 		return info, fmt.Errorf("core: compaction aborted while materializing the chain: %w", err)
 	}
@@ -220,7 +223,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 		// merge. Rebasing all violators (rather than the minimal set) is
 		// what leaves their old chain deltas unreferenced, so the pass can
 		// reclaim them.
-		_, anchorOf, err := chainDepthsOf(next)
+		_, anchorOf, _, err := chainDepthsOf(next)
 		if err != nil {
 			return info, err
 		}
@@ -240,7 +243,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 		// (zero for a promotion, which anchors v outright). On chains
 		// without compression this is exactly delta.MergeGain of the walk's
 		// gammas.
-		if oldPlan, err := a.planChain(v); err == nil {
+		if old, err := a.planChain(v); err == nil {
 			newCost := 0
 			if gamma <= limit {
 				if a.compressEligible(gamma) {
@@ -249,7 +252,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 					newCost = a.plannedDeltaReads(gamma)
 				}
 			}
-			info.PlannedReadGain += (oldPlan.cost - a.cfg.K) - newCost
+			info.PlannedReadGain += (a.walkCost(old) - a.cfg.K) - newCost
 		}
 		oldID := ""
 		var oldCode codec
@@ -324,7 +327,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	// Every compacted chain still reaches every version? Refuse to swap a
 	// manifest that would strand one - this cannot happen for the rebase
 	// moves above, but the invariant is cheap to hold on to.
-	if _, _, err := chainDepthsOf(next); err != nil {
+	if _, _, _, err := chainDepthsOf(next); err != nil {
 		return info, fmt.Errorf("core: compaction would strand a version: %w", err)
 	}
 
@@ -363,68 +366,61 @@ func entryBase(entries []entry, v int) int {
 	return v - 1
 }
 
-// chainDepths maps every version to its minimum delta-hop distance from a
-// full codeword under the current manifest.
-func (a *Archive) chainDepths() (depths, anchorOf []int, err error) {
-	return chainDepthsOf(a.entries)
-}
-
 // chainDepthsOf runs a breadth-first search from every version with a full
 // codeword across the delta edges (each stored delta connects its base and
 // its version, usable in both directions). depths[v] is the number of
 // delta applications the shallowest retrieval of v needs; anchorOf[v] is
 // the anchor it starts from (ties resolved toward the smaller anchor, then
-// the smaller intermediate version, so results are deterministic). An
-// unreachable version is an error: it would be unretrievable.
-func chainDepthsOf(entries []entry) (depths, anchorOf []int, err error) {
+// the smaller intermediate version, so results are deterministic). every is
+// the search itself as a walk: each full codeword, then the versions
+// spreading outward from the anchors one delta application per step, so
+// reading the whole archive costs one full read per anchor plus one delta
+// read per version without one. An unreachable version is an error: it
+// would be unretrievable.
+func chainDepthsOf(entries []entry) (depths, anchorOf []int, every walk, err error) {
 	L := len(entries)
-	adj := make([][]int, L+1)
+	adj := make([][]step, L+1) // adj[u]: the deltas with an end at u, as steps away from u
 	for j := 1; j <= L; j++ {
-		e := entries[j-1]
-		if !e.hasDelta {
+		if !entries[j-1].hasDelta {
 			continue
 		}
-		b := e.base
-		if b == 0 {
-			b = j - 1
-		}
+		b := entryBase(entries, j)
 		if b < 1 || b > L || b == j {
-			return nil, nil, fmt.Errorf("core: version %d has invalid delta base %d", j, b)
+			return nil, nil, nil, fmt.Errorf("core: version %d has invalid delta base %d", j, b)
 		}
-		adj[b] = append(adj[b], j)
-		adj[j] = append(adj[j], b)
+		adj[b] = append(adj[b], step{from: b, to: j, via: j})
+		adj[j] = append(adj[j], step{from: j, to: b, via: j})
 	}
 	depths = make([]int, L+1)
 	anchorOf = make([]int, L+1)
 	for v := range depths {
 		depths[v] = -1
 	}
-	var queue []int
+	every = make(walk, 0, L)
 	for v := 1; v <= L; v++ {
 		if entries[v-1].hasFull {
 			depths[v] = 0
 			anchorOf[v] = v
-			queue = append(queue, v)
+			every = append(every, step{to: v})
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[u] {
-			if depths[w] != -1 {
+	for next := 0; next < len(every); next++ {
+		u := every[next].to
+		for _, s := range adj[u] {
+			if depths[s.to] != -1 {
 				continue
 			}
-			depths[w] = depths[u] + 1
-			anchorOf[w] = anchorOf[u]
-			queue = append(queue, w)
+			depths[s.to] = depths[u] + 1
+			anchorOf[s.to] = anchorOf[u]
+			every = append(every, s)
 		}
 	}
 	for v := 1; v <= L; v++ {
 		if depths[v] == -1 {
-			return nil, nil, fmt.Errorf("core: version %d unreachable from any full version", v)
+			return nil, nil, nil, fmt.Errorf("core: version %d unreachable from any full version", v)
 		}
 	}
-	return depths, anchorOf, nil
+	return depths, anchorOf, every, nil
 }
 
 // maxDepth returns the deepest chain position (0 for an empty archive).
@@ -447,7 +443,7 @@ func (a *Archive) ChainDepth(l int) (int, error) {
 	if l < 1 || l > len(a.entries) {
 		return 0, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
 	}
-	depths, _, err := a.chainDepths()
+	depths, _, _, err := chainDepthsOf(a.entries)
 	if err != nil {
 		return 0, err
 	}
@@ -466,7 +462,7 @@ func (a *Archive) ChainStats() (depths, plannedReads []int, err error) {
 	if L == 0 {
 		return nil, nil, nil
 	}
-	allDepths, _, err := a.chainDepths()
+	allDepths, _, _, err := chainDepthsOf(a.entries)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -480,62 +476,4 @@ func (a *Archive) ChainStats() (depths, plannedReads []int, err error) {
 		}
 	}
 	return allDepths[1:], dist[1 : L+1], nil
-}
-
-// materializeAllLocked reconstructs every version's blocks with the
-// fewest reads a single pass can manage: each full codeword is read once,
-// then versions spread outward from the anchors one delta application per
-// step (a breadth-first walk over the delta edges), so the total cost is
-// one full read per anchor plus one delta read per stored delta - the same
-// reads RetrieveAll(L) performs. Caller holds at least a read lock.
-func (a *Archive) materializeAllLocked(ctx context.Context, stats *RetrievalStats) (map[int][][]byte, error) {
-	L := len(a.entries)
-	type edge struct{ to, via int }
-	adj := make([][]edge, L+1)
-	for j := 1; j <= L; j++ {
-		if !a.entries[j-1].hasDelta {
-			continue
-		}
-		b := a.baseOf(j)
-		adj[b] = append(adj[b], edge{to: j, via: j})
-		adj[j] = append(adj[j], edge{to: b, via: j})
-	}
-	mat := make(map[int][][]byte, L)
-	var queue []int
-	for v := 1; v <= L; v++ {
-		if !a.entries[v-1].hasFull {
-			continue
-		}
-		blocks, read, err := a.readFull(ctx, v, nil)
-		if err != nil {
-			return nil, err
-		}
-		stats.add(read)
-		mat[v] = blocks
-		queue = append(queue, v)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[u] {
-			if mat[e.to] != nil {
-				continue
-			}
-			d, read, err := a.readDelta(ctx, e.via, nil)
-			if err != nil {
-				return nil, err
-			}
-			stats.add(read)
-			blocks, err := delta.Apply(mat[u], d)
-			if err != nil {
-				return nil, err
-			}
-			mat[e.to] = blocks
-			queue = append(queue, e.to)
-		}
-	}
-	if len(mat) != L {
-		return nil, fmt.Errorf("core: %d of %d versions unreachable from any full version", L-len(mat), L)
-	}
-	return mat, nil
 }

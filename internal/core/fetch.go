@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/secarchive/sec/internal/store"
 )
@@ -107,19 +106,19 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 	return shards, true
 }
 
-// prefetchChain plans every shard read of a chain walk up front and
-// issues one batch per node covering all objects in the chain: node
-// liveness is probed concurrently (once per node, not once per row per
-// object), each object's read rows are chosen against that snapshot, and
-// a single cluster batch fetches everything. The result is one get RPC
-// per node for the whole retrieval in the healthy case. Prefetching is
-// purely a wire optimization: rows that fail are marked dead in their
-// object's shard set and the per-object readers top up or re-plan exactly
-// as they would have fetched in the first place, so read counts are
-// unchanged.
-func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]*shardSet {
-	// The codewords the walk reads: the anchor in full, then every delta
-	// that is not identically zero.
+// prefetch plans every shard read of a walk up front and issues one batch
+// per node covering all its codewords: node liveness is probed in one
+// concurrent round (once per node, not once per row per object), each
+// object's read rows are chosen against that snapshot, and a single cluster
+// batch fetches everything. The result is one ping and one get RPC per node
+// for the whole read in the healthy case, however many versions it spans.
+// Prefetching is purely a wire optimization: rows that fail are marked dead
+// in their object's shard set and the per-object readers top up or re-plan
+// exactly as they would have fetched in the first place, so read counts are
+// unchanged. A codeword the walk reads a second time is fetched by its reader.
+func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
+	// The codewords the walk reads: full codewords, and every delta that is
+	// not identically zero.
 	type object struct {
 		code        codec
 		id          string
@@ -127,59 +126,41 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 		sparseGamma int
 		rows        []int // what the object's reader fetches first
 	}
-	objects := []object{{code: a.code, id: fullID(a.cfg.Name, plan.anchor), version: plan.anchor}}
-	for _, j := range plan.deltas {
-		e := a.entries[j-1]
-		if e.gamma == 0 {
+	objects := make([]object, 0, len(w))
+	sets := make(map[string]*shardSet, len(w))
+	var nodes []int
+	for _, s := range w {
+		o := object{code: a.code, id: fullID(a.cfg.Name, s.to), version: s.to}
+		if s.via != 0 {
+			e := a.entries[s.via-1]
+			if e.gamma == 0 {
+				continue
+			}
+			code, err := a.entryDeltaCode(e)
+			if err != nil {
+				continue // the reader surfaces the error
+			}
+			o = object{code: code, id: a.deltaObjectID(s.via), version: s.via, sparseGamma: sparseGamma(e)}
+		}
+		if _, planned := sets[o.id]; planned {
 			continue
 		}
-		code, err := a.entryDeltaCode(e)
-		if err != nil {
-			continue // the reader surfaces the error
-		}
-		objects = append(objects, object{code: code, id: a.deltaObjectID(j), version: j, sparseGamma: sparseGamma(e)})
-	}
-	// Probe each distinct placement node once, concurrently.
-	var nodes []int
-	seen := make(map[int]bool)
-	for _, o := range objects {
+		sets[o.id] = nil
+		objects = append(objects, o)
 		for row := 0; row < o.code.N(); row++ {
-			nd := a.cfg.Placement.NodeFor(o.version-1, row)
-			if !seen[nd] {
-				seen[nd] = true
-				nodes = append(nodes, nd)
-			}
+			nodes = append(nodes, a.cfg.Placement.NodeFor(o.version-1, row))
 		}
 	}
-	avail := make([]bool, len(nodes))
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		wg.Add(1)
-		go func(i, nd int) {
-			defer wg.Done()
-			avail[i] = a.cluster.Available(ctx, nd)
-		}(i, nd)
-	}
-	wg.Wait()
-	up := make(map[int]bool, len(nodes))
-	for i, nd := range nodes {
-		up[nd] = avail[i]
-	}
+	up := a.cluster.Probe(ctx, nodes)
 	// Choose the rows each object's reader would read. Objects whose live
 	// set is too small are skipped here; their reader reports the proper
 	// error (or catches a node that came back since the probe).
 	plans := objects[:0]
-	sets := make(map[string]*shardSet, len(objects))
 	var refs []store.ShardRef
 	for _, o := range objects {
-		live := make([]int, 0, o.code.N())
-		for row := 0; row < o.code.N(); row++ {
-			if up[a.cfg.Placement.NodeFor(o.version-1, row)] {
-				live = append(live, row)
-			}
-		}
-		rows, sparse := readPlan(o.code, live, o.sparseGamma, o.code.K())
+		rows, sparse := readPlan(o.code, a.rowsOnLiveNodes(up, o.code, o.version, nil), o.sparseGamma, o.code.K())
 		if rows == nil {
+			delete(sets, o.id)
 			continue
 		}
 		o.rows = rows
@@ -189,15 +170,7 @@ func (a *Archive) prefetchChain(ctx context.Context, plan chainPlan) map[string]
 			set.sparseRows = rows
 		}
 		sets[o.id] = set
-		for _, row := range rows {
-			refs = append(refs, store.ShardRef{
-				Node: a.cfg.Placement.NodeFor(o.version-1, row),
-				ID:   store.ShardID{Object: o.id, Row: row},
-			})
-		}
-	}
-	if len(plans) == 0 {
-		return nil
+		refs = append(refs, a.rowRefs(o.id, o.version, rows)...)
 	}
 	sink := func(ref store.ShardRef, res store.ShardResult) {
 		sets[ref.ID.Object].record(ref.ID.Object, ref.ID.Row, res)
@@ -280,15 +253,25 @@ func (a *Archive) writeRows(ctx context.Context, id string, version int, rows []
 	return a.cluster.PutBatch(ctx, a.rowRefs(id, version, rows), data)
 }
 
-// liveRows returns the shard rows of an object whose nodes are available,
-// skipping rows already known dead this retrieval.
+// liveRows returns the shard rows of an object whose nodes are available
+// (one concurrent probe round), skipping rows already known dead this
+// retrieval.
 func (a *Archive) liveRows(ctx context.Context, code codec, version int, dead map[int]bool) []int {
+	nodes := make([]int, 0, code.N())
+	for row := 0; row < code.N(); row++ {
+		if !dead[row] {
+			nodes = append(nodes, a.cfg.Placement.NodeFor(version-1, row))
+		}
+	}
+	return a.rowsOnLiveNodes(a.cluster.Probe(ctx, nodes), code, version, dead)
+}
+
+// rowsOnLiveNodes lists, ascending, the shard rows of an object that are not
+// dead and whose placement node a probe round found up.
+func (a *Archive) rowsOnLiveNodes(up map[int]bool, code codec, version int, dead map[int]bool) []int {
 	rows := make([]int, 0, code.N())
 	for row := 0; row < code.N(); row++ {
-		if dead[row] {
-			continue
-		}
-		if a.cluster.Available(ctx, a.cfg.Placement.NodeFor(version-1, row)) {
+		if !dead[row] && up[a.cfg.Placement.NodeFor(version-1, row)] {
 			rows = append(rows, row)
 		}
 	}

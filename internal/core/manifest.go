@@ -215,7 +215,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	// reaches version 1 through version 2's delta), but every version must
 	// be reachable from some full codeword along the delta graph.
 	if len(a.entries) > 0 {
-		if _, _, err := a.chainDepths(); err != nil {
+		if _, _, _, err := chainDepthsOf(a.entries); err != nil {
 			return nil, fmt.Errorf("core: manifest describes an unretrievable chain: %w", err)
 		}
 	}

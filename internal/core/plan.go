@@ -27,12 +27,31 @@ func (h planHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *planHeap) Push(x any)   { *h = append(*h, x.(planItem)) }
 func (h *planHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// chainPlan describes how to reach a version from a fully stored anchor.
-type chainPlan struct {
-	anchor int   // version read in full
-	deltas []int // versions whose deltas are applied, in order
-	cost   int   // planned node reads (formula (3))
-	hops   int   // number of delta applications (the chain depth)
+// step is one codeword read of a planned walk. With via == 0 it reads the
+// full codeword of version to. Otherwise it reads the stored delta of version
+// via and applies it to version from, which an earlier step put in hand, to
+// yield version to: XOR deltas are self-inverse, so the one Apply goes
+// forward (from is the delta's base) and backward (to is).
+type step struct{ from, to, via int }
+
+// walk is a planned multi-version read, in execution order. Every such read
+// is one: a single version (planChain), a prefix (planPrefix) or the whole
+// archive (chainDepthsOf). runWalk executes the list and walkCost prices it,
+// so what a read is predicted to cost and what it fetches cannot drift apart.
+type walk []step
+
+// walkCost is the number of node reads the walk costs with every node live:
+// K per full codeword, eta_j per stored delta (formulas (3) and (4)).
+func (a *Archive) walkCost(w walk) int {
+	cost := 0
+	for _, s := range w {
+		if s.via == 0 {
+			cost += a.cfg.K
+		} else {
+			cost += a.plannedEntryReads(a.entries[s.via-1])
+		}
+	}
+	return cost
 }
 
 // planChain finds the cheapest way to materialize version l. Deltas form a
@@ -47,30 +66,70 @@ type chainPlan struct {
 // shortcut edges are used whenever they are cheaper. Ties prefer fewer
 // delta applications (and then the smaller version) so plans are
 // deterministic.
-func (a *Archive) planChain(l int) (chainPlan, error) {
+func (a *Archive) planChain(l int) (walk, error) {
 	if l < 1 || l > len(a.entries) {
-		return chainPlan{}, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
+		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
 	}
 	dist, hops, via, prev, err := a.planAll(l)
 	if err != nil {
-		return chainPlan{}, err
+		return nil, err
 	}
 	if dist[l] == unreachedCost {
-		return chainPlan{}, fmt.Errorf("core: version %d unreachable from any full version", l)
+		return nil, fmt.Errorf("core: version %d unreachable from any full version", l)
 	}
-	plan := chainPlan{cost: dist[l], hops: hops[l]}
-	deltas := make([]int, 0, hops[l])
+	w := make(walk, hops[l]+1)
 	v := l
-	for via[v] != 0 {
-		deltas = append(deltas, via[v])
+	for i := hops[l]; i > 0; i-- {
+		w[i] = step{from: prev[v], to: v, via: via[v]}
 		v = prev[v]
 	}
-	plan.anchor = v
-	for i, j := 0, len(deltas)-1; i < j; i, j = i+1, j-1 {
-		deltas[i], deltas[j] = deltas[j], deltas[i]
+	w[0] = step{to: v}
+	return w, nil
+}
+
+// planPrefix plans the read of versions 1..l in order (formula (4) when
+// l = L): the walk to version 1 - a backward walk (Reversed SEC) passes
+// through every later version for free - then each version not yet in hand by
+// its own delta when the delta's base is in hand, else by its full codeword,
+// else (a delta rebased onto an anchor the walk has not reached) by its own
+// chain plan, whole.
+func (a *Archive) planPrefix(l int) (walk, error) {
+	if l < 1 || l > len(a.entries) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
 	}
-	plan.deltas = deltas
-	return plan, nil
+	w, err := a.planChain(1)
+	if err != nil {
+		return nil, err
+	}
+	inHand := make([]bool, len(a.entries)+1)
+	for _, s := range w {
+		inHand[s.to] = true
+	}
+	for j := 2; j <= l; j++ {
+		if inHand[j] {
+			continue
+		}
+		e := a.entries[j-1]
+		switch {
+		case e.hasDelta && inHand[a.baseOf(j)]:
+			w = append(w, step{from: a.baseOf(j), to: j, via: j})
+		case e.hasFull:
+			w = append(w, step{to: j})
+		case e.hasDelta:
+			own, err := a.planChain(j)
+			if err != nil {
+				return nil, err
+			}
+			w = append(w, own...)
+			for _, s := range own {
+				inHand[s.to] = true
+			}
+		default:
+			return nil, fmt.Errorf("core: version %d has neither delta nor full object", j)
+		}
+		inHand[j] = true
+	}
+	return w, nil
 }
 
 // unreachedCost marks versions the planner could not reach.
@@ -163,11 +222,8 @@ func (a *Archive) plannedEntryReads(e entry) int {
 func (a *Archive) PlannedReads(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	plan, err := a.planChain(l)
-	if err != nil {
-		return 0, err
-	}
-	return plan.cost, nil
+	w, err := a.planChain(l)
+	return a.walkCost(w), err
 }
 
 // PlannedReadsAll returns the number of node reads formula (4) predicts for
@@ -175,58 +231,6 @@ func (a *Archive) PlannedReads(l int) (int, error) {
 func (a *Archive) PlannedReadsAll(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if l < 1 || l > len(a.entries) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	plan, err := a.planChain(1)
-	if err != nil {
-		return 0, err
-	}
-	total := plan.cost
-	covered := a.materializedVersions(plan)
-	for j := 2; j <= l; j++ {
-		if covered[j] {
-			continue
-		}
-		e := a.entries[j-1]
-		switch {
-		case e.hasDelta && covered[a.baseOf(j)]:
-			total += a.plannedEntryReads(e)
-			covered[j] = true
-		case e.hasFull:
-			total += a.cfg.K
-			covered[j] = true
-		case e.hasDelta:
-			// The delta's base is not on the walk (a compaction rebase onto
-			// a later anchor): the version costs its own chain plan, which
-			// materializes the base and anchor as side effects.
-			plan, err := a.planChain(j)
-			if err != nil {
-				return 0, err
-			}
-			total += plan.cost
-			for v := range a.materializedVersions(plan) {
-				covered[v] = true
-			}
-		default:
-			return 0, fmt.Errorf("core: version %d has neither delta nor full object", j)
-		}
-	}
-	return total, nil
-}
-
-// materializedVersions returns the set of versions a chain walk passes
-// through.
-func (a *Archive) materializedVersions(p chainPlan) map[int]bool {
-	covered := map[int]bool{p.anchor: true}
-	ver := p.anchor
-	for _, j := range p.deltas {
-		if b := a.baseOf(j); ver == b {
-			ver = j
-		} else {
-			ver = b
-		}
-		covered[ver] = true
-	}
-	return covered
+	w, err := a.planPrefix(l)
+	return a.walkCost(w), err
 }

@@ -112,15 +112,7 @@ func (a *Archive) repairObject(ctx context.Context, code codec, id string, versi
 // allocate shard buffers.
 func (a *Archive) rebuildShard(ctx context.Context, code codec, id string, version, node, row int, report *RepairReport) error {
 	k := code.K()
-	live := make([]int, 0, code.N())
-	for r := 0; r < code.N(); r++ {
-		if r == row {
-			continue
-		}
-		if a.cluster.Available(ctx, a.cfg.Placement.NodeFor(version-1, r)) {
-			live = append(live, r)
-		}
-	}
+	live := a.liveRows(ctx, code, version, map[int]bool{row: true})
 	if len(live) < k {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: rebuilding %s#%d: %w", id, row, err)

@@ -533,7 +533,7 @@ func (g *Gateway) Log(ctx context.Context, name string) ([]transport.ArchiveLogE
 }
 
 // info snapshots one archive. probe says whether to spend a liveness
-// probe per cluster node.
+// probe per cluster node (one concurrent round, not one after another).
 func (g *Gateway) info(ctx context.Context, st *archiveState, probe bool) transport.ArchiveInfo {
 	info := transport.ArchiveInfo{
 		Manifest:      st.archive.Manifest(),
@@ -545,13 +545,17 @@ func (g *Gateway) info(ctx context.Context, st *archiveState, probe bool) transp
 		info.Cache = &cache
 	}
 	health := g.cfg.Cluster.Health()
+	var up map[int]bool
+	if probe {
+		nodes := make([]int, len(health))
+		for i, h := range health {
+			nodes[i] = h.Node
+		}
+		up = g.cfg.Cluster.Probe(ctx, nodes)
+	}
 	info.Nodes = make([]transport.ArchiveNodeStatus, len(health))
 	for i, h := range health {
-		up := !probe
-		if probe {
-			up = g.cfg.Cluster.Available(ctx, h.Node)
-		}
-		info.Nodes[i] = transport.ArchiveNodeStatus{Health: h, Up: up}
+		info.Nodes[i] = transport.ArchiveNodeStatus{Health: h, Up: !probe || up[h.Node]}
 	}
 	return info
 }

@@ -300,6 +300,37 @@ func (c *Cluster) Available(ctx context.Context, node int) bool {
 	return up
 }
 
+// Probe asks every listed node whether it is up, all at once, and returns
+// the answers keyed by node index (each distinct node is asked once). It is
+// the liveness round of a read: a reader that needs the state of n nodes
+// waits one round trip - or one ping timeout, if a node has gone silent -
+// rather than n in sequence. Breaker gating and observation stay per node,
+// inside Available.
+func (c *Cluster) Probe(ctx context.Context, nodes []int) map[int]bool {
+	up := make(map[int]bool, len(nodes))
+	distinct := make([]int, 0, len(nodes))
+	for _, nd := range nodes {
+		if _, seen := up[nd]; !seen {
+			up[nd] = false
+			distinct = append(distinct, nd)
+		}
+	}
+	answers := make([]bool, len(distinct))
+	var wg sync.WaitGroup
+	for i, nd := range distinct {
+		wg.Add(1)
+		go func(i, nd int) {
+			defer wg.Done()
+			answers[i] = c.Available(ctx, nd)
+		}(i, nd)
+	}
+	wg.Wait()
+	for i, nd := range distinct {
+		up[nd] = answers[i]
+	}
+	return up
+}
+
 // Fail injects a failure into the given nodes. It returns an error if any
 // node does not support fault injection.
 func (c *Cluster) Fail(nodes ...int) error { return c.setFailed(true, nodes) }
