@@ -352,6 +352,73 @@ func BenchmarkSparseRecoverEnumByGamma(b *testing.B) {
 	}
 }
 
+// The sparse decode of a (12,10) Cauchy delta as gamma and the block size grow,
+// against DecodeFull at the same block size as the reference row. The support
+// enumeration is C(k,gamma), so gamma = 1 alone (the ledger's only sparse row)
+// hides what it costs; the block size shows whether that cost is paid per
+// candidate at full block width or once. Two delta shapes: dense (each support
+// block random throughout) and edit (each support block differs in 64 bytes at
+// its own random offset - what a small edit to a large object produces, and the
+// shape in which almost every byte column is 1-sparse).
+func BenchmarkDecodeSparseByGamma(b *testing.B) {
+	const n, k, editBytes = 12, 10, 64
+	code, err := erasure.New(erasure.NonSystematicCauchy, n, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, blockSize := range []int{4096, 204800} {
+		b.Run(fmt.Sprintf("block=%d/full", blockSize), func(b *testing.B) {
+			shards, err := code.Encode(benchBlocks(k, blockSize, 6))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := code.DecodeFull(rows, shards[:k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for _, shape := range []string{"dense", "edit"} {
+			for gamma := 1; gamma <= 4; gamma++ {
+				b.Run(fmt.Sprintf("block=%d/%s/gamma=%d", blockSize, shape, gamma), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(int64(7 + gamma)))
+					z := make([][]byte, k)
+					for i := range z {
+						z[i] = make([]byte, blockSize)
+					}
+					for _, j := range rng.Perm(k)[:gamma] {
+						span := z[j]
+						if shape == "edit" {
+							at := rng.Intn(blockSize - editBytes + 1)
+							span = span[at : at+editBytes]
+						}
+						rng.Read(span)
+						span[0] |= 1
+					}
+					shards, err := code.Encode(z)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows := make([]int, 2*gamma)
+					for i := range rows {
+						rows[i] = i
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := code.DecodeSparse(rows, shards[:2*gamma], gamma); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // Ablation: symbol width. The GF(2^16) backend unlocks n+k > 256 at some
 // throughput cost; compare encode speed at equal (n,k) and payload.
 func BenchmarkEncodeWideGF16_20_10(b *testing.B) {

@@ -9,9 +9,9 @@
 // are provided:
 //
 //   - RecoverEnum works for any Criterion-2 matrix (Cauchy submatrices in
-//     particular) by enumerating candidate supports; cost grows as
-//     C(k, gamma) and is practical for the small k regimes the paper
-//     studies.
+//     particular) by enumerating candidate supports; the search grows as
+//     C(k, gamma) but runs on a few byte columns of the observations, so
+//     the full block width is solved once.
 //
 //   - SyndromeDecoder exploits Vandermonde structure to find the support
 //     with Berlekamp-Massey + Chien search in O(gamma^2 + k*gamma) per byte
@@ -23,6 +23,7 @@
 package sparse
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -38,120 +39,296 @@ var ErrUnrecoverable = errors.New("sparse: no solution with requested sparsity i
 // RecoverEnum recovers a block vector z of k = phi.Cols() blocks with at
 // most gamma non-zero blocks from the observation blocks y, where
 // y[i] = sum_j phi[i][j]*z[j] byte-wise. All observation blocks must have
-// equal length. It tries candidate supports of size 0..gamma and returns
-// the unique consistent solution; uniqueness is guaranteed when phi
-// satisfies Criterion 2 for gamma (i.e. phi has >= 2*gamma rows with every
-// such column subset independent).
+// equal length. It tries candidate supports of size 0..gamma, each size in
+// lexicographic order, and returns the solution through the first support
+// consistent with every byte of every observation; that solution is the
+// unique one when phi satisfies Criterion 2 for gamma (i.e. phi has
+// >= 2*gamma rows with every such column subset independent).
+//
+// The support is a property of the block vector, shared by every byte
+// position, so the search does not run at block width. A support is
+// consistent when its columns of phi are independent and span every byte
+// column of y; both survive taking a basis of a sample of those byte columns
+// (the probe). Candidates are eliminated against the probe alone, and only a
+// survivor pays for the full-width solve and the full-width check of the
+// eliminated rows. A survivor that fails there was consistent with the probe
+// but not with the block: the byte column that exposed it joins the probe -
+// it is independent of the columns already there, so this happens fewer
+// times than there are observations - and the enumeration goes on from where
+// it stopped. The answer, and the error, are those of trying every support at
+// full width.
 func RecoverEnum(phi matrix.Matrix, y [][]byte, gamma int) ([][]byte, error) {
+	z, _, err := recoverEnum(phi, y, gamma)
+	return z, err
+}
+
+// recoverEnum is RecoverEnum, also reporting how many supports passed the
+// probe and then failed at full width.
+func recoverEnum(phi matrix.Matrix, y [][]byte, gamma int) (z [][]byte, falsePositives int, err error) {
 	m, k := phi.Rows(), phi.Cols()
 	if len(y) != m {
-		return nil, fmt.Errorf("sparse: got %d observation blocks for a %d-row matrix", len(y), m)
+		return nil, 0, fmt.Errorf("sparse: got %d observation blocks for a %d-row matrix", len(y), m)
 	}
 	if gamma < 0 {
-		return nil, fmt.Errorf("sparse: negative sparsity %d", gamma)
+		return nil, 0, fmt.Errorf("sparse: negative sparsity %d", gamma)
 	}
 	blockLen, err := uniformBlockLen(y)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Scratch for the candidate eliminations: support enumeration visits
-	// C(k,s) candidates, so the per-candidate copies reuse one allocation.
-	scratch := newEnumScratch(m, blockLen)
-	for s := 0; s <= gamma; s++ {
-		var z [][]byte
-		matrix.Combinations(k, s, func(idx []int) bool {
-			vals, ok := solveSupport(phi, idx, y, scratch)
-			if !ok {
-				return true
-			}
-			z = assemble(k, blockLen, idx, vals)
-			return false
-		})
-		if z != nil {
-			return z, nil
+	// No support larger than the row or column count has independent columns.
+	gamma = min(gamma, m, k)
+	e := newEnumerator(phi, y, blockLen, gamma)
+	if e.p == 0 {
+		// Every observation is zero, so the empty support is consistent.
+		return e.assemble(nil), 0, nil
+	}
+	for s := 1; s <= gamma; s++ {
+		if e.search(0, 0, s) {
+			return e.assemble(e.support[:s]), e.falsePositives, nil
 		}
 	}
-	return nil, ErrUnrecoverable
+	return nil, e.falsePositives, ErrUnrecoverable
 }
 
-// enumScratch holds the per-candidate elimination state of RecoverEnum: the
-// support-restricted matrix and a mutable copy of the observations.
-type enumScratch struct {
-	a matrix.Matrix
-	r [][]byte
+// probeSegments is how many stretches of the block the probe samples a byte
+// column from. The sample has to be spread out: a small edit to a large
+// object changes a short run of bytes at a different offset in each changed
+// block, so neighbouring byte columns all see the same single block.
+const probeSegments = 16
+
+// enumerator is the state of one RecoverEnum call. The probe is at most m
+// linearly independent byte columns of the observations. levels holds one
+// m x width matrix per support size: level d is [phi | probe] after forward
+// elimination of the first d columns of the support being tried (only rows
+// d.. and the columns that can still be chosen are kept current), so supports
+// that share a prefix share its elimination. a and r are the full-width
+// elimination: the support's columns of phi and a mutable copy of y.
+type enumerator struct {
+	phi            matrix.Matrix
+	y              [][]byte
+	m, k, blockLen int
+	width          int // k + m: room in a level's rows for phi and a full basis
+	p              int // probe columns in use
+	levels         []byte
+	support        []int
+	echelon        []byte // reduced probe columns, m bytes each, leading entry 1
+	lead           []int  // position of each reduced column's leading entry
+	a              matrix.Matrix
+	r              [][]byte
+	falsePositives int
 }
 
-func newEnumScratch(m, blockLen int) *enumScratch {
-	sc := &enumScratch{r: make([][]byte, m)}
-	flat := make([]byte, m*blockLen)
-	for i := range sc.r {
-		sc.r[i] = flat[i*blockLen : (i+1)*blockLen : (i+1)*blockLen]
+func newEnumerator(phi matrix.Matrix, y [][]byte, blockLen, gamma int) *enumerator {
+	m, k := phi.Rows(), phi.Cols()
+	e := &enumerator{phi: phi, y: y, m: m, k: k, blockLen: blockLen, width: k + m}
+	ints := make([]int, gamma+m)
+	e.support, e.lead = ints[:gamma], ints[gamma:gamma]
+	levels := max(gamma, 1) * m * e.width
+	flat := make([]byte, levels+m*m+m*blockLen)
+	e.levels, e.echelon = flat[:levels], flat[levels:levels+m*m]
+	e.r = make([][]byte, m)
+	for i := range e.r {
+		lo := levels + m*m + i*blockLen
+		e.r[i] = flat[lo : lo+blockLen : lo+blockLen]
 	}
-	return sc
-}
-
-// solveSupport solves phi restricted to the candidate support for the block
-// values, returning (values, true) only when the full observation vector is
-// consistent with that support. The returned values alias the scratch and
-// are only valid until the next call.
-func solveSupport(phi matrix.Matrix, support []int, y [][]byte, scratch *enumScratch) ([][]byte, bool) {
-	m, s := phi.Rows(), len(support)
-	phi.SelectColsInto(support, &scratch.a)
-	a := scratch.a
-	r := scratch.r
-	for i := range r {
-		copy(r[i], y[i])
+	for r := 0; r < m; r++ {
+		copy(e.level(0)[r*e.width:], phi.Row(r))
 	}
-	rank := 0
-	for col := 0; col < s; col++ {
-		pivot := -1
-		for row := rank; row < m; row++ {
-			if a.At(row, col) != 0 {
-				pivot = row
+	// One byte column from each stretch of the block at which some
+	// observation is non-zero, kept if it is independent of those before it.
+	seg := (blockLen + probeSegments - 1) / probeSegments
+	for lo := 0; lo < blockLen && e.p < m; lo += seg {
+		hi := min(lo+seg, blockLen)
+		for _, obs := range y {
+			if at := firstNonZero(obs[lo:hi]); at >= 0 {
+				e.addColumn(lo+at, 0)
 				break
 			}
 		}
-		if pivot < 0 {
+	}
+	return e
+}
+
+func (e *enumerator) level(d int) []byte {
+	size := e.m * e.width
+	return e.levels[d*size : (d+1)*size]
+}
+
+// addColumn puts byte column at of the observations into the probe, unless
+// it is a combination of the columns already there, and brings the levels of
+// the current support's first depth columns up to date with it.
+func (e *enumerator) addColumn(at, depth int) {
+	if e.p == e.m {
+		return
+	}
+	// Reduce the column by the echelon of the earlier ones; what is left
+	// is zero exactly when it depends on them.
+	v := e.echelon[e.p*e.m : (e.p+1)*e.m]
+	for r := range v {
+		v[r] = e.y[r][at]
+	}
+	for i, lead := range e.lead {
+		if f := v[lead]; f != 0 {
+			for r, c := range e.echelon[i*e.m : (i+1)*e.m] {
+				v[r] ^= gf.Mul(f, c)
+			}
+		}
+	}
+	lead := firstNonZero(v)
+	if lead < 0 {
+		return
+	}
+	gf.MulSlice(gf.Inv(v[lead]), v, v)
+	e.lead = append(e.lead, lead)
+	for r := 0; r < e.m; r++ {
+		e.level(0)[r*e.width+e.k+e.p] = e.y[r][at]
+	}
+	e.p++
+	for d := 0; d < depth; d++ {
+		e.eliminate(d, e.support[d])
+	}
+}
+
+// search visits, in lexicographic order, the supports of size s that extend
+// support[:d] with columns from `from` on, and stops with true at the first
+// that is consistent with the observations; support[:s] is then that support
+// and r[:s] its block values. Level d must be current.
+func (e *enumerator) search(d, from, s int) bool {
+	if d == s-1 {
+		for c := from; c < e.k; c++ {
+			e.support[d] = c
+			if e.probeConsistent(d, c) && e.solve(s) {
+				return true
+			}
+		}
+		return false
+	}
+	for c := from; c <= e.k-(s-d); c++ {
+		// A column with no pivot depends on support[:d]: no support with
+		// this prefix is consistent.
+		e.support[d] = c
+		if e.eliminate(d, c) && e.search(d+1, c+1, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// eliminate derives level d+1 from level d by pivoting on column c among
+// rows d.., reporting false when the column has no pivot there.
+func (e *enumerator) eliminate(d, c int) bool {
+	src, dst, w := e.level(d), e.level(d+1), e.width
+	pivot := d
+	for pivot < e.m && src[pivot*w+c] == 0 {
+		pivot++
+	}
+	if pivot == e.m {
+		return false
+	}
+	lo, hi := c+1, e.k+e.p // the columns a longer support can still take, then the probe
+	prow := src[pivot*w+lo : pivot*w+hi]
+	inv := gf.Inv(src[pivot*w+c])
+	out := d + 1
+	for r := d; r < e.m; r++ {
+		if r == pivot {
+			continue
+		}
+		f := gf.Mul(src[r*w+c], inv)
+		orow := dst[out*w+lo : out*w+hi]
+		for x, v := range src[r*w+lo : r*w+hi] {
+			orow[x] = v ^ gf.Mul(f, prow[x])
+		}
+		out++
+	}
+	return true
+}
+
+// probeConsistent reports whether the support that extends the d eliminated
+// columns with column c passes the probe: below row d, c has a non-zero
+// entry and every probe column is a multiple of it.
+func (e *enumerator) probeConsistent(d, c int) bool {
+	lvl, w := e.level(d), e.width
+	pivot := d
+	for pivot < e.m && lvl[pivot*w+c] == 0 {
+		pivot++
+	}
+	if pivot == e.m {
+		return false
+	}
+	inv := gf.Inv(lvl[pivot*w+c])
+	for t := e.k; t < e.k+e.p; t++ {
+		f := gf.Mul(lvl[pivot*w+t], inv)
+		for r := d; r < e.m; r++ {
+			if lvl[r*w+t] != gf.Mul(f, lvl[r*w+c]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// solve eliminates phi restricted to support[:s] against the observations at
+// full width, leaving the block values in r[:s] and reporting true when every
+// byte of every observation is consistent with that support. Otherwise the
+// support got through the probe but not the block: the byte column that shows
+// it joins the probe.
+func (e *enumerator) solve(s int) bool {
+	e.phi.SelectColsInto(e.support[:s], &e.a)
+	a, r := e.a, e.r
+	for i := range r {
+		copy(r[i], e.y[i])
+	}
+	for col := 0; col < s; col++ {
+		pivot := col
+		for pivot < e.m && a.At(pivot, col) == 0 {
+			pivot++
+		}
+		if pivot == e.m {
 			// Dependent support columns: cannot determine a unique
 			// solution through this support.
-			return nil, false
+			return false
 		}
-		if pivot != rank {
-			swapRowsAndBlocks(a, r, pivot, rank)
+		if pivot != col {
+			swapRowsAndBlocks(a, r, pivot, col)
 		}
-		if p := a.At(rank, col); p != 1 {
+		if p := a.At(col, col); p != 1 {
 			inv := gf.Inv(p)
-			gf.MulSlice(inv, a.Row(rank), a.Row(rank))
-			gf.MulSlice(inv, r[rank], r[rank])
+			gf.MulSlice(inv, a.Row(col), a.Row(col))
+			gf.MulSlice(inv, r[col], r[col])
 		}
-		for row := 0; row < m; row++ {
-			if row == rank {
+		for row := 0; row < e.m; row++ {
+			if row == col {
 				continue
 			}
 			if f := a.At(row, col); f != 0 {
-				gf.MulAddSlice(f, a.Row(row), a.Row(rank))
-				gf.MulAddSlice(f, r[row], r[rank])
+				gf.MulAddSlice(f, a.Row(row), a.Row(col))
+				gf.MulAddSlice(f, r[row], r[col])
 			}
 		}
-		rank++
 	}
 	// The eliminated rows below the rank must be entirely zero for the
 	// support hypothesis to be consistent with the observations.
-	for row := rank; row < m; row++ {
-		if !isZero(r[row]) {
-			return nil, false
+	for row := s; row < e.m; row++ {
+		if at := firstNonZero(r[row]); at >= 0 {
+			e.falsePositives++
+			e.addColumn(at, s-1)
+			return false
 		}
 	}
-	return r[:s], true
+	return true
 }
 
-func assemble(k, blockLen int, support []int, vals [][]byte) [][]byte {
-	z := make([][]byte, k)
+// assemble returns the k-block vector whose support blocks are r[:len(support)]
+// and whose other blocks are zero, as fresh memory.
+func (e *enumerator) assemble(support []int) [][]byte {
+	z := make([][]byte, e.k)
+	flat := make([]byte, e.k*e.blockLen)
 	for j := range z {
-		z[j] = make([]byte, blockLen)
+		z[j] = flat[j*e.blockLen : (j+1)*e.blockLen : (j+1)*e.blockLen]
 	}
 	for i, col := range support {
-		copy(z[col], vals[i])
+		copy(z[col], e.r[i])
 	}
 	return z
 }
@@ -177,11 +354,22 @@ func uniformBlockLen(y [][]byte) (int, error) {
 	return blockLen, nil
 }
 
-func isZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
+// firstNonZero returns the position of the first non-zero byte of b, or -1.
+func firstNonZero(b []byte) int {
+	i := 0
+	for ; i+32 <= len(b); i += 32 {
+		w := b[i : i+32 : i+32]
+		if binary.LittleEndian.Uint64(w)|binary.LittleEndian.Uint64(w[8:])|
+			binary.LittleEndian.Uint64(w[16:])|binary.LittleEndian.Uint64(w[24:]) != 0 {
+			break
 		}
 	}
-	return true
+	for ; i < len(b); i++ {
+		if b[i] != 0 {
+			return i
+		}
+	}
+	return -1
 }
+
+func isZero(b []byte) bool { return firstNonZero(b) < 0 }
