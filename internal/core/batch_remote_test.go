@@ -53,6 +53,7 @@ func sumRequests(servers []*transport.Server) transport.RequestStats {
 		st := s.RequestStats()
 		total.Puts += st.Puts
 		total.Gets += st.Gets
+		total.Pings += st.Pings
 		total.GetBatches += st.GetBatches
 		total.GetBatchShards += st.GetBatchShards
 		total.PutBatches += st.PutBatches
@@ -63,7 +64,8 @@ func sumRequests(servers []*transport.Server) transport.RequestStats {
 
 // TestRemoteRetrieveOneRPCPerNode is the wire-cost contract end to end: a
 // retrieval over TCP nodes must issue one get RPC per node touched, not
-// one per shard, while the per-shard fallback path issues one per shard.
+// one per shard, while the per-shard fallback path issues one per shard;
+// and a read of many versions (subtest) costs the RPCs of a read of one.
 func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 	backing := make([]store.Node, 6)
 	for i := range backing {
@@ -124,6 +126,82 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 	}
 	if batches := after.GetBatches - before.GetBatches; batches != 0 {
 		t.Errorf("per-shard path issued %d batch RPCs, want 0", batches)
+	}
+
+	t.Run("whole prefix and compaction", remoteWalkOneRPCPerNode)
+}
+
+// remoteWalkOneRPCPerNode extends the wire-cost contract from one version to
+// every multi-version read: the whole-prefix read of a 20-version (12,10)
+// chain, and the materialise step of a compaction pass over it, each cost one
+// liveness ping per placement node and one get-batch RPC per node that holds a
+// row they read - what a read of one version costs - not one round per stored
+// delta.
+func remoteWalkOneRPCPerNode(t *testing.T) {
+	const n, k, blockSize, L = 12, 10, 16, 20
+	backing := make([]store.Node, n)
+	for i := range backing {
+		backing[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+	}
+	cluster, servers := remoteCluster(t, backing)
+	a, err := core.New(core.Config{
+		Name: "walk", Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: blockSize,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{5}, a.Capacity())
+	versions := make([][]byte, L)
+	for v := range versions {
+		if v > 0 {
+			object = editBlocks(object, blockSize, v%k, (v+3)%k) // gamma = 2
+		}
+		versions[v] = object
+		mustCommit(t, a, object)
+	}
+	rpcs := func(what string, run func()) {
+		t.Helper()
+		before := sumRequests(servers)
+		run()
+		after := sumRequests(servers)
+		if gets := after.Gets - before.Gets; gets != 0 {
+			t.Errorf("%s issued %d per-shard get RPCs, want 0", what, gets)
+		}
+		if batches := after.GetBatches - before.GetBatches; batches != k {
+			t.Errorf("%s issued %d get-batch RPCs, want %d (one per node read)", what, batches, k)
+		}
+		if pings := after.Pings - before.Pings; pings != n {
+			t.Errorf("%s issued %d pings, want %d (one per placement node)", what, pings, n)
+		}
+	}
+	wantReads := k + (L-1)*4 // formula (4): k + sum of 2*gamma
+	rpcs("RetrieveAllContext(20)", func() {
+		all, stats, err := a.RetrieveAllContext(t.Context(), L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range all {
+			if !bytes.Equal(all[v], versions[v]) {
+				t.Errorf("prefix version %d content mismatch over TCP", v+1)
+			}
+		}
+		if stats.NodeReads != wantReads {
+			t.Errorf("RetrieveAllContext(20) NodeReads = %d, want %d", stats.NodeReads, wantReads)
+		}
+	})
+	rpcs("CompactToContext(4)", func() {
+		info, err := a.CompactToContext(t.Context(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Changed() || info.NodeReads != wantReads {
+			t.Errorf("compaction = %+v, want a rewrite after %d node reads", info, wantReads)
+		}
+	})
+	for v, want := range versions {
+		if got, _ := mustRetrieve(t, a, v+1); !bytes.Equal(got, want) {
+			t.Errorf("version %d content mismatch after compaction", v+1)
+		}
 	}
 }
 

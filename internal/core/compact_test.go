@@ -24,18 +24,24 @@ func chain20x10(t *testing.T, cluster *store.Cluster) (*Archive, [][]byte) {
 		K:         10,
 		BlockSize: 8,
 	}
+	return buildChain(t, cluster, cfg, 42, 9, func(j int) []int { return []int{j % 3} })
+}
+
+// buildChain commits a random first version and then versions 2..L, version
+// j editing the blocks edit(j) of its predecessor.
+func buildChain(t *testing.T, cluster *store.Cluster, cfg Config, seed int64, L int, edit func(j int) []int) (*Archive, [][]byte) {
+	t.Helper()
 	a, err := New(cfg, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(42))
-	object := make([]byte, 80)
-	rng.Read(object)
-	versions := [][]byte{append([]byte(nil), object...)}
+	object := make([]byte, a.Capacity())
+	rand.New(rand.NewSource(seed)).Read(object)
+	versions := [][]byte{object}
 	mustCommit(t, a, object)
-	for j := 1; j <= 8; j++ {
-		object = editBlocks(object, 8, j%3)
-		versions = append(versions, append([]byte(nil), object...))
+	for j := 2; j <= L; j++ {
+		object = editBlocks(object, cfg.BlockSize, edit(j-1)...)
+		versions = append(versions, object)
 		mustCommit(t, a, object)
 	}
 	return a, versions
@@ -529,6 +535,59 @@ func TestRetrieveAllAfterCompaction(t *testing.T) {
 	}
 	if planned != stats.NodeReads {
 		t.Errorf("PlannedReadsAll = %d, measured %d", planned, stats.NodeReads)
+	}
+}
+
+// TestPlannedReadsAllMatchesMeasured checks the one step list against itself
+// from both ends on random chains - every scheme, random sparsity, optional
+// checkpoints and CDEC deltas, one or two compaction passes with random
+// bounds, so bases before and after their versions, promoted checkpoints and
+// re-rebased deltas all occur: for every prefix length l what PlannedReadsAll
+// prices is what RetrieveAllContext reads, by its own accounting and by the
+// nodes' counters, and the bytes are right.
+func TestPlannedReadsAllMatchesMeasured(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{
+			Name:            "p",
+			Scheme:          allSchemes[rng.Intn(len(allSchemes))],
+			Code:            erasure.NonSystematicCauchy,
+			N:               20,
+			K:               10,
+			BlockSize:       8,
+			CheckpointEvery: []int{0, 0, 3, 5}[rng.Intn(4)],
+			CompressDeltas:  rng.Intn(3) == 0,
+		}
+		L := 6 + rng.Intn(10)
+		cluster := store.NewMemCluster(20)
+		a, versions := buildChain(t, cluster, cfg, seed, L, func(int) []int {
+			return rng.Perm(cfg.K)[:rng.Intn(7)] // gamma 0..6: zero, sparse (<= 4) and dense deltas
+		})
+		for pass := rng.Intn(3); pass > 0; pass-- {
+			if _, err := a.CompactToContext(t.Context(), 1+rng.Intn(4)); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		for l := 1; l <= L; l++ {
+			planned, err := a.PlannedReadsAll(l)
+			if err != nil {
+				t.Fatalf("seed %d: PlannedReadsAll(%d): %v", seed, l, err)
+			}
+			cluster.ResetStats()
+			all, stats, err := a.RetrieveAllContext(t.Context(), l)
+			if err != nil {
+				t.Fatalf("seed %d: RetrieveAllContext(%d): %v", seed, l, err)
+			}
+			for v := range all {
+				if !bytes.Equal(all[v], versions[v]) {
+					t.Errorf("seed %d: RetrieveAllContext(%d) version %d differs", seed, l, v+1)
+				}
+			}
+			if measured := int(cluster.TotalStats().Reads); planned != stats.NodeReads || planned != measured {
+				t.Errorf("seed %d (%v, L=%d): PlannedReadsAll(%d) = %d, RetrieveAllContext read %d (nodes served %d)",
+					seed, cfg.Scheme, L, l, planned, stats.NodeReads, measured)
+			}
+		}
 	}
 }
 

@@ -194,3 +194,23 @@ func TestClusterConcurrentAccess(t *testing.T) {
 		t.Errorf("reads = %d, want 400", got)
 	}
 }
+
+func TestClusterProbe(t *testing.T) {
+	c := NewMemCluster(3)
+	if err := c.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	up := c.Probe(t.Context(), []int{0, 1, 1, 2, 7})
+	want := map[int]bool{0: true, 1: false, 2: true, 7: false} // 7 is beyond the cluster
+	if len(up) != len(want) {
+		t.Fatalf("Probe = %v, want %v", up, want)
+	}
+	for nd, w := range want {
+		if got, asked := up[nd]; !asked || got != w {
+			t.Errorf("Probe reports node %d up=%v (asked=%v), want %v", nd, got, asked, w)
+		}
+	}
+	if got := c.Probe(t.Context(), nil); len(got) != 0 {
+		t.Errorf("Probe of no nodes = %v", got)
+	}
+}
