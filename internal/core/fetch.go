@@ -142,10 +142,10 @@ func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
 			}
 			o = object{code: code, id: a.deltaObjectID(s.via), version: s.via, sparseGamma: sparseGamma(e)}
 		}
-		if _, planned := sets[o.id]; planned {
+		if _, listed := sets[o.id]; listed {
 			continue
 		}
-		sets[o.id] = nil
+		sets[o.id] = nil // listed; its shard set is made once its rows are chosen
 		objects = append(objects, o)
 		for row := 0; row < o.code.N(); row++ {
 			nodes = append(nodes, a.cfg.Placement.NodeFor(o.version-1, row))

@@ -215,14 +215,20 @@ func (e *enumerator) search(d, from, s int) bool {
 	return false
 }
 
+// pivotRow returns the first row from d on at which column c of a level is
+// non-zero, or m when there is none.
+func (e *enumerator) pivotRow(lvl []byte, d, c int) int {
+	for d < e.m && lvl[d*e.width+c] == 0 {
+		d++
+	}
+	return d
+}
+
 // eliminate derives level d+1 from level d by pivoting on column c among
 // rows d.., reporting false when the column has no pivot there.
 func (e *enumerator) eliminate(d, c int) bool {
 	src, dst, w := e.level(d), e.level(d+1), e.width
-	pivot := d
-	for pivot < e.m && src[pivot*w+c] == 0 {
-		pivot++
-	}
+	pivot := e.pivotRow(src, d, c)
 	if pivot == e.m {
 		return false
 	}
@@ -249,10 +255,7 @@ func (e *enumerator) eliminate(d, c int) bool {
 // entry and every probe column is a multiple of it.
 func (e *enumerator) probeConsistent(d, c int) bool {
 	lvl, w := e.level(d), e.width
-	pivot := d
-	for pivot < e.m && lvl[pivot*w+c] == 0 {
-		pivot++
-	}
+	pivot := e.pivotRow(lvl, d, c)
 	if pivot == e.m {
 		return false
 	}

@@ -13,20 +13,7 @@ import (
 // randSparseBlocks returns k blocks of blockLen bytes with exactly gamma
 // non-zero blocks (each non-zero block has at least one non-zero byte).
 func randSparseBlocks(rng *rand.Rand, k, blockLen, gamma int) [][]byte {
-	z := make([][]byte, k)
-	for j := range z {
-		z[j] = make([]byte, blockLen)
-	}
-	perm := rng.Perm(k)
-	for _, j := range perm[:gamma] {
-		for {
-			rng.Read(z[j])
-			if !isZero(z[j]) {
-				break
-			}
-		}
-	}
-	return z
+	return shapedSparseBlocks(rng, k, blockLen, gamma, shapeDense)
 }
 
 func blocksEqual(a, b [][]byte) bool {
