@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 
@@ -16,14 +17,35 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// The fault drill benchmark (-faults <seed>): the same chain retrieval as
-// the retrieve benchmark, but with node 0 running a seeded ChaosNode that
-// slows every read by ~10x the healthy p50. Three cases land in
+// The fault drill (-faults <seed>): retrieval of the tip of a 1-full +
+// 4-sparse-delta chain with node 0 running a seeded ChaosNode that slows
+// every read by ~10x the healthy p50. Three cases land in
 // BENCH_faults.json: a clean cluster (hedging armed but idle), the slow
 // node without hedging (p99 absorbs the full straggler latency), and the
 // slow node with hedging (spare parity reads complete the decode while
 // the straggler is still sleeping). Tail latency is the product here, so
 // the results carry p50/p99 and hedges per op alongside the mean.
+
+// benchResult is one measured case of the drill.
+type benchResult struct {
+	Name       string  `json:"name"`
+	Iterations int     `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// The latency distribution and the hedging accounting: tail latency is
+	// the whole point of the drill, so the mean alone would hide the
+	// straggler.
+	P50Ns       float64 `json:"p50_ns,omitempty"`
+	P99Ns       float64 `json:"p99_ns,omitempty"`
+	HedgesPerOp float64 `json:"hedges_per_op,omitempty"`
+}
+
+// benchReport is the BENCH_faults.json document.
+type benchReport struct {
+	Bench       string        `json:"bench"`
+	Description string        `json:"description"`
+	GoMaxProcs  int           `json:"gomaxprocs"`
+	Results     []benchResult `json:"results"`
+}
 
 // faultChain builds the canonical 1-full + 4-sparse-delta chain over the
 // given nodes with the given hedge delay.
@@ -130,7 +152,7 @@ func runFaultBench(ctx context.Context, seed int64, outDir string, out io.Writer
 		Bench: "faults",
 		Description: fmt.Sprintf("(20,10) BasicSEC Retrieve(5): clean vs node 0 slowed by %v (seed %d), hedge delay %v",
 			slow, seed, hedge),
-		GoMaxProcs: gomaxprocs(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	cases := []struct {
 		name  string

@@ -9,19 +9,17 @@
 //	secbench -list
 //	secbench -run fig2
 //	secbench -run all -format csv
-//	secbench -bench tcp-retrieve -benchout bench-artifacts
+//	secbench -faults 7 -benchout drill
 //
 // Output goes to stdout; every experiment uses the paper's default
 // parameters and fixed seeds, so runs are reproducible.
 //
-// The -bench mode is different in kind: it measures wall time of the hot
-// paths (encode, retrieve, retrieve over loopback TCP) and writes one
-// machine-readable BENCH_<name>.json per benchmark into -benchout, the
-// artifacts CI uploads to track the performance trajectory.
-//
 // The -faults <seed> mode is the fault drill: it slows one node by ~10x
 // and measures retrieval tail latency with and without hedged reads,
-// writing BENCH_faults.json (p50/p99 and hedges per op).
+// writing BENCH_faults.json (p50/p99 and hedges per op) into -benchout.
+//
+// Performance numbers are not this command's job: `bash benchmark/run.sh`
+// (benchmark/README.md) is the one performance harness.
 package main
 
 import (
@@ -55,8 +53,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		runID    = fs.String("run", "all", "experiment to run (see -list), or 'all'")
 		format   = fs.String("format", "table", "output format: table or csv")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
-		bench    = fs.String("bench", "", "benchmark to run ("+strings.Join(benchIDs(), ", ")+", or 'all'); writes BENCH_*.json")
-		benchout = fs.String("benchout", ".", "directory for BENCH_*.json artifacts")
+		benchout = fs.String("benchout", ".", "directory for the fault drill's BENCH_faults.json")
 		faultRun = fs.Int64("faults", 0, "fault drill seed: retrieval latency with one slow node, clean vs hedged; writes BENCH_faults.json")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -65,9 +62,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *list {
 		fmt.Fprintln(out, strings.Join(experiments.IDs(), "\n"))
 		return nil
-	}
-	if *bench != "" {
-		return runBenchmarks(ctx, *bench, *benchout, out)
 	}
 	if *faultRun != 0 {
 		return runFaultBench(ctx, *faultRun, *benchout, out)
