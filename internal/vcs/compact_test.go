@@ -3,6 +3,7 @@ package vcs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/secarchive/sec/internal/core"
@@ -59,19 +60,24 @@ func TestRepositoryCompactBoundsHotFiles(t *testing.T) {
 			t.Errorf("hot.txt@%d differs after compaction", r)
 		}
 	}
-	arch, err := repo.FileArchive("hot.txt")
+	if got := chainDepths(t, repo, "hot.txt"); len(got) != 8 || slices.Max(got) > 3 {
+		t.Errorf("hot.txt chain depths %v: want 8 versions within bound 3", got)
+	}
+}
+
+// chainDepths reads a file's per-version chain depths off its archive's
+// log, the way any client of the gateway sees them.
+func chainDepths(t *testing.T, repo *Repository, path string) []int {
+	t.Helper()
+	entries, err := repo.client.Log(t.Context(), archiveName(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 1; v <= arch.Versions(); v++ {
-		depth, err := arch.ChainDepth(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if depth > 3 {
-			t.Errorf("hot.txt v%d depth %d exceeds bound 3", v, depth)
-		}
+	depths := make([]int, len(entries))
+	for i, e := range entries {
+		depths[i] = e.ChainDepth
 	}
+	return depths
 }
 
 func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
@@ -100,26 +106,36 @@ func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	arch, err := repo.FileArchive("f")
+	info, err := repo.client.Info(t.Context(), archiveName("f"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := arch.Config().MaxChainLength; got != 2 {
+	if got := info.Manifest.MaxChainLength; got != 2 {
 		t.Errorf("archive MaxChainLength = %d, want 2", got)
 	}
-	// Auto-compactions reclaimed their superseded codewords as they went:
-	// nothing is left queued for a manual reclaim, so node storage does
-	// not leak commit over commit.
-	if deleted, orphans, err := arch.ReclaimSupersededContext(t.Context()); err != nil || deleted != 0 || orphans != 0 {
-		t.Errorf("superseded queue not drained by commits: deleted=%d orphans=%d err=%v", deleted, orphans, err)
+	if got := chainDepths(t, repo, "f"); len(got) != 7 || slices.Max(got) > 2 {
+		t.Errorf("chain depths %v: want 7 versions within auto-compaction bound 2", got)
 	}
-	for v := 1; v <= arch.Versions(); v++ {
-		depth, err := arch.ChainDepth(v)
+	// The gateway reclaimed what each auto-compaction superseded as the
+	// commits went, so node storage does not leak commit over commit:
+	// every node holds one shard per live codeword and the manifest
+	// replica, nothing else.
+	live := 1
+	for _, e := range info.Manifest.Entries {
+		if e.Full {
+			live++
+		}
+		if e.Delta {
+			live++
+		}
+	}
+	for i := 0; i < cluster.Size(); i++ {
+		node, err := cluster.Node(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if depth > 2 {
-			t.Errorf("v%d depth %d exceeds auto-compaction bound 2", v, depth)
+		if got := node.(*store.MemNode).Len(); got != live {
+			t.Errorf("node %d holds %d objects, want %d (superseded codewords not reclaimed)", i, got, live)
 		}
 	}
 	for r := 1; r <= 7; r++ {

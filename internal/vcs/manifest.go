@@ -5,114 +5,57 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/secarchive/sec/internal/core"
-	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
+	"github.com/secarchive/sec/secclient"
 )
 
-// repoManifest is the serializable repository state: the template config,
-// the commit history, and each file's archive manifest plus its
-// revision-to-version map.
+// repoManifest is the serializable repository state: the spec every file
+// archive is created from (files first tracked after a Load included) and
+// the commit log. The per-file archive manifests are the gateway's: a
+// copy here would point at reclaimed codewords after the next compaction.
 type repoManifest struct {
-	Scheme    string `json:"scheme"`
-	Code      string `json:"code"`
-	N         int    `json:"n"`
-	K         int    `json:"k"`
-	BlockSize int    `json:"block_size"`
-	// The compression and cache policy applies to archives created for
-	// files first tracked after a Load too, so it is part of the template
-	// (per-file archives carry their own copy in their manifests).
-	CompressDeltas   bool                    `json:"compress_deltas,omitempty"`
-	CompressGammaMax int                     `json:"compress_gamma_max,omitempty"`
-	ReadCacheBytes   int                     `json:"read_cache_bytes,omitempty"`
-	Commits          []Commit                `json:"commits"`
-	Files            map[string]fileManifest `json:"files"`
+	Spec    secclient.Spec `json:"spec"`
+	Commits []Commit       `json:"commits"`
 }
 
-type fileManifest struct {
-	Archive   core.Manifest `json:"archive"`
-	VersionAt []int         `json:"version_at"`
-}
-
-// Save writes the repository metadata as JSON. Shards stay on the cluster;
-// Save captures everything needed to reopen the repository against it.
+// Save writes the repository metadata as JSON. Shards and per-file
+// manifests stay on the cluster; Save captures what else is needed to
+// reopen the repository against it.
 func (r *Repository) Save(w io.Writer) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m := repoManifest{
-		Scheme:           r.cfg.Scheme.String(),
-		Code:             r.cfg.Code.String(),
-		N:                r.cfg.N,
-		K:                r.cfg.K,
-		BlockSize:        r.cfg.BlockSize,
-		CompressDeltas:   r.cfg.CompressDeltas,
-		CompressGammaMax: r.cfg.CompressGammaMax,
-		ReadCacheBytes:   r.cfg.ReadCacheBytes,
-		Commits:          append([]Commit(nil), r.commits...),
-		Files:            make(map[string]fileManifest, len(r.files)),
-	}
-	for path, state := range r.files {
-		m.Files[path] = fileManifest{
-			Archive:   state.archive.Manifest(),
-			VersionAt: append([]int(nil), state.versionAt...),
-		}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
+	if err := enc.Encode(repoManifest{Spec: r.spec, Commits: r.log()}); err != nil {
 		return fmt.Errorf("vcs: encoding repository manifest: %w", err)
 	}
 	return nil
 }
 
 // Load reopens a repository from its manifest against the cluster holding
-// its shards.
+// its shards; each file's archive is opened from its cluster-replicated
+// manifest when first used.
 func Load(reader io.Reader, cluster *store.Cluster) (*Repository, error) {
 	var m repoManifest
 	if err := json.NewDecoder(reader).Decode(&m); err != nil {
 		return nil, fmt.Errorf("vcs: decoding repository manifest: %w", err)
 	}
-	scheme, err := core.ParseScheme(m.Scheme)
+	repo, err := open(m.Spec, cluster)
 	if err != nil {
 		return nil, err
 	}
-	kind, err := erasure.ParseKind(m.Code)
-	if err != nil {
-		return nil, err
-	}
-	repo, err := NewRepository(Config{
-		Scheme:           scheme,
-		Code:             kind,
-		N:                m.N,
-		K:                m.K,
-		BlockSize:        m.BlockSize,
-		CompressDeltas:   m.CompressDeltas,
-		CompressGammaMax: m.CompressGammaMax,
-		ReadCacheBytes:   m.ReadCacheBytes,
-	}, cluster)
-	if err != nil {
-		return nil, err
-	}
-	repo.commits = append([]Commit(nil), m.Commits...)
-	for i, c := range repo.commits {
+	// A file's versions only ever advance along the log (a failed commit
+	// may make them skip, never repeat).
+	latest := make(map[string]int)
+	for i, c := range m.Commits {
 		if c.Revision != i+1 {
 			return nil, fmt.Errorf("vcs: manifest commit %d has revision %d", i, c.Revision)
 		}
-	}
-	for path, fm := range m.Files {
-		archive, err := core.Open(fm.Archive, cluster)
-		if err != nil {
-			return nil, fmt.Errorf("vcs: reopening archive for %q: %w", path, err)
-		}
-		if len(fm.VersionAt) != len(m.Commits) {
-			return nil, fmt.Errorf("vcs: file %q has %d revision entries for %d commits", path, len(fm.VersionAt), len(m.Commits))
-		}
-		for rev, version := range fm.VersionAt {
-			if version < 0 || version > archive.Versions() {
-				return nil, fmt.Errorf("vcs: file %q maps revision %d to invalid version %d", path, rev+1, version)
+		for _, ch := range c.Changes {
+			if ch.Version <= latest[ch.Path] {
+				return nil, fmt.Errorf("vcs: manifest revision %d maps %q to version %d after version %d", c.Revision, ch.Path, ch.Version, latest[ch.Path])
 			}
+			latest[ch.Path] = ch.Version
 		}
-		repo.files[path] = &fileState{archive: archive, versionAt: append([]int(nil), fm.VersionAt...)}
 	}
+	repo.commits = m.Commits
 	return repo, nil
 }

@@ -2,8 +2,14 @@ package vcs
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/secarchive/sec/internal/core"
+	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/store"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -62,14 +68,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadValidation(t *testing.T) {
 	repo, cluster := testRepo(t)
-	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": []byte("x")}); err != nil {
-		t.Fatal(err)
+	for _, content := range []string{"x", "y"} {
+		if _, err := repo.CommitContext(t.Context(), content, map[string][]byte{"f": []byte(content)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := repo.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.String()
+	if _, err := Load(strings.NewReader(good), cluster); err != nil {
+		t.Fatalf("unmutated manifest: %v", err)
+	}
 
 	tests := []struct {
 		name string
@@ -77,13 +88,19 @@ func TestLoadValidation(t *testing.T) {
 	}{
 		{"garbage", func(string) string { return "{" }},
 		{"bad scheme", func(s string) string { return strings.Replace(s, "basic-sec", "bogus", 1) }},
-		{"bad code", func(s string) string { return strings.Replace(s, "non-systematic-cauchy", "bogus", 2) }},
+		{"bad code", func(s string) string { return strings.Replace(s, "non-systematic-cauchy", "bogus", 1) }},
+		{"no spec", func(s string) string { return strings.Replace(s, `"spec"`, `"spook"`, 1) }},
 		{"bad revision", func(s string) string { return strings.Replace(s, `"revision": 1`, `"revision": 9`, 1) }},
-		{"bad version map", func(s string) string { return strings.Replace(s, `"version_at": [`, `"version_at": [7,`, 1) }},
+		{"version zero", func(s string) string { return strings.Replace(s, `"version": 1`, `"version": 0`, 1) }},
+		{"version going backwards", func(s string) string { return strings.Replace(s, `"version": 2`, `"version": 1`, 1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(tt.mut(good)), cluster); err == nil {
+			mutated := tt.mut(good)
+			if mutated == good {
+				t.Fatal("mutation did not apply: the manifest format moved")
+			}
+			if _, err := Load(strings.NewReader(mutated), cluster); err == nil {
 				t.Error("want error, got nil")
 			}
 		})
@@ -102,5 +119,111 @@ func TestSaveEmptyRepository(t *testing.T) {
 	}
 	if reopened.Head() != 0 || len(reopened.Files()) != 0 {
 		t.Errorf("reopened empty repo: head=%d files=%v", reopened.Head(), reopened.Files())
+	}
+}
+
+// TestLoadKeepsChainPolicy is the regression test for a reloaded
+// repository forgetting its chain policy: the saved manifest carried the
+// compression and cache knobs but not MaxChainLength, CheckpointEvery or
+// CompactGammaLimit, so a file first tracked after a Load grew an
+// unbounded chain. The whole spec is saved now: the same six edits bound
+// their chain alike before and after the reload.
+func TestLoadKeepsChainPolicy(t *testing.T) {
+	cluster := store.NewMemCluster(6)
+	repo, err := NewRepository(Config{
+		Scheme:         core.BasicSEC,
+		Code:           erasure.NonSystematicCauchy,
+		N:              6,
+		K:              3,
+		BlockSize:      4,
+		MaxChainLength: 2,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sixEdits := func(repo *Repository, path string) []int {
+		t.Helper()
+		content := bytes.Repeat([]byte{3}, 12)
+		for i := 0; i < 6; i++ {
+			content = bytes.Clone(content)
+			content[(i%3)*4] ^= 0x3C
+			if _, err := repo.CommitContext(t.Context(), "edit", map[string][]byte{path: content}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return chainDepths(t, repo, path)
+	}
+	before := sixEdits(repo, "before")
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Load(&buf, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := sixEdits(reopened, "after")
+	if slices.Max(before) > 2 || !slices.Equal(before, after) {
+		t.Errorf("chain depths %v before the reload, %v for a file first tracked after it: want both within bound 2 and equal", before, after)
+	}
+}
+
+// TestReloadAfterCompactionReadsEveryRevision saves a repository, compacts
+// it through one reload and opens it a second time from the same saved
+// bytes: the save holds no per-file manifest that the compaction could
+// have made stale, so every revision still reads back byte-identical and
+// the second reload sees the compacted chain.
+func TestReloadAfterCompactionReadsEveryRevision(t *testing.T) {
+	repo, cluster := testRepo(t)
+	hot := bytes.Repeat([]byte{1}, 3*64)
+	var want []map[string][]byte
+	for r := 1; r <= 8; r++ {
+		hot = bytes.Clone(hot)
+		hot[(r%3)*64] ^= 0xA5
+		changes := map[string][]byte{"hot": hot}
+		if r == 1 {
+			changes["cold"] = []byte("written once")
+		}
+		if _, err := repo.CommitContext(t.Context(), fmt.Sprintf("r%d", r), changes); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, map[string][]byte{"hot": hot, "cold": []byte("written once")})
+	}
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+
+	compactor, err := Load(bytes.NewReader(saved), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed, err := compactor.CompactContext(t.Context(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report, ok := changed["hot"]; !ok || report.Deleted == 0 {
+		t.Fatalf("compaction reports %+v: want hot rewritten and its superseded shards reclaimed", changed)
+	}
+	reopened, err := Load(bytes.NewReader(saved), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Repository{"compacting": compactor, "reopened": reopened} {
+		for rev := 1; rev <= 8; rev++ {
+			state, _, err := r.CheckoutContext(t.Context(), rev)
+			if err != nil {
+				t.Fatalf("%s repository, r%d: %v", name, rev, err)
+			}
+			for path, content := range want[rev-1] {
+				if !bytes.Equal(state[path], content) {
+					t.Errorf("%s repository: %s@%d differs after compaction", name, path, rev)
+				}
+			}
+		}
+	}
+	if got := chainDepths(t, reopened, "hot"); slices.Max(got) > 3 {
+		t.Errorf("reopened repository sees chain depths %v, want the compacted chain (bound 3)", got)
 	}
 }

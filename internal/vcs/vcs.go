@@ -3,35 +3,41 @@
 // histories): a repository of named files whose revisions are SEC-encoded
 // archives on a shared storage cluster.
 //
-// Each tracked path owns one core.Archive; a repository revision maps every
-// path to a version within its archive. Commits supply the full new
-// contents of changed files (as an SVN working-copy commit does); the
-// archives store deltas per the configured scheme. Files are never removed
-// - like the paper's model, the store is an append-only versioned archive.
+// The repository is a client of an embedded in-memory gateway: each
+// tracked path is one gateway archive, and the repository owns only the
+// commit log, which maps a revision to a version within each archive.
+// Opening archives, serializing writers, caching decoded versions and
+// ordering persist, replicate, reclaim are the gateway's. Commits supply
+// the full new contents of changed files (as an SVN working-copy commit
+// does); the archives store deltas per the configured scheme. Files are
+// never removed - like the paper's model, the store is an append-only
+// versioned archive.
 package vcs
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"net/url"
+	"slices"
 	"sync"
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
+	"github.com/secarchive/sec/secclient"
 )
 
 // Errors returned by repository operations.
 var (
 	// ErrNoSuchRevision is returned for revisions outside 1..Head().
 	ErrNoSuchRevision = errors.New("vcs: no such revision")
-	// ErrNilCluster rejects repository construction without a cluster.
-	ErrNilCluster = errors.New("vcs: nil cluster")
 	// ErrEmptyCommit is returned for a commit with no changed files.
 	ErrEmptyCommit = errors.New("vcs: empty commit")
-	// ErrNoSuchFile is returned when a path is not tracked (at the
-	// requested revision).
+	// ErrNoSuchFile is returned when a path is not tracked at the
+	// requested revision.
 	ErrNoSuchFile = errors.New("vcs: no such file")
 )
 
@@ -60,6 +66,24 @@ type Config struct {
 	ReadCacheBytes   int
 }
 
+// spec is the configuration in the form the gateway creates archives
+// from, which is also the form Save stores.
+func (c Config) spec() secclient.Spec {
+	return secclient.Spec{
+		Scheme:            c.Scheme.String(),
+		Code:              c.Code.String(),
+		N:                 c.N,
+		K:                 c.K,
+		BlockSize:         c.BlockSize,
+		MaxChainLength:    c.MaxChainLength,
+		CheckpointEvery:   c.CheckpointEvery,
+		CompactGammaLimit: c.CompactGammaLimit,
+		CompressDeltas:    c.CompressDeltas,
+		CompressGammaMax:  c.CompressGammaMax,
+		ReadCacheBytes:    c.ReadCacheBytes,
+	}
+}
+
 // FileChange records one file's update within a commit.
 type FileChange struct {
 	// Path is the repository path.
@@ -84,151 +108,127 @@ type Commit struct {
 	Changes []FileChange `json:"changes"`
 }
 
-// fileState tracks one path's archive and its version at each repository
-// revision.
-type fileState struct {
-	archive *core.Archive
-	// versionAt[r] is the file's version at repository revision r+1, or
-	// 0 when the file did not exist yet.
-	versionAt []int
-}
-
 // Repository is a delta-based version store over a storage cluster. It is
 // safe for concurrent use.
 type Repository struct {
-	cfg     Config
-	cluster *store.Cluster
+	spec   secclient.Spec
+	client *secclient.Client
 
-	mu      sync.RWMutex
-	files   map[string]*fileState
-	commits []Commit
+	// commitMu serializes commits; readers never take it. mu guards
+	// commits and is never held across I/O: the log is append-only and its
+	// entries immutable, so a reader works on the prefix it saw.
+	commitMu sync.Mutex
+	mu       sync.RWMutex
+	commits  []Commit
 }
 
 // NewRepository creates an empty repository storing its archives on the
 // cluster.
 func NewRepository(cfg Config, cluster *store.Cluster) (*Repository, error) {
-	if cluster == nil {
-		return nil, ErrNilCluster
-	}
-	// Validate the template configuration early with a throwaway archive.
-	if _, err := core.New(archiveConfig(cfg, "vcs-probe"), cluster); err != nil {
-		return nil, err
-	}
-	return &Repository{cfg: cfg, cluster: cluster, files: make(map[string]*fileState)}, nil
+	return open(cfg.spec(), cluster)
 }
 
-func archiveConfig(cfg Config, name string) core.Config {
-	return core.Config{
-		Name:              name,
-		Scheme:            cfg.Scheme,
-		Code:              cfg.Code,
-		N:                 cfg.N,
-		K:                 cfg.K,
-		BlockSize:         cfg.BlockSize,
-		MaxChainLength:    cfg.MaxChainLength,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		CompactGammaLimit: cfg.CompactGammaLimit,
-		CompressDeltas:    cfg.CompressDeltas,
-		CompressGammaMax:  cfg.CompressGammaMax,
-		ReadCacheBytes:    cfg.ReadCacheBytes,
+// open embeds an in-memory gateway over the cluster and validates the
+// spec by creating a throwaway archive from it ("vcs": files are "vcs-...").
+func open(spec secclient.Spec, cluster *store.Cluster) (*Repository, error) {
+	gw, err := gateway.New(gateway.Config{Cluster: cluster})
+	if err != nil {
+		return nil, err
 	}
+	client := secclient.Embed(gw)
+	//lint:allow ctxcheck constructors take no context, and creating an archive on an in-memory gateway builds its codecs without touching a node
+	if _, err := client.Create(context.Background(), "vcs", spec); err != nil {
+		return nil, err
+	}
+	return &Repository{spec: spec, client: client}, nil
+}
+
+// archiveName maps a repository path, injectively, into the gateway's
+// archive namespace, which admits neither path separators (escaped away)
+// nor a leading dot (the prefix).
+func archiveName(path string) string { return "vcs-" + url.PathEscape(path) }
+
+// log returns the commits recorded so far, for reading only.
+func (r *Repository) log() []Commit {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.commits[:len(r.commits):len(r.commits)]
+}
+
+// tree derives the state after the last of the given commits: each
+// tracked path's version within its archive.
+func tree(log []Commit) map[string]int {
+	versions := make(map[string]int)
+	for _, c := range log {
+		for _, ch := range c.Changes {
+			versions[ch.Path] = ch.Version
+		}
+	}
+	return versions
+}
+
+// treeAt is tree as of the given revision.
+func (r *Repository) treeAt(revision int) (map[string]int, error) {
+	log := r.log()
+	if revision < 1 || revision > len(log) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchRevision, revision, len(log))
+	}
+	return tree(log[:revision]), nil
 }
 
 // Head returns the latest revision number (0 for an empty repository).
-func (r *Repository) Head() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.commits)
-}
+func (r *Repository) Head() int { return len(r.log()) }
 
 // Files returns the tracked paths, sorted.
-func (r *Repository) Files() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	paths := make([]string, 0, len(r.files))
-	for p := range r.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
+func (r *Repository) Files() []string { return slices.Sorted(maps.Keys(tree(r.log()))) }
+
+// Log returns the commit history, oldest first.
+func (r *Repository) Log() []Commit { return slices.Clone(r.log()) }
 
 // CommitContext stores the given file contents as a new revision, under
 // the context's deadline and cancellation. Unchanged tracked files carry
 // over; paths whose content equals the stored latest version still get a
 // (zero-delta) version so the revision maps cleanly. A commit that fails
 // partway (a storage error, or cancellation between files) records no
-// revision and untracks any paths it was adding, so the repository's
-// visible state is unchanged; archive versions already stored for earlier
-// files in the batch remain on the nodes as unreferenced garbage until
-// the commit is retried (which overwrites the same shard objects). The
+// revision, and since the tracked paths and their versions are read off
+// the log, Head, Files and every checkout stay as they were. What it
+// already stored stays behind unreferenced: the archive of an earlier
+// file in the batch holds a version no revision names, and a retry
+// appends the next version after it rather than overwriting it. The
 // exception is a maintenance failure: when a file's version committed
 // durably but its auto-compaction pass failed, the revision IS recorded
-// (dropping it would desynchronize the log from the archives) and the
-// maintenance error is returned alongside the commit.
+// (dropping it would desynchronize the log from the archive's version
+// list and make a retry store the same bytes as an extra version) and
+// the maintenance error is returned alongside the commit.
 func (r *Repository) CommitContext(ctx context.Context, message string, contents map[string][]byte) (Commit, error) {
-	//lint:allow lockheld repository lock serializes commits against checkouts by documented design (OPERATIONS.md)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if len(contents) == 0 {
 		return Commit{}, ErrEmptyCommit
 	}
-	revision := len(r.commits) + 1
-	paths := make([]string, 0, len(contents))
-	for p := range contents {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
-	commit := Commit{Revision: revision, Message: message}
-	// Paths first tracked by this commit are untracked again if it fails:
-	// a phantom path visible in Files() but present at no revision would
-	// otherwise survive an aborted commit.
-	var added []string
-	// maintErrs collects maintenance failures (auto-compaction) from
-	// commits that stored their version durably: the revision is recorded
-	// regardless, with the errors surfaced alongside it.
-	var maintErrs []error
-	fail := func(err error) (Commit, error) {
-		for _, p := range added {
-			delete(r.files, p)
-		}
-		return Commit{}, err
-	}
-	for _, path := range paths {
+	//lint:allow lockheld one commit at a time is the design: a revision's file versions are assigned while it holds the lock; checkouts read the log under mu and never wait here
+	r.commitMu.Lock()
+	defer r.commitMu.Unlock()
+	log := r.log()
+	tracked := tree(log)
+	commit := Commit{Revision: len(log) + 1, Message: message}
+	var maintErr error
+	for _, path := range slices.Sorted(maps.Keys(contents)) {
 		if err := ctx.Err(); err != nil {
-			return fail(fmt.Errorf("vcs: commit aborted before %q: %w", path, err))
+			return Commit{}, fmt.Errorf("vcs: commit aborted before %q: %w", path, err)
 		}
-		state, ok := r.files[path]
-		if !ok {
-			archive, err := core.New(archiveConfig(r.cfg, "vcs/"+path), r.cluster)
-			if err != nil {
-				return fail(fmt.Errorf("vcs: creating archive for %q: %w", path, err))
+		name := archiveName(path)
+		if _, ok := tracked[path]; !ok {
+			// An archive left behind by a failed commit that was adding
+			// this path already exists: that is not a conflict here.
+			if _, err := r.client.Create(ctx, name, r.spec); err != nil && !errors.Is(err, store.ErrConflict) {
+				return Commit{}, fmt.Errorf("vcs: creating archive for %q: %w", path, err)
 			}
-			state = &fileState{archive: archive, versionAt: make([]int, revision-1)}
-			r.files[path] = state
-			added = append(added, path)
 		}
-		info, err := state.archive.CommitContext(ctx, contents[path])
+		info, err := r.client.Commit(ctx, name, contents[path])
 		if err != nil && info.Version == 0 {
-			return fail(fmt.Errorf("vcs: committing %q: %w", path, err))
+			return Commit{}, fmt.Errorf("vcs: committing %q: %w", path, err)
 		}
-		if err != nil {
-			// The version committed durably; only the commit's maintenance
-			// pass (auto-compaction) failed. The revision must record the
-			// change - dropping it would desynchronize the commit log from
-			// the archive's version list and make a retry store the same
-			// bytes as an extra version - so collect the maintenance error
-			// and surface it alongside the recorded commit.
-			maintErrs = append(maintErrs, fmt.Errorf("vcs: compacting %q after commit: %w", path, err))
-		}
-		if info.Compaction != nil {
-			// The repository keeps its metadata in memory (no external
-			// manifest to persist first), so codewords superseded by the
-			// commit's auto-compaction are reclaimed right away. Best
-			// effort: the version is committed either way, and anything
-			// unreclaimed stays queued for the next pass.
-			_, _, _ = state.archive.ReclaimSupersededContext(ctx)
+		if err != nil { // the version is durable; only its maintenance pass failed
+			maintErr = errors.Join(maintErr, fmt.Errorf("vcs: compacting %q after commit: %w", path, err))
 		}
 		commit.Changes = append(commit.Changes, FileChange{
 			Path:        path,
@@ -237,120 +237,65 @@ func (r *Repository) CommitContext(ctx context.Context, message string, contents
 			StoredDelta: info.StoredDelta,
 		})
 	}
-	// Extend every tracked file's revision map.
-	for path, state := range r.files {
-		version := 0
-		if len(state.versionAt) > 0 {
-			version = state.versionAt[len(state.versionAt)-1]
-		}
-		if _, changed := contents[path]; changed {
-			version = state.archive.Versions()
-		}
-		state.versionAt = append(state.versionAt, version)
-	}
+	r.mu.Lock()
 	r.commits = append(r.commits, commit)
-	if len(maintErrs) > 0 {
-		// The revision is recorded and every change durable; like
-		// core.Archive.CommitContext, a failed maintenance pass is
-		// reported without undoing the commit.
-		return commit, errors.Join(maintErrs...)
-	}
-	return commit, nil
-}
-
-// Log returns the commit history, oldest first.
-func (r *Repository) Log() []Commit {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Commit, len(r.commits))
-	copy(out, r.commits)
-	return out
+	r.mu.Unlock()
+	return commit, maintErr
 }
 
 // CheckoutFileContext returns one file's contents at the given revision,
 // with the read accounting of the underlying archive retrieval, under the
 // context's deadline and cancellation.
 func (r *Repository) CheckoutFileContext(ctx context.Context, path string, revision int) ([]byte, core.RetrievalStats, error) {
-	//lint:allow lockheld repository read lock keeps the commit list stable across the retrieval
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if revision < 1 || revision > len(r.commits) {
-		return nil, core.RetrievalStats{}, fmt.Errorf("%w: %d of %d", ErrNoSuchRevision, revision, len(r.commits))
+	versions, err := r.treeAt(revision)
+	if err != nil {
+		return nil, core.RetrievalStats{}, err
 	}
-	state, ok := r.files[path]
+	version, ok := versions[path]
 	if !ok {
-		return nil, core.RetrievalStats{}, fmt.Errorf("%w: %q", ErrNoSuchFile, path)
-	}
-	version := state.versionAt[revision-1]
-	if version == 0 {
 		return nil, core.RetrievalStats{}, fmt.Errorf("%w: %q at revision %d", ErrNoSuchFile, path, revision)
 	}
-	return state.archive.RetrieveContext(ctx, version)
+	v, err := r.client.Retrieve(ctx, archiveName(path), version)
+	return v.Data, v.Stats, err
 }
 
 // CheckoutContext returns the full repository state at the given revision
 // and the aggregate read accounting, under the context's deadline and
 // cancellation (a multi-file checkout stops at the first cancelled file).
 func (r *Repository) CheckoutContext(ctx context.Context, revision int) (map[string][]byte, core.RetrievalStats, error) {
-	//lint:allow lockheld repository read lock keeps the commit list stable across the retrieval
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var total core.RetrievalStats
-	if revision < 1 || revision > len(r.commits) {
-		return nil, total, fmt.Errorf("%w: %d of %d", ErrNoSuchRevision, revision, len(r.commits))
+	versions, err := r.treeAt(revision)
+	if err != nil {
+		return nil, total, err
 	}
-	out := make(map[string][]byte)
-	for path, state := range r.files {
-		version := state.versionAt[revision-1]
-		if version == 0 {
-			continue // file not yet added at this revision
-		}
-		content, stats, err := state.archive.RetrieveContext(ctx, version)
+	out := make(map[string][]byte, len(versions))
+	for path, version := range versions {
+		v, err := r.client.Retrieve(ctx, archiveName(path), version)
 		if err != nil {
 			return nil, total, fmt.Errorf("vcs: checking out %q@%d: %w", path, revision, err)
 		}
-		total.Merge(stats)
-		out[path] = content
+		total.Merge(v.Stats)
+		out[path] = v.Data
 	}
 	return out, total, nil
 }
 
 // CompactContext bounds every file archive's chain depth to maxLen (see
-// core.Archive.CompactToContext), under the context's deadline and
-// cancellation. It returns the per-path compaction reports for the files
-// whose chains actually changed, in stable path order by key. Files are
-// compacted one at a time so the repository lock is the only lock held
-// across archives; a failure stops the pass at that file, with earlier
-// files' compactions already applied (they are independently consistent).
-func (r *Repository) CompactContext(ctx context.Context, maxLen int) (map[string]core.CompactionInfo, error) {
-	//lint:allow lockheld repository read lock keeps the commit list stable across per-file compaction
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	changed := make(map[string]core.CompactionInfo)
-	paths := make([]string, 0, len(r.files))
-	for p := range r.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		info, err := r.files[path].archive.CompactToContext(ctx, maxLen)
+// gateway.Gateway.Compact), under the context's deadline and
+// cancellation, and returns the reports of the files whose chains
+// changed. Files are compacted one at a time in path order; a failure
+// stops the pass at that file, with earlier files' compactions already
+// applied (they are independently consistent).
+func (r *Repository) CompactContext(ctx context.Context, maxLen int) (map[string]secclient.CompactReport, error) {
+	changed := make(map[string]secclient.CompactReport)
+	for _, path := range r.Files() {
+		report, err := r.client.Compact(ctx, archiveName(path), maxLen)
+		if report.Info.Changed() {
+			changed[path] = report // also when only the reclaim was cut short
+		}
 		if err != nil {
 			return changed, fmt.Errorf("vcs: compacting %q: %w", path, err)
 		}
-		if info.Changed() {
-			changed[path] = info
-		}
 	}
 	return changed, nil
-}
-
-// FileArchive exposes the archive backing a path (for manifest export).
-func (r *Repository) FileArchive(path string) (*core.Archive, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	state, ok := r.files[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, path)
-	}
-	return state.archive, nil
 }

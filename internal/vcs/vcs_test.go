@@ -227,20 +227,37 @@ func TestLogIsACopy(t *testing.T) {
 	}
 }
 
-func TestFileArchive(t *testing.T) {
+// TestPathsMapToGatewayArchives commits paths the gateway would refuse as
+// archive names (separators, a leading dot) next to paths that only differ
+// in how they escape: each gets an archive of its own, holding one version.
+func TestPathsMapToGatewayArchives(t *testing.T) {
 	repo, _ := testRepo(t)
-	if _, err := repo.CommitContext(t.Context(), "a", map[string][]byte{"f": []byte("x")}); err != nil {
+	paths := []string{"src/main.go", ".hidden", `a\b`, "a/b", "a%2Fb", "100%", "ünï/cødé"}
+	contents := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		contents[p] = []byte("content of " + p)
+	}
+	if _, err := repo.CommitContext(t.Context(), "odd paths", contents); err != nil {
 		t.Fatal(err)
 	}
-	a, err := repo.FileArchive("f")
+	state, _, err := repo.CheckoutContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Versions() != 1 {
-		t.Errorf("archive versions = %d", a.Versions())
+	for _, p := range paths {
+		if !bytes.Equal(state[p], contents[p]) {
+			t.Errorf("%q@1 = %q, want %q", p, state[p], contents[p])
+		}
+		info, err := repo.client.Info(t.Context(), archiveName(p))
+		if err != nil {
+			t.Fatalf("archive of %q: %v", p, err)
+		}
+		if info.Versions != 1 {
+			t.Errorf("archive of %q holds %d versions, want 1", p, info.Versions)
+		}
 	}
-	if _, err := repo.FileArchive("nope"); !errors.Is(err, ErrNoSuchFile) {
-		t.Errorf("err = %v, want ErrNoSuchFile", err)
+	if _, err := repo.client.Info(t.Context(), archiveName("nope")); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("untracked path's archive: err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -325,5 +342,67 @@ func TestFailedCommitLeavesNoPhantomPaths(t *testing.T) {
 	}
 	if files := repo.Files(); len(files) != 1 || files[0] != "a" {
 		t.Errorf("Files = %v, want [a]", files)
+	}
+}
+
+// TestFailedMidBatchCommitLeavesHistoryUnchanged fails a commit after its
+// first file was stored: the log did not grow, so Head, Files and every
+// earlier checkout are untouched, while the stored file's archive holds a
+// version no revision names. The retry appends after it.
+func TestFailedMidBatchCommitLeavesHistoryUnchanged(t *testing.T) {
+	repo, _ := testRepo(t)
+	a1, a2, a3 := []byte("a one"), []byte("a two"), []byte("a three")
+	b1 := []byte("b one")
+	if _, err := repo.CommitContext(t.Context(), "r1", map[string][]byte{"a": a1, "b": b1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.CommitContext(t.Context(), "r2", map[string][]byte{"a": a2}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if head := repo.Head(); head != 2 {
+			t.Errorf("%s: Head = %d, want 2", when, head)
+		}
+		if files := repo.Files(); len(files) != 2 || files[0] != "a" || files[1] != "b" {
+			t.Errorf("%s: Files = %v, want [a b]", when, files)
+		}
+		for rev, want := range map[int][]byte{1: a1, 2: a2} {
+			state, _, err := repo.CheckoutContext(t.Context(), rev)
+			if err != nil {
+				t.Fatalf("%s: checkout r%d: %v", when, rev, err)
+			}
+			if len(state) != 2 || !bytes.Equal(state["a"], want) || !bytes.Equal(state["b"], b1) {
+				t.Errorf("%s: r%d = %q", when, rev, state)
+			}
+		}
+	}
+	check("before")
+	// "a" sorts first and is stored; "z" exceeds the capacity and fails
+	// the batch.
+	oversized := bytes.Repeat([]byte{'z'}, 64*3+1)
+	if _, err := repo.CommitContext(t.Context(), "r3", map[string][]byte{"a": a3, "z": oversized}); err == nil {
+		t.Fatal("oversized file: want commit error")
+	}
+	check("after the failed commit")
+	info, err := repo.client.Info(t.Context(), archiveName("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Versions != 3 {
+		t.Errorf("a's archive holds %d versions, want 3 (two referenced, one left by the failed commit)", info.Versions)
+	}
+	c3, err := repo.CommitContext(t.Context(), "r3", map[string][]byte{"a": a3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c3.Revision != 3 || c3.Changes[0].Version != 4 {
+		t.Errorf("retry = %+v, want revision 3 naming a's version 4", c3)
+	}
+	if got, _, err := repo.CheckoutFileContext(t.Context(), "a", 3); err != nil || !bytes.Equal(got, a3) {
+		t.Errorf("a@3 = %q/%v after the retry", got, err)
+	}
+	if got, _, err := repo.CheckoutFileContext(t.Context(), "a", 2); err != nil || !bytes.Equal(got, a2) {
+		t.Errorf("a@2 = %q/%v after the retry", got, err)
 	}
 }
