@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/testutil"
 	"github.com/secarchive/sec/internal/transport"
@@ -114,6 +115,58 @@ func TestGatewayCreateCommitRetrieve(t *testing.T) {
 	st := g.Stats()
 	if st.Commits != 3 || st.ArchivesOpen != 1 {
 		t.Errorf("Stats = %+v", st)
+	}
+}
+
+// TestGatewayRetrieveReadsWhatCoreReads is the gateway parity gate as a
+// count: serving a retrieve adds no node traffic. Every version of a
+// sparse-delta chain costs the same node reads - in the retrieval's own
+// accounting and in get calls seen by the nodes - through Gateway.Retrieve
+// as through a core.Archive opened on the same chain.
+func TestGatewayRetrieveReadsWhatCoreReads(t *testing.T) {
+	cluster := store.NewMemCluster(6)
+	g := newTestGateway(t, Config{Cluster: cluster})
+	ctx := t.Context()
+	if _, err := g.Create(ctx, "chain", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	object := payloadFor(32, 1)
+	for v := 1; v <= 5; v++ {
+		if v > 1 {
+			object = bytes.Clone(object)
+			object[(v%4)*8] ^= 0xFF // one block of the four
+		}
+		if _, err := g.Commit(ctx, "chain", -1, object); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct, err := core.LoadFromClusterContext(ctx, "chain", cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 5; v++ {
+		cluster.ResetStats()
+		served, err := g.Retrieve(ctx, "chain", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servedGets := cluster.TotalStats().Reads
+		cluster.ResetStats()
+		data, stats, err := direct.RetrieveContext(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		directGets := cluster.TotalStats().Reads
+		if !bytes.Equal(served.Data, data) {
+			t.Errorf("v%d: gateway and core decode different bytes", v)
+		}
+		if served.Stats.NodeReads != stats.NodeReads || served.Stats.SparseReads != stats.SparseReads || stats.SparseReads != v-1 {
+			t.Errorf("v%d: gateway accounts %d node reads (%d sparse), core %d (%d sparse): want equal, one sparse read per delta",
+				v, served.Stats.NodeReads, served.Stats.SparseReads, stats.NodeReads, stats.SparseReads)
+		}
+		if servedGets != directGets || servedGets == 0 {
+			t.Errorf("v%d: nodes served %d gets through the gateway, %d to core: the gateway is amplifying node traffic", v, servedGets, directGets)
+		}
 	}
 }
 
