@@ -76,6 +76,21 @@
 // context.DeadlineExceeded). Cancellation is deliberately NOT ErrNodeDown:
 // a cancelled request says nothing about node health.
 //
+// # Served archives, the version store, and measuring
+//
+// cmd/secgw serves many archives from one Gateway to concurrent clients
+// of the secclient package (DESIGN.md section 13). NewRepository - the
+// paper's SVN/wiki application: named files, numbered revisions - is one
+// such client: a commit log over a gateway embedded in the process, one
+// gateway archive per tracked path, with Repository.Save holding the
+// archive spec and the log while the per-file manifests stay with the
+// gateway, replicated on the cluster.
+//
+// Performance numbers come from one harness, `bash benchmark/run.sh`
+// (benchmark/README.md; BENCHMARK.json declares workloads, metrics and
+// bounds). cmd/secbench regenerates the paper's tables and figures
+// (-run) and runs the slow-node drill (-faults); it times no hot path.
+//
 // # Enforced invariants
 //
 // The contracts above are load-bearing, so they are machine-enforced:
