@@ -63,7 +63,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("seccli", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -112,6 +112,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// Close folds the manifest log back into -manifest: plain JSON again.
+		defer func() { err = errors.Join(err, gw.Close(ctx)) }()
 		client = secclient.Embed(gw)
 	}
 

@@ -85,6 +85,10 @@ type Archive struct {
 	// deletion is deferred (CompactKeepSupersededContext) or failed
 	// (orphans on unreachable nodes), drained by reclaimLocked.
 	superseded []gcObject
+	// generation counts the publishes of this archive's metadata, changed
+	// lists the versions whose entries moved since (NextRecord, Snapshot).
+	generation uint64
+	changed    []int
 
 	// ccMu guards ccache, the lazily built CDEC codecs keyed by gamma
 	// (k' = gamma, n' = gamma + N - K). Retrievals run concurrently under
@@ -377,6 +381,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 			return CommitInfo{ReclaimedShards: reclaimed}, err
 		}
 		a.entries = append(a.entries, entry{hasFull: true, length: len(object)})
+		a.changed = append(a.changed, 1)
 		a.invalidateReadCache()
 		a.setCache(blocks, len(object))
 		return info, nil
@@ -443,6 +448,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		compressed: info.Compressed,
 		support:    support,
 	})
+	a.changed = append(a.changed, version)
 	a.invalidateReadCache()
 	if a.cfg.Scheme == ReversedSEC {
 		// The previous version's full codeword is superseded: the chain
@@ -456,10 +462,12 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 				pe.checkpoint = true
 				info.Checkpoint = true
 				keep = true
+				a.changed = append(a.changed, prev)
 			}
 			if !keep {
 				info.OrphanShards = a.deleteObject(ctx, a.code, fullID(a.cfg.Name, prev), prev)
 				pe.hasFull = false
+				a.changed = append(a.changed, prev)
 			}
 		}
 	}

@@ -334,6 +334,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	// The manifest swap: one assignment under the write lock. From here on
 	// retrievals plan against the compacted chain only.
 	a.entries = next
+	a.changed = append(append(a.changed, info.Rebased...), info.Promoted...)
 	a.invalidateReadCache()
 
 	// Garbage-collect the superseded delta codewords - nothing in the new

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
@@ -17,7 +17,10 @@ import (
 // metadata the paper assumes (version count and per-delta sparsity levels
 // gamma_j, which retrieval needs to size its sparse reads).
 type Manifest struct {
-	Name           string `json:"name"`
+	Name string `json:"name"`
+	// Generation counts the publishes behind this state: of two copies the
+	// larger is the later. Absent from older manifests, which load as 0.
+	Generation     uint64 `json:"generation,omitempty"`
 	Scheme         string `json:"scheme"`
 	Code           string `json:"code"`
 	Field          string `json:"field,omitempty"`
@@ -68,12 +71,18 @@ type ManifestEntry struct {
 	Support    []int `json:"support,omitempty"`
 }
 
-// Manifest captures the archive's current state.
+// Manifest captures the archive's current state. Its Generation is that of
+// the last publish; changes committed since are in Entries already.
 func (a *Archive) Manifest() Manifest {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	return a.manifestLocked()
+}
+
+func (a *Archive) manifestLocked() Manifest {
 	m := Manifest{
 		Name:              a.cfg.Name,
+		Generation:        a.generation,
 		Scheme:            a.cfg.Scheme.String(),
 		Code:              a.cfg.Code.String(),
 		Field:             a.cfg.Field.String(),
@@ -90,34 +99,180 @@ func (a *Archive) Manifest() Manifest {
 		ReadCacheBytes:    a.cfg.ReadCacheBytes,
 		Entries:           make([]ManifestEntry, len(a.entries)),
 	}
-	for i, e := range a.entries {
-		base := 0
-		if e.hasDelta && e.base != 0 && e.base != i {
-			base = e.base // i is version-1: only non-default bases persist
-		}
-		m.Entries[i] = ManifestEntry{
-			Version:    i + 1,
-			Full:       e.hasFull,
-			Delta:      e.hasDelta,
-			Gamma:      e.gamma,
-			Length:     e.length,
-			Base:       base,
-			Checkpoint: e.checkpoint,
-			Compressed: e.compressed,
-			Support:    append([]int(nil), e.support...),
-		}
+	for i := range a.entries {
+		m.Entries[i] = a.manifestEntry(i + 1)
 	}
 	return m
 }
 
+// manifestEntry renders one version's entry. Caller holds the lock.
+func (a *Archive) manifestEntry(version int) ManifestEntry {
+	e := a.entries[version-1]
+	base := 0
+	if e.hasDelta && e.base != 0 && e.base != version-1 {
+		base = e.base // only non-default bases persist
+	}
+	return ManifestEntry{
+		Version:    version,
+		Full:       e.hasFull,
+		Delta:      e.hasDelta,
+		Gamma:      e.gamma,
+		Length:     e.length,
+		Base:       base,
+		Checkpoint: e.checkpoint,
+		Compressed: e.compressed,
+		Support:    append([]int(nil), e.support...),
+	}
+}
+
+// encode renders the indented JSON that exports, snapshots and replicas share.
+func (m Manifest) encode() []byte {
+	data, _ := json.MarshalIndent(m, "", "  ") // strings, numbers and bools: cannot fail
+	return append(data, '\n')
+}
+
 // Save writes the manifest as JSON.
 func (a *Archive) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(a.Manifest()); err != nil {
-		return fmt.Errorf("core: encoding manifest: %w", err)
+	_, err := w.Write(a.Manifest().encode())
+	return err
+}
+
+// Snapshot closes the current generation - changes no record carried yet
+// bump it by one - and returns the manifest JSON, as Save writes it, with
+// its generation, which it therefore shares with no other state.
+func (a *Archive) Snapshot() ([]byte, uint64) {
+	a.mu.Lock()
+	if len(a.changed) > 0 {
+		a.generation++
+		a.changed = a.changed[:0]
 	}
+	m := a.manifestLocked()
+	a.mu.Unlock()
+	return m.encode(), m.Generation
+}
+
+var (
+	// ErrGenerationGap rejects a manifest record that is not the successor
+	// of the state it is applied to: a record in between is missing.
+	ErrGenerationGap = errors.New("core: manifest record skips a generation")
+	// ErrImmutable rejects a manifest record that drops a version or gives
+	// a committed one another length: how it is stored may change, not what.
+	ErrImmutable = errors.New("core: manifest record rewrites a committed version")
+)
+
+// ManifestRecord is one publish of an archive's metadata: the generation it
+// produces, the version count it leaves, and only the entries that changed
+// since the publish before - one for a Basic or Optimized SEC commit, two
+// when Reversed SEC rewrites the previous tip, a compaction's rebased set.
+type ManifestRecord struct {
+	Generation uint64          `json:"generation"`
+	Versions   int             `json:"versions"`
+	Entries    []ManifestEntry `json:"entries"`
+}
+
+// NextRecord closes the current generation: if the chain changed since the
+// last publish it bumps the generation by one and returns what changed.
+func (a *Archive) NextRecord() (rec ManifestRecord, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.changed) == 0 {
+		return ManifestRecord{}, false
+	}
+	slices.Sort(a.changed)
+	a.generation++
+	rec = ManifestRecord{Generation: a.generation, Versions: len(a.entries)}
+	for _, v := range slices.Compact(a.changed) {
+		rec.Entries = append(rec.Entries, a.manifestEntry(v))
+	}
+	a.changed = a.changed[:0]
+	return rec, true
+}
+
+// recordID names a record, inside its frame and as a replicated object.
+func recordID(name string, gen uint64) string {
+	return fmt.Sprintf("%s/manifest/%d", name, gen)
+}
+
+// Frame encodes the record once, for the local log and the nodes alike:
+// compact JSON in a store.EncodeFrame frame keyed by recordID.
+func (r ManifestRecord) Frame(name string) []byte {
+	payload, _ := json.Marshal(r) // ints, bools and slices of them: cannot fail
+	return store.EncodeFrame(recordID(name, r.Generation), payload)
+}
+
+// decodeRecord parses the frame at the start of raw and returns its size.
+func decodeRecord(name string, raw []byte) (ManifestRecord, int, error) {
+	key, payload, n, err := store.DecodeFrame(raw)
+	if err != nil {
+		return ManifestRecord{}, 0, err
+	}
+	var rec ManifestRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return ManifestRecord{}, 0, fmt.Errorf("%w: manifest record: %v", store.ErrCorrupt, err)
+	}
+	if key != recordID(name, rec.Generation) {
+		return ManifestRecord{}, 0, fmt.Errorf("%w: frame %q holds generation %d of %q", store.ErrCorrupt, key, rec.Generation, name)
+	}
+	return rec, n, nil
+}
+
+// Apply advances the manifest by one record. One at or below the manifest's
+// generation was applied already and is skipped; one beyond the successor is
+// ErrGenerationGap; one that rewrites history ErrImmutable; one that does
+// not describe exactly the versions it appends is damage (store.ErrCorrupt).
+// A rejected record leaves the manifest untouched.
+func (m *Manifest) Apply(rec ManifestRecord) error {
+	if rec.Generation <= m.Generation {
+		return nil
+	}
+	if rec.Generation != m.Generation+1 {
+		return fmt.Errorf("%w: record %d applied at generation %d", ErrGenerationGap, rec.Generation, m.Generation)
+	}
+	held := len(m.Entries)
+	if rec.Versions < held {
+		return fmt.Errorf("%w: record %d leaves %d versions of %d", ErrImmutable, rec.Generation, rec.Versions, held)
+	}
+	prev, next := 0, held+1
+	for _, e := range rec.Entries {
+		switch {
+		case e.Version <= prev || e.Version > held && e.Version != next:
+			return fmt.Errorf("%w: manifest record %d lists version %d after %d, appending from %d", store.ErrCorrupt, rec.Generation, e.Version, prev, next)
+		case e.Version > held:
+			next++
+		case e.Length != m.Entries[e.Version-1].Length:
+			return fmt.Errorf("%w: record %d gives version %d length %d", ErrImmutable, rec.Generation, e.Version, e.Length)
+		}
+		prev = e.Version
+	}
+	if next != rec.Versions+1 {
+		return fmt.Errorf("%w: manifest record %d leaves %d versions but describes them through %d", store.ErrCorrupt, rec.Generation, rec.Versions, next-1)
+	}
+	for _, e := range rec.Entries {
+		if e.Version <= held {
+			m.Entries[e.Version-1] = e
+		} else {
+			m.Entries = append(m.Entries, e)
+		}
+	}
+	m.Generation = rec.Generation
 	return nil
+}
+
+// Replay applies a manifest log's framed records in order and returns how
+// many leading bytes hold intact frames: the log ends at the first torn or
+// damaged one. An intact record that cannot follow is Apply's error.
+func (m *Manifest) Replay(log []byte) (valid int, err error) {
+	for valid < len(log) {
+		rec, n, err := decodeRecord(m.Name, log[valid:])
+		if err != nil {
+			return valid, nil
+		}
+		if err := m.Apply(rec); err != nil {
+			return valid, err
+		}
+		valid += n
+	}
+	return valid, nil
 }
 
 // Open reconstructs an archive from its manifest against a cluster holding
@@ -161,6 +316,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.generation = m.Generation
 	a.entries = make([]entry, len(m.Entries))
 	for i, me := range m.Entries {
 		if me.Version != i+1 {
@@ -234,77 +390,158 @@ func Load(r io.Reader, cluster *store.Cluster) (*Archive, error) {
 	return Open(m, cluster)
 }
 
-// manifestID returns the reserved object name for cluster-stored
-// manifests.
+// manifestID names the snapshot replicated on the nodes; the records that
+// extend it are <name>/manifest/<generation> (recordID).
 func manifestID(name string) string { return name + "/manifest" }
 
-// SaveToClusterContext replicates the manifest JSON onto every cluster
-// node the archive uses, making the archive self-contained: a client
-// holding only the archive name and node addresses can reopen it with
-// LoadFromCluster. The manifest is tiny metadata, so plain replication
-// (not erasure coding) maximizes its availability. Archives have a single
-// writer; the freshest replica is the one with the most entries.
-func (a *Archive) SaveToClusterContext(ctx context.Context) error {
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		return err
-	}
-	//lint:allow lockheld manifest snapshot must be consistent with the chain state it serializes
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	id := store.ShardID{Object: manifestID(a.cfg.Name)}
-	written := 0
-	for node := 0; node < a.cluster.Size(); node++ {
-		if err := a.cluster.Put(ctx, node, id, buf.Bytes()); err == nil {
-			written++
+// onEveryNode addresses the objects on every node, object by object.
+func onEveryNode(cluster *store.Cluster, objects ...string) []store.ShardRef {
+	refs := make([]store.ShardRef, 0, len(objects)*cluster.Size())
+	for _, object := range objects {
+		for node := 0; node < cluster.Size(); node++ {
+			refs = append(refs, store.ShardRef{Node: node, ID: store.ShardID{Object: object}})
 		}
 	}
-	if written == 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: saving manifest for %q: %w", a.cfg.Name, err)
-		}
-		return fmt.Errorf("core: no node accepted the manifest for %q", a.cfg.Name)
-	}
-	return nil
+	return refs
 }
 
-// LoadFromClusterContext reopens the named archive from manifest replicas
-// stored with SaveToCluster, picking the replica with the most entries
-// (replicas on nodes that were down during the last save may lag behind).
-// With no replica in hand, the error says why: the context's error when it
+// recordIDs names the records of generations first..last.
+func recordIDs(name string, first, last uint64) []string {
+	var ids []string
+	for gen := first; gen <= last; gen++ {
+		ids = append(ids, recordID(name, gen))
+	}
+	return ids
+}
+
+// replicate stores data under one object name on every cluster node in one
+// PutBatch round: metadata is small, so plain replication (not erasure
+// coding) maximizes its availability. It fails only when no node accepted.
+func (a *Archive) replicate(ctx context.Context, object string, data []byte) error {
+	refs := onEveryNode(a.cluster, object)
+	payloads := make([][]byte, len(refs))
+	for i := range payloads {
+		payloads[i] = data
+	}
+	for _, err := range a.cluster.PutBatch(ctx, refs, payloads) {
+		if err == nil {
+			return nil
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: replicating %s: %w", object, err)
+	}
+	return fmt.Errorf("core: no node accepted %s", object)
+}
+
+// Publication is what one publish owes the nodes: the framed Record of
+// Generation (nil when nothing changed) and, when the publish folded, the
+// Snapshot and the generations First..Last of the records it folds in.
+type Publication struct {
+	Generation       uint64
+	Record, Snapshot []byte
+	First, Last      uint64
+}
+
+// ReplicateContext ships a publication to every node, best effort: one
+// PutBatch round for the record and, after a fold, one for the snapshot
+// and - once a node holds it - one DeleteBatch round for the records it
+// replaces; one left on an unreachable node is never replayed.
+func (a *Archive) ReplicateContext(ctx context.Context, p Publication) {
+	if p.Record != nil {
+		_ = a.replicate(ctx, recordID(a.cfg.Name, p.Generation), p.Record) // the record is durable where it was persisted
+	}
+	if p.Snapshot != nil && a.replicate(ctx, manifestID(a.cfg.Name), p.Snapshot) == nil {
+		a.cluster.DeleteBatch(ctx, onEveryNode(a.cluster, recordIDs(a.cfg.Name, p.First, p.Last)...))
+	}
+}
+
+// SaveToClusterContext replicates a closing snapshot of the manifest onto
+// every cluster node, making the archive self-contained: a client holding
+// only its name and the node addresses can LoadFromClusterContext. Every
+// publish bumps the generation, so the freshest replica has the largest.
+func (a *Archive) SaveToClusterContext(ctx context.Context) error {
+	snap, _ := a.Snapshot()
+	return a.replicate(ctx, manifestID(a.cfg.Name), snap)
+}
+
+// ManifestFromCluster rebuilds the named archive's manifest from what its
+// publishes replicated: one GetBatch round fetches every node's snapshot,
+// the largest generation (snapshot) wins - never the most entries, which a
+// compaction leaves unchanged - and CatchUpFromCluster replays from there.
+// With no snapshot in hand, the error says why: the context's error when it
 // ended the search, the last node failure when some node could not be asked
-// (one of them may hold a replica), and store.ErrNotFound only when every
-// node answered and none holds one.
-func LoadFromClusterContext(ctx context.Context, name string, cluster *store.Cluster) (*Archive, error) {
-	id := store.ShardID{Object: manifestID(name)}
+// (it may hold a replica), and store.ErrNotFound only when every node
+// answered and none holds one.
+func ManifestFromCluster(ctx context.Context, name string, cluster *store.Cluster) (m Manifest, snapshot uint64, err error) {
 	var best *Manifest
 	var unasked error
-	for node := 0; node < cluster.Size(); node++ {
-		data, err := cluster.Get(ctx, node, id)
-		if err != nil {
-			if !errors.Is(err, store.ErrNotFound) {
-				unasked = err
+	for _, res := range cluster.GetBatch(ctx, onEveryNode(cluster, manifestID(name))) {
+		if res.Err != nil {
+			if !errors.Is(res.Err, store.ErrNotFound) {
+				unasked = res.Err
 			}
 			continue
 		}
 		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
+		if err := json.Unmarshal(res.Data, &m); err != nil || m.Name != name {
 			continue // damaged replica
 		}
-		if best == nil || len(m.Entries) > len(best.Entries) {
+		if best == nil || m.Generation > best.Generation {
 			best = &m
 		}
 	}
 	switch {
 	case best != nil:
-		return Open(*best, cluster)
+		snapshot = best.Generation
+		err = CatchUpFromCluster(ctx, best, cluster) // before *best is read
+		return *best, snapshot, err
 	case ctx.Err() != nil:
-		return nil, fmt.Errorf("core: loading manifest for %q: %w", name, ctx.Err())
+		return m, 0, fmt.Errorf("core: loading manifest for %q: %w", name, ctx.Err())
 	case unasked != nil:
-		return nil, fmt.Errorf("core: loading manifest for %q: %w", name, unasked)
+		return m, 0, fmt.Errorf("core: loading manifest for %q: %w", name, unasked)
 	default:
-		return nil, fmt.Errorf("core: no manifest replica for %q on %d nodes: %w", name, cluster.Size(), store.ErrNotFound)
+		return m, 0, fmt.Errorf("core: no manifest replica for %q on %d nodes: %w", name, cluster.Size(), store.ErrNotFound)
 	}
+}
+
+// CatchUpFromCluster advances m through the records the nodes hold beyond
+// its generation. Each round asks every node for the next recordWindow
+// generations in one GetBatch and applies them in order, each from any node
+// whose copy is intact, so a node that missed a publish delays nothing; the
+// replay ends at the first generation no node has, or with Apply's error.
+func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster) error {
+	const recordWindow = 64
+	nodes := cluster.Size()
+	for {
+		results := cluster.GetBatch(ctx, onEveryNode(cluster, recordIDs(m.Name, m.Generation+1, m.Generation+recordWindow)...))
+		for ; len(results) > 0; results = results[nodes:] {
+			before := m.Generation
+			for _, res := range results[:nodes] {
+				rec, _, err := decodeRecord(m.Name, res.Data)
+				if res.Err != nil || err != nil {
+					continue // absent or damaged here: another node's copy may be whole
+				}
+				if err := m.Apply(rec); err != nil {
+					return fmt.Errorf("core: replaying manifest records of %q: %w", m.Name, err)
+				}
+				break
+			}
+			if m.Generation == before {
+				return ctx.Err() // no node has the next generation, or none could be asked
+			}
+		}
+	}
+}
+
+// LoadFromClusterContext reopens the named archive from the manifest its
+// publishes replicated (ManifestFromCluster).
+func LoadFromClusterContext(ctx context.Context, name string, cluster *store.Cluster) (*Archive, error) {
+	m, _, err := ManifestFromCluster(ctx, name, cluster)
+	if err != nil {
+		return nil, err
+	}
+	return Open(m, cluster)
 }
 
 func parsePlacement(name string, n int) (store.Placement, error) {

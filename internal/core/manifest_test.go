@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,6 +192,96 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 	}
 	if b.Versions() != 2 {
 		t.Errorf("loaded stale replica: versions = %d, want 2", b.Versions())
+	}
+}
+
+// TestLoadFromClusterSkipsStaleSameLengthReplica: a compaction rewrites
+// bases without changing the number of entries, so a node that missed the
+// post-compaction publish holds a replica exactly as long as the fresh one
+// - and naming codewords the reclaim has since deleted. The load must pick
+// by generation even when the stale node answers first.
+func TestLoadFromClusterSkipsStaleSameLengthReplica(t *testing.T) {
+	cluster := store.NewMemCluster(0)
+	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{7}, a.Capacity())
+	var versions [][]byte
+	for v := 0; v < 5; v++ {
+		// Every edit lands in block 0, so deltas merge to gamma 1 and the
+		// compaction rebases instead of promoting.
+		object = bytes.Clone(object)
+		object[v%4] ^= 0x5A
+		versions = append(versions, object)
+		mustCommit(t, a, object)
+	}
+	if err := a.SaveToClusterContext(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	info, err := a.CompactKeepSupersededContext(t.Context(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Rebased) == 0 {
+		t.Fatalf("compaction rebased nothing: %+v", info)
+	}
+	// Node 0 is partitioned away while the compacted chain is published and
+	// what it superseded is reclaimed.
+	if err := cluster.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SaveToClusterContext(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if deleted, _, err := a.ReclaimSupersededContext(t.Context()); err != nil || deleted == 0 {
+		t.Fatalf("reclaim deleted %d shards, err %v", deleted, err)
+	}
+	cluster.HealAll()
+
+	b, err := LoadFromClusterContext(t.Context(), "t", cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.Manifest(), a.Manifest(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded the stale replica:\n got %+v\nwant %+v", got, want)
+	}
+	for v, want := range versions {
+		got, _, err := b.RetrieveContext(t.Context(), v+1)
+		if err != nil {
+			t.Fatalf("version %d: %v", v+1, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("version %d mismatch after reopening from the cluster", v+1)
+		}
+	}
+}
+
+// TestManifestWithoutGenerationLoadsAsZero: manifests and replicas written
+// before the generation existed carry no such field and still open, at
+// generation 0; and a generation-0 manifest is written without the field.
+func TestManifestWithoutGenerationLoadsAsZero(t *testing.T) {
+	const old = `{"name":"t","scheme":"basic-sec","code":"non-systematic-cauchy","n":6,"k":3,"block_size":4,"placement":"colocated",
+		"entries":[{"version":1,"full":true,"delta":false,"gamma":0,"length":12}]}`
+	cluster := store.NewMemCluster(6)
+	for node := 0; node < cluster.Size(); node++ {
+		if err := cluster.Put(t.Context(), node, store.ShardID{Object: manifestID("t")}, []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := LoadFromClusterContext(t.Context(), "t", cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := a.Manifest(); m.Generation != 0 || len(m.Entries) != 1 {
+		t.Errorf("old replica loaded as generation %d with %d entries", m.Generation, len(m.Entries))
+	}
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "generation") {
+		t.Errorf("generation 0 is written out: %s", buf.String())
 	}
 }
 

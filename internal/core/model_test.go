@@ -17,8 +17,11 @@ import (
 // operation sequences - commits with random sparsity, retrievals of random
 // versions, prefix retrievals, failure injection within the fault
 // tolerance, device wipes followed by repair - and checks every result
-// against a trivial in-memory model (a slice of version contents). Every
-// scheme/code combination is exercised with several seeds.
+// against a trivial in-memory model (a slice of version contents). After
+// every operation the manifest log is held to the same model: an earlier
+// snapshot plus the records since must marshal to the manifest itself (see
+// replayChecker). Every scheme/code combination is exercised with several
+// seeds.
 func TestArchiveAgainstReferenceModel(t *testing.T) {
 	for _, scheme := range allSchemes {
 		for _, kind := range allCodeKinds {
@@ -75,7 +78,9 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 		current = next
 		model = append(model, append([]byte(nil), next...))
 	}
+	replay := newReplayChecker(t, archive)
 	commit() // always start with one version
+	replay.check("commit 1")
 
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
@@ -123,6 +128,7 @@ func runModelSequence(t *testing.T, scheme Scheme, kind erasure.Kind, seed int64
 				t.Fatalf("step %d: repair node %d: %v", step, node, err)
 			}
 		}
+		replay.check(fmt.Sprintf("step %d", step))
 	}
 
 	// Final full verification with all nodes healthy.

@@ -12,9 +12,9 @@
 // over TCP (transport.NewServer(nil, transport.WithArchiveBackend(gw)),
 // see cmd/secgw) or embedded in-process behind the same interface
 // (secclient.Embed). Manifest durability follows the crash-safe ordering
-// the CLI established: mutate the chain, persist the manifest under the
-// root (and replicate it to the cluster best-effort), and only then
-// reclaim superseded codewords.
+// the CLI established: mutate the chain, persist the change under the root
+// as one manifest-log record (and replicate it to the cluster best-effort),
+// and only then reclaim superseded codewords.
 package gateway
 
 import (
@@ -35,11 +35,6 @@ import (
 // ErrClosed rejects operations on a gateway that has been closed.
 var ErrClosed = errors.New("gateway: gateway closed")
 
-// errNoManifestDir marks a gateway with no manifest persistence
-// configured; archives then live in memory and on the cluster replicas
-// only.
-var errNoManifestDir = errors.New("gateway: no manifest root configured")
-
 // DefaultMaxQueuedWriters bounds the per-archive commit admission queue
 // (active writer plus waiters) when Config.MaxQueuedWriters is zero.
 const DefaultMaxQueuedWriters = 8
@@ -48,9 +43,9 @@ const DefaultMaxQueuedWriters = 8
 type Config struct {
 	// Cluster is the storage fleet every archive stripes over. Required.
 	Cluster *store.Cluster
-	// Root is the directory archive manifests are persisted under, one
-	// <name>.json per archive. Empty means no local persistence: archives
-	// are reopened from their cluster-replicated manifests instead.
+	// Root is the directory archive manifests are persisted under: one
+	// <name>.json per archive, with its <name>.json.log until Close. Empty
+	// means archives are reopened from their cluster-replicated manifests.
 	Root string
 	// ManifestPath overrides the manifest location per archive. It exists
 	// so an embedded gateway can pin an archive to an exact file (the
@@ -95,6 +90,8 @@ type archiveState struct {
 	slot   chan struct{}
 	qmu    sync.Mutex
 	queued int
+	// log is where the archive's metadata persists and how far it has.
+	log manifestLog
 }
 
 func newArchiveState(name string) *archiveState {
@@ -210,16 +207,16 @@ func validName(name string) error {
 	return nil
 }
 
-// manifestPath returns where the named archive's manifest persists, or
-// an errNoManifestDir-wrapping error when persistence is off.
-func (g *Gateway) manifestPath(name string) (string, error) {
+// manifestPath returns where the named archive's manifest persists: empty
+// when persistence is off and archives live on the cluster replicas only.
+func (g *Gateway) manifestPath(name string) string {
 	if g.cfg.ManifestPath != nil {
-		return g.cfg.ManifestPath(name), nil
+		return g.cfg.ManifestPath(name)
 	}
 	if g.cfg.Root == "" {
-		return "", fmt.Errorf("gateway: archive %q: %w", name, errNoManifestDir)
+		return ""
 	}
-	return filepath.Join(g.cfg.Root, name+".json"), nil
+	return filepath.Join(g.cfg.Root, name+".json")
 }
 
 // open returns the resident state for name, loading it on first use: from
@@ -243,7 +240,7 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 		}
 		g.mu.Unlock()
 		if !ok {
-			st.archive, st.err = g.load(ctx, name)
+			st.archive, st.err = g.load(ctx, st)
 			if st.err != nil {
 				g.mu.Lock()
 				delete(g.archives, name)
@@ -270,84 +267,54 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 }
 
 // load performs the actual open-by-name.
-func (g *Gateway) load(ctx context.Context, name string) (*core.Archive, error) {
-	path, pathErr := g.manifestPath(name)
-	if pathErr == nil {
-		f, err := os.Open(path)
-		if err == nil {
-			defer f.Close()
-			archive, err := core.Load(f, g.cfg.Cluster)
-			if err != nil {
-				return nil, fmt.Errorf("gateway: opening manifest %s: %w", path, err)
-			}
-			if archive.Name() != name {
-				return nil, fmt.Errorf("gateway: manifest %s names archive %q, not %q: %w", path, archive.Name(), name, store.ErrConflict)
-			}
-			return archive, nil
+func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, error) {
+	name, cluster := st.name, g.cfg.Cluster
+	st.log.path = g.manifestPath(name)
+	m, err := st.log.read()
+	from := "manifest " + st.log.path
+	local := err == nil
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		// No local manifest: fall back to the cluster-replicated copy, then
+		// persist it so the next open is local.
+		from = "its cluster manifest"
+		m, st.log.folded, err = core.ManifestFromCluster(ctx, name, cluster)
+		if errors.Is(err, store.ErrNotFound) {
+			return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
 		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("gateway: reading manifest %s: %w", path, err)
-		}
+	case local && m.Name != name:
+		err = fmt.Errorf("it names archive %q: %w", m.Name, store.ErrConflict)
+	case local && st.log.mustFold:
+		// The log lost its tail. A record reaches the nodes only after the
+		// log holds it, so what they hold beyond was acknowledged: take it.
+		err = core.CatchUpFromCluster(ctx, &m, cluster)
 	}
-	// No local manifest: fall back to the cluster-replicated copy, then
-	// persist it so the next open is local.
-	archive, err := core.LoadFromClusterContext(ctx, name, g.cfg.Cluster)
-	if errors.Is(err, store.ErrNotFound) {
-		return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
+	var archive *core.Archive
+	if err == nil {
+		archive, err = core.Open(m, cluster)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("gateway: opening archive %q from its cluster manifest: %w", name, err)
+		return nil, fmt.Errorf("gateway: opening archive %q from %s: %w", name, from, err)
 	}
-	if pathErr == nil {
-		if err := saveManifest(archive, path); err != nil {
-			return nil, err
-		}
+	if !local {
+		err = st.log.adopt(archive)
 	}
-	return archive, nil
-}
-
-// saveManifest atomically persists an archive's manifest to path.
-func saveManifest(archive *core.Archive, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("gateway: persisting manifest: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := archive.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("gateway: persisting manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("gateway: persisting manifest: %w", err)
-	}
-	return nil
-}
-
-// persist writes the archive's manifest to its configured location; a
-// gateway without persistence relies on the cluster replicas instead.
-func (g *Gateway) persist(st *archiveState) error {
-	path, err := g.manifestPath(st.name)
-	if err != nil {
-		return nil // in-memory gateway: cluster replication is the record
-	}
-	return saveManifest(st.archive, path)
+	return archive, err
 }
 
 // publish makes a change to the chain durable and then frees what it
-// superseded, in the crash-safe order: persist the manifest (a failure is
-// returned as err and nothing further happens), replicate it onto the nodes
-// best effort, and only then, when the change included a compaction,
-// reclaim the superseded codewords. A reclaim cut short is reported apart
-// from err: the chain is safe, and what is left stays queued for the next
-// pass.
+// superseded, in the crash-safe order: persist the change's record (a
+// failure is returned as err and nothing further happens), replicate it
+// onto the nodes best effort, and only then, when the change included a
+// compaction, reclaim the superseded codewords. A reclaim cut short is
+// reported apart from err: the chain is safe, and what is left stays
+// queued for the next pass.
 func (g *Gateway) publish(ctx context.Context, st *archiveState, reclaim bool) (deleted, orphans int, reclaimErr, err error) {
-	if err := g.persist(st); err != nil {
+	pub, err := st.log.persist(st.archive, false)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	_ = st.archive.SaveToClusterContext(ctx)
+	st.archive.ReplicateContext(ctx, pub)
 	if !reclaim {
 		return 0, 0, nil, nil
 	}
@@ -388,22 +355,19 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 		if _, ok := g.archives[name]; ok {
 			return nil, fmt.Errorf("gateway: archive %q already exists: %w", name, store.ErrConflict)
 		}
-		path, pathErr := g.manifestPath(name)
-		if pathErr == nil {
-			if _, err := os.Stat(path); err == nil {
-				return nil, fmt.Errorf("gateway: manifest %s already exists: %w", path, store.ErrConflict)
-			}
+		path := g.manifestPath(name)
+		if _, err := os.Stat(path); path != "" && err == nil {
+			return nil, fmt.Errorf("gateway: manifest %s already exists: %w", path, store.ErrConflict)
 		}
 		archive, err := core.Open(spec.Manifest(name), g.cfg.Cluster)
 		if err != nil {
 			return nil, err
 		}
-		if pathErr == nil {
-			if err := saveManifest(archive, path); err != nil {
-				return nil, err
-			}
-		}
 		st := newArchiveState(name)
+		st.log.path = path
+		if err := st.log.adopt(archive); err != nil {
+			return nil, err
+		}
 		st.archive = archive
 		close(st.ready)
 		g.archives[name] = st
@@ -633,8 +597,9 @@ func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.Repai
 }
 
 // Close drains the gateway: no new operations are admitted, and every
-// resident archive's manifest is persisted (best effort across archives;
-// the first error is returned after all are attempted). The caller is
+// resident archive's manifest log is folded into its JSON manifest, under
+// the root and on the nodes (best effort across archives; the first error
+// is returned after all are attempted). The caller is
 // responsible for draining in-flight requests first (transport's
 // Server.Shutdown does that for served gateways). ctx bounds the
 // cluster-replication writes.
@@ -667,10 +632,11 @@ func (g *Gateway) Close(ctx context.Context) error {
 		if st.err != nil {
 			continue
 		}
-		if err := g.persist(st); err != nil && firstErr == nil {
+		pub, err := st.log.persist(st.archive, true)
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		_ = st.archive.SaveToClusterContext(ctx)
+		st.archive.ReplicateContext(ctx, pub)
 	}
 	return firstErr
 }

@@ -185,7 +185,7 @@ func (n *DiskNode) Put(ctx context.Context, id ShardID, data []byte) error {
 	if err := n.ensureDirDurable(dir); err != nil {
 		return shardErr("put", id, n.id, err)
 	}
-	if err := writeFileAtomic(path, encodeShardFile(id, data)); err != nil {
+	if err := writeFileAtomic(path, EncodeFrame(id.String(), data)); err != nil {
 		return shardErr("put", id, n.id, err)
 	}
 	n.mu.Lock()
@@ -312,7 +312,7 @@ func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) [
 			errs[i] = shardErr("put", id, n.id, err)
 			continue
 		}
-		if err := renameFileAtomic(path, encodeShardFile(id, data[i])); err != nil {
+		if err := renameFileAtomic(path, EncodeFrame(id.String(), data[i])); err != nil {
 			errs[i] = shardErr("put", id, n.id, err)
 			continue
 		}
@@ -512,9 +512,10 @@ func (n *DiskNode) ensureDirDurable(dir string) error {
 // file whose lengths wrap (and so can never be read back).
 const maxShardLen = 1<<32 - 1
 
-// encodeShardFile renders the on-disk representation of one shard.
-func encodeShardFile(id ShardID, data []byte) []byte {
-	key := id.String()
+// EncodeFrame renders key and payload in the checksummed frame a DiskNode
+// stores a shard file as (layout above). Frames are self-delimiting, so a
+// file of them reads back frame by frame: core's manifest log is one.
+func EncodeFrame(key string, data []byte) []byte {
 	buf := make([]byte, shardHeaderLen, shardHeaderLen+len(key)+len(data))
 	copy(buf[0:4], shardMagic)
 	binary.BigEndian.PutUint16(buf[4:6], shardFormatV)
@@ -527,39 +528,54 @@ func encodeShardFile(id ShardID, data []byte) []byte {
 	return buf
 }
 
-// decodeShardFile validates a shard file and returns its payload. Every
-// failure mode maps to ErrCorrupt: the file exists, so "not found" would be
-// a lie, and trusting the bytes would hand decoding garbage.
-func decodeShardFile(id ShardID, raw []byte) ([]byte, error) {
+// DecodeFrame validates the frame at the start of raw and returns its key,
+// its payload (aliasing raw) and the bytes the frame occupies. Every failure
+// - a torn frame, wrong magic, impossible lengths, a CRC mismatch - is
+// ErrCorrupt.
+func DecodeFrame(raw []byte) (key string, payload []byte, n int, err error) {
 	if len(raw) < shardHeaderLen {
-		return nil, fmt.Errorf("%w: %d-byte file shorter than header", ErrCorrupt, len(raw))
+		return "", nil, 0, fmt.Errorf("%w: %d bytes shorter than a frame header", ErrCorrupt, len(raw))
 	}
 	if string(raw[0:4]) != shardMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, raw[0:4])
+		return "", nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, raw[0:4])
 	}
 	if v := binary.BigEndian.Uint16(raw[4:6]); v != shardFormatV {
-		return nil, fmt.Errorf("%w: unsupported shard format %d", ErrCorrupt, v)
+		return "", nil, 0, fmt.Errorf("%w: unsupported shard format %d", ErrCorrupt, v)
 	}
 	// The reserved bytes are outside the CRC; damage there must still be
 	// flagged, and format v1 always writes them as zero.
 	if flags := binary.BigEndian.Uint16(raw[6:8]); flags != 0 {
-		return nil, fmt.Errorf("%w: unsupported flags %#x", ErrCorrupt, flags)
+		return "", nil, 0, fmt.Errorf("%w: unsupported flags %#x", ErrCorrupt, flags)
 	}
-	keyLen := int(binary.BigEndian.Uint32(raw[8:12]))
-	dataLen := int(binary.BigEndian.Uint32(raw[12:16]))
-	if keyLen < 0 || dataLen < 0 || len(raw)-shardHeaderLen != keyLen+dataLen {
-		return nil, fmt.Errorf("%w: header claims %d+%d bytes, file holds %d",
+	keyLen := uint64(binary.BigEndian.Uint32(raw[8:12]))
+	dataLen := uint64(binary.BigEndian.Uint32(raw[12:16]))
+	if keyLen+dataLen > uint64(len(raw)-shardHeaderLen) {
+		return "", nil, 0, fmt.Errorf("%w: header claims %d+%d bytes, %d follow it",
 			ErrCorrupt, keyLen, dataLen, len(raw)-shardHeaderLen)
 	}
-	body := raw[shardHeaderLen:]
+	n = shardHeaderLen + int(keyLen+dataLen)
+	body := raw[shardHeaderLen:n]
 	if got, want := crc32.Checksum(body, crc32c), binary.BigEndian.Uint32(raw[16:20]); got != want {
-		return nil, fmt.Errorf("%w: CRC32C %08x, header says %08x", ErrCorrupt, got, want)
+		return "", nil, 0, fmt.Errorf("%w: CRC32C %08x, header says %08x", ErrCorrupt, got, want)
 	}
-	if key := string(body[:keyLen]); key != id.String() {
+	return string(body[:keyLen]), body[keyLen:], n, nil
+}
+
+// decodeShardFile validates a shard file and returns its payload. Every
+// failure is ErrCorrupt: the file exists, and its bytes cannot be trusted.
+func decodeShardFile(id ShardID, raw []byte) ([]byte, error) {
+	key, payload, n, err := DecodeFrame(raw)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(raw) {
+		return nil, fmt.Errorf("%w: %d bytes after the frame", ErrCorrupt, len(raw)-n)
+	}
+	if key != id.String() {
 		return nil, fmt.Errorf("%w: file holds shard %s", ErrCorrupt, key)
 	}
 	// Copy so the caller owns the result independent of the read buffer.
-	return append([]byte(nil), body[keyLen:]...), nil
+	return append([]byte(nil), payload...), nil
 }
 
 // writeFileAtomic writes path via a temporary file in the same directory, an

@@ -421,7 +421,7 @@ func TestDiskClusterRestart(t *testing.T) {
 func TestShardFileRoundTrip(t *testing.T) {
 	id := ShardID{Object: "arch/v9-delta", Row: 17}
 	payload := bytes.Repeat([]byte{0x5A}, 333)
-	raw := encodeShardFile(id, payload)
+	raw := EncodeFrame(id.String(), payload)
 	got, err := decodeShardFile(id, raw)
 	if err != nil {
 		t.Fatal(err)
@@ -439,9 +439,9 @@ func TestShardFileRoundTrip(t *testing.T) {
 // encoding for the requested shard (in which case a re-encode matches).
 func FuzzDiskShardFile(f *testing.F) {
 	id := ShardID{Object: "fuzz/v1-full", Row: 5}
-	f.Add(encodeShardFile(id, []byte("seed payload")))
-	f.Add(encodeShardFile(id, nil))
-	f.Add(encodeShardFile(ShardID{Object: "other", Row: 0}, []byte("wrong key")))
+	f.Add(EncodeFrame(id.String(), []byte("seed payload")))
+	f.Add(EncodeFrame(id.String(), nil))
+	f.Add(EncodeFrame(ShardID{Object: "other", Row: 0}.String(), []byte("wrong key")))
 	f.Add([]byte{})
 	f.Add([]byte("SECS"))
 	f.Add(make([]byte, shardHeaderLen))
@@ -453,7 +453,7 @@ func FuzzDiskShardFile(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(encodeShardFile(id, data), raw) {
+		if !bytes.Equal(EncodeFrame(id.String(), data), raw) {
 			t.Fatalf("accepted file is not the canonical encoding of its payload")
 		}
 	})

@@ -118,8 +118,9 @@ func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
 	}
 	// The gateway reclaimed what each auto-compaction superseded as the
 	// commits went, so node storage does not leak commit over commit:
-	// every node holds one shard per live codeword and the manifest
-	// replica, nothing else.
+	// every node holds one shard per live codeword, the manifest replica and
+	// the manifest records published since that replica was folded - fewer
+	// than one per commit - and nothing else.
 	live := 1
 	for _, e := range info.Manifest.Entries {
 		if e.Full {
@@ -134,8 +135,17 @@ func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := node.(*store.MemNode).Len(); got != live {
-			t.Errorf("node %d holds %d objects, want %d (superseded codewords not reclaimed)", i, got, live)
+		records := 0
+		for gen := uint64(1); gen <= info.Manifest.Generation; gen++ {
+			if _, err := node.Get(t.Context(), store.ShardID{Object: fmt.Sprintf("%s/manifest/%d", archiveName("f"), gen)}); err == nil {
+				records++
+			}
+		}
+		if records >= 7 {
+			t.Errorf("node %d holds %d manifest records after 7 commits: none was folded", i, records)
+		}
+		if got := node.(*store.MemNode).Len(); got != live+records {
+			t.Errorf("node %d holds %d objects, want %d (superseded codewords not reclaimed)", i, got, live+records)
 		}
 	}
 	for r := 1; r <= 7; r++ {
