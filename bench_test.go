@@ -507,8 +507,19 @@ func BenchmarkArchiveRetrieveLatestSparseChain(b *testing.B) {
 // RemoteNode clients talking to loopback TCP servers, commits a chain of
 // one full version plus four sparse deltas, and measures Retrieve of the
 // chain tip. The whole retrieval costs one concurrent liveness ping per
-// node plus one get-batch RPC per node touched.
+// node plus one get-batch RPC per node touched. The 2 MB case is the one
+// where carrying the bytes, not the RPC count, is the cost: B/op over the
+// object size is the bytes a read allocates per byte it returns.
 func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
+	for _, size := range []struct {
+		name      string
+		blockSize int
+	}{{"40KiB", 4096}, {"2MB", 204800}} {
+		b.Run(size.name, func(b *testing.B) { benchArchiveRetrieveTCP(b, size.blockSize) })
+	}
+}
+
+func benchArchiveRetrieveTCP(b *testing.B, blockSize int) {
 	const n, k = 20, 10
 	nodes := make([]sec.StorageNode, n)
 	for i := 0; i < n; i++ {
@@ -527,7 +538,7 @@ func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 		Code:      sec.NonSystematicCauchy,
 		N:         n,
 		K:         k,
-		BlockSize: 4096,
+		BlockSize: blockSize,
 	}, sec.NewCluster(nodes))
 	if err != nil {
 		b.Fatal(err)
@@ -539,7 +550,7 @@ func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 		b.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
-		next, err := sec.SparseEdit(rng, v, 4096, 2)
+		next, err := sec.SparseEdit(rng, v, blockSize, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -549,6 +560,7 @@ func BenchmarkArchiveRetrieveTCPBatched(b *testing.B) {
 		v = next
 	}
 	b.SetBytes(int64(len(v)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := archive.RetrieveContext(b.Context(), 5); err != nil {

@@ -64,7 +64,7 @@ type codec interface {
 	EncodeInto(blocks, dst [][]byte) error
 	DecodeFull(rows []int, shards [][]byte) ([][]byte, error)
 	DecodeFullInto(rows []int, shards, dst [][]byte) error
-	DecodeSparse(rows []int, shards [][]byte, gamma int) ([][]byte, error)
+	DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error)
 	SparseReadRows(live []int, gamma int) []int
 }
 
@@ -621,7 +621,7 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 	if a.rcache != nil {
 		// Keep every version the walk decoded: the requested version and
 		// all chain prefixes on the way. Cached blocks are shared
-		// read-only; decodes and delta application always fresh-allocate.
+		// read-only, between versions too; decodes always fresh-allocate.
 		for v, blocks := range inHand {
 			a.rcache.put(v, blocks, a.entries[v-1].length)
 		}
@@ -633,6 +633,9 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 // through (keyed by version number). All shard reads of the walk are
 // prefetched up front as one batch per node; the per-object readers consume
 // the prefetched rows and fetch more only where the prefetch fell short.
+// A delta step allocates the gamma blocks it changes and shares the rest
+// with the version it starts from, so the versions returned overlap: they
+// are read-only, like everything the decoded-version cache holds.
 func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (map[int][][]byte, error) {
 	sets := a.prefetch(ctx, w)
 	prefetched := func(id string) *shardSet {
@@ -660,8 +663,8 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (m
 			return nil, err
 		}
 		stats.add(read)
-		if inHand[s.to], err = delta.Apply(from, d); err != nil {
-			return nil, err
+		if inHand[s.to], err = d.ApplyTo(from); err != nil {
+			return nil, fmt.Errorf("core: applying the delta of version %d: %w", s.via, err)
 		}
 	}
 	return inHand, nil

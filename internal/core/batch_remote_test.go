@@ -6,6 +6,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -24,6 +25,14 @@ var (
 	deltaID      = core.DeltaIDForExternal
 	asPlainNode  = core.AsPlainNodeForExternal
 )
+
+// TestMain runs the suite with every served connection overwriting its
+// request buffer once the request has been handled: the TCP tests below pass
+// only if no node and no archive kept a slice of a request.
+func TestMain(m *testing.M) {
+	transport.ScribbleRequests = true
+	os.Exit(m.Run())
+}
 
 // remoteCluster starts one transport server per backing node and returns a
 // cluster of RemoteNode clients plus the servers for RPC accounting.

@@ -117,28 +117,31 @@ func chainAbort(ctx context.Context, lastErr error) error {
 // full read it falls back to. A non-nil set carries rows already
 // prefetched by the chain planner (and, for sparse plans, which rows they
 // are), so the healthy path decodes without any further cluster traffic.
-func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([][]byte, ObjectRead, error) {
+//
+// The delta comes back as what was read, never expanded: its support and
+// its non-zero blocks - the blocks a decode recovered, the blocks a CDEC
+// codeword holds, none at all for a delta that changed nothing.
+func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) (delta.CompactDelta, ObjectRead, error) {
 	e := a.entries[version-1]
 	if e.compressed {
 		return a.readCompressedDelta(ctx, version, e, set)
 	}
 	gamma := e.gamma
 	if gamma == 0 {
-		// Nothing changed: the delta is identically zero, no reads
-		// needed.
-		zero := make([][]byte, a.cfg.K)
-		for i := range zero {
-			zero[i] = make([]byte, a.cfg.BlockSize)
-		}
-		return zero, ObjectRead{Version: version, Delta: true}, nil
+		// Nothing changed: no reads, and no step for the walk to take.
+		return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize}, ObjectRead{Version: version, Delta: true}, nil
 	}
 	id := a.deltaObjectID(version)
 	k := a.cfg.K
 	if set == nil {
 		set = newShardSet()
 	}
-	result := func(blocks [][]byte, sparse bool) ([][]byte, ObjectRead, error) {
-		return blocks, ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Sparse: sparse, Hedges: set.hedges}, nil
+	read := func(sparse bool) ObjectRead {
+		return ObjectRead{Version: version, Delta: true, Gamma: gamma, Reads: set.reads, Sparse: sparse, Hedges: set.hedges}
+	}
+	decodeSparse := func(rows []int, shards [][]byte) (delta.CompactDelta, error) {
+		support, blocks, err := a.deltaCode.DecodeSparseSupport(rows, shards, gamma)
+		return delta.CompactDelta{K: k, BlockSize: a.cfg.BlockSize, Support: support, Blocks: blocks}, err
 	}
 	// A delta too dense for any sparse plan goes straight to the full
 	// read, with no liveness probe spent on planning one. So does one whose
@@ -148,15 +151,15 @@ func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([]
 	if planned := set.sparseRows; planned != nil {
 		set.sparseRows = nil
 		if shards, ok := set.selectRows(planned); ok {
-			if blocks, err := a.deltaCode.DecodeSparse(planned, shards, gamma); err == nil {
-				return result(blocks, true)
+			if d, err := decodeSparse(planned, shards); err == nil {
+				return d, read(true), nil
 			}
 			trySparse = false
 		}
 	}
 	for attempt := 0; trySparse && attempt < readAttempts; attempt++ {
 		if err := chainAbort(ctx, set.err); err != nil {
-			return nil, ObjectRead{}, err
+			return delta.CompactDelta{}, ObjectRead{}, err
 		}
 		live := a.liveRows(ctx, a.deltaCode, version, set.dead)
 		rows, sparse := readPlan(a.deltaCode, live, gamma, k)
@@ -167,8 +170,8 @@ func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([]
 		a.fetchPlanned(ctx, set, id, version, set.missing(rows), set.missing(rowsExcluding(live, rows)),
 			func() bool { return sparseDone() || len(set.data) >= k })
 		if shards, ok := set.selectRows(rows); ok {
-			if blocks, err := a.deltaCode.DecodeSparse(rows, shards, gamma); err == nil {
-				return result(blocks, true)
+			if d, err := decodeSparse(rows, shards); err == nil {
+				return d, read(true), nil
 			}
 			trySparse = false
 		} else if set.hedges > 0 && len(set.data) >= k {
@@ -182,32 +185,29 @@ func (a *Archive) readDelta(ctx context.Context, version int, set *shardSet) ([]
 	}
 	blocks, err := a.readAnyK(ctx, a.deltaCode, id, version, set)
 	if err != nil {
-		return nil, ObjectRead{}, err
+		return delta.CompactDelta{}, ObjectRead{}, err
 	}
-	return result(blocks, false)
+	d, err := delta.View(blocks)
+	return d, read(false), err
 }
 
 // readCompressedDelta reads a CDEC-compacted delta codeword: any gamma of
-// its gamma+N-K shards decode the non-zero blocks, which the entry's
-// support expands back to the full K-block delta vector. There is no
-// separate sparse plan - gamma reads IS the floor, below both the sparse
-// read (2*gamma) and the full read (K) of uncompressed deltas.
-func (a *Archive) readCompressedDelta(ctx context.Context, version int, e entry, set *shardSet) ([][]byte, ObjectRead, error) {
+// its gamma+N-K shards decode the non-zero blocks, which with the entry's
+// support are the delta. There is no separate sparse plan - gamma reads IS
+// the floor, below both the sparse read (2*gamma) and the full read (K) of
+// uncompressed deltas.
+func (a *Archive) readCompressedDelta(ctx context.Context, version int, e entry, set *shardSet) (delta.CompactDelta, ObjectRead, error) {
 	code, err := a.compressedCode(e.gamma)
 	if err != nil {
-		return nil, ObjectRead{}, err
+		return delta.CompactDelta{}, ObjectRead{}, err
 	}
 	if set == nil {
 		set = newShardSet()
 	}
 	nz, err := a.readAnyK(ctx, code, a.deltaObjectID(version), version, set)
 	if err != nil {
-		return nil, ObjectRead{}, err
+		return delta.CompactDelta{}, ObjectRead{}, err
 	}
 	cd := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Support: e.support, Blocks: nz}
-	blocks, err := cd.Expand()
-	if err != nil {
-		return nil, ObjectRead{}, fmt.Errorf("core: expanding compressed delta of version %d: %w", version, err)
-	}
-	return blocks, ObjectRead{Version: version, Delta: true, Gamma: e.gamma, Reads: set.reads, Compressed: true, Hedges: set.hedges}, nil
+	return cd, ObjectRead{Version: version, Delta: true, Gamma: e.gamma, Reads: set.reads, Compressed: true, Hedges: set.hedges}, nil
 }

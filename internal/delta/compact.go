@@ -3,6 +3,8 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/secarchive/sec/internal/gf"
 )
 
 // This file implements the compacted delta form of compressed differential
@@ -62,6 +64,16 @@ func (c CompactDelta) validate() error {
 // copies of the gamma non-zero blocks. The input must be a uniform block
 // vector (every block the same non-zero length).
 func Compact(blocks [][]byte) (CompactDelta, error) {
+	c, err := View(blocks)
+	for i, blk := range c.Blocks {
+		c.Blocks[i] = append([]byte(nil), blk...)
+	}
+	return c, err
+}
+
+// View is Compact without the copies: the non-zero blocks of the result
+// are the blocks of the input.
+func View(blocks [][]byte) (CompactDelta, error) {
 	if len(blocks) == 0 {
 		return CompactDelta{}, fmt.Errorf("delta: compacting an empty block vector")
 	}
@@ -78,9 +90,36 @@ func Compact(blocks [][]byte) (CompactDelta, error) {
 			continue
 		}
 		c.Support = append(c.Support, i)
-		c.Blocks = append(c.Blocks, append([]byte(nil), blk...))
+		c.Blocks = append(c.Blocks, blk)
 	}
 	return c, nil
+}
+
+// ApplyTo returns base + c without expanding c: a vector that shares with
+// base the K - gamma blocks outside the support and holds one new block,
+// base[s] + c.Blocks[i], for each s in it. XOR deltas are self-inverse, so
+// the same call goes from a delta's base to its version and back. Neither
+// base nor c is written, and the result is read-only wherever base is; a
+// delta with an empty support returns base itself.
+func (c CompactDelta) ApplyTo(base [][]byte) ([][]byte, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	if len(base) != c.K {
+		return nil, fmt.Errorf("delta: version block counts differ: %d vs %d", len(base), c.K)
+	}
+	if len(c.Support) == 0 {
+		return base, nil
+	}
+	out := append([][]byte(nil), base...)
+	for i, s := range c.Support {
+		if len(base[s]) != c.BlockSize {
+			return nil, fmt.Errorf("delta: block %d sizes differ: %d vs %d", s, len(base[s]), c.BlockSize)
+		}
+		out[s] = append([]byte(nil), base[s]...)
+		gf.AddSlice(out[s], c.Blocks[i])
+	}
+	return out, nil
 }
 
 // Expand reconstructs the full k-block delta: the support blocks in place,

@@ -217,3 +217,75 @@ func BenchmarkCompactExpand(b *testing.B) {
 		}
 	}
 }
+
+// TestApplyToMatchesApplyAndSharesTheRest holds the sparse application of
+// a delta to the expanding one it replaces on the read path: the same
+// bytes, forward and back, with base untouched, a new block for every
+// block in the support and base's own block everywhere else.
+func TestApplyToMatchesApplyAndSharesTheRest(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const k, blockSize = 6, 32
+	for gamma := 0; gamma <= k; gamma++ {
+		base := make([][]byte, k)
+		for i := range base {
+			base[i] = make([]byte, blockSize)
+			rng.Read(base[i])
+		}
+		before := Clone(base)
+		d := randomSparseDelta(rng, k, blockSize, gamma)
+		want, err := Apply(base, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := View(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := Compact(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range view.Support {
+			if &view.Blocks[i][0] != &d[s][0] || &copied.Blocks[i][0] == &d[s][0] {
+				t.Fatalf("gamma=%d: View must share block %d of its input and Compact must copy it", gamma, s)
+			}
+		}
+		got, err := view.ApplyTo(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(got, want) {
+			t.Fatalf("gamma=%d: ApplyTo differs from Apply", gamma)
+		}
+		if !Equal(base, before) {
+			t.Fatalf("gamma=%d: ApplyTo wrote to its base", gamma)
+		}
+		inSupport := make(map[int]bool)
+		for _, s := range view.Support {
+			inSupport[s] = true
+		}
+		for i := range got {
+			if shared := &got[i][0] == &base[i][0]; shared == inSupport[i] {
+				t.Errorf("gamma=%d block %d: shared with base = %v, in the support = %v", gamma, i, shared, inSupport[i])
+			}
+		}
+		back, err := view.ApplyTo(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(back, before) {
+			t.Fatalf("gamma=%d: applying the delta twice does not return the base", gamma)
+		}
+	}
+	c := CompactDelta{K: k, BlockSize: blockSize, Support: []int{1}, Blocks: [][]byte{make([]byte, blockSize)}}
+	if _, err := c.ApplyTo(make([][]byte, k-1)); err == nil {
+		t.Error("ApplyTo accepted a base with the wrong block count")
+	}
+	short := make([][]byte, k)
+	for i := range short {
+		short[i] = make([]byte, blockSize-1)
+	}
+	if _, err := c.ApplyTo(short); err == nil {
+		t.Error("ApplyTo accepted a base with the wrong block size")
+	}
+}

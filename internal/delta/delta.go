@@ -11,6 +11,7 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -81,10 +82,9 @@ func (b Blocking) Join(blocks [][]byte, length int) ([]byte, error) {
 	if length < 0 || length > b.Capacity() {
 		return nil, fmt.Errorf("delta: length %d out of range [0,%d]", length, b.Capacity())
 	}
-	out := make([]byte, 0, b.Capacity())
-	for _, blk := range blocks {
-		out = append(out, blk...)
-	}
+	// The one copy of a read's bytes into its reply: bytes.Join allocates
+	// without zeroing what it is about to overwrite.
+	out := bytes.Join(blocks, nil)
 	for _, v := range out[length:] {
 		if v != 0 {
 			return nil, fmt.Errorf("delta: non-zero padding beyond object length %d", length)

@@ -346,29 +346,41 @@ func appendRowKey(dst []byte, rows []int) []byte {
 // Vandermonde constructions with consecutive rows a syndrome decoder is
 // used; otherwise recovery enumerates candidate supports.
 func (c *Code) DecodeSparse(rows []int, shards [][]byte, gamma int) ([][]byte, error) {
+	support, values, err := c.DecodeSparseSupport(rows, shards, gamma)
+	if err != nil {
+		return nil, err
+	}
+	return sparse.Expand(c.k, blockLenOf(shards), support, values), nil
+}
+
+// DecodeSparseSupport is DecodeSparse for a reader that applies the vector
+// rather than looks at it: the indices of the non-zero blocks, ascending,
+// and those blocks, without the k - gamma zero blocks around them.
+func (c *Code) DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error) {
 	if len(rows) != len(shards) {
-		return nil, fmt.Errorf("erasure: %d rows but %d shards", len(rows), len(shards))
+		return nil, nil, fmt.Errorf("erasure: %d rows but %d shards", len(rows), len(shards))
 	}
 	if err := c.checkRows(rows); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := uniformLen(shards); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if gamma < 0 || 2*gamma > len(rows) {
-		return nil, fmt.Errorf("erasure: sparsity %d not decodable from %d shards", gamma, len(rows))
+		return nil, nil, fmt.Errorf("erasure: sparsity %d not decodable from %d shards", gamma, len(rows))
 	}
 	if first, ok := c.vandermondeWindow(rows); ok {
 		dec, err := sparse.NewSyndromeDecoder(c.k, first, len(rows))
 		if err == nil {
 			if z, err := dec.Recover(shards, gamma); err == nil {
-				return z, nil
+				support, values = sparse.Support(z)
+				return support, values, nil
 			}
 			// Fall through to the generic decoder on failure so both
 			// paths agree on the error semantics.
 		}
 	}
-	return sparse.RecoverEnum(c.gen.SelectRows(rows), shards, gamma)
+	return sparse.RecoverSupport(c.gen.SelectRows(rows), shards, gamma)
 }
 
 // vandermondeWindow reports whether rows form a consecutive window of

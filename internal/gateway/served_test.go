@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,14 @@ import (
 	"github.com/secarchive/sec/internal/transport"
 	"github.com/secarchive/sec/secclient"
 )
+
+// TestMain runs the suite with every served connection overwriting its
+// request buffer once the request has been handled: the served tests pass
+// only if the gateway, its archives and their nodes kept no slice of one.
+func TestMain(m *testing.M) {
+	transport.ScribbleRequests = true
+	os.Exit(m.Run())
+}
 
 // servedGateway is one secgw-shaped fixture: a gateway over in-memory
 // nodes, served on loopback TCP.

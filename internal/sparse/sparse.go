@@ -58,37 +58,76 @@ var ErrUnrecoverable = errors.New("sparse: no solution with requested sparsity i
 // it stopped. The answer, and the error, are those of trying every support at
 // full width.
 func RecoverEnum(phi matrix.Matrix, y [][]byte, gamma int) ([][]byte, error) {
-	z, _, err := recoverEnum(phi, y, gamma)
-	return z, err
+	support, values, _, err := recoverEnum(phi, y, gamma)
+	if err != nil {
+		return nil, err
+	}
+	blockLen, _ := uniformBlockLen(y)
+	return Expand(phi.Cols(), blockLen, support, values), nil
 }
 
-// recoverEnum is RecoverEnum, also reporting how many supports passed the
-// probe and then failed at full width.
-func recoverEnum(phi matrix.Matrix, y [][]byte, gamma int) (z [][]byte, falsePositives int, err error) {
+// RecoverSupport is RecoverEnum for a caller that applies the vector rather
+// than looks at it: the support it found, ascending, and the value of each
+// block in it, without the k - gamma zero blocks around them. The values are
+// the caller's own memory.
+func RecoverSupport(phi matrix.Matrix, y [][]byte, gamma int) (support []int, values [][]byte, err error) {
+	support, values, _, err = recoverEnum(phi, y, gamma)
+	return support, values, err
+}
+
+// Expand returns the vector of k blocks of blockLen bytes whose blocks at
+// support are values and whose other blocks are zero, as fresh memory.
+func Expand(k, blockLen int, support []int, values [][]byte) [][]byte {
+	z := make([][]byte, k)
+	flat := make([]byte, k*blockLen)
+	for j := range z {
+		z[j] = flat[j*blockLen : (j+1)*blockLen : (j+1)*blockLen]
+	}
+	for i, col := range support {
+		copy(z[col], values[i])
+	}
+	return z
+}
+
+// Support is the inverse of Expand for a vector already in hand: the indices
+// of its non-zero blocks and those blocks themselves, shared, not copied.
+func Support(z [][]byte) (support []int, values [][]byte) {
+	for j, blk := range z {
+		if !isZero(blk) {
+			support = append(support, j)
+			values = append(values, blk)
+		}
+	}
+	return support, values
+}
+
+// recoverEnum is RecoverSupport, also reporting how many supports passed
+// the probe and then failed at full width.
+func recoverEnum(phi matrix.Matrix, y [][]byte, gamma int) (support []int, values [][]byte, falsePositives int, err error) {
 	m, k := phi.Rows(), phi.Cols()
 	if len(y) != m {
-		return nil, 0, fmt.Errorf("sparse: got %d observation blocks for a %d-row matrix", len(y), m)
+		return nil, nil, 0, fmt.Errorf("sparse: got %d observation blocks for a %d-row matrix", len(y), m)
 	}
 	if gamma < 0 {
-		return nil, 0, fmt.Errorf("sparse: negative sparsity %d", gamma)
+		return nil, nil, 0, fmt.Errorf("sparse: negative sparsity %d", gamma)
 	}
 	blockLen, err := uniformBlockLen(y)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	// No support larger than the row or column count has independent columns.
 	gamma = min(gamma, m, k)
 	e := newEnumerator(phi, y, blockLen, gamma)
 	if e.p == 0 {
 		// Every observation is zero, so the empty support is consistent.
-		return e.assemble(nil), 0, nil
+		return nil, nil, 0, nil
 	}
 	for s := 1; s <= gamma; s++ {
 		if e.search(0, 0, s) {
-			return e.assemble(e.support[:s]), e.falsePositives, nil
+			return e.support[:s], e.r[:s], e.falsePositives, nil
 		}
 	}
-	return nil, e.falsePositives, ErrUnrecoverable
+	return nil, nil, e.falsePositives, ErrUnrecoverable
 }
 
 // probeSegments is how many stretches of the block the probe samples a byte
@@ -320,20 +359,6 @@ func (e *enumerator) solve(s int) bool {
 		}
 	}
 	return true
-}
-
-// assemble returns the k-block vector whose support blocks are r[:len(support)]
-// and whose other blocks are zero, as fresh memory.
-func (e *enumerator) assemble(support []int) [][]byte {
-	z := make([][]byte, e.k)
-	flat := make([]byte, e.k*e.blockLen)
-	for j := range z {
-		z[j] = flat[j*e.blockLen : (j+1)*e.blockLen : (j+1)*e.blockLen]
-	}
-	for i, col := range support {
-		copy(z[col], e.r[i])
-	}
-	return z
 }
 
 func swapRowsAndBlocks(a matrix.Matrix, r [][]byte, i, j int) {

@@ -464,11 +464,11 @@ func TestRecoverEnumProbeRefinement(t *testing.T) {
 			}
 			phi := g.SelectRows(rows)
 			y := phi.MulBlocks(z)
-			got, falsePositives, err := recoverEnum(phi, y, tt.gamma)
+			support, values, falsePositives, err := recoverEnum(phi, y, tt.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !blocksEqual(got, z) {
+			if !blocksEqual(Expand(k, blockLen, support, values), z) {
 				t.Error("recovered the wrong vector")
 			}
 			if falsePositives != tt.wantFalsePositives {

@@ -179,22 +179,16 @@ var errArchMalformed = errors.New("transport: malformed archive payload")
 
 // encodeArchCommit frames a commit request payload: u32(expect+1)
 // followed by the object bytes. expect < 0 (no precondition) travels as 0.
-func encodeArchCommit(expect int, object []byte) ([]byte, error) {
+// Whether the commit fits a frame is roundTrip's check, where the archive
+// name is counted too.
+func encodeArchCommit(expect int, object []byte) (parts, error) {
 	if expect < -1 {
 		return nil, fmt.Errorf("transport: invalid expected version %d", expect)
 	}
 	if expect >= 1<<31 {
 		return nil, fmt.Errorf("transport: expected version %d overflows the wire", expect)
 	}
-	// The commit must fit one request frame alongside its header; refuse
-	// here so the caller gets a typed size error instead of a mid-write
-	// transport failure.
-	if len(object) > maxFrame-64 {
-		return nil, fmt.Errorf("transport: %d-byte commit exceeds the frame limit: %w", len(object), errFrameTooLarge)
-	}
-	body := make([]byte, 0, 4+len(object))
-	body = binary.BigEndian.AppendUint32(body, uint32(expect+1))
-	return append(body, object...), nil
+	return parts{binary.BigEndian.AppendUint32(nil, uint32(expect+1)), object}, nil
 }
 
 // decodeArchCommit parses a commit request payload.
@@ -216,15 +210,12 @@ type archVersionMeta struct {
 // encodeArchVersion frames a retrieve response: u32(len(meta)) metaJSON
 // followed by the raw object bytes (which stream across statusPartial
 // continuation frames when they outgrow one frame).
-func encodeArchVersion(v ArchiveVersion) ([]byte, error) {
+func encodeArchVersion(v ArchiveVersion) (parts, error) {
 	meta, err := json.Marshal(archVersionMeta{Version: v.Version, Stats: v.Stats})
 	if err != nil {
 		return nil, fmt.Errorf("transport: encoding version meta: %w", err)
 	}
-	body := make([]byte, 0, 4+len(meta)+len(v.Data))
-	body = binary.BigEndian.AppendUint32(body, uint32(len(meta)))
-	body = append(body, meta...)
-	return append(body, v.Data...), nil
+	return parts{binary.BigEndian.AppendUint32(nil, uint32(len(meta))), meta, v.Data}, nil
 }
 
 // decodeArchVersion parses a retrieve response.
@@ -243,24 +234,19 @@ func decodeArchVersion(payload []byte) (ArchiveVersion, error) {
 // encodeArchVersions frames a retrieve-all response: u32(len(meta))
 // metaJSON u32(count) then count (u32(len) bytes) chunks, versions 1..count
 // in order.
-func encodeArchVersions(versions [][]byte, stats core.RetrievalStats) ([]byte, error) {
+func encodeArchVersions(versions [][]byte, stats core.RetrievalStats) (parts, error) {
 	meta, err := json.Marshal(archVersionMeta{Version: len(versions), Stats: stats})
 	if err != nil {
 		return nil, fmt.Errorf("transport: encoding version meta: %w", err)
 	}
-	size := 4 + len(meta) + 4
+	s := splicer{buf: binary.BigEndian.AppendUint32(make([]byte, 0, 4+4+4*len(versions)), uint32(len(meta)))}
+	s.splice(meta)
+	s.buf = binary.BigEndian.AppendUint32(s.buf, uint32(len(versions)))
 	for _, v := range versions {
-		size += 4 + len(v)
+		s.buf = binary.BigEndian.AppendUint32(s.buf, uint32(len(v)))
+		s.splice(v)
 	}
-	body := make([]byte, 0, size)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(meta)))
-	body = append(body, meta...)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(versions)))
-	for _, v := range versions {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(v)))
-		body = append(body, v...)
-	}
-	return body, nil
+	return s.parts(), nil
 }
 
 // decodeArchVersions parses a retrieve-all response.
@@ -298,7 +284,7 @@ type archOp struct {
 	// serve answers one request for the named archive with the response
 	// body. An archReject error is answered as a bare statusError; any
 	// other is a backend failure, answered with its provenance.
-	serve func(ctx context.Context, s *Server, name string, req request) ([]byte, error)
+	serve func(ctx context.Context, s *Server, name string, req request) (parts, error)
 }
 
 // archReject is a request refused (or a reply lost) at the wire layer,
@@ -313,7 +299,7 @@ func (e archReject) Error() string { return string(e) }
 var archOps = [...]archOp{
 	opArchCreate - opArchCreate: {
 		name: "arch-create",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			var spec ArchiveSpec
 			if err := json.Unmarshal(req.payload, &spec); err != nil {
 				return nil, archReject(fmt.Sprintf("transport: decoding archive spec: %v", err))
@@ -323,7 +309,7 @@ var archOps = [...]archOp{
 	},
 	opArchCommit - opArchCreate: {
 		name: "arch-commit",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			expect, object, err := decodeArchCommit(req.payload)
 			if err != nil {
 				return nil, archReject(err.Error())
@@ -334,7 +320,7 @@ var archOps = [...]archOp{
 	},
 	opArchGet - opArchCreate: {
 		name: "arch-get",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			v, err := s.archive.Retrieve(ctx, name, req.id.Row)
 			if err != nil {
 				return nil, err
@@ -345,7 +331,7 @@ var archOps = [...]archOp{
 	},
 	opArchGetAll - opArchCreate: {
 		name: "arch-get-all",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			versions, stats, err := s.archive.RetrieveAll(ctx, name, req.id.Row)
 			if err != nil {
 				return nil, err
@@ -358,38 +344,38 @@ var archOps = [...]archOp{
 	},
 	opArchLog - opArchCreate: {
 		name: "arch-log",
-		serve: func(ctx context.Context, s *Server, name string, _ request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, _ request) (parts, error) {
 			return jsonBody(s.archive.Log(ctx, name))
 		},
 	},
 	opArchInfo - opArchCreate: {
 		name: "arch-info",
-		serve: func(ctx context.Context, s *Server, name string, _ request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, _ request) (parts, error) {
 			return jsonBody(s.archive.Info(ctx, name))
 		},
 	},
 	opArchCompact - opArchCreate: {
 		name: "arch-compact",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			return jsonBody(s.archive.Compact(ctx, name, req.id.Row))
 		},
 	},
 	opArchScrub - opArchCreate: {
 		name: "arch-scrub",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			return jsonBody(s.archive.Scrub(ctx, name, req.id.Row != 0))
 		},
 	},
 	opArchRepair - opArchCreate: {
 		name: "arch-repair",
-		serve: func(ctx context.Context, s *Server, name string, req request) ([]byte, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
 			return jsonBody(s.archive.Repair(ctx, name, req.id.Row))
 		},
 	},
 }
 
 // jsonBody marshals a backend's structured result, passing its error on.
-func jsonBody(v any, err error) ([]byte, error) {
+func jsonBody(v any, err error) (parts, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -397,20 +383,20 @@ func jsonBody(v any, err error) ([]byte, error) {
 	if err != nil {
 		return nil, archReject(fmt.Sprintf("transport: encoding response: %v", err))
 	}
-	return body, nil
+	return parts{body}, nil
 }
 
 // handleArchive dispatches one archive-level request (the caller has
 // checked req.op is one) to the server's backend through the op table. A
 // server without a backend (a plain storage node) answers statusError,
 // which clients surface as ErrNotServed.
-func (s *Server) handleArchive(ctx context.Context, req request) (status byte, payload []byte) {
+func (s *Server) handleArchive(ctx context.Context, req request) (status byte, payload parts) {
 	if s.archive == nil {
-		return statusError, []byte("transport: archive ops not served")
+		return statusError, textPart("transport: archive ops not served")
 	}
 	name := req.id.Object
 	if name == "" {
-		return statusError, []byte(fmt.Sprintf("transport: archive op without archive name: %v", errArchMalformed))
+		return statusError, textPart(fmt.Sprintf("transport: archive op without archive name: %v", errArchMalformed))
 	}
 	op := &archOps[req.op-opArchCreate]
 	s.reqs.archOp(req.op).Add(1)
@@ -420,7 +406,7 @@ func (s *Server) handleArchive(ctx context.Context, req request) (status byte, p
 	case err == nil:
 		return statusOK, body
 	case errors.As(err, &reject):
-		return statusError, []byte(reject)
+		return statusError, textPart(string(reject))
 	}
 	// A backend failure: attribute it to the serving gateway unless the
 	// backend already named a culprit.
@@ -428,7 +414,7 @@ func (s *Server) handleArchive(ctx context.Context, req request) (status byte, p
 	if !errors.As(err, &se) {
 		err = &store.ShardError{Node: "gateway", Op: op.name, Shard: store.ShardID{Object: name}, Err: err}
 	}
-	return statusFor(err), encodeWireError(err)
+	return statusFor(err), parts{encodeWireError(err)}
 }
 
 // ArchiveClient speaks the archive-level ops to a remote gateway over the
@@ -481,8 +467,8 @@ func markNotServed(err error) {
 
 // call performs one archive-op round trip and converts a peer's
 // does-not-serve-archives rejection into ErrNotServed.
-func (c *ArchiveClient) call(ctx context.Context, op byte, id store.ShardID, payload []byte) ([]byte, error) {
-	resp, err := c.n.roundTrip(ctx, archOps[op-opArchCreate].name, request{op: op, id: id, payload: payload})
+func (c *ArchiveClient) call(ctx context.Context, op byte, id store.ShardID, payload ...[]byte) ([]byte, error) {
+	resp, err := c.n.roundTrip(ctx, archOps[op-opArchCreate].name, op, id, payload...)
 	if err != nil {
 		markNotServed(err)
 		return nil, err
@@ -491,9 +477,9 @@ func (c *ArchiveClient) call(ctx context.Context, op byte, id store.ShardID, pay
 }
 
 // callJSON is call for the ops whose response body is one JSON value.
-func callJSON[T any](ctx context.Context, c *ArchiveClient, op byte, id store.ShardID, payload []byte) (T, error) {
+func callJSON[T any](ctx context.Context, c *ArchiveClient, op byte, id store.ShardID, payload ...[]byte) (T, error) {
 	var out T
-	resp, err := c.call(ctx, op, id, payload)
+	resp, err := c.call(ctx, op, id, payload...)
 	if err != nil {
 		return out, err
 	}
@@ -520,12 +506,12 @@ func (c *ArchiveClient) Commit(ctx context.Context, name string, expect int, obj
 	if err != nil {
 		return core.CommitInfo{}, err
 	}
-	return callJSON[core.CommitInfo](ctx, c, opArchCommit, store.ShardID{Object: name}, payload)
+	return callJSON[core.CommitInfo](ctx, c, opArchCommit, store.ShardID{Object: name}, payload...)
 }
 
 // Retrieve fetches one version (0 = latest).
 func (c *ArchiveClient) Retrieve(ctx context.Context, name string, version int) (ArchiveVersion, error) {
-	resp, err := c.call(ctx, opArchGet, store.ShardID{Object: name, Row: version}, nil)
+	resp, err := c.call(ctx, opArchGet, store.ShardID{Object: name, Row: version})
 	if err != nil {
 		return ArchiveVersion{}, err
 	}
@@ -534,7 +520,7 @@ func (c *ArchiveClient) Retrieve(ctx context.Context, name string, version int) 
 
 // RetrieveAll fetches versions 1..version (0 = through the latest).
 func (c *ArchiveClient) RetrieveAll(ctx context.Context, name string, version int) ([][]byte, core.RetrievalStats, error) {
-	resp, err := c.call(ctx, opArchGetAll, store.ShardID{Object: name, Row: version}, nil)
+	resp, err := c.call(ctx, opArchGetAll, store.ShardID{Object: name, Row: version})
 	if err != nil {
 		return nil, core.RetrievalStats{}, err
 	}
@@ -543,18 +529,18 @@ func (c *ArchiveClient) RetrieveAll(ctx context.Context, name string, version in
 
 // Log fetches the archive's version history.
 func (c *ArchiveClient) Log(ctx context.Context, name string) ([]ArchiveLogEntry, error) {
-	return callJSON[[]ArchiveLogEntry](ctx, c, opArchLog, store.ShardID{Object: name}, nil)
+	return callJSON[[]ArchiveLogEntry](ctx, c, opArchLog, store.ShardID{Object: name})
 }
 
 // Info fetches the archive description and cluster health snapshot.
 func (c *ArchiveClient) Info(ctx context.Context, name string) (ArchiveInfo, error) {
-	return callJSON[ArchiveInfo](ctx, c, opArchInfo, store.ShardID{Object: name}, nil)
+	return callJSON[ArchiveInfo](ctx, c, opArchInfo, store.ShardID{Object: name})
 }
 
 // Compact bounds the archive's chain depth to maxChain (0 = the archive's
 // configured policy).
 func (c *ArchiveClient) Compact(ctx context.Context, name string, maxChain int) (CompactReport, error) {
-	return callJSON[CompactReport](ctx, c, opArchCompact, store.ShardID{Object: name, Row: maxChain}, nil)
+	return callJSON[CompactReport](ctx, c, opArchCompact, store.ShardID{Object: name, Row: maxChain})
 }
 
 // Scrub verifies every stored shard, optionally repairing damage.
@@ -563,10 +549,10 @@ func (c *ArchiveClient) Scrub(ctx context.Context, name string, repair bool) (co
 	if repair {
 		row = 1
 	}
-	return callJSON[core.ScrubReport](ctx, c, opArchScrub, store.ShardID{Object: name, Row: row}, nil)
+	return callJSON[core.ScrubReport](ctx, c, opArchScrub, store.ShardID{Object: name, Row: row})
 }
 
 // Repair reconstructs the archive's shards on the given cluster node.
 func (c *ArchiveClient) Repair(ctx context.Context, name string, node int) (core.RepairReport, error) {
-	return callJSON[core.RepairReport](ctx, c, opArchRepair, store.ShardID{Object: name, Row: node}, nil)
+	return callJSON[core.RepairReport](ctx, c, opArchRepair, store.ShardID{Object: name, Row: node})
 }

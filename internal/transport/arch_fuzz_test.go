@@ -16,12 +16,12 @@ func FuzzDecodeArchCommit(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
+	f.Add(flat(seed))
 	noPre, err := encodeArchCommit(-1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(noPre)
+	f.Add(flat(noPre))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})                // truncated precondition
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // forged precondition
@@ -37,7 +37,7 @@ func FuzzDecodeArchCommit(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded commit does not re-encode: %v", err)
 		}
-		expect2, object2, err := decodeArchCommit(back)
+		expect2, object2, err := decodeArchCommit(flat(back))
 		if err != nil {
 			t.Fatalf("re-encoded commit does not decode: %v", err)
 		}
@@ -58,7 +58,7 @@ func FuzzDecodeArchVersion(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
+	f.Add(flat(seed))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})        // forged meta length
 	f.Add([]byte{0, 0, 0, 2, '{', 'x'})          // malformed meta JSON
@@ -72,7 +72,7 @@ func FuzzDecodeArchVersion(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded version does not re-encode: %v", err)
 		}
-		again, err := decodeArchVersion(back)
+		again, err := decodeArchVersion(flat(back))
 		if err != nil {
 			t.Fatalf("re-encoded version does not decode: %v", err)
 		}
@@ -85,10 +85,11 @@ func FuzzDecodeArchVersion(f *testing.F) {
 // FuzzDecodeArchVersions attacks the retrieve-all response parser: forged
 // counts, truncated chunks, and trailing bytes must all error cleanly.
 func FuzzDecodeArchVersions(f *testing.F) {
-	seed, err := encodeArchVersions([][]byte{[]byte("v1"), nil}, core.RetrievalStats{NodeReads: 9})
+	seedParts, err := encodeArchVersions([][]byte{[]byte("v1"), nil}, core.RetrievalStats{NodeReads: 9})
 	if err != nil {
 		f.Fatal(err)
 	}
+	seed := flat(seedParts)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, '{', '}', 0xFF, 0xFF, 0xFF, 0xFF}) // forged count
@@ -103,7 +104,7 @@ func FuzzDecodeArchVersions(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded versions do not re-encode: %v", err)
 		}
-		again, _, err := decodeArchVersions(back)
+		again, _, err := decodeArchVersions(flat(back))
 		if err != nil {
 			t.Fatalf("re-encoded versions do not decode: %v", err)
 		}
@@ -128,7 +129,7 @@ func FuzzArchServerHandle(f *testing.F) {
 	}
 	for _, req := range []request{
 		{op: opArchCreate, id: store.ShardID{Object: "a"}, payload: []byte(`{"n":12,"k":10,"block_size":4}`)},
-		{op: opArchCommit, id: store.ShardID{Object: "a"}, payload: commitBody},
+		{op: opArchCommit, id: store.ShardID{Object: "a"}, payload: flat(commitBody)},
 		{op: opArchGet, id: store.ShardID{Object: "a", Row: 1}},
 		{op: opArchGetAll, id: store.ShardID{Object: "a"}},
 		{op: opArchLog, id: store.ShardID{Object: "a"}},
@@ -138,7 +139,7 @@ func FuzzArchServerHandle(f *testing.F) {
 		{op: opArchRepair, id: store.ShardID{Object: "a", Row: 2}},
 		{op: opArchCommit}, // no archive name
 	} {
-		body, err := encodeRequest(req)
+		body, err := requestFrame(req)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func FuzzArchServerHandle(f *testing.F) {
 	srv := NewServer(nil, WithArchiveBackend(&stubArchiveBackend{}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		status, payload := srv.handle(t.Context(), body)
-		if _, _, err := decodeResponse(encodeResponse(status, payload)); err != nil {
+		if _, _, err := decodeResponse(responseFrame(status, payload)); err != nil {
 			t.Fatalf("response does not decode: %v", err)
 		}
 	})

@@ -234,18 +234,18 @@ func legacyServer(t *testing.T, node store.Node) net.Addr {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					body, err := readFrame(conn)
+					body, err := readFrame(conn, nil)
 					if err != nil {
 						return
 					}
 					var status byte
-					var payload []byte
+					var payload parts
 					if req, err := decodeRequest(body); err == nil && (req.op == opGetBatch || req.op == opPutBatch || req.op == opDeleteBatch) {
-						status, payload = statusError, []byte(fmt.Sprintf("transport: unknown op %d", req.op))
+						status, payload = statusError, textPart(fmt.Sprintf("transport: unknown op %d", req.op))
 					} else {
 						status, payload = inner.handle(context.Background(), body)
 					}
-					if err := writeFrame(conn, encodeResponse(status, payload)); err != nil {
+					if err := writeResponse(conn, status, payload); err != nil {
 						return
 					}
 				}
@@ -427,20 +427,20 @@ func TestExchangeReassemblesPartialFrames(t *testing.T) {
 	go func() {
 		defer c2.Close()
 		r := bufio.NewReader(c2)
-		if _, err := readFrame(r); err != nil {
+		if _, err := readFrame(r, nil); err != nil {
 			done <- err
 			return
 		}
 		for _, part := range [][]byte{[]byte("hel"), []byte("lo ")} {
-			if err := writeFrame(c2, encodeResponse(statusPartial, part)); err != nil {
+			if err := writeFrame(c2, []byte{statusPartial}, part); err != nil {
 				done <- err
 				return
 			}
 		}
-		done <- writeFrame(c2, encodeResponse(statusOK, []byte("world")))
+		done <- writeFrame(c2, []byte{statusOK}, []byte("world"))
 	}()
 	cn := &poolConn{c: c1, r: bufio.NewReader(c1), w: bufio.NewWriter(c1)}
-	req, err := encodeRequest(request{op: opPing})
+	req, err := encodeRequest(opPing, store.ShardID{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestBatchProtocolRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pids, pdata, err := decodePutBatch(pb)
+	pids, pdata, err := decodePutBatch(flat(pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestBatchProtocolRoundTrip(t *testing.T) {
 		{Err: fmt.Errorf("gone: %w", store.ErrNotFound)},
 		{Err: fmt.Errorf("rotten: %w", store.ErrCorrupt)},
 	}
-	rb := encodeBatchResults(results)
+	rb := flat(encodeBatchResults(results))
 	decoded, err := decodeBatchResults(rb, ids, "test-node", "get")
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +607,7 @@ func TestBatchProtocolRejectsMalformed(t *testing.T) {
 		t.Error("forged result count: want error")
 	}
 	// Count/ids mismatch must be rejected, not misattributed.
-	rb := encodeBatchResults([]store.ShardResult{{Data: []byte{1}}})
+	rb := flat(encodeBatchResults([]store.ShardResult{{Data: []byte{1}}}))
 	if _, err := decodeBatchResults(rb, testIDs("o", 0, 1), "test-node", "get"); err == nil {
 		t.Error("result count mismatch: want error")
 	}
@@ -634,7 +634,7 @@ func TestBatchProtocolRejectsMalformed(t *testing.T) {
 func TestServerRejectsMalformedBatch(t *testing.T) {
 	srv := NewServer(store.NewMemNode("n"))
 	for _, payload := range [][]byte{nil, {1}, {0, 0, 1, 0}, {0xFF, 0xFF, 0xFF, 0xFF}} {
-		body, err := encodeRequest(request{op: opGetBatch, payload: payload})
+		body, err := requestFrame(request{op: opGetBatch, payload: payload})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,18 +156,18 @@ func (n *RemoteNode) Addr() string { return n.addr }
 
 // Put stores a shard on the remote node.
 func (n *RemoteNode) Put(ctx context.Context, id store.ShardID, data []byte) error {
-	_, err := n.roundTrip(ctx, "put", request{op: opPut, id: id, payload: data})
+	_, err := n.roundTrip(ctx, "put", opPut, id, data)
 	return err
 }
 
 // Get fetches a shard from the remote node.
 func (n *RemoteNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
-	return n.roundTrip(ctx, "get", request{op: opGet, id: id})
+	return n.roundTrip(ctx, "get", opGet, id)
 }
 
 // Delete removes a shard from the remote node.
 func (n *RemoteNode) Delete(ctx context.Context, id store.ShardID) error {
-	_, err := n.roundTrip(ctx, "delete", request{op: opDelete, id: id})
+	_, err := n.roundTrip(ctx, "delete", opDelete, id)
 	return err
 }
 
@@ -182,7 +182,7 @@ func (n *RemoteNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.
 	for start := 0; start < len(ids); start += maxBatchShards {
 		chunk := ids[start:min(start+maxBatchShards, len(ids))]
 		body, err := encodeGetBatch(chunk)
-		n.batchChunk(ctx, opGetBatch, "get", chunk, body, err,
+		n.batchChunk(ctx, opGetBatch, "get", chunk, parts{body}, err,
 			func(i int, res store.ShardResult) { results[start+i] = res },
 			func(i int) store.ShardResult {
 				data, err := n.Get(ctx, chunk[i])
@@ -199,10 +199,10 @@ func (n *RemoteNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.
 // unknown op on an old peer, an oversized or malformed frame, a batch that
 // would not encode), and the frame degrades to per-shard operations -
 // perShard performs shard i on its own - instead of failing the shards.
-func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids []store.ShardID, body []byte, err error, set func(i int, res store.ShardResult), perShard func(i int) store.ShardResult) {
+func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids []store.ShardID, body parts, err error, set func(i int, res store.ShardResult), perShard func(i int) store.ShardResult) {
 	if err == nil {
 		var payload []byte
-		payload, err = n.roundTrip(ctx, name, request{op: op, payload: body})
+		payload, err = n.roundTrip(ctx, name, op, store.ShardID{}, body...)
 		if err != nil && (errors.Is(err, store.ErrNodeDown) || ctxCause(ctx) != nil) {
 			for i, id := range ids {
 				set(i, store.ShardResult{Err: n.batchErr(name, id, err)})
@@ -274,7 +274,7 @@ func (n *RemoteNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []err
 	for start := 0; start < len(ids); start += maxBatchShards {
 		chunk := ids[start:min(start+maxBatchShards, len(ids))]
 		body, err := encodeDeleteBatch(chunk)
-		n.batchChunk(ctx, opDeleteBatch, "delete", chunk, body, err,
+		n.batchChunk(ctx, opDeleteBatch, "delete", chunk, parts{body}, err,
 			func(i int, res store.ShardResult) { errs[start+i] = res.Err },
 			func(i int) store.ShardResult { return store.ShardResult{Err: n.Delete(ctx, chunk[i])} })
 	}
@@ -290,7 +290,7 @@ func (n *RemoteNode) Available(ctx context.Context) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	body, err := encodeRequest(request{op: opPing})
+	body, err := encodeRequest(opPing, store.ShardID{})
 	if err != nil {
 		return false
 	}
@@ -344,7 +344,7 @@ func (n *RemoteNode) Stats() store.NodeStats {
 // (store.Cluster.TotalStatsChecked) use it to flag unreachable nodes so
 // experiment I/O accounting is never silently short.
 func (n *RemoteNode) StatsErr(ctx context.Context) (store.NodeStats, error) {
-	payload, err := n.roundTrip(ctx, "stats", request{op: opStats})
+	payload, err := n.roundTrip(ctx, "stats", opStats, store.ShardID{})
 	if err != nil {
 		return store.NodeStats{}, err
 	}
@@ -358,7 +358,7 @@ func (n *RemoteNode) StatsErr(ctx context.Context) (store.NodeStats, error) {
 // ResetStats zeroes the remote node's I/O counters (best effort).
 func (n *RemoteNode) ResetStats() {
 	//lint:allow ctxcheck mirrors the ctx-less store.Node interface; best-effort fire-and-forget reset
-	_, _ = n.roundTrip(context.Background(), "stats", request{op: opResetStats})
+	_, _ = n.roundTrip(context.Background(), "stats", opResetStats, store.ShardID{})
 }
 
 // Close tears down every connection - idle, checked out by an in-flight
@@ -425,15 +425,23 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 // context's deadline, recomputed per attempt; cancellation interrupts the
 // exchange immediately, stops the retry loop, and the connection is
 // retired instead of re-pooled.
-func (n *RemoteNode) roundTrip(ctx context.Context, op string, req request) ([]byte, error) {
-	body, err := encodeRequest(req)
+//
+// The payload parts are written from where they lie; the payload returned
+// is a sub-slice of its frame, which only the caller refers to from here on.
+func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id store.ShardID, payload ...[]byte) ([]byte, error) {
+	body, err := encodeRequest(op, id, payload...)
 	if err != nil {
 		return nil, err
+	}
+	// A request no frame can carry is the caller's error, not the node's:
+	// refuse it here, with every part counted, before a connection is taken.
+	if size := body.size(); size > maxFrame {
+		return nil, fmt.Errorf("transport: %s request of %d bytes: %w", name, size, errFrameTooLarge)
 	}
 	select {
 	case n.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, n.opErr(ctx, op, req.id, ctx.Err())
+		return nil, n.opErr(ctx, name, id, ctx.Err())
 	}
 	defer func() { <-n.sem }()
 	maxAttempts := n.retry.MaxAttempts
@@ -444,11 +452,10 @@ func (n *RemoteNode) roundTrip(ctx context.Context, op string, req request) ([]b
 	for attempt := 1; ; attempt++ {
 		status, payload, err := n.tryExchange(ctx, body)
 		if err == nil {
-			if err := errorFor(status, payload, n.id, op, req.id); err != nil {
+			if err := errorFor(status, payload, n.id, name, id); err != nil {
 				return nil, err
 			}
-			// Copy out of the frame buffer so callers own the result.
-			return append([]byte(nil), payload...), nil
+			return payload, nil
 		}
 		lastErr = err
 		if attempt >= maxAttempts || ctxCause(ctx) != nil || n.isClosed() {
@@ -458,14 +465,14 @@ func (n *RemoteNode) roundTrip(ctx context.Context, op string, req request) ([]b
 			break
 		}
 	}
-	return nil, n.opErr(ctx, op, req.id, lastErr)
+	return nil, n.opErr(ctx, name, id, lastErr)
 }
 
 // tryExchange performs one pooled request/response exchange, including the
 // free stale-connection re-dial when a reused pooled connection fails. The
 // returned error is a raw transport cause (not yet attributed to the
 // node); a nil error means the server answered with status and payload.
-func (n *RemoteNode) tryExchange(ctx context.Context, body []byte) (byte, []byte, error) {
+func (n *RemoteNode) tryExchange(ctx context.Context, body parts) (byte, []byte, error) {
 	deadline := earliestDeadline(ctx, n.timeout)
 	cn, reused, gen, err := n.takeConn(deadline)
 	if err != nil {
@@ -502,7 +509,7 @@ func (n *RemoteNode) tryExchange(ctx context.Context, body []byte) (byte, []byte
 // wire) and on the rare race where the exchange succeeded but the
 // cancellation callback had already started - the conn must then be
 // retired so the callback cannot poison a later operation's deadline.
-func (n *RemoteNode) exchangeCtx(ctx context.Context, cn *poolConn, body []byte, deadline time.Time) (status byte, payload []byte, clean bool, err error) {
+func (n *RemoteNode) exchangeCtx(ctx context.Context, cn *poolConn, body parts, deadline time.Time) (status byte, payload []byte, clean bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, true, err
 	}
@@ -537,11 +544,11 @@ func ctxCause(ctx context.Context) error {
 // exchangeOn writes one request frame and reads one logical response on
 // the given connection under the deadline, reassembling statusPartial
 // continuation frames into a single payload.
-func exchangeOn(cn *poolConn, body []byte, deadline time.Time) (byte, []byte, error) {
+func exchangeOn(cn *poolConn, body parts, deadline time.Time) (byte, []byte, error) {
 	if err := cn.c.SetDeadline(deadline); err != nil {
 		return 0, nil, err
 	}
-	if err := writeFrame(cn.w, body); err != nil {
+	if err := writeFrame(cn.w, body...); err != nil {
 		return 0, nil, err
 	}
 	if err := cn.w.Flush(); err != nil {
@@ -549,7 +556,7 @@ func exchangeOn(cn *poolConn, body []byte, deadline time.Time) (byte, []byte, er
 	}
 	var full []byte
 	for {
-		frame, err := readFrame(cn.r)
+		frame, err := readFrame(cn.r, nil)
 		if err != nil {
 			return 0, nil, err
 		}

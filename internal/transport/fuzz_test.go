@@ -11,7 +11,7 @@ import (
 // never panic, and everything it accepts must re-encode to an equivalent
 // request.
 func FuzzDecodeRequest(f *testing.F) {
-	seed, err := encodeRequest(request{op: opPut, id: store.ShardID{Object: "arch/v1", Row: 3}, payload: []byte{1, 2}})
+	seed, err := requestFrame(request{op: opPut, id: store.ShardID{Object: "arch/v1", Row: 3}, payload: []byte{1, 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back, err := encodeRequest(req)
+		back, err := requestFrame(req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)
 		}
@@ -41,11 +41,11 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzServerHandle drives the full server dispatch with arbitrary frames:
 // no input may panic the node server, and every response must decode.
 func FuzzServerHandle(f *testing.F) {
-	put, err := encodeRequest(request{op: opPut, id: store.ShardID{Object: "o", Row: 0}, payload: []byte{9}})
+	put, err := requestFrame(request{op: opPut, id: store.ShardID{Object: "o", Row: 0}, payload: []byte{9}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	get, err := encodeRequest(request{op: opGet, id: store.ShardID{Object: "o", Row: 0}})
+	get, err := requestFrame(request{op: opGet, id: store.ShardID{Object: "o", Row: 0}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func FuzzServerHandle(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	getBatch, err := encodeRequest(request{op: opGetBatch, payload: getBatchBody})
+	getBatch, err := requestFrame(request{op: opGetBatch, payload: getBatchBody})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func FuzzServerHandle(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	putBatch, err := encodeRequest(request{op: opPutBatch, payload: putBatchBody})
+	putBatch, err := requestFrame(request{op: opPutBatch, payload: flat(putBatchBody)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func FuzzServerHandle(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	deleteBatch, err := encodeRequest(request{op: opDeleteBatch, payload: deleteBatchBody})
+	deleteBatch, err := requestFrame(request{op: opDeleteBatch, payload: deleteBatchBody})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func FuzzServerHandle(f *testing.F) {
 	srv := NewServer(store.NewMemNode("fuzz"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		status, payload := srv.handle(t.Context(), body)
-		if _, _, err := decodeResponse(encodeResponse(status, payload)); err != nil {
+		if _, _, err := decodeResponse(responseFrame(status, payload)); err != nil {
 			t.Fatalf("response does not decode: %v", err)
 		}
 	})
@@ -136,7 +136,7 @@ func FuzzDecodePutBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
+	f.Add(flat(seed))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // forged data length
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -151,7 +151,7 @@ func FuzzDecodePutBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded batch does not re-encode: %v", err)
 		}
-		ids2, data2, err := decodePutBatch(back)
+		ids2, data2, err := decodePutBatch(flat(back))
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -166,14 +166,15 @@ func FuzzDecodePutBatch(f *testing.F) {
 // FuzzDecodeBatchResults attacks the response parser the client trusts:
 // malformed counts, truncated per-shard frames, and status bytes outside
 // the known set must error or produce len(ids) well-formed results, never
-// panic.
+// panic - and every shard it hands out lies inside the payload it was given,
+// without overlapping another.
 func FuzzDecodeBatchResults(f *testing.F) {
 	ids := []store.ShardID{{Object: "o", Row: 0}, {Object: "o", Row: 1}}
 	seed := encodeBatchResults([]store.ShardResult{
 		{Data: []byte{1, 2}},
 		{Err: store.ErrNotFound},
 	})
-	f.Add(seed)
+	f.Add(flat(seed))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0xEE, 0, 0, 0, 0, 7, 0, 0, 0, 0}) // unknown status byte
 	f.Add([]byte{0, 0, 0, 2, 0, 0xFF, 0xFF, 0xFF, 0xFF})       // forged chunk length
@@ -190,5 +191,6 @@ func FuzzDecodeBatchResults(f *testing.F) {
 				t.Fatalf("result %d carries both data and error", i)
 			}
 		}
+		checkInsideDisjoint(t, payload, results)
 	})
 }

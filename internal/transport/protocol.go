@@ -76,24 +76,74 @@ var errFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // errEmptyResponse reports a response frame with no status byte.
 var errEmptyResponse = errors.New("transport: empty response body")
 
+// parts is a frame body, or a stretch of one, as the slices it is made of in
+// wire order: the few header bytes an encoder builds and the payload slices
+// it was handed, which are written from where they lie instead of being
+// copied into one buffer first (DESIGN.md section 7, "Who owns a frame").
+type parts [][]byte
+
+func (p parts) size() int {
+	n := 0
+	for _, part := range p {
+		n += len(part)
+	}
+	return n
+}
+
+// split cuts the list after n bytes, inside a part where the cut falls in
+// one. p itself is left as it was.
+func (p parts) split(n int) (head, tail parts) {
+	for i, part := range p {
+		if n < len(part) {
+			head = append(append(head, p[:i]...), part[:n])
+			tail = append(parts{part[n:]}, p[i+1:]...)
+			return head, tail
+		}
+		n -= len(part)
+	}
+	return p, nil
+}
+
+// splicer builds a frame out of header bytes it is given to append and
+// payload slices it takes by reference: splice closes the header bytes
+// appended since the last one into a part and puts data behind them.
+type splicer struct {
+	buf  []byte
+	mark int
+	out  parts
+}
+
+func (s *splicer) splice(data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	s.out = append(s.out, s.buf[s.mark:], data)
+	s.mark = len(s.buf)
+}
+
+func (s *splicer) parts() parts {
+	if s.mark < len(s.buf) {
+		s.out = append(s.out, s.buf[s.mark:])
+	}
+	return s.out
+}
+
+// request is a decoded request frame; its payload is the rest of the frame
+// it was decoded from.
 type request struct {
 	op      byte
 	id      store.ShardID
 	payload []byte
 }
 
-func encodeRequest(req request) ([]byte, error) {
-	obj := []byte(req.id.Object)
-	if len(obj) > 0xFFFF {
-		return nil, fmt.Errorf("transport: object name of %d bytes exceeds limit", len(obj))
+// encodeRequest frames a request: the header it builds, then the payload
+// parts as they are.
+func encodeRequest(op byte, id store.ShardID, payload ...[]byte) (parts, error) {
+	head, err := appendShardID([]byte{op}, id)
+	if err != nil {
+		return nil, err
 	}
-	body := make([]byte, 0, 1+2+len(obj)+4+len(req.payload))
-	body = append(body, req.op)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(obj)))
-	body = append(body, obj...)
-	body = binary.BigEndian.AppendUint32(body, uint32(int32(req.id.Row)))
-	body = append(body, req.payload...)
-	return body, nil
+	return append(parts{head}, payload...), nil
 }
 
 func decodeRequest(body []byte) (request, error) {
@@ -110,12 +160,6 @@ func decodeRequest(body []byte) (request, error) {
 	row := int(int32(binary.BigEndian.Uint32(rest[objLen : objLen+4])))
 	payload := rest[objLen+4:]
 	return request{op: op, id: store.ShardID{Object: obj, Row: row}, payload: payload}, nil
-}
-
-func encodeResponse(status byte, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, status)
-	return append(body, payload...)
 }
 
 func decodeResponse(body []byte) (status byte, payload []byte, err error) {
@@ -204,7 +248,8 @@ func readShardID(p []byte) (store.ShardID, []byte, error) {
 	return store.ShardID{Object: obj, Row: row}, p[objLen+4:], nil
 }
 
-// readChunk consumes a u32-length-prefixed byte chunk from p.
+// readChunk consumes a u32-length-prefixed byte chunk from p. The chunk is
+// cap-clipped: it can be handed on without exposing the bytes behind it.
 func readChunk(p []byte) ([]byte, []byte, error) {
 	if len(p) < 4 {
 		return nil, nil, errBatchMalformed
@@ -214,7 +259,7 @@ func readChunk(p []byte) ([]byte, []byte, error) {
 	if n < 0 || len(p) < n {
 		return nil, nil, errBatchMalformed
 	}
-	return p[:n], p[n:], nil
+	return p[:n:n], p[n:], nil
 }
 
 // readBatchCount consumes and validates the leading shard count of a batch
@@ -273,7 +318,7 @@ func decodeDeleteBatch(payload []byte) ([]store.ShardID, error) {
 	return decodeGetBatch(payload)
 }
 
-func encodePutBatch(ids []store.ShardID, data [][]byte) ([]byte, error) {
+func encodePutBatch(ids []store.ShardID, data [][]byte) (parts, error) {
 	if len(ids) > maxBatchShards {
 		return nil, errBatchTooLarge
 	}
@@ -281,19 +326,19 @@ func encodePutBatch(ids []store.ShardID, data [][]byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d ids, %d payloads", errBatchMalformed, len(ids), len(data))
 	}
 	size := 4
-	for i, id := range ids {
-		size += 2 + len(id.Object) + 4 + 4 + len(data[i])
+	for _, id := range ids {
+		size += 2 + len(id.Object) + 4 + 4
 	}
-	body := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(ids)))
+	s := splicer{buf: binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(ids)))}
 	var err error
 	for i, id := range ids {
-		if body, err = appendShardID(body, id); err != nil {
+		if s.buf, err = appendShardID(s.buf, id); err != nil {
 			return nil, err
 		}
-		body = binary.BigEndian.AppendUint32(body, uint32(len(data[i])))
-		body = append(body, data[i]...)
+		s.buf = binary.BigEndian.AppendUint32(s.buf, uint32(len(data[i])))
+		s.splice(data[i])
 	}
-	return body, nil
+	return s.parts(), nil
 }
 
 func decodePutBatch(payload []byte) ([]store.ShardID, [][]byte, error) {
@@ -320,34 +365,27 @@ func decodePutBatch(payload []byte) ([]store.ShardID, [][]byte, error) {
 // encodeBatchResults renders per-shard outcomes: shard data for successful
 // gets, a wire error (with ShardError provenance when present) otherwise.
 // Put batches pass nil Data throughout.
-func encodeBatchResults(results []store.ShardResult) []byte {
-	size := 4
+func encodeBatchResults(results []store.ShardResult) parts {
+	s := splicer{buf: binary.BigEndian.AppendUint32(make([]byte, 0, 4+5*len(results)), uint32(len(results)))}
 	for _, res := range results {
-		size += 1 + 4
-		if res.Err == nil {
-			size += len(res.Data)
+		data := res.Data
+		if res.Err != nil {
+			data = encodeWireError(res.Err)
 		}
+		s.buf = append(s.buf, statusFor(res.Err))
+		s.buf = binary.BigEndian.AppendUint32(s.buf, uint32(len(data)))
+		s.splice(data)
 	}
-	body := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(results)))
-	for _, res := range results {
-		body = append(body, statusFor(res.Err))
-		if res.Err == nil {
-			body = binary.BigEndian.AppendUint32(body, uint32(len(res.Data)))
-			body = append(body, res.Data...)
-			continue
-		}
-		msg := encodeWireError(res.Err)
-		body = binary.BigEndian.AppendUint32(body, uint32(len(msg)))
-		body = append(body, msg...)
-	}
-	return body
+	return s.parts()
 }
 
 // decodeBatchResults parses a batch response into per-shard results
 // aligned with ids; the response count must match len(ids) exactly, so a
 // truncated or padded response is rejected rather than misattributed.
 // node and op provide the client-side provenance for error entries whose
-// payload carries none.
+// payload carries none. Shard data is not copied: each result is a
+// cap-clipped sub-slice of payload, so appending to one cannot reach the
+// next, and holding one keeps the frame it arrived in alive.
 func decodeBatchResults(payload []byte, ids []store.ShardID, node, op string) ([]store.ShardResult, error) {
 	count, p, err := readBatchCount(payload, 5)
 	if err != nil {
@@ -367,8 +405,7 @@ func decodeBatchResults(payload []byte, ids []store.ShardID, node, op string) ([
 			return nil, err
 		}
 		if status == statusOK {
-			// Copy out of the frame buffer so callers own the result.
-			results[i] = store.ShardResult{Data: append([]byte(nil), chunk...)}
+			results[i] = store.ShardResult{Data: chunk}
 			continue
 		}
 		results[i] = store.ShardResult{Err: errorFor(status, chunk, node, op, ids[i])}
@@ -379,20 +416,32 @@ func decodeBatchResults(payload []byte, ids []store.ShardID, node, op string) ([
 	return results, nil
 }
 
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > maxFrame {
+// writeFrame writes one frame whose body is the given parts, each from
+// where it lies. w is the connection's bufio.Writer: a frame that fits its
+// buffer leaves in one write when flushed, and a part larger than the buffer
+// goes to the socket without being copied.
+func writeFrame(w io.Writer, body ...[]byte) error {
+	size := parts(body).size()
+	if size > maxFrame {
 		return errFrameTooLarge
 	}
 	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
+	binary.BigEndian.PutUint32(lenBuf[:], uint32(size))
 	if _, err := w.Write(lenBuf[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
-	return err
+	for _, part := range body {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame body, into buf when it fits and into a new slice
+// when it does not. Either way the body belongs to the caller, who may hand
+// out sub-slices of it instead of copies.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
@@ -401,7 +450,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, errFrameTooLarge
 	}
-	body := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -119,6 +120,23 @@ func (s *Server) ConnCount() int {
 // 64 MiB payloads.
 var maxResponseChunk = maxFrame - 1
 
+// connBufSize sizes the buffer a response is written through and bounds the
+// request buffer a served connection keeps between requests. A response
+// below it - a batch of 4 KiB shards, every JSON reply - leaves in one
+// write; a shard or object above it is written to the socket from where it
+// lies. 64 KiB is about what a loopback socket takes in one write.
+const connBufSize = 64 << 10
+
+// responseWriters lends a connection its write buffer for the length of one
+// response, so that idle connections - most of them, and every ping
+// connection always - hold none.
+var responseWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufSize) }}
+
+// ScribbleRequests makes every served connection overwrite its request
+// buffer as soon as handle returns. Tests set it (in TestMain, before any
+// server runs) to prove that nothing served keeps a slice of a request.
+var ScribbleRequests bool
+
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
@@ -218,60 +236,85 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	// A request is read into the connection's one request buffer and is
+	// valid until handle returns, when the buffer is the server's again. One
+	// too large to be worth keeping gets a buffer of its own, same rule.
+	var buf []byte
 	for {
-		body, err := readFrame(r)
+		body, err := readFrame(r, buf)
 		if err != nil {
 			return // EOF, broken peer, or drain deadline: drop the connection
 		}
 		status, payload := s.handle(s.ops, body)
-		// A logical response larger than one frame (a get batch whose
-		// shards together exceed maxFrame) is split across continuation
-		// frames; the terminal frame carries the real status.
-		for len(payload) > maxResponseChunk {
-			if err := writeFrame(w, encodeResponse(statusPartial, payload[:maxResponseChunk])); err != nil {
-				return
+		if ScribbleRequests {
+			for i := range body {
+				body[i] = 0xA5
 			}
-			payload = payload[maxResponseChunk:]
 		}
-		if err := writeFrame(w, encodeResponse(status, payload)); err != nil {
-			return
+		if cap(body) <= connBufSize {
+			buf = body
 		}
-		if err := w.Flush(); err != nil {
+		w := responseWriters.Get().(*bufio.Writer)
+		w.Reset(conn)
+		err = writeResponse(w, status, payload)
+		if err == nil {
+			err = w.Flush()
+		}
+		w.Reset(nil) // the pool must not keep the connection alive
+		responseWriters.Put(w)
+		if err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload []byte) {
+// writeResponse writes one logical response. One larger than a frame (a get
+// batch whose shards together exceed maxFrame) is split across continuation
+// frames wherever the boundary falls in the part list; the terminal frame
+// carries the real status.
+func writeResponse(w io.Writer, status byte, payload parts) error {
+	for size := payload.size(); size > maxResponseChunk; size -= maxResponseChunk {
+		var head parts
+		head, payload = payload.split(maxResponseChunk)
+		if err := writeFrame(w, append(parts{{statusPartial}}, head...)...); err != nil {
+			return err
+		}
+	}
+	return writeFrame(w, append(parts{{status}}, payload...)...)
+}
+
+// textPart is a response payload of one message.
+func textPart(msg string) parts { return parts{[]byte(msg)} }
+
+func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload parts) {
 	req, err := decodeRequest(body)
 	if err != nil {
-		return statusError, []byte(err.Error())
+		return statusError, textPart(err.Error())
 	}
 	if req.op >= opArchCreate && req.op <= opArchRepair {
 		return s.handleArchive(ctx, req)
 	}
 	if s.node == nil && req.op != opPing {
-		return statusError, []byte("transport: no storage node served")
+		return statusError, textPart("transport: no storage node served")
 	}
 	switch req.op {
 	case opPut:
 		s.reqs.puts.Add(1)
 		s.reqs.bytesWritten.Add(uint64(len(req.payload)))
 		err := s.node.Put(ctx, req.id, req.payload)
-		return s.report(err), encodeWireError(err)
+		return s.report(err), parts{encodeWireError(err)}
 	case opGet:
 		s.reqs.gets.Add(1)
 		data, err := s.node.Get(ctx, req.id)
 		if err != nil {
-			return s.report(err), encodeWireError(err)
+			return s.report(err), parts{encodeWireError(err)}
 		}
 		s.reqs.bytesRead.Add(uint64(len(data)))
-		return statusOK, data
+		return statusOK, parts{data}
 	case opDelete:
 		s.reqs.deletes.Add(1)
 		err := s.node.Delete(ctx, req.id)
-		return s.report(err), encodeWireError(err)
+		return s.report(err), parts{encodeWireError(err)}
 	case opPing:
 		s.reqs.pings.Add(1)
 		if s.node != nil && !s.node.Available(ctx) {
@@ -280,14 +323,14 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 		return statusOK, nil
 	case opStats:
 		s.reqs.stats.Add(1)
-		return statusOK, encodeStats(s.node.Stats())
+		return statusOK, parts{encodeStats(s.node.Stats())}
 	case opResetStats:
 		s.node.ResetStats()
 		return statusOK, nil
 	case opGetBatch:
 		ids, err := decodeGetBatch(req.payload)
 		if err != nil {
-			return statusError, []byte(err.Error())
+			return statusError, textPart(err.Error())
 		}
 		s.reqs.getBatches.Add(1)
 		s.reqs.getBatchShards.Add(uint64(len(ids)))
@@ -301,7 +344,7 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 	case opPutBatch:
 		ids, data, err := decodePutBatch(req.payload)
 		if err != nil {
-			return statusError, []byte(err.Error())
+			return statusError, textPart(err.Error())
 		}
 		s.reqs.putBatches.Add(1)
 		s.reqs.putBatchShards.Add(uint64(len(ids)))
@@ -316,7 +359,7 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 	case opDeleteBatch:
 		ids, err := decodeDeleteBatch(req.payload)
 		if err != nil {
-			return statusError, []byte(err.Error())
+			return statusError, textPart(err.Error())
 		}
 		s.reqs.deleteBatches.Add(1)
 		s.reqs.deleteBatchShards.Add(uint64(len(ids)))
@@ -326,7 +369,7 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 		}
 		return statusOK, encodeBatchResults(results)
 	default:
-		return statusError, []byte(fmt.Sprintf("transport: unknown op %d", req.op))
+		return statusError, textPart(fmt.Sprintf("transport: unknown op %d", req.op))
 	}
 }
 

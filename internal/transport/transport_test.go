@@ -367,7 +367,7 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	body, err := readFrame(conn)
+	body, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			body, err := encodeRequest(tt.req)
+			body, err := requestFrame(tt.req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +429,7 @@ func TestFrameSizeLimit(t *testing.T) {
 	// A forged oversized header must be rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); !errors.Is(err, errFrameTooLarge) {
+	if _, err := readFrame(&buf, nil); !errors.Is(err, errFrameTooLarge) {
 		t.Errorf("oversized read: err = %v, want errFrameTooLarge", err)
 	}
 }

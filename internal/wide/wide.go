@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"github.com/secarchive/sec/internal/gf"
+	"github.com/secarchive/sec/internal/sparse"
 )
 
 // Code is an (n,k) non-systematic Cauchy MDS code over GF(2^16). It is
@@ -219,6 +220,17 @@ func (c *Code) DecodeSparse(rows []int, shards [][]byte, gamma int) ([][]byte, e
 		}
 	}
 	return nil, fmt.Errorf("wide: no %d-sparse solution consistent with observations", gamma)
+}
+
+// DecodeSparseSupport is DecodeSparse as the indices of the non-zero blocks,
+// ascending, and those blocks.
+func (c *Code) DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error) {
+	z, err := c.DecodeSparse(rows, shards, gamma)
+	if err != nil {
+		return nil, nil, err
+	}
+	support, values = sparse.Support(z)
+	return support, values, nil
 }
 
 // trySupports16 enumerates size-s supports and returns the first consistent
