@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/<id>.golden from the tables the experiments render now")
 
 func parseCell(t *testing.T, s string) float64 {
 	t.Helper()
@@ -305,6 +310,11 @@ func TestCensusTable(t *testing.T) {
 	}
 }
 
+// TestRegistryRunsEverything runs every experiment and compares the table it
+// renders, byte for byte, with testdata/<id>.golden: the suite is seeded and
+// counts reads rather than timing them, so "the experiments suite is
+// byte-identical" - the acceptance clause of every no-behaviour-change PR - is
+// checked here. Regenerate with -update only when a table is meant to change.
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry run skipped in -short mode")
@@ -319,6 +329,24 @@ func TestRegistryRunsEverything(t *testing.T) {
 		}
 		if len(table.Rows) == 0 || len(table.Columns) == 0 {
 			t.Errorf("%s: empty table", id)
+		}
+		var got bytes.Buffer
+		if err := table.Format(&got); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		golden := filepath.Join("testdata", id+".golden")
+		if *updateGolden {
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s differs from %s:\n got:\n%s\n want:\n%s", id, golden, got.Bytes(), want)
 		}
 	}
 	if _, err := Run(t.Context(), "nope"); err == nil {
