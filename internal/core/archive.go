@@ -9,7 +9,6 @@ import (
 	"github.com/secarchive/sec/internal/delta"
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
-	"github.com/secarchive/sec/internal/wide"
 )
 
 // Retrieval errors.
@@ -24,58 +23,13 @@ var (
 // errNilCluster rejects archive construction without a cluster.
 var errNilCluster = errors.New("core: nil cluster")
 
-// entry records what the archive stores for one version.
-type entry struct {
-	hasFull  bool
-	hasDelta bool
-	gamma    int // block sparsity of the delta, valid when hasDelta
-	length   int // original object length in bytes
-	// base is the version the delta is computed against: x_version =
-	// x_base + z_version. Zero means the implicit chain predecessor
-	// (version-1); compaction rebases deltas onto nearer anchors, recording
-	// the anchor here. Valid when hasDelta.
-	base int
-	// checkpoint marks a full codeword placed (or retained) by the chain
-	// lifecycle - an auto-checkpoint commit, a CheckpointEvery retention,
-	// or a compaction promotion - rather than by the storage scheme.
-	// Reversed SEC never deletes a checkpointed full when the chain tip
-	// moves on.
-	checkpoint bool
-	// compressed marks a delta stored in CDEC-compacted form: the
-	// codeword encodes only the gamma non-zero blocks with a
-	// (gamma+N-K, gamma) code, and support records which blocks those are
-	// (strictly increasing). Valid when hasDelta.
-	compressed bool
-	support    []int
-}
-
-// codec is the erasure-code surface the archive needs; both the GF(2^8)
-// backend (erasure.Code, all four constructions) and the GF(2^16) wide
-// backend (wide.Code, non-systematic Cauchy with n+k > 256) satisfy it.
-// The Into variants encode/decode into caller-provided buffers; the archive
-// hot paths pair them with the erasure package's buffer pool so steady-state
-// commits, repairs, and scrubs do not allocate shard buffers.
-type codec interface {
-	N() int
-	K() int
-	Systematic() bool
-	MaxSparseGamma() int
-	Encode(blocks [][]byte) ([][]byte, error)
-	EncodeInto(blocks, dst [][]byte) error
-	DecodeFull(rows []int, shards [][]byte) ([][]byte, error)
-	DecodeFullInto(rows []int, shards, dst [][]byte) error
-	DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error)
-	SparseReadRows(live []int, gamma int) []int
-}
-
 // Archive is a SEC-encoded chain of versions of one object, stored on a
 // cluster. It is safe for concurrent use; commits are serialized.
 type Archive struct {
-	cfg       Config
-	code      codec
-	deltaCode codec
-	blocking  delta.Blocking
-	cluster   *store.Cluster
+	cfg Config
+	codecs
+	blocking delta.Blocking
+	cluster  *store.Cluster
 
 	mu       sync.RWMutex
 	entries  []entry
@@ -84,30 +38,15 @@ type Archive struct {
 	// superseded queues delta codewords replaced by compaction whose
 	// deletion is deferred (CompactKeepSupersededContext) or failed
 	// (orphans on unreachable nodes), drained by reclaimLocked.
-	superseded []gcObject
+	superseded []codeword
 	// generation counts the publishes of this archive's metadata, changed
 	// lists the versions whose entries moved since (NextRecord, Snapshot).
 	generation uint64
 	changed    []int
 
-	// ccMu guards ccache, the lazily built CDEC codecs keyed by gamma
-	// (k' = gamma, n' = gamma + N - K). Retrievals run concurrently under
-	// the archive read lock, so codec construction has its own mutex.
-	ccMu   sync.Mutex
-	ccache map[int]codec
-
 	// rcache, when non-nil, is the decoded-version read cache
 	// (Config.ReadCacheBytes); invalidated whenever the chain changes.
 	rcache *versionCache
-}
-
-// gcObject names one superseded codeword awaiting garbage collection.
-type gcObject struct {
-	id      string
-	version int
-	// code is the codec the object was written with (CDEC-compacted
-	// deltas have per-gamma shapes); nil means the archive's delta code.
-	code codec
 }
 
 // CommitInfo reports what a Commit stored.
@@ -232,86 +171,21 @@ func New(cfg Config, cluster *store.Cluster) (*Archive, error) {
 	if cluster == nil {
 		return nil, errNilCluster
 	}
-	code, deltaCode, err := buildCodecs(cfg)
+	a := &Archive{cfg: cfg, cluster: cluster}
+	err := a.buildCodecs()
 	if err != nil {
 		return nil, err
 	}
-	blocking, err := delta.NewBlocking(cfg.K, cfg.BlockSize)
-	if err != nil {
+	if a.blocking, err = delta.NewBlocking(cfg.K, cfg.BlockSize); err != nil {
 		return nil, err
 	}
 	if err := cluster.EnsureSize(cfg.Placement.NodesRequired(1, cfg.N)); err != nil {
 		return nil, err
 	}
-	a := &Archive{
-		cfg:       cfg,
-		code:      code,
-		deltaCode: deltaCode,
-		blocking:  blocking,
-		cluster:   cluster,
-	}
 	if cfg.ReadCacheBytes > 0 {
 		a.rcache = newVersionCache(cfg.ReadCacheBytes)
 	}
 	return a, nil
-}
-
-// compressGammaMax is the largest gamma the archive stores compressed
-// (Config.CompressGammaMax, defaulting to K-1).
-func (a *Archive) compressGammaMax() int {
-	if a.cfg.CompressGammaMax > 0 {
-		return a.cfg.CompressGammaMax
-	}
-	return a.cfg.K - 1
-}
-
-// compressEligible reports whether a delta of the given sparsity should be
-// stored in CDEC-compacted form.
-func (a *Archive) compressEligible(gamma int) bool {
-	return a.cfg.CompressDeltas && gamma >= 1 && gamma <= a.compressGammaMax()
-}
-
-// compressedCode returns the (gamma+N-K, gamma) codec for CDEC-compacted
-// deltas of the given sparsity, building and caching it on first use. The
-// parity count matches the archive's code, so compressed codewords tolerate
-// the same N-K node failures.
-func (a *Archive) compressedCode(gamma int) (codec, error) {
-	if gamma < 1 || gamma > a.cfg.K-1 {
-		return nil, fmt.Errorf("core: no compressed code for gamma %d (k=%d)", gamma, a.cfg.K)
-	}
-	a.ccMu.Lock()
-	defer a.ccMu.Unlock()
-	if c, ok := a.ccache[gamma]; ok {
-		return c, nil
-	}
-	n := gamma + a.cfg.N - a.cfg.K
-	var (
-		c   codec
-		err error
-	)
-	if a.cfg.Field == GF16 {
-		c, err = wide.NewCauchy(n, gamma)
-	} else {
-		c, err = erasure.New(a.cfg.Code, n, gamma)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: building compressed (%d,%d) code: %w", n, gamma, err)
-	}
-	if a.ccache == nil {
-		a.ccache = make(map[int]codec)
-	}
-	a.ccache[gamma] = c
-	return c, nil
-}
-
-// entryDeltaCode returns the codec a version's stored delta codeword uses:
-// the per-gamma compressed code for CDEC entries, the archive's delta code
-// otherwise.
-func (a *Archive) entryDeltaCode(e entry) (codec, error) {
-	if !e.compressed {
-		return a.deltaCode, nil
-	}
-	return a.compressedCode(e.gamma)
 }
 
 // invalidateReadCache clears the decoded-version cache (no-op when the
@@ -377,7 +251,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	}
 	if version == 1 {
 		info := CommitInfo{Version: 1, StoredFull: true, ReclaimedShards: reclaimed}
-		if err := a.writeObject(ctx, a.code, fullID(a.cfg.Name, 1), 1, blocks, &info.ShardWrites); err != nil {
+		if err := a.writeObject(ctx, a.fullCodeword(1), blocks, &info.ShardWrites); err != nil {
 			return CommitInfo{ReclaimedShards: reclaimed}, err
 		}
 		a.entries = append(a.entries, entry{hasFull: true, length: len(object)})
@@ -409,45 +283,22 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		storeFull = true
 		info.Checkpoint = true
 	}
-	var support []int
+	e := entry{hasFull: storeFull, gamma: gamma, length: len(object), checkpoint: info.Checkpoint}
 	if storeDelta {
-		if a.compressEligible(gamma) {
-			// CDEC path: encode only the gamma non-zero blocks with the
-			// (gamma+N-K, gamma) code. The support travels in the manifest
-			// entry; the object ID is the same as an uncompressed delta's.
-			cd, err := delta.Compact(d)
-			if err != nil {
-				return CommitInfo{ReclaimedShards: reclaimed}, err
-			}
-			ccode, err := a.compressedCode(gamma)
-			if err != nil {
-				return CommitInfo{ReclaimedShards: reclaimed}, err
-			}
-			if err := a.writeObject(ctx, ccode, deltaID(a.cfg.Name, version), version, cd.Blocks, &info.ShardWrites); err != nil {
-				return CommitInfo{ReclaimedShards: reclaimed}, err
-			}
-			info.Compressed = true
-			support = cd.Support
-		} else if err := a.writeObject(ctx, a.deltaCode, deltaID(a.cfg.Name, version), version, d, &info.ShardWrites); err != nil {
+		cw, err := a.storeDelta(ctx, deltaID(a.cfg.Name, version), version, gamma, d, &info.ShardWrites)
+		if err != nil {
 			return CommitInfo{ReclaimedShards: reclaimed}, err
 		}
-		info.StoredDelta = true
+		e.setDelta(cw, 0)
+		info.StoredDelta, info.Compressed = true, cw.cdec()
 	}
 	if storeFull {
-		if err := a.writeObject(ctx, a.code, fullID(a.cfg.Name, version), version, blocks, &info.ShardWrites); err != nil {
+		if err := a.writeObject(ctx, a.fullCodeword(version), blocks, &info.ShardWrites); err != nil {
 			return CommitInfo{ReclaimedShards: reclaimed}, err
 		}
 		info.StoredFull = true
 	}
-	a.entries = append(a.entries, entry{
-		hasFull:    storeFull,
-		hasDelta:   storeDelta,
-		gamma:      gamma,
-		length:     len(object),
-		checkpoint: info.Checkpoint,
-		compressed: info.Compressed,
-		support:    support,
-	})
+	a.entries = append(a.entries, e)
 	a.changed = append(a.changed, version)
 	a.invalidateReadCache()
 	if a.cfg.Scheme == ReversedSEC {
@@ -465,7 +316,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 				a.changed = append(a.changed, prev)
 			}
 			if !keep {
-				info.OrphanShards = a.deleteObject(ctx, a.code, fullID(a.cfg.Name, prev), prev)
+				info.OrphanShards = a.deleteObject(ctx, a.fullCodeword(prev))
 				pe.hasFull = false
 				a.changed = append(a.changed, prev)
 			}
@@ -637,32 +488,30 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 // with the version it starts from, so the versions returned overlap: they
 // are read-only, like everything the decoded-version cache holds.
 func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (map[int][][]byte, error) {
-	sets := a.prefetch(ctx, w)
-	prefetched := func(id string) *shardSet {
-		set := sets[id]
-		delete(sets, id) // read once: the rows are garbage as soon as they are decoded
-		return set
-	}
-	inHand := make(map[int][][]byte, len(w))
-	for _, s := range w {
-		if s.via == 0 {
-			blocks, read, err := a.readFull(ctx, s.to, prefetched(fullID(a.cfg.Name, s.to)))
-			if err != nil {
-				return nil, err
-			}
-			stats.add(read)
-			inHand[s.to] = blocks
-			continue
+	cws := make([]codeword, len(w))
+	for i, s := range w {
+		var err error
+		if cws[i], err = a.stepCodeword(s); err != nil {
+			return nil, err
 		}
+	}
+	sets := a.prefetch(ctx, cws)
+	inHand := make(map[int][][]byte, len(w))
+	for i, s := range w {
 		from, ok := inHand[s.from]
-		if !ok {
+		if s.via != 0 && !ok {
 			return nil, fmt.Errorf("core: walk applies delta %d at version %d, which it has not reached", s.via, s.from)
 		}
-		d, read, err := a.readDelta(ctx, s.via, prefetched(a.deltaObjectID(s.via)))
+		d, read, err := a.readCodeword(ctx, cws[i], sets[cws[i].id])
+		delete(sets, cws[i].id) // read once: the rows are garbage as soon as they are decoded
 		if err != nil {
 			return nil, err
 		}
 		stats.add(read)
+		if s.via == 0 {
+			inHand[s.to] = d.Blocks
+			continue
+		}
 		if inHand[s.to], err = d.ApplyTo(from); err != nil {
 			return nil, fmt.Errorf("core: applying the delta of version %d: %w", s.via, err)
 		}
@@ -670,26 +519,26 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (m
 	return inHand, nil
 }
 
-// writeObject encodes blocks with the given code and stores every shard,
+// writeObject encodes blocks with the codeword's code and stores every shard,
 // one batch per node. Shard buffers are pooled: the encode allocates
 // nothing in steady state (cluster nodes copy shard contents on Put).
 // Every shard is attempted even when one fails, so a commit interrupted by
 // one dead node leaves as few holes as possible; the first failure is
 // returned.
-func (a *Archive) writeObject(ctx context.Context, code codec, id string, version int, blocks [][]byte, writes *int) error {
-	bufs := erasure.GetBuffers(code.N(), blockLenOf(blocks))
+func (a *Archive) writeObject(ctx context.Context, cw codeword, blocks [][]byte, writes *int) error {
+	bufs := erasure.GetBuffers(cw.code.N(), blockLenOf(blocks))
 	defer bufs.Release()
-	if err := code.EncodeInto(blocks, bufs.Blocks); err != nil {
+	if err := cw.code.EncodeInto(blocks, bufs.Blocks); err != nil {
 		return err
 	}
 	var firstErr error
-	for row, err := range a.writeRows(ctx, id, version, allRows(code.N()), bufs.Blocks) {
+	for row, err := range a.cluster.PutBatch(ctx, a.rowRefs(cw, allRows(cw.code.N())), bufs.Blocks) {
 		if err == nil {
 			*writes++
 			continue
 		}
 		if firstErr == nil {
-			firstErr = fmt.Errorf("core: writing %s#%d to node %d: %w", id, row, a.cfg.Placement.NodeFor(version-1, row), err)
+			firstErr = fmt.Errorf("core: writing %s#%d to node %d: %w", cw.id, row, a.nodeOf(cw, row), err)
 		}
 	}
 	return firstErr
@@ -699,8 +548,8 @@ func (a *Archive) writeObject(ctx context.Context, code codec, id string, versio
 // per placement node, returning how many could not be deleted. A shard
 // already absent (ErrNotFound) counts as deleted: the goal is that the
 // shard is gone, not that this call removed it.
-func (a *Archive) deleteObject(ctx context.Context, code codec, id string, version int) (orphans int) {
-	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(id, version, allRows(code.N()))) {
+func (a *Archive) deleteObject(ctx context.Context, cw codeword) (orphans int) {
+	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(cw, allRows(cw.code.N()))) {
 		if err != nil && !errors.Is(err, store.ErrNotFound) {
 			orphans++
 		}
@@ -755,15 +604,6 @@ func deltaID(name string, version int) string {
 // garbage-collected by name.
 func rebasedDeltaID(name string, version, base int) string {
 	return fmt.Sprintf("%s/v%d-delta-b%d", name, version, base)
-}
-
-// baseOf returns the version the given version's delta applies to:
-// entry.base when set, the chain predecessor otherwise.
-func (a *Archive) baseOf(version int) int {
-	if b := a.entries[version-1].base; b != 0 {
-		return b
-	}
-	return version - 1
 }
 
 // deltaObjectID returns the stored object name of a version's delta,

@@ -361,6 +361,11 @@ func TestSparseReadsAreUsed(t *testing.T) {
 	if len(stats.Objects) != 2 || !stats.Objects[1].Sparse || stats.Objects[1].Gamma != 1 {
 		t.Errorf("object detail = %+v", stats.Objects)
 	}
+	total := stats
+	total.Merge(stats)
+	if total.NodeReads != 10 || total.SparseReads != 2 || total.FullReads != 2 || len(total.Objects) != 4 {
+		t.Errorf("two retrievals merged = %+v, want twice %+v", total, stats)
+	}
 }
 
 func TestZeroDeltaCostsNothing(t *testing.T) {

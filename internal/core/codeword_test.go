@@ -3,27 +3,34 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
 	"testing"
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
 )
 
+func mustStored(t *testing.T, a *Archive, v int) []codeword {
+	t.Helper()
+	cws, err := a.stored(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cws
+}
+
 // rowsListed sums, over every codeword the chain lists, the rows it is
 // stored as: the rows the nodes should hold, no more and no fewer.
 func rowsListed(t *testing.T, a *Archive) int {
 	t.Helper()
 	rows := 0
-	for _, e := range a.entries {
-		if e.hasFull {
-			rows += a.code.N()
-		}
-		if e.hasDelta {
-			code, err := a.entryDeltaCode(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows += code.N()
+	for v := 1; v <= len(a.entries); v++ {
+		for _, cw := range mustStored(t, a, v) {
+			rows += cw.code.N()
 		}
 	}
 	return rows
@@ -145,6 +152,34 @@ func TestNodesHoldWhatTheChainLists(t *testing.T) {
 					edit(i)
 				}
 				check("after more commits")
+			})
+		}
+	}
+}
+
+// TestKindVocabularyConfined keeps the codeword kinds in codeword.go: no other
+// non-test file of the package may name the flags, codes and prices that tell
+// a full codeword from a plain delta from a CDEC-compacted one. A site that
+// needs to know asks the codeword (see the head of codeword.go).
+func TestKindVocabularyConfined(t *testing.T) {
+	vocabulary := map[string]bool{
+		"compressed": true, "support": true, "deltaCode": true, "compressedCode": true, "entryDeltaCode": true,
+		"sparseGamma": true, "compressEligible": true, "compressGammaMax": true, "plannedDeltaReads": true,
+		"plannedEntryReads": true, "CompressedReadCost": true, "ReadCost": true, "MaxSparseGamma": true,
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "codeword.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && vocabulary[id.Name] {
+					t.Errorf("%s names %q: the kind of a codeword is codeword.go's to know", name, id.Name)
+				}
+				return true
 			})
 		}
 	}

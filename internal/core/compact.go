@@ -120,13 +120,9 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 	pending := a.superseded
 	a.superseded = nil
 	for _, g := range pending {
-		code := g.code
-		if code == nil {
-			code = a.deltaCode
-		}
-		o := a.deleteObject(ctx, code, g.id, g.version)
+		o := a.deleteObject(ctx, g)
 		orphans += o
-		deleted += code.N() - o
+		deleted += g.code.N() - o
 		if o > 0 {
 			a.superseded = append(a.superseded, g)
 		}
@@ -205,16 +201,13 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	}
 	info.NodeReads = stats.NodeReads
 
-	limit := a.cfg.CompactGammaLimit
-	if limit == 0 {
-		limit = a.deltaCode.MaxSparseGamma()
-	}
+	limit := a.promotionLimit()
 
 	// Plan and write against a working copy; a.entries stays untouched (and
 	// every version readable from the old objects) until everything new is
 	// durably stored.
 	next := append([]entry(nil), a.entries...)
-	var superseded []gcObject
+	var superseded []codeword
 	for _, v := range targets {
 		// Every version that violated the bound is pinned at depth <= 1: a
 		// merged delta straight off an anchor, or a checkpoint. Re-derive
@@ -236,46 +229,37 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 			return info, err
 		}
 		gamma := delta.Sparsity(merged)
-		// Price the rewrite with the shared cost model: the old chain walk
-		// to v (planned against the still-unswapped entries, pricing each
-		// stored form - compressed deltas cost gamma, plain ones
-		// min(2*gamma, k) or k) versus one read of the rewritten entry
-		// (zero for a promotion, which anchors v outright). On chains
-		// without compression this is exactly delta.MergeGain of the walk's
-		// gammas.
-		if old, err := a.planChain(v); err == nil {
-			newCost := 0
-			if gamma <= limit {
-				if a.compressEligible(gamma) {
-					newCost = delta.CompressedReadCost(gamma)
-				} else {
-					newCost = a.plannedDeltaReads(gamma)
-				}
-			}
-			info.PlannedReadGain += (a.walkCost(old) - a.cfg.K) - newCost
+		// Price the rewrite with the planner's own costs: the old chain walk
+		// to v (planned against the still-unswapped entries, each codeword
+		// charging what its kind costs to read) versus one read of the
+		// rewritten delta (zero for a promotion, which anchors v outright).
+		// On chains without compression this is exactly delta.MergeGain of
+		// the walk's gammas.
+		oldWalk, err := a.planChain(v)
+		if err != nil {
+			return info, err
 		}
-		oldID := ""
-		var oldCode codec
+		gain, err := a.walkCost(oldWalk)
+		if err != nil {
+			return info, err
+		}
+		gain -= a.cfg.K
+		var old codeword
 		if next[v-1].hasDelta {
-			oldID = a.deltaObjectID(v)
-			if c, cerr := a.entryDeltaCode(a.entries[v-1]); cerr == nil {
-				oldCode = c
+			if old, err = a.deltaCodeword(v); err != nil {
+				return info, err
 			}
 		}
 		if gamma > limit {
 			// Dense merged delta: a sparse read could not serve it, so a
 			// full checkpoint costs the same k reads while restoring full
 			// resilience - promote.
-			if err := a.writeObject(ctx, a.code, fullID(a.cfg.Name, v), v, mat[v], &info.ShardWrites); err != nil {
+			if err := a.writeObject(ctx, a.fullCodeword(v), mat[v], &info.ShardWrites); err != nil {
 				return info, err
 			}
 			next[v-1].hasFull = true
 			next[v-1].checkpoint = true
-			next[v-1].hasDelta = false
-			next[v-1].gamma = 0
-			next[v-1].base = 0
-			next[v-1].compressed = false
-			next[v-1].support = nil
+			next[v-1].dropDelta()
 			info.Promoted = append(info.Promoted, v)
 		} else {
 			newID := rebasedDeltaID(a.cfg.Name, v, anchor)
@@ -285,42 +269,22 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 				// delta, stored under its original name.
 				newID = deltaID(a.cfg.Name, v)
 			}
-			if a.compressEligible(gamma) {
-				// Re-compress the merged delta: compaction preserves the
-				// archive's storage policy, so a compressed chain stays
-				// compressed through rebases.
-				cd, err := delta.Compact(merged)
-				if err != nil {
-					return info, err
-				}
-				ccode, err := a.compressedCode(gamma)
-				if err != nil {
-					return info, err
-				}
-				if err := a.writeObject(ctx, ccode, newID, v, cd.Blocks, &info.ShardWrites); err != nil {
-					return info, err
-				}
-				next[v-1].compressed = true
-				next[v-1].support = cd.Support
-			} else {
-				if err := a.writeObject(ctx, a.deltaCode, newID, v, merged, &info.ShardWrites); err != nil {
-					return info, err
-				}
-				next[v-1].compressed = false
-				next[v-1].support = nil
+			cw, err := a.storeDelta(ctx, newID, v, gamma, merged, &info.ShardWrites)
+			if err != nil {
+				return info, err
 			}
+			gain -= cw.cost()
 			// The name just written is live again: if an earlier
 			// keep-superseded pass queued the same name for reclaim (a
 			// re-rebase back onto a previously used base), deleting it now
 			// would destroy the object the new manifest references.
 			a.unqueueSuperseded(newID)
-			next[v-1].hasDelta = true
-			next[v-1].gamma = gamma
-			next[v-1].base = anchor
+			next[v-1].setDelta(cw, anchor)
 			info.Rebased = append(info.Rebased, v)
 		}
-		if oldID != "" {
-			superseded = append(superseded, gcObject{id: oldID, version: v, code: oldCode})
+		info.PlannedReadGain += gain
+		if old.id != "" {
+			superseded = append(superseded, old)
 		}
 	}
 
@@ -346,11 +310,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	a.superseded = append(a.superseded, superseded...)
 	if keepSuperseded {
 		for _, g := range superseded {
-			if g.code != nil {
-				info.SupersededShards += g.code.N()
-			} else {
-				info.SupersededShards += a.deltaCode.N()
-			}
+			info.SupersededShards += g.code.N()
 		}
 		return info, nil
 	}

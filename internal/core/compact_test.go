@@ -779,7 +779,7 @@ func TestCompactOnPlainNodes(t *testing.T) {
 // earlier pass and then rewritten with live content must be dropped from
 // the queue, or the next reclaim would delete the live codeword.
 func TestUnqueueSupersededProtectsRewrittenNames(t *testing.T) {
-	a := &Archive{superseded: []gcObject{
+	a := &Archive{superseded: []codeword{
 		{id: "t/v6-delta", version: 6},
 		{id: "t/v7-delta-b9", version: 7},
 		{id: "t/v6-delta", version: 6},

@@ -20,7 +20,7 @@ type shardSet struct {
 	// a plan at the time, so all of them are real retrieval I/O).
 	reads int
 	// sparseRows records the sparse read plan the chain prefetcher chose
-	// for a delta, so readDelta can decode straight from the prefetched
+	// for a delta, so its reader can decode straight from the prefetched
 	// rows without re-probing liveness.
 	sparseRows []int
 	// hedges counts the speculative reads issued for this object because
@@ -92,16 +92,25 @@ func (s *shardSet) take(k int) ([]int, [][]byte) {
 	return rows, shards
 }
 
-// select returns the shards for an exact row plan; ok is false unless every
-// row has been fetched.
+// has reports whether every row of an exact row plan has been fetched.
+func (s *shardSet) has(rows []int) bool {
+	for _, r := range rows {
+		if _, ok := s.data[r]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// selectRows returns the shards for an exact row plan; ok is false unless
+// every row has been fetched.
 func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
+	if !s.has(rows) {
+		return nil, false
+	}
 	shards := make([][]byte, len(rows))
 	for i, r := range rows {
-		data, ok := s.data[r]
-		if !ok {
-			return nil, false
-		}
-		shards[i] = data
+		shards[i] = s.data[r]
 	}
 	return shards, true
 }
@@ -116,39 +125,23 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 // in their object's shard set and the per-object readers top up or re-plan
 // exactly as they would have fetched in the first place, so read counts are
 // unchanged. A codeword the walk reads a second time is fetched by its reader.
-func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
-	// The codewords the walk reads: full codewords, and every delta that is
-	// not identically zero.
+func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shardSet {
+	// The codewords the walk reads, each once, but for the empty deltas.
 	type object struct {
-		code        codec
-		id          string
-		version     int
-		sparseGamma int
-		rows        []int // what the object's reader fetches first
+		codeword
+		rows []int // what the object's reader fetches first
 	}
-	objects := make([]object, 0, len(w))
-	sets := make(map[string]*shardSet, len(w))
+	objects := make([]object, 0, len(cws))
+	sets := make(map[string]*shardSet, len(cws))
 	var nodes []int
-	for _, s := range w {
-		o := object{code: a.code, id: fullID(a.cfg.Name, s.to), version: s.to}
-		if s.via != 0 {
-			e := a.entries[s.via-1]
-			if e.gamma == 0 {
-				continue
-			}
-			code, err := a.entryDeltaCode(e)
-			if err != nil {
-				continue // the reader surfaces the error
-			}
-			o = object{code: code, id: a.deltaObjectID(s.via), version: s.via, sparseGamma: sparseGamma(e)}
-		}
-		if _, listed := sets[o.id]; listed {
+	for _, cw := range cws {
+		if _, listed := sets[cw.id]; listed || cw.empty() {
 			continue
 		}
-		sets[o.id] = nil // listed; its shard set is made once its rows are chosen
-		objects = append(objects, o)
-		for row := 0; row < o.code.N(); row++ {
-			nodes = append(nodes, a.cfg.Placement.NodeFor(o.version-1, row))
+		sets[cw.id] = nil // listed; its shard set is made once its rows are chosen
+		objects = append(objects, object{codeword: cw})
+		for row := 0; row < cw.code.N(); row++ {
+			nodes = append(nodes, a.nodeOf(cw, row))
 		}
 	}
 	up := a.cluster.Probe(ctx, nodes)
@@ -158,7 +151,7 @@ func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
 	plans := objects[:0]
 	var refs []store.ShardRef
 	for _, o := range objects {
-		rows, sparse := readPlan(o.code, a.rowsOnLiveNodes(up, o.code, o.version, nil), o.sparseGamma, o.code.K())
+		rows, sparse := o.readPlan(a.rowsOnLiveNodes(up, o.codeword, nil), true, o.code.K())
 		if rows == nil {
 			delete(sets, o.id)
 			continue
@@ -170,7 +163,7 @@ func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
 			set.sparseRows = rows
 		}
 		sets[o.id] = set
-		refs = append(refs, a.rowRefs(o.id, o.version, rows)...)
+		refs = append(refs, a.rowRefs(o.codeword, rows)...)
 	}
 	sink := func(ref store.ShardRef, res store.ShardResult) {
 		sets[ref.ID.Object].record(ref.ID.Object, ref.ID.Row, res)
@@ -189,11 +182,7 @@ func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
 	// sparse plan was hedged away).
 	satisfied := func(p object) bool {
 		s := sets[p.id]
-		if len(s.data) >= p.code.K() {
-			return true
-		}
-		_, ok := s.selectRows(p.rows)
-		return ok
+		return len(s.data) >= p.code.K() || s.has(p.rows)
 	}
 	spare := func(straggling map[int]bool) []store.ShardRef {
 		var extra []store.ShardRef
@@ -202,7 +191,7 @@ func (a *Archive) prefetch(ctx context.Context, w walk) map[string]*shardSet {
 				continue
 			}
 			s := sets[p.id]
-			extra = a.spareRefs(extra, s, p.id, p.version, rowsExcluding(allRows(p.code.N()), p.rows), p.code.K()-len(s.data),
+			extra = a.spareRefs(extra, s, p.codeword, rowsExcluding(allRows(p.code.N()), p.rows), p.code.K()-len(s.data),
 				func(node int) bool { return straggling[node] || !up[node] })
 		}
 		return extra
@@ -228,50 +217,39 @@ func allRows(n int) []int {
 	return rows
 }
 
-// rowRefs maps shard rows of an object to their placement nodes.
-func (a *Archive) rowRefs(id string, version int, rows []int) []store.ShardRef {
+// nodeOf is the cluster node that holds the given row of a codeword.
+func (a *Archive) nodeOf(cw codeword, row int) int {
+	return a.cfg.Placement.NodeFor(cw.version-1, row)
+}
+
+// rowRefs maps shard rows of a codeword to their placement nodes.
+func (a *Archive) rowRefs(cw codeword, rows []int) []store.ShardRef {
 	refs := make([]store.ShardRef, len(rows))
 	for i, row := range rows {
-		refs[i] = store.ShardRef{
-			Node: a.cfg.Placement.NodeFor(version-1, row),
-			ID:   store.ShardID{Object: id, Row: row},
-		}
+		refs[i] = store.ShardRef{Node: a.nodeOf(cw, row), ID: store.ShardID{Object: cw.id, Row: row}}
 	}
 	return refs
 }
 
-// readRows fetches the given shard rows of an object, grouped into one
-// batch per placement node. Results are aligned with rows; each row fails
-// or succeeds independently.
-func (a *Archive) readRows(ctx context.Context, id string, version int, rows []int) []store.ShardResult {
-	return a.cluster.GetBatch(ctx, a.rowRefs(id, version, rows))
-}
-
-// writeRows stores data[i] under row rows[i] of an object, grouped into
-// one batch per placement node. The returned errors are aligned with rows.
-func (a *Archive) writeRows(ctx context.Context, id string, version int, rows []int, data [][]byte) []error {
-	return a.cluster.PutBatch(ctx, a.rowRefs(id, version, rows), data)
-}
-
-// liveRows returns the shard rows of an object whose nodes are available
+// liveRows returns the shard rows of a codeword whose nodes are available
 // (one concurrent probe round), skipping rows already known dead this
 // retrieval.
-func (a *Archive) liveRows(ctx context.Context, code codec, version int, dead map[int]bool) []int {
-	nodes := make([]int, 0, code.N())
-	for row := 0; row < code.N(); row++ {
+func (a *Archive) liveRows(ctx context.Context, cw codeword, dead map[int]bool) []int {
+	nodes := make([]int, 0, cw.code.N())
+	for row := 0; row < cw.code.N(); row++ {
 		if !dead[row] {
-			nodes = append(nodes, a.cfg.Placement.NodeFor(version-1, row))
+			nodes = append(nodes, a.nodeOf(cw, row))
 		}
 	}
-	return a.rowsOnLiveNodes(a.cluster.Probe(ctx, nodes), code, version, dead)
+	return a.rowsOnLiveNodes(a.cluster.Probe(ctx, nodes), cw, dead)
 }
 
-// rowsOnLiveNodes lists, ascending, the shard rows of an object that are not
+// rowsOnLiveNodes lists, ascending, the shard rows of a codeword that are not
 // dead and whose placement node a probe round found up.
-func (a *Archive) rowsOnLiveNodes(up map[int]bool, code codec, version int, dead map[int]bool) []int {
-	rows := make([]int, 0, code.N())
-	for row := 0; row < code.N(); row++ {
-		if !dead[row] && up[a.cfg.Placement.NodeFor(version-1, row)] {
+func (a *Archive) rowsOnLiveNodes(up map[int]bool, cw codeword, dead map[int]bool) []int {
+	rows := make([]int, 0, cw.code.N())
+	for row := 0; row < cw.code.N(); row++ {
+		if !dead[row] && up[a.nodeOf(cw, row)] {
 			rows = append(rows, row)
 		}
 	}

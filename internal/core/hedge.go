@@ -90,42 +90,42 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 	}
 }
 
-// fetchPlanned fetches rows of an object into the set, one batch per node,
+// fetchPlanned fetches rows of a codeword into the set, one batch per node,
 // recording every outcome (data, lost rows, the last error) in the set.
 // With hedging enabled, a node that stalls past the hedge delay triggers
 // speculative fetches of the spares (extra candidate rows beyond the plan,
 // skipped when they live on a straggling node, are dead or are already in
 // hand), tallied in set.hedges, and the call returns as soon as need() is
 // satisfied - typically "k rows in hand".
-func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, id string, version int, rows, spares []int, need func() bool) {
+func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, cw codeword, rows, spares []int, need func() bool) {
 	if a.cfg.HedgeDelay == 0 {
-		for i, res := range a.readRows(ctx, id, version, rows) {
-			set.record(id, rows[i], res)
+		for i, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, rows)) {
+			set.record(cw.id, rows[i], res)
 		}
 		return
 	}
 	sink := func(ref store.ShardRef, res store.ShardResult) {
-		set.record(id, ref.ID.Row, res)
+		set.record(cw.id, ref.ID.Row, res)
 	}
 	spare := func(straggling map[int]bool) []store.ShardRef {
-		return a.spareRefs(nil, set, id, version, spares, len(spares), func(node int) bool { return straggling[node] })
+		return a.spareRefs(nil, set, cw, spares, len(spares), func(node int) bool { return straggling[node] })
 	}
-	a.hedgedRead(ctx, a.rowRefs(id, version, rows), spare, need, sink)
+	a.hedgedRead(ctx, a.rowRefs(cw, rows), spare, need, sink)
 }
 
-// spareRefs appends to extra at most limit speculative fetches for an
-// object, tallying each in the set's hedges: the candidate rows, in order,
+// spareRefs appends to extra at most limit speculative fetches for a
+// codeword, tallying each in the set's hedges: the candidate rows, in order,
 // that are not dead, not already in hand and not on a node to skip.
-func (a *Archive) spareRefs(extra []store.ShardRef, set *shardSet, id string, version int, candidates []int, limit int, skip func(node int) bool) []store.ShardRef {
+func (a *Archive) spareRefs(extra []store.ShardRef, set *shardSet, cw codeword, candidates []int, limit int, skip func(node int) bool) []store.ShardRef {
 	for _, row := range candidates {
 		if limit <= 0 {
 			break
 		}
-		node := a.cfg.Placement.NodeFor(version-1, row)
+		node := a.nodeOf(cw, row)
 		if _, inHand := set.data[row]; inHand || set.dead[row] || skip(node) {
 			continue
 		}
-		extra = append(extra, store.ShardRef{Node: node, ID: store.ShardID{Object: id, Row: row}})
+		extra = append(extra, store.ShardRef{Node: node, ID: store.ShardID{Object: cw.id, Row: row}})
 		set.hedges++
 		limit--
 	}

@@ -100,29 +100,9 @@ func (a *Archive) manifestLocked() Manifest {
 		Entries:           make([]ManifestEntry, len(a.entries)),
 	}
 	for i := range a.entries {
-		m.Entries[i] = a.manifestEntry(i + 1)
+		m.Entries[i] = a.entries[i].manifestEntry(i + 1)
 	}
 	return m
-}
-
-// manifestEntry renders one version's entry. Caller holds the lock.
-func (a *Archive) manifestEntry(version int) ManifestEntry {
-	e := a.entries[version-1]
-	base := 0
-	if e.hasDelta && e.base != 0 && e.base != version-1 {
-		base = e.base // only non-default bases persist
-	}
-	return ManifestEntry{
-		Version:    version,
-		Full:       e.hasFull,
-		Delta:      e.hasDelta,
-		Gamma:      e.gamma,
-		Length:     e.length,
-		Base:       base,
-		Checkpoint: e.checkpoint,
-		Compressed: e.compressed,
-		Support:    append([]int(nil), e.support...),
-	}
 }
 
 // encode renders the indented JSON that exports, snapshots and replicas share.
@@ -182,7 +162,7 @@ func (a *Archive) NextRecord() (rec ManifestRecord, ok bool) {
 	a.generation++
 	rec = ManifestRecord{Generation: a.generation, Versions: len(a.entries)}
 	for _, v := range slices.Compact(a.changed) {
-		rec.Entries = append(rec.Entries, a.manifestEntry(v))
+		rec.Entries = append(rec.Entries, a.entries[v-1].manifestEntry(v))
 	}
 	a.changed = a.changed[:0]
 	return rec, true
@@ -336,35 +316,8 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 				return nil, fmt.Errorf("core: manifest version %d has invalid delta base %d", me.Version, me.Base)
 			}
 		}
-		if me.Compressed {
-			if !me.Delta {
-				return nil, fmt.Errorf("core: manifest version %d is compressed but stores no delta", me.Version)
-			}
-			if me.Gamma < 1 || me.Gamma > m.K-1 {
-				return nil, fmt.Errorf("core: manifest version %d compressed with invalid gamma %d", me.Version, me.Gamma)
-			}
-			if len(me.Support) != me.Gamma {
-				return nil, fmt.Errorf("core: manifest version %d has %d support indices for gamma %d", me.Version, len(me.Support), me.Gamma)
-			}
-			prev := -1
-			for _, s := range me.Support {
-				if s < 0 || s >= m.K || s <= prev {
-					return nil, fmt.Errorf("core: manifest version %d has invalid support %v", me.Version, me.Support)
-				}
-				prev = s
-			}
-		} else if len(me.Support) != 0 {
-			return nil, fmt.Errorf("core: manifest version %d has a support list but is not compressed", me.Version)
-		}
-		a.entries[i] = entry{
-			hasFull:    me.Full,
-			hasDelta:   me.Delta,
-			gamma:      me.Gamma,
-			length:     me.Length,
-			base:       me.Base,
-			checkpoint: me.Checkpoint,
-			compressed: me.Compressed,
-			support:    append([]int(nil), me.Support...),
+		if a.entries[i], err = entryOf(me, m.K); err != nil {
+			return nil, err
 		}
 	}
 	// A version may store neither a full nor its own delta (Reversed SEC

@@ -173,17 +173,12 @@ func wipeArchiveShards(t *testing.T, a *Archive, cluster *store.Cluster, node in
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := a.Manifest()
-	for _, e := range m.Entries {
-		for row := 0; row < m.N; row++ {
-			if a.Config().Placement.NodeFor(e.Version-1, row) != node {
-				continue
-			}
-			if e.Full {
-				_ = nd.Delete(t.Context(), store.ShardID{Object: fullID(m.Name, e.Version), Row: row})
-			}
-			if e.Delta {
-				_ = nd.Delete(t.Context(), store.ShardID{Object: deltaID(m.Name, e.Version), Row: row})
+	for v := 1; v <= a.Versions(); v++ {
+		for _, cw := range mustStored(t, a, v) {
+			for row := 0; row < cw.code.N(); row++ {
+				if a.nodeOf(cw, row) == node {
+					_ = nd.Delete(t.Context(), store.ShardID{Object: cw.id, Row: row})
+				}
 			}
 		}
 	}
@@ -273,11 +268,11 @@ func rebasedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 		t.Fatal(err)
 	}
 	var writes int
-	if err := a.writeObject(t.Context(), a.deltaCode, rebasedDeltaID("rebased", 5, 6), 5, d, &writes); err != nil {
+	cw, err := a.storeDelta(t.Context(), rebasedDeltaID("rebased", 5, 6), 5, delta.Sparsity(d), d, &writes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a.entries[4].base = 6
-	a.entries[4].gamma = delta.Sparsity(d)
+	a.entries[4].setDelta(cw, 6)
 	return a, cluster, versions
 }
 
@@ -295,16 +290,15 @@ func loseOneRowPerCodeword(t *testing.T, a *Archive, cluster *store.Cluster) {
 			t.Fatal(err)
 		}
 	}
-	for v, e := range a.entries {
-		if e.hasFull {
-			lose(fullID(a.cfg.Name, v+1), 1)
-		}
-		if e.hasDelta && e.gamma > 0 {
-			row := 1
-			if e.compressed {
-				row = 0
+	for v := 1; v <= len(a.entries); v++ {
+		for _, cw := range mustStored(t, a, v) {
+			switch {
+			case cw.empty():
+			case cw.cdec():
+				lose(cw.id, 0)
+			default:
+				lose(cw.id, 1)
 			}
-			lose(a.deltaObjectID(v+1), row)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"container/heap"
 	"fmt"
-
-	"github.com/secarchive/sec/internal/delta"
 )
 
 // planItem/planHeap implement the retrieval planner's priority queue:
@@ -41,17 +39,22 @@ type step struct{ from, to, via int }
 type walk []step
 
 // walkCost is the number of node reads the walk costs with every node live:
-// K per full codeword, eta_j per stored delta (formulas (3) and (4)).
-func (a *Archive) walkCost(w walk) int {
+// K per full codeword, what its kind charges per stored delta (formulas (3)
+// and (4)).
+func (a *Archive) walkCost(w walk) (int, error) {
 	cost := 0
 	for _, s := range w {
 		if s.via == 0 {
 			cost += a.cfg.K
-		} else {
-			cost += a.plannedEntryReads(a.entries[s.via-1])
+			continue
 		}
+		cw, err := a.deltaKind(a.entries[s.via-1])
+		if err != nil {
+			return 0, err
+		}
+		cost += cw.cost()
 	}
-	return cost
+	return cost, nil
 }
 
 // planChain finds the cheapest way to materialize version l. Deltas form a
@@ -111,8 +114,8 @@ func (a *Archive) planPrefix(l int) (walk, error) {
 		}
 		e := a.entries[j-1]
 		switch {
-		case e.hasDelta && inHand[a.baseOf(j)]:
-			w = append(w, step{from: a.baseOf(j), to: j, via: j})
+		case e.hasDelta && inHand[entryBase(a.entries, j)]:
+			w = append(w, step{from: entryBase(a.entries, j), to: j, via: j})
 		case e.hasFull:
 			w = append(w, step{to: j})
 		case e.hasDelta:
@@ -151,11 +154,15 @@ func (a *Archive) planAll(target int) (dist, hops, via, prev []int, err error) {
 		if !e.hasDelta {
 			continue
 		}
-		b := a.baseOf(j)
+		b := entryBase(a.entries, j)
 		if b < 1 || b > L || b == j {
 			return nil, nil, nil, nil, fmt.Errorf("core: version %d has invalid delta base %d", j, b)
 		}
-		w := a.plannedEntryReads(e)
+		cw, err := a.deltaKind(e)
+		if err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: version %d: %w", j, err)
+		}
+		w := cw.cost()
 		adj[b] = append(adj[b], edge{to: j, via: j, w: w})
 		adj[j] = append(adj[j], edge{to: b, via: j, w: w})
 	}
@@ -200,30 +207,16 @@ func (a *Archive) planAll(target int) (dist, hops, via, prev []int, err error) {
 	return dist, hops, via, prev, nil
 }
 
-// plannedDeltaReads is the paper's eta_j, delegated to the delta package's
-// shared cost model so the retrieval planner and the lifecycle planners
-// can never drift apart.
-func (a *Archive) plannedDeltaReads(gamma int) int {
-	return delta.ReadCost(gamma, a.cfg.K, a.deltaCode.MaxSparseGamma())
-}
-
-// plannedEntryReads prices one stored delta for the planner, respecting its
-// stored form: CDEC-compacted deltas decode from gamma reads, plain deltas
-// from min(2*gamma, K) (sparse) or K (full).
-func (a *Archive) plannedEntryReads(e entry) int {
-	if e.compressed {
-		return delta.CompressedReadCost(e.gamma)
-	}
-	return a.plannedDeltaReads(e.gamma)
-}
-
 // PlannedReads returns the number of node reads formula (3) predicts for
 // retrieving version l, assuming every node is live.
 func (a *Archive) PlannedReads(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	w, err := a.planChain(l)
-	return a.walkCost(w), err
+	if err != nil {
+		return 0, err
+	}
+	return a.walkCost(w)
 }
 
 // PlannedReadsAll returns the number of node reads formula (4) predicts for
@@ -232,5 +225,8 @@ func (a *Archive) PlannedReadsAll(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	w, err := a.planPrefix(l)
-	return a.walkCost(w), err
+	if err != nil {
+		return 0, err
+	}
+	return a.walkCost(w)
 }

@@ -48,39 +48,22 @@ func (a *Archive) RepairNodeContext(ctx context.Context, node int) (RepairReport
 		}
 		return report, fmt.Errorf("core: repairing node %d: %w", node, store.ErrNodeDown)
 	}
-	for v := 1; v <= len(a.entries); v++ {
-		if err := ctx.Err(); err != nil {
-			return report, fmt.Errorf("core: repair aborted at version %d: %w", v, err)
-		}
-		e := a.entries[v-1]
-		if e.hasFull {
-			if err := a.repairObject(ctx, a.code, fullID(a.cfg.Name, v), v, node, &report); err != nil {
-				return report, err
-			}
-		}
-		if e.hasDelta {
-			dcode, err := a.entryDeltaCode(e)
-			if err != nil {
-				return report, fmt.Errorf("core: repairing version %d: %w", v, err)
-			}
-			if err := a.repairObject(ctx, dcode, a.deltaObjectID(v), v, node, &report); err != nil {
-				return report, err
-			}
-		}
-	}
+	err := a.eachStored(ctx, "repair", func(cw codeword) error {
+		return a.repairObject(ctx, cw, node, &report)
+	})
 	if report.ShardsRepaired > 0 {
 		a.invalidateReadCache()
 	}
-	return report, nil
+	return report, err
 }
 
 // repairObject checks (and if needed rebuilds) the rows of one stored
 // object that live on the target node. The probe reads every such row in
 // one batch against the node.
-func (a *Archive) repairObject(ctx context.Context, code codec, id string, version, node int, report *RepairReport) error {
+func (a *Archive) repairObject(ctx context.Context, cw codeword, node int, report *RepairReport) error {
 	var rows []int
-	for row := 0; row < code.N(); row++ {
-		if a.cfg.Placement.NodeFor(version-1, row) == node {
+	for row := 0; row < cw.code.N(); row++ {
+		if a.nodeOf(cw, row) == node {
 			rows = append(rows, row)
 		}
 	}
@@ -88,15 +71,15 @@ func (a *Archive) repairObject(ctx context.Context, code codec, id string, versi
 		return nil
 	}
 	report.ShardsChecked += len(rows)
-	for i, res := range a.readRows(ctx, id, version, rows) {
+	for i, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, rows)) {
 		switch {
 		case res.Err == nil:
 			report.ShardsHealthy++
 			continue
 		case !errors.Is(res.Err, store.ErrNotFound) && !errors.Is(res.Err, store.ErrCorrupt):
-			return fmt.Errorf("core: probing %s#%d on node %d: %w", id, rows[i], node, res.Err)
+			return fmt.Errorf("core: probing %s#%d on node %d: %w", cw.id, rows[i], node, res.Err)
 		}
-		if err := a.rebuildShard(ctx, code, id, version, node, rows[i], report); err != nil {
+		if err := a.rebuildShard(ctx, cw, node, rows[i], report); err != nil {
 			return err
 		}
 	}
@@ -110,31 +93,31 @@ func (a *Archive) repairObject(ctx context.Context, code codec, id string, versi
 // damage elsewhere. The decoded blocks and re-encoded codeword are
 // transient, so both live in pooled buffers; steady-state repair does not
 // allocate shard buffers.
-func (a *Archive) rebuildShard(ctx context.Context, code codec, id string, version, node, row int, report *RepairReport) error {
-	k := code.K()
-	live := a.liveRows(ctx, code, version, map[int]bool{row: true})
+func (a *Archive) rebuildShard(ctx context.Context, cw codeword, node, row int, report *RepairReport) error {
+	k := cw.code.K()
+	live := a.liveRows(ctx, cw, map[int]bool{row: true})
 	if len(live) < k {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: rebuilding %s#%d: %w", id, row, err)
+			return fmt.Errorf("core: rebuilding %s#%d: %w", cw.id, row, err)
 		}
-		return fmt.Errorf("%w: %d of %d surviving shards of %s", ErrUnavailable, len(live), k, id)
+		return fmt.Errorf("%w: %d of %d surviving shards of %s", ErrUnavailable, len(live), k, cw.id)
 	}
-	rows, shards, err := a.collectIntactShards(ctx, id, version, live, k, &report.NodeReads)
+	rows, shards, err := a.collectIntactShards(ctx, cw, live, &report.NodeReads)
 	if err != nil {
-		return fmt.Errorf("core: rebuilding %s#%d: %w", id, row, err)
+		return fmt.Errorf("core: rebuilding %s#%d: %w", cw.id, row, err)
 	}
 	blocks := erasure.GetBuffers(k, blockLenOf(shards))
 	defer blocks.Release()
-	if err := code.DecodeFullInto(rows, shards, blocks.Blocks); err != nil {
+	if err := cw.code.DecodeFullInto(rows, shards, blocks.Blocks); err != nil {
 		return err
 	}
-	encoded := erasure.GetBuffers(code.N(), blockLenOf(shards))
+	encoded := erasure.GetBuffers(cw.code.N(), blockLenOf(shards))
 	defer encoded.Release()
-	if err := code.EncodeInto(blocks.Blocks, encoded.Blocks); err != nil {
+	if err := cw.code.EncodeInto(blocks.Blocks, encoded.Blocks); err != nil {
 		return err
 	}
-	if err := a.cluster.Put(ctx, node, store.ShardID{Object: id, Row: row}, encoded.Blocks[row]); err != nil {
-		return fmt.Errorf("core: writing rebuilt %s#%d to node %d: %w", id, row, node, err)
+	if err := a.cluster.Put(ctx, node, store.ShardID{Object: cw.id, Row: row}, encoded.Blocks[row]); err != nil {
+		return fmt.Errorf("core: writing rebuilt %s#%d to node %d: %w", cw.id, row, node, err)
 	}
 	report.ShardsRepaired++
 	return nil
@@ -150,7 +133,8 @@ func (a *Archive) rebuildShard(ctx context.Context, code codec, id string, versi
 // identically length-damaged shards masquerade as the object and rebuild
 // garbage. Every successful node read is counted in reads, including
 // shards a majority later sets aside - they are real repair traffic.
-func (a *Archive) collectIntactShards(ctx context.Context, id string, version int, candidates []int, k int, reads *int) ([]int, [][]byte, error) {
+func (a *Archive) collectIntactShards(ctx context.Context, cw codeword, candidates []int, reads *int) ([]int, [][]byte, error) {
+	k := cw.code.K()
 	rows := make([]int, 0, len(candidates))
 	shards := make([][]byte, 0, len(candidates))
 	uniform := true
@@ -171,14 +155,14 @@ func (a *Archive) collectIntactShards(ctx context.Context, id string, version in
 			wave = candidates[next:]
 		}
 		next += len(wave)
-		for i, res := range a.readRows(ctx, id, version, wave) {
+		for i, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, wave)) {
 			switch {
 			case res.Err == nil:
 			case errors.Is(res.Err, store.ErrNotFound), errors.Is(res.Err, store.ErrCorrupt),
 				errors.Is(res.Err, store.ErrNodeDown), errors.Is(res.Err, store.ErrClusterTooSmall):
 				continue // this row cannot help; plenty of others may
 			default:
-				return nil, nil, fmt.Errorf("core: reading %s#%d: %w", id, wave[i], res.Err)
+				return nil, nil, fmt.Errorf("core: reading %s#%d: %w", cw.id, wave[i], res.Err)
 			}
 			*reads++
 			rows = append(rows, wave[i])
@@ -193,7 +177,7 @@ func (a *Archive) collectIntactShards(ctx context.Context, id string, version in
 		rows, shards = filterByLength(rows, shards, modal)
 		return rows[:k], shards[:k], nil
 	}
-	return nil, nil, fmt.Errorf("%w: no length-majority of %d intact shards among %d read of %s", ErrUnavailable, k, len(shards), id)
+	return nil, nil, fmt.Errorf("%w: no length-majority of %d intact shards among %d read of %s", ErrUnavailable, k, len(shards), cw.id)
 }
 
 // shardLengths projects shards onto their lengths for modalLength.

@@ -19,7 +19,6 @@ import (
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
-	"github.com/secarchive/sec/internal/wide"
 )
 
 // Scheme selects which objects are stored for a version chain (Section
@@ -250,36 +249,4 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: invalid coding field %d", int(c.Field))
 	}
 	return nil
-}
-
-// buildCodecs constructs the full-object and delta codecs for the config.
-func buildCodecs(cfg Config) (code, deltaCode codec, err error) {
-	switch cfg.Field {
-	case GF16:
-		wcode, err := wide.NewCauchy(cfg.N, cfg.K)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cfg.PunctureDeltas > 0 {
-			punctured, err := wcode.Punctured(cfg.PunctureDeltas)
-			if err != nil {
-				return nil, nil, err
-			}
-			return wcode, punctured, nil
-		}
-		return wcode, wcode, nil
-	default:
-		ecode, err := erasure.New(cfg.Code, cfg.N, cfg.K)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cfg.PunctureDeltas > 0 {
-			punctured, err := ecode.Punctured(cfg.PunctureDeltas)
-			if err != nil {
-				return nil, nil, err
-			}
-			return ecode, punctured, nil
-		}
-		return ecode, ecode, nil
-	}
 }

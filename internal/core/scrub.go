@@ -50,38 +50,21 @@ func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, e
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var report ScrubReport
-	for v := 1; v <= len(a.entries); v++ {
-		if err := ctx.Err(); err != nil {
-			return report, fmt.Errorf("core: scrub aborted at version %d: %w", v, err)
-		}
-		e := a.entries[v-1]
-		if e.hasFull {
-			if err := a.scrubObject(ctx, a.code, fullID(a.cfg.Name, v), v, repair, &report); err != nil {
-				return report, err
-			}
-		}
-		if e.hasDelta {
-			dcode, err := a.entryDeltaCode(e)
-			if err != nil {
-				return report, fmt.Errorf("core: scrubbing version %d: %w", v, err)
-			}
-			if err := a.scrubObject(ctx, dcode, a.deltaObjectID(v), v, repair, &report); err != nil {
-				return report, err
-			}
-		}
-	}
+	err := a.eachStored(ctx, "scrub", func(cw codeword) error {
+		return a.scrubObject(ctx, cw, repair, &report)
+	})
 	if repair && report.Repaired > 0 {
 		a.invalidateReadCache()
 	}
-	return report, nil
+	return report, err
 }
 
 // scrubObject checks one stored object's shards. All n rows are read up
 // front, one batch per node, and classified from the per-shard results.
-func (a *Archive) scrubObject(ctx context.Context, code codec, id string, version int, repair bool, report *ScrubReport) error {
-	present := make(map[int][]byte, code.N())
+func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, report *ScrubReport) error {
+	present := make(map[int][]byte, cw.code.N())
 	var missing, corrupt, unreachable []int
-	for row, res := range a.readRows(ctx, id, version, allRows(code.N())) {
+	for row, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, allRows(cw.code.N()))) {
 		switch {
 		case res.Err == nil:
 			report.ShardsChecked++
@@ -98,7 +81,7 @@ func (a *Archive) scrubObject(ctx context.Context, code codec, id string, versio
 			report.ShardsUnreachable++
 			unreachable = append(unreachable, row)
 		default:
-			return fmt.Errorf("core: scrubbing %s#%d: %w", id, row, res.Err)
+			return fmt.Errorf("core: scrubbing %s#%d: %w", cw.id, row, res.Err)
 		}
 	}
 	// A truncated or grown shard cannot belong to any candidate decode
@@ -120,7 +103,7 @@ func (a *Archive) scrubObject(ctx context.Context, code codec, id string, versio
 			delete(present, row)
 		}
 	}
-	reference, ok := a.referenceCodeword(code, present)
+	reference, ok := a.referenceCodeword(cw.code, present)
 	if !ok {
 		report.ObjectsUndecodable++
 		return nil
@@ -142,10 +125,10 @@ func (a *Archive) scrubObject(ctx context.Context, code codec, id string, versio
 		rewrites[i] = reference[row]
 	}
 	var firstErr error
-	for i, err := range a.writeRows(ctx, id, version, damaged, rewrites) {
+	for i, err := range a.cluster.PutBatch(ctx, a.rowRefs(cw, damaged), rewrites) {
 		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("core: rewriting %s#%d: %w", id, damaged[i], err)
+				firstErr = fmt.Errorf("core: rewriting %s#%d: %w", cw.id, damaged[i], err)
 			}
 			continue
 		}
