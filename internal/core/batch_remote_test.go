@@ -143,9 +143,9 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 // remoteWalkOneRPCPerNode extends the wire-cost contract from one version to
 // every multi-version read: the whole-prefix read of a 20-version (12,10)
 // chain, and the materialise step of a compaction pass over it, each cost one
-// liveness ping per placement node and one get-batch RPC per node that holds a
-// row they read - what a read of one version costs - not one round per stored
-// delta.
+// get-batch RPC per node that holds a row they read - what a read of one
+// version costs - not one round per stored delta, and no liveness ping at all:
+// the commits that built the chain are what says the nodes are up.
 func remoteWalkOneRPCPerNode(t *testing.T) {
 	const n, k, blockSize, L = 12, 10, 16, 20
 	backing := make([]store.Node, n)
@@ -179,11 +179,20 @@ func remoteWalkOneRPCPerNode(t *testing.T) {
 		if batches := after.GetBatches - before.GetBatches; batches != k {
 			t.Errorf("%s issued %d get-batch RPCs, want %d (one per node read)", what, batches, k)
 		}
-		if pings := after.Pings - before.Pings; pings != n {
-			t.Errorf("%s issued %d pings, want %d (one per placement node)", what, pings, n)
+		if pings := after.Pings - before.Pings; pings != 0 {
+			t.Errorf("%s issued %d pings, want 0 (every node was heard from)", what, pings)
 		}
 	}
 	wantReads := k + (L-1)*4 // formula (4): k + sum of 2*gamma
+	rpcs("RetrieveContext(20)", func() {
+		got, stats := mustRetrieve(t, a, L)
+		if !bytes.Equal(got, versions[L-1]) {
+			t.Errorf("version %d content mismatch over TCP", L)
+		}
+		if stats.NodeReads != wantReads {
+			t.Errorf("RetrieveContext(20) NodeReads = %d, want %d", stats.NodeReads, wantReads)
+		}
+	})
 	rpcs("RetrieveAllContext(20)", func() {
 		all, stats, err := a.RetrieveAllContext(t.Context(), L)
 		if err != nil {
@@ -211,6 +220,89 @@ func remoteWalkOneRPCPerNode(t *testing.T) {
 		if got, _ := mustRetrieve(t, a, v+1); !bytes.Equal(got, want) {
 			t.Errorf("version %d content mismatch after compaction", v+1)
 		}
+	}
+}
+
+// TestRemoteLivenessRememberedFromTraffic follows one node of a (12,10) TCP
+// cluster through dying and coming back, in pings and batches per read. A
+// healthy read sends no ping. The read that meets the stopped server loses
+// one batch to it and re-plans: right bytes, and the healthy read count, since
+// only successful reads are charged and only the deficit is fetched again.
+// Every later read pings that one node - and sends it nothing else - until
+// the ping is answered, which re-admits it; the read after that pings nobody.
+func TestRemoteLivenessRememberedFromTraffic(t *testing.T) {
+	const n, k, blockSize, L, dead = 12, 10, 16, 6, 1
+	backing := make([]store.Node, n)
+	for i := range backing {
+		backing[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+	}
+	cluster, servers := remoteCluster(t, backing)
+	a, err := core.New(core.Config{
+		Name: "liveness", Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: blockSize,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{7}, a.Capacity())
+	for v := 0; v < L; v++ {
+		if v > 0 {
+			object = editBlocks(object, blockSize, v%k, (v+3)%k) // gamma = 2
+		}
+		mustCommit(t, a, object)
+	}
+	wantReads := k + (L-1)*4 // formula (3), whichever rows serve it
+	// read retrieves the tip and reports the pings and get-batches the
+	// servers saw, and the failures the cluster charged the dead node.
+	read := func(what string) (pings, batches, failures, probeFailures uint64) {
+		t.Helper()
+		before, health := sumRequests(servers), cluster.Health()[dead]
+		got, stats := mustRetrieve(t, a, L)
+		if !bytes.Equal(got, object) {
+			t.Errorf("%s: content mismatch", what)
+		}
+		if stats.NodeReads != wantReads {
+			t.Errorf("%s: NodeReads = %d, want %d", what, stats.NodeReads, wantReads)
+		}
+		after, healthAfter := sumRequests(servers), cluster.Health()[dead]
+		return after.Pings - before.Pings, after.GetBatches - before.GetBatches,
+			healthAfter.Failures - health.Failures, healthAfter.ProbeFailures - health.ProbeFailures
+	}
+	if pings, batches, failures, _ := read("healthy"); pings != 0 || batches != k || failures != 0 {
+		t.Errorf("healthy read: %d pings, %d get-batches, %d failures; want 0, %d, 0", pings, batches, failures, k)
+	}
+
+	if err := servers[dead].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, failures, _ := read("discovering"); failures == 0 {
+		t.Error("discovering read: the stopped node was charged no failure")
+	}
+	for i := 0; i < 2; i++ {
+		// One failure and it is the ping's: no batch went to the dead node.
+		if pings, batches, failures, probeFailures := read("degraded"); pings != 0 || batches != k || failures != 1 || probeFailures != 1 {
+			t.Errorf("degraded read %d: %d pings and %d get-batches at live nodes, %d failures (%d of pings) at the dead one; want 0, %d, 1 (1)",
+				i, pings, batches, failures, probeFailures, k)
+		}
+	}
+
+	remote, err := cluster.Node(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := transport.NewServer(backing[dead])
+	if _, err := restarted.Listen(remote.(*transport.RemoteNode).Addr()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = restarted.Close() })
+	servers[dead] = restarted
+	if pings, batches, failures, _ := read("re-admitting"); pings != 1 || batches != k || failures != 0 {
+		t.Errorf("re-admitting read: %d pings, %d get-batches, %d failures; want 1, %d, 0", pings, batches, failures, k)
+	}
+	if got := restarted.RequestStats(); got.Pings != 1 || got.GetBatches != 1 {
+		t.Errorf("restarted node served %d pings and %d get-batches, want 1 and 1 (re-admitted by the same read)", got.Pings, got.GetBatches)
+	}
+	if pings, batches, failures, _ := read("healthy again"); pings != 0 || batches != k || failures != 0 {
+		t.Errorf("read after re-admission: %d pings, %d get-batches, %d failures; want 0, %d, 0", pings, batches, failures, k)
 	}
 }
 

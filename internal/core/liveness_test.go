@@ -1,0 +1,189 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/faults"
+	"github.com/secarchive/sec/internal/store"
+)
+
+// pingCounted wraps a node and counts the liveness pings it answers; batch
+// operations pass through to the inner node's own.
+type pingCounted struct {
+	store.Node
+	pings *atomic.Int64
+}
+
+func (n pingCounted) Available(ctx context.Context) bool {
+	n.pings.Add(1)
+	return n.Node.Available(ctx)
+}
+
+func (n pingCounted) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	return store.GetShards(ctx, n.Node, ids)
+}
+
+func (n pingCounted) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
+	return store.PutShards(ctx, n.Node, ids, data)
+}
+
+func (n pingCounted) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
+	return store.DeleteShards(ctx, n.Node, ids)
+}
+
+// pingCountedCluster wraps every given node in a shared ping counter.
+func pingCountedCluster(nodes []store.Node) (*store.Cluster, *atomic.Int64) {
+	pings := &atomic.Int64{}
+	counted := make([]store.Node, len(nodes))
+	for i, n := range nodes {
+		counted[i] = pingCounted{Node: n, pings: pings}
+	}
+	return store.NewCluster(counted), pings
+}
+
+// TestLivenessSilentLossesAreSurvivedByOneRead: n-k nodes die without the
+// cluster being told, laid out so that each re-plan of the read runs into
+// the next one (the deficit is always fetched from the first rows believed
+// live). The read finds them out one failed batch at a time and still
+// returns, at k successful reads; the read after it asks exactly those nodes
+// and plans around them from the start.
+func TestLivenessSilentLossesAreSurvivedByOneRead(t *testing.T) {
+	const n, k = 10, 4
+	mems := make([]*store.MemNode, n)
+	nodes := make([]store.Node, n)
+	for i := range nodes {
+		mems[i] = store.NewMemNode("mem-" + string(rune('0'+i)))
+		nodes[i] = mems[i]
+	}
+	cluster, pings := pingCountedCluster(nodes)
+	a, err := New(Config{Name: "silent", Scheme: BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: 4}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{9}, a.Capacity())
+	mustCommit(t, a, object)
+	for row := k - 1; row < k-1+n-k; row++ { // rows 3..8: the last planned row and the next five spares
+		mems[row].SetFailed(true)
+	}
+	pings.Store(0)
+	got, stats := mustRetrieve(t, a, 1)
+	if !bytes.Equal(got, object) {
+		t.Error("content mismatch on the discovering read")
+	}
+	if stats.NodeReads != k {
+		t.Errorf("discovering read NodeReads = %d, want %d (failed reads are not charged)", stats.NodeReads, k)
+	}
+	pings.Store(0)
+	got, stats = mustRetrieve(t, a, 1)
+	if !bytes.Equal(got, object) || stats.NodeReads != k {
+		t.Errorf("second read: NodeReads = %d (want %d), content ok = %v", stats.NodeReads, k, bytes.Equal(got, object))
+	}
+	if got := pings.Load(); got != n-k {
+		t.Errorf("second read sent %d pings, want %d (the doubted nodes, once)", got, n-k)
+	}
+}
+
+// parkedReads is a MemNode whose batch reads, while armed, announce
+// themselves and then wait for their context to end.
+type parkedReads struct {
+	*store.MemNode
+	armed   atomic.Bool
+	entered chan struct{}
+}
+
+func (n *parkedReads) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	if n.armed.Load() {
+		n.entered <- struct{}{}
+		<-ctx.Done()
+	}
+	return n.MemNode.GetBatch(ctx, ids)
+}
+
+// TestLivenessCancelledWalkDoubtsNobody: a walk cancelled while a node's
+// batch is in flight says nothing about that node, so the next healthy read
+// still sends no ping.
+func TestLivenessCancelledWalkDoubtsNobody(t *testing.T) {
+	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
+	parked := &parkedReads{MemNode: store.NewMemNode("node-0"), entered: make(chan struct{}, 1)}
+	nodes := []store.Node{parked}
+	for i := 1; i < cfg.N; i++ {
+		nodes = append(nodes, store.NewMemNode("node-"+string(rune('0'+i))))
+	}
+	cluster, pings := pingCountedCluster(nodes)
+	a, err := New(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{4}, a.Capacity())
+	mustCommit(t, a, object)
+
+	parked.armed.Store(true)
+	ctx, cancel := context.WithCancel(t.Context())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := a.RetrieveContext(ctx, 1)
+		done <- err
+	}()
+	<-parked.entered // node 0's batch of the walk is in flight
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled retrieve = %v, want context.Canceled", err)
+	}
+	parked.armed.Store(false)
+
+	pings.Store(0)
+	if got, _ := mustRetrieve(t, a, 1); !bytes.Equal(got, object) {
+		t.Error("content mismatch after the cancelled walk")
+	}
+	if got := pings.Load(); got != 0 {
+		t.Errorf("the read after a cancelled walk sent %d pings, want 0", got)
+	}
+}
+
+// TestLivenessHedgeDemotionDoubtsNobody: a straggler a hedged read stopped
+// waiting for is slow, not down - the demotion is counted in its health and
+// the next read neither pings it nor plans around it.
+func TestLivenessHedgeDemotionDoubtsNobody(t *testing.T) {
+	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
+	cfg.HedgeDelay = 15 * time.Millisecond
+	chaos := faults.NewChaosNode(store.NewMemNode("node-0"), faults.Schedule{})
+	nodes := []store.Node{chaos}
+	for i := 1; i < cfg.N; i++ {
+		nodes = append(nodes, store.NewMemNode("node-"+string(rune('0'+i))))
+	}
+	cluster, pings := pingCountedCluster(nodes)
+	a, err := New(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{6}, a.Capacity())
+	mustCommit(t, a, object)
+
+	slowReads(chaos, 30*time.Second) // far beyond the test: only a hedge gets the read past it
+	pings.Store(0)
+	got, stats := mustRetrieve(t, a, 1)
+	if !bytes.Equal(got, object) || stats.Hedges == 0 {
+		t.Fatalf("hedged read: content ok = %v, hedges = %d, want a hedged read of the right bytes", bytes.Equal(got, object), stats.Hedges)
+	}
+	if h, _ := cluster.NodeHealth(0); h.Hedges == 0 || h.Failures != 0 {
+		t.Errorf("straggler health = %+v, want a hedge and no failure", h)
+	}
+	chaos.SetSchedule(faults.Schedule{})
+	cluster.ResetStats()
+	got, stats = mustRetrieve(t, a, 1)
+	if !bytes.Equal(got, object) || stats.Hedges != 0 {
+		t.Errorf("read after the demotion: content ok = %v, hedges = %d", bytes.Equal(got, object), stats.Hedges)
+	}
+	if got := pings.Load(); got != 0 {
+		t.Errorf("%d pings across the hedged read and the one after, want 0", got)
+	}
+	if reads := chaos.Stats().Reads; reads != 1 {
+		t.Errorf("the former straggler served %d reads of the next retrieve, want 1 (row 0 is in every plan)", reads)
+	}
+}

@@ -9,21 +9,27 @@ import (
 	"github.com/secarchive/sec/internal/delta"
 )
 
-// readAttempts bounds the re-plan loop when nodes fail between the liveness
-// probe and the shard read.
-const readAttempts = 3
+// readAttempts bounds the re-plan loop of one codeword. Liveness is
+// remembered from traffic, not asked per read (store.Cluster.Probe), so a
+// node that died since it was last heard from is found out by the batch it
+// fails, and the re-plan - which fetches only the deficit, from the first
+// rows still believed live - may run into the next such node. A codeword
+// survives n-k losses, so it gets that many attempts on top of the three for
+// nodes that flap between the probe and the read.
+func readAttempts(cw codeword) int { return 3 + cw.code.N() - cw.code.K() }
 
 // readAnyK owns the full read of one stored codeword: top the set up to any
 // K rows of the code from live nodes, one batch per node, and decode. Rows
-// that fail are marked dead and only the deficit is re-fetched against the
-// re-probed live set on the next attempt. The set carries the rows already
+// that fail are marked dead, a node that fails is doubted by the cluster, and
+// only the deficit is re-fetched against the re-probed live set - the probe
+// pings just the doubted nodes - on the next attempt. The set carries the rows already
 // in hand - prefetched by the chain planner, or fetched by a sparse attempt
 // that could not complete - and they count toward the K. A done context
 // aborts the loop immediately: cancellation is not a node failure, so no
 // further liveness probing or re-planning is worth doing.
 func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet) ([][]byte, error) {
 	k := cw.code.K()
-	for attempt := 0; attempt < readAttempts; attempt++ {
+	for attempt := 0; attempt < readAttempts(cw); attempt++ {
 		if err := chainAbort(ctx, set.err); err != nil {
 			return nil, err
 		}
@@ -105,7 +111,7 @@ func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet) 
 			trySparse = false
 		}
 	}
-	for attempt := 0; trySparse && attempt < readAttempts; attempt++ {
+	for attempt := 0; trySparse && attempt < readAttempts(cw); attempt++ {
 		if err := chainAbort(ctx, set.err); err != nil {
 			return delta.CompactDelta{}, ObjectRead{}, err
 		}

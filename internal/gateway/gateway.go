@@ -496,9 +496,11 @@ func (g *Gateway) Log(ctx context.Context, name string) ([]transport.ArchiveLogE
 	return entries, nil
 }
 
-// info snapshots one archive. probe says whether to spend a liveness
-// probe per cluster node (one concurrent round, not one after another).
-func (g *Gateway) info(ctx context.Context, st *archiveState, probe bool) transport.ArchiveInfo {
+// info snapshots one archive. ping says whether to ask every cluster node
+// whether it is up right now (one concurrent round of Cluster.Available, not
+// one after another): an operator reading Info wants the nodes' word for it,
+// not what the read path remembers of them.
+func (g *Gateway) info(ctx context.Context, st *archiveState, ping bool) transport.ArchiveInfo {
 	info := transport.ArchiveInfo{
 		Manifest:      st.archive.Manifest(),
 		Versions:      st.archive.Versions(),
@@ -509,18 +511,19 @@ func (g *Gateway) info(ctx context.Context, st *archiveState, probe bool) transp
 		info.Cache = &cache
 	}
 	health := g.cfg.Cluster.Health()
-	var up map[int]bool
-	if probe {
-		nodes := make([]int, len(health))
-		for i, h := range health {
-			nodes[i] = h.Node
-		}
-		up = g.cfg.Cluster.Probe(ctx, nodes)
-	}
 	info.Nodes = make([]transport.ArchiveNodeStatus, len(health))
+	var wg sync.WaitGroup
 	for i, h := range health {
-		info.Nodes[i] = transport.ArchiveNodeStatus{Health: h, Up: !probe || up[h.Node]}
+		info.Nodes[i] = transport.ArchiveNodeStatus{Health: h, Up: !ping}
+		if ping {
+			wg.Add(1)
+			go func(status *transport.ArchiveNodeStatus) {
+				defer wg.Done()
+				status.Up = g.cfg.Cluster.Available(ctx, status.Health.Node)
+			}(&info.Nodes[i])
+		}
 	}
+	wg.Wait()
 	return info
 }
 

@@ -90,12 +90,14 @@ func (n gatedNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.Sh
 	return results
 }
 
-// TestLivenessProbesRunConcurrently pins that a reader asks all its nodes
-// whether they are up in one round, not one after another: Gateway.Info and a
-// retrieval pushed onto the per-object fallback read (its prefetched rows
-// fail once, so the reader has to re-probe) must each have all 12 probes of a
-// (12,10) archive parked at once before any is answered, and a cancelled
-// context must free every parked probe.
+// TestLivenessProbesRunConcurrently pins that whoever asks several nodes
+// whether they are up asks them in one round, not one after another.
+// Gateway.Info asks every node of a (12,10) archive: all 12 pings must be
+// parked at once before any is answered. A retrieval asks nobody it has heard
+// from - its prefetch parks nothing - but once the k batches of the prefetch
+// have failed, the per-object fallback read doubts exactly those k nodes and
+// must have their k pings parked at once. A cancelled context must free every
+// parked probe.
 func TestLivenessProbesRunConcurrently(t *testing.T) {
 	const n, k = 12, 10
 	gate := &probeGate{}
@@ -113,13 +115,13 @@ func TestLivenessProbesRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.arm()
-	// Nothing is released between rounds, so n more arrivals are n probes
-	// parked at once.
-	rounds := 0
-	allParked := func(t *testing.T, what string) {
+	// Nothing is released between rounds, so a round's arrivals are that
+	// many probes parked at once.
+	expected := 0
+	allParked := func(t *testing.T, what string, round int) {
 		t.Helper()
-		rounds++
-		testutil.MustWaitFor(t, 5*time.Second, func() bool { arrived, _ := gate.counts(); return arrived == rounds*n },
+		expected += round
+		testutil.MustWaitFor(t, 5*time.Second, func() bool { arrived, _ := gate.counts(); return arrived == expected },
 			what+": the probes of one round are not all in flight at once")
 	}
 
@@ -132,7 +134,7 @@ func TestLivenessProbesRunConcurrently(t *testing.T) {
 			}
 			done <- info
 		}()
-		allParked(t, "Info")
+		allParked(t, "Info", n)
 		gate.releaseRound()
 		for _, node := range (<-done).Nodes {
 			if !node.Up {
@@ -151,12 +153,13 @@ func TestLivenessProbesRunConcurrently(t *testing.T) {
 			}
 			done <- got
 		}()
-		allParked(t, "prefetch")
-		gate.releaseRound()
-		allParked(t, "fallback read")
+		allParked(t, "fallback read", k)
 		gate.releaseRound()
 		if got := <-done; !bytes.Equal(got.Data, object) {
 			t.Error("content mismatch after the fallback read")
+		}
+		if arrived, _ := gate.counts(); arrived != expected {
+			t.Errorf("the read sent %d pings, want %d: the doubted nodes, once", arrived-expected+k, k)
 		}
 	})
 
@@ -167,7 +170,7 @@ func TestLivenessProbesRunConcurrently(t *testing.T) {
 			info, _ := g.Info(ctx, "probed")
 			done <- info
 		}()
-		allParked(t, "Info")
+		allParked(t, "Info", n)
 		cancel()
 		for _, node := range (<-done).Nodes {
 			if node.Up {

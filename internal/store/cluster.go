@@ -276,10 +276,12 @@ func (c *Cluster) Get(ctx context.Context, node int, id ShardID) ([]byte, error)
 	return data, err
 }
 
-// Available reports whether the node with the given index is up. Out-of-
-// range indices report false. When the circuit breaker is enabled (see
-// SetHealthConfig) and the node's breaker is open, the probe is answered
-// "down" locally without pinging the node until the cooldown elapses.
+// Available pings the node with the given index and reports whether it is
+// up right now; it never answers from memory, so it is what an operator's
+// "is it up" and a repair's target check ask. Out-of-range indices report
+// false. When the circuit breaker is enabled (see SetHealthConfig) and the
+// node's breaker is open, the probe is answered "down" locally without
+// pinging the node until the cooldown elapses.
 func (c *Cluster) Available(ctx context.Context, node int) bool {
 	n, err := c.Node(node)
 	if err != nil {
@@ -300,24 +302,31 @@ func (c *Cluster) Available(ctx context.Context, node int) bool {
 	return up
 }
 
-// Probe asks every listed node whether it is up, all at once, and returns
-// the answers keyed by node index (each distinct node is asked once). It is
-// the liveness round of a read: a reader that needs the state of n nodes
-// waits one round trip - or one ping timeout, if a node has gone silent -
-// rather than n in sequence. Breaker gating and observation stay per node,
-// inside Available.
+// Probe is the liveness round of a read: it reports, keyed by node index,
+// whether each listed node is up. Liveness is remembered from the traffic
+// the cluster already carries, not asked per read: a node whose last
+// observation - a batch, a single operation, a ping - was an authoritative
+// answer (success, not-found, corrupt) is reported up with no RPC. Only the
+// nodes there is reason to doubt are pinged, all at once, each distinct node
+// once: never observed, last observed failing transiently, breaker open or
+// half-open, or touched by Fail/Heal/HealAll. A healthy read therefore pays
+// no ping round at all; a node that died since it was last heard from costs
+// the read that finds out one failed batch - that failure doubts it - and
+// every later Probe one ping, until it answers again. Breaker gating and
+// observation stay per node, inside Available.
 func (c *Cluster) Probe(ctx context.Context, nodes []int) map[int]bool {
 	up := make(map[int]bool, len(nodes))
 	distinct := make([]int, 0, len(nodes))
 	for _, nd := range nodes {
 		if _, seen := up[nd]; !seen {
-			up[nd] = false
+			up[nd] = true
 			distinct = append(distinct, nd)
 		}
 	}
-	answers := make([]bool, len(distinct))
+	ask := c.health.doubted(distinct)
+	answers := make([]bool, len(ask))
 	var wg sync.WaitGroup
-	for i, nd := range distinct {
+	for i, nd := range ask {
 		wg.Add(1)
 		go func(i, nd int) {
 			defer wg.Done()
@@ -325,14 +334,17 @@ func (c *Cluster) Probe(ctx context.Context, nodes []int) map[int]bool {
 		}(i, nd)
 	}
 	wg.Wait()
-	for i, nd := range distinct {
+	for i, nd := range ask {
 		up[nd] = answers[i]
 	}
 	return up
 }
 
 // Fail injects a failure into the given nodes. It returns an error if any
-// node does not support fault injection.
+// node does not support fault injection. Fail, Heal and HealAll also tell the
+// cluster to doubt what it remembers of those nodes, so the next Probe asks
+// them: an injected failure is excluded from the very next read plan and a
+// healed node re-admitted by it, with no read spent on finding out.
 func (c *Cluster) Fail(nodes ...int) error { return c.setFailed(true, nodes) }
 
 // Heal clears injected failures on the given nodes.
@@ -364,6 +376,9 @@ func (c *Cluster) setFailed(failed bool, nodes []int) error {
 	for _, inj := range injectors {
 		inj.SetFailed(failed)
 	}
+	for _, i := range nodes {
+		c.health.doubt(i)
+	}
 	return nil
 }
 
@@ -372,9 +387,10 @@ func (c *Cluster) HealAll() {
 	c.mu.RLock()
 	nodes := append([]Node(nil), c.nodes...)
 	c.mu.RUnlock()
-	for _, n := range nodes {
+	for i, n := range nodes {
 		if inj, ok := n.(FaultInjector); ok {
 			inj.SetFailed(false)
+			c.health.doubt(i)
 		}
 	}
 }

@@ -93,6 +93,10 @@ type nodeHealth struct {
 	hedges        uint64
 	openedAt      time.Time
 	probing       bool
+	// heard is set while the node's last observation was an authoritative
+	// answer: Probe then answers "up" from memory. A transient failure, and
+	// Fail/Heal/HealAll, clear it; a node never observed starts without it.
+	heard bool
 }
 
 // healthTracker tracks per-node failure history for a cluster. All methods
@@ -173,6 +177,7 @@ func (t *healthTracker) recordSuccess(h *nodeHealth) {
 	h.consecutive = 0
 	h.state = BreakerClosed
 	h.probing = false
+	h.heard = true
 }
 
 // recordFailure counts a transient failure and trips the breaker when the
@@ -180,6 +185,7 @@ func (t *healthTracker) recordSuccess(h *nodeHealth) {
 func (t *healthTracker) recordFailure(h *nodeHealth) {
 	h.failures++
 	h.consecutive++
+	h.heard = false
 	if h.state == BreakerHalfOpen {
 		// The half-open probe failed: back to open with a fresh cooldown.
 		h.state = BreakerOpen
@@ -191,6 +197,36 @@ func (t *healthTracker) recordFailure(h *nodeHealth) {
 		h.state = BreakerOpen
 		h.openedAt = t.now()
 	}
+}
+
+// doubt forgets what is remembered about node i's liveness, so the next
+// Probe asks the node itself. Counters and breaker state are untouched.
+func (t *healthTracker) doubt(i int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.node(i).heard = false
+}
+
+// doubted filters nodes down to the ones a Probe has to ping: those whose
+// last observation was not an authoritative answer. Since only a success
+// sets heard and every failure clears it, a node that is not doubted has a
+// closed breaker.
+func (t *healthTracker) doubted(nodes []int) []int {
+	if t == nil {
+		return nodes
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var ask []int
+	for _, i := range nodes {
+		if h, ok := t.nodes[i]; !ok || !h.heard {
+			ask = append(ask, i)
+		}
+	}
+	return ask
 }
 
 // gateProbe decides whether an Available() probe for node i may reach the

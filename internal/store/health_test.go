@@ -3,7 +3,11 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -205,4 +209,181 @@ func TestClusterHealthSnapshotIDs(t *testing.T) {
 	if _, err := c.NodeHealth(9); !errors.Is(err, ErrClusterTooSmall) {
 		t.Errorf("NodeHealth out of range = %v, want ErrClusterTooSmall", err)
 	}
+}
+
+// pingedNode is a MemNode that counts the liveness pings it answers.
+type pingedNode struct {
+	*MemNode
+	pings atomic.Int64
+}
+
+func (n *pingedNode) Available(ctx context.Context) bool {
+	n.pings.Add(1)
+	return n.MemNode.Available(ctx)
+}
+
+// pingedCluster is a fixed cluster of ping-counting MemNodes.
+type pingedCluster struct {
+	*Cluster
+	nodes []*pingedNode
+}
+
+func newPingedCluster(size int) *pingedCluster {
+	c := &pingedCluster{nodes: make([]*pingedNode, size)}
+	nodes := make([]Node, size)
+	for i := range nodes {
+		c.nodes[i] = &pingedNode{MemNode: NewMemNode(fmt.Sprintf("mem-%d", i))}
+		nodes[i] = c.nodes[i]
+	}
+	c.Cluster = NewCluster(nodes)
+	return c
+}
+
+// pings returns what each node has answered since the last call.
+func (c *pingedCluster) pings() []int64 {
+	out := make([]int64, len(c.nodes))
+	for i, n := range c.nodes {
+		out[i] = n.pings.Swap(0)
+	}
+	return out
+}
+
+// probe runs one Probe of every node and checks its answer and what it cost.
+func (c *pingedCluster) probe(t *testing.T, what string, wantUp []bool, wantPings ...int64) {
+	t.Helper()
+	all := make([]int, len(c.nodes))
+	want := make(map[int]bool, len(c.nodes))
+	for i := range all {
+		all[i], want[i] = i, wantUp[i]
+	}
+	if up := c.Probe(t.Context(), all); !maps.Equal(up, want) {
+		t.Errorf("%s: Probe = %v, want %v", what, up, want)
+	}
+	if got := c.pings(); !slices.Equal(got, wantPings) {
+		t.Errorf("%s: pings per node = %v, want %v", what, got, wantPings)
+	}
+}
+
+// TestLivenessProbeRemembersTraffic pins what a Probe costs: a ping for every
+// node never heard from, none for a node whose last observation was an
+// answer (success or not-found), one for the node a batch just failed on
+// until it answers again - and Available, the operator's question, always
+// pings.
+func TestLivenessProbeRemembersTraffic(t *testing.T) {
+	allUp := []bool{true, true, true}
+	c := newPingedCluster(3)
+	c.probe(t, "never observed", allUp, 1, 1, 1)
+	c.probe(t, "after a ping round", allUp, 0, 0, 0)
+
+	// Fresh cluster: the traffic itself is the observation. Nodes 0 and 1
+	// answer a put, node 2 answers "not found" - all three are up.
+	c = newPingedCluster(3)
+	id := ShardID{Object: "o", Row: 0}
+	for i, err := range c.PutBatch(t.Context(), []ShardRef{{Node: 0, ID: id}, {Node: 1, ID: id}}, [][]byte{{1}, {2}}) {
+		if err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if _, err := c.Get(t.Context(), 2, id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get = %v, want ErrNotFound", err)
+	}
+	c.probe(t, "after traffic", allUp, 0, 0, 0)
+
+	// Node 1 dies behind the cluster's back. Memory still says up; the batch
+	// that finds out doubts it, and from then on it alone is pinged.
+	c.nodes[1].SetFailed(true)
+	c.probe(t, "died unnoticed", allUp, 0, 0, 0)
+	res := c.GetBatch(t.Context(), []ShardRef{{Node: 0, ID: id}, {Node: 1, ID: id}})
+	if res[0].Err != nil || !errors.Is(res[1].Err, ErrNodeDown) {
+		t.Fatalf("GetBatch errs = %v, %v; want nil, ErrNodeDown", res[0].Err, res[1].Err)
+	}
+	oneDown := []bool{true, false, true}
+	c.probe(t, "found out", oneDown, 0, 1, 0)
+	c.probe(t, "still down", oneDown, 0, 1, 0)
+	c.nodes[1].SetFailed(false)
+	c.probe(t, "back", allUp, 0, 1, 0)
+	c.probe(t, "re-admitted", allUp, 0, 0, 0)
+
+	// Available never answers from memory.
+	if !c.Available(t.Context(), 0) {
+		t.Error("Available(0) = false on a healthy node")
+	}
+	if got := c.pings(); !slices.Equal(got, []int64{1, 0, 0}) {
+		t.Errorf("Available pinged %v, want one ping of node 0", got)
+	}
+}
+
+// TestLivenessFailHealAreToldToTheCluster pins the fault-injection half of
+// the contract: Fail(i) is excluded by the very next Probe with no read spent
+// on finding out, Heal(i) and HealAll are re-admitted by the next Probe.
+func TestLivenessFailHealAreToldToTheCluster(t *testing.T) {
+	c := newPingedCluster(3)
+	c.probe(t, "never observed", []bool{true, true, true}, 1, 1, 1)
+	if err := c.Fail(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	c.probe(t, "Fail(1, 2)", []bool{true, false, false}, 0, 1, 1)
+	if err := c.Heal(1); err != nil {
+		t.Fatal(err)
+	}
+	c.probe(t, "Heal(1)", []bool{true, true, false}, 0, 1, 1)
+	c.HealAll()
+	c.probe(t, "HealAll", []bool{true, true, true}, 1, 1, 1)
+	c.probe(t, "settled", []bool{true, true, true}, 0, 0, 0)
+	if reads := c.TotalStats().Reads; reads != 0 {
+		t.Errorf("%d reads were spent finding out", reads)
+	}
+}
+
+// TestLivenessUnobservableDoesNotDoubt: a withdrawn request and a hedge
+// demotion say nothing about whether the node is up - slow is not down - so
+// neither makes the next Probe ping.
+func TestLivenessUnobservableDoesNotDoubt(t *testing.T) {
+	c := newPingedCluster(2)
+	c.probe(t, "never observed", []bool{true, true}, 1, 1)
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	refs := []ShardRef{{Node: 0, ID: ShardID{Object: "o"}}, {Node: 1, ID: ShardID{Object: "o"}}}
+	for i, res := range c.GetBatch(ctx, refs) {
+		if !errors.Is(res.Err, context.Canceled) {
+			t.Fatalf("cancelled read %d: err = %v, want context.Canceled", i, res.Err)
+		}
+	}
+	expired, cancel := context.WithDeadline(t.Context(), time.Unix(1, 0))
+	defer cancel()
+	for i, err := range c.PutBatch(expired, refs, [][]byte{{1}, {2}}) {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("expired write %d: err = %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	c.ReportHedge(1)
+	c.probe(t, "after a cancelled read, an expired write and a hedge", []bool{true, true}, 0, 0)
+	if h, _ := c.NodeHealth(1); h.Hedges != 1 {
+		t.Errorf("hedges = %d, want 1", h.Hedges)
+	}
+}
+
+// TestLivenessProbeBehindOpenBreaker: a tripped node is doubted, and the
+// doubt is answered by the breaker - down, locally - not by a ping.
+func TestLivenessProbeBehindOpenBreaker(t *testing.T) {
+	c := newPingedCluster(2)
+	c.SetHealthConfig(HealthConfig{TripAfter: 1, Cooldown: time.Hour})
+	now := time.Unix(1000, 0)
+	c.health.now = func() time.Time { return now }
+	if err := c.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	c.probe(t, "tripping", []bool{true, false}, 1, 1)
+	c.probe(t, "breaker open", []bool{true, false}, 0, 0)
+	if h, _ := c.NodeHealth(1); h.State != BreakerOpen || h.BreakerSkips != 1 {
+		t.Errorf("node 1 health = %+v, want open with one skip", h)
+	}
+	// Cooldown over, node healed: the half-open probe goes through and
+	// re-admits it.
+	if err := c.Heal(1); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(2 * time.Hour)
+	c.probe(t, "half-open", []bool{true, true}, 0, 1)
+	c.probe(t, "closed again", []bool{true, true}, 0, 0)
 }

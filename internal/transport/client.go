@@ -84,7 +84,20 @@ type RemoteNode struct {
 	closed   bool                   // set by Close: operations fail fast with ErrNodeDown
 
 	pingMu   sync.Mutex
-	pingConn *poolConn // dedicated liveness connection
+	ping     *pingCall // the liveness exchange in flight, if any
+	pingConn *poolConn // dedicated liveness connection; only the caller running n.ping touches it
+}
+
+// pingCall is one liveness exchange and everyone who is waiting for it.
+// Callers of Available that arrive while it is in flight take its answer
+// instead of queuing a ping - and a ping timeout - of their own.
+type pingCall struct {
+	done chan struct{} // closed once up and withdrawn are set
+	up   bool
+	// withdrawn says the exchange ended because its caller's context did:
+	// that is no answer about the node, so a waiter asks again itself.
+	withdrawn bool
+	joined    int // callers sharing the exchange, its own included; guarded by pingMu
 }
 
 var _ store.Node = (*RemoteNode)(nil)
@@ -285,19 +298,50 @@ func (n *RemoteNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []err
 // within the ping timeout and the context's deadline, whichever is
 // earlier. The ping runs on its own connection with its own short
 // deadline, so liveness probes stay fast even while every pooled
-// connection is busy with bulk transfers.
+// connection is busy with bulk transfers. One ping is on the wire at a
+// time: a caller that finds one in flight waits for its answer, or leaves
+// when its own context ends, so m readers meeting a silent node wait one
+// ping timeout between them, not m in a row.
 func (n *RemoteNode) Available(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return false
+	for ctx.Err() == nil {
+		n.pingMu.Lock()
+		call := n.ping
+		mine := call == nil
+		if mine {
+			if n.isClosed() {
+				n.pingMu.Unlock()
+				return false
+			}
+			call = &pingCall{done: make(chan struct{})}
+			n.ping = call
+		}
+		call.joined++
+		n.pingMu.Unlock()
+		if mine {
+			call.up = n.pingOnce(ctx)
+			call.withdrawn = !call.up && ctxCause(ctx) != nil
+			n.pingMu.Lock()
+			n.ping = nil
+			n.pingMu.Unlock()
+			close(call.done)
+			return call.up
+		}
+		select {
+		case <-call.done:
+			if !call.withdrawn {
+				return call.up
+			}
+		case <-ctx.Done():
+		}
 	}
+	return false
+}
+
+// pingOnce runs one ping exchange on the dedicated connection. Only the
+// caller that registered n.ping runs it, so it has the connection to itself.
+func (n *RemoteNode) pingOnce(ctx context.Context) bool {
 	body, err := encodeRequest(opPing, store.ShardID{})
 	if err != nil {
-		return false
-	}
-	//lint:allow lockheld pingMu exists to serialize the dedicated health-check exchange; operation traffic uses the pooled conns
-	n.pingMu.Lock()
-	defer n.pingMu.Unlock()
-	if n.isClosed() {
 		return false
 	}
 	deadline := earliestDeadline(ctx, n.pingTimeout)
@@ -384,12 +428,18 @@ func (n *RemoteNode) Close() error {
 	for _, cn := range inflight {
 		cn.close()
 	}
+	// closed is set, so no new ping starts; wait out the one in flight (at
+	// most the ping timeout) before taking its connection away.
 	n.pingMu.Lock()
+	call := n.ping
+	n.pingMu.Unlock()
+	if call != nil {
+		<-call.done
+	}
 	if n.pingConn != nil {
 		n.pingConn.close()
 		n.pingConn = nil
 	}
-	n.pingMu.Unlock()
 	return nil
 }
 
