@@ -37,14 +37,21 @@ func (n pingCounted) DeleteBatch(ctx context.Context, ids []store.ShardID) []err
 	return store.DeleteShards(ctx, n.Node, ids)
 }
 
-// pingCountedCluster wraps every given node in a shared ping counter.
-func pingCountedCluster(nodes []store.Node) (*store.Cluster, *atomic.Int64) {
+// pingCountedCluster is a cluster of n MemNodes - node 0 replaced by first
+// when one is given - whose nodes count their pings on one shared counter.
+// The nodes come back unwrapped, for the test to reach behind the cluster.
+func pingCountedCluster(n int, first store.Node) (*store.Cluster, []store.Node, *atomic.Int64) {
 	pings := &atomic.Int64{}
-	counted := make([]store.Node, len(nodes))
-	for i, n := range nodes {
-		counted[i] = pingCounted{Node: n, pings: pings}
+	nodes := make([]store.Node, n)
+	counted := make([]store.Node, n)
+	for i := range nodes {
+		nodes[i] = store.NewMemNode("node-" + string(rune('0'+i)))
+		if i == 0 && first != nil {
+			nodes[i] = first
+		}
+		counted[i] = pingCounted{Node: nodes[i], pings: pings}
 	}
-	return store.NewCluster(counted), pings
+	return store.NewCluster(counted), nodes, pings
 }
 
 // TestLivenessSilentLossesAreSurvivedByOneRead: n-k nodes die without the
@@ -55,13 +62,7 @@ func pingCountedCluster(nodes []store.Node) (*store.Cluster, *atomic.Int64) {
 // and plans around them from the start.
 func TestLivenessSilentLossesAreSurvivedByOneRead(t *testing.T) {
 	const n, k = 10, 4
-	mems := make([]*store.MemNode, n)
-	nodes := make([]store.Node, n)
-	for i := range nodes {
-		mems[i] = store.NewMemNode("mem-" + string(rune('0'+i)))
-		nodes[i] = mems[i]
-	}
-	cluster, pings := pingCountedCluster(nodes)
+	cluster, nodes, pings := pingCountedCluster(n, nil)
 	a, err := New(Config{Name: "silent", Scheme: BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: 4}, cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestLivenessSilentLossesAreSurvivedByOneRead(t *testing.T) {
 	object := bytes.Repeat([]byte{9}, a.Capacity())
 	mustCommit(t, a, object)
 	for row := k - 1; row < k-1+n-k; row++ { // rows 3..8: the last planned row and the next five spares
-		mems[row].SetFailed(true)
+		nodes[row].(*store.MemNode).SetFailed(true)
 	}
 	pings.Store(0)
 	got, stats := mustRetrieve(t, a, 1)
@@ -111,11 +112,7 @@ func (n *parkedReads) GetBatch(ctx context.Context, ids []store.ShardID) []store
 func TestLivenessCancelledWalkDoubtsNobody(t *testing.T) {
 	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
 	parked := &parkedReads{MemNode: store.NewMemNode("node-0"), entered: make(chan struct{}, 1)}
-	nodes := []store.Node{parked}
-	for i := 1; i < cfg.N; i++ {
-		nodes = append(nodes, store.NewMemNode("node-"+string(rune('0'+i))))
-	}
-	cluster, pings := pingCountedCluster(nodes)
+	cluster, _, pings := pingCountedCluster(cfg.N, parked)
 	a, err := New(cfg, cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +150,7 @@ func TestLivenessHedgeDemotionDoubtsNobody(t *testing.T) {
 	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
 	cfg.HedgeDelay = 15 * time.Millisecond
 	chaos := faults.NewChaosNode(store.NewMemNode("node-0"), faults.Schedule{})
-	nodes := []store.Node{chaos}
-	for i := 1; i < cfg.N; i++ {
-		nodes = append(nodes, store.NewMemNode("node-"+string(rune('0'+i))))
-	}
-	cluster, pings := pingCountedCluster(nodes)
+	cluster, _, pings := pingCountedCluster(cfg.N, chaos)
 	a, err := New(cfg, cluster)
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,11 @@ func readAttempts(cw codeword) int { return 3 + cw.code.N() - cw.code.K() }
 // K rows of the code from live nodes, one batch per node, and decode. Rows
 // that fail are marked dead, a node that fails is doubted by the cluster, and
 // only the deficit is re-fetched against the re-probed live set - the probe
-// pings just the doubted nodes - on the next attempt. The set carries the rows already
-// in hand - prefetched by the chain planner, or fetched by a sparse attempt
-// that could not complete - and they count toward the K. A done context
-// aborts the loop immediately: cancellation is not a node failure, so no
-// further liveness probing or re-planning is worth doing.
+// pings just the doubted nodes - on the next attempt. The set carries the
+// rows already in hand - prefetched by the chain planner, or fetched by a
+// sparse attempt that could not complete - and they count toward the K. A
+// done context aborts the loop immediately: cancellation is not a node
+// failure, so no further liveness probing or re-planning is worth doing.
 func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet) ([][]byte, error) {
 	k := cw.code.K()
 	for attempt := 0; attempt < readAttempts(cw); attempt++ {

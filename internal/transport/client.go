@@ -436,10 +436,12 @@ func (n *RemoteNode) Close() error {
 	if call != nil {
 		<-call.done
 	}
+	n.pingMu.Lock()
 	if n.pingConn != nil {
 		n.pingConn.close()
 		n.pingConn = nil
 	}
+	n.pingMu.Unlock()
 	return nil
 }
 
