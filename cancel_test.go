@@ -29,20 +29,11 @@ type stallNode struct {
 	stalled chan struct{} // closed to release the stall
 }
 
-func (s *stallNode) stall(ctx context.Context) {
+func (s *stallNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
 	select {
 	case <-s.stalled:
 	case <-ctx.Done():
 	}
-}
-
-func (s *stallNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
-	s.stall(ctx)
-	return s.MemNode.Get(ctx, id)
-}
-
-func (s *stallNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
-	s.stall(ctx)
 	return s.MemNode.GetBatch(ctx, ids)
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -50,35 +48,6 @@ func mustRetrieve(t *testing.T, a *Archive, l int) ([]byte, RetrievalStats) {
 		t.Fatal(err)
 	}
 	return object, stats
-}
-
-// plainNode hides every optional capability of a node, store.BatchNode
-// above all, so the cluster serves it through its per-shard loops. It is the
-// reference the batched path is compared against: same archive code, one
-// node operation per shard.
-type plainNode struct{ inner store.Node }
-
-func (p plainNode) ID() string { return p.inner.ID() }
-func (p plainNode) Put(ctx context.Context, id store.ShardID, d []byte) error {
-	return p.inner.Put(ctx, id, d)
-}
-func (p plainNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
-	return p.inner.Get(ctx, id)
-}
-func (p plainNode) Delete(ctx context.Context, id store.ShardID) error {
-	return p.inner.Delete(ctx, id)
-}
-func (p plainNode) Available(ctx context.Context) bool { return p.inner.Available(ctx) }
-func (p plainNode) Stats() store.NodeStats             { return p.inner.Stats() }
-func (p plainNode) ResetStats()                        { p.inner.ResetStats() }
-
-func asPlainNode(n store.Node) store.Node { return plainNode{n} }
-
-// newPlainMemCluster is store.NewMemCluster(0) over plain nodes.
-func newPlainMemCluster() *store.Cluster {
-	return store.NewGrowableCluster(func(i int) store.Node {
-		return plainNode{store.NewMemNode(fmt.Sprintf("mem-%d", i))}
-	})
 }
 
 var allSchemes = []Scheme{BasicSEC, OptimizedSEC, ReversedSEC, NonDifferential}

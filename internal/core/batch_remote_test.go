@@ -23,7 +23,6 @@ var (
 	editBlocks   = core.EditBlocksForExternal
 	fullID       = core.FullIDForExternal
 	deltaID      = core.DeltaIDForExternal
-	asPlainNode  = core.AsPlainNodeForExternal
 )
 
 // TestMain runs the suite with every served connection overwriting its
@@ -73,8 +72,8 @@ func sumRequests(servers []*transport.Server) transport.RequestStats {
 
 // TestRemoteRetrieveOneRPCPerNode is the wire-cost contract end to end: a
 // retrieval over TCP nodes must issue one get RPC per node touched, not
-// one per shard, while the per-shard fallback path issues one per shard;
-// and a read of many versions (subtest) costs the RPCs of a read of one.
+// one per shard; and a read of many versions (subtest) costs the RPCs of a
+// read of one.
 func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 	backing := make([]store.Node, 6)
 	for i := range backing {
@@ -110,31 +109,6 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 	}
 	if shards := after.GetBatchShards - before.GetBatchShards; shards != uint64(k) {
 		t.Errorf("batched shards = %d, want %d", shards, k)
-	}
-
-	// The same retrieval through clients stripped of the batch capability
-	// pays one RPC per shard.
-	plain := make([]store.Node, cluster.Size())
-	for i := range plain {
-		n, err := cluster.Node(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain[i] = asPlainNode(n)
-	}
-	aPer, err := core.New(testConfig(core.NonDifferential, erasure.NonSystematicCauchy), store.NewCluster(plain))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, aPer, v1)
-	before = sumRequests(servers)
-	mustRetrieve(t, aPer, 1)
-	after = sumRequests(servers)
-	if gets := after.Gets - before.Gets; gets != uint64(k) {
-		t.Errorf("per-shard path issued %d get RPCs, want %d", gets, k)
-	}
-	if batches := after.GetBatches - before.GetBatches; batches != 0 {
-		t.Errorf("per-shard path issued %d batch RPCs, want 0", batches)
 	}
 
 	t.Run("whole prefix and compaction", remoteWalkOneRPCPerNode)
@@ -307,8 +281,8 @@ func TestRemoteLivenessRememberedFromTraffic(t *testing.T) {
 }
 
 // TestMixedClusterBatchedArchive runs a full commit/retrieve/damage/scrub
-// cycle on a cluster mixing MemNode, DiskNode, a plain (batch-incapable)
-// node, and RemoteNodes behind real TCP servers.
+// cycle on a cluster mixing MemNodes, a DiskNode, and RemoteNodes behind
+// real TCP servers.
 func TestMixedClusterBatchedArchive(t *testing.T) {
 	disk0, err := store.NewDiskNode("disk-0", t.TempDir())
 	if err != nil {
@@ -325,7 +299,7 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 	nodes := []store.Node{
 		store.NewMemNode("mem-0"),
 		disk0,
-		asPlainNode(store.NewMemNode("plain")),
+		store.NewMemNode("mem-2"),
 		store.NewMemNode("mem-1"),
 		r0,
 		r1,
@@ -346,8 +320,8 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 	if stats.NodeReads != 5 { // k + 2*gamma
 		t.Errorf("NodeReads = %d, want 5", stats.NodeReads)
 	}
-	// Damage the shard on the plain node and one remote-backed shard; scrub
-	// must heal both through their respective paths.
+	// Damage a local shard and one remote-backed shard; scrub must heal both
+	// through their respective paths.
 	if err := nodes[2].Delete(t.Context(), store.ShardID{Object: fullID(a.Config().Name, 1), Row: 2}); err != nil {
 		t.Fatal(err)
 	}

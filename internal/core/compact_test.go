@@ -730,50 +730,6 @@ func TestCompactKeepSupersededThenReclaim(t *testing.T) {
 	}
 }
 
-// TestCompactOnPlainNodes runs the same pass on nodes without the batch
-// capability, so the cluster runs every batch (deletes included) as a
-// per-shard loop.
-func TestCompactOnPlainNodes(t *testing.T) {
-	cluster := newPlainMemCluster()
-	cfg := Config{
-		Name:      "t",
-		Scheme:    ReversedSEC,
-		Code:      erasure.NonSystematicCauchy,
-		N:         20,
-		K:         10,
-		BlockSize: 8,
-	}
-	a, err := New(cfg, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	object := bytes.Repeat([]byte{6}, 80)
-	var versions [][]byte
-	for j := 0; j < 9; j++ {
-		if j > 0 {
-			object = editBlocks(object, 8, j%3)
-		}
-		versions = append(versions, append([]byte(nil), object...))
-		mustCommit(t, a, object)
-	}
-	info, err := a.CompactToContext(t.Context(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Changed() || info.ShardsDeleted == 0 {
-		t.Fatalf("per-shard compaction did not run: %+v", info)
-	}
-	for v, want := range versions {
-		got, _, err := a.RetrieveContext(t.Context(), v+1)
-		if err != nil {
-			t.Fatalf("retrieve v%d: %v", v+1, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("v%d differs (per-shard I/O path)", v+1)
-		}
-	}
-}
-
 // TestUnqueueSupersededProtectsRewrittenNames pins the guard against the
 // queue/rewrite collision: an object name queued for reclaim by an
 // earlier pass and then rewritten with live content must be dropped from

@@ -11,5 +11,4 @@ var (
 	EditBlocksForExternal   = editBlocks
 	FullIDForExternal       = fullID
 	DeltaIDForExternal      = deltaID
-	AsPlainNodeForExternal  = asPlainNode
 )

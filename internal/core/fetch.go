@@ -116,11 +116,12 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 }
 
 // prefetch plans every shard read of a walk up front and issues one batch
-// per node covering all its codewords: node liveness is probed in one
-// concurrent round (once per node, not once per row per object), each
-// object's read rows are chosen against that snapshot, and a single cluster
-// batch fetches everything. The result is one ping and one get RPC per node
-// for the whole read in the healthy case, however many versions it spans.
+// per node covering all its codewords: node liveness is taken in one
+// Cluster.Probe (once per node, not once per row per object; it pings only
+// the nodes the cluster has reason to doubt), each object's read rows are
+// chosen against that snapshot, and a single cluster batch fetches
+// everything. The result is one get RPC per node and no ping for the whole
+// read in the healthy case, however many versions it spans.
 // Prefetching is purely a wire optimization: rows that fail are marked dead
 // in their object's shard set and the per-object readers top up or re-plan
 // exactly as they would have fetched in the first place, so read counts are

@@ -13,8 +13,7 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// pingCounted wraps a node and counts the liveness pings it answers; batch
-// operations pass through to the inner node's own.
+// pingCounted wraps a node and counts the liveness pings it answers.
 type pingCounted struct {
 	store.Node
 	pings *atomic.Int64
@@ -23,18 +22,6 @@ type pingCounted struct {
 func (n pingCounted) Available(ctx context.Context) bool {
 	n.pings.Add(1)
 	return n.Node.Available(ctx)
-}
-
-func (n pingCounted) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
-	return store.GetShards(ctx, n.Node, ids)
-}
-
-func (n pingCounted) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
-	return store.PutShards(ctx, n.Node, ids, data)
-}
-
-func (n pingCounted) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
-	return store.DeleteShards(ctx, n.Node, ids)
 }
 
 // pingCountedCluster is a cluster of n MemNodes - node 0 replaced by first

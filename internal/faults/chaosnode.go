@@ -11,7 +11,7 @@ import (
 )
 
 // ChaosNode wraps a store.Node and perturbs it according to a Schedule.
-// It implements the full node surface — Node, BatchNode, FaultInjector,
+// It implements the full node surface — Node, FaultInjector,
 // StatsReporter — so it can stand in for any node in a cluster or behind a
 // transport.Server, driving the same fault schedules over real TCP.
 //
@@ -33,7 +33,6 @@ type ChaosNode struct {
 }
 
 var _ store.Node = (*ChaosNode)(nil)
-var _ store.BatchNode = (*ChaosNode)(nil)
 var _ store.FaultInjector = (*ChaosNode)(nil)
 var _ store.StatsReporter = (*ChaosNode)(nil)
 
@@ -181,43 +180,22 @@ func (n *ChaosNode) pause(ctx context.Context, d time.Duration) error {
 // ID returns the inner node's identifier.
 func (n *ChaosNode) ID() string { return n.inner.ID() }
 
-// Put stores a shard, subject to the schedule.
+// Put stores a shard, subject to the schedule. Put, Get and Delete are
+// batches of one, so a single operation draws the decision of a one-shard
+// batch and a seeded schedule replays the same faults.
 func (n *ChaosNode) Put(ctx context.Context, id store.ShardID, data []byte) error {
-	d := n.decide(OpPut, 1)
-	if err := n.pause(ctx, d.sleep); err != nil {
-		return n.shardErr("put", id, err)
-	}
-	if d.err != nil {
-		return n.shardErr("put", id, d.err)
-	}
-	return n.inner.Put(ctx, id, data)
+	return n.PutBatch(ctx, []store.ShardID{id}, [][]byte{data})[0]
 }
 
 // Get reads a shard, subject to the schedule.
 func (n *ChaosNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
-	d := n.decide(OpGet, 1)
-	if err := n.pause(ctx, d.sleep); err != nil {
-		return nil, n.shardErr("get", id, err)
-	}
-	if d.err != nil {
-		return nil, n.shardErr("get", id, d.err)
-	}
-	if d.corruptIdx == 0 {
-		return nil, n.shardErr("get", id, corruptErr())
-	}
-	return n.inner.Get(ctx, id)
+	res := n.GetBatch(ctx, []store.ShardID{id})[0]
+	return res.Data, res.Err
 }
 
 // Delete removes a shard, subject to the schedule.
 func (n *ChaosNode) Delete(ctx context.Context, id store.ShardID) error {
-	d := n.decide(OpDelete, 1)
-	if err := n.pause(ctx, d.sleep); err != nil {
-		return n.shardErr("delete", id, err)
-	}
-	if d.err != nil {
-		return n.shardErr("delete", id, d.err)
-	}
-	return n.inner.Delete(ctx, id)
+	return n.DeleteBatch(ctx, []store.ShardID{id})[0]
 }
 
 // Available reports node liveness: false while crash-stopped or inside an
@@ -233,38 +211,47 @@ func (n *ChaosNode) Available(ctx context.Context) bool {
 	return n.inner.Available(ctx)
 }
 
+// perturb evaluates the schedule for one batch of op over ids and sleeps
+// the injected latency. It returns how long a prefix of ids the inner node
+// is to serve, the errors of the shards it is not to serve (at their index;
+// nil below cut), and a shard of the prefix to fail as corrupt, or -1. An
+// injected error or a done context fails every shard; a torn batch serves a
+// prefix and fails the rest transiently.
+func (n *ChaosNode) perturb(ctx context.Context, op OpMask, name string, ids []store.ShardID) (cut int, errs []error, corrupt int) {
+	d := n.decide(op, max(len(ids), 1))
+	errs = make([]error, len(ids))
+	err := n.pause(ctx, d.sleep)
+	if err == nil {
+		err = d.err
+	}
+	cut = len(ids)
+	switch {
+	case err != nil:
+		cut = 0
+	case d.tearAt >= 0:
+		cut, err = d.tearAt, transientErr("torn batch")
+	}
+	for i := cut; i < len(ids); i++ {
+		errs[i] = n.shardErr(name, ids[i], err)
+	}
+	if d.corruptIdx >= cut {
+		return cut, errs, -1
+	}
+	return cut, errs, d.corruptIdx
+}
+
 // GetBatch reads a batch, subject to the schedule: an injected error fails
 // every shard, a torn batch applies only a prefix, and injected corruption
 // fails one shard of the batch with ErrCorrupt.
 func (n *ChaosNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
-	d := n.decide(OpGet, max(len(ids), 1))
+	cut, errs, corrupt := n.perturb(ctx, OpGet, "get", ids)
 	results := make([]store.ShardResult, len(ids))
-	if err := n.pause(ctx, d.sleep); err != nil {
-		for i, id := range ids {
-			results[i] = store.ShardResult{Err: n.shardErr("get", id, err)}
-		}
-		return results
-	}
-	if d.err != nil {
-		for i, id := range ids {
-			results[i] = store.ShardResult{Err: n.shardErr("get", id, d.err)}
-		}
-		return results
-	}
-	cut := len(ids)
-	if d.tearAt >= 0 {
-		cut = d.tearAt
-	}
-	for i, res := range store.GetShards(ctx, n.inner, ids[:cut]) {
-		results[i] = res
-	}
+	copy(results, n.inner.GetBatch(ctx, ids[:cut]))
 	for i := cut; i < len(ids); i++ {
-		results[i] = store.ShardResult{Err: n.shardErr("get", ids[i], transientErr("torn batch"))}
+		results[i].Err = errs[i]
 	}
-	if d.corruptIdx >= 0 && d.corruptIdx < cut {
-		results[d.corruptIdx] = store.ShardResult{
-			Err: n.shardErr("get", ids[d.corruptIdx], corruptErr()),
-		}
+	if corrupt >= 0 {
+		results[corrupt] = store.ShardResult{Err: n.shardErr("get", ids[corrupt], corruptErr())}
 	}
 	return results
 }
@@ -272,60 +259,16 @@ func (n *ChaosNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.S
 // PutBatch stores a batch, subject to the schedule; a torn batch persists
 // only a prefix, modelling a node that died mid-batch.
 func (n *ChaosNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
-	d := n.decide(OpPut, max(len(ids), 1))
-	errs := make([]error, len(ids))
-	if err := n.pause(ctx, d.sleep); err != nil {
-		for i, id := range ids {
-			errs[i] = n.shardErr("put", id, err)
-		}
-		return errs
-	}
-	if d.err != nil {
-		for i, id := range ids {
-			errs[i] = n.shardErr("put", id, d.err)
-		}
-		return errs
-	}
-	cut := len(ids)
-	if d.tearAt >= 0 {
-		cut = d.tearAt
-	}
-	for i, err := range store.PutShards(ctx, n.inner, ids[:cut], data[:cut]) {
-		errs[i] = err
-	}
-	for i := cut; i < len(ids); i++ {
-		errs[i] = n.shardErr("put", ids[i], transientErr("torn batch"))
-	}
+	cut, errs, _ := n.perturb(ctx, OpPut, "put", ids)
+	copy(errs, n.inner.PutBatch(ctx, ids[:cut], data[:cut]))
 	return errs
 }
 
 // DeleteBatch removes a batch, subject to the schedule; a torn batch
 // removes only a prefix, the failure mode two-phase GC must survive.
 func (n *ChaosNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
-	d := n.decide(OpDelete, max(len(ids), 1))
-	errs := make([]error, len(ids))
-	if err := n.pause(ctx, d.sleep); err != nil {
-		for i, id := range ids {
-			errs[i] = n.shardErr("delete", id, err)
-		}
-		return errs
-	}
-	if d.err != nil {
-		for i, id := range ids {
-			errs[i] = n.shardErr("delete", id, d.err)
-		}
-		return errs
-	}
-	cut := len(ids)
-	if d.tearAt >= 0 {
-		cut = d.tearAt
-	}
-	for i, err := range store.DeleteShards(ctx, n.inner, ids[:cut]) {
-		errs[i] = err
-	}
-	for i := cut; i < len(ids); i++ {
-		errs[i] = n.shardErr("delete", ids[i], transientErr("torn batch"))
-	}
+	cut, errs, _ := n.perturb(ctx, OpDelete, "delete", ids)
+	copy(errs, n.inner.DeleteBatch(ctx, ids[:cut]))
 	return errs
 }
 

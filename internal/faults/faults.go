@@ -1,6 +1,6 @@
 // Package faults is a deterministic, seeded fault-injection framework for
-// the storage substrate. Its centerpiece is ChaosNode, a store.Node /
-// store.BatchNode wrapper that perturbs an inner node according to a
+// the storage substrate. Its centerpiece is ChaosNode, a store.Node
+// wrapper that perturbs an inner node according to a
 // scriptable Schedule: latency distributions, probabilistic per-operation
 // errors, detected bit-flip corruption, torn batches (a prefix of the
 // batch lands, the rest fails), and partitions — including flapping ones —

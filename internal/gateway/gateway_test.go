@@ -404,7 +404,7 @@ func TestGatewayCompactNeedsBound(t *testing.T) {
 }
 
 // manifestBlock parks one read on a cluster of blockedNodes: once armed, the
-// next Get parks until its own context ends, signalling when it is parked;
+// next read parks until its own context ends, signalling when it is parked;
 // every other read passes through.
 type manifestBlock struct {
 	armed  atomic.Bool
@@ -416,13 +416,12 @@ type blockedNode struct {
 	block *manifestBlock
 }
 
-func (n blockedNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
+func (n blockedNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
 	if n.block.armed.CompareAndSwap(true, false) {
 		close(n.block.parked)
 		<-ctx.Done()
-		return nil, ctx.Err()
 	}
-	return n.Node.Get(ctx, id)
+	return n.Node.GetBatch(ctx, ids)
 }
 
 // selectSignal is a context that reports the first time anyone asks for its

@@ -342,20 +342,6 @@ func (n crashNode) refuse(op string, ids []store.ShardID) error {
 	return nil
 }
 
-func (n crashNode) Put(ctx context.Context, id store.ShardID, data []byte) error {
-	if err := n.refuse("put", []store.ShardID{id}); err != nil {
-		return err
-	}
-	return n.MemNode.Put(ctx, id, data)
-}
-
-func (n crashNode) Delete(ctx context.Context, id store.ShardID) error {
-	if err := n.refuse("delete", []store.ShardID{id}); err != nil {
-		return err
-	}
-	return n.MemNode.Delete(ctx, id)
-}
-
 func (n crashNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
 	if err := n.refuse("put", ids); err != nil {
 		errs := make([]error, len(ids))

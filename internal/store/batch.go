@@ -20,68 +20,21 @@ type ShardResult struct {
 	Err error
 }
 
-// BatchNode is an optional capability of storage nodes that can serve
-// several shard operations in one call, amortizing per-operation costs
-// (lock acquisitions, directory syncs, network round trips). The returned
-// slice is aligned with the input: result i is the outcome for ids[i].
-//
-// Batching is a transport optimization, not an accounting one: a batch of
-// m successful reads still counts m Reads in NodeStats, preserving the
-// paper's per-shard I/O metric exactly.
-type BatchNode interface {
-	// GetBatch reads every listed shard, returning one result per id.
-	// Implementations check the context between shards, so a cancelled
-	// batch stops early with its remaining shards failed by ctx.Err().
-	GetBatch(ctx context.Context, ids []ShardID) []ShardResult
-	// PutBatch stores data[i] under ids[i], returning one error per
-	// shard (nil for successes). len(data) must equal len(ids).
-	PutBatch(ctx context.Context, ids []ShardID, data [][]byte) []error
-	// DeleteBatch removes every listed shard, returning one error per
-	// shard (nil for successes, ErrNotFound for shards already absent).
-	// It is the garbage-collection primitive of chain compaction: one
-	// call per node reclaims a whole superseded codeword.
-	DeleteBatch(ctx context.Context, ids []ShardID) []error
-}
+// BatchNode is Node, whose methods are the batches. The name and the
+// forwarders below remain for the benchmark module, which uses them; a
+// benchmark-only follow-up removes them.
+type BatchNode = Node
 
-// GetShards reads a batch of shards from any node: natively when the node
-// implements BatchNode, with a transparent per-shard loop otherwise.
-func GetShards(ctx context.Context, n Node, ids []ShardID) []ShardResult {
-	if b, ok := n.(BatchNode); ok {
-		return b.GetBatch(ctx, ids)
-	}
-	results := make([]ShardResult, len(ids))
-	for i, id := range ids {
-		data, err := n.Get(ctx, id)
-		results[i] = ShardResult{Data: data, Err: err}
-	}
-	return results
-}
+// GetShards is n.GetBatch; a benchmark-only follow-up removes it.
+func GetShards(ctx context.Context, n Node, ids []ShardID) []ShardResult { return n.GetBatch(ctx, ids) }
 
-// PutShards stores a batch of shards on any node: natively when the node
-// implements BatchNode, with a transparent per-shard loop otherwise.
+// PutShards is n.PutBatch; a benchmark-only follow-up removes it.
 func PutShards(ctx context.Context, n Node, ids []ShardID, data [][]byte) []error {
-	if b, ok := n.(BatchNode); ok {
-		return b.PutBatch(ctx, ids, data)
-	}
-	errs := make([]error, len(ids))
-	for i, id := range ids {
-		errs[i] = n.Put(ctx, id, data[i])
-	}
-	return errs
+	return n.PutBatch(ctx, ids, data)
 }
 
-// DeleteShards removes a batch of shards from any node: natively when the
-// node implements BatchNode, with a transparent per-shard loop otherwise.
-func DeleteShards(ctx context.Context, n Node, ids []ShardID) []error {
-	if b, ok := n.(BatchNode); ok {
-		return b.DeleteBatch(ctx, ids)
-	}
-	errs := make([]error, len(ids))
-	for i, id := range ids {
-		errs[i] = n.Delete(ctx, id)
-	}
-	return errs
-}
+// DeleteShards is n.DeleteBatch; a benchmark-only follow-up removes it.
+func DeleteShards(ctx context.Context, n Node, ids []ShardID) []error { return n.DeleteBatch(ctx, ids) }
 
 // ShardRef addresses one shard on one cluster node, the unit of a
 // cluster-level batch.
@@ -157,9 +110,7 @@ func retryableIdx(n int, errAt func(int) error) []int {
 
 // GetBatch reads the listed shards, grouping them by node and issuing one
 // batch per node; batches to distinct nodes run concurrently. The result
-// slice is aligned with refs. Nodes that do not implement BatchNode are
-// served by a per-shard loop, so mixed clusters (in-memory, disk, remote)
-// work transparently; out-of-range node indices yield per-shard
+// slice is aligned with refs. Out-of-range node indices yield per-shard
 // ErrClusterTooSmall results instead of failing the whole batch. Shards
 // that fail transiently are re-issued under the cluster's retry policy.
 func (c *Cluster) GetBatch(ctx context.Context, refs []ShardRef) []ShardResult {
@@ -191,7 +142,7 @@ func (c *Cluster) getBatchOnce(ctx context.Context, refs []ShardRef) []ShardResu
 			}
 			return
 		}
-		for j, res := range GetShards(ctx, b.node, b.ids) {
+		for j, res := range b.node.GetBatch(ctx, b.ids) {
 			results[b.idx[j]] = res
 			if res.Err == nil {
 				c.wire.countGet(len(res.Data))
@@ -243,7 +194,7 @@ func (c *Cluster) putBatchOnce(ctx context.Context, refs []ShardRef, data [][]by
 		for j, i := range b.idx {
 			payloads[j] = data[i]
 		}
-		for j, err := range PutShards(ctx, b.node, b.ids, payloads) {
+		for j, err := range b.node.PutBatch(ctx, b.ids, payloads) {
 			errs[b.idx[j]] = err
 			if err == nil {
 				c.wire.countPut(len(payloads[j]))
@@ -289,7 +240,7 @@ func (c *Cluster) deleteBatchOnce(ctx context.Context, refs []ShardRef) []error 
 			}
 			return
 		}
-		for j, err := range DeleteShards(ctx, b.node, b.ids) {
+		for j, err := range b.node.DeleteBatch(ctx, b.ids) {
 			errs[b.idx[j]] = err
 			if err == nil {
 				c.wire.countDelete()

@@ -8,9 +8,6 @@ import (
 	"testing"
 )
 
-// plainNode (declared in cluster_test.go) hides a node's BatchNode
-// capability, exercising the per-shard fallback paths.
-
 func batchIDs(object string, rows ...int) []ShardID {
 	ids := make([]ShardID, len(rows))
 	for i, r := range rows {
@@ -33,17 +30,14 @@ func batchableNodes(t *testing.T) map[string]Node {
 func TestBatchNodeRoundTrip(t *testing.T) {
 	for name, n := range batchableNodes(t) {
 		t.Run(name, func(t *testing.T) {
-			if _, ok := n.(BatchNode); !ok {
-				t.Fatalf("%T does not implement BatchNode", n)
-			}
 			ids := batchIDs("obj", 0, 1, 2, 3)
 			data := [][]byte{{1}, {2, 2}, {3, 3, 3}, nil}
-			for i, err := range PutShards(t.Context(), n, ids, data) {
+			for i, err := range n.PutBatch(t.Context(), ids, data) {
 				if err != nil {
 					t.Fatalf("put %d: %v", i, err)
 				}
 			}
-			results := GetShards(t.Context(), n, ids)
+			results := n.GetBatch(t.Context(), ids)
 			for i, res := range results {
 				if res.Err != nil {
 					t.Fatalf("get %d: %v", i, res.Err)
@@ -53,7 +47,7 @@ func TestBatchNodeRoundTrip(t *testing.T) {
 				}
 			}
 			// A missing row fails alone; its neighbors still succeed.
-			mixed := GetShards(t.Context(), n, batchIDs("obj", 1, 9, 2))
+			mixed := n.GetBatch(t.Context(), batchIDs("obj", 1, 9, 2))
 			if mixed[0].Err != nil || mixed[2].Err != nil {
 				t.Errorf("present rows failed: %v, %v", mixed[0].Err, mixed[2].Err)
 			}
@@ -88,12 +82,12 @@ func TestBatchStatsMatchPerShard(t *testing.T) {
 			want := n.Stats()
 			n.ResetStats()
 			// Batched run over the same shards.
-			for i, err := range PutShards(t.Context(), n, ids, data) {
+			for i, err := range n.PutBatch(t.Context(), ids, data) {
 				if err != nil {
 					t.Fatalf("batched put %d: %v", i, err)
 				}
 			}
-			for i, res := range GetShards(t.Context(), n, ids) {
+			for i, res := range n.GetBatch(t.Context(), ids) {
 				if res.Err != nil {
 					t.Fatalf("batched get %d: %v", i, res.Err)
 				}
@@ -103,7 +97,7 @@ func TestBatchStatsMatchPerShard(t *testing.T) {
 			}
 			// Failed entries must not count: one missing row in a batch.
 			n.ResetStats()
-			_ = GetShards(t.Context(), n, batchIDs("obj", 0, 99))
+			_ = n.GetBatch(t.Context(), batchIDs("obj", 0, 99))
 			if got := n.Stats().Reads; got != 1 {
 				t.Errorf("reads with one missing row = %d, want 1", got)
 			}
@@ -117,12 +111,12 @@ func TestBatchOnFailedNode(t *testing.T) {
 			ids := batchIDs("obj", 0, 1)
 			data := [][]byte{{1}, {2}}
 			n.(FaultInjector).SetFailed(true)
-			for _, err := range PutShards(t.Context(), n, ids, data) {
+			for _, err := range n.PutBatch(t.Context(), ids, data) {
 				if !errors.Is(err, ErrNodeDown) {
 					t.Errorf("put on failed node: %v, want ErrNodeDown", err)
 				}
 			}
-			for _, res := range GetShards(t.Context(), n, ids) {
+			for _, res := range n.GetBatch(t.Context(), ids) {
 				if !errors.Is(res.Err, ErrNodeDown) {
 					t.Errorf("get on failed node: %v, want ErrNodeDown", res.Err)
 				}
@@ -212,15 +206,15 @@ func TestClusterBatchGroupsByNode(t *testing.T) {
 }
 
 func TestClusterBatchMixedNodeKinds(t *testing.T) {
-	// A cluster mixing a native BatchNode, a capability-hidden plain node,
-	// and a failed node: per-shard results must be independent and aligned.
+	// A cluster mixing a disk node, a memory node, a failed node and an
+	// index beyond it: per-shard results must be independent and aligned.
 	disk, err := NewDiskNode("disk", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	failing := NewMemNode("down")
 	failing.SetFailed(true)
-	c := NewCluster([]Node{disk, plainNode{NewMemNode("plain")}, failing})
+	c := NewCluster([]Node{disk, NewMemNode("mem"), failing})
 	refs := []ShardRef{
 		{Node: 1, ID: ShardID{Object: "o", Row: 0}},
 		{Node: 0, ID: ShardID{Object: "o", Row: 1}},
@@ -259,33 +253,6 @@ func TestClusterBatchEmpty(t *testing.T) {
 	}
 	if got := c.PutBatch(t.Context(), nil, nil); len(got) != 0 {
 		t.Errorf("empty PutBatch = %v", got)
-	}
-}
-
-func TestPutShardsFallbackMatchesNative(t *testing.T) {
-	native := NewMemNode("native")
-	wrapped := plainNode{NewMemNode("wrapped")}
-	ids := batchIDs("o", 0, 1, 2)
-	data := [][]byte{{1}, {2}, {3}}
-	for _, err := range PutShards(t.Context(), native, ids, data) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, err := range PutShards(t.Context(), wrapped, ids, data) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, id := range ids {
-		a, errA := native.Get(t.Context(), id)
-		b, errB := wrapped.Get(t.Context(), id)
-		if errA != nil || errB != nil || !bytes.Equal(a, b) {
-			t.Errorf("shard %d: native %v/%v wrapped %v/%v", i, a, errA, b, errB)
-		}
-	}
-	if native.Stats().Writes != wrapped.Node.Stats().Writes {
-		t.Error("fallback and native write counts differ")
 	}
 }
 

@@ -118,8 +118,8 @@ func NewGrowableCluster(factory NodeFactory) *Cluster {
 }
 
 // SetRetryPolicy configures how cluster operations retry transient
-// failures: each Get/Put and each retryable shard of a batch is retried
-// under the policy's attempt budget with jittered exponential backoff.
+// failures: each retryable shard of a batch is re-issued under the policy's
+// attempt budget with jittered exponential backoff.
 // Only transient errors (see Retryable) are retried; ErrNotFound,
 // ErrCorrupt, and context cancellation never are. The default (zero)
 // policy performs exactly one attempt, preserving the paper experiments'
@@ -141,8 +141,8 @@ func (c *Cluster) retryPolicy() RetryPolicy {
 // rooted at baseDir (node i lives in baseDir/node-i), pre-populated with
 // size nodes. Reopening the same baseDir reattaches to the shards already
 // on disk. A node whose directory cannot be initialized joins the cluster
-// as a permanently-down node (every operation reports ErrNodeDown with the
-// cause) rather than failing the whole cluster.
+// as a permanently-down node (every shard operation reports ErrNodeDown
+// with the cause) rather than failing the whole cluster.
 func NewDiskCluster(baseDir string, size int) (*Cluster, error) {
 	if err := os.MkdirAll(baseDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating disk cluster at %s: %w", baseDir, err)
@@ -171,8 +171,9 @@ func DiskNodeFactory(baseDir string) NodeFactory {
 }
 
 // downNode is a placeholder for a node whose backend could not be opened.
-// It is permanently unavailable and reports the initialization error from
-// every operation.
+// It is permanently unavailable and fails every shard with ErrNodeDown
+// wrapping the initialization error - or, once the context is done, with the
+// context's error, like any other node.
 type downNode struct {
 	id  string
 	err error
@@ -180,20 +181,43 @@ type downNode struct {
 
 var _ Node = (*downNode)(nil)
 
-func (n *downNode) ID() string                                 { return n.id }
-func (n *downNode) Put(context.Context, ShardID, []byte) error { return n.fail("put") }
-func (n *downNode) Get(context.Context, ShardID) ([]byte, error) {
-	return nil, n.fail("get")
+func (n *downNode) ID() string { return n.id }
+func (n *downNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
+	results := make([]ShardResult, len(ids))
+	for i, id := range ids {
+		results[i].Err = n.fail(ctx, "get", id)
+	}
+	return results
 }
-func (n *downNode) Delete(context.Context, ShardID) error { return n.fail("delete") }
-func (n *downNode) Available(context.Context) bool        { return false }
-func (n *downNode) Stats() NodeStats                      { return NodeStats{} }
-func (n *downNode) ResetStats()                           {}
-func (n *downNode) StatsErr(context.Context) (NodeStats, error) {
-	return NodeStats{}, n.fail("stats")
+func (n *downNode) PutBatch(ctx context.Context, ids []ShardID, _ [][]byte) []error {
+	return n.failAll(ctx, "put", ids)
 }
-func (n *downNode) fail(op string) error {
-	return shardErr(op, ShardID{}, n.id, fmt.Errorf("%w: %w", ErrNodeDown, n.err))
+func (n *downNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
+	return n.failAll(ctx, "delete", ids)
+}
+func (n *downNode) Put(ctx context.Context, id ShardID, data []byte) error {
+	return putOne(ctx, n, id, data)
+}
+func (n *downNode) Get(ctx context.Context, id ShardID) ([]byte, error) { return getOne(ctx, n, id) }
+func (n *downNode) Delete(ctx context.Context, id ShardID) error        { return deleteOne(ctx, n, id) }
+func (n *downNode) Available(context.Context) bool                      { return false }
+func (n *downNode) Stats() NodeStats                                    { return NodeStats{} }
+func (n *downNode) ResetStats()                                         {}
+func (n *downNode) StatsErr(ctx context.Context) (NodeStats, error) {
+	return NodeStats{}, n.fail(ctx, "stats", ShardID{})
+}
+func (n *downNode) fail(ctx context.Context, op string, id ShardID) error {
+	if err := ctx.Err(); err != nil {
+		return shardErr(op, id, n.id, err)
+	}
+	return shardErr(op, id, n.id, fmt.Errorf("%w: %w", ErrNodeDown, n.err))
+}
+func (n *downNode) failAll(ctx context.Context, op string, ids []ShardID) []error {
+	errs := make([]error, len(ids))
+	for i, id := range ids {
+		errs[i] = n.fail(ctx, op, id)
+	}
+	return errs
 }
 
 // Size returns the current node count.
@@ -238,42 +262,15 @@ func (c *Cluster) Node(i int) (Node, error) {
 	return c.nodes[i], nil
 }
 
-// Put stores a shard on the node with the given index, retrying transient
-// failures under the configured retry policy.
+// Put stores a shard on the node with the given index: a PutBatch of one.
 func (c *Cluster) Put(ctx context.Context, node int, id ShardID, data []byte) error {
-	n, err := c.Node(node)
-	if err != nil {
-		return err
-	}
-	err = c.retryPolicy().Do(ctx, func() error {
-		e := n.Put(ctx, id, data)
-		c.health.observe(node, e)
-		if e == nil {
-			c.wire.countPut(len(data))
-		}
-		return e
-	})
-	return err
+	return c.PutBatch(ctx, []ShardRef{{Node: node, ID: id}}, [][]byte{data})[0]
 }
 
-// Get reads a shard from the node with the given index, retrying transient
-// failures under the configured retry policy.
+// Get reads a shard from the node with the given index: a GetBatch of one.
 func (c *Cluster) Get(ctx context.Context, node int, id ShardID) ([]byte, error) {
-	n, err := c.Node(node)
-	if err != nil {
-		return nil, err
-	}
-	var data []byte
-	err = c.retryPolicy().Do(ctx, func() error {
-		var e error
-		data, e = n.Get(ctx, id)
-		c.health.observe(node, e)
-		if e == nil {
-			c.wire.countGet(len(data))
-		}
-		return e
-	})
-	return data, err
+	res := c.GetBatch(ctx, []ShardRef{{Node: node, ID: id}})[0]
+	return res.Data, res.Err
 }
 
 // Available pings the node with the given index and reports whether it is

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// deleteBatchNodes returns one instance of every BatchNode-capable local
-// node implementation, preloaded with the given shards.
+// deleteBatchNodes returns one instance of every local node
+// implementation, preloaded with the given shards.
 func deleteBatchNodes(t *testing.T, ids []ShardID) map[string]Node {
 	t.Helper()
 	mem := NewMemNode("mem")
@@ -33,8 +33,7 @@ func TestDeleteBatchRemovesShards(t *testing.T) {
 		{Object: "a/v2-delta", Row: 0},
 	}
 	for name, n := range deleteBatchNodes(t, ids) {
-		b := n.(BatchNode)
-		for i, err := range b.DeleteBatch(t.Context(), ids[:2]) {
+		for i, err := range n.DeleteBatch(t.Context(), ids[:2]) {
 			if err != nil {
 				t.Errorf("%s: delete %d: %v", name, i, err)
 			}
@@ -54,8 +53,7 @@ func TestDeleteBatchRemovesShards(t *testing.T) {
 func TestDeleteBatchPerShardNotFound(t *testing.T) {
 	ids := []ShardID{{Object: "o", Row: 0}}
 	for name, n := range deleteBatchNodes(t, ids) {
-		b := n.(BatchNode)
-		errs := b.DeleteBatch(t.Context(), []ShardID{
+		errs := n.DeleteBatch(t.Context(), []ShardID{
 			{Object: "o", Row: 0},
 			{Object: "ghost", Row: 9},
 		})
@@ -75,7 +73,7 @@ func TestDeleteBatchOnFailedNode(t *testing.T) {
 	ids := []ShardID{{Object: "o", Row: 0}, {Object: "o", Row: 1}}
 	for name, n := range deleteBatchNodes(t, ids) {
 		n.(FaultInjector).SetFailed(true)
-		for i, err := range n.(BatchNode).DeleteBatch(t.Context(), ids) {
+		for i, err := range n.DeleteBatch(t.Context(), ids) {
 			if !errors.Is(err, ErrNodeDown) {
 				t.Errorf("%s: delete %d on failed node = %v, want ErrNodeDown", name, i, err)
 			}
@@ -92,7 +90,7 @@ func TestDeleteBatchHonorsContext(t *testing.T) {
 	for name, n := range deleteBatchNodes(t, ids) {
 		ctx, cancel := context.WithCancel(t.Context())
 		cancel()
-		for i, err := range n.(BatchNode).DeleteBatch(ctx, ids) {
+		for i, err := range n.DeleteBatch(ctx, ids) {
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: delete %d under cancelled ctx = %v, want Canceled", name, i, err)
 			}
@@ -132,26 +130,6 @@ func TestClusterDeleteBatchGroupsByNode(t *testing.T) {
 	errs := c.DeleteBatch(t.Context(), []ShardRef{{Node: 99, ID: ShardID{Object: "o"}}})
 	if !errors.Is(errs[0], ErrClusterTooSmall) {
 		t.Errorf("out-of-range node err = %v, want ErrClusterTooSmall", errs[0])
-	}
-}
-
-// TestDeleteShardsFallback exercises the per-shard loop against a node
-// that does not implement BatchNode.
-func TestDeleteShardsFallback(t *testing.T) {
-	n := plainNode{Node: NewMemNode("plain")}
-	ids := []ShardID{{Object: "o", Row: 0}, {Object: "o", Row: 1}}
-	for _, id := range ids {
-		if err := n.Put(t.Context(), id, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, err := range DeleteShards(t.Context(), n, ids) {
-		if err != nil {
-			t.Fatalf("delete %d: %v", i, err)
-		}
-	}
-	if _, err := n.Get(t.Context(), ids[0]); !errors.Is(err, ErrNotFound) {
-		t.Errorf("fallback delete left shard behind (err=%v)", err)
 	}
 }
 

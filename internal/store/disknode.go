@@ -65,7 +65,6 @@ type DiskNode struct {
 }
 
 var _ Node = (*DiskNode)(nil)
-var _ BatchNode = (*DiskNode)(nil)
 var _ FaultInjector = (*DiskNode)(nil)
 
 // NewDiskNode creates (or reopens) a disk-backed node rooted at dir. The
@@ -153,94 +152,41 @@ func (n *DiskNode) shardPath(id ShardID) (dir, path string) {
 	return dir, filepath.Join(dir, hex.EncodeToString(sum[1:17])+shardFileSuffix)
 }
 
-// checkUp returns an error while a failure is injected or the context is
-// done.
-func (n *DiskNode) checkUp(ctx context.Context, op string, id ShardID) error {
-	if err := ctxErr(ctx, op, id, n.id); err != nil {
-		return err
-	}
+// Put durably stores a shard: a put batch of one.
+func (n *DiskNode) Put(ctx context.Context, id ShardID, data []byte) error {
+	return putOne(ctx, n, id, data)
+}
+
+// Get reads a shard back, verified: a get batch of one.
+func (n *DiskNode) Get(ctx context.Context, id ShardID) ([]byte, error) {
+	return getOne(ctx, n, id)
+}
+
+// Delete removes a shard: a delete batch of one.
+func (n *DiskNode) Delete(ctx context.Context, id ShardID) error {
+	return deleteOne(ctx, n, id)
+}
+
+// isFailed reports whether a failure is injected.
+func (n *DiskNode) isFailed() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.failed {
-		return shardErr(op, id, n.id, ErrNodeDown)
-	}
-	return nil
+	return n.failed
 }
 
-// Put durably stores a shard, overwriting any previous contents. The shard
-// is written to a temporary file, fsynced, renamed over the final path, and
-// the directory is fsynced: after Put returns, a crash cannot lose the
-// shard or expose a torn write.
-func (n *DiskNode) Put(ctx context.Context, id ShardID, data []byte) error {
-	if err := n.checkUp(ctx, "put", id); err != nil {
-		return err
-	}
-	if int64(len(data)) > maxShardLen || int64(len(id.Object)) > maxShardLen {
-		return shardErr("put", id, n.id, fmt.Errorf("%d-byte shard exceeds the u32 format limit", len(data)))
-	}
-	dir, path := n.shardPath(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return shardErr("put", id, n.id, err)
-	}
-	if err := n.ensureDirDurable(dir); err != nil {
-		return shardErr("put", id, n.id, err)
-	}
-	if err := writeFileAtomic(path, EncodeFrame(id.String(), data)); err != nil {
-		return shardErr("put", id, n.id, err)
-	}
-	n.mu.Lock()
-	n.stats.Writes++
-	n.stats.BytesWritten += uint64(len(data))
-	n.mu.Unlock()
-	return nil
-}
-
-// Get reads a shard back, verifying the header and CRC32C. It fails with
-// ErrNodeDown while the node is failed, ErrNotFound when the shard is
-// absent, and ErrCorrupt when the file exists but its contents cannot be
-// trusted; only successful reads are counted.
-func (n *DiskNode) Get(ctx context.Context, id ShardID) ([]byte, error) {
-	if err := n.checkUp(ctx, "get", id); err != nil {
-		return nil, err
-	}
-	_, path := n.shardPath(id)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, shardErr("get", id, n.id, ErrNotFound)
-		}
-		return nil, shardErr("get", id, n.id, err)
-	}
-	data, err := decodeShardFile(id, raw)
-	if err != nil {
-		return nil, shardErr("get", id, n.id, err)
-	}
-	n.mu.Lock()
-	n.stats.Reads++
-	n.stats.BytesRead += uint64(len(data))
-	n.mu.Unlock()
-	return data, nil
-}
-
-// GetBatch reads several shards with one availability check and one
-// counter update. Each shard fails or succeeds independently with the same
-// ErrNotFound/ErrCorrupt contract as Get, and each success counts one read.
-// The context is checked between shards: once it is done, the remaining
-// shards fail with its error while completed reads stay counted.
+// GetBatch reads several shards back, verifying each header and CRC32C, with
+// one availability check and one counter update. Each shard fails or
+// succeeds independently: ErrNodeDown while the node is failed, ErrNotFound
+// when it is absent, ErrCorrupt when its file exists but its contents cannot
+// be trusted; each success counts one read. The context is checked between
+// shards, before the failed flag: once it is done, the remaining shards fail
+// with its error while completed reads stay counted.
 func (n *DiskNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 	results := make([]ShardResult, len(ids))
-	n.mu.Lock()
-	failed := n.failed
-	n.mu.Unlock()
-	if failed {
-		for i, id := range ids {
-			results[i] = ShardResult{Err: shardErr("get", id, n.id, ErrNodeDown)}
-		}
-		return results
-	}
+	failed := n.isFailed()
 	var reads, bytesRead uint64
 	for i, id := range ids {
-		if err := ctxErr(ctx, "get", id, n.id); err != nil {
+		if err := admit(ctx, "get", id, n.id, failed); err != nil {
 			results[i] = ShardResult{Err: err}
 			continue
 		}
@@ -272,8 +218,9 @@ func (n *DiskNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 // PutBatch durably stores several shards, amortizing the directory
 // traversal: every shard is written and renamed first, then each affected
 // fan-out directory is fsynced once, instead of once per shard. When the
-// batch returns, every shard whose error is nil is as durable as an
-// individual Put would have made it; each success counts one write.
+// batch returns, a crash cannot lose a shard whose error is nil or expose a
+// torn write of it (temp file, fsync, rename, directory fsync); each success
+// counts one write.
 //
 // The context is checked before each shard's write: a cancelled batch
 // stops renaming new shards (the remaining entries fail with the context's
@@ -282,21 +229,12 @@ func (n *DiskNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 // file survives the cancellation.
 func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) []error {
 	errs := make([]error, len(ids))
-	n.mu.Lock()
-	failed := n.failed
-	n.mu.Unlock()
-	if failed {
-		for i, id := range ids {
-			errs[i] = shardErr("put", id, n.id, ErrNodeDown)
-		}
-		return errs
-	}
+	failed := n.isFailed()
 	// dirty maps each touched directory to the batch positions whose
 	// durability depends on its fsync.
 	dirty := make(map[string][]int, 4)
 	for i, id := range ids {
-		if err := ctxErr(ctx, "put", id, n.id); err != nil {
-			errs[i] = err
+		if errs[i] = admit(ctx, "put", id, n.id, failed); errs[i] != nil {
 			continue
 		}
 		if int64(len(data[i])) > maxShardLen || int64(len(id.Object)) > maxShardLen {
@@ -337,49 +275,20 @@ func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) [
 	return errs
 }
 
-// Delete removes the shard. It fails with ErrNodeDown while the node is
-// failed and ErrNotFound when the shard is absent.
-func (n *DiskNode) Delete(ctx context.Context, id ShardID) error {
-	if err := n.checkUp(ctx, "delete", id); err != nil {
-		return err
-	}
-	_, path := n.shardPath(id)
-	if err := os.Remove(path); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return shardErr("delete", id, n.id, ErrNotFound)
-		}
-		return shardErr("delete", id, n.id, err)
-	}
-	_ = syncDir(filepath.Dir(path)) // best effort: a resurrected shard is re-deletable
-	n.mu.Lock()
-	n.stats.Deletes++
-	n.mu.Unlock()
-	return nil
-}
-
 // DeleteBatch removes several shards, amortizing the directory flushes the
 // way PutBatch does: every file is unlinked first, then each affected
 // fan-out directory is fsynced once. Each shard fails or succeeds
-// independently with the same ErrNotFound contract as Delete; each success
+// independently, with ErrNotFound for a shard already absent; each success
 // counts one delete. The context is checked before each unlink, so a
 // cancelled batch stops removing shards while directories already touched
 // are still flushed.
 func (n *DiskNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 	errs := make([]error, len(ids))
-	n.mu.Lock()
-	failed := n.failed
-	n.mu.Unlock()
-	if failed {
-		for i, id := range ids {
-			errs[i] = shardErr("delete", id, n.id, ErrNodeDown)
-		}
-		return errs
-	}
+	failed := n.isFailed()
 	var deletes uint64
 	dirty := make(map[string]struct{}, 4)
 	for i, id := range ids {
-		if err := ctxErr(ctx, "delete", id, n.id); err != nil {
-			errs[i] = err
+		if errs[i] = admit(ctx, "delete", id, n.id, failed); errs[i] != nil {
 			continue
 		}
 		dir, path := n.shardPath(id)
@@ -394,7 +303,7 @@ func (n *DiskNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 		dirty[dir] = struct{}{}
 	}
 	for dir := range dirty {
-		_ = syncDir(dir) // best effort, matching Delete: a resurrected shard is re-deletable
+		_ = syncDir(dir) // best effort: a resurrected shard is re-deletable
 	}
 	n.mu.Lock()
 	n.stats.Deletes += deletes
@@ -404,12 +313,7 @@ func (n *DiskNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 
 // Available reports whether the node accepts operations.
 func (n *DiskNode) Available(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return !n.failed
+	return ctx.Err() == nil && !n.isFailed()
 }
 
 // SetFailed injects or clears a crash-stop failure. Data is retained across
@@ -477,7 +381,7 @@ func (n *DiskNode) Wipe() error {
 }
 
 // Close flushes the node's directory metadata. Individual shard writes are
-// already durable when Put returns; Close is the graceful-shutdown
+// already durable when PutBatch returns; Close is the graceful-shutdown
 // counterpart that fsyncs the root so directory-level operations (deletes,
 // first-time subdirectory creation) are on stable storage too.
 func (n *DiskNode) Close() error {
@@ -490,7 +394,7 @@ func (n *DiskNode) Close() error {
 // ensureDirDurable makes a freshly created fan-out subdirectory itself
 // crash-durable by fsyncing its parents (shards/ and the node root), once
 // per subdirectory per process lifetime. The subdirectory's own contents
-// are fsynced by writeFileAtomic after each rename.
+// are fsynced by PutBatch after its renames.
 func (n *DiskNode) ensureDirDurable(dir string) error {
 	n.dirsMu.Lock()
 	defer n.dirsMu.Unlock()

@@ -18,7 +18,6 @@ type MemNode struct {
 }
 
 var _ Node = (*MemNode)(nil)
-var _ BatchNode = (*MemNode)(nil)
 var _ FaultInjector = (*MemNode)(nil)
 
 // NewMemNode returns an empty, available in-memory node.
@@ -29,61 +28,34 @@ func NewMemNode(id string) *MemNode {
 // ID returns the node identifier.
 func (n *MemNode) ID() string { return n.id }
 
-// Put stores a copy of data under id. It fails with ErrNodeDown while the
-// node is failed.
+// Put stores a copy of data under id: a put batch of one.
 func (n *MemNode) Put(ctx context.Context, id ShardID, data []byte) error {
-	if err := ctxErr(ctx, "put", id, n.id); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.failed {
-		return shardErr("put", id, n.id, ErrNodeDown)
-	}
-	n.shards[id] = append([]byte(nil), data...)
-	n.stats.Writes++
-	n.stats.BytesWritten += uint64(len(data))
-	return nil
+	return putOne(ctx, n, id, data)
 }
 
-// Get returns a copy of the shard contents. It fails with ErrNodeDown while
-// the node is failed and ErrNotFound when the shard is absent; only
-// successful reads are counted.
+// Get returns a copy of the shard contents: a get batch of one.
 func (n *MemNode) Get(ctx context.Context, id ShardID) ([]byte, error) {
-	if err := ctxErr(ctx, "get", id, n.id); err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.failed {
-		return nil, shardErr("get", id, n.id, ErrNodeDown)
-	}
-	data, ok := n.shards[id]
-	if !ok {
-		return nil, shardErr("get", id, n.id, ErrNotFound)
-	}
-	n.stats.Reads++
-	n.stats.BytesRead += uint64(len(data))
-	return append([]byte(nil), data...), nil
+	return getOne(ctx, n, id)
 }
 
-// GetBatch reads several shards under one lock acquisition. Each shard
-// fails or succeeds independently; successful reads are counted one by
-// one, exactly as the equivalent sequence of Gets would be. The context is
-// checked per shard, so a cancelled batch fails its remaining shards with
-// the context's error.
+// Delete removes the shard: a delete batch of one.
+func (n *MemNode) Delete(ctx context.Context, id ShardID) error {
+	return deleteOne(ctx, n, id)
+}
+
+// GetBatch reads several shards under one lock acquisition. It fails a
+// shard with ErrNodeDown while the node is failed and ErrNotFound when the
+// shard is absent; each successful read is counted. The context is checked
+// per shard, so a cancelled batch fails its remaining shards with the
+// context's error.
 func (n *MemNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 	results := make([]ShardResult, len(ids))
-	//lint:allow lockheld in-memory node; the only ctx-aware callee is ctxErr, which reads ctx.Err and never blocks
+	//lint:allow lockheld in-memory node; the only ctx-aware callee is admit, which reads ctx.Err and never blocks
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i, id := range ids {
-		if err := ctxErr(ctx, "get", id, n.id); err != nil {
+		if err := admit(ctx, "get", id, n.id, n.failed); err != nil {
 			results[i] = ShardResult{Err: err}
-			continue
-		}
-		if n.failed {
-			results[i] = ShardResult{Err: shardErr("get", id, n.id, ErrNodeDown)}
 			continue
 		}
 		data, ok := n.shards[id]
@@ -98,20 +70,15 @@ func (n *MemNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 	return results
 }
 
-// PutBatch stores several shards under one lock acquisition, counting each
-// successful write individually. The context is checked per shard.
+// PutBatch stores a copy of each shard under one lock acquisition, counting
+// each successful write. The context is checked per shard.
 func (n *MemNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) []error {
 	errs := make([]error, len(ids))
-	//lint:allow lockheld in-memory node; the only ctx-aware callee is ctxErr, which reads ctx.Err and never blocks
+	//lint:allow lockheld in-memory node; the only ctx-aware callee is admit, which reads ctx.Err and never blocks
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i, id := range ids {
-		if err := ctxErr(ctx, "put", id, n.id); err != nil {
-			errs[i] = err
-			continue
-		}
-		if n.failed {
-			errs[i] = shardErr("put", id, n.id, ErrNodeDown)
+		if errs[i] = admit(ctx, "put", id, n.id, n.failed); errs[i] != nil {
 			continue
 		}
 		n.shards[id] = append([]byte(nil), data[i]...)
@@ -123,20 +90,15 @@ func (n *MemNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) []
 
 // DeleteBatch removes several shards under one lock acquisition, counting
 // each successful delete individually. Each shard fails or succeeds
-// independently with the same ErrNotFound contract as Delete; the context
+// independently, with ErrNotFound for a shard already absent; the context
 // is checked per shard.
 func (n *MemNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 	errs := make([]error, len(ids))
-	//lint:allow lockheld in-memory node; the only ctx-aware callee is ctxErr, which reads ctx.Err and never blocks
+	//lint:allow lockheld in-memory node; the only ctx-aware callee is admit, which reads ctx.Err and never blocks
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i, id := range ids {
-		if err := ctxErr(ctx, "delete", id, n.id); err != nil {
-			errs[i] = err
-			continue
-		}
-		if n.failed {
-			errs[i] = shardErr("delete", id, n.id, ErrNodeDown)
+		if errs[i] = admit(ctx, "delete", id, n.id, n.failed); errs[i] != nil {
 			continue
 		}
 		if _, ok := n.shards[id]; !ok {
@@ -147,25 +109,6 @@ func (n *MemNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 		n.stats.Deletes++
 	}
 	return errs
-}
-
-// Delete removes the shard. It fails with ErrNodeDown while the node is
-// failed and ErrNotFound when the shard is absent.
-func (n *MemNode) Delete(ctx context.Context, id ShardID) error {
-	if err := ctxErr(ctx, "delete", id, n.id); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.failed {
-		return shardErr("delete", id, n.id, ErrNodeDown)
-	}
-	if _, ok := n.shards[id]; !ok {
-		return shardErr("delete", id, n.id, ErrNotFound)
-	}
-	delete(n.shards, id)
-	n.stats.Deletes++
-	return nil
 }
 
 // Available reports whether the node accepts operations.

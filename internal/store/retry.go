@@ -122,19 +122,3 @@ func (p RetryPolicy) Sleep(ctx context.Context, retry int) error {
 		return ctx.Err()
 	}
 }
-
-// Do runs op under the policy: it retries while op returns a Retryable
-// error, sleeping the jittered backoff between attempts, until the attempt
-// budget or the context is exhausted. The last error is returned.
-func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil || !Retryable(err) || attempt >= p.attempts() {
-			return err
-		}
-		if p.Sleep(ctx, attempt) != nil {
-			return err
-		}
-	}
-}

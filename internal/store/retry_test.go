@@ -60,66 +60,25 @@ func TestRetryPolicyBackoffBounds(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyDo(t *testing.T) {
-	down := shardErr("get", ShardID{Object: "o"}, "n0", ErrNodeDown)
-	p := RetryPolicy{MaxAttempts: 3}
-
-	// Transient failures are retried up to the budget.
-	calls := 0
-	err := p.Do(t.Context(), func() error { calls++; return down })
-	if !errors.Is(err, ErrNodeDown) || calls != 3 {
-		t.Errorf("Do = %v after %d calls, want ErrNodeDown after 3", err, calls)
-	}
-
-	// Success stops the loop.
-	calls = 0
-	err = p.Do(t.Context(), func() error {
-		calls++
-		if calls < 2 {
-			return down
-		}
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Errorf("Do = %v after %d calls, want nil after 2", err, calls)
-	}
-
-	// Permanent errors are not retried.
-	calls = 0
-	notFound := shardErr("get", ShardID{}, "n0", ErrNotFound)
-	err = p.Do(t.Context(), func() error { calls++; return notFound })
-	if !errors.Is(err, ErrNotFound) || calls != 1 {
-		t.Errorf("Do = %v after %d calls, want ErrNotFound after 1", err, calls)
-	}
-
-	// A cancelled context stops the backoff sleep.
-	ctx, cancel := context.WithCancel(t.Context())
-	cancel()
-	slow := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Hour}
-	calls = 0
-	start := time.Now()
-	err = slow.Do(ctx, func() error { calls++; return down })
-	if !errors.Is(err, ErrNodeDown) || calls != 1 {
-		t.Errorf("cancelled Do = %v after %d calls, want ErrNodeDown after 1", err, calls)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("cancelled Do slept through the backoff")
-	}
-}
-
-// flakyNode fails every operation with ErrNodeDown until `failures` ops
-// have been attempted, then recovers.
+// flakyNode wraps a MemNode so its reads fail the first `remaining`
+// shards they see with ErrNodeDown.
 type flakyNode struct {
 	*MemNode
 	remaining int
 }
 
-func (n *flakyNode) Get(ctx context.Context, id ShardID) ([]byte, error) {
-	if n.remaining > 0 {
-		n.remaining--
-		return nil, shardErr("get", id, n.ID(), ErrNodeDown)
+func (n *flakyNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
+	results := make([]ShardResult, len(ids))
+	for i, id := range ids {
+		if n.remaining > 0 {
+			n.remaining--
+			results[i] = ShardResult{Err: shardErr("get", id, n.ID(), ErrNodeDown)}
+			continue
+		}
+		data, err := n.MemNode.Get(ctx, id)
+		results[i] = ShardResult{Data: data, Err: err}
 	}
-	return n.MemNode.Get(ctx, id)
+	return results
 }
 
 func TestClusterRetryPolicyGet(t *testing.T) {
@@ -146,27 +105,6 @@ func TestClusterRetryPolicyGet(t *testing.T) {
 	}
 }
 
-// flakyBatchNode wraps a MemNode so its batch entry points fail the first
-// `remaining` shards they see with ErrNodeDown.
-type flakyBatchNode struct {
-	*MemNode
-	remaining int
-}
-
-func (n *flakyBatchNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
-	results := make([]ShardResult, len(ids))
-	for i, id := range ids {
-		if n.remaining > 0 {
-			n.remaining--
-			results[i] = ShardResult{Err: shardErr("get", id, n.ID(), ErrNodeDown)}
-			continue
-		}
-		data, err := n.MemNode.Get(ctx, id)
-		results[i] = ShardResult{Data: data, Err: err}
-	}
-	return results
-}
-
 func TestClusterRetryPolicyGetBatch(t *testing.T) {
 	mem := NewMemNode("flaky")
 	ids := []ShardID{{Object: "o", Row: 0}, {Object: "o", Row: 1}}
@@ -175,7 +113,7 @@ func TestClusterRetryPolicyGetBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := &flakyBatchNode{MemNode: mem, remaining: 2}
+	n := &flakyNode{MemNode: mem, remaining: 2}
 	c := NewCluster([]Node{n})
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
 

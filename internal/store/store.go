@@ -3,10 +3,10 @@
 // strategies (colocated and dispersed, Section IV of the paper), failure
 // injection, and exact I/O accounting.
 //
-// The paper's retrieval metric is the number of node reads; every
-// successful Get counts as one I/O read in the node's statistics, which the
-// experiment harness aggregates and compares against the closed-form
-// formulas (3)-(4).
+// The paper's retrieval metric is the number of node reads; every shard a
+// node reads successfully, in a batch or alone, counts as one I/O read in
+// the node's statistics, which the experiment harness aggregates and
+// compares against the closed-form formulas (3)-(4).
 //
 // # Contexts
 //
@@ -15,12 +15,18 @@
 // is cancelled or its deadline passes, failing the operation with an error
 // wrapping ctx.Err(). Cancellation is a property of the request, not the
 // node - a cancelled operation says nothing about node health, so
-// implementations must not surface it as ErrNodeDown, and callers must not
-// treat it as one (healing and re-planning logic checks ctx.Err() before
-// attributing a failure to a node). Batch implementations check the context
-// between shards, so a cancelled batch stops early with the remaining
-// shards failed by ctx.Err(); shards already completed stay completed (and
-// counted).
+// implementations must not surface it as ErrNodeDown, even on a failed
+// node, and callers must not treat it as one (healing and re-planning logic
+// checks ctx.Err() before attributing a failure to a node). Nodes check the
+// context between shards, so a cancelled batch stops early with the
+// remaining shards failed by ctx.Err(); shards already completed stay
+// completed (and counted).
+//
+// # One node interface
+//
+// A node's shard operations are its three batches. Put, Get and Delete are
+// a batch of one on every node, so each operation has one code path: one
+// place its accounting, locking and fault handling live.
 //
 // # The ShardError taxonomy
 //
@@ -106,13 +112,16 @@ func shardErr(op string, id ShardID, node string, cause error) error {
 	return &ShardError{Node: node, Shard: id, Op: op, Err: cause}
 }
 
-// ctxErr returns a ShardError wrapping the context's error if ctx is done,
-// and nil otherwise. Node implementations call it at operation entry (and
-// between shards of a batch) so a cancelled request fails with its context
-// cause instead of being misattributed to node health.
-func ctxErr(ctx context.Context, op string, id ShardID, node string) error {
+// admit is the check every shard of a node operation passes first: a done
+// context fails the shard with the context's error, and only then does a
+// failed node fail it with ErrNodeDown, so a cancelled request is never
+// misattributed to node health.
+func admit(ctx context.Context, op string, id ShardID, node string, failed bool) error {
 	if err := ctx.Err(); err != nil {
 		return shardErr(op, id, node, err)
+	}
+	if failed {
+		return shardErr(op, id, node, ErrNodeDown)
 	}
 	return nil
 }
@@ -154,14 +163,28 @@ func (s NodeStats) Add(o NodeStats) NodeStats {
 // concurrent use and must honor the context contract described in the
 // package comment: every operation returns promptly (with an error wrapping
 // ctx.Err()) once its context is cancelled or past its deadline.
+//
+// The batches are the operations. Each returns one outcome per id, aligned
+// with the input, and every shard succeeds or fails on its own. Batching is
+// a transport optimization, not an accounting one: a batch of m successful
+// reads counts m Reads in NodeStats, the paper's per-shard I/O metric.
 type Node interface {
 	// ID returns a stable identifier for logs and placement debugging.
 	ID() string
-	// Put stores a shard, overwriting any previous contents.
+	// GetBatch reads every listed shard. The Data of a successful result
+	// is the caller's: the node keeps no reference to it.
+	GetBatch(ctx context.Context, ids []ShardID) []ShardResult
+	// PutBatch stores data[i] under ids[i], overwriting any previous
+	// contents, and returns one error per shard (nil for successes).
+	// len(data) must equal len(ids).
+	PutBatch(ctx context.Context, ids []ShardID, data [][]byte) []error
+	// DeleteBatch removes every listed shard, returning one error per
+	// shard (nil for successes, ErrNotFound for shards already absent).
+	DeleteBatch(ctx context.Context, ids []ShardID) []error
+	// Put, Get and Delete are the batch operations over one shard, and
+	// behave, fail and count exactly as a batch of one.
 	Put(ctx context.Context, id ShardID, data []byte) error
-	// Get returns a copy of a shard's contents.
 	Get(ctx context.Context, id ShardID) ([]byte, error)
-	// Delete removes a shard.
 	Delete(ctx context.Context, id ShardID) error
 	// Available reports whether the node can currently serve requests,
 	// bounded by the context (an expired context reads as unavailable).
@@ -170,6 +193,21 @@ type Node interface {
 	Stats() NodeStats
 	// ResetStats zeroes the I/O counters.
 	ResetStats()
+}
+
+// getOne, putOne and deleteOne are the single-shard operations of the nodes
+// in this package: a batch of one.
+func getOne(ctx context.Context, n Node, id ShardID) ([]byte, error) {
+	res := n.GetBatch(ctx, []ShardID{id})[0]
+	return res.Data, res.Err
+}
+
+func putOne(ctx context.Context, n Node, id ShardID, data []byte) error {
+	return n.PutBatch(ctx, []ShardID{id}, [][]byte{data})[0]
+}
+
+func deleteOne(ctx context.Context, n Node, id ShardID) error {
+	return n.DeleteBatch(ctx, []ShardID{id})[0]
 }
 
 // StatsReporter is implemented by nodes that can distinguish "no I/O yet"

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,10 +217,13 @@ func TestRemoteBatchServerGone(t *testing.T) {
 }
 
 // legacyServer answers per-shard operations from a node but reports
-// statusError for batch ops, like a server that predates batching.
-func legacyServer(t *testing.T, node store.Node) net.Addr {
+// statusError for batch ops, like a server that predates batching. It
+// returns the server behind it, whose counters see the per-shard requests,
+// and the count of batch requests it refused.
+func legacyServer(t *testing.T, node store.Node) (net.Addr, *Server, *atomic.Int64) {
 	t.Helper()
 	inner := NewServer(node)
+	refused := &atomic.Int64{}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +245,7 @@ func legacyServer(t *testing.T, node store.Node) net.Addr {
 					var status byte
 					var payload parts
 					if req, err := decodeRequest(body); err == nil && (req.op == opGetBatch || req.op == opPutBatch || req.op == opDeleteBatch) {
+						refused.Add(1)
 						status, payload = statusError, textPart(fmt.Sprintf("transport: unknown op %d", req.op))
 					} else {
 						status, payload = inner.handle(context.Background(), body)
@@ -252,33 +257,51 @@ func legacyServer(t *testing.T, node store.Node) net.Addr {
 			}(conn)
 		}
 	}()
-	return ln.Addr()
+	return ln.Addr(), inner, refused
 }
 
-func TestRemoteBatchFallsBackOnLegacyServer(t *testing.T) {
+// TestRemoteBatchAgainstLegacyPeer: the client speaks only batch ops for
+// shard data, so a peer that does not serve them fails every shard of the
+// frame with a non-transient error naming the op - one RPC per frame, and no
+// per-shard traffic behind it. Single-shard calls are batches of one and
+// fail the same way.
+func TestRemoteBatchAgainstLegacyPeer(t *testing.T) {
 	mem := store.NewMemNode("legacy")
-	addr := legacyServer(t, mem)
+	addr, inner, refused := legacyServer(t, mem)
 	client := NewRemoteNode("remote", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
 
 	ids := testIDs("o", 0, 1, 2)
-	data := [][]byte{{1}, {2}, {3}}
-	for i, err := range client.PutBatch(t.Context(), ids, data) {
-		if err != nil {
-			t.Fatalf("put %d against legacy server: %v", i, err)
+	check := func(op string, errs ...error) {
+		t.Helper()
+		for i, err := range errs {
+			var se *store.ShardError
+			if !errors.As(err, &se) || se.Op != op || se.Shard != ids[i] || store.Retryable(err) || !strings.Contains(err.Error(), "unknown op") {
+				t.Errorf("%s of shard %d against a legacy peer = %v, want a non-transient %s error naming the shard", op, i, err, op)
+			}
 		}
 	}
-	for i, res := range client.GetBatch(t.Context(), ids) {
-		if res.Err != nil || !bytes.Equal(res.Data, data[i]) {
-			t.Errorf("legacy get %d = %v/%v, want %v", i, res.Data, res.Err, data[i])
-		}
+	check("put", client.PutBatch(t.Context(), ids, [][]byte{{1}, {2}, {3}})...)
+	var errs []error
+	for _, res := range client.GetBatch(t.Context(), ids) {
+		errs = append(errs, res.Err)
 	}
-	if got := mem.Stats(); got.Reads != 3 || got.Writes != 3 {
-		t.Errorf("legacy backing stats = %+v, want 3 reads and 3 writes", got)
+	check("get", errs...)
+	check("delete", client.DeleteBatch(t.Context(), ids)...)
+	_, err := client.Get(t.Context(), ids[0])
+	check("get", err)
+	if got := refused.Load(); got != 4 {
+		t.Errorf("legacy peer refused %d batch frames, want 4 (one per call)", got)
+	}
+	if st := inner.RequestStats(); st.Gets+st.Puts+st.Deletes != 0 {
+		t.Errorf("per-shard RPCs behind the refused batches: %+v", st)
+	}
+	if got := mem.Stats(); got != (store.NodeStats{}) {
+		t.Errorf("legacy backing stats = %+v, want none", got)
 	}
 }
 
-// blockingNode parks every Get until released, for testing connection
+// blockingNode parks every read until released, for testing connection
 // multiplexing and ping latency under load.
 type blockingNode struct {
 	*store.MemNode
@@ -286,13 +309,13 @@ type blockingNode struct {
 	release chan struct{}
 }
 
-func (b *blockingNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
+func (b *blockingNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
 	b.entered <- struct{}{}
 	select {
 	case <-b.release:
 	case <-ctx.Done(): // a force-closed server cancels parked operations
 	}
-	return b.MemNode.Get(ctx, id)
+	return b.MemNode.GetBatch(ctx, ids)
 }
 
 func TestRemotePoolMultiplexesConnections(t *testing.T) {

@@ -101,19 +101,6 @@ func TestContextDeadlineOverridesOperationTimeout(t *testing.T) {
 	}
 }
 
-// blockingBatchNode parks batch gets too (blockingNode's embedded MemNode
-// would otherwise serve GetBatch natively, without blocking).
-type blockingBatchNode struct{ *blockingNode }
-
-func (b *blockingBatchNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
-	b.entered <- struct{}{}
-	select {
-	case <-b.release:
-	case <-ctx.Done(): // a force-closed server cancels parked operations
-	}
-	return b.MemNode.GetBatch(ctx, ids)
-}
-
 func TestCloseFailsBatchAsNodeDown(t *testing.T) {
 	// Close racing an in-flight batch RPC: every shard of the batch must
 	// surface ErrNodeDown (wrapped in ShardError), never a bare I/O error,
@@ -123,7 +110,7 @@ func TestCloseFailsBatchAsNodeDown(t *testing.T) {
 		entered: make(chan struct{}, 8),
 		release: make(chan struct{}),
 	}
-	srv := NewServer(&blockingBatchNode{node})
+	srv := NewServer(node)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

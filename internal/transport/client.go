@@ -101,7 +101,6 @@ type pingCall struct {
 }
 
 var _ store.Node = (*RemoteNode)(nil)
-var _ store.BatchNode = (*RemoteNode)(nil)
 var _ store.StatsReporter = (*RemoteNode)(nil)
 
 // ClientOption configures a RemoteNode.
@@ -167,62 +166,46 @@ func (n *RemoteNode) ID() string { return n.id }
 // Addr returns the server address the node dials.
 func (n *RemoteNode) Addr() string { return n.addr }
 
-// Put stores a shard on the remote node.
+// Put stores a shard on the remote node: a put batch of one.
 func (n *RemoteNode) Put(ctx context.Context, id store.ShardID, data []byte) error {
-	_, err := n.roundTrip(ctx, "put", opPut, id, data)
-	return err
+	return n.PutBatch(ctx, []store.ShardID{id}, [][]byte{data})[0]
 }
 
-// Get fetches a shard from the remote node.
+// Get fetches a shard from the remote node: a get batch of one.
 func (n *RemoteNode) Get(ctx context.Context, id store.ShardID) ([]byte, error) {
-	return n.roundTrip(ctx, "get", opGet, id)
+	res := n.GetBatch(ctx, []store.ShardID{id})[0]
+	return res.Data, res.Err
 }
 
-// Delete removes a shard from the remote node.
+// Delete removes a shard from the remote node: a delete batch of one.
 func (n *RemoteNode) Delete(ctx context.Context, id store.ShardID) error {
-	_, err := n.roundTrip(ctx, "delete", opDelete, id)
-	return err
+	return n.DeleteBatch(ctx, []store.ShardID{id})[0]
 }
 
 // GetBatch fetches several shards in one round trip per batch frame (large
 // batches are chunked). Per-shard outcomes come back independently, so one
-// missing or corrupt shard no longer costs the rest of the batch. Against
-// a server that cannot serve the batch (a pre-batching peer, or a response
-// that would outgrow the frame limit) it falls back to per-shard gets; a
-// cancelled or timed-out batch fails outright with the context's error.
+// missing or corrupt shard does not cost the rest of the batch.
 func (n *RemoteNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
 	results := make([]store.ShardResult, len(ids))
 	for start := 0; start < len(ids); start += maxBatchShards {
 		chunk := ids[start:min(start+maxBatchShards, len(ids))]
 		body, err := encodeGetBatch(chunk)
 		n.batchChunk(ctx, opGetBatch, "get", chunk, parts{body}, err,
-			func(i int, res store.ShardResult) { results[start+i] = res },
-			func(i int) store.ShardResult {
-				data, err := n.Get(ctx, chunk[i])
-				return store.ShardResult{Data: data, Err: err}
-			})
+			func(i int, res store.ShardResult) { results[start+i] = res })
 	}
 	return results
 }
 
 // batchChunk runs one batch frame of op and hands each shard's outcome to
-// set. A frame can fail two ways. A node that is down, or a context that is
-// done, fails every shard of the frame outright with that cause. Any other
-// failure means the server answered but could not serve the batch (an
-// unknown op on an old peer, an oversized or malformed frame, a batch that
-// would not encode), and the frame degrades to per-shard operations -
-// perShard performs shard i on its own - instead of failing the shards.
-func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids []store.ShardID, body parts, err error, set func(i int, res store.ShardResult), perShard func(i int) store.ShardResult) {
+// set. A frame the server answered shard by shard sets each shard's own
+// outcome. Any other failure fails every shard of the frame with its cause:
+// a node that is down or a context that is done, as ErrNodeDown or the
+// context's error; a peer that does not serve op, a batch that would not
+// encode and a response that would not decode, as a non-transient error.
+func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids []store.ShardID, body parts, err error, set func(i int, res store.ShardResult)) {
 	if err == nil {
 		var payload []byte
-		payload, err = n.roundTrip(ctx, name, op, store.ShardID{}, body...)
-		if err != nil && (errors.Is(err, store.ErrNodeDown) || ctxCause(ctx) != nil) {
-			for i, id := range ids {
-				set(i, store.ShardResult{Err: n.batchErr(name, id, err)})
-			}
-			return
-		}
-		if err == nil {
+		if payload, err = n.roundTrip(ctx, name, op, store.ShardID{}, body...); err == nil {
 			var results []store.ShardResult
 			if results, err = decodeBatchResults(payload, ids, n.id, name); err == nil {
 				for i, res := range results {
@@ -232,8 +215,8 @@ func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids [
 			}
 		}
 	}
-	for i := range ids {
-		set(i, perShard(i))
+	for i, id := range ids {
+		set(i, store.ShardResult{Err: n.batchErr(name, id, err)})
 	}
 }
 
@@ -251,8 +234,7 @@ func (n *RemoteNode) batchErr(op string, id store.ShardID, err error) error {
 
 // PutBatch stores several shards in one round trip per batch frame,
 // chunking on both shard count and payload volume so every frame stays
-// under the transport size limit. Like GetBatch, it degrades to per-shard
-// puts against servers that cannot serve the batch.
+// under the transport size limit.
 func (n *RemoteNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
 	errs := make([]error, len(ids))
 	start := 0
@@ -269,8 +251,7 @@ func (n *RemoteNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][
 		chunk, base := ids[start:end], start
 		body, err := encodePutBatch(chunk, data[start:end])
 		n.batchChunk(ctx, opPutBatch, "put", chunk, body, err,
-			func(i int, res store.ShardResult) { errs[base+i] = res.Err },
-			func(i int) store.ShardResult { return store.ShardResult{Err: n.Put(ctx, chunk[i], data[base+i])} })
+			func(i int, res store.ShardResult) { errs[base+i] = res.Err })
 		start = end
 	}
 	return errs
@@ -278,18 +259,14 @@ func (n *RemoteNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][
 
 // DeleteBatch removes several shards in one round trip per batch frame.
 // Per-shard outcomes come back independently (a shard already absent fails
-// with ErrNotFound without costing the rest of the batch). Like GetBatch,
-// it degrades to per-shard deletes against servers that predate the
-// delete-batch op; a cancelled or timed-out batch fails outright with the
-// context's error.
+// with ErrNotFound without costing the rest of the batch).
 func (n *RemoteNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
 	errs := make([]error, len(ids))
 	for start := 0; start < len(ids); start += maxBatchShards {
 		chunk := ids[start:min(start+maxBatchShards, len(ids))]
 		body, err := encodeDeleteBatch(chunk)
 		n.batchChunk(ctx, opDeleteBatch, "delete", chunk, parts{body}, err,
-			func(i int, res store.ShardResult) { errs[start+i] = res.Err },
-			func(i int) store.ShardResult { return store.ShardResult{Err: n.Delete(ctx, chunk[i])} })
+			func(i int, res store.ShardResult) { errs[start+i] = res.Err })
 	}
 	return errs
 }
@@ -467,11 +444,12 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 // configured retry policy (WithRetryPolicy; default one attempt). Every
 // attempt additionally re-dials once for free when a kept-alive connection
 // turns out to be stale (the server restarted since the last operation).
-// Retrying is safe: Put/Get/Ping/Stats are idempotent, and a Delete whose
-// earlier attempt was applied but whose response was lost reports
-// ErrNotFound on the retry, which callers already treat as "gone" -
-// at-least-once semantics. Errors the server answered with are returned
-// without retry; only failures to complete the exchange are re-attempted.
+// Retrying is safe: get and put batches, pings and stats are idempotent,
+// and a delete batch whose earlier attempt was applied but whose response
+// was lost reports ErrNotFound on the retry, which callers already treat as
+// "gone" - at-least-once semantics. Errors the server answered with are
+// returned without retry; only failures to complete the exchange are
+// re-attempted.
 //
 // The wire deadline is the earlier of the per-operation timeout and the
 // context's deadline, recomputed per attempt; cancellation interrupts the

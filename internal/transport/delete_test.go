@@ -79,31 +79,6 @@ func TestRemoteDeleteBatchPerShardStatuses(t *testing.T) {
 	}
 }
 
-func TestRemoteDeleteBatchFallsBackOnLegacyServer(t *testing.T) {
-	mem := store.NewMemNode("legacy")
-	addr := legacyServer(t, mem)
-	client := NewRemoteNode("remote", addr.String(), WithTimeout(2*time.Second))
-	t.Cleanup(func() { _ = client.Close() })
-
-	ids := testIDs("o", 0, 1)
-	for _, id := range ids {
-		if err := mem.Put(t.Context(), id, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, err := range client.DeleteBatch(t.Context(), ids) {
-		if err != nil {
-			t.Fatalf("delete %d against legacy server: %v", i, err)
-		}
-	}
-	if got := mem.Len(); got != 0 {
-		t.Errorf("%d shards survived the legacy fallback", got)
-	}
-	if got := mem.Stats().Deletes; got != 2 {
-		t.Errorf("legacy backing deletes = %d, want 2", got)
-	}
-}
-
 func TestRemoteDeleteBatchServerGone(t *testing.T) {
 	srv := NewServer(store.NewMemNode("backing"))
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -262,7 +262,7 @@ func TestFramesFromPartsEqualAssembledFrames(t *testing.T) {
 			if ex.response != nil {
 				payload = ex.response()
 			} else {
-				results := store.GetShards(ctx, mem, ids)
+				results := mem.GetBatch(ctx, ids)
 				payload = refBatchResults(results)
 				a, b, c := cutKinds(encodeBatchResults(results), chunk)
 				inPayload, onBoundary, inHeader = inPayload || a, onBoundary || b, inHeader || c

@@ -52,8 +52,8 @@ const (
 	// all but the last carrying statusPartial. The client concatenates
 	// payloads until a terminal status arrives. Splitting - instead of
 	// refusing the batch - matters for I/O accounting: the shards were
-	// already read and counted on the node, so forcing a per-shard
-	// fallback would read and count them all a second time.
+	// already read and counted on the node, so failing the batch would
+	// have a retry read and count them all a second time.
 	statusPartial
 	// statusBusy was added after statusPartial (the archive-gateway ops):
 	// the server refused admission (writer queue full); the request never
@@ -200,8 +200,8 @@ func decodeStats(body []byte) (store.NodeStats, error) {
 //
 // A batch response is a logical response frame: the outer status is
 // statusOK whenever the batch itself was parsed and dispatched (statusError
-// reports a malformed batch, and lets clients fall back to per-shard
-// operations against servers that predate batching); a response payload
+// reports a malformed batch, or a server that predates batching, and fails
+// every shard of the frame); a response payload
 // larger than one frame is split across statusPartial continuation frames
 // so already-performed (and already-counted) shard reads are never thrown
 // away. Per-shard outcomes travel inside the payload:

@@ -100,8 +100,8 @@ func TestRetryPolicyDoesNotRetryServerAnswers(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("ErrNotFound took %v; was it retried?", elapsed)
 	}
-	if gets := srv.RequestStats().Gets; gets != 1 {
-		t.Errorf("server saw %d gets, want 1 (no retries of an answered request)", gets)
+	if gets := srv.RequestStats().GetBatches; gets != 1 {
+		t.Errorf("server saw %d get batches, want 1 (no retries of an answered request)", gets)
 	}
 }
 

@@ -334,7 +334,7 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 		}
 		s.reqs.getBatches.Add(1)
 		s.reqs.getBatchShards.Add(uint64(len(ids)))
-		results := store.GetShards(ctx, s.node, ids)
+		results := s.node.GetBatch(ctx, ids)
 		for _, res := range results {
 			if res.Err == nil {
 				s.reqs.bytesRead.Add(uint64(len(res.Data)))
@@ -352,7 +352,7 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 			s.reqs.bytesWritten.Add(uint64(len(d)))
 		}
 		results := make([]store.ShardResult, len(ids))
-		for i, err := range store.PutShards(ctx, s.node, ids, data) {
+		for i, err := range s.node.PutBatch(ctx, ids, data) {
 			results[i] = store.ShardResult{Err: err}
 		}
 		return statusOK, encodeBatchResults(results)
@@ -364,7 +364,7 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 		s.reqs.deleteBatches.Add(1)
 		s.reqs.deleteBatchShards.Add(uint64(len(ids)))
 		results := make([]store.ShardResult, len(ids))
-		for i, err := range store.DeleteShards(ctx, s.node, ids) {
+		for i, err := range s.node.DeleteBatch(ctx, ids) {
 			results[i] = store.ShardResult{Err: err}
 		}
 		return statusOK, encodeBatchResults(results)

@@ -23,14 +23,12 @@ import (
 	"github.com/secarchive/sec/secclient"
 )
 
-// gatedNode wraps a node so every Put parks until the gate is released,
-// closing entered (once, across all nodes) when the first Put arrives.
-// Embedding the interface (not the concrete type) hides BatchNode, so
-// commits take the per-shard path and block inside Put. It models a slow
-// storage device that keeps a writer slot occupied. The entered signal —
-// not an Info poll — is how the test learns the slot is held: a commit
-// parked inside CommitContext holds the archive's internal lock, so
-// metadata reads would park behind it too.
+// gatedNode wraps a node so every write parks until the gate is released,
+// closing entered (once, across all nodes) when the first write arrives.
+// It models a slow storage device that keeps a writer slot occupied. The
+// entered signal — not an Info poll — is how the test learns the slot is
+// held: a commit parked inside CommitContext holds the archive's internal
+// lock, so metadata reads would park behind it too.
 type gatedNode struct {
 	store.Node
 	gate    chan struct{}
@@ -38,14 +36,18 @@ type gatedNode struct {
 	once    *sync.Once
 }
 
-func (g *gatedNode) Put(ctx context.Context, id store.ShardID, data []byte) error {
+func (g *gatedNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
 	g.once.Do(func() { close(g.entered) })
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
-		return ctx.Err()
+		errs := make([]error, len(ids))
+		for i := range errs {
+			errs[i] = ctx.Err()
+		}
+		return errs
 	}
-	return g.Node.Put(ctx, id, data)
+	return g.Node.PutBatch(ctx, ids, data)
 }
 
 // startGateway serves a gateway over loopback TCP on the given cluster
@@ -79,7 +81,7 @@ func dial(t *testing.T, addr string) *secclient.Client {
 
 // TestClientErrBusyUnderSaturatedWriterQueue saturates an archive's
 // writer queue (capacity 1) by parking a commit inside a gated node's
-// Put, then asserts the next commit through the SDK is rejected with a
+// write, then asserts the next commit through the SDK is rejected with a
 // typed ErrBusy — immediately, not after queueing.
 func TestClientErrBusyUnderSaturatedWriterQueue(t *testing.T) {
 	gate := make(chan struct{})
@@ -106,7 +108,7 @@ func TestClientErrBusyUnderSaturatedWriterQueue(t *testing.T) {
 	}
 	payload := make([]byte, info.Capacity)
 
-	// First commit parks inside Put while holding the only writer slot.
+	// First commit parks inside a node write while holding the only writer slot.
 	writer := dial(t, addr)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -115,12 +117,12 @@ func TestClientErrBusyUnderSaturatedWriterQueue(t *testing.T) {
 		defer wg.Done()
 		_, firstErr = writer.Commit(ctx, "busy", payload)
 	}()
-	// Wait until the commit reaches a node Put: by then it holds the only
+	// Wait until the commit reaches a node write: by then it holds the only
 	// writer slot, since the gateway acquires the slot before encoding.
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("first commit never reached a node Put")
+		t.Fatal("first commit never reached a node write")
 	}
 
 	// The queue (capacity 1) is full: the SDK must surface a typed busy
