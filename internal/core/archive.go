@@ -33,7 +33,7 @@ type Archive struct {
 
 	mu       sync.RWMutex
 	entries  []entry
-	cache    [][]byte // blocks of the latest version, for delta computation
+	cache    [][]byte // blocks of the latest version, for delta computation; read-only
 	cacheLen int      // byte length of the cached version
 	// superseded queues delta codewords replaced by compaction whose
 	// deletion is deferred (CompactKeepSupersededContext) or failed
@@ -228,8 +228,16 @@ func (a *Archive) Versions() int {
 // CommitContext stores object as the next version, under the context's
 // deadline and cancellation. The object must fit the configured capacity
 // (K*BlockSize bytes); shorter objects are zero-padded, matching the
-// paper's fixed-size object model.
+// paper's fixed-size object model. An object that does not fit is refused
+// before any node I/O.
+//
+// A commit's work follows the delta's sparsity gamma: the object is compared
+// block by block with the latest version, and only the gamma blocks that
+// changed are copied, XORed and encoded.
 func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo, error) {
+	if err := a.blocking.CheckLength(len(object)); err != nil {
+		return CommitInfo{}, err
+	}
 	//lint:allow lockheld single-writer archive lock serializes all cluster I/O by design (DESIGN.md section 4)
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -241,15 +249,15 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	if len(a.superseded) > 0 {
 		reclaimed, _ = a.reclaimLocked(ctx)
 	}
-	blocks, err := a.blocking.Split(object)
-	if err != nil {
-		return CommitInfo{ReclaimedShards: reclaimed}, err
-	}
 	version := len(a.entries) + 1
 	if err := a.ensureNodes(version); err != nil {
 		return CommitInfo{ReclaimedShards: reclaimed}, err
 	}
 	if version == 1 {
+		blocks, err := a.blocking.Split(object)
+		if err != nil {
+			return CommitInfo{ReclaimedShards: reclaimed}, err
+		}
 		info := CommitInfo{Version: 1, StoredFull: true, ReclaimedShards: reclaimed}
 		if err := a.writeObject(ctx, a.fullCodeword(1), blocks, &info.ShardWrites); err != nil {
 			return CommitInfo{ReclaimedShards: reclaimed}, err
@@ -266,11 +274,11 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 			return CommitInfo{ReclaimedShards: reclaimed}, fmt.Errorf("core: restoring latest-version cache: %w", err)
 		}
 	}
-	d, err := delta.Compute(a.cache, blocks)
+	blocks, d, err := a.blocking.Diff(a.cache, object)
 	if err != nil {
 		return CommitInfo{ReclaimedShards: reclaimed}, err
 	}
-	gamma := delta.Sparsity(d)
+	gamma := d.Gamma()
 	info := CommitInfo{Version: version, Gamma: gamma, ReclaimedShards: reclaimed}
 
 	storeDelta, storeFull := a.commitPlan(gamma)
@@ -285,7 +293,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	}
 	e := entry{hasFull: storeFull, gamma: gamma, length: len(object), checkpoint: info.Checkpoint}
 	if storeDelta {
-		cw, err := a.storeDelta(ctx, deltaID(a.cfg.Name, version), version, gamma, d, &info.ShardWrites)
+		cw, err := a.storeDelta(ctx, deltaID(a.cfg.Name, version), version, d, &info.ShardWrites)
 		if err != nil {
 			return CommitInfo{ReclaimedShards: reclaimed}, err
 		}
@@ -519,16 +527,25 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (m
 	return inHand, nil
 }
 
-// writeObject encodes blocks with the codeword's code and stores every shard,
-// one batch per node. Shard buffers are pooled: the encode allocates
-// nothing in steady state (cluster nodes copy shard contents on Put).
+// writeObject encodes blocks with the codeword's code and stores every
+// shard; see putEncoded.
+func (a *Archive) writeObject(ctx context.Context, cw codeword, blocks [][]byte, writes *int) error {
+	return a.putEncoded(ctx, cw, blockLenOf(blocks), writes, func(dst [][]byte) error {
+		return cw.code.EncodeInto(blocks, dst)
+	})
+}
+
+// putEncoded has encode write every row of the codeword into shard buffers
+// of blockLen bytes and stores them, one batch per node. Shard buffers are
+// pooled: the encode allocates nothing in steady state (cluster nodes copy
+// shard contents on Put), and hold stale bytes until encode overwrites them.
 // Every shard is attempted even when one fails, so a commit interrupted by
 // one dead node leaves as few holes as possible; the first failure is
 // returned.
-func (a *Archive) writeObject(ctx context.Context, cw codeword, blocks [][]byte, writes *int) error {
-	bufs := erasure.GetBuffers(cw.code.N(), blockLenOf(blocks))
+func (a *Archive) putEncoded(ctx context.Context, cw codeword, blockLen int, writes *int, encode func(dst [][]byte) error) error {
+	bufs := erasure.GetBuffers(cw.code.N(), blockLen)
 	defer bufs.Release()
-	if err := cw.code.EncodeInto(blocks, bufs.Blocks); err != nil {
+	if err := encode(bufs.Blocks); err != nil {
 		return err
 	}
 	var firstErr error
@@ -575,8 +592,11 @@ func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 	return nil
 }
 
+// setCache makes blocks, which the archive owns, the latest-version cache.
+// They are read-only: a commit's blocks share every unchanged block with the
+// version before, as the decoded-version cache's do.
 func (a *Archive) setCache(blocks [][]byte, length int) {
-	a.cache = delta.Clone(blocks)
+	a.cache = blocks
 	a.cacheLen = length
 }
 

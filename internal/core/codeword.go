@@ -36,6 +36,7 @@ type codec interface {
 	MaxSparseGamma() int
 	Encode(blocks [][]byte) ([][]byte, error)
 	EncodeInto(blocks, dst [][]byte) error
+	EncodeSparseInto(support []int, blocks, dst [][]byte) error
 	DecodeFull(rows []int, shards [][]byte) ([][]byte, error)
 	DecodeFullInto(rows []int, shards, dst [][]byte) error
 	DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error)
@@ -301,25 +302,27 @@ func (a *Archive) eachStored(ctx context.Context, pass string, do func(codeword)
 	return nil
 }
 
-// storeDelta writes the delta d of sparsity gamma under id in the form the
-// archive's policy picks - CDEC-compacted when gamma is eligible, so only the
-// gamma non-zero blocks are encoded and the support travels in the manifest
-// entry; plain otherwise - and returns the codeword it now is. The object
-// name does not say which, so a commit and every later rebase of the version
-// choose afresh and a compressed chain stays compressed through compaction.
-func (a *Archive) storeDelta(ctx context.Context, id string, version, gamma int, d [][]byte, writes *int) (codeword, error) {
-	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: gamma}
-	if a.compressEligible(gamma) {
-		cd, err := delta.Compact(d)
-		if err != nil {
-			return cw, err
-		}
-		if cw.code, err = a.compressedCode(gamma); err != nil {
-			return cw, err
-		}
-		cw.support, d = cd.Support, cd.Blocks
+// storeDelta writes the delta d under id in the form the archive's policy
+// picks, and returns the codeword it now is. Either form encodes only the
+// gamma non-zero blocks: CDEC-compacted when gamma is eligible, with the
+// (gamma+N-K, gamma) code and the support in the manifest entry; plain
+// otherwise, with the gamma columns of the delta code the support names. The
+// object name does not say which, so a commit and every later rebase of the
+// version choose afresh and a compressed chain stays compressed through
+// compaction.
+func (a *Archive) storeDelta(ctx context.Context, id string, version int, d delta.CompactDelta, writes *int) (codeword, error) {
+	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: d.Gamma()}
+	if !a.compressEligible(cw.gamma) {
+		return cw, a.putEncoded(ctx, cw, d.BlockSize, writes, func(dst [][]byte) error {
+			return cw.code.EncodeSparseInto(d.Support, d.Blocks, dst)
+		})
 	}
-	return cw, a.writeObject(ctx, cw, d, writes)
+	var err error
+	if cw.code, err = a.compressedCode(cw.gamma); err != nil {
+		return cw, err
+	}
+	cw.support = d.Support
+	return cw, a.writeObject(ctx, cw, d.Blocks, writes)
 }
 
 // cdec reports whether the codeword is a CDEC-compacted delta.

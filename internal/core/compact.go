@@ -224,11 +224,11 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 		if next[v-1].hasDelta && entryBase(next, v) == anchor {
 			continue // already based exactly at its nearest anchor
 		}
-		merged, err := delta.Compute(mat[anchor], mat[v])
+		merged, err := delta.Diff(mat[anchor], mat[v])
 		if err != nil {
 			return info, err
 		}
-		gamma := delta.Sparsity(merged)
+		gamma := merged.Gamma()
 		// Price the rewrite with the planner's own costs: the old chain walk
 		// to v (planned against the still-unswapped entries, each codeword
 		// charging what its kind costs to read) versus one read of the
@@ -269,7 +269,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 				// delta, stored under its original name.
 				newID = deltaID(a.cfg.Name, v)
 			}
-			cw, err := a.storeDelta(ctx, newID, v, gamma, merged, &info.ShardWrites)
+			cw, err := a.storeDelta(ctx, newID, v, merged, &info.ShardWrites)
 			if err != nil {
 				return info, err
 			}

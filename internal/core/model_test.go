@@ -263,12 +263,12 @@ func rebasedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := delta.Compute(x6, x5)
+	d, err := delta.Diff(x6, x5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var writes int
-	cw, err := a.storeDelta(t.Context(), rebasedDeltaID("rebased", 5, 6), 5, delta.Sparsity(d), d, &writes)
+	cw, err := a.storeDelta(t.Context(), rebasedDeltaID("rebased", 5, 6), 5, d, &writes)
 	if err != nil {
 		t.Fatal(err)
 	}

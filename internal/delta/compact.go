@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -60,19 +61,10 @@ func (c CompactDelta) validate() error {
 	return nil
 }
 
-// Compact returns the compacted form of a delta: its support and deep
-// copies of the gamma non-zero blocks. The input must be a uniform block
-// vector (every block the same non-zero length).
-func Compact(blocks [][]byte) (CompactDelta, error) {
-	c, err := View(blocks)
-	for i, blk := range c.Blocks {
-		c.Blocks[i] = append([]byte(nil), blk...)
-	}
-	return c, err
-}
-
-// View is Compact without the copies: the non-zero blocks of the result
-// are the blocks of the input.
+// View returns the compacted form of an expanded delta: its support and,
+// without copies, its gamma non-zero blocks, which are the blocks of the
+// input. The input must be a uniform block vector (every block the same
+// non-zero length).
 func View(blocks [][]byte) (CompactDelta, error) {
 	if len(blocks) == 0 {
 		return CompactDelta{}, fmt.Errorf("delta: compacting an empty block vector")
@@ -93,6 +85,69 @@ func View(blocks [][]byte) (CompactDelta, error) {
 		c.Blocks = append(c.Blocks, blk)
 	}
 	return c, nil
+}
+
+// Diff returns the compact delta next - prev between two versions of the
+// same shape. Each pair of blocks is compared first; only the blocks that
+// differ are XORed, each into a fresh block, so gamma and the support come
+// out of the one pass and neither input is written.
+func Diff(prev, next [][]byte) (CompactDelta, error) {
+	if len(prev) != len(next) {
+		return CompactDelta{}, fmt.Errorf("delta: version block counts differ: %d vs %d", len(prev), len(next))
+	}
+	if len(prev) == 0 || len(prev[0]) == 0 {
+		return CompactDelta{}, fmt.Errorf("delta: diffing an empty block vector")
+	}
+	c := CompactDelta{K: len(prev), BlockSize: len(prev[0])}
+	for i := range prev {
+		if len(prev[i]) != c.BlockSize || len(next[i]) != c.BlockSize {
+			return CompactDelta{}, fmt.Errorf("delta: block %d sizes differ: %d vs %d, want %d", i, len(prev[i]), len(next[i]), c.BlockSize)
+		}
+		if !bytes.Equal(prev[i], next[i]) {
+			c.add(i, prev[i], next[i])
+		}
+	}
+	return c, nil
+}
+
+// Diff splits object into K blocks against prev, the blocks of the version
+// before it, and returns the new version's blocks with the compact delta
+// between the two. Each block of object is compared with its predecessor
+// first, the zero padding of a short object included. An unchanged block of
+// next is prev's own block; a changed one is a fresh copy, XORed with its
+// predecessor into a fresh delta block, so gamma and the support come out of
+// the one pass. Neither prev nor object is written, and nothing returned
+// aliases object. It fails, like Split, if object exceeds the capacity.
+func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDelta, err error) {
+	if err := b.CheckLength(len(object)); err != nil {
+		return nil, CompactDelta{}, err
+	}
+	if err := b.checkShape(prev); err != nil {
+		return nil, CompactDelta{}, err
+	}
+	next = make([][]byte, b.K)
+	d = CompactDelta{K: b.K, BlockSize: b.BlockSize}
+	for i, old := range prev {
+		lo := min(i*b.BlockSize, len(object))
+		src := object[lo:min(lo+b.BlockSize, len(object))]
+		if bytes.Equal(old[:len(src)], src) && isZeroBlock(old[len(src):]) {
+			next[i] = old
+			continue
+		}
+		next[i] = make([]byte, b.BlockSize)
+		copy(next[i], src)
+		d.add(i, old, next[i])
+	}
+	return next, d, nil
+}
+
+// add appends block i, old + cur, to the delta: the caller has found the two
+// to differ, and keeps the indices it adds increasing.
+func (c *CompactDelta) add(i int, old, cur []byte) {
+	z := append([]byte(nil), cur...)
+	gf.AddSlice(z, old)
+	c.Support = append(c.Support, i)
+	c.Blocks = append(c.Blocks, z)
 }
 
 // ApplyTo returns base + c without expanding c: a vector that shares with

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -27,9 +28,9 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 		for _, blockSize := range []int{1, 7, 64} {
 			for gamma := 0; gamma <= k; gamma += max(1, k/3) {
 				d := randomSparseDelta(rng, k, blockSize, gamma)
-				c, err := Compact(d)
+				c, err := View(d)
 				if err != nil {
-					t.Fatalf("Compact(k=%d,bs=%d,gamma=%d): %v", k, blockSize, gamma, err)
+					t.Fatalf("View(k=%d,bs=%d,gamma=%d): %v", k, blockSize, gamma, err)
 				}
 				if c.Gamma() != gamma {
 					t.Fatalf("gamma = %d, want %d", c.Gamma(), gamma)
@@ -49,15 +50,55 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompactBlocksAreCopies(t *testing.T) {
-	d := [][]byte{{1, 2}, {0, 0}, {3, 4}}
-	c, err := Compact(d)
-	if err != nil {
-		t.Fatal(err)
+// TestDiffOfVectors holds the compare-then-XOR diff of two materialized
+// versions to the expanding reference: the same support and blocks as a
+// view of Compute, every delta block a fresh allocation, the inputs
+// untouched, and a shape mismatch refused.
+func TestDiffOfVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const k, blockSize = 7, 24
+	for gamma := 0; gamma <= k; gamma++ {
+		prev := randomSparseDelta(rng, k, blockSize, k)
+		change := randomSparseDelta(rng, k, blockSize, gamma)
+		next, err := Apply(prev, change)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range next {
+			if isZeroBlock(change[i]) {
+				next[i] = prev[i] // shared, as a walk's versions are
+			}
+		}
+		before, beforeNext := Clone(prev), Clone(next)
+		got, err := Diff(prev, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := View(change)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("gamma=%d: Diff = %+v, want %+v", gamma, got, want)
+		}
+		if !Equal(prev, before) || !Equal(next, beforeNext) {
+			t.Fatalf("gamma=%d: Diff wrote to an input", gamma)
+		}
+		for i, s := range got.Support {
+			if &got.Blocks[i][0] == &prev[s][0] || &got.Blocks[i][0] == &next[s][0] {
+				t.Fatalf("gamma=%d: delta block %d aliases an input", gamma, s)
+			}
+		}
 	}
-	d[0][0] = 99
-	if c.Blocks[0][0] != 1 {
-		t.Error("Compact aliased the input blocks")
+	for _, bad := range [][2][][]byte{
+		{{{1}}, {{1}, {2}}},
+		{{{1}}, {{1, 2}}},
+		{nil, nil},
+		{{{}}, {{}}},
+	} {
+		if _, err := Diff(bad[0], bad[1]); err == nil {
+			t.Errorf("Diff(%v, %v): want error", bad[0], bad[1])
+		}
 	}
 }
 
@@ -66,7 +107,7 @@ func TestCompactMarshalRoundTrip(t *testing.T) {
 	for _, k := range []int{1, 5, 9, 32} {
 		for gamma := 0; gamma <= k; gamma += max(1, k/4) {
 			d := randomSparseDelta(rng, k, 16, gamma)
-			c, err := Compact(d)
+			c, err := View(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +134,7 @@ func TestCompactMarshalSavesBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	k, blockSize := 16, 256
 	d := randomSparseDelta(rng, k, blockSize, 2)
-	c, err := Compact(d)
+	c, err := View(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +170,7 @@ func TestCompactValidation(t *testing.T) {
 }
 
 func TestUnmarshalRejectsDamage(t *testing.T) {
-	c, err := Compact([][]byte{{1, 2}, {0, 0}, {3, 0}})
+	c, err := View([][]byte{{1, 2}, {0, 0}, {3, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +199,9 @@ func TestUnmarshalRejectsDamage(t *testing.T) {
 }
 
 // FuzzCompactDelta round-trips arbitrary block vectors through the compact
-// form and its serialization: compact -> marshal -> unmarshal -> expand
-// must reproduce the input byte-identically, and unmarshal of arbitrary
-// bytes must never panic or over-allocate.
+// form and its serialization: view -> copy -> marshal -> unmarshal ->
+// expand must reproduce the input byte-identically, and unmarshal of
+// arbitrary bytes must never panic or over-allocate.
 func FuzzCompactDelta(f *testing.F) {
 	f.Add(3, 4, []byte{1, 2, 3, 4, 0, 0, 0, 0, 9, 9, 9, 9})
 	f.Add(1, 1, []byte{0})
@@ -171,9 +212,12 @@ func FuzzCompactDelta(f *testing.F) {
 			for i := range blocks {
 				blocks[i] = raw[i*blockSize : (i+1)*blockSize]
 			}
-			c, err := Compact(blocks)
+			c, err := View(blocks)
 			if err != nil {
-				t.Fatalf("Compact rejected a valid vector: %v", err)
+				t.Fatalf("View rejected a valid vector: %v", err)
+			}
+			for i, blk := range c.Blocks {
+				c.Blocks[i] = append([]byte(nil), blk...)
 			}
 			wire, err := c.MarshalBinary()
 			if err != nil {
@@ -208,7 +252,7 @@ func BenchmarkCompactExpand(b *testing.B) {
 	b.SetBytes(int64(10 * 4096))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := Compact(d)
+		c, err := View(d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,13 +285,9 @@ func TestApplyToMatchesApplyAndSharesTheRest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		copied, err := Compact(d)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, s := range view.Support {
-			if &view.Blocks[i][0] != &d[s][0] || &copied.Blocks[i][0] == &d[s][0] {
-				t.Fatalf("gamma=%d: View must share block %d of its input and Compact must copy it", gamma, s)
+			if &view.Blocks[i][0] != &d[s][0] {
+				t.Fatalf("gamma=%d: View must share block %d of its input", gamma, s)
 			}
 		}
 		got, err := view.ApplyTo(base)

@@ -7,7 +7,8 @@
 // block and addition is byte-wise XOR (the characteristic-2 field addition),
 // so z = Compute(prev, next) both records and undoes the change. The
 // sparsity gamma of a delta is the number of non-zero blocks, the quantity
-// SEC exploits when gamma < k/2.
+// SEC exploits when gamma < k/2. Blocking.Diff and Diff produce a delta
+// already compacted to its gamma non-zero blocks (see CompactDelta).
 package delta
 
 import (
@@ -54,11 +55,19 @@ func BlockingFor(objectLen, k int) (Blocking, error) {
 // Capacity returns the maximum object length in bytes.
 func (b Blocking) Capacity() int { return b.K * b.BlockSize }
 
+// CheckLength fails if an object of length bytes exceeds the capacity.
+func (b Blocking) CheckLength(length int) error {
+	if length > b.Capacity() {
+		return fmt.Errorf("delta: object length %d exceeds blocking capacity %d", length, b.Capacity())
+	}
+	return nil
+}
+
 // Split copies data into K zero-padded blocks of BlockSize bytes. It fails
 // if data exceeds the capacity.
 func (b Blocking) Split(data []byte) ([][]byte, error) {
-	if len(data) > b.Capacity() {
-		return nil, fmt.Errorf("delta: object length %d exceeds blocking capacity %d", len(data), b.Capacity())
+	if err := b.CheckLength(len(data)); err != nil {
+		return nil, err
 	}
 	blocks := make([][]byte, b.K)
 	for i := range blocks {

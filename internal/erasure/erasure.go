@@ -191,6 +191,52 @@ func (c *Code) EncodeInto(blocks, dst [][]byte) error {
 	return nil
 }
 
+// EncodeSparseInto is EncodeInto of a vector that is zero outside support,
+// without expanding it: blocks[j] is block support[j] of the vector, support
+// strictly increasing in [0,k), and shard i is sum_j G[i][support[j]] *
+// blocks[j], one generator column per non-zero block. Every dst block is
+// overwritten, with zeros throughout when support is empty.
+func (c *Code) EncodeSparseInto(support []int, blocks, dst [][]byte) error {
+	if err := checkSupport(support, len(blocks), c.k); err != nil {
+		return err
+	}
+	if err := uniformLen(blocks); err != nil {
+		return err
+	}
+	if len(blocks) == 0 {
+		if err := c.checkDst(dst, c.n, blockLenOf(dst)); err != nil {
+			return err
+		}
+		for _, d := range dst {
+			clear(d) // the zero vector's codeword; pooled dst holds stale bytes
+		}
+		return nil
+	}
+	if err := c.checkDst(dst, c.n, blockLenOf(blocks)); err != nil {
+		return err
+	}
+	// No cache keyed by support: the n x gamma selection is a few hundred
+	// bytes, next to the gamma*n block products it feeds.
+	c.gen.SelectCols(support).MulBlocksInto(blocks, dst)
+	return nil
+}
+
+// checkSupport validates the support of a sparse vector of dimension k
+// with count non-zero blocks.
+func checkSupport(support []int, count, k int) error {
+	if len(support) != count {
+		return fmt.Errorf("erasure: %d support indices for %d blocks", len(support), count)
+	}
+	prev := -1
+	for _, s := range support {
+		if s <= prev || s >= k {
+			return fmt.Errorf("erasure: support %v is not strictly increasing in [0,%d)", support, k)
+		}
+		prev = s
+	}
+	return nil
+}
+
 // decodeScratch holds the transient row/shard selection state of one
 // DecodeFull(-Into) call: the first-k-distinct pick, a row-indexed seen
 // set, and the cache key bytes. Pooled so steady-state decodes do not

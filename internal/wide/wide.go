@@ -111,7 +111,46 @@ func (c *Code) Encode(blocks [][]byte) ([][]byte, error) {
 // 16-bit, so blocks are converted to uint16 sequences first); Into saves
 // only the shard allocations.
 func (c *Code) EncodeInto(blocks, dst [][]byte) error {
-	words, wordLen, err := toWords(blocks, c.k)
+	if len(blocks) != c.k {
+		return fmt.Errorf("wide: got %d blocks, want %d", len(blocks), c.k)
+	}
+	cols := make([]int, c.k)
+	for j := range cols {
+		cols[j] = j
+	}
+	return c.EncodeSparseInto(cols, blocks, dst)
+}
+
+// EncodeSparseInto is EncodeInto of a vector that is zero outside support,
+// without expanding it: blocks[j] is block support[j] of the vector, support
+// strictly increasing in [0,k), and shard i is sum_j G[i][support[j]] *
+// blocks[j]. Every dst block is overwritten, with zeros throughout when
+// support is empty.
+func (c *Code) EncodeSparseInto(support []int, blocks, dst [][]byte) error {
+	if len(support) != len(blocks) {
+		return fmt.Errorf("wide: %d support indices for %d blocks", len(support), len(blocks))
+	}
+	prev := -1
+	for _, s := range support {
+		if s <= prev || s >= c.k {
+			return fmt.Errorf("wide: support %v is not strictly increasing in [0,%d)", support, c.k)
+		}
+		prev = s
+	}
+	if len(blocks) == 0 {
+		blockLen := 0
+		if len(dst) > 0 {
+			blockLen = len(dst[0])
+		}
+		if err := checkDst(dst, c.n, blockLen); err != nil {
+			return err
+		}
+		for _, d := range dst {
+			clear(d) // the zero vector's codeword; pooled dst holds stale bytes
+		}
+		return nil
+	}
+	words, wordLen, err := toWords(blocks, len(blocks))
 	if err != nil {
 		return err
 	}
@@ -121,8 +160,8 @@ func (c *Code) EncodeInto(blocks, dst [][]byte) error {
 	acc := make([]uint16, wordLen)
 	for i := 0; i < c.n; i++ {
 		clear(acc)
-		for j, coeff := range c.gen[i] {
-			gf.MulAddSlice16(coeff, acc, words[j])
+		for j, col := range support {
+			gf.MulAddSlice16(c.gen[i][col], acc, words[j])
 		}
 		fromWordsInto(acc, dst[i])
 	}

@@ -3,6 +3,7 @@ package wide
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -247,5 +248,68 @@ func TestWordConversionRoundTrip(t *testing.T) {
 	}
 	if got := fromWords(words[0]); !bytes.Equal(got, blocks[0]) {
 		t.Errorf("round trip = %v", got)
+	}
+}
+
+// TestEncodeSparseIntoMatchesExpandedEncode holds the sparse encoder to the
+// dense one over GF(2^16), as FuzzEncodeSparseInto does for the GF(2^8)
+// backend: for gamma = 0..k, punctured or not, EncodeSparseInto into
+// garbage-filled buffers writes EncodeInto of the expanded vector byte for
+// byte. Malformed supports and destinations are refused.
+func TestEncodeSparseIntoMatchesExpandedEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	full, err := NewCauchy(9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	punctured, err := full.Punctured(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const byteLen = 18
+	for _, c := range []*Code{full, punctured} {
+		for gamma := 0; gamma <= c.K(); gamma++ {
+			support := rng.Perm(c.K())[:gamma]
+			sort.Ints(support)
+			expanded := make([][]byte, c.K())
+			for j := range expanded {
+				expanded[j] = make([]byte, byteLen)
+			}
+			blocks := make([][]byte, gamma)
+			for j, s := range support {
+				rng.Read(expanded[s])
+				blocks[j] = expanded[s]
+			}
+			want, err := c.Encode(expanded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := randBlocks(rng, c.N(), byteLen)
+			if err := c.EncodeSparseInto(support, blocks, got); err != nil {
+				t.Fatalf("(%d,%d) support %v: %v", c.N(), c.K(), support, err)
+			}
+			if !blocksEqual(got, want) {
+				t.Errorf("(%d,%d) support %v: differs from the dense encoding", c.N(), c.K(), support)
+			}
+		}
+	}
+	two := randBlocks(rng, 2, byteLen)
+	for _, tc := range []struct {
+		name    string
+		support []int
+		blocks  [][]byte
+		dst     [][]byte
+	}{
+		{"support shorter than blocks", []int{0}, two, randBlocks(rng, 9, byteLen)},
+		{"descending", []int{3, 1}, two, randBlocks(rng, 9, byteLen)},
+		{"index out of range", []int{1, 5}, two, randBlocks(rng, 9, byteLen)},
+		{"odd block length", []int{0}, randBlocks(rng, 1, 3), randBlocks(rng, 9, 3)},
+		{"destination count", []int{0, 1}, two, randBlocks(rng, 8, byteLen)},
+		{"zero vector, destination count", nil, nil, randBlocks(rng, 8, byteLen)},
+		{"zero vector, ragged destination", nil, nil, append(randBlocks(rng, 8, byteLen), make([]byte, 2))},
+	} {
+		if err := full.EncodeSparseInto(tc.support, tc.blocks, tc.dst); err == nil {
+			t.Errorf("%s: EncodeSparseInto accepted it", tc.name)
+		}
 	}
 }
