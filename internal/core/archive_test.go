@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/secarchive/sec/internal/erasure"
@@ -64,20 +65,23 @@ func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		mut  func(*Config)
+		want string // in the error, when set
 	}{
-		{"bad scheme", func(c *Config) { c.Scheme = 0 }},
-		{"bad code kind", func(c *Config) { c.Code = erasure.Kind(99) }},
-		{"n == k", func(c *Config) { c.N = 3 }},
-		{"zero block size", func(c *Config) { c.BlockSize = 0 }},
-		{"negative puncture", func(c *Config) { c.PunctureDeltas = -1 }},
-		{"puncture to n<=k", func(c *Config) { c.PunctureDeltas = 3 }},
+		{"bad scheme", func(c *Config) { c.Scheme = 0 }, ""},
+		{"bad code kind", func(c *Config) { c.Code = erasure.Kind(99) }, ""},
+		{"n == k", func(c *Config) { c.N = 3 }, "n > k > 0"},
+		{"k == 0", func(c *Config) { c.K = 0 }, "n > k > 0"},
+		{"zero block size", func(c *Config) { c.BlockSize = 0 }, ""},
+		{"negative puncture", func(c *Config) { c.PunctureDeltas = -1 }, ""},
+		{"puncture to n<=k", func(c *Config) { c.PunctureDeltas = 3 }, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
 			tt.mut(&cfg)
-			if _, err := New(cfg, cluster); err == nil {
-				t.Error("want error, got nil")
+			_, err := New(cfg, cluster)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("err = %v, want an error naming %q", err, tt.want)
 			}
 		})
 	}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,8 +13,11 @@ import (
 )
 
 // FuzzLoadManifest feeds arbitrary JSON to the manifest loader: it must
-// never panic, and any manifest it accepts must survive a save/reopen
-// round trip.
+// never panic, and what Save writes of any manifest it accepts must load
+// and save again to the same bytes. The committed corpus holds manifests
+// an earlier release saved: one per scheme, CDEC entries with a support,
+// GF16, dispersed, punctured, a full chain policy, compacted bases and one
+// from before the generation existed.
 func FuzzLoadManifest(f *testing.F) {
 	// Seed with a real manifest.
 	cluster := store.NewMemCluster(0)
@@ -37,12 +43,53 @@ func FuzzLoadManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := loaded.Save(&out); err != nil {
-			t.Fatalf("accepted manifest does not save: %v", err)
-		}
-		if _, err := Load(&out, store.NewMemCluster(0)); err != nil {
+		saved := resave(t, loaded)
+		reloaded, err := Load(bytes.NewReader(saved), store.NewMemCluster(0))
+		if err != nil {
 			t.Fatalf("saved manifest does not reload: %v", err)
 		}
+		if again := resave(t, reloaded); !bytes.Equal(again, saved) {
+			t.Fatalf("Save(Load(x)) is no fixed point:\n%s\nsaves as\n%s", saved, again)
+		}
 	})
+}
+
+func resave(t *testing.T, a *Archive) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := a.Save(&out); err != nil {
+		t.Fatalf("accepted manifest does not save: %v", err)
+	}
+	return out.Bytes()
+}
+
+// TestSavedManifestsResaveByteIdentical: every manifest in the committed
+// FuzzLoadManifest corpus was saved by an earlier release, and each loads
+// and saves back to exactly its bytes - the manifest format has not moved.
+func TestSavedManifestsResaveByteIdentical(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzLoadManifest/*")
+	if err != nil || len(files) < 11 {
+		t.Fatalf("corpus has %d files (err %v), want the 11 committed", len(files), err)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			raw, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The corpus encoding: a header line, then string("...").
+			_, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+			saved, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(value, "string("), ")"))
+			if err != nil {
+				t.Fatalf("corpus file: %v", err)
+			}
+			a, err := Load(strings.NewReader(saved), store.NewMemCluster(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resave(t, a); string(got) != saved {
+				t.Errorf("re-saved as\n%s\nwant\n%s", got, saved)
+			}
+		})
+	}
 }

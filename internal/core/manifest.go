@@ -12,6 +12,112 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
+// Spec is an archive's settings in the string forms a manifest persists:
+// the head of every Manifest, the payload of a create request and what a
+// repository saves for the archives it creates. Config is the typed form;
+// Config.Spec and Open convert between the two. Zero-valued policy fields
+// keep their defaults.
+type Spec struct {
+	Scheme         string `json:"scheme"`
+	Code           string `json:"code"`
+	Field          string `json:"field,omitempty"`
+	N              int    `json:"n"`
+	K              int    `json:"k"`
+	BlockSize      int    `json:"block_size"`
+	PunctureDeltas int    `json:"puncture_deltas,omitempty"`
+	Placement      string `json:"placement,omitempty"`
+	// MaxChainLength, CheckpointEvery, and CompactGammaLimit persist the
+	// chain-lifecycle policy so an archive reopened from its manifest keeps
+	// compacting the way it was created to.
+	MaxChainLength    int `json:"max_chain_length,omitempty"`
+	CheckpointEvery   int `json:"checkpoint_every,omitempty"`
+	CompactGammaLimit int `json:"compact_gamma_limit,omitempty"`
+	// CompressDeltas, CompressGammaMax, and ReadCacheBytes persist the CDEC
+	// compression policy and the decoded-version cache budget so a reopened
+	// archive keeps storing and serving the way it was created to. All
+	// three are absent from pre-compression manifests, which unmarshal to
+	// the defaults (both features off).
+	CompressDeltas   bool `json:"compress_deltas,omitempty"`
+	CompressGammaMax int  `json:"compress_gamma_max,omitempty"`
+	ReadCacheBytes   int  `json:"read_cache_bytes,omitempty"`
+}
+
+// Spec renders the settings in the string forms a manifest persists, with
+// the defaults applied. Name and HedgeDelay are not in it: the name heads
+// the manifest, and hedging belongs to the process reading the archive.
+func (c Config) Spec() Spec {
+	c = c.withDefaults()
+	return Spec{
+		Scheme:            c.Scheme.String(),
+		Code:              c.Code.String(),
+		Field:             c.Field.String(),
+		N:                 c.N,
+		K:                 c.K,
+		BlockSize:         c.BlockSize,
+		PunctureDeltas:    c.PunctureDeltas,
+		Placement:         c.Placement.Name(),
+		MaxChainLength:    c.MaxChainLength,
+		CheckpointEvery:   c.CheckpointEvery,
+		CompactGammaLimit: c.CompactGammaLimit,
+		CompressDeltas:    c.CompressDeltas,
+		CompressGammaMax:  c.CompressGammaMax,
+		ReadCacheBytes:    c.ReadCacheBytes,
+	}
+}
+
+// config parses the spec back into the typed settings of the named archive:
+// the inverse of Config.Spec, and what Open builds the archive from.
+func (s Spec) config(name string) (Config, error) {
+	scheme, err := ParseScheme(s.Scheme)
+	if err != nil {
+		return Config{}, err
+	}
+	kind, err := erasure.ParseKind(s.Code)
+	if err != nil {
+		return Config{}, err
+	}
+	field, err := ParseField(s.Field)
+	if err != nil {
+		return Config{}, err
+	}
+	placement, err := parsePlacement(s.Placement, s.N)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Name:              name,
+		Scheme:            scheme,
+		Code:              kind,
+		Field:             field,
+		N:                 s.N,
+		K:                 s.K,
+		BlockSize:         s.BlockSize,
+		Placement:         placement,
+		PunctureDeltas:    s.PunctureDeltas,
+		MaxChainLength:    s.MaxChainLength,
+		CheckpointEvery:   s.CheckpointEvery,
+		CompactGammaLimit: s.CompactGammaLimit,
+		CompressDeltas:    s.CompressDeltas,
+		CompressGammaMax:  s.CompressGammaMax,
+		ReadCacheBytes:    s.ReadCacheBytes,
+	}, nil
+}
+
+// Manifest expands the spec into an entry-less manifest for the given
+// archive name, the form Open accepts to create a fresh archive. An empty
+// scheme or code takes the paper's defaults (basic-sec over a
+// non-systematic Cauchy code), as an empty field or placement does. A
+// manifest read back names both, so Open itself refuses an empty scheme.
+func (s Spec) Manifest(name string) Manifest {
+	if s.Scheme == "" {
+		s.Scheme = BasicSEC.String()
+	}
+	if s.Code == "" {
+		s.Code = erasure.NonSystematicCauchy.String()
+	}
+	return Manifest{Name: name, Spec: s}
+}
+
 // Manifest is the serializable description of an archive: everything needed
 // to reopen it against the same cluster. The manifest is the client-side
 // metadata the paper assumes (version count and per-delta sparsity levels
@@ -20,30 +126,9 @@ type Manifest struct {
 	Name string `json:"name"`
 	// Generation counts the publishes behind this state: of two copies the
 	// larger is the later. Absent from older manifests, which load as 0.
-	Generation     uint64 `json:"generation,omitempty"`
-	Scheme         string `json:"scheme"`
-	Code           string `json:"code"`
-	Field          string `json:"field,omitempty"`
-	N              int    `json:"n"`
-	K              int    `json:"k"`
-	BlockSize      int    `json:"block_size"`
-	PunctureDeltas int    `json:"puncture_deltas,omitempty"`
-	Placement      string `json:"placement"`
-	// MaxChainLength, CheckpointEvery, and CompactGammaLimit persist the
-	// chain-lifecycle policy (see Config) so an archive reopened from its
-	// manifest keeps compacting the way it was created to.
-	MaxChainLength    int `json:"max_chain_length,omitempty"`
-	CheckpointEvery   int `json:"checkpoint_every,omitempty"`
-	CompactGammaLimit int `json:"compact_gamma_limit,omitempty"`
-	// CompressDeltas, CompressGammaMax, and ReadCacheBytes persist the CDEC
-	// compression policy and the decoded-version cache budget (see Config)
-	// so a reopened archive keeps storing and serving the way it was
-	// created to. All three are absent from pre-compression manifests,
-	// which unmarshal to the defaults (both features off).
-	CompressDeltas   bool            `json:"compress_deltas,omitempty"`
-	CompressGammaMax int             `json:"compress_gamma_max,omitempty"`
-	ReadCacheBytes   int             `json:"read_cache_bytes,omitempty"`
-	Entries          []ManifestEntry `json:"entries"`
+	Generation uint64 `json:"generation,omitempty"`
+	Spec
+	Entries []ManifestEntry `json:"entries"`
 }
 
 // ManifestEntry describes one version's stored objects.
@@ -81,23 +166,10 @@ func (a *Archive) Manifest() Manifest {
 
 func (a *Archive) manifestLocked() Manifest {
 	m := Manifest{
-		Name:              a.cfg.Name,
-		Generation:        a.generation,
-		Scheme:            a.cfg.Scheme.String(),
-		Code:              a.cfg.Code.String(),
-		Field:             a.cfg.Field.String(),
-		N:                 a.cfg.N,
-		K:                 a.cfg.K,
-		BlockSize:         a.cfg.BlockSize,
-		PunctureDeltas:    a.cfg.PunctureDeltas,
-		Placement:         a.cfg.Placement.Name(),
-		MaxChainLength:    a.cfg.MaxChainLength,
-		CheckpointEvery:   a.cfg.CheckpointEvery,
-		CompactGammaLimit: a.cfg.CompactGammaLimit,
-		CompressDeltas:    a.cfg.CompressDeltas,
-		CompressGammaMax:  a.cfg.CompressGammaMax,
-		ReadCacheBytes:    a.cfg.ReadCacheBytes,
-		Entries:           make([]ManifestEntry, len(a.entries)),
+		Name:       a.cfg.Name,
+		Generation: a.generation,
+		Spec:       a.cfg.Spec(),
+		Entries:    make([]ManifestEntry, len(a.entries)),
 	}
 	for i := range a.entries {
 		m.Entries[i] = a.entries[i].manifestEntry(i + 1)
@@ -259,38 +331,9 @@ func (m *Manifest) Replay(log []byte) (valid int, err error) {
 // its shards. The latest-version cache is restored lazily on the next
 // Commit.
 func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
-	scheme, err := ParseScheme(m.Scheme)
+	cfg, err := m.config(m.Name)
 	if err != nil {
 		return nil, err
-	}
-	kind, err := erasure.ParseKind(m.Code)
-	if err != nil {
-		return nil, err
-	}
-	field, err := ParseField(m.Field)
-	if err != nil {
-		return nil, err
-	}
-	placement, err := parsePlacement(m.Placement, m.N)
-	if err != nil {
-		return nil, err
-	}
-	cfg := Config{
-		Name:              m.Name,
-		Scheme:            scheme,
-		Code:              kind,
-		Field:             field,
-		N:                 m.N,
-		K:                 m.K,
-		BlockSize:         m.BlockSize,
-		Placement:         placement,
-		PunctureDeltas:    m.PunctureDeltas,
-		MaxChainLength:    m.MaxChainLength,
-		CheckpointEvery:   m.CheckpointEvery,
-		CompactGammaLimit: m.CompactGammaLimit,
-		CompressDeltas:    m.CompressDeltas,
-		CompressGammaMax:  m.CompressGammaMax,
-		ReadCacheBytes:    m.ReadCacheBytes,
 	}
 	a, err := New(cfg, cluster)
 	if err != nil {
@@ -328,7 +371,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 			return nil, fmt.Errorf("core: manifest describes an unretrievable chain: %w", err)
 		}
 	}
-	if err := cluster.EnsureSize(placement.NodesRequired(max(len(m.Entries), 1), m.N)); err != nil {
+	if err := cluster.EnsureSize(cfg.Placement.NodesRequired(max(len(m.Entries), 1), m.N)); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,11 +95,85 @@ func TestManifestFields(t *testing.T) {
 	}
 }
 
+// TestSpecCarriesEveryConfigField sets each Config field in turn to a valid
+// non-default value, saves the archive and loads it back: the value must
+// survive. A Config field added without a Spec field to persist it fails
+// here until it has one (and a value below), or is listed as one no spec
+// carries.
+func TestSpecCarriesEveryConfigField(t *testing.T) {
+	notInSpec := map[string]string{
+		"Name":       "heads the manifest, beside the spec",
+		"HedgeDelay": "belongs to the process reading the archive",
+	}
+	values := map[string]any{
+		"Scheme":            ReversedSEC,
+		"Code":              erasure.SystematicVandermonde,
+		"Field":             GF16,
+		"N":                 7,
+		"K":                 2,
+		"BlockSize":         8,
+		"Placement":         store.DispersedPlacement{N: 6},
+		"PunctureDeltas":    1,
+		"MaxChainLength":    2,
+		"CheckpointEvery":   3,
+		"CompactGammaLimit": 1,
+		"CompressDeltas":    true,
+		"CompressGammaMax":  1,
+		"ReadCacheBytes":    4096,
+	}
+	for _, field := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if _, ok := notInSpec[field.Name]; ok {
+			continue
+		}
+		value, ok := values[field.Name]
+		if !ok {
+			t.Errorf("Config.%s has no test value: persist it in Spec and give it one here", field.Name)
+			continue
+		}
+		t.Run(field.Name, func(t *testing.T) {
+			cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
+			set := reflect.ValueOf(&cfg).Elem().FieldByIndex(field.Index)
+			if reflect.DeepEqual(set.Interface(), value) {
+				t.Fatalf("test value %v is the base config's", value)
+			}
+			set.Set(reflect.ValueOf(value))
+			a, err := New(cfg, store.NewMemCluster(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := a.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			b, err := Load(&buf, store.NewMemCluster(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reflect.ValueOf(b.Config()).FieldByIndex(field.Index).Interface(); !reflect.DeepEqual(got, value) {
+				t.Errorf("Config.%s = %v after Save and Load, want %v", field.Name, got, value)
+			}
+		})
+	}
+}
+
+// TestSpecOmitsUnsetSettings pins a create payload that leaves the field,
+// the placement and every policy at its default: the bytes clients have
+// always sent, which a manifest never shows because it names them all.
+func TestSpecOmitsUnsetSettings(t *testing.T) {
+	got, err := json.Marshal(Spec{Scheme: "basic-sec", Code: "non-systematic-cauchy", N: 6, K: 3, BlockSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"scheme":"basic-sec","code":"non-systematic-cauchy","n":6,"k":3,"block_size":4}`; string(got) != want {
+		t.Errorf("spec marshals as %s, want %s", got, want)
+	}
+}
+
 func TestOpenValidatesManifest(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	base := Manifest{
-		Name: "m", Scheme: "basic-sec", Code: "non-systematic-cauchy",
-		N: 6, K: 3, BlockSize: 4, Placement: "colocated",
+		Name:    "m",
+		Spec:    Spec{Scheme: "basic-sec", Code: "non-systematic-cauchy", N: 6, K: 3, BlockSize: 4, Placement: "colocated"},
 		Entries: []ManifestEntry{{Version: 1, Full: true, Length: 4}},
 	}
 	tests := []struct {

@@ -161,8 +161,8 @@ func TestManifestReplayEquivalence(t *testing.T) {
 // versions at generation 3.
 func logBase() Manifest {
 	return Manifest{
-		Name: "t", Generation: 3, Scheme: "basic-sec", Code: "non-systematic-cauchy",
-		N: 6, K: 3, BlockSize: 4, Placement: "colocated",
+		Name: "t", Generation: 3,
+		Spec: Spec{Scheme: "basic-sec", Code: "non-systematic-cauchy", N: 6, K: 3, BlockSize: 4, Placement: "colocated"},
 		Entries: []ManifestEntry{
 			{Version: 1, Full: true, Length: 12},
 			{Version: 2, Delta: true, Gamma: 1, Length: 12},

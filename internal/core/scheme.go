@@ -209,6 +209,9 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("core: invalid scheme %d", int(c.Scheme))
 	}
+	if c.K <= 0 || c.N <= c.K {
+		return fmt.Errorf("core: need n > k > 0, got (n,k)=(%d,%d)", c.N, c.K)
+	}
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("core: block size must be positive, got %d", c.BlockSize)
 	}

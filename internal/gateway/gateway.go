@@ -478,19 +478,7 @@ func (g *Gateway) Log(ctx context.Context, name string) ([]transport.ArchiveLogE
 	}
 	entries := make([]transport.ArchiveLogEntry, len(m.Entries))
 	for i, e := range m.Entries {
-		entries[i] = transport.ArchiveLogEntry{
-			Version:      e.Version,
-			Full:         e.Full,
-			Delta:        e.Delta,
-			Gamma:        e.Gamma,
-			Length:       e.Length,
-			Base:         e.Base,
-			Checkpoint:   e.Checkpoint,
-			Compressed:   e.Compressed,
-			Support:      e.Support,
-			ChainDepth:   depths[i],
-			PlannedReads: planned[i],
-		}
+		entries[i] = transport.ArchiveLogEntry{ManifestEntry: e, ChainDepth: depths[i], PlannedReads: planned[i]}
 	}
 	g.logs.Add(1)
 	return entries, nil

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"github.com/secarchive/sec/internal/core"
-	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -59,55 +58,9 @@ type ArchiveBackend interface {
 	Repair(ctx context.Context, name string, node int) (core.RepairReport, error)
 }
 
-// ArchiveSpec describes the configuration of an archive to create, in the
-// same string forms the manifest persists (core.Manifest without entries).
-// Zero-valued policy fields keep their defaults.
-type ArchiveSpec struct {
-	Scheme            string `json:"scheme"`
-	Code              string `json:"code"`
-	Field             string `json:"field,omitempty"`
-	N                 int    `json:"n"`
-	K                 int    `json:"k"`
-	BlockSize         int    `json:"block_size"`
-	PunctureDeltas    int    `json:"puncture_deltas,omitempty"`
-	Placement         string `json:"placement,omitempty"`
-	MaxChainLength    int    `json:"max_chain_length,omitempty"`
-	CheckpointEvery   int    `json:"checkpoint_every,omitempty"`
-	CompactGammaLimit int    `json:"compact_gamma_limit,omitempty"`
-	CompressDeltas    bool   `json:"compress_deltas,omitempty"`
-	CompressGammaMax  int    `json:"compress_gamma_max,omitempty"`
-	ReadCacheBytes    int    `json:"read_cache_bytes,omitempty"`
-}
-
-// Manifest expands the spec into an entry-less manifest for the given
-// archive name, the form core.Open accepts to create a fresh archive.
-// An empty scheme or code takes the paper's defaults (basic-sec over a
-// non-systematic Cauchy code), mirroring the empty-placement default.
-func (s ArchiveSpec) Manifest(name string) core.Manifest {
-	if s.Scheme == "" {
-		s.Scheme = core.BasicSEC.String()
-	}
-	if s.Code == "" {
-		s.Code = erasure.NonSystematicCauchy.String()
-	}
-	return core.Manifest{
-		Name:              name,
-		Scheme:            s.Scheme,
-		Code:              s.Code,
-		Field:             s.Field,
-		N:                 s.N,
-		K:                 s.K,
-		BlockSize:         s.BlockSize,
-		PunctureDeltas:    s.PunctureDeltas,
-		Placement:         s.Placement,
-		MaxChainLength:    s.MaxChainLength,
-		CheckpointEvery:   s.CheckpointEvery,
-		CompactGammaLimit: s.CompactGammaLimit,
-		CompressDeltas:    s.CompressDeltas,
-		CompressGammaMax:  s.CompressGammaMax,
-		ReadCacheBytes:    s.ReadCacheBytes,
-	}
-}
+// ArchiveSpec describes the configuration of an archive to create: the
+// create payload is the head of the manifest it starts.
+type ArchiveSpec = core.Spec
 
 // ArchiveVersion is one retrieved version with its retrieval accounting.
 type ArchiveVersion struct {
@@ -123,15 +76,7 @@ type ArchiveVersion struct {
 // ArchiveLogEntry describes one version in an archive's history, combining
 // the manifest entry with the chain shape retrieval would traverse.
 type ArchiveLogEntry struct {
-	Version    int   `json:"version"`
-	Full       bool  `json:"full"`
-	Delta      bool  `json:"delta"`
-	Gamma      int   `json:"gamma"`
-	Length     int   `json:"length"`
-	Base       int   `json:"base,omitempty"`
-	Checkpoint bool  `json:"checkpoint,omitempty"`
-	Compressed bool  `json:"compressed,omitempty"`
-	Support    []int `json:"support,omitempty"`
+	core.ManifestEntry
 	// ChainDepth counts the codewords retrieval of this version decodes;
 	// PlannedReads counts the node reads it costs (paper formulas (3)/(4)
 	// generalized over the compacted chain).

@@ -75,8 +75,8 @@ func (b *stubArchiveBackend) Log(_ context.Context, name string) ([]ArchiveLogEn
 		return nil, b.err
 	}
 	return []ArchiveLogEntry{
-		{Version: 1, Full: true, Length: 9, ChainDepth: 1, PlannedReads: 12},
-		{Version: 2, Delta: true, Gamma: 2, Length: 9, Support: []int{0, 3}, ChainDepth: 2, PlannedReads: 14},
+		{ManifestEntry: core.ManifestEntry{Version: 1, Full: true, Length: 9}, ChainDepth: 1, PlannedReads: 12},
+		{ManifestEntry: core.ManifestEntry{Version: 2, Delta: true, Gamma: 2, Length: 9, Support: []int{0, 3}}, ChainDepth: 2, PlannedReads: 14},
 	}, nil
 }
 
@@ -86,7 +86,7 @@ func (b *stubArchiveBackend) Info(_ context.Context, name string) (ArchiveInfo, 
 		return ArchiveInfo{}, b.err
 	}
 	return ArchiveInfo{
-		Manifest: core.Manifest{Name: name, N: 12, K: 10},
+		Manifest: core.Manifest{Name: name, Spec: core.Spec{N: 12, K: 10}},
 		Versions: 4,
 		Capacity: 40,
 		Cache:    &core.CacheStats{Hits: 3, Budget: 1 << 20},

@@ -39,11 +39,16 @@ func (goldenBackend) fail(name string) error {
 	return nil
 }
 
+var goldenSpec = ArchiveSpec{
+	Scheme: "reversed-sec", Code: "systematic-cauchy", Field: "gf8", N: 6, K: 3, BlockSize: 4, PunctureDeltas: 1,
+	Placement: "colocated", MaxChainLength: 4, CheckpointEvery: 8, CompactGammaLimit: 2,
+	CompressDeltas: true, CompressGammaMax: 2, ReadCacheBytes: 4096,
+}
+
 var goldenInfo = ArchiveInfo{
 	Manifest: core.Manifest{
-		Name: "gold", Scheme: "reversed-sec", Code: "systematic-cauchy", Field: "gf8", N: 6, K: 3, BlockSize: 4,
-		PunctureDeltas: 1, Placement: "colocated", MaxChainLength: 4, CheckpointEvery: 8, CompactGammaLimit: 2,
-		CompressDeltas: true, CompressGammaMax: 2, ReadCacheBytes: 4096,
+		Name: "gold",
+		Spec: goldenSpec,
 		Entries: []core.ManifestEntry{
 			{Version: 1, Full: true, Length: 12, Checkpoint: true},
 			{Version: 2, Delta: true, Gamma: 1, Length: 11, Base: 1, Compressed: true, Support: []int{2}},
@@ -103,9 +108,10 @@ func (b goldenBackend) RetrieveAll(_ context.Context, name string, _ int) ([][]b
 }
 
 func (b goldenBackend) Log(_ context.Context, name string) ([]ArchiveLogEntry, error) {
+	entries := goldenInfo.Manifest.Entries
 	return []ArchiveLogEntry{
-		{Version: 1, Full: true, Length: 12, Checkpoint: true, ChainDepth: 1, PlannedReads: 3},
-		{Version: 2, Delta: true, Gamma: 1, Length: 11, Base: 1, Compressed: true, Support: []int{2}, ChainDepth: 2, PlannedReads: 4},
+		{ManifestEntry: entries[0], ChainDepth: 1, PlannedReads: 3},
+		{ManifestEntry: entries[1], ChainDepth: 2, PlannedReads: 4},
 	}, b.fail(name)
 }
 
@@ -180,11 +186,7 @@ func TestArchiveWireGolden(t *testing.T) {
 	t.Cleanup(func() { _ = client.Close() })
 	ctx := t.Context()
 
-	spec := ArchiveSpec{
-		Scheme: "reversed-sec", Code: "systematic-cauchy", Field: "gf8", N: 6, K: 3, BlockSize: 4, PunctureDeltas: 1,
-		Placement: "colocated", MaxChainLength: 4, CheckpointEvery: 8, CompactGammaLimit: 2,
-		CompressDeltas: true, CompressGammaMax: 2, ReadCacheBytes: 4096,
-	}
+	spec := goldenSpec
 	cases := []struct {
 		name string
 		call func() error

@@ -13,7 +13,7 @@ import (
 
 func TestRepositoryCompactBoundsHotFiles(t *testing.T) {
 	cluster := store.NewMemCluster(6)
-	repo, err := NewRepository(Config{
+	repo, err := NewRepository(core.Config{
 		Scheme:    core.BasicSEC,
 		Code:      erasure.NonSystematicCauchy,
 		N:         6,
@@ -82,7 +82,7 @@ func chainDepths(t *testing.T, repo *Repository, path string) []int {
 
 func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
 	cluster := store.NewMemCluster(6)
-	repo, err := NewRepository(Config{
+	repo, err := NewRepository(core.Config{
 		Scheme:          core.BasicSEC,
 		Code:            erasure.NonSystematicCauchy,
 		N:               6,

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/store"
-	"github.com/secarchive/sec/secclient"
 )
 
 // repoManifest is the serializable repository state: the spec every file
@@ -14,8 +14,8 @@ import (
 // the commit log. The per-file archive manifests are the gateway's: a
 // copy here would point at reclaimed codewords after the next compaction.
 type repoManifest struct {
-	Spec    secclient.Spec `json:"spec"`
-	Commits []Commit       `json:"commits"`
+	Spec    core.Spec `json:"spec"`
+	Commits []Commit  `json:"commits"`
 }
 
 // Save writes the repository metadata as JSON. Shards and per-file

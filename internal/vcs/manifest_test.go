@@ -3,6 +3,7 @@ package vcs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -130,7 +131,7 @@ func TestSaveEmptyRepository(t *testing.T) {
 // their chain alike before and after the reload.
 func TestLoadKeepsChainPolicy(t *testing.T) {
 	cluster := store.NewMemCluster(6)
-	repo, err := NewRepository(Config{
+	repo, err := NewRepository(core.Config{
 		Scheme:         core.BasicSEC,
 		Code:           erasure.NonSystematicCauchy,
 		N:              6,
@@ -141,19 +142,7 @@ func TestLoadKeepsChainPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sixEdits := func(repo *Repository, path string) []int {
-		t.Helper()
-		content := bytes.Repeat([]byte{3}, 12)
-		for i := 0; i < 6; i++ {
-			content = bytes.Clone(content)
-			content[(i%3)*4] ^= 0x3C
-			if _, err := repo.CommitContext(t.Context(), "edit", map[string][]byte{path: content}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return chainDepths(t, repo, path)
-	}
-	before := sixEdits(repo, "before")
+	before := sixEdits(t, repo, "before")
 	var buf bytes.Buffer
 	if err := repo.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -162,9 +151,140 @@ func TestLoadKeepsChainPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := sixEdits(reopened, "after")
+	after := sixEdits(t, reopened, "after")
 	if slices.Max(before) > 2 || !slices.Equal(before, after) {
 		t.Errorf("chain depths %v before the reload, %v for a file first tracked after it: want both within bound 2 and equal", before, after)
+	}
+}
+
+// sixEdits commits six one-block edits of a 12-byte file at path and
+// returns the chain depth of each of its versions.
+func sixEdits(t *testing.T, repo *Repository, path string) []int {
+	t.Helper()
+	content := bytes.Repeat([]byte{3}, 12)
+	for i := 0; i < 6; i++ {
+		content = bytes.Clone(content)
+		content[(i%3)*4] ^= 0x3C
+		if _, err := repo.CommitContext(t.Context(), "edit", map[string][]byte{path: content}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return chainDepths(t, repo, path)
+}
+
+// savedByEarlierRelease is a repository manifest as Save wrote it before
+// the settings became core.Spec: no "field" and no "placement" key.
+const savedByEarlierRelease = `{
+  "spec": {
+    "scheme": "basic-sec",
+    "code": "non-systematic-cauchy",
+    "n": 6,
+    "k": 3,
+    "block_size": 4,
+    "max_chain_length": 2,
+    "checkpoint_every": 5,
+    "compact_gamma_limit": 2,
+    "read_cache_bytes": 1024
+  },
+  "commits": [
+    {
+      "revision": 1,
+      "message": "init",
+      "changes": [
+        {
+          "path": "doc.txt",
+          "version": 1,
+          "gamma": 0,
+          "stored_delta": false
+        }
+      ]
+    }
+  ]
+}
+`
+
+// TestLoadsRepositorySavedByEarlierRelease: the older saved form still
+// loads with its chain policy - a file first tracked after the load keeps
+// within its bound - and saves back unchanged.
+func TestLoadsRepositorySavedByEarlierRelease(t *testing.T) {
+	repo, err := Load(strings.NewReader(savedByEarlierRelease), store.NewMemCluster(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repo.Head() != 1 || repo.spec.MaxChainLength != 2 || repo.spec.CheckpointEvery != 5 || repo.spec.CompactGammaLimit != 2 || repo.spec.ReadCacheBytes != 1024 {
+		t.Fatalf("loaded head %d with spec %+v", repo.Head(), repo.spec)
+	}
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != savedByEarlierRelease {
+		t.Errorf("re-saved as\n%s", buf.String())
+	}
+	if depths := sixEdits(t, repo, "new.txt"); slices.Max(depths) > 2 {
+		t.Errorf("a file tracked after the load has chain depths %v, want within the saved bound 2", depths)
+	}
+}
+
+// TestRepositoryKeepsEverySpecField creates repositories that between them
+// set every Spec field (compression and puncturing exclude each other) and
+// saves and reloads each: the reloaded repository holds the same spec, and
+// a file first tracked after the reload gets an archive with it.
+func TestRepositoryKeepsEverySpecField(t *testing.T) {
+	base := core.Config{
+		Scheme:            core.ReversedSEC,
+		Code:              erasure.NonSystematicCauchy,
+		Field:             core.GF16,
+		N:                 6,
+		K:                 3,
+		BlockSize:         4,
+		Placement:         store.DispersedPlacement{N: 6},
+		MaxChainLength:    2,
+		CheckpointEvery:   3,
+		CompactGammaLimit: 2,
+		CompressGammaMax:  1,
+		ReadCacheBytes:    1024,
+	}
+	punctured, compressed := base, base
+	punctured.PunctureDeltas = 1
+	compressed.CompressDeltas = true
+	set := make([]bool, reflect.TypeOf(core.Spec{}).NumField())
+	for _, cfg := range []core.Config{punctured, compressed} {
+		want := cfg.Spec()
+		for i := range set {
+			set[i] = set[i] || !reflect.ValueOf(want).Field(i).IsZero()
+		}
+		cluster := store.NewMemCluster(0)
+		repo, err := NewRepository(cfg, cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := repo.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Load(&buf, cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reopened.spec != want {
+			t.Errorf("reloaded spec %+v, want %+v", reopened.spec, want)
+		}
+		if _, err := reopened.CommitContext(t.Context(), "add", map[string][]byte{"f": []byte("content")}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := reopened.client.Info(t.Context(), archiveName("f"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Manifest.Spec != want {
+			t.Errorf("file archive created after the reload has spec %+v, want %+v", info.Manifest.Spec, want)
+		}
+	}
+	for i, ok := range set {
+		if !ok {
+			t.Errorf("no case sets Spec.%s", reflect.TypeOf(core.Spec{}).Field(i).Name)
+		}
 	}
 }
 

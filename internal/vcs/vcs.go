@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"github.com/secarchive/sec/internal/core"
-	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/secclient"
@@ -40,49 +39,6 @@ var (
 	// requested revision.
 	ErrNoSuchFile = errors.New("vcs: no such file")
 )
-
-// Config parameterizes the per-file archives.
-type Config struct {
-	// Scheme, Code, N, K, BlockSize configure every file's archive; see
-	// core.Config.
-	Scheme    core.Scheme
-	Code      erasure.Kind
-	N, K      int
-	BlockSize int
-	// MaxChainLength, CheckpointEvery, and CompactGammaLimit set every
-	// file archive's chain-lifecycle policy; see core.Config. Hot files
-	// accumulate deep delta chains fastest, so repositories are where
-	// bounding chain depth matters most.
-	MaxChainLength    int
-	CheckpointEvery   int
-	CompactGammaLimit int
-	// CompressDeltas, CompressGammaMax, and ReadCacheBytes set every file
-	// archive's compressed-delta and decoded-version-cache policy; see
-	// core.Config. Repositories amplify both knobs: a commit touches many
-	// file archives (compression shrinks the write fan-out), and checkouts
-	// re-read the same hot files (the cache absorbs them).
-	CompressDeltas   bool
-	CompressGammaMax int
-	ReadCacheBytes   int
-}
-
-// spec is the configuration in the form the gateway creates archives
-// from, which is also the form Save stores.
-func (c Config) spec() secclient.Spec {
-	return secclient.Spec{
-		Scheme:            c.Scheme.String(),
-		Code:              c.Code.String(),
-		N:                 c.N,
-		K:                 c.K,
-		BlockSize:         c.BlockSize,
-		MaxChainLength:    c.MaxChainLength,
-		CheckpointEvery:   c.CheckpointEvery,
-		CompactGammaLimit: c.CompactGammaLimit,
-		CompressDeltas:    c.CompressDeltas,
-		CompressGammaMax:  c.CompressGammaMax,
-		ReadCacheBytes:    c.ReadCacheBytes,
-	}
-}
 
 // FileChange records one file's update within a commit.
 type FileChange struct {
@@ -111,7 +67,7 @@ type Commit struct {
 // Repository is a delta-based version store over a storage cluster. It is
 // safe for concurrent use.
 type Repository struct {
-	spec   secclient.Spec
+	spec   core.Spec
 	client *secclient.Client
 
 	// commitMu serializes commits; readers never take it. mu guards
@@ -123,14 +79,21 @@ type Repository struct {
 }
 
 // NewRepository creates an empty repository storing its archives on the
-// cluster.
-func NewRepository(cfg Config, cluster *store.Cluster) (*Repository, error) {
-	return open(cfg.spec(), cluster)
+// cluster, every file's archive configured by cfg. Hot files accumulate
+// deep delta chains fastest and checkouts re-read them, so the chain
+// policy, compression and read cache matter most here. cfg sets no Name
+// (each file's archive has its own) and no HedgeDelay: the repository
+// saves its settings as a core.Spec, which carries neither.
+func NewRepository(cfg core.Config, cluster *store.Cluster) (*Repository, error) {
+	if cfg.Name != "" || cfg.HedgeDelay != 0 {
+		return nil, fmt.Errorf("vcs: a repository's archives take no Name or HedgeDelay, got %q and %v", cfg.Name, cfg.HedgeDelay)
+	}
+	return open(cfg.Spec(), cluster)
 }
 
 // open embeds an in-memory gateway over the cluster and validates the
 // spec by creating a throwaway archive from it ("vcs": files are "vcs-...").
-func open(spec secclient.Spec, cluster *store.Cluster) (*Repository, error) {
+func open(spec core.Spec, cluster *store.Cluster) (*Repository, error) {
 	gw, err := gateway.New(gateway.Config{Cluster: cluster})
 	if err != nil {
 		return nil, err

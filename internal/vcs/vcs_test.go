@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
@@ -14,7 +15,7 @@ import (
 func testRepo(t *testing.T) (*Repository, *store.Cluster) {
 	t.Helper()
 	cluster := store.NewMemCluster(0)
-	repo, err := NewRepository(Config{
+	repo, err := NewRepository(core.Config{
 		Scheme:    core.BasicSEC,
 		Code:      erasure.NonSystematicCauchy,
 		N:         6,
@@ -28,11 +29,21 @@ func testRepo(t *testing.T) (*Repository, *store.Cluster) {
 }
 
 func TestNewRepositoryValidation(t *testing.T) {
-	if _, err := NewRepository(Config{}, store.NewMemCluster(0)); err == nil {
+	if _, err := NewRepository(core.Config{}, store.NewMemCluster(0)); err == nil {
 		t.Error("zero config: want error")
 	}
-	if _, err := NewRepository(Config{Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: 6, K: 3, BlockSize: 8}, nil); err == nil {
+	valid := core.Config{Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: 6, K: 3, BlockSize: 8}
+	if _, err := NewRepository(valid, nil); err == nil {
 		t.Error("nil cluster: want error")
+	}
+	named := valid
+	named.Name = "files"
+	hedged := valid
+	hedged.HedgeDelay = time.Millisecond
+	for _, cfg := range []core.Config{named, hedged} {
+		if _, err := NewRepository(cfg, store.NewMemCluster(0)); err == nil {
+			t.Errorf("config %+v, which no saved spec carries: want error", cfg)
+		}
 	}
 }
 
@@ -263,7 +274,7 @@ func TestPathsMapToGatewayArchives(t *testing.T) {
 
 func TestRepositoryWithReversedScheme(t *testing.T) {
 	cluster := store.NewMemCluster(0)
-	repo, err := NewRepository(Config{
+	repo, err := NewRepository(core.Config{
 		Scheme:    core.ReversedSEC,
 		Code:      erasure.SystematicCauchy,
 		N:         6,

@@ -365,8 +365,9 @@ type (
 	// Repository is a miniature delta-based version store over SEC
 	// archives.
 	Repository = vcs.Repository
-	// RepositoryConfig parameterizes the per-file archives.
-	RepositoryConfig = vcs.Config
+	// RepositoryConfig parameterizes the per-file archives: an
+	// ArchiveConfig that sets no Name and no HedgeDelay.
+	RepositoryConfig = ArchiveConfig
 	// RepoCommit is one repository revision.
 	RepoCommit = vcs.Commit
 )

@@ -11,7 +11,7 @@
 // one frame stream across bounded continuation frames. Failures carry
 // the store.ShardError taxonomy: errors.Is(err, sec.ErrBusy) detects a
 // full writer queue, sec.ErrConflict a stale optimistic precondition,
-// sec.ErrNotFound an unknown archive or version.
+// sec.ErrShardNotFound an unknown archive or version.
 package secclient
 
 import (
@@ -27,8 +27,9 @@ import (
 // remote wire client and the embedded gateway both implement it.
 type Backend = transport.ArchiveBackend
 
-// Spec describes the configuration of an archive to create.
-type Spec = transport.ArchiveSpec
+// Spec describes the configuration of an archive to create, in the string
+// forms its manifest keeps.
+type Spec = core.Spec
 
 // Version is one retrieved version with its retrieval accounting.
 type Version = transport.ArchiveVersion
