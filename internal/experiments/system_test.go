@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -95,5 +96,77 @@ func TestLSweepGrowsTowardPerDeltaSaving(t *testing.T) {
 	l2 := parseCell(t, table.Rows[0][an])
 	if !(l5 > l2 && l5 < 35) {
 		t.Errorf("L=5 reduction %v vs L=2 %v out of expected band", l5, l2)
+	}
+}
+
+func TestRepairSimWithoutFailures(t *testing.T) {
+	archive, cluster, _, err := repairArchive(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := simulateRepair(t.Context(), archive, cluster, repairSim{failurePerStep: 0, repairDelay: 1, steps: 20, seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if result.availability() != 1 {
+		t.Errorf("availability = %v, want 1", result.availability())
+	}
+	if result.failures != 0 || result.repairs != 0 || result.repairReads != 0 {
+		t.Errorf("spurious activity: %+v", result)
+	}
+}
+
+func TestRepairSimKeepsDataIntact(t *testing.T) {
+	archive, cluster, versions, err := repairArchive(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := simulateRepair(t.Context(), archive, cluster, repairSim{failurePerStep: 0.05, repairDelay: 2, steps: 200, seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if result.failures == 0 {
+		t.Fatal("no failures injected; test is vacuous")
+	}
+	if result.repairs == 0 || result.shardsRebuilt == 0 {
+		t.Errorf("repair never ran: %+v", result)
+	}
+	// Repair reads k rows per rebuilt object, so at least k reads happened.
+	if result.repairReads < 4 {
+		t.Errorf("repair reads = %d", result.repairReads)
+	}
+	// After the run (cluster healed), every version must be bit-exact:
+	// repair never corrupted anything.
+	for l, want := range versions {
+		got, _, err := archive.RetrieveContext(t.Context(), l+1)
+		if err != nil {
+			t.Fatalf("version %d after simulation: %v", l+1, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("version %d corrupted by simulation", l+1)
+		}
+	}
+}
+
+func TestRepairSimImprovesAvailability(t *testing.T) {
+	withRepair, err := runRepairSim(t.Context(), repairSim{failurePerStep: 0.08, repairDelay: 1, steps: 300, seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withoutRepair, err := runRepairSim(t.Context(), repairSim{failurePerStep: 0.08, repairDelay: noRepair, steps: 300, seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withoutRepair.repairs != 0 {
+		t.Fatalf("no-repair run repaired %d nodes", withoutRepair.repairs)
+	}
+	// With per-step failure 0.08 and no repair, the 8-node cluster decays
+	// to fewer than k=4 live nodes quickly; with 1-step repair it stays
+	// almost always available.
+	if withRepair.availability() < 0.9 {
+		t.Errorf("availability with repair = %v, want > 0.9", withRepair.availability())
+	}
+	if withoutRepair.availability() > 0.5 {
+		t.Errorf("availability without repair = %v, want < 0.5", withoutRepair.availability())
 	}
 }

@@ -590,7 +590,8 @@ func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.Repai
 // Close drains the gateway: no new operations are admitted, and every
 // resident archive's manifest log is folded into its JSON manifest, under
 // the root and on the nodes (best effort across archives; the first error
-// is returned after all are attempted). The caller is
+// is returned after all are attempted, and an archive still loading when
+// ctx ends is skipped with ctx's cause as its error). The caller is
 // responsible for draining in-flight requests first (transport's
 // Server.Shutdown does that for served gateways). ctx bounds the
 // cluster-replication writes.
@@ -610,14 +611,17 @@ func (g *Gateway) Close(ctx context.Context) error {
 	for _, st := range states {
 		// An already-resident archive is persisted even when ctx is dead
 		// (the local write needs no context); only waiting on an in-flight
-		// load respects the deadline.
+		// load respects the deadline, and giving up on one skips only it.
 		select {
 		case <-st.ready:
 		default:
 			select {
 			case <-st.ready:
 			case <-ctx.Done():
-				return errors.Join(firstErr, context.Cause(ctx))
+				if firstErr == nil {
+					firstErr = context.Cause(ctx)
+				}
+				continue
 			}
 		}
 		if st.err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/store"
@@ -491,6 +492,69 @@ func TestGatewayOpenWaiterSurvivesLoadersCancellation(t *testing.T) {
 	}
 	if !bytes.Equal(got.v.Data, want) {
 		t.Error("waiter was served different bytes")
+	}
+}
+
+// TestGatewayCloseFoldsEveryArchivePastAStuckLoad: Close gives up on a
+// cluster load that outlives its deadline, reports the deadline, and still
+// folds the log of every resident archive, whichever map order it walks.
+func TestGatewayCloseFoldsEveryArchivePastAStuckLoad(t *testing.T) {
+	block := &manifestBlock{parked: make(chan struct{})}
+	nodes := make([]store.Node, 6)
+	for i := range nodes {
+		nodes[i] = blockedNode{Node: store.NewMemNode(fmt.Sprintf("mem-%d", i)), block: block}
+	}
+	cluster := store.NewCluster(nodes)
+	writer := newTestGateway(t, Config{Cluster: cluster})
+	if _, err := writer.Create(t.Context(), "stuck", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Commit(t.Context(), "stuck", -1, payloadFor(32, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	g := newTestGateway(t, Config{Cluster: cluster, Root: root})
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("a%02d", i)
+		if _, err := g.Create(t.Context(), names[i], testSpec()); err != nil {
+			t.Fatal(err)
+		}
+		// The first commit folds the create's snapshot; the second is a
+		// record in the log.
+		for v := 1; v <= 2; v++ {
+			if _, err := g.Commit(t.Context(), names[i], -1, payloadFor(32, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(root, names[i]+".json.log")); err != nil {
+			t.Fatalf("%s holds no log before Close: %v", names[i], err)
+		}
+	}
+
+	block.armed.Store(true)
+	loadCtx, cancelLoad := context.WithCancel(t.Context())
+	loadDone := make(chan struct{})
+	go func() {
+		defer close(loadDone)
+		_, _ = g.Retrieve(loadCtx, "stuck", 1)
+	}()
+	<-block.parked // the load of "stuck" is inside the cluster read
+	ctx, cancel := context.WithTimeout(t.Context(), 20*time.Millisecond)
+	defer cancel()
+	if err := g.Close(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Close past a stuck load: err = %v, want the deadline", err)
+	}
+	cancelLoad()
+	<-loadDone
+	for _, name := range names {
+		if _, err := os.Stat(filepath.Join(root, name+".json")); err != nil {
+			t.Errorf("%s: no manifest after Close: %v", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(root, name+".json.log")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: log left unfolded by Close (stat: %v)", name, err)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
-// Package loadgen is the sustained-traffic harness: a deterministic,
-// seed-driven generator that drives a live gateway over loopback TCP
-// through the public secclient SDK, the way real clients do. It composes
-// the internal/workload edit models with a zipfian archive-popularity
-// sampler over a large archive population and a weighted op mix
+// Package loadgen is the gateway load soak: a deterministic, seed-driven
+// generator that drives a live gateway over loopback TCP through the public
+// secclient SDK, the way real clients do. It composes the internal/workload
+// sparse-edit model with a zipfian archive-popularity sampler over a large
+// archive population and a fixed weighted op mix
 // (commit/retrieve/latest/log/compact), runs a fleet of closed-loop
-// clients, records latencies into lock-free per-client histogram shards
-// merged at the end, and attributes per-node RPCs and wire bytes via the
-// existing store.Cluster.WireStats and transport.Server.RequestStats
-// counters.
+// clients, and records latencies into lock-free per-client histogram shards
+// merged at the end. Per-node and wire accounting is the benchmark's job
+// (benchmark/), not this package's.
 //
 // Every run is replayable from Profile.Seed: each client draws its op
 // kinds, archive targets, and commit payloads from a private plan RNG
@@ -20,9 +19,9 @@
 //
 // Correctness is checked in-band: every committed payload's hash is
 // registered under the version the gateway assigned, every read is
-// verified against the registry, and an optional final sweep re-reads
-// every registered version — byte divergence anywhere is reported, which
-// is what makes the harness a soak and not just a meter.
+// verified against the registry, and a final sweep re-reads every
+// registered version — byte divergence anywhere is reported, which is
+// what makes the harness a soak and not just a meter.
 package loadgen
 
 import (
@@ -43,139 +42,62 @@ import (
 	"github.com/secarchive/sec/secclient"
 )
 
-// Profile configures one load run. The zero value of every field takes a
-// sensible default (see withDefaults), so tests can set only what they
-// assert about.
+// Profile configures one load run; Archives, Clients and OpsPerClient
+// must be positive. Everything else about the run is fixed (see the
+// constants below and spec).
 type Profile struct {
 	// Seed drives every planned choice; identical profiles with identical
 	// seeds produce identical op traces and workload bytes.
 	Seed int64
-
-	// Nodes and K shape the (n, k) cluster; BlockSize the striping.
-	Nodes, K  int
-	BlockSize int
-
-	// Archives is the population the zipfian sampler draws over; ZipfS
-	// and ZipfV are its skew parameters (s > 1, v >= 1).
-	Archives     int
-	ZipfS, ZipfV float64
-
+	// Archives is the population the zipfian sampler draws over.
+	Archives int
 	// Clients is the closed-loop client fleet size; each client issues
-	// OpsPerClient operations drawn from Mix.
+	// OpsPerClient operations drawn from the op mix.
 	Clients      int
 	OpsPerClient int
-	Mix          workload.Mix
-
-	// CompactChain is the chain bound OpCompact requests.
-	CompactChain int
-	// MaxQueuedWriters bounds each archive's writer admission queue
-	// (0 = the gateway default).
-	MaxQueuedWriters int
-	// Timeout bounds each client RPC round trip.
-	Timeout time.Duration
-
-	// CheckpointEvery, CompressDeltas, and ReadCacheBytes shape the
-	// archive spec, defaulting to the production-ish configuration the
-	// gateway soaks use (checkpoints every 4, compression and a shared
-	// read cache on).
-	CheckpointEvery int
-	CompressDeltas  bool
-	ReadCacheBytes  int
-
 	// Chaos wires every node behind a seeded fault schedule
 	// (faults.SoakSchedules) activated after the setup phase, keeping at
-	// most ChaosMaxFaulty nodes inside a fault window at any instant.
-	Chaos          bool
-	ChaosMaxFaulty int
-	ChaosWindowLen uint64
-	ChaosWindows   int
-
-	// FinalVerify re-reads every registered (archive, version) after the
-	// measured phase and reports byte divergences; VerifyAttempts bounds
-	// the per-read retries that absorb a cooling chaos window.
-	FinalVerify    bool
-	VerifyAttempts int
+	// most n - k nodes inside a fault window at any instant.
+	Chaos bool
 }
 
-// withDefaults fills zero fields and validates the result.
-func (p Profile) withDefaults() (Profile, error) {
-	if p.Nodes == 0 {
-		p.Nodes = 6
-	}
-	if p.K == 0 {
-		p.K = 4
-	}
-	if p.BlockSize == 0 {
-		p.BlockSize = 64
-	}
-	if p.Archives == 0 {
-		p.Archives = 64
-	}
-	if p.ZipfS == 0 {
-		p.ZipfS = 1.2
-	}
-	if p.ZipfV == 0 {
-		p.ZipfV = 1
-	}
-	if p.Clients == 0 {
-		p.Clients = 8
-	}
-	if p.OpsPerClient == 0 {
-		p.OpsPerClient = 50
-	}
-	if p.Mix == (workload.Mix{}) {
-		p.Mix = workload.Mix{Commit: 25, Retrieve: 40, Latest: 20, Log: 10, Compact: 5}
-	}
-	if p.CompactChain == 0 {
-		p.CompactChain = 6
-	}
-	if p.Timeout == 0 {
-		p.Timeout = 10 * time.Second
-	}
-	if p.CheckpointEvery == 0 {
-		p.CheckpointEvery = 4
-	}
-	if p.ReadCacheBytes == 0 {
-		p.ReadCacheBytes = 1 << 20
-	}
-	if p.ChaosMaxFaulty == 0 {
-		p.ChaosMaxFaulty = p.Nodes - p.K
-	}
-	if p.ChaosWindowLen == 0 {
-		p.ChaosWindowLen = 40
-	}
-	if p.ChaosWindows == 0 {
-		p.ChaosWindows = 6
-	}
-	if p.VerifyAttempts == 0 {
-		p.VerifyAttempts = 5
-	}
-	if p.K < 1 || p.Nodes <= p.K {
-		return p, fmt.Errorf("loadgen: invalid cluster shape n=%d k=%d", p.Nodes, p.K)
-	}
-	if p.Chaos && p.ChaosMaxFaulty > p.Nodes-p.K {
-		return p, fmt.Errorf("loadgen: %d faulty nodes exceeds n-k=%d; reads could not be owed", p.ChaosMaxFaulty, p.Nodes-p.K)
-	}
-	return p, nil
-}
+// The shape every run uses. Only the Profile fields vary between runs.
+const (
+	// nodes and k shape the (n, k) cluster; blockSize the striping.
+	nodes, k  = 6, 4
+	blockSize = 16
+	// zipfS and zipfV are the popularity skew (s > 1, v >= 1).
+	zipfS, zipfV = 1.2, 1
+	// compactChain is the chain bound opCompact requests.
+	compactChain = 6
+	// timeout bounds each RPC round trip.
+	timeout = 10 * time.Second
+	// chaosWindowLen and chaosWindows are short shared-clock windows, so
+	// the measured phase sweeps through every fault window with ticks to
+	// spare.
+	chaosWindowLen = 30
+	chaosWindows   = 4
+	// verifyAttempts bounds the final sweep's per-read retries that absorb
+	// a cooling chaos window.
+	verifyAttempts = 8
+)
 
-// spec expands the profile into the archive spec every archive is created
-// with.
-func (p Profile) spec() secclient.Spec {
-	return secclient.Spec{
-		N:               p.Nodes,
-		K:               p.K,
-		BlockSize:       p.BlockSize,
-		CheckpointEvery: p.CheckpointEvery,
-		CompressDeltas:  p.CompressDeltas,
-		ReadCacheBytes:  p.ReadCacheBytes,
-	}
+// spec is the archive spec every archive is created with: the
+// production-ish configuration of the benchmark's hot_mixed workload
+// (checkpoints every 4, CDEC compression and a shared read cache on).
+var spec = secclient.Spec{
+	N:               nodes,
+	K:               k,
+	BlockSize:       blockSize,
+	CheckpointEvery: 4,
+	CompressDeltas:  true,
+	ReadCacheBytes:  1 << 20,
 }
 
 // OpResult is the per-op-kind outcome of a run: counts, typed rejections,
 // and the merged latency distribution.
 type OpResult struct {
-	// Op is the op kind name (workload.Op.String).
+	// Op is the op kind name ("commit", "retrieve", ...).
 	Op string
 	// Count is the number of operations issued; Errors the unexpected
 	// failures among them. Busy and Conflicts count the typed admission
@@ -185,19 +107,6 @@ type OpResult struct {
 	P50, P99, P999, Mean, Max time.Duration
 }
 
-// NodeReport attributes served RPCs and wire bytes to one storage node,
-// from the node server's side of the wire (setup traffic excluded).
-type NodeReport struct {
-	// Node names the node ("node-3").
-	Node string
-	// Requests is the total RPCs the node served; Gets/Puts/Deletes
-	// count shard operations (batch shards individually).
-	Requests, Gets, Puts, Deletes uint64
-	// BytesRead and BytesWritten are shard payload bytes served and
-	// accepted.
-	BytesRead, BytesWritten uint64
-}
-
 // Report is the outcome of one Run.
 type Report struct {
 	// Ops holds one entry per op kind that was issued.
@@ -205,17 +114,6 @@ type Report struct {
 	// TotalOps sums Ops counts; Elapsed is the measured-phase wall time.
 	TotalOps uint64
 	Elapsed  time.Duration
-	// Nodes attributes RPCs and bytes per storage node.
-	Nodes []NodeReport
-	// Wire is the gateway-side cluster wire accounting (what the gateway
-	// moved to and from the nodes during the measured phase).
-	Wire store.WireStats
-	// GatewayRPCs counts the archive-level RPCs the gateway server
-	// handled during the measured phase.
-	GatewayRPCs transport.RequestStats
-	// Gateway is the gateway's own counter delta over the measured
-	// phase (ArchivesOpen is the final resident count).
-	Gateway gateway.Stats
 	// ClientDigests[i] is client i's planned-trace digest (FNV-1a over
 	// its op kinds, archive targets, and commit payload hashes);
 	// TraceDigest folds them in client order. Equal seeds and profiles
@@ -227,7 +125,7 @@ type Report struct {
 	// bug.
 	Divergences []string
 	// VerifiedVersions counts the (archive, version) pairs the final
-	// sweep re-read (0 without FinalVerify).
+	// sweep re-read.
 	VerifiedVersions int
 	// Injected aggregates chaos injections; ChaosDesc is the replayable
 	// schedule description; ChaosTicks the shared-clock ticks consumed
@@ -314,9 +212,9 @@ func archiveName(i int) string { return fmt.Sprintf("arch-%04d", i) }
 
 // basePayload is the deterministic version-1 object of an archive, shared
 // by setup and every client's local edit chain.
-func basePayload(seed int64, arch, capacity int) []byte {
+func basePayload(seed int64, arch int) []byte {
 	rng := rand.New(rand.NewSource(seed ^ (int64(arch+1) * 0x9E3779B97F4A7C1)))
-	b := make([]byte, capacity)
+	b := make([]byte, k*blockSize)
 	rng.Read(b)
 	return b
 }
@@ -325,7 +223,6 @@ func basePayload(seed int64, arch, capacity int) []byte {
 // (chaos-wrapped when asked), a cluster of remote-node clients, a gateway
 // over it, and the gateway's own TCP server.
 type fixture struct {
-	cluster   *store.Cluster
 	gw        *gateway.Gateway
 	gwServer  *transport.Server
 	addr      string
@@ -340,9 +237,9 @@ type fixture struct {
 func startFixture(p Profile) (*fixture, error) {
 	fx := &fixture{}
 	if p.Chaos {
-		fx.schedules, fx.clock, fx.desc = faults.SoakSchedules(p.Seed, p.Nodes, p.ChaosMaxFaulty, p.ChaosWindowLen, p.ChaosWindows)
+		fx.schedules, fx.clock, fx.desc = faults.SoakSchedules(p.Seed, nodes, nodes-k, chaosWindowLen, chaosWindows)
 	}
-	for i := 0; i < p.Nodes; i++ {
+	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("node-%d", i)
 		var node store.Node = store.NewMemNode(name)
 		if p.Chaos {
@@ -361,23 +258,23 @@ func startFixture(p Profile) (*fixture, error) {
 		}
 		fx.nodeSrvs = append(fx.nodeSrvs, srv)
 		conn := transport.NewRemoteNode(name, addr.String(),
-			transport.WithTimeout(p.Timeout),
+			transport.WithTimeout(timeout),
 			//lint:allow retrydefault the harness owns its whole fixture; running with retries on is part of the load profile under test (the soak injects faults they must absorb)
 			transport.WithRetryPolicy(store.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
 		fx.nodeConns = append(fx.nodeConns, conn)
 	}
-	nodes := make([]store.Node, len(fx.nodeConns))
+	members := make([]store.Node, len(fx.nodeConns))
 	for i, c := range fx.nodeConns {
-		nodes[i] = c
+		members[i] = c
 	}
-	fx.cluster = store.NewCluster(nodes)
+	cluster := store.NewCluster(members)
 	//lint:allow retrydefault the production resilience stack is deliberately on: the load numbers must describe the configuration operators run
-	fx.cluster.SetRetryPolicy(store.DefaultRetryPolicy)
+	cluster.SetRetryPolicy(store.DefaultRetryPolicy)
 	if p.Chaos {
 		//lint:allow retrydefault chaos runs enable the breaker for the same reason; both knobs mirror the faults soak fixture
-		fx.cluster.SetHealthConfig(store.HealthConfig{TripAfter: 5, Cooldown: 2 * time.Second})
+		cluster.SetHealthConfig(store.HealthConfig{TripAfter: 5, Cooldown: 2 * time.Second})
 	}
-	gw, err := gateway.New(gateway.Config{Cluster: fx.cluster, MaxQueuedWriters: p.MaxQueuedWriters})
+	gw, err := gateway.New(gateway.Config{Cluster: cluster})
 	if err != nil {
 		fx.close()
 		return nil, err
@@ -448,11 +345,11 @@ func (fx *fixture) close() {
 // clientResult is one client's shard of the run outcome: its private
 // histograms and counters, and its planned-trace digest.
 type clientResult struct {
-	hists     [workload.NumOps]Histogram
-	counts    [workload.NumOps]uint64
-	errs      [workload.NumOps]uint64
-	busy      [workload.NumOps]uint64
-	conflicts [workload.NumOps]uint64
+	hists     [numOps]Histogram
+	counts    [numOps]uint64
+	errs      [numOps]uint64
+	busy      [numOps]uint64
+	conflicts [numOps]uint64
 	digest    uint64
 	fatal     error
 }
@@ -466,48 +363,40 @@ func runSeed(seed int64, client int) int64  { return seed ^ (int64(client+1) * 0
 // runClient executes one closed-loop client: draw an op and a target from
 // the plan, issue it through the SDK, verify bytes against the registry,
 // and record the latency into this client's own histogram shard.
-func runClient(ctx context.Context, p Profile, addr string, id int, capacity int, reg *registry) *clientResult {
+func runClient(ctx context.Context, p Profile, addr string, id int, reg *registry) *clientResult {
 	res := &clientResult{}
 	plan := rand.New(rand.NewSource(planSeed(p.Seed, id)))
 	runtime := rand.New(rand.NewSource(runSeed(p.Seed, id)))
-	pop, err := workload.NewPopularity(plan, p.Archives, p.ZipfS, p.ZipfV)
-	if err != nil {
-		res.fatal = err
-		return res
-	}
-	mixer, err := workload.NewMixer(plan, p.Mix)
-	if err != nil {
-		res.fatal = err
-		return res
-	}
+	pop := newPopularity(plan, p.Archives)
 	client := secclient.Dial(addr,
-		secclient.WithTimeout(p.Timeout),
+		secclient.WithTimeout(timeout),
 		secclient.WithID(fmt.Sprintf("loadgen-client-%d", id)))
 	defer client.Close()
 
 	digest := fnv.New64a()
 	var rec [13]byte
 	local := make(map[int][]byte) // per-archive edit chain tip, this client's view
-	for op := 0; op < p.OpsPerClient; op++ {
+	for i := 0; i < p.OpsPerClient; i++ {
 		if ctx.Err() != nil {
 			res.fatal = context.Cause(ctx)
 			break
 		}
-		kind := mixer.Next()
-		arch := pop.Sample()
+		kind := nextOp(plan)
+		arch := pop.sample()
 		name := archiveName(arch)
 
 		// Plan the payload before timing anything: commit bytes are a pure
 		// function of the plan stream, never of runtime outcomes.
 		var payload []byte
 		var phash uint64
-		if kind == workload.OpCommit {
+		if kind == opCommit {
 			cur, ok := local[arch]
 			if !ok {
-				cur = basePayload(p.Seed, arch, capacity)
+				cur = basePayload(p.Seed, arch)
 			}
-			gamma := 1 + plan.Intn(p.K)
-			payload, err = workload.SparseEdit(plan, cur, p.BlockSize, gamma)
+			gamma := 1 + plan.Intn(k)
+			var err error
+			payload, err = workload.SparseEdit(plan, cur, blockSize, gamma)
 			if err != nil {
 				res.fatal = err
 				break
@@ -523,7 +412,7 @@ func runClient(ctx context.Context, p Profile, addr string, id int, capacity int
 		start := time.Now()
 		var opErr error
 		switch kind {
-		case workload.OpCommit:
+		case opCommit:
 			var info secclient.CommitInfo
 			info, opErr = client.Commit(ctx, name, payload)
 			if info.Version > 0 {
@@ -532,7 +421,7 @@ func runClient(ctx context.Context, p Profile, addr string, id int, capacity int
 				// verify against them.
 				reg.record(arch, info.Version, phash)
 			}
-		case workload.OpRetrieve:
+		case opRetrieve:
 			version := 1 + runtime.Intn(reg.latestOf(arch))
 			var got secclient.Version
 			got, opErr = client.Retrieve(ctx, name, version)
@@ -541,7 +430,7 @@ func runClient(ctx context.Context, p Profile, addr string, id int, capacity int
 					reg.diverge("client %d: %s v%d bytes diverged", id, name, got.Version)
 				}
 			}
-		case workload.OpLatest:
+		case opLatest:
 			var got secclient.Version
 			got, opErr = client.Latest(ctx, name)
 			if opErr == nil {
@@ -549,14 +438,14 @@ func runClient(ctx context.Context, p Profile, addr string, id int, capacity int
 					reg.diverge("client %d: %s latest (v%d) bytes diverged", id, name, got.Version)
 				}
 			}
-		case workload.OpLog:
+		case opLog:
 			var entries []secclient.LogEntry
 			entries, opErr = client.Log(ctx, name)
 			if opErr == nil && len(entries) == 0 {
 				reg.diverge("client %d: %s log empty after seeding", id, name)
 			}
-		case workload.OpCompact:
-			_, opErr = client.Compact(ctx, name, p.CompactChain)
+		case opCompact:
+			_, opErr = client.Compact(ctx, name, compactChain)
 		}
 		res.hists[kind].Record(time.Since(start))
 		res.counts[kind]++
@@ -574,74 +463,10 @@ func runClient(ctx context.Context, p Profile, addr string, id int, capacity int
 	return res
 }
 
-// subRequestStats returns after-minus-before for the counter fields the
-// report uses.
-func subRequestStats(after, before transport.RequestStats) transport.RequestStats {
-	return transport.RequestStats{
-		Puts:              after.Puts - before.Puts,
-		Gets:              after.Gets - before.Gets,
-		Deletes:           after.Deletes - before.Deletes,
-		Pings:             after.Pings - before.Pings,
-		Stats:             after.Stats - before.Stats,
-		GetBatches:        after.GetBatches - before.GetBatches,
-		PutBatches:        after.PutBatches - before.PutBatches,
-		DeleteBatches:     after.DeleteBatches - before.DeleteBatches,
-		GetBatchShards:    after.GetBatchShards - before.GetBatchShards,
-		PutBatchShards:    after.PutBatchShards - before.PutBatchShards,
-		DeleteBatchShards: after.DeleteBatchShards - before.DeleteBatchShards,
-		ArchCreates:       after.ArchCreates - before.ArchCreates,
-		ArchCommits:       after.ArchCommits - before.ArchCommits,
-		ArchGets:          after.ArchGets - before.ArchGets,
-		ArchGetAlls:       after.ArchGetAlls - before.ArchGetAlls,
-		ArchLogs:          after.ArchLogs - before.ArchLogs,
-		ArchInfos:         after.ArchInfos - before.ArchInfos,
-		ArchCompacts:      after.ArchCompacts - before.ArchCompacts,
-		ArchScrubs:        after.ArchScrubs - before.ArchScrubs,
-		ArchRepairs:       after.ArchRepairs - before.ArchRepairs,
-		BytesRead:         after.BytesRead - before.BytesRead,
-		BytesWritten:      after.BytesWritten - before.BytesWritten,
-	}
-}
-
-// nodeReport condenses one node server's RequestStats delta.
-func nodeReport(name string, d transport.RequestStats) NodeReport {
-	return NodeReport{
-		Node: name,
-		Requests: d.Puts + d.Gets + d.Deletes + d.Pings + d.Stats +
-			d.GetBatches + d.PutBatches + d.DeleteBatches,
-		Gets:         d.Gets + d.GetBatchShards,
-		Puts:         d.Puts + d.PutBatchShards,
-		Deletes:      d.Deletes + d.DeleteBatchShards,
-		BytesRead:    d.BytesRead,
-		BytesWritten: d.BytesWritten,
-	}
-}
-
-// subGatewayStats returns the counter delta of two gateway snapshots,
-// keeping the final ArchivesOpen.
-func subGatewayStats(after, before gateway.Stats) gateway.Stats {
-	return gateway.Stats{
-		ArchivesOpen:   after.ArchivesOpen,
-		Commits:        after.Commits - before.Commits,
-		Retrieves:      after.Retrieves - before.Retrieves,
-		Logs:           after.Logs - before.Logs,
-		Infos:          after.Infos - before.Infos,
-		Compactions:    after.Compactions - before.Compactions,
-		Scrubs:         after.Scrubs - before.Scrubs,
-		Repairs:        after.Repairs - before.Repairs,
-		BusyRejections: after.BusyRejections - before.BusyRejections,
-		Conflicts:      after.Conflicts - before.Conflicts,
-	}
-}
-
 // Run executes the profile against a freshly built gateway fixture and
 // returns the merged report. The context bounds the whole run; a
 // cancellation mid-run tears the fixture down and returns the cause.
 func Run(ctx context.Context, p Profile) (Report, error) {
-	p, err := p.withDefaults()
-	if err != nil {
-		return Report{}, err
-	}
 	fx, err := startFixture(p)
 	if err != nil {
 		return Report{}, err
@@ -651,11 +476,9 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 	// Setup phase: create and seed every archive with its deterministic
 	// version 1, in parallel — a few thousand archives must not dominate
 	// the run.
-	setup := secclient.Dial(fx.addr, secclient.WithTimeout(p.Timeout), secclient.WithID("loadgen-setup"))
+	setup := secclient.Dial(fx.addr, secclient.WithTimeout(timeout), secclient.WithID("loadgen-setup"))
 	defer setup.Close()
 	reg := newRegistry(p.Archives)
-	spec := p.spec()
-	capacity := p.K * p.BlockSize
 	setupErrs := make(chan error, p.Archives)
 	var setupWG sync.WaitGroup
 	// The work queue is pre-filled and buffered so a worker that bails on
@@ -676,7 +499,7 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 					setupErrs <- fmt.Errorf("loadgen: creating %s: %w", name, err)
 					return
 				}
-				base := basePayload(p.Seed, arch, capacity)
+				base := basePayload(p.Seed, arch)
 				info, err := setup.Commit(ctx, name, base)
 				if err != nil {
 					setupErrs <- fmt.Errorf("loadgen: seeding %s: %w", name, err)
@@ -692,15 +515,7 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		return Report{}, err
 	}
 
-	// Measured phase: snapshot every counter, arm the chaos schedules,
-	// and release the client fleet.
-	fx.cluster.ResetWireStats()
-	gwBefore := fx.gwServer.RequestStats()
-	statsBefore := fx.gw.Stats()
-	nodeBefore := make([]transport.RequestStats, len(fx.nodeSrvs))
-	for i, s := range fx.nodeSrvs {
-		nodeBefore[i] = s.RequestStats()
-	}
+	// Measured phase: arm the chaos schedules and release the client fleet.
 	var ticksBefore uint64
 	if fx.clock != nil {
 		ticksBefore = fx.clock.Ticks()
@@ -714,7 +529,7 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			results[c] = runClient(ctx, p, fx.addr, c, capacity, reg)
+			results[c] = runClient(ctx, p, fx.addr, c, reg)
 		}(c)
 	}
 	wg.Wait()
@@ -726,13 +541,13 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 	}
 
 	// Merge the per-client shards.
-	var merged [workload.NumOps]Histogram
-	var counts, errs, busy, conflicts [workload.NumOps]uint64
+	var merged [numOps]Histogram
+	var counts, errs, busy, conflicts [numOps]uint64
 	report := Report{Elapsed: elapsed, ClientDigests: make([]uint64, p.Clients)}
 	trace := fnv.New64a()
 	var buf [8]byte
 	for c, r := range results {
-		for kind := 0; kind < workload.NumOps; kind++ {
+		for kind := 0; kind < numOps; kind++ {
 			merged[kind].Merge(&r.hists[kind])
 			counts[kind] += r.counts[kind]
 			errs[kind] += r.errs[kind]
@@ -744,13 +559,13 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		trace.Write(buf[:])
 	}
 	report.TraceDigest = trace.Sum64()
-	for kind := 0; kind < workload.NumOps; kind++ {
+	for kind := 0; kind < numOps; kind++ {
 		if counts[kind] == 0 {
 			continue
 		}
 		h := &merged[kind]
 		report.Ops = append(report.Ops, OpResult{
-			Op:        workload.Op(kind).String(),
+			Op:        opNames[kind],
 			Count:     counts[kind],
 			Errors:    errs[kind],
 			Busy:      busy[kind],
@@ -763,15 +578,6 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		})
 		report.TotalOps += counts[kind]
 	}
-
-	// Attribution: wire bytes the gateway moved, RPCs each node served,
-	// archive RPCs the gateway server handled.
-	report.Wire = fx.cluster.WireStats()
-	report.GatewayRPCs = subRequestStats(fx.gwServer.RequestStats(), gwBefore)
-	report.Gateway = subGatewayStats(fx.gw.Stats(), statsBefore)
-	for i, s := range fx.nodeSrvs {
-		report.Nodes = append(report.Nodes, nodeReport(fmt.Sprintf("node-%d", i), subRequestStats(s.RequestStats(), nodeBefore[i])))
-	}
 	if fx.clock != nil {
 		report.ChaosTicks = fx.clock.Ticks() - ticksBefore
 		report.Injected = fx.injected()
@@ -781,34 +587,32 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 	// Final sweep: every registered version must still read back
 	// byte-identically through a fresh client; bounded retries absorb a
 	// chaos window that has not yet expired.
-	if p.FinalVerify {
-		verifier := secclient.Dial(fx.addr, secclient.WithTimeout(p.Timeout), secclient.WithID("loadgen-verify"))
-		defer verifier.Close()
-		for arch := 0; arch < p.Archives; arch++ {
-			name := archiveName(arch)
-			for _, version := range reg.versionsOf(arch) {
-				want, _ := reg.lookup(arch, version)
-				var got secclient.Version
-				var verr error
-				for attempt := 0; attempt < p.VerifyAttempts; attempt++ {
-					got, verr = verifier.Retrieve(ctx, name, version)
-					if verr == nil {
-						break
-					}
-					if ctx.Err() != nil {
-						return report, context.Cause(ctx)
-					}
-					time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
+	verifier := secclient.Dial(fx.addr, secclient.WithTimeout(timeout), secclient.WithID("loadgen-verify"))
+	defer verifier.Close()
+	for arch := 0; arch < p.Archives; arch++ {
+		name := archiveName(arch)
+		for _, version := range reg.versionsOf(arch) {
+			want, _ := reg.lookup(arch, version)
+			var got secclient.Version
+			var verr error
+			for attempt := 0; attempt < verifyAttempts; attempt++ {
+				got, verr = verifier.Retrieve(ctx, name, version)
+				if verr == nil {
+					break
 				}
-				if verr != nil {
-					reg.diverge("final sweep: %s v%d unretrievable: %v", name, version, verr)
-					continue
+				if ctx.Err() != nil {
+					return report, context.Cause(ctx)
 				}
-				if hash64(got.Data) != want {
-					reg.diverge("final sweep: %s v%d bytes diverged", name, version)
-				}
-				report.VerifiedVersions++
+				time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
 			}
+			if verr != nil {
+				reg.diverge("final sweep: %s v%d unretrievable: %v", name, version, verr)
+				continue
+			}
+			if hash64(got.Data) != want {
+				reg.diverge("final sweep: %s v%d bytes diverged", name, version)
+			}
+			report.VerifiedVersions++
 		}
 	}
 	report.Divergences = reg.divergences()

@@ -16,8 +16,6 @@ func smallProfile(seed int64) Profile {
 		Archives:     16,
 		Clients:      4,
 		OpsPerClient: 15,
-		BlockSize:    16,
-		FinalVerify:  true,
 	}
 }
 
@@ -90,8 +88,7 @@ func TestRunDeterminism(t *testing.T) {
 
 // TestRunReport checks the report's accounting invariants on a clean
 // (chaos-free) run: all planned ops issued, none failed, every read
-// byte-identical, latency quantiles ordered, and RPCs and wire bytes
-// attributed to every node.
+// byte-identical, and latency quantiles ordered.
 func TestRunReport(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	p := smallProfile(7)
@@ -123,43 +120,8 @@ func TestRunReport(t *testing.T) {
 			t.Errorf("%s: zero p50 over %d ops", op.Op, op.Count)
 		}
 	}
-	// Every storage node served RPCs and moved bytes: the placement
-	// stripes across all of them.
-	if len(report.Nodes) != 6 {
-		t.Fatalf("%d node reports, want 6", len(report.Nodes))
-	}
-	for _, n := range report.Nodes {
-		if n.Requests == 0 {
-			t.Errorf("%s served no RPCs", n.Node)
-		}
-		if n.BytesRead+n.BytesWritten == 0 {
-			t.Errorf("%s moved no bytes", n.Node)
-		}
-	}
-	if report.Wire.Gets == 0 || report.Wire.Puts == 0 {
-		t.Errorf("gateway wire stats empty: %+v", report.Wire)
-	}
-	if report.GatewayRPCs.ArchCommits == 0 || report.GatewayRPCs.ArchGets == 0 {
-		t.Errorf("gateway served no archive RPCs: %+v", report.GatewayRPCs)
-	}
-	if report.Gateway.Commits == 0 || report.Gateway.Retrieves == 0 {
-		t.Errorf("gateway counters flat: %+v", report.Gateway)
-	}
-	if report.Gateway.ArchivesOpen != p.Archives {
-		t.Errorf("%d archives resident, want %d", report.Gateway.ArchivesOpen, p.Archives)
-	}
 	if report.Elapsed <= 0 {
 		t.Error("no elapsed time measured")
-	}
-}
-
-// TestProfileValidation rejects cluster shapes the code cannot serve.
-func TestProfileValidation(t *testing.T) {
-	if _, err := Run(t.Context(), Profile{Nodes: 4, K: 4}); err == nil {
-		t.Error("n == k accepted")
-	}
-	if _, err := Run(t.Context(), Profile{Nodes: 6, K: 3, Chaos: true, ChaosMaxFaulty: 4}); err == nil {
-		t.Error("maxFaulty > n-k accepted")
 	}
 }
 

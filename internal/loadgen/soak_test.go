@@ -35,22 +35,15 @@ func TestLoadSoak(t *testing.T) {
 		Archives:     64,
 		Clients:      8,
 		OpsPerClient: 40,
-		BlockSize:    16,
 		Chaos:        true,
-		// Short shared-clock windows so the measured phase sweeps through
-		// every fault window with ticks to spare.
-		ChaosWindowLen: 30,
-		ChaosWindows:   4,
-		FinalVerify:    true,
-		VerifyAttempts: 8,
 	}
 	report, err := Run(t.Context(), p)
 	if err != nil {
 		t.Fatalf("soak run failed (seed %d): %v", seed, err)
 	}
 	logReport := func() {
-		t.Logf("soak seed=%d elapsed=%v ticks=%d injected=%+v ops=%+v gateway=%+v",
-			seed, report.Elapsed, report.ChaosTicks, report.Injected, report.Ops, report.Gateway)
+		t.Logf("soak seed=%d elapsed=%v ticks=%d injected=%+v ops=%+v",
+			seed, report.Elapsed, report.ChaosTicks, report.Injected, report.Ops)
 		t.Logf("chaos schedules:\n%s", report.ChaosDesc)
 	}
 
@@ -73,7 +66,7 @@ func TestLoadSoak(t *testing.T) {
 		logReport()
 		t.Error("soak injected no faults; schedules too tame")
 	}
-	if end := uint64(p.ChaosWindows) * p.ChaosWindowLen; report.ChaosTicks < end {
+	if end := uint64(chaosWindows * chaosWindowLen); report.ChaosTicks < end {
 		logReport()
 		t.Errorf("measured phase consumed %d ticks, short of the %d-tick schedule", report.ChaosTicks, end)
 	}
