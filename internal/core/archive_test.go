@@ -409,76 +409,6 @@ func TestRetrieveErrors(t *testing.T) {
 	}
 }
 
-func TestDegradedReadsUnderFailures(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Repeat([]byte{3}, a.Capacity())
-	v2 := editBlocks(v1, a.Config().BlockSize, 0)
-	mustCommit(t, a, v1)
-	mustCommit(t, a, v2)
-
-	// n-k = 3 failures are tolerable for full objects.
-	if err := cluster.Fail(0, 2, 4); err != nil {
-		t.Fatal(err)
-	}
-	got, stats := mustRetrieve(t, a, 2)
-	if !bytes.Equal(got, v2) {
-		t.Error("degraded retrieval mismatch")
-	}
-	if stats.NodeReads != 5 {
-		t.Errorf("degraded NodeReads = %d, want 5 (sparse read still possible)", stats.NodeReads)
-	}
-
-	// With only 2 nodes alive, the 1-sparse delta is still recoverable
-	// (non-systematic SEC: any 2 rows), but x1 is lost.
-	if err := cluster.Fail(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.RetrieveContext(t.Context(), 2); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("err = %v, want ErrUnavailable (x1 needs k=3 live)", err)
-	}
-
-	cluster.HealAll()
-	got, _ = mustRetrieve(t, a, 2)
-	if !bytes.Equal(got, v2) {
-		t.Error("post-heal retrieval mismatch")
-	}
-}
-
-func TestSystematicFallsBackWhenParityDead(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	a, err := New(testConfig(BasicSEC, erasure.SystematicCauchy), cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Repeat([]byte{9}, a.Capacity())
-	v2 := editBlocks(v1, a.Config().BlockSize, 2)
-	mustCommit(t, a, v1)
-	mustCommit(t, a, v2)
-
-	// All shards alive: sparse read of the delta costs 2.
-	_, stats := mustRetrieve(t, a, 2)
-	if stats.NodeReads != 5 || stats.SparseReads != 1 {
-		t.Errorf("healthy: reads=%d sparse=%d, want 5 and 1", stats.NodeReads, stats.SparseReads)
-	}
-
-	// Kill two of the three parity nodes: no Criterion-2 pair remains,
-	// so the delta needs a full k-read (Section V-A's failure patterns).
-	if err := cluster.Fail(4, 5); err != nil {
-		t.Fatal(err)
-	}
-	got, stats := mustRetrieve(t, a, 2)
-	if !bytes.Equal(got, v2) {
-		t.Error("retrieval mismatch with dead parity")
-	}
-	if stats.NodeReads != 6 || stats.SparseReads != 0 {
-		t.Errorf("degraded: reads=%d sparse=%d, want 6 and 0", stats.NodeReads, stats.SparseReads)
-	}
-}
-
 func TestReversedSECDeletesSupersededFull(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	a, err := New(testConfig(ReversedSEC, erasure.NonSystematicCauchy), cluster)
@@ -549,44 +479,6 @@ func TestReversedSECOrphansWhenNodeDown(t *testing.T) {
 	got, _ := mustRetrieve(t, a, 2)
 	if !bytes.Equal(got, v2) {
 		t.Error("retrieval after recovered commit mismatch")
-	}
-}
-
-func TestDispersedPlacementUsesDistinctGroups(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
-	cfg.Placement = store.DispersedPlacement{N: cfg.N}
-	a, err := New(cfg, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := bytes.Repeat([]byte{5}, a.Capacity())
-	mustCommit(t, a, v)
-	v = editBlocks(v, a.Config().BlockSize, 1)
-	mustCommit(t, a, v)
-	if cluster.Size() != 12 {
-		t.Fatalf("cluster size = %d, want 12 (2 objects x 6 nodes)", cluster.Size())
-	}
-	// Killing all of group 0 loses x1 - and with it the whole chain, the
-	// drawback of dispersed placement the paper's Section IV highlights:
-	// z2's group survives but x2 = x1 + z2 is unreachable.
-	if err := cluster.Fail(0, 1, 2, 3, 4, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.RetrieveContext(t.Context(), 1); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("x1 with group 0 dead: err = %v, want ErrUnavailable", err)
-	}
-	if _, _, err := a.RetrieveContext(t.Context(), 2); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("x2 with group 0 dead: err = %v, want ErrUnavailable", err)
-	}
-	// Failures spread across groups are survivable instead.
-	cluster.HealAll()
-	if err := cluster.Fail(0, 1, 2, 6, 7, 8); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := mustRetrieve(t, a, 2)
-	if !bytes.Equal(got, v) {
-		t.Error("cross-group degraded retrieval mismatch")
 	}
 }
 

@@ -338,37 +338,6 @@ func TestCompressedScrubAndRepair(t *testing.T) {
 	}
 }
 
-// TestCompressedDegradedRead loses n-k nodes and still decodes the
-// compressed chain: the (gamma+n-k, gamma) code keeps the archive's full
-// fault tolerance.
-func TestCompressedDegradedRead(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	a, err := New(compressConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Repeat([]byte{17}, a.Capacity())
-	v2 := editBlocks(v1, 4, 0)
-	mustCommit(t, a, v1)
-	mustCommit(t, a, v2)
-	// n-k = 3 failures must be survivable for the full codeword and for
-	// every compressed delta.
-	for _, down := range []int{0, 2, 4} {
-		node, err := cluster.Node(down)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.(*store.MemNode).SetFailed(true)
-	}
-	got, stats := mustRetrieve(t, a, 2)
-	if !bytes.Equal(got, v2) {
-		t.Error("degraded compressed read mismatch")
-	}
-	if stats.CompressedReads != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
 // TestReadCacheHitsAndInvalidation pins the decoded-version cache
 // contract: a chain walk fills it for every version it materialized, hits
 // serve with zero node reads, and any chain mutation empties it.

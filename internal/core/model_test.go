@@ -166,24 +166,6 @@ func allNodesUp(cluster *store.Cluster) bool {
 	return true
 }
 
-// wipeArchiveShards deletes every shard of the archive on the node.
-func wipeArchiveShards(t *testing.T, a *Archive, cluster *store.Cluster, node int) {
-	t.Helper()
-	nd, err := cluster.Node(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v <= a.Versions(); v++ {
-		for _, cw := range mustStored(t, a, v) {
-			for row := 0; row < cw.code.N(); row++ {
-				if a.nodeOf(cw, row) == node {
-					_ = nd.Delete(t.Context(), store.ShardID{Object: cw.id, Row: row})
-				}
-			}
-		}
-	}
-}
-
 // mixedChain commits the five-version chain that walks every reader: a full
 // codeword, a sparse delta (2*gamma < k), a dense delta (gamma = k, read in
 // full), a CDEC-compressed delta (gamma within CompressGammaMax) and an

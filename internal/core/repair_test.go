@@ -9,28 +9,20 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// deleteArchiveShards simulates replacing a failed device with an empty
-// one: every shard of the archive on the node is deleted.
-func deleteArchiveShards(t *testing.T, a *Archive, cluster *store.Cluster, node int) int {
+// wipeArchiveShards simulates replacing a failed device with an empty one:
+// every shard the archive's stored codewords place on the node, rebased
+// deltas included, is deleted. It returns how many were there.
+func wipeArchiveShards(t *testing.T, a *Archive, cluster *store.Cluster, node int) int {
 	t.Helper()
-	n, err := cluster.Node(node)
+	nd, err := cluster.Node(node)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deleted := 0
-	m := a.Manifest()
-	for _, e := range m.Entries {
-		for row := 0; row < m.N; row++ {
-			if (a.Config().Placement.NodeFor(e.Version-1, row)) != node {
-				continue
-			}
-			if e.Full {
-				if err := n.Delete(t.Context(), store.ShardID{Object: fullID(m.Name, e.Version), Row: row}); err == nil {
-					deleted++
-				}
-			}
-			if e.Delta {
-				if err := n.Delete(t.Context(), store.ShardID{Object: deltaID(m.Name, e.Version), Row: row}); err == nil {
+	for v := 1; v <= a.Versions(); v++ {
+		for _, cw := range mustStored(t, a, v) {
+			for row := 0; row < cw.code.N(); row++ {
+				if a.nodeOf(cw, row) == node && nd.Delete(t.Context(), store.ShardID{Object: cw.id, Row: row}) == nil {
 					deleted++
 				}
 			}
@@ -53,7 +45,7 @@ func TestRepairNodeRestoresRedundancy(t *testing.T) {
 	mustCommit(t, a, v3)
 
 	// Device 3 dies and is replaced by an empty node.
-	deleted := deleteArchiveShards(t, a, cluster, 3)
+	deleted := wipeArchiveShards(t, a, cluster, 3)
 	if deleted != 3 { // one shard per stored object (x1, z2, z3)
 		t.Fatalf("deleted %d shards, want 3", deleted)
 	}
@@ -106,39 +98,6 @@ func TestRepairNodeIdempotent(t *testing.T) {
 	}
 }
 
-func TestRepairNodeRequiresTargetUp(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, a, []byte{1})
-	if err := cluster.Fail(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.RepairNodeContext(t.Context(), 2); !errors.Is(err, store.ErrNodeDown) {
-		t.Errorf("err = %v, want ErrNodeDown", err)
-	}
-}
-
-func TestRepairNodeFailsWhenTooFewSurvivors(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Repeat([]byte{9}, a.Capacity())
-	mustCommit(t, a, v1)
-	deleteArchiveShards(t, a, cluster, 0)
-	// Only 2 survivors besides the target: below k=3.
-	if err := cluster.Fail(1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.RepairNodeContext(t.Context(), 0); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("err = %v, want ErrUnavailable", err)
-	}
-}
-
 func TestRepairNodeWithPuncturedDeltas(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	cfg := Config{
@@ -160,7 +119,7 @@ func TestRepairNodeWithPuncturedDeltas(t *testing.T) {
 
 	// Node 7 holds only the full version's shard (deltas are punctured
 	// past row 5); node 2 holds both.
-	deleteArchiveShards(t, a, cluster, 7)
+	wipeArchiveShards(t, a, cluster, 7)
 	report, err := a.RepairNodeContext(t.Context(), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +127,7 @@ func TestRepairNodeWithPuncturedDeltas(t *testing.T) {
 	if report.ShardsChecked != 1 || report.ShardsRepaired != 1 {
 		t.Errorf("node 7 report = %+v", report)
 	}
-	deleteArchiveShards(t, a, cluster, 2)
+	wipeArchiveShards(t, a, cluster, 2)
 	report, err = a.RepairNodeContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +154,7 @@ func TestRepairNodeWithSecondNodePartiallyWiped(t *testing.T) {
 	mustCommit(t, a, v2)
 	mustCommit(t, a, v3)
 
-	deleteArchiveShards(t, a, cluster, 3)
+	wipeArchiveShards(t, a, cluster, 3)
 	node1, err := cluster.Node(1)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +202,7 @@ func TestRepairNodeSkipsTruncatedSourceShard(t *testing.T) {
 	v1 := bytes.Repeat([]byte{33}, a.Capacity())
 	mustCommit(t, a, v1)
 
-	deleteArchiveShards(t, a, cluster, 4)
+	wipeArchiveShards(t, a, cluster, 4)
 	id := store.ShardID{Object: "t/v1-full", Row: 0}
 	node0, err := cluster.Node(0)
 	if err != nil {
@@ -289,7 +248,7 @@ func TestRepairNodeRefusesWithoutLengthMajority(t *testing.T) {
 	}
 	v1 := bytes.Repeat([]byte{77}, a.Capacity())
 	mustCommit(t, a, v1)
-	deleteArchiveShards(t, a, cluster, 5)
+	wipeArchiveShards(t, a, cluster, 5)
 	for _, row := range []int{0, 1} {
 		id := store.ShardID{Object: "t/v1-full", Row: row}
 		node, err := cluster.Node(row)
@@ -384,7 +343,7 @@ func TestRepairNodeDispersed(t *testing.T) {
 	mustCommit(t, a, v1)
 	mustCommit(t, a, editBlocks(v1, 4, 2))
 	// Node 8 belongs to the delta's group (object 1, row 2).
-	deleted := deleteArchiveShards(t, a, cluster, 8)
+	deleted := wipeArchiveShards(t, a, cluster, 8)
 	if deleted != 1 {
 		t.Fatalf("deleted %d, want 1", deleted)
 	}

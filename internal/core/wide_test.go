@@ -86,38 +86,6 @@ func TestWideArchiveSparseReads(t *testing.T) {
 	}
 }
 
-func TestWideArchiveDegradedRead(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	a, err := New(wideConfig(), cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(112))
-	v1 := make([]byte, a.Capacity())
-	rng.Read(v1)
-	mustCommit(t, a, v1)
-	v2 := editBlocks(v1, 4, 7, 63)
-	mustCommit(t, a, v2)
-	// Kill n-k = 100 nodes: the archive must still serve everything.
-	fail := make([]int, 100)
-	for i := range fail {
-		fail[i] = 2 * i // every even node
-	}
-	if err := cluster.Fail(fail...); err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := a.RetrieveContext(t.Context(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, v2) {
-		t.Error("degraded wide retrieval mismatch")
-	}
-	if stats.NodeReads != 104 {
-		t.Errorf("degraded NodeReads = %d, want 104 (k + 2*2)", stats.NodeReads)
-	}
-}
-
 func TestWideArchiveManifestRoundTrip(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	a, err := New(wideConfig(), cluster)
@@ -165,7 +133,7 @@ func TestWideArchiveRepair(t *testing.T) {
 	mustCommit(t, a, v1)
 	mustCommit(t, a, editBlocks(v1, 4, 3))
 
-	deleteArchiveShards(t, a, cluster, 17)
+	wipeArchiveShards(t, a, cluster, 17)
 	report, err := a.RepairNodeContext(t.Context(), 17)
 	if err != nil {
 		t.Fatal(err)
