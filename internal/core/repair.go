@@ -42,6 +42,11 @@ func (a *Archive) RepairNodeContext(ctx context.Context, node int) (RepairReport
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var report RepairReport
+	// An index outside the cluster is the caller's mistake, not a down node:
+	// refuse it before the probe, whose false would read as transient.
+	if _, err := a.cluster.Node(node); err != nil {
+		return report, fmt.Errorf("core: repairing node %d: %w", node, err)
+	}
 	if !a.cluster.Available(ctx, node) {
 		if err := ctx.Err(); err != nil {
 			return report, fmt.Errorf("core: repairing node %d: %w", node, err)

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/secarchive/sec/internal/erasure"
@@ -73,6 +75,32 @@ func TestRepairNodeRestoresRedundancy(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("version %d mismatch after repair", l+1)
+		}
+	}
+}
+
+// TestRepairNodeRefusesIndexOutsideCluster: a node index the cluster does
+// not have is refused as such, naming the index and the cluster size, before
+// any probe - not reported as a down node, which retries treat as transient.
+func TestRepairNodeRefusesIndexOutsideCluster(t *testing.T) {
+	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
+	cluster, _, pings := pingCountedCluster(cfg.N, nil)
+	a, err := New(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, a, bytes.Repeat([]byte{8}, a.Capacity()))
+	for _, node := range []int{-1, cfg.N} {
+		pings.Store(0)
+		_, err := a.RepairNodeContext(t.Context(), node)
+		if !errors.Is(err, store.ErrClusterTooSmall) || errors.Is(err, store.ErrNodeDown) || store.Retryable(err) {
+			t.Errorf("repair node %d: err = %v, want ErrClusterTooSmall, not ErrNodeDown", node, err)
+		}
+		if want := fmt.Sprintf("node index %d of %d", node, cfg.N); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("repair node %d: err = %v, want it to name %q", node, err, want)
+		}
+		if got := pings.Load(); got != 0 {
+			t.Errorf("repair node %d sent %d pings, want 0", node, got)
 		}
 	}
 }

@@ -1,27 +1,30 @@
-// Package loadgen is the gateway load soak: a deterministic, seed-driven
-// generator that drives a live gateway over loopback TCP through the public
-// secclient SDK, the way real clients do. It composes the internal/workload
-// sparse-edit model with a zipfian archive-popularity sampler over a large
-// archive population and a fixed weighted op mix
-// (commit/retrieve/latest/log/compact), runs a fleet of closed-loop
-// clients, and records latencies into lock-free per-client histogram shards
-// merged at the end. Per-node and wire accounting is the benchmark's job
-// (benchmark/), not this package's.
+// Package loadgen is the soak: a deterministic, seed-driven generator that
+// drives a live gateway over loopback TCP through the public secclient SDK,
+// the way real clients do, while seeded fault schedules perturb the storage
+// nodes. It composes the internal/workload sparse-edit model with a zipfian
+// archive-popularity sampler over a large archive population and a fixed
+// weighted op mix (commit/retrieve/latest/log/compact/scrub/repair), and
+// runs a fleet of closed-loop clients against node servers that front
+// MemNodes and DiskNodes alike. Per-node and wire accounting is the
+// benchmark's job (benchmark/), not this package's.
 //
 // Every run is replayable from Profile.Seed: each client draws its op
-// kinds, archive targets, and commit payloads from a private plan RNG
-// that no runtime event ever touches, so the planned (op, archive,
+// kinds, archive targets, repair targets and commit payloads from a private
+// plan RNG that no runtime event ever touches, so the planned (op, archive,
 // payload) trace — summarized in Report.ClientDigests/TraceDigest — is
 // identical across runs regardless of goroutine scheduling. Runtime
 // choices that legitimately depend on observed state (which committed
 // version to read back) come from a separate RNG so they can never
 // perturb the plan.
 //
-// Correctness is checked in-band: every committed payload's hash is
-// registered under the version the gateway assigned, every read is
-// verified against the registry, and a final sweep re-reads every
-// registered version — byte divergence anywhere is reported, which is
-// what makes the harness a soak and not just a meter.
+// Correctness is judged from the run's history: every client appends one
+// invoke/return event per operation to its own slice (client, archive, op,
+// version, byte hash, start, end, outcome), the setup commits and the final
+// sweep (a re-read of every acknowledged version and a scrub of every
+// archive, once the fault windows are over) are events too, and the package
+// tests check the merged history against the archive's sequential contract.
+// The latency quantiles of the Report are exact order statistics of the
+// same events.
 package loadgen
 
 import (
@@ -30,7 +33,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,7 +51,7 @@ import (
 
 // Profile configures one load run; Archives, Clients and OpsPerClient
 // must be positive. Everything else about the run is fixed (see the
-// constants below and spec).
+// constants below and specFor).
 type Profile struct {
 	// Seed drives every planned choice; identical profiles with identical
 	// seeds produce identical op traces and workload bytes.
@@ -63,7 +70,8 @@ type Profile struct {
 
 // The shape every run uses. Only the Profile fields vary between runs.
 const (
-	// nodes and k shape the (n, k) cluster; blockSize the striping.
+	// nodes and k shape the (n, k) cluster; blockSize the striping. The
+	// odd-numbered node servers front DiskNodes, the even ones MemNodes.
 	nodes, k  = 6, 4
 	blockSize = 16
 	// zipfS and zipfV are the popularity skew (s > 1, v >= 1).
@@ -72,30 +80,43 @@ const (
 	compactChain = 6
 	// timeout bounds each RPC round trip.
 	timeout = 10 * time.Second
-	// chaosWindowLen and chaosWindows are short shared-clock windows, so
-	// the measured phase sweeps through every fault window with ticks to
-	// spare.
-	chaosWindowLen = 30
-	chaosWindows   = 4
-	// verifyAttempts bounds the final sweep's per-read retries that absorb
-	// a cooling chaos window.
+	// chaosWindowLen and chaosWindows are short shared-clock windows that
+	// together span most of the soak's measured phase (1 200 of the 1 500
+	// to 2 200 ticks its 320 ops consume), so faults meet scrubs and repairs
+	// while the measured phase still outlasts every window.
+	chaosWindowLen = 50
+	chaosWindows   = 24
+	// verifyAttempts bounds the final sweep's per-op retries that absorb a
+	// breaker still cooling down after the windows.
 	verifyAttempts = 8
+	// setupClient and sweepClient are the client ids of the setup phase's
+	// seeding commits and of the final sweep's reads and scrubs in the
+	// history.
+	setupClient, sweepClient = -1, -2
 )
 
-// spec is the archive spec every archive is created with: the
-// production-ish configuration of the benchmark's hot_mixed workload
-// (checkpoints every 4, CDEC compression and a shared read cache on).
-var spec = secclient.Spec{
-	N:               nodes,
-	K:               k,
-	BlockSize:       blockSize,
-	CheckpointEvery: 4,
-	CompressDeltas:  true,
-	ReadCacheBytes:  1 << 20,
+// specFor is the spec archive arch is created with: the production-ish
+// configuration of the benchmark's hot_mixed workload (checkpoints every 4,
+// CDEC compression and a shared read cache on), under Basic SEC over a
+// non-systematic code for even archives and Optimized SEC over a
+// systematic one for odd archives.
+func specFor(arch int) secclient.Spec {
+	s := secclient.Spec{
+		N:               nodes,
+		K:               k,
+		BlockSize:       blockSize,
+		CheckpointEvery: 4,
+		CompressDeltas:  true,
+		ReadCacheBytes:  1 << 20,
+	}
+	if arch%2 == 1 {
+		s.Scheme, s.Code = "optimized-sec", "systematic-cauchy"
+	}
+	return s
 }
 
 // OpResult is the per-op-kind outcome of a run: counts, typed rejections,
-// and the merged latency distribution.
+// and the latency distribution.
 type OpResult struct {
 	// Op is the op kind name ("commit", "retrieve", ...).
 	Op string
@@ -120,86 +141,52 @@ type Report struct {
 	// yield equal digests, always.
 	ClientDigests []uint64
 	TraceDigest   uint64
-	// Divergences lists byte-identity violations observed by in-band
-	// read verification or the final sweep. Any entry is a correctness
-	// bug.
-	Divergences []string
-	// VerifiedVersions counts the (archive, version) pairs the final
-	// sweep re-read.
-	VerifiedVersions int
 	// Injected aggregates chaos injections; ChaosDesc is the replayable
 	// schedule description; ChaosTicks the shared-clock ticks consumed
 	// by the measured phase.
 	Injected   faults.InjectionStats
 	ChaosDesc  string
 	ChaosTicks uint64
+	// history is every operation of the run: the setup commits, each
+	// client's events in client order, then the final sweep's reads and
+	// scrubs.
+	history []event
 }
 
-// registry is the shared ground truth of committed bytes: payload hashes
-// keyed by (archive, version), the latest registered version per archive,
-// and the divergence log. It is the only cross-client shared state and
-// sits off the latency path (lookups and registrations happen outside the
-// timed RPC).
-type registry struct {
-	mu     sync.Mutex
-	latest []int
-	hashes []map[int]uint64
-	diverg []string
+// event is one operation of the history: what a client invoked, when, and
+// what came back. version is the version a commit was acknowledged with (0
+// when none), the version a retrieve asked for or a latest was served, the
+// number of entries a log listed, or the damage a scrub found (shards
+// missing or corrupt, objects undecodable); hash is the FNV-1a of the bytes
+// a commit sent or a read returned. underChaos marks a fleet operation
+// invoked before the last fault window closed.
+type event struct {
+	client, arch         int
+	op                   op
+	version              int
+	hash                 uint64
+	cacheHit, underChaos bool
+	start, end           time.Time
+	err                  error
 }
 
-func newRegistry(archives int) *registry {
-	r := &registry{latest: make([]int, archives), hashes: make([]map[int]uint64, archives)}
-	for i := range r.hashes {
-		r.hashes[i] = make(map[int]uint64)
-	}
-	return r
+// latest is the highest acknowledged version per archive: the range the
+// runtime RNG draws read targets from, and the only state clients share.
+type latest struct {
+	mu sync.Mutex
+	v  []int
 }
 
-func (r *registry) record(arch, version int, hash uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hashes[arch][version] = hash
-	if version > r.latest[arch] {
-		r.latest[arch] = version
-	}
+func (l *latest) raise(arch, version int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.v[arch] = max(l.v[arch], version)
 }
 
-func (r *registry) latestOf(arch int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.latest[arch]
-}
-
-func (r *registry) lookup(arch, version int) (uint64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hashes[arch][version]
-	return h, ok
-}
-
-func (r *registry) diverge(format string, args ...any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.diverg = append(r.diverg, fmt.Sprintf(format, args...))
-}
-
-func (r *registry) divergences() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.diverg...)
-}
-
-// versionsOf snapshots the registered versions of one archive in order.
-func (r *registry) versionsOf(arch int) []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	versions := make([]int, 0, len(r.hashes[arch]))
-	for v := 1; v <= r.latest[arch]; v++ {
-		if _, ok := r.hashes[arch][v]; ok {
-			versions = append(versions, v)
-		}
-	}
-	return versions
+func (l *latest) of(arch int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.v[arch]
 }
 
 func hash64(b []byte) uint64 {
@@ -219,29 +206,81 @@ func basePayload(seed int64, arch int) []byte {
 	return b
 }
 
+// issue performs e's operation through c and completes e with what came
+// back: payload is a commit's object, node a repair's target.
+func issue(ctx context.Context, c *secclient.Client, e *event, payload []byte, node int) {
+	name := archiveName(e.arch)
+	var got secclient.Version
+	e.start = time.Now()
+	switch e.op {
+	case opCommit:
+		var info secclient.CommitInfo
+		// A version comes back even when the error reports a follow-on
+		// failure (e.g. a failed auto-compaction): the bytes are durable.
+		info, e.err = c.Commit(ctx, name, payload)
+		e.version = info.Version
+	case opRetrieve:
+		got, e.err = c.Retrieve(ctx, name, e.version)
+	case opLatest:
+		got, e.err = c.Latest(ctx, name)
+		e.version = got.Version
+	case opLog:
+		var entries []secclient.LogEntry
+		entries, e.err = c.Log(ctx, name)
+		e.version = len(entries)
+	case opCompact:
+		_, e.err = c.Compact(ctx, name, compactChain)
+	case opScrub:
+		var sr secclient.ScrubReport
+		sr, e.err = c.Scrub(ctx, name, true)
+		e.version = sr.ShardsMissing + sr.ShardsCorrupt + sr.ObjectsUndecodable
+	case opRepair:
+		_, e.err = c.Repair(ctx, name, node)
+	}
+	e.end = time.Now()
+	if e.op == opRetrieve || e.op == opLatest {
+		e.hash, e.cacheHit = hash64(got.Data), got.Stats.CacheHits > 0
+	}
+}
+
 // fixture is the live system under load: n loopback-TCP node servers
-// (chaos-wrapped when asked), a cluster of remote-node clients, a gateway
-// over it, and the gateway's own TCP server.
+// (chaos-wrapped when asked) over MemNodes and DiskNodes under a directory
+// of its own, a cluster of remote-node clients, a gateway over it, and the
+// gateway's own TCP server.
 type fixture struct {
 	gw        *gateway.Gateway
 	gwServer  *transport.Server
 	addr      string
+	dir       string
 	nodeSrvs  []*transport.Server
 	nodeConns []*transport.RemoteNode
 	chaos     []*faults.ChaosNode
 	schedules []faults.Schedule
 	clock     *faults.Clock
+	chaosEnd  uint64 // the clock tick the last fault window closes at
 	desc      string
 }
 
 func startFixture(p Profile) (*fixture, error) {
-	fx := &fixture{}
+	dir, err := os.MkdirTemp("", "loadgen-")
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: node directory: %w", err)
+	}
+	fx := &fixture{dir: dir}
 	if p.Chaos {
 		fx.schedules, fx.clock, fx.desc = faults.SoakSchedules(p.Seed, nodes, nodes-k, chaosWindowLen, chaosWindows)
 	}
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("node-%d", i)
 		var node store.Node = store.NewMemNode(name)
+		if i%2 == 1 {
+			disk, err := store.NewDiskNode(name, filepath.Join(dir, name))
+			if err != nil {
+				fx.close()
+				return nil, fmt.Errorf("loadgen: node %d: %w", i, err)
+			}
+			node = disk
+		}
 		if p.Chaos {
 			// Rules are installed only after setup (activateChaos), so the
 			// seeded fault windows cover exactly the measured phase.
@@ -271,7 +310,7 @@ func startFixture(p Profile) (*fixture, error) {
 	//lint:allow retrydefault the production resilience stack is deliberately on: the load numbers must describe the configuration operators run
 	cluster.SetRetryPolicy(store.DefaultRetryPolicy)
 	if p.Chaos {
-		//lint:allow retrydefault chaos runs enable the breaker for the same reason; both knobs mirror the faults soak fixture
+		//lint:allow retrydefault chaos runs enable the breaker too, as operators of a faulty fleet would
 		cluster.SetHealthConfig(store.HealthConfig{TripAfter: 5, Cooldown: 2 * time.Second})
 	}
 	gw, err := gateway.New(gateway.Config{Cluster: cluster})
@@ -303,9 +342,23 @@ func (fx *fixture) activateChaos() {
 		for _, r := range fx.schedules[i].Rules {
 			r.From += base
 			r.To += base
+			fx.chaosEnd = max(fx.chaosEnd, r.To)
 			sched.Rules = append(sched.Rules, r)
 		}
 		ch.SetSchedule(sched)
+	}
+}
+
+// underChaos reports whether a fault window is still open or ahead.
+func (fx *fixture) underChaos() bool {
+	return fx.clock != nil && fx.clock.Ticks() < fx.chaosEnd
+}
+
+// endChaos clears every schedule, so what follows runs after the windows
+// even when the measured phase ended inside one.
+func (fx *fixture) endChaos() {
+	for _, ch := range fx.chaos {
+		ch.SetSchedule(faults.Schedule{})
 	}
 }
 
@@ -325,7 +378,8 @@ func (fx *fixture) injected() faults.InjectionStats {
 
 // close tears the fixture down in dependency order: the gateway server
 // stops admitting clients, the gateway persists its manifests to the
-// still-running cluster, then the node links and node servers go.
+// still-running cluster, then the node links, the node servers and the
+// DiskNodes' directory go.
 func (fx *fixture) close() {
 	if fx.gwServer != nil {
 		_ = fx.gwServer.Close()
@@ -340,18 +394,15 @@ func (fx *fixture) close() {
 	for _, s := range fx.nodeSrvs {
 		_ = s.Close()
 	}
+	_ = os.RemoveAll(fx.dir)
 }
 
-// clientResult is one client's shard of the run outcome: its private
-// histograms and counters, and its planned-trace digest.
+// clientResult is one client's share of the run: its events and its
+// planned-trace digest.
 type clientResult struct {
-	hists     [numOps]Histogram
-	counts    [numOps]uint64
-	errs      [numOps]uint64
-	busy      [numOps]uint64
-	conflicts [numOps]uint64
-	digest    uint64
-	fatal     error
+	events []event
+	digest uint64
+	fatal  error
 }
 
 // planSeed and runSeed derive per-client RNG seeds from the profile seed.
@@ -361,14 +412,14 @@ func planSeed(seed int64, client int) int64 { return seed + int64(client+1)*0x10
 func runSeed(seed int64, client int) int64  { return seed ^ (int64(client+1) * 0x100000001B3) }
 
 // runClient executes one closed-loop client: draw an op and a target from
-// the plan, issue it through the SDK, verify bytes against the registry,
-// and record the latency into this client's own histogram shard.
-func runClient(ctx context.Context, p Profile, addr string, id int, reg *registry) *clientResult {
+// the plan, issue it through the SDK, and append the event to this
+// client's own history.
+func runClient(ctx context.Context, p Profile, fx *fixture, id int, tip *latest) *clientResult {
 	res := &clientResult{}
 	plan := rand.New(rand.NewSource(planSeed(p.Seed, id)))
 	runtime := rand.New(rand.NewSource(runSeed(p.Seed, id)))
 	pop := newPopularity(plan, p.Archives)
-	client := secclient.Dial(addr,
+	client := secclient.Dial(fx.addr,
 		secclient.WithTimeout(timeout),
 		secclient.WithID(fmt.Sprintf("loadgen-client-%d", id)))
 	defer client.Close()
@@ -376,95 +427,101 @@ func runClient(ctx context.Context, p Profile, addr string, id int, reg *registr
 	digest := fnv.New64a()
 	var rec [13]byte
 	local := make(map[int][]byte) // per-archive edit chain tip, this client's view
+ops:
 	for i := 0; i < p.OpsPerClient; i++ {
 		if ctx.Err() != nil {
 			res.fatal = context.Cause(ctx)
 			break
 		}
-		kind := nextOp(plan)
-		arch := pop.sample()
-		name := archiveName(arch)
+		e := event{client: id, op: nextOp(plan), arch: pop.sample()}
 
-		// Plan the payload before timing anything: commit bytes are a pure
-		// function of the plan stream, never of runtime outcomes.
+		// Plan the payload and the repair target before timing anything:
+		// both are pure functions of the plan stream, never of runtime
+		// outcomes.
 		var payload []byte
-		var phash uint64
-		if kind == opCommit {
-			cur, ok := local[arch]
+		var node int
+		switch e.op {
+		case opCommit:
+			cur, ok := local[e.arch]
 			if !ok {
-				cur = basePayload(p.Seed, arch)
+				cur = basePayload(p.Seed, e.arch)
 			}
 			gamma := 1 + plan.Intn(k)
 			var err error
 			payload, err = workload.SparseEdit(plan, cur, blockSize, gamma)
 			if err != nil {
 				res.fatal = err
-				break
+				break ops
 			}
-			local[arch] = payload
-			phash = hash64(payload)
+			local[e.arch] = payload
+			e.hash = hash64(payload)
+		case opRetrieve:
+			e.version = 1 + runtime.Intn(tip.of(e.arch))
+		case opRepair:
+			node = plan.Intn(nodes)
 		}
-		rec[0] = byte(kind)
-		binary.LittleEndian.PutUint32(rec[1:5], uint32(arch))
-		binary.LittleEndian.PutUint64(rec[5:13], phash)
+		rec[0] = byte(e.op)
+		binary.LittleEndian.PutUint32(rec[1:5], uint32(e.arch))
+		binary.LittleEndian.PutUint64(rec[5:13], e.hash)
 		digest.Write(rec[:])
 
-		start := time.Now()
-		var opErr error
-		switch kind {
-		case opCommit:
-			var info secclient.CommitInfo
-			info, opErr = client.Commit(ctx, name, payload)
-			if info.Version > 0 {
-				// The bytes are durable even when opErr reports a follow-on
-				// failure (e.g. a failed auto-compaction), so readers may
-				// verify against them.
-				reg.record(arch, info.Version, phash)
-			}
-		case opRetrieve:
-			version := 1 + runtime.Intn(reg.latestOf(arch))
-			var got secclient.Version
-			got, opErr = client.Retrieve(ctx, name, version)
-			if opErr == nil {
-				if want, ok := reg.lookup(arch, got.Version); ok && hash64(got.Data) != want {
-					reg.diverge("client %d: %s v%d bytes diverged", id, name, got.Version)
-				}
-			}
-		case opLatest:
-			var got secclient.Version
-			got, opErr = client.Latest(ctx, name)
-			if opErr == nil {
-				if want, ok := reg.lookup(arch, got.Version); ok && hash64(got.Data) != want {
-					reg.diverge("client %d: %s latest (v%d) bytes diverged", id, name, got.Version)
-				}
-			}
-		case opLog:
-			var entries []secclient.LogEntry
-			entries, opErr = client.Log(ctx, name)
-			if opErr == nil && len(entries) == 0 {
-				reg.diverge("client %d: %s log empty after seeding", id, name)
-			}
-		case opCompact:
-			_, opErr = client.Compact(ctx, name, compactChain)
+		e.underChaos = fx.underChaos()
+		issue(ctx, client, &e, payload, node)
+		if e.op == opCommit && e.version > 0 {
+			tip.raise(e.arch, e.version)
 		}
-		res.hists[kind].Record(time.Since(start))
-		res.counts[kind]++
-		switch {
-		case opErr == nil:
-		case errors.Is(opErr, store.ErrBusy):
-			res.busy[kind]++
-		case errors.Is(opErr, store.ErrConflict):
-			res.conflicts[kind]++
-		default:
-			res.errs[kind]++
-		}
+		res.events = append(res.events, e)
 	}
 	res.digest = digest.Sum64()
 	return res
 }
 
+// opResults folds the fleet's events into one row per op kind issued. The
+// latency quantiles are exact: order statistics of the sorted durations.
+func opResults(history []event) []OpResult {
+	var rows [numOps]OpResult
+	var durations [numOps][]time.Duration
+	for _, e := range history {
+		if e.client < 0 {
+			continue // setup and sweep are not fleet traffic
+		}
+		r := &rows[e.op]
+		r.Count++
+		switch {
+		case e.err == nil:
+		case errors.Is(e.err, store.ErrBusy):
+			r.Busy++
+		case errors.Is(e.err, store.ErrConflict):
+			r.Conflicts++
+		default:
+			r.Errors++
+		}
+		durations[e.op] = append(durations[e.op], e.end.Sub(e.start))
+	}
+	var out []OpResult
+	for kind, d := range durations {
+		if len(d) == 0 {
+			continue
+		}
+		slices.Sort(d)
+		var sum time.Duration
+		for _, x := range d {
+			sum += x
+		}
+		quantile := func(q float64) time.Duration {
+			return d[max(int(math.Ceil(q*float64(len(d)))), 1)-1]
+		}
+		r := rows[kind]
+		r.Op = opNames[kind]
+		r.P50, r.P99, r.P999 = quantile(0.50), quantile(0.99), quantile(0.999)
+		r.Mean, r.Max = sum/time.Duration(len(d)), d[len(d)-1]
+		out = append(out, r)
+	}
+	return out
+}
+
 // Run executes the profile against a freshly built gateway fixture and
-// returns the merged report. The context bounds the whole run; a
+// returns the report with its history. The context bounds the whole run; a
 // cancellation mid-run tears the fixture down and returns the cause.
 func Run(ctx context.Context, p Profile) (Report, error) {
 	fx, err := startFixture(p)
@@ -478,8 +535,10 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 	// the run.
 	setup := secclient.Dial(fx.addr, secclient.WithTimeout(timeout), secclient.WithID("loadgen-setup"))
 	defer setup.Close()
-	reg := newRegistry(p.Archives)
-	setupErrs := make(chan error, p.Archives)
+	tip := &latest{v: make([]int, p.Archives)}
+	workers := min(8, p.Archives)
+	seeded := make([][]event, workers)
+	setupErrs := make(chan error, workers)
 	var setupWG sync.WaitGroup
 	// The work queue is pre-filled and buffered so a worker that bails on
 	// an error never wedges the producer.
@@ -488,24 +547,25 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		work <- arch
 	}
 	close(work)
-	workers := min(8, p.Archives)
 	for w := 0; w < workers; w++ {
 		setupWG.Add(1)
 		go func() {
 			defer setupWG.Done()
 			for arch := range work {
 				name := archiveName(arch)
-				if _, err := setup.Create(ctx, name, spec); err != nil {
+				if _, err := setup.Create(ctx, name, specFor(arch)); err != nil {
 					setupErrs <- fmt.Errorf("loadgen: creating %s: %w", name, err)
 					return
 				}
 				base := basePayload(p.Seed, arch)
-				info, err := setup.Commit(ctx, name, base)
-				if err != nil {
-					setupErrs <- fmt.Errorf("loadgen: seeding %s: %w", name, err)
+				e := event{client: setupClient, arch: arch, op: opCommit, hash: hash64(base)}
+				issue(ctx, setup, &e, base, 0)
+				if e.err != nil {
+					setupErrs <- fmt.Errorf("loadgen: seeding %s: %w", name, e.err)
 					return
 				}
-				reg.record(arch, info.Version, hash64(base))
+				tip.raise(arch, e.version)
+				seeded[w] = append(seeded[w], e)
 			}
 		}()
 	}
@@ -529,7 +589,7 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			results[c] = runClient(ctx, p, fx.addr, c, reg)
+			results[c] = runClient(ctx, p, fx, c, tip)
 		}(c)
 	}
 	wg.Wait()
@@ -540,43 +600,19 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		}
 	}
 
-	// Merge the per-client shards.
-	var merged [numOps]Histogram
-	var counts, errs, busy, conflicts [numOps]uint64
-	report := Report{Elapsed: elapsed, ClientDigests: make([]uint64, p.Clients)}
+	report := Report{Elapsed: elapsed, ClientDigests: make([]uint64, p.Clients), history: slices.Concat(seeded...)}
 	trace := fnv.New64a()
 	var buf [8]byte
 	for c, r := range results {
-		for kind := 0; kind < numOps; kind++ {
-			merged[kind].Merge(&r.hists[kind])
-			counts[kind] += r.counts[kind]
-			errs[kind] += r.errs[kind]
-			busy[kind] += r.busy[kind]
-			conflicts[kind] += r.conflicts[kind]
-		}
+		report.history = append(report.history, r.events...)
 		report.ClientDigests[c] = r.digest
 		binary.LittleEndian.PutUint64(buf[:], r.digest)
 		trace.Write(buf[:])
 	}
 	report.TraceDigest = trace.Sum64()
-	for kind := 0; kind < numOps; kind++ {
-		if counts[kind] == 0 {
-			continue
-		}
-		h := &merged[kind]
-		report.Ops = append(report.Ops, OpResult{
-			Op:        opNames[kind],
-			Count:     counts[kind],
-			Errors:    errs[kind],
-			Busy:      busy[kind],
-			Conflicts: conflicts[kind],
-			P50:       h.Quantile(0.50),
-			P99:       h.Quantile(0.99),
-			P999:      h.Quantile(0.999),
-			Mean:      h.Mean(),
-			Max:       h.Max(),
-		})
-		report.TotalOps += counts[kind]
+	report.Ops = opResults(report.history)
+	for _, op := range report.Ops {
+		report.TotalOps += op.Count
 	}
 	if fx.clock != nil {
 		report.ChaosTicks = fx.clock.Ticks() - ticksBefore
@@ -584,20 +620,25 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 		report.ChaosDesc = fx.desc
 	}
 
-	// Final sweep: every registered version must still read back
-	// byte-identically through a fresh client; bounded retries absorb a
-	// chaos window that has not yet expired.
+	// Final sweep, after the windows: every acknowledged version is read
+	// back through a fresh client, then every archive is scrubbed; bounded
+	// retries absorb a breaker still cooling down. Whether the bytes are
+	// right and the archive is whole is the history's to judge.
+	fx.endChaos()
+	sweep := make([][]event, p.Archives)
+	for _, e := range report.history {
+		if e.op == opCommit && e.version > 0 {
+			sweep[e.arch] = append(sweep[e.arch], event{client: sweepClient, arch: e.arch, op: opRetrieve, version: e.version})
+		}
+	}
 	verifier := secclient.Dial(fx.addr, secclient.WithTimeout(timeout), secclient.WithID("loadgen-verify"))
 	defer verifier.Close()
-	for arch := 0; arch < p.Archives; arch++ {
-		name := archiveName(arch)
-		for _, version := range reg.versionsOf(arch) {
-			want, _ := reg.lookup(arch, version)
-			var got secclient.Version
-			var verr error
+	for arch, events := range sweep {
+		for _, e := range append(events, event{client: sweepClient, arch: arch, op: opScrub}) {
 			for attempt := 0; attempt < verifyAttempts; attempt++ {
-				got, verr = verifier.Retrieve(ctx, name, version)
-				if verr == nil {
+				issue(ctx, verifier, &e, nil, 0)
+				report.history = append(report.history, e)
+				if e.err == nil {
 					break
 				}
 				if ctx.Err() != nil {
@@ -605,17 +646,8 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 				}
 				time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
 			}
-			if verr != nil {
-				reg.diverge("final sweep: %s v%d unretrievable: %v", name, version, verr)
-				continue
-			}
-			if hash64(got.Data) != want {
-				reg.diverge("final sweep: %s v%d bytes diverged", name, version)
-			}
-			report.VerifiedVersions++
 		}
 	}
-	report.Divergences = reg.divergences()
 	if err := ctx.Err(); err != nil {
 		return report, context.Cause(ctx)
 	}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,11 +61,11 @@ func TestRunDeterminism(t *testing.T) {
 	// smallProfile(42) plans exactly these ops. A change here means the
 	// generator's plan drifted (every seeded load result before it stops
 	// being comparable); update the literals only when that is intended.
-	const pinnedDigest = 0xd7e8d3f57f0b5c44
+	const pinnedDigest = 0xdf7f2d81e2a8ed8e
 	pinnedCounts := []struct {
 		op    string
 		count uint64
-	}{{"commit", 16}, {"retrieve", 26}, {"latest", 7}, {"log", 6}, {"compact", 5}}
+	}{{"commit", 13}, {"retrieve", 17}, {"latest", 13}, {"log", 3}, {"compact", 3}, {"scrub", 4}, {"repair", 7}}
 	if first.TraceDigest != pinnedDigest {
 		t.Errorf("smallProfile(42) trace digest = %#x, pinned %#x: the seed-pinned plan drifted", first.TraceDigest, uint64(pinnedDigest))
 	}
@@ -87,8 +88,8 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestRunReport checks the report's accounting invariants on a clean
-// (chaos-free) run: all planned ops issued, none failed, every read
-// byte-identical, and latency quantiles ordered.
+// (chaos-free) run: all planned ops issued, none failed, a legal history,
+// and latency quantiles ordered.
 func TestRunReport(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	p := smallProfile(7)
@@ -99,11 +100,8 @@ func TestRunReport(t *testing.T) {
 	if want := uint64(p.Clients * p.OpsPerClient); report.TotalOps != want {
 		t.Errorf("TotalOps = %d, want %d", report.TotalOps, want)
 	}
-	if len(report.Divergences) != 0 {
-		t.Errorf("byte divergences on a clean run: %q", report.Divergences)
-	}
-	if report.VerifiedVersions == 0 {
-		t.Error("final sweep verified nothing")
+	if bad := checkHistory(report.history); len(bad) != 0 {
+		t.Errorf("history of a clean run violates the contract:\n%s", strings.Join(bad, "\n"))
 	}
 	for _, op := range report.Ops {
 		if op.Errors != 0 {

@@ -37,15 +37,17 @@ const (
 	opLatest
 	opLog
 	opCompact
+	opScrub
+	opRepair
 
-	numOps = int(opCompact) + 1
+	numOps = int(opRepair) + 1
 )
 
 // opNames names the op kinds in reports.
-var opNames = [numOps]string{"commit", "retrieve", "latest", "log", "compact"}
+var opNames = [numOps]string{"commit", "retrieve", "latest", "log", "compact", "scrub", "repair"}
 
 // opMix weights the op kinds in op order; the weights sum to mixTotal.
-var opMix = [numOps]int{25, 40, 20, 10, 5}
+var opMix = [numOps]int{25, 30, 17, 8, 4, 8, 8}
 
 const mixTotal = 100
 
@@ -58,5 +60,5 @@ func nextOp(rng *rand.Rand) op {
 		}
 		u -= weight
 	}
-	return opCompact // unreachable: the weights sum to mixTotal
+	return opRepair // unreachable: the weights sum to mixTotal
 }

@@ -1,8 +1,8 @@
 // Package testutil holds the leak-check and condition-polling helpers the
-// concurrency suites share (the chaos soak, the served-gateway tests, the
-// load-generator soak), so every suite applies the same discipline instead
-// of carrying per-file copies: no fixed sleeps, only conditions polled
-// under a deadline.
+// concurrency suites share (the soak in internal/loadgen, the
+// served-gateway tests), so every suite applies the same discipline
+// instead of carrying per-file copies: no fixed sleeps, only conditions
+// polled under a deadline.
 package testutil
 
 import (
