@@ -256,7 +256,7 @@ func cmdCommit(ctx context.Context, out io.Writer, client *secclient.Client, res
 	}
 	// The gateway owns the crash-safe ordering: commit, persist the
 	// manifest (even when auto-compaction failed mid-commit), replicate it
-	// to the nodes, then reclaim superseded codewords.
+	// to the nodes, then reclaim what the commit superseded.
 	info, err := client.Commit(ctx, name, content)
 	if err != nil {
 		return err
@@ -273,8 +273,11 @@ func cmdCommit(ctx context.Context, out io.Writer, client *secclient.Client, res
 	}
 	fmt.Fprintf(out, "committed version %d as %s: %d shard writes\n", info.Version, what, info.ShardWrites)
 	if ci := info.Compaction; ci != nil && ci.Changed() {
-		fmt.Fprintf(out, "auto-compacted to max chain %d: %d rebased, %d promoted, %d superseded shards deleted\n",
-			ci.MaxChainLength, len(ci.Rebased), len(ci.Promoted), ci.ShardsDeleted)
+		fmt.Fprintf(out, "auto-compacted to max chain %d: %d rebased, %d promoted\n",
+			ci.MaxChainLength, len(ci.Rebased), len(ci.Promoted))
+	}
+	if info.ReclaimedShards+info.OrphanShards > 0 {
+		fmt.Fprintf(out, "%d superseded shards deleted (%d orphaned)\n", info.ReclaimedShards, info.OrphanShards)
 	}
 	return nil
 }
@@ -464,7 +467,7 @@ func cmdCompact(ctx context.Context, out io.Writer, client *secclient.Client, re
 		return err
 	}
 	// The gateway runs the crash-safe ordering: rewrite and swap while
-	// keeping the superseded codewords, persist the new manifest (locally
+	// queueing the superseded codewords, persist the new manifest (locally
 	// and onto the nodes), and only then reclaim.
 	report, err := client.Compact(ctx, name, *maxChain)
 	if err != nil {
@@ -472,7 +475,8 @@ func cmdCompact(ctx context.Context, out io.Writer, client *secclient.Client, re
 	}
 	info := report.Info
 	if !info.Changed() {
-		fmt.Fprintf(out, "chains already within %d deltas: nothing to compact\n", info.MaxChainLength)
+		fmt.Fprintf(out, "chains already within %d deltas: nothing to compact, %d superseded shards deleted (%d orphaned)\n",
+			info.MaxChainLength, report.Deleted, report.Orphans)
 		return nil
 	}
 	fmt.Fprintf(out, "compacted to max chain %d: %d versions rebased, %d promoted to checkpoints, %d shard writes, %d superseded shards deleted (%d orphaned), %d node reads\n",

@@ -38,19 +38,17 @@
 //     proactively at commit time.
 //   - MaxChainLength bounds how many delta applications any retrieval may
 //     need. A commit that pushes a version past the bound triggers
-//     compaction, and Archive.CompactContext (or CompactToContext with an
-//     explicit bound) runs the same pass on demand: over-deep versions are
-//     rebased onto their nearest full anchor with a merged (XOR-composed)
-//     delta whose sparsity is recomputed, merged deltas too dense to
-//     sparse-read are promoted to full checkpoints, the manifest is
-//     swapped atomically, and the superseded delta codewords are deleted
-//     from the storage nodes in one batch per node. Commit-triggered
-//     passes defer that deletion by one operation (the next commit, or an
-//     explicit ReclaimSupersededContext, frees the queued codewords) so a
-//     caller that persists its manifest after each commit is never left
-//     with a persisted manifest naming deleted objects; for the same
-//     ordering on demand, pair CompactKeepSupersededContext with
-//     ReclaimSupersededContext.
+//     compaction, and Archive.CompactToContext runs the same pass on
+//     demand: over-deep versions are rebased onto their nearest full
+//     anchor with a merged (XOR-composed) delta whose sparsity is
+//     recomputed, merged deltas too dense to sparse-read are promoted to
+//     full checkpoints, and the manifest is swapped atomically.
+//   - Nothing a commit or compaction supersedes (the old tip's full under
+//     Reversed SEC, the old deltas of a compaction) is deleted by it: it
+//     is queued, and Archive.ReclaimSupersededContext deletes the queue in
+//     one batch per node. Call it once the manifest that stops naming
+//     those codewords is persisted, and a persisted manifest never names a
+//     deleted object; the gateway does so after every publish.
 //
 // Every version stays retrievable byte-identically through and after a
 // compaction; only the stored representation (and the read cost) changes.
@@ -59,7 +57,7 @@
 //
 // Every archive operation takes a context first (CommitContext,
 // RetrieveContext, RetrieveAllContext, LatestContext, ScrubContext,
-// RepairNodeContext, CompactContext) and there is no context-free spelling:
+// RepairNodeContext, CompactToContext) and there is no context-free spelling:
 // the context bounds the whole operation end to end. Against TCP nodes the context deadline becomes the
 // wire deadline (when earlier than the per-node operation timeout), and
 // cancellation interrupts in-flight RPCs immediately, so a retrieval

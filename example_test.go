@@ -90,7 +90,9 @@ func ExampleArchive_PlannedReads() {
 // ExampleArchive_CompactToContext bounds a deep Reversed SEC chain: the
 // versions furthest from the full anchor are rebased onto it with merged
 // deltas, the superseded delta codewords are reclaimed from the nodes, and
-// the oldest version becomes dramatically cheaper to read.
+// the oldest version becomes dramatically cheaper to read. Commits and
+// compaction only queue what they supersede; an owner reclaims it once the
+// manifest that stops naming it is persisted, here right away.
 func ExampleArchive_CompactToContext() {
 	ctx := context.Background()
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
@@ -110,6 +112,9 @@ func ExampleArchive_CompactToContext() {
 		if _, err := archive.CommitContext(ctx, object); err != nil {
 			log.Fatal(err)
 		}
+		if _, _, err := archive.ReclaimSupersededContext(ctx); err != nil {
+			log.Fatal(err)
+		}
 	}
 	_, before, err := archive.RetrieveContext(ctx, 1)
 	if err != nil {
@@ -119,11 +124,15 @@ func ExampleArchive_CompactToContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	reclaimed, _, err := archive.ReclaimSupersededContext(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 	_, after, err := archive.RetrieveContext(ctx, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rebased %d versions, reclaimed %d superseded shards\n", len(info.Rebased), info.ShardsDeleted)
+	fmt.Printf("rebased %d versions, reclaimed %d superseded shards\n", len(info.Rebased), reclaimed)
 	fmt.Printf("oldest version: %d node reads before, %d after\n", before.NodeReads, after.NodeReads)
 	// Output:
 	// rebased 4 versions, reclaimed 18 superseded shards

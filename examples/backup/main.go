@@ -62,8 +62,13 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		// The commit queued the previous night's full image; free it.
+		_, orphans, err := backups.ReclaimSupersededContext(ctx)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("night %d: files %v changed -> delta gamma=%d (orphaned shards: %d)\n",
-			night, touched, info.Gamma, info.OrphanShards)
+			night, touched, info.Gamma, orphans)
 	}
 
 	fmt.Println("\nrestore costs (node reads):")

@@ -4,7 +4,9 @@
 // from the latest full codeword), then CompactToContext bounds the chain:
 // over-deep versions are rebased onto the anchor with merged deltas - or
 // promoted to full checkpoints when the merge comes out dense - and the
-// superseded delta codewords are physically deleted from the nodes.
+// superseded delta codewords are physically deleted from the nodes by the
+// reclaim that follows (an owner that persists the manifest runs it after
+// the persist; here there is nothing to persist).
 //
 // The walkthrough prints, for each phase, the chain shape, the measured
 // node reads for the oldest version, and the cluster's shard population,
@@ -69,6 +71,9 @@ func run(ctx context.Context) error {
 		if _, err := archive.CommitContext(ctx, object); err != nil {
 			return err
 		}
+		if _, _, err := archive.ReclaimSupersededContext(ctx); err != nil { // the old tip's full
+			return err
+		}
 	}
 	fmt.Printf("== before compaction\n")
 	if err := report(ctx, cluster, archive); err != nil {
@@ -82,10 +87,14 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	deleted, orphans, err := archive.ReclaimSupersededContext(ctx)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\n== compacted to max chain %d\n", info.MaxChainLength)
 	fmt.Printf("rebased versions %v, promoted %v\n", info.Rebased, info.Promoted)
 	fmt.Printf("wrote %d shards, deleted %d superseded shards (%d orphaned), spent %d maintenance reads\n",
-		info.ShardWrites, info.ShardsDeleted, info.OrphanShards, info.NodeReads)
+		info.ShardWrites, deleted, orphans, info.NodeReads)
 	if err := report(ctx, cluster, archive); err != nil {
 		return err
 	}
@@ -120,6 +129,9 @@ func run(ctx context.Context) error {
 	}
 	for _, version := range history {
 		if _, err := auto.CommitContext(ctx, version); err != nil {
+			return err
+		}
+		if _, _, err := auto.ReclaimSupersededContext(ctx); err != nil {
 			return err
 		}
 	}

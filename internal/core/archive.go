@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/secarchive/sec/internal/delta"
@@ -35,9 +36,10 @@ type Archive struct {
 	entries  []entry
 	cache    [][]byte // blocks of the latest version, for delta computation; read-only
 	cacheLen int      // byte length of the cached version
-	// superseded queues delta codewords replaced by compaction whose
-	// deletion is deferred (CompactKeepSupersededContext) or failed
-	// (orphans on unreachable nodes), drained by reclaimLocked.
+	// superseded queues every codeword a change has replaced - the old
+	// tip's full under Reversed SEC, compaction's old deltas - until the
+	// owner that persists the manifest reclaims them (ReclaimSupersededContext);
+	// deletions that left orphans stay queued.
 	superseded []codeword
 	// generation counts the publishes of this archive's metadata, changed
 	// lists the versions whose entries moved since (NextRecord, Snapshot).
@@ -68,20 +70,14 @@ type CommitInfo struct {
 	Gamma int
 	// ShardWrites counts shards written to nodes.
 	ShardWrites int
-	// OrphanShards counts shards of a replaced full version that could
-	// not be deleted (their nodes were down); they are garbage, not a
-	// correctness problem.
-	OrphanShards int
-	// ReclaimedShards counts shards of codewords superseded by EARLIER
-	// compaction passes that this commit garbage-collected (deferred GC
-	// drains one operation later, once the caller has had a chance to
-	// persist the post-compaction manifest).
-	ReclaimedShards int
+	// OrphanShards and ReclaimedShards count the superseded shards the
+	// publish after the commit left on down nodes (garbage, not a
+	// correctness problem) and those it deleted. The commit itself only
+	// queues what it supersedes, so core leaves both zero; the gateway
+	// fills them.
+	OrphanShards, ReclaimedShards int
 	// Compaction reports the auto-compaction this commit triggered (nil
-	// when MaxChainLength is unset or no chain exceeded it). Its
-	// superseded codewords are queued, not yet deleted: the next commit
-	// (or an explicit ReclaimSupersededContext / compaction pass) frees
-	// them.
+	// when MaxChainLength is unset or no chain exceeded it).
 	Compaction *CompactionInfo
 }
 
@@ -233,7 +229,9 @@ func (a *Archive) Versions() int {
 //
 // A commit's work follows the delta's sparsity gamma: the object is compared
 // block by block with the latest version, and only the gamma blocks that
-// changed are copied, XORed and encoded.
+// changed are copied, XORed and encoded. A commit deletes nothing: what it
+// supersedes is queued for ReclaimSupersededContext, which the owner calls
+// once it has persisted the manifest that stops naming it.
 func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo, error) {
 	if err := a.blocking.CheckLength(len(object)); err != nil {
 		return CommitInfo{}, err
@@ -242,25 +240,18 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	// Codewords superseded by earlier compaction passes have outlived
-	// their grace period (the caller has had a full operation in which to
-	// persist the post-compaction manifest), so reclaim them first.
-	reclaimed := 0
-	if len(a.superseded) > 0 {
-		reclaimed, _ = a.reclaimLocked(ctx)
-	}
 	version := len(a.entries) + 1
 	if err := a.ensureNodes(version); err != nil {
-		return CommitInfo{ReclaimedShards: reclaimed}, err
+		return CommitInfo{}, err
 	}
 	if version == 1 {
 		blocks, err := a.blocking.Split(object)
 		if err != nil {
-			return CommitInfo{ReclaimedShards: reclaimed}, err
+			return CommitInfo{}, err
 		}
-		info := CommitInfo{Version: 1, StoredFull: true, ReclaimedShards: reclaimed}
+		info := CommitInfo{Version: 1, StoredFull: true}
 		if err := a.writeObject(ctx, a.fullCodeword(1), blocks, &info.ShardWrites); err != nil {
-			return CommitInfo{ReclaimedShards: reclaimed}, err
+			return CommitInfo{}, err
 		}
 		a.entries = append(a.entries, entry{hasFull: true, length: len(object)})
 		a.changed = append(a.changed, 1)
@@ -271,21 +262,21 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 
 	if a.cache == nil {
 		if err := a.restoreCacheLocked(ctx); err != nil {
-			return CommitInfo{ReclaimedShards: reclaimed}, fmt.Errorf("core: restoring latest-version cache: %w", err)
+			return CommitInfo{}, fmt.Errorf("core: restoring latest-version cache: %w", err)
 		}
 	}
 	blocks, d, err := a.blocking.Diff(a.cache, object)
 	if err != nil {
-		return CommitInfo{ReclaimedShards: reclaimed}, err
+		return CommitInfo{}, err
 	}
 	gamma := d.Gamma()
-	info := CommitInfo{Version: version, Gamma: gamma, ReclaimedShards: reclaimed}
+	info := CommitInfo{Version: version, Gamma: gamma}
 
 	storeDelta, storeFull := a.commitPlan(gamma)
 	// Auto-checkpoint: when CheckpointEvery is set and the new version
 	// would land CheckpointEvery or more versions past the last stored
 	// full codeword, store a full codeword alongside the delta so no chain
-	// grows unboundedly deep (Reversed SEC checkpoints at deletion time
+	// grows unboundedly deep (Reversed SEC checkpoints at supersede time
 	// below instead, since it stores a full every commit).
 	if !storeFull && a.cfg.CheckpointEvery > 0 && version-a.lastFullBelow(version) >= a.cfg.CheckpointEvery {
 		storeFull = true
@@ -295,14 +286,14 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	if storeDelta {
 		cw, err := a.storeDelta(ctx, deltaID(a.cfg.Name, version), version, d, &info.ShardWrites)
 		if err != nil {
-			return CommitInfo{ReclaimedShards: reclaimed}, err
+			return CommitInfo{}, err
 		}
 		e.setDelta(cw, 0)
 		info.StoredDelta, info.Compressed = true, cw.cdec()
 	}
 	if storeFull {
 		if err := a.writeObject(ctx, a.fullCodeword(version), blocks, &info.ShardWrites); err != nil {
-			return CommitInfo{ReclaimedShards: reclaimed}, err
+			return CommitInfo{}, err
 		}
 		info.StoredFull = true
 	}
@@ -324,7 +315,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 				a.changed = append(a.changed, prev)
 			}
 			if !keep {
-				info.OrphanShards = a.deleteObject(ctx, a.fullCodeword(prev))
+				a.superseded = append(a.superseded, a.fullCodeword(prev))
 				pe.hasFull = false
 				a.changed = append(a.changed, prev)
 			}
@@ -333,16 +324,11 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	a.setCache(blocks, len(object))
 	if a.cfg.MaxChainLength > 0 {
 		if depths, _, _, err := chainDepthsOf(a.entries); err == nil && maxDepth(depths) > a.cfg.MaxChainLength {
-			// Superseded codewords are kept (queued) rather than deleted:
-			// the caller has not persisted the post-compaction manifest
-			// yet, so deleting now could strand a crash-recovered manifest.
-			// ReclaimSupersededContext (or the next compaction pass) frees
-			// them once the caller has saved.
-			ci, err := a.compactLocked(ctx, a.cfg.MaxChainLength, true)
+			ci, err := a.compactLocked(ctx, a.cfg.MaxChainLength)
 			if err != nil {
 				// The commit itself is durable and the chain is intact; only
 				// the maintenance pass failed. Surface it without undoing
-				// the commit - the caller can retry CompactContext.
+				// the commit - the caller can retry CompactToContext.
 				return info, fmt.Errorf("core: version %d committed, but auto-compaction failed: %w", version, err)
 			}
 			info.Compaction = &ci
@@ -541,7 +527,10 @@ func (a *Archive) writeObject(ctx context.Context, cw codeword, blocks [][]byte,
 // shard contents on Put), and hold stale bytes until encode overwrites them.
 // Every shard is attempted even when one fails, so a commit interrupted by
 // one dead node leaves as few holes as possible; the first failure is
-// returned.
+// returned. A codeword written whole holds live content, so its name leaves
+// the superseded queue: a re-rebase onto a base used before, or a
+// promotion of a version whose old full is still queued, reuses a name.
+// Caller holds the write lock.
 func (a *Archive) putEncoded(ctx context.Context, cw codeword, blockLen int, writes *int, encode func(dst [][]byte) error) error {
 	bufs := erasure.GetBuffers(cw.code.N(), blockLen)
 	defer bufs.Release()
@@ -558,13 +547,17 @@ func (a *Archive) putEncoded(ctx context.Context, cw codeword, blockLen int, wri
 			firstErr = fmt.Errorf("core: writing %s#%d to node %d: %w", cw.id, row, a.nodeOf(cw, row), err)
 		}
 	}
+	if firstErr == nil {
+		a.superseded = slices.DeleteFunc(a.superseded, func(g codeword) bool { return g.id == cw.id })
+	}
 	return firstErr
 }
 
 // deleteObject removes an object's shards best-effort, one delete batch
 // per placement node, returning how many could not be deleted. A shard
 // already absent (ErrNotFound) counts as deleted: the goal is that the
-// shard is gone, not that this call removed it.
+// shard is gone, not that this call removed it. Only reclaimLocked calls
+// it, so nothing is deleted that a persisted manifest still names.
 func (a *Archive) deleteObject(ctx context.Context, cw codeword) (orphans int) {
 	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(cw, allRows(cw.code.N()))) {
 		if err != nil && !errors.Is(err, store.ErrNotFound) {

@@ -419,9 +419,9 @@ func TestReversedSECDeletesSupersededFull(t *testing.T) {
 	mustCommit(t, a, v)
 	for i := 0; i < 3; i++ {
 		v = editBlocks(v, a.Config().BlockSize, i%3)
-		info := mustCommit(t, a, v)
-		if info.OrphanShards != 0 {
-			t.Errorf("commit %d left %d orphan shards", i, info.OrphanShards)
+		mustCommit(t, a, v)
+		if deleted, orphans, err := a.ReclaimSupersededContext(t.Context()); err != nil || deleted != a.cfg.N || orphans != 0 {
+			t.Errorf("commit %d: reclaim deleted %d orphaned %d shards (%v), want the old tip's %d/0", i, deleted, orphans, err, a.cfg.N)
 		}
 	}
 	// Colocated: every node should hold one shard per delta (3 deltas)

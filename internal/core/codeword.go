@@ -221,7 +221,7 @@ func entryOf(me ManifestEntry, k int) (entry, error) {
 
 // codeword describes one stored object: what it is called, where its rows
 // lie and how it was encoded. It is a plain value; the superseded queue keeps
-// the codewords compaction replaced exactly as they were written.
+// the codewords commits and compaction replaced exactly as they were written.
 type codeword struct {
 	id      string // object name on the nodes
 	version int    // the version it belongs to, which places its rows

@@ -181,9 +181,9 @@ func (n callCounted) Available(ctx context.Context) bool {
 }
 
 // TestOversizedCommitMakesNoNodeCalls: an object over the capacity is refused
-// before the commit does anything on the nodes - neither the reclaim of the
-// superseded queue nor the restore of a latest-version cache the archive
-// does not hold - and the queue is left as it was.
+// before the commit does anything on the nodes - not even the restore of a
+// latest-version cache the archive does not hold - and the superseded queue
+// is left as it was.
 func TestOversizedCommitMakesNoNodeCalls(t *testing.T) {
 	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
 	calls := &atomic.Int64{}
@@ -201,7 +201,7 @@ func TestOversizedCommitMakesNoNodeCalls(t *testing.T) {
 		object = editBlocks(object, cfg.BlockSize, b)
 		mustCommit(t, a, object)
 	}
-	if _, err := a.CompactKeepSupersededContext(t.Context(), 1); err != nil {
+	if _, err := a.CompactToContext(t.Context(), 1); err != nil {
 		t.Fatal(err)
 	}
 	queuedIDs := func() (ids []string) {

@@ -14,8 +14,8 @@ import (
 // work, and this is that mechanism. Compaction rebases over-deep versions
 // onto their nearest full anchor with a merged (XOR-composed) delta whose
 // sparsity is recomputed, promotes merged deltas too dense to sparse-read
-// into full checkpoints, swaps the manifest atomically, and
-// garbage-collects the superseded delta codewords from the cluster.
+// into full checkpoints, swaps the manifest atomically, and queues the
+// superseded delta codewords for the reclaim that follows the publish.
 
 // CompactionInfo reports what a compaction pass changed.
 type CompactionInfo struct {
@@ -29,17 +29,9 @@ type CompactionInfo struct {
 	Promoted []int
 	// ShardWrites counts shards written for merged deltas and checkpoints.
 	ShardWrites int
-	// ShardsDeleted counts superseded shards confirmed gone from their
-	// nodes (deleted by this pass, or already absent).
-	ShardsDeleted int
-	// OrphanShards counts superseded shards that could not be deleted
-	// (their nodes were down); they are garbage, not a correctness
-	// problem, and a later pass or scrub can reclaim them.
-	OrphanShards int
-	// SupersededShards counts shards of superseded codewords queued for a
-	// later ReclaimSupersededContext instead of deleted by this pass (the
-	// CompactKeepSupersededContext flow, which lets the caller persist the
-	// new manifest before anything the old manifest references is removed).
+	// SupersededShards counts the shards of the codewords the pass
+	// superseded, queued for ReclaimSupersededContext: the old manifest
+	// and the new one both read whole until the reclaim.
 	SupersededShards int
 	// NodeReads counts the shard reads spent materializing versions for
 	// merging, the maintenance cost of the pass.
@@ -56,41 +48,18 @@ func (i CompactionInfo) Changed() bool {
 	return len(i.Rebased)+len(i.Promoted) > 0
 }
 
-// CompactContext bounds every version's chain depth to the configured
-// MaxChainLength; see CompactToContext. It fails if Config.MaxChainLength
-// is unset.
-func (a *Archive) CompactContext(ctx context.Context) (CompactionInfo, error) {
-	if a.cfg.MaxChainLength <= 0 {
-		return CompactionInfo{}, fmt.Errorf("core: CompactContext needs Config.MaxChainLength > 0 (or use CompactToContext)")
-	}
-	return a.CompactToContext(ctx, a.cfg.MaxChainLength)
-}
-
-// CompactKeepSupersededContext runs the same pass as CompactToContext but
-// leaves the superseded delta codewords on the nodes, queued on the
-// archive for a later ReclaimSupersededContext. Until the reclaim, the
-// pre-compaction manifest and the new one BOTH describe fully readable
-// chains, so a caller that must persist its manifest between the swap and
-// the garbage collection (seccli does) is crash-safe at every step: a
-// crash before the reclaim costs only orphan shards, never a manifest
-// referencing deleted objects.
-func (a *Archive) CompactKeepSupersededContext(ctx context.Context, maxLen int) (CompactionInfo, error) {
-	if maxLen < 1 {
-		return CompactionInfo{}, fmt.Errorf("core: max chain length %d must be positive", maxLen)
-	}
-	//lint:allow lockheld compaction mutates the version chain; the archive write lock must cover the whole rewrite
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.compactLocked(ctx, maxLen, true)
-}
-
-// ReclaimSupersededContext deletes the codewords superseded by earlier
-// CompactKeepSupersededContext passes (and any deletions a previous
-// reclaim could not complete), one delete batch per node. Call it after
-// the post-compaction manifest is safely persisted. It returns how many
-// shards were confirmed gone and how many remain orphaned on unreachable
-// nodes; objects with orphans stay queued for the next reclaim.
+// ReclaimSupersededContext deletes every queued superseded codeword - what
+// commits and compaction passes replaced, and what an earlier reclaim
+// left on unreachable nodes - one delete batch per node. It is the only
+// place the archive deletes shards: call it once the manifest that no
+// longer names them is persisted. It returns how many shards were
+// confirmed gone and how many remain orphaned on unreachable nodes;
+// objects with orphans stay queued for the next reclaim. With nothing
+// queued it returns without taking the write lock.
 func (a *Archive) ReclaimSupersededContext(ctx context.Context) (deleted, orphans int, err error) {
+	if a.queuedSuperseded() == 0 {
+		return 0, 0, nil
+	}
 	//lint:allow lockheld reclaim deletes superseded shards; the archive write lock must cover the whole sweep
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -101,17 +70,11 @@ func (a *Archive) ReclaimSupersededContext(ctx context.Context) (deleted, orphan
 	return deleted, orphans, nil
 }
 
-// unqueueSuperseded drops any pending garbage-collection entry for the
-// given object name: the name has just been rewritten with live content.
-// Caller holds the write lock.
-func (a *Archive) unqueueSuperseded(id string) {
-	out := a.superseded[:0]
-	for _, g := range a.superseded {
-		if g.id != id {
-			out = append(out, g)
-		}
-	}
-	a.superseded = out
+// queuedSuperseded returns how many codewords wait for a reclaim.
+func (a *Archive) queuedSuperseded() int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return len(a.superseded)
 }
 
 // reclaimLocked drains the superseded-object queue best effort; objects
@@ -145,13 +108,9 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 // SaveToCluster sees either the old chain or the new one, both fully
 // readable); a pass interrupted before the swap leaves the old chain
 // untouched plus some orphan shards that the next successful pass
-// overwrites. Only after the swap are the superseded delta codewords
-// deleted from the cluster, one delete batch per node - which means a
-// caller whose manifest persistence happens AFTER CompactToContext
-// returns has a window where a crash leaves its persisted manifest
-// naming deleted objects. Callers that need persistence ordered between
-// the swap and the garbage collection should use
-// CompactKeepSupersededContext followed by ReclaimSupersededContext.
+// overwrites. The superseded delta codewords are queued, not deleted:
+// both manifests stay whole until the caller, having persisted the new
+// one, calls ReclaimSupersededContext.
 //
 // Compaction holds the archive lock for the whole pass (it materializes
 // every version it rebases), so it is a maintenance operation to schedule
@@ -163,13 +122,11 @@ func (a *Archive) CompactToContext(ctx context.Context, maxLen int) (CompactionI
 	//lint:allow lockheld compaction mutates the version chain; the archive write lock must cover the whole rewrite
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.compactLocked(ctx, maxLen, false)
+	return a.compactLocked(ctx, maxLen)
 }
 
-// compactLocked runs one compaction pass. With keepSuperseded the
-// replaced codewords are queued for a later reclaim instead of deleted.
-// Caller holds the write lock.
-func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded bool) (CompactionInfo, error) {
+// compactLocked runs one compaction pass. Caller holds the write lock.
+func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo, error) {
 	info := CompactionInfo{MaxChainLength: maxLen}
 	depths, _, every, err := chainDepthsOf(a.entries)
 	if err != nil {
@@ -182,12 +139,6 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 		}
 	}
 	if len(targets) == 0 {
-		// Nothing to rewrite - but a reclaiming pass still drains objects
-		// queued by earlier keep-superseded passes, so "run compaction
-		// again" always frees what previous passes left behind.
-		if !keepSuperseded {
-			info.ShardsDeleted, info.OrphanShards = a.reclaimLocked(ctx)
-		}
 		return info, nil
 	}
 
@@ -274,17 +225,13 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 				return info, err
 			}
 			gain -= cw.cost()
-			// The name just written is live again: if an earlier
-			// keep-superseded pass queued the same name for reclaim (a
-			// re-rebase back onto a previously used base), deleting it now
-			// would destroy the object the new manifest references.
-			a.unqueueSuperseded(newID)
 			next[v-1].setDelta(cw, anchor)
 			info.Rebased = append(info.Rebased, v)
 		}
 		info.PlannedReadGain += gain
 		if old.id != "" {
 			superseded = append(superseded, old)
+			info.SupersededShards += old.code.N()
 		}
 	}
 
@@ -301,20 +248,9 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int, keepSuperseded 
 	a.changed = append(append(a.changed, info.Rebased...), info.Promoted...)
 	a.invalidateReadCache()
 
-	// Garbage-collect the superseded delta codewords - nothing in the new
-	// manifest points at them anymore. With keepSuperseded they are queued
-	// for ReclaimSupersededContext instead, so the caller can persist the
-	// new manifest while the old chain is still whole; otherwise deletion
-	// failures leave orphans queued for a later reclaim, never dangling
-	// references.
+	// Nothing in the new manifest points at the superseded delta codewords
+	// anymore; they wait in the queue for the reclaim after the publish.
 	a.superseded = append(a.superseded, superseded...)
-	if keepSuperseded {
-		for _, g := range superseded {
-			info.SupersededShards += g.code.N()
-		}
-		return info, nil
-	}
-	info.ShardsDeleted, info.OrphanShards = a.reclaimLocked(ctx)
 	return info, nil
 }
 

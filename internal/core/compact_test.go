@@ -13,7 +13,8 @@ import (
 
 // chain20x10 builds the acceptance scenario: a (20,10) Reversed SEC
 // archive whose chain is 1 full codeword (the tip) plus 8 deltas, so the
-// oldest version sits 8 delta applications from the anchor.
+// oldest version sits 8 delta applications from the anchor. The fulls the
+// commits superseded are reclaimed, as an owner that persists would.
 func chain20x10(t *testing.T, cluster *store.Cluster) (*Archive, [][]byte) {
 	t.Helper()
 	cfg := Config{
@@ -24,7 +25,11 @@ func chain20x10(t *testing.T, cluster *store.Cluster) (*Archive, [][]byte) {
 		K:         10,
 		BlockSize: 8,
 	}
-	return buildChain(t, cluster, cfg, 42, 9, func(j int) []int { return []int{j % 3} })
+	a, versions := buildChain(t, cluster, cfg, 42, 9, func(j int) []int { return []int{j % 3} })
+	if _, orphans, err := a.ReclaimSupersededContext(t.Context()); err != nil || orphans != 0 {
+		t.Fatalf("reclaim: %d orphans, %v", orphans, err)
+	}
+	return a, versions
 }
 
 // buildChain commits a random first version and then versions 2..L, version
@@ -125,8 +130,9 @@ func TestCompactAcceptance(t *testing.T) {
 				t.Fatalf("rebased %v promoted %v, want rebased %v", info.Rebased, info.Promoted, want)
 			}
 			// v2..v4 had chain deltas to supersede; v1 had no object at all.
-			if want := 3 * 20; info.ShardsDeleted != want || info.OrphanShards != 0 {
-				t.Fatalf("deleted %d orphaned %d shards, want %d/0", info.ShardsDeleted, info.OrphanShards, want)
+			deleted, orphans, err := a.ReclaimSupersededContext(t.Context())
+			if want := 3 * 20; err != nil || deleted != want || orphans != 0 {
+				t.Fatalf("reclaim deleted %d orphaned %d shards (%v), want %d/0", deleted, orphans, err, want)
 			}
 			if info.PlannedReadGain <= 0 {
 				t.Errorf("planned read gain = %d, want positive (deep walks replaced by single merges)", info.PlannedReadGain)
@@ -298,14 +304,11 @@ func TestCompactNoOpWithinBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Changed() || info.ShardWrites != 0 || info.ShardsDeleted != 0 {
+	if info.Changed() || info.ShardWrites != 0 || info.SupersededShards != 0 {
 		t.Errorf("no-op compaction changed state: %+v", info)
 	}
 	if got := shardCount(t, cluster); got != before {
 		t.Errorf("shard count moved %d -> %d on a no-op", before, got)
-	}
-	if _, err := a.CompactContext(t.Context()); err == nil {
-		t.Error("CompactContext without MaxChainLength: want error")
 	}
 	if _, err := a.CompactToContext(t.Context(), 0); err == nil {
 		t.Error("CompactToContext(0): want error")
@@ -313,7 +316,9 @@ func TestCompactNoOpWithinBound(t *testing.T) {
 }
 
 // TestAutoCompactionOnCommit checks that MaxChainLength keeps chains
-// bounded commit after commit without explicit maintenance calls.
+// bounded commit after commit without explicit maintenance calls, and that
+// the reclaim after each commit frees exactly what the commit queued: the
+// old tip's full and what its compaction superseded.
 func TestAutoCompactionOnCommit(t *testing.T) {
 	cluster := store.NewMemCluster(6)
 	cfg := testConfig(ReversedSEC, erasure.NonSystematicCauchy)
@@ -324,18 +329,24 @@ func TestAutoCompactionOnCommit(t *testing.T) {
 	}
 	object := bytes.Repeat([]byte{3}, 12)
 	var versions [][]byte
-	compactions, supersededQueued, reclaimed := 0, 0, 0
+	compactions := 0
 	for j := 0; j < 8; j++ {
 		if j > 0 {
 			object = editBlocks(object, 4, j%3)
 		}
 		versions = append(versions, append([]byte(nil), object...))
 		info := mustCommit(t, a, object)
+		queued := 0
+		if j > 0 {
+			queued = cfg.N // the old tip's full
+		}
 		if info.Compaction != nil && info.Compaction.Changed() {
 			compactions++
-			supersededQueued += info.Compaction.SupersededShards
+			queued += info.Compaction.SupersededShards
 		}
-		reclaimed += info.ReclaimedShards
+		if deleted, orphans, err := a.ReclaimSupersededContext(t.Context()); err != nil || deleted != queued || orphans != 0 {
+			t.Fatalf("commit %d: reclaim deleted %d orphaned %d shards (%v), want %d/0", j+1, deleted, orphans, err, queued)
+		}
 		for v := 1; v <= a.Versions(); v++ {
 			depth, err := a.ChainDepth(v)
 			if err != nil {
@@ -348,20 +359,6 @@ func TestAutoCompactionOnCommit(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Error("8 commits with MaxChainLength=2 never auto-compacted")
-	}
-	// Auto-compaction defers GC by one operation: later commits drain the
-	// codewords queued by earlier passes, so superseded shards do not
-	// accumulate unboundedly. Whatever the last pass queued is still
-	// pending, reclaimable explicitly.
-	if supersededQueued > 0 && reclaimed == 0 {
-		t.Errorf("commits queued %d superseded shards but later commits reclaimed none", supersededQueued)
-	}
-	lastDeleted, _, err := a.ReclaimSupersededContext(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reclaimed+lastDeleted != supersededQueued {
-		t.Errorf("reclaimed %d during commits + %d explicitly != %d queued", reclaimed, lastDeleted, supersededQueued)
 	}
 	for v, want := range versions {
 		got, _, err := a.RetrieveContext(t.Context(), v+1)
@@ -663,12 +660,12 @@ func TestCompactCrashBeforeSwapLeavesOldChainReadable(t *testing.T) {
 	}
 }
 
-// TestCompactKeepSupersededThenReclaim exercises the crash-safe two-phase
-// flow: after CompactKeepSupersededContext, BOTH the pre- and
-// post-compaction manifests describe fully readable chains (a crash
-// between swap and persistence loses nothing); ReclaimSupersededContext
-// then frees the superseded codewords once the caller has persisted.
-func TestCompactKeepSupersededThenReclaim(t *testing.T) {
+// TestCompactQueuesSupersededUntilReclaim exercises the crash-safe two-phase
+// flow: after CompactToContext, BOTH the pre- and post-compaction manifests
+// describe fully readable chains (a crash between swap and persistence
+// loses nothing); ReclaimSupersededContext then frees the superseded
+// codewords once the caller has persisted.
+func TestCompactQueuesSupersededUntilReclaim(t *testing.T) {
 	cluster := store.NewMemCluster(20)
 	a, versions := chain20x10(t, cluster)
 	var preManifest bytes.Buffer
@@ -677,12 +674,13 @@ func TestCompactKeepSupersededThenReclaim(t *testing.T) {
 	}
 	preJSON := append([]byte(nil), preManifest.Bytes()...)
 
-	info, err := a.CompactKeepSupersededContext(t.Context(), 4)
+	before := shardCount(t, cluster)
+	info, err := a.CompactToContext(t.Context(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ShardsDeleted != 0 || info.OrphanShards != 0 {
-		t.Fatalf("keep variant deleted shards: %+v", info)
+	if got, want := shardCount(t, cluster), before+info.ShardWrites; got != want {
+		t.Fatalf("cluster holds %d shards after the pass, want %d: compaction deleted something", got, want)
 	}
 	if want := 3 * 20; info.SupersededShards != want {
 		t.Fatalf("superseded shards = %d, want %d", info.SupersededShards, want)
@@ -730,23 +728,49 @@ func TestCompactKeepSupersededThenReclaim(t *testing.T) {
 	}
 }
 
-// TestUnqueueSupersededProtectsRewrittenNames pins the guard against the
-// queue/rewrite collision: an object name queued for reclaim by an
-// earlier pass and then rewritten with live content must be dropped from
-// the queue, or the next reclaim would delete the live codeword.
-func TestUnqueueSupersededProtectsRewrittenNames(t *testing.T) {
-	a := &Archive{superseded: []codeword{
-		{id: "t/v6-delta", version: 6},
-		{id: "t/v7-delta-b9", version: 7},
-		{id: "t/v6-delta", version: 6},
-	}}
-	a.unqueueSuperseded("t/v6-delta")
-	if len(a.superseded) != 1 || a.superseded[0].id != "t/v7-delta-b9" {
-		t.Fatalf("queue after unqueue = %+v, want only t/v7-delta-b9", a.superseded)
+// TestReclaimSparesARewrittenName: a queued codeword's name can be written
+// again with live content, and the write takes it off the queue. Reversed SEC
+// queues x1 when v2 lands, a reclaim with node 5 down leaves x1 queued as an
+// orphan there, and compaction then promotes v1 to a checkpoint - a new x1
+// under the same name. The next reclaim must leave it, or v1 is gone.
+func TestReclaimSparesARewrittenName(t *testing.T) {
+	cluster := store.NewMemCluster(6)
+	a, err := New(testConfig(ReversedSEC, erasure.NonSystematicCauchy), cluster)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a.unqueueSuperseded("t/v7-delta-b9")
-	if len(a.superseded) != 0 {
-		t.Fatalf("queue not emptied: %+v", a.superseded)
+	versions := [][]byte{bytes.Repeat([]byte{9}, a.Capacity())}
+	commit := func() {
+		t.Helper()
+		b := len(versions) - 1 // v2, v3, v4 edit blocks 0, 1, 2: x4 -> x1 merges dense
+		versions = append(versions, editBlocks(versions[b], a.cfg.BlockSize, b))
+		mustCommit(t, a, versions[len(versions)-1])
+	}
+	mustCommit(t, a, versions[0])
+	commit()
+	if err := cluster.Fail(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, orphans, err := a.ReclaimSupersededContext(t.Context()); err != nil || orphans != 1 {
+		t.Fatalf("reclaim with node 5 down: %d orphans (%v), want x1's row there", orphans, err)
+	}
+	cluster.HealAll()
+	commit()
+	commit()
+	info, err := a.CompactToContext(t.Context(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Promoted) != 1 || info.Promoted[0] != 1 {
+		t.Fatalf("compaction promoted %v, want [1]", info.Promoted)
+	}
+	if _, orphans, err := a.ReclaimSupersededContext(t.Context()); err != nil || orphans != 0 {
+		t.Fatalf("reclaim: %d orphans, %v", orphans, err)
+	}
+	for v, want := range versions {
+		if got, _, err := a.RetrieveContext(t.Context(), v+1); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("v%d after the reclaim: %v", v+1, err)
+		}
 	}
 }
 

@@ -44,9 +44,9 @@ func TestReclaimUnderPartitionNeverDeletesLiveCodewords(t *testing.T) {
 		}
 	}
 
-	// Phase one: compact, swapping the manifest but keeping the
-	// superseded delta codewords queued for a later reclaim.
-	info, err := a.CompactKeepSupersededContext(t.Context(), 2)
+	// Phase one: compact, swapping the manifest and queueing the
+	// superseded delta codewords for a later reclaim.
+	info, err := a.CompactToContext(t.Context(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

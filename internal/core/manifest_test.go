@@ -294,7 +294,7 @@ func TestLoadFromClusterSkipsStaleSameLengthReplica(t *testing.T) {
 	if err := a.SaveToClusterContext(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	info, err := a.CompactKeepSupersededContext(t.Context(), 1)
+	info, err := a.CompactToContext(t.Context(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

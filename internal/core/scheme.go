@@ -134,12 +134,8 @@ type Config struct {
 	// some version's chain depth beyond the bound triggers compaction:
 	// over-deep versions are rebased onto their nearest full anchor with a
 	// merged (XOR-composed) delta, or promoted to a full checkpoint when
-	// the merged delta is dense. The superseded delta codewords are
-	// garbage-collected one operation later - the next commit (or an
-	// explicit ReclaimSupersededContext or compaction pass) frees them, so
-	// a caller persisting the manifest after each commit never has a
-	// persisted manifest referencing deleted objects. CompactContext
-	// applies the same bound on demand.
+	// the merged delta is dense. The superseded delta codewords are queued
+	// like everything a commit supersedes, for ReclaimSupersededContext.
 	MaxChainLength int
 	// CheckpointEvery stores (or, for Reversed SEC, retains) a full
 	// codeword at least every CheckpointEvery versions (0 = only what the

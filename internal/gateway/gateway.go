@@ -303,21 +303,18 @@ func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, er
 }
 
 // publish makes a change to the chain durable and then frees what it
-// superseded, in the crash-safe order: persist the change's record (a
-// failure is returned as err and nothing further happens), replicate it
-// onto the nodes best effort, and only then, when the change included a
-// compaction, reclaim the superseded codewords. A reclaim cut short is
-// reported apart from err: the chain is safe, and what is left stays
-// queued for the next pass.
-func (g *Gateway) publish(ctx context.Context, st *archiveState, reclaim bool) (deleted, orphans int, reclaimErr, err error) {
-	pub, err := st.log.persist(st.archive, false)
+// superseded, in the crash-safe order: persist the change's record (closing:
+// fold the log into the snapshot; a failure is returned as err and nothing
+// further happens), replicate it onto the nodes best effort, and only then
+// reclaim the superseded codewords. It is the archive's only path to a
+// delete. A reclaim cut short is reported apart from err: the chain is
+// safe, and what is left stays queued for the next publish.
+func (g *Gateway) publish(ctx context.Context, st *archiveState, closing bool) (deleted, orphans int, reclaimErr, err error) {
+	pub, err := st.log.persist(st.archive, closing)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	st.archive.ReplicateContext(ctx, pub)
-	if !reclaim {
-		return 0, 0, nil, nil
-	}
 	deleted, orphans, reclaimErr = st.archive.ReclaimSupersededContext(ctx)
 	return deleted, orphans, reclaimErr, nil
 }
@@ -383,8 +380,8 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 // every other writer of the same archive. expect >= 0 demands the archive
 // currently hold exactly expect versions (optimistic concurrency); a
 // stale expectation is a typed store.ErrConflict rejection. The manifest
-// is persisted before superseded codewords are reclaimed, in the same
-// crash-safe order the CLI uses.
+// is persisted before superseded codewords are reclaimed (see publish);
+// the reply counts what the reclaim freed and what it left orphaned.
 func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []byte) (core.CommitInfo, error) {
 	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
@@ -401,18 +398,12 @@ func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []
 	if info.Version == 0 {
 		return info, err // nothing was stored; the manifest is unchanged
 	}
-	// The commit is durable even when err is non-nil (a failed
+	// The commit is stored even when err is non-nil (a failed
 	// auto-compaction reports the committed version alongside the error),
-	// and for Reversed SEC the previous tip's full codeword is already
-	// gone from the nodes — so the manifest MUST be persisted now either
-	// way, or a reopen would anchor on deleted objects.
-	deleted, _, reclaimErr, perr := g.publish(ctx, st, info.Compaction != nil)
-	if perr != nil {
-		err = errors.Join(err, perr)
-	} else if info.Compaction != nil && reclaimErr == nil {
-		info.Compaction.ShardsDeleted += deleted
-	}
-	if err != nil {
+	// so it is published either way.
+	var perr error
+	info.ReclaimedShards, info.OrphanShards, _, perr = g.publish(ctx, st, false)
+	if err = errors.Join(err, perr); err != nil {
 		return info, err
 	}
 	g.commits.Add(1)
@@ -527,8 +518,9 @@ func (g *Gateway) Info(ctx context.Context, name string) (transport.ArchiveInfo,
 
 // Compact bounds the archive's chain depth to maxChain (0 = the archive's
 // configured MaxChainLength), holding the writer slot for the duration.
-// Crash-safe ordering: rewrite and swap while keeping the superseded
-// codewords, persist the new manifest, and only then reclaim.
+// The pass only queues what it supersedes; the publish after it persists
+// the new manifest and only then reclaims. A pass that changed nothing is
+// published too, which retries the orphans earlier reclaims left.
 func (g *Gateway) Compact(ctx context.Context, name string, maxChain int) (transport.CompactReport, error) {
 	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
@@ -541,17 +533,15 @@ func (g *Gateway) Compact(ctx context.Context, name string, maxChain int) (trans
 	if maxChain <= 0 {
 		return transport.CompactReport{}, fmt.Errorf("gateway: archive %q has no MaxChainLength configured and no bound was given: %w", name, store.ErrConflict)
 	}
-	info, err := st.archive.CompactKeepSupersededContext(ctx, maxChain)
+	info, err := st.archive.CompactToContext(ctx, maxChain)
 	if err != nil {
 		return transport.CompactReport{}, err
 	}
 	report := transport.CompactReport{Info: info}
 	var reclaimErr error
-	if info.Changed() {
-		report.Deleted, report.Orphans, reclaimErr, err = g.publish(ctx, st, true)
-		if err != nil {
-			return report, err // not persisted: the pass does not count
-		}
+	report.Deleted, report.Orphans, reclaimErr, err = g.publish(ctx, st, false)
+	if err != nil {
+		return report, err // not persisted: the pass does not count
 	}
 	g.compactions.Add(1)
 	return report, reclaimErr
@@ -588,10 +578,11 @@ func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.Repai
 }
 
 // Close drains the gateway: no new operations are admitted, and every
-// resident archive's manifest log is folded into its JSON manifest, under
-// the root and on the nodes (best effort across archives; the first error
-// is returned after all are attempted, and an archive still loading when
-// ctx ends is skipped with ctx's cause as its error). The caller is
+// resident archive ends with a publish that folds its manifest log into its
+// JSON manifest, under the root and on the nodes, and then reclaims what is
+// still queued (best effort across archives; the first error is returned
+// after all are attempted, and an archive still loading when ctx ends is
+// skipped with ctx's cause as its error). The caller is
 // responsible for draining in-flight requests first (transport's
 // Server.Shutdown does that for served gateways). ctx bounds the
 // cluster-replication writes.
@@ -627,11 +618,9 @@ func (g *Gateway) Close(ctx context.Context) error {
 		if st.err != nil {
 			continue
 		}
-		pub, err := st.log.persist(st.archive, true)
-		if err != nil && firstErr == nil {
+		if _, _, _, err := g.publish(ctx, st, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		st.archive.ReplicateContext(ctx, pub)
 	}
 	return firstErr
 }

@@ -404,6 +404,81 @@ func TestGatewayCompactNeedsBound(t *testing.T) {
 	}
 }
 
+// keepNode refuses every delete while keep is set, taking everything else.
+type keepNode struct {
+	*store.MemNode
+	keep *atomic.Bool
+}
+
+func (n keepNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
+	if !n.keep.Load() {
+		return n.MemNode.DeleteBatch(ctx, ids)
+	}
+	errs := make([]error, len(ids))
+	for i := range errs {
+		errs[i] = store.ErrNodeDown
+	}
+	return errs
+}
+
+// TestGatewayReclaimsAfterEveryPublish: the publish that ends a commit,
+// a compaction and Close frees what the archive queued. A Reversed SEC
+// commit reports the old tip's full as reclaimed, or orphaned where a node
+// refuses deletes; a compaction that rewrites nothing still retries the
+// orphan, and Close reclaims what is left.
+func TestGatewayReclaimsAfterEveryPublish(t *testing.T) {
+	keep := &atomic.Bool{}
+	nodes := make([]store.Node, 6)
+	for i := range nodes {
+		nodes[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+	}
+	node0 := nodes[0].(*store.MemNode)
+	nodes[0] = keepNode{MemNode: node0, keep: keep}
+	g := newTestGateway(t, Config{Cluster: store.NewCluster(nodes)})
+	ctx := t.Context()
+	spec := testSpec()
+	spec.Scheme = "reversed-sec"
+	if _, err := g.Create(ctx, "a", spec); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(v, reclaimed, orphans int) {
+		t.Helper()
+		info, err := g.Commit(ctx, "a", -1, payloadFor(32, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.ReclaimedShards != reclaimed || info.OrphanShards != orphans {
+			t.Errorf("commit %d reclaimed %d orphaned %d shards, want %d/%d", v, info.ReclaimedShards, info.OrphanShards, reclaimed, orphans)
+		}
+	}
+	held := func(id string) bool {
+		_, err := node0.Get(ctx, store.ShardID{Object: id})
+		return err == nil
+	}
+	commit(1, 0, 0)
+	commit(2, 6, 0)
+	keep.Store(true)
+	commit(3, 5, 1)
+	keep.Store(false)
+	report, err := g.Compact(ctx, "a", 8)
+	// The retry deletes v2's full whole again; rows already gone count as deleted.
+	if err != nil || report.Info.Changed() || report.Deleted != 6 || report.Orphans != 0 {
+		t.Fatalf("compact with nothing to rewrite: %+v, %v; want v2's full confirmed gone", report, err)
+	}
+	if held("a/v2-full") {
+		t.Error("node 0 still holds v2's full after the compaction's reclaim")
+	}
+	keep.Store(true)
+	commit(4, 5, 1)
+	keep.Store(false)
+	if err := g.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if held("a/v3-full") {
+		t.Error("node 0 still holds v3's full after Close")
+	}
+}
+
 // manifestBlock parks one read on a cluster of blockedNodes: once armed, the
 // next read parks until its own context ends, signalling when it is parked;
 // every other read passes through.

@@ -299,9 +299,13 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 // with a trigger, the first node mutation the trigger matches copies the
 // gateway root aside and freezes every node against further mutations -
 // the process died at that instant, and what the root copy and the nodes
-// hold is what a restart finds. Node 0 can also be made to lag: it then
-// refuses manifest objects (snapshot, records and their deletes) while
-// still taking shards, the way a node that was briefly away misses a fold.
+// hold is what a restart finds. Armed with armAfter, the matched mutations
+// are applied instead, the root is copied after the first of them, and the
+// world freezes at the next mutation the trigger does not match: the
+// process died right after what the trigger names, on every node. Node 0
+// can also be made to lag: it then refuses manifest objects (snapshot,
+// records and their deletes) while still taking shards, the way a node
+// that was briefly away misses a fold.
 type crashRig struct {
 	t       *testing.T
 	root    string
@@ -310,6 +314,7 @@ type crashRig struct {
 
 	mu      sync.Mutex
 	trigger func(op string, ids []store.ShardID) bool
+	after   bool // armAfter: apply the matched mutations, freeze after them
 	frozen  bool
 	lagging bool
 	image   string // the root as of the crash
@@ -325,48 +330,53 @@ type crashNode struct {
 	index int
 }
 
-func (n crashNode) refuse(op string, ids []store.ShardID) error {
+// mutate applies one node mutation unless the world is frozen (or node 0
+// lags and it touches a manifest object), crashing first where the armed
+// trigger says.
+func (n crashNode) mutate(op string, ids []store.ShardID, apply func() []error) []error {
 	r := n.rig
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.frozen && r.trigger != nil && r.trigger(op, ids) {
-		r.image = r.t.TempDir()
-		if err := os.CopyFS(r.image, os.DirFS(r.root)); err != nil {
-			r.t.Error(err)
+	matched := !r.frozen && r.trigger != nil && r.trigger(op, ids)
+	if matched && !r.after || !matched && r.after && r.image != "" {
+		if r.image == "" {
+			r.copyRoot()
 		}
 		r.frozen = true
 	}
 	if r.frozen || r.lagging && n.index == 0 && strings.Contains(ids[0].Object, "/manifest") {
-		return fmt.Errorf("crash rig: %s refused: %w", op, store.ErrNodeDown)
+		errs := make([]error, len(ids))
+		for i := range errs {
+			errs[i] = fmt.Errorf("crash rig: %s refused: %w", op, store.ErrNodeDown)
+		}
+		return errs
 	}
-	return nil
+	errs := apply()
+	if matched && r.image == "" {
+		r.copyRoot() // armAfter: the root as it stands once the matched mutation is done
+	}
+	return errs
+}
+
+func (r *crashRig) copyRoot() {
+	r.image = r.t.TempDir()
+	if err := os.CopyFS(r.image, os.DirFS(r.root)); err != nil {
+		r.t.Error(err)
+	}
 }
 
 func (n crashNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
-	if err := n.refuse("put", ids); err != nil {
-		errs := make([]error, len(ids))
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	return n.MemNode.PutBatch(ctx, ids, data)
+	return n.mutate("put", ids, func() []error { return n.MemNode.PutBatch(ctx, ids, data) })
 }
 
 func (n crashNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
-	if err := n.refuse("delete", ids); err != nil {
-		errs := make([]error, len(ids))
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	return n.MemNode.DeleteBatch(ctx, ids)
+	return n.mutate("delete", ids, func() []error { return n.MemNode.DeleteBatch(ctx, ids) })
 }
 
-// newCrashRig creates archive "a" with auto-compaction on, so publishes
-// carry rebases and reclaims as well as appends.
-func newCrashRig(t *testing.T) *crashRig {
+// newCrashRig creates archive "a" under the given scheme ("" for the
+// default) with auto-compaction on, so publishes carry rebases and reclaims
+// as well as appends.
+func newCrashRig(t *testing.T, scheme string) *crashRig {
 	t.Helper()
 	r := &crashRig{t: t, root: t.TempDir(), object: payloadFor(32, 1)}
 	nodes := make([]store.Node, 6)
@@ -376,7 +386,7 @@ func newCrashRig(t *testing.T) *crashRig {
 	r.cluster = store.NewCluster(nodes)
 	r.gw = newTestGateway(t, Config{Cluster: r.cluster, Root: r.root})
 	spec := testSpec()
-	spec.MaxChainLength = 3
+	spec.Scheme, spec.MaxChainLength = scheme, 3
 	if _, err := r.gw.Create(t.Context(), "a", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +418,12 @@ func (r *crashRig) arm(trigger func(op string, ids []store.ShardID) bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.trigger = trigger
+}
+
+func (r *crashRig) armAfter(trigger func(op string, ids []store.ShardID) bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.trigger, r.after = trigger, true
 }
 
 func (r *crashRig) setLagging(lagging bool) {
@@ -493,18 +509,19 @@ func isSnapshot(ids []store.ShardID) bool {
 // behind the others.
 func TestCrashPoints(t *testing.T) {
 	for _, tc := range []struct {
-		name string
+		name   string
+		scheme string
 		// crash brings the rig to the crash and returns the root a restart
 		// finds (normally the image the trigger copied).
 		crash func(t *testing.T, r *crashRig) string
 	}{
-		{"after the record append, before replication", func(t *testing.T, r *crashRig) string {
+		{"after the record append, before replication", "", func(t *testing.T, r *crashRig) string {
 			r.commitUntilLog(1)
 			r.arm(func(op string, ids []store.ShardID) bool { return op == "put" && isRecord(ids) })
 			r.commit()
 			return r.image
 		}},
-		{"between the record and the snapshot reaching the nodes", func(t *testing.T, r *crashRig) string {
+		{"between the record and the snapshot reaching the nodes", "", func(t *testing.T, r *crashRig) string {
 			r.commitUntilLog(1)
 			r.arm(func(op string, ids []store.ShardID) bool { return op == "put" && isSnapshot(ids) })
 			for r.image == "" {
@@ -512,7 +529,7 @@ func TestCrashPoints(t *testing.T) {
 			}
 			return r.image
 		}},
-		{"between snapshot rename and log truncate", func(t *testing.T, r *crashRig) string {
+		{"between snapshot rename and log truncate", "", func(t *testing.T, r *crashRig) string {
 			r.commitUntilLog(1)
 			// The log as it stood before the folding publish, plus that
 			// publish's record (still on the nodes when the snapshot is
@@ -544,7 +561,7 @@ func TestCrashPoints(t *testing.T) {
 			}
 			return r.image
 		}},
-		{"between snapshot PutBatch and record DeleteBatch", func(t *testing.T, r *crashRig) string {
+		{"between snapshot PutBatch and record DeleteBatch", "", func(t *testing.T, r *crashRig) string {
 			r.commitUntilLog(1)
 			r.arm(func(op string, ids []store.ShardID) bool { return op == "delete" && isRecord(ids) })
 			for r.image == "" {
@@ -552,9 +569,18 @@ func TestCrashPoints(t *testing.T) {
 			}
 			return r.image
 		}},
+		// Reversed SEC supersedes the old tip's full with every commit: the
+		// record that stops naming it must be durable before it goes.
+		{"right after the old tip's full codeword is deleted", "reversed-sec", func(t *testing.T, r *crashRig) string {
+			r.armAfter(func(op string, ids []store.ShardID) bool {
+				return op == "delete" && strings.HasSuffix(ids[0].Object, "-full")
+			})
+			r.commit()
+			return r.image
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newCrashRig(t)
+			r := newCrashRig(t, tc.scheme)
 			// Node 0 misses one whole fold cycle, then is back for the rest.
 			r.setLagging(true)
 			r.commitUntilLog(2)
@@ -583,7 +609,7 @@ func TestCrashPoints(t *testing.T) {
 // acknowledged version is served, the tail from the nodes, which got each
 // record only after the log did.
 func TestTornAndDamagedLog(t *testing.T) {
-	r := newCrashRig(t)
+	r := newCrashRig(t, "")
 	r.commitUntilLog(3)
 	r.arm(func(string, []store.ShardID) bool { return true }) // freeze at the next mutation: restarts below must not write to the nodes
 	log, err := os.ReadFile(filepath.Join(r.root, "a.json.log"))

@@ -97,9 +97,10 @@ const (
 
 // specFor is the spec archive arch is created with: the production-ish
 // configuration of the benchmark's hot_mixed workload (checkpoints every 4,
-// CDEC compression and a shared read cache on), under Basic SEC over a
-// non-systematic code for even archives and Optimized SEC over a
-// systematic one for odd archives.
+// CDEC compression and a shared read cache on), under Optimized SEC over a
+// systematic code for odd archives, Reversed SEC - whose every commit
+// supersedes the old tip's full, so queue and reclaim run all the time - for
+// archives 2 mod 4, and Basic SEC over a non-systematic code for the rest.
 func specFor(arch int) secclient.Spec {
 	s := secclient.Spec{
 		N:               nodes,
@@ -109,8 +110,11 @@ func specFor(arch int) secclient.Spec {
 		CompressDeltas:  true,
 		ReadCacheBytes:  1 << 20,
 	}
-	if arch%2 == 1 {
+	switch arch % 4 {
+	case 1, 3:
 		s.Scheme, s.Code = "optimized-sec", "systematic-cauchy"
+	case 2:
+		s.Scheme = "reversed-sec"
 	}
 	return s
 }

@@ -74,8 +74,8 @@ var goldenStats = core.RetrievalStats{
 }
 
 var goldenCompaction = core.CompactionInfo{
-	MaxChainLength: 4, Rebased: []int{3, 4}, Promoted: []int{5}, ShardWrites: 6, ShardsDeleted: 7,
-	OrphanShards: 8, SupersededShards: 9, NodeReads: 10, PlannedReadGain: 11,
+	MaxChainLength: 4, Rebased: []int{3, 4}, Promoted: []int{5}, ShardWrites: 6,
+	SupersededShards: 9, NodeReads: 10, PlannedReadGain: 11,
 }
 
 func (b goldenBackend) Create(_ context.Context, name string, spec ArchiveSpec) (ArchiveInfo, error) {
