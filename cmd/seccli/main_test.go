@@ -271,6 +271,7 @@ func TestCLIScrub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = bytes.Clone(data) // node memory is read-only
 	data[0] ^= 0xAA
 	if err := backings[3].Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)

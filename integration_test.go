@@ -123,6 +123,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = bytes.Clone(data) // node memory is read-only
 	data[len(data)/2] ^= 0x42
 	if err := backings[6].Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -366,35 +367,49 @@ func (a *Archive) commitPlan(gamma int) (storeDelta, storeFull bool) {
 }
 
 // RetrieveContext reconstructs version l (1-based) under the context's
-// deadline and cancellation, returning its bytes and the read accounting.
-// The context bounds the whole retrieval end to end: a chain walk against
-// a stalled node returns once the context expires instead of waiting out
-// per-operation timeouts link by link.
+// deadline and cancellation, returning its bytes and the read accounting:
+// the parts RetrievePartsContext reads, joined into the caller's copy.
 func (a *Archive) RetrieveContext(ctx context.Context, l int) ([]byte, RetrievalStats, error) {
+	parts, stats, err := a.RetrievePartsContext(ctx, l)
+	if err != nil {
+		return nil, stats, err
+	}
+	return bytes.Join(parts, nil), stats, nil
+}
+
+// RetrievePartsContext reconstructs version l (1-based) under the context's
+// deadline and cancellation, returning the read accounting and the object
+// as the blocks it spans, the last cut to its length (delta.Blocking.Trim):
+// read-only memory the decoded-version cache and other versions may share,
+// which a server writes into a reply from where it lies. The context bounds
+// the whole retrieval end to end: a chain walk against a stalled node
+// returns once the context expires instead of waiting out per-operation
+// timeouts link by link.
+func (a *Archive) RetrievePartsContext(ctx context.Context, l int) ([][]byte, RetrievalStats, error) {
 	//lint:allow lockheld archive read lock held across retrieval by design; writers are rare and reads are concurrent under RLock
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var stats RetrievalStats
 	if a.rcache != nil && l >= 1 && l <= len(a.entries) {
 		if blocks, length, ok := a.rcache.get(l); ok {
-			object, err := a.blocking.Join(blocks, length)
+			parts, err := a.blocking.Trim(blocks, length)
 			if err == nil {
 				stats.CacheHits++
-				stats.CacheBytes += len(object)
-				return object, stats, nil
+				stats.CacheBytes += length
+				return parts, stats, nil
 			}
-			a.rcache.remove(l) // unjoinable entry: stale or damaged, drop it
+			a.rcache.remove(l) // an entry that does not trim is stale or damaged: drop it
 		}
 	}
 	blocks, err := a.retrieveBlocksLocked(ctx, l, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	object, err := a.blocking.Join(blocks, a.entries[l-1].length)
+	parts, err := a.blocking.Trim(blocks, a.entries[l-1].length)
 	if err != nil {
 		return nil, stats, err
 	}
-	return object, stats, nil
+	return parts, stats, nil
 }
 
 // LatestContext reconstructs the most recent version. When the writer-side
@@ -480,7 +495,10 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 // the prefetched rows and fetch more only where the prefetch fell short.
 // A delta step allocates the gamma blocks it changes and shares the rest
 // with the version it starts from, so the versions returned overlap: they
-// are read-only, like everything the decoded-version cache holds.
+// are read-only, like everything the decoded-version cache holds. A
+// codeword's shards go back to their nodes as soon as it is decoded, and
+// those of codewords a failed walk did not reach when it returns: decoded
+// blocks never alias shards.
 func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (map[int][][]byte, error) {
 	cws := make([]codeword, len(w))
 	for i, s := range w {
@@ -490,14 +508,24 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (m
 		}
 	}
 	sets := a.prefetch(ctx, cws)
+	defer func() {
+		for _, set := range sets {
+			set.release()
+		}
+	}()
 	inHand := make(map[int][][]byte, len(w))
 	for i, s := range w {
 		from, ok := inHand[s.from]
 		if s.via != 0 && !ok {
 			return nil, fmt.Errorf("core: walk applies delta %d at version %d, which it has not reached", s.via, s.from)
 		}
-		d, read, err := a.readCodeword(ctx, cws[i], sets[cws[i].id])
-		delete(sets, cws[i].id) // read once: the rows are garbage as soon as they are decoded
+		set := sets[cws[i].id]
+		if set == nil {
+			set = newShardSet()
+		}
+		d, read, err := a.readCodeword(ctx, cws[i], set)
+		set.release() // read once: the rows are garbage as soon as they are decoded
+		delete(sets, cws[i].id)
 		if err != nil {
 			return nil, err
 		}

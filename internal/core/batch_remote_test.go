@@ -6,12 +6,14 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/faults"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
 )
@@ -26,10 +28,12 @@ var (
 )
 
 // TestMain runs the suite with every served connection overwriting its
-// request buffer once the request has been handled: the TCP tests below pass
-// only if no node and no archive kept a slice of a request.
+// request buffer once the request has been handled, and every pooled frame
+// overwritten once the walk that read it released its shards: the TCP tests
+// below pass only if no node and no archive kept a slice of either.
 func TestMain(m *testing.M) {
 	transport.ScribbleRequests = true
+	transport.ScribbleReleasedFrames = true
 	os.Exit(m.Run())
 }
 
@@ -340,4 +344,68 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 		t.Error("post-scrub retrieval mismatch")
 	}
 	_ = servers
+}
+
+// TestRemoteReadsOverPooledFrames reads chains of 96 KiB blocks over TCP
+// nodes, so every get-batch response lands in the transport's frame pool and
+// is overwritten the moment the walk that read it releases its shards
+// (TestMain). Every version - read cold while node 0 straggles behind the
+// hedge delay, again from the decoded-version cache, and in one
+// RetrieveAll - must be its committed bytes: nothing decoded may alias a
+// frame it was decoded from, and no shard may be read after its release.
+// The chain has a full codeword, a gamma = 1 delta (sparse, or CDEC), a
+// delta that changed nothing and a dense delta, over a systematic code
+// whose identity rows decode by copy.
+func TestRemoteReadsOverPooledFrames(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			const n, k, blockSize = 6, 3, 96 << 10
+			chaos := faults.NewChaosNode(store.NewMemNode("mem-0"), faults.Schedule{})
+			backing := []store.Node{chaos}
+			for i := 1; i < n; i++ {
+				backing = append(backing, store.NewMemNode(fmt.Sprintf("mem-%d", i)))
+			}
+			cluster, _ := remoteCluster(t, backing)
+			a, err := core.New(core.Config{
+				Name: "pooled", Scheme: core.BasicSEC, Code: erasure.SystematicCauchy, N: n, K: k, BlockSize: blockSize,
+				CompressDeltas: compress, ReadCacheBytes: 16 << 20, HedgeDelay: 10 * time.Millisecond,
+			}, cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := make([]byte, a.Capacity())
+			rand.New(rand.NewSource(34)).Read(v1)
+			v2 := editBlocks(v1, blockSize, 1)
+			versions := [][]byte{v1, v2, v2, editBlocks(v2, blockSize, 0, 1, 2)}
+			for _, v := range versions {
+				mustCommit(t, a, v)
+			}
+			chaos.SetSchedule(faults.Schedule{
+				Rules: []faults.Rule{{Kind: faults.FaultLatency, Ops: faults.OpGet, Latency: 200 * time.Millisecond}},
+			})
+			hedges := 0
+			for l, want := range versions {
+				got, stats := mustRetrieve(t, a, l+1)
+				hedges += stats.Hedges
+				if !bytes.Equal(got, want) {
+					t.Errorf("version %d read over pooled frames differs", l+1)
+				}
+				if got, stats = mustRetrieve(t, a, l+1); stats.CacheHits != 1 || !bytes.Equal(got, want) {
+					t.Errorf("version %d from the cache: %+v, bytes equal %v; its blocks alias a released frame", l+1, stats, bytes.Equal(got, want))
+				}
+			}
+			all, _, err := a.RetrieveAllContext(t.Context(), len(versions))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, want := range versions {
+				if !bytes.Equal(all[v], want) {
+					t.Errorf("RetrieveAll version %d read over pooled frames differs", v+1)
+				}
+			}
+			if hedges == 0 {
+				t.Error("the straggling node was never hedged around")
+			}
+		})
+	}
 }

@@ -23,26 +23,7 @@ import (
 // the oracle says. A repaired chain is whole, so the next pattern reads
 // through the rebuilt shards. Spot rows pin what reading v2 costs.
 func TestFailureCensus(t *testing.T) {
-	type reads struct{ nodes, sparse, compressed int }
-	ns, sys := erasure.NonSystematicCauchy, erasure.SystematicCauchy
-	dispersed := store.DispersedPlacement{N: 6}
-	for _, kind := range []struct {
-		name              string
-		cfg               core.Config
-		maxDead, patterns int              // maxDead 0: every pattern
-		spots             map[string]reads // dead nodes -> the reads of v2
-	}{
-		{"non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3}, 0, 64, map[string]reads{"[0 2 4]": {5, 1, 0}}},
-		{"systematic(6,3)", core.Config{Code: sys, N: 6, K: 3}, 0, 64, map[string]reads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
-		{"non-systematic(8,4)", core.Config{Code: ns, N: 8, K: 4}, 0, 256, nil},
-		{"punctured(8,3)", core.Config{Code: ns, N: 8, K: 3, PunctureDeltas: 3}, 0, 256, nil},
-		{"cdec(8,4)", core.Config{Code: ns, N: 8, K: 4, CompressDeltas: true}, 0, 256, map[string]reads{"[0 2 4 6]": {5, 0, 1}}},
-		{"gf16(6,3)", core.Config{Code: ns, N: 6, K: 3, Field: core.GF16}, 0, 64, map[string]reads{"[0 2 4]": {5, 1, 0}}},
-		{"reversed(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: ns, N: 6, K: 3}, 0, 64, nil},
-		{"non-systematic(12,10)", core.Config{Code: ns, N: 12, K: 10}, 4, 794, nil},
-		{"dispersed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
-		{"dispersed/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
-	} {
+	for _, kind := range censusKinds() {
 		t.Run(kind.name, func(t *testing.T) {
 			t.Parallel()
 			code, err := erasure.New(kind.cfg.Code, kind.cfg.N, kind.cfg.K)
@@ -55,7 +36,7 @@ func TestFailureCensus(t *testing.T) {
 				criterion2 = func([]int, int) bool { return true } // a Cauchy code's rows all qualify
 			}
 			place := cmp.Or(kind.cfg.Placement, store.Placement(store.ColocatedPlacement{}))
-			a, cluster, versions := censusChain(t, kind.cfg)
+			a, cluster, versions := censusChain(t, kind.cfg, store.NewMemCluster(0))
 			size, patterns, spareGroup0 := cluster.Size(), 0, 0
 			for mask := 0; mask < 1<<size; mask++ {
 				var dead []int
@@ -68,7 +49,7 @@ func TestFailureCensus(t *testing.T) {
 				patterns++
 				at := fmt.Sprintf("%s/%v", kind.name, dead)
 				if a == nil {
-					a, cluster, versions = censusChain(t, kind.cfg)
+					a, cluster, versions = censusChain(t, kind.cfg, store.NewMemCluster(0))
 				}
 				if err := cluster.Fail(dead...); err != nil {
 					t.Fatal(err)
@@ -85,7 +66,7 @@ func TestFailureCensus(t *testing.T) {
 						t.Fatalf("%s: v%d err = %v, want ErrUnavailable", at, v, err)
 					}
 					if want, ok := kind.spots[fmt.Sprint(dead)]; ok && v == 2 {
-						if got := (reads{stats.NodeReads, stats.SparseReads, stats.CompressedReads}); got != want {
+						if got := (censusReads{stats.NodeReads, stats.SparseReads, stats.CompressedReads}); got != want {
 							t.Errorf("%s: v2 reads (nodes, sparse, compressed) = %v, want %v", at, got, want)
 						}
 						delete(kind.spots, fmt.Sprint(dead))
@@ -127,14 +108,44 @@ func TestFailureCensus(t *testing.T) {
 	}
 }
 
-// censusChain commits on a fresh MemNode cluster v1 in full, v2 a gamma = 1
-// delta, v3 = v1, v4 = v3 (gamma = 0) and v5 dense; under Basic SEC a
-// compaction after v3 rebases it onto v1 as a gamma = 0 delta. A dispersed
-// chain stops at v2.
-func censusChain(t *testing.T, cfg core.Config) (*core.Archive, *store.Cluster, [][]byte) {
+// censusReads is what reading v2 costs: node reads, sparse and compressed
+// objects.
+type censusReads struct{ nodes, sparse, compressed int }
+
+// censusKind is one stored kind the census runs every failure pattern of.
+type censusKind struct {
+	name              string
+	cfg               core.Config
+	maxDead, patterns int                    // maxDead 0: every pattern
+	spots             map[string]censusReads // dead nodes -> the reads of v2
+}
+
+// censusKinds lists the kinds afresh for each test, which deletes the spot
+// rows it reaches.
+func censusKinds() []censusKind {
+	ns, sys := erasure.NonSystematicCauchy, erasure.SystematicCauchy
+	dispersed := store.DispersedPlacement{N: 6}
+	return []censusKind{
+		{"non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
+		{"systematic(6,3)", core.Config{Code: sys, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
+		{"non-systematic(8,4)", core.Config{Code: ns, N: 8, K: 4}, 0, 256, nil},
+		{"punctured(8,3)", core.Config{Code: ns, N: 8, K: 3, PunctureDeltas: 3}, 0, 256, nil},
+		{"cdec(8,4)", core.Config{Code: ns, N: 8, K: 4, CompressDeltas: true}, 0, 256, map[string]censusReads{"[0 2 4 6]": {5, 0, 1}}},
+		{"gf16(6,3)", core.Config{Code: ns, N: 6, K: 3, Field: core.GF16}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
+		{"reversed(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: ns, N: 6, K: 3}, 0, 64, nil},
+		{"non-systematic(12,10)", core.Config{Code: ns, N: 12, K: 10}, 4, 794, nil},
+		{"dispersed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
+		{"dispersed/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
+	}
+}
+
+// censusChain commits on cluster, a fresh growable one, v1 in full, v2 a
+// gamma = 1 delta, v3 = v1, v4 = v3 (gamma = 0) and v5 dense; under Basic
+// SEC a compaction after v3 rebases it onto v1 as a gamma = 0 delta. A
+// dispersed chain stops at v2.
+func censusChain(t *testing.T, cfg core.Config, cluster *store.Cluster) (*core.Archive, *store.Cluster, [][]byte) {
 	t.Helper()
 	cfg.Name, cfg.Scheme, cfg.BlockSize = "census", cmp.Or(cfg.Scheme, core.BasicSEC), 4
-	cluster := store.NewMemCluster(0)
 	a, err := core.New(cfg, cluster)
 	if err != nil {
 		t.Fatal(err)

@@ -303,6 +303,7 @@ func TestCompressedScrubAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = bytes.Clone(data) // node memory is read-only
 	data[0] ^= 0xFF
 	if err := node.Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)

@@ -31,6 +31,9 @@ type shardSet struct {
 	// the failure with its full node/shard provenance instead of a bare
 	// ctx error.
 	err error
+	// releases hand the shards in data back to the nodes that lent them
+	// (store.ShardResult.Release), once the set has been decoded.
+	releases []func()
 }
 
 func newShardSet() *shardSet {
@@ -48,9 +51,31 @@ func (s *shardSet) record(id string, row int, res store.ShardResult) {
 		s.err = fmt.Errorf("core: reading %s#%d: %w", id, row, res.Err)
 		return
 	}
-	if _, ok := s.data[row]; !ok {
-		s.data[row] = res.Data
-		s.reads++
+	if _, ok := s.data[row]; ok {
+		release(res) // a second copy of a row in hand
+		return
+	}
+	s.data[row] = res.Data
+	s.reads++
+	if res.Release != nil {
+		s.releases = append(s.releases, res.Release)
+	}
+}
+
+// release gives every shard in the set back to its node. Nothing may read
+// the set afterwards: what was decoded from it is memory of its own.
+func (s *shardSet) release() {
+	for _, r := range s.releases {
+		r()
+	}
+	s.releases = nil
+	clear(s.data)
+}
+
+// release gives one fetched shard back to its node, if it was lent.
+func release(res store.ShardResult) {
+	if res.Release != nil {
+		res.Release()
 	}
 }
 

@@ -25,8 +25,9 @@ func groupRefsByNode(refs []store.ShardRef) map[int][]store.ShardRef {
 // tracker). The call returns as soon as enough() is satisfied - or when
 // every issued batch has answered - cancelling and draining outstanding
 // batches first, so no goroutine outlives the call. Results arriving
-// after satisfaction are discarded, which is what demotes the straggler:
-// the retrieval stops waiting on it.
+// after satisfaction are discarded, and their shards given back to their
+// nodes, which is what demotes the straggler: the retrieval stops waiting
+// on it.
 //
 // sink, spare, and enough all run on the caller's goroutine and may share
 // state with it freely.
@@ -63,6 +64,9 @@ func (a *Archive) hedgedRead(ctx context.Context, refs []store.ShardRef, spare f
 			returned++
 			pending[out.node]--
 			if satisfied {
+				for _, res := range out.results {
+					release(res)
+				}
 				continue
 			}
 			for i := range out.refs {

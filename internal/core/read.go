@@ -78,9 +78,9 @@ func chainAbort(ctx context.Context, lastErr error) error {
 // readCodeword reads and decodes one stored codeword, using a sparse read
 // when its kind and the live shards admit one. Shards fetched by a sparse
 // attempt that could not complete are kept and count toward the full read it
-// falls back to. A non-nil set carries rows already prefetched by the chain
+// falls back to. The set carries rows already prefetched by the chain
 // planner (and, for sparse plans, which rows they are), so the healthy path
-// decodes without any further cluster traffic.
+// decodes without any further cluster traffic; the caller releases it.
 //
 // The codeword comes back as what was read, never expanded: a support and
 // the blocks it names - every block of a full version, the blocks a decode
@@ -89,9 +89,6 @@ func chainAbort(ctx context.Context, lastErr error) error {
 func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet) (delta.CompactDelta, ObjectRead, error) {
 	if cw.empty() {
 		return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize}, ObjectRead{Version: cw.version, Delta: true}, nil
-	}
-	if set == nil {
-		set = newShardSet()
 	}
 	k := cw.code.K()
 	read := func(sparse bool) ObjectRead {

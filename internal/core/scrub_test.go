@@ -65,6 +65,7 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = bytes.Clone(data) // node memory is read-only
 	data[0] ^= 0xFF
 	if err := node.Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)
@@ -396,6 +397,7 @@ func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = bytes.Clone(data) // node memory is read-only
 	data[1] ^= 0x55
 	if err := node.Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)

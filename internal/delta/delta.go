@@ -80,26 +80,46 @@ func (b Blocking) Split(data []byte) ([][]byte, error) {
 	return blocks, nil
 }
 
-// Join concatenates blocks and trims the result to length bytes. It fails
-// if the blocks do not match the blocking shape, if length exceeds the
-// capacity, or if trimming would discard non-zero padding (which indicates
-// corruption or a wrong length).
+// Join concatenates blocks and trims the result to length bytes: the Trim
+// of the blocks, copied into one slice. It fails where Trim does.
 func (b Blocking) Join(blocks [][]byte, length int) ([]byte, error) {
+	parts, err := b.Trim(blocks, length)
+	if err != nil {
+		return nil, err
+	}
+	// bytes.Join allocates without zeroing what it is about to overwrite.
+	return bytes.Join(parts, nil), nil
+}
+
+// Trim returns the object of length bytes that blocks hold, without copying
+// it: the blocks it spans, the last cut to the object's end, as sub-slices
+// of blocks. It fails if the blocks do not match the blocking shape, if
+// length exceeds the capacity, or if trimming would discard non-zero
+// padding (which indicates corruption or a wrong length).
+func (b Blocking) Trim(blocks [][]byte, length int) ([][]byte, error) {
 	if err := b.checkShape(blocks); err != nil {
 		return nil, err
 	}
 	if length < 0 || length > b.Capacity() {
 		return nil, fmt.Errorf("delta: length %d out of range [0,%d]", length, b.Capacity())
 	}
-	// The one copy of a read's bytes into its reply: bytes.Join allocates
-	// without zeroing what it is about to overwrite.
-	out := bytes.Join(blocks, nil)
-	for _, v := range out[length:] {
-		if v != 0 {
-			return nil, fmt.Errorf("delta: non-zero padding beyond object length %d", length)
+	full, rest := length/b.BlockSize, length%b.BlockSize
+	parts := blocks[:full:full]
+	if rest > 0 {
+		parts = append(parts, blocks[full][:rest])
+	}
+	for i := full; i < b.K; i++ {
+		padding := blocks[i]
+		if i == full {
+			padding = padding[rest:]
+		}
+		for _, v := range padding {
+			if v != 0 {
+				return nil, fmt.Errorf("delta: non-zero padding beyond object length %d", length)
+			}
 		}
 	}
-	return out[:length], nil
+	return parts, nil
 }
 
 func (b Blocking) checkShape(blocks [][]byte) error {

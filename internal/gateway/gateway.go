@@ -428,18 +428,21 @@ func (g *Gateway) openVersion(ctx context.Context, name string, version int) (*a
 }
 
 // Retrieve decodes one version (0 = the latest at request time). All
-// clients share the archive's decoded-version read cache.
+// clients share the archive's decoded-version read cache. The object comes
+// back as Parts, the decoded blocks themselves, read-only: the server
+// writes them into its reply, and secclient.Embed joins them into the
+// caller's copy.
 func (g *Gateway) Retrieve(ctx context.Context, name string, version int) (transport.ArchiveVersion, error) {
 	st, v, err := g.openVersion(ctx, name, version)
 	if err != nil {
 		return transport.ArchiveVersion{}, err
 	}
-	data, stats, err := st.archive.RetrieveContext(ctx, v)
+	parts, stats, err := st.archive.RetrievePartsContext(ctx, v)
 	if err != nil {
 		return transport.ArchiveVersion{}, err
 	}
 	g.retrieves.Add(1)
-	return transport.ArchiveVersion{Version: v, Data: data, Stats: stats}, nil
+	return transport.ArchiveVersion{Version: v, Parts: parts, Stats: stats}, nil
 }
 
 // RetrieveAll decodes versions 1..version (0 = through the latest).

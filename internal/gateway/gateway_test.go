@@ -76,7 +76,7 @@ func TestGatewayCreateCommitRetrieve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Version != v || !bytes.Equal(got.Data, payloadFor(32, v)) {
+		if got.Version != v || !bytes.Equal(bytes.Join(got.Parts, nil), payloadFor(32, v)) {
 			t.Errorf("version %d mismatch", v)
 		}
 	}
@@ -158,7 +158,7 @@ func TestGatewayRetrieveReadsWhatCoreReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		directGets := cluster.TotalStats().Reads
-		if !bytes.Equal(served.Data, data) {
+		if !bytes.Equal(bytes.Join(served.Parts, nil), data) {
 			t.Errorf("v%d: gateway and core decode different bytes", v)
 		}
 		if served.Stats.NodeReads != stats.NodeReads || served.Stats.SparseReads != stats.SparseReads || stats.SparseReads != v-1 {
@@ -283,7 +283,7 @@ func TestGatewayPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, want) {
+	if !bytes.Equal(bytes.Join(got.Parts, nil), want) {
 		t.Error("restarted gateway served different bytes")
 	}
 	if err := g2.Close(ctx); err != nil {
@@ -301,7 +301,7 @@ func TestGatewayPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, want) {
+	if !bytes.Equal(bytes.Join(got.Parts, nil), want) {
 		t.Error("cluster-recovered gateway served different bytes")
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -388,7 +388,7 @@ func TestGatewayMaintenanceOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Data, payloadFor(32, v)) {
+		if !bytes.Equal(bytes.Join(got.Parts, nil), payloadFor(32, v)) {
 			t.Errorf("version %d mismatch after compact+scrub+repair", v)
 		}
 	}
@@ -565,7 +565,7 @@ func TestGatewayOpenWaiterSurvivesLoadersCancellation(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("waiter with a live context: %v", got.err)
 	}
-	if !bytes.Equal(got.v.Data, want) {
+	if !bytes.Equal(bytes.Join(got.v.Parts, nil), want) {
 		t.Error("waiter was served different bytes")
 	}
 }

@@ -473,7 +473,7 @@ func (r *crashRig) verify(what, root string) {
 		if err != nil {
 			r.t.Fatalf("%s: version %d of %d: %v", what, v, info.Versions, err)
 		}
-		if !bytes.Equal(got.Data, r.attempted[v-1]) {
+		if !bytes.Equal(bytes.Join(got.Parts, nil), r.attempted[v-1]) {
 			r.t.Errorf("%s: version %d differs", what, v)
 		}
 	}

@@ -155,7 +155,7 @@ func TestLivenessProbesRunConcurrently(t *testing.T) {
 		}()
 		allParked(t, "fallback read", k)
 		gate.releaseRound()
-		if got := <-done; !bytes.Equal(got.Data, object) {
+		if got := <-done; !bytes.Equal(bytes.Join(got.Parts, nil), object) {
 			t.Error("content mismatch after the fallback read")
 		}
 		if arrived, _ := gate.counts(); arrived != expected {

@@ -18,10 +18,12 @@ import (
 )
 
 // TestMain runs the suite with every served connection overwriting its
-// request buffer once the request has been handled: the served tests pass
-// only if the gateway, its archives and their nodes kept no slice of one.
+// request buffer once the request has been handled, and every pooled frame
+// overwritten once its shards are released: the served tests pass only if
+// the gateway, its archives and their nodes kept no slice of either.
 func TestMain(m *testing.M) {
 	transport.ScribbleRequests = true
+	transport.ScribbleReleasedFrames = true
 	os.Exit(m.Run())
 }
 

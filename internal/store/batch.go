@@ -11,13 +11,19 @@ import (
 // a failure carries an error wrapping one of the store sentinels
 // (ErrNotFound, ErrCorrupt, ErrNodeDown) or a transport-specific cause.
 type ShardResult struct {
-	// Data holds the shard contents of a successful Get. It is nil for
-	// Put results and for failures.
+	// Data holds the shard contents of a successful Get, read-only (see
+	// Node.GetBatch). It is nil for Put results and for failures.
 	Data []byte
 	// Err is nil on success. On failure it wraps the store sentinel
 	// describing the shard's fate, so callers can errors.Is their way to
 	// a healing decision per shard instead of per batch.
 	Err error
+	// Release, when non-nil, hands Data back to the node that lent it, which
+	// may then reuse the memory: the holder calls it at most once, when it
+	// is done with Data, and does not touch Data afterwards. Nil means the
+	// memory is left to the garbage collector, as is Data whose Release is
+	// never called.
+	Release func()
 }
 
 // BatchNode is Node, whose methods are the batches. The name and the

@@ -33,7 +33,7 @@ func (n *MemNode) Put(ctx context.Context, id ShardID, data []byte) error {
 	return putOne(ctx, n, id, data)
 }
 
-// Get returns a copy of the shard contents: a get batch of one.
+// Get returns the shard contents, read-only: a get batch of one.
 func (n *MemNode) Get(ctx context.Context, id ShardID) ([]byte, error) {
 	return getOne(ctx, n, id)
 }
@@ -47,7 +47,10 @@ func (n *MemNode) Delete(ctx context.Context, id ShardID) error {
 // shard with ErrNodeDown while the node is failed and ErrNotFound when the
 // shard is absent; each successful read is counted. The context is checked
 // per shard, so a cancelled batch fails its remaining shards with the
-// context's error.
+// context's error. A result's Data is the stored shard itself, not a copy:
+// PutBatch stores a fresh copy and nothing writes a stored shard in place,
+// so the bytes a reader holds never change under it. It is cap-clipped, so
+// an append to it reallocates instead of writing behind the stored bytes.
 func (n *MemNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 	results := make([]ShardResult, len(ids))
 	//lint:allow lockheld in-memory node; the only ctx-aware callee is admit, which reads ctx.Err and never blocks
@@ -65,7 +68,7 @@ func (n *MemNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 		}
 		n.stats.Reads++
 		n.stats.BytesRead += uint64(len(data))
-		results[i] = ShardResult{Data: append([]byte(nil), data...)}
+		results[i] = ShardResult{Data: data[:len(data):len(data)]}
 	}
 	return results
 }

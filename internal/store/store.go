@@ -172,7 +172,10 @@ type Node interface {
 	// ID returns a stable identifier for logs and placement debugging.
 	ID() string
 	// GetBatch reads every listed shard. The Data of a successful result
-	// is the caller's: the node keeps no reference to it.
+	// is read-only: the node may share it with what it stores and with
+	// other readers (MemNode hands out the shard it holds), so a caller
+	// that wants to change the bytes copies them first. A result with a
+	// Release lends its memory until Release is called.
 	GetBatch(ctx context.Context, ids []ShardID) []ShardResult
 	// PutBatch stores data[i] under ids[i], overwriting any previous
 	// contents, and returns one error per shard (nil for successes).

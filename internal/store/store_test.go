@@ -49,28 +49,41 @@ func TestMemNodePutGetDelete(t *testing.T) {
 	}
 }
 
-func TestMemNodeCopiesAtBoundaries(t *testing.T) {
+// TestMemNodePutCopiesGetShares pins the node's side of the read-only
+// contract: Put stores a copy, so the caller may reuse its buffer; Get hands
+// out the stored shard itself, every reader the same bytes, cap-clipped so
+// an append cannot write behind them; and a later Put replaces the shard
+// instead of writing into the one readers hold.
+func TestMemNodePutCopiesGetShares(t *testing.T) {
 	n := NewMemNode("n0")
 	id := ShardID{Object: "obj", Row: 0}
 	data := []byte{9, 9}
 	if err := n.Put(t.Context(), id, data); err != nil {
 		t.Fatal(err)
 	}
-	data[0] = 0 // caller mutation must not affect stored copy
+	data[0] = 0
 	got, err := n.Get(t.Context(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 9 {
-		t.Error("Put did not copy its input")
+	if !bytes.Equal(got, []byte{9, 9}) {
+		t.Fatalf("Get = %v after the caller reused its buffer: Put did not copy", got)
 	}
-	got[1] = 0 // reader mutation must not affect stored copy
 	again, err := n.Get(t.Context(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[1] != 9 {
-		t.Error("Get did not copy its output")
+	if &again[0] != &got[0] {
+		t.Error("two Gets of one shard returned different memory: Get copied")
+	}
+	if cap(got) != len(got) {
+		t.Errorf("Get handed out cap %d over len %d: an append would write behind the stored shard", cap(got), len(got))
+	}
+	if err := n.Put(t.Context(), id, []byte{7, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{9, 9}) {
+		t.Errorf("a shard a reader holds changed to %v when it was overwritten", got)
 	}
 }
 

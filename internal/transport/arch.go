@@ -67,10 +67,23 @@ type ArchiveVersion struct {
 	// Version is the version number actually served (the latest at
 	// request time when the request asked for 0).
 	Version int `json:"version"`
-	// Data is the decoded object.
+	// Data is the decoded object. ArchiveClient always fills it.
 	Data []byte `json:"-"`
+	// Parts is the decoded object as the slices it is made of, in order,
+	// when Data is nil: the gateway hands out its decoded blocks this way
+	// (core.Archive.RetrievePartsContext), read-only, and the server writes
+	// them into the reply from where they lie.
+	Parts [][]byte `json:"-"`
 	// Stats is the archive-side retrieval accounting for this read.
 	Stats core.RetrievalStats `json:"stats"`
+}
+
+// object is the decoded object as the parts a reply carries.
+func (v ArchiveVersion) object() parts {
+	if v.Data == nil {
+		return v.Parts
+	}
+	return parts{v.Data}
 }
 
 // ArchiveLogEntry describes one version in an archive's history, combining
@@ -160,7 +173,7 @@ func encodeArchVersion(v ArchiveVersion) (parts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: encoding version meta: %w", err)
 	}
-	return parts{binary.BigEndian.AppendUint32(nil, uint32(len(meta))), meta, v.Data}, nil
+	return append(parts{binary.BigEndian.AppendUint32(nil, uint32(len(meta))), meta}, v.object()...), nil
 }
 
 // decodeArchVersion parses a retrieve response.
@@ -270,7 +283,7 @@ var archOps = [...]archOp{
 			if err != nil {
 				return nil, err
 			}
-			s.reqs.bytesRead.Add(uint64(len(v.Data)))
+			s.reqs.bytesRead.Add(uint64(v.object().size()))
 			return encodeArchVersion(v)
 		},
 	},
@@ -413,12 +426,12 @@ func markNotServed(err error) {
 // call performs one archive-op round trip and converts a peer's
 // does-not-serve-archives rejection into ErrNotServed.
 func (c *ArchiveClient) call(ctx context.Context, op byte, id store.ShardID, payload ...[]byte) ([]byte, error) {
-	resp, err := c.n.roundTrip(ctx, archOps[op-opArchCreate].name, op, id, payload...)
+	resp, err := c.n.roundTrip(ctx, archOps[op-opArchCreate].name, op, id, 0, payload...)
 	if err != nil {
 		markNotServed(err)
 		return nil, err
 	}
-	return resp, nil
+	return resp.payload, nil
 }
 
 // callJSON is call for the ops whose response body is one JSON value.

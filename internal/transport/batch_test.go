@@ -238,7 +238,7 @@ func legacyServer(t *testing.T, node store.Node) (net.Addr, *Server, *atomic.Int
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					body, err := readFrame(conn, nil)
+					body, _, err := readFrame(conn, nil, 0)
 					if err != nil {
 						return
 					}
@@ -450,7 +450,7 @@ func TestExchangeReassemblesPartialFrames(t *testing.T) {
 	go func() {
 		defer c2.Close()
 		r := bufio.NewReader(c2)
-		if _, err := readFrame(r, nil); err != nil {
+		if _, _, err := readFrame(r, nil, 0); err != nil {
 			done <- err
 			return
 		}
@@ -462,17 +462,17 @@ func TestExchangeReassemblesPartialFrames(t *testing.T) {
 		}
 		done <- writeFrame(c2, []byte{statusOK}, []byte("world"))
 	}()
-	cn := &poolConn{c: c1, r: bufio.NewReader(c1), w: bufio.NewWriter(c1)}
+	cn := &poolConn{c: c1, r: bufio.NewReader(c1)}
 	req, err := encodeRequest(opPing, store.ShardID{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, payload, err := exchangeOn(cn, req, time.Now().Add(2*time.Second))
+	resp, err := exchangeOn(cn, req, time.Now().Add(2*time.Second), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != statusOK || string(payload) != "hello world" {
-		t.Errorf("reassembled = %d %q, want statusOK \"hello world\"", status, payload)
+	if resp.status != statusOK || string(resp.payload) != "hello world" {
+		t.Errorf("reassembled = %d %q, want statusOK \"hello world\"", resp.status, resp.payload)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -40,12 +41,12 @@ const maxBatchPutBytes = maxFrame - 64<<10
 // failure.
 var errClientClosed = errors.New("transport: client closed")
 
-// poolConn is one pooled client connection with its buffered reader and
-// writer.
+// poolConn is one pooled client connection with its buffered reader. A
+// request is written through a writer borrowed for it (writeBuffered), as
+// the server writes its responses.
 type poolConn struct {
 	c net.Conn
 	r *bufio.Reader
-	w *bufio.Writer
 }
 
 func (p *poolConn) close() {
@@ -204,15 +205,21 @@ func (n *RemoteNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.
 // encode and a response that would not decode, as a non-transient error.
 func (n *RemoteNode) batchChunk(ctx context.Context, op byte, name string, ids []store.ShardID, body parts, err error, set func(i int, res store.ShardResult)) {
 	if err == nil {
-		var payload []byte
-		if payload, err = n.roundTrip(ctx, name, op, store.ShardID{}, body...); err == nil {
+		var resp response
+		pool := 0
+		if op == opGetBatch {
+			pool = getBatchPool(len(ids))
+		}
+		if resp, err = n.roundTrip(ctx, name, op, store.ShardID{}, pool, body...); err == nil {
 			var results []store.ShardResult
-			if results, err = decodeBatchResults(payload, ids, n.id, name); err == nil {
+			if results, err = decodeBatchResults(resp.payload, ids, n.id, name); err == nil {
+				resp.frame.lend(results)
 				for i, res := range results {
 					set(i, res)
 				}
 				return
 			}
+			resp.frame.release()
 		}
 	}
 	for i, id := range ids {
@@ -330,7 +337,7 @@ func (n *RemoteNode) pingOnce(ctx context.Context) bool {
 		}
 		n.pingConn = cn
 	}
-	status, _, clean, err := n.exchangeCtx(ctx, n.pingConn, body, deadline)
+	resp, clean, err := n.exchangeCtx(ctx, n.pingConn, body, deadline, 0)
 	if err != nil && reused && ctx.Err() == nil {
 		// The kept-alive ping connection may be stale (server restarted);
 		// retry exactly once on a fresh dial.
@@ -341,14 +348,14 @@ func (n *RemoteNode) pingOnce(ctx context.Context) bool {
 			return false
 		}
 		n.pingConn = cn
-		status, _, clean, err = n.exchangeCtx(ctx, n.pingConn, body, deadline)
+		resp, clean, err = n.exchangeCtx(ctx, n.pingConn, body, deadline, 0)
 	}
 	if err != nil || !clean {
 		n.pingConn.close()
 		n.pingConn = nil
-		return err == nil && status == statusOK
+		return err == nil && resp.status == statusOK
 	}
-	return status == statusOK
+	return resp.status == statusOK
 }
 
 // Stats fetches the remote node's I/O counters. Transport and decode
@@ -365,11 +372,11 @@ func (n *RemoteNode) Stats() store.NodeStats {
 // (store.Cluster.TotalStatsChecked) use it to flag unreachable nodes so
 // experiment I/O accounting is never silently short.
 func (n *RemoteNode) StatsErr(ctx context.Context) (store.NodeStats, error) {
-	payload, err := n.roundTrip(ctx, "stats", opStats, store.ShardID{})
+	resp, err := n.roundTrip(ctx, "stats", opStats, store.ShardID{}, 0)
 	if err != nil {
 		return store.NodeStats{}, err
 	}
-	stats, err := decodeStats(payload)
+	stats, err := decodeStats(resp.payload)
 	if err != nil {
 		return store.NodeStats{}, fmt.Errorf("node %s: %w", n.id, err)
 	}
@@ -379,7 +386,7 @@ func (n *RemoteNode) StatsErr(ctx context.Context) (store.NodeStats, error) {
 // ResetStats zeroes the remote node's I/O counters (best effort).
 func (n *RemoteNode) ResetStats() {
 	//lint:allow ctxcheck mirrors the ctx-less store.Node interface; best-effort fire-and-forget reset
-	_, _ = n.roundTrip(context.Background(), "stats", opResetStats, store.ShardID{})
+	_, _ = n.roundTrip(context.Background(), "stats", opResetStats, store.ShardID{}, 0)
 }
 
 // Close tears down every connection - idle, checked out by an in-flight
@@ -458,20 +465,24 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 //
 // The payload parts are written from where they lie; the payload returned
 // is a sub-slice of its frame, which only the caller refers to from here on.
-func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id store.ShardID, payload ...[]byte) ([]byte, error) {
+// A response frame above pool bytes is read into the frame pool, and the
+// response's frame holds it for the caller: only batchChunk asks for that,
+// for a get batch, whose shards it lends out with a Release. With pool 0
+// the response is memory of its own, which the caller keeps.
+func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id store.ShardID, pool int, payload ...[]byte) (response, error) {
 	body, err := encodeRequest(op, id, payload...)
 	if err != nil {
-		return nil, err
+		return response{}, err
 	}
 	// A request no frame can carry is the caller's error, not the node's:
 	// refuse it here, with every part counted, before a connection is taken.
 	if size := body.size(); size > maxFrame {
-		return nil, fmt.Errorf("transport: %s request of %d bytes: %w", name, size, errFrameTooLarge)
+		return response{}, fmt.Errorf("transport: %s request of %d bytes: %w", name, size, errFrameTooLarge)
 	}
 	select {
 	case n.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, n.opErr(ctx, name, id, ctx.Err())
+		return response{}, n.opErr(ctx, name, id, ctx.Err())
 	}
 	defer func() { <-n.sem }()
 	maxAttempts := n.retry.MaxAttempts
@@ -480,12 +491,13 @@ func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id sto
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		status, payload, err := n.tryExchange(ctx, body)
+		resp, err := n.tryExchange(ctx, body, pool)
 		if err == nil {
-			if err := errorFor(status, payload, n.id, name, id); err != nil {
-				return nil, err
+			if err := errorFor(resp.status, resp.payload, n.id, name, id); err != nil {
+				resp.frame.release()
+				return response{}, err
 			}
-			return payload, nil
+			return resp, nil
 		}
 		lastErr = err
 		if attempt >= maxAttempts || ctxCause(ctx) != nil || n.isClosed() {
@@ -495,24 +507,24 @@ func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id sto
 			break
 		}
 	}
-	return nil, n.opErr(ctx, name, id, lastErr)
+	return response{}, n.opErr(ctx, name, id, lastErr)
 }
 
 // tryExchange performs one pooled request/response exchange, including the
 // free stale-connection re-dial when a reused pooled connection fails. The
 // returned error is a raw transport cause (not yet attributed to the
-// node); a nil error means the server answered with status and payload.
-func (n *RemoteNode) tryExchange(ctx context.Context, body parts) (byte, []byte, error) {
+// node); a nil error means the server answered.
+func (n *RemoteNode) tryExchange(ctx context.Context, body parts, pool int) (response, error) {
 	deadline := earliestDeadline(ctx, n.timeout)
 	cn, reused, gen, err := n.takeConn(deadline)
 	if err != nil {
-		return 0, nil, err
+		return response{}, err
 	}
-	status, payload, clean, err := n.exchangeCtx(ctx, cn, body, deadline)
+	resp, clean, err := n.exchangeCtx(ctx, cn, body, deadline, pool)
 	if err != nil && reused && ctxCause(ctx) == nil && !n.isClosed() {
 		n.retireConn(cn)
 		if cn, err = n.dialConn(deadline); err == nil {
-			status, payload, clean, err = n.exchangeCtx(ctx, cn, body, deadline)
+			resp, clean, err = n.exchangeCtx(ctx, cn, body, deadline, pool)
 		} else {
 			cn = nil
 		}
@@ -521,14 +533,14 @@ func (n *RemoteNode) tryExchange(ctx context.Context, body parts) (byte, []byte,
 		if cn != nil {
 			n.retireConn(cn)
 		}
-		return 0, nil, err
+		return response{}, err
 	}
 	if !clean {
 		n.retireConn(cn)
 	} else {
 		n.putConn(cn, gen)
 	}
-	return status, payload, nil
+	return resp, nil
 }
 
 // exchangeCtx runs one request/response exchange under both the wire
@@ -539,21 +551,21 @@ func (n *RemoteNode) tryExchange(ctx context.Context, body parts) (byte, []byte,
 // wire) and on the rare race where the exchange succeeded but the
 // cancellation callback had already started - the conn must then be
 // retired so the callback cannot poison a later operation's deadline.
-func (n *RemoteNode) exchangeCtx(ctx context.Context, cn *poolConn, body parts, deadline time.Time) (status byte, payload []byte, clean bool, err error) {
+func (n *RemoteNode) exchangeCtx(ctx context.Context, cn *poolConn, body parts, deadline time.Time, pool int) (resp response, clean bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return 0, nil, true, err
+		return response{}, true, err
 	}
 	stop := context.AfterFunc(ctx, func() {
 		_ = cn.c.SetDeadline(time.Unix(1, 0)) // interrupt the in-flight read/write
 	})
-	status, payload, err = exchangeOn(cn, body, deadline)
+	resp, err = exchangeOn(cn, body, deadline, pool)
 	clean = stop() && err == nil
 	if err != nil {
 		if cause := ctxCause(ctx); cause != nil {
 			err = cause
 		}
 	}
-	return status, payload, clean, err
+	return resp, clean, err
 }
 
 // ctxCause reports why a failed exchange should be attributed to the
@@ -573,35 +585,44 @@ func ctxCause(ctx context.Context) error {
 
 // exchangeOn writes one request frame and reads one logical response on
 // the given connection under the deadline, reassembling statusPartial
-// continuation frames into a single payload.
-func exchangeOn(cn *poolConn, body parts, deadline time.Time) (byte, []byte, error) {
+// continuation frames into a single payload. A response frame above pool
+// bytes is read into the frame pool (see readFrame), and the payload, if it
+// is that frame's, comes with it; a reassembled payload is a new slice.
+func exchangeOn(cn *poolConn, body parts, deadline time.Time, pool int) (response, error) {
 	if err := cn.c.SetDeadline(deadline); err != nil {
-		return 0, nil, err
+		return response{}, err
 	}
-	if err := writeFrame(cn.w, body...); err != nil {
-		return 0, nil, err
-	}
-	if err := cn.w.Flush(); err != nil {
-		return 0, nil, err
+	if err := writeBuffered(cn.c, func(w io.Writer) error { return writeFrame(w, body...) }); err != nil {
+		return response{}, err
 	}
 	var full []byte
 	for {
-		frame, err := readFrame(cn.r, nil)
+		raw, frame, err := readFrame(cn.r, nil, pool)
 		if err != nil {
-			return 0, nil, err
+			return response{}, err
 		}
-		status, payload, err := decodeResponse(frame)
+		status, payload, err := decodeResponse(raw)
 		if err != nil {
-			return 0, nil, err
+			frame.release()
+			return response{}, err
 		}
-		if status != statusPartial {
-			if full != nil {
-				payload = append(full, payload...)
-			}
-			return status, payload, nil
+		if status != statusPartial && full == nil {
+			return response{status, payload, frame}, nil
 		}
 		full = append(full, payload...)
+		frame.release()
+		if status != statusPartial {
+			return response{status: status, payload: full}, nil
+		}
 	}
+}
+
+// response is one logical response: its status, its payload, and the
+// pooled frame the payload lies in, nil when it lies in memory of its own.
+type response struct {
+	status  byte
+	payload []byte
+	frame   *pooledFrame
 }
 
 // takeConn pops an idle pooled connection or dials a new one, registering
@@ -683,7 +704,7 @@ func (n *RemoteNode) dialDeadline(deadline time.Time) (*poolConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &poolConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}, nil
+	return &poolConn{c: c, r: bufio.NewReader(c)}, nil
 }
 
 // earliestDeadline returns now+fallback or the context's deadline,

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/store"
+	"github.com/secarchive/sec/internal/testutil"
 )
 
 // flat is a part list as the one buffer it is written as.
@@ -418,41 +420,59 @@ func TestRequestBufferIsTheServersAfterHandle(t *testing.T) {
 
 // TestGetBatchAllocationPerByte bounds what a batch read allocates, as a
 // count: bytes allocated on both ends of a loopback connection per shard
-// byte returned, for 12 shards of 200 KiB. The node's copy of what it hands
-// out and the frame the client reads it into are two; at the parent commit
-// the response was also assembled twice on the server and copied out of the
-// frame twice on the client: 6.0 B/B. The bound is below half of that
-// reading, not a number tuned to pass.
+// byte returned, with every shard released once checked. A node hands out
+// the shards it stores without a copy, and a response frame of a few large
+// shards - three of 200 KiB, the rows one node holds of a version and its
+// two deltas - comes from the frame pool and goes back to it: what is left
+// is per-request bookkeeping, 0.002 B/B, and the frame of a read that
+// resumed on another P than the last release ran on, which misses the
+// per-P cache of the sync.Pool; the bound allows three such misses in
+// sixteen reads. A frame above maxPooledFrame - twelve such shards - is a
+// make the size of what it carries: 1.01 B/B, bounded at that plus 20 %.
+// At the parent commit both batches read 1.07 B/B. Under the race
+// detector, which empties pools at random, the bounds are not checked.
 func TestGetBatchAllocationPerByte(t *testing.T) {
-	const bound = 2.5
-	_, client := startServer(t)
-	ctx := t.Context()
-	ids := testIDs("o", 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
-	data := make([][]byte, len(ids))
-	for i := range data {
-		data[i] = bytes.Repeat([]byte{byte(i + 1)}, 200<<10)
-	}
-	if err := firstErr(client.PutBatch(ctx, ids, data)); err != nil {
-		t.Fatal(err)
-	}
-	read := func() {
-		for i, res := range client.GetBatch(ctx, ids) {
-			if res.Err != nil || !bytes.Equal(res.Data, data[i]) {
-				t.Fatalf("shard %d: wrong bytes or error %v", i, res.Err)
+	for _, tc := range []struct {
+		shards int
+		bound  float64
+	}{
+		{3, 0.25},
+		{12, 1.21},
+	} {
+		t.Run(fmt.Sprintf("%dx200KiB", tc.shards), func(t *testing.T) {
+			_, client := startServer(t)
+			ctx := t.Context()
+			ids := testIDs("o", 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)[:tc.shards]
+			data := make([][]byte, len(ids))
+			for i := range data {
+				data[i] = bytes.Repeat([]byte{byte(i + 1)}, 200<<10)
 			}
-		}
-	}
-	read() // the connection is dialled
-	const reads = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < reads; i++ {
-		read()
-	}
-	runtime.ReadMemStats(&after)
-	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(reads*len(ids)*200<<10)
-	t.Logf("%.2f bytes allocated per shard byte returned", perByte)
-	if perByte > bound {
-		t.Errorf("a 12 x 200 KiB batch read allocates %.2f B/B, want at most %.1f", perByte, bound)
+			if err := firstErr(client.PutBatch(ctx, ids, data)); err != nil {
+				t.Fatal(err)
+			}
+			read := func() {
+				for i, res := range client.GetBatch(ctx, ids) {
+					if res.Err != nil || !bytes.Equal(res.Data, data[i]) {
+						t.Fatalf("shard %d: wrong bytes or error %v", i, res.Err)
+					}
+					if res.Release != nil {
+						res.Release()
+					}
+				}
+			}
+			read() // the connection is dialled, the pool holds a frame
+			const reads = 16
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < reads; i++ {
+				read()
+			}
+			runtime.ReadMemStats(&after)
+			perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(reads*len(ids)*200<<10)
+			t.Logf("%.4f bytes allocated per shard byte returned", perByte)
+			if perByte > tc.bound && !testutil.RaceEnabled {
+				t.Errorf("a %d x 200 KiB batch read allocates %.4f B/B, want at most %.2f", tc.shards, perByte, tc.bound)
+			}
+		})
 	}
 }

@@ -417,9 +417,9 @@ func decodeBatchResults(payload []byte, ids []store.ShardID, node, op string) ([
 }
 
 // writeFrame writes one frame whose body is the given parts, each from
-// where it lies. w is the connection's bufio.Writer: a frame that fits its
-// buffer leaves in one write when flushed, and a part larger than the buffer
-// goes to the socket without being copied.
+// where it lies. w is a frameWriters writer (see writeBuffered): a frame
+// that fits its buffer leaves in one write when flushed, and a part larger
+// than the buffer goes to the socket without being copied.
 func writeFrame(w io.Writer, body ...[]byte) error {
 	size := parts(body).size()
 	if size > maxFrame {
@@ -438,26 +438,36 @@ func writeFrame(w io.Writer, body ...[]byte) error {
 	return nil
 }
 
-// readFrame reads one frame body, into buf when it fits and into a new slice
-// when it does not. Either way the body belongs to the caller, who may hand
-// out sub-slices of it instead of copies.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+// readFrame reads one frame body: into buf when it fits; a body larger than
+// pool and at most maxPooledFrame into a buffer of the frame pool, which the
+// frame returned holds for the caller (nil otherwise); else into a new
+// slice. pool is 0, which pools nothing, or at least connBufSize. Either way
+// the body belongs to the caller, who may hand out sub-slices of it instead
+// of copies - of a pooled one, until its frame is released.
+func readFrame(r io.Reader, buf []byte, pool int) ([]byte, *pooledFrame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if n > maxFrame {
-		return nil, errFrameTooLarge
+		return nil, nil, errFrameTooLarge
 	}
-	if int(n) > cap(buf) {
+	var f *pooledFrame
+	switch {
+	case n <= cap(buf):
+	case pool > 0 && n > pool && n <= maxPooledFrame:
+		f = getFrame(n)
+		buf = f.buf
+	default:
 		buf = make([]byte, n)
 	}
 	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		f.release()
+		return nil, nil, err
 	}
-	return body, nil
+	return body, f, nil
 }
 
 // statusFor maps node errors onto wire status codes.

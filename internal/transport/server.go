@@ -120,17 +120,32 @@ func (s *Server) ConnCount() int {
 // 64 MiB payloads.
 var maxResponseChunk = maxFrame - 1
 
-// connBufSize sizes the buffer a response is written through and bounds the
-// request buffer a served connection keeps between requests. A response
-// below it - a batch of 4 KiB shards, every JSON reply - leaves in one
-// write; a shard or object above it is written to the socket from where it
-// lies. 64 KiB is about what a loopback socket takes in one write.
+// connBufSize sizes the buffer a frame is written through, bounds the
+// request buffer a served connection keeps between requests, and is the
+// size above which a frame is read into the frame pool. A request or
+// response below it - a batch of 4 KiB shards, every JSON reply - leaves in
+// one write; a shard or object above it is written to the socket from where
+// it lies. 64 KiB is about what a loopback socket takes in one write.
 const connBufSize = 64 << 10
 
-// responseWriters lends a connection its write buffer for the length of one
-// response, so that idle connections - most of them, and every ping
-// connection always - hold none.
-var responseWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufSize) }}
+// frameWriters lends a connection its write buffer for the length of one
+// request or response, so that idle connections - most of them, and every
+// ping connection always - hold none.
+var frameWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufSize) }}
+
+// writeBuffered runs write - the frames of one request or response -
+// through a writer borrowed from frameWriters and flushes it to c.
+func writeBuffered(c io.Writer, write func(w io.Writer) error) error {
+	w := frameWriters.Get().(*bufio.Writer)
+	w.Reset(c)
+	err := write(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	w.Reset(nil) // the pool must not keep the connection alive
+	frameWriters.Put(w)
+	return err
+}
 
 // ScribbleRequests makes every served connection overwrite its request
 // buffer as soon as handle returns. Tests set it (in TestMain, before any
@@ -238,10 +253,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	// A request is read into the connection's one request buffer and is
 	// valid until handle returns, when the buffer is the server's again. One
-	// too large to be worth keeping gets a buffer of its own, same rule.
+	// too large to be worth keeping comes from the frame pool and goes back
+	// to it then, or is a buffer of its own, same rule.
 	var buf []byte
 	for {
-		body, err := readFrame(r, buf)
+		body, frame, err := readFrame(r, buf, connBufSize)
 		if err != nil {
 			return // EOF, broken peer, or drain deadline: drop the connection
 		}
@@ -251,17 +267,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				body[i] = 0xA5
 			}
 		}
-		if cap(body) <= connBufSize {
+		if frame != nil {
+			frame.release()
+		} else if cap(body) <= connBufSize {
 			buf = body
 		}
-		w := responseWriters.Get().(*bufio.Writer)
-		w.Reset(conn)
-		err = writeResponse(w, status, payload)
-		if err == nil {
-			err = w.Flush()
-		}
-		w.Reset(nil) // the pool must not keep the connection alive
-		responseWriters.Put(w)
+		err = writeBuffered(conn, func(w io.Writer) error { return writeResponse(w, status, payload) })
 		if err != nil {
 			return
 		}

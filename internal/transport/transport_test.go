@@ -367,7 +367,7 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	body, err := readFrame(conn, nil)
+	body, _, err := readFrame(conn, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestFrameSizeLimit(t *testing.T) {
 	// A forged oversized header must be rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf, nil); !errors.Is(err, errFrameTooLarge) {
+	if _, _, err := readFrame(&buf, nil, 0); !errors.Is(err, errFrameTooLarge) {
 		t.Errorf("oversized read: err = %v, want errFrameTooLarge", err)
 	}
 }

@@ -15,6 +15,7 @@
 package secclient
 
 import (
+	"bytes"
 	"context"
 	"time"
 
@@ -163,14 +164,26 @@ func (c *Client) CommitAt(ctx context.Context, name string, expect int, object [
 }
 
 // Retrieve decodes one version; version 0 means the latest at request
-// time (the version served is reported in the result).
+// time (the version served is reported in the result). The object is in
+// Data, the caller's own copy.
 func (c *Client) Retrieve(ctx context.Context, name string, version int) (Version, error) {
-	return c.backend.Retrieve(ctx, name, version)
+	return c.retrieve(ctx, name, version)
 }
 
 // Latest decodes the newest version.
 func (c *Client) Latest(ctx context.Context, name string) (Version, error) {
-	return c.backend.Retrieve(ctx, name, 0)
+	return c.retrieve(ctx, name, 0)
+}
+
+// retrieve asks the backend for a version. An embedded gateway answers with
+// its decoded blocks as Parts, which its read cache may share; they are
+// joined into Data here, so no caller holds memory the gateway shares.
+func (c *Client) retrieve(ctx context.Context, name string, version int) (Version, error) {
+	v, err := c.backend.Retrieve(ctx, name, version)
+	if err == nil && v.Data == nil {
+		v.Data, v.Parts = bytes.Join(v.Parts, nil), nil
+	}
+	return v, err
 }
 
 // RetrieveAll decodes versions 1..version (0 = through the latest).

@@ -9,9 +9,11 @@ package secclient_test
 // tests assert the contract application code actually programs against.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -223,5 +225,84 @@ func TestClientErrNotServedAgainstLegacyPeer(t *testing.T) {
 	}
 	if _, err := client.Info(ctx, "a"); !errors.Is(err, secclient.ErrNotServed) {
 		t.Errorf("Info = %v, want ErrNotServed", err)
+	}
+}
+
+// TestEmbedAndDialServeTheSameVersions runs Retrieve, Latest and RetrieveAll
+// through an embedded and a dialled client of one gateway, on an archive
+// with a decoded-version cache (warmed first, so both read hits) and one
+// without (both read cold), and requires the same Data, Version and Stats
+// from both. The embedded gateway hands out its decoded blocks as Parts; the
+// client joins them into Data, a copy of the caller's own: writing into it
+// changes nothing the next read returns.
+func TestEmbedAndDialServeTheSameVersions(t *testing.T) {
+	gw, err := gateway.New(gateway.Config{Cluster: store.NewMemCluster(6), Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close(context.Background()) })
+	server := transport.NewServer(nil, transport.WithArchiveBackend(gw))
+	addr, err := server.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = server.Close() })
+	embedded, dialled := secclient.Embed(gw), dial(t, addr.String())
+	ctx := t.Context()
+	for _, cacheBytes := range []int{0, 1 << 20} {
+		name := fmt.Sprintf("cache-%d", cacheBytes)
+		info, err := embedded.Create(ctx, name, secclient.Spec{N: 6, K: 3, BlockSize: 16, ReadCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		object := make([]byte, info.Capacity-5) // the last block is padded
+		for v := 1; v <= 3; v++ {
+			object[(v%3)*16] = byte(v)
+			if _, err := dialled.Commit(ctx, name, object); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reads := map[string]func(c *secclient.Client) (secclient.Version, error){
+			"v1":     func(c *secclient.Client) (secclient.Version, error) { return c.Retrieve(ctx, name, 1) },
+			"v2":     func(c *secclient.Client) (secclient.Version, error) { return c.Retrieve(ctx, name, 2) },
+			"latest": func(c *secclient.Client) (secclient.Version, error) { return c.Latest(ctx, name) },
+		}
+		for what, read := range reads {
+			if cacheBytes > 0 {
+				if _, err := read(embedded); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, err := read(embedded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := read(dialled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Version != d.Version || !bytes.Equal(e.Data, d.Data) || !reflect.DeepEqual(e.Stats, d.Stats) || e.Parts != nil {
+				t.Errorf("%s %s: embedded v%d %+v (parts %d), dialled v%d %+v; data equal %v",
+					name, what, e.Version, e.Stats, len(e.Parts), d.Version, d.Stats, bytes.Equal(e.Data, d.Data))
+			}
+			if cacheBytes > 0 && e.Stats.CacheHits != 1 {
+				t.Errorf("%s %s: %+v, want a cache hit", name, what, e.Stats)
+			}
+			clear(e.Data)
+			if again, err := read(dialled); err != nil || !bytes.Equal(again.Data, d.Data) {
+				t.Errorf("%s %s: writing into an embedded read changed what the next read returns", name, what)
+			}
+		}
+		eAll, eStats, err := embedded.RetrieveAll(ctx, name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dAll, dStats, err := dialled.RetrieveAll(ctx, name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(eAll, dAll) || !reflect.DeepEqual(eStats, dStats) {
+			t.Errorf("%s RetrieveAll: embedded %+v, dialled %+v; versions equal %v", name, eStats, dStats, reflect.DeepEqual(eAll, dAll))
+		}
 	}
 }
