@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,9 +28,12 @@ import (
 type stallNode struct {
 	*store.MemNode
 	stalled chan struct{} // closed to release the stall
+	inside  atomic.Int32  // reads parked or finishing
 }
 
 func (s *stallNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	s.inside.Add(1)
+	defer s.inside.Add(-1)
 	select {
 	case <-s.stalled:
 	case <-ctx.Done():
@@ -135,16 +139,11 @@ func TestRetrieveDeadlineBoundsStalledChain(t *testing.T) {
 	// exactly - the cancelled attempt must not leave phantom or
 	// double-counted reads behind. Server handlers parked on the stall
 	// finish their (already abandoned) batches once released, so wait for
-	// the counters to go quiet before sampling.
+	// them to return before sampling.
 	close(stall.stalled)
+	testutil.MustWaitFor(t, 5*time.Second, func() bool { return stall.inside.Load() == 0 },
+		"parked reads still running after the stall was released")
 	readsAfterCancelled := cluster.TotalStats().Reads
-	testutil.MustWaitFor(t, 5*time.Second, func() bool {
-		if now := cluster.TotalStats().Reads; now != readsAfterCancelled {
-			readsAfterCancelled = now
-			return false
-		}
-		return true
-	}, "node read counters still moving after the stall was released")
 	got, stats, err := archive.RetrieveContext(t.Context(), versions)
 	if err != nil {
 		t.Fatalf("Retrieve after releasing the stall: %v (pool poisoned?)", err)

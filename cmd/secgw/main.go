@@ -110,7 +110,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	server := transport.NewServer(nil, transport.WithArchiveBackend(gw), transport.WithLogger(logger))
+	server := transport.NewServer(nil, transport.WithArchiveBackend(gw))
 	bound, err := server.Listen(*addr)
 	if err != nil {
 		return err

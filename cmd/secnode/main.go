@@ -39,7 +39,6 @@ import (
 	"time"
 
 	sec "github.com/secarchive/sec"
-	"github.com/secarchive/sec/internal/transport"
 )
 
 // flagOutput receives flag-parse diagnostics and -h usage text; tests
@@ -91,7 +90,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	} else {
 		node = sec.NewMemNode(*id)
 	}
-	server := sec.NewNodeServer(node, transport.WithLogger(logger))
+	server := sec.NewNodeServer(node)
 	bound, err := server.Listen(*addr)
 	if err != nil {
 		return err

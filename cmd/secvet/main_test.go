@@ -51,3 +51,17 @@ func TestHelp(t *testing.T) {
 		t.Errorf("help for an unknown analyzer should exit 1, got %d", code)
 	}
 }
+
+// TestUsageError: secvet has one driver, the go command; package patterns
+// and bare invocations are usage errors.
+func TestUsageError(t *testing.T) {
+	for _, args := range [][]string{{"./..."}, nil, {"-V=full", "./..."}} {
+		var out, errOut strings.Builder
+		if code := lint.Main(args, &out, &errOut); code != 1 {
+			t.Errorf("secvet %q exited %d, want 1", args, code)
+		}
+		if !strings.Contains(errOut.String(), "usage:") || out.Len() != 0 {
+			t.Errorf("secvet %q: stdout %q, stderr %q; want usage on stderr only", args, out.String(), errOut.String())
+		}
+	}
+}

@@ -92,11 +92,11 @@
 // # Enforced invariants
 //
 // The contracts above are load-bearing, so they are machine-enforced:
-// cmd/secvet is a custom analyzer suite (internal/lint) run by CI over
-// every package, test files included. It checks the ctx-first rule, error
-// provenance (%w / sentinels), pooled-buffer release, locks never held
-// across blocking calls, and that retries/hedging/breakers stay off by
-// default. Contributors can run `go run ./cmd/secvet ./...` before
-// pushing; intentional exceptions take a `//lint:allow <analyzer>
-// <reason>` directive. DESIGN.md section 11 documents each rule.
+// cmd/secvet is a custom analyzer suite (internal/lint) that `go test
+// ./...` runs as a `go vet -vettool` over every package, test files
+// included. It checks the ctx-first rule, error provenance (%w /
+// sentinels), pooled-buffer release, locks never held across blocking
+// calls, and that retries/hedging/breakers stay off by default.
+// Intentional exceptions take a `//lint:allow <analyzer> <reason>`
+// directive. DESIGN.md section 11 documents each rule.
 package sec

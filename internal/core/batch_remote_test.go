@@ -63,8 +63,6 @@ func sumRequests(servers []*transport.Server) transport.RequestStats {
 	var total transport.RequestStats
 	for _, s := range servers {
 		st := s.RequestStats()
-		total.Puts += st.Puts
-		total.Gets += st.Gets
 		total.Pings += st.Pings
 		total.GetBatches += st.GetBatches
 		total.GetBatchShards += st.GetBatchShards
@@ -91,8 +89,8 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 	v1 := bytes.Repeat([]byte{3}, a.Capacity())
 	mustCommit(t, a, v1)
 	before := sumRequests(servers)
-	if before.PutBatches != 6 || before.Puts != 0 {
-		t.Errorf("commit used %d batch / %d per-shard puts, want 6 batches (one per node)", before.PutBatches, before.Puts)
+	if before.PutBatches != 6 || before.PutBatchShards != 6 {
+		t.Errorf("commit used %d put batches carrying %d shards, want 6 and 6 (one per node)", before.PutBatches, before.PutBatchShards)
 	}
 	got, stats := mustRetrieve(t, a, 1)
 	if !bytes.Equal(got, v1) {
@@ -102,9 +100,6 @@ func TestRemoteRetrieveOneRPCPerNode(t *testing.T) {
 	k := a.Config().K
 	if stats.NodeReads != k {
 		t.Errorf("NodeReads = %d, want %d", stats.NodeReads, k)
-	}
-	if gets := after.Gets - before.Gets; gets != 0 {
-		t.Errorf("%d per-shard get RPCs issued, want 0", gets)
 	}
 	if batches := after.GetBatches - before.GetBatches; batches != uint64(k) {
 		// Colocated placement: each touched node holds one row, so one
@@ -146,22 +141,22 @@ func remoteWalkOneRPCPerNode(t *testing.T) {
 		versions[v] = object
 		mustCommit(t, a, object)
 	}
+	wantReads := k + (L-1)*4 // formula (4): k + sum of 2*gamma
 	rpcs := func(what string, run func()) {
 		t.Helper()
 		before := sumRequests(servers)
 		run()
 		after := sumRequests(servers)
-		if gets := after.Gets - before.Gets; gets != 0 {
-			t.Errorf("%s issued %d per-shard get RPCs, want 0", what, gets)
-		}
 		if batches := after.GetBatches - before.GetBatches; batches != k {
 			t.Errorf("%s issued %d get-batch RPCs, want %d (one per node read)", what, batches, k)
+		}
+		if shards := after.GetBatchShards - before.GetBatchShards; shards != uint64(wantReads) {
+			t.Errorf("%s carried %d shards in its get batches, want %d (its node reads)", what, shards, wantReads)
 		}
 		if pings := after.Pings - before.Pings; pings != 0 {
 			t.Errorf("%s issued %d pings, want 0 (every node was heard from)", what, pings)
 		}
 	}
-	wantReads := k + (L-1)*4 // formula (4): k + sum of 2*gamma
 	rpcs("RetrieveContext(20)", func() {
 		got, stats := mustRetrieve(t, a, L)
 		if !bytes.Equal(got, versions[L-1]) {

@@ -2,10 +2,10 @@
 // counterpart of golang.org/x/tools/go/analysis that enforces this
 // repository's invariants (see DESIGN.md section 11). The container this
 // project builds in has no module proxy, so the framework is grown from
-// the standard library: packages are loaded either from source plus
-// compiler export data (standalone mode, loader.go) or from the `go vet
-// -vettool` config protocol (unitchecker.go); analyzers themselves are
-// written against the Pass API below and never care which driver ran them.
+// the standard library. The go command is the only driver: under `go vet
+// -vettool` it hands over one compilation unit at a time, which
+// unitchecker.go typechecks against compiler export data; analyzers are
+// written against the Pass API below.
 //
 // An intentional violation is silenced in place with a directive comment
 //

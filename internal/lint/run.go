@@ -3,48 +3,40 @@ package lint
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
-// Main is the secvet entry point, shared by cmd/secvet. It speaks both
-// driver protocols:
+// Main is the secvet entry point, shared by cmd/secvet. It speaks the go
+// command's vet protocol: `go vet -vettool=$(which secvet) ./...` invokes
+// the binary with -V=full and -flags, then once per compilation unit
+// (including test units) with a *.cfg file. `help` lists the analyzers;
+// any other invocation is a usage error.
 //
-//   - standalone: `secvet [packages]` loads the module in the current
-//     directory and analyzes the matched packages (non-test files);
-//   - vettool: `go vet -vettool=$(which secvet) ./...` invokes the binary
-//     once per compilation unit (including test units) with -V=full,
-//     -flags, and *.cfg arguments per the go command's vet protocol.
-//
-// It returns the process exit code: 0 clean, 1 operational error, 2 when
-// diagnostics were reported (matching go vet's convention).
+// It returns the process exit code: 0 clean, 1 usage or operational
+// error, 2 when diagnostics were reported (matching go vet's convention).
 func Main(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			// The go command requires `-V=full` to print a stable
-			// identity line it folds into its build cache key.
-			fmt.Fprintf(stdout, "secvet version %s\n", Version)
-			return 0
-		case args[0] == "-flags":
-			// No tool-specific flags; the go command expects a JSON
-			// array of flag definitions.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case args[0] == "help" || args[0] == "-h" || args[0] == "--help":
-			printHelp(stdout)
-			return 0
-		}
-	}
-	if len(args) == 2 && args[0] == "help" {
+	switch {
+	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
+		// The go command requires `-V=full` to print a stable identity
+		// line it folds into its build cache key.
+		fmt.Fprintf(stdout, "secvet version %s\n", Version)
+		return 0
+	case len(args) == 1 && args[0] == "-flags":
+		// No tool-specific flags; the go command expects a JSON array of
+		// flag definitions.
+		fmt.Fprintln(stdout, "[]")
+		return 0
+	case len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help"):
+		printHelp(stdout)
+		return 0
+	case len(args) == 2 && args[0] == "help":
 		if a := Lookup(args[1]); a != nil {
 			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 			return 0
 		}
 		fmt.Fprintf(stderr, "secvet: no analyzer named %q\n", args[1])
 		return 1
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		n, err := RunVetTool(args[0], All(), stdout)
 		if err != nil {
 			fmt.Fprintf(stderr, "secvet: %v\n", err)
@@ -55,33 +47,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(stderr, "secvet: %v\n", err)
-		return 1
-	}
-	pkgs, err := Load(cwd, patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "secvet: %v\n", err)
-		return 1
-	}
-	diags, err := RunAnalyzers(All(), pkgs)
-	if err != nil {
-		fmt.Fprintf(stderr, "secvet: %v\n", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stdout, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
+	printHelp(stderr)
+	return 1
 }
 
 // Version is the tool identity reported to the go command's -V=full
@@ -93,9 +60,8 @@ func printHelp(w io.Writer) {
 	fmt.Fprintln(w, "secvet enforces this repository's invariants (DESIGN.md section 11).")
 	fmt.Fprintln(w, "")
 	fmt.Fprintln(w, "usage:")
-	fmt.Fprintln(w, "  secvet [packages]             analyze packages (default ./...)")
-	fmt.Fprintln(w, "  go vet -vettool=$(which secvet) ./...   run as a vet tool (covers test files)")
-	fmt.Fprintln(w, "  secvet help <analyzer>        print one analyzer's rule")
+	fmt.Fprintln(w, "  go vet -vettool=$(which secvet) ./...   analyze packages, test files included")
+	fmt.Fprintln(w, "  secvet help <analyzer>                  print one analyzer's rule")
 	fmt.Fprintln(w, "")
 	fmt.Fprintln(w, "analyzers:")
 	for _, a := range All() {

@@ -7,6 +7,7 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 )
@@ -99,4 +100,40 @@ func RunVetTool(cfgFile string, analyzers []*Analyzer, w io.Writer) (int, error)
 		fmt.Fprintln(w, d)
 	}
 	return len(diags), nil
+}
+
+// typecheckFiles typechecks one compilation unit from already-parsed
+// files.
+func typecheckFiles(fset *token.FileSet, imp types.Importer, importPath, dir, goVersion string, files []*ast.File, names []string) (*Package, error) {
+	info := newTypesInfo()
+	conf := types.Config{
+		Importer:  imp,
+		GoVersion: goVersion,
+		Error:     func(error) {}, // keep going; first hard error returned below
+	}
+	tpkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: typechecking %s: %w", importPath, err)
+	}
+	return &Package{
+		ImportPath: importPath,
+		Dir:        dir,
+		Fset:       fset,
+		Files:      files,
+		FileNames:  names,
+		Types:      tpkg,
+		Info:       info,
+	}, nil
+}
+
+// newTypesInfo returns a types.Info with every map analyzers consume.
+func newTypesInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
 }

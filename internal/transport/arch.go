@@ -357,7 +357,6 @@ func (s *Server) handleArchive(ctx context.Context, req request) (status byte, p
 		return statusError, textPart(fmt.Sprintf("transport: archive op without archive name: %v", errArchMalformed))
 	}
 	op := &archOps[req.op-opArchCreate]
-	s.reqs.archOp(req.op).Add(1)
 	body, err := op.serve(ctx, s, name, req)
 	var reject archReject
 	switch {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,10 +338,13 @@ func TestArchiveServerRequestStats(t *testing.T) {
 	if _, err := client.Log(t.Context(), "a"); err != nil {
 		t.Fatal(err)
 	}
-	got := srv.RequestStats()
-	if got.ArchCommits != 1 || got.ArchGets != 1 || got.ArchLogs != 1 {
-		t.Errorf("RequestStats = %+v", got)
+	stub.mu.Lock()
+	calls := strings.Join(stub.calls, "; ")
+	stub.mu.Unlock()
+	if want := "commit a expect=-1 len=5; retrieve a v1; log a"; calls != want {
+		t.Errorf("server saw calls %q, want %q", calls, want)
 	}
+	got := srv.RequestStats()
 	if got.BytesWritten != 5 {
 		t.Errorf("BytesWritten = %d, want 5 (the committed object)", got.BytesWritten)
 	}

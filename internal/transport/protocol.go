@@ -8,8 +8,9 @@
 //	request body  := u8(op) u16(len(object)) object i32(row) payload
 //	response body := u8(status) payload
 //
-// All integers are big-endian. Get responses carry the shard bytes; Stats
-// responses carry five u64 counters; error responses carry a message.
+// All integers are big-endian. Shard data travels only in batches (see
+// "Batch framing" below); Stats responses carry five u64 counters; error
+// responses carry a message.
 package transport
 
 import (
@@ -26,9 +27,12 @@ import (
 // opDeleteBatch after opPutBatch; new codes must keep appending so wire
 // values stay stable across versions.
 const (
-	opPut byte = iota + 1
-	opGet
-	opDelete
+	// Codes 1-3 were the single-shard put, get and delete, retired once
+	// every shard op travelled as a batch; a server answers them "unknown
+	// op". They stay reserved so no later code changes its wire value.
+	_ byte = iota + 1
+	_
+	_
 	opPing
 	opStats
 	opResetStats

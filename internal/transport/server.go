@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,6 @@ import (
 type Server struct {
 	node     store.Node
 	archive  ArchiveBackend
-	logger   *log.Logger
 	wrapConn func(net.Conn) net.Conn
 
 	// ops is the base context handed to every node operation; cancelOps
@@ -38,51 +36,37 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// RequestStats counts the requests a server has dispatched, by kind. It
-// distinguishes per-shard operations from batches so tests and benchmarks
-// can assert the wire cost of a workload (e.g. one GetBatches RPC per node
-// per retrieval instead of one Gets RPC per shard).
+// RequestStats counts the node requests a server has dispatched, by kind,
+// so tests and benchmarks can assert the wire cost of a workload (e.g. one
+// get-batch RPC per node per retrieval). Shard data only ever crosses the
+// wire in batches: GetBatches, PutBatches, and DeleteBatches count batch
+// RPCs; GetBatchShards, PutBatchShards, and DeleteBatchShards count the
+// shards they carried. Archive ops are counted by the backend that serves
+// them (gateway.Stats).
 type RequestStats struct {
-	Puts, Gets, Deletes, Pings, Stats uint64
-	// GetBatches, PutBatches, and DeleteBatches count batch RPCs;
-	// GetBatchShards, PutBatchShards, and DeleteBatchShards count the
-	// shards they carried.
+	Pings, Stats                                      uint64
 	GetBatches, PutBatches, DeleteBatches             uint64
 	GetBatchShards, PutBatchShards, DeleteBatchShards uint64
-	// ArchCreates through ArchRepairs count archive-level gateway RPCs
-	// (opArchCreate..opArchRepair), the whole-archive operations a
-	// gateway-backed server dispatches to its ArchiveBackend.
-	ArchCreates, ArchCommits, ArchGets, ArchGetAlls uint64
-	ArchLogs, ArchInfos, ArchCompacts               uint64
-	ArchScrubs, ArchRepairs                         uint64
-	// BytesRead counts shard payload bytes served to clients (get and
-	// get-batch responses, and archive retrieve responses); BytesWritten
-	// counts shard payload bytes received from clients (put and put-batch
-	// requests, and archive commits). Framing and header bytes are
-	// excluded: these are the bytes-on-wire the paper's I/O model prices,
-	// so a compressed-delta workload shows up directly as a smaller
-	// BytesRead.
+	// BytesRead counts shard payload bytes served to clients (get-batch
+	// responses, and archive retrieve responses); BytesWritten counts shard
+	// payload bytes received from clients (put-batch requests, and archive
+	// commits). Framing and header bytes are excluded: these are the
+	// bytes-on-wire the paper's I/O model prices, so a compressed-delta
+	// workload shows up directly as a smaller BytesRead.
 	BytesRead, BytesWritten uint64
 }
 
 type requestCounters struct {
-	puts, gets, deletes, pings, stats     atomic.Uint64
+	pings, stats                          atomic.Uint64
 	getBatches, putBatches, deleteBatches atomic.Uint64
 	getBatchShards, putBatchShards        atomic.Uint64
 	deleteBatchShards                     atomic.Uint64
-	arch                                  [opArchRepair - opArchCreate + 1]atomic.Uint64
 	bytesRead, bytesWritten               atomic.Uint64
 }
-
-// archOp returns the request counter of an archive-level op code.
-func (c *requestCounters) archOp(op byte) *atomic.Uint64 { return &c.arch[op-opArchCreate] }
 
 // RequestStats returns a snapshot of the server's request counters.
 func (s *Server) RequestStats() RequestStats {
 	return RequestStats{
-		Puts:              s.reqs.puts.Load(),
-		Gets:              s.reqs.gets.Load(),
-		Deletes:           s.reqs.deletes.Load(),
 		Pings:             s.reqs.pings.Load(),
 		Stats:             s.reqs.stats.Load(),
 		GetBatches:        s.reqs.getBatches.Load(),
@@ -91,15 +75,6 @@ func (s *Server) RequestStats() RequestStats {
 		GetBatchShards:    s.reqs.getBatchShards.Load(),
 		PutBatchShards:    s.reqs.putBatchShards.Load(),
 		DeleteBatchShards: s.reqs.deleteBatchShards.Load(),
-		ArchCreates:       s.reqs.archOp(opArchCreate).Load(),
-		ArchCommits:       s.reqs.archOp(opArchCommit).Load(),
-		ArchGets:          s.reqs.archOp(opArchGet).Load(),
-		ArchGetAlls:       s.reqs.archOp(opArchGetAll).Load(),
-		ArchLogs:          s.reqs.archOp(opArchLog).Load(),
-		ArchInfos:         s.reqs.archOp(opArchInfo).Load(),
-		ArchCompacts:      s.reqs.archOp(opArchCompact).Load(),
-		ArchScrubs:        s.reqs.archOp(opArchScrub).Load(),
-		ArchRepairs:       s.reqs.archOp(opArchRepair).Load(),
 		BytesRead:         s.reqs.bytesRead.Load(),
 		BytesWritten:      s.reqs.bytesWritten.Load(),
 	}
@@ -154,12 +129,6 @@ var ScribbleRequests bool
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithLogger directs server diagnostics to the given logger instead of
-// discarding them.
-func WithLogger(l *log.Logger) ServerOption {
-	return func(s *Server) { s.logger = l }
-}
 
 // WithConnWrapper installs a hook that decorates every accepted
 // connection before it is served. It exists for transport-level fault
@@ -309,23 +278,6 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 		return statusError, textPart("transport: no storage node served")
 	}
 	switch req.op {
-	case opPut:
-		s.reqs.puts.Add(1)
-		s.reqs.bytesWritten.Add(uint64(len(req.payload)))
-		err := s.node.Put(ctx, req.id, req.payload)
-		return s.report(err), parts{encodeWireError(err)}
-	case opGet:
-		s.reqs.gets.Add(1)
-		data, err := s.node.Get(ctx, req.id)
-		if err != nil {
-			return s.report(err), parts{encodeWireError(err)}
-		}
-		s.reqs.bytesRead.Add(uint64(len(data)))
-		return statusOK, parts{data}
-	case opDelete:
-		s.reqs.deletes.Add(1)
-		err := s.node.Delete(ctx, req.id)
-		return s.report(err), parts{encodeWireError(err)}
 	case opPing:
 		s.reqs.pings.Add(1)
 		if s.node != nil && !s.node.Available(ctx) {
@@ -382,14 +334,6 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 	default:
 		return statusError, textPart(fmt.Sprintf("transport: unknown op %d", req.op))
 	}
-}
-
-func (s *Server) report(err error) byte {
-	status := statusFor(err)
-	if status == statusError && s.logger != nil {
-		s.logger.Printf("transport: node error: %v", err)
-	}
-	return status
 }
 
 // beginClose marks the server closed and returns the listener and a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"sync"
@@ -363,7 +364,7 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	defer conn.Close()
 	// A 1-byte body is too short for any request; the server must answer
 	// with a statusError frame rather than crash or hang.
-	if err := writeFrame(conn, []byte{opGet}); err != nil {
+	if err := writeFrame(conn, []byte{opPing}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -380,14 +381,65 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	}
 }
 
+// TestRetiredSingleShardOpsAreUnknown: ops 1-3, the single-shard put, get
+// and delete clients sent before every shard op was a batch, get the
+// "unknown op" answer over a live connection, and the node behind the
+// server is not touched.
+func TestRetiredSingleShardOpsAreUnknown(t *testing.T) {
+	mem := store.NewMemNode("n")
+	id := store.ShardID{Object: "o", Row: 1}
+	if err := mem.Put(t.Context(), id, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	before := mem.Stats()
+	srv := NewServer(mem)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	for op := byte(1); op <= 3; op++ {
+		req, err := encodeRequest(op, id, []byte{9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, req...); err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := readFrame(conn, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, payload, err := decodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("transport: unknown op %d", op); status != statusError || string(payload) != want {
+			t.Errorf("op %d answered status %d %q, want statusError %q", op, status, payload, want)
+		}
+	}
+	if got := mem.Stats(); got != before {
+		t.Errorf("retired ops moved the node's stats: %+v, was %+v", got, before)
+	}
+	if got := srv.RequestStats(); got != (RequestStats{}) {
+		t.Errorf("retired ops counted as requests: %+v", got)
+	}
+}
+
 func TestProtocolRoundTrip(t *testing.T) {
 	tests := []struct {
 		name string
 		req  request
 	}{
-		{"put with payload", request{op: opPut, id: store.ShardID{Object: "abc", Row: 7}, payload: []byte{1, 2}}},
-		{"get", request{op: opGet, id: store.ShardID{Object: "x/y#z", Row: 0}}},
-		{"negative row", request{op: opDelete, id: store.ShardID{Object: "n", Row: -5}}},
+		{"put with payload", request{op: opPutBatch, id: store.ShardID{Object: "abc", Row: 7}, payload: []byte{1, 2}}},
+		{"get", request{op: opGetBatch, id: store.ShardID{Object: "x/y#z", Row: 0}}},
+		{"negative row", request{op: opDeleteBatch, id: store.ShardID{Object: "n", Row: -5}}},
 		{"empty object", request{op: opPing, id: store.ShardID{}}},
 	}
 	for _, tt := range tests {
