@@ -204,6 +204,89 @@ func BenchmarkDecodeFullInto(b *testing.B) {
 	})
 }
 
+// --- the benchmark's coding shapes ---
+//
+// The erasure rows of benchmark/ measure a (12,10) non-systematic Cauchy code
+// at 4 KiB and 200 KiB blocks (small and large_object). These are the same
+// calls at the same shapes, so the kernels' gain shows here without running
+// the benchmark.
+
+var ledgerBlockSizes = []int{4 << 10, 200 << 10}
+
+func benchLedgerShape(b *testing.B, run func(b *testing.B, code *erasure.Code, blockSize int)) {
+	b.Helper()
+	code, err := erasure.New(erasure.NonSystematicCauchy, 12, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, blockSize := range ledgerBlockSizes {
+		b.Run(fmt.Sprintf("%dKiB", blockSize>>10), func(b *testing.B) {
+			b.SetBytes(int64(10 * blockSize))
+			b.ReportAllocs()
+			run(b, code, blockSize)
+		})
+	}
+}
+
+func BenchmarkEncodeInto12_10(b *testing.B) {
+	benchLedgerShape(b, func(b *testing.B, code *erasure.Code, blockSize int) {
+		blocks := benchBlocks(10, blockSize, 31)
+		shards := erasure.GetBuffers(12, blockSize)
+		defer shards.Release()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := code.EncodeInto(blocks, shards.Blocks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkDecodeFullInto12_10(b *testing.B) {
+	benchLedgerShape(b, func(b *testing.B, code *erasure.Code, blockSize int) {
+		shards, err := code.Encode(benchBlocks(10, blockSize, 32))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+		dst := erasure.GetBuffers(10, blockSize)
+		defer dst.Release()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := code.DecodeFullInto(rows, shards[:10], dst.Blocks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeSparseSupport12_10 decodes a gamma = 1 delta (block 3
+// random) from the rows a sparse read of gamma 1 asks for.
+func BenchmarkDecodeSparseSupport12_10(b *testing.B) {
+	benchLedgerShape(b, func(b *testing.B, code *erasure.Code, blockSize int) {
+		z := make([][]byte, 10)
+		for j := range z {
+			z[j] = make([]byte, blockSize)
+		}
+		rand.New(rand.NewSource(33)).Read(z[3])
+		shards, err := code.Encode(z)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := code.SparseReadRows([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 1)
+		sub := make([][]byte, len(rows))
+		for i, r := range rows {
+			sub[i] = shards[r]
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := code.DecodeSparseSupport(rows, sub, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func benchEncode(b *testing.B, kind erasure.Kind, n, k, blockSize int) {
 	b.Helper()
 	code, err := erasure.New(kind, n, k)

@@ -446,9 +446,9 @@ func cmdScrub(ctx context.Context, out io.Writer, client *secclient.Client, reso
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "scrubbed: %d shards checked, %d missing, %d corrupt, %d unreachable, %d undecodable objects, %d repaired\n",
+	fmt.Fprintf(out, "scrubbed: %d shards checked, %d missing, %d corrupt, %d unreachable, %d undecodable objects, %d unverified objects, %d repaired\n",
 		report.ShardsChecked, report.ShardsMissing, report.ShardsCorrupt,
-		report.ShardsUnreachable, report.ObjectsUndecodable, report.Repaired)
+		report.ShardsUnreachable, report.ObjectsUndecodable, report.ObjectsUnverified, report.Repaired)
 	return nil
 }
 

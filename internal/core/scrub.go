@@ -25,9 +25,17 @@ type ScrubReport struct {
 	ShardsCorrupt int
 	// ShardsUnreachable counts shards on failed nodes (state unknown).
 	ShardsUnreachable int
-	// ObjectsUndecodable counts stored objects with fewer than k healthy
-	// shards; their damage cannot be verified or repaired.
+	// ObjectsUndecodable counts stored objects with fewer than k shards
+	// present, or no strict majority of one length among them; their damage
+	// cannot be verified or repaired.
 	ObjectsUndecodable int
+	// ObjectsUnverified counts stored objects that can be decoded but whose
+	// shards no decode accounts for within the code's unique-decoding
+	// radius: exactly k shards present, or more corrupt shards than the
+	// radius among them. Scrub writes none of their shards, because a
+	// rewrite from a decode it cannot verify could replace healthy shards
+	// with corrupt ones.
+	ObjectsUnverified int
 	// Repaired counts missing or corrupt shards rewritten (only when
 	// repair was requested).
 	Repaired int
@@ -41,10 +49,11 @@ type ScrubReport struct {
 // shards are rewritten in place. Nodes that are down are skipped and
 // reported as unreachable.
 //
-// Decoding is consistency-checked: an object's healthy shards are found by
-// majority re-encoding - for each candidate decode from k shards, the
-// re-encoded codeword must reproduce the shards read. Objects with fewer
-// than k consistent shards are counted as undecodable.
+// Decoding is consistency-checked: for each candidate decode from k shards,
+// the re-encoded codeword must reproduce all but at most (m-k)/2 of the m
+// shards read (referenceCodeword). Objects with fewer than k shards are
+// counted as undecodable, and objects no candidate accounts for as
+// unverified; neither gets a shard rewritten.
 func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, error) {
 	//lint:allow lockheld scrub reads the whole chain; the read lock keeps compaction from moving shards mid-scrub
 	a.mu.RLock()
@@ -103,9 +112,13 @@ func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, rep
 			delete(present, row)
 		}
 	}
+	if len(present) < cw.code.K() {
+		report.ObjectsUndecodable++
+		return nil
+	}
 	reference, ok := a.referenceCodeword(cw.code, present)
 	if !ok {
-		report.ObjectsUndecodable++
+		report.ObjectsUnverified++
 		return nil
 	}
 	var damaged []int
@@ -137,26 +150,29 @@ func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, rep
 	return firstErr
 }
 
-// referenceCodeword finds a decode of the object on which at least k of
-// the present shards agree, and returns its full re-encoded codeword. A
-// decode is trusted when every present shard either matches the re-encoded
-// value or is outvoted: we search subsets until a self-consistent majority
-// appears (with at most a couple of corrupt shards this terminates on the
-// first few candidates).
+// referenceCodeword finds a decode of the object that accounts for the m
+// present shards within the unique-decoding radius, and returns its full
+// re-encoded codeword. The m present rows are a punctured MDS code of length
+// m and distance m-k+1, so a candidate is trusted only when m > k and it
+// disagrees with at most (m-k)/2 of them. The true codeword then disagrees
+// with the e corrupt rows alone, and any other codeword with at least
+// m-k+1-e rows, more than the radius: a decode through a corrupt row can
+// never be accepted, however many rows its own window makes agree. With e
+// beyond the radius no candidate may pass, and the caller writes nothing.
 func (a *Archive) referenceCodeword(code codec, present map[int][]byte) ([][]byte, bool) {
-	k := code.K()
-	if len(present) < k {
+	k, m := code.K(), len(present)
+	if m <= k {
 		return nil, false
 	}
+	radius := (m - k) / 2
 	rows := make([]int, 0, len(present))
 	for row := range present {
 		rows = append(rows, row)
 	}
 	slices.Sort(rows)
-	// Candidate decodes: sliding windows of k rows. With c corrupt
-	// shards, some window avoids them all as long as c <= len(rows)-k;
-	// each candidate is validated against all present shards, requiring
-	// agreement from at least k besides consistency. Candidate decodes are
+	// Candidate decodes: sliding windows of k rows. A window that avoids
+	// every corrupt shard decodes the true codeword; each candidate is
+	// validated against all present shards. Candidate decodes are
 	// transient, so they run in pooled buffers; only the accepted
 	// reference codeword is allocated (it is returned to the caller).
 	shards := make([][]byte, k)
@@ -182,7 +198,7 @@ func (a *Archive) referenceCodeword(code codec, present map[int][]byte) ([][]byt
 				agree++
 			}
 		}
-		if agree >= k && agree*2 > len(present) {
+		if m-agree <= radius {
 			reference := make([][]byte, len(candidate.Blocks))
 			for i, b := range candidate.Blocks {
 				reference[i] = append([]byte(nil), b...)

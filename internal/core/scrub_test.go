@@ -417,3 +417,91 @@ func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
 		t.Error("version 1 mismatch after majority repair")
 	}
 }
+
+// TestScrubNeverMakesCorruptionPermanent flips one byte of one row of a full
+// codeword on codes with n < 2k, where a decode window's own k rows always
+// outnumber the rest. A flip in row 0 leaves a window that avoids it, so
+// scrub with repair must heal that row byte-identical and the version must
+// read back whole. A flip in row 5 of a (12,10) code lies in every window:
+// no decode can be verified, so scrub must write nothing and count the
+// object as unverified.
+func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		kind erasure.Kind
+		n, k int
+		row  int
+		heal bool
+	}{
+		{"cauchy-12-10/row0", erasure.NonSystematicCauchy, 12, 10, 0, true},
+		{"cauchy-6-4/row0", erasure.NonSystematicCauchy, 6, 4, 0, true},
+		{"systematic-12-10/row0", erasure.SystematicCauchy, 12, 10, 0, true},
+		{"cauchy-12-10/row5", erasure.NonSystematicCauchy, 12, 10, 5, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cluster := store.NewMemCluster(0)
+			a, err := New(Config{Name: "t", Scheme: BasicSEC, Code: tt.kind, N: tt.n, K: tt.k, BlockSize: 64}, cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := make([]byte, a.Capacity())
+			for i := range v1 {
+				v1[i] = byte(i*7 + 3)
+			}
+			mustCommit(t, a, v1)
+			shards := func() [][]byte {
+				out := make([][]byte, tt.n)
+				for row := range out {
+					node, err := cluster.Node(row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					data, err := node.Get(t.Context(), store.ShardID{Object: "t/v1-full", Row: row})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[row] = bytes.Clone(data)
+				}
+				return out
+			}
+			healthy := shards()
+			flipped := bytes.Clone(healthy[tt.row])
+			flipped[3] ^= 0x40
+			node, err := cluster.Node(tt.row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Put(t.Context(), store.ShardID{Object: "t/v1-full", Row: tt.row}, flipped); err != nil {
+				t.Fatal(err)
+			}
+			damaged := shards()
+
+			report, err := a.ScrubContext(t.Context(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, after := ScrubReport{ShardsChecked: tt.n, ShardsCorrupt: 1, Repaired: 1}, healthy
+			if !tt.heal {
+				want, after = ScrubReport{ShardsChecked: tt.n, ObjectsUnverified: 1}, damaged
+			}
+			if report != want {
+				t.Errorf("report = %+v, want %+v", report, want)
+			}
+			for row, data := range shards() {
+				if !bytes.Equal(data, after[row]) {
+					t.Errorf("row %d after scrub is not the bytes it should hold", row)
+				}
+			}
+			if !tt.heal {
+				return
+			}
+			got, _, err := a.RetrieveContext(t.Context(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, v1) {
+				t.Error("version 1 reads back other bytes after scrub")
+			}
+		})
+	}
+}

@@ -26,8 +26,8 @@ import (
 //  3. a latest, or a log's length, is never below a version acknowledged
 //     before it was invoked;
 //  4. the final sweep read every acknowledged version back, and its scrub
-//     found the archive whole: no shard missing or damaged, so any n - k
-//     node losses stay survivable.
+//     found the archive whole: no shard missing or damaged and no object
+//     it could not verify, so any n - k node losses stay survivable.
 func checkHistory(history []event) []string {
 	byArch := make(map[int][]event)
 	for _, e := range history {
@@ -99,7 +99,7 @@ func checkArchive(events []event) []string {
 		case r.op == opScrub:
 			scrubbed = true
 			if r.version != 0 {
-				bad = append(bad, fmt.Sprintf("the final sweep's scrub found %d shards or objects damaged", r.version))
+				bad = append(bad, fmt.Sprintf("the final sweep's scrub found %d shards or objects damaged or unverified", r.version))
 			}
 		}
 	}

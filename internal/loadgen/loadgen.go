@@ -237,7 +237,7 @@ func issue(ctx context.Context, c *secclient.Client, e *event, payload []byte, n
 	case opScrub:
 		var sr secclient.ScrubReport
 		sr, e.err = c.Scrub(ctx, name, true)
-		e.version = sr.ShardsMissing + sr.ShardsCorrupt + sr.ObjectsUndecodable
+		e.version = sr.ShardsMissing + sr.ShardsCorrupt + sr.ObjectsUndecodable + sr.ObjectsUnverified
 	case opRepair:
 		_, e.err = c.Repair(ctx, name, node)
 	}

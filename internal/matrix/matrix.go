@@ -269,6 +269,12 @@ type mulBlocksJob struct {
 
 var mulBlocksJobs = sync.Pool{New: func() any { return new(mulBlocksJob) }}
 
+// mulBlocksHandoff carries jobs to the helper goroutines mulBlocksInto
+// starts, one send per start. A go statement with arguments allocates a
+// closure for them; a helper that takes its job from here starts without
+// one, so a parallel product does not allocate.
+var mulBlocksHandoff = make(chan *mulBlocksJob, 64)
+
 // MulBlocks applies m to a block vector: blocks[j] is the j-th symbol as a
 // byte block, and the result's i-th block is sum_j m[i][j]*blocks[j]
 // computed byte-wise. All blocks must have equal length. This is the
@@ -305,7 +311,7 @@ func (m Matrix) MulBlocksInto(blocks, dst [][]byte) {
 func (m Matrix) mulBlocksInto(blocks, dst [][]byte, blockLen int) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || m.rows*blockLen < mulBlocksParallelMin {
-		m.mulBlocksRange(blocks, dst, 0, blockLen)
+		gf.MulBlocks(m.data, blocks, dst, 0, blockLen)
 		return
 	}
 	// Size chunks so every worker gets a share of the byte range, within
@@ -324,7 +330,7 @@ func (m Matrix) mulBlocksInto(blocks, dst [][]byte, blockLen int) {
 		workers = chunks
 	}
 	if workers <= 1 {
-		m.mulBlocksRange(blocks, dst, 0, blockLen)
+		gf.MulBlocks(m.data, blocks, dst, 0, blockLen)
 		return
 	}
 	job := mulBlocksJobs.Get().(*mulBlocksJob)
@@ -335,7 +341,8 @@ func (m Matrix) mulBlocksInto(blocks, dst [][]byte, blockLen int) {
 	job.next.Store(0)
 	job.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go mulBlocksWorker(job)
+		go mulBlocksWorker()
+		mulBlocksHandoff <- job
 	}
 	job.runChunks()
 	job.wg.Wait()
@@ -343,7 +350,8 @@ func (m Matrix) mulBlocksInto(blocks, dst [][]byte, blockLen int) {
 	mulBlocksJobs.Put(job)
 }
 
-func mulBlocksWorker(job *mulBlocksJob) {
+func mulBlocksWorker() {
+	job := <-mulBlocksHandoff
 	defer job.wg.Done()
 	job.runChunks()
 }
@@ -360,24 +368,7 @@ func (job *mulBlocksJob) runChunks() {
 		if hi > job.blockLen {
 			hi = job.blockLen
 		}
-		job.m.mulBlocksRange(job.blocks, job.dst, lo, hi)
-	}
-}
-
-// mulBlocksRange computes the product on the byte range [lo,hi) of every
-// block.
-func (m Matrix) mulBlocksRange(blocks, dst [][]byte, lo, hi int) {
-	for i := 0; i < m.rows; i++ {
-		acc := dst[i][lo:hi]
-		if m.cols == 0 {
-			clear(acc)
-			continue
-		}
-		row := m.Row(i)
-		gf.MulSlice(row[0], acc, blocks[0][lo:hi])
-		for j := 1; j < m.cols; j++ {
-			gf.MulAddSlice(row[j], acc, blocks[j][lo:hi])
-		}
+		gf.MulBlocks(job.m.data, job.blocks, job.dst, lo, hi)
 	}
 }
 
@@ -424,28 +415,6 @@ func (m Matrix) SelectCols(idx []int) Matrix {
 		}
 	}
 	return s
-}
-
-// SelectColsInto writes the given columns of m into dst, reshaping dst to
-// m.Rows() x len(idx) and reusing its storage when large enough. It is the
-// allocation-free variant of SelectCols for hot decode loops.
-func (m Matrix) SelectColsInto(idx []int, dst *Matrix) {
-	need := m.rows * len(idx)
-	if cap(dst.data) < need {
-		dst.data = make([]byte, need)
-	}
-	dst.data = dst.data[:need]
-	dst.rows, dst.cols = m.rows, len(idx)
-	for i := 0; i < m.rows; i++ {
-		src := m.Row(i)
-		out := dst.Row(i)
-		for j, c := range idx {
-			if c < 0 || c >= m.cols {
-				panic(fmt.Sprintf("matrix: column %d out of range for %dx%d matrix", c, m.rows, m.cols))
-			}
-			out[j] = src[c]
-		}
-	}
 }
 
 // Stack returns the vertical concatenation [m; o]. Column counts must

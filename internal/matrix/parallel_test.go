@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"github.com/secarchive/sec/internal/gf"
+	"github.com/secarchive/sec/internal/testutil"
 )
 
 // TestMulBlocksIntoParallelMatchesSequential forces the chunked parallel
@@ -35,7 +38,7 @@ func TestMulBlocksIntoParallelMatchesSequential(t *testing.T) {
 	for i := range want {
 		want[i] = make([]byte, blockLen)
 	}
-	m.mulBlocksRange(blocks, want, 0, blockLen)
+	gf.MulBlocks(m.data, blocks, want, 0, blockLen)
 
 	dst := make([][]byte, rows)
 	for i := range dst {
@@ -83,5 +86,44 @@ func TestMulBlocksIntoValidation(t *testing.T) {
 			}()
 			m.MulBlocksInto(blocks, tc.dst)
 		}()
+	}
+}
+
+// TestMulBlocksIntoDoesNotAllocate holds the parallel path to zero
+// allocations per call: jobs are pooled and helpers take them from a channel
+// rather than as go-statement arguments, which would allocate a closure.
+func TestMulBlocksIntoDoesNotAllocate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector drops pooled jobs at random")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	const rows, cols, blockLen = 12, 10, 64 << 10
+	m := New(rows, cols)
+	for i := 0; i < rows; i++ {
+		rand.New(rand.NewSource(int64(i))).Read(m.Row(i))
+	}
+	blocks, dst := make([][]byte, cols), make([][]byte, rows)
+	for j := range blocks {
+		blocks[j] = make([]byte, blockLen)
+	}
+	for i := range dst {
+		dst[i] = make([]byte, blockLen)
+	}
+	// Warm up until exited helpers are there for the runtime to reuse, as
+	// they are in steady state. Counted by hand: testing.AllocsPerRun runs
+	// with GOMAXPROCS 1, which takes the sequential path.
+	const runs = 200
+	for i := 0; i < runs; i++ {
+		m.MulBlocksInto(blocks, dst)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m.MulBlocksInto(blocks, dst)
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs >= 0.5 {
+		t.Errorf("%v allocs per parallel MulBlocksInto, want 0", allocs)
 	}
 }

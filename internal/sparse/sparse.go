@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/secarchive/sec/internal/gf"
 	"github.com/secarchive/sec/internal/matrix"
@@ -50,13 +51,14 @@ var ErrUnrecoverable = errors.New("sparse: no solution with requested sparsity i
 // consistent when its columns of phi are independent and span every byte
 // column of y; both survive taking a basis of a sample of those byte columns
 // (the probe). Candidates are eliminated against the probe alone, and only a
-// survivor pays for the full-width solve and the full-width check of the
-// eliminated rows. A survivor that fails there was consistent with the probe
-// but not with the block: the byte column that exposed it joins the probe -
-// it is independent of the columns already there, so this happens fewer
-// times than there are observations - and the enumeration goes on from where
-// it stopped. The answer, and the error, are those of trying every support at
-// full width.
+// survivor pays for block width, as two block products: its values from s
+// observations on which its columns are independent, and the check that the
+// other m-s observations are what those values predict. A survivor that fails
+// the check was consistent with the probe but not with the block: the first
+// byte column that exposed it joins the probe - it is independent of the
+// columns already there, so this happens fewer times than there are
+// observations - and the enumeration goes on from where it stopped. The
+// answer, and the error, are those of trying every support at full width.
 func RecoverEnum(phi matrix.Matrix, y [][]byte, gamma int) ([][]byte, error) {
 	support, values, _, err := recoverEnum(phi, y, gamma)
 	if err != nil {
@@ -78,11 +80,7 @@ func RecoverSupport(phi matrix.Matrix, y [][]byte, gamma int) (support []int, va
 // Expand returns the vector of k blocks of blockLen bytes whose blocks at
 // support are values and whose other blocks are zero, as fresh memory.
 func Expand(k, blockLen int, support []int, values [][]byte) [][]byte {
-	z := make([][]byte, k)
-	flat := make([]byte, k*blockLen)
-	for j := range z {
-		z[j] = flat[j*blockLen : (j+1)*blockLen : (j+1)*blockLen]
-	}
+	z := blocks(k, blockLen)
 	for i, col := range support {
 		copy(z[col], values[i])
 	}
@@ -124,7 +122,7 @@ func recoverEnum(phi matrix.Matrix, y [][]byte, gamma int) (support []int, value
 	}
 	for s := 1; s <= gamma; s++ {
 		if e.search(0, 0, s) {
-			return e.support[:s], e.r[:s], e.falsePositives, nil
+			return e.support[:s], e.values, e.falsePositives, nil
 		}
 	}
 	return nil, nil, e.falsePositives, ErrUnrecoverable
@@ -141,8 +139,8 @@ const probeSegments = 16
 // m x width matrix per support size: level d is [phi | probe] after forward
 // elimination of the first d columns of the support being tried (only rows
 // d.. and the columns that can still be chosen are kept current), so supports
-// that share a prefix share its elimination. a and r are the full-width
-// elimination: the support's columns of phi and a mutable copy of y.
+// that share a prefix share its elimination. values holds the block values
+// of the last support solve accepted.
 type enumerator struct {
 	phi            matrix.Matrix
 	y              [][]byte
@@ -153,8 +151,7 @@ type enumerator struct {
 	support        []int
 	echelon        []byte // reduced probe columns, m bytes each, leading entry 1
 	lead           []int  // position of each reduced column's leading entry
-	a              matrix.Matrix
-	r              [][]byte
+	values         [][]byte
 	falsePositives int
 }
 
@@ -164,13 +161,8 @@ func newEnumerator(phi matrix.Matrix, y [][]byte, blockLen, gamma int) *enumerat
 	ints := make([]int, gamma+m)
 	e.support, e.lead = ints[:gamma], ints[gamma:gamma]
 	levels := max(gamma, 1) * m * e.width
-	flat := make([]byte, levels+m*m+m*blockLen)
-	e.levels, e.echelon = flat[:levels], flat[levels:levels+m*m]
-	e.r = make([][]byte, m)
-	for i := range e.r {
-		lo := levels + m*m + i*blockLen
-		e.r[i] = flat[lo : lo+blockLen : lo+blockLen]
-	}
+	flat := make([]byte, levels+m*m)
+	e.levels, e.echelon = flat[:levels], flat[levels:]
 	for r := 0; r < m; r++ {
 		copy(e.level(0)[r*e.width:], phi.Row(r))
 	}
@@ -310,63 +302,126 @@ func (e *enumerator) probeConsistent(d, c int) bool {
 	return true
 }
 
-// solve eliminates phi restricted to support[:s] against the observations at
-// full width, leaving the block values in r[:s] and reporting true when every
-// byte of every observation is consistent with that support. Otherwise the
-// support got through the probe but not the block: the byte column that shows
-// it joins the probe.
+// solve computes the block values through support[:s] and reports true when
+// every byte of every observation is consistent with them, leaving them in
+// values. The work at block width is two products: the values, from s
+// observations on which the support's columns of phi are independent, and
+// the other m-s observations less what the values predict, which must be
+// zero throughout. Otherwise the support got through the probe but not the
+// block: the first byte column that shows it joins the probe.
 func (e *enumerator) solve(s int) bool {
-	e.phi.SelectColsInto(e.support[:s], &e.a)
-	a, r := e.a, e.r
-	for i := range r {
-		copy(r[i], e.y[i])
+	cols := e.phi.SelectCols(e.support[:s])
+	rows, others := independentRows(cols)
+	if len(rows) < s {
+		// Dependent support columns: cannot determine a unique
+		// solution through this support.
+		return false
 	}
-	for col := 0; col < s; col++ {
-		pivot := col
-		for pivot < e.m && a.At(pivot, col) == 0 {
-			pivot++
-		}
-		if pivot == e.m {
-			// Dependent support columns: cannot determine a unique
-			// solution through this support.
-			return false
-		}
-		if pivot != col {
-			swapRowsAndBlocks(a, r, pivot, col)
-		}
-		if p := a.At(col, col); p != 1 {
-			inv := gf.Inv(p)
-			gf.MulSlice(inv, a.Row(col), a.Row(col))
-			gf.MulSlice(inv, r[col], r[col])
-		}
-		for row := 0; row < e.m; row++ {
-			if row == col {
-				continue
-			}
-			if f := a.At(row, col); f != 0 {
-				gf.MulAddSlice(f, a.Row(row), a.Row(col))
-				gf.MulAddSlice(f, r[row], r[col])
-			}
-		}
+	inv, err := cols.SelectRows(rows).Inverse()
+	if err != nil {
+		return false
 	}
-	// The eliminated rows below the rank must be entirely zero for the
-	// support hypothesis to be consistent with the observations.
-	for row := s; row < e.m; row++ {
-		if at := firstNonZero(r[row]); at >= 0 {
-			e.falsePositives++
-			e.addColumn(at, s-1)
-			return false
-		}
+	if at := e.inconsistentColumn(cols, inv, rows, others); at >= 0 {
+		e.falsePositives++
+		e.addColumn(at, s-1)
+		return false
 	}
+	obs := make([][]byte, s)
+	for i, r := range rows {
+		obs[i] = e.y[r]
+	}
+	e.values = blocks(s, e.blockLen)
+	inv.MulBlocksInto(obs, e.values)
 	return true
 }
 
-func swapRowsAndBlocks(a matrix.Matrix, r [][]byte, i, j int) {
-	ri, rj := a.Row(i), a.Row(j)
-	for c := range ri {
-		ri[c], rj[c] = rj[c], ri[c]
+// inconsistentColumn returns the first byte column at which an observation
+// outside rows differs from what the observations in rows predict through
+// the support's columns cols of phi, whose rows part inverts to inv; -1
+// when there is none. Row t of the check is observation others[t] plus its
+// prediction cols[others[t]] * inv * y[rows], one product into pooled
+// scratch.
+func (e *enumerator) inconsistentColumn(cols, inv matrix.Matrix, rows, others []int) int {
+	if len(others) == 0 {
+		return -1
 	}
-	r[i], r[j] = r[j], r[i]
+	predict := cols.SelectRows(others).Mul(inv)
+	check := matrix.New(len(others), e.m)
+	for t, o := range others {
+		check.Set(t, o, 1)
+		for i, r := range rows {
+			check.Set(t, r, predict.At(t, i))
+		}
+	}
+	residual := getResidual(len(others), e.blockLen)
+	defer residualPool.Put(residual)
+	check.MulBlocksInto(e.y, residual.blocks)
+	at := -1
+	for _, b := range residual.blocks {
+		if x := firstNonZero(b); x >= 0 && (at < 0 || x < at) {
+			at = x
+		}
+	}
+	return at
+}
+
+// independentRows splits the rows of a into the first rows, in order, on
+// which its columns are independent - as many as its rank - and the others.
+func independentRows(a matrix.Matrix) (rows, others []int) {
+	w := a.Cols()
+	basis := make([]byte, 0, w*w) // reduced chosen rows, leading entry 1
+	var lead []int
+	v := make([]byte, w)
+	for r := 0; r < a.Rows(); r++ {
+		copy(v, a.Row(r))
+		for i, l := range lead {
+			if f := v[l]; f != 0 {
+				gf.MulAddSlice(f, v, basis[i*w:(i+1)*w])
+			}
+		}
+		l := firstNonZero(v)
+		if l < 0 || len(rows) == w {
+			others = append(others, r)
+			continue
+		}
+		gf.MulSlice(gf.Inv(v[l]), v, v)
+		basis = append(basis, v...)
+		lead = append(lead, l)
+		rows = append(rows, r)
+	}
+	return rows, others
+}
+
+// blocks returns count zeroed blocks of blockLen bytes in one allocation.
+func blocks(count, blockLen int) [][]byte {
+	out := make([][]byte, count)
+	flat := make([]byte, count*blockLen)
+	for i := range out {
+		out[i] = flat[i*blockLen : (i+1)*blockLen : (i+1)*blockLen]
+	}
+	return out
+}
+
+// residualScratch is the pooled memory of solve's consistency check.
+type residualScratch struct {
+	flat   []byte
+	blocks [][]byte
+}
+
+var residualPool = sync.Pool{New: func() any { return new(residualScratch) }}
+
+// getResidual returns scratch of count blocks of blockLen bytes, holding
+// stale bytes; the caller puts it back into residualPool.
+func getResidual(count, blockLen int) *residualScratch {
+	r := residualPool.Get().(*residualScratch)
+	if cap(r.flat) < count*blockLen {
+		r.flat = make([]byte, count*blockLen)
+	}
+	r.blocks = r.blocks[:0]
+	for i := 0; i < count; i++ {
+		r.blocks = append(r.blocks, r.flat[i*blockLen:(i+1)*blockLen:(i+1)*blockLen])
+	}
+	return r
 }
 
 func uniformBlockLen(y [][]byte) (int, error) {

@@ -272,6 +272,14 @@ func oracleRecoverEnum(phi matrix.Matrix, y [][]byte, gamma int) ([][]byte, erro
 	return nil, ErrUnrecoverable
 }
 
+func swapRowsAndBlocks(a matrix.Matrix, r [][]byte, i, j int) {
+	ri, rj := a.Row(i), a.Row(j)
+	for c := range ri {
+		ri[c], rj[c] = rj[c], ri[c]
+	}
+	r[i], r[j] = r[j], r[i]
+}
+
 // Delta shapes of the differential tests: which bytes of a support block are
 // non-zero.
 const (

@@ -124,7 +124,7 @@ func (b goldenBackend) Compact(_ context.Context, name string, _ int) (CompactRe
 }
 
 func (b goldenBackend) Scrub(_ context.Context, name string, _ bool) (core.ScrubReport, error) {
-	return core.ScrubReport{ShardsChecked: 1, ShardsMissing: 2, ShardsCorrupt: 3, ShardsUnreachable: 4, ObjectsUndecodable: 5, Repaired: 6}, b.fail(name)
+	return core.ScrubReport{ShardsChecked: 1, ShardsMissing: 2, ShardsCorrupt: 3, ShardsUnreachable: 4, ObjectsUndecodable: 5, Repaired: 6, ObjectsUnverified: 7}, b.fail(name)
 }
 
 func (b goldenBackend) Repair(_ context.Context, name string, _ int) (core.RepairReport, error) {
