@@ -1,7 +1,7 @@
 // Command covercheck fails CI when per-package statement coverage drops
 // below committed floors.
 //
-//	covercheck -profile cover.out -floors tools/coverage_floors.json
+//	covercheck -profile cover.out -floors tools/coverage_floors.json [-variant name]
 //
 // The profile is a standard `go test -coverprofile` file (any mode; with
 // -coverpkg, blocks for one package may appear once per test binary and
@@ -9,6 +9,11 @@
 // minimum coverage percentages:
 //
 //	{"github.com/secarchive/sec/secclient": 80.0}
+//
+// A key of the form "path@name" is a second floor for the same package,
+// read on a machine where some of its code cannot run (a CPU feature it
+// lacks, say). It applies in place of the plain key only under
+// -variant name; otherwise it is ignored. One file holds every floor.
 //
 // A package listed in the floors file but absent from the profile is an
 // error — a silently skipped package must not read as a passing gate.
@@ -107,7 +112,24 @@ func coverageByPackage(blocks map[block]*blockState) map[string]float64 {
 	return pct
 }
 
-func run(profilePath, floorsPath string, out *strings.Builder) error {
+// selectFloors returns the floor of every package under the given variant:
+// a "path@variant" key overrides the plain "path" key, and keys of other
+// variants are dropped.
+func selectFloors(floors map[string]float64, variant string) map[string]float64 {
+	picked := make(map[string]float64, len(floors))
+	for key, floor := range floors {
+		if pkg, v, ok := strings.Cut(key, "@"); !ok {
+			if _, set := picked[key]; !set {
+				picked[key] = floor
+			}
+		} else if v == variant {
+			picked[pkg] = floor
+		}
+	}
+	return picked
+}
+
+func run(profilePath, floorsPath, variant string, out *strings.Builder) error {
 	raw, err := os.ReadFile(floorsPath)
 	if err != nil {
 		return err
@@ -116,6 +138,7 @@ func run(profilePath, floorsPath string, out *strings.Builder) error {
 	if err := json.Unmarshal(raw, &floors); err != nil {
 		return fmt.Errorf("%s: %v", floorsPath, err)
 	}
+	floors = selectFloors(floors, variant)
 	blocks, err := parseProfile(profilePath)
 	if err != nil {
 		return err
@@ -150,9 +173,10 @@ func run(profilePath, floorsPath string, out *strings.Builder) error {
 func main() {
 	profilePath := flag.String("profile", "cover.out", "coverprofile produced by go test")
 	floorsPath := flag.String("floors", "tools/coverage_floors.json", "JSON map of import path to minimum coverage percent")
+	variant := flag.String("variant", "", "pick the \"path@variant\" floors over the plain ones")
 	flag.Parse()
 	var out strings.Builder
-	if err := run(*profilePath, *floorsPath, &out); err != nil {
+	if err := run(*profilePath, *floorsPath, *variant, &out); err != nil {
 		os.Stdout.WriteString(out.String())
 		fmt.Fprintln(os.Stderr, "covercheck:", err)
 		os.Exit(1)

@@ -63,7 +63,7 @@ func TestRunPassesAtFloor(t *testing.T) {
 	profile := writeFile(t, "cover.out", sampleProfile)
 	floors := writeFile(t, "floors.json", `{"example.com/m/pkga": 75.0, "example.com/m/pkgb": 90.0}`)
 	var out strings.Builder
-	if err := run(profile, floors, &out); err != nil {
+	if err := run(profile, floors, "", &out); err != nil {
 		t.Fatalf("coverage at floor must pass: %v", err)
 	}
 	if !strings.Contains(out.String(), "pkga") || !strings.Contains(out.String(), "pkgb") {
@@ -75,7 +75,7 @@ func TestRunFailsBelowFloor(t *testing.T) {
 	profile := writeFile(t, "cover.out", sampleProfile)
 	floors := writeFile(t, "floors.json", `{"example.com/m/pkga": 80.0}`)
 	var out strings.Builder
-	err := run(profile, floors, &out)
+	err := run(profile, floors, "", &out)
 	if err == nil {
 		t.Fatal("75%% against an 80%% floor must fail")
 	}
@@ -88,7 +88,7 @@ func TestRunFailsOnMissingPackage(t *testing.T) {
 	profile := writeFile(t, "cover.out", sampleProfile)
 	floors := writeFile(t, "floors.json", `{"example.com/m/pkgc": 10.0}`)
 	var out strings.Builder
-	if err := run(profile, floors, &out); err == nil || !strings.Contains(err.Error(), "not in profile") {
+	if err := run(profile, floors, "", &out); err == nil || !strings.Contains(err.Error(), "not in profile") {
 		t.Fatalf("package absent from profile must fail the gate, got %v", err)
 	}
 }
@@ -102,5 +102,22 @@ func TestParseProfileRejectsGarbage(t *testing.T) {
 		if _, err := parseProfile(writeFile(t, "cover.out", bad)); err == nil {
 			t.Errorf("profile %q accepted", bad)
 		}
+	}
+}
+
+// A "path@variant" floor replaces the plain one only under its variant.
+func TestRunPicksVariantFloors(t *testing.T) {
+	profile := writeFile(t, "cover.out", sampleProfile)
+	floors := writeFile(t, "floors.json", `{"example.com/m/pkga": 80.0, "example.com/m/pkga@slow": 70.0, "example.com/m/pkgb@other": 101.0}`)
+	var out strings.Builder
+	if err := run(profile, floors, "", &out); err == nil {
+		t.Fatal("without a variant, pkga's 80% floor applies and 75% must fail")
+	}
+	out.Reset()
+	if err := run(profile, floors, "slow", &out); err != nil {
+		t.Fatalf("under variant slow, pkga's 70%% floor applies: %v", err)
+	}
+	if !strings.Contains(out.String(), "floor 70.0%") || strings.Contains(out.String(), "pkgb") {
+		t.Errorf("variant slow report:\n%s", out.String())
 	}
 }

@@ -368,13 +368,18 @@ func (a *Archive) commitPlan(gamma int) (storeDelta, storeFull bool) {
 
 // RetrieveContext reconstructs version l (1-based) under the context's
 // deadline and cancellation, returning its bytes and the read accounting:
-// the parts RetrievePartsContext reads, joined into the caller's copy.
+// the parts RetrievePartsContext reads, joined into the caller's copy, after
+// which their blocks go back to the pool.
 func (a *Archive) RetrieveContext(ctx context.Context, l int) ([]byte, RetrievalStats, error) {
-	parts, stats, err := a.RetrievePartsContext(ctx, l)
+	parts, release, stats, err := a.RetrievePartsContext(ctx, l)
 	if err != nil {
 		return nil, stats, err
 	}
-	return bytes.Join(parts, nil), stats, nil
+	object := bytes.Join(parts, nil)
+	if release != nil {
+		release()
+	}
+	return object, stats, nil
 }
 
 // RetrievePartsContext reconstructs version l (1-based) under the context's
@@ -385,31 +390,35 @@ func (a *Archive) RetrieveContext(ctx context.Context, l int) ([]byte, Retrieval
 // the whole retrieval end to end: a chain walk against a stalled node
 // returns once the context expires instead of waiting out per-operation
 // timeouts link by link.
-func (a *Archive) RetrievePartsContext(ctx context.Context, l int) ([][]byte, RetrievalStats, error) {
+//
+// A read the decoded-version cache neither serves nor keeps decodes into
+// pooled blocks and lends them: release, when not nil, gives them back, and
+// the caller calls it exactly once, when nothing reads the parts any more.
+// A caller that never calls it leaves the blocks to the GC.
+func (a *Archive) RetrievePartsContext(ctx context.Context, l int) (parts [][]byte, release func(), stats RetrievalStats, err error) {
 	//lint:allow lockheld archive read lock held across retrieval by design; writers are rare and reads are concurrent under RLock
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	var stats RetrievalStats
 	if a.rcache != nil && l >= 1 && l <= len(a.entries) {
 		if blocks, length, ok := a.rcache.get(l); ok {
 			parts, err := a.blocking.Trim(blocks, length)
 			if err == nil {
 				stats.CacheHits++
 				stats.CacheBytes += length
-				return parts, stats, nil
+				return parts, nil, stats, nil
 			}
 			a.rcache.remove(l) // an entry that does not trim is stale or damaged: drop it
 		}
 	}
-	blocks, err := a.retrieveBlocksLocked(ctx, l, &stats)
-	if err != nil {
-		return nil, stats, err
+	blocks, held, err := a.retrieveBlocksLocked(ctx, l, &stats)
+	if err == nil {
+		parts, err = a.blocking.Trim(blocks, a.entries[l-1].length)
 	}
-	parts, err := a.blocking.Trim(blocks, a.entries[l-1].length)
 	if err != nil {
-		return nil, stats, err
+		held.release()
+		return nil, nil, stats, err
 	}
-	return parts, stats, nil
+	return parts, held.lend(), stats, nil
 }
 
 // LatestContext reconstructs the most recent version. When the writer-side
@@ -453,10 +462,11 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 	if err != nil {
 		return nil, stats, err
 	}
-	inHand, err := a.runWalk(ctx, w, &stats)
+	inHand, held, err := a.runWalk(ctx, w, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
+	defer held.release() // every version is joined into a copy of its own
 	out := make([][]byte, l)
 	for j := range out {
 		out[j], err = a.blocking.Join(inHand[j+1], a.entries[j].length)
@@ -468,29 +478,36 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 }
 
 // retrieveBlocksLocked reconstructs the blocks of version l, adding reads
-// to stats. Caller holds at least a read lock.
-func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *RetrievalStats) ([][]byte, error) {
+// to stats, and returns them with the loan they are made of (runWalk). With
+// the decoded-version cache on, the cache keeps the walk and the loan is
+// dropped: it comes back empty. Caller holds at least a read lock.
+func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *RetrievalStats) ([][]byte, loan, error) {
 	w, err := a.planChain(l)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	inHand, err := a.runWalk(ctx, w, stats)
+	inHand, held, err := a.runWalk(ctx, w, stats)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if a.rcache != nil {
 		// Keep every version the walk decoded: the requested version and
 		// all chain prefixes on the way. Cached blocks are shared
-		// read-only, between versions too; decodes always fresh-allocate.
+		// read-only, between versions too, and are the GC's: the loan is
+		// dropped, never released.
 		for v, blocks := range inHand {
 			a.rcache.put(v, blocks, a.entries[v-1].length)
 		}
+		held = nil
 	}
-	return inHand[l], nil
+	return inHand[l], held, nil
 }
 
 // runWalk executes a planned walk, returning every version it passes
-// through (keyed by version number). All shard reads of the walk are
+// through (keyed by version number) and the loan of pooled sets its full
+// decodes wrote into, which those versions are made of: the caller releases
+// it when nothing reads them any more, or drops it to keep them. A walk that
+// fails releases what it took. All shard reads of the walk are
 // prefetched up front as one batch per node; the per-object readers consume
 // the prefetched rows and fetch more only where the prefetch fell short.
 // A delta step allocates the gamma blocks it changes and shares the rest
@@ -499,12 +516,11 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 // codeword's shards go back to their nodes as soon as it is decoded, and
 // those of codewords a failed walk did not reach when it returns: decoded
 // blocks never alias shards.
-func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (map[int][][]byte, error) {
+func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (inHand map[int][][]byte, held loan, err error) {
 	cws := make([]codeword, len(w))
 	for i, s := range w {
-		var err error
 		if cws[i], err = a.stepCodeword(s); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	sets := a.prefetch(ctx, cws)
@@ -512,22 +528,26 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (m
 		for _, set := range sets {
 			set.release()
 		}
+		if err != nil { // a failed walk gives back what it took and lends nothing
+			held.release()
+			held = nil
+		}
 	}()
-	inHand := make(map[int][][]byte, len(w))
+	inHand = make(map[int][][]byte, len(w))
 	for i, s := range w {
 		from, ok := inHand[s.from]
 		if s.via != 0 && !ok {
-			return nil, fmt.Errorf("core: walk applies delta %d at version %d, which it has not reached", s.via, s.from)
+			return nil, held, fmt.Errorf("core: walk applies delta %d at version %d, which it has not reached", s.via, s.from)
 		}
 		set := sets[cws[i].id]
 		if set == nil {
 			set = newShardSet()
 		}
-		d, read, err := a.readCodeword(ctx, cws[i], set)
+		d, read, err := a.readCodeword(ctx, cws[i], set, &held)
 		set.release() // read once: the rows are garbage as soon as they are decoded
 		delete(sets, cws[i].id)
 		if err != nil {
-			return nil, err
+			return nil, held, err
 		}
 		stats.add(read)
 		if s.via == 0 {
@@ -535,10 +555,10 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (m
 			continue
 		}
 		if inHand[s.to], err = d.ApplyTo(from); err != nil {
-			return nil, fmt.Errorf("core: applying the delta of version %d: %w", s.via, err)
+			return nil, held, fmt.Errorf("core: applying the delta of version %d: %w", s.via, err)
 		}
 	}
-	return inHand, nil
+	return inHand, held, nil
 }
 
 // writeObject encodes blocks with the codeword's code and stores every
@@ -604,7 +624,7 @@ func (a *Archive) ensureNodes(version int) error {
 // the archive was reopened from a manifest.
 func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 	var stats RetrievalStats
-	blocks, err := a.retrieveBlocksLocked(ctx, len(a.entries), &stats)
+	blocks, _, err := a.retrieveBlocksLocked(ctx, len(a.entries), &stats) // kept: the loan is dropped
 	if err != nil {
 		return err
 	}

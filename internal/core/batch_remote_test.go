@@ -28,12 +28,14 @@ var (
 )
 
 // TestMain runs the suite with every served connection overwriting its
-// request buffer once the request has been handled, and every pooled frame
-// overwritten once the walk that read it released its shards: the TCP tests
-// below pass only if no node and no archive kept a slice of either.
+// request buffer once the request has been handled, every pooled frame
+// overwritten once the walk that read it released its shards, and every set
+// of decoded blocks once the read that was lent it released it: the tests
+// pass only if no node and no archive kept a slice of any of them.
 func TestMain(m *testing.M) {
 	transport.ScribbleRequests = true
 	transport.ScribbleReleasedFrames = true
+	erasure.ScribbleReleasedBuffers = true
 	os.Exit(m.Run())
 }
 

@@ -37,7 +37,6 @@ type codec interface {
 	Encode(blocks [][]byte) ([][]byte, error)
 	EncodeInto(blocks, dst [][]byte) error
 	EncodeSparseInto(support []int, blocks, dst [][]byte) error
-	DecodeFull(rows []int, shards [][]byte) ([][]byte, error)
 	DecodeFullInto(rows []int, shards, dst [][]byte) error
 	DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error)
 	SparseReadRows(live []int, gamma int) []int

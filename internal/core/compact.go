@@ -146,7 +146,7 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 	// manage - each full codeword once, each stored delta once, the reads
 	// RetrieveAll(L) performs - as one planned walk: one batch per node.
 	var stats RetrievalStats
-	mat, err := a.runWalk(ctx, every, &stats)
+	mat, _, err := a.runWalk(ctx, every, &stats) // kept past the walk: the loan is dropped
 	if err != nil {
 		return info, fmt.Errorf("core: compaction aborted while materializing the chain: %w", err)
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/secarchive/sec/internal/delta"
+	"github.com/secarchive/sec/internal/erasure"
 )
 
 // readAttempts bounds the re-plan loop of one codeword. Liveness is
@@ -27,7 +29,10 @@ func readAttempts(cw codeword) int { return 3 + cw.code.N() - cw.code.K() }
 // sparse attempt that could not complete - and they count toward the K. A
 // done context aborts the loop immediately: cancellation is not a node
 // failure, so no further liveness probing or re-planning is worth doing.
-func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet) ([][]byte, error) {
+//
+// The decode writes into a pooled block set, which is filed with held: the
+// blocks are the walk's holder's to give back, not the GC's.
+func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet, held *loan) ([][]byte, error) {
 	k := cw.code.K()
 	for attempt := 0; attempt < readAttempts(cw); attempt++ {
 		if err := chainAbort(ctx, set.err); err != nil {
@@ -47,10 +52,53 @@ func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet) ([][
 		}
 		if len(set.data) >= k {
 			rows, shards := set.take(k)
-			return cw.code.DecodeFull(rows, shards)
+			//lint:allow poolcheck the set is lent to the walk's holder, which releases it once nothing reads the versions made of it, or drops it to the GC
+			bufs := erasure.GetBuffers(k, len(shards[0]))
+			held.keep(bufs)
+			return bufs.Blocks, cw.code.DecodeFullInto(rows, shards, bufs.Blocks)
 		}
 	}
 	return nil, set.err
+}
+
+// loan is the pooled block sets the full decodes of one walk wrote into
+// (readAnyK). The versions the walk returns are made of them - a full
+// version's blocks, and the unchanged blocks every later version shares with
+// it - so they go back to the pool together, once, when nothing reads those
+// versions any more: a request's holder calls release after its reply is
+// joined or written. A holder that keeps the versions - the decoded-version
+// cache, the latest-version cache, compaction's materialized chain - drops
+// the loan instead, and the sets go to the GC with the versions. An empty
+// loan is nil and lends nothing.
+type loan []*erasure.Buffers
+
+// lentSets and returnedSets count the sets loans have taken and given back
+// to the pool, for the tests that check every lent set comes back once.
+var lentSets, returnedSets atomic.Int64
+
+// keep files one set with the loan.
+func (l *loan) keep(b *erasure.Buffers) {
+	*l = append(*l, b)
+	lentSets.Add(1)
+}
+
+// release gives every set back to the pool. Nothing may read the versions
+// made of them afterwards.
+func (l loan) release() {
+	for _, b := range l {
+		b.Release()
+	}
+	returnedSets.Add(int64(len(l)))
+}
+
+// lend hands the loan to the caller as the release it must call once, or
+// nil when there is nothing to give back: a read that lends nothing
+// allocates no closure.
+func (l loan) lend() func() {
+	if len(l) == 0 {
+		return nil
+	}
+	return l.release
 }
 
 // chainAbort decides whether a retrieval loop should stop because its
@@ -85,8 +133,9 @@ func chainAbort(ctx context.Context, lastErr error) error {
 // The codeword comes back as what was read, never expanded: a support and
 // the blocks it names - every block of a full version, the blocks a decode
 // recovered or a CDEC codeword holds for a delta, none at all for a delta
-// that changed nothing, which costs no reads and no step of the walk.
-func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet) (delta.CompactDelta, ObjectRead, error) {
+// that changed nothing, which costs no reads and no step of the walk. A full
+// decode's blocks are lent through held (readAnyK).
+func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet, held *loan) (delta.CompactDelta, ObjectRead, error) {
 	if cw.empty() {
 		return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize}, ObjectRead{Version: cw.version, Delta: true}, nil
 	}
@@ -133,7 +182,7 @@ func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet) 
 		// Otherwise some sparse rows are gone: re-plan against the
 		// shrunken live set, keeping what arrived.
 	}
-	blocks, err := a.readAnyK(ctx, cw, set)
+	blocks, err := a.readAnyK(ctx, cw, set, held)
 	if err != nil {
 		return delta.CompactDelta{}, ObjectRead{}, err
 	}

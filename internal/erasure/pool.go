@@ -35,8 +35,18 @@ func GetBuffers(count, blockLen int) *Buffers {
 	return b
 }
 
+// ScribbleReleasedBuffers makes Release overwrite a set before it goes back
+// to the pool. Tests set it (in TestMain, before anything runs) to prove that
+// nothing reads a block past the Release of its set.
+var ScribbleReleasedBuffers bool
+
 // Release returns the buffer set to the pool. The caller must not use the
 // set or any of its blocks afterwards.
 func (b *Buffers) Release() {
+	if ScribbleReleasedBuffers {
+		for i := range b.flat {
+			b.flat[i] = 0xA5
+		}
+	}
 	bufferPool.Put(b)
 }

@@ -21,13 +21,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"github.com/secarchive/sec/internal/core"
+	"github.com/secarchive/sec/internal/fsys"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
 )
@@ -57,6 +58,9 @@ type Config struct {
 	// store.ErrBusy error instead of waiting unboundedly. Zero means
 	// DefaultMaxQueuedWriters.
 	MaxQueuedWriters int
+	// fs is the file system Root and the manifests live on. Nil means the
+	// host's (fsys.OS); tests put an fsys.Recorder here.
+	fs fsys.FS
 }
 
 // Stats is a snapshot of gateway-level counters.
@@ -164,8 +168,11 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.MaxQueuedWriters <= 0 {
 		cfg.MaxQueuedWriters = DefaultMaxQueuedWriters
 	}
+	if cfg.fs == nil {
+		cfg.fs = fsys.OS{}
+	}
 	if cfg.Root != "" {
-		if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
+		if err := cfg.fs.MkdirAll(cfg.Root, 0o755); err != nil {
 			return nil, fmt.Errorf("gateway: creating manifest root: %w", err)
 		}
 	}
@@ -269,12 +276,12 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 // load performs the actual open-by-name.
 func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, error) {
 	name, cluster := st.name, g.cfg.Cluster
-	st.log.path = g.manifestPath(name)
+	st.log.fs, st.log.path = g.cfg.fs, g.manifestPath(name)
 	m, err := st.log.read()
 	from := "manifest " + st.log.path
 	local := err == nil
 	switch {
-	case errors.Is(err, os.ErrNotExist):
+	case errors.Is(err, fs.ErrNotExist):
 		// No local manifest: fall back to the cluster-replicated copy, then
 		// persist it so the next open is local.
 		from = "its cluster manifest"
@@ -353,7 +360,7 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 			return nil, fmt.Errorf("gateway: archive %q already exists: %w", name, store.ErrConflict)
 		}
 		path := g.manifestPath(name)
-		if _, err := os.Stat(path); path != "" && err == nil {
+		if _, err := g.cfg.fs.Stat(path); path != "" && err == nil {
 			return nil, fmt.Errorf("gateway: manifest %s already exists: %w", path, store.ErrConflict)
 		}
 		archive, err := core.Open(spec.Manifest(name), g.cfg.Cluster)
@@ -361,7 +368,7 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 			return nil, err
 		}
 		st := newArchiveState(name)
-		st.log.path = path
+		st.log.fs, st.log.path = g.cfg.fs, path
 		if err := st.log.adopt(archive); err != nil {
 			return nil, err
 		}
@@ -431,18 +438,19 @@ func (g *Gateway) openVersion(ctx context.Context, name string, version int) (*a
 // clients share the archive's decoded-version read cache. The object comes
 // back as Parts, the decoded blocks themselves, read-only: the server
 // writes them into its reply, and secclient.Embed joins them into the
-// caller's copy.
+// caller's copy. Blocks the cache does not keep are lent: Release gives
+// them back once the reply is written or joined.
 func (g *Gateway) Retrieve(ctx context.Context, name string, version int) (transport.ArchiveVersion, error) {
 	st, v, err := g.openVersion(ctx, name, version)
 	if err != nil {
 		return transport.ArchiveVersion{}, err
 	}
-	parts, stats, err := st.archive.RetrievePartsContext(ctx, v)
+	parts, release, stats, err := st.archive.RetrievePartsContext(ctx, v)
 	if err != nil {
 		return transport.ArchiveVersion{}, err
 	}
 	g.retrieves.Add(1)
-	return transport.ArchiveVersion{Version: v, Parts: parts, Stats: stats}, nil
+	return transport.ArchiveVersion{Version: v, Parts: parts, Release: release, Stats: stats}, nil
 }
 
 // RetrieveAll decodes versions 1..version (0 = through the latest).

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"github.com/secarchive/sec/internal/core"
+	"github.com/secarchive/sec/internal/fsys"
 )
 
 // manifestLog is where one resident archive's metadata persists and how
@@ -22,6 +24,7 @@ import (
 // and deleting them. Without a path only the accounting runs.
 type manifestLog struct {
 	mu   sync.Mutex // orders publishes against Close
+	fs   fsys.FS    // the file system path is on; nil: the host's
 	path string
 	// snapBytes sizes the snapshot the log extends, logBytes the records.
 	snapBytes, logBytes int64
@@ -35,10 +38,18 @@ type manifestLog struct {
 
 func logPath(path string) string { return path + ".log" }
 
-// read loads the snapshot at l.path (none: os.ErrNotExist) and replays the
+// files returns the file system the log is on.
+func (l *manifestLog) files() fsys.FS {
+	if l.fs == nil {
+		return fsys.OS{}
+	}
+	return l.fs
+}
+
+// read loads the snapshot at l.path (none: fs.ErrNotExist) and replays the
 // log beside it; one ending in a damaged frame is truncated there (mustFold).
 func (l *manifestLog) read() (m core.Manifest, err error) {
-	raw, err := os.ReadFile(l.path)
+	raw, err := l.files().ReadFile(l.path)
 	if err != nil {
 		return m, err
 	}
@@ -46,8 +57,8 @@ func (l *manifestLog) read() (m core.Manifest, err error) {
 		return m, fmt.Errorf("decoding manifest: %w", err)
 	}
 	l.snapBytes, l.folded = int64(len(raw)), m.Generation
-	records, err := os.ReadFile(logPath(l.path))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	records, err := l.files().ReadFile(logPath(l.path))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return m, err
 	}
 	valid, err := m.Replay(records)
@@ -55,7 +66,7 @@ func (l *manifestLog) read() (m core.Manifest, err error) {
 		return m, err
 	}
 	if l.mustFold = valid < len(records); l.mustFold {
-		err = os.Truncate(logPath(l.path), int64(valid))
+		err = l.files().Truncate(logPath(l.path), int64(valid))
 	}
 	l.logBytes = int64(valid)
 	return m, err
@@ -69,7 +80,7 @@ func (l *manifestLog) adopt(archive *core.Archive) error {
 		return nil
 	}
 	snap, _ := archive.Snapshot()
-	return writeSnapshot(l.path, snap)
+	return writeSnapshot(l.files(), l.path, snap)
 }
 
 // persist makes the archive's latest change durable under the root - one
@@ -83,7 +94,7 @@ func (l *manifestLog) persist(archive *core.Archive, closing bool) (core.Publica
 	if rec, ok := archive.NextRecord(); ok {
 		pub.Generation, pub.Record = rec.Generation, rec.Frame(archive.Name())
 		if !l.mustFold && l.path != "" {
-			f, err := os.OpenFile(logPath(l.path), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+			f, err := l.files().OpenFile(logPath(l.path), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 			if err == nil {
 				err = writeAndClose(f, pub.Record)
 			}
@@ -99,11 +110,11 @@ func (l *manifestLog) persist(archive *core.Archive, closing bool) (core.Publica
 	}
 	snap, gen := archive.Snapshot()
 	if l.path != "" {
-		if err := writeSnapshot(l.path, snap); err != nil {
+		if err := writeSnapshot(l.files(), l.path, snap); err != nil {
 			return core.Publication{}, err
 		}
 		// A crash here leaves only records the snapshot covers: replay skips them.
-		if err := os.Remove(logPath(l.path)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := l.files().Remove(logPath(l.path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return core.Publication{}, fmt.Errorf("gateway: persisting manifest: %w", err)
 		}
 	}
@@ -113,12 +124,12 @@ func (l *manifestLog) persist(archive *core.Archive, closing bool) (core.Publica
 }
 
 // writeSnapshot atomically replaces the manifest at path.
-func writeSnapshot(path string, snap []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
+func writeSnapshot(f fsys.FS, path string, snap []byte) error {
+	tmp, err := f.CreateTemp(filepath.Dir(path), ".manifest-*")
 	if err == nil {
-		defer os.Remove(tmp.Name())
+		defer f.Remove(tmp.Name())
 		if err = writeAndClose(tmp, snap); err == nil {
-			err = os.Rename(tmp.Name(), path)
+			err = f.Rename(tmp.Name(), path)
 		}
 	}
 	if err != nil {
@@ -127,7 +138,7 @@ func writeSnapshot(path string, snap []byte) error {
 	return nil
 }
 
-func writeAndClose(f *os.File, data []byte) error {
+func writeAndClose(f fsys.File, data []byte) error {
 	_, err := f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/testutil"
@@ -18,12 +19,14 @@ import (
 )
 
 // TestMain runs the suite with every served connection overwriting its
-// request buffer once the request has been handled, and every pooled frame
-// overwritten once its shards are released: the served tests pass only if
-// the gateway, its archives and their nodes kept no slice of either.
+// request buffer once the request has been handled, every pooled frame
+// overwritten once its shards are released, and every set of decoded blocks
+// once its reply is written: the served tests pass only if the gateway, its
+// archives and their nodes kept no slice of any of them.
 func TestMain(m *testing.M) {
 	transport.ScribbleRequests = true
 	transport.ScribbleReleasedFrames = true
+	erasure.ScribbleReleasedBuffers = true
 	os.Exit(m.Run())
 }
 

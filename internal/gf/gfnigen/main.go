@@ -1,7 +1,10 @@
 // Command gfnigen writes the fused GF(2^8) block-product kernels of package
 // gf (DESIGN.md section 2): gfni_amd64.s holds one unrolled AVX-512 kernel
-// per output-row count 1..maxRows, and gfni_amd64.go their declarations and
-// the dispatch over the row count. From the repository root:
+// per output-row count 1..maxRows, a table of them and gfniMul, which jumps
+// through the table to the kernel for a row count, and gfni_amd64.go the
+// declaration of gfniMul. The dispatch is data, not Go statements, so the
+// package's coverage reads the same on a CPU that never runs it. From the
+// repository root:
 //
 //	go run ./internal/gf/gfnigen -dir internal/gf
 //
@@ -38,9 +41,11 @@ func main() {
 
 const header = "// Code generated by gfnigen. DO NOT EDIT.\n\n"
 
-// asm returns the kernels. Argument registers: AX the affine matrices
-// (column by column, the r rows' matrices of one column adjacent), BX the
-// source slice headers, CX the column count, DX the destination slice
+// asm returns gfniMul, the table and the kernels. gfniMul takes the row
+// count last, so the kernel it jumps to finds every argument of its own
+// where its frame expects it. Kernel argument registers: AX the affine
+// matrices (column by column, the r rows' matrices of one column adjacent),
+// BX the source slice headers, CX the column count, DX the destination slice
 // headers, SI the byte offset, DI the bytes left (a multiple of 64), R8 the
 // accumulate flag. With accumulate false the first column's products
 // initialise the accumulators; with it true they start from dst.
@@ -48,6 +53,19 @@ func asm() []byte {
 	var b bytes.Buffer
 	b.WriteString(header)
 	b.WriteString("#include \"textflag.h\"\n")
+	b.WriteString(`
+// func gfniMul(mats *uint64, src *[]byte, cols int, dst *[]byte, off, n int, accumulate bool, rows int)
+TEXT ·gfniMul(SB), NOSPLIT, $0-64
+	MOVQ rows+56(FP), AX
+	LEAQ gfniKernels<>(SB), BX
+	MOVQ -8(BX)(AX*8), AX
+	JMP  AX
+`)
+	b.WriteString("\n")
+	for r := 1; r <= maxRows; r++ {
+		fmt.Fprintf(&b, "DATA gfniKernels<>+%d(SB)/8, $gfniMul%d<>(SB)\n", (r-1)*8, r)
+	}
+	fmt.Fprintf(&b, "GLOBL gfniKernels<>(SB), RODATA, $%d\n", maxRows*8)
 	for r := 1; r <= maxRows; r++ {
 		w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
 		each := func(format string) {
@@ -56,8 +74,8 @@ func asm() []byte {
 			}
 		}
 		w("")
-		w("// func gfniMul%d(mats *uint64, src *[]byte, cols int, dst *[]byte, off, n int, accumulate bool)", r)
-		w("TEXT ·gfniMul%d(SB), NOSPLIT, $0-49", r)
+		w("// gfniMul%d(mats *uint64, src *[]byte, cols int, dst *[]byte, off, n int, accumulate bool)", r)
+		w("TEXT gfniMul%d<>(SB), NOSPLIT, $0-49", r)
 		w("\tMOVQ    mats+0(FP), AX")
 		w("\tMOVQ    src+8(FP), BX")
 		w("\tMOVQ    cols+16(FP), CX")
@@ -109,28 +127,24 @@ func asm() []byte {
 	return b.Bytes()
 }
 
-// decls returns the Go side: one declaration per kernel, and gfniMul, which
-// calls the kernel for a row count directly, so that escape analysis sees
-// the noescape pragma and the caller's matrix table stays on its stack.
+// decls returns the Go side: the widest kernel and the declaration of
+// gfniMul, an assembly function the caller calls directly, so that escape
+// analysis sees the noescape pragma and the caller's matrix table stays on
+// its stack.
 func decls() []byte {
 	var b bytes.Buffer
 	b.WriteString(header)
 	b.WriteString("package gf\n\n")
 	fmt.Fprintf(&b, "// gfniMaxRows is the widest fused kernel (gfnigen).\nconst gfniMaxRows = %d\n", maxRows)
 	b.WriteString(`
-// gfniMul runs the fused kernel for rows output blocks: for every 64-byte
-// vector of [off, off+n) it sets dst[i] (or, with accumulate, adds to it)
-// sum_j mats[j*rows+i] applied to src[j], over cols source blocks. n is a
-// non-zero multiple of 64 and every block holds off+n bytes.
-func gfniMul(rows int, mats *uint64, src *[]byte, cols int, dst *[]byte, off, n int, accumulate bool) {
-	switch rows {
+// gfniMul runs the fused kernel for rows output blocks, 1 <= rows <=
+// gfniMaxRows: for every 64-byte vector of [off, off+n) it sets dst[i] (or,
+// with accumulate, adds to it) sum_j mats[j*rows+i] applied to src[j], over
+// cols source blocks. n is a non-zero multiple of 64 and every block holds
+// off+n bytes.
+//
+//go:noescape
+func gfniMul(mats *uint64, src *[]byte, cols int, dst *[]byte, off, n int, accumulate bool, rows int)
 `)
-	for r := 1; r <= maxRows; r++ {
-		fmt.Fprintf(&b, "\tcase %d:\n\t\tgfniMul%d(mats, src, cols, dst, off, n, accumulate)\n", r, r)
-	}
-	b.WriteString("\tdefault:\n\t\tpanic(\"gf: no fused kernel for this row count\")\n\t}\n}\n")
-	for r := 1; r <= maxRows; r++ {
-		fmt.Fprintf(&b, "\n//go:noescape\nfunc gfniMul%d(mats *uint64, src *[]byte, cols int, dst *[]byte, off, n int, accumulate bool)\n", r)
-	}
 	return b.Bytes()
 }

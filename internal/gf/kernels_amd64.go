@@ -72,7 +72,7 @@ func mulBlocksFused(c []byte, src, dst [][]byte, lo, hi int) int {
 					mats[j*r+i] = _affine[c[(r0+i)*cols+c0+j]]
 				}
 			}
-			gfniMul(r, &mats[0], &src[c0], w, &dst[r0], lo, n, c0 > 0)
+			gfniMul(&mats[0], &src[c0], w, &dst[r0], lo, n, c0 > 0, r)
 		}
 		r0 += r
 	}

@@ -9,11 +9,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/secarchive/sec/internal/fsys"
 )
 
 // On-disk shard file format (all integers big-endian):
@@ -51,6 +52,7 @@ var crc32c = crc32.MakeTable(crc32.Castagnoli)
 type DiskNode struct {
 	id  string
 	dir string
+	fs  fsys.FS
 
 	mu     sync.Mutex
 	failed bool
@@ -72,14 +74,19 @@ var _ FaultInjector = (*DiskNode)(nil)
 // temporary files from an interrupted writer are discarded, and any shards
 // already present are served as-is.
 func NewDiskNode(id, dir string) (*DiskNode, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return newDiskNodeOn(fsys.OS{}, id, dir)
+}
+
+// newDiskNodeOn is NewDiskNode on the given file system.
+func newDiskNodeOn(f fsys.FS, id, dir string) (*DiskNode, error) {
+	if err := f.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating disk node %s: %w", id, err)
 	}
 	marker := filepath.Join(dir, diskMarkerName)
-	raw, err := os.ReadFile(marker)
+	raw, err := f.ReadFile(marker)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		if err := writeFileAtomic(marker, []byte(diskMarkerContent)); err != nil {
+		if err := writeFileAtomic(f, marker, []byte(diskMarkerContent)); err != nil {
 			return nil, fmt.Errorf("store: initializing disk node %s: %w", id, err)
 		}
 	case err != nil:
@@ -90,7 +97,7 @@ func NewDiskNode(id, dir string) (*DiskNode, error) {
 		// formats, so refuse exactly as OpenDiskNode does.
 		return nil, fmt.Errorf("store: initializing disk node %s at %s: unsupported format marker %q", id, dir, strings.TrimSpace(string(raw)))
 	}
-	return openDiskNode(id, dir)
+	return openDiskNode(f, id, dir)
 }
 
 // OpenDiskNode reopens an existing disk node directory, e.g. after a
@@ -98,18 +105,19 @@ func NewDiskNode(id, dir string) (*DiskNode, error) {
 // initialized as a disk node, guarding against serving (or later wiping)
 // an unrelated tree.
 func OpenDiskNode(id, dir string) (*DiskNode, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, diskMarkerName))
+	f := fsys.OS{}
+	raw, err := f.ReadFile(filepath.Join(dir, diskMarkerName))
 	if err != nil {
 		return nil, fmt.Errorf("store: opening disk node %s at %s: not a disk node directory: %w", id, dir, err)
 	}
 	if string(raw) != diskMarkerContent {
 		return nil, fmt.Errorf("store: opening disk node %s at %s: unsupported format marker %q", id, dir, strings.TrimSpace(string(raw)))
 	}
-	return openDiskNode(id, dir)
+	return openDiskNode(f, id, dir)
 }
 
-func openDiskNode(id, dir string) (*DiskNode, error) {
-	n := &DiskNode{id: id, dir: dir, durableDirs: make(map[string]struct{})}
+func openDiskNode(f fsys.FS, id, dir string) (*DiskNode, error) {
+	n := &DiskNode{id: id, dir: dir, fs: f, durableDirs: make(map[string]struct{})}
 	if err := n.removeTempFiles(); err != nil {
 		return nil, fmt.Errorf("store: recovering disk node %s: %w", id, err)
 	}
@@ -119,15 +127,9 @@ func openDiskNode(id, dir string) (*DiskNode, error) {
 // removeTempFiles discards partial writes left by a crashed process; their
 // renames never happened, so the shards they were replacing are intact.
 func (n *DiskNode) removeTempFiles() error {
-	return filepath.WalkDir(n.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil // no shards written yet
-			}
-			return err
-		}
-		if !d.IsDir() && strings.HasPrefix(d.Name(), shardTmpPrefix) {
-			return os.Remove(path)
+	return fsys.WalkFiles(n.fs, n.dir, func(path, name string) error {
+		if strings.HasPrefix(name, shardTmpPrefix) {
+			return n.fs.Remove(path)
 		}
 		return nil
 	})
@@ -191,7 +193,7 @@ func (n *DiskNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
 			continue
 		}
 		_, path := n.shardPath(id)
-		raw, err := os.ReadFile(path)
+		raw, err := n.fs.ReadFile(path)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				err = ErrNotFound
@@ -242,7 +244,7 @@ func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) [
 			continue
 		}
 		dir, path := n.shardPath(id)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := n.fs.MkdirAll(dir, 0o755); err != nil {
 			errs[i] = shardErr("put", id, n.id, err)
 			continue
 		}
@@ -250,7 +252,7 @@ func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) [
 			errs[i] = shardErr("put", id, n.id, err)
 			continue
 		}
-		if err := renameFileAtomic(path, EncodeFrame(id.String(), data[i])); err != nil {
+		if err := renameFileAtomic(n.fs, path, EncodeFrame(id.String(), data[i])); err != nil {
 			errs[i] = shardErr("put", id, n.id, err)
 			continue
 		}
@@ -258,7 +260,7 @@ func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) [
 	}
 	var writes, bytesWritten uint64
 	for dir, positions := range dirty {
-		err := syncDir(dir)
+		err := n.fs.SyncDir(dir)
 		for _, i := range positions {
 			if err != nil {
 				errs[i] = shardErr("put", ids[i], n.id, err)
@@ -292,7 +294,7 @@ func (n *DiskNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 			continue
 		}
 		dir, path := n.shardPath(id)
-		if err := os.Remove(path); err != nil {
+		if err := n.fs.Remove(path); err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				err = ErrNotFound
 			}
@@ -303,7 +305,7 @@ func (n *DiskNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 		dirty[dir] = struct{}{}
 	}
 	for dir := range dirty {
-		_ = syncDir(dir) // best effort: a resurrected shard is re-deletable
+		_ = n.fs.SyncDir(dir) // best effort: a resurrected shard is re-deletable
 	}
 	n.mu.Lock()
 	n.stats.Deletes += deletes
@@ -346,14 +348,8 @@ func (n *DiskNode) ResetStats() {
 // inspection), not a hot-path call.
 func (n *DiskNode) ShardFiles() ([]string, error) {
 	var files []string
-	err := filepath.WalkDir(n.shardRoot(), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil // no shards written yet
-			}
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), shardFileSuffix) {
+	err := fsys.WalkFiles(n.fs, n.shardRoot(), func(path, name string) error {
+		if strings.HasSuffix(name, shardFileSuffix) {
 			files = append(files, path)
 		}
 		return nil
@@ -374,10 +370,10 @@ func (n *DiskNode) Wipe() error {
 	n.dirsMu.Lock()
 	clear(n.durableDirs) // recreated subdirectories need their parents re-flushed
 	n.dirsMu.Unlock()
-	if err := os.RemoveAll(n.shardRoot()); err != nil {
+	if err := n.fs.RemoveAll(n.shardRoot()); err != nil {
 		return fmt.Errorf("store: wiping %s: %w", n.id, err)
 	}
-	return syncDir(n.dir)
+	return n.fs.SyncDir(n.dir)
 }
 
 // Close flushes the node's directory metadata. Individual shard writes are
@@ -385,10 +381,10 @@ func (n *DiskNode) Wipe() error {
 // counterpart that fsyncs the root so directory-level operations (deletes,
 // first-time subdirectory creation) are on stable storage too.
 func (n *DiskNode) Close() error {
-	if err := syncDir(n.shardRoot()); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := n.fs.SyncDir(n.shardRoot()); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	return syncDir(n.dir)
+	return n.fs.SyncDir(n.dir)
 }
 
 // ensureDirDurable makes a freshly created fan-out subdirectory itself
@@ -401,10 +397,10 @@ func (n *DiskNode) ensureDirDurable(dir string) error {
 	if _, ok := n.durableDirs[dir]; ok {
 		return nil
 	}
-	if err := syncDir(n.shardRoot()); err != nil {
+	if err := n.fs.SyncDir(n.shardRoot()); err != nil {
 		return err
 	}
-	if err := syncDir(n.dir); err != nil {
+	if err := n.fs.SyncDir(n.dir); err != nil {
 		return err
 	}
 	n.durableDirs[dir] = struct{}{}
@@ -485,26 +481,26 @@ func decodeShardFile(id ShardID, raw []byte) ([]byte, error) {
 // writeFileAtomic writes path via a temporary file in the same directory, an
 // fsync, a rename, and a directory fsync, so concurrent readers and crashes
 // see either the old contents or the complete new ones.
-func writeFileAtomic(path string, contents []byte) error {
-	if err := renameFileAtomic(path, contents); err != nil {
+func writeFileAtomic(f fsys.FS, path string, contents []byte) error {
+	if err := renameFileAtomic(f, path, contents); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return f.SyncDir(filepath.Dir(path))
 }
 
 // renameFileAtomic is writeFileAtomic without the trailing directory fsync,
 // for batch writers that flush each directory once after renaming every
 // file into it. The rename is not crash-durable until that fsync happens.
-func renameFileAtomic(path string, contents []byte) error {
+func renameFileAtomic(f fsys.FS, path string, contents []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, shardTmpPrefix+"*")
+	tmp, err := f.CreateTemp(dir, shardTmpPrefix+"*")
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if tmp != nil {
 			_ = tmp.Close()
-			_ = os.Remove(tmp.Name())
+			_ = f.Remove(tmp.Name())
 		}
 	}()
 	if _, err := tmp.Write(contents); err != nil {
@@ -518,23 +514,9 @@ func renameFileAtomic(path string, contents []byte) error {
 		return err
 	}
 	tmp = nil // closed: the deferred cleanup must not double-close
-	if err := os.Rename(name, path); err != nil {
-		_ = os.Remove(name)
+	if err := f.Rename(name, path); err != nil {
+		_ = f.Remove(name)
 		return err
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a completed rename or remove within it
-// survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

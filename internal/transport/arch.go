@@ -74,6 +74,11 @@ type ArchiveVersion struct {
 	// (core.Archive.RetrievePartsContext), read-only, and the server writes
 	// them into the reply from where they lie.
 	Parts [][]byte `json:"-"`
+	// Release, when not nil, gives back the memory Parts is lent from. The
+	// holder calls it exactly once, when nothing reads Parts any more: the
+	// server once the reply is written or has failed to write. A backend
+	// that lends nothing leaves it nil.
+	Release func() `json:"-"`
 	// Stats is the archive-side retrieval accounting for this read.
 	Stats core.RetrievalStats `json:"stats"`
 }
@@ -240,9 +245,11 @@ type archOp struct {
 	// name is the ShardError.Op of the operation's failures, on both ends.
 	name string
 	// serve answers one request for the named archive with the response
-	// body. An archReject error is answered as a bare statusError; any
-	// other is a backend failure, answered with its provenance.
-	serve func(ctx context.Context, s *Server, name string, req request) (parts, error)
+	// body, and the release of any memory the body is lent from, which the
+	// server calls once the reply is written or has failed to write. An
+	// archReject error is answered as a bare statusError; any other is a
+	// backend failure, answered with its provenance.
+	serve func(ctx context.Context, s *Server, name string, req request) (parts, func(), error)
 }
 
 // archReject is a request refused (or a reply lost) at the wire layer,
@@ -257,20 +264,20 @@ func (e archReject) Error() string { return string(e) }
 var archOps = [...]archOp{
 	opArchCreate - opArchCreate: {
 		name: "arch-create",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			var spec ArchiveSpec
 			if err := json.Unmarshal(req.payload, &spec); err != nil {
-				return nil, archReject(fmt.Sprintf("transport: decoding archive spec: %v", err))
+				return nil, nil, archReject(fmt.Sprintf("transport: decoding archive spec: %v", err))
 			}
 			return jsonBody(s.archive.Create(ctx, name, spec))
 		},
 	},
 	opArchCommit - opArchCreate: {
 		name: "arch-commit",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			expect, object, err := decodeArchCommit(req.payload)
 			if err != nil {
-				return nil, archReject(err.Error())
+				return nil, nil, archReject(err.Error())
 			}
 			s.reqs.bytesWritten.Add(uint64(len(object)))
 			return jsonBody(s.archive.Commit(ctx, name, expect, object))
@@ -278,92 +285,96 @@ var archOps = [...]archOp{
 	},
 	opArchGet - opArchCreate: {
 		name: "arch-get",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			v, err := s.archive.Retrieve(ctx, name, req.id.Row)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			s.reqs.bytesRead.Add(uint64(v.object().size()))
-			return encodeArchVersion(v)
+			body, err := encodeArchVersion(v)
+			return body, v.Release, err
 		},
 	},
 	opArchGetAll - opArchCreate: {
 		name: "arch-get-all",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			versions, stats, err := s.archive.RetrieveAll(ctx, name, req.id.Row)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, v := range versions {
 				s.reqs.bytesRead.Add(uint64(len(v)))
 			}
-			return encodeArchVersions(versions, stats)
+			body, err := encodeArchVersions(versions, stats)
+			return body, nil, err
 		},
 	},
 	opArchLog - opArchCreate: {
 		name: "arch-log",
-		serve: func(ctx context.Context, s *Server, name string, _ request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, _ request) (parts, func(), error) {
 			return jsonBody(s.archive.Log(ctx, name))
 		},
 	},
 	opArchInfo - opArchCreate: {
 		name: "arch-info",
-		serve: func(ctx context.Context, s *Server, name string, _ request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, _ request) (parts, func(), error) {
 			return jsonBody(s.archive.Info(ctx, name))
 		},
 	},
 	opArchCompact - opArchCreate: {
 		name: "arch-compact",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			return jsonBody(s.archive.Compact(ctx, name, req.id.Row))
 		},
 	},
 	opArchScrub - opArchCreate: {
 		name: "arch-scrub",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			return jsonBody(s.archive.Scrub(ctx, name, req.id.Row != 0))
 		},
 	},
 	opArchRepair - opArchCreate: {
 		name: "arch-repair",
-		serve: func(ctx context.Context, s *Server, name string, req request) (parts, error) {
+		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			return jsonBody(s.archive.Repair(ctx, name, req.id.Row))
 		},
 	},
 }
 
 // jsonBody marshals a backend's structured result, passing its error on.
-func jsonBody(v any, err error) (parts, error) {
+// The body is memory of its own: there is nothing to release.
+func jsonBody(v any, err error) (parts, func(), error) {
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	body, err := json.Marshal(v)
 	if err != nil {
-		return nil, archReject(fmt.Sprintf("transport: encoding response: %v", err))
+		return nil, nil, archReject(fmt.Sprintf("transport: encoding response: %v", err))
 	}
-	return parts{body}, nil
+	return parts{body}, nil, nil
 }
 
 // handleArchive dispatches one archive-level request (the caller has
-// checked req.op is one) to the server's backend through the op table. A
+// checked req.op is one) to the server's backend through the op table, and
+// hands back the release of what the reply is lent from (archOp.serve). A
 // server without a backend (a plain storage node) answers statusError,
 // which clients surface as ErrNotServed.
-func (s *Server) handleArchive(ctx context.Context, req request) (status byte, payload parts) {
+func (s *Server) handleArchive(ctx context.Context, req request) (status byte, payload parts, release func()) {
 	if s.archive == nil {
-		return statusError, textPart("transport: archive ops not served")
+		return statusError, textPart("transport: archive ops not served"), nil
 	}
 	name := req.id.Object
 	if name == "" {
-		return statusError, textPart(fmt.Sprintf("transport: archive op without archive name: %v", errArchMalformed))
+		return statusError, textPart(fmt.Sprintf("transport: archive op without archive name: %v", errArchMalformed)), nil
 	}
 	op := &archOps[req.op-opArchCreate]
-	body, err := op.serve(ctx, s, name, req)
+	body, release, err := op.serve(ctx, s, name, req)
 	var reject archReject
 	switch {
 	case err == nil:
-		return statusOK, body
+		return statusOK, body, release
 	case errors.As(err, &reject):
-		return statusError, textPart(string(reject))
+		return statusError, textPart(string(reject)), release
 	}
 	// A backend failure: attribute it to the serving gateway unless the
 	// backend already named a culprit.
@@ -371,7 +382,7 @@ func (s *Server) handleArchive(ctx context.Context, req request) (status byte, p
 	if !errors.As(err, &se) {
 		err = &store.ShardError{Node: "gateway", Op: op.name, Shard: store.ShardID{Object: name}, Err: err}
 	}
-	return statusFor(err), parts{encodeWireError(err)}
+	return statusFor(err), parts{encodeWireError(err)}, release
 }
 
 // ArchiveClient speaks the archive-level ops to a remote gateway over the

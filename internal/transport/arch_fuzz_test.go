@@ -149,7 +149,7 @@ func FuzzArchServerHandle(f *testing.F) {
 	f.Add([]byte{opArchRepair, 0xFF, 0xFF})
 	srv := NewServer(nil, WithArchiveBackend(&stubArchiveBackend{}))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		status, payload := srv.handle(t.Context(), body)
+		status, payload, _ := srv.handle(t.Context(), body)
 		if _, _, err := decodeResponse(responseFrame(status, payload)); err != nil {
 			t.Fatalf("response does not decode: %v", err)
 		}

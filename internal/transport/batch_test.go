@@ -245,7 +245,7 @@ func legacyServer(t *testing.T, node store.Node) (net.Addr, *Server, *atomic.Int
 						refused.Add(1)
 						status, payload = statusError, textPart(fmt.Sprintf("transport: unknown op %d", req.op))
 					} else {
-						status, payload = inner.handle(context.Background(), body)
+						status, payload, _ = inner.handle(context.Background(), body)
 					}
 					if err := writeResponse(conn, status, payload); err != nil {
 						return
@@ -658,7 +658,7 @@ func TestServerRejectsMalformedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, _ := srv.handle(t.Context(), body)
+		status, _, _ := srv.handle(t.Context(), body)
 		if status != statusError {
 			t.Errorf("malformed batch payload %v: status = %d, want statusError", payload, status)
 		}

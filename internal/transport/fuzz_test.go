@@ -83,7 +83,7 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add([]byte{opResetStats, 0, 0, 0, 0, 0, 0})
 	srv := NewServer(store.NewMemNode("fuzz"))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		status, payload := srv.handle(t.Context(), body)
+		status, payload, _ := srv.handle(t.Context(), body)
 		if _, _, err := decodeResponse(responseFrame(status, payload)); err != nil {
 			t.Fatalf("response does not decode: %v", err)
 		}

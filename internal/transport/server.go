@@ -230,7 +230,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF, broken peer, or drain deadline: drop the connection
 		}
-		status, payload := s.handle(s.ops, body)
+		status, payload, release := s.handle(s.ops, body)
 		if ScribbleRequests {
 			for i := range body {
 				body[i] = 0xA5
@@ -242,6 +242,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			buf = body
 		}
 		err = writeBuffered(conn, func(w io.Writer) error { return writeResponse(w, status, payload) })
+		if release != nil {
+			release() // written or failed: nothing reads the payload any more
+		}
 		if err != nil {
 			return
 		}
@@ -266,14 +269,23 @@ func writeResponse(w io.Writer, status byte, payload parts) error {
 // textPart is a response payload of one message.
 func textPart(msg string) parts { return parts{[]byte(msg)} }
 
-func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload parts) {
+// handle answers one request. The payload may be lent (an archive read's
+// decoded blocks): release, when not nil, gives it back once the reply is
+// written or has failed to write.
+func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload parts, release func()) {
 	req, err := decodeRequest(body)
 	if err != nil {
-		return statusError, textPart(err.Error())
+		return statusError, textPart(err.Error()), nil
 	}
 	if req.op >= opArchCreate && req.op <= opArchRepair {
 		return s.handleArchive(ctx, req)
 	}
+	status, payload = s.handleNode(ctx, req)
+	return status, payload, nil
+}
+
+// handleNode answers one storage-node request.
+func (s *Server) handleNode(ctx context.Context, req request) (status byte, payload parts) {
 	if s.node == nil && req.op != opPing {
 		return statusError, textPart("transport: no storage node served")
 	}

@@ -176,12 +176,17 @@ func (c *Client) Latest(ctx context.Context, name string) (Version, error) {
 }
 
 // retrieve asks the backend for a version. An embedded gateway answers with
-// its decoded blocks as Parts, which its read cache may share; they are
-// joined into Data here, so no caller holds memory the gateway shares.
+// its decoded blocks as Parts, which its read cache may share or which it
+// lends (Release); they are joined into Data here and then released, so no
+// caller holds memory the gateway shares.
 func (c *Client) retrieve(ctx context.Context, name string, version int) (Version, error) {
 	v, err := c.backend.Retrieve(ctx, name, version)
 	if err == nil && v.Data == nil {
 		v.Data, v.Parts = bytes.Join(v.Parts, nil), nil
+	}
+	if v.Release != nil {
+		v.Release()
+		v.Release = nil
 	}
 	return v, err
 }
