@@ -10,6 +10,7 @@ import (
 
 	"github.com/secarchive/sec/internal/delta"
 	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -482,7 +483,9 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 // the decoded-version cache on, the cache keeps the walk and the loan is
 // dropped: it comes back empty. Caller holds at least a read lock.
 func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *RetrievalStats) ([][]byte, loan, error) {
+	planned := obs.Start(ctx, "plan")
 	w, err := a.planChain(l)
+	planned.End()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -533,6 +536,7 @@ func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (i
 			held = nil
 		}
 	}()
+	defer obs.Start(ctx, "decode").End()
 	inHand = make(map[int][][]byte, len(w))
 	for i, s := range w {
 		from, ok := inHand[s.from]

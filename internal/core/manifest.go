@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -410,24 +411,71 @@ func recordIDs(name string, first, last uint64) []string {
 	return ids
 }
 
-// replicate stores data under one object name on every cluster node in one
-// PutBatch round: metadata is small, so plain replication (not erasure
-// coding) maximizes its availability. It fails only when no node accepted.
-func (a *Archive) replicate(ctx context.Context, object string, data []byte) error {
-	refs := onEveryNode(a.cluster, object)
-	payloads := make([][]byte, len(refs))
-	for i := range payloads {
-		payloads[i] = data
+// replicaRing lists every node of a size-node cluster in the order
+// replicate tries them for object: a ring that starts at the FNV-1a hash of
+// the name, so the manifest objects of many archives and generations spread
+// over the fleet.
+func replicaRing(object string, size int) []int {
+	h := uint32(2166136261)
+	for i := 0; i < len(object); i++ {
+		h = (h ^ uint32(object[i])) * 16777619
 	}
-	for _, err := range a.cluster.PutBatch(ctx, refs, payloads) {
-		if err == nil {
-			return nil
+	ring := make([]int, size)
+	for i := range ring {
+		ring[i] = (int(h%uint32(size)) + i) % size
+	}
+	return ring
+}
+
+// replicas is how many nodes hold each manifest object: n-k+1, so that any
+// n-k node losses - what the codewords it describes survive - leave a copy.
+func (a *Archive) replicas() int { return a.cfg.N - a.cfg.K + 1 }
+
+// ManifestRing lists every cluster node in the order a publish tries them
+// for the record of generation gen, or for the snapshot when gen is 0. The
+// first n-k+1 hold it when every put succeeds; a failed put moves its copy
+// on along the ring.
+func (a *Archive) ManifestRing(gen uint64) []int {
+	object := manifestID(a.cfg.Name)
+	if gen > 0 {
+		object = recordID(a.cfg.Name, gen)
+	}
+	return replicaRing(object, a.cluster.Size())
+}
+
+// replicate stores data under one object name on n-k+1 distinct nodes: the
+// first of its ring (replicaRing), one PutBatch round, and for every put
+// that fails the next node along, until n-k+1 have accepted or every node
+// was tried. Metadata is small, so plain replication (not erasure coding)
+// keeps it; n-k+1 copies survive what the data does. It fails, with the
+// last node error, when fewer than n-k+1 nodes accepted.
+func (a *Archive) replicate(ctx context.Context, object string, data []byte) error {
+	defer obs.Start(ctx, "replicate").End()
+	ring, owed := replicaRing(object, a.cluster.Size()), a.replicas()
+	var last error
+	for owed > 0 && len(ring) > 0 && ctx.Err() == nil {
+		refs := make([]store.ShardRef, min(owed, len(ring)))
+		payloads := make([][]byte, len(refs))
+		for i := range refs {
+			refs[i], payloads[i] = store.ShardRef{Node: ring[i], ID: store.ShardID{Object: object}}, data
+		}
+		ring = ring[len(refs):]
+		for _, err := range a.cluster.PutBatch(ctx, refs, payloads) {
+			if err == nil {
+				owed--
+			} else {
+				last = err
+			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: replicating %s: %w", object, err)
+	switch {
+	case owed == 0:
+		return nil
+	case ctx.Err() != nil:
+		return fmt.Errorf("core: replicating %s: %w", object, ctx.Err())
+	default:
+		return fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, a.replicas()-owed, a.replicas(), last)
 	}
-	return fmt.Errorf("core: no node accepted %s", object)
 }
 
 // Publication is what one publish owes the nodes: the framed Record of
@@ -439,10 +487,10 @@ type Publication struct {
 	First, Last      uint64
 }
 
-// ReplicateContext ships a publication to every node, best effort: one
-// PutBatch round for the record and, after a fold, one for the snapshot
-// and - once a node holds it - one DeleteBatch round for the records it
-// replaces; one left on an unreachable node is never replayed.
+// ReplicateContext ships a publication to the nodes, best effort: one
+// replicate for the record and, after a fold, one for the snapshot and -
+// once n-k+1 nodes hold it - one DeleteBatch round on every node for the
+// records it replaces; one left on an unreachable node is never replayed.
 func (a *Archive) ReplicateContext(ctx context.Context, p Publication) {
 	if p.Record != nil {
 		_ = a.replicate(ctx, recordID(a.cfg.Name, p.Generation), p.Record) // the record is durable where it was persisted
@@ -453,7 +501,7 @@ func (a *Archive) ReplicateContext(ctx context.Context, p Publication) {
 }
 
 // SaveToClusterContext replicates a closing snapshot of the manifest onto
-// every cluster node, making the archive self-contained: a client holding
+// n-k+1 cluster nodes, making the archive self-contained: a client holding
 // only its name and the node addresses can LoadFromClusterContext. Every
 // publish bumps the generation, so the freshest replica has the largest.
 func (a *Archive) SaveToClusterContext(ctx context.Context) error {
@@ -464,7 +512,9 @@ func (a *Archive) SaveToClusterContext(ctx context.Context) error {
 // ManifestFromCluster rebuilds the named archive's manifest from what its
 // publishes replicated: one GetBatch round fetches every node's snapshot,
 // the largest generation (snapshot) wins - never the most entries, which a
-// compaction leaves unchanged - and CatchUpFromCluster replays from there.
+// compaction leaves unchanged - and CatchUpFromCluster replays from there,
+// which refuses when more than n-k nodes could not be asked: the holders of
+// a newer snapshot, or of the records after it, may all be among them.
 // With no snapshot in hand, the error says why: the context's error when it
 // ended the search, the last node failure when some node could not be asked
 // (it may hold a replica), and store.ErrNotFound only when every node
@@ -504,8 +554,11 @@ func ManifestFromCluster(ctx context.Context, name string, cluster *store.Cluste
 // CatchUpFromCluster advances m through the records the nodes hold beyond
 // its generation. Each round asks every node for the next recordWindow
 // generations in one GetBatch and applies them in order, each from any node
-// whose copy is intact, so a node that missed a publish delays nothing; the
+// whose copy is intact, so a node that missed a publish delays nothing. The
 // replay ends at the first generation no node has, or with Apply's error.
+// It fails, with a node error, at a generation no node has while more than
+// n-k nodes could not be asked: every record is on n-k+1 nodes, which may
+// all be among them.
 func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster) error {
 	const recordWindow = 64
 	nodes := cluster.Size()
@@ -513,7 +566,12 @@ func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster
 		results := cluster.GetBatch(ctx, onEveryNode(cluster, recordIDs(m.Name, m.Generation+1, m.Generation+recordWindow)...))
 		for ; len(results) > 0; results = results[nodes:] {
 			before := m.Generation
+			var unasked int
+			var lastErr error
 			for _, res := range results[:nodes] {
+				if res.Err != nil && !errors.Is(res.Err, store.ErrNotFound) {
+					unasked, lastErr = unasked+1, res.Err
+				}
 				rec, _, err := decodeRecord(m.Name, res.Data)
 				if res.Err != nil || err != nil {
 					continue // absent or damaged here: another node's copy may be whole
@@ -523,8 +581,12 @@ func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster
 				}
 				break
 			}
-			if m.Generation == before {
-				return ctx.Err() // no node has the next generation, or none could be asked
+			switch {
+			case m.Generation != before:
+			case unasked > m.N-m.K:
+				return fmt.Errorf("core: replaying manifest records of %q: %d nodes unreachable, more than n-k = %d: %w", m.Name, unasked, m.N-m.K, lastErr)
+			default:
+				return ctx.Err() // no node has the next generation
 			}
 		}
 	}

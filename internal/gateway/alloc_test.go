@@ -12,6 +12,7 @@ import (
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/gateway"
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/testutil"
 	"github.com/secarchive/sec/internal/transport"
@@ -22,8 +23,15 @@ import (
 // behind their own servers, a gateway reaching them through RemoteNodes,
 // the gateway behind its server, one dialled client.
 func servedStack(t testing.TB, nodes int) *secclient.Client {
+	client, _, _ := servedStackParts(t, nodes)
+	return client
+}
+
+// servedStackParts is servedStack with the gateway and the node servers.
+func servedStackParts(t testing.TB, nodes int) (*secclient.Client, *gateway.Gateway, []*transport.Server) {
 	t.Helper()
 	remotes := make([]store.Node, nodes)
+	servers := make([]*transport.Server, nodes)
 	for i := range remotes {
 		srv := transport.NewServer(store.NewMemNode(fmt.Sprintf("mem-%d", i)))
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -32,7 +40,7 @@ func servedStack(t testing.TB, nodes int) *secclient.Client {
 		}
 		remote := transport.NewRemoteNode(fmt.Sprintf("node-%d", i), addr.String(), transport.WithTimeout(10*time.Second))
 		t.Cleanup(func() { _ = remote.Close(); _ = srv.Close() })
-		remotes[i] = remote
+		remotes[i], servers[i] = remote, srv
 	}
 	gw, err := gateway.New(gateway.Config{Cluster: store.NewCluster(remotes), Root: t.TempDir()})
 	if err != nil {
@@ -49,7 +57,67 @@ func servedStack(t testing.TB, nodes int) *secclient.Client {
 		_ = server.Close()
 		_ = gw.Close(context.Background())
 	})
-	return client
+	return client, gw, servers
+}
+
+// TestUntracedRequestsAllocateNothingMore pins what tracing costs a request
+// that carries no trace id: nothing. Every span site - the gateway's
+// admission, persist and replicate, the archive's plan and decode, the
+// cluster's per-node batches - is on the read measured here but the first
+// three; a read the decoded-version cache serves allocates nothing at all,
+// and one decoded from a (12,10) codeword over memory nodes allocates 197
+// times, as it did before the span sites were there. The span sites
+// themselves allocate nothing on an untraced context.
+func TestUntracedRequestsAllocateNothingMore(t *testing.T) {
+	ctx := t.Context()
+	var ring obs.LazyRing
+	if allocs := testing.AllocsPerRun(100, func() {
+		ctx := obs.RecordInto(ctx, &ring)
+		obs.Start(ctx, "persist").End()
+		obs.Start(ctx, "node-put").EndBatch(3, 1)
+	}); allocs != 0 {
+		t.Errorf("span sites on an untraced context allocate %.1f times, want 0", allocs)
+	}
+	if ring.Spans(0) != nil {
+		t.Error("an untraced context made the ring")
+	}
+	gw, err := gateway.New(gateway.Config{Cluster: store.NewMemCluster(12), Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close(context.Background()) })
+	for _, read := range []struct {
+		name   string
+		cache  int
+		allocs float64
+	}{{"decoded", 0, 197}, {"cached", 1 << 20, 0}} {
+		if _, err := gw.Create(ctx, read.name, secclient.Spec{N: 12, K: 10, BlockSize: 4096, ReadCacheBytes: read.cache}); err != nil {
+			t.Fatal(err)
+		}
+		object := make([]byte, 10*4096)
+		for v := 0; v < 3; v++ {
+			object[v*4096] ^= 1
+			if _, err := gw.Commit(ctx, read.name, -1, object); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			v, err := gw.Retrieve(ctx, read.name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Release != nil {
+				v.Release()
+			}
+		})
+		t.Logf("%s read: %.1f allocs", read.name, allocs)
+		if allocs != read.allocs && !testutil.RaceEnabled {
+			t.Errorf("an untraced %s read allocates %.1f times, want %.0f", read.name, allocs, read.allocs)
+		}
+	}
+	if spans := gw.Spans(0); spans != nil {
+		t.Errorf("untraced requests recorded %d spans", len(spans))
+	}
 }
 
 // TestRetrieveAllocationPerByte bounds what a served read allocates, as a

@@ -29,6 +29,7 @@ import (
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/fsys"
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
 )
@@ -158,6 +159,9 @@ type Gateway struct {
 	repairs     atomic.Uint64
 	busy        atomic.Uint64
 	conflicts   atomic.Uint64
+
+	// spans keeps the spans of traced requests (Spans).
+	spans obs.LazyRing
 }
 
 // New returns a gateway over the given cluster.
@@ -182,6 +186,11 @@ func New(cfg Config) (*Gateway, error) {
 // Cluster returns the storage fleet behind the gateway (for wire-byte
 // accounting via store.Cluster.WireStats).
 func (g *Gateway) Cluster() *store.Cluster { return g.cfg.Cluster }
+
+// Spans returns the spans of the given trace the gateway holds, oldest
+// first; trace 0 returns all of them. It keeps the latest
+// obs.DefaultRingSpans, and none until a request carries a trace id.
+func (g *Gateway) Spans(trace uint64) []obs.Span { return g.spans.Spans(trace) }
 
 // Stats returns a snapshot of the gateway counters.
 func (g *Gateway) Stats() Stats {
@@ -293,7 +302,9 @@ func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, er
 		err = fmt.Errorf("it names archive %q: %w", m.Name, store.ErrConflict)
 	case local && st.log.mustFold:
 		// The log lost its tail. A record reaches the nodes only after the
-		// log holds it, so what they hold beyond was acknowledged: take it.
+		// log holds it, so what they hold beyond was acknowledged: take it,
+		// or fail while too few nodes answer to tell (the damaged log stays
+		// as it is for the next attempt).
 		err = core.CatchUpFromCluster(ctx, &m, cluster)
 	}
 	var archive *core.Archive
@@ -303,7 +314,7 @@ func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, er
 	if err != nil {
 		return nil, fmt.Errorf("gateway: opening archive %q from %s: %w", name, from, err)
 	}
-	if !local {
+	if !local || st.log.mustFold {
 		err = st.log.adopt(archive)
 	}
 	return archive, err
@@ -317,7 +328,9 @@ func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, er
 // delete. A reclaim cut short is reported apart from err: the chain is
 // safe, and what is left stays queued for the next publish.
 func (g *Gateway) publish(ctx context.Context, st *archiveState, closing bool) (deleted, orphans int, reclaimErr, err error) {
+	persisted := obs.Start(ctx, "persist")
 	pub, err := st.log.persist(st.archive, closing)
+	persisted.End()
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -334,7 +347,10 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 	if err != nil || !writer {
 		return st, func() {}, err
 	}
-	if err := st.acquire(ctx, g.cfg.MaxQueuedWriters); err != nil {
+	admitted := obs.Start(ctx, "admission")
+	err = st.acquire(ctx, g.cfg.MaxQueuedWriters)
+	admitted.End()
+	if err != nil {
 		if errors.Is(err, store.ErrBusy) {
 			g.busy.Add(1)
 		}
@@ -347,6 +363,7 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 // manifest. An archive that already exists (resident, on disk, or being
 // created concurrently) is a typed store.ErrConflict rejection.
 func (g *Gateway) Create(ctx context.Context, name string, spec transport.ArchiveSpec) (transport.ArchiveInfo, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	if err := validName(name); err != nil {
 		return transport.ArchiveInfo{}, err
 	}
@@ -390,6 +407,7 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 // is persisted before superseded codewords are reclaimed (see publish);
 // the reply counts what the reclaim freed and what it left orphaned.
 func (g *Gateway) Commit(ctx context.Context, name string, expect int, object []byte) (core.CommitInfo, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
 		return core.CommitInfo{}, err
@@ -441,6 +459,7 @@ func (g *Gateway) openVersion(ctx context.Context, name string, version int) (*a
 // caller's copy. Blocks the cache does not keep are lent: Release gives
 // them back once the reply is written or joined.
 func (g *Gateway) Retrieve(ctx context.Context, name string, version int) (transport.ArchiveVersion, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, v, err := g.openVersion(ctx, name, version)
 	if err != nil {
 		return transport.ArchiveVersion{}, err
@@ -455,6 +474,7 @@ func (g *Gateway) Retrieve(ctx context.Context, name string, version int) (trans
 
 // RetrieveAll decodes versions 1..version (0 = through the latest).
 func (g *Gateway) RetrieveAll(ctx context.Context, name string, version int) ([][]byte, core.RetrievalStats, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, v, err := g.openVersion(ctx, name, version)
 	if err != nil {
 		return nil, core.RetrievalStats{}, err
@@ -469,6 +489,7 @@ func (g *Gateway) RetrieveAll(ctx context.Context, name string, version int) ([]
 
 // Log returns the archive's version history with per-version chain costs.
 func (g *Gateway) Log(ctx context.Context, name string) ([]transport.ArchiveLogEntry, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, err := g.open(ctx, name)
 	if err != nil {
 		return nil, err
@@ -519,6 +540,7 @@ func (g *Gateway) info(ctx context.Context, st *archiveState, ping bool) transpo
 
 // Info describes the archive and probes the cluster's nodes.
 func (g *Gateway) Info(ctx context.Context, name string) (transport.ArchiveInfo, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, err := g.open(ctx, name)
 	if err != nil {
 		return transport.ArchiveInfo{}, err
@@ -533,6 +555,7 @@ func (g *Gateway) Info(ctx context.Context, name string) (transport.ArchiveInfo,
 // the new manifest and only then reclaims. A pass that changed nothing is
 // published too, which retries the orphans earlier reclaims left.
 func (g *Gateway) Compact(ctx context.Context, name string, maxChain int) (transport.CompactReport, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
 		return transport.CompactReport{}, err
@@ -561,6 +584,7 @@ func (g *Gateway) Compact(ctx context.Context, name string, maxChain int) (trans
 // Scrub verifies every stored shard; repair additionally rewrites damage,
 // holding the writer slot so repairs never race a commit.
 func (g *Gateway) Scrub(ctx context.Context, name string, repair bool) (core.ScrubReport, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, release, err := g.admit(ctx, name, repair)
 	if err != nil {
 		return core.ScrubReport{}, err
@@ -574,18 +598,27 @@ func (g *Gateway) Scrub(ctx context.Context, name string, repair bool) (core.Scr
 }
 
 // Repair reconstructs the archive's shards on one cluster node, holding
-// the writer slot so rebuilt shards never race a commit.
+// the writer slot so rebuilt shards never race a commit, and then publishes
+// a fold: the snapshot goes back to its n-k+1 ring nodes, the replaced
+// node among them, and replaces the records only the old node may have
+// held a copy of.
 func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.RepairReport, error) {
+	ctx = obs.RecordInto(ctx, &g.spans)
 	st, release, err := g.admit(ctx, name, true)
 	if err != nil {
 		return core.RepairReport{}, err
 	}
 	defer release()
 	report, err := st.archive.RepairNodeContext(ctx, node)
-	if err == nil {
-		g.repairs.Add(1)
+	if err != nil {
+		return report, err
 	}
-	return report, err
+	st.log.refold()
+	if _, _, _, err := g.publish(ctx, st, false); err != nil {
+		return report, err
+	}
+	g.repairs.Add(1)
+	return report, nil
 }
 
 // Close drains the gateway: no new operations are admitted, and every

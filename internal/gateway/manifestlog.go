@@ -47,7 +47,9 @@ func (l *manifestLog) files() fsys.FS {
 }
 
 // read loads the snapshot at l.path (none: fs.ErrNotExist) and replays the
-// log beside it; one ending in a damaged frame is truncated there (mustFold).
+// log beside it up to its first damaged frame, if any (mustFold). The files
+// are left as they are: the tail beyond the damage is on the nodes, and
+// only once they have given it back does adopt replace the log.
 func (l *manifestLog) read() (m core.Manifest, err error) {
 	raw, err := l.files().ReadFile(l.path)
 	if err != nil {
@@ -62,25 +64,34 @@ func (l *manifestLog) read() (m core.Manifest, err error) {
 		return m, err
 	}
 	valid, err := m.Replay(records)
-	if err != nil {
-		return m, err
-	}
-	if l.mustFold = valid < len(records); l.mustFold {
-		err = l.files().Truncate(logPath(l.path), int64(valid))
-	}
-	l.logBytes = int64(valid)
+	l.mustFold, l.logBytes = valid < len(records), int64(valid)
 	return m, err
 }
 
-// adopt writes the snapshot of an archive that has no manifest under the
-// root yet: just created, or recovered from the nodes.
+// adopt writes the snapshot of an archive the root does not hold in full -
+// just created, recovered from the nodes, or caught up past a damaged log -
+// and removes any log beside it.
 func (l *manifestLog) adopt(archive *core.Archive) error {
-	l.mustFold = true
+	l.mustFold, l.logBytes = true, 0
 	if l.path == "" {
 		return nil
 	}
 	snap, _ := archive.Snapshot()
-	return writeSnapshot(l.files(), l.path, snap)
+	if err := writeSnapshot(l.files(), l.path, snap); err != nil {
+		return err
+	}
+	if err := l.files().Remove(logPath(l.path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("gateway: persisting manifest: %w", err)
+	}
+	return nil
+}
+
+// refold makes the next publish fold whatever the sizes: the nodes lost
+// copies (a node was replaced) that a fresh snapshot puts back.
+func (l *manifestLog) refold() {
+	l.mu.Lock()
+	l.mustFold = true
+	l.mu.Unlock()
 }
 
 // persist makes the archive's latest change durable under the root - one

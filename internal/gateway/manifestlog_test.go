@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -78,7 +79,11 @@ func TestPublishWritesOneRecord(t *testing.T) {
 	if _, err := g.Create(ctx, "a", transport.ArchiveSpec{N: n, K: k, BlockSize: blockSize}); err != nil {
 		t.Fatal(err)
 	}
-	node0, err := cluster.Node(0)
+	st, err := g.open(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, err := cluster.Node(st.archive.ManifestRing(0)[0]) // holds every snapshot
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +111,13 @@ func TestPublishWritesOneRecord(t *testing.T) {
 			folds++
 		}
 		// Between folds the records on a node stay below the snapshot there.
-		snap, err := node0.Get(ctx, store.ShardID{Object: "a/manifest"})
+		snap, err := holder.Get(ctx, store.ShardID{Object: "a/manifest"})
 		if err != nil {
-			t.Fatalf("after commit %d: no snapshot on node 0: %v", v, err)
+			t.Fatalf("after commit %d: no snapshot on its first ring node: %v", v, err)
 		}
 		m := loadManifest(t, root, "a")
-		if _, size := recordsOn(ctx, node0, "a", m.Generation); size > len(snap) {
-			t.Fatalf("after commit %d: %d bytes of records on node 0 extend a %d-byte snapshot", v, size, len(snap))
+		if _, size := recordsOn(ctx, holder, "a", m.Generation); size > len(snap) {
+			t.Fatalf("after commit %d: %d bytes of records on the snapshot's first ring node extend a %d-byte snapshot", v, size, len(snap))
 		}
 	}
 	at := func(length int) uint64 {
@@ -157,13 +162,14 @@ func startRemoteNodes(t *testing.T, n int) (*store.Cluster, []*transport.Server)
 }
 
 // TestPublishOneBatchRoundPerNode is the round-trip contract over real TCP
-// nodes: a commit is two put-batch RPCs per node - its shards, then its
-// record - and nothing else; a commit that folds adds one put-batch (the
-// snapshot) and one delete-batch (the folded records) per node; a load
-// from the cluster is one get-batch per node per round, one round for the
-// snapshots and one per window of records.
+// nodes: a commit is one put-batch RPC per node for its shards and one per
+// record holder - n-k+1 = 3 nodes of testSpec's (6,4) - for its record, and
+// nothing else (12 when every node took the record); a commit that folds
+// adds one put-batch per snapshot holder and one delete-batch (the folded
+// records) per node; a load from the cluster is one get-batch per node per
+// round, one round for the snapshots and one per window of records.
 func TestPublishOneBatchRoundPerNode(t *testing.T) {
-	const nodes = 6
+	const nodes, holders = 6, 3
 	// Registered first, so it runs once the node links and servers (whose
 	// cleanups startRemoteNodes registers) and the gateways are gone.
 	testutil.CheckGoroutineLeaks(t)
@@ -198,9 +204,9 @@ func TestPublishOneBatchRoundPerNode(t *testing.T) {
 		}
 		after := sum()
 		puts, deletes := after.PutBatches-before.PutBatches, after.DeleteBatches-before.DeleteBatches
-		wantPuts, wantDeletes := uint64(2*nodes), uint64(0)
+		wantPuts, wantDeletes := uint64(nodes+holders), uint64(0)
 		if !fileExists(t, filepath.Join(root, "a.json.log")) {
-			wantPuts, wantDeletes = 3*nodes, nodes
+			wantPuts, wantDeletes = nodes+2*holders, nodes
 			folding++
 		} else {
 			plain++
@@ -237,9 +243,9 @@ func TestPublishOneBatchRoundPerNode(t *testing.T) {
 }
 
 // TestCleanCloseLeavesPlainJSON: after Close a root holds one JSON manifest
-// per archive and no log, the nodes hold the snapshot and no records, and
-// the manifest is what core.Load - the reader every earlier release has -
-// opens.
+// per archive and no log, the nodes hold no records and the snapshot is on
+// its n-k+1 ring nodes and no other, and the manifest is what core.Load -
+// the reader every earlier release has - opens.
 func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 	cluster := store.NewMemCluster(6)
 	root := t.TempDir()
@@ -248,6 +254,11 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 	if _, err := g.Create(ctx, "a", testSpec()); err != nil {
 		t.Fatal(err)
 	}
+	st, err := g.open(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := st.archive.ManifestRing(0)[:3] // n-k+1 of testSpec's (6,4)
 	versions := 0
 	for versions < 3 || !fileExists(t, filepath.Join(root, "a.json.log")) {
 		versions++
@@ -286,8 +297,11 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 		if count, _ := recordsOn(ctx, node, "a", gen); count != 0 {
 			t.Errorf("node %d holds %d manifest records after Close", i, count)
 		}
-		if _, err := node.Get(ctx, store.ShardID{Object: "a/manifest"}); err != nil {
-			t.Errorf("node %d holds no snapshot after Close: %v", i, err)
+		_, err = node.Get(ctx, store.ShardID{Object: "a/manifest"})
+		if holds := slices.Contains(holders, i); holds && err != nil {
+			t.Errorf("node %d, a snapshot holder, holds no snapshot after Close: %v", i, err)
+		} else if !holds && !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("node %d, not among the holders %v, answers %v for the snapshot after Close", i, holders, err)
 		}
 	}
 }
@@ -299,10 +313,10 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 // hold is what a restart finds. Armed with armAfter, the matched mutations
 // are applied instead, the root is copied after the first of them, and the
 // world freezes at the next mutation the trigger does not match: the
-// process died right after what the trigger names, on every node. Node 0
-// can also be made to lag: it then refuses manifest objects (snapshot,
-// records and their deletes) while still taking shards, the way a node
-// that was briefly away misses a fold.
+// process died right after what the trigger names, on every node. The
+// first node of the snapshot's replica ring can also be made to lag: it
+// then refuses manifest objects (snapshot, records and their deletes) while
+// still taking shards, the way a node that was briefly away misses a fold.
 type crashRig struct {
 	t       *testing.T
 	root    string
@@ -314,6 +328,7 @@ type crashRig struct {
 	after   bool // armAfter: apply the matched mutations, freeze after them
 	frozen  bool
 	lagging bool
+	lag     int    // the node that lags: the snapshot ring's first
 	image   string // the root as of the crash
 
 	object    []byte
@@ -327,7 +342,7 @@ type crashNode struct {
 	index int
 }
 
-// mutate applies one node mutation unless the world is frozen (or node 0
+// mutate applies one node mutation unless the world is frozen (or the node
 // lags and it touches a manifest object), crashing first where the armed
 // trigger says.
 func (n crashNode) mutate(op string, ids []store.ShardID, apply func() []error) []error {
@@ -341,7 +356,7 @@ func (n crashNode) mutate(op string, ids []store.ShardID, apply func() []error) 
 		}
 		r.frozen = true
 	}
-	if r.frozen || r.lagging && n.index == 0 && strings.Contains(ids[0].Object, "/manifest") {
+	if r.frozen || r.lagging && n.index == r.lag && strings.Contains(ids[0].Object, "/manifest") {
 		errs := make([]error, len(ids))
 		for i := range errs {
 			errs[i] = fmt.Errorf("crash rig: %s refused: %w", op, store.ErrNodeDown)
@@ -387,7 +402,20 @@ func newCrashRig(t *testing.T, scheme string) *crashRig {
 	if _, err := r.gw.Create(t.Context(), "a", spec); err != nil {
 		t.Fatal(err)
 	}
+	r.lag = r.ring(0)[0]
 	return r
+}
+
+// ring lists the nodes in the order a publish tries them for the record of
+// generation gen, or for the snapshot when gen is 0; the first n-k+1 = 3
+// hold it when every put succeeds.
+func (r *crashRig) ring(gen uint64) []int {
+	r.t.Helper()
+	st, err := r.gw.open(r.t.Context(), "a")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return st.archive.ManifestRing(gen)
 }
 
 // commit appends one sparse edit; a commit the crash interrupts may fail
@@ -502,8 +530,8 @@ func isSnapshot(ids []store.ShardID) bool {
 
 // TestCrashPoints enumerates by hand the instants between the steps of a
 // publish and of a fold, and restarts from each: from the root as the crash
-// left it, and from the nodes alone with the root lost and node 0 a fold
-// behind the others.
+// left it, and from the nodes alone with the root lost and one of the
+// snapshot's holders a fold behind the others.
 func TestCrashPoints(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -545,7 +573,7 @@ func TestCrashPoints(t *testing.T) {
 				t.Fatal("the fold left its log behind")
 			}
 			gen := loadManifest(t, r.image, "a").Generation
-			node, err := r.cluster.Node(1)
+			node, err := r.cluster.Node(r.ring(gen)[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -578,7 +606,8 @@ func TestCrashPoints(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newCrashRig(t, tc.scheme)
-			// Node 0 misses one whole fold cycle, then is back for the rest.
+			// The snapshot ring's first node misses one whole fold cycle, then
+			// is back for the rest.
 			r.setLagging(true)
 			r.commitUntilLog(2)
 			folded := loadManifest(t, r.root, "a").Generation
@@ -586,8 +615,8 @@ func TestCrashPoints(t *testing.T) {
 				r.commit() // until the next fold
 			}
 			r.setLagging(false)
-			if lag, fresh := r.snapshotOn(0), r.snapshotOn(1); lag >= fresh {
-				t.Fatalf("node 0 holds the snapshot of generation %d, node 1 of %d: node 0 is not lagging", lag, fresh)
+			if lag, fresh := r.snapshotOn(r.lag), r.snapshotOn(r.ring(0)[1]); lag >= fresh {
+				t.Fatalf("node %d holds the snapshot of generation %d, node %d of %d: it is not lagging", r.lag, lag, r.ring(0)[1], fresh)
 			}
 			image := tc.crash(t, r)
 			if image == "" {
@@ -602,9 +631,9 @@ func TestCrashPoints(t *testing.T) {
 // TestTornAndDamagedLog cuts the log at every byte of its last frame - a
 // crash inside the append, so that commit was never acknowledged - and
 // flips a bit in the middle of a log whose commits all were, and restarts:
-// the log is truncated to the frames before the damage, and every
-// acknowledged version is served, the tail from the nodes, which got each
-// record only after the log did.
+// the log is read up to the damage, every acknowledged version is served,
+// the tail from the nodes, which got each record only after the log did, and
+// the loader replaces the damaged log by a snapshot of all it recovered.
 func TestTornAndDamagedLog(t *testing.T) {
 	r := newCrashRig(t, "")
 	r.commitUntilLog(3)
@@ -625,7 +654,7 @@ func TestTornAndDamagedLog(t *testing.T) {
 	if len(frames) < 3 {
 		t.Fatalf("log holds %d frames, want at least 3", len(frames))
 	}
-	damaged := func(what string, contents []byte, keeps int) {
+	damaged := func(what string, contents []byte, torn bool) {
 		t.Helper()
 		root := t.TempDir()
 		if err := os.CopyFS(root, os.DirFS(r.root)); err != nil {
@@ -635,19 +664,145 @@ func TestTornAndDamagedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.verify(what, root)
-		// The loader cut the log back to the intact frames.
+		// A torn log is replaced by a snapshot of all the nodes gave back:
+		// every record. One cut where a frame ends is whole, and stays.
 		l := manifestLog{path: filepath.Join(root, "a.json")}
-		if _, err := l.read(); err != nil || l.mustFold || l.logBytes != int64(keeps) {
-			t.Errorf("%s: log reread as %d bytes (damaged %v, err %v), want %d intact", what, l.logBytes, l.mustFold, err, keeps)
+		m, err := l.read()
+		want := len(r.attempted)
+		if !torn {
+			want--
+		}
+		if err != nil || l.mustFold || fileExists(t, logPath(l.path)) == torn || len(m.Entries) != want {
+			t.Errorf("%s: root reread with %d versions (log left %v, damaged %v, err %v), want %d, the log left: %v",
+				what, len(m.Entries), fileExists(t, logPath(l.path)), l.mustFold, err, want, !torn)
 		}
 	}
 	last := frames[len(frames)-1]
 	r.acked--
 	for cut := last; cut < len(log); cut++ {
-		damaged(fmt.Sprintf("log cut at byte %d of %d", cut, len(log)), log[:cut], last)
+		damaged(fmt.Sprintf("log cut at byte %d of %d", cut, len(log)), log[:cut], cut > last)
 	}
 	r.acked++
 	flipped := bytes.Clone(log)
 	flipped[(frames[1]+frames[2])/2] ^= 0x04
-	damaged("bit flipped in the second frame", flipped, frames[1])
+	damaged("bit flipped in the second frame", flipped, true)
+}
+
+// TestDamagedLogRefusedWhileNodesAreDown: a root whose log is damaged is
+// completed from the nodes alone, so while more than n-k of them are down
+// the open fails with their error - before it opened the archive at the
+// damaged log's generation with no error, dropping every acknowledged
+// version behind the damage - and leaves the root as it was for the next
+// attempt. With n-k down, the first two holders of the last record among
+// them, it serves every acknowledged version.
+func TestDamagedLogRefusedWhileNodesAreDown(t *testing.T) {
+	cluster := store.NewMemCluster(6)
+	root := t.TempDir()
+	g := newTestGateway(t, Config{Cluster: cluster, Root: root})
+	ctx := t.Context()
+	if _, err := g.Create(ctx, "a", testSpec()); err != nil { // (6,4): n-k = 2
+		t.Fatal(err)
+	}
+	var versions [][]byte
+	for {
+		versions = append(versions, payloadFor(32, len(versions)+1))
+		if _, err := g.Commit(ctx, "a", -1, versions[len(versions)-1]); err != nil {
+			t.Fatal(err)
+		}
+		l := manifestLog{path: filepath.Join(root, "a.json")}
+		if m, err := l.read(); err != nil {
+			t.Fatal(err)
+		} else if m.Generation-l.folded >= 3 {
+			break
+		}
+	}
+	st, err := g.open(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastHolders := st.archive.ManifestRing(st.archive.Manifest().Generation)[:2]
+
+	damagedRoot := t.TempDir()
+	if err := os.CopyFS(damagedRoot, os.DirFS(root)); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(damagedRoot, "a.json.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log[len(log)/8] ^= 0x10 // inside the first frame: no record of the log is read
+	if err := os.WriteFile(filepath.Join(damagedRoot, "a.json.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g2 := newTestGateway(t, Config{Cluster: cluster, Root: damagedRoot})
+	for _, down := range [][]int{{0, 1, 2, 3, 4, 5}, {3, 4, 5}, {0, 2, 4}} {
+		if err := cluster.Fail(down...); err != nil {
+			t.Fatal(err)
+		}
+		info, err := g2.Info(ctx, "a")
+		if !errors.Is(err, store.ErrNodeDown) {
+			t.Errorf("nodes %v down: opened with %d versions (err %v), want ErrNodeDown", down, info.Versions, err)
+		}
+		cluster.HealAll()
+		if after, err := os.ReadFile(filepath.Join(damagedRoot, "a.json.log")); err != nil || !bytes.Equal(after, log) {
+			t.Fatalf("nodes %v down: the refused open changed the damaged log (err %v)", down, err)
+		}
+	}
+	if err := cluster.Fail(lastHolders...); err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range versions {
+		got, err := g2.Retrieve(ctx, "a", v+1)
+		if err != nil {
+			t.Fatalf("nodes %v down: version %d: %v", lastHolders, v+1, err)
+		}
+		if !bytes.Equal(bytes.Join(got.Parts, nil), want) {
+			t.Errorf("nodes %v down: version %d differs", lastHolders, v+1)
+		}
+	}
+	if info, err := g2.Info(ctx, "a"); err != nil || info.Versions != len(versions) {
+		t.Errorf("nodes %v down: reopened with %d versions (err %v), want %d", lastHolders, info.Versions, err, len(versions))
+	}
+}
+
+// TestRepairPutsSnapshotBack: a node that lost its disk loses its copies of
+// the manifest objects too, and repairing it publishes a fold that puts the
+// snapshot back on it when it is one of the snapshot's n-k+1 ring nodes.
+func TestRepairPutsSnapshotBack(t *testing.T) {
+	cluster := store.NewMemCluster(6)
+	g := newTestGateway(t, Config{Cluster: cluster, Root: t.TempDir()})
+	ctx := t.Context()
+	if _, err := g.Create(ctx, "a", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 4; v++ {
+		if _, err := g.Commit(ctx, "a", -1, payloadFor(32, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := g.open(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := st.archive.ManifestRing(0)[0]
+	node, err := cluster.Node(holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.(*store.MemNode).Wipe()
+	if _, err := g.Repair(ctx, "a", holder); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := node.Get(ctx, store.ShardID{Object: "a/manifest"})
+	if err != nil {
+		t.Fatalf("repaired node %d, a snapshot holder, holds no snapshot: %v", holder, err)
+	}
+	var m core.Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if want := st.archive.Manifest(); m.Generation != want.Generation || len(m.Entries) != len(want.Entries) {
+		t.Errorf("repaired node %d holds the snapshot of generation %d with %d versions, want %d with %d",
+			holder, m.Generation, len(m.Entries), want.Generation, len(want.Entries))
+	}
 }

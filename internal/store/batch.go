@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"github.com/secarchive/sec/internal/obs"
 )
 
 // ShardResult is the per-shard outcome of a batch operation. Exactly one
@@ -148,12 +150,14 @@ func (c *Cluster) getBatchOnce(ctx context.Context, refs []ShardRef) []ShardResu
 			}
 			return
 		}
+		span := obs.Start(ctx, "node-get")
 		for j, res := range b.node.GetBatch(ctx, b.ids) {
 			results[b.idx[j]] = res
 			if res.Err == nil {
 				c.wire.countGet(len(res.Data))
 			}
 		}
+		span.EndBatch(b.index, len(b.ids))
 		c.observeBatch(b.index, len(b.idx), func(j int) error { return results[b.idx[j]].Err })
 	})
 	return results
@@ -200,12 +204,14 @@ func (c *Cluster) putBatchOnce(ctx context.Context, refs []ShardRef, data [][]by
 		for j, i := range b.idx {
 			payloads[j] = data[i]
 		}
+		span := obs.Start(ctx, "node-put")
 		for j, err := range b.node.PutBatch(ctx, b.ids, payloads) {
 			errs[b.idx[j]] = err
 			if err == nil {
 				c.wire.countPut(len(payloads[j]))
 			}
 		}
+		span.EndBatch(b.index, len(b.ids))
 		c.observeBatch(b.index, len(b.idx), func(j int) error { return errs[b.idx[j]] })
 	})
 	return errs
@@ -246,12 +252,14 @@ func (c *Cluster) deleteBatchOnce(ctx context.Context, refs []ShardRef) []error 
 			}
 			return
 		}
+		span := obs.Start(ctx, "node-delete")
 		for j, err := range b.node.DeleteBatch(ctx, b.ids) {
 			errs[b.idx[j]] = err
 			if err == nil {
 				c.wire.countDelete()
 			}
 		}
+		span.EndBatch(b.index, len(b.ids))
 		c.observeBatch(b.index, len(b.idx), func(j int) error { return errs[b.idx[j]] })
 	})
 	return errs

@@ -26,6 +26,9 @@ const (
 	opArchCompact
 	opArchScrub
 	opArchRepair
+	// opTraced wraps an archive op of a traced request (see "Trace ids" in
+	// protocol.go). A gateway that predates it answers "unknown op".
+	opTraced
 )
 
 // ErrNotServed reports that the peer answered an archive-level op with a

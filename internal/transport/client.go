@@ -470,7 +470,7 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 // for a get batch, whose shards it lends out with a Release. With pool 0
 // the response is memory of its own, which the caller keeps.
 func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id store.ShardID, pool int, payload ...[]byte) (response, error) {
-	body, err := encodeRequest(op, id, payload...)
+	body, err := encodeTracedRequest(ctx, op, id, payload...)
 	if err != nil {
 		return response{}, err
 	}

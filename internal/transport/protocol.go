@@ -15,11 +15,13 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -148,6 +150,48 @@ func encodeRequest(op byte, id store.ShardID, payload ...[]byte) (parts, error) 
 		return nil, err
 	}
 	return append(parts{head}, payload...), nil
+}
+
+// Trace ids (internal/obs). A node batch op carries its request's trace id
+// in the request header's object field, which a node server does not
+// otherwise read: eight bytes big-endian, or none when untraced - the form
+// every earlier client sends, and every earlier server ignores. An archive
+// op's header is all in use, so a traced one travels wrapped:
+//
+//	traced request := u8(opTraced) u16(8) id i32(0) request
+//
+// where request is the body the op has untraced. Pings and stats are never
+// traced. An untraced request is the same bytes it always was.
+const traceIDLen = 8
+
+// traceField renders a trace id as a request's object field.
+func traceField(trace uint64) string {
+	return string(binary.BigEndian.AppendUint64(make([]byte, 0, traceIDLen), trace))
+}
+
+// traceOf reads the trace id a request's object field carries, 0 for none.
+func traceOf(field string) uint64 {
+	if len(field) != traceIDLen {
+		return 0
+	}
+	return binary.BigEndian.Uint64([]byte(field))
+}
+
+// encodeTracedRequest frames a request of the trace ctx carries, if any.
+func encodeTracedRequest(ctx context.Context, op byte, id store.ShardID, payload ...[]byte) (parts, error) {
+	trace := obs.ID(ctx)
+	switch {
+	case trace == 0:
+	case op >= opGetBatch && op <= opDeleteBatch:
+		return encodeRequest(op, store.ShardID{Object: traceField(trace)}, payload...)
+	case op >= opArchCreate && op <= opArchRepair:
+		inner, err := encodeRequest(op, id, payload...)
+		if err != nil {
+			return nil, err
+		}
+		return encodeRequest(opTraced, store.ShardID{Object: traceField(trace)}, inner...)
+	}
+	return encodeRequest(op, id, payload...)
 }
 
 func decodeRequest(body []byte) (request, error) {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -28,6 +29,9 @@ type Server struct {
 	cancelOps context.CancelFunc
 
 	reqs requestCounters
+
+	// spans keeps the node batches of traced requests (Spans).
+	spans obs.LazyRing
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -79,6 +83,13 @@ func (s *Server) RequestStats() RequestStats {
 		BytesWritten:      s.reqs.bytesWritten.Load(),
 	}
 }
+
+// Spans returns the spans of the given trace the server holds, oldest
+// first; trace 0 returns all of them. A node server records each batch of
+// a traced request it serves ("serve-get", "serve-put", "serve-delete");
+// it keeps the latest obs.DefaultRingSpans, and none until a request
+// carries a trace id.
+func (s *Server) Spans(trace uint64) []obs.Span { return s.spans.Spans(trace) }
 
 // ConnCount returns the number of client connections the server is
 // currently holding. It exists for connection-leak checks: after every
@@ -277,8 +288,21 @@ func (s *Server) handle(ctx context.Context, body []byte) (status byte, payload 
 	if err != nil {
 		return statusError, textPart(err.Error()), nil
 	}
+	if req.op == opTraced {
+		field := req.id.Object
+		if req, err = decodeRequest(req.payload); err == nil && (traceOf(field) == 0 || req.op < opArchCreate || req.op > opArchRepair) {
+			err = fmt.Errorf("transport: traced frame wraps op %d with a trace field of %d bytes", req.op, len(field))
+		}
+		if err != nil {
+			return statusError, textPart(err.Error()), nil
+		}
+		ctx = obs.WithTrace(ctx, traceOf(field))
+	}
 	if req.op >= opArchCreate && req.op <= opArchRepair {
 		return s.handleArchive(ctx, req)
+	}
+	if trace := traceOf(req.id.Object); trace != 0 && req.op >= opGetBatch && req.op <= opDeleteBatch {
+		ctx = obs.RecordInto(obs.WithTrace(ctx, trace), &s.spans)
 	}
 	status, payload = s.handleNode(ctx, req)
 	return status, payload, nil
@@ -309,6 +333,7 @@ func (s *Server) handleNode(ctx context.Context, req request) (status byte, payl
 		}
 		s.reqs.getBatches.Add(1)
 		s.reqs.getBatchShards.Add(uint64(len(ids)))
+		defer obs.Start(ctx, "serve-get").EndBatch(-1, len(ids))
 		results := s.node.GetBatch(ctx, ids)
 		for _, res := range results {
 			if res.Err == nil {
@@ -323,6 +348,7 @@ func (s *Server) handleNode(ctx context.Context, req request) (status byte, payl
 		}
 		s.reqs.putBatches.Add(1)
 		s.reqs.putBatchShards.Add(uint64(len(ids)))
+		defer obs.Start(ctx, "serve-put").EndBatch(-1, len(ids))
 		for _, d := range data {
 			s.reqs.bytesWritten.Add(uint64(len(d)))
 		}
@@ -338,6 +364,7 @@ func (s *Server) handleNode(ctx context.Context, req request) (status byte, payl
 		}
 		s.reqs.deleteBatches.Add(1)
 		s.reqs.deleteBatchShards.Add(uint64(len(ids)))
+		defer obs.Start(ctx, "serve-delete").EndBatch(-1, len(ids))
 		results := make([]store.ShardResult, len(ids))
 		for i, err := range s.node.DeleteBatch(ctx, ids) {
 			results[i] = store.ShardResult{Err: err}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/secarchive/sec/internal/core"
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -164,7 +165,8 @@ func (w *wireTap) drain() (req, resp []byte) {
 	return req, resp
 }
 
-// TestArchiveWireGolden pins the bytes of every archive op (codes 10..18):
+// TestArchiveWireGolden pins the bytes of every archive op (codes 10..18),
+// and of traced ones (code 19 wrapping them):
 // the request frame the client stub writes and the response frame the
 // server dispatch answers with, length prefix included, are compared to the
 // committed recording. Every commit that passes therefore interoperates
@@ -185,6 +187,7 @@ func TestArchiveWireGolden(t *testing.T) {
 	client := NewArchiveClient("gw-golden", addr.String(), WithTimeout(2*time.Second), WithPoolSize(1))
 	t.Cleanup(func() { _ = client.Close() })
 	ctx := t.Context()
+	traced := obs.WithTrace(ctx, 0x0123456789abcdef)
 
 	spec := goldenSpec
 	cases := []struct {
@@ -205,6 +208,10 @@ func TestArchiveWireGolden(t *testing.T) {
 		{"busy", func() error { _, err := client.Commit(ctx, "busy", -1, []byte("x")); return err }, store.ErrBusy},
 		{"conflict", func() error { _, err := client.Commit(ctx, "conflict", 2, []byte("x")); return err }, store.ErrConflict},
 		{"provenance", func() error { _, err := client.Retrieve(ctx, "prov", 2); return err }, store.ErrNodeDown},
+		// A traced request is the untraced one wrapped in opTraced.
+		{"traced-commit", func() error { _, err := client.Commit(traced, "gold", 2, []byte("version three")); return err }, nil},
+		{"traced-get", func() error { _, err := client.Retrieve(traced, "gold", 3); return err }, nil},
+		{"traced-busy", func() error { _, err := client.Commit(traced, "busy", -1, []byte("x")); return err }, store.ErrBusy},
 	}
 	var got strings.Builder
 	for _, tc := range cases {

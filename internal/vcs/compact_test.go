@@ -118,10 +118,11 @@ func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
 	}
 	// The gateway reclaimed what each auto-compaction superseded as the
 	// commits went, so node storage does not leak commit over commit:
-	// every node holds one shard per live codeword, the manifest replica and
-	// the manifest records published since that replica was folded - fewer
-	// than one per commit - and nothing else.
-	live := 1
+	// every node holds one shard per live codeword, plus its copies of the
+	// manifest objects - the snapshot and each record published since it
+	// was folded (fewer than one per commit) are on n-k+1 = 4 nodes each -
+	// and nothing else.
+	live := 0
 	for _, e := range info.Manifest.Entries {
 		if e.Full {
 			live++
@@ -130,23 +131,37 @@ func TestRepositoryLifecycleConfigFlowsToArchives(t *testing.T) {
 			live++
 		}
 	}
+	copies := map[string]int{} // manifest object -> nodes holding it
 	for i := 0; i < cluster.Size(); i++ {
 		node, err := cluster.Node(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		records := 0
-		for gen := uint64(1); gen <= info.Manifest.Generation; gen++ {
-			if _, err := node.Get(t.Context(), store.ShardID{Object: fmt.Sprintf("%s/manifest/%d", archiveName("f"), gen)}); err == nil {
-				records++
+		held := 0
+		for gen := uint64(0); gen <= info.Manifest.Generation; gen++ {
+			object := archiveName("f") + "/manifest"
+			if gen > 0 {
+				object = fmt.Sprintf("%s/%d", object, gen)
+			}
+			if _, err := node.Get(t.Context(), store.ShardID{Object: object}); err == nil {
+				copies[object]++
+				held++
 			}
 		}
-		if records >= 7 {
-			t.Errorf("node %d holds %d manifest records after 7 commits: none was folded", i, records)
+		if got := node.(*store.MemNode).Len(); got != live+held {
+			t.Errorf("node %d holds %d objects, want %d codeword shards and %d manifest copies (superseded codewords not reclaimed)", i, got, live, held)
 		}
-		if got := node.(*store.MemNode).Len(); got != live+records {
-			t.Errorf("node %d holds %d objects, want %d (superseded codewords not reclaimed)", i, got, live+records)
+	}
+	if len(copies) < 1 || len(copies) > 7 {
+		t.Errorf("the nodes hold %d manifest objects after 7 commits, want the snapshot and fewer than 7 records", len(copies))
+	}
+	for object, nodes := range copies {
+		if nodes != 4 {
+			t.Errorf("%s is on %d nodes, want n-k+1 = 4", object, nodes)
 		}
+	}
+	if copies[archiveName("f")+"/manifest"] == 0 {
+		t.Error("no node holds the snapshot")
 	}
 	for r := 1; r <= 7; r++ {
 		content, _, err := repo.CheckoutFileContext(t.Context(), "f", r)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/secarchive/sec/internal/core"
+	"github.com/secarchive/sec/internal/obs"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
 )
@@ -102,6 +103,15 @@ func WithPoolSize(size int) Option {
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *dialConfig) { c.opts = append(c.opts, transport.WithRetryPolicy(p)) }
 }
+
+// WithTrace returns ctx marked with trace id: every operation run under it
+// carries the id to the gateway, which passes it on in the node batches the
+// operation causes, and each hop records its spans under it (the
+// gateway's and node servers' Spans). Id 0 means untraced, and returns ctx
+// as it is; an untraced request is the same bytes on the wire it always
+// was. A gateway that predates tracing refuses traced requests as
+// ErrNotServed.
+func WithTrace(ctx context.Context, id uint64) context.Context { return obs.WithTrace(ctx, id) }
 
 // Client serves archive operations against a gateway. Methods are safe
 // for concurrent use.
