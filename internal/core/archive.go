@@ -49,7 +49,9 @@ type Archive struct {
 	changed    []int
 
 	// rcache, when non-nil, is the decoded-version read cache
-	// (Config.ReadCacheBytes); invalidated whenever the chain changes.
+	// (Config.ReadCacheBytes). Versions are immutable, so its entries
+	// outlive commits and compactions; each commit adds its own version,
+	// and only a repair or a repairing scrub that rewrote shards empties it.
 	rcache *versionCache
 }
 
@@ -187,8 +189,9 @@ func New(cfg Config, cluster *store.Cluster) (*Archive, error) {
 }
 
 // invalidateReadCache clears the decoded-version cache (no-op when the
-// cache is disabled). Called by every operation that changes what the
-// chain stores.
+// cache is disabled). Called after a repair or a repairing scrub rewrote
+// shards: a version decoded before may have used a row that was silently
+// corrupt, and nothing else tells a good decode from a bad one.
 func (a *Archive) invalidateReadCache() {
 	if a.rcache != nil {
 		a.rcache.invalidate()
@@ -257,8 +260,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		}
 		a.entries = append(a.entries, entry{hasFull: true, length: len(object)})
 		a.changed = append(a.changed, 1)
-		a.invalidateReadCache()
-		a.setCache(blocks, len(object))
+		a.setCache(1, blocks, len(object))
 		return info, nil
 	}
 
@@ -301,7 +303,6 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	}
 	a.entries = append(a.entries, e)
 	a.changed = append(a.changed, version)
-	a.invalidateReadCache()
 	if a.cfg.Scheme == ReversedSEC {
 		// The previous version's full codeword is superseded: the chain
 		// now reaches it through the new delta. Checkpoints are the
@@ -323,7 +324,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 			}
 		}
 	}
-	a.setCache(blocks, len(object))
+	a.setCache(version, blocks, len(object))
 	if a.cfg.MaxChainLength > 0 {
 		if depths, _, _, err := chainDepthsOf(a.entries); err == nil && maxDepth(depths) > a.cfg.MaxChainLength {
 			ci, err := a.compactLocked(ctx, a.cfg.MaxChainLength)
@@ -451,14 +452,21 @@ func (a *Archive) CachedLatest() ([]byte, bool) {
 
 // RetrieveAllContext reconstructs versions 1..l in order (the whole-
 // archive read of formula (4) when l = L), under the context's deadline
-// and cancellation. It is one planned walk: one probe round and one batch per
-// node for the whole prefix. The decoded-version cache is left alone, so a
-// checkout does not evict the hot set.
+// and cancellation. When the decoded-version cache holds every version of
+// the prefix, the read is served from memory as one cache hit with zero
+// node reads. Otherwise it is one planned walk: one probe round and one
+// batch per node for the whole prefix, whose versions the cache does not
+// keep, so a checkout does not evict the hot set.
 func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, RetrievalStats, error) {
 	//lint:allow lockheld archive read lock held across retrieval by design; writers are rare and reads are concurrent under RLock
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var stats RetrievalStats
+	if a.rcache != nil {
+		if out, ok := a.cachedPrefixLocked(l, &stats); ok {
+			return out, stats, nil
+		}
+	}
 	w, err := a.planPrefix(l)
 	if err != nil {
 		return nil, stats, err
@@ -476,6 +484,33 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 		}
 	}
 	return out, stats, nil
+}
+
+// cachedPrefixLocked joins versions 1..l from the decoded-version cache
+// when it holds all of them, accounting one hit for the bytes of every
+// version. A version that does not join is dropped from the cache and the
+// read left to the walk. The cache is on; caller holds at least a read lock.
+func (a *Archive) cachedPrefixLocked(l int, stats *RetrievalStats) ([][]byte, bool) {
+	if l < 1 || l > len(a.entries) {
+		return nil, false
+	}
+	blocks, lengths, ok := a.rcache.getPrefix(l)
+	if !ok {
+		return nil, false
+	}
+	out := make([][]byte, l)
+	served := 0
+	for j := range out {
+		var err error
+		if out[j], err = a.blocking.Join(blocks[j], lengths[j]); err != nil {
+			a.rcache.remove(j + 1) // an entry that does not join is stale or damaged: drop it
+			return nil, false
+		}
+		served += lengths[j]
+	}
+	stats.CacheHits++
+	stats.CacheBytes += served
+	return out, true
 }
 
 // retrieveBlocksLocked reconstructs the blocks of version l, adding reads
@@ -637,12 +672,17 @@ func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 	return nil
 }
 
-// setCache makes blocks, which the archive owns, the latest-version cache.
-// They are read-only: a commit's blocks share every unchanged block with the
-// version before, as the decoded-version cache's do.
-func (a *Archive) setCache(blocks [][]byte, length int) {
+// setCache makes blocks, which the archive owns, the latest-version cache
+// and, with the decoded-version cache on, caches them there as the version
+// just committed. They are read-only: a commit's blocks share every
+// unchanged block with the version before, as the decoded-version cache's
+// do.
+func (a *Archive) setCache(version int, blocks [][]byte, length int) {
 	a.cache = blocks
 	a.cacheLen = length
+	if a.rcache != nil {
+		a.rcache.put(version, blocks, length)
+	}
 }
 
 // blockLenOf returns the uniform block length of a non-empty block vector

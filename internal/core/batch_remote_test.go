@@ -346,10 +346,12 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 // TestRemoteReadsOverPooledFrames reads chains of 96 KiB blocks over TCP
 // nodes, so every get-batch response lands in the transport's frame pool and
 // is overwritten the moment the walk that read it releases its shards
-// (TestMain). Every version - read cold while node 0 straggles behind the
-// hedge delay, again from the decoded-version cache, and in one
-// RetrieveAll - must be its committed bytes: nothing decoded may alias a
-// frame it was decoded from, and no shard may be read after its release.
+// (TestMain). Every version - read cold, through a fresh Open of the
+// writer's manifest, while node 0 straggles behind the hedge delay, again
+// from that archive's decoded-version cache, and in one RetrieveAll through
+// another fresh Open - must be its committed bytes: nothing decoded may
+// alias a frame it was decoded from, and no shard may be read after its
+// release.
 // The chain has a full codeword, a gamma = 1 delta (sparse, or CDEC), a
 // delta that changed nothing and a dense delta, over a systematic code
 // whose identity rows decode by copy.
@@ -377,23 +379,36 @@ func TestRemoteReadsOverPooledFrames(t *testing.T) {
 			for _, v := range versions {
 				mustCommit(t, a, v)
 			}
+			// The writer cached every version it committed: read through
+			// archives opened cold from its manifest instead.
+			cold := func() *core.Archive {
+				r, err := core.OpenHedgedForExternal(a.Manifest(), cluster, 10*time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
 			chaos.SetSchedule(faults.Schedule{
 				Rules: []faults.Rule{{Kind: faults.FaultLatency, Ops: faults.OpGet, Latency: 200 * time.Millisecond}},
 			})
+			r := cold()
 			hedges := 0
 			for l, want := range versions {
-				got, stats := mustRetrieve(t, a, l+1)
+				got, stats := mustRetrieve(t, r, l+1)
 				hedges += stats.Hedges
-				if !bytes.Equal(got, want) {
-					t.Errorf("version %d read over pooled frames differs", l+1)
+				if !bytes.Equal(got, want) || stats.CacheHits != 0 {
+					t.Errorf("version %d read over pooled frames: %+v, bytes equal %v", l+1, stats, bytes.Equal(got, want))
 				}
-				if got, stats = mustRetrieve(t, a, l+1); stats.CacheHits != 1 || !bytes.Equal(got, want) {
+				if got, stats = mustRetrieve(t, r, l+1); stats.CacheHits != 1 || !bytes.Equal(got, want) {
 					t.Errorf("version %d from the cache: %+v, bytes equal %v; its blocks alias a released frame", l+1, stats, bytes.Equal(got, want))
 				}
 			}
-			all, _, err := a.RetrieveAllContext(t.Context(), len(versions))
+			all, stats, err := cold().RetrieveAllContext(t.Context(), len(versions))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if stats.CacheHits != 0 || stats.NodeReads == 0 {
+				t.Errorf("RetrieveAll through a cold archive: %+v, want a walk", stats)
 			}
 			for v, want := range versions {
 				if !bytes.Equal(all[v], want) {

@@ -243,10 +243,11 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 	}
 
 	// The manifest swap: one assignment under the write lock. From here on
-	// retrievals plan against the compacted chain only.
+	// retrievals plan against the compacted chain only. The swap changes
+	// how versions are stored, never what they are, so the decoded-version
+	// cache keeps every entry.
 	a.entries = next
 	a.changed = append(append(a.changed, info.Rebased...), info.Promoted...)
-	a.invalidateReadCache()
 
 	// Nothing in the new manifest points at the superseded delta codewords
 	// anymore; they wait in the queue for the reclaim after the publish.

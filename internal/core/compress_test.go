@@ -340,8 +340,11 @@ func TestCompressedScrubAndRepair(t *testing.T) {
 }
 
 // TestReadCacheHitsAndInvalidation pins the decoded-version cache
-// contract: a chain walk fills it for every version it materialized, hits
-// serve with zero node reads, and any chain mutation empties it.
+// contract: each commit caches its own version, a chain walk caches every
+// version it materialized, and hits serve with zero node reads. Versions
+// are immutable, so what was cached before a commit or a compaction is
+// still a hit afterwards, byte-identical; only a repairing scrub or a
+// repair that rewrote shards empties the cache.
 func TestReadCacheHitsAndInvalidation(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
@@ -352,74 +355,114 @@ func TestReadCacheHitsAndInvalidation(t *testing.T) {
 	}
 	v1 := bytes.Repeat([]byte{21}, a.Capacity())
 	v2 := editBlocks(v1, 4, 1)
+	v3 := editBlocks(v2, 4, 2)
 	mustCommit(t, a, v1)
 	mustCommit(t, a, v2)
+	requireCached(t, a, "after committing", v1, v2)
 
-	got, stats := mustRetrieve(t, a, 2)
+	// A fresh archive over the same manifest starts cold; its walk to v2
+	// caches v1 on the way.
+	cold, err := Open(a.Manifest(), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats := mustRetrieve(t, cold, 2)
 	if !bytes.Equal(got, v2) {
 		t.Error("v2 mismatch")
 	}
 	if stats.CacheHits != 0 || stats.NodeReads == 0 {
 		t.Errorf("cold retrieval stats = %+v", stats)
 	}
-	// The walk materialized v1 and v2; both must now be hits.
-	for v, want := range [][]byte{v1, v2} {
-		got, stats := mustRetrieve(t, a, v+1)
-		if !bytes.Equal(got, want) {
-			t.Errorf("cached v%d mismatch", v+1)
-		}
-		if stats.CacheHits != 1 || stats.NodeReads != 0 {
-			t.Errorf("cached v%d stats = %+v, want a pure cache hit", v+1, stats)
-		}
-		if stats.CacheBytes != len(want) {
-			t.Errorf("cached v%d CacheBytes = %d, want %d", v+1, stats.CacheBytes, len(want))
-		}
-	}
+	requireCached(t, cold, "after the walk", v1, v2)
 	// Mutating a returned object must not poison the cache.
 	got[0] ^= 0xFF
-	clean, _ := mustRetrieve(t, a, 2)
-	if !bytes.Equal(clean, v2) {
-		t.Error("cache returned a caller-mutated object")
+	requireCached(t, cold, "after a caller wrote into a read", v1, v2)
+
+	// A commit changes no version's bytes: what was cached stays, and the
+	// new version joins it.
+	mustCommit(t, a, v3)
+	requireCached(t, a, "after a commit", v1, v2, v3)
+	// Nor does compaction, which changes how v3 is stored, not what it is.
+	ci, err := a.CompactToContext(t.Context(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cs, ok := a.ReadCacheStats()
-	if !ok {
-		t.Fatal("ReadCacheStats reports no cache")
+	if !ci.Changed() {
+		t.Fatalf("compaction rewrote nothing: %+v", ci)
 	}
-	if cs.Versions != 2 || cs.Hits < 3 {
+	requireCached(t, a, "after a compaction", v1, v2, v3)
+	// Nor does a repairing scrub that found nothing to rewrite.
+	if report, err := a.ScrubContext(t.Context(), true); err != nil || report.Repaired != 0 {
+		t.Fatalf("clean scrub: %+v, %v", report, err)
+	}
+	requireCached(t, a, "after a clean scrub", v1, v2, v3)
+	cs, _ := a.ReadCacheStats()
+	if cs.Versions != 3 || cs.Hits < 9 {
 		t.Errorf("cache stats = %+v", cs)
 	}
 
-	// A commit rewrites the chain tip: the cache must empty.
-	v3 := editBlocks(v2, 4, 2)
-	mustCommit(t, a, v3)
-	cs, _ = a.ReadCacheStats()
-	if cs.Versions != 0 || cs.Bytes != 0 {
-		t.Errorf("cache not invalidated by commit: %+v", cs)
-	}
-	got3, stats := mustRetrieve(t, a, 3)
-	if !bytes.Equal(got3, v3) {
-		t.Error("v3 mismatch")
-	}
-	if stats.CacheHits != 0 {
-		t.Errorf("post-commit retrieval hit a stale cache: %+v", stats)
-	}
-
-	// Compaction rewrites the chain: the cache must empty again.
-	if _, stats := mustRetrieve(t, a, 3); stats.CacheHits != 1 {
-		t.Fatalf("warm-up retrieval stats = %+v", stats)
-	}
-	if _, err := a.CompactToContext(t.Context(), 1); err != nil {
+	// A repairing scrub that rewrote a shard empties the cache: a version
+	// decoded before may have used the row it found corrupt.
+	node, err := cluster.Node(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cs, _ = a.ReadCacheStats()
-	if cs.Versions != 0 {
-		t.Errorf("cache not invalidated by compaction: %+v", cs)
+	id := store.ShardID{Object: "t/v1-full", Row: 2}
+	data, err := node.Get(t.Context(), id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	data = bytes.Clone(data) // node memory is read-only
+	data[0] ^= 0xFF
+	if err := node.Put(t.Context(), id, data); err != nil {
+		t.Fatal(err)
+	}
+	if report, err := a.ScrubContext(t.Context(), true); err != nil || report.Repaired != 1 {
+		t.Fatalf("repairing scrub: %+v, %v", report, err)
+	}
+	requireEmpty(t, a, "a repairing scrub")
+
+	// So does a repair that rebuilt a lost shard.
 	for v, want := range [][]byte{v1, v2, v3} {
-		got, _ := mustRetrieve(t, a, v+1)
-		if !bytes.Equal(got, want) {
-			t.Errorf("v%d mismatch after compaction", v+1)
+		if got, _ := mustRetrieve(t, a, v+1); !bytes.Equal(got, want) {
+			t.Errorf("v%d mismatch after the scrub", v+1)
 		}
+	}
+	if err := node.Delete(t.Context(), id); err != nil {
+		t.Fatal(err)
+	}
+	if report, err := a.RepairNodeContext(t.Context(), 2); err != nil || report.ShardsRepaired != 1 {
+		t.Fatalf("repair: %+v, %v", report, err)
+	}
+	requireEmpty(t, a, "a repair")
+	for v, want := range [][]byte{v1, v2, v3} {
+		if got, _ := mustRetrieve(t, a, v+1); !bytes.Equal(got, want) {
+			t.Errorf("v%d mismatch after the repair", v+1)
+		}
+	}
+}
+
+// requireCached requires a read of each version 1..len(want) of a to be one
+// cache hit with zero node reads that returns the version's committed
+// bytes.
+func requireCached(t *testing.T, a *Archive, when string, want ...[]byte) {
+	t.Helper()
+	for v, w := range want {
+		got, stats := mustRetrieve(t, a, v+1)
+		if !bytes.Equal(got, w) {
+			t.Errorf("%s: cached v%d differs from its commit", when, v+1)
+		}
+		if stats.CacheHits != 1 || stats.NodeReads != 0 || stats.CacheBytes != len(w) {
+			t.Errorf("%s: v%d stats = %+v, want a pure cache hit of %d bytes", when, v+1, stats, len(w))
+		}
+	}
+}
+
+// requireEmpty requires a's decoded-version cache to hold nothing.
+func requireEmpty(t *testing.T, a *Archive, after string) {
+	t.Helper()
+	if cs, _ := a.ReadCacheStats(); cs.Versions != 0 || cs.Bytes != 0 {
+		t.Errorf("cache not emptied by %s: %+v", after, cs)
 	}
 }
 

@@ -157,14 +157,21 @@ func decodedVersionsDoNotAliasTheirShards(t *testing.T, kind erasure.Kind, compr
 func TestWalkSharesUntouchedBlocks(t *testing.T) {
 	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
 	cfg.ReadCacheBytes = 1 << 20
-	a, err := New(cfg, store.NewMemCluster(cfg.N))
+	cluster := store.NewMemCluster(cfg.N)
+	w, err := New(cfg, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 := []byte("abcdefghijkl")
 	v2 := editBlocks(v1, cfg.BlockSize, 1)
 	for _, v := range [][]byte{v1, v2, v2} {
-		mustCommit(t, a, v)
+		mustCommit(t, w, v)
+	}
+	// The writer cached each version as it committed it; a fresh archive
+	// over the same manifest starts cold, so its read walks the chain.
+	a, err := Open(w.Manifest(), cluster)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got, stats := mustRetrieve(t, a, 3)
 	if !bytes.Equal(got, v2) {

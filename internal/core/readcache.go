@@ -3,15 +3,24 @@ package core
 import "sync"
 
 // This file implements the decoded-version read cache (Config.
-// ReadCacheBytes): a byte-budgeted LRU over the block vectors retrievals
-// materialize. A chain walk that decodes versions 5, 6, and 7 to serve
-// version 7 caches all three, so a later Retrieve of any of them - the hot
-// latest version above all - completes with zero node reads. Coherence is
-// by invalidation, not update: every operation that changes what the chain
-// stores (commit, compaction, repair) clears the whole cache, because a
-// partially stale cache under a rewritten chain is harder to reason about
-// than a refill is to pay for. Cached block vectors are shared read-only
-// with callers; nothing in the archive mutates decoded blocks in place.
+// ReadCacheBytes): a byte-budgeted LRU over the block vectors commits and
+// retrievals materialize. Each commit caches its own version, and a chain
+// walk that decodes versions 5, 6, and 7 to serve version 7 caches all
+// three, so a later Retrieve of any of them - the hot latest version above
+// all - completes with zero node reads. Coherence follows from
+// immutability: a committed version's bytes never change, so neither a
+// commit nor a compaction (which changes how a version is stored, not what
+// it is) touches an entry. Only a repair or a repairing scrub that
+// rewrote shards empties the cache, because a decode made before it may
+// have used a row that was silently corrupt. Cached block vectors are
+// shared read-only with callers and with each other; nothing in the
+// archive mutates decoded blocks in place.
+//
+// Versions share blocks: a delta of sparsity gamma leaves k - gamma blocks
+// of its base in place, in a commit's blocks and in a walk's alike. The
+// budget therefore counts each distinct block once, however many entries
+// hold it, so it bounds the decoded bytes the cache actually keeps alive.
+// A block is known by the address of its first byte.
 
 // versionCache is a byte-budgeted LRU of decoded versions, safe for
 // concurrent use (retrievals run under the archive's read lock, so the
@@ -19,8 +28,10 @@ import "sync"
 type versionCache struct {
 	mu      sync.Mutex
 	budget  int
-	size    int
+	size    int // bytes of the distinct blocks held
 	entries map[int]*cacheItem
+	// refs counts, per distinct block, the entries holding it.
+	refs map[*byte]int
 	// head is the most recently used item, tail the least.
 	head, tail *cacheItem
 
@@ -35,19 +46,20 @@ type cacheItem struct {
 	version    int
 	blocks     [][]byte
 	length     int // original object length in bytes
-	size       int // cached block bytes, counted against the budget
 	prev, next *cacheItem
 }
 
 // CacheStats is a point-in-time snapshot of the decoded-version cache.
 type CacheStats struct {
 	// Hits and Misses count cache lookups by outcome (a retrieval of an
-	// uncached version is one miss).
+	// uncached version, or a whole-prefix read with one version of the
+	// prefix uncached, is one miss).
 	Hits, Misses int
 	// BytesServed totals the object bytes hits returned from memory -
 	// bytes that never crossed the wire.
 	BytesServed int
-	// Bytes and Versions describe the current contents.
+	// Bytes and Versions describe the current contents; Bytes counts a
+	// block that several versions share once.
 	Bytes, Versions int
 	// Evictions counts versions dropped to fit the budget.
 	Evictions int
@@ -56,7 +68,7 @@ type CacheStats struct {
 }
 
 func newVersionCache(budget int) *versionCache {
-	return &versionCache{budget: budget, entries: make(map[int]*cacheItem)}
+	return &versionCache{budget: budget, entries: make(map[int]*cacheItem), refs: make(map[*byte]int)}
 }
 
 // get returns the cached blocks and object length of a version, promoting
@@ -76,9 +88,33 @@ func (c *versionCache) get(version int) ([][]byte, int, bool) {
 	return it.blocks, it.length, true
 }
 
-// put caches a version's decoded blocks, evicting least recently used
-// versions until the budget holds. A version larger than the whole budget
-// is not cached.
+// getPrefix returns the cached blocks and object lengths of versions 1..l
+// (element j is version j+1) when every one of them is cached, promoting
+// them all, as one lookup: one hit, or one miss that promotes nothing. The
+// blocks are shared, like get's.
+func (c *versionCache) getPrefix(l int) (blocks [][][]byte, lengths []int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for v := 1; v <= l; v++ {
+		if _, ok := c.entries[v]; !ok {
+			c.misses++
+			return nil, nil, false
+		}
+	}
+	c.hits++
+	blocks, lengths = make([][][]byte, l), make([]int, l)
+	for v := 1; v <= l; v++ {
+		it := c.entries[v]
+		blocks[v-1], lengths[v-1] = it.blocks, it.length
+		c.bytesServed += it.length
+		c.moveToFront(it)
+	}
+	return blocks, lengths, true
+}
+
+// put caches a version's decoded blocks in place of any cached before,
+// evicting least recently used versions until the budget holds. A version
+// larger than the whole budget is not cached.
 func (c *versionCache) put(version int, blocks [][]byte, length int) {
 	size := 0
 	for _, b := range blocks {
@@ -89,19 +125,42 @@ func (c *versionCache) put(version int, blocks [][]byte, length int) {
 	if size > c.budget {
 		return
 	}
+	// Take the new blocks before letting go of the old ones, so a block
+	// both hold is never uncharged and charged again.
+	c.acquire(blocks)
 	if it, ok := c.entries[version]; ok {
-		c.size += size - it.size
-		it.blocks, it.length, it.size = blocks, length, size
+		c.release(it.blocks)
+		it.blocks, it.length = blocks, length
 		c.moveToFront(it)
 	} else {
-		it := &cacheItem{version: version, blocks: blocks, length: length, size: size}
+		it := &cacheItem{version: version, blocks: blocks, length: length}
 		c.entries[version] = it
 		c.pushFront(it)
-		c.size += size
 	}
 	for c.size > c.budget && c.tail != nil {
 		c.evictions++
 		c.removeLocked(c.tail)
+	}
+}
+
+// acquire counts one more holder of each block, charging the budget for
+// the blocks no entry held yet.
+func (c *versionCache) acquire(blocks [][]byte) {
+	for _, b := range blocks {
+		if c.refs[&b[0]]++; c.refs[&b[0]] == 1 {
+			c.size += len(b)
+		}
+	}
+}
+
+// release counts one holder fewer of each block, freeing the budget of
+// the blocks no entry holds any more.
+func (c *versionCache) release(blocks [][]byte) {
+	for _, b := range blocks {
+		if c.refs[&b[0]]--; c.refs[&b[0]] == 0 {
+			delete(c.refs, &b[0])
+			c.size -= len(b)
+		}
 	}
 }
 
@@ -116,11 +175,12 @@ func (c *versionCache) remove(version int) {
 }
 
 // invalidate clears every cached version; the hit/miss counters survive so
-// operators can see cache behavior across chain changes.
+// operators can see cache behavior across repairs.
 func (c *versionCache) invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[int]*cacheItem)
+	c.refs = make(map[*byte]int)
 	c.head, c.tail = nil, nil
 	c.size = 0
 }
@@ -177,5 +237,5 @@ func (c *versionCache) moveToFront(it *cacheItem) {
 func (c *versionCache) removeLocked(it *cacheItem) {
 	c.unlink(it)
 	delete(c.entries, it.version)
-	c.size -= it.size
+	c.release(it.blocks)
 }

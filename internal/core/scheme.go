@@ -168,12 +168,15 @@ type Config struct {
 	// the uncompressed path. Only meaningful with CompressDeltas.
 	CompressGammaMax int
 	// ReadCacheBytes budgets an in-memory LRU cache of decoded versions
-	// (0 = disabled, the default). With a budget set, retrievals keep the
-	// versions they materialize - the requested version and every chain
-	// prefix walked to reach it - and later retrievals of a cached
-	// version are served from memory with zero node reads
-	// (RetrievalStats.CacheHits). The cache is invalidated whenever the
-	// chain changes: every commit, compaction, and repair pass clears it.
+	// (0 = disabled, the default). With a budget set, each commit keeps
+	// its own version and single-version retrievals keep the versions
+	// they materialize - the requested version and every chain prefix
+	// walked to reach it - and later retrievals of a cached version, or
+	// whole-prefix reads whose every version is cached, are served from
+	// memory with zero node reads (RetrievalStats.CacheHits). The budget
+	// counts a block that several versions share once. Versions are
+	// immutable, so commits and compactions leave entries in place; only
+	// a repair or a repairing scrub that rewrote shards clears the cache.
 	// Disabled by default so read counts match the paper's formulas
 	// exactly.
 	ReadCacheBytes int

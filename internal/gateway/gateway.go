@@ -4,9 +4,10 @@
 // on demand, serializes writers per archive behind a bounded admission
 // queue (typed store.ErrBusy/store.ErrConflict rejections), and shares
 // each archive's decoded-version read cache across every client — so a
-// version one client committed is served to all others from memory, and
-// cache invalidation on commit is coherent across writers by
-// construction (there is exactly one core.Archive per name).
+// version one client committed is served to all others from memory. The
+// cache holds immutable versions, which no commit or compaction changes,
+// and the repair that empties it empties it for every client at once
+// (there is exactly one core.Archive per name).
 //
 // The Gateway implements transport.ArchiveBackend, so it can be served
 // over TCP (transport.NewServer(nil, transport.WithArchiveBackend(gw)),

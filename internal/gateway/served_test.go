@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
@@ -86,8 +88,9 @@ func servedPayload(name string, capacity, version int) []byte {
 // TestServedCacheCoherenceAcrossClients is the shared-read-cache contract:
 // two clients of one gateway share one decoded-version cache, a second
 // client's warm read is served from gateway memory with zero node reads,
-// and a commit by one writer invalidates what every other client sees —
-// the second client never reads stale bytes.
+// and a commit by one writer is what every other client's next latest
+// read returns, while the versions cached before it, which no commit
+// changes, stay byte-identical — the second client never reads stale bytes.
 func TestServedCacheCoherenceAcrossClients(t *testing.T) {
 	fixture := startServedGateway(t)
 	writer := fixture.dial(t)
@@ -148,6 +151,143 @@ func TestServedCacheCoherenceAcrossClients(t *testing.T) {
 	}
 	if !bytes.Equal(rgot.Data, v1) {
 		t.Error("version 1 corrupted by invalidation")
+	}
+}
+
+// TestServedCacheUnderCommitAndCompact races readers against a writer on
+// one cached archive: the writer commits a chain of sparse edits and
+// compacts it every few commits, while readers issue Retrieve, Latest and
+// RetrieveAll over TCP. The cache keeps every version across both, so most
+// reads are hits; every read must still return the committed bytes of the
+// version it names, and Latest must never trail a commit acknowledged
+// before it was asked. Run under -race in CI.
+func TestServedCacheUnderCommitAndCompact(t *testing.T) {
+	fixture := startServedGateway(t)
+	ctx := t.Context()
+	const name, versionsTotal, readers, compactEvery = "raced", 24, 3, 4
+	writer := fixture.dial(t)
+	info, err := writer.Create(ctx, name, secclient.Spec{N: 6, K: 4, BlockSize: 8, ReadCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// versions[v] is version v's bytes: each edits one byte of the last,
+	// so the chain is all gamma = 1 deltas and compaction has work.
+	versions := [][]byte{nil, servedPayload(name, info.Capacity, 1)}
+	for v := 2; v <= versionsTotal; v++ {
+		next := bytes.Clone(versions[v-1])
+		next[(v%4)*8+v%8] = byte(v)
+		versions = append(versions, next)
+	}
+	if _, err := writer.Commit(ctx, name, versions[1]); err != nil {
+		t.Fatal(err)
+	}
+	var acked atomic.Int64 // the highest version a commit acknowledged
+	acked.Store(1)
+
+	done := make(chan struct{})
+	var hits [3]atomic.Int64 // cache-served Retrieve, Latest and RetrieveAll
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := secclient.Dial(fixture.addr, secclient.WithTimeout(5*time.Second))
+			defer client.Close()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				floor := int(acked.Load())
+				switch i % 3 {
+				case 0:
+					v := 1 + i%floor
+					got, err := client.Retrieve(ctx, name, v)
+					if err != nil || got.Version != v || !bytes.Equal(got.Data, versions[v]) {
+						t.Errorf("Retrieve v%d: served v%d, %v", v, got.Version, err)
+						return
+					}
+					if got.Stats.CacheHits > 0 {
+						hits[0].Add(1)
+					}
+				case 1:
+					got, err := client.Latest(ctx, name)
+					if err != nil || got.Version < floor || got.Version > versionsTotal || !bytes.Equal(got.Data, versions[got.Version]) {
+						t.Errorf("Latest after v%d was acknowledged: v%d, %v", floor, got.Version, err)
+						return
+					}
+					if got.Stats.CacheHits > 0 {
+						hits[1].Add(1)
+					}
+				case 2:
+					all, stats, err := client.RetrieveAll(ctx, name, floor)
+					if err != nil || len(all) != floor {
+						t.Errorf("RetrieveAll through v%d: %d versions, %v", floor, len(all), err)
+						return
+					}
+					for j, data := range all {
+						if !bytes.Equal(data, versions[j+1]) {
+							t.Errorf("RetrieveAll through v%d: v%d differs from its commit (%+v)", floor, j+1, stats)
+							return
+						}
+					}
+					if stats.CacheHits > 0 {
+						hits[2].Add(1)
+					}
+				}
+			}
+		}()
+	}
+
+	compactions := 0
+	for v := 2; v <= versionsTotal; v++ {
+		ci, err := writer.Commit(ctx, name, versions[v])
+		if err != nil || ci.Version != v {
+			t.Errorf("commit v%d: acknowledged v%d, %v", v, ci.Version, err)
+			break
+		}
+		acked.Store(int64(v))
+		if v%compactEvery == 0 {
+			report, err := writer.Compact(ctx, name, 1)
+			if err != nil {
+				t.Errorf("compact after v%d: %v", v, err)
+				break
+			}
+			if report.Info.Changed() {
+				compactions++
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if compactions == 0 {
+		t.Error("no compaction rewrote the chain; the race exercised commits only")
+	}
+	for i, what := range []string{"Retrieve", "Latest", "RetrieveAll"} {
+		if hits[i].Load() == 0 {
+			t.Errorf("no %s was served from the cache", what)
+		}
+	}
+	// The cache served most reads; what the compactions stored under it
+	// must read back the same through a cold archive of the manifest the
+	// nodes hold.
+	m, _, err := core.ManifestFromCluster(ctx, name, fixture.cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.Open(m, fixture.cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, stats, err := cold.RetrieveAllContext(ctx, versionsTotal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, data := range all {
+		if !bytes.Equal(data, versions[j+1]) {
+			t.Errorf("cold read of v%d differs from its commit (%+v)", j+1, stats)
+		}
 	}
 }
 

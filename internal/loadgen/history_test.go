@@ -22,7 +22,9 @@ import (
 //  2. every successful read returns the bytes of a commit invoked before
 //     the read returned: the commit acknowledged with the version read, or,
 //     for a version no commit was acknowledged with, a commit whose outcome
-//     is unknown (it failed, but not by a typed rejection);
+//     is unknown (it failed, but not by a typed rejection); a retrieve-all
+//     returns every version of the prefix it asked for, each held to this
+//     rule;
 //  3. a latest, or a log's length, is never below a version acknowledged
 //     before it was invoked;
 //  4. the final sweep read every acknowledged version back, and its scrub
@@ -84,6 +86,16 @@ func checkArchive(events []event) []string {
 		if (r.op == opRetrieve || r.op == opLatest) && !wrote(r) {
 			bad = append(bad, fmt.Sprintf("client %d's %s of v%d returned bytes %#x no commit invoked before it wrote", r.client, opNames[r.op], r.version, r.hash))
 		}
+		if r.op == opRetrieveAll {
+			if len(r.hashes) != r.version {
+				bad = append(bad, fmt.Sprintf("client %d's %s through v%d returned %d versions", r.client, opNames[r.op], r.version, len(r.hashes)))
+			}
+			for j, h := range r.hashes {
+				if v := (event{version: j + 1, hash: h, end: r.end}); !wrote(v) {
+					bad = append(bad, fmt.Sprintf("client %d's %s through v%d returned bytes %#x for v%d no commit invoked before it wrote", r.client, opNames[r.op], r.version, h, v.version))
+				}
+			}
+		}
 		if r.op == opLatest || r.op == opLog {
 			for _, c := range commits {
 				if c.end.Before(r.start) && c.version > r.version {
@@ -126,6 +138,13 @@ func TestCheckHistory(t *testing.T) {
 		return event{client: client, op: o, version: version, hash: hash,
 			start: t0.Add(time.Duration(start)), end: t0.Add(time.Duration(end)), err: err}
 	}
+	// all is a successful retrieve-all through version that returned
+	// versions with these hashes.
+	all := func(client, version int, start, end int, hashes ...uint64) event {
+		e := ev(client, opRetrieveAll, version, 0, start, end, nil)
+		e.hashes = hashes
+		return e
+	}
 	// Every history starts from a seeded v1 that the sweep reads back, and
 	// ends with the sweep's scrub finding nothing damaged.
 	base := func(rest ...event) []event {
@@ -145,6 +164,7 @@ func TestCheckHistory(t *testing.T) {
 			ev(1, opLatest, 2, 0xb2, 30, 31, nil),
 			ev(1, opLog, 2, 0, 32, 33, nil),
 			ev(2, opRetrieve, 1, 0xa1, 12, 14, nil),
+			all(2, 2, 16, 26, 0xa1, 0xb2),
 		), ""},
 		{"versions not distinct", base(
 			ev(0, opCommit, 1, 0xb2, 10, 20, nil),
@@ -158,6 +178,16 @@ func TestCheckHistory(t *testing.T) {
 		{"read of bytes nobody wrote", base(
 			ev(1, opRetrieve, 1, 0xdead, 10, 20, nil),
 		), "client 1's retrieve of v1 returned bytes 0xdead"},
+		{"retrieve-all of bytes nobody wrote", base(
+			ev(0, opCommit, 2, 0xb2, 10, 20, nil),
+			all(1, 2, 30, 40, 0xa1, 0xdead),
+			ev(sweepClient, opRetrieve, 2, 0xb2, 902, 903, nil),
+		), "client 1's retrieve-all through v2 returned bytes 0xdead for v2"},
+		{"retrieve-all short of its prefix", base(
+			ev(0, opCommit, 2, 0xb2, 10, 20, nil),
+			all(1, 2, 30, 40, 0xa1),
+			ev(sweepClient, opRetrieve, 2, 0xb2, 902, 903, nil),
+		), "client 1's retrieve-all through v2 returned 1 versions"},
 		{"read of a commit invoked after it returned", base(
 			ev(1, opRetrieve, 2, 0xb2, 10, 20, nil),
 			ev(0, opCommit, 2, 0xb2, 30, 40, nil),

@@ -3,9 +3,9 @@
 // the way real clients do, while seeded fault schedules perturb the storage
 // nodes. It composes the internal/workload sparse-edit model with a zipfian
 // archive-popularity sampler over a large archive population and a fixed
-// weighted op mix (commit/retrieve/latest/log/compact/scrub/repair), and
-// runs a fleet of closed-loop clients against node servers that front
-// MemNodes and DiskNodes alike. Per-node and wire accounting is the
+// weighted op mix (commit/retrieve/retrieve-all/latest/log/compact/scrub/
+// repair), and runs a fleet of closed-loop clients against node servers
+// that front MemNodes and DiskNodes alike. Per-node and wire accounting is the
 // benchmark's job (benchmark/), not this package's.
 //
 // Every run is replayable from Profile.Seed: each client draws its op
@@ -160,15 +160,18 @@ type Report struct {
 // event is one operation of the history: what a client invoked, when, and
 // what came back. version is the version a commit was acknowledged with (0
 // when none), the version a retrieve asked for or a latest was served, the
-// number of entries a log listed, or the damage a scrub found (shards
-// missing or corrupt, objects undecodable); hash is the FNV-1a of the bytes
-// a commit sent or a read returned. underChaos marks a fleet operation
-// invoked before the last fault window closed.
+// last version of the prefix a retrieve-all asked for, the number of
+// entries a log listed, or the damage a scrub found (shards missing or
+// corrupt, objects undecodable); hash is the FNV-1a of the bytes a commit
+// sent or a read returned, and hashes those of each version a retrieve-all
+// returned, in order. underChaos marks a fleet operation invoked before the
+// last fault window closed.
 type event struct {
 	client, arch         int
 	op                   op
 	version              int
 	hash                 uint64
+	hashes               []uint64
 	cacheHit, underChaos bool
 	start, end           time.Time
 	err                  error
@@ -225,6 +228,13 @@ func issue(ctx context.Context, c *secclient.Client, e *event, payload []byte, n
 		e.version = info.Version
 	case opRetrieve:
 		got, e.err = c.Retrieve(ctx, name, e.version)
+	case opRetrieveAll:
+		var all [][]byte
+		all, got.Stats, e.err = c.RetrieveAll(ctx, name, e.version)
+		for _, data := range all {
+			e.hashes = append(e.hashes, hash64(data))
+		}
+		e.cacheHit = got.Stats.CacheHits > 0
 	case opLatest:
 		got, e.err = c.Latest(ctx, name)
 		e.version = got.Version
@@ -459,7 +469,7 @@ ops:
 			}
 			local[e.arch] = payload
 			e.hash = hash64(payload)
-		case opRetrieve:
+		case opRetrieve, opRetrieveAll:
 			e.version = 1 + runtime.Intn(tip.of(e.arch))
 		case opRepair:
 			node = plan.Intn(nodes)

@@ -61,11 +61,11 @@ func TestRunDeterminism(t *testing.T) {
 	// smallProfile(42) plans exactly these ops. A change here means the
 	// generator's plan drifted (every seeded load result before it stops
 	// being comparable); update the literals only when that is intended.
-	const pinnedDigest = 0xdf7f2d81e2a8ed8e
+	const pinnedDigest = 0xa67e7564fcf85f82
 	pinnedCounts := []struct {
 		op    string
 		count uint64
-	}{{"commit", 13}, {"retrieve", 17}, {"latest", 13}, {"log", 3}, {"compact", 3}, {"scrub", 4}, {"repair", 7}}
+	}{{"commit", 13}, {"retrieve", 12}, {"retrieve-all", 5}, {"latest", 13}, {"log", 3}, {"compact", 3}, {"scrub", 4}, {"repair", 7}}
 	if first.TraceDigest != pinnedDigest {
 		t.Errorf("smallProfile(42) trace digest = %#x, pinned %#x: the seed-pinned plan drifted", first.TraceDigest, uint64(pinnedDigest))
 	}

@@ -90,7 +90,7 @@ func TestLoadSoak(t *testing.T) {
 		case !e.underChaos:
 		case e.op == opCommit && e.version > 0:
 			commits++
-		case (e.op == opRetrieve || e.op == opLatest) && e.err != nil && !errors.Is(e.err, store.ErrBusy):
+		case (e.op == opRetrieve || e.op == opRetrieveAll || e.op == opLatest) && e.err != nil && !errors.Is(e.err, store.ErrBusy):
 			readErrs = append(readErrs, fmt.Sprintf("client %d's %s of %s: %v", e.client, opNames[e.op], archiveName(e.arch), e.err))
 		}
 	}
@@ -108,17 +108,22 @@ func TestLoadSoak(t *testing.T) {
 		logReport()
 		t.Error("soak injected no faults; schedules too tame")
 	}
-	// The read cache is on so that a commit, compaction, scrub or repair
-	// that leaves a stale decoded version behind shows up in the history;
-	// that only tests something if the cache served.
-	cacheHits := 0
+	// The read cache is on so that a commit that caches the wrong blocks,
+	// a decode that writes into a cached version, or a scrub or repair
+	// that leaves a decode of a corrupt row behind shows up in the
+	// history; that only tests something if the cache served, single
+	// versions and whole prefixes both.
+	var cacheHits, prefixHits int
 	for _, e := range report.history {
 		if e.cacheHit {
 			cacheHits++
+			if e.op == opRetrieveAll {
+				prefixHits++
+			}
 		}
 	}
-	if cacheHits == 0 {
-		t.Errorf("no read was served by the read cache (seed %d); workload not exercising it", seed)
+	if cacheHits == 0 || prefixHits == 0 {
+		t.Errorf("%d reads, %d of them retrieve-alls, were served by the read cache (seed %d); workload not exercising it", cacheHits, prefixHits, seed)
 	}
 
 	// Latency bound: p999 per op kind stays under a deliberately generous

@@ -34,6 +34,7 @@ type op int
 const (
 	opCommit op = iota
 	opRetrieve
+	opRetrieveAll
 	opLatest
 	opLog
 	opCompact
@@ -44,10 +45,10 @@ const (
 )
 
 // opNames names the op kinds in reports.
-var opNames = [numOps]string{"commit", "retrieve", "latest", "log", "compact", "scrub", "repair"}
+var opNames = [numOps]string{"commit", "retrieve", "retrieve-all", "latest", "log", "compact", "scrub", "repair"}
 
 // opMix weights the op kinds in op order; the weights sum to mixTotal.
-var opMix = [numOps]int{25, 30, 17, 8, 4, 8, 8}
+var opMix = [numOps]int{25, 24, 6, 17, 8, 4, 8, 8}
 
 const mixTotal = 100
 

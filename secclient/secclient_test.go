@@ -230,9 +230,9 @@ func TestClientErrNotServedAgainstLegacyPeer(t *testing.T) {
 
 // TestEmbedAndDialServeTheSameVersions runs Retrieve, Latest and RetrieveAll
 // through an embedded and a dialled client of one gateway, on an archive
-// with a decoded-version cache (warmed first, so both read hits) and one
-// without (both read cold), and requires the same Data, Version and Stats
-// from both. The embedded gateway hands out its decoded blocks as Parts; the
+// with a decoded-version cache (which its commits filled, so both read
+// hits, RetrieveAll as one) and one without (both read cold), and requires
+// the same Data, Version and Stats from both. The embedded gateway hands out its decoded blocks as Parts; the
 // client joins them into Data, a copy of the caller's own: writing into it
 // changes nothing the next read returns.
 func TestEmbedAndDialServeTheSameVersions(t *testing.T) {
@@ -301,8 +301,15 @@ func TestEmbedAndDialServeTheSameVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(eAll, dAll) || !reflect.DeepEqual(eStats, dStats) {
+		if !reflect.DeepEqual(eAll, dAll) || !reflect.DeepEqual(eStats, dStats) || len(eAll) != 3 {
 			t.Errorf("%s RetrieveAll: embedded %+v, dialled %+v; versions equal %v", name, eStats, dStats, reflect.DeepEqual(eAll, dAll))
+		}
+		if hit := eStats.CacheHits == 1 && eStats.NodeReads == 0; hit != (cacheBytes > 0) {
+			t.Errorf("%s RetrieveAll: %+v, cache hit %v, want %v", name, eStats, hit, cacheBytes > 0)
+		}
+		clear(eAll[2])
+		if again, _, err := dialled.RetrieveAll(ctx, name, 0); err != nil || !reflect.DeepEqual(again, dAll) {
+			t.Errorf("%s: writing into an embedded RetrieveAll changed what the next one returns", name)
 		}
 	}
 }
