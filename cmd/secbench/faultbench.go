@@ -19,24 +19,21 @@ import (
 
 // The fault drill (-faults <seed>): retrieval of the tip of a 1-full +
 // 4-sparse-delta chain with node 0 running a seeded ChaosNode that slows
-// every read by ~10x the healthy p50. Three cases land in
-// BENCH_faults.json: a clean cluster (hedging armed but idle), the slow
-// node without hedging (p99 absorbs the full straggler latency), and the
-// slow node with hedging (spare parity reads complete the decode while
-// the straggler is still sleeping). Tail latency is the product here, so
-// the results carry p50/p99 and hedges per op alongside the mean.
+// every read by ~10x the healthy p50. Two cases land in BENCH_faults.json:
+// a clean cluster, and the slow node, which the warmup read meets and marks
+// slow so that every measured read plans its rows last and reads around it.
+// Tail latency is the product here, so the results carry p50/p99 alongside
+// the mean.
 
 // benchResult is one measured case of the drill.
 type benchResult struct {
 	Name       string  `json:"name"`
 	Iterations int     `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
-	// The latency distribution and the hedging accounting: tail latency is
-	// the whole point of the drill, so the mean alone would hide the
-	// straggler.
-	P50Ns       float64 `json:"p50_ns,omitempty"`
-	P99Ns       float64 `json:"p99_ns,omitempty"`
-	HedgesPerOp float64 `json:"hedges_per_op,omitempty"`
+	// The latency distribution: tail latency is the whole point of the
+	// drill, so the mean alone would hide the straggler.
+	P50Ns float64 `json:"p50_ns,omitempty"`
+	P99Ns float64 `json:"p99_ns,omitempty"`
 }
 
 // benchReport is the BENCH_faults.json document.
@@ -48,16 +45,15 @@ type benchReport struct {
 }
 
 // faultChain builds the canonical 1-full + 4-sparse-delta chain over the
-// given nodes with the given hedge delay.
-func faultChain(ctx context.Context, nodes []sec.StorageNode, hedge time.Duration) (*sec.Archive, error) {
+// given nodes.
+func faultChain(ctx context.Context, nodes []sec.StorageNode) (*sec.Archive, error) {
 	cluster := sec.NewCluster(nodes)
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
-		Scheme:     sec.BasicSEC,
-		Code:       sec.NonSystematicCauchy,
-		N:          20,
-		K:          10,
-		BlockSize:  4096,
-		HedgeDelay: hedge,
+		Scheme:    sec.BasicSEC,
+		Code:      sec.NonSystematicCauchy,
+		N:         20,
+		K:         10,
+		BlockSize: 4096,
 	}, cluster)
 	if err != nil {
 		return nil, err
@@ -112,7 +108,7 @@ func latencyProfile(ctx context.Context, iters int, fn func() error) (mean, p50,
 	return float64(total.Nanoseconds()) / float64(len(samples)), pick(50), pick(99), nil
 }
 
-// runFaultBench measures the three fault-drill cases and writes
+// runFaultBench measures the two fault-drill cases and writes
 // BENCH_faults.json into outDir.
 func runFaultBench(ctx context.Context, seed int64, outDir string, out io.Writer) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -121,7 +117,7 @@ func runFaultBench(ctx context.Context, seed int64, outDir string, out io.Writer
 
 	// Calibrate against a healthy cluster first so the straggler is slow
 	// relative to this machine, not to a hard-coded latency.
-	baseline, err := faultChain(ctx, memNodes(20, nil), 0)
+	baseline, err := faultChain(ctx, memNodes(20, nil))
 	if err != nil {
 		return err
 	}
@@ -136,10 +132,6 @@ func runFaultBench(ctx context.Context, seed int64, outDir string, out io.Writer
 	if slow < 5*time.Millisecond {
 		slow = 5 * time.Millisecond
 	}
-	hedge := slow / 5
-	if hedge < time.Millisecond {
-		hedge = time.Millisecond
-	}
 
 	slowRule := func() *faults.ChaosNode {
 		chaos := faults.NewChaosNode(store.NewMemNode("slow-0"), faults.Schedule{
@@ -150,44 +142,36 @@ func runFaultBench(ctx context.Context, seed int64, outDir string, out io.Writer
 	}
 	report := benchReport{
 		Bench: "faults",
-		Description: fmt.Sprintf("(20,10) BasicSEC Retrieve(5): clean vs node 0 slowed by %v (seed %d), hedge delay %v",
-			slow, seed, hedge),
+		Description: fmt.Sprintf("(20,10) BasicSEC Retrieve(5): clean vs node 0 slowed by %v (seed %d)",
+			slow, seed),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	cases := []struct {
 		name  string
 		chaos *faults.ChaosNode
-		hedge time.Duration
 		iters int
 	}{
-		{"clean", nil, hedge, 40},
-		{"slow-node", slowRule(), 0, 20},
-		{"slow-node-hedged", slowRule(), hedge, 40},
+		{"clean", nil, 40},
+		{"slow-node", slowRule(), 40},
 	}
 	for _, c := range cases {
-		archive, err := faultChain(ctx, memNodes(20, c.chaos), c.hedge)
+		archive, err := faultChain(ctx, memNodes(20, c.chaos))
 		if err != nil {
 			return fmt.Errorf("case %s: %w", c.name, err)
 		}
-		var hedges, ops int
 		mean, p50, p99, err := latencyProfile(ctx, c.iters, func() error {
-			_, stats, err := archive.RetrieveContext(ctx, 5)
-			if err == nil {
-				hedges += stats.Hedges
-				ops++
-			}
+			_, _, err := archive.RetrieveContext(ctx, 5)
 			return err
 		})
 		if err != nil {
 			return fmt.Errorf("case %s: %w", c.name, err)
 		}
 		report.Results = append(report.Results, benchResult{
-			Name:        c.name,
-			Iterations:  c.iters,
-			NsPerOp:     mean,
-			P50Ns:       p50,
-			P99Ns:       p99,
-			HedgesPerOp: float64(hedges) / float64(ops),
+			Name:       c.name,
+			Iterations: c.iters,
+			NsPerOp:    mean,
+			P50Ns:      p50,
+			P99Ns:      p99,
 		})
 	}
 
@@ -200,8 +184,8 @@ func runFaultBench(ctx context.Context, seed int64, outDir string, out io.Writer
 		return err
 	}
 	for _, r := range report.Results {
-		if _, err := fmt.Fprintf(out, "faults/%s: %d iters, p50 %.2fms, p99 %.2fms, %.1f hedges/op\n",
-			r.Name, r.Iterations, r.P50Ns/1e6, r.P99Ns/1e6, r.HedgesPerOp); err != nil {
+		if _, err := fmt.Fprintf(out, "faults/%s: %d iters, p50 %.2fms, p99 %.2fms\n",
+			r.Name, r.Iterations, r.P50Ns/1e6, r.P99Ns/1e6); err != nil {
 			return err
 		}
 	}

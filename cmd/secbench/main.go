@@ -15,8 +15,8 @@
 // parameters and fixed seeds, so runs are reproducible.
 //
 // The -faults <seed> mode is the fault drill: it slows one node by ~10x
-// and measures retrieval tail latency with and without hedged reads,
-// writing BENCH_faults.json (p50/p99 and hedges per op) into -benchout.
+// and measures retrieval tail latency on a clean cluster and around the
+// slow node, writing BENCH_faults.json (p50/p99) into -benchout.
 //
 // Performance numbers are not this command's job: `bash benchmark/run.sh`
 // (benchmark/README.md) is the one performance harness.
@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		format   = fs.String("format", "table", "output format: table or csv")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		benchout = fs.String("benchout", ".", "directory for the fault drill's BENCH_faults.json")
-		faultRun = fs.Int64("faults", 0, "fault drill seed: retrieval latency with one slow node, clean vs hedged; writes BENCH_faults.json")
+		faultRun = fs.Int64("faults", 0, "fault drill seed: retrieval latency clean vs with one slow node; writes BENCH_faults.json")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

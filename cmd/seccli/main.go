@@ -46,9 +46,11 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	sec "github.com/secarchive/sec"
 	"github.com/secarchive/sec/internal/gateway"
+	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/secclient"
 )
 
@@ -374,10 +376,17 @@ func cmdInfo(ctx context.Context, out io.Writer, client *secclient.Client, resol
 			e.Version, kind, e.Length, e.ChainDepth, e.PlannedReads)
 	}
 	// Per-node health: the gateway probes each node at Info time, and the
-	// health snapshot carries the accumulated breaker and failure counters,
-	// so degraded nodes are visible before a retrieval trips over them.
+	// health snapshot carries the accumulated breaker and failure counters
+	// and the read latency estimate, so degraded nodes are visible before a
+	// retrieval trips over them, and slow ones - which reads list last - are
+	// marked.
+	health := make([]store.NodeHealth, len(info.Nodes))
+	for i, n := range info.Nodes {
+		health[i] = n.Health
+	}
+	slow := store.Slow(health)
 	fmt.Fprintf(out, "nodes (%d):\n", len(info.Nodes))
-	for _, n := range info.Nodes {
+	for i, n := range info.Nodes {
 		h := n.Health
 		probe := "up"
 		if !n.Up {
@@ -394,8 +403,11 @@ func cmdInfo(ctx context.Context, out io.Writer, client *secclient.Client, resol
 		if h.BreakerSkips > 0 {
 			line += fmt.Sprintf(" breaker-skips=%d", h.BreakerSkips)
 		}
-		if h.Hedges > 0 {
-			line += fmt.Sprintf(" hedged-away=%d", h.Hedges)
+		if h.Latency > 0 {
+			line += fmt.Sprintf(" latency=%v", h.Latency.Round(time.Microsecond))
+			if slow[i] {
+				line += " slow"
+			}
 		}
 		fmt.Fprintln(out, line)
 	}

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	sec "github.com/secarchive/sec"
+	"github.com/secarchive/sec/internal/faults"
 	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
@@ -506,9 +508,17 @@ func TestCLITimeoutFlagBoundsOperations(t *testing.T) {
 // TestCLIRemoteGateway drives the same subcommands against a secgw-shaped
 // server over TCP: with -gw, seccli needs neither -nodes nor a local
 // manifest, and embedded and remote use are byte-for-byte the same output.
+// Node 0 answers reads 50ms late, so info reports it slow once a read has
+// timed it.
 func TestCLIRemoteGateway(t *testing.T) {
+	nodes := []store.Node{faults.NewChaosNode(store.NewMemNode("mem-0"), faults.Schedule{
+		Rules: []faults.Rule{{Kind: faults.FaultLatency, Ops: faults.OpGet, Latency: 50 * time.Millisecond}},
+	})}
+	for i := 1; i < 6; i++ {
+		nodes = append(nodes, store.NewMemNode(fmt.Sprintf("mem-%d", i)))
+	}
 	gw, err := gateway.New(gateway.Config{
-		Cluster: store.NewMemCluster(6),
+		Cluster: store.NewCluster(nodes),
 		Root:    t.TempDir(),
 	})
 	if err != nil {
@@ -572,6 +582,17 @@ func TestCLIRemoteGateway(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("remote info output missing %q:\n%s", want, out.String())
 		}
+	}
+	// The get read rows 0-2: node 0's line carries its estimate, marked
+	// slow, node 1's an estimate unmarked.
+	lines := strings.Split(out.String(), "\n")
+	if i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "  node 0 ") }); i < 0 ||
+		!strings.Contains(lines[i], " latency=") || !strings.HasSuffix(lines[i], " slow") {
+		t.Errorf("remote info does not mark node 0 slow:\n%s", out.String())
+	}
+	if i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "  node 1 ") }); i < 0 ||
+		!strings.Contains(lines[i], " latency=") || strings.HasSuffix(lines[i], " slow") {
+		t.Errorf("remote info: node 1 wants an unmarked estimate:\n%s", out.String())
 	}
 
 	// Maintenance ops work remotely too.

@@ -100,11 +100,6 @@ type ObjectRead struct {
 	// Compressed reports that the object was a CDEC-compacted delta,
 	// decoded from gamma shard reads and expanded via its support.
 	Compressed bool
-	// Hedges is the number of speculative shard reads issued because a
-	// node batch outlived Config.HedgeDelay (0 unless hedging is on and
-	// a straggler was hedged). Successful hedged reads are already
-	// included in Reads.
-	Hedges int
 }
 
 // RetrievalStats accounts the node reads of one retrieval.
@@ -118,9 +113,6 @@ type RetrievalStats struct {
 	// CompressedReads counts objects decoded from CDEC-compacted
 	// codewords (gamma reads each; see Config.CompressDeltas).
 	CompressedReads int
-	// Hedges totals the speculative reads issued against stragglers
-	// (see Config.HedgeDelay); 0 whenever hedging is disabled.
-	Hedges int
 	// CacheHits counts retrievals served wholly from memory - the
 	// decoded-version cache (Config.ReadCacheBytes) or the writer-side
 	// latest-version cache - with zero node reads. CacheBytes totals the
@@ -133,7 +125,6 @@ type RetrievalStats struct {
 
 func (s *RetrievalStats) add(o ObjectRead) {
 	s.NodeReads += o.Reads
-	s.Hedges += o.Hedges
 	if o.Reads == 0 {
 		return // zero delta: nothing was read
 	}
@@ -155,7 +146,6 @@ func (s *RetrievalStats) Merge(o RetrievalStats) {
 	s.SparseReads += o.SparseReads
 	s.FullReads += o.FullReads
 	s.CompressedReads += o.CompressedReads
-	s.Hedges += o.Hedges
 	s.CacheHits += o.CacheHits
 	s.CacheBytes += o.CacheBytes
 	s.Objects = append(s.Objects, o.Objects...)

@@ -281,6 +281,70 @@ func TestRemoteLivenessRememberedFromTraffic(t *testing.T) {
 	}
 }
 
+// TestRemoteSlowNodeReadLast follows one node of a (12,10) TCP cluster that
+// turns slow, in get-batches per read. The read that meets it pays its
+// latency once, which marks it slow. Every later read plans its rows last and
+// sends it nothing - at the healthy read count, and with no ping, since slow
+// is not down - until the one-second re-sample interval has passed: then
+// exactly one read sends it one get-batch, and the read after sends it
+// nothing again.
+func TestRemoteSlowNodeReadLast(t *testing.T) {
+	const n, k, blockSize, L, slow = 12, 10, 16, 6, 0
+	backing := make([]store.Node, n)
+	for i := range backing {
+		backing[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+	}
+	chaos := faults.NewChaosNode(backing[slow], faults.Schedule{})
+	backing[slow] = chaos
+	cluster, servers := remoteCluster(t, backing)
+	a, err := core.New(core.Config{
+		Name: "slow", Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: blockSize,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{9}, a.Capacity())
+	for v := 0; v < L; v++ {
+		if v > 0 {
+			object = editBlocks(object, blockSize, v%k, (v+3)%k) // gamma = 2
+		}
+		mustCommit(t, a, object)
+	}
+	wantReads := k + (L-1)*4 // formula (3), whichever rows serve it
+	// read retrieves the tip and checks the pings and get-batches the
+	// servers saw, and the get-batches the slow node's server saw.
+	read := func(what string, wantSlowBatches uint64) {
+		t.Helper()
+		before, slowBefore := sumRequests(servers), servers[slow].RequestStats().GetBatches
+		got, stats := mustRetrieve(t, a, L)
+		if !bytes.Equal(got, object) {
+			t.Errorf("%s: content mismatch", what)
+		}
+		if stats.NodeReads != wantReads {
+			t.Errorf("%s: NodeReads = %d, want %d", what, stats.NodeReads, wantReads)
+		}
+		after, slowAfter := sumRequests(servers), servers[slow].RequestStats().GetBatches
+		pings, batches, slowBatches := after.Pings-before.Pings, after.GetBatches-before.GetBatches, slowAfter-slowBefore
+		if pings != 0 || batches != k || slowBatches != wantSlowBatches {
+			t.Errorf("%s: %d pings, %d get-batches, %d of them at the slow node; want 0, %d, %d",
+				what, pings, batches, slowBatches, k, wantSlowBatches)
+		}
+	}
+	read("healthy", 1)
+	chaos.SetSchedule(faults.Schedule{
+		Rules: []faults.Rule{{Kind: faults.FaultLatency, Ops: faults.OpGet, Latency: 100 * time.Millisecond}},
+	})
+	read("meeting the slow node", 1)
+	if h, _ := cluster.NodeHealth(slow); h.Latency < 50*time.Millisecond || h.Failures != 0 || !store.Slow(cluster.Health())[slow] {
+		t.Errorf("slow node health = %+v, want a latency estimate marked slow and no failure", h)
+	}
+	read("read last", 0)
+	read("still read last", 0)
+	time.Sleep(time.Second) // the re-sample interval
+	read("re-sampling", 1)
+	read("read last again", 0)
+}
+
 // TestMixedClusterBatchedArchive runs a full commit/retrieve/damage/scrub
 // cycle on a cluster mixing MemNodes, a DiskNode, and RemoteNodes behind
 // real TCP servers.
@@ -347,11 +411,10 @@ func TestMixedClusterBatchedArchive(t *testing.T) {
 // nodes, so every get-batch response lands in the transport's frame pool and
 // is overwritten the moment the walk that read it releases its shards
 // (TestMain). Every version - read cold, through a fresh Open of the
-// writer's manifest, while node 0 straggles behind the hedge delay, again
-// from that archive's decoded-version cache, and in one RetrieveAll through
-// another fresh Open - must be its committed bytes: nothing decoded may
-// alias a frame it was decoded from, and no shard may be read after its
-// release.
+// writer's manifest, again from that archive's decoded-version cache, and in
+// one RetrieveAll through another fresh Open - must be its committed bytes:
+// nothing decoded may alias a frame it was decoded from, and no shard may be
+// read after its release.
 // The chain has a full codeword, a gamma = 1 delta (sparse, or CDEC), a
 // delta that changed nothing and a dense delta, over a systematic code
 // whose identity rows decode by copy.
@@ -359,15 +422,14 @@ func TestRemoteReadsOverPooledFrames(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			const n, k, blockSize = 6, 3, 96 << 10
-			chaos := faults.NewChaosNode(store.NewMemNode("mem-0"), faults.Schedule{})
-			backing := []store.Node{chaos}
-			for i := 1; i < n; i++ {
-				backing = append(backing, store.NewMemNode(fmt.Sprintf("mem-%d", i)))
+			backing := make([]store.Node, n)
+			for i := range backing {
+				backing[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
 			}
 			cluster, _ := remoteCluster(t, backing)
 			a, err := core.New(core.Config{
 				Name: "pooled", Scheme: core.BasicSEC, Code: erasure.SystematicCauchy, N: n, K: k, BlockSize: blockSize,
-				CompressDeltas: compress, ReadCacheBytes: 16 << 20, HedgeDelay: 10 * time.Millisecond,
+				CompressDeltas: compress, ReadCacheBytes: 16 << 20,
 			}, cluster)
 			if err != nil {
 				t.Fatal(err)
@@ -382,20 +444,15 @@ func TestRemoteReadsOverPooledFrames(t *testing.T) {
 			// The writer cached every version it committed: read through
 			// archives opened cold from its manifest instead.
 			cold := func() *core.Archive {
-				r, err := core.OpenHedgedForExternal(a.Manifest(), cluster, 10*time.Millisecond)
+				r, err := core.Open(a.Manifest(), cluster)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			}
-			chaos.SetSchedule(faults.Schedule{
-				Rules: []faults.Rule{{Kind: faults.FaultLatency, Ops: faults.OpGet, Latency: 200 * time.Millisecond}},
-			})
 			r := cold()
-			hedges := 0
 			for l, want := range versions {
 				got, stats := mustRetrieve(t, r, l+1)
-				hedges += stats.Hedges
 				if !bytes.Equal(got, want) || stats.CacheHits != 0 {
 					t.Errorf("version %d read over pooled frames: %+v, bytes equal %v", l+1, stats, bytes.Equal(got, want))
 				}
@@ -414,9 +471,6 @@ func TestRemoteReadsOverPooledFrames(t *testing.T) {
 				if !bytes.Equal(all[v], want) {
 					t.Errorf("RetrieveAll version %d read over pooled frames differs", v+1)
 				}
-			}
-			if hedges == 0 {
-				t.Error("the straggling node was never hedged around")
 			}
 		})
 	}

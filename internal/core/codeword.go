@@ -340,14 +340,15 @@ func (cw codeword) sparseReadable() bool {
 }
 
 // readPlan is the one answer to "which rows does a reader of this codeword
-// fetch first". candidates are the rows it may read, ascending (so a
-// systematic code's identity rows, which decode by plain copy, come first);
-// trySparse says the reader is still after a sparse decode; need is how many
-// more rows a full decode lacks. The answer is the code's sparse read plan
-// when the reader wants one and the candidates hold one (sparse true), else
-// the first need candidates, else nil: too few rows are live. The chain
-// prefetcher and the per-object reader both ask here, which is what keeps
-// prefetching a pure wire optimization.
+// fetch first". candidates are the rows it may read, in the order it would
+// rather read them: ascending (so a systematic code's identity rows, which
+// decode by plain copy, come first), but for rows on slow nodes, which come
+// last (rowsOnLiveNodes); trySparse says the reader is still after a sparse
+// decode; need is how many more rows a full decode lacks. The answer is the
+// code's sparse read plan when the reader wants one and the candidates hold
+// one (sparse true), else the first need candidates, else nil: too few rows
+// are live. The chain prefetcher and the per-object reader both ask here,
+// which is what keeps prefetching a pure wire optimization.
 func (cw codeword) readPlan(candidates []int, trySparse bool, need int) (rows []int, sparse bool) {
 	if trySparse && cw.sparseReadable() {
 		if rows := cw.code.SparseReadRows(candidates, cw.gamma); rows != nil {

@@ -23,9 +23,6 @@ type shardSet struct {
 	// for a delta, so its reader can decode straight from the prefetched
 	// rows without re-probing liveness.
 	sparseRows []int
-	// hedges counts the speculative reads issued for this object because
-	// a node batch outlived the hedge delay.
-	hedges int
 	// err records the last per-row error of any fetch into the set, so a
 	// reader that must abort (cancelled context) or give up can surface
 	// the failure with its full node/shard provenance instead of a bare
@@ -153,11 +150,7 @@ func (s *shardSet) selectRows(rows []int) ([][]byte, bool) {
 // unchanged. A codeword the walk reads a second time is fetched by its reader.
 func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shardSet {
 	// The codewords the walk reads, each once, but for the empty deltas.
-	type object struct {
-		codeword
-		rows []int // what the object's reader fetches first
-	}
-	objects := make([]object, 0, len(cws))
+	objects := make([]codeword, 0, len(cws))
 	sets := make(map[string]*shardSet, len(cws))
 	var nodes []int
 	for _, cw := range cws {
@@ -165,73 +158,41 @@ func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shar
 			continue
 		}
 		sets[cw.id] = nil // listed; its shard set is made once its rows are chosen
-		objects = append(objects, object{codeword: cw})
+		objects = append(objects, cw)
 		for row := 0; row < cw.code.N(); row++ {
 			nodes = append(nodes, a.nodeOf(cw, row))
 		}
 	}
-	up := a.cluster.Probe(ctx, nodes)
+	live := a.cluster.Probe(ctx, nodes)
 	// Choose the rows each object's reader would read. Objects whose live
 	// set is too small are skipped here; their reader reports the proper
 	// error (or catches a node that came back since the probe).
-	plans := objects[:0]
 	var refs []store.ShardRef
-	for _, o := range objects {
-		rows, sparse := o.readPlan(a.rowsOnLiveNodes(up, o.codeword, nil), true, o.code.K())
+	for _, cw := range objects {
+		rows, sparse := cw.readPlan(a.rowsOnLiveNodes(live, cw, nil), true, cw.code.K())
 		if rows == nil {
-			delete(sets, o.id)
+			delete(sets, cw.id)
 			continue
 		}
-		o.rows = rows
-		plans = append(plans, o)
 		set := newShardSet()
 		if sparse {
 			set.sparseRows = rows
 		}
-		sets[o.id] = set
-		refs = append(refs, a.rowRefs(o.codeword, rows)...)
+		sets[cw.id] = set
+		refs = append(refs, a.rowRefs(cw, rows)...)
 	}
-	sink := func(ref store.ShardRef, res store.ShardResult) {
-		sets[ref.ID.Object].record(ref.ID.Object, ref.ID.Row, res)
+	for i, res := range a.cluster.GetBatch(ctx, refs) {
+		sets[refs[i].ID.Object].record(refs[i].ID.Object, refs[i].ID.Row, res)
 	}
-	if a.cfg.HedgeDelay == 0 {
-		for i, res := range a.cluster.GetBatch(ctx, refs) {
-			sink(refs[i], res)
-		}
-		return sets
-	}
-	// Hedged prefetch: each node's batch lands independently; a straggler
-	// past the hedge delay triggers speculative fetches of spare parity
-	// rows for every not-yet-satisfied object, and the prefetch returns
-	// the moment each object can decode (its planned rows arrived, or any
-	// K rows are in hand - readers decode full from K even when the
-	// sparse plan was hedged away).
-	satisfied := func(p object) bool {
-		s := sets[p.id]
-		return len(s.data) >= p.code.K() || s.has(p.rows)
-	}
-	spare := func(straggling map[int]bool) []store.ShardRef {
-		var extra []store.ShardRef
-		for _, p := range plans {
-			if satisfied(p) {
-				continue
-			}
-			s := sets[p.id]
-			extra = a.spareRefs(extra, s, p.codeword, rowsExcluding(allRows(p.code.N()), p.rows), p.code.K()-len(s.data),
-				func(node int) bool { return straggling[node] || !up[node] })
-		}
-		return extra
-	}
-	enough := func() bool {
-		for _, p := range plans {
-			if !satisfied(p) {
-				return false
-			}
-		}
-		return true
-	}
-	a.hedgedRead(ctx, refs, spare, enough, sink)
 	return sets
+}
+
+// fetchPlanned fetches rows of a codeword into the set, one batch per node,
+// recording every outcome (data, lost rows, the last error) in the set.
+func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, cw codeword, rows []int) {
+	for i, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, rows)) {
+		set.record(cw.id, rows[i], res)
+	}
 }
 
 // allRows lists the shard rows 0..n-1 of a codeword.
@@ -270,12 +231,20 @@ func (a *Archive) liveRows(ctx context.Context, cw codeword, dead map[int]bool) 
 	return a.rowsOnLiveNodes(a.cluster.Probe(ctx, nodes), cw, dead)
 }
 
-// rowsOnLiveNodes lists, ascending, the shard rows of a codeword that are not
-// dead and whose placement node a probe round found up.
-func (a *Archive) rowsOnLiveNodes(up map[int]bool, cw codeword, dead map[int]bool) []int {
+// rowsOnLiveNodes lists the shard rows of a codeword that are not dead and
+// whose placement node a probe round found up: ascending, but for the rows on
+// slow nodes, which come last, so a plan that takes the first rows it can use
+// reads a slow node only when the other rows cannot serve it. With no node
+// slow, the order is plain ascending and costs nothing more.
+func (a *Archive) rowsOnLiveNodes(live store.Liveness, cw codeword, dead map[int]bool) []int {
 	rows := make([]int, 0, cw.code.N())
 	for row := 0; row < cw.code.N(); row++ {
-		if !dead[row] && up[a.nodeOf(cw, row)] {
+		if node := a.nodeOf(cw, row); !dead[row] && live.Up[node] && !live.Slow[node] {
+			rows = append(rows, row)
+		}
+	}
+	for row := 0; len(live.Slow) > 0 && row < cw.code.N(); row++ {
+		if !dead[row] && live.Slow[a.nodeOf(cw, row)] {
 			rows = append(rows, row)
 		}
 	}

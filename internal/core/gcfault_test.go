@@ -7,7 +7,20 @@ import (
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/faults"
+	"github.com/secarchive/sec/internal/store"
 )
+
+// chaosCluster builds an n-node Mem cluster whose first node is wrapped in
+// a ChaosNode, initially injecting nothing.
+func chaosCluster(n int) (*store.Cluster, *faults.ChaosNode) {
+	nodes := make([]store.Node, n)
+	chaos := faults.NewChaosNode(store.NewMemNode("node-0"), faults.Schedule{})
+	nodes[0] = chaos
+	for i := 1; i < n; i++ {
+		nodes[i] = store.NewMemNode("node-" + string(rune('0'+i)))
+	}
+	return store.NewCluster(nodes), chaos
+}
 
 // TestReclaimUnderPartitionNeverDeletesLiveCodewords injects a partition
 // into the window between compaction's manifest swap and the deferred

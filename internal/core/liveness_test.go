@@ -6,10 +6,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/secarchive/sec/internal/erasure"
-	"github.com/secarchive/sec/internal/faults"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -127,43 +125,5 @@ func TestLivenessCancelledWalkDoubtsNobody(t *testing.T) {
 	}
 	if got := pings.Load(); got != 0 {
 		t.Errorf("the read after a cancelled walk sent %d pings, want 0", got)
-	}
-}
-
-// TestLivenessHedgeDemotionDoubtsNobody: a straggler a hedged read stopped
-// waiting for is slow, not down - the demotion is counted in its health and
-// the next read neither pings it nor plans around it.
-func TestLivenessHedgeDemotionDoubtsNobody(t *testing.T) {
-	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
-	cfg.HedgeDelay = 15 * time.Millisecond
-	chaos := faults.NewChaosNode(store.NewMemNode("node-0"), faults.Schedule{})
-	cluster, _, pings := pingCountedCluster(cfg.N, chaos)
-	a, err := New(cfg, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	object := bytes.Repeat([]byte{6}, a.Capacity())
-	mustCommit(t, a, object)
-
-	slowReads(chaos, 30*time.Second) // far beyond the test: only a hedge gets the read past it
-	pings.Store(0)
-	got, stats := mustRetrieve(t, a, 1)
-	if !bytes.Equal(got, object) || stats.Hedges == 0 {
-		t.Fatalf("hedged read: content ok = %v, hedges = %d, want a hedged read of the right bytes", bytes.Equal(got, object), stats.Hedges)
-	}
-	if h, _ := cluster.NodeHealth(0); h.Hedges == 0 || h.Failures != 0 {
-		t.Errorf("straggler health = %+v, want a hedge and no failure", h)
-	}
-	chaos.SetSchedule(faults.Schedule{})
-	cluster.ResetStats()
-	got, stats = mustRetrieve(t, a, 1)
-	if !bytes.Equal(got, object) || stats.Hedges != 0 {
-		t.Errorf("read after the demotion: content ok = %v, hedges = %d", bytes.Equal(got, object), stats.Hedges)
-	}
-	if got := pings.Load(); got != 0 {
-		t.Errorf("%d pings across the hedged read and the one after, want 0", got)
-	}
-	if reads := chaos.Stats().Reads; reads != 1 {
-		t.Errorf("the former straggler served %d reads of the next retrieve, want 1 (row 0 is in every plan)", reads)
 	}
 }

@@ -44,8 +44,7 @@ type Spec struct {
 }
 
 // Spec renders the settings in the string forms a manifest persists, with
-// the defaults applied. Name and HedgeDelay are not in it: the name heads
-// the manifest, and hedging belongs to the process reading the archive.
+// the defaults applied. Name is not in it: the name heads the manifest.
 func (c Config) Spec() Spec {
 	c = c.withDefaults()
 	return Spec{

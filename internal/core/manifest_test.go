@@ -102,8 +102,7 @@ func TestManifestFields(t *testing.T) {
 // carries.
 func TestSpecCarriesEveryConfigField(t *testing.T) {
 	notInSpec := map[string]string{
-		"Name":       "heads the manifest, beside the spec",
-		"HedgeDelay": "belongs to the process reading the archive",
+		"Name": "heads the manifest, beside the spec",
 	}
 	values := map[string]any{
 		"Scheme":            ReversedSEC,

@@ -375,7 +375,7 @@ func TestMixedChainReadAccounting(t *testing.T) {
 						want.add(objects[i])
 					}
 					if stats.NodeReads != want.NodeReads || stats.FullReads != want.FullReads || stats.SparseReads != want.SparseReads ||
-						stats.CompressedReads != want.CompressedReads || stats.Hedges != 0 || stats.CacheHits != 0 {
+						stats.CompressedReads != want.CompressedReads || stats.CacheHits != 0 {
 						t.Errorf("%s totals = %+v, want %+v", what, stats, want)
 					}
 					var got []uint64

@@ -47,8 +47,7 @@ func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet, held
 				}
 				return nil, fmt.Errorf("%w: %d of %d shards of %s", ErrUnavailable, len(set.data)+len(candidates), k, cw.id)
 			}
-			a.fetchPlanned(ctx, set, cw, rows, candidates[len(rows):],
-				func() bool { return len(set.data) >= k })
+			a.fetchPlanned(ctx, set, cw, rows)
 		}
 		if len(set.data) >= k {
 			rows, shards := set.take(k)
@@ -141,7 +140,7 @@ func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet, 
 	}
 	k := cw.code.K()
 	read := func(sparse bool) ObjectRead {
-		return ObjectRead{Version: cw.version, Delta: cw.delta, Gamma: cw.gamma, Reads: set.reads, Sparse: sparse, Compressed: cw.cdec(), Hedges: set.hedges}
+		return ObjectRead{Version: cw.version, Delta: cw.delta, Gamma: cw.gamma, Reads: set.reads, Sparse: sparse, Compressed: cw.cdec()}
 	}
 	// A codeword with no sparse plan - full, too dense, CDEC - goes straight
 	// to the full read, with no liveness probe spent on planning one. So does
@@ -161,22 +160,15 @@ func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet, 
 		if err := chainAbort(ctx, set.err); err != nil {
 			return delta.CompactDelta{}, ObjectRead{}, err
 		}
-		live := a.liveRows(ctx, cw, set.dead)
-		rows, sparse := cw.readPlan(live, true, k)
+		rows, sparse := cw.readPlan(a.liveRows(ctx, cw, set.dead), true, k)
 		if !sparse {
 			break
 		}
-		a.fetchPlanned(ctx, set, cw, set.missing(rows), set.missing(rowsExcluding(live, rows)),
-			func() bool { return set.has(rows) || len(set.data) >= k })
+		a.fetchPlanned(ctx, set, cw, set.missing(rows))
 		if shards, ok := set.selectRows(rows); ok {
 			if d, err := a.decodeSparse(cw, rows, shards); err == nil {
 				return d, read(true), nil
 			}
-			trySparse = false
-		} else if set.hedges > 0 && len(set.data) >= k {
-			// Hedged spares assembled a full decode's worth before the
-			// sparse plan completed; stop chasing the straggler for its
-			// sparse rows and decode full.
 			trySparse = false
 		}
 		// Otherwise some sparse rows are gone: re-plan against the

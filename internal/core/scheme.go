@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
@@ -180,16 +179,6 @@ type Config struct {
 	// Disabled by default so read counts match the paper's formulas
 	// exactly.
 	ReadCacheBytes int
-	// HedgeDelay enables hedged degraded-mode reads: when a retrieval's
-	// per-node batch has not answered within this delay, spare parity
-	// rows are fetched speculatively from the remaining nodes and the
-	// read completes as soon as any K rows per codeword are in hand. The
-	// straggler's batch is cancelled and the node is reported to the
-	// cluster's health tracker. Zero (the default) disables hedging,
-	// which keeps read counts exactly as the paper's formulas predict;
-	// with hedging on, a slow node costs extra speculative reads instead
-	// of extra latency (RetrievalStats.Hedges counts them).
-	HedgeDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -222,9 +211,6 @@ func (c Config) validate() error {
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("core: negative checkpoint interval %d", c.CheckpointEvery)
-	}
-	if c.HedgeDelay < 0 {
-		return fmt.Errorf("core: negative hedge delay %v", c.HedgeDelay)
 	}
 	if c.CompactGammaLimit < 0 || c.CompactGammaLimit > c.K {
 		return fmt.Errorf("core: compact gamma limit %d outside [0,%d]", c.CompactGammaLimit, c.K)

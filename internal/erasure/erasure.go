@@ -13,6 +13,7 @@ package erasure
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -475,28 +476,27 @@ func (c *Code) RowsSatisfyCriterion2(rows []int) bool {
 }
 
 // SparseReadRows selects 2*gamma rows from the live shard set whose
-// submatrix satisfies Criterion 2, or nil if none exists. Construction-
-// specific fast paths avoid enumeration: any rows work for non-systematic
-// Cauchy, and only parity rows can work for systematic codes.
+// submatrix satisfies Criterion 2, or nil if none exists. The order of live
+// is the caller's preference: a reader lists the rows it would rather not
+// read - those on slow nodes - last. Construction-specific fast paths avoid
+// enumeration: any rows work for Cauchy codes, so their plan is the first
+// 2*gamma usable rows as listed, and only parity rows can work for
+// systematic codes. A Vandermonde plan is looked for among the rows listed
+// before the first descent - the preferred rows, when the rest are a slow
+// tail - before among all of them; ascending input has no tail.
 func (c *Code) SparseReadRows(live []int, gamma int) []int {
 	need := 2 * gamma
 	if gamma <= 0 || need >= c.k { // sparsity exploitable only when gamma < k/2
 		return nil
 	}
-	candidates := append([]int(nil), live...)
-	sort.Ints(candidates)
-	candidates = dedupe(candidates)
-	if c.Systematic() {
-		// Identity rows cannot appear in a Criterion-2 submatrix
-		// (any pair of columns avoiding the 1 is dependent), so
-		// restrict to parity rows.
-		parity := candidates[:0]
-		for _, r := range candidates {
-			if r >= c.k {
-				parity = append(parity, r)
-			}
+	// Identity rows cannot appear in a Criterion-2 submatrix of a
+	// systematic code (any pair of columns avoiding the 1 is dependent),
+	// so only parity rows are candidates there.
+	candidates := make([]int, 0, len(live))
+	for _, r := range live {
+		if (!c.Systematic() || r >= c.k) && !slices.Contains(candidates, r) {
+			candidates = append(candidates, r)
 		}
-		candidates = parity
 	}
 	if len(candidates) < need {
 		return nil
@@ -507,28 +507,44 @@ func (c *Code) SparseReadRows(live []int, gamma int) []int {
 		// the first `need` candidates always satisfy Criterion 2.
 		return candidates[:need]
 	default:
-		// Prefer consecutive windows (syndrome-decodable), then fall
-		// back to verified enumeration.
-		for i := 0; i+need <= len(candidates); i++ {
-			window := candidates[i : i+need]
-			if window[need-1]-window[0] == need-1 {
-				return append([]int(nil), window...)
-			}
+		head := 1
+		for head < len(candidates) && candidates[head] > candidates[head-1] {
+			head++
 		}
-		var found []int
-		matrix.Combinations(len(candidates), need, func(idx []int) bool {
-			rows := make([]int, need)
-			for i, ci := range idx {
-				rows[i] = candidates[ci]
-			}
-			if c.RowsSatisfyCriterion2(rows) {
-				found = rows
-				return false
-			}
-			return true
-		})
-		return found
+		if rows := c.vandermondeReadRows(candidates[:head], need); rows != nil || head == len(candidates) {
+			return rows
+		}
+		slices.Sort(candidates)
+		return c.vandermondeReadRows(candidates, need)
 	}
+}
+
+// vandermondeReadRows picks need rows satisfying Criterion 2 from ascending
+// candidates: the first consecutive window (syndrome-decodable), else the
+// first verified subset in lexicographic order, else nil.
+func (c *Code) vandermondeReadRows(candidates []int, need int) []int {
+	if len(candidates) < need {
+		return nil
+	}
+	for i := 0; i+need <= len(candidates); i++ {
+		window := candidates[i : i+need]
+		if window[need-1]-window[0] == need-1 {
+			return append([]int(nil), window...)
+		}
+	}
+	var found []int
+	matrix.Combinations(len(candidates), need, func(idx []int) bool {
+		rows := make([]int, need)
+		for i, ci := range idx {
+			rows[i] = candidates[ci]
+		}
+		if c.RowsSatisfyCriterion2(rows) {
+			found = rows
+			return false
+		}
+		return true
+	})
+	return found
 }
 
 // CanDecodeFull reports whether the live shard rows contain k rows whose

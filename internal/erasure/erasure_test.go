@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/secarchive/sec/internal/delta"
@@ -565,5 +566,82 @@ func TestCodeConcurrentUse(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
+	}
+}
+
+// ascendingPlan is the sparse read plan SparseReadRows chose before it took
+// the caller's order into account: the candidates sorted, Cauchy codes
+// taking the first 2*gamma, Vandermonde codes the first consecutive window
+// and else the first subset, in lexicographic order, satisfying Criterion 2.
+func ascendingPlan(c *Code, live []int, gamma int) []int {
+	need := 2 * gamma
+	var candidates []int
+	for r := 0; r < c.N(); r++ {
+		if slices.Contains(live, r) && (!c.Systematic() || r >= c.K()) {
+			candidates = append(candidates, r)
+		}
+	}
+	if gamma <= 0 || need >= c.K() || len(candidates) < need {
+		return nil
+	}
+	if c.Kind() == NonSystematicCauchy || c.Kind() == SystematicCauchy {
+		return candidates[:need]
+	}
+	for i := 0; i+need <= len(candidates); i++ {
+		if candidates[i+need-1]-candidates[i] == need-1 {
+			return candidates[i : i+need]
+		}
+	}
+	var found []int
+	matrix.Combinations(len(candidates), need, func(idx []int) bool {
+		rows := make([]int, need)
+		for i, ci := range idx {
+			rows[i] = candidates[ci]
+		}
+		if c.RowsSatisfyCriterion2(rows) {
+			found = rows
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// TestSparseReadRowsKeepsTheCallersOrder runs every live set of a (10,6)
+// code of each kind, at both exploitable sparsities: listed ascending, the
+// plan is the one ascendingPlan chose; listed with one row moved last, out of
+// ascending order - the order a reader gives a row on a slow node - the plan
+// avoids that row whenever the other rows hold a plan of their own. (Moving
+// the highest row last leaves the ascending order, whose plan is the first
+// case's.)
+func TestSparseReadRowsKeepsTheCallersOrder(t *testing.T) {
+	const n, k = 10, 6
+	for _, kind := range allKinds {
+		c, err := New(kind, n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gamma := 1; 2*gamma < k; gamma++ {
+			for set := 0; set < 1<<n; set++ {
+				var live []int
+				for r := 0; r < n; r++ {
+					if set&(1<<r) != 0 {
+						live = append(live, r)
+					}
+				}
+				if got, want := c.SparseReadRows(live, gamma), ascendingPlan(c, live, gamma); !slices.Equal(got, want) {
+					t.Fatalf("%v gamma %d live %v: plan %v, want %v as before", kind, gamma, live, got, want)
+				}
+				for _, last := range live[:max(len(live)-1, 0)] {
+					others := slices.DeleteFunc(slices.Clone(live), func(r int) bool { return r == last })
+					if c.SparseReadRows(others, gamma) == nil {
+						continue
+					}
+					if got := c.SparseReadRows(append(others, last), gamma); slices.Contains(got, last) {
+						t.Fatalf("%v gamma %d: live %v with %d listed last planned %v, which reads it", kind, gamma, others, last, got)
+					}
+				}
+			}
+		}
 	}
 }

@@ -8,16 +8,15 @@ import (
 
 // RetryDefault enforces the accounting-preserving default-off contract
 // from PR 6: the paper's formula (3)/(4) experiments count every read, so
-// retries, breakers, and hedging only ever turn on at an explicit caller
-// opt-in — never silently inside library or example code.
+// retries and breakers only ever turn on at an explicit caller opt-in —
+// never silently inside library or example code.
 var RetryDefault = &Analyzer{
 	Name: "retrydefault",
-	Doc: `keep retries, breakers, and hedging off by default
+	Doc: `keep retries and breakers off by default
 
 Library packages and examples must not construct an enabled
-RetryPolicy (MaxAttempts > 1), an enabled HealthConfig (TripAfter > 0),
-or a positive HedgeDelay, and must not reference DefaultRetryPolicy
-from function bodies: any of these silently changes the read/probe
+RetryPolicy (MaxAttempts > 1) or an enabled HealthConfig (TripAfter > 0),
+and must not reference DefaultRetryPolicy from function bodies: any of these silently changes the read/probe
 accounting the paper experiments pin down. Enabling resilience is a
 deployment decision made by the caller (CLI flags, server config), so
 command main packages outside examples/ and _test.go files are exempt.
@@ -71,8 +70,6 @@ func runRetryDefault(pass *Pass) error {
 				}
 			case *ast.CompositeLit:
 				checkResilienceLiteral(pass, n)
-			case *ast.AssignStmt:
-				checkHedgeAssign(pass, n)
 			}
 			return true
 		})
@@ -102,8 +99,8 @@ func isDefaultRetryPolicy(pass *Pass, id *ast.Ident) bool {
 	return isVar
 }
 
-// checkResilienceLiteral flags composite literals that enable retries,
-// breakers, or hedging.
+// checkResilienceLiteral flags composite literals that enable retries or
+// breakers.
 func checkResilienceLiteral(pass *Pass, lit *ast.CompositeLit) {
 	tv, ok := pass.Pkg.Info.Types[lit]
 	if !ok || tv.Type == nil {
@@ -134,25 +131,6 @@ func checkResilienceLiteral(pass *Pass, lit *ast.CompositeLit) {
 				pass.Reportf(kv.Pos(),
 					"HealthConfig with TripAfter > 0 in library/example code enables the circuit breaker silently; breakers are a caller opt-in")
 			}
-		case key.Name == "HedgeDelay":
-			if !constAtMost(pass, kv.Value, 0) {
-				pass.Reportf(kv.Pos(),
-					"positive HedgeDelay in library/example code enables hedged reads silently; hedging is a caller opt-in")
-			}
-		}
-	}
-}
-
-// checkHedgeAssign flags `x.HedgeDelay = <positive>` assignments.
-func checkHedgeAssign(pass *Pass, st *ast.AssignStmt) {
-	for i, lhs := range st.Lhs {
-		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "HedgeDelay" || i >= len(st.Rhs) {
-			continue
-		}
-		if !constAtMost(pass, st.Rhs[i], 0) {
-			pass.Reportf(st.Pos(),
-				"positive HedgeDelay in library/example code enables hedged reads silently; hedging is a caller opt-in")
 		}
 	}
 }

@@ -1,9 +1,7 @@
 // Package lib is the retrydefault fixture. The analyzer matches the
-// RetryPolicy/HealthConfig/HedgeDelay names, not the defining package, so
+// RetryPolicy/HealthConfig names, not the defining package, so
 // the fixture declares look-alike types of its own.
 package lib
-
-import "time"
 
 type RetryPolicy struct {
 	MaxAttempts int
@@ -11,10 +9,6 @@ type RetryPolicy struct {
 
 type HealthConfig struct {
 	TripAfter int
-}
-
-type Config struct {
-	HedgeDelay time.Duration
 }
 
 // DefaultRetryPolicy is the sanctioned opt-in surface: package-level
@@ -29,14 +23,6 @@ func enabledBreaker() HealthConfig {
 	return HealthConfig{TripAfter: 5} // want "TripAfter > 0"
 }
 
-func enabledHedge() Config {
-	return Config{HedgeDelay: 20 * time.Millisecond} // want "positive HedgeDelay"
-}
-
-func hedgeAssign(c *Config) {
-	c.HedgeDelay = time.Millisecond // want "positive HedgeDelay"
-}
-
 func nonConstant(attempts int) RetryPolicy {
 	return RetryPolicy{MaxAttempts: attempts} // want "MaxAttempts > 1"
 }
@@ -45,8 +31,8 @@ func defaultRef() RetryPolicy {
 	return DefaultRetryPolicy // want "DefaultRetryPolicy"
 }
 
-func disabled() (RetryPolicy, HealthConfig, Config) {
-	return RetryPolicy{MaxAttempts: 1}, HealthConfig{TripAfter: 0}, Config{HedgeDelay: 0}
+func disabled() (RetryPolicy, HealthConfig) {
+	return RetryPolicy{MaxAttempts: 1}, HealthConfig{TripAfter: 0}
 }
 
 func allowed() RetryPolicy {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/secarchive/sec/internal/obs"
 )
@@ -84,15 +85,16 @@ func (c *Cluster) groupByNode(refs []ShardRef) []*nodeBatch {
 
 // observeBatch feeds one node batch's outcome to the health tracker as a
 // single observation: any authoritative response (success, ErrNotFound,
-// ErrCorrupt) counts as node-healthy; a batch that produced only transient
-// failures counts as one failure, not one per shard, so a single dead
-// batch cannot trip a breaker on its own.
-func (c *Cluster) observeBatch(node int, n int, errAt func(int) error) {
+// ErrCorrupt) counts as node-healthy, and a get batch's latency - zero for
+// the others - as a sample of the node's estimate; a batch that produced
+// only transient failures counts as one failure, not one per shard, so a
+// single dead batch cannot trip a breaker on its own.
+func (c *Cluster) observeBatch(node int, n int, latency time.Duration, errAt func(int) error) {
 	var transient error
 	for i := 0; i < n; i++ {
 		failure, observable := transientFailure(errAt(i))
 		if observable && !failure {
-			c.health.observe(node, nil)
+			c.health.observe(node, nil, latency)
 			return
 		}
 		if failure {
@@ -100,7 +102,7 @@ func (c *Cluster) observeBatch(node int, n int, errAt func(int) error) {
 		}
 	}
 	if transient != nil {
-		c.health.observe(node, transient)
+		c.health.observe(node, transient, 0)
 	}
 }
 
@@ -151,14 +153,16 @@ func (c *Cluster) getBatchOnce(ctx context.Context, refs []ShardRef) []ShardResu
 			return
 		}
 		span := obs.Start(ctx, "node-get")
+		start := c.health.now()
 		for j, res := range b.node.GetBatch(ctx, b.ids) {
 			results[b.idx[j]] = res
 			if res.Err == nil {
 				c.wire.countGet(len(res.Data))
 			}
 		}
+		latency := c.health.now().Sub(start)
 		span.EndBatch(b.index, len(b.ids))
-		c.observeBatch(b.index, len(b.idx), func(j int) error { return results[b.idx[j]].Err })
+		c.observeBatch(b.index, len(b.idx), latency, func(j int) error { return results[b.idx[j]].Err })
 	})
 	return results
 }
@@ -212,7 +216,7 @@ func (c *Cluster) putBatchOnce(ctx context.Context, refs []ShardRef, data [][]by
 			}
 		}
 		span.EndBatch(b.index, len(b.ids))
-		c.observeBatch(b.index, len(b.idx), func(j int) error { return errs[b.idx[j]] })
+		c.observeBatch(b.index, len(b.idx), 0, func(j int) error { return errs[b.idx[j]] })
 	})
 	return errs
 }
@@ -260,7 +264,7 @@ func (c *Cluster) deleteBatchOnce(ctx context.Context, refs []ShardRef) []error 
 			}
 		}
 		span.EndBatch(b.index, len(b.ids))
-		c.observeBatch(b.index, len(b.idx), func(j int) error { return errs[b.idx[j]] })
+		c.observeBatch(b.index, len(b.idx), 0, func(j int) error { return errs[b.idx[j]] })
 	})
 	return errs
 }

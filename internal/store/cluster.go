@@ -299,19 +299,30 @@ func (c *Cluster) Available(ctx context.Context, node int) bool {
 	return up
 }
 
+// Liveness is a Probe's answer, keyed by node index: whether each listed node
+// is up, and which of those are slow.
+type Liveness struct {
+	Up map[int]bool
+	// Slow holds the up nodes the slow-node rule marks slow - nil when none
+	// is, the healthy case - whose rows a read lists after every other row.
+	Slow map[int]bool
+}
+
 // Probe is the liveness round of a read: it reports, keyed by node index,
-// whether each listed node is up. Liveness is remembered from the traffic
-// the cluster already carries, not asked per read: a node whose last
-// observation - a batch, a single operation, a ping - was an authoritative
-// answer (success, not-found, corrupt) is reported up with no RPC. Only the
-// nodes there is reason to doubt are pinged, all at once, each distinct node
-// once: never observed, last observed failing transiently, breaker open or
-// half-open, or touched by Fail/Heal/HealAll. A healthy read therefore pays
-// no ping round at all; a node that died since it was last heard from costs
-// the read that finds out one failed batch - that failure doubts it - and
-// every later Probe one ping, until it answers again. Breaker gating and
-// observation stay per node, inside Available.
-func (c *Cluster) Probe(ctx context.Context, nodes []int) map[int]bool {
+// whether each listed node is up, and which of them answer slowly. Liveness
+// is remembered from the traffic the cluster already carries, not asked per
+// read: a node whose last observation - a batch, a single operation, a ping -
+// was an authoritative answer (success, not-found, corrupt) is reported up
+// with no RPC. Only the nodes there is reason to doubt are pinged, all at
+// once, each distinct node once: never observed, last observed failing
+// transiently, breaker open or half-open, or touched by Fail/Heal/HealAll. A
+// healthy read therefore pays no ping round at all; a node that died since
+// it was last heard from costs the read that finds out one failed batch -
+// that failure doubts it - and every later Probe one ping, until it answers
+// again. Breaker gating and observation stay per node, inside Available.
+// Slowness is remembered the same way, from the latency of the get batches
+// each node answered (NodeHealth.Latency); a slow node is still up.
+func (c *Cluster) Probe(ctx context.Context, nodes []int) Liveness {
 	up := make(map[int]bool, len(nodes))
 	distinct := make([]int, 0, len(nodes))
 	for _, nd := range nodes {
@@ -320,7 +331,7 @@ func (c *Cluster) Probe(ctx context.Context, nodes []int) map[int]bool {
 			distinct = append(distinct, nd)
 		}
 	}
-	ask := c.health.doubted(distinct)
+	ask, slow := c.health.classify(distinct)
 	answers := make([]bool, len(ask))
 	var wg sync.WaitGroup
 	for i, nd := range ask {
@@ -334,7 +345,7 @@ func (c *Cluster) Probe(ctx context.Context, nodes []int) map[int]bool {
 	for i, nd := range ask {
 		up[nd] = answers[i]
 	}
-	return up
+	return Liveness{Up: up, Slow: slow}
 }
 
 // Fail injects a failure into the given nodes. It returns an error if any

@@ -200,7 +200,7 @@ func TestClusterProbe(t *testing.T) {
 	if err := c.Fail(1); err != nil {
 		t.Fatal(err)
 	}
-	up := c.Probe(t.Context(), []int{0, 1, 1, 2, 7})
+	up := c.Probe(t.Context(), []int{0, 1, 1, 2, 7}).Up
 	want := map[int]bool{0: true, 1: false, 2: true, 7: false} // 7 is beyond the cluster
 	if len(up) != len(want) {
 		t.Fatalf("Probe = %v, want %v", up, want)
@@ -210,7 +210,7 @@ func TestClusterProbe(t *testing.T) {
 			t.Errorf("Probe reports node %d up=%v (asked=%v), want %v", nd, got, asked, w)
 		}
 	}
-	if got := c.Probe(t.Context(), nil); len(got) != 0 {
+	if got := c.Probe(t.Context(), nil).Up; len(got) != 0 {
 		t.Errorf("Probe of no nodes = %v", got)
 	}
 }

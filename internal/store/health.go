@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 )
@@ -59,7 +60,7 @@ func (c HealthConfig) cooldown() time.Duration {
 
 // NodeHealth is a snapshot of one node's failure-tracking state: breaker
 // state plus the counters that make degraded operation visible (probe
-// failures, breaker short-circuits, hedged-read demotions).
+// failures, breaker short-circuits), and the node's read latency estimate.
 type NodeHealth struct {
 	// Node is the cluster node index.
 	Node int
@@ -78,8 +79,10 @@ type NodeHealth struct {
 	// BreakerSkips counts probes short-circuited by an open breaker
 	// (each one is a ping the cluster did not have to pay for).
 	BreakerSkips uint64
-	// Hedges counts hedged reads that demoted this node as the straggler.
-	Hedges uint64
+	// Latency estimates how long the node takes to answer a get batch,
+	// smoothed over the batches it answered; zero until it answered one.
+	// Reads list a node whose estimate is slow (see Slow) last.
+	Latency time.Duration
 }
 
 // nodeHealth is the mutable per-node record behind a NodeHealth snapshot.
@@ -90,13 +93,16 @@ type nodeHealth struct {
 	failures      uint64
 	probeFailures uint64
 	breakerSkips  uint64
-	hedges        uint64
 	openedAt      time.Time
 	probing       bool
 	// heard is set while the node's last observation was an authoritative
 	// answer: Probe then answers "up" from memory. A transient failure, and
 	// Fail/Heal/HealAll, clear it; a node never observed starts without it.
 	heard bool
+	// latency is the get-batch latency estimate (NodeHealth.Latency) and
+	// sampled when it last took a sample, or was last handed out for one.
+	latency time.Duration
+	sampled time.Time
 }
 
 // healthTracker tracks per-node failure history for a cluster. All methods
@@ -106,7 +112,7 @@ type healthTracker struct {
 	mu    sync.Mutex
 	cfg   HealthConfig
 	nodes map[int]*nodeHealth
-	now   func() time.Time // test hook
+	now   func() time.Time // cooldowns, get-batch latencies and re-sampling run on it; a test hook
 }
 
 func newHealthTracker() *healthTracker {
@@ -152,8 +158,9 @@ func transientFailure(err error) (failure, observable bool) {
 }
 
 // observe records the outcome of one operation (or one node batch) against
-// node i.
-func (t *healthTracker) observe(i int, err error) {
+// node i. A positive latency is how long an authoritative get batch took:
+// it is folded into the node's estimate, each sample weighing half.
+func (t *healthTracker) observe(i int, err error, latency time.Duration) {
 	if t == nil {
 		return
 	}
@@ -166,8 +173,16 @@ func (t *healthTracker) observe(i int, err error) {
 	h := t.node(i)
 	if failure {
 		t.recordFailure(h)
-	} else {
-		t.recordSuccess(h)
+		return
+	}
+	t.recordSuccess(h)
+	if latency > 0 {
+		if h.latency == 0 {
+			h.latency = latency
+		} else {
+			h.latency = (h.latency + latency) / 2
+		}
+		h.sampled = t.now()
 	}
 }
 
@@ -210,23 +225,97 @@ func (t *healthTracker) doubt(i int) {
 	t.node(i).heard = false
 }
 
-// doubted filters nodes down to the ones a Probe has to ping: those whose
-// last observation was not an authoritative answer. Since only a success
-// sets heard and every failure clears it, a node that is not doubted has a
-// closed breaker.
-func (t *healthTracker) doubted(nodes []int) []int {
+// The slow-node rule. A node is slow when its latency estimate is above
+// slowFloor and above slowMultiple times the median estimate of the nodes
+// observed so far; reads then list its rows last, so it is read only when the
+// others cannot serve. Once every slowResample one read is handed the node as
+// not slow, which reads it if the plan wants its rows and so takes a fresh
+// sample.
+const (
+	slowMultiple = 4
+	slowFloor    = 3 * time.Millisecond
+	slowResample = time.Second
+)
+
+// slowAgainst is the rule for one estimate against the median.
+func slowAgainst(latency, median time.Duration) bool {
+	return latency > slowFloor && latency > slowMultiple*median
+}
+
+// medianLatency sorts the positive estimates ests and returns their lower
+// median.
+func medianLatency(ests []time.Duration) time.Duration {
+	if len(ests) == 0 {
+		return 0
+	}
+	slices.Sort(ests)
+	return ests[(len(ests)-1)/2]
+}
+
+// Slow reports, aligned with health, which nodes the slow-node rule marks
+// slow by their estimates, re-sampling aside.
+func Slow(health []NodeHealth) []bool {
+	var ests []time.Duration
+	for _, h := range health {
+		if h.Latency > 0 {
+			ests = append(ests, h.Latency)
+		}
+	}
+	median := medianLatency(ests)
+	slow := make([]bool, len(health))
+	for i, h := range health {
+		slow[i] = slowAgainst(h.Latency, median)
+	}
+	return slow
+}
+
+// classify filters nodes down to the ones a Probe has to ping - those whose
+// last observation was not an authoritative answer - and names the ones that
+// are slow, nil when none is. Since only a success sets heard and every
+// failure clears it, a node that is not doubted has a closed breaker. A slow
+// node due a fresh sample is left out of slow, and its clock restarted, so
+// one read per slowResample reads it.
+func (t *healthTracker) classify(nodes []int) (ask []int, slow map[int]bool) {
 	if t == nil {
-		return nodes
+		return nodes, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var ask []int
+	overFloor := false
 	for _, i := range nodes {
-		if h, ok := t.nodes[i]; !ok || !h.heard {
+		h, ok := t.nodes[i]
+		if !ok || !h.heard {
 			ask = append(ask, i)
+		} else if h.latency > slowFloor {
+			overFloor = true
 		}
 	}
-	return ask
+	if !overFloor {
+		return ask, nil
+	}
+	var ests []time.Duration
+	for _, h := range t.nodes {
+		if h.latency > 0 {
+			ests = append(ests, h.latency)
+		}
+	}
+	median := medianLatency(ests)
+	now := t.now()
+	for _, i := range nodes {
+		h, ok := t.nodes[i]
+		if !ok || !h.heard || !slowAgainst(h.latency, median) {
+			continue
+		}
+		if now.Sub(h.sampled) >= slowResample {
+			h.sampled = now
+			continue
+		}
+		if slow == nil {
+			slow = make(map[int]bool)
+		}
+		slow[i] = true
+	}
+	return ask, slow
 }
 
 // gateProbe decides whether an Available() probe for node i may reach the
@@ -294,16 +383,6 @@ func (t *healthTracker) observeProbe(i int, up bool) {
 	t.recordFailure(h)
 }
 
-// reportHedge counts a hedged read that demoted node i as the straggler.
-func (t *healthTracker) reportHedge(i int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.node(i).hedges++
-}
-
 // snapshot returns the record for node i (zero value if never observed).
 func (t *healthTracker) snapshot(i int) NodeHealth {
 	if t == nil {
@@ -323,7 +402,7 @@ func (t *healthTracker) snapshot(i int) NodeHealth {
 		Failures:            h.failures,
 		ProbeFailures:       h.probeFailures,
 		BreakerSkips:        h.breakerSkips,
-		Hedges:              h.hedges,
+		Latency:             h.latency,
 	}
 }
 
@@ -338,15 +417,8 @@ func (c *Cluster) SetHealthConfig(cfg HealthConfig) {
 	c.health.configure(cfg)
 }
 
-// ReportHedge records that a hedged read demoted the given node as a
-// straggler. The archive layer calls it when a hedge delay expires against
-// the node; it feeds the health counters surfaced by Health.
-func (c *Cluster) ReportHedge(node int) {
-	c.health.reportHedge(node)
-}
-
 // Health returns a per-node health snapshot: breaker state, consecutive
-// failures, probe failures, breaker skips, and hedged-read demotions.
+// failures, probe failures, breaker skips, and the latency estimate.
 func (c *Cluster) Health() []NodeHealth {
 	c.mu.RLock()
 	nodes := append([]Node(nil), c.nodes...)

@@ -256,7 +256,7 @@ func (c *pingedCluster) probe(t *testing.T, what string, wantUp []bool, wantPing
 	for i := range all {
 		all[i], want[i] = i, wantUp[i]
 	}
-	if up := c.Probe(t.Context(), all); !maps.Equal(up, want) {
+	if up := c.Probe(t.Context(), all).Up; !maps.Equal(up, want) {
 		t.Errorf("%s: Probe = %v, want %v", what, up, want)
 	}
 	if got := c.pings(); !slices.Equal(got, wantPings) {
@@ -335,9 +335,8 @@ func TestLivenessFailHealAreToldToTheCluster(t *testing.T) {
 	}
 }
 
-// TestLivenessUnobservableDoesNotDoubt: a withdrawn request and a hedge
-// demotion say nothing about whether the node is up - slow is not down - so
-// neither makes the next Probe ping.
+// TestLivenessUnobservableDoesNotDoubt: a withdrawn request says nothing
+// about whether the node is up, so it does not make the next Probe ping.
 func TestLivenessUnobservableDoesNotDoubt(t *testing.T) {
 	c := newPingedCluster(2)
 	c.probe(t, "never observed", []bool{true, true}, 1, 1)
@@ -356,11 +355,130 @@ func TestLivenessUnobservableDoesNotDoubt(t *testing.T) {
 			t.Fatalf("expired write %d: err = %v, want context.DeadlineExceeded", i, err)
 		}
 	}
-	c.ReportHedge(1)
-	c.probe(t, "after a cancelled read, an expired write and a hedge", []bool{true, true}, 0, 0)
-	if h, _ := c.NodeHealth(1); h.Hedges != 1 {
-		t.Errorf("hedges = %d, want 1", h.Hedges)
+	c.probe(t, "after a cancelled read and an expired write", []bool{true, true}, 0, 0)
+}
+
+// clockedNode is a MemNode whose get batches take a set time on the cluster
+// tracker's clock, which the test owns.
+type clockedNode struct {
+	*MemNode
+	now     *time.Time
+	latency time.Duration
+}
+
+func (n *clockedNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
+	*n.now = n.now.Add(n.latency)
+	return n.MemNode.GetBatch(ctx, ids)
+}
+
+// TestLivenessSlowNodeRule pins the slow-node rule on a clock the test moves:
+// a node is slow when its get-batch estimate is above slowMultiple times the
+// median and above slowFloor; a slow node is handed to one Probe - and so to
+// one read - as not slow every slowResample; a cancelled and a failed batch
+// take no sample. Nodes are read one at a time, so each batch's latency is
+// exactly its node's.
+func TestLivenessSlowNodeRule(t *testing.T) {
+	const fast = 100 * time.Microsecond
+	now := time.Unix(1000, 0)
+	latencies := []time.Duration{fast, fast, fast, 2 * time.Millisecond, 10 * time.Millisecond}
+	nodes := make([]Node, len(latencies))
+	clocked := make([]*clockedNode, len(latencies))
+	for i, l := range latencies {
+		clocked[i] = &clockedNode{MemNode: NewMemNode(fmt.Sprintf("mem-%d", i)), now: &now, latency: l}
+		nodes[i] = clocked[i]
 	}
+	c := NewCluster(nodes)
+	c.health.now = func() time.Time { return now }
+	all := []int{0, 1, 2, 3, 4}
+	read := func(ctx context.Context, node int) error {
+		return c.GetBatch(ctx, []ShardRef{{Node: node, ID: ShardID{Object: "o"}}})[0].Err
+	}
+	slowSet := func(what string, want ...int) {
+		t.Helper()
+		live := c.Probe(t.Context(), all)
+		wantSlow := make(map[int]bool)
+		for _, i := range want {
+			wantSlow[i] = true
+		}
+		if !maps.Equal(live.Slow, wantSlow) {
+			t.Errorf("%s: slow = %v, want %v", what, live.Slow, wantSlow)
+		}
+		for i := range all {
+			if !live.Up[i] {
+				t.Errorf("%s: node %d reported down", what, i)
+			}
+		}
+	}
+	estimate := func(node int) time.Duration {
+		h, _ := c.NodeHealth(node)
+		return h.Latency
+	}
+
+	slowSet("never read")
+	for _, i := range all {
+		if err := read(t.Context(), i); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("read of node %d = %v, want ErrNotFound (an answer)", i, err)
+		}
+	}
+	// Node 3 is 20x the median but under the floor; node 4 is over both.
+	slowSet("after one read each", 4)
+	if got := estimate(4); got != 10*time.Millisecond {
+		t.Errorf("node 4 estimate = %v, want 10ms (its one sample)", got)
+	}
+	if got := Slow(c.Health()); !slices.Equal(got, []bool{false, false, false, false, true}) {
+		t.Errorf("Slow(Health()) = %v, want only node 4", got)
+	}
+
+	// Re-sampling: the slow node is handed out once per slowResample.
+	now = now.Add(slowResample - time.Nanosecond)
+	slowSet("just before the re-sample", 4)
+	now = now.Add(time.Nanosecond)
+	slowSet("re-sample due: handed out as not slow")
+	slowSet("the next Probe, before the sample lands", 4)
+	clocked[4].latency = fast
+	if err := read(t.Context(), 4); !errors.Is(err, ErrNotFound) {
+		t.Fatal(err)
+	}
+	if got, want := estimate(4), (10*time.Millisecond+fast)/2; got != want {
+		t.Errorf("node 4 estimate after a fast sample = %v, want %v (each sample weighs half)", got, want)
+	}
+	slowSet("one fast sample", 4)
+
+	// A cancelled batch and a failed batch take no sample.
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if err := read(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read = %v", err)
+	}
+	clocked[1].SetFailed(true)
+	if err := read(t.Context(), 1); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("failed read = %v", err)
+	}
+	clocked[1].SetFailed(false)
+	if e0, e1 := estimate(0), estimate(1); e0 != fast || e1 != fast {
+		t.Errorf("estimates after a cancelled and a failed batch = %v, %v; want %v unchanged", e0, e1, fast)
+	}
+
+	// The second fast sample, one slowResample later, brings node 4 back.
+	now = now.Add(slowResample)
+	slowSet("re-sample due again")
+	if err := read(t.Context(), 4); !errors.Is(err, ErrNotFound) {
+		t.Fatal(err)
+	}
+	slowSet("two fast samples")
+
+	// Slow is relative: every node as slow as node 4 was makes none slow.
+	for i := range clocked {
+		clocked[i].latency = 10 * time.Millisecond
+	}
+	for range 4 {
+		for _, i := range all {
+			if err := read(t.Context(), i); !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+		}
+	}
+	slowSet("every node equally slow")
 }
 
 // TestLivenessProbeBehindOpenBreaker: a tripped node is doubted, and the

@@ -245,7 +245,7 @@ func TestDiskClusterDownNode(t *testing.T) {
 			t.Errorf("%s on the down node = %v, want ErrNodeDown for disk-2 naming the unopenable marker", op, err)
 		}
 	}
-	if up := c.Probe(ctx, []int{0, 1, 2, 3}); !up[0] || !up[1] || up[2] || !up[3] {
+	if up := c.Probe(ctx, []int{0, 1, 2, 3}).Up; !up[0] || !up[1] || up[2] || !up[3] {
 		t.Errorf("Probe = %v, want only node 2 down", up)
 	}
 	if err := c.Fail(0, 2); err == nil || !strings.Contains(err.Error(), "disk-2 does not support fault injection") {

@@ -60,16 +60,16 @@ var goldenInfo = ArchiveInfo{
 	Cache:         &core.CacheStats{Hits: 1, Misses: 2, BytesServed: 3, Bytes: 4, Versions: 5, Evictions: 6, Budget: 7},
 	QueuedWriters: 1,
 	Nodes: []ArchiveNodeStatus{{
-		Health: store.NodeHealth{Node: 1, ID: "n1", State: store.BreakerOpen, ConsecutiveFailures: 2, Successes: 3, Failures: 4, ProbeFailures: 5, BreakerSkips: 6, Hedges: 7},
+		Health: store.NodeHealth{Node: 1, ID: "n1", State: store.BreakerOpen, ConsecutiveFailures: 2, Successes: 3, Failures: 4, ProbeFailures: 5, BreakerSkips: 6, Latency: 7 * time.Millisecond},
 		Up:     true,
 	}},
 }
 
 var goldenStats = core.RetrievalStats{
-	NodeReads: 9, SparseReads: 1, FullReads: 1, CompressedReads: 1, Hedges: 2, CacheHits: 3, CacheBytes: 4,
+	NodeReads: 9, SparseReads: 1, FullReads: 1, CompressedReads: 1, CacheHits: 3, CacheBytes: 4,
 	Objects: []core.ObjectRead{
 		{Version: 1, Reads: 3},
-		{Version: 2, Delta: true, Gamma: 1, Reads: 2, Sparse: true, Hedges: 2},
+		{Version: 2, Delta: true, Gamma: 1, Reads: 2, Sparse: true},
 		{Version: 3, Delta: true, Gamma: 1, Reads: 1, Compressed: true},
 	},
 }

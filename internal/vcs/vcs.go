@@ -81,12 +81,12 @@ type Repository struct {
 // NewRepository creates an empty repository storing its archives on the
 // cluster, every file's archive configured by cfg. Hot files accumulate
 // deep delta chains fastest and checkouts re-read them, so the chain
-// policy, compression and read cache matter most here. cfg sets no Name
-// (each file's archive has its own) and no HedgeDelay: the repository
-// saves its settings as a core.Spec, which carries neither.
+// policy, compression and read cache matter most here. cfg sets no Name:
+// each file's archive has its own, and the repository saves its settings as
+// a core.Spec, which carries none.
 func NewRepository(cfg core.Config, cluster *store.Cluster) (*Repository, error) {
-	if cfg.Name != "" || cfg.HedgeDelay != 0 {
-		return nil, fmt.Errorf("vcs: a repository's archives take no Name or HedgeDelay, got %q and %v", cfg.Name, cfg.HedgeDelay)
+	if cfg.Name != "" {
+		return nil, fmt.Errorf("vcs: a repository's archives take no Name, got %q", cfg.Name)
 	}
 	return open(cfg.Spec(), cluster)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
@@ -38,12 +37,8 @@ func TestNewRepositoryValidation(t *testing.T) {
 	}
 	named := valid
 	named.Name = "files"
-	hedged := valid
-	hedged.HedgeDelay = time.Millisecond
-	for _, cfg := range []core.Config{named, hedged} {
-		if _, err := NewRepository(cfg, store.NewMemCluster(0)); err == nil {
-			t.Errorf("config %+v, which no saved spec carries: want error", cfg)
-		}
+	if _, err := NewRepository(named, store.NewMemCluster(0)); err == nil {
+		t.Errorf("config %+v, which no saved spec carries: want error", named)
 	}
 }
 

@@ -238,7 +238,7 @@ type (
 	HealthConfig = store.HealthConfig
 	// NodeHealth is a snapshot of one node's observed health: breaker
 	// state, success/failure counters, probe failures, breaker skips, and
-	// hedged reads charged to the node.
+	// the read latency estimate by which reads list a slow node last.
 	NodeHealth = store.NodeHealth
 	// BreakerState is a node circuit breaker's state.
 	BreakerState = store.BreakerState
@@ -366,7 +366,7 @@ type (
 	// archives.
 	Repository = vcs.Repository
 	// RepositoryConfig parameterizes the per-file archives: an
-	// ArchiveConfig that sets no Name and no HedgeDelay.
+	// ArchiveConfig that sets no Name.
 	RepositoryConfig = ArchiveConfig
 	// RepoCommit is one repository revision.
 	RepoCommit = vcs.Commit
