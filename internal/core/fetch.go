@@ -76,6 +76,13 @@ func release(res store.ShardResult) {
 	}
 }
 
+// releaseAll gives every fetched shard of a batch back to its node.
+func releaseAll(results []store.ShardResult) {
+	for _, res := range results {
+		release(res)
+	}
+}
+
 // rowLost reports whether a per-row read error is permanent for this
 // retrieval: the shard itself is missing or corrupt, so retrying the row
 // is pointless. Transient trouble (node down, transport errors) is NOT
@@ -181,7 +188,7 @@ func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shar
 		sets[cw.id] = set
 		refs = append(refs, a.rowRefs(cw, rows)...)
 	}
-	for i, res := range a.cluster.GetBatch(ctx, refs) {
+	for i, res := range a.getShards(ctx, refs) {
 		sets[refs[i].ID.Object].record(refs[i].ID.Object, refs[i].ID.Row, res)
 	}
 	return sets
@@ -190,9 +197,26 @@ func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shar
 // fetchPlanned fetches rows of a codeword into the set, one batch per node,
 // recording every outcome (data, lost rows, the last error) in the set.
 func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, cw codeword, rows []int) {
-	for i, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, rows)) {
+	for i, res := range a.getShards(ctx, a.rowRefs(cw, rows)) {
 		set.record(cw.id, rows[i], res)
 	}
+}
+
+// getShards fetches codeword shards, one batch per node, and holds each to
+// the length every codeword shard has: BlockSize bytes, whatever the kind,
+// for every kind is encoded from BlockSize-long blocks (putEncoded). A shard
+// of any other length - truncated or grown on its node - is given back and
+// answered as if its node had found it corrupt: every reader, scrub and
+// repair then treat it as the lost row it is, and no length is ever voted on.
+func (a *Archive) getShards(ctx context.Context, refs []store.ShardRef) []store.ShardResult {
+	results := a.cluster.GetBatch(ctx, refs)
+	for i, res := range results {
+		if res.Err == nil && len(res.Data) != a.cfg.BlockSize {
+			release(res)
+			results[i] = store.ShardResult{Err: fmt.Errorf("node %d: %w: %d bytes, want %d", refs[i].Node, store.ErrCorrupt, len(res.Data), a.cfg.BlockSize)}
+		}
+	}
+	return results
 }
 
 // allRows lists the shard rows 0..n-1 of a codeword.

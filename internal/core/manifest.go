@@ -529,7 +529,9 @@ func ManifestFromCluster(ctx context.Context, name string, cluster *store.Cluste
 			continue
 		}
 		var m Manifest
-		if err := json.Unmarshal(res.Data, &m); err != nil || m.Name != name {
+		err := json.Unmarshal(res.Data, &m)
+		release(res) // m is memory of its own
+		if err != nil || m.Name != name {
 			continue // damaged replica
 		}
 		if best == nil || m.Generation > best.Generation {
@@ -563,32 +565,44 @@ func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster
 	nodes := cluster.Size()
 	for {
 		results := cluster.GetBatch(ctx, onEveryNode(cluster, recordIDs(m.Name, m.Generation+1, m.Generation+recordWindow)...))
-		for ; len(results) > 0; results = results[nodes:] {
-			before := m.Generation
-			var unasked int
-			var lastErr error
-			for _, res := range results[:nodes] {
-				if res.Err != nil && !errors.Is(res.Err, store.ErrNotFound) {
-					unasked, lastErr = unasked+1, res.Err
-				}
-				rec, _, err := decodeRecord(m.Name, res.Data)
-				if res.Err != nil || err != nil {
-					continue // absent or damaged here: another node's copy may be whole
-				}
-				if err := m.Apply(rec); err != nil {
-					return fmt.Errorf("core: replaying manifest records of %q: %w", m.Name, err)
-				}
-				break
-			}
-			switch {
-			case m.Generation != before:
-			case unasked > m.N-m.K:
-				return fmt.Errorf("core: replaying manifest records of %q: %d nodes unreachable, more than n-k = %d: %w", m.Name, unasked, m.N-m.K, lastErr)
-			default:
-				return ctx.Err() // no node has the next generation
-			}
+		done, err := applyRecords(ctx, m, results, nodes)
+		releaseAll(results) // an applied record is memory of its own
+		if done {
+			return err
 		}
 	}
+}
+
+// applyRecords applies one CatchUpFromCluster round: results holds, for each
+// generation in turn, what every node answered. done reports that the replay
+// ended, with err its outcome.
+func applyRecords(ctx context.Context, m *Manifest, results []store.ShardResult, nodes int) (done bool, err error) {
+	for ; len(results) > 0; results = results[nodes:] {
+		before := m.Generation
+		var unasked int
+		var lastErr error
+		for _, res := range results[:nodes] {
+			if res.Err != nil && !errors.Is(res.Err, store.ErrNotFound) {
+				unasked, lastErr = unasked+1, res.Err
+			}
+			rec, _, err := decodeRecord(m.Name, res.Data)
+			if res.Err != nil || err != nil {
+				continue // absent or damaged here: another node's copy may be whole
+			}
+			if err := m.Apply(rec); err != nil {
+				return true, fmt.Errorf("core: replaying manifest records of %q: %w", m.Name, err)
+			}
+			break
+		}
+		switch {
+		case m.Generation != before:
+		case unasked > m.N-m.K:
+			return true, fmt.Errorf("core: replaying manifest records of %q: %d nodes unreachable, more than n-k = %d: %w", m.Name, unasked, m.N-m.K, lastErr)
+		default:
+			return true, ctx.Err() // no node has the next generation
+		}
+	}
+	return false, nil
 }
 
 // LoadFromClusterContext reopens the named archive from the manifest its

@@ -20,15 +20,17 @@ import (
 // nodes that flap between the probe and the read.
 func readAttempts(cw codeword) int { return 3 + cw.code.N() - cw.code.K() }
 
-// readAnyK owns the full read of one stored codeword: top the set up to any
-// K rows of the code from live nodes, one batch per node, and decode. Rows
-// that fail are marked dead, a node that fails is doubted by the cluster, and
-// only the deficit is re-fetched against the re-probed live set - the probe
-// pings just the doubted nodes - on the next attempt. The set carries the
-// rows already in hand - prefetched by the chain planner, or fetched by a
-// sparse attempt that could not complete - and they count toward the K. A
-// done context aborts the loop immediately: cancellation is not a node
-// failure, so no further liveness probing or re-planning is worth doing.
+// readAnyK owns the full read of one stored codeword - a reader's, and node
+// repair's, whose set starts with the row it rebuilds dead (rebuildShard):
+// top the set up to any K rows of the code from live nodes, one batch per
+// node, and decode. Rows that fail, a wrong length included (getShards), are
+// marked dead, a node that fails is doubted by the cluster, and only the
+// deficit is re-fetched against the re-probed live set - the probe pings
+// just the doubted nodes - on the next attempt. The set carries the rows
+// already in hand - prefetched by the chain planner, or fetched by a sparse
+// attempt that could not complete - and they count toward the K. A done
+// context aborts the loop immediately: cancellation is not a node failure,
+// so no further liveness probing or re-planning is worth doing.
 //
 // The decode writes into a pooled block set, which is filed with held: the
 // blocks are the walk's holder's to give back, not the GC's.

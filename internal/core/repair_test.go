@@ -266,9 +266,9 @@ func TestRepairNodeSkipsTruncatedSourceShard(t *testing.T) {
 
 func TestRepairNodeRefusesWithoutLengthMajority(t *testing.T) {
 	// With the target's shard gone, two sources truncated to one identical
-	// length and one source missing, no length group reaches k with a
-	// strict majority: repair must refuse (ErrUnavailable), never decode a
-	// group that might be the damaged one.
+	// length and one source missing, only two right-length sources are
+	// left, fewer than k: repair must refuse (ErrUnavailable), never decode
+	// from the truncated group.
 	cluster := store.NewMemCluster(0)
 	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
 	if err != nil {
@@ -298,8 +298,8 @@ func TestRepairNodeRefusesWithoutLengthMajority(t *testing.T) {
 	if err := node4.Delete(t.Context(), store.ShardID{Object: "t/v1-full", Row: 4}); err != nil {
 		t.Fatal(err)
 	}
-	// Readable sources: rows 0,1 (truncated, equal length) and 2,3
-	// (healthy) - a 2-2 tie with k=3.
+	// Readable sources: rows 0,1 (truncated, equal length, so lost rows)
+	// and 2,3 (healthy) - 2 of the k=3 a decode needs.
 	if _, err := a.RepairNodeContext(t.Context(), 5); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("err = %v, want ErrUnavailable", err)
 	}

@@ -19,15 +19,15 @@ type ScrubReport struct {
 	ShardsMissing int
 	// ShardsCorrupt counts shards found damaged: the node itself failed
 	// the read with store.ErrCorrupt (checksum or header damage detected
-	// at read time), the shard's length disagrees with its siblings
-	// (truncated or grown), or its contents disagree with the codeword
-	// re-encoded from k healthy shards.
+	// at read time), the shard is not BlockSize bytes long (truncated or
+	// grown), or its contents disagree with the codeword re-encoded from k
+	// healthy shards.
 	ShardsCorrupt int
 	// ShardsUnreachable counts shards on failed nodes (state unknown).
 	ShardsUnreachable int
-	// ObjectsUndecodable counts stored objects with fewer than k shards
-	// present, or no strict majority of one length among them; their damage
-	// cannot be verified or repaired.
+	// ObjectsUndecodable counts stored objects with fewer than k intact
+	// shards: present and BlockSize bytes long. Their damage cannot be
+	// verified or repaired.
 	ObjectsUndecodable int
 	// ObjectsUnverified counts stored objects that can be decoded but whose
 	// shards no decode accounts for within the code's unique-decoding
@@ -51,9 +51,10 @@ type ScrubReport struct {
 //
 // Decoding is consistency-checked: for each candidate decode from k shards,
 // the re-encoded codeword must reproduce all but at most (m-k)/2 of the m
-// shards read (referenceCodeword). Objects with fewer than k shards are
-// counted as undecodable, and objects no candidate accounts for as
-// unverified; neither gets a shard rewritten.
+// shards read (referenceCodeword). Objects with fewer than k intact shards
+// (present and BlockSize bytes long) are counted as undecodable, and
+// objects no candidate accounts for as unverified; neither gets a shard
+// rewritten.
 func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, error) {
 	//lint:allow lockheld scrub reads the whole chain; the read lock keeps compaction from moving shards mid-scrub
 	a.mu.RLock()
@@ -69,11 +70,14 @@ func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, e
 }
 
 // scrubObject checks one stored object's shards. All n rows are read up
-// front, one batch per node, and classified from the per-shard results.
+// front, one batch per node, and classified from the per-shard results; a
+// shard of the wrong length comes back corrupt (getShards).
 func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, report *ScrubReport) error {
 	present := make(map[int][]byte, cw.code.N())
-	var missing, corrupt, unreachable []int
-	for row, res := range a.cluster.GetBatch(ctx, a.rowRefs(cw, allRows(cw.code.N()))) {
+	var missing, corrupt []int
+	results := a.getShards(ctx, a.rowRefs(cw, allRows(cw.code.N())))
+	defer releaseAll(results)
+	for row, res := range results {
 		switch {
 		case res.Err == nil:
 			report.ShardsChecked++
@@ -88,28 +92,8 @@ func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, rep
 			missing = append(missing, row)
 		case errors.Is(res.Err, store.ErrNodeDown) || errors.Is(res.Err, store.ErrClusterTooSmall):
 			report.ShardsUnreachable++
-			unreachable = append(unreachable, row)
 		default:
 			return fmt.Errorf("core: scrubbing %s#%d: %w", cw.id, row, res.Err)
-		}
-	}
-	// A truncated or grown shard cannot belong to any candidate decode
-	// window (the GF kernels require uniform lengths and would read out of
-	// bounds on the size of shards[0]); treat length outliers as corrupt up
-	// front and exclude them from decoding. Excluding them shrinks the
-	// majority denominator referenceCodeword votes over, so only a strict
-	// majority length may be trusted: on a tie (or worse) neither group can
-	// heal the other, and overwriting either would risk destroying the
-	// healthy shards.
-	if outliers := lengthOutliers(present); len(outliers) > 0 {
-		if 2*(len(present)-len(outliers)) <= len(present) {
-			report.ObjectsUndecodable++
-			return nil
-		}
-		for _, row := range outliers {
-			report.ShardsCorrupt++
-			corrupt = append(corrupt, row)
-			delete(present, row)
 		}
 	}
 	if len(present) < cw.code.K() {
@@ -209,44 +193,4 @@ func (a *Archive) referenceCodeword(code codec, present map[int][]byte) ([][]byt
 		candidate.Release()
 	}
 	return nil, false
-}
-
-// modalLength returns the most common value in lengths and how often it
-// appears, breaking ties toward the smaller length so the choice is
-// deterministic. It is the single length-consensus policy shared by both
-// healing paths: scrub's candidate-window filtering and repair's source
-// collection.
-func modalLength(lengths []int) (count, modal int) {
-	counts := make(map[int]int, len(lengths))
-	for _, l := range lengths {
-		counts[l]++
-	}
-	for l, c := range counts {
-		if c > count || (c == count && l < modal) {
-			count, modal = c, l
-		}
-	}
-	return count, modal
-}
-
-// lengthOutliers returns the rows whose shard length differs from the
-// modal length among the present shards, sorted. With no damage, or
-// all-equal lengths, the result is empty.
-func lengthOutliers(present map[int][]byte) []int {
-	lengths := make([]int, 0, len(present))
-	for _, data := range present {
-		lengths = append(lengths, len(data))
-	}
-	count, modal := modalLength(lengths)
-	if count == len(present) {
-		return nil
-	}
-	var outliers []int
-	for row, data := range present {
-		if len(data) != modal {
-			outliers = append(outliers, row)
-		}
-	}
-	slices.Sort(outliers)
-	return outliers
 }

@@ -273,10 +273,11 @@ func TestScrubCombinedTruncatedAndMissingShards(t *testing.T) {
 }
 
 func TestScrubLengthTieIsUndecodableNotDestructive(t *testing.T) {
-	// Half the shards truncated to one identical length: neither group is
-	// a strict majority, so scrub must declare the object undecodable
-	// instead of letting the damaged group outvote (and overwrite) the
-	// healthy one.
+	// Half the shards truncated to one identical length: a shard's length
+	// is known, not voted on, so the three truncated shards are corrupt
+	// and the three healthy ones are exactly k, which decode but cannot be
+	// verified. Scrub must rewrite nothing rather than let the damaged
+	// group outvote (and overwrite) the healthy one.
 	a, cluster, versions := scrubArchive(t)
 	for _, row := range []int{0, 1, 2} {
 		truncateShard(t, cluster, row, store.ShardID{Object: "t/v1-full", Row: row}, 2)
@@ -285,8 +286,8 @@ func TestScrubLengthTieIsUndecodableNotDestructive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.ObjectsUndecodable != 1 {
-		t.Fatalf("report = %+v, want 1 undecodable object", report)
+	if report.ShardsCorrupt != 3 || report.ObjectsUnverified != 1 || report.Repaired != 0 {
+		t.Fatalf("report = %+v, want 3 corrupt shards, 1 unverified object, 0 repaired", report)
 	}
 	// The healthy shards were not overwritten: the object still decodes
 	// from them.

@@ -57,14 +57,19 @@ func (n *hashingNode) Wipe() {
 	clear(n.puts)
 }
 
+// stored lists the shards the node holds that were put through the cluster,
+// with the hash each was put with.
+func (n *hashingNode) stored() map[store.ShardID][sha256.Size]byte {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return maps.Clone(n.puts)
+}
+
 // changed lists the stored shards whose bytes are no longer those put.
 func (n *hashingNode) changed(t *testing.T) []store.ShardID {
 	t.Helper()
-	n.mu.Lock()
-	puts := maps.Clone(n.puts)
-	n.mu.Unlock()
 	var changed []store.ShardID
-	for id, sum := range puts {
+	for id, sum := range n.stored() {
 		data, err := n.MemNode.Get(t.Context(), id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

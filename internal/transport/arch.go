@@ -247,6 +247,10 @@ func decodeArchVersions(payload []byte) ([][]byte, core.RetrievalStats, error) {
 type archOp struct {
 	// name is the ShardError.Op of the operation's failures, on both ends.
 	name string
+	// once marks an operation that changes the archive: a client sends it
+	// at most once (replayable), so a reply lost on its way back cannot
+	// have the gateway apply it twice.
+	once bool
 	// serve answers one request for the named archive with the response
 	// body, and the release of any memory the body is lent from, which the
 	// server calls once the reply is written or has failed to write. An
@@ -267,6 +271,7 @@ func (e archReject) Error() string { return string(e) }
 var archOps = [...]archOp{
 	opArchCreate - opArchCreate: {
 		name: "arch-create",
+		once: true,
 		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			var spec ArchiveSpec
 			if err := json.Unmarshal(req.payload, &spec); err != nil {
@@ -277,6 +282,7 @@ var archOps = [...]archOp{
 	},
 	opArchCommit - opArchCreate: {
 		name: "arch-commit",
+		once: true,
 		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			expect, object, err := decodeArchCommit(req.payload)
 			if err != nil {
@@ -326,22 +332,34 @@ var archOps = [...]archOp{
 	},
 	opArchCompact - opArchCreate: {
 		name: "arch-compact",
+		once: true,
 		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			return jsonBody(s.archive.Compact(ctx, name, req.id.Row))
 		},
 	},
 	opArchScrub - opArchCreate: {
 		name: "arch-scrub",
+		once: true,
 		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			return jsonBody(s.archive.Scrub(ctx, name, req.id.Row != 0))
 		},
 	},
 	opArchRepair - opArchCreate: {
 		name: "arch-repair",
+		once: true,
 		serve: func(ctx context.Context, s *Server, name string, req request) (parts, func(), error) {
 			return jsonBody(s.archive.Repair(ctx, name, req.id.Row))
 		},
 	},
+}
+
+// replayable reports whether a request of op may be sent again when its
+// reply did not arrive: every node op (get, put and delete batches, pings,
+// stats) and every archive op that only reads - not create, commit,
+// compact, scrub or repair (archOp.once), which the gateway may have applied
+// already.
+func replayable(op byte) bool {
+	return op < opArchCreate || op > opArchRepair || !archOps[op-opArchCreate].once
 }
 
 // jsonBody marshals a backend's structured result, passing its error on.
@@ -395,6 +413,12 @@ func (s *Server) handleArchive(ctx context.Context, req request) (status byte, p
 // backend interface runs identically against an embedded gateway and a
 // remote one. Responses larger than one frame arrive as statusPartial
 // continuations and are reassembled transparently.
+//
+// The reads (Retrieve, RetrieveAll, Log, Info) are sent again when a
+// connection fails before their reply arrives. Create, Commit, Compact,
+// Scrub and Repair are sent at most once: when the exchange fails after
+// the request left, the error wraps store.ErrNodeDown and the gateway may
+// or may not have applied it; Log or Info tells which.
 type ArchiveClient struct {
 	n *RemoteNode
 }

@@ -451,10 +451,14 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 // configured retry policy (WithRetryPolicy; default one attempt). Every
 // attempt additionally re-dials once for free when a kept-alive connection
 // turns out to be stale (the server restarted since the last operation).
-// Retrying is safe: get and put batches, pings and stats are idempotent,
-// and a delete batch whose earlier attempt was applied but whose response
-// was lost reports ErrNotFound on the retry, which callers already treat as
-// "gone" - at-least-once semantics. Errors the server answered with are
+// Retrying is safe for a replayable op: get and put batches, pings, stats
+// and the archive reads are idempotent, and a delete batch whose earlier
+// attempt was applied but whose response was lost reports ErrNotFound on
+// the retry, which callers already treat as "gone" - at-least-once
+// semantics. An archive op that changes state (create, commit, compact,
+// scrub, repair) is sent at most once: no re-dial, no retry, so an exchange
+// that fails after the request left may or may not have been applied, and
+// the caller learns ErrNodeDown. Errors the server answered with are
 // returned without retry; only failures to complete the exchange are
 // re-attempted.
 //
@@ -485,13 +489,14 @@ func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id sto
 		return response{}, n.opErr(ctx, name, id, ctx.Err())
 	}
 	defer func() { <-n.sem }()
+	replay := replayable(op)
 	maxAttempts := n.retry.MaxAttempts
-	if maxAttempts < 1 {
+	if maxAttempts < 1 || !replay {
 		maxAttempts = 1
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := n.tryExchange(ctx, body, pool)
+		resp, err := n.tryExchange(ctx, body, pool, replay)
 		if err == nil {
 			if err := errorFor(resp.status, resp.payload, n.id, name, id); err != nil {
 				resp.frame.release()
@@ -510,18 +515,18 @@ func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id sto
 	return response{}, n.opErr(ctx, name, id, lastErr)
 }
 
-// tryExchange performs one pooled request/response exchange, including the
-// free stale-connection re-dial when a reused pooled connection fails. The
-// returned error is a raw transport cause (not yet attributed to the
-// node); a nil error means the server answered.
-func (n *RemoteNode) tryExchange(ctx context.Context, body parts, pool int) (response, error) {
+// tryExchange performs one pooled request/response exchange, including -
+// when redial allows it - the free stale-connection re-dial when a reused
+// pooled connection fails. The returned error is a raw transport cause (not
+// yet attributed to the node); a nil error means the server answered.
+func (n *RemoteNode) tryExchange(ctx context.Context, body parts, pool int, redial bool) (response, error) {
 	deadline := earliestDeadline(ctx, n.timeout)
 	cn, reused, gen, err := n.takeConn(deadline)
 	if err != nil {
 		return response{}, err
 	}
 	resp, clean, err := n.exchangeCtx(ctx, cn, body, deadline, pool)
-	if err != nil && reused && ctxCause(ctx) == nil && !n.isClosed() {
+	if err != nil && redial && reused && ctxCause(ctx) == nil && !n.isClosed() {
 		n.retireConn(cn)
 		if cn, err = n.dialConn(deadline); err == nil {
 			resp, clean, err = n.exchangeCtx(ctx, cn, body, deadline, pool)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,5 +195,75 @@ func TestConnChaosWithRetries(t *testing.T) {
 		if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
 			t.Fatalf("Get %d under conn chaos = %v, %v", i, got, err)
 		}
+	}
+}
+
+// replyDropper closes a served connection instead of writing the next reply
+// once armed: the request was applied, and its answer is lost on the way
+// back.
+type replyDropper struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c *replyDropper) Write(p []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		_ = c.Conn.Close()
+		return 0, errors.New("reply dropped by test")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestStateChangingArchiveOpsAreSentAtMostOnce: a commit whose reply is lost
+// on a pooled connection is neither re-dialled nor retried - the gateway
+// applies it once and the client learns ErrNodeDown - while a retrieve
+// under the same loss is sent again and succeeds.
+func TestStateChangingArchiveOpsAreSentAtMostOnce(t *testing.T) {
+	stub := &stubArchiveBackend{}
+	var armed atomic.Bool
+	srv := NewServer(nil, WithArchiveBackend(stub), WithConnWrapper(func(c net.Conn) net.Conn {
+		return &replyDropper{Conn: c, armed: &armed}
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	client := NewArchiveClient("gw", addr.String(), WithTimeout(2*time.Second),
+		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+	t.Cleanup(func() { _ = client.Close() })
+	calls := func(op string) int {
+		stub.mu.Lock()
+		defer stub.mu.Unlock()
+		count := 0
+		for _, call := range stub.calls {
+			if strings.HasPrefix(call, op+" ") {
+				count++
+			}
+		}
+		return count
+	}
+	ctx := t.Context()
+
+	if _, err := client.Info(ctx, "a"); err != nil { // pools a connection
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	if _, err := client.Commit(ctx, "a", 0, []byte("once")); !errors.Is(err, store.ErrNodeDown) {
+		t.Errorf("commit whose reply was lost: err = %v, want ErrNodeDown", err)
+	}
+	if got := calls("commit"); got != 1 {
+		t.Errorf("the gateway applied the commit %d times, want 1", got)
+	}
+
+	if _, err := client.Info(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	if v, err := client.Retrieve(ctx, "a", 1); err != nil || !bytes.Equal(v.Data, []byte("once")) {
+		t.Errorf("retrieve whose first reply was lost: %q, %v; want the committed bytes", v.Data, err)
+	}
+	if got := calls("retrieve"); got != 2 {
+		t.Errorf("the gateway served the retrieve %d times, want 2: it is sent again", got)
 	}
 }

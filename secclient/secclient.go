@@ -97,9 +97,13 @@ func WithPoolSize(size int) Option {
 }
 
 // WithRetryPolicy makes the client retry transport-level failures
-// (connection loss, timeouts) under p. Errors the gateway answered with —
-// busy, conflict, not found — are never retried here; they are the
-// caller's decision.
+// (connection loss, timeouts) of the reads - Retrieve, RetrieveAll, Log,
+// Info - under p. Create, Commit, Compact, Scrub and Repair change the
+// archive, so they are sent at most once, under any policy: one whose
+// connection fails after the request left returns an error wrapping
+// sec.ErrNodeDown, and the gateway may or may not have applied it (Log or
+// Info tells which). Errors the gateway answered with — busy, conflict, not
+// found — are never retried here; they are the caller's decision.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *dialConfig) { c.opts = append(c.opts, transport.WithRetryPolicy(p)) }
 }
