@@ -376,10 +376,9 @@ func cmdInfo(ctx context.Context, out io.Writer, client *secclient.Client, resol
 			e.Version, kind, e.Length, e.ChainDepth, e.PlannedReads)
 	}
 	// Per-node health: the gateway probes each node at Info time, and the
-	// health snapshot carries the accumulated breaker and failure counters
-	// and the read latency estimate, so degraded nodes are visible before a
-	// retrieval trips over them, and slow ones - which reads list last - are
-	// marked.
+	// health snapshot carries the accumulated failure counters and the read
+	// latency estimate, so degraded nodes are visible before a retrieval
+	// trips over them, and slow ones - which reads list last - are marked.
 	health := make([]store.NodeHealth, len(info.Nodes))
 	for i, n := range info.Nodes {
 		health[i] = n.Health
@@ -392,16 +391,10 @@ func cmdInfo(ctx context.Context, out io.Writer, client *secclient.Client, resol
 		if !n.Up {
 			probe = "DOWN"
 		}
-		line := fmt.Sprintf("  node %d (%s): probe %s, breaker %s, ok=%d fail=%d",
-			h.Node, h.ID, probe, h.State, h.Successes, h.Failures)
-		if h.ConsecutiveFailures > 0 {
-			line += fmt.Sprintf(" consecutive=%d", h.ConsecutiveFailures)
-		}
+		line := fmt.Sprintf("  node %d (%s): probe %s, ok=%d fail=%d",
+			h.Node, h.ID, probe, h.Successes, h.Failures)
 		if h.ProbeFailures > 0 {
 			line += fmt.Sprintf(" probe-failures=%d", h.ProbeFailures)
-		}
-		if h.BreakerSkips > 0 {
-			line += fmt.Sprintf(" breaker-skips=%d", h.BreakerSkips)
 		}
 		if h.Latency > 0 {
 			line += fmt.Sprintf(" latency=%v", h.Latency.Round(time.Microsecond))

@@ -119,7 +119,7 @@ func TestEndToEndCLI(t *testing.T) {
 		t.Errorf("info output: %s", info)
 	}
 	// The health section probes every node; all are live here.
-	if !strings.Contains(info, "probe up") || !strings.Contains(info, "breaker closed") {
+	if !strings.Contains(info, "probe up") || !strings.Contains(info, "fail=0") {
 		t.Errorf("info output lacks node health: %s", info)
 	}
 	if strings.Contains(info, "probe DOWN") {

@@ -5,9 +5,11 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,8 +42,9 @@ func TestMain(m *testing.M) {
 }
 
 // remoteCluster starts one transport server per backing node and returns a
-// cluster of RemoteNode clients plus the servers for RPC accounting.
-func remoteCluster(t *testing.T, backing []store.Node) (*store.Cluster, []*transport.Server) {
+// cluster of RemoteNode clients, with a 5 s operation timeout unless opts say
+// otherwise, plus the servers for RPC accounting.
+func remoteCluster(t *testing.T, backing []store.Node, opts ...transport.ClientOption) (*store.Cluster, []*transport.Server) {
 	t.Helper()
 	nodes := make([]store.Node, len(backing))
 	servers := make([]*transport.Server, len(backing))
@@ -53,7 +56,7 @@ func remoteCluster(t *testing.T, backing []store.Node) (*store.Cluster, []*trans
 		}
 		t.Cleanup(func() { _ = srv.Close() })
 		client := transport.NewRemoteNode(fmt.Sprintf("remote-%d", i), addr.String(),
-			transport.WithTimeout(5*time.Second))
+			append([]transport.ClientOption{transport.WithTimeout(5 * time.Second)}, opts...)...)
 		t.Cleanup(func() { _ = client.Close() })
 		nodes[i] = client
 		servers[i] = srv
@@ -343,6 +346,99 @@ func TestRemoteSlowNodeReadLast(t *testing.T) {
 	time.Sleep(time.Second) // the re-sample interval
 	read("re-sampling", 1)
 	read("read last again", 0)
+}
+
+// hangingNode is a MemNode that, once hung, parks every get batch and ping
+// until released (or until its server cancels them): a node that accepts
+// connections but does not answer.
+type hangingNode struct {
+	*store.MemNode
+	hung    atomic.Bool
+	release chan struct{}
+}
+
+func (n *hangingNode) park(ctx context.Context) {
+	if n.hung.Load() {
+		select {
+		case <-n.release:
+		case <-ctx.Done():
+		}
+	}
+}
+
+func (n *hangingNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	n.park(ctx)
+	return n.MemNode.GetBatch(ctx, ids)
+}
+
+func (n *hangingNode) Available(ctx context.Context) bool {
+	n.park(ctx)
+	return n.MemNode.Available(ctx)
+}
+
+// TestRemoteSilentNodeAskedOncePerSecond follows one node of a (6,3) TCP
+// cluster that turns silent: it accepts connections but answers no get batch
+// and no ping. The read that meets it sends it one get batch, waits out one
+// operation timeout, and pings nothing; every read after it in that second
+// sends it nothing and waits for nothing; after a second exactly one read
+// pings it, and once it answers again that ping re-admits it. Every read is
+// the committed bytes.
+func TestRemoteSilentNodeAskedOncePerSecond(t *testing.T) {
+	const n, k, blockSize, L, silent = 6, 3, 16, 3, 0
+	const opTimeout, pingTimeout = 500 * time.Millisecond, 200 * time.Millisecond
+	backing := make([]store.Node, n)
+	for i := range backing {
+		backing[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+	}
+	hanging := &hangingNode{MemNode: store.NewMemNode("hanging"), release: make(chan struct{})}
+	backing[silent] = hanging
+	cluster, servers := remoteCluster(t, backing, transport.WithTimeout(opTimeout), transport.WithPingTimeout(pingTimeout))
+	a, err := core.New(core.Config{
+		Name: "silent", Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: blockSize,
+	}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{5}, a.Capacity())
+	for v := 0; v < L; v++ {
+		if v > 0 {
+			object = editBlocks(object, blockSize, v%k)
+		}
+		mustCommit(t, a, object)
+	}
+	// read retrieves the tip and checks its bytes, how long it took, and the
+	// pings and get-batches the silent node's server saw.
+	read := func(what string, within time.Duration, wantPings, wantBatches uint64) {
+		t.Helper()
+		before := servers[silent].RequestStats()
+		start := time.Now()
+		got, _ := mustRetrieve(t, a, L)
+		elapsed := time.Since(start)
+		after := servers[silent].RequestStats()
+		if !bytes.Equal(got, object) {
+			t.Errorf("%s: content mismatch", what)
+		}
+		if elapsed > within {
+			t.Errorf("%s: took %v, want at most %v", what, elapsed, within)
+		}
+		if pings, batches := after.Pings-before.Pings, after.GetBatches-before.GetBatches; pings != wantPings || batches != wantBatches {
+			t.Errorf("%s: the silent node saw %d pings and %d get-batches, want %d and %d", what, pings, batches, wantPings, wantBatches)
+		}
+	}
+	const fast = 50 * time.Millisecond
+	read("healthy", opTimeout, 0, 1)
+	hanging.hung.Store(true)
+	read("meeting the silent node", opTimeout*3/2, 0, 1)
+	read("silent", fast, 0, 0)
+	read("still silent", fast, 0, 0)
+	time.Sleep(time.Second) // the re-ask interval
+	read("re-ask", opTimeout, 1, 0)
+	read("silent again", fast, 0, 0)
+	hanging.hung.Store(false)
+	close(hanging.release)
+	time.Sleep(time.Second)
+	read("re-admitting", opTimeout, 1, 1)
+	read("heard again", opTimeout, 0, 1)
 }
 
 // TestMixedClusterBatchedArchive runs a full commit/retrieve/damage/scrub

@@ -8,16 +8,16 @@ import (
 
 // RetryDefault enforces the accounting-preserving default-off contract
 // from PR 6: the paper's formula (3)/(4) experiments count every read, so
-// retries and breakers only ever turn on at an explicit caller opt-in —
+// retries only ever turn on at an explicit caller opt-in —
 // never silently inside library or example code.
 var RetryDefault = &Analyzer{
 	Name: "retrydefault",
-	Doc: `keep retries and breakers off by default
+	Doc: `keep retries off by default
 
 Library packages and examples must not construct an enabled
-RetryPolicy (MaxAttempts > 1) or an enabled HealthConfig (TripAfter > 0),
-and must not reference DefaultRetryPolicy from function bodies: any of these silently changes the read/probe
-accounting the paper experiments pin down. Enabling resilience is a
+RetryPolicy (MaxAttempts > 1), and must not reference DefaultRetryPolicy
+from function bodies: either silently changes the read accounting the
+paper experiments pin down. Enabling resilience is a
 deployment decision made by the caller (CLI flags, server config), so
 command main packages outside examples/ and _test.go files are exempt.
 Package-level re-exports of DefaultRetryPolicy remain allowed: they are
@@ -99,8 +99,7 @@ func isDefaultRetryPolicy(pass *Pass, id *ast.Ident) bool {
 	return isVar
 }
 
-// checkResilienceLiteral flags composite literals that enable retries or
-// breakers.
+// checkResilienceLiteral flags composite literals that enable retries.
 func checkResilienceLiteral(pass *Pass, lit *ast.CompositeLit) {
 	tv, ok := pass.Pkg.Info.Types[lit]
 	if !ok || tv.Type == nil {
@@ -120,17 +119,9 @@ func checkResilienceLiteral(pass *Pass, lit *ast.CompositeLit) {
 		if !ok {
 			continue
 		}
-		switch {
-		case typeName == "RetryPolicy" && key.Name == "MaxAttempts":
-			if !constAtMost(pass, kv.Value, 1) {
-				pass.Reportf(kv.Pos(),
-					"RetryPolicy with MaxAttempts > 1 in library/example code enables retries silently; the default-off contract keeps the paper's read accounting exact")
-			}
-		case typeName == "HealthConfig" && key.Name == "TripAfter":
-			if !constAtMost(pass, kv.Value, 0) {
-				pass.Reportf(kv.Pos(),
-					"HealthConfig with TripAfter > 0 in library/example code enables the circuit breaker silently; breakers are a caller opt-in")
-			}
+		if typeName == "RetryPolicy" && key.Name == "MaxAttempts" && !constAtMost(pass, kv.Value, 1) {
+			pass.Reportf(kv.Pos(),
+				"RetryPolicy with MaxAttempts > 1 in library/example code enables retries silently; the default-off contract keeps the paper's read accounting exact")
 		}
 	}
 }

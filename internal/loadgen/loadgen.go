@@ -87,7 +87,7 @@ const (
 	chaosWindowLen = 50
 	chaosWindows   = 24
 	// verifyAttempts bounds the final sweep's per-op retries that absorb a
-	// breaker still cooling down after the windows.
+	// node still remembered silent, for up to a second, after the windows.
 	verifyAttempts = 8
 	// setupClient and sweepClient are the client ids of the setup phase's
 	// seeding commits and of the final sweep's reads and scrubs in the
@@ -323,10 +323,6 @@ func startFixture(p Profile) (*fixture, error) {
 	cluster := store.NewCluster(members)
 	//lint:allow retrydefault the production resilience stack is deliberately on: the load numbers must describe the configuration operators run
 	cluster.SetRetryPolicy(store.DefaultRetryPolicy)
-	if p.Chaos {
-		//lint:allow retrydefault chaos runs enable the breaker too, as operators of a faulty fleet would
-		cluster.SetHealthConfig(store.HealthConfig{TripAfter: 5, Cooldown: 2 * time.Second})
-	}
 	gw, err := gateway.New(gateway.Config{Cluster: cluster})
 	if err != nil {
 		fx.close()
@@ -636,7 +632,7 @@ func Run(ctx context.Context, p Profile) (Report, error) {
 
 	// Final sweep, after the windows: every acknowledged version is read
 	// back through a fresh client, then every archive is scrubbed; bounded
-	// retries absorb a breaker still cooling down. Whether the bytes are
+	// retries absorb a node still remembered silent. Whether the bytes are
 	// right and the archive is whole is the history's to judge.
 	fx.endChaos()
 	sweep := make([][]event, p.Archives)

@@ -84,11 +84,12 @@ func (c *Cluster) groupByNode(refs []ShardRef) []*nodeBatch {
 }
 
 // observeBatch feeds one node batch's outcome to the health tracker as a
-// single observation: any authoritative response (success, ErrNotFound,
-// ErrCorrupt) counts as node-healthy, and a get batch's latency - zero for
-// the others - as a sample of the node's estimate; a batch that produced
-// only transient failures counts as one failure, not one per shard, so a
-// single dead batch cannot trip a breaker on its own.
+// single observation, with latency how long a get batch took (zero for the
+// others): any authoritative response (success, ErrNotFound, ErrCorrupt)
+// counts as node-healthy and its latency as a sample of the node's estimate;
+// a batch that produced only transient failures counts as one failure, not
+// one per shard, which makes the node silent when it took as long as a slow
+// node's batch.
 func (c *Cluster) observeBatch(node int, n int, latency time.Duration, errAt func(int) error) {
 	var transient error
 	for i := 0; i < n; i++ {
@@ -102,7 +103,7 @@ func (c *Cluster) observeBatch(node int, n int, latency time.Duration, errAt fun
 		}
 	}
 	if transient != nil {
-		c.health.observe(node, transient, 0)
+		c.health.observe(node, transient, latency)
 	}
 }
 

@@ -27,8 +27,8 @@ type Cluster struct {
 	nodes   []Node
 	factory NodeFactory
 
-	// health tracks per-node failure history and drives the optional
-	// circuit breaker (see SetHealthConfig).
+	// health tracks per-node failure history and latency, which Probe
+	// answers from (see Probe).
 	health *healthTracker
 
 	// retry is the per-operation retry policy (see SetRetryPolicy). The
@@ -276,26 +276,21 @@ func (c *Cluster) Get(ctx context.Context, node int, id ShardID) ([]byte, error)
 // Available pings the node with the given index and reports whether it is
 // up right now; it never answers from memory, so it is what an operator's
 // "is it up" and a repair's target check ask. Out-of-range indices report
-// false. When the circuit breaker is enabled (see SetHealthConfig) and the
-// node's breaker is open, the probe is answered "down" locally without
-// pinging the node until the cooldown elapses.
+// false. The answer, and how long a failed ping took, are observed like a
+// batch's (see Probe).
 func (c *Cluster) Available(ctx context.Context, node int) bool {
 	n, err := c.Node(node)
 	if err != nil {
 		return false
 	}
-	if !c.health.gateProbe(node) {
-		return false
-	}
+	start := c.health.now()
 	up := n.Available(ctx)
 	if !up && ctx.Err() != nil {
 		// An expired context reads as unavailable but says nothing about
-		// the node; don't let it trip the breaker. The gate's half-open
-		// claim is released so a later probe can go through.
-		c.health.releaseProbe(node)
+		// the node.
 		return false
 	}
-	c.health.observeProbe(node, up)
+	c.health.observeProbe(node, up, c.health.now().Sub(start))
 	return up
 }
 
@@ -315,13 +310,17 @@ type Liveness struct {
 // was an authoritative answer (success, not-found, corrupt) is reported up
 // with no RPC. Only the nodes there is reason to doubt are pinged, all at
 // once, each distinct node once: never observed, last observed failing
-// transiently, breaker open or half-open, or touched by Fail/Heal/HealAll. A
-// healthy read therefore pays no ping round at all; a node that died since
-// it was last heard from costs the read that finds out one failed batch -
-// that failure doubts it - and every later Probe one ping, until it answers
-// again. Breaker gating and observation stay per node, inside Available.
-// Slowness is remembered the same way, from the latency of the get batches
-// each node answered (NodeHealth.Latency); a slow node is still up.
+// transiently, or touched by Fail/Heal/HealAll. A healthy read therefore pays
+// no ping round at all; a node that died since it was last heard from costs
+// the read that finds out one failed batch - that failure doubts it - and
+// every later Probe one ping, until it answers again. A node whose last
+// failure - a get batch or a ping - took as long as a slow node's batch is
+// silent: it accepts connections but does not answer, so a ping would only
+// wait out its timeout. Probe reports it down from memory, and once every
+// second hands it to one caller to ping again; every other Probe meanwhile
+// still reports it down. Slowness is remembered the same way, from the
+// latency of the get batches each node answered (NodeHealth.Latency); a slow
+// node is still up.
 func (c *Cluster) Probe(ctx context.Context, nodes []int) Liveness {
 	up := make(map[int]bool, len(nodes))
 	distinct := make([]int, 0, len(nodes))
@@ -331,7 +330,10 @@ func (c *Cluster) Probe(ctx context.Context, nodes []int) Liveness {
 			distinct = append(distinct, nd)
 		}
 	}
-	ask, slow := c.health.classify(distinct)
+	ask, silent, slow := c.health.classify(distinct)
+	for _, nd := range silent {
+		up[nd] = false
+	}
 	answers := make([]bool, len(ask))
 	var wg sync.WaitGroup
 	for i, nd := range ask {

@@ -12,130 +12,15 @@ import (
 	"time"
 )
 
-func TestBreakerTripHalfOpenReset(t *testing.T) {
-	c := NewMemCluster(2)
-	c.SetHealthConfig(HealthConfig{TripAfter: 3, Cooldown: time.Hour})
-	now := time.Unix(1000, 0)
-	c.health.now = func() time.Time { return now }
-
-	if err := c.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	// Three failed probes trip the breaker.
-	for i := 0; i < 3; i++ {
-		if c.Available(t.Context(), 1) {
-			t.Fatal("failed node reported available")
-		}
-	}
-	h, err := c.NodeHealth(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.State != BreakerOpen || h.ProbeFailures != 3 {
-		t.Fatalf("after trip: state=%v probeFailures=%d, want open/3", h.State, h.ProbeFailures)
-	}
-
-	// While open and cooling down, probes are answered locally: the node
-	// never sees them, and each one counts as a breaker skip.
-	if err := c.Heal(1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if c.Available(t.Context(), 1) {
-			t.Fatal("open breaker let a probe through")
-		}
-	}
-	h, _ = c.NodeHealth(1)
-	if h.BreakerSkips != 4 {
-		t.Fatalf("breaker skips = %d, want 4", h.BreakerSkips)
-	}
-
-	// After the cooldown a single half-open probe goes through; the node
-	// is healed, so the breaker resets to closed.
-	now = now.Add(2 * time.Hour)
-	if !c.Available(t.Context(), 1) {
-		t.Fatal("half-open probe against healed node reported down")
-	}
-	h, _ = c.NodeHealth(1)
-	if h.State != BreakerClosed || h.ConsecutiveFailures != 0 {
-		t.Fatalf("after reset: %+v, want closed/0", h)
-	}
-
-	// The healthy node was never affected.
-	h, _ = c.NodeHealth(0)
-	if h.State != BreakerClosed || h.BreakerSkips != 0 {
-		t.Fatalf("healthy node health = %+v", h)
-	}
-}
-
-func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	c := NewMemCluster(1)
-	c.SetHealthConfig(HealthConfig{TripAfter: 1, Cooldown: time.Hour})
-	now := time.Unix(0, 0)
-	c.health.now = func() time.Time { return now }
-
-	if err := c.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	c.Available(t.Context(), 0) // trips
-	now = now.Add(2 * time.Hour)
-	// Half-open probe fails: breaker re-opens with a fresh cooldown.
-	if c.Available(t.Context(), 0) {
-		t.Fatal("failed node reported available")
-	}
-	h, _ := c.NodeHealth(0)
-	if h.State != BreakerOpen {
-		t.Fatalf("state after failed half-open probe = %v, want open", h.State)
-	}
-	// Still inside the fresh cooldown: skipped locally.
-	now = now.Add(30 * time.Minute)
-	c.Available(t.Context(), 0)
-	h, _ = c.NodeHealth(0)
-	if h.BreakerSkips == 0 {
-		t.Error("probe inside fresh cooldown was not skipped")
-	}
-}
-
-func TestBreakerOpsObserved(t *testing.T) {
-	c := NewMemCluster(1)
-	c.SetHealthConfig(HealthConfig{TripAfter: 2, Cooldown: time.Hour})
-	if err := c.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	id := ShardID{Object: "o", Row: 0}
-	// Failed operations (not just probes) count toward the trip.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Get(t.Context(), 0, id); !errors.Is(err, ErrNodeDown) {
-			t.Fatalf("Get = %v, want ErrNodeDown", err)
-		}
-	}
-	h, _ := c.NodeHealth(0)
-	if h.State != BreakerOpen || h.Failures != 2 {
-		t.Fatalf("after failed ops: %+v, want open/2", h)
-	}
-	// A successful op through the open breaker resets it.
-	if err := c.Heal(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(t.Context(), 0, id, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	h, _ = c.NodeHealth(0)
-	if h.State != BreakerClosed {
-		t.Fatalf("state after successful op = %v, want closed", h.State)
-	}
-}
-
 func TestHealthAuthoritativeAnswersAreHealthy(t *testing.T) {
 	c := NewMemCluster(1)
-	c.SetHealthConfig(HealthConfig{TripAfter: 1})
-	// ErrNotFound is the node answering, not failing: never trips.
+	// ErrNotFound is the node answering, not failing.
 	if _, err := c.Get(t.Context(), 0, ShardID{Object: "absent"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get = %v, want ErrNotFound", err)
 	}
 	h, _ := c.NodeHealth(0)
-	if h.State != BreakerClosed || h.Failures != 0 || h.Successes == 0 {
-		t.Fatalf("health after ErrNotFound = %+v, want closed success", h)
+	if h.Failures != 0 || h.Successes == 0 {
+		t.Fatalf("health after ErrNotFound = %+v, want a success", h)
 	}
 	// Context cancellation is ignored entirely.
 	ctx, cancel := context.WithCancel(t.Context())
@@ -149,7 +34,6 @@ func TestHealthAuthoritativeAnswersAreHealthy(t *testing.T) {
 
 func TestHealthBatchCountsOncePerNode(t *testing.T) {
 	c := NewMemCluster(2)
-	c.SetHealthConfig(HealthConfig{TripAfter: 5})
 	if err := c.Fail(1); err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +45,9 @@ func TestHealthBatchCountsOncePerNode(t *testing.T) {
 	}
 	c.GetBatch(t.Context(), refs)
 	h, _ := c.NodeHealth(1)
-	// Four dead shards in one batch count as one failure, so a single
-	// batch cannot trip a breaker with TripAfter > 1.
-	if h.Failures != 1 || h.State != BreakerClosed {
-		t.Fatalf("batch failure accounting = %+v, want 1 failure, closed", h)
+	// Four dead shards in one batch count as one failure.
+	if h.Failures != 1 {
+		t.Fatalf("batch failure accounting = %+v, want 1 failure", h)
 	}
 }
 
@@ -211,15 +94,36 @@ func TestClusterHealthSnapshotIDs(t *testing.T) {
 	}
 }
 
-// pingedNode is a MemNode that counts the liveness pings it answers.
+// pingedNode is a MemNode that counts the liveness pings it answers. Given
+// a clock - the cluster tracker's, in nanoseconds - each of its pings and get
+// batches takes took on it; during, when set, runs inside each ping.
 type pingedNode struct {
 	*MemNode
-	pings atomic.Int64
+	pings  atomic.Int64
+	clock  *atomic.Int64
+	took   time.Duration
+	during func()
 }
 
 func (n *pingedNode) Available(ctx context.Context) bool {
 	n.pings.Add(1)
+	n.pass()
+	if n.during != nil {
+		n.during()
+	}
 	return n.MemNode.Available(ctx)
+}
+
+func (n *pingedNode) GetBatch(ctx context.Context, ids []ShardID) []ShardResult {
+	n.pass()
+	return n.MemNode.GetBatch(ctx, ids)
+}
+
+// pass moves the clock on by the time a call takes.
+func (n *pingedNode) pass() {
+	if n.clock != nil {
+		n.clock.Add(int64(n.took))
+	}
 }
 
 // pingedCluster is a fixed cluster of ping-counting MemNodes.
@@ -481,27 +385,117 @@ func TestLivenessSlowNodeRule(t *testing.T) {
 	slowSet("every node equally slow")
 }
 
-// TestLivenessProbeBehindOpenBreaker: a tripped node is doubted, and the
-// doubt is answered by the breaker - down, locally - not by a ping.
-func TestLivenessProbeBehindOpenBreaker(t *testing.T) {
-	c := newPingedCluster(2)
-	c.SetHealthConfig(HealthConfig{TripAfter: 1, Cooldown: time.Hour})
-	now := time.Unix(1000, 0)
-	c.health.now = func() time.Time { return now }
+// TestLivenessSilentNodeRule pins the silent-node rule on a clock the test
+// moves: a transient failure - a ping or a get batch - as slow as a slow
+// node's batch makes the node silent, and Probe reports it down from memory
+// but for one ping every slowResample, which restarts the clock; a Probe
+// while that ping is out still reports it down. A fast failure is never
+// remembered; Fail, Heal, HealAll and an answer clear the state; and
+// Available always pings.
+func TestLivenessSilentNodeRule(t *testing.T) {
+	const stall = 500 * time.Millisecond // a timed-out call: far over slowFloor
+	c := newPingedCluster(3)
+	var clock atomic.Int64
+	clock.Store(time.Unix(1000, 0).UnixNano())
+	c.health.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	for _, n := range c.nodes {
+		n.clock = &clock
+	}
+	wait := func(d time.Duration) { clock.Add(int64(d)) }
+	allUp, oneDown := []bool{true, true, true}, []bool{true, false, true}
+	c.probe(t, "never observed", allUp, 1, 1, 1)
+
+	// A fast failure, a ping's or a batch's, is never remembered.
 	if err := c.Fail(1); err != nil {
 		t.Fatal(err)
 	}
-	c.probe(t, "tripping", []bool{true, false}, 1, 1)
-	c.probe(t, "breaker open", []bool{true, false}, 0, 0)
-	if h, _ := c.NodeHealth(1); h.State != BreakerOpen || h.BreakerSkips != 1 {
-		t.Errorf("node 1 health = %+v, want open with one skip", h)
+	c.probe(t, "fast failed ping", oneDown, 0, 1, 0)
+	c.probe(t, "fast failed ping again", oneDown, 0, 1, 0)
+	id := ShardID{Object: "o"}
+	if _, err := c.Get(t.Context(), 1, id); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Get = %v, want ErrNodeDown", err)
 	}
-	// Cooldown over, node healed: the half-open probe goes through and
-	// re-admits it.
+	c.probe(t, "fast failed batch", oneDown, 0, 1, 0)
+
+	// A slow failed ping makes the node silent: no ping until slowResample
+	// after it, then exactly one, which restarts the clock.
+	c.nodes[1].took = stall
+	c.probe(t, "slow failed ping", oneDown, 0, 1, 0)
+	c.probe(t, "silent", oneDown, 0, 0, 0)
+	wait(slowResample - time.Nanosecond)
+	c.probe(t, "just before the re-ask", oneDown, 0, 0, 0)
+	wait(time.Nanosecond)
+	c.probe(t, "re-ask due", oneDown, 0, 1, 0)
+	wait(slowResample - time.Nanosecond)
+	c.probe(t, "the clock restarted", oneDown, 0, 0, 0)
+
+	// A Probe while the re-ask is out reports the node down, and pings
+	// nothing.
+	wait(time.Nanosecond)
+	c.nodes[1].during = func() {
+		c.nodes[1].during = nil
+		if up := c.Probe(t.Context(), []int{0, 1, 2}).Up; up[1] {
+			t.Error("a Probe during the re-ask reported the silent node up")
+		}
+	}
+	c.probe(t, "re-ask with a Probe alongside", oneDown, 0, 1, 0)
+
+	// Available always pings, silent or not.
+	if c.Available(t.Context(), 1) {
+		t.Error("Available(1) = true on a failed node")
+	}
+	c.probe(t, "after Available", oneDown, 0, 1, 0)
+
+	// A slow failed get batch makes the node silent too.
+	c.nodes[1].took = 0
 	if err := c.Heal(1); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Hour)
-	c.probe(t, "half-open", []bool{true, true}, 0, 1)
-	c.probe(t, "closed again", []bool{true, true}, 0, 0)
+	c.probe(t, "healed", allUp, 0, 1, 0)
+	c.nodes[1].took = stall
+	c.nodes[1].SetFailed(true) // behind the cluster's back
+	if _, err := c.Get(t.Context(), 1, id); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Get = %v, want ErrNodeDown", err)
+	}
+	c.probe(t, "slow failed batch", oneDown, 0, 0, 0)
+
+	// Fail, Heal and HealAll each clear it: the next Probe pings.
+	c.nodes[1].took = 0
+	if err := c.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	c.probe(t, "Fail", oneDown, 0, 1, 0)
+	silence := func() {
+		t.Helper()
+		c.nodes[1].took = stall
+		c.probe(t, "silenced", oneDown, 0, 1, 0)
+		c.probe(t, "silent", oneDown, 0, 0, 0)
+		c.nodes[1].took = 0
+	}
+	silence()
+	if err := c.Heal(1); err != nil {
+		t.Fatal(err)
+	}
+	c.probe(t, "Heal", allUp, 0, 1, 0)
+	c.nodes[1].SetFailed(true)
+	c.Available(t.Context(), 1) // doubts it, fast
+	c.pings()
+	silence()
+	c.HealAll()
+	c.probe(t, "HealAll", allUp, 1, 1, 1)
+
+	// So does an answer to Available: the node is heard again.
+	c.nodes[1].SetFailed(true)
+	c.Available(t.Context(), 1)
+	c.pings()
+	silence()
+	c.nodes[1].SetFailed(false)
+	if !c.Available(t.Context(), 1) {
+		t.Error("Available(1) = false on a healthy node")
+	}
+	c.pings()
+	c.probe(t, "answered", allUp, 0, 0, 0)
+	if h, _ := c.NodeHealth(1); h.Latency != 0 {
+		t.Errorf("node 1 latency = %v; failures must take no sample", h.Latency)
+	}
 }

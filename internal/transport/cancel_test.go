@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -98,6 +99,33 @@ func TestContextDeadlineOverridesOperationTimeout(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Errorf("Get took %v, want ~200ms (the context deadline, not the 30s op timeout)", elapsed)
+	}
+}
+
+// TestTimeoutClassifiedAlikeOnPooledAndFreshConnections: a get batch that
+// runs out the operation timeout is the node's transient failure - Retryable,
+// not the context's deadline - whether it went out on a connection kept from
+// an earlier call or on a fresh one, and it reaches the node once.
+func TestTimeoutClassifiedAlikeOnPooledAndFreshConnections(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			client, node := startBlockingServer(t, WithTimeout(200*time.Millisecond))
+			defer close(node.release)
+			id := store.ShardID{Object: "o", Row: 2}
+			if pooled {
+				// A put answers at once and leaves its connection pooled.
+				if err := client.Put(t.Context(), id, []byte{3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := client.Get(t.Context(), id)
+			if !store.Retryable(err) || errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("timed-out Get = %v, want a retryable node failure, not context.DeadlineExceeded", err)
+			}
+			if sent := len(node.entered); sent != 1 {
+				t.Errorf("the get batch reached the node %d times, want 1", sent)
+			}
+		})
 	}
 }
 

@@ -517,8 +517,11 @@ func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id sto
 
 // tryExchange performs one pooled request/response exchange, including -
 // when redial allows it - the free stale-connection re-dial when a reused
-// pooled connection fails. The returned error is a raw transport cause (not
-// yet attributed to the node); a nil error means the server answered.
+// pooled connection fails while the wire deadline still has time left: an
+// exchange that ran out the deadline keeps its own error, so a timeout reads
+// the same on a reused connection as on a fresh one. The returned error is a
+// raw transport cause (not yet attributed to the node); a nil error means the
+// server answered.
 func (n *RemoteNode) tryExchange(ctx context.Context, body parts, pool int, redial bool) (response, error) {
 	deadline := earliestDeadline(ctx, n.timeout)
 	cn, reused, gen, err := n.takeConn(deadline)
@@ -526,7 +529,7 @@ func (n *RemoteNode) tryExchange(ctx context.Context, body parts, pool int, redi
 		return response{}, err
 	}
 	resp, clean, err := n.exchangeCtx(ctx, cn, body, deadline, pool)
-	if err != nil && redial && reused && ctxCause(ctx) == nil && !n.isClosed() {
+	if err != nil && redial && reused && time.Now().Before(deadline) && ctxCause(ctx) == nil && !n.isClosed() {
 		n.retireConn(cn)
 		if cn, err = n.dialConn(deadline); err == nil {
 			resp, clean, err = n.exchangeCtx(ctx, cn, body, deadline, pool)

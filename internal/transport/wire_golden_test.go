@@ -60,7 +60,7 @@ var goldenInfo = ArchiveInfo{
 	Cache:         &core.CacheStats{Hits: 1, Misses: 2, BytesServed: 3, Bytes: 4, Versions: 5, Evictions: 6, Budget: 7},
 	QueuedWriters: 1,
 	Nodes: []ArchiveNodeStatus{{
-		Health: store.NodeHealth{Node: 1, ID: "n1", State: store.BreakerOpen, ConsecutiveFailures: 2, Successes: 3, Failures: 4, ProbeFailures: 5, BreakerSkips: 6, Latency: 7 * time.Millisecond},
+		Health: store.NodeHealth{Node: 1, ID: "n1", Successes: 3, Failures: 4, ProbeFailures: 5, Latency: 7 * time.Millisecond},
 		Up:     true,
 	}},
 }

@@ -228,32 +228,15 @@ func WithNodePoolSize(size int) transport.ClientOption {
 	return transport.WithPoolSize(size)
 }
 
-// Resilience: retries, per-node health, and circuit breaking.
+// Resilience: retries and per-node health.
 type (
 	// RetryPolicy shapes exponential backoff for transient shard-operation
 	// failures. The zero value means a single attempt (no retries).
 	RetryPolicy = store.RetryPolicy
-	// HealthConfig configures the cluster's per-node circuit breakers. The
-	// zero value disables breaking (every node is always tried).
-	HealthConfig = store.HealthConfig
-	// NodeHealth is a snapshot of one node's observed health: breaker
-	// state, success/failure counters, probe failures, breaker skips, and
-	// the read latency estimate by which reads list a slow node last.
+	// NodeHealth is a snapshot of one node's observed health: success,
+	// failure and probe-failure counters, and the read latency estimate by
+	// which reads list a slow node last.
 	NodeHealth = store.NodeHealth
-	// BreakerState is a node circuit breaker's state.
-	BreakerState = store.BreakerState
-)
-
-// Circuit breaker states.
-const (
-	// BreakerClosed means the node is trusted and requests flow normally.
-	BreakerClosed = store.BreakerClosed
-	// BreakerOpen means recent failures tripped the breaker: requests skip
-	// the node until the cooldown elapses.
-	BreakerOpen = store.BreakerOpen
-	// BreakerHalfOpen means the cooldown elapsed and one probe request is
-	// deciding whether the node has recovered.
-	BreakerHalfOpen = store.BreakerHalfOpen
 )
 
 // DefaultRetryPolicy retries transient failures up to 3 attempts with
