@@ -6,6 +6,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -348,9 +349,9 @@ func TestRemoteSlowNodeReadLast(t *testing.T) {
 	read("read last again", 0)
 }
 
-// hangingNode is a MemNode that, once hung, parks every get batch and ping
-// until released (or until its server cancels them): a node that accepts
-// connections but does not answer.
+// hangingNode is a MemNode that, once hung, parks every get batch, put batch
+// and ping until released (or until its server cancels them): a node that
+// accepts connections but does not answer.
 type hangingNode struct {
 	*store.MemNode
 	hung    atomic.Bool
@@ -369,6 +370,11 @@ func (n *hangingNode) park(ctx context.Context) {
 func (n *hangingNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
 	n.park(ctx)
 	return n.MemNode.GetBatch(ctx, ids)
+}
+
+func (n *hangingNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
+	n.park(ctx)
+	return n.MemNode.PutBatch(ctx, ids, data)
 }
 
 func (n *hangingNode) Available(ctx context.Context) bool {
@@ -439,6 +445,70 @@ func TestRemoteSilentNodeAskedOncePerSecond(t *testing.T) {
 	time.Sleep(time.Second)
 	read("re-admitting", opTimeout, 1, 1)
 	read("heard again", opTimeout, 0, 1)
+}
+
+// TestRemoteHungNodeAskedOnceUnderRetries arms the cluster's retry policy,
+// as cmd/secgw serves, on a (6,3) TCP cluster one node of which hangs: the
+// read and the commit that meet it each send it one batch and return after
+// one operation timeout. The failed batch - a get or a put - took as long
+// as a slow node's, so the node is held silent and no further attempt
+// re-issues its shards.
+func TestRemoteHungNodeAskedOnceUnderRetries(t *testing.T) {
+	const n, k, blockSize, L, hung = 6, 3, 16, 3, 0
+	const opTimeout, pingTimeout = 500 * time.Millisecond, 200 * time.Millisecond
+	// meet builds the archive of L versions over a healthy cluster, hangs
+	// the node, runs op and checks how long it took and the batches the hung
+	// node's server saw (get and put batches summed).
+	meet := func(t *testing.T, op func(a *core.Archive, object []byte)) {
+		backing := make([]store.Node, n)
+		for i := range backing {
+			backing[i] = store.NewMemNode(fmt.Sprintf("mem-%d", i))
+		}
+		hanging := &hangingNode{MemNode: store.NewMemNode("hanging"), release: make(chan struct{})}
+		t.Cleanup(func() { close(hanging.release) })
+		backing[hung] = hanging
+		cluster, servers := remoteCluster(t, backing, transport.WithTimeout(opTimeout), transport.WithPingTimeout(pingTimeout))
+		cluster.SetRetryPolicy(store.DefaultRetryPolicy)
+		a, err := core.New(core.Config{
+			Name: "hung", Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: blockSize,
+		}, cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		object := bytes.Repeat([]byte{3}, a.Capacity())
+		for v := 0; v < L; v++ {
+			if v > 0 {
+				object = editBlocks(object, blockSize, v%k)
+			}
+			mustCommit(t, a, object)
+		}
+		hanging.hung.Store(true)
+		before := servers[hung].RequestStats()
+		start := time.Now()
+		op(a, object)
+		elapsed := time.Since(start)
+		after := servers[hung].RequestStats()
+		if elapsed > opTimeout*3/2 {
+			t.Errorf("took %v, want at most %v", elapsed, opTimeout*3/2)
+		}
+		if batches := after.GetBatches + after.PutBatches - before.GetBatches - before.PutBatches; batches != 1 {
+			t.Errorf("the hung node saw %d batches, want 1", batches)
+		}
+	}
+	t.Run("read", func(t *testing.T) {
+		meet(t, func(a *core.Archive, object []byte) {
+			if got, _ := mustRetrieve(t, a, L); !bytes.Equal(got, object) {
+				t.Error("content mismatch")
+			}
+		})
+	})
+	t.Run("commit", func(t *testing.T) {
+		meet(t, func(a *core.Archive, object []byte) {
+			if _, err := a.CommitContext(t.Context(), editBlocks(object, blockSize, 1)); !errors.Is(err, store.ErrNodeDown) {
+				t.Errorf("commit with a row on the hung node: err = %v, want ErrNodeDown", err)
+			}
+		})
+	})
 }
 
 // TestMixedClusterBatchedArchive runs a full commit/retrieve/damage/scrub

@@ -310,10 +310,7 @@ func startFixture(p Profile) (*fixture, error) {
 			return nil, fmt.Errorf("loadgen: node %d listen: %w", i, err)
 		}
 		fx.nodeSrvs = append(fx.nodeSrvs, srv)
-		conn := transport.NewRemoteNode(name, addr.String(),
-			transport.WithTimeout(timeout),
-			//lint:allow retrydefault the harness owns its whole fixture; running with retries on is part of the load profile under test (the soak injects faults they must absorb)
-			transport.WithRetryPolicy(store.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+		conn := transport.NewRemoteNode(name, addr.String(), transport.WithTimeout(timeout))
 		fx.nodeConns = append(fx.nodeConns, conn)
 	}
 	members := make([]store.Node, len(fx.nodeConns))
@@ -321,7 +318,7 @@ func startFixture(p Profile) (*fixture, error) {
 		members[i] = c
 	}
 	cluster := store.NewCluster(members)
-	//lint:allow retrydefault the production resilience stack is deliberately on: the load numbers must describe the configuration operators run
+	//lint:allow retrydefault the soak runs the retry profile cmd/secgw serves, so the load numbers describe the configuration operators run
 	cluster.SetRetryPolicy(store.DefaultRetryPolicy)
 	gw, err := gateway.New(gateway.Config{Cluster: cluster})
 	if err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,14 +63,25 @@ type nodeBatch struct {
 	nodeErr error // non-nil when the node index was out of range
 	idx     []int // positions into the original refs slice
 	ids     []ShardID
+	data    [][]byte // a put batch's payloads, aligned with ids
 }
 
-// groupByNode partitions refs into per-node batches, preserving the
-// original order within each node.
-func (c *Cluster) groupByNode(refs []ShardRef) []*nodeBatch {
+// groupByNode partitions the refs at positions pos (every ref when pos is
+// nil) into per-node batches, preserving the original order within each
+// node; data, when non-nil, holds the payloads aligned with refs.
+func (c *Cluster) groupByNode(refs []ShardRef, data [][]byte, pos []int) []*nodeBatch {
 	order := make([]*nodeBatch, 0, 4)
 	byNode := make(map[int]*nodeBatch, 4)
-	for i, ref := range refs {
+	count := len(refs)
+	if pos != nil {
+		count = len(pos)
+	}
+	for j := 0; j < count; j++ {
+		i := j
+		if pos != nil {
+			i = pos[j]
+		}
+		ref := refs[i]
 		b, ok := byNode[ref.Node]
 		if !ok {
 			n, err := c.Node(ref.Node)
@@ -79,22 +91,29 @@ func (c *Cluster) groupByNode(refs []ShardRef) []*nodeBatch {
 		}
 		b.idx = append(b.idx, i)
 		b.ids = append(b.ids, ref.ID)
+		if data != nil {
+			b.data = append(b.data, data[i])
+		}
 	}
 	return order
 }
 
-// observeBatch feeds one node batch's outcome to the health tracker as a
-// single observation, with latency how long a get batch took (zero for the
-// others): any authoritative response (success, ErrNotFound, ErrCorrupt)
-// counts as node-healthy and its latency as a sample of the node's estimate;
-// a batch that produced only transient failures counts as one failure, not
+// observeBatch feeds one node batch's outcome, which took elapsed, to the
+// health tracker as a single observation: any authoritative response
+// (success, ErrNotFound, ErrCorrupt) counts as node-healthy, and a get
+// batch's elapsed (sample) as a sample of the node's latency estimate; a
+// batch that produced only transient failures counts as one failure, not
 // one per shard, which makes the node silent when it took as long as a slow
 // node's batch.
-func (c *Cluster) observeBatch(node int, n int, latency time.Duration, errAt func(int) error) {
+func (c *Cluster) observeBatch(node int, n int, elapsed time.Duration, sample bool, errAt func(int) error) {
 	var transient error
 	for i := 0; i < n; i++ {
 		failure, observable := transientFailure(errAt(i))
 		if observable && !failure {
+			var latency time.Duration
+			if sample {
+				latency = elapsed
+			}
 			c.health.observe(node, nil, latency)
 			return
 		}
@@ -103,171 +122,138 @@ func (c *Cluster) observeBatch(node int, n int, latency time.Duration, errAt fun
 		}
 	}
 	if transient != nil {
-		c.health.observe(node, transient, latency)
+		c.health.observe(node, transient, elapsed)
 	}
 }
 
-// retryableIdx returns the positions whose error is transient per
-// Retryable, i.e. the shards worth re-issuing.
-func retryableIdx(n int, errAt func(int) error) []int {
-	var idx []int
-	for i := 0; i < n; i++ {
-		if Retryable(errAt(i)) {
-			idx = append(idx, i)
+// batchKind is what sets one kind of cluster batch apart: the span it
+// records, whether its latency samples the node's estimate (get batches
+// only), the node call, and how an outcome carries its error.
+type batchKind[R any] struct {
+	span   string
+	sample bool
+	// call runs b against its node, counting what crossed the wire; its
+	// outcomes are aligned with b.ids.
+	call   func(ctx context.Context, c *Cluster, b *nodeBatch) []R
+	errOf  func(R) error
+	failed func(error) R // the outcome of a shard whose node index is out of range
+}
+
+var (
+	getKind = batchKind[ShardResult]{span: "node-get", sample: true, call: getNodeBatch,
+		errOf: func(r ShardResult) error { return r.Err }, failed: func(err error) ShardResult { return ShardResult{Err: err} }}
+	putKind    = batchKind[error]{span: "node-put", call: putNodeBatch, errOf: errorOf, failed: errorOf}
+	deleteKind = batchKind[error]{span: "node-delete", call: deleteNodeBatch, errOf: errorOf, failed: errorOf}
+)
+
+func errorOf(err error) error { return err }
+
+func getNodeBatch(ctx context.Context, c *Cluster, b *nodeBatch) []ShardResult {
+	results := b.node.GetBatch(ctx, b.ids)
+	for _, res := range results {
+		if res.Err == nil {
+			c.wire.countGet(len(res.Data))
 		}
 	}
-	return idx
+	return results
+}
+
+func putNodeBatch(ctx context.Context, c *Cluster, b *nodeBatch) []error {
+	errs := b.node.PutBatch(ctx, b.ids, b.data)
+	for j, err := range errs {
+		if err == nil {
+			c.wire.countPut(len(b.data[j]))
+		}
+	}
+	return errs
+}
+
+func deleteNodeBatch(ctx context.Context, c *Cluster, b *nodeBatch) []error {
+	errs := b.node.DeleteBatch(ctx, b.ids)
+	for _, err := range errs {
+		if err == nil {
+			c.wire.countDelete()
+		}
+	}
+	return errs
+}
+
+// runBatch is the one body of GetBatch, PutBatch and DeleteBatch. It groups
+// refs (and data, a put's payloads) by node and runs kind's call once per
+// node, concurrently across nodes, each timed, traced and observed
+// (observeBatch). Then, while the cluster's retry policy has attempts left,
+// it re-issues the shards whose failure is Retryable and whose node is not
+// held silent: a node whose batch failed as slowly as a slow node's is not
+// asked again within the operation, so the attempts never wait out a hung
+// node's timeout twice.
+func runBatch[R any](ctx context.Context, c *Cluster, kind batchKind[R], refs []ShardRef, data [][]byte) []R {
+	out := make([]R, len(refs))
+	p := c.retryPolicy()
+	var pos []int // the positions a pass issues; nil is every ref
+	for attempt := 1; ; attempt++ {
+		runNodeBatches(c.groupByNode(refs, data, pos), func(b *nodeBatch) {
+			if b.nodeErr != nil {
+				for _, i := range b.idx {
+					out[i] = kind.failed(b.nodeErr)
+				}
+				return
+			}
+			span := obs.Start(ctx, kind.span)
+			start := c.health.now()
+			for j, r := range kind.call(ctx, c, b) {
+				out[b.idx[j]] = r
+			}
+			elapsed := c.health.now().Sub(start)
+			span.EndBatch(b.index, len(b.ids))
+			c.observeBatch(b.index, len(b.idx), elapsed, kind.sample, func(j int) error { return kind.errOf(out[b.idx[j]]) })
+		})
+		if attempt >= p.attempts() {
+			return out
+		}
+		if pos == nil {
+			pos = make([]int, len(refs))
+			for i := range pos {
+				pos[i] = i
+			}
+		}
+		pos = slices.DeleteFunc(pos, func(i int) bool {
+			return !Retryable(kind.errOf(out[i])) || c.health.isSilent(refs[i].Node)
+		})
+		if len(pos) == 0 || p.Sleep(ctx, attempt) != nil {
+			return out
+		}
+	}
 }
 
 // GetBatch reads the listed shards, grouping them by node and issuing one
 // batch per node; batches to distinct nodes run concurrently. The result
 // slice is aligned with refs. Out-of-range node indices yield per-shard
 // ErrClusterTooSmall results instead of failing the whole batch. Shards
-// that fail transiently are re-issued under the cluster's retry policy.
+// that fail transiently are re-issued under the cluster's retry policy
+// (see runBatch).
 func (c *Cluster) GetBatch(ctx context.Context, refs []ShardRef) []ShardResult {
-	results := c.getBatchOnce(ctx, refs)
-	p := c.retryPolicy()
-	for retry := 1; retry < p.attempts(); retry++ {
-		idx := retryableIdx(len(results), func(i int) error { return results[i].Err })
-		if len(idx) == 0 || p.Sleep(ctx, retry) != nil {
-			break
-		}
-		sub := make([]ShardRef, len(idx))
-		for j, i := range idx {
-			sub[j] = refs[i]
-		}
-		for j, res := range c.getBatchOnce(ctx, sub) {
-			results[idx[j]] = res
-		}
-	}
-	return results
-}
-
-// getBatchOnce performs one pass of GetBatch with no retries.
-func (c *Cluster) getBatchOnce(ctx context.Context, refs []ShardRef) []ShardResult {
-	results := make([]ShardResult, len(refs))
-	runNodeBatches(c.groupByNode(refs), func(b *nodeBatch) {
-		if b.nodeErr != nil {
-			for _, i := range b.idx {
-				results[i] = ShardResult{Err: b.nodeErr}
-			}
-			return
-		}
-		span := obs.Start(ctx, "node-get")
-		start := c.health.now()
-		for j, res := range b.node.GetBatch(ctx, b.ids) {
-			results[b.idx[j]] = res
-			if res.Err == nil {
-				c.wire.countGet(len(res.Data))
-			}
-		}
-		latency := c.health.now().Sub(start)
-		span.EndBatch(b.index, len(b.ids))
-		c.observeBatch(b.index, len(b.idx), latency, func(j int) error { return results[b.idx[j]].Err })
-	})
-	return results
+	return runBatch(ctx, c, getKind, refs, nil)
 }
 
 // PutBatch stores data[i] under refs[i], grouped into one batch per node;
 // batches to distinct nodes run concurrently. It returns one error per
 // shard, aligned with refs. Shards that fail transiently are re-issued
-// under the cluster's retry policy.
+// under the cluster's retry policy (see runBatch).
 func (c *Cluster) PutBatch(ctx context.Context, refs []ShardRef, data [][]byte) []error {
 	if len(data) != len(refs) {
 		panic(fmt.Sprintf("store: PutBatch got %d refs but %d payloads", len(refs), len(data)))
 	}
-	errs := c.putBatchOnce(ctx, refs, data)
-	p := c.retryPolicy()
-	for retry := 1; retry < p.attempts(); retry++ {
-		idx := retryableIdx(len(errs), func(i int) error { return errs[i] })
-		if len(idx) == 0 || p.Sleep(ctx, retry) != nil {
-			break
-		}
-		sub := make([]ShardRef, len(idx))
-		subData := make([][]byte, len(idx))
-		for j, i := range idx {
-			sub[j], subData[j] = refs[i], data[i]
-		}
-		for j, err := range c.putBatchOnce(ctx, sub, subData) {
-			errs[idx[j]] = err
-		}
-	}
-	return errs
-}
-
-// putBatchOnce performs one pass of PutBatch with no retries.
-func (c *Cluster) putBatchOnce(ctx context.Context, refs []ShardRef, data [][]byte) []error {
-	errs := make([]error, len(refs))
-	runNodeBatches(c.groupByNode(refs), func(b *nodeBatch) {
-		if b.nodeErr != nil {
-			for _, i := range b.idx {
-				errs[i] = b.nodeErr
-			}
-			return
-		}
-		payloads := make([][]byte, len(b.idx))
-		for j, i := range b.idx {
-			payloads[j] = data[i]
-		}
-		span := obs.Start(ctx, "node-put")
-		for j, err := range b.node.PutBatch(ctx, b.ids, payloads) {
-			errs[b.idx[j]] = err
-			if err == nil {
-				c.wire.countPut(len(payloads[j]))
-			}
-		}
-		span.EndBatch(b.index, len(b.ids))
-		c.observeBatch(b.index, len(b.idx), 0, func(j int) error { return errs[b.idx[j]] })
-	})
-	return errs
+	return runBatch(ctx, c, putKind, refs, data)
 }
 
 // DeleteBatch removes the listed shards, grouped into one batch per node;
 // batches to distinct nodes run concurrently. It returns one error per
 // shard, aligned with refs (nil for successes, errors wrapping ErrNotFound
 // for shards already absent). Shards that fail transiently are re-issued
-// under the cluster's retry policy; a delete retried past a success
-// reports ErrNotFound, the documented at-least-once contract.
+// under the cluster's retry policy (see runBatch); a delete retried past a
+// success reports ErrNotFound, the documented at-least-once contract.
 func (c *Cluster) DeleteBatch(ctx context.Context, refs []ShardRef) []error {
-	errs := c.deleteBatchOnce(ctx, refs)
-	p := c.retryPolicy()
-	for retry := 1; retry < p.attempts(); retry++ {
-		idx := retryableIdx(len(errs), func(i int) error { return errs[i] })
-		if len(idx) == 0 || p.Sleep(ctx, retry) != nil {
-			break
-		}
-		sub := make([]ShardRef, len(idx))
-		for j, i := range idx {
-			sub[j] = refs[i]
-		}
-		for j, err := range c.deleteBatchOnce(ctx, sub) {
-			errs[idx[j]] = err
-		}
-	}
-	return errs
-}
-
-// deleteBatchOnce performs one pass of DeleteBatch with no retries.
-func (c *Cluster) deleteBatchOnce(ctx context.Context, refs []ShardRef) []error {
-	errs := make([]error, len(refs))
-	runNodeBatches(c.groupByNode(refs), func(b *nodeBatch) {
-		if b.nodeErr != nil {
-			for _, i := range b.idx {
-				errs[i] = b.nodeErr
-			}
-			return
-		}
-		span := obs.Start(ctx, "node-delete")
-		for j, err := range b.node.DeleteBatch(ctx, b.ids) {
-			errs[b.idx[j]] = err
-			if err == nil {
-				c.wire.countDelete()
-			}
-		}
-		span.EndBatch(b.index, len(b.ids))
-		c.observeBatch(b.index, len(b.idx), 0, func(j int) error { return errs[b.idx[j]] })
-	})
-	return errs
+	return runBatch(ctx, c, deleteKind, refs, nil)
 }
 
 // runNodeBatches executes one function per node batch, in parallel when

@@ -119,11 +119,13 @@ func NewGrowableCluster(factory NodeFactory) *Cluster {
 
 // SetRetryPolicy configures how cluster operations retry transient
 // failures: each retryable shard of a batch is re-issued under the policy's
-// attempt budget with jittered exponential backoff.
-// Only transient errors (see Retryable) are retried; ErrNotFound,
-// ErrCorrupt, and context cancellation never are. The default (zero)
-// policy performs exactly one attempt, preserving the paper experiments'
-// exact I/O accounting.
+// attempt budget with jittered exponential backoff, unless its node is held
+// silent (its batch failed as slowly as a slow node's), so no operation
+// waits out a hung node's timeout twice. It is the one retry layer: a
+// RemoteNode does not retry. Only transient errors (see Retryable) are
+// retried; ErrNotFound, ErrCorrupt, and context cancellation never are. The
+// default (zero) policy performs exactly one attempt, preserving the paper
+// experiments' exact I/O accounting.
 func (c *Cluster) SetRetryPolicy(p RetryPolicy) {
 	c.retryMu.Lock()
 	defer c.retryMu.Unlock()

@@ -136,6 +136,18 @@ func (t *healthTracker) recordFailure(h *nodeHealth, elapsed time.Duration) {
 	}
 }
 
+// isSilent reports whether node i is held silent: its last observation was
+// a transient failure as slow as a slow node's batch.
+func (t *healthTracker) isSilent(i int) bool {
+	if t == nil {
+		return false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h, ok := t.nodes[i]
+	return ok && h.silent
+}
+
 // doubt forgets what is remembered about node i's liveness, so the next
 // Probe asks the node itself. Counters are untouched.
 func (t *healthTracker) doubt(i int) {

@@ -407,15 +407,15 @@ func (s *Server) handleArchive(ctx context.Context, req request) (status byte, p
 }
 
 // ArchiveClient speaks the archive-level ops to a remote gateway over the
-// framed transport, reusing the pooled-connection, deadline, and retry
-// machinery of RemoteNode (WithTimeout, WithPoolSize, WithRetryPolicy all
-// apply). It implements ArchiveBackend, so code written against the
+// framed transport, reusing the pooled-connection and deadline machinery
+// of RemoteNode (WithTimeout and WithPoolSize apply). It implements ArchiveBackend, so code written against the
 // backend interface runs identically against an embedded gateway and a
 // remote one. Responses larger than one frame arrive as statusPartial
 // continuations and are reassembled transparently.
 //
-// The reads (Retrieve, RetrieveAll, Log, Info) are sent again when a
-// connection fails before their reply arrives. Create, Commit, Compact,
+// The reads (Retrieve, RetrieveAll, Log, Info) are sent again, once, on a
+// fresh connection when a kept-alive pooled one fails before their reply
+// arrives. Create, Commit, Compact,
 // Scrub and Repair are sent at most once: when the exchange fails after
 // the request left, the error wraps store.ErrNodeDown and the gateway may
 // or may not have applied it; Log or Info tells which.

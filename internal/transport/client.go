@@ -74,7 +74,6 @@ type RemoteNode struct {
 	timeout     time.Duration
 	pingTimeout time.Duration
 	poolSize    int
-	retry       store.RetryPolicy
 
 	sem chan struct{} // caps connections checked out concurrently
 
@@ -128,19 +127,6 @@ func WithPoolSize(size int) ClientOption {
 			n.poolSize = size
 		}
 	}
-}
-
-// WithRetryPolicy sets how transport-level failures — dial errors, broken,
-// stale, or timed-out connections — are retried, with the policy's attempt
-// budget and jittered exponential backoff (see store.RetryPolicy). Errors
-// the server itself answered with (ErrNotFound, ErrCorrupt, ErrNodeDown
-// statuses) are never retried here: the transport worked, and node-level
-// retries belong to the cluster's policy. The default is a single attempt
-// — plus the free stale-connection re-dial every attempt gets when a
-// kept-alive pooled connection turns out to be dead, which preserves the
-// longstanding behavior against server restarts.
-func WithRetryPolicy(p store.RetryPolicy) ClientOption {
-	return func(n *RemoteNode) { n.retry = p }
 }
 
 // NewRemoteNode returns a client node for the server at addr. No connection
@@ -447,25 +433,22 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 }
 
 // roundTrip sends one request frame and reads one response frame over a
-// pooled connection, retrying transport-level failures under the
-// configured retry policy (WithRetryPolicy; default one attempt). Every
-// attempt additionally re-dials once for free when a kept-alive connection
-// turns out to be stale (the server restarted since the last operation).
-// Retrying is safe for a replayable op: get and put batches, pings, stats
-// and the archive reads are idempotent, and a delete batch whose earlier
-// attempt was applied but whose response was lost reports ErrNotFound on
-// the retry, which callers already treat as "gone" - at-least-once
-// semantics. An archive op that changes state (create, commit, compact,
-// scrub, repair) is sent at most once: no re-dial, no retry, so an exchange
-// that fails after the request left may or may not have been applied, and
-// the caller learns ErrNodeDown. Errors the server answered with are
-// returned without retry; only failures to complete the exchange are
-// re-attempted.
+// pooled connection. It makes one exchange, which re-dials once for free
+// when a kept-alive connection turns out to be stale (the server restarted
+// since the last operation) - but only for a replayable op: get and put
+// batches, pings, stats and the archive reads are idempotent, and a delete
+// batch whose first send was applied but whose response was lost reports
+// ErrNotFound on the re-dial, which callers already treat as "gone" -
+// at-least-once semantics. An archive op that changes state (create,
+// commit, compact, scrub, repair) is sent at most once: no re-dial, so an
+// exchange that fails after the request left may or may not have been
+// applied, and the caller learns ErrNodeDown. Nothing here retries: a
+// failed exchange is the node's failure, which the cluster's retry policy
+// (store.Cluster.SetRetryPolicy) decides whether to re-issue.
 //
 // The wire deadline is the earlier of the per-operation timeout and the
-// context's deadline, recomputed per attempt; cancellation interrupts the
-// exchange immediately, stops the retry loop, and the connection is
-// retired instead of re-pooled.
+// context's deadline; cancellation interrupts the exchange immediately, and
+// the connection is retired instead of re-pooled.
 //
 // The payload parts are written from where they lie; the payload returned
 // is a sub-slice of its frame, which only the caller refers to from here on.
@@ -489,30 +472,15 @@ func (n *RemoteNode) roundTrip(ctx context.Context, name string, op byte, id sto
 		return response{}, n.opErr(ctx, name, id, ctx.Err())
 	}
 	defer func() { <-n.sem }()
-	replay := replayable(op)
-	maxAttempts := n.retry.MaxAttempts
-	if maxAttempts < 1 || !replay {
-		maxAttempts = 1
+	resp, err := n.tryExchange(ctx, body, pool, replayable(op))
+	if err != nil {
+		return response{}, n.opErr(ctx, name, id, err)
 	}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		resp, err := n.tryExchange(ctx, body, pool, replay)
-		if err == nil {
-			if err := errorFor(resp.status, resp.payload, n.id, name, id); err != nil {
-				resp.frame.release()
-				return response{}, err
-			}
-			return resp, nil
-		}
-		lastErr = err
-		if attempt >= maxAttempts || ctxCause(ctx) != nil || n.isClosed() {
-			break
-		}
-		if n.retry.Sleep(ctx, attempt) != nil {
-			break
-		}
+	if err := errorFor(resp.status, resp.payload, n.id, name, id); err != nil {
+		resp.frame.release()
+		return response{}, err
 	}
-	return response{}, n.opErr(ctx, name, id, lastErr)
+	return resp, nil
 }
 
 // tryExchange performs one pooled request/response exchange, including -

@@ -306,8 +306,7 @@ func TestOversizedRequestRefusedBeforeTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	client := NewArchiveClient("gw", addr.String(), WithTimeout(5*time.Second), WithPoolSize(1),
-		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 3}))
+	client := NewArchiveClient("gw", addr.String(), WithTimeout(5*time.Second), WithPoolSize(1))
 	t.Cleanup(func() { _ = client.Close() })
 	ctx := t.Context()
 	name := strings.Repeat("n", 200)

@@ -42,6 +42,15 @@ func (c *dyingConn) Read(p []byte) (int, error) {
 	return 0, errors.New("killed by test")
 }
 
+// retryingCluster is a one-node cluster over client that retries under p:
+// the cluster's policy is the one layer that re-issues a node's transient
+// failures, so these tests drive a RemoteNode through it.
+func retryingCluster(client *RemoteNode, p store.RetryPolicy) *store.Cluster {
+	cluster := store.NewCluster([]store.Node{client})
+	cluster.SetRetryPolicy(p)
+	return cluster
+}
+
 func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
 	mem := store.NewMemNode("backing")
 	killer := &killFirstConns{remaining: 3}
@@ -56,7 +65,7 @@ func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
 	// connection dies and the single stale-conn re-dial does not apply.
 	bare := NewRemoteNode("bare", addr.String(), WithTimeout(2*time.Second))
 	id := store.ShardID{Object: "o", Row: 0}
-	if err := bare.Put(t.Context(), id, []byte{1}); !errors.Is(err, store.ErrNodeDown) {
+	if err := store.NewCluster([]store.Node{bare}).Put(t.Context(), 0, id, []byte{1}); !errors.Is(err, store.ErrNodeDown) {
 		t.Fatalf("Put without retry = %v, want ErrNodeDown", err)
 	}
 	_ = bare.Close()
@@ -66,15 +75,15 @@ func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
 	killer.mu.Unlock()
 
 	// With a retry budget covering the dead connections, the same
-	// operation sequence succeeds.
-	client := NewRemoteNode("retrying", addr.String(),
-		WithTimeout(2*time.Second),
-		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: 0.5}))
+	// operation sequence succeeds: each dies fast, so the node is not held
+	// silent and its shard is re-issued.
+	client := NewRemoteNode("retrying", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
-	if err := client.Put(t.Context(), id, []byte{42}); err != nil {
+	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: 0.5})
+	if err := cluster.Put(t.Context(), 0, id, []byte{42}); err != nil {
 		t.Fatalf("Put with retry: %v", err)
 	}
-	got, err := client.Get(t.Context(), id)
+	got, err := cluster.Get(t.Context(), 0, id)
 	if err != nil || !bytes.Equal(got, []byte{42}) {
 		t.Fatalf("Get with retry = %v, %v", got, err)
 	}
@@ -88,15 +97,14 @@ func TestRetryPolicyDoesNotRetryServerAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	client := NewRemoteNode("r", addr.String(),
-		WithTimeout(2*time.Second),
-		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 4}))
+	client := NewRemoteNode("r", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
+	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 4})
 
 	// ErrNotFound is an authoritative server answer: exactly one request
 	// must reach the node, not four.
 	start := time.Now()
-	if _, err := client.Get(t.Context(), store.ShardID{Object: "absent"}); !errors.Is(err, store.ErrNotFound) {
+	if _, err := cluster.Get(t.Context(), 0, store.ShardID{Object: "absent"}); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("Get = %v, want ErrNotFound", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -115,14 +123,13 @@ func TestRetryPolicyStopsOnCancel(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	_ = ln.Close()
-	client := NewRemoteNode("r", addr,
-		WithTimeout(200*time.Millisecond),
-		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond}))
+	client := NewRemoteNode("r", addr, WithTimeout(200*time.Millisecond))
 	t.Cleanup(func() { _ = client.Close() })
+	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = client.Get(ctx, store.ShardID{Object: "o"})
+	_, err = cluster.Get(ctx, 0, store.ShardID{Object: "o"})
 	if err == nil {
 		t.Fatal("Get against dead address succeeded")
 	}
@@ -172,7 +179,7 @@ func TestChaosScheduleDrivesRemoteNode(t *testing.T) {
 }
 
 func TestConnChaosWithRetries(t *testing.T) {
-	// ConnChaos perturbs the wire itself; a client with a retry budget
+	// ConnChaos perturbs the wire itself; a cluster with a retry budget
 	// still completes every operation.
 	mem := store.NewMemNode("backing")
 	srv := NewServer(mem, WithConnWrapper(faults.NewConnChaos(11, time.Millisecond, 0.2).Wrap))
@@ -181,17 +188,16 @@ func TestConnChaosWithRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	client := NewRemoteNode("r", addr.String(),
-		WithTimeout(2*time.Second),
-		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, Jitter: 0.5}))
+	client := NewRemoteNode("r", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
+	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, Jitter: 0.5})
 
 	for i := 0; i < 10; i++ {
 		id := store.ShardID{Object: "o", Row: i}
-		if err := client.Put(t.Context(), id, []byte{byte(i)}); err != nil {
+		if err := cluster.Put(t.Context(), 0, id, []byte{byte(i)}); err != nil {
 			t.Fatalf("Put %d under conn chaos: %v", i, err)
 		}
-		got, err := client.Get(t.Context(), id)
+		got, err := cluster.Get(t.Context(), 0, id)
 		if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
 			t.Fatalf("Get %d under conn chaos = %v, %v", i, got, err)
 		}
@@ -229,8 +235,7 @@ func TestStateChangingArchiveOpsAreSentAtMostOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	client := NewArchiveClient("gw", addr.String(), WithTimeout(2*time.Second),
-		WithRetryPolicy(store.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+	client := NewArchiveClient("gw", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
 	calls := func(op string) int {
 		stub.mu.Lock()

@@ -249,14 +249,6 @@ var DefaultRetryPolicy = store.DefaultRetryPolicy
 // cancellation are not.
 func Retryable(err error) bool { return store.Retryable(err) }
 
-// WithNodeRetryPolicy makes a remote node retry transport-level failures
-// (dial errors, dead connections) under the given policy. Server-answered
-// errors such as a missing shard are returned immediately; retrying those
-// is the cluster's decision, via Cluster.SetRetryPolicy.
-func WithNodeRetryPolicy(p RetryPolicy) transport.ClientOption {
-	return transport.WithRetryPolicy(p)
-}
-
 // WithNodeConnWrapper makes a node server wrap every accepted connection,
 // e.g. with ConnChaos.Wrap to inject wire-level faults in drills.
 func WithNodeConnWrapper(wrap func(net.Conn) net.Conn) transport.ServerOption {

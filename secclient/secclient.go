@@ -6,9 +6,11 @@
 //
 // Remote clients reuse the transport's pooled-connection machinery:
 // connections are pooled and kept alive, per-request contexts map onto
-// wire deadlines (cancellation interrupts in-flight I/O), transport-level
-// failures retry under a configurable policy, and responses larger than
-// one frame stream across bounded continuation frames. Failures carry
+// wire deadlines (cancellation interrupts in-flight I/O), a read whose
+// kept-alive connection turns out stale is sent again once on a fresh one
+// (Create, Commit, Compact, Scrub and Repair are sent at most once), and
+// responses larger than one frame stream across bounded continuation
+// frames. Failures carry
 // the store.ShardError taxonomy: errors.Is(err, sec.ErrBusy) detects a
 // full writer queue, sec.ErrConflict a stale optimistic precondition,
 // sec.ErrShardNotFound an unknown archive or version.
@@ -21,7 +23,6 @@ import (
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/obs"
-	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
 )
 
@@ -63,10 +64,6 @@ type RepairReport = core.RepairReport
 // Manifest is the serializable description of an archive.
 type Manifest = core.Manifest
 
-// RetryPolicy shapes exponential backoff for transport-level failures of
-// a remote client.
-type RetryPolicy = store.RetryPolicy
-
 // ErrNotServed reports that the dialed peer does not serve archive ops
 // (a storage node, or a gateway predating them).
 var ErrNotServed = transport.ErrNotServed
@@ -94,18 +91,6 @@ func WithTimeout(d time.Duration) Option {
 // WithPoolSize caps the client's pooled connections to the gateway.
 func WithPoolSize(size int) Option {
 	return func(c *dialConfig) { c.opts = append(c.opts, transport.WithPoolSize(size)) }
-}
-
-// WithRetryPolicy makes the client retry transport-level failures
-// (connection loss, timeouts) of the reads - Retrieve, RetrieveAll, Log,
-// Info - under p. Create, Commit, Compact, Scrub and Repair change the
-// archive, so they are sent at most once, under any policy: one whose
-// connection fails after the request left returns an error wrapping
-// sec.ErrNodeDown, and the gateway may or may not have applied it (Log or
-// Info tells which). Errors the gateway answered with — busy, conflict, not
-// found — are never retried here; they are the caller's decision.
-func WithRetryPolicy(p RetryPolicy) Option {
-	return func(c *dialConfig) { c.opts = append(c.opts, transport.WithRetryPolicy(p)) }
 }
 
 // WithTrace returns ctx marked with trace id: every operation run under it
