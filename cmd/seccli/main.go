@@ -114,7 +114,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		// Close folds the manifest log back into -manifest: plain JSON again.
+		// Close folds the manifest on the nodes and caches it in -manifest,
+		// plain JSON, with the clean mark that lets the next command skip
+		// the nodes.
 		defer func() { err = errors.Join(err, gw.Close(ctx)) }()
 		client = secclient.Embed(gw)
 	}

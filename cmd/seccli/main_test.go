@@ -483,12 +483,17 @@ func TestCLIUsageListsAllFlagsAndSubcommands(t *testing.T) {
 }
 
 func TestCLITimeoutFlagBoundsOperations(t *testing.T) {
-	// Dead addresses: every operation fails fast once -timeout expires.
+	// Dead addresses: init cannot put the new manifest on n-k+1 nodes, and
+	// every other operation fails fast once -timeout expires.
 	dead := strings.TrimSuffix(strings.Repeat("127.0.0.1:1,", 6), ",")
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "m.json")
 	var out bytes.Buffer
-	if err := run(t.Context(), []string{"-nodes", dead, "-manifest", manifest, "init", "-blocksize", "8"}, &out); err != nil {
+	if err := run(t.Context(), []string{"-nodes", dead, "-manifest", manifest, "init", "-blocksize", "8"}, &out); err == nil {
+		t.Fatal("init against dead nodes: want error")
+	}
+	// A manifest the root does not vouch for sends the open to the nodes.
+	if err := os.WriteFile(manifest, []byte(`{"name": "archive"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	file := filepath.Join(dir, "v.bin")

@@ -14,7 +14,7 @@
 //
 //	-addr         TCP address to listen on (default 127.0.0.1:7080)
 //	-nodes        comma-separated storage node addresses (required)
-//	-root         directory archive manifests persist under (default .)
+//	-root         directory archive manifests are cached under (default .)
 //	-id           gateway identifier used in logs (default secgw)
 //	-timeout      per-RPC timeout against storage nodes (default 5s)
 //	-max-writers  per-archive commit admission bound (default 8)
@@ -24,8 +24,8 @@
 // seccli's -gw flag. The process serves until SIGINT/SIGTERM, then shuts
 // down gracefully: in-flight requests drain (bounded by -drain),
 // connections close as they go idle, and every resident archive's
-// manifest is persisted under -root and replicated to the nodes. A
-// second signal aborts the drain immediately.
+// manifest is folded on the nodes and cached under -root. A second
+// signal aborts the drain immediately.
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 }
 
 // run serves until ctx is cancelled (the signal arrives), then drains
-// in-flight requests and persists every resident archive's manifest. If
+// in-flight requests and folds every resident archive's manifest. If
 // ready is non-nil it receives the bound address once the server is
 // listening.
 func run(ctx context.Context, args []string, ready chan<- string) error {
@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:7080", "TCP address to listen on")
 		nodesFlag  = fs.String("nodes", "", "comma-separated storage node addresses (required)")
-		root       = fs.String("root", ".", "directory archive manifests persist under")
+		root       = fs.String("root", ".", "directory archive manifests are cached under")
 		id         = fs.String("id", "secgw", "gateway identifier used in logs")
 		timeout    = fs.Duration("timeout", 5*time.Second, "per-RPC timeout against storage nodes")
 		maxWriters = fs.Int("max-writers", gateway.DefaultMaxQueuedWriters, "per-archive commit admission bound (active writer plus waiters)")

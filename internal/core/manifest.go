@@ -245,8 +245,8 @@ func recordID(name string, gen uint64) string {
 	return fmt.Sprintf("%s/manifest/%d", name, gen)
 }
 
-// Frame encodes the record once, for the local log and the nodes alike:
-// compact JSON in a store.EncodeFrame frame keyed by recordID.
+// Frame encodes the record once, as the nodes store it: compact JSON in a
+// store.EncodeFrame frame keyed by recordID.
 func (r ManifestRecord) Frame(name string) []byte {
 	payload, _ := json.Marshal(r) // ints, bools and slices of them: cannot fail
 	return store.EncodeFrame(recordID(name, r.Generation), payload)
@@ -308,23 +308,6 @@ func (m *Manifest) Apply(rec ManifestRecord) error {
 	}
 	m.Generation = rec.Generation
 	return nil
-}
-
-// Replay applies a manifest log's framed records in order and returns how
-// many leading bytes hold intact frames: the log ends at the first torn or
-// damaged one. An intact record that cannot follow is Apply's error.
-func (m *Manifest) Replay(log []byte) (valid int, err error) {
-	for valid < len(log) {
-		rec, n, err := decodeRecord(m.Name, log[valid:])
-		if err != nil {
-			return valid, nil
-		}
-		if err := m.Apply(rec); err != nil {
-			return valid, err
-		}
-		valid += n
-	}
-	return valid, nil
 }
 
 // Open reconstructs an archive from its manifest against a cluster holding
@@ -486,23 +469,33 @@ type Publication struct {
 	First, Last      uint64
 }
 
-// ReplicateContext ships a publication to the nodes, best effort: one
-// replicate for the record and, after a fold, one for the snapshot and -
-// once n-k+1 nodes hold it - one DeleteBatch round on every node for the
-// records it replaces; one left on an unreachable node is never replayed.
-func (a *Archive) ReplicateContext(ctx context.Context, p Publication) {
+// ReplicateContext ships a publication to the nodes: one replicate for the
+// record and, after a fold, one for the snapshot and - once n-k+1 nodes hold
+// it - one DeleteBatch round on every node for the records it replaces,
+// best effort (one left on an unreachable node is never replayed). It fails,
+// with replicate's error and before anything further, when the record or
+// the snapshot reached fewer than n-k+1 nodes: the publication is then not
+// durable.
+func (a *Archive) ReplicateContext(ctx context.Context, p Publication) error {
 	if p.Record != nil {
-		_ = a.replicate(ctx, recordID(a.cfg.Name, p.Generation), p.Record) // the record is durable where it was persisted
+		if err := a.replicate(ctx, recordID(a.cfg.Name, p.Generation), p.Record); err != nil {
+			return err
+		}
 	}
-	if p.Snapshot != nil && a.replicate(ctx, manifestID(a.cfg.Name), p.Snapshot) == nil {
+	if p.Snapshot != nil {
+		if err := a.replicate(ctx, manifestID(a.cfg.Name), p.Snapshot); err != nil {
+			return err
+		}
 		a.cluster.DeleteBatch(ctx, onEveryNode(a.cluster, recordIDs(a.cfg.Name, p.First, p.Last)...))
 	}
+	return nil
 }
 
-// SaveToClusterContext replicates a closing snapshot of the manifest onto
-// n-k+1 cluster nodes, making the archive self-contained: a client holding
-// only its name and the node addresses can LoadFromClusterContext. Every
-// publish bumps the generation, so the freshest replica has the largest.
+// SaveToClusterContext replicates a snapshot of the manifest onto n-k+1
+// cluster nodes (a gateway's create puts its first one so), making the
+// archive self-contained: a client holding only its name and the node
+// addresses can LoadFromClusterContext. Every publish bumps the
+// generation, so the freshest replica has the largest.
 func (a *Archive) SaveToClusterContext(ctx context.Context) error {
 	snap, _ := a.Snapshot()
 	return a.replicate(ctx, manifestID(a.cfg.Name), snap)
@@ -511,9 +504,9 @@ func (a *Archive) SaveToClusterContext(ctx context.Context) error {
 // ManifestFromCluster rebuilds the named archive's manifest from what its
 // publishes replicated: one GetBatch round fetches every node's snapshot,
 // the largest generation (snapshot) wins - never the most entries, which a
-// compaction leaves unchanged - and CatchUpFromCluster replays from there,
-// which refuses when more than n-k nodes could not be asked: the holders of
-// a newer snapshot, or of the records after it, may all be among them.
+// compaction leaves unchanged - and catchUp replays from there, which
+// refuses when more than n-k nodes could not be asked: the holders of a
+// newer snapshot, or of the records after it, may all be among them.
 // With no snapshot in hand, the error says why: the context's error when it
 // ended the search, the last node failure when some node could not be asked
 // (it may hold a replica), and store.ErrNotFound only when every node
@@ -541,7 +534,7 @@ func ManifestFromCluster(ctx context.Context, name string, cluster *store.Cluste
 	switch {
 	case best != nil:
 		snapshot = best.Generation
-		err = CatchUpFromCluster(ctx, best, cluster) // before *best is read
+		err = catchUp(ctx, best, cluster) // before *best is read
 		return *best, snapshot, err
 	case ctx.Err() != nil:
 		return m, 0, fmt.Errorf("core: loading manifest for %q: %w", name, ctx.Err())
@@ -552,15 +545,15 @@ func ManifestFromCluster(ctx context.Context, name string, cluster *store.Cluste
 	}
 }
 
-// CatchUpFromCluster advances m through the records the nodes hold beyond
-// its generation. Each round asks every node for the next recordWindow
+// catchUp advances m through the records the nodes hold beyond its
+// generation. Each round asks every node for the next recordWindow
 // generations in one GetBatch and applies them in order, each from any node
 // whose copy is intact, so a node that missed a publish delays nothing. The
 // replay ends at the first generation no node has, or with Apply's error.
 // It fails, with a node error, at a generation no node has while more than
 // n-k nodes could not be asked: every record is on n-k+1 nodes, which may
 // all be among them.
-func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster) error {
+func catchUp(ctx context.Context, m *Manifest, cluster *store.Cluster) error {
 	const recordWindow = 64
 	nodes := cluster.Size()
 	for {
@@ -573,7 +566,7 @@ func CatchUpFromCluster(ctx context.Context, m *Manifest, cluster *store.Cluster
 	}
 }
 
-// applyRecords applies one CatchUpFromCluster round: results holds, for each
+// applyRecords applies one catchUp round: results holds, for each
 // generation in turn, what every node answered. done reports that the replay
 // ended, with err its outcome.
 func applyRecords(ctx context.Context, m *Manifest, results []store.ShardResult, nodes int) (done bool, err error) {

@@ -12,17 +12,35 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// replayChecker is the model of the manifest log: it takes the archive's
+// replay applies framed records in order, each the way catch-up applies
+// what a node answers - decodeRecord, then Apply - and returns how many
+// leading bytes hold intact frames: it ends at the first torn or damaged
+// one. An intact record that cannot follow is Apply's error.
+func replay(m *Manifest, frames []byte) (valid int, err error) {
+	for valid < len(frames) {
+		rec, n, err := decodeRecord(m.Name, frames[valid:])
+		if err != nil {
+			return valid, nil
+		}
+		if err := m.Apply(rec); err != nil {
+			return valid, err
+		}
+		valid += n
+	}
+	return valid, nil
+}
+
+// replayChecker is the model of the manifest records: it takes the archive's
 // record after every operation, the way a gateway publish does, and checks
-// that a snapshot held from some earlier generation plus the log since
+// that a snapshot held from some earlier generation plus the records since
 // marshals byte-identical to the archive's own manifest. However the
 // archive learns which entries an operation changed, this is what keeps it
 // honest: an unmarked rewrite shows as a diverging byte.
 type replayChecker struct {
 	t *testing.T
 	a *Archive
-	// first is the snapshot the log starts from, recent one taken a few
-	// operations ago; the whole log is replayed over both, so the records
+	// first is the snapshot the records start from, recent one taken a few
+	// operations ago; every record is replayed over both, so the records
 	// at or below recent's generation arrive a second time and must be
 	// skipped.
 	first, recent []byte
@@ -55,7 +73,7 @@ func (c *replayChecker) check(op string) {
 			c.t.Fatal(err)
 		}
 		from := m.Generation
-		valid, err := m.Replay(c.log)
+		valid, err := replay(&m, c.log)
 		if err != nil || valid != len(c.log) {
 			c.t.Fatalf("after %s: replay from generation %d stopped at byte %d of %d: %v", op, from, valid, len(c.log), err)
 		}
@@ -134,7 +152,7 @@ func TestManifestReplayEquivalence(t *testing.T) {
 			if err := json.Unmarshal(check.first, &m); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Replay(check.log); err != nil {
+			if _, err := replay(&m, check.log); err != nil {
 				t.Fatal(err)
 			}
 			b, err := Open(m, cluster)
@@ -211,7 +229,7 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 			// the intact frames before it.
 			intact := append(next.Frame("t"), rebase.Frame("t")...)
 			replayed := logBase()
-			valid, err := replayed.Replay(append(bytes.Clone(intact), tc.rec.Frame("t")...))
+			valid, err := replay(&replayed, append(bytes.Clone(intact), tc.rec.Frame("t")...))
 			if valid != len(intact) || !errors.Is(err, tc.want) {
 				t.Errorf("replay stopped at byte %d with %v, want %d and %v", valid, err, len(intact), tc.want)
 			}
@@ -219,8 +237,8 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 	}
 }
 
-// fuzzLogSeeds are the shapes FuzzManifestLog starts from: a clean log, a
-// torn tail, a flipped bit, a forged length, duplicate and descending
+// fuzzLogSeeds are the shapes FuzzManifestLog starts from: clean records,
+// a torn tail, a flipped bit, a forged length, duplicate and descending
 // generations, and an entry list far larger than the chain. The same inputs
 // are committed under testdata/fuzz/FuzzManifestLog, where whatever the
 // fuzzer finds later joins them.
@@ -251,9 +269,10 @@ func fuzzLogSeeds() [][]byte {
 	}
 }
 
-// FuzzManifestLog feeds arbitrary bytes to the manifest log reader over a
-// fixed base manifest. It must never panic; the bytes it accepts must be a
-// prefix of the log that replays to the same manifest on its own; a
+// FuzzManifestLog feeds arbitrary bytes, as a run of record frames, to the
+// decode-and-Apply path that catch-up from the nodes runs, over a fixed base
+// manifest. It must never panic; the bytes it accepts must be a prefix that
+// replays to the same manifest on its own; a
 // rejection must be one of the typed errors; and whatever it builds must
 // still number its versions 1..L and never move the generation backwards.
 func FuzzManifestLog(f *testing.F) {
@@ -262,7 +281,7 @@ func FuzzManifestLog(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, log []byte) {
 		m := logBase()
-		valid, err := m.Replay(log)
+		valid, err := replay(&m, log)
 		if valid < 0 || valid > len(log) {
 			t.Fatalf("replay accepted %d of %d bytes", valid, len(log))
 		}
@@ -278,7 +297,7 @@ func FuzzManifestLog(f *testing.F) {
 			}
 		}
 		again := logBase()
-		if v, err := again.Replay(log[:valid]); err != nil || v != valid {
+		if v, err := replay(&again, log[:valid]); err != nil || v != valid {
 			t.Fatalf("accepted prefix replays to byte %d of %d: %v", v, valid, err)
 		}
 		if got, want := fmt.Sprintf("%+v", again), fmt.Sprintf("%+v", m); got != want {

@@ -18,7 +18,7 @@ import (
 // versions, prefix retrievals, failure injection within the fault
 // tolerance, device wipes followed by repair - and checks every result
 // against a trivial in-memory model (a slice of version contents). After
-// every operation the manifest log is held to the same model: an earlier
+// every operation the manifest records are held to the same model: an earlier
 // snapshot plus the records since must marshal to the manifest itself (see
 // replayChecker). Every scheme/code combination is exercised with several
 // seeds.

@@ -2,7 +2,8 @@
 // the file system it lives on: the shard files of a store.DiskNode and a
 // gateway's manifest root. Production code runs the host's file system (OS);
 // tests run a Recorder, which logs every call that changes the tree and can
-// crash it, dropping whatever was not yet synced (DESIGN.md section 13).
+// crash it, dropping whatever was not yet synced and starting a new boot
+// (DESIGN.md section 13).
 package fsys
 
 import (
@@ -11,10 +12,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // FS is what the durable components ask of a file system: the calls
-// DiskNode and the manifest log make, by the meaning package os gives them.
+// DiskNode and the gateway's manifest root make, by the meaning package os
+// gives them.
 // Errors for a missing file satisfy errors.Is(err, fs.ErrNotExist).
 type FS interface {
 	// OpenFile opens name for writing with os.OpenFile's flags (O_CREATE,
@@ -31,10 +34,13 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	RemoveAll(path string) error
-	Truncate(name string, size int64) error
 	// SyncDir flushes a directory's entries, so that the creates, renames
 	// and removes within it survive a crash.
 	SyncDir(dir string) error
+	// Boot names the machine's current boot. What was not synced survives
+	// as long as the boot does: only a power loss, which starts a new one,
+	// rolls it back. Empty means the boot cannot be told.
+	Boot() string
 }
 
 // File is a file opened for writing.
@@ -90,9 +96,6 @@ func (OS) Remove(name string) error { return os.Remove(name) }
 // RemoveAll is os.RemoveAll.
 func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
-// Truncate is os.Truncate.
-func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
-
 // SyncDir opens the directory and fsyncs it.
 func (OS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -104,6 +107,15 @@ func (OS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// Boot is the kernel's boot id, or empty where the host has none.
+func (OS) Boot() string {
+	id, err := os.ReadFile("/proc/sys/kernel/random/boot_id")
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(id))
 }
 
 // WalkFiles calls visit with the path and name of every file below root,

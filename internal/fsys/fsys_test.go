@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -125,9 +126,6 @@ func TestRecorderLogsAndCrashesAtACall(t *testing.T) {
 		if err := r.SyncDir("/a"); err != nil {
 			return err
 		}
-		if err := r.Truncate("/a/f", 0); err != nil {
-			return err
-		}
 		return r.RemoveAll("/a")
 	}
 	r := NewRecorder()
@@ -138,7 +136,7 @@ func TestRecorderLogsAndCrashesAtACall(t *testing.T) {
 	for _, c := range r.Calls() {
 		ops = append(ops, c.Op)
 	}
-	want := []string{"mkdir", "create", "write", "sync", "rename", "syncdir", "truncate", "removeall"}
+	want := []string{"mkdir", "create", "write", "sync", "rename", "syncdir", "removeall"}
 	if !slices.Equal(ops, want) {
 		t.Fatalf("logged %v, want %v", ops, want)
 	}
@@ -184,7 +182,6 @@ func TestRecorderRefusesWhatTheHostWould(t *testing.T) {
 		"rename no parent":  r.Rename("/d/f", "/x/g"),
 		"remove missing":    r.Remove("/d/missing"),
 		"remove non-empty":  r.Remove("/d"),
-		"truncate missing":  r.Truncate("/d/missing", 0),
 		"syncdir a file":    r.SyncDir("/d/f"),
 		"stat missing":      second(r.Stat("/d/missing")),
 	} {
@@ -206,12 +203,6 @@ func TestRecorderRefusesWhatTheHostWould(t *testing.T) {
 	if fi, err := entries[1].Info(); err != nil || fi.Size() != 1 || fi.Mode() != 0o644 || fi.ModTime().IsZero() {
 		t.Fatalf("Info of /d/f = %+v, %v", fi, err)
 	}
-	if err := r.Truncate("/d/f", 4); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := readString(t, r, "/d/f"); got != "x\x00\x00\x00" {
-		t.Fatalf("truncate up gave %q", got)
-	}
 	r.Crash()
 	for name, err := range map[string]error{
 		"open":      second(r.OpenFile("/d/f", os.O_WRONLY, 0)),
@@ -222,7 +213,6 @@ func TestRecorderRefusesWhatTheHostWould(t *testing.T) {
 		"rename":    r.Rename("/d/f", "/d/g"),
 		"remove":    r.Remove("/d/f"),
 		"removeall": r.RemoveAll("/d"),
-		"truncate":  r.Truncate("/d/f", 0),
 		"syncdir":   r.SyncDir("/"),
 	} {
 		if !errors.Is(err, ErrCrashed) {
@@ -232,6 +222,48 @@ func TestRecorderRefusesWhatTheHostWould(t *testing.T) {
 }
 
 func second[T any](_ T, err error) error { return err }
+
+// TestRecorderBootAndClone: a recorder's boot lasts until a crash starts a
+// new one, and a clone is the machine as it stands - live and durable state
+// alike, in the same boot - which crashes apart from the original. The
+// host's boot id is named on Linux.
+func TestRecorderBootAndClone(t *testing.T) {
+	r := NewRecorder()
+	boot := r.Boot()
+	writeFile(t, r, "/synced", "s", true)
+	if err := r.SyncDir("/"); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, r, "/synced", "s2", false)
+	writeFile(t, r, "/cached", "c", false)
+	c := r.Clone()
+	if c.Boot() != boot {
+		t.Fatalf("clone boot %q, the original's %q", c.Boot(), boot)
+	}
+	if got, _ := readString(t, c, "/cached"); got != "c" {
+		t.Fatalf("clone holds %q at /cached, want the live %q", got, "c")
+	}
+	c.Crash()
+	c.Restart()
+	if c.Boot() == boot {
+		t.Errorf("a crash kept boot %q", boot)
+	}
+	if got, ok := readString(t, c, "/synced"); got != "s" {
+		t.Errorf("crashed clone holds %q (%v) at /synced, want the synced %q", got, ok, "s")
+	}
+	if _, ok := readString(t, c, "/cached"); ok {
+		t.Error("crashed clone kept a name its directory never synced")
+	}
+	if got, _ := readString(t, r, "/synced"); got != "s2" || r.Boot() != boot {
+		t.Errorf("the clone's crash reached the original: /synced %q, boot %q", got, r.Boot())
+	}
+	if _, err := r.ReadFile("/synced/below"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("reading below a file: %v, want ErrNotExist", err)
+	}
+	if boot := (OS{}).Boot(); runtime.GOOS == "linux" && boot == "" {
+		t.Error("no boot id on Linux")
+	}
+}
 
 // TestOSAndRecorderWalkAlike runs one tree on the host and on a recorder:
 // WalkFiles visits the same files in the same order, and a missing root
@@ -263,11 +295,8 @@ func TestOSAndRecorderWalkAlike(t *testing.T) {
 		if err := f.SyncDir(filepath.Join(root, "b")); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Truncate(filepath.Join(root, "a"), 0); err != nil {
-			t.Fatal(err)
-		}
-		if info, err := f.Stat(filepath.Join(root, "a")); err != nil || info.Size() != 0 {
-			t.Fatalf("Stat after truncate: %+v, %v", info, err)
+		if info, err := f.Stat(filepath.Join(root, "a")); err != nil || info.Size() != 1 {
+			t.Fatalf("Stat(a): %+v, %v", info, err)
 		}
 		var walk []string
 		err = WalkFiles(f, root, func(path, name string) error {

@@ -20,8 +20,8 @@ var ErrCrashed = errors.New("fsys: file system crashed")
 
 // Call is one logged call that changes the tree: Op is "create" (a file
 // opened or made new), "write", "sync" (a file's contents flushed),
-// "syncdir", "mkdir", "rename" (Path is the new name), "remove",
-// "removeall" or "truncate".
+// "syncdir", "mkdir", "rename" (Path is the new name), "remove" or
+// "removeall".
 type Call struct {
 	Op, Path string
 }
@@ -29,11 +29,12 @@ type Call struct {
 // Recorder is an in-memory file system for tests that logs every call that
 // changes the tree, in order, and models a page cache: a write is durable
 // once its file is synced, and a create, rename or remove once the
-// directory holding the name is synced. Crash drops everything that is not
-// durable - file contents roll back to their last sync, and directories to
-// their entries at their last SyncDir, which can unlink whole subtrees - and
-// CrashAt arms a crash at a chosen call. The root directory "/" is durable
-// from the start; paths are cleaned and taken as absolute.
+// directory holding the name is synced. Crash is a power loss: it drops
+// everything that is not durable - file contents roll back to their last
+// sync, and directories to their entries at their last SyncDir, which can
+// unlink whole subtrees - and starts a new boot. CrashAt arms a crash at a
+// chosen call. The root directory "/" is durable from the start; paths are
+// cleaned and taken as absolute.
 type Recorder struct {
 	mu      sync.Mutex
 	root    *inode
@@ -41,6 +42,7 @@ type Recorder struct {
 	crashAt int // 1-based index of the call that crashes; 0: none armed
 	crashed bool
 	temps   int
+	boots   int // crashes so far: the boot is the next one
 }
 
 // inode is a file (data, and synced: its contents at its last Sync) or a
@@ -62,6 +64,43 @@ var _ FS = (*Recorder)(nil)
 
 func newDir() *inode {
 	return &inode{dir: true, entries: map[string]*inode{}, durable: map[string]*inode{}}
+}
+
+// Boot names the recorder's boot: a new one after every crash.
+func (r *Recorder) Boot() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return fmt.Sprintf("recorder-boot-%d", r.boots+1)
+}
+
+// Clone returns a recorder holding a copy of this one's tree, live and
+// durable state alike, in the same boot and with an empty log: the machine
+// as it stands, for a test to restart a process on or to crash apart from
+// this one.
+func (r *Recorder) Clone() *Recorder {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &Recorder{root: r.root.clone(map[*inode]*inode{}), crashed: r.crashed, temps: r.temps, boots: r.boots}
+}
+
+// clone copies n and everything below it, live and durable; copies maps
+// each inode to its copy, so one listed live and durable is copied once.
+func (n *inode) clone(copies map[*inode]*inode) *inode {
+	if c := copies[n]; c != nil {
+		return c
+	}
+	c := &inode{dir: n.dir, data: slices.Clone(n.data), synced: slices.Clone(n.synced), modTime: n.modTime}
+	copies[n] = c
+	if n.dir {
+		c.entries, c.durable = map[string]*inode{}, map[string]*inode{}
+		for name, e := range n.entries {
+			c.entries[name] = e.clone(copies)
+		}
+		for name, e := range n.durable {
+			c.durable[name] = e.clone(copies)
+		}
+	}
+	return c
 }
 
 // Calls returns the log so far.
@@ -96,8 +135,8 @@ func (r *Recorder) CrashAt(n int) {
 	r.crashAt = n
 }
 
-// Crash drops everything not yet durable now, and fails every later call
-// with ErrCrashed.
+// Crash drops everything not yet durable now, starts a new boot, and fails
+// every later call with ErrCrashed.
 func (r *Recorder) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -113,6 +152,7 @@ func (r *Recorder) Restart() {
 
 func (r *Recorder) crashLocked() {
 	r.crashed = true
+	r.boots++
 	r.root.rollBack()
 }
 
@@ -384,28 +424,6 @@ func (r *Recorder) RemoveAll(path string) error {
 		return err
 	}
 	delete(parent.entries, base)
-	return nil
-}
-
-// Truncate cuts or zero-extends a file's live contents to size bytes.
-func (r *Recorder) Truncate(name string, size int64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.crashed {
-		return ErrCrashed
-	}
-	n := r.lookup(name)
-	if n == nil || n.dir {
-		return notExist("truncate", name)
-	}
-	if err := r.log("truncate", name); err != nil {
-		return err
-	}
-	if int(size) <= len(n.data) {
-		n.data = n.data[:size]
-	} else {
-		n.data = append(n.data, make([]byte, int(size)-len(n.data))...)
-	}
 	return nil
 }
 

@@ -1,18 +1,17 @@
 package gateway
 
 import (
-	"path/filepath"
 	"testing"
 
 	"github.com/secarchive/sec/internal/fsys"
 	"github.com/secarchive/sec/internal/transport"
 )
 
-// TestPublishFsyncs pins what a publish costs in fsyncs under the root,
-// counted on a recording file system: none, whether it appends one record
-// to the log or folds the log into the snapshot. The manifest log is not
-// durable yet (DESIGN.md section 13); this is the count a change that syncs
-// it moves. A non-folding publish makes one write, the record's append.
+// TestPublishFsyncs pins what the manifest costs in fsyncs under the root,
+// counted on a recording file system: none. A publish, folding or not,
+// makes no call under the root at all - the nodes hold the manifest - and
+// Close caches it there unsynced, trusted only in the boot that wrote it
+// (DESIGN.md section 13).
 func TestPublishFsyncs(t *testing.T) {
 	rec := fsys.NewRecorder()
 	g := newTestGateway(t, Config{Root: "/gw", fs: rec})
@@ -20,35 +19,31 @@ func TestPublishFsyncs(t *testing.T) {
 	if _, err := g.Create(ctx, "a", transport.ArchiveSpec{N: 6, K: 3, BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
-	logFile := filepath.Join("/gw", "a.json.log")
+	st := resident(t, g, "a")
 	object := make([]byte, 3*16)
-	appends, folds := 0, 0
+	plain, folds := 0, 0
 	for v := 1; v <= 40; v++ {
 		object[v%len(object)] ^= byte(v) | 1
-		before := len(rec.Calls())
+		before, folded := len(rec.Calls()), foldedAt(st)
 		if _, err := g.Commit(ctx, "a", -1, object); err != nil {
 			t.Fatalf("commit %d: %v", v, err)
 		}
-		calls := rec.Calls()[before:]
-		if _, err := rec.Stat(logFile); err == nil {
-			appends++
-			writes := 0
-			for _, c := range calls {
-				if c.Op == "write" {
-					writes++
-				}
-			}
-			if writes != 1 {
-				t.Fatalf("commit %d appended a record in %d writes: %v", v, writes, calls)
-			}
+		if calls := rec.Calls()[before:]; len(calls) != 0 {
+			t.Fatalf("commit %d wrote under the root: %v", v, calls)
+		}
+		if foldedAt(st) == folded {
+			plain++
 		} else {
 			folds++
 		}
 	}
-	if appends == 0 || folds == 0 {
-		t.Fatalf("%d appending and %d folding publishes; the count wants both kinds", appends, folds)
+	if plain == 0 || folds == 0 {
+		t.Fatalf("%d non-folding and %d folding publishes; the count wants both kinds", plain, folds)
+	}
+	if err := g.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
 	if got := rec.Syncs(); got != 0 {
-		t.Fatalf("%d publishes made %d fsyncs, want 0", appends+folds, got)
+		t.Fatalf("%d publishes and a Close made %d fsyncs, want 0", plain+folds, got)
 	}
 }

@@ -13,16 +13,14 @@
 // over TCP (transport.NewServer(nil, transport.WithArchiveBackend(gw)),
 // see cmd/secgw) or embedded in-process behind the same interface
 // (secclient.Embed). Manifest durability follows the crash-safe ordering
-// the CLI established: mutate the chain, persist the change under the root
-// as one manifest-log record (and replicate it to the cluster best-effort),
-// and only then reclaim superseded codewords.
+// the CLI established: mutate the chain, publish the change as one manifest
+// record on n-k+1 nodes, and only then reclaim superseded codewords.
 package gateway
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -46,9 +44,11 @@ const DefaultMaxQueuedWriters = 8
 type Config struct {
 	// Cluster is the storage fleet every archive stripes over. Required.
 	Cluster *store.Cluster
-	// Root is the directory archive manifests are persisted under: one
-	// <name>.json per archive, with its <name>.json.log until Close. Empty
-	// means archives are reopened from their cluster-replicated manifests.
+	// Root is the directory archive manifests are cached under: one
+	// <name>.json per archive and beside it <name>.json.clean, the mark
+	// that lets an open in the same boot skip the nodes, both written by
+	// Close. The nodes hold every manifest; empty means archives are always
+	// reopened from them.
 	Root string
 	// ManifestPath overrides the manifest location per archive. It exists
 	// so an embedded gateway can pin an archive to an exact file (the
@@ -96,8 +96,8 @@ type archiveState struct {
 	slot   chan struct{}
 	qmu    sync.Mutex
 	queued int
-	// log is where the archive's metadata persists and how far it has.
-	log manifestLog
+	// meta is where the archive's metadata persists and how far it has.
+	meta manifestState
 }
 
 func newArchiveState(name string) *archiveState {
@@ -237,9 +237,10 @@ func (g *Gateway) manifestPath(name string) string {
 }
 
 // open returns the resident state for name, loading it on first use: from
-// the persisted manifest if present, else from the cluster-replicated
-// manifest (re-persisting it locally, which is how `attach` recovers a
-// lost manifest file). Concurrent opens of the same name share one load.
+// the root's manifest when its clean mark says it is whole, else from the
+// nodes (Close then caches it under the root, which is how `attach`
+// recovers a lost manifest file). Concurrent opens of the same name share
+// one load.
 func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -286,27 +287,26 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 // load performs the actual open-by-name.
 func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, error) {
 	name, cluster := st.name, g.cfg.Cluster
-	st.log.fs, st.log.path = g.cfg.fs, g.manifestPath(name)
-	m, err := st.log.read()
-	from := "manifest " + st.log.path
-	local := err == nil
+	st.meta.fs, st.meta.path = g.cfg.fs, g.manifestPath(name)
+	m, trusted := st.meta.read()
+	from := "manifest " + st.meta.path
+	var err error
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// No local manifest: fall back to the cluster-replicated copy, then
-		// persist it so the next open is local.
+	case m.Name != "" && m.Name != name:
+		err = fmt.Errorf("it names archive %q: %w", m.Name, store.ErrConflict)
+	case !trusted:
 		from = "its cluster manifest"
-		m, st.log.folded, err = core.ManifestFromCluster(ctx, name, cluster)
+		m, st.meta.folded, err = core.ManifestFromCluster(ctx, name, cluster)
 		if errors.Is(err, store.ErrNotFound) {
 			return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
 		}
-	case local && m.Name != name:
-		err = fmt.Errorf("it names archive %q: %w", m.Name, store.ErrConflict)
-	case local && st.log.mustFold:
-		// The log lost its tail. A record reaches the nodes only after the
-		// log holds it, so what they hold beyond was acknowledged: take it,
-		// or fail while too few nodes answer to tell (the damaged log stays
-		// as it is for the next attempt).
-		err = core.CatchUpFromCluster(ctx, &m, cluster)
+		// The nodes may hold writes beyond m that this load did not see: a
+		// writer that crashed may have left, on fewer than n-k+1 nodes now
+		// down, a record one generation past m and the snapshot of a fold
+		// at that same generation. Skipping two generations puts the fold
+		// this load owes strictly above both, where no load reads them.
+		m.Generation += 2
+		st.meta.mustFold = true
 	}
 	var archive *core.Archive
 	if err == nil {
@@ -315,34 +315,32 @@ func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, er
 	if err != nil {
 		return nil, fmt.Errorf("gateway: opening archive %q from %s: %w", name, from, err)
 	}
-	if !local || st.log.mustFold {
-		err = st.log.adopt(archive)
-	}
-	return archive, err
+	return archive, nil
 }
 
 // publish makes a change to the chain durable and then frees what it
-// superseded, in the crash-safe order: persist the change's record (closing:
-// fold the log into the snapshot; a failure is returned as err and nothing
-// further happens), replicate it onto the nodes best effort, and only then
-// reclaim the superseded codewords. It is the archive's only path to a
+// superseded, in the crash-safe order: publish the change's record (and a
+// fold) on n-k+1 nodes (closing: then cache the manifest under the root),
+// and only then reclaim the superseded codewords. A publish that fails
+// returns err and reclaims nothing. It is the archive's only path to a
 // delete. A reclaim cut short is reported apart from err: the chain is
 // safe, and what is left stays queued for the next publish.
 func (g *Gateway) publish(ctx context.Context, st *archiveState, closing bool) (deleted, orphans int, reclaimErr, err error) {
 	persisted := obs.Start(ctx, "persist")
-	pub, err := st.log.persist(st.archive, closing)
+	err = st.meta.publish(ctx, st.archive, closing)
 	persisted.End()
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	st.archive.ReplicateContext(ctx, pub)
 	deleted, orphans, reclaimErr = st.archive.ReclaimSupersededContext(ctx)
 	return deleted, orphans, reclaimErr, nil
 }
 
 // admit opens the named archive and, for a writer, takes its writer slot,
-// counting a full queue as a busy rejection. The caller must call release
-// when done (for a reader it does nothing).
+// counting a full queue as a busy rejection, and folds an archive a failed
+// publish left unpublished before the writer stores anything: while that
+// fold cannot reach n-k+1 nodes, the writer is refused with its error. The
+// caller must call release when done (for a reader it does nothing).
 func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *archiveState, release func(), err error) {
 	st, err = g.open(ctx, name)
 	if err != nil || !writer {
@@ -357,12 +355,21 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 		}
 		return nil, nil, err
 	}
+	if st.meta.pending() {
+		if _, _, _, err := g.publish(ctx, st, false); err != nil {
+			st.release()
+			return nil, nil, err
+		}
+	}
 	return st, st.release, nil
 }
 
-// Create builds a fresh archive under the gateway and persists its
-// manifest. An archive that already exists (resident, on disk, or being
-// created concurrently) is a typed store.ErrConflict rejection.
+// Create builds a fresh archive under the gateway and returns once its
+// manifest is on n-k+1 nodes. An archive that already exists (resident, in
+// the root, on the nodes, or being created concurrently) is a typed
+// store.ErrConflict rejection; the name is free only when every node
+// answers that it holds no snapshot of it, so a create while a node is down
+// fails with that node's error.
 func (g *Gateway) Create(ctx context.Context, name string, spec transport.ArchiveSpec) (transport.ArchiveInfo, error) {
 	ctx = obs.RecordInto(ctx, &g.spans)
 	if err := validName(name); err != nil {
@@ -381,22 +388,36 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 		if _, err := g.cfg.fs.Stat(path); path != "" && err == nil {
 			return nil, fmt.Errorf("gateway: manifest %s already exists: %w", path, store.ErrConflict)
 		}
-		archive, err := core.Open(spec.Manifest(name), g.cfg.Cluster)
-		if err != nil {
-			return nil, err
-		}
 		st := newArchiveState(name)
-		st.log.fs, st.log.path = g.cfg.fs, path
-		if err := st.log.adopt(archive); err != nil {
-			return nil, err
-		}
-		st.archive = archive
-		close(st.ready)
+		st.meta.fs, st.meta.path = g.cfg.fs, path
 		g.archives[name] = st
 		return st, nil
 	}()
 	if err != nil {
 		return transport.ArchiveInfo{}, err
+	}
+	// Concurrent opens of the name wait on ready, as for a load; a failed
+	// create leaves the name free again.
+	st.archive, st.err = core.Open(spec.Manifest(name), g.cfg.Cluster)
+	if st.err == nil { // the root misses an archive whose session died before its Close
+		switch _, _, err := core.ManifestFromCluster(ctx, name, g.cfg.Cluster); {
+		case err == nil:
+			st.err = fmt.Errorf("gateway: archive %q already exists on the nodes: %w", name, store.ErrConflict)
+		case !errors.Is(err, store.ErrNotFound):
+			st.err = fmt.Errorf("gateway: creating archive %q: %w", name, err)
+		}
+	}
+	if st.err == nil {
+		st.err = st.archive.SaveToClusterContext(ctx)
+	}
+	if st.err != nil {
+		g.mu.Lock()
+		delete(g.archives, name)
+		g.mu.Unlock()
+	}
+	close(st.ready)
+	if st.err != nil {
+		return transport.ArchiveInfo{}, st.err
 	}
 	return g.info(ctx, st, false), nil
 }
@@ -614,7 +635,7 @@ func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.Repai
 	if err != nil {
 		return report, err
 	}
-	st.log.refold()
+	st.meta.refold()
 	if _, _, _, err := g.publish(ctx, st, false); err != nil {
 		return report, err
 	}
@@ -623,14 +644,17 @@ func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.Repai
 }
 
 // Close drains the gateway: no new operations are admitted, and every
-// resident archive ends with a publish that folds its manifest log into its
-// JSON manifest, under the root and on the nodes, and then reclaims what is
-// still queued (best effort across archives; the first error is returned
-// after all are attempted, and an archive still loading when ctx ends is
-// skipped with ctx's cause as its error). The caller is
+// resident archive ends with a publish that folds its records into a
+// snapshot on the nodes, then caches that snapshot and its clean mark under
+// the root, and then reclaims what is still queued. An archive whose fold
+// does not reach n-k+1 nodes gets nothing under the root, and one that
+// changed nothing since an open that trusted the root is left as it is.
+// It is best effort across archives: the first error is returned after all
+// are attempted, and an archive still loading when ctx ends is skipped,
+// after every resident one, with ctx's cause as its error. The caller is
 // responsible for draining in-flight requests first (transport's
-// Server.Shutdown does that for served gateways). ctx bounds the
-// cluster-replication writes.
+// Server.Shutdown does that for served gateways). ctx bounds the node
+// writes.
 func (g *Gateway) Close(ctx context.Context) error {
 	g.mu.Lock()
 	if g.closed {
@@ -639,15 +663,20 @@ func (g *Gateway) Close(ctx context.Context) error {
 	}
 	g.closed = true
 	states := make([]*archiveState, 0, len(g.archives))
+	var loading []*archiveState
 	for _, st := range g.archives {
-		states = append(states, st)
+		select {
+		case <-st.ready:
+			states = append(states, st)
+		default:
+			loading = append(loading, st)
+		}
 	}
 	g.mu.Unlock()
 	var firstErr error
-	for _, st := range states {
-		// An already-resident archive is persisted even when ctx is dead
-		// (the local write needs no context); only waiting on an in-flight
-		// load respects the deadline, and giving up on one skips only it.
+	// Resident archives go first: only the wait for a load still running
+	// respects ctx's deadline, and giving up on one skips only it.
+	for _, st := range append(states, loading...) {
 		select {
 		case <-st.ready:
 		default:

@@ -414,7 +414,8 @@ const maxShardLen = 1<<32 - 1
 
 // EncodeFrame renders key and payload in the checksummed frame a DiskNode
 // stores a shard file as (layout above). Frames are self-delimiting, so a
-// file of them reads back frame by frame: core's manifest log is one.
+// run of them reads back frame by frame: core's manifest records are such
+// frames.
 func EncodeFrame(key string, data []byte) []byte {
 	buf := make([]byte, shardHeaderLen, shardHeaderLen+len(key)+len(data))
 	copy(buf[0:4], shardMagic)

@@ -2,6 +2,7 @@ package vcs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -121,7 +122,17 @@ func TestSaveEmptyRepository(t *testing.T) {
 	if reopened.Head() != 0 || len(reopened.Files()) != 0 {
 		t.Errorf("reopened empty repo: head=%d files=%v", reopened.Head(), reopened.Files())
 	}
+	if err := repo.Save(failingWriter{}); !errors.Is(err, errWriteFailed) {
+		t.Errorf("Save to a failing writer: err = %v, want its error", err)
+	}
 }
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
 
 // TestLoadKeepsChainPolicy is the regression test for a reloaded
 // repository forgetting its chain policy: the saved manifest carried the

@@ -7,7 +7,7 @@
 // tracked path is one gateway archive, and the repository owns only the
 // commit log, which maps a revision to a version within each archive.
 // Opening archives, serializing writers, caching decoded versions and
-// ordering persist, replicate, reclaim are the gateway's. Commits supply
+// ordering publish and reclaim are the gateway's. Commits supply
 // the full new contents of changed files (as an SVN working-copy commit
 // does); the archives store deltas per the configured scheme. Files are
 // never removed - like the paper's model, the store is an append-only
@@ -92,18 +92,17 @@ func NewRepository(cfg core.Config, cluster *store.Cluster) (*Repository, error)
 }
 
 // open embeds an in-memory gateway over the cluster and validates the
-// spec by creating a throwaway archive from it ("vcs": files are "vcs-...").
+// spec by building, without touching a node, the archive a file's create
+// would (files are "vcs-...").
 func open(spec core.Spec, cluster *store.Cluster) (*Repository, error) {
+	if _, err := core.Open(spec.Manifest("vcs"), cluster); err != nil {
+		return nil, err
+	}
 	gw, err := gateway.New(gateway.Config{Cluster: cluster})
 	if err != nil {
 		return nil, err
 	}
-	client := secclient.Embed(gw)
-	//lint:allow ctxcheck constructors take no context, and creating an archive on an in-memory gateway builds its codecs without touching a node
-	if _, err := client.Create(context.Background(), "vcs", spec); err != nil {
-		return nil, err
-	}
-	return &Repository{spec: spec, client: client}, nil
+	return &Repository{spec: spec, client: secclient.Embed(gw)}, nil
 }
 
 // archiveName maps a repository path, injectively, into the gateway's

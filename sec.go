@@ -2,12 +2,10 @@ package sec
 
 import (
 	"math/rand"
-	"net"
 	"time"
 
 	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/erasure"
-	"github.com/secarchive/sec/internal/faults"
 	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
@@ -248,92 +246,6 @@ var DefaultRetryPolicy = store.DefaultRetryPolicy
 // and transport failures are; not-found, corruption, and context
 // cancellation are not.
 func Retryable(err error) bool { return store.Retryable(err) }
-
-// WithNodeConnWrapper makes a node server wrap every accepted connection,
-// e.g. with ConnChaos.Wrap to inject wire-level faults in drills.
-func WithNodeConnWrapper(wrap func(net.Conn) net.Conn) transport.ServerOption {
-	return transport.WithConnWrapper(wrap)
-}
-
-// Fault injection: deterministic chaos for tests and drills.
-type (
-	// ChaosNode wraps a StorageNode and injects faults from a seeded
-	// schedule: latency, transient errors, detected corruption, torn
-	// batches, and partitions. The same seed replays the same faults.
-	ChaosNode = faults.ChaosNode
-	// FaultSchedule is a seeded list of fault rules driving a ChaosNode.
-	FaultSchedule = faults.Schedule
-	// FaultRule is one fault: a kind, the operations it applies to, a tick
-	// window, and a firing probability.
-	FaultRule = faults.Rule
-	// FaultKind enumerates the injectable fault kinds.
-	FaultKind = faults.Kind
-	// FaultOps is a bitmask of the operations a rule applies to.
-	FaultOps = faults.OpMask
-	// FaultClock counts operations; ChaosNodes sharing one via UseClock
-	// align their fault windows on a common timeline.
-	FaultClock = faults.Clock
-	// InjectionStats counts the faults a ChaosNode actually injected.
-	InjectionStats = faults.InjectionStats
-	// ConnChaos injects wire-level latency and connection resets; pass its
-	// Wrap to WithNodeConnWrapper.
-	ConnChaos = faults.ConnChaos
-)
-
-// Fault kinds.
-const (
-	// FaultLatency delays matched operations.
-	FaultLatency = faults.FaultLatency
-	// FaultError fails matched operations with a transient error.
-	FaultError = faults.FaultError
-	// FaultCorrupt fails matched reads with detected corruption.
-	FaultCorrupt = faults.FaultCorrupt
-	// FaultTorn cuts matched batches partway, like a mid-batch crash.
-	FaultTorn = faults.FaultTorn
-	// FaultPartition makes the node unreachable while active.
-	FaultPartition = faults.FaultPartition
-)
-
-// Operation masks for fault rules.
-const (
-	// FaultOpGet matches Get and GetBatch.
-	FaultOpGet = faults.OpGet
-	// FaultOpPut matches Put and PutBatch.
-	FaultOpPut = faults.OpPut
-	// FaultOpDelete matches Delete and DeleteBatch.
-	FaultOpDelete = faults.OpDelete
-	// FaultOpPing matches liveness probes.
-	FaultOpPing = faults.OpPing
-	// FaultOpData matches all data operations but not pings.
-	FaultOpData = faults.OpData
-	// FaultOpAll matches every operation.
-	FaultOpAll = faults.OpAll
-)
-
-// ErrFaultInjected is the cause wrapped by every injected fault, so tests
-// can tell injected failures from organic ones.
-var ErrFaultInjected = faults.ErrInjected
-
-// NewChaosNode wraps node with a seeded fault schedule. With no rules it
-// is transparent; SetSchedule swaps schedules at runtime.
-func NewChaosNode(node StorageNode, sched FaultSchedule) *ChaosNode {
-	return faults.NewChaosNode(node, sched)
-}
-
-// NewConnChaos returns a connection fault injector: every read/write
-// stalls up to latency, and each operation resets the connection with
-// probability resetP.
-func NewConnChaos(seed int64, latency time.Duration, resetP float64) *ConnChaos {
-	return faults.NewConnChaos(seed, latency, resetP)
-}
-
-// SoakSchedules derives one fault schedule per node from a master seed,
-// guaranteeing at most maxFaulty nodes are inside a fault window at any
-// instant (the returned shared clock aligns the windows). The description
-// is a replayable record of every schedule.
-func SoakSchedules(seed int64, nodes, maxFaulty int, windowLen uint64, windows int) ([]FaultSchedule, *FaultClock, string) {
-	return faults.SoakSchedules(seed, nodes, maxFaulty, windowLen, windows)
-}
 
 // Version-store layer (the paper's SVN/wiki motivating applications).
 type (
