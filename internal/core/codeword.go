@@ -40,6 +40,7 @@ type codec interface {
 	DecodeFullInto(rows []int, shards, dst [][]byte) error
 	DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error)
 	SparseReadRows(live []int, gamma int) []int
+	Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error)
 }
 
 // codecs are the codes an archive's codewords are written with.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
 )
 
@@ -88,7 +87,7 @@ func (a *Archive) repairObject(ctx context.Context, cw codeword, node int, repor
 		case !rowLost(res.Err):
 			return fmt.Errorf("core: probing %s#%d on node %d: %w", cw.id, rows[i], node, res.Err)
 		}
-		if err := a.rebuildShard(ctx, cw, node, rows[i], report); err != nil {
+		if err := a.rebuildShard(ctx, cw, rows[i], report); err != nil {
 			return err
 		}
 	}
@@ -100,10 +99,10 @@ func (a *Archive) repairObject(ctx context.Context, cw codeword, node int, repor
 // (readAnyK), with the lost row dead from the start: any k of them whose
 // nodes are up, rows that turn out missing, corrupt, of the wrong length or
 // freshly unreachable replaced by the next, so repair of one node survives
-// partial damage elsewhere. The decoded blocks and re-encoded codeword are
-// transient, so both live in pooled buffers; steady-state repair does not
+// partial damage elsewhere. The decoded blocks are lent by the read and the
+// re-encoded codeword is pooled (rewriteRows); steady-state repair does not
 // allocate shard buffers.
-func (a *Archive) rebuildShard(ctx context.Context, cw codeword, node, row int, report *RepairReport) error {
+func (a *Archive) rebuildShard(ctx context.Context, cw codeword, row int, report *RepairReport) error {
 	set := newShardSet()
 	set.dead[row] = true
 	defer set.release()
@@ -114,14 +113,7 @@ func (a *Archive) rebuildShard(ctx context.Context, cw codeword, node, row int, 
 	if err != nil {
 		return fmt.Errorf("core: rebuilding %s#%d: %w", cw.id, row, err)
 	}
-	encoded := erasure.GetBuffers(cw.code.N(), a.cfg.BlockSize)
-	defer encoded.Release()
-	if err := cw.code.EncodeInto(blocks, encoded.Blocks); err != nil {
-		return err
-	}
-	if err := a.cluster.Put(ctx, node, store.ShardID{Object: cw.id, Row: row}, encoded.Blocks[row]); err != nil {
-		return fmt.Errorf("core: writing rebuilt %s#%d to node %d: %w", cw.id, row, node, err)
-	}
-	report.ShardsRepaired++
-	return nil
+	written, err := a.rewriteRows(ctx, cw, blocks, []int{row})
+	report.ShardsRepaired += written
+	return err
 }

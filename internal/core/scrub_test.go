@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
+	"github.com/secarchive/sec/internal/testutil"
 )
 
 func scrubArchive(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
@@ -235,7 +238,7 @@ func TestScrubHealsGrownShard(t *testing.T) {
 func TestScrubCombinedTruncatedAndMissingShards(t *testing.T) {
 	// Partial damage on two distinct nodes of the same object: one shard
 	// truncated, another missing. Both must be healed in one pass, and the
-	// truncated shard must not poison the candidate decode windows.
+	// truncated shard must not poison the parity check.
 	a, cluster, versions := scrubArchive(t)
 	truncateShard(t, cluster, 0, store.ShardID{Object: "t/v1-full", Row: 0}, 1)
 	node4, err := cluster.Node(4)
@@ -386,8 +389,8 @@ func TestScrubHealsDiskBitRot(t *testing.T) {
 }
 
 func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
-	// Corrupt a shard that would be part of the first decode window:
-	// the scrubber must still find the true codeword via agreement.
+	// Corrupt a shard among the first k rows, on which the parity check
+	// is built: scrub must still locate it.
 	a, cluster, _ := scrubArchive(t)
 	node, err := cluster.Node(0)
 	if err != nil {
@@ -419,29 +422,46 @@ func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
 	}
 }
 
-// TestScrubNeverMakesCorruptionPermanent flips one byte of one row of a full
-// codeword on codes with n < 2k, where a decode window's own k rows always
-// outnumber the rest. A flip in row 0 leaves a window that avoids it, so
-// scrub with repair must heal that row byte-identical and the version must
-// read back whole. A flip in row 5 of a (12,10) code lies in every window:
-// no decode can be verified, so scrub must write nothing and count the
-// object as unverified.
+// TestScrubNeverMakesCorruptionPermanent flips one byte in each of some rows
+// of a codeword, full or CDEC delta, on codes over both fields. The rows of a
+// codeword here are a code of distance n-k+1, so a flip in up to (n-k)/2
+// rows leaves one codeword nearest them, wherever the flips are: scrub with
+// repair must heal those rows byte-identical, write no other row, and the
+// versions must read back whole. Row 5 of a (12,10) code lies in every
+// window of k consecutive rows, and the parity check heals it all the same.
+// Flips past the first k rows are their own syndrome and heal without a
+// search, three of them in a (200,100) GF(2^16) codeword included. Beyond
+// what the search may spend - three flips elsewhere in that codeword - no
+// codeword can be verified, so scrub must write nothing and count the object
+// as unverified.
 func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 	for _, tt := range []struct {
-		name string
-		kind erasure.Kind
-		n, k int
-		row  int
-		heal bool
+		name      string
+		field     Field
+		kind      erasure.Kind
+		n, k      int
+		blockSize int
+		cdec      bool // damage the CDEC codeword of a gamma-1 delta, not the full one
+		rows      []int
+		heal      bool
 	}{
-		{"cauchy-12-10/row0", erasure.NonSystematicCauchy, 12, 10, 0, true},
-		{"cauchy-6-4/row0", erasure.NonSystematicCauchy, 6, 4, 0, true},
-		{"systematic-12-10/row0", erasure.SystematicCauchy, 12, 10, 0, true},
-		{"cauchy-12-10/row5", erasure.NonSystematicCauchy, 12, 10, 5, false},
+		{"cauchy-12-10/row0", GF8, erasure.NonSystematicCauchy, 12, 10, 64, false, []int{0}, true},
+		{"cauchy-6-4/row0", GF8, erasure.NonSystematicCauchy, 6, 4, 64, false, []int{0}, true},
+		{"systematic-12-10/row0", GF8, erasure.SystematicCauchy, 12, 10, 64, false, []int{0}, true},
+		{"cauchy-12-10/row5", GF8, erasure.NonSystematicCauchy, 12, 10, 64, false, []int{5}, true},
+		{"gf16-6-3/row1", GF16, erasure.NonSystematicCauchy, 6, 3, 64, false, []int{1}, true},
+		{"systematic-vandermonde-12-10/row11", GF8, erasure.SystematicVandermonde, 12, 10, 64, false, []int{11}, true},
+		{"cdec-6-3/row2", GF8, erasure.NonSystematicCauchy, 6, 3, 64, true, []int{2}, true},
+		{"cauchy-8-4/rows1,6", GF8, erasure.NonSystematicCauchy, 8, 4, 64, false, []int{1, 6}, true},
+		{"gf16-200-100/row150", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{150}, true},
+		{"gf16-200-100/rows197,199", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{197, 199}, true},
+		{"gf16-200-100/rows197,198,199", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{197, 198, 199}, true},
+		{"gf16-200-100/rows3,99,190", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{3, 99, 190}, false},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cluster := store.NewMemCluster(0)
-			a, err := New(Config{Name: "t", Scheme: BasicSEC, Code: tt.kind, N: tt.n, K: tt.k, BlockSize: 64}, cluster)
+			cfg := Config{Name: "t", Scheme: BasicSEC, Field: tt.field, Code: tt.kind, N: tt.n, K: tt.k, BlockSize: tt.blockSize, CompressDeltas: tt.cdec}
+			a, err := New(cfg, cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -449,15 +469,26 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 			for i := range v1 {
 				v1[i] = byte(i*7 + 3)
 			}
+			versions := [][]byte{v1}
 			mustCommit(t, a, v1)
+			object, rowCount := "t/v1-full", tt.n
+			if tt.cdec {
+				versions = append(versions, editBlocks(v1, tt.blockSize, 1))
+				mustCommit(t, a, versions[1])
+				object, rowCount = "t/v2-delta", 1+tt.n-tt.k
+			}
+			clean, err := a.ScrubContext(t.Context(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			shards := func() [][]byte {
-				out := make([][]byte, tt.n)
+				out := make([][]byte, rowCount)
 				for row := range out {
 					node, err := cluster.Node(row)
 					if err != nil {
 						t.Fatal(err)
 					}
-					data, err := node.Get(t.Context(), store.ShardID{Object: "t/v1-full", Row: row})
+					data, err := node.Get(t.Context(), store.ShardID{Object: object, Row: row})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -465,28 +496,45 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 				}
 				return out
 			}
-			healthy := shards()
-			flipped := bytes.Clone(healthy[tt.row])
-			flipped[3] ^= 0x40
-			node, err := cluster.Node(tt.row)
-			if err != nil {
-				t.Fatal(err)
+			writes := func() (total uint64) {
+				for i := 0; i < cluster.Size(); i++ {
+					node, err := cluster.Node(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					total += node.(*store.MemNode).Stats().Writes
+				}
+				return total
 			}
-			if err := node.Put(t.Context(), store.ShardID{Object: "t/v1-full", Row: tt.row}, flipped); err != nil {
-				t.Fatal(err)
+			healthy := shards()
+			for _, row := range tt.rows {
+				flipped := bytes.Clone(healthy[row])
+				flipped[3] ^= 0x40
+				node, err := cluster.Node(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := node.Put(t.Context(), store.ShardID{Object: object, Row: row}, flipped); err != nil {
+					t.Fatal(err)
+				}
 			}
 			damaged := shards()
+			before := writes()
 
 			report, err := a.ScrubContext(t.Context(), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, after := ScrubReport{ShardsChecked: tt.n, ShardsCorrupt: 1, Repaired: 1}, healthy
+			want := ScrubReport{ShardsChecked: clean.ShardsChecked, ShardsCorrupt: len(tt.rows), Repaired: len(tt.rows)}
+			after := healthy
 			if !tt.heal {
-				want, after = ScrubReport{ShardsChecked: tt.n, ObjectsUnverified: 1}, damaged
+				want, after = ScrubReport{ShardsChecked: clean.ShardsChecked, ObjectsUnverified: 1}, damaged
 			}
 			if report != want {
 				t.Errorf("report = %+v, want %+v", report, want)
+			}
+			if got := writes() - before; got != uint64(want.Repaired) {
+				t.Errorf("scrub wrote %d shards, want %d", got, want.Repaired)
 			}
 			for row, data := range shards() {
 				if !bytes.Equal(data, after[row]) {
@@ -496,13 +544,199 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 			if !tt.heal {
 				return
 			}
-			got, _, err := a.RetrieveContext(t.Context(), 1)
+			for v, want := range versions {
+				got, _, err := a.RetrieveContext(t.Context(), v+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("version %d reads back other bytes after scrub", v+1)
+				}
+			}
+		})
+	}
+}
+
+// TestScrubNonMDSRowSets: systematic Vandermonde is not MDS, so the rows
+// left of a (14,6) codeword when some are missing can be a code of less
+// distance than m-k+1, and their first k rows need not decode. With rows 0,
+// 2, 3, 6, 8, 11, 12 and 13 left (distance 2), a flip in row 13 is also one
+// flip in row 12 away from another codeword: scrub must not guess, write
+// nothing, count the object unverified and go on to the next. With rows 1,
+// 2, 4, 6, 7, 10, 11, 12 and 13 left (distance 3), the flip is located and
+// the rows left after it - rows 1, 2, 4, 6, 7 and 10 first, which do not
+// decode - give the codeword back, so every damaged row heals.
+func TestScrubNonMDSRowSets(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		missing []int
+		heal    bool
+	}{
+		{"distance-2", []int{1, 4, 5, 7, 9, 10}, false},
+		{"distance-3", []int{0, 3, 5, 8, 9}, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ctx := t.Context()
+			cluster := store.NewMemCluster(0)
+			a, err := New(Config{Name: "t", Scheme: BasicSEC, Code: erasure.SystematicVandermonde, N: 14, K: 6, BlockSize: 64}, cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, v1) {
-				t.Error("version 1 reads back other bytes after scrub")
+			v1 := make([]byte, a.Capacity())
+			for i := range v1 {
+				v1[i] = byte(i*7 + 3)
 			}
+			versions := [][]byte{v1, editBlocks(v1, 64, 2)}
+			mustCommit(t, a, versions[0])
+			mustCommit(t, a, versions[1])
+			node := func(row int) store.Node {
+				node, err := cluster.Node(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return node
+			}
+			id := func(row int) store.ShardID { return store.ShardID{Object: "t/v1-full", Row: row} }
+			writes := func() (total uint64) {
+				for row := range 14 {
+					total += node(row).(*store.MemNode).Stats().Writes
+				}
+				return total
+			}
+			healthy := make([][]byte, 14)
+			for row := range healthy {
+				data, err := node(row).Get(ctx, id(row))
+				if err != nil {
+					t.Fatal(err)
+				}
+				healthy[row] = bytes.Clone(data)
+			}
+			for _, row := range tt.missing {
+				if err := node(row).Delete(ctx, id(row)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flipped := bytes.Clone(healthy[13])
+			flipped[3] ^= 0x40
+			if err := node(13).Put(ctx, id(13), flipped); err != nil {
+				t.Fatal(err)
+			}
+			before := writes()
+
+			report, err := a.ScrubContext(ctx, true)
+			if err != nil {
+				t.Fatalf("scrub ended the pass: %v", err)
+			}
+			want := ScrubReport{ShardsChecked: 28, ShardsMissing: len(tt.missing), ObjectsUnverified: 1}
+			if tt.heal {
+				want = ScrubReport{ShardsChecked: 28, ShardsMissing: len(tt.missing), ShardsCorrupt: 1, Repaired: len(tt.missing) + 1}
+			}
+			if report != want {
+				t.Errorf("report = %+v, want %+v", report, want)
+			}
+			if got := writes() - before; got != uint64(want.Repaired) {
+				t.Errorf("scrub wrote %d shards, want %d", got, want.Repaired)
+			}
+			if !tt.heal {
+				return
+			}
+			for row := range 14 {
+				if data, err := node(row).Get(ctx, id(row)); err != nil || !bytes.Equal(data, healthy[row]) {
+					t.Errorf("row %d did not heal: %v", row, err)
+				}
+			}
+			for v, want := range versions {
+				if got, _, err := a.RetrieveContext(ctx, v+1); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("version %d does not read back after scrub: %v", v+1, err)
+				}
+			}
+		})
+	}
+}
+
+// healthyScrubArchive is a (12,10) Basic SEC archive of 4 KiB blocks over
+// memory nodes holding 8 codewords: a full version and 7 one-block deltas.
+func healthyScrubArchive(tb testing.TB, field Field, kind erasure.Kind) *Archive {
+	tb.Helper()
+	a, err := New(Config{Name: "t", Scheme: BasicSEC, Field: field, Code: kind, N: 12, K: 10, BlockSize: 4096}, store.NewMemCluster(0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	object := make([]byte, a.Capacity())
+	for i := range object {
+		object[i] = byte(i * 13)
+	}
+	for v := 0; v < 8; v++ {
+		object = editBlocks(object, 4096, v)
+		if _, err := a.CommitContext(tb.Context(), object); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return a
+}
+
+// TestScrubHealthyAllocatesNoCodeword: judging a healthy codeword is one
+// parity-check product into pooled memory, so a scrub of 8 healthy (12,10)
+// codewords allocates less than one 4 KiB block per codeword beyond what
+// reading their shards allocates - where a reference codeword of 12 blocks
+// would be 48 KiB - over either field. The race detector empties pools at random, so the bound is
+// checked in a run without it.
+func TestScrubHealthyAllocatesNoCodeword(t *testing.T) {
+	ctx := t.Context()
+	perCodeword := func(pass func()) uint64 {
+		const passes = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range passes {
+			pass()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / (passes * 8)
+	}
+	for _, code := range []struct {
+		field Field
+		kind  erasure.Kind
+	}{{GF8, erasure.NonSystematicCauchy}, {GF8, erasure.SystematicCauchy}, {GF16, erasure.NonSystematicCauchy}} {
+		a, kind := healthyScrubArchive(t, code.field, code.kind), fmt.Sprintf("%v %v", code.field, code.kind)
+		read := perCodeword(func() {
+			if err := a.eachStored(ctx, "read", func(cw codeword) error {
+				releaseAll(a.getShards(ctx, a.rowRefs(cw, allRows(cw.code.N()))))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		scrub := perCodeword(func() {
+			report, err := a.ScrubContext(ctx, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (ScrubReport{ShardsChecked: 8 * 12}); report != want {
+				t.Fatalf("%v: report = %+v, want %+v", kind, report, want)
+			}
+		})
+		t.Logf("%v: a healthy scrub allocates %d bytes per codeword, of which reading its shards %d", kind, scrub, read)
+		if scrub >= read+4096 && !testutil.RaceEnabled {
+			t.Errorf("%v: judging a healthy codeword allocates %d bytes, want less than one 4096-byte block", kind, scrub-read)
+		}
+	}
+}
+
+// BenchmarkScrubHealthy prices judging healthy codewords: a scrub of 8
+// (12,10) codewords of 4 KiB blocks over memory nodes, read, parity check
+// and all, reported per codeword.
+func BenchmarkScrubHealthy(b *testing.B) {
+	for _, kind := range []erasure.Kind{erasure.NonSystematicCauchy, erasure.SystematicCauchy} {
+		b.Run(kind.String(), func(b *testing.B) {
+			a := healthyScrubArchive(b, GF8, kind)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := a.ScrubContext(b.Context(), false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*8), "us/codeword")
 		})
 	}
 }

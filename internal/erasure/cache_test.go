@@ -2,46 +2,9 @@ package erasure
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
-
-	"github.com/secarchive/sec/internal/matrix"
 )
-
-func TestInvCacheLRU(t *testing.T) {
-	c := newInvCache(3)
-	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("k%d", i), matrix.Identity(i+1))
-	}
-	if c.len() != 3 {
-		t.Fatalf("cache has %d entries, want 3", c.len())
-	}
-	// Touch k0 so k1 becomes the least recently used, then overflow.
-	if _, ok := c.get("k0"); !ok {
-		t.Fatal("k0 missing before overflow")
-	}
-	c.put("k3", matrix.Identity(4))
-	if c.len() != 3 {
-		t.Fatalf("cache has %d entries after overflow, want 3", c.len())
-	}
-	if _, ok := c.get("k1"); ok {
-		t.Fatal("least recently used k1 survived overflow")
-	}
-	for _, key := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.get(key); !ok {
-			t.Fatalf("%s evicted, want only k1 evicted", key)
-		}
-	}
-	// Refreshing an existing key must not evict anything.
-	c.put("k2", matrix.Identity(9))
-	if c.len() != 3 {
-		t.Fatalf("cache has %d entries after refresh, want 3", c.len())
-	}
-	if got, _ := c.get("k2"); got.Rows() != 9 {
-		t.Fatalf("refreshed k2 has %d rows, want 9", got.Rows())
-	}
-}
 
 // orderedRowKey builds the order-sensitive cache key decodeMatrix uses.
 func orderedRowKey(rows []int) string {
@@ -87,10 +50,10 @@ func TestDecodeMatrixCacheKeepsHotEntries(t *testing.T) {
 			}
 		}
 	}
-	if got := code.inverses.len(); got > maxCachedInverses {
+	if got := code.inverses.Len(); got > maxCachedInverses {
 		t.Fatalf("cache grew to %d entries, cap is %d", got, maxCachedInverses)
 	}
-	if _, ok := code.inverses.get(orderedRowKey(hot)); !ok {
+	if _, ok := code.inverses.Get([]byte(orderedRowKey(hot))); !ok {
 		t.Fatal("hot decode matrix was evicted by cold insertions")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/secarchive/sec/internal/lru"
 	"github.com/secarchive/sec/internal/matrix"
 	"github.com/secarchive/sec/internal/sparse"
 )
@@ -80,13 +81,18 @@ type Code struct {
 	gen  matrix.Matrix
 
 	mu         sync.Mutex
-	criterion2 map[string]bool // verified Criterion-2 verdicts per row set
-	inverses   *invCache       // decode matrices per row set (bounded LRU)
+	criterion2 map[string]bool           // verified Criterion-2 verdicts per row set
+	inverses   *lru.Cache[matrix.Matrix] // decode matrices per row set
+	checks     *lru.Cache[*parityCheck]  // Locate's parity checks per row set
 }
 
 // maxCachedInverses bounds the decode-matrix cache; degraded-read patterns
 // are few in practice, so a small LRU suffices.
 const maxCachedInverses = 256
+
+// maxCachedChecks bounds the parity-check cache: scrub sees few row sets,
+// all rows present or one or two nodes down.
+const maxCachedChecks = 64
 
 // New constructs an (n,k) code of the given kind. n must exceed k, and the
 // construction must fit the field (n+k <= 256 for Cauchy, n <= 255 for
@@ -128,7 +134,8 @@ func New(kind Kind, n, k int) (*Code, error) {
 		kind:       kind,
 		gen:        gen,
 		criterion2: make(map[string]bool),
-		inverses:   newInvCache(maxCachedInverses),
+		inverses:   lru.New[matrix.Matrix](maxCachedInverses),
+		checks:     lru.New[*parityCheck](maxCachedChecks),
 	}, nil
 }
 
@@ -308,7 +315,8 @@ func (c *Code) DecodeFullInto(rows []int, shards, dst [][]byte) error {
 }
 
 // pickDecodeShards validates a DecodeFull input and selects the first k
-// distinct shard rows into the scratch.
+// distinct shard rows on which the generator is independent into the
+// scratch: the first k distinct rows of an MDS code.
 func (c *Code) pickDecodeShards(rows []int, shards [][]byte, sc *decodeScratch) error {
 	if len(rows) != len(shards) {
 		return fmt.Errorf("erasure: %d rows but %d shards", len(rows), len(shards))
@@ -326,15 +334,30 @@ func (c *Code) pickDecodeShards(rows []int, shards [][]byte, sc *decodeScratch) 
 		sc.seen[r] = true
 		sc.pick = append(sc.pick, r)
 		sc.shards = append(sc.shards, shards[i])
-		if len(sc.pick) == c.k {
+		if len(sc.pick) == c.k && c.mds() {
 			break
 		}
 	}
 	if len(sc.pick) < c.k {
 		return fmt.Errorf("erasure: need %d distinct shards to decode, got %d", c.k, len(sc.pick))
 	}
+	if len(sc.pick) > c.k {
+		// Not every k rows decode: keep the first k that do, if any.
+		if w, _ := c.gen.SelectRows(sc.pick).IndependentRows(); len(w) == c.k {
+			for i, at := range w {
+				sc.pick[i], sc.shards[i] = sc.pick[at], sc.shards[at]
+			}
+		}
+		clear(sc.shards[c.k:])
+		sc.pick, sc.shards = sc.pick[:c.k], sc.shards[:c.k]
+	}
 	return nil
 }
+
+// mds reports whether every k rows of the generator are independent: true
+// of every construction but systematic Vandermonde, whose [I; V] has
+// singular square submatrices.
+func (c *Code) mds() bool { return c.kind != SystematicVandermonde }
 
 // checkDst validates an Into-destination: count blocks of blockLen bytes.
 func (c *Code) checkDst(dst [][]byte, count, blockLen int) error {
@@ -365,7 +388,7 @@ func blockLenOf(blocks [][]byte) int {
 // caller supplies.
 func (c *Code) decodeMatrix(sc *decodeScratch) (matrix.Matrix, error) {
 	sc.key = appendRowKey(sc.key[:0], sc.pick)
-	if inv, ok := c.inverses.getBytes(sc.key); ok {
+	if inv, ok := c.inverses.Get(sc.key); ok {
 		return inv, nil
 	}
 	sub := c.gen.SelectRows(sc.pick)
@@ -373,7 +396,7 @@ func (c *Code) decodeMatrix(sc *decodeScratch) (matrix.Matrix, error) {
 	if err != nil {
 		return matrix.Matrix{}, fmt.Errorf("erasure: shard rows %v do not form an invertible submatrix: %w", sc.pick, err)
 	}
-	c.inverses.put(string(sc.key), inv)
+	c.inverses.Put(string(sc.key), inv)
 	return inv, nil
 }
 
@@ -385,6 +408,142 @@ func appendRowKey(dst []byte, rows []int) []byte {
 		dst = strconv.AppendInt(dst, int64(r), 10)
 	}
 	return dst
+}
+
+// Locate returns the rows whose shards differ from the one codeword lying
+// within maxErrors of them, in the order given: none when the shards are a
+// codeword. rows[i] is the generator row of shards[i], all distinct, and
+// maxErrors is at most (m-k)/2 for m rows: the distance of those rows is
+// m-k+1 on an MDS code, so within that radius no two codewords lie. On a
+// code that is not MDS the radius is cut to what the rows' distance
+// guarantees (parityCheck). The syndrome H*r of the row set's cached parity
+// check is zero for a codeword and otherwise H*e for the error e, which is
+// its own syndrome when it lies in R, where H is the identity, and is
+// otherwise recovered by the support enumerator as a maxErrors-sparse vector
+// (Proposition 1 with Phi = H). When no codeword lies within maxErrors, or
+// the search would cost more than m-k+1 full decodes (sparse.LocateBudget),
+// the answer is sparse.ErrUnrecoverable.
+func (c *Code) Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error) {
+	m := len(rows)
+	if len(shards) != m {
+		return nil, fmt.Errorf("erasure: %d rows but %d shards", m, len(shards))
+	}
+	if m <= c.k || maxErrors < 0 || 2*maxErrors > m-c.k {
+		return nil, fmt.Errorf("erasure: %d shards of a k=%d code cannot locate %d errors", m, c.k, maxErrors)
+	}
+	if err := c.checkRows(rows); err != nil {
+		return nil, err
+	}
+	if err := uniformLen(shards); err != nil {
+		return nil, err
+	}
+	check, err := c.parityCheck(rows)
+	if err != nil {
+		return nil, err
+	}
+	blockLen := len(shards[0])
+	syndrome := GetBuffers(m-c.k, blockLen)
+	defer syndrome.Release()
+	check.h.MulBlocksInto(shards, syndrome.Blocks)
+	maxErrors = min(maxErrors, check.radius)
+	if at, _ := sparse.Support(syndrome.Blocks); len(at) <= maxErrors {
+		for i, r := range at {
+			at[i] = rows[check.rest[r]]
+		}
+		return at, nil
+	}
+	support, _, err := sparse.RecoverSupportWithin(check.h, syndrome.Blocks, maxErrors, sparse.LocateBudget(c.n, c.k, m, blockLen))
+	if err != nil {
+		return nil, err
+	}
+	located := make([]int, len(support))
+	for i, at := range support {
+		located[i] = rows[at]
+	}
+	return located, nil
+}
+
+// parityCheck is Locate's judge of one row set: H = [G_R * G_W^-1 | I] with
+// W the first k rows on which the generator is independent - the first k
+// rows of an MDS code - and R the rest, at positions rest of the rows, each
+// column of H in the place of its row; and the radius within which no two
+// codewords of those rows lie.
+type parityCheck struct {
+	h      matrix.Matrix
+	rest   []int
+	radius int
+}
+
+// parityCheck returns the parity check of the given rows, cached per row set
+// as the decode matrices are. Its radius is (m-k)/2 on an MDS code and
+// checkedRadius otherwise.
+func (c *Code) parityCheck(rows []int) (*parityCheck, error) {
+	sc := getDecodeScratch(c.n)
+	defer putDecodeScratch(sc)
+	sc.key = appendRowKey(sc.key, rows)
+	if check, ok := c.checks.Get(sc.key); ok {
+		return check, nil
+	}
+	key := string(sc.key)
+	for _, r := range rows {
+		if sc.seen[r] {
+			return nil, fmt.Errorf("erasure: shard row %d given twice", r)
+		}
+		sc.seen[r] = true
+	}
+	w, rest := c.gen.SelectRows(rows).IndependentRows()
+	for _, at := range w {
+		sc.pick = append(sc.pick, rows[at])
+	}
+	if len(w) < c.k {
+		return nil, fmt.Errorf("erasure: shard rows %v span fewer than k=%d dimensions", rows, c.k)
+	}
+	inv, err := c.decodeMatrix(sc)
+	if err != nil {
+		return nil, err
+	}
+	restRows := make([]int, len(rest))
+	for i, at := range rest {
+		restRows[i] = rows[at]
+	}
+	parity := c.gen.SelectRows(restRows).Mul(inv)
+	check := &parityCheck{h: matrix.New(len(rest), len(rows)), rest: rest, radius: len(rest) / 2}
+	for i, at := range rest {
+		for j, wat := range w {
+			check.h.Set(i, wat, parity.At(i, j))
+		}
+		check.h.Set(i, at, 1)
+	}
+	if !c.mds() {
+		check.radius = checkedRadius(check.h)
+	}
+	c.checks.Put(key, check)
+	return check, nil
+}
+
+// maxRadiusChecks bounds the column sets checkedRadius checks for one
+// radius: C(14,6) = 3 003 covers every shape TestLocate runs.
+const maxRadiusChecks = 1 << 13
+
+// checkedRadius returns the largest t for which every 2t columns of the
+// parity check h are independent: no non-zero codeword of its rows then has
+// weight 2t or less, so no two codewords lie within t of any shards. A
+// radius with more than maxRadiusChecks column sets to check is not checked
+// and counts as failed.
+func checkedRadius(h matrix.Matrix) int {
+	t := 0
+	for ; 2*(t+1) <= h.Rows(); t++ {
+		checked, independent := 0, true
+		matrix.Combinations(h.Cols(), 2*(t+1), func(cols []int) bool {
+			checked++
+			independent = checked <= maxRadiusChecks && h.SelectCols(cols).Rank() == len(cols)
+			return independent
+		})
+		if !independent {
+			break
+		}
+	}
+	return t
 }
 
 // DecodeSparse recovers a block vector with at most gamma non-zero blocks
@@ -573,7 +732,8 @@ func (c *Code) Punctured(t int) (*Code, error) {
 		kind:       c.kind,
 		gen:        c.gen.SelectRows(rows),
 		criterion2: make(map[string]bool),
-		inverses:   newInvCache(maxCachedInverses),
+		inverses:   lru.New[matrix.Matrix](maxCachedInverses),
+		checks:     lru.New[*parityCheck](maxCachedChecks),
 	}, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -502,6 +503,33 @@ func (m Matrix) Rank() int {
 		rank++
 	}
 	return rank
+}
+
+// IndependentRows splits the rows of m into the first rows, in order, on
+// which its columns are independent - as many as its rank - and the others.
+func (m Matrix) IndependentRows() (rows, others []int) {
+	w := m.cols
+	basis := make([]byte, 0, w*w) // reduced chosen rows, leading entry 1
+	var lead []int
+	v := make([]byte, w)
+	for r := 0; r < m.rows; r++ {
+		copy(v, m.Row(r))
+		for i, l := range lead {
+			if f := v[l]; f != 0 {
+				gf.MulAddSlice(f, v, basis[i*w:(i+1)*w])
+			}
+		}
+		l := slices.IndexFunc(v, func(b byte) bool { return b != 0 })
+		if l < 0 || len(rows) == w {
+			others = append(others, r)
+			continue
+		}
+		gf.MulSlice(gf.Inv(v[l]), v, v)
+		basis = append(basis, v...)
+		lead = append(lead, l)
+		rows = append(rows, r)
+	}
+	return rows, others
 }
 
 // Invertible reports whether the square matrix m has an inverse.

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/secarchive/sec/internal/gf"
@@ -60,7 +61,7 @@ var ErrUnrecoverable = errors.New("sparse: no solution with requested sparsity i
 // observations - and the enumeration goes on from where it stopped. The
 // answer, and the error, are those of trying every support at full width.
 func RecoverEnum(phi matrix.Matrix, y [][]byte, gamma int) ([][]byte, error) {
-	support, values, _, err := recoverEnum(phi, y, gamma)
+	support, values, _, err := recoverEnum(phi, y, gamma, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +74,27 @@ func RecoverEnum(phi matrix.Matrix, y [][]byte, gamma int) ([][]byte, error) {
 // block in it, without the k - gamma zero blocks around them. The values are
 // the caller's own memory.
 func RecoverSupport(phi matrix.Matrix, y [][]byte, gamma int) (support []int, values [][]byte, err error) {
-	support, values, _, err = recoverEnum(phi, y, gamma)
+	support, values, _, err = recoverEnum(phi, y, gamma, math.MaxInt)
 	return support, values, err
+}
+
+// RecoverSupportWithin is RecoverSupport for a caller that must not wait on
+// the search, whose cost grows as C(k, gamma): once the eliminations, probe
+// checks and solves it has run come to more than budget symbol products,
+// it stops and answers ErrUnrecoverable.
+func RecoverSupportWithin(phi matrix.Matrix, y [][]byte, gamma, budget int) (support []int, values [][]byte, err error) {
+	support, values, _, err = recoverEnum(phi, y, gamma, budget)
+	return support, values, err
+}
+
+// LocateBudget is what a search for the errors in m shards of an (n, k)
+// code, blockLen symbols each, may spend, in symbol products: m-k+1 full
+// decodes, as many as there are windows of k consecutive shards among m. A
+// full decode here is what checking one window costs: the inversion of its
+// k rows (k^3), the product of the inverse with k shards, the re-encode of
+// n rows and the comparison of m.
+func LocateBudget(n, k, m, blockLen int) int {
+	return (m - k + 1) * (k*k*k + ((k+n)*k+m)*blockLen)
 }
 
 // Expand returns the vector of k blocks of blockLen bytes whose blocks at
@@ -99,9 +119,9 @@ func Support(z [][]byte) (support []int, values [][]byte) {
 	return support, values
 }
 
-// recoverEnum is RecoverSupport, also reporting how many supports passed
-// the probe and then failed at full width.
-func recoverEnum(phi matrix.Matrix, y [][]byte, gamma int) (support []int, values [][]byte, falsePositives int, err error) {
+// recoverEnum is RecoverSupportWithin, also reporting how many supports
+// passed the probe and then failed at full width.
+func recoverEnum(phi matrix.Matrix, y [][]byte, gamma, budget int) (support []int, values [][]byte, falsePositives int, err error) {
 	m, k := phi.Rows(), phi.Cols()
 	if len(y) != m {
 		return nil, nil, 0, fmt.Errorf("sparse: got %d observation blocks for a %d-row matrix", len(y), m)
@@ -115,15 +135,19 @@ func recoverEnum(phi matrix.Matrix, y [][]byte, gamma int) (support []int, value
 	}
 	// No support larger than the row or column count has independent columns.
 	gamma = min(gamma, m, k)
-	e := newEnumerator(phi, y, blockLen, gamma)
-	if e.p == 0 {
-		// Every observation is zero, so the empty support is consistent.
+	if allZero(y) {
+		// The empty support is consistent, and costs nothing to find.
 		return nil, nil, 0, nil
 	}
+	e := newEnumerator(phi, y, blockLen, gamma)
+	e.budget = budget
 	for s := 1; s <= gamma; s++ {
 		if e.search(0, 0, s) {
 			return e.support[:s], e.values, e.falsePositives, nil
 		}
+	}
+	if e.budget < 0 {
+		return nil, nil, e.falsePositives, fmt.Errorf("%w: the search outgrew its budget", ErrUnrecoverable)
 	}
 	return nil, nil, e.falsePositives, ErrUnrecoverable
 }
@@ -140,7 +164,8 @@ const probeSegments = 16
 // elimination of the first d columns of the support being tried (only rows
 // d.. and the columns that can still be chosen are kept current), so supports
 // that share a prefix share its elimination. values holds the block values
-// of the last support solve accepted.
+// of the last support solve accepted. budget is what the search may still
+// spend, in symbol products; once it is below zero every step refuses.
 type enumerator struct {
 	phi            matrix.Matrix
 	y              [][]byte
@@ -153,6 +178,7 @@ type enumerator struct {
 	lead           []int  // position of each reduced column's leading entry
 	values         [][]byte
 	falsePositives int
+	budget         int
 }
 
 func newEnumerator(phi matrix.Matrix, y [][]byte, blockLen, gamma int) *enumerator {
@@ -228,6 +254,9 @@ func (e *enumerator) addColumn(at, depth int) {
 func (e *enumerator) search(d, from, s int) bool {
 	if d == s-1 {
 		for c := from; c < e.k; c++ {
+			if !e.spend((e.m - d) * e.p) {
+				return false
+			}
 			e.support[d] = c
 			if e.probeConsistent(d, c) && e.solve(s) {
 				return true
@@ -236,6 +265,9 @@ func (e *enumerator) search(d, from, s int) bool {
 		return false
 	}
 	for c := from; c <= e.k-(s-d); c++ {
+		if !e.spend((e.m - d) * (e.k + e.p - c)) {
+			return false
+		}
 		// A column with no pivot depends on support[:d]: no support with
 		// this prefix is consistent.
 		e.support[d] = c
@@ -244,6 +276,13 @@ func (e *enumerator) search(d, from, s int) bool {
 		}
 	}
 	return false
+}
+
+// spend charges cost symbol products to the budget, reporting whether any
+// of it is left.
+func (e *enumerator) spend(cost int) bool {
+	e.budget -= cost
+	return e.budget >= 0
 }
 
 // pivotRow returns the first row from d on at which column c of a level is
@@ -310,8 +349,11 @@ func (e *enumerator) probeConsistent(d, c int) bool {
 // zero throughout. Otherwise the support got through the probe but not the
 // block: the first byte column that shows it joins the probe.
 func (e *enumerator) solve(s int) bool {
+	if !e.spend((e.m*(e.m-s)+s*s)*e.blockLen + e.m*s*s) {
+		return false
+	}
 	cols := e.phi.SelectCols(e.support[:s])
-	rows, others := independentRows(cols)
+	rows, others := cols.IndependentRows()
 	if len(rows) < s {
 		// Dependent support columns: cannot determine a unique
 		// solution through this support.
@@ -363,33 +405,6 @@ func (e *enumerator) inconsistentColumn(cols, inv matrix.Matrix, rows, others []
 		}
 	}
 	return at
-}
-
-// independentRows splits the rows of a into the first rows, in order, on
-// which its columns are independent - as many as its rank - and the others.
-func independentRows(a matrix.Matrix) (rows, others []int) {
-	w := a.Cols()
-	basis := make([]byte, 0, w*w) // reduced chosen rows, leading entry 1
-	var lead []int
-	v := make([]byte, w)
-	for r := 0; r < a.Rows(); r++ {
-		copy(v, a.Row(r))
-		for i, l := range lead {
-			if f := v[l]; f != 0 {
-				gf.MulAddSlice(f, v, basis[i*w:(i+1)*w])
-			}
-		}
-		l := firstNonZero(v)
-		if l < 0 || len(rows) == w {
-			others = append(others, r)
-			continue
-		}
-		gf.MulSlice(gf.Inv(v[l]), v, v)
-		basis = append(basis, v...)
-		lead = append(lead, l)
-		rows = append(rows, r)
-	}
-	return rows, others
 }
 
 // blocks returns count zeroed blocks of blockLen bytes in one allocation.
@@ -456,3 +471,12 @@ func firstNonZero(b []byte) int {
 }
 
 func isZero(b []byte) bool { return firstNonZero(b) < 0 }
+
+func allZero(y [][]byte) bool {
+	for _, b := range y {
+		if !isZero(b) {
+			return false
+		}
+	}
+	return true
+}

@@ -3,7 +3,9 @@ package sparse
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/secarchive/sec/internal/gf"
@@ -68,6 +70,32 @@ func TestRecoverEnumZeroVector(t *testing.T) {
 	}
 	if !blocksEqual(got, z) {
 		t.Error("zero vector not recovered as zero")
+	}
+}
+
+// TestRecoverSupportWithin: the budget bounds the search, not the answer. A
+// zero observation costs nothing, a search given less than one step answers
+// ErrUnrecoverable, and one given enough answers what RecoverSupport does.
+func TestRecoverSupportWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g, err := matrix.Cauchy(20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := g.SelectRows(rng.Perm(20)[:6])
+	if support, _, err := RecoverSupportWithin(phi, phi.MulBlocks(randSparseBlocks(rng, 10, 8, 0)), 3, 0); err != nil || support != nil {
+		t.Errorf("zero observations with no budget: support %v, %v", support, err)
+	}
+	y := phi.MulBlocks(randSparseBlocks(rng, 10, 8, 3))
+	if _, _, err := RecoverSupportWithin(phi, y, 3, 0); !errors.Is(err, ErrUnrecoverable) {
+		t.Errorf("no budget: %v, want ErrUnrecoverable", err)
+	}
+	want, _, err := RecoverSupport(phi, y, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := RecoverSupportWithin(phi, y, 3, LocateBudget(16, 10, 16, 8)); err != nil || !slices.Equal(got, want) {
+		t.Errorf("with a budget: support %v, %v, want %v", got, err, want)
 	}
 }
 
@@ -472,7 +500,7 @@ func TestRecoverEnumProbeRefinement(t *testing.T) {
 			}
 			phi := g.SelectRows(rows)
 			y := phi.MulBlocks(z)
-			support, values, falsePositives, err := recoverEnum(phi, y, tt.gamma)
+			support, values, falsePositives, err := recoverEnum(phi, y, tt.gamma, math.MaxInt)
 			if err != nil {
 				t.Fatal(err)
 			}

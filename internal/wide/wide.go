@@ -12,17 +12,27 @@ package wide
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"sync"
 
 	"github.com/secarchive/sec/internal/gf"
+	"github.com/secarchive/sec/internal/lru"
 	"github.com/secarchive/sec/internal/sparse"
 )
 
 // Code is an (n,k) non-systematic Cauchy MDS code over GF(2^16). It is
 // safe for concurrent use after construction.
 type Code struct {
-	n, k int
-	gen  [][]uint16 // n x k generator, row-major
+	n, k   int
+	gen    [][]uint16             // n x k generator, row-major
+	checks *lru.Cache[[][]uint16] // Locate's parity checks per row set
 }
+
+// maxCachedChecks bounds the parity-check cache: scrub sees few row sets,
+// all rows present or one or two nodes down.
+const maxCachedChecks = 64
 
 // NewCauchy constructs the code from the canonical point sets h_i = i,
 // f_j = n+j over GF(2^16); n+k must not exceed 65536.
@@ -41,7 +51,7 @@ func NewCauchy(n, k int) (*Code, error) {
 		}
 		gen[i] = row
 	}
-	return &Code{n: n, k: k, gen: gen}, nil
+	return &Code{n: n, k: k, gen: gen, checks: lru.New[[][]uint16](maxCachedChecks)}, nil
 }
 
 // N returns the codeword length.
@@ -88,7 +98,7 @@ func (c *Code) Punctured(t int) (*Code, error) {
 	if t < 0 || c.n-t <= c.k {
 		return nil, fmt.Errorf("wide: cannot puncture %d of %d shards with k=%d", t, c.n, c.k)
 	}
-	return &Code{n: c.n - t, k: c.k, gen: c.gen[:c.n-t]}, nil
+	return &Code{n: c.n - t, k: c.k, gen: c.gen[:c.n-t], checks: lru.New[[][]uint16](maxCachedChecks)}, nil
 }
 
 // Encode maps k equally sized even-length byte blocks to n coded shards.
@@ -248,12 +258,15 @@ func (c *Code) DecodeSparse(rows []int, shards [][]byte, gamma int) ([][]byte, e
 	for i, r := range rows {
 		phi[i] = c.gen[r]
 	}
+	unbounded := math.MaxInt
 	for s := 0; s <= gamma; s++ {
-		z := trySupports16(phi, obs, wordLen, c.k, s)
-		if z != nil {
+		if support, vals := trySupports16(phi, obs, wordLen, c.k, s, &unbounded); support != nil {
 			out := make([][]byte, c.k)
-			for j := range z {
-				out[j] = fromWords(z[j])
+			for j := range out {
+				out[j] = make([]byte, 2*wordLen)
+			}
+			for i, col := range support {
+				out[col] = fromWords(vals[i])
 			}
 			return out, nil
 		}
@@ -272,23 +285,29 @@ func (c *Code) DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (supp
 	return support, values, nil
 }
 
-// trySupports16 enumerates size-s supports and returns the first consistent
-// solution as word blocks, or nil.
-func trySupports16(phi [][]uint16, obs [][]uint16, wordLen, k, s int) [][]uint16 {
+// trySupports16 enumerates the size-s supports among k columns in
+// lexicographic order and returns the first consistent one with its values,
+// or nil. A support is solved first on the probe (probe16) and only at full
+// width when it passes there, so the answer is that of solving every support
+// at full width. Each solve is charged to budget at what it costs, in symbol
+// products; once budget is below zero the search stops.
+func trySupports16(phi [][]uint16, obs [][]uint16, wordLen, k, s int, budget *int) ([]int, [][]uint16) {
+	probe, width := probe16(obs, wordLen)
 	support := make([]int, s)
 	for i := range support {
 		support[i] = i
 	}
 	for {
-		if vals, ok := solveSupport16(phi, obs, wordLen, support); ok {
-			z := make([][]uint16, k)
-			for j := range z {
-				z[j] = make([]uint16, wordLen)
+		if *budget -= len(phi) * (s + width) * (s + 1); *budget < 0 {
+			return nil, nil
+		}
+		if _, ok := solveSupport16(phi, probe, width, support); ok {
+			if *budget -= len(phi) * (s + wordLen) * (s + 1); *budget < 0 {
+				return nil, nil
 			}
-			for i, col := range support {
-				copy(z[col], vals[i])
+			if vals, ok := solveSupport16(phi, obs, wordLen, support); ok {
+				return support, vals
 			}
-			return z
 		}
 		// Next combination.
 		i := s - 1
@@ -296,7 +315,7 @@ func trySupports16(phi [][]uint16, obs [][]uint16, wordLen, k, s int) [][]uint16
 			i--
 		}
 		if i < 0 {
-			return nil
+			return nil, nil
 		}
 		support[i]++
 		for j := i + 1; j < s; j++ {
@@ -305,18 +324,159 @@ func trySupports16(phi [][]uint16, obs [][]uint16, wordLen, k, s int) [][]uint16
 	}
 }
 
+// Locate returns the rows whose shards differ from the one codeword lying
+// within maxErrors of them, in the order given: none when the shards are a
+// codeword. It is erasure.Code.Locate over GF(2^16), whose Cauchy code is
+// MDS: rows distinct, maxErrors at most (m-k)/2, the parity check
+// H = [G_R * G_W^-1 | I] of the first k rows W and the rest R cached per row
+// set, an error in R its own syndrome, and otherwise the error support of a
+// non-zero syndrome found by trySupports16. No codeword within maxErrors, or
+// a search that would cost more than m-k+1 full decodes
+// (sparse.LocateBudget), is sparse.ErrUnrecoverable. The shards' words and
+// the syndrome live in pooled memory, so a healthy codeword allocates
+// nothing.
+func (c *Code) Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error) {
+	m := len(rows)
+	if m <= c.k || maxErrors < 0 || 2*maxErrors > m-c.k {
+		return nil, fmt.Errorf("wide: %d shards of a k=%d code cannot locate %d errors", m, c.k, maxErrors)
+	}
+	sc := wordScratchPool.Get().(*wordScratch)
+	defer wordScratchPool.Put(sc)
+	h, err := c.parityCheck(rows, sc)
+	if err != nil {
+		return nil, err
+	}
+	wordLen, err := wordLenOf(shards, m)
+	if err != nil {
+		return nil, err
+	}
+	words := sc.take(2*m-c.k, wordLen)
+	obs, syndrome := words[:m], words[m:]
+	for i, b := range shards {
+		toWordsInto(b, obs[i])
+	}
+	var located []int
+	for i, row := range h {
+		for j, coeff := range row {
+			gf.MulAddSlice16(coeff, syndrome[i], obs[j])
+		}
+		if slices.ContainsFunc(syndrome[i], func(w uint16) bool { return w != 0 }) {
+			located = append(located, rows[c.k+i])
+		}
+	}
+	if len(located) <= maxErrors {
+		return located, nil
+	}
+	budget := sparse.LocateBudget(c.n, c.k, m, wordLen)
+	for s := 1; s <= maxErrors && budget >= 0; s++ {
+		if support, _ := trySupports16(h, syndrome, wordLen, m, s, &budget); support != nil {
+			located := make([]int, s)
+			for i, at := range support {
+				located[i] = rows[at]
+			}
+			return located, nil
+		}
+	}
+	if budget < 0 {
+		return nil, fmt.Errorf("%w: the search outgrew its budget", sparse.ErrUnrecoverable)
+	}
+	return nil, sparse.ErrUnrecoverable
+}
+
+// parityCheck returns Locate's H = [G_R * G_W^-1 | I] for the given rows, W
+// the first k and R the rest, cached per row set. The key is built in the
+// scratch, so a cached row set costs no allocation.
+func (c *Code) parityCheck(rows []int, sc *wordScratch) ([][]uint16, error) {
+	sc.key = sc.key[:0]
+	for _, r := range rows {
+		sc.key = strconv.AppendInt(append(sc.key, ','), int64(r), 10)
+	}
+	if h, ok := c.checks.Get(sc.key); ok {
+		return h, nil
+	}
+	seen := make(map[int]bool, len(rows))
+	for _, r := range rows {
+		if r < 0 || r >= c.n || seen[r] {
+			return nil, fmt.Errorf("wide: shard row %d out of range [0,%d) or given twice", r, c.n)
+		}
+		seen[r] = true
+	}
+	sub := make([][]uint16, c.k)
+	for i, r := range rows[:c.k] {
+		sub[i] = append([]uint16(nil), c.gen[r]...)
+	}
+	inv, ok := invert16(sub)
+	if !ok {
+		return nil, fmt.Errorf("wide: shard rows %v do not form an invertible submatrix", rows[:c.k])
+	}
+	h := make([][]uint16, len(rows)-c.k)
+	for i, r := range rows[c.k:] {
+		h[i] = make([]uint16, len(rows))
+		for j, coeff := range c.gen[r] {
+			gf.MulAddSlice16(coeff, h[i][:c.k], inv[j])
+		}
+		h[i][c.k+i] = 1
+	}
+	c.checks.Put(string(sc.key), h)
+	return h, nil
+}
+
+// wordScratch is Locate's pooled memory: the shards as words, the syndrome
+// and the row-set key.
+type wordScratch struct {
+	words  []uint16
+	blocks [][]uint16
+	key    []byte
+}
+
+var wordScratchPool = sync.Pool{New: func() any { return new(wordScratch) }}
+
+// take returns count zeroed blocks of wordLen words from the scratch.
+func (s *wordScratch) take(count, wordLen int) [][]uint16 {
+	s.words = slices.Grow(s.words[:0], count*wordLen)[:count*wordLen]
+	clear(s.words)
+	s.blocks = s.blocks[:0]
+	for i := range count {
+		s.blocks = append(s.blocks, s.words[i*wordLen:(i+1)*wordLen:(i+1)*wordLen])
+	}
+	return s.blocks
+}
+
+// probe16 returns the observations at the first word positions, at most as
+// many as there are observations, at which some observation is non-zero, and
+// how many positions that is. A support consistent with every word is
+// consistent with these.
+func probe16(obs [][]uint16, wordLen int) ([][]uint16, int) {
+	var at []int
+	for j := 0; j < wordLen && len(at) < len(obs); j++ {
+		if slices.ContainsFunc(obs, func(o []uint16) bool { return o[j] != 0 }) {
+			at = append(at, j)
+		}
+	}
+	probe := make([][]uint16, len(obs))
+	for i, o := range obs {
+		probe[i] = make([]uint16, len(at))
+		for x, j := range at {
+			probe[i][x] = o[j]
+		}
+	}
+	return probe, len(at)
+}
+
 // solveSupport16 solves phi restricted to the support with block RHS, by
 // Gauss-Jordan elimination; ok only if all residual rows vanish.
 func solveSupport16(phi [][]uint16, obs [][]uint16, wordLen int, support []int) ([][]uint16, bool) {
 	m, s := len(phi), len(support)
 	a := make([][]uint16, m)
 	r := make([][]uint16, m)
+	flat := make([]uint16, m*(s+wordLen))
 	for i := 0; i < m; i++ {
-		a[i] = make([]uint16, s)
+		a[i], flat = flat[:s:s], flat[s:]
 		for j, col := range support {
 			a[i][j] = phi[i][col]
 		}
-		r[i] = append([]uint16(nil), obs[i]...)
+		r[i], flat = flat[:wordLen:wordLen], flat[wordLen:]
+		copy(r[i], obs[i])
 	}
 	rank := 0
 	for col := 0; col < s; col++ {
@@ -400,28 +560,43 @@ func invert16(m [][]uint16) ([][]uint16, bool) {
 // toWords validates count and even uniform length, and reinterprets byte
 // blocks as little-endian uint16 blocks.
 func toWords(blocks [][]byte, want int) ([][]uint16, int, error) {
-	if len(blocks) != want {
-		return nil, 0, fmt.Errorf("wide: got %d blocks, want %d", len(blocks), want)
-	}
-	if len(blocks) == 0 {
-		return nil, 0, nil
-	}
-	byteLen := len(blocks[0])
-	if byteLen%2 != 0 {
-		return nil, 0, fmt.Errorf("wide: block length %d is not even", byteLen)
+	wordLen, err := wordLenOf(blocks, want)
+	if err != nil || len(blocks) == 0 {
+		return nil, 0, err
 	}
 	words := make([][]uint16, len(blocks))
 	for i, b := range blocks {
-		if len(b) != byteLen {
-			return nil, 0, fmt.Errorf("wide: block %d has %d bytes, want %d", i, len(b), byteLen)
-		}
-		w := make([]uint16, byteLen/2)
-		for j := range w {
-			w[j] = uint16(b[2*j]) | uint16(b[2*j+1])<<8
-		}
-		words[i] = w
+		words[i] = make([]uint16, wordLen)
+		toWordsInto(b, words[i])
 	}
-	return words, byteLen / 2, nil
+	return words, wordLen, nil
+}
+
+// wordLenOf checks that there are want blocks of one even length and
+// returns that length in words.
+func wordLenOf(blocks [][]byte, want int) (int, error) {
+	if len(blocks) != want {
+		return 0, fmt.Errorf("wide: got %d blocks, want %d", len(blocks), want)
+	}
+	if len(blocks) == 0 {
+		return 0, nil
+	}
+	byteLen := len(blocks[0])
+	if byteLen%2 != 0 {
+		return 0, fmt.Errorf("wide: block length %d is not even", byteLen)
+	}
+	for i, b := range blocks {
+		if len(b) != byteLen {
+			return 0, fmt.Errorf("wide: block %d has %d bytes, want %d", i, len(b), byteLen)
+		}
+	}
+	return byteLen / 2, nil
+}
+
+func toWordsInto(b []byte, w []uint16) {
+	for j := range w {
+		w[j] = uint16(b[2*j]) | uint16(b[2*j+1])<<8
+	}
 }
 
 func fromWords(w []uint16) []byte {
