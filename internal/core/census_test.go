@@ -136,16 +136,20 @@ func censusKinds() []censusKind {
 		{"non-systematic(12,10)", core.Config{Code: ns, N: 12, K: 10}, 4, 794, nil},
 		{"dispersed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"dispersed/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
+		{"windowed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, BlockSize: 256}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
 	}
 }
 
 // censusChain commits on cluster, a fresh growable one, v1 in full, v2 a
 // gamma = 1 delta, v3 = v1, v4 = v3 (gamma = 0) and v5 dense; under Basic
 // SEC a compaction after v3 rebases it onto v1 as a gamma = 0 delta. A
-// dispersed chain stops at v2.
+// dispersed chain stops at v2. Blocks are 4 bytes unless the kind sets a
+// size; a kind with blocks of 256 bytes edits only bytes [128, 192) of
+// them, v5 included, so every delta is stored at that 64-byte window, but
+// the gamma = 0 ones, stored at the first 64 bytes.
 func censusChain(t *testing.T, cfg core.Config, cluster *store.Cluster) (*core.Archive, *store.Cluster, [][]byte) {
 	t.Helper()
-	cfg.Name, cfg.Scheme, cfg.BlockSize = "census", cmp.Or(cfg.Scheme, core.BasicSEC), 4
+	cfg.Name, cfg.Scheme, cfg.BlockSize = "census", cmp.Or(cfg.Scheme, core.BasicSEC), cmp.Or(cfg.BlockSize, 4)
 	a, err := core.New(cfg, cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +157,16 @@ func censusChain(t *testing.T, cfg core.Config, cluster *store.Cluster) (*core.A
 	objects := make([]byte, 2*a.Capacity())
 	rand.New(rand.NewSource(31)).Read(objects)
 	v1, v5 := objects[:a.Capacity()], objects[a.Capacity():]
-	versions := [][]byte{v1, editBlocks(v1, cfg.BlockSize, 0), v1, v1, v5}
+	v2 := editBlocks(v1, cfg.BlockSize, 0)
+	windowed := cfg.BlockSize == 256
+	if windowed {
+		v2, v5 = bytes.Clone(v1), bytes.Clone(v1)
+		v2[150] ^= 0xA5
+		for b := 0; b < cfg.K; b++ {
+			copy(v5[b*256+128:b*256+192], objects[a.Capacity()+b*64:])
+		}
+	}
+	versions := [][]byte{v1, v2, v1, v1, v5}
 	if cfg.Placement != nil {
 		versions = versions[:2]
 	}
@@ -163,6 +176,15 @@ func censusChain(t *testing.T, cfg core.Config, cluster *store.Cluster) (*core.A
 			if info, err := a.CompactToContext(t.Context(), 1); err != nil || len(info.Rebased) != 1 {
 				t.Fatalf("compaction rebased %v: %v", info.Rebased, err)
 			}
+		}
+	}
+	for _, e := range a.Manifest().Entries {
+		want := &core.Window{Off: 128, Width: 64}
+		if e.Gamma == 0 {
+			want.Off = 0
+		}
+		if e.Delta && windowed != (e.Window != nil) || windowed && e.Delta && *e.Window != *want {
+			t.Fatalf("v%d of a chain with %d-byte blocks stores its delta at window %v", e.Version, cfg.BlockSize, e.Window)
 		}
 	}
 	return a, cluster, versions

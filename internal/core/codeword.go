@@ -14,9 +14,12 @@ import (
 // version x_j under the archive's (N, K) code, a plain delta z_j under the
 // delta code (the same code, less Config.PunctureDeltas trailing rows), and a
 // CDEC-compacted delta, whose gamma non-zero blocks alone are encoded with a
-// (gamma+N-K, gamma) code and whose support rides in the manifest. Everything
-// else in the package handles a codeword value and asks it the five things
-// that depend on the kind: which code, how many rows are stored (code.N()),
+// (gamma+N-K, gamma) code and whose support rides in the manifest. A delta of
+// either kind is stored at its byte window: its rows are only the bytes
+// [off, off+width) of each block, outside which every block it changed is
+// zero, and the window rides in the manifest too. Everything else in the
+// package handles a codeword value and asks it the things that depend on the
+// kind: which code, how wide a row is, how many rows are stored (code.N()),
 // which rows a reader fetches first (readPlan), how decoded blocks become the
 // delta the walk applies (expand, decodeSparse), and what the planner charges
 // (cost). The shape of the chain - which versions hold a full codeword, which
@@ -151,25 +154,36 @@ type entry struct {
 	// (strictly increasing). Valid when hasDelta.
 	compressed bool
 	support    []int
+	// off and width are the delta's byte window: its codeword encodes bytes
+	// [off, off+width) of each block. Valid when hasDelta.
+	off, width int
 }
 
 // setDelta records cw, just written, as the entry's delta against base.
 func (e *entry) setDelta(cw codeword, base int) {
 	e.hasDelta, e.base = true, base
 	e.gamma, e.compressed, e.support = cw.gamma, cw.cdec(), cw.support
+	e.off, e.width = cw.off, cw.width
 }
 
 // dropDelta records that the version no longer stores a delta.
 func (e *entry) dropDelta() {
 	e.hasDelta, e.base = false, 0
 	e.gamma, e.compressed, e.support = 0, false, nil
+	e.off, e.width = 0, 0
 }
 
-// manifestEntry renders the entry of the given version.
-func (e entry) manifestEntry(version int) ManifestEntry {
+// manifestEntry renders the entry of the given version of an archive of
+// the given block size. A window that is the whole block is left out, so a
+// chain of full-width deltas renders as it did before windows existed.
+func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 	base := 0
 	if e.hasDelta && e.base != 0 && e.base != version-1 {
 		base = e.base // only non-default bases persist
+	}
+	var window *Window
+	if e.hasDelta && e.width != blockSize {
+		window = &Window{Off: e.off, Width: e.width}
 	}
 	return ManifestEntry{
 		Version:    version,
@@ -181,12 +195,14 @@ func (e entry) manifestEntry(version int) ManifestEntry {
 		Checkpoint: e.checkpoint,
 		Compressed: e.compressed,
 		Support:    append([]int(nil), e.support...),
+		Window:     window,
 	}
 }
 
-// entryOf is the inverse of manifestEntry for an archive of dimension k. It
-// checks what depends on the kind of the delta; Open checks the rest.
-func entryOf(me ManifestEntry, k int) (entry, error) {
+// entryOf is the inverse of manifestEntry for an archive of dimension k and
+// the given block size. It checks what depends on the kind of the delta and
+// its window; Open checks the rest.
+func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 	if me.Compressed {
 		if !me.Delta {
 			return entry{}, fmt.Errorf("core: manifest version %d is compressed but stores no delta", me.Version)
@@ -207,6 +223,21 @@ func entryOf(me ManifestEntry, k int) (entry, error) {
 	} else if len(me.Support) != 0 {
 		return entry{}, fmt.Errorf("core: manifest version %d has a support list but is not compressed", me.Version)
 	}
+	var window Window // no delta, no window
+	if me.Delta {
+		window.Width = blockSize
+	}
+	if w := me.Window; w != nil {
+		switch {
+		case !me.Delta:
+			return entry{}, fmt.Errorf("core: manifest version %d has a window but stores no delta", me.Version)
+		case w.Width <= 0:
+			return entry{}, fmt.Errorf("core: manifest version %d has a window of width %d", me.Version, w.Width)
+		case w.Off < 0 || w.Off+w.Width > blockSize:
+			return entry{}, fmt.Errorf("core: manifest version %d has window [%d,%d) outside its %d-byte blocks", me.Version, w.Off, w.Off+w.Width, blockSize)
+		}
+		window = *w
+	}
 	return entry{
 		hasFull:    me.Full,
 		hasDelta:   me.Delta,
@@ -216,6 +247,8 @@ func entryOf(me ManifestEntry, k int) (entry, error) {
 		checkpoint: me.Checkpoint,
 		compressed: me.Compressed,
 		support:    append([]int(nil), me.Support...),
+		off:        window.Off,
+		width:      window.Width,
 	}, nil
 }
 
@@ -229,17 +262,21 @@ type codeword struct {
 	delta   bool   // a delta z_version, not the full x_version
 	gamma   int    // block sparsity of a delta; 0 for a full codeword
 	support []int  // CDEC only: which blocks the gamma encoded blocks are
+	// off and width place its rows in the blocks: every row is width bytes,
+	// bytes [off, off+width) of the block-long row the full-width encode
+	// would give (zero outside them). A full codeword is BlockSize wide.
+	off, width int
 }
 
 // fullCodeword describes the full codeword of version v.
 func (a *Archive) fullCodeword(v int) codeword {
-	return codeword{id: fullID(a.cfg.Name, v), version: v, code: a.code}
+	return codeword{id: fullID(a.cfg.Name, v), version: v, code: a.code, width: a.cfg.BlockSize}
 }
 
 // deltaKind describes the stored delta of an entry without naming it, which
 // is all the planner needs to price one (it prices the whole chain per read).
 func (a *Archive) deltaKind(e entry) (codeword, error) {
-	cw := codeword{code: a.deltaCode, delta: true, gamma: e.gamma}
+	cw := codeword{code: a.deltaCode, delta: true, gamma: e.gamma, off: e.off, width: e.width}
 	if !e.compressed {
 		return cw, nil
 	}
@@ -304,16 +341,17 @@ func (a *Archive) eachStored(ctx context.Context, pass string, do func(codeword)
 
 // storeDelta writes the delta d under id in the form the archive's policy
 // picks, and returns the codeword it now is. Either form encodes only the
-// gamma non-zero blocks: CDEC-compacted when gamma is eligible, with the
-// (gamma+N-K, gamma) code and the support in the manifest entry; plain
-// otherwise, with the gamma columns of the delta code the support names. The
-// object name does not say which, so a commit and every later rebase of the
-// version choose afresh and a compressed chain stays compressed through
-// compaction.
+// gamma non-zero blocks, and only their window, which d comes at as
+// delta.Diff and Blocking.Diff return it: CDEC-compacted when gamma
+// is eligible, with the (gamma+N-K, gamma) code and the support in the
+// manifest entry; plain otherwise, with the gamma columns of the delta code
+// the support names. The object name says neither, so a commit and every
+// later rebase of the version choose afresh and a compressed chain stays
+// compressed through compaction.
 func (a *Archive) storeDelta(ctx context.Context, id string, version int, d delta.CompactDelta, writes *int) (codeword, error) {
-	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: d.Gamma()}
+	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: d.Gamma(), off: d.Off, width: d.Width()}
 	if !a.compressEligible(cw.gamma) {
-		return cw, a.putEncoded(ctx, cw, d.BlockSize, writes, func(dst [][]byte) error {
+		return cw, a.putEncoded(ctx, cw, cw.width, writes, func(dst [][]byte) error {
 			return cw.code.EncodeSparseInto(d.Support, d.Blocks, dst)
 		})
 	}
@@ -380,26 +418,28 @@ func (cw codeword) cost() int {
 }
 
 // decodeSparse recovers a plain delta from the rows of a sparse read plan,
-// finding its support blind.
+// finding its support blind; its blocks are the codeword's window.
 func (a *Archive) decodeSparse(cw codeword, rows []int, shards [][]byte) (delta.CompactDelta, error) {
 	support, blocks, err := cw.code.DecodeSparseSupport(rows, shards, cw.gamma)
-	return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Support: support, Blocks: blocks}, err
+	return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Off: cw.off, Support: support, Blocks: blocks}, err
 }
 
 // expand turns the code.K() blocks a full decode of the codeword recovered
 // into the delta the walk applies, never expanded: a full codeword is every
 // block of its version (the delta from nothing), a CDEC-compacted delta is
 // the blocks its recorded support names, and a plain delta is whichever of
-// its k blocks are not zero.
+// its k blocks are not zero. A delta's blocks are its window.
 func (a *Archive) expand(cw codeword, blocks [][]byte) (delta.CompactDelta, error) {
-	d := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Blocks: blocks}
+	d := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Off: cw.off, Blocks: blocks}
 	switch {
 	case !cw.delta:
 		d.Support = allRows(a.cfg.K)
 	case cw.cdec():
 		d.Support = cw.support
 	default:
-		return delta.View(blocks)
+		view, err := delta.View(blocks)
+		d.Support, d.Blocks = view.Support, view.Blocks
+		return d, err
 	}
 	return d, nil
 }

@@ -90,7 +90,8 @@ func TestCommitStoresWhatTheDenseEncoderWould(t *testing.T) {
 // lists, as its node holds it, with the dense encoding of what the codeword
 // stands for: the Split version for a full codeword; for a delta, the
 // delta.Compute of its version against its base, expanded for a plain delta
-// and its support's blocks alone for a CDEC-compacted one.
+// and its support's blocks alone for a CDEC-compacted one. A row is the
+// codeword's window of the dense row, which is zero outside it.
 func nodesHoldTheDenseEncoding(t *testing.T, a *Archive, cluster *store.Cluster, versions [][]byte, when string) {
 	t.Helper()
 	split := func(v int) [][]byte {
@@ -131,8 +132,11 @@ func nodesHoldTheDenseEncoding(t *testing.T, a *Archive, cluster *store.Cluster,
 				if err != nil {
 					t.Fatalf("%s: %s#%d: %v", when, cw.id, row, err)
 				}
-				if !bytes.Equal(got, want[row]) {
-					t.Errorf("%s: %s#%d differs from the dense encoding", when, cw.id, row)
+				if !bytes.Equal(got, want[row][cw.off:cw.off+cw.width]) {
+					t.Errorf("%s: %s#%d differs from the dense encoding at [%d,%d)", when, cw.id, row, cw.off, cw.off+cw.width)
+				}
+				if delta.Sparsity([][]byte{want[row][:cw.off], want[row][cw.off+cw.width:]}) != 0 {
+					t.Errorf("%s: %s#%d: the dense row is not zero outside [%d,%d)", when, cw.id, row, cw.off, cw.off+cw.width)
 				}
 			}
 		}

@@ -174,7 +174,8 @@ func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shar
 	// Choose the rows each object's reader would read. Objects whose live
 	// set is too small are skipped here; their reader reports the proper
 	// error (or catches a node that came back since the probe).
-	var refs []store.ShardRef
+	refs := make([]store.ShardRef, 0, len(nodes))
+	widths := make([]int, 0, len(nodes)) // of each ref's codeword
 	for _, cw := range objects {
 		rows, sparse := cw.readPlan(a.rowsOnLiveNodes(live, cw, nil), true, cw.code.K())
 		if rows == nil {
@@ -187,8 +188,11 @@ func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shar
 		}
 		sets[cw.id] = set
 		refs = append(refs, a.rowRefs(cw, rows)...)
+		for range rows {
+			widths = append(widths, cw.width)
+		}
 	}
-	for i, res := range a.getShards(ctx, refs) {
+	for i, res := range a.getShards(ctx, refs, func(i int) int { return widths[i] }) {
 		sets[refs[i].ID.Object].record(refs[i].ID.Object, refs[i].ID.Row, res)
 	}
 	return sets
@@ -197,23 +201,30 @@ func (a *Archive) prefetch(ctx context.Context, cws []codeword) map[string]*shar
 // fetchPlanned fetches rows of a codeword into the set, one batch per node,
 // recording every outcome (data, lost rows, the last error) in the set.
 func (a *Archive) fetchPlanned(ctx context.Context, set *shardSet, cw codeword, rows []int) {
-	for i, res := range a.getShards(ctx, a.rowRefs(cw, rows)) {
+	for i, res := range a.getRows(ctx, cw, rows) {
 		set.record(cw.id, rows[i], res)
 	}
 }
 
+// getRows fetches rows of one codeword, one batch per node (getShards).
+func (a *Archive) getRows(ctx context.Context, cw codeword, rows []int) []store.ShardResult {
+	return a.getShards(ctx, a.rowRefs(cw, rows), func(int) int { return cw.width })
+}
+
 // getShards fetches codeword shards, one batch per node, and holds each to
-// the length every codeword shard has: BlockSize bytes, whatever the kind,
-// for every kind is encoded from BlockSize-long blocks (putEncoded). A shard
-// of any other length - truncated or grown on its node - is given back and
+// the one length its codeword's shards have, width(i) for refs[i]: the
+// codeword's width, which the manifest records - BlockSize for a full
+// codeword and for a delta stored whole, the window's for one stored at its
+// window (putEncoded encodes every row from blocks that long). A shard of
+// any other length - truncated or grown on its node - is given back and
 // answered as if its node had found it corrupt: every reader, scrub and
 // repair then treat it as the lost row it is, and no length is ever voted on.
-func (a *Archive) getShards(ctx context.Context, refs []store.ShardRef) []store.ShardResult {
+func (a *Archive) getShards(ctx context.Context, refs []store.ShardRef, width func(i int) int) []store.ShardResult {
 	results := a.cluster.GetBatch(ctx, refs)
 	for i, res := range results {
-		if res.Err == nil && len(res.Data) != a.cfg.BlockSize {
+		if want := width(i); res.Err == nil && len(res.Data) != want {
 			release(res)
-			results[i] = store.ShardResult{Err: fmt.Errorf("node %d: %w: %d bytes, want %d", refs[i].Node, store.ErrCorrupt, len(res.Data), a.cfg.BlockSize)}
+			results[i] = store.ShardResult{Err: fmt.Errorf("node %d: %w: %d bytes, want %d", refs[i].Node, store.ErrCorrupt, len(res.Data), want)}
 		}
 	}
 	return results

@@ -16,8 +16,11 @@ import (
 // never panic, and what Save writes of any manifest it accepts must load
 // and save again to the same bytes. The committed corpus holds manifests
 // an earlier release saved: one per scheme, CDEC entries with a support,
-// GF16, dispersed, punctured, a full chain policy, compacted bases and one
-// from before the generation existed.
+// GF16, dispersed, punctured, a full chain policy, compacted bases, one
+// from before the generation existed and one of 256-byte blocks from
+// before windows existed. It also holds plain and CDEC deltas stored at
+// their windows, and the three windows Open refuses: one on an entry
+// without a delta, one past the block size and one of zero width.
 func FuzzLoadManifest(f *testing.F) {
 	// Seed with a real manifest.
 	cluster := store.NewMemCluster(0)
@@ -64,12 +67,14 @@ func resave(t *testing.T, a *Archive) []byte {
 }
 
 // TestSavedManifestsResaveByteIdentical: every manifest in the committed
-// FuzzLoadManifest corpus was saved by an earlier release, and each loads
-// and saves back to exactly its bytes - the manifest format has not moved.
+// FuzzLoadManifest corpus but the refused-* ones was saved by a release,
+// and each loads and saves back to exactly its bytes - the manifest format
+// has not moved, and a chain of whole-block deltas saves with no window. A
+// refused-* one does not load.
 func TestSavedManifestsResaveByteIdentical(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLoadManifest/*")
-	if err != nil || len(files) < 11 {
-		t.Fatalf("corpus has %d files (err %v), want the 11 committed", len(files), err)
+	if err != nil || len(files) < 16 {
+		t.Fatalf("corpus has %d files (err %v), want the 16 committed", len(files), err)
 	}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {
@@ -84,8 +89,11 @@ func TestSavedManifestsResaveByteIdentical(t *testing.T) {
 				t.Fatalf("corpus file: %v", err)
 			}
 			a, err := Load(strings.NewReader(saved), store.NewMemCluster(0))
-			if err != nil {
-				t.Fatal(err)
+			if refused := strings.HasPrefix(filepath.Base(file), "refused-"); refused || err != nil {
+				if !refused || err == nil {
+					t.Fatalf("Load err = %v, refused-* file %v", err, refused)
+				}
+				return
 			}
 			if got := resave(t, a); string(got) != saved {
 				t.Errorf("re-saved as\n%s\nwant\n%s", got, saved)

@@ -13,9 +13,9 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// TestLengthCensus holds the one length rule - a codeword shard is BlockSize
-// bytes, and a shard of any other length is a lost row - to every census
-// kind: every pattern of at most n-k rows of a full codeword, and of a delta,
+// TestLengthCensus holds the one length rule - a codeword shard is its
+// codeword's width, BlockSize bytes or its window's, and a shard of any
+// other length is a lost row - to every census kind: every pattern of at most n-k rows of a full codeword, and of a delta,
 // each row one byte short or one byte long. Every version reads back
 // byte-identical; a scrub rewrites exactly the wrong-length rows when the
 // rest verify them (more than k right-length rows) and nothing otherwise,
@@ -36,6 +36,7 @@ func TestLengthCensus(t *testing.T) {
 		"non-systematic(12,10)":         312,
 		"dispersed/non-systematic(6,3)": 164,
 		"dispersed/systematic(6,3)":     164,
+		"windowed/non-systematic(6,3)":  164,
 	}
 	for _, kind := range censusKinds() {
 		t.Run(kind.name, func(t *testing.T) {

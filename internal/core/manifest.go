@@ -154,6 +154,18 @@ type ManifestEntry struct {
 	// unchanged.
 	Compressed bool  `json:"compressed,omitempty"`
 	Support    []int `json:"support,omitempty"`
+	// Window is the delta's byte window: its codeword encodes only those
+	// bytes of each block, outside which every block the delta changed is
+	// zero. It is absent when the window is the whole block, so manifests
+	// written before windows existed reopen unchanged.
+	Window *Window `json:"window,omitempty"`
+}
+
+// Window is the byte range [Off, Off+Width) of each block that a delta
+// codeword encodes, and so the length of each of its shards.
+type Window struct {
+	Off   int `json:"off"`
+	Width int `json:"width"`
 }
 
 // Manifest captures the archive's current state. Its Generation is that of
@@ -172,7 +184,7 @@ func (a *Archive) manifestLocked() Manifest {
 		Entries:    make([]ManifestEntry, len(a.entries)),
 	}
 	for i := range a.entries {
-		m.Entries[i] = a.entries[i].manifestEntry(i + 1)
+		m.Entries[i] = a.entries[i].manifestEntry(i+1, a.cfg.BlockSize)
 	}
 	return m
 }
@@ -234,7 +246,7 @@ func (a *Archive) NextRecord() (rec ManifestRecord, ok bool) {
 	a.generation++
 	rec = ManifestRecord{Generation: a.generation, Versions: len(a.entries)}
 	for _, v := range slices.Compact(a.changed) {
-		rec.Entries = append(rec.Entries, a.entries[v-1].manifestEntry(v))
+		rec.Entries = append(rec.Entries, a.entries[v-1].manifestEntry(v, a.cfg.BlockSize))
 	}
 	a.changed = a.changed[:0]
 	return rec, true
@@ -342,7 +354,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 				return nil, fmt.Errorf("core: manifest version %d has invalid delta base %d", me.Version, me.Base)
 			}
 		}
-		if a.entries[i], err = entryOf(me, m.K); err != nil {
+		if a.entries[i], err = entryOf(me, m.K, m.BlockSize); err != nil {
 			return nil, err
 		}
 	}

@@ -201,6 +201,43 @@ func TestOpenValidatesManifest(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesWindows: a delta's window loads when it lies inside the
+// block, and renders back as it was; one on an entry without a delta, one
+// reaching past the block or before it, and one of zero width are refused.
+func TestOpenRefusesWindows(t *testing.T) {
+	manifest := func(full, delta *Window) Manifest {
+		return Manifest{
+			Name: "m",
+			Spec: Spec{Scheme: "basic-sec", Code: "non-systematic-cauchy", N: 6, K: 3, BlockSize: 256, Placement: "colocated"},
+			Entries: []ManifestEntry{
+				{Version: 1, Full: true, Length: 768, Window: full},
+				{Version: 2, Delta: true, Gamma: 1, Length: 768, Window: delta},
+			},
+		}
+	}
+	a, err := Open(manifest(nil, &Window{Off: 192, Width: 64}), store.NewMemCluster(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Manifest().Entries[1].Window; got == nil || *got != (Window{Off: 192, Width: 64}) {
+		t.Errorf("window renders back as %v", got)
+	}
+	for _, tt := range []struct {
+		name      string
+		m         Manifest
+		complaint string
+	}{
+		{"no delta", manifest(&Window{Width: 64}, nil), "stores no delta"},
+		{"past the block", manifest(nil, &Window{Off: 192, Width: 128}), "outside its 256-byte blocks"},
+		{"before the block", manifest(nil, &Window{Off: -64, Width: 64}), "outside its 256-byte blocks"},
+		{"zero width", manifest(nil, &Window{Off: 128}), "of width 0"},
+	} {
+		if _, err := Open(tt.m, store.NewMemCluster(0)); err == nil || !strings.Contains(err.Error(), tt.complaint) {
+			t.Errorf("%s: err = %v, want one saying %q", tt.name, err, tt.complaint)
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json"), store.NewMemCluster(0)); err == nil {
 		t.Error("want error, got nil")

@@ -12,8 +12,8 @@ type RepairReport struct {
 	// ShardsChecked counts the shards of this archive the node is
 	// supposed to hold.
 	ShardsChecked int
-	// ShardsHealthy counts shards found intact: present, readable and
-	// BlockSize bytes long.
+	// ShardsHealthy counts shards found intact: present, readable and as
+	// long as their codeword's width.
 	ShardsHealthy int
 	// ShardsRepaired counts shards reconstructed from surviving nodes
 	// and rewritten.
@@ -77,7 +77,7 @@ func (a *Archive) repairObject(ctx context.Context, cw codeword, node int, repor
 		return nil
 	}
 	report.ShardsChecked += len(rows)
-	results := a.getShards(ctx, a.rowRefs(cw, rows))
+	results := a.getRows(ctx, cw, rows)
 	defer releaseAll(results)
 	for i, res := range results {
 		switch {

@@ -18,15 +18,15 @@ type ScrubReport struct {
 	ShardsMissing int
 	// ShardsCorrupt counts shards found damaged: the node itself failed
 	// the read with store.ErrCorrupt (checksum or header damage detected
-	// at read time), the shard is not BlockSize bytes long (truncated or
-	// grown), or the parity check locates it among the at most (m-k)/2 of
+	// at read time), the shard is not as long as its codeword's width
+	// (truncated or grown), or the parity check locates it among the at most (m-k)/2 of
 	// the m intact shards that differ from the one codeword nearest them.
 	ShardsCorrupt int
 	// ShardsUnreachable counts shards on failed nodes (state unknown).
 	ShardsUnreachable int
 	// ObjectsUndecodable counts stored objects with fewer than k intact
-	// shards: present and BlockSize bytes long. Their damage cannot be
-	// verified or repaired.
+	// shards: present and as long as their codeword's width. Their damage
+	// cannot be verified or repaired.
 	ObjectsUndecodable int
 	// ObjectsUnverified counts stored objects that can be decoded but whose
 	// shards no codeword accounts for within the unique-decoding radius of
@@ -49,7 +49,7 @@ type ScrubReport struct {
 // true, damaged shards are rewritten in place. Nodes that are down are
 // skipped and reported as unreachable.
 //
-// The m intact shards of an object (present and BlockSize bytes long) are a
+// The m intact shards of an object (present and of its width) are a
 // punctured code of distance m-k+1 (on an MDS code), and Locate names the
 // rows that differ from the one codeword within (m-k)/2 of them: a healthy
 // object costs one syndrome product. Objects with fewer than k intact shards are counted as
@@ -77,7 +77,7 @@ func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, rep
 	n := cw.code.N()
 	rows, shards := make([]int, 0, n), make([][]byte, 0, n)
 	var damaged []int
-	results := a.getShards(ctx, a.rowRefs(cw, allRows(n)))
+	results := a.getRows(ctx, cw, allRows(n))
 	defer releaseAll(results)
 	for row, res := range results {
 		switch {
@@ -123,7 +123,7 @@ func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, rep
 			trustedShards = append(trustedShards, shards[i])
 		}
 	}
-	blocks := erasure.GetBuffers(k, a.cfg.BlockSize)
+	blocks := erasure.GetBuffers(k, cw.width)
 	defer blocks.Release()
 	if err := cw.code.DecodeFullInto(trusted, trustedShards, blocks.Blocks); err != nil {
 		// No codeword to write from; the pass goes on to the next object.
@@ -140,7 +140,7 @@ func (a *Archive) scrubObject(ctx context.Context, cw codeword, repair bool, rep
 // and the first write error. The re-encoded codeword is transient, so it
 // lives in pooled buffers.
 func (a *Archive) rewriteRows(ctx context.Context, cw codeword, blocks [][]byte, rows []int) (int, error) {
-	encoded := erasure.GetBuffers(cw.code.N(), a.cfg.BlockSize)
+	encoded := erasure.GetBuffers(cw.code.N(), cw.width)
 	defer encoded.Release()
 	if err := cw.code.EncodeInto(blocks, encoded.Blocks); err != nil {
 		return 0, err

@@ -700,7 +700,7 @@ func TestScrubHealthyAllocatesNoCodeword(t *testing.T) {
 		a, kind := healthyScrubArchive(t, code.field, code.kind), fmt.Sprintf("%v %v", code.field, code.kind)
 		read := perCodeword(func() {
 			if err := a.eachStored(ctx, "read", func(cw codeword) error {
-				releaseAll(a.getShards(ctx, a.rowRefs(cw, allRows(cw.code.N()))))
+				releaseAll(a.getRows(ctx, cw, allRows(cw.code.N())))
 				return nil
 			}); err != nil {
 				t.Fatal(err)

@@ -2,7 +2,6 @@ package delta
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"github.com/secarchive/sec/internal/gf"
@@ -16,23 +15,50 @@ import (
 // length k' = gamma, so both the stored codeword and the bytes moved to
 // decode it shrink by a factor of roughly k/gamma. The support is
 // client-side metadata, exactly like the paper's per-delta gamma_j.
+//
+// The same sparsity holds inside a block, and the compact form uses it
+// too: every changed block is zero outside one byte window [Off, Off+w),
+// and the form keeps only that window of each. Row i of a codeword is
+// sum_j G_ij * z_j byte by byte, so it is zero outside the window as well:
+// a codeword encoded from the windowed blocks is the full-width codeword
+// cut to the window.
+
+// windowAlign is the granularity of a delta's byte window: its edges fall
+// on multiples of it (or on the block's end), and it is never narrower.
+const windowAlign = 64
 
 // CompactDelta is the compacted form of a sparse delta: the blocking shape,
 // the support (indices of the non-zero blocks, strictly increasing), and
-// the non-zero blocks in support order. The zero-gamma delta compacts to an
-// empty support with no blocks.
+// the window of the non-zero blocks in support order. The zero-gamma delta
+// compacts to an empty support with no blocks.
 type CompactDelta struct {
 	// K and BlockSize are the blocking shape of the expanded delta.
 	K         int
 	BlockSize int
+	// Off places the blocks inside the changed blocks: Blocks[i] is bytes
+	// [Off, Off+len(Blocks[i])) of block Support[i], which is zero outside
+	// them. A full-width form has Off 0 and blocks BlockSize bytes long.
+	Off int
 	// Support lists the non-zero block indices in increasing order.
 	Support []int
-	// Blocks holds the non-zero blocks, aligned with Support.
+	// Blocks holds the windows of the non-zero blocks, aligned with
+	// Support, all of one length.
 	Blocks [][]byte
 }
 
 // Gamma returns the delta's sparsity (the number of non-zero blocks).
 func (c CompactDelta) Gamma() int { return len(c.Support) }
+
+// Width returns the byte width of the delta's window, the length of each of
+// its blocks. A delta that changed nothing has the narrowest window its
+// blocking allows (windowOf).
+func (c CompactDelta) Width() int {
+	if len(c.Blocks) > 0 {
+		return len(c.Blocks[0])
+	}
+	off, end := windowOf(c.BlockSize, 0, 0)
+	return end - off
+}
 
 // validate checks the compact form's internal consistency.
 func (c CompactDelta) validate() error {
@@ -41,6 +67,9 @@ func (c CompactDelta) validate() error {
 	}
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("delta: compact form block size must be positive, got %d", c.BlockSize)
+	}
+	if c.Off < 0 {
+		return fmt.Errorf("delta: compact form window offset %d is negative", c.Off)
 	}
 	if len(c.Blocks) != len(c.Support) {
 		return fmt.Errorf("delta: compact form has %d blocks for %d support indices", len(c.Blocks), len(c.Support))
@@ -54,17 +83,37 @@ func (c CompactDelta) validate() error {
 			return fmt.Errorf("delta: support indices not strictly increasing at %d", s)
 		}
 		prev = s
-		if len(c.Blocks[i]) != c.BlockSize {
-			return fmt.Errorf("delta: compact block %d has %d bytes, want %d", i, len(c.Blocks[i]), c.BlockSize)
+		if w := len(c.Blocks[i]); w == 0 || w != len(c.Blocks[0]) || c.Off+w > c.BlockSize {
+			return fmt.Errorf("delta: compact block %d has %d bytes at offset %d, want %d within %d", i, w, c.Off, len(c.Blocks[0]), c.BlockSize)
 		}
 	}
 	return nil
 }
 
-// View returns the compacted form of an expanded delta: its support and,
-// without copies, its gamma non-zero blocks, which are the blocks of the
-// input. The input must be a uniform block vector (every block the same
-// non-zero length).
+// windowOf returns the window [off, end) of a delta whose changed blocks
+// are zero outside bytes [lo, hi) (lo = hi = 0 when nothing changed): that
+// range rounded out to windowAlign boundaries or the block's end, and never
+// narrower than windowAlign. A block under two windows is never windowed.
+// So a window keeps whole the 2-byte symbols of GF(2^16), and no code meets
+// a block under 64 bytes that it did not meet before windows existed.
+func windowOf(blockSize, lo, hi int) (off, end int) {
+	if blockSize < 2*windowAlign {
+		return 0, blockSize
+	}
+	off, end = lo&^(windowAlign-1), min((hi+windowAlign-1)&^(windowAlign-1), blockSize)
+	switch {
+	case end < windowAlign: // nothing changed
+		end = windowAlign
+	case end-off < windowAlign: // a tail shorter than a window
+		off -= windowAlign
+	}
+	return off, end
+}
+
+// View returns the full-width compacted form of an expanded delta: its
+// support and, without copies, its gamma non-zero blocks, which are the
+// blocks of the input. The input must be a uniform block vector (every
+// block the same non-zero length).
 func View(blocks [][]byte) (CompactDelta, error) {
 	if len(blocks) == 0 {
 		return CompactDelta{}, fmt.Errorf("delta: compacting an empty block vector")
@@ -88,9 +137,11 @@ func View(blocks [][]byte) (CompactDelta, error) {
 }
 
 // Diff returns the compact delta next - prev between two versions of the
-// same shape. Each pair of blocks is compared first; only the blocks that
-// differ are XORed, each into a fresh block, so gamma and the support come
-// out of the one pass and neither input is written.
+// same shape, at its window. Each pair of blocks is compared first; where
+// two differ, the comparison also finds the bytes they differ in, and only
+// the window of those blocks is XORed, into fresh memory, so gamma, the
+// support and the window come out of the one pass and neither input is
+// written.
 func Diff(prev, next [][]byte) (CompactDelta, error) {
 	if len(prev) != len(next) {
 		return CompactDelta{}, fmt.Errorf("delta: version block counts differ: %d vs %d", len(prev), len(next))
@@ -99,25 +150,29 @@ func Diff(prev, next [][]byte) (CompactDelta, error) {
 		return CompactDelta{}, fmt.Errorf("delta: diffing an empty block vector")
 	}
 	c := CompactDelta{K: len(prev), BlockSize: len(prev[0])}
+	var changed byteRange
 	for i := range prev {
 		if len(prev[i]) != c.BlockSize || len(next[i]) != c.BlockSize {
 			return CompactDelta{}, fmt.Errorf("delta: block %d sizes differ: %d vs %d, want %d", i, len(prev[i]), len(next[i]), c.BlockSize)
 		}
 		if !bytes.Equal(prev[i], next[i]) {
-			c.add(i, prev[i], next[i])
+			c.Support = append(c.Support, i)
+			changed.cover(prev[i], next[i])
 		}
 	}
+	c.fill(prev, next, changed)
 	return c, nil
 }
 
 // Diff splits object into K blocks against prev, the blocks of the version
 // before it, and returns the new version's blocks with the compact delta
-// between the two. Each block of object is compared with its predecessor
-// first, the zero padding of a short object included. An unchanged block of
-// next is prev's own block; a changed one is a fresh copy, XORed with its
-// predecessor into a fresh delta block, so gamma and the support come out of
-// the one pass. Neither prev nor object is written, and nothing returned
-// aliases object. It fails, like Split, if object exceeds the capacity.
+// between the two, at its window. Each block of object is compared with its
+// predecessor first, the zero padding of a short object included. An
+// unchanged block of next is prev's own block; a changed one is a fresh
+// copy, and the window of it and its predecessor is XORed into fresh delta
+// memory, so gamma, the support and the window come out of the one pass.
+// Neither prev nor object is written, and nothing returned aliases object.
+// It fails, like Split, if object exceeds the capacity.
 func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDelta, err error) {
 	if err := b.CheckLength(len(object)); err != nil {
 		return nil, CompactDelta{}, err
@@ -127,6 +182,7 @@ func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDe
 	}
 	next = make([][]byte, b.K)
 	d = CompactDelta{K: b.K, BlockSize: b.BlockSize}
+	var changed byteRange
 	for i, old := range prev {
 		lo := min(i*b.BlockSize, len(object))
 		src := object[lo:min(lo+b.BlockSize, len(object))]
@@ -136,26 +192,66 @@ func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDe
 		}
 		next[i] = make([]byte, b.BlockSize)
 		copy(next[i], src)
-		d.add(i, old, next[i])
+		d.Support = append(d.Support, i)
+		changed.cover(old, next[i])
 	}
+	d.fill(prev, next, changed)
 	return next, d, nil
 }
 
-// add appends block i, old + cur, to the delta: the caller has found the two
-// to differ, and keeps the indices it adds increasing.
-func (c *CompactDelta) add(i int, old, cur []byte) {
-	z := append([]byte(nil), cur...)
-	gf.AddSlice(z, old)
-	c.Support = append(c.Support, i)
-	c.Blocks = append(c.Blocks, z)
+// byteRange is the bytes [lo, hi) some pairs of blocks differ in; the zero
+// value covers none.
+type byteRange struct{ lo, hi int }
+
+// cover widens the range to the bytes where a and b, of one length, differ:
+// from the first such byte to the last. They must differ somewhere. Each end
+// is found by comparing runs of bytes, then single bytes.
+func (r *byteRange) cover(a, b []byte) {
+	const run = 256
+	lo, hi := 0, len(a)
+	for lo+run <= hi && bytes.Equal(a[lo:lo+run], b[lo:lo+run]) {
+		lo += run
+	}
+	for a[lo] == b[lo] {
+		lo++
+	}
+	for hi-run >= lo && bytes.Equal(a[hi-run:hi], b[hi-run:hi]) {
+		hi -= run
+	}
+	for a[hi-1] == b[hi-1] {
+		hi--
+	}
+	if r.hi == 0 || lo < r.lo {
+		r.lo = lo
+	}
+	r.hi = max(r.hi, hi)
+}
+
+// fill sets the blocks of a delta whose support is set, and whose changed
+// blocks differ only in the range changed, to the window of prev + next, in
+// one fresh allocation.
+func (c *CompactDelta) fill(prev, next [][]byte, changed byteRange) {
+	if len(c.Support) == 0 {
+		return
+	}
+	off, end := windowOf(c.BlockSize, changed.lo, changed.hi)
+	w := end - off
+	c.Off, c.Blocks = off, make([][]byte, len(c.Support))
+	buf := make([]byte, len(c.Support)*w)
+	for i, s := range c.Support {
+		z := buf[i*w : (i+1)*w : (i+1)*w]
+		copy(z, next[s][off:end])
+		gf.AddSlice(z, prev[s][off:end])
+		c.Blocks[i] = z
+	}
 }
 
 // ApplyTo returns base + c without expanding c: a vector that shares with
 // base the K - gamma blocks outside the support and holds one new block,
-// base[s] + c.Blocks[i], for each s in it. XOR deltas are self-inverse, so
-// the same call goes from a delta's base to its version and back. Neither
-// base nor c is written, and the result is read-only wherever base is; a
-// delta with an empty support returns base itself.
+// base[s] + c's window of block s, for each s in it. XOR deltas are
+// self-inverse, so the same call goes from a delta's base to its version
+// and back. Neither base nor c is written, and the result is read-only
+// wherever base is; a delta with an empty support returns base itself.
 func (c CompactDelta) ApplyTo(base [][]byte) ([][]byte, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -172,13 +268,13 @@ func (c CompactDelta) ApplyTo(base [][]byte) ([][]byte, error) {
 			return nil, fmt.Errorf("delta: block %d sizes differ: %d vs %d", s, len(base[s]), c.BlockSize)
 		}
 		out[s] = append([]byte(nil), base[s]...)
-		gf.AddSlice(out[s], c.Blocks[i])
+		gf.AddSlice(out[s][c.Off:c.Off+len(c.Blocks[i])], c.Blocks[i])
 	}
 	return out, nil
 }
 
-// Expand reconstructs the full k-block delta: the support blocks in place,
-// zero blocks everywhere else. The result is a fresh allocation.
+// Expand reconstructs the full k-block delta: the support blocks' windows
+// in place, zero bytes everywhere else. The result is a fresh allocation.
 func (c CompactDelta) Expand() ([][]byte, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -188,82 +284,9 @@ func (c CompactDelta) Expand() ([][]byte, error) {
 		blocks[i] = make([]byte, c.BlockSize)
 	}
 	for i, s := range c.Support {
-		copy(blocks[s], c.Blocks[i])
+		copy(blocks[s][c.Off:], c.Blocks[i])
 	}
 	return blocks, nil
-}
-
-// compactMagic identifies the serialized compact-delta format. The trailing
-// byte versions the layout.
-var compactMagic = [4]byte{'S', 'C', 'D', '1'}
-
-// MarshalBinary serializes the compact delta: a fixed header (magic, k,
-// block size), a support bitmap of ceil(k/8) bytes (bit i set when block i
-// is non-zero, unused high bits zero), and the gamma non-zero blocks in
-// support order. This is the storage/wire form: everything needed to expand
-// the delta travels in one self-delimiting record.
-func (c CompactDelta) MarshalBinary() ([]byte, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	bitmapLen := (c.K + 7) / 8
-	out := make([]byte, 0, len(compactMagic)+8+bitmapLen+len(c.Blocks)*c.BlockSize)
-	out = append(out, compactMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(c.K))
-	out = binary.LittleEndian.AppendUint32(out, uint32(c.BlockSize))
-	bitmap := make([]byte, bitmapLen)
-	for _, s := range c.Support {
-		bitmap[s/8] |= 1 << (s % 8)
-	}
-	out = append(out, bitmap...)
-	for _, blk := range c.Blocks {
-		out = append(out, blk...)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary parses a record produced by MarshalBinary, validating
-// the header, the bitmap's unused bits, and the exact record length before
-// allocating block storage. The parsed blocks are copies of the input.
-func (c *CompactDelta) UnmarshalBinary(data []byte) error {
-	header := len(compactMagic) + 8
-	if len(data) < header {
-		return fmt.Errorf("delta: compact record too short: %d bytes", len(data))
-	}
-	if [4]byte(data[:4]) != compactMagic {
-		return fmt.Errorf("delta: bad compact record magic %q", data[:4])
-	}
-	k := int(binary.LittleEndian.Uint32(data[4:]))
-	blockSize := int(binary.LittleEndian.Uint32(data[8:]))
-	if k <= 0 || blockSize <= 0 {
-		return fmt.Errorf("delta: compact record has invalid shape k=%d blockSize=%d", k, blockSize)
-	}
-	bitmapLen := (k + 7) / 8
-	if int64(len(data)) < int64(header)+int64(bitmapLen) {
-		return fmt.Errorf("delta: compact record truncated before bitmap")
-	}
-	bitmap := data[header : header+bitmapLen]
-	var support []int
-	for i := 0; i < bitmapLen*8; i++ {
-		if bitmap[i/8]&(1<<(i%8)) == 0 {
-			continue
-		}
-		if i >= k {
-			return fmt.Errorf("delta: compact record bitmap sets unused bit %d (k=%d)", i, k)
-		}
-		support = append(support, i)
-	}
-	want := int64(header) + int64(bitmapLen) + int64(len(support))*int64(blockSize)
-	if int64(len(data)) != want {
-		return fmt.Errorf("delta: compact record length %d, want %d for gamma=%d", len(data), want, len(support))
-	}
-	blocks := make([][]byte, len(support))
-	payload := data[header+bitmapLen:]
-	for i := range blocks {
-		blocks[i] = append([]byte(nil), payload[i*blockSize:(i+1)*blockSize]...)
-	}
-	*c = CompactDelta{K: k, BlockSize: blockSize, Support: support, Blocks: blocks}
-	return nil
 }
 
 // CompressedReadCost is the per-object read count of a CDEC-compacted

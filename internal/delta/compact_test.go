@@ -22,6 +22,44 @@ func randomSparseDelta(rng *rand.Rand, k, blockSize, gamma int) [][]byte {
 	return blocks
 }
 
+// narrow is the reference window finder: c cut to its window (windowOf),
+// the bytes from the first non-zero byte of any block to the last, rounded
+// out, found from the bytes themselves. Its blocks are sub-slices of c's. A
+// delta already at its window, or whose window would reach outside the one
+// it has, comes back as it is; so does one whose blocks are all zero. Diff
+// finds the window while it compares; FuzzDiff holds it to this one.
+func narrow(c CompactDelta) CompactDelta {
+	lo, hi := c.BlockSize, 0
+	for _, blk := range c.Blocks {
+		if first := firstNonZero(blk); first < len(blk) {
+			lo, hi = min(lo, c.Off+first), max(hi, c.Off+endNonZero(blk))
+		}
+	}
+	if hi == 0 {
+		return c
+	}
+	off, end := windowOf(c.BlockSize, lo, hi)
+	if width := c.Width(); off < c.Off || end > c.Off+width || end-off == width {
+		return c
+	}
+	n := c
+	n.Off, n.Blocks = off, make([][]byte, len(c.Blocks))
+	for i, blk := range c.Blocks {
+		n.Blocks[i] = blk[off-c.Off : end-c.Off : end-c.Off]
+	}
+	return n
+}
+
+// endNonZero returns one past blk's last non-zero byte, or 0 when it has
+// none.
+func endNonZero(blk []byte) int {
+	i := len(blk)
+	for i > 0 && blk[i-1] == 0 {
+		i--
+	}
+	return i
+}
+
 func TestCompactExpandRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, k := range []int{1, 3, 8, 17} {
@@ -51,42 +89,56 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 }
 
 // TestDiffOfVectors holds the compare-then-XOR diff of two materialized
-// versions to the expanding reference: the same support and blocks as a
-// view of Compute, every delta block a fresh allocation, the inputs
-// untouched, and a shape mismatch refused.
+// versions, the one compaction stores as it comes, to the expanding
+// reference: the same support, window and blocks as a view of Compute
+// narrowed to its window, every delta block a fresh allocation, the inputs
+// untouched, and a shape mismatch refused. Changes at 512-byte blocks are cut
+// to a random byte range, so their deltas are windowed.
 func TestDiffOfVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const k, blockSize = 7, 24
-	for gamma := 0; gamma <= k; gamma++ {
-		prev := randomSparseDelta(rng, k, blockSize, k)
-		change := randomSparseDelta(rng, k, blockSize, gamma)
-		next, err := Apply(prev, change)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range next {
-			if isZeroBlock(change[i]) {
-				next[i] = prev[i] // shared, as a walk's versions are
+	const k = 7
+	for _, blockSize := range []int{24, 512} {
+		for gamma := 0; gamma <= k; gamma++ {
+			prev := randomSparseDelta(rng, k, blockSize, k)
+			change := randomSparseDelta(rng, k, blockSize, gamma)
+			if lo := rng.Intn(blockSize); blockSize == 512 {
+				hi := lo + 1 + rng.Intn(blockSize-lo)
+				for _, blk := range change {
+					if !isZeroBlock(blk) {
+						clear(blk[:lo])
+						clear(blk[hi:])
+						blk[lo] |= 1
+					}
+				}
 			}
-		}
-		before, beforeNext := Clone(prev), Clone(next)
-		got, err := Diff(prev, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := View(change)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("gamma=%d: Diff = %+v, want %+v", gamma, got, want)
-		}
-		if !Equal(prev, before) || !Equal(next, beforeNext) {
-			t.Fatalf("gamma=%d: Diff wrote to an input", gamma)
-		}
-		for i, s := range got.Support {
-			if &got.Blocks[i][0] == &prev[s][0] || &got.Blocks[i][0] == &next[s][0] {
-				t.Fatalf("gamma=%d: delta block %d aliases an input", gamma, s)
+			next, err := Apply(prev, change)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range next {
+				if isZeroBlock(change[i]) {
+					next[i] = prev[i] // shared, as a walk's versions are
+				}
+			}
+			before, beforeNext := Clone(prev), Clone(next)
+			got, err := Diff(prev, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := View(change)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want = narrow(want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("gamma=%d, block size %d: Diff = %+v, want %+v", gamma, blockSize, got, want)
+			}
+			if !Equal(prev, before) || !Equal(next, beforeNext) {
+				t.Fatalf("gamma=%d: Diff wrote to an input", gamma)
+			}
+			for i, s := range got.Support {
+				if &got.Blocks[i][0] == &prev[s][0] || &got.Blocks[i][0] == &next[s][0] {
+					t.Fatalf("gamma=%d: delta block %d aliases an input", gamma, s)
+				}
 			}
 		}
 	}
@@ -102,51 +154,6 @@ func TestDiffOfVectors(t *testing.T) {
 	}
 }
 
-func TestCompactMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, k := range []int{1, 5, 9, 32} {
-		for gamma := 0; gamma <= k; gamma += max(1, k/4) {
-			d := randomSparseDelta(rng, k, 16, gamma)
-			c, err := View(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wire, err := c.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back CompactDelta
-			if err := back.UnmarshalBinary(wire); err != nil {
-				t.Fatalf("UnmarshalBinary(k=%d,gamma=%d): %v", k, gamma, err)
-			}
-			expanded, err := back.Expand()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(d, expanded) {
-				t.Fatalf("marshal round trip lost data for k=%d gamma=%d", k, gamma)
-			}
-		}
-	}
-}
-
-func TestCompactMarshalSavesBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	k, blockSize := 16, 256
-	d := randomSparseDelta(rng, k, blockSize, 2)
-	c, err := View(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full := k * blockSize; len(wire) >= full/4 {
-		t.Errorf("compact record is %d bytes, want well under %d", len(wire), full)
-	}
-}
-
 func TestCompactValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -156,92 +163,81 @@ func TestCompactValidation(t *testing.T) {
 		{"zero block size", CompactDelta{K: 1, BlockSize: 0}},
 		{"support out of range", CompactDelta{K: 2, BlockSize: 1, Support: []int{2}, Blocks: [][]byte{{1}}}},
 		{"support not increasing", CompactDelta{K: 4, BlockSize: 1, Support: []int{1, 1}, Blocks: [][]byte{{1}, {2}}}},
-		{"block length mismatch", CompactDelta{K: 2, BlockSize: 2, Support: []int{0}, Blocks: [][]byte{{1}}}},
+		{"block past the block size", CompactDelta{K: 2, BlockSize: 2, Off: 1, Support: []int{0}, Blocks: [][]byte{{1, 2}}}},
+		{"blocks of two widths", CompactDelta{K: 2, BlockSize: 2, Support: []int{0, 1}, Blocks: [][]byte{{1, 2}, {3}}}},
+		{"empty block", CompactDelta{K: 2, BlockSize: 2, Support: []int{0}, Blocks: [][]byte{{}}}},
+		{"negative offset", CompactDelta{K: 2, BlockSize: 2, Off: -1, Support: []int{0}, Blocks: [][]byte{{1}}}},
 		{"support/blocks misaligned", CompactDelta{K: 2, BlockSize: 1, Support: []int{0, 1}, Blocks: [][]byte{{1}}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.c.Expand(); err == nil {
 			t.Errorf("%s: Expand accepted an invalid compact form", tc.name)
 		}
-		if _, err := tc.c.MarshalBinary(); err == nil {
-			t.Errorf("%s: MarshalBinary accepted an invalid compact form", tc.name)
+		if _, err := tc.c.ApplyTo(make([][]byte, tc.c.K)); err == nil {
+			t.Errorf("%s: ApplyTo accepted an invalid compact form", tc.name)
 		}
 	}
 }
 
-func TestUnmarshalRejectsDamage(t *testing.T) {
-	c, err := View([][]byte{{1, 2}, {0, 0}, {3, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cd CompactDelta
-	if err := cd.UnmarshalBinary(wire[:len(wire)-1]); err == nil {
-		t.Error("truncated record accepted")
-	}
-	if err := cd.UnmarshalBinary(append(append([]byte(nil), wire...), 0)); err == nil {
-		t.Error("oversized record accepted")
-	}
-	bad := append([]byte(nil), wire...)
-	bad[0] = 'X'
-	if err := cd.UnmarshalBinary(bad); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// A bitmap bit beyond k must be rejected, not silently ignored.
-	bad = append([]byte(nil), wire...)
-	bad[12] |= 1 << 7 // k=3: bit 7 is unused
-	if err := cd.UnmarshalBinary(bad); err == nil {
-		t.Error("unused bitmap bit accepted")
-	}
-}
-
-// FuzzCompactDelta round-trips arbitrary block vectors through the compact
-// form and its serialization: view -> copy -> marshal -> unmarshal ->
-// expand must reproduce the input byte-identically, and unmarshal of
-// arbitrary bytes must never panic or over-allocate.
+// FuzzCompactDelta holds the compact forms the archive uses to the expanded
+// vector they stand for. The vector is k zero blocks with raw written into
+// them from byte at on, so its non-zero bytes may sit in a narrow window.
+// View, then narrow, then Expand reproduces the vector byte-identically;
+// narrow's window is aligned, covers every non-zero byte and is where narrow
+// leaves it; and ApplyTo of the windowed form equals ApplyTo of the
+// full-width form. The seed corpus lives in testdata/fuzz/FuzzCompactDelta.
 func FuzzCompactDelta(f *testing.F) {
-	f.Add(3, 4, []byte{1, 2, 3, 4, 0, 0, 0, 0, 9, 9, 9, 9})
-	f.Add(1, 1, []byte{0})
-	f.Add(8, 2, make([]byte, 16))
-	f.Fuzz(func(t *testing.T, k, blockSize int, raw []byte) {
-		if k > 0 && blockSize > 0 && k <= 64 && blockSize <= 64 && len(raw) >= k*blockSize {
-			blocks := make([][]byte, k)
-			for i := range blocks {
-				blocks[i] = raw[i*blockSize : (i+1)*blockSize]
-			}
-			c, err := View(blocks)
-			if err != nil {
-				t.Fatalf("View rejected a valid vector: %v", err)
-			}
-			for i, blk := range c.Blocks {
-				c.Blocks[i] = append([]byte(nil), blk...)
-			}
-			wire, err := c.MarshalBinary()
-			if err != nil {
-				t.Fatalf("MarshalBinary: %v", err)
-			}
-			var back CompactDelta
-			if err := back.UnmarshalBinary(wire); err != nil {
-				t.Fatalf("UnmarshalBinary of own output: %v", err)
-			}
-			expanded, err := back.Expand()
-			if err != nil {
-				t.Fatalf("Expand: %v", err)
-			}
-			if !Equal(blocks, expanded) {
-				t.Fatal("round trip not byte-identical")
+	f.Fuzz(func(t *testing.T, k, blockSize, at int, raw []byte) {
+		k, blockSize = 1+int(uint(k)%16), 1+int(uint(blockSize)%1024)
+		flat := make([]byte, k*blockSize)
+		copy(flat[int(uint(at)%uint(len(flat))):], raw)
+		blocks, base := make([][]byte, k), make([][]byte, k)
+		for i := range blocks {
+			blocks[i] = flat[i*blockSize : (i+1)*blockSize]
+			base[i] = make([]byte, blockSize)
+			for j := range base[i] {
+				base[i][j] = byte(i*31 + j)
 			}
 		}
-		// Adversarial parse: raw bytes as a record must fail cleanly or
-		// yield a form that expands.
-		var cd CompactDelta
-		if err := cd.UnmarshalBinary(raw); err == nil {
-			if _, err := cd.Expand(); err != nil {
-				t.Fatalf("accepted record does not expand: %v", err)
+		full, err := View(blocks)
+		if err != nil {
+			t.Fatalf("View rejected a valid vector: %v", err)
+		}
+		windowed := narrow(full)
+		if again := narrow(windowed); !reflect.DeepEqual(again, windowed) {
+			t.Fatalf("narrow moved its own window: %+v to %+v", windowed, again)
+		}
+		off, end := windowed.Off, windowed.Off+windowed.Width()
+		switch {
+		case blockSize < 2*windowAlign && (off != 0 || end != blockSize):
+			t.Fatalf("a %d-byte block was windowed to [%d,%d)", blockSize, off, end)
+		case end-off < min(windowAlign, blockSize) || end > blockSize:
+			t.Fatalf("window [%d,%d) of a %d-byte block", off, end, blockSize)
+		case off%windowAlign != 0 || end%windowAlign != 0 && end != blockSize:
+			t.Fatalf("window [%d,%d) is not aligned", off, end)
+		}
+		for _, blk := range blocks {
+			if first := firstNonZero(blk); first < len(blk) && (first < off || endNonZero(blk) > end) {
+				t.Fatalf("window [%d,%d) misses bytes [%d,%d)", off, end, first, endNonZero(blk))
 			}
+		}
+		expanded, err := windowed.Expand()
+		if err != nil {
+			t.Fatalf("Expand: %v", err)
+		}
+		if !Equal(blocks, expanded) {
+			t.Fatal("View, narrow, Expand is not the identity")
+		}
+		want, err := full.ApplyTo(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := windowed.ApplyTo(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(got, want) {
+			t.Fatal("ApplyTo of the windowed form differs from the full-width form's")
 		}
 	})
 }

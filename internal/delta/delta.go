@@ -274,17 +274,17 @@ func Equal(a, b [][]byte) bool {
 	return true
 }
 
-func isZeroBlock(b []byte) bool {
-	n := len(b) &^ 7
-	for i := 0; i < n; i += 8 {
-		if binary.LittleEndian.Uint64(b[i:]) != 0 {
-			return false
-		}
+func isZeroBlock(b []byte) bool { return firstNonZero(b) == len(b) }
+
+// firstNonZero returns the index of blk's first non-zero byte, or len(blk)
+// when it has none.
+func firstNonZero(blk []byte) int {
+	i := 0
+	for i+8 <= len(blk) && binary.LittleEndian.Uint64(blk[i:]) == 0 {
+		i += 8
 	}
-	for _, v := range b[n:] {
-		if v != 0 {
-			return false
-		}
+	for i < len(blk) && blk[i] == 0 {
+		i++
 	}
-	return true
+	return i
 }

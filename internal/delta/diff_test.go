@@ -8,14 +8,15 @@ import (
 
 // FuzzDiff holds Blocking.Diff, the commit's one pass over an object, to
 // the expanding reference it replaces: next is Split(object), the delta is
-// a view of Compute(prev, next), neither input is written, every unchanged
+// a view of Compute(prev, next) narrowed to its window, neither input is
+// written, every unchanged
 // block of next is prev's own block, and nothing else returned aliases prev
 // or object. The object is prev's bytes cut or zero-extended to cut bytes,
 // with edits applied as (low, high, xor) position triples; a cut past the
 // capacity must be refused. The seed corpus lives in testdata/fuzz/FuzzDiff.
 func FuzzDiff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k, blockSize int, prevData []byte, cut int, edits []byte) {
-		b := Blocking{K: 1 + int(uint(k)%16), BlockSize: 1 + int(uint(blockSize)%64)}
+		b := Blocking{K: 1 + int(uint(k)%16), BlockSize: 1 + int(uint(blockSize)%1024)}
 		if len(prevData) > b.Capacity() {
 			prevData = prevData[:b.Capacity()]
 		}
@@ -55,6 +56,7 @@ func FuzzDiff(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantD = narrow(wantD)
 		if !reflect.DeepEqual(d, wantD) {
 			t.Fatalf("delta = %+v, want %+v", d, wantD)
 		}

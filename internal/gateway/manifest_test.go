@@ -86,7 +86,7 @@ func TestPublishWritesOneRecord(t *testing.T) {
 	gammas := []int{1, 1, 2, 1, 3}
 	var (
 		committed, folds int
-		publishBytes     = map[int]uint64{} // chain length -> metadata bytes of a non-folding publish
+		publishBytes     = map[int]int64{} // chain length -> metadata bytes of a non-folding publish
 	)
 	for v := 1; v <= commits; v++ {
 		for b := 0; b < gammas[v%len(gammas)]; b++ {
@@ -98,7 +98,18 @@ func TestPublishWritesOneRecord(t *testing.T) {
 			t.Fatalf("commit %d: %v", v, err)
 		}
 		committed += len(object)
-		metadata := cluster.WireStats().BytesWritten - before - uint64(info.ShardWrites*blockSize)
+		// A delta's shards are its window wide, a full codeword's a block.
+		if info.StoredFull && info.StoredDelta {
+			t.Fatalf("commit %d stored a full and a delta codeword", v)
+		}
+		width := blockSize
+		if w := st.archive.Manifest().Entries[info.Version-1].Window; info.StoredDelta && w != nil {
+			width = w.Width
+		}
+		metadata := int64(cluster.WireStats().BytesWritten-before) - int64(info.ShardWrites*width)
+		if metadata <= 0 {
+			t.Fatalf("commit %d: %d metadata bytes written beside its %d shards of %d bytes", v, metadata, info.ShardWrites, width)
+		}
 		if foldedAt(st) == folded {
 			publishBytes[v] = metadata
 		} else {
@@ -113,7 +124,7 @@ func TestPublishWritesOneRecord(t *testing.T) {
 			t.Fatalf("after commit %d: %d bytes of records on the snapshot's first ring node extend a %d-byte snapshot", v, size, len(snap))
 		}
 	}
-	at := func(length int) uint64 {
+	at := func(length int) int64 {
 		for ; length <= commits; length++ {
 			if b, ok := publishBytes[length]; ok {
 				return b
