@@ -102,12 +102,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			_ = r.Close()
 		}
 	}()
-	// The served profile is the soak's: a shard whose node failed transiently
-	// is re-issued under the default policy, unless the node is held silent.
-	cluster := sec.NewCluster(nodes)
-	cluster.SetRetryPolicy(sec.DefaultRetryPolicy)
 	gw, err := gateway.New(gateway.Config{
-		Cluster:          cluster,
+		Cluster:          sec.NewCluster(nodes),
 		Root:             *root,
 		MaxQueuedWriters: *maxWriters,
 	})

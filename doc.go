@@ -95,9 +95,7 @@
 // cmd/secvet is a custom analyzer suite (internal/lint) that `go test
 // ./...` runs as a `go vet -vettool` over every package, test files
 // included. It checks the ctx-first rule, error provenance (%w /
-// sentinels), pooled-buffer release, locks never held across blocking
-// calls, and that retries stay off by default: only a command turns
-// them on, as cmd/secgw does, at the cluster, the one retry layer.
-// Intentional exceptions take a `//lint:allow <analyzer> <reason>`
+// sentinels), pooled-buffer release, and locks never held across
+// blocking calls. Intentional exceptions take a `//lint:allow <analyzer> <reason>`
 // directive. DESIGN.md section 11 documents each rule.
 package sec

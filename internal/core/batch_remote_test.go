@@ -205,8 +205,9 @@ func remoteWalkOneRPCPerNode(t *testing.T) {
 // TestRemoteLivenessRememberedFromTraffic follows one node of a (12,10) TCP
 // cluster through dying and coming back, in pings and batches per read. A
 // healthy read sends no ping. The read that meets the stopped server loses
-// one batch to it and re-plans: right bytes, and the healthy read count, since
-// only successful reads are charged and only the deficit is fetched again.
+// one batch to it, retried twice, and re-plans: right bytes, and the healthy
+// read count, since only successful reads are charged and only the deficit is
+// fetched again.
 // Every later read pings that one node - and sends it nothing else - until
 // the ping is answered, which re-admits it; the read after that pings nobody.
 func TestRemoteLivenessRememberedFromTraffic(t *testing.T) {
@@ -253,8 +254,11 @@ func TestRemoteLivenessRememberedFromTraffic(t *testing.T) {
 	if err := servers[dead].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, failures, _ := read("discovering"); failures == 0 {
-		t.Error("discovering read: the stopped node was charged no failure")
+	// The stopped server refuses at once, a fast failure: the cluster sends
+	// the node its batch on each of its 3 attempts, each a failure charged to
+	// the node besides its failed pings.
+	if _, _, failures, probeFailures := read("discovering"); failures-probeFailures != 3 {
+		t.Errorf("discovering read: the stopped node was charged %d batch failures, want 3", failures-probeFailures)
 	}
 	for i := 0; i < 2; i++ {
 		// One failure and it is the ping's: no batch went to the dead node.
@@ -447,10 +451,9 @@ func TestRemoteSilentNodeAskedOncePerSecond(t *testing.T) {
 	read("heard again", opTimeout, 0, 1)
 }
 
-// TestRemoteHungNodeAskedOnceUnderRetries arms the cluster's retry policy,
-// as cmd/secgw serves, on a (6,3) TCP cluster one node of which hangs: the
-// read and the commit that meet it each send it one batch and return after
-// one operation timeout. The failed batch - a get or a put - took as long
+// TestRemoteHungNodeAskedOnceUnderRetries runs the cluster's retry rule on a
+// (6,3) TCP cluster one node of which hangs: the read and the commit that
+// meet it each send it one batch and return after one operation timeout. The failed batch - a get or a put - took as long
 // as a slow node's, so the node is held silent and no further attempt
 // re-issues its shards.
 func TestRemoteHungNodeAskedOnceUnderRetries(t *testing.T) {
@@ -468,7 +471,6 @@ func TestRemoteHungNodeAskedOnceUnderRetries(t *testing.T) {
 		t.Cleanup(func() { close(hanging.release) })
 		backing[hung] = hanging
 		cluster, servers := remoteCluster(t, backing, transport.WithTimeout(opTimeout), transport.WithPingTimeout(pingTimeout))
-		cluster.SetRetryPolicy(store.DefaultRetryPolicy)
 		a, err := core.New(core.Config{
 			Name: "hung", Scheme: core.BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: blockSize,
 		}, cluster)

@@ -144,7 +144,9 @@ func TestLivenessProbesRunConcurrently(t *testing.T) {
 	})
 
 	t.Run("fallback read", func(t *testing.T) {
-		failGets.Store(k) // the prefetch reads k nodes: each of those batches fails, once
+		// The prefetch reads k nodes: each of those batches fails, on every
+		// one of the cluster's 3 attempts.
+		failGets.Store(3 * k)
 		done := make(chan transport.ArchiveVersion, 1)
 		go func() {
 			got, err := g.Retrieve(t.Context(), "probed", 1)

@@ -44,7 +44,6 @@ func All() []*Analyzer {
 		ErrWrap,
 		PoolCheck,
 		LockHeld,
-		RetryDefault,
 	}
 }
 
@@ -211,12 +210,6 @@ func (pkg *Package) fileName(pos token.Pos) string {
 // example binary).
 func (pkg *Package) isMain() bool {
 	return pkg.Types != nil && pkg.Types.Name() == "main"
-}
-
-// isExample reports whether the package lives under an examples/ tree.
-func (pkg *Package) isExample() bool {
-	return strings.Contains(pkg.ImportPath, "/examples/") ||
-		strings.HasPrefix(pkg.ImportPath, "examples/")
 }
 
 // isContextType reports whether t is context.Context.

@@ -165,11 +165,10 @@ func runFixture(t *testing.T, name string) {
 	}
 }
 
-func TestCtxCheckFixture(t *testing.T)     { runFixture(t, CtxCheck.Name) }
-func TestErrWrapFixture(t *testing.T)      { runFixture(t, ErrWrap.Name) }
-func TestPoolCheckFixture(t *testing.T)    { runFixture(t, PoolCheck.Name) }
-func TestLockHeldFixture(t *testing.T)     { runFixture(t, LockHeld.Name) }
-func TestRetryDefaultFixture(t *testing.T) { runFixture(t, RetryDefault.Name) }
+func TestCtxCheckFixture(t *testing.T)  { runFixture(t, CtxCheck.Name) }
+func TestErrWrapFixture(t *testing.T)   { runFixture(t, ErrWrap.Name) }
+func TestPoolCheckFixture(t *testing.T) { runFixture(t, PoolCheck.Name) }
+func TestLockHeldFixture(t *testing.T)  { runFixture(t, LockHeld.Name) }
 
 // TestModuleClean is the secvet gate: go vet -vettool over the module,
 // test units included, reports nothing, so any diagnostic is a

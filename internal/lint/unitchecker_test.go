@@ -25,12 +25,18 @@ func writeVetConfig(t *testing.T, cfg vetConfig) string {
 
 func TestRunVetTool(t *testing.T) {
 	dir := t.TempDir()
-	src := `package p
+	// An import-free unit: poolcheck matches GetBuffers by its package's
+	// name, so a package named erasure that drops an acquisition trips it.
+	src := `package erasure
 
-type RetryPolicy struct{ MaxAttempts int }
+type Buffers struct{}
 
-func enable() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3}
+func (*Buffers) Release() {}
+
+func GetBuffers() *Buffers { return &Buffers{} }
+
+func leak() {
+	GetBuffers()
 }
 `
 	file := filepath.Join(dir, "p.go")
@@ -55,8 +61,8 @@ func enable() RetryPolicy {
 	if n != 1 {
 		t.Fatalf("got %d diagnostics, want 1; output:\n%s", n, out.String())
 	}
-	if !strings.Contains(out.String(), "retrydefault") {
-		t.Errorf("diagnostic should come from retrydefault, got:\n%s", out.String())
+	if !strings.Contains(out.String(), "poolcheck") {
+		t.Errorf("diagnostic should come from poolcheck, got:\n%s", out.String())
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Errorf("vetx placeholder was not written: %v", err)

@@ -317,10 +317,7 @@ func startFixture(p Profile) (*fixture, error) {
 	for i, c := range fx.nodeConns {
 		members[i] = c
 	}
-	cluster := store.NewCluster(members)
-	//lint:allow retrydefault the soak runs the retry profile cmd/secgw serves, so the load numbers describe the configuration operators run
-	cluster.SetRetryPolicy(store.DefaultRetryPolicy)
-	gw, err := gateway.New(gateway.Config{Cluster: cluster})
+	gw, err := gateway.New(gateway.Config{Cluster: store.NewCluster(members)})
 	if err != nil {
 		fx.close()
 		return nil, err

@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -181,14 +180,14 @@ func deleteNodeBatch(ctx context.Context, c *Cluster, b *nodeBatch) []error {
 // runBatch is the one body of GetBatch, PutBatch and DeleteBatch. It groups
 // refs (and data, a put's payloads) by node and runs kind's call once per
 // node, concurrently across nodes, each timed, traced and observed
-// (observeBatch). Then, while the cluster's retry policy has attempts left,
-// it re-issues the shards whose failure is Retryable and whose node is not
-// held silent: a node whose batch failed as slowly as a slow node's is not
+// (observeBatch). Then, by the retry rule (retryAttempts), it re-issues the
+// shards whose failure is Retryable and whose node the health tracker does
+// not hold off: a node whose batch failed as slowly as a slow node's is not
 // asked again within the operation, so the attempts never wait out a hung
-// node's timeout twice.
+// node's timeout twice, and neither is a node Fail holds failed. A pass
+// where no shard failed that way allocates nothing more.
 func runBatch[R any](ctx context.Context, c *Cluster, kind batchKind[R], refs []ShardRef, data [][]byte) []R {
 	out := make([]R, len(refs))
-	p := c.retryPolicy()
 	var pos []int // the positions a pass issues; nil is every ref
 	for attempt := 1; ; attempt++ {
 		runNodeBatches(c.groupByNode(refs, data, pos), func(b *nodeBatch) {
@@ -207,21 +206,19 @@ func runBatch[R any](ctx context.Context, c *Cluster, kind batchKind[R], refs []
 			span.EndBatch(b.index, len(b.ids))
 			c.observeBatch(b.index, len(b.idx), elapsed, kind.sample, func(j int) error { return kind.errOf(out[b.idx[j]]) })
 		})
-		if attempt >= p.attempts() {
+		if attempt >= retryAttempts {
 			return out
 		}
-		if pos == nil {
-			pos = make([]int, len(refs))
-			for i := range pos {
-				pos[i] = i
+		var again []int
+		for i, r := range out {
+			if Retryable(kind.errOf(r)) && !c.health.holdsOff(refs[i].Node) {
+				again = append(again, i)
 			}
 		}
-		pos = slices.DeleteFunc(pos, func(i int) bool {
-			return !Retryable(kind.errOf(out[i])) || c.health.isSilent(refs[i].Node)
-		})
-		if len(pos) == 0 || p.Sleep(ctx, attempt) != nil {
+		if len(again) == 0 || retrySleep(ctx, attempt) != nil {
 			return out
 		}
+		pos = again
 	}
 }
 
@@ -229,16 +226,15 @@ func runBatch[R any](ctx context.Context, c *Cluster, kind batchKind[R], refs []
 // batch per node; batches to distinct nodes run concurrently. The result
 // slice is aligned with refs. Out-of-range node indices yield per-shard
 // ErrClusterTooSmall results instead of failing the whole batch. Shards
-// that fail transiently are re-issued under the cluster's retry policy
-// (see runBatch).
+// that fail transiently are re-issued by the retry rule (see runBatch).
 func (c *Cluster) GetBatch(ctx context.Context, refs []ShardRef) []ShardResult {
 	return runBatch(ctx, c, getKind, refs, nil)
 }
 
 // PutBatch stores data[i] under refs[i], grouped into one batch per node;
 // batches to distinct nodes run concurrently. It returns one error per
-// shard, aligned with refs. Shards that fail transiently are re-issued
-// under the cluster's retry policy (see runBatch).
+// shard, aligned with refs. Shards that fail transiently are re-issued by
+// the retry rule (see runBatch).
 func (c *Cluster) PutBatch(ctx context.Context, refs []ShardRef, data [][]byte) []error {
 	if len(data) != len(refs) {
 		panic(fmt.Sprintf("store: PutBatch got %d refs but %d payloads", len(refs), len(data)))
@@ -249,9 +245,9 @@ func (c *Cluster) PutBatch(ctx context.Context, refs []ShardRef, data [][]byte) 
 // DeleteBatch removes the listed shards, grouped into one batch per node;
 // batches to distinct nodes run concurrently. It returns one error per
 // shard, aligned with refs (nil for successes, errors wrapping ErrNotFound
-// for shards already absent). Shards that fail transiently are re-issued
-// under the cluster's retry policy (see runBatch); a delete retried past a
-// success reports ErrNotFound, the documented at-least-once contract.
+// for shards already absent). Shards that fail transiently are re-issued by
+// the retry rule (see runBatch); a delete retried past a success reports
+// ErrNotFound, the documented at-least-once contract.
 func (c *Cluster) DeleteBatch(ctx context.Context, refs []ShardRef) []error {
 	return runBatch(ctx, c, deleteKind, refs, nil)
 }

@@ -31,11 +31,6 @@ type Cluster struct {
 	// answers from (see Probe).
 	health *healthTracker
 
-	// retry is the per-operation retry policy (see SetRetryPolicy). The
-	// zero policy performs exactly one attempt.
-	retryMu sync.RWMutex
-	retry   RetryPolicy
-
 	// wire holds the client-side wire counters (see WireStats).
 	wire wireCounters
 }
@@ -115,28 +110,6 @@ func NewMemCluster(size int) *Cluster {
 // factory.
 func NewGrowableCluster(factory NodeFactory) *Cluster {
 	return &Cluster{factory: factory, health: newHealthTracker()}
-}
-
-// SetRetryPolicy configures how cluster operations retry transient
-// failures: each retryable shard of a batch is re-issued under the policy's
-// attempt budget with jittered exponential backoff, unless its node is held
-// silent (its batch failed as slowly as a slow node's), so no operation
-// waits out a hung node's timeout twice. It is the one retry layer: a
-// RemoteNode does not retry. Only transient errors (see Retryable) are
-// retried; ErrNotFound, ErrCorrupt, and context cancellation never are. The
-// default (zero) policy performs exactly one attempt, preserving the paper
-// experiments' exact I/O accounting.
-func (c *Cluster) SetRetryPolicy(p RetryPolicy) {
-	c.retryMu.Lock()
-	defer c.retryMu.Unlock()
-	c.retry = p
-}
-
-// retryPolicy returns the configured retry policy.
-func (c *Cluster) retryPolicy() RetryPolicy {
-	c.retryMu.RLock()
-	defer c.retryMu.RUnlock()
-	return c.retry
 }
 
 // NewDiskCluster returns a growable cluster of durable disk-backed nodes
@@ -356,7 +329,9 @@ func (c *Cluster) Probe(ctx context.Context, nodes []int) Liveness {
 // node does not support fault injection. Fail, Heal and HealAll also tell the
 // cluster to doubt what it remembers of those nodes, so the next Probe asks
 // them: an injected failure is excluded from the very next read plan and a
-// healed node re-admitted by it, with no read spent on finding out.
+// healed node re-admitted by it, with no read spent on finding out. Until
+// healed, a failed node is not asked again within an operation: the retry
+// rule re-issues no shard of it, as no retry could succeed.
 func (c *Cluster) Fail(nodes ...int) error { return c.setFailed(true, nodes) }
 
 // Heal clears injected failures on the given nodes.
@@ -389,7 +364,7 @@ func (c *Cluster) setFailed(failed bool, nodes []int) error {
 		inj.SetFailed(failed)
 	}
 	for _, i := range nodes {
-		c.health.doubt(i)
+		c.health.inject(i, failed)
 	}
 	return nil
 }
@@ -402,7 +377,7 @@ func (c *Cluster) HealAll() {
 	for i, n := range nodes {
 		if inj, ok := n.(FaultInjector); ok {
 			inj.SetFailed(false)
-			c.health.doubt(i)
+			c.health.inject(i, false)
 		}
 	}
 }

@@ -40,6 +40,9 @@ type nodeHealth struct {
 	// memory, but for one re-ask per slowResample. An answer, a fast
 	// failure, and Fail/Heal/HealAll clear it.
 	silent bool
+	// failed is set while Fail holds the node failed, until Heal or HealAll:
+	// the injected failure lasts, so no retry of it can succeed.
+	failed bool
 	// latency is the get-batch latency estimate (NodeHealth.Latency).
 	// sampled is when the node last took a sample or went silent, or was
 	// last handed out for a fresh one: the clock of both re-asks.
@@ -136,28 +139,30 @@ func (t *healthTracker) recordFailure(h *nodeHealth, elapsed time.Duration) {
 	}
 }
 
-// isSilent reports whether node i is held silent: its last observation was
-// a transient failure as slow as a slow node's batch.
-func (t *healthTracker) isSilent(i int) bool {
+// holdsOff reports whether an operation asks node i no more once it failed:
+// the node is held silent (its last observation was a transient failure as
+// slow as a slow node's batch), or Fail holds it failed.
+func (t *healthTracker) holdsOff(i int) bool {
 	if t == nil {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h, ok := t.nodes[i]
-	return ok && h.silent
+	return ok && (h.silent || h.failed)
 }
 
-// doubt forgets what is remembered about node i's liveness, so the next
+// inject records that Fail (failed) or Heal (!failed) set node i's injected
+// failure, and forgets what is remembered about its liveness, so the next
 // Probe asks the node itself. Counters are untouched.
-func (t *healthTracker) doubt(i int) {
+func (t *healthTracker) inject(i int, failed bool) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := t.node(i)
-	h.heard, h.silent = false, false
+	h.heard, h.silent, h.failed = false, false, failed
 }
 
 // The slow-node rule. A node is slow when its latency estimate is above

@@ -34,86 +34,34 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrNodeDown)
 }
 
-// RetryPolicy bounds how a storage operation is retried after a transient
-// failure: exponential backoff with jitter, a per-operation attempt budget,
-// and context awareness (a cancelled context stops the loop immediately).
-// The zero value performs exactly one attempt (no retries).
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget per operation, including the
-	// first. Values below 1 mean 1 (retries disabled).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry. Zero means retries
-	// are immediate (useful when the first retry targets a fresh
-	// connection rather than a recovering node).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff. Zero means uncapped.
-	MaxDelay time.Duration
-	// Multiplier scales the delay between consecutive retries. Values
-	// below 1 mean 2.
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in [0, 1]:
-	// a delay d becomes d - Jitter*d*rand. Jittered retries from many
-	// concurrent operations spread out instead of thundering together.
-	Jitter float64
+// The retry rule, the one every cluster batch runs (see runBatch): a shard
+// whose failure is Retryable is re-issued, retryAttempts attempts in all,
+// unless the health tracker holds its node off. Before retry r it waits
+// retryBaseDelay doubled r-1 times, capped at retryMaxDelay, less a random
+// share of up to retryJitter of itself, so the retries of concurrent
+// operations spread out instead of thundering together.
+const (
+	retryAttempts  = 3
+	retryBaseDelay = 5 * time.Millisecond
+	retryMaxDelay  = 250 * time.Millisecond
+	retryJitter    = 0.5
+)
+
+// retryDelay returns the jittered wait before retry number retry (1-based:
+// the wait after the first failed attempt is retryDelay(1)).
+func retryDelay(retry int) time.Duration {
+	d := retryBaseDelay
+	for i := 1; i < retry && d < retryMaxDelay; i++ {
+		d *= 2
+	}
+	d = min(d, retryMaxDelay)
+	return d - time.Duration(retryJitter*float64(d)*rand.Float64())
 }
 
-// DefaultRetryPolicy is a sensible policy for real deployments: three
-// attempts with 5ms..250ms jittered exponential backoff.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxAttempts: 3,
-	BaseDelay:   5 * time.Millisecond,
-	MaxDelay:    250 * time.Millisecond,
-	Multiplier:  2,
-	Jitter:      0.5,
-}
-
-// attempts returns the effective attempt budget.
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// Backoff returns the jittered delay to wait before retry number `retry`
-// (1-based: the delay after the first failed attempt is Backoff(1)).
-func (p RetryPolicy) Backoff(retry int) time.Duration {
-	if retry < 1 || p.BaseDelay <= 0 {
-		return 0
-	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(p.BaseDelay)
-	for i := 1; i < retry; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		j := p.Jitter
-		if j > 1 {
-			j = 1
-		}
-		d -= j * d * rand.Float64()
-	}
-	return time.Duration(d)
-}
-
-// Sleep waits the backoff for the given retry, bounded by the context. It
-// returns the context's error if cancelled first.
-func (p RetryPolicy) Sleep(ctx context.Context, retry int) error {
-	d := p.Backoff(retry)
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
+// retrySleep waits retryDelay(retry), bounded by the context: it returns the
+// context's error if the context is done first.
+func retrySleep(ctx context.Context, retry int) error {
+	t := time.NewTimer(retryDelay(retry))
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -443,8 +443,9 @@ func (n *RemoteNode) opErr(ctx context.Context, op string, id store.ShardID, cau
 // commit, compact, scrub, repair) is sent at most once: no re-dial, so an
 // exchange that fails after the request left may or may not have been
 // applied, and the caller learns ErrNodeDown. Nothing here retries: a
-// failed exchange is the node's failure, which the cluster's retry policy
-// (store.Cluster.SetRetryPolicy) decides whether to re-issue.
+// failed exchange is the node's failure, which the cluster's retry rule
+// (store.Retryable, re-issued by every store.Cluster batch) decides whether
+// to re-issue.
 //
 // The wire deadline is the earlier of the per-operation timeout and the
 // context's deadline; cancellation interrupts the exchange immediately, and

@@ -42,15 +42,8 @@ func (c *dyingConn) Read(p []byte) (int, error) {
 	return 0, errors.New("killed by test")
 }
 
-// retryingCluster is a one-node cluster over client that retries under p:
-// the cluster's policy is the one layer that re-issues a node's transient
-// failures, so these tests drive a RemoteNode through it.
-func retryingCluster(client *RemoteNode, p store.RetryPolicy) *store.Cluster {
-	cluster := store.NewCluster([]store.Node{client})
-	cluster.SetRetryPolicy(p)
-	return cluster
-}
-
+// The cluster is the one layer that re-issues a node's transient failures,
+// so the retry tests drive a RemoteNode through a plain one-node cluster.
 func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
 	mem := store.NewMemNode("backing")
 	killer := &killFirstConns{remaining: 3}
@@ -61,25 +54,25 @@ func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 
-	// Without a retry policy, the first operation fails: its fresh
-	// connection dies and the single stale-conn re-dial does not apply.
+	// Three dying connections outlast the three attempts: each attempt's
+	// fresh connection dies and the single stale-conn re-dial does not
+	// apply, so the last failure is final.
 	bare := NewRemoteNode("bare", addr.String(), WithTimeout(2*time.Second))
 	id := store.ShardID{Object: "o", Row: 0}
 	if err := store.NewCluster([]store.Node{bare}).Put(t.Context(), 0, id, []byte{1}); !errors.Is(err, store.ErrNodeDown) {
-		t.Fatalf("Put without retry = %v, want ErrNodeDown", err)
+		t.Fatalf("Put past the attempts = %v, want ErrNodeDown", err)
 	}
 	_ = bare.Close()
 
 	killer.mu.Lock()
-	killer.remaining = 3
+	killer.remaining = 2
 	killer.mu.Unlock()
 
-	// With a retry budget covering the dead connections, the same
-	// operation sequence succeeds: each dies fast, so the node is not held
-	// silent and its shard is re-issued.
+	// Two dying connections leave the third attempt: each dies fast, so the
+	// node is not held silent and its shard is re-issued.
 	client := NewRemoteNode("retrying", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
-	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: 0.5})
+	cluster := store.NewCluster([]store.Node{client})
 	if err := cluster.Put(t.Context(), 0, id, []byte{42}); err != nil {
 		t.Fatalf("Put with retry: %v", err)
 	}
@@ -99,10 +92,10 @@ func TestRetryPolicyDoesNotRetryServerAnswers(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 	client := NewRemoteNode("r", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
-	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 4})
+	cluster := store.NewCluster([]store.Node{client})
 
 	// ErrNotFound is an authoritative server answer: exactly one request
-	// must reach the node, not four.
+	// must reach the node, not three.
 	start := time.Now()
 	if _, err := cluster.Get(t.Context(), 0, store.ShardID{Object: "absent"}); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("Get = %v, want ErrNotFound", err)
@@ -115,26 +108,38 @@ func TestRetryPolicyDoesNotRetryServerAnswers(t *testing.T) {
 	}
 }
 
+// cancellingNode fails every get batch fast with ErrNodeDown, a retryable
+// failure, and cancels the caller's operation as it does.
+type cancellingNode struct {
+	*store.MemNode
+	cancel context.CancelFunc
+}
+
+func (n *cancellingNode) GetBatch(_ context.Context, ids []store.ShardID) []store.ShardResult {
+	n.cancel()
+	results := make([]store.ShardResult, len(ids))
+	for i, id := range ids {
+		results[i].Err = &store.ShardError{Node: n.ID(), Shard: id, Op: "get", Err: store.ErrNodeDown}
+	}
+	return results
+}
+
 func TestRetryPolicyStopsOnCancel(t *testing.T) {
-	// Nothing listens on this address: every attempt fails at dial.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	srv := NewServer(&cancellingNode{MemNode: store.NewMemNode("backing"), cancel: cancel})
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	client := NewRemoteNode("r", addr, WithTimeout(200*time.Millisecond))
+	t.Cleanup(func() { _ = srv.Close() })
+	client := NewRemoteNode("r", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
-	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = cluster.Get(ctx, 0, store.ShardID{Object: "o"})
-	if err == nil {
-		t.Fatal("Get against dead address succeeded")
+	if _, err := store.NewCluster([]store.Node{client}).Get(ctx, 0, store.ShardID{Object: "o"}); err == nil {
+		t.Fatal("Get of a cancelled operation succeeded")
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Error("cancelled retry loop kept running")
+	if gets := srv.RequestStats().GetBatches; gets != 1 {
+		t.Errorf("server saw %d get batches, want 1: a cancelled operation is not re-issued", gets)
 	}
 }
 
@@ -178,11 +183,32 @@ func TestChaosScheduleDrivesRemoteNode(t *testing.T) {
 	}
 }
 
+// resetCounter counts the reads ConnChaos reset on one connection.
+type resetCounter struct {
+	net.Conn
+	resets *atomic.Int64
+}
+
+func (c *resetCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if errors.Is(err, faults.ErrInjected) {
+		c.resets.Add(1)
+	}
+	return n, err
+}
+
 func TestConnChaosWithRetries(t *testing.T) {
-	// ConnChaos perturbs the wire itself; a cluster with a retry budget
-	// still completes every operation.
+	// ConnChaos perturbs the wire itself: it resets one server read in five.
+	// A reset fails the one attempt that meets it, and the cluster re-issues
+	// the shard, so an operation fails only when each of its three attempts
+	// met a reset: every failure spends three resets, and some reset is
+	// absorbed.
 	mem := store.NewMemNode("backing")
-	srv := NewServer(mem, WithConnWrapper(faults.NewConnChaos(11, time.Millisecond, 0.2).Wrap))
+	chaos := faults.NewConnChaos(11, time.Millisecond, 0.2)
+	var resets atomic.Int64
+	srv := NewServer(mem, WithConnWrapper(func(c net.Conn) net.Conn {
+		return &resetCounter{Conn: chaos.Wrap(c), resets: &resets}
+	}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -190,17 +216,31 @@ func TestConnChaosWithRetries(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 	client := NewRemoteNode("r", addr.String(), WithTimeout(2*time.Second))
 	t.Cleanup(func() { _ = client.Close() })
-	cluster := retryingCluster(client, store.RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, Jitter: 0.5})
+	cluster := store.NewCluster([]store.Node{client})
 
+	const attempts = 3
+	failures := 0
 	for i := 0; i < 10; i++ {
 		id := store.ShardID{Object: "o", Row: i}
 		if err := cluster.Put(t.Context(), 0, id, []byte{byte(i)}); err != nil {
-			t.Fatalf("Put %d under conn chaos: %v", i, err)
+			if !errors.Is(err, store.ErrNodeDown) {
+				t.Fatalf("Put %d under conn chaos: %v", i, err)
+			}
+			failures++
+			continue
 		}
 		got, err := cluster.Get(t.Context(), 0, id)
-		if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
+		switch {
+		case errors.Is(err, store.ErrNodeDown):
+			failures++
+		case err != nil || !bytes.Equal(got, []byte{byte(i)}):
 			t.Fatalf("Get %d under conn chaos = %v, %v", i, got, err)
 		}
+	}
+	n := resets.Load()
+	t.Logf("%d resets, %d failed operations", n, failures)
+	if n <= int64(attempts*failures) {
+		t.Errorf("%d operations failed on %d resets: a failure should spend %d resets, and some reset be absorbed", failures, n, attempts)
 	}
 }
 

@@ -212,39 +212,16 @@ func WithNodeTimeout(d time.Duration) transport.ClientOption {
 	return transport.WithTimeout(d)
 }
 
-// WithNodePingTimeout sets a remote node's liveness-ping deadline (default
-// 1s). Pings run on a dedicated connection so liveness probes stay fast
-// while bulk transfers are in flight.
-func WithNodePingTimeout(d time.Duration) transport.ClientOption {
-	return transport.WithPingTimeout(d)
-}
+// Resilience: per-node health, and which failures a cluster retries.
 
-// WithNodePoolSize sets how many connections a remote node keeps pooled
-// (default 4). Shard batches to different objects and concurrent archives
-// multiplex over the pool instead of serializing on one connection.
-func WithNodePoolSize(size int) transport.ClientOption {
-	return transport.WithPoolSize(size)
-}
+// NodeHealth is a snapshot of one node's observed health: success, failure
+// and probe-failure counters, and the read latency estimate by which reads
+// list a slow node last.
+type NodeHealth = store.NodeHealth
 
-// Resilience: retries and per-node health.
-type (
-	// RetryPolicy shapes exponential backoff for transient shard-operation
-	// failures. The zero value means a single attempt (no retries).
-	RetryPolicy = store.RetryPolicy
-	// NodeHealth is a snapshot of one node's observed health: success,
-	// failure and probe-failure counters, and the read latency estimate by
-	// which reads list a slow node last.
-	NodeHealth = store.NodeHealth
-)
-
-// DefaultRetryPolicy retries transient failures up to 3 attempts with
-// jittered exponential backoff from 5ms. Retries are off unless a policy
-// is set: the paper's read-count formulas assume one attempt per shard.
-var DefaultRetryPolicy = store.DefaultRetryPolicy
-
-// Retryable reports whether err is transient (worth retrying): node-down
-// and transport failures are; not-found, corruption, and context
-// cancellation are not.
+// Retryable reports whether err is transient, the failures every cluster
+// re-issues (3 attempts, jittered backoff from 5ms): node-down and transport
+// failures are; not-found, corruption, and context cancellation are not.
 func Retryable(err error) bool { return store.Retryable(err) }
 
 // Version-store layer (the paper's SVN/wiki motivating applications).
