@@ -56,8 +56,8 @@
 // # Contexts, deadlines, and cancellation
 //
 // Every archive operation takes a context first (CommitContext,
-// RetrieveContext, RetrieveAllContext, LatestContext, ScrubContext,
-// RepairNodeContext, CompactToContext) and there is no context-free spelling:
+// RetrieveContext, RetrieveAllContext, ScrubContext, RepairNodeContext,
+// CompactToContext) and there is no context-free spelling:
 // the context bounds the whole operation end to end. Against TCP nodes the context deadline becomes the
 // wire deadline (when earlier than the per-node operation timeout), and
 // cancellation interrupts in-flight RPCs immediately, so a retrieval

@@ -1,8 +1,9 @@
 package sec_test
 
 // Documentation checks, run by the CI docs job: every exported identifier
-// in the root package carries a doc comment, and every relative link in
-// the repository's markdown files resolves to a real file.
+// in the root package carries a doc comment, every relative link in the
+// repository's markdown files resolves to a real file, and every example
+// has a row in examples/README.md.
 
 import (
 	"go/ast"
@@ -107,6 +108,25 @@ func TestDocsMarkdownLinksResolve(t *testing.T) {
 			if _, err := os.Stat(target); err != nil {
 				t.Errorf("%s: broken link %q (%v)", md, m[1], err)
 			}
+		}
+	}
+}
+
+// TestDocsEveryExampleListed requires a row in examples/README.md, linking
+// its main.go, for every directory under examples/. The link check above
+// fails on a row whose directory is gone.
+func TestDocsEveryExampleListed(t *testing.T) {
+	readme, err := os.ReadFile("examples/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !strings.Contains(string(readme), "| ["+d.Name()+"]("+d.Name()+"/main.go) |") {
+			t.Errorf("examples/%s has no row in examples/README.md", d.Name())
 		}
 	}
 }

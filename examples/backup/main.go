@@ -10,19 +10,21 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	sec "github.com/secarchive/sec"
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		files    = 16
 		fileSize = 256 // image capacity: 4 KiB
@@ -48,11 +50,11 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	fmt.Printf("image: %d files x %d bytes; (n,k)=(%d,%d) reversed SEC\n\n", files, fileSize, n, k)
+	fmt.Fprintf(w, "image: %d files x %d bytes; (n,k)=(%d,%d) reversed SEC\n\n", files, fileSize, n, k)
 	if _, err := backups.CommitContext(ctx, image.Bytes()); err != nil {
 		return err
 	}
-	fmt.Println("night 1: full backup")
+	fmt.Fprintln(w, "night 1: full backup")
 	for night := 2; night <= nights; night++ {
 		touched, err := image.Churn(rng, 1+rng.Intn(3))
 		if err != nil {
@@ -67,11 +69,11 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("night %d: files %v changed -> delta gamma=%d (orphaned shards: %d)\n",
+		fmt.Fprintf(w, "night %d: files %v changed -> delta gamma=%d (orphaned shards: %d)\n",
 			night, touched, info.Gamma, orphans)
 	}
 
-	fmt.Println("\nrestore costs (node reads):")
+	fmt.Fprintln(w, "\nrestore costs (node reads):")
 	for l := nights; l >= 1; l-- {
 		content, stats, err := backups.RetrieveContext(ctx, l)
 		if err != nil {
@@ -84,13 +86,13 @@ func run(ctx context.Context) error {
 			}
 			marker = "  <- latest: just k reads"
 		}
-		fmt.Printf("  backup %d: %2d reads (%d sparse)%s\n", l, stats.NodeReads, stats.SparseReads, marker)
+		fmt.Fprintf(w, "  backup %d: %2d reads (%d sparse)%s\n", l, stats.NodeReads, stats.SparseReads, marker)
 	}
 
 	planned, err := backups.PlannedReads(1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nformula (3) predicts %d reads for the oldest backup - matching the measurement\n", planned)
+	fmt.Fprintf(w, "\nformula (3) predicts %d reads for the oldest backup - matching the measurement\n", planned)
 	return nil
 }

@@ -10,19 +10,21 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	sec "github.com/secarchive/sec"
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		n, k      = 6, 3
 		blockSize = 1024
@@ -41,8 +43,8 @@ func run(ctx context.Context) error {
 		client := sec.DialNode(fmt.Sprintf("node-%d", i), addr.String())
 		defer client.Close()
 		nodes[i] = client
-		fmt.Printf("node %d serving on %s\n", i, addr)
 	}
+	fmt.Fprintf(w, "%d storage nodes serving over TCP\n", n)
 
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
 		Name:      "clustered",
@@ -68,20 +70,20 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("committed v%d over TCP: %d shard writes\n", i+1, info.ShardWrites)
+		fmt.Fprintf(w, "committed v%d over TCP: %d shard writes\n", i+1, info.ShardWrites)
 	}
 
 	got, stats, err := archive.RetrieveContext(ctx, 2)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("healthy read of v2: %d node reads (%d sparse)\n", stats.NodeReads, stats.SparseReads)
+	fmt.Fprintf(w, "healthy read of v2: %d node reads (%d sparse)\n", stats.NodeReads, stats.SparseReads)
 	if !bytes.Equal(got, v2) {
 		return fmt.Errorf("content mismatch")
 	}
 
 	// Crash n-k = 3 nodes. The archive still reconstructs everything.
-	fmt.Println("\ncrashing nodes 0, 2, 4...")
+	fmt.Fprintln(w, "\ncrashing nodes 0, 2, 4...")
 	for _, i := range []int{0, 2, 4} {
 		backings[i].SetFailed(true)
 	}
@@ -92,25 +94,25 @@ func run(ctx context.Context) error {
 	if !bytes.Equal(got, v2) {
 		return fmt.Errorf("degraded content mismatch")
 	}
-	fmt.Printf("degraded read of v2: %d node reads (still %d sparse: any 2 shards decode the 1-sparse delta)\n",
+	fmt.Fprintf(w, "degraded read of v2: %d node reads (still %d sparse: any 2 shards decode the 1-sparse delta)\n",
 		stats.NodeReads, stats.SparseReads)
 
 	// One more failure exceeds the fault tolerance for the full version.
-	fmt.Println("\ncrashing node 1 as well (only 2 survivors)...")
+	fmt.Fprintln(w, "\ncrashing node 1 as well (only 2 survivors)...")
 	backings[1].SetFailed(true)
 	if _, _, err := archive.RetrieveContext(ctx, 2); err != nil {
-		fmt.Printf("retrieval now fails as expected: %v\n", err)
+		fmt.Fprintf(w, "retrieval now fails as expected: %v\n", err)
 	} else {
 		return fmt.Errorf("retrieval unexpectedly succeeded with 2 survivors")
 	}
 
-	fmt.Println("\nhealing all nodes...")
+	fmt.Fprintln(w, "\nhealing all nodes...")
 	for _, b := range backings {
 		b.SetFailed(false)
 	}
 	if _, _, err := archive.RetrieveContext(ctx, 2); err != nil {
 		return err
 	}
-	fmt.Println("retrieval works again")
+	fmt.Fprintln(w, "retrieval works again")
 	return nil
 }

@@ -19,8 +19,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	sec "github.com/secarchive/sec"
 )
@@ -32,7 +34,7 @@ const (
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -62,7 +64,7 @@ func commitHistory(ctx context.Context, archive *sec.Archive, cluster *sec.Clust
 	return history, cluster.WireStats().BytesWritten, nil
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	// The same history, committed plain and committed compressed.
 	plainCluster := sec.NewMemCluster(n)
 	plain, err := sec.NewArchive(sec.ArchiveConfig{
@@ -90,20 +92,20 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %d one-block edits on a (%d,%d) archive, blocksize %d\n", deltas, n, k, blockSize)
-	fmt.Printf("plain delta commits:      %6d bytes on the wire (%d shards each)\n", plainBytes, n)
-	fmt.Printf("compressed delta commits: %6d bytes on the wire (%d shards each)\n", compBytes, 1+n-k)
-	fmt.Printf("reduction: %.1fx\n", float64(plainBytes)/float64(compBytes))
+	fmt.Fprintf(w, "== %d one-block edits on a (%d,%d) archive, blocksize %d\n", deltas, n, k, blockSize)
+	fmt.Fprintf(w, "plain delta commits:      %6d bytes on the wire (%d shards each)\n", plainBytes, n)
+	fmt.Fprintf(w, "compressed delta commits: %6d bytes on the wire (%d shards each)\n", compBytes, 1+n-k)
+	fmt.Fprintf(w, "reduction: %.1fx\n", float64(plainBytes)/float64(compBytes))
 
-	fmt.Printf("\n== what the manifest records\n")
+	fmt.Fprintf(w, "\n== what the manifest records\n")
 	for _, e := range comp.Manifest().Entries {
 		switch {
 		case e.Compressed:
-			fmt.Printf("v%d: compressed delta, gamma=%d, support=%v\n", e.Version, e.Gamma, e.Support)
+			fmt.Fprintf(w, "v%d: compressed delta, gamma=%d, support=%v\n", e.Version, e.Gamma, e.Support)
 		case e.Delta:
-			fmt.Printf("v%d: plain delta, gamma=%d\n", e.Version, e.Gamma)
+			fmt.Fprintf(w, "v%d: plain delta, gamma=%d\n", e.Version, e.Gamma)
 		default:
-			fmt.Printf("v%d: full codeword\n", e.Version)
+			fmt.Fprintf(w, "v%d: full codeword\n", e.Version)
 		}
 	}
 
@@ -121,7 +123,7 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("v%d differs under %d failed nodes", v+1, n-k)
 		}
 	}
-	fmt.Printf("\n== all %d versions verified byte-identical with %d nodes down\n", len(history), n-k)
+	fmt.Fprintf(w, "\n== all %d versions verified byte-identical with %d nodes down\n", len(history), n-k)
 	compCluster.HealAll()
 
 	// The degraded walk warmed the decoded-version cache: re-reading the
@@ -134,10 +136,10 @@ func run(ctx context.Context) error {
 	if !bytes.Equal(got, history[tip-1]) {
 		return fmt.Errorf("cached tip differs")
 	}
-	fmt.Printf("\n== hot re-read of v%d: %d node reads, %d cache hit (%d bytes served)\n",
+	fmt.Fprintf(w, "\n== hot re-read of v%d: %d node reads, %d cache hit (%d bytes served)\n",
 		tip, stats.NodeReads, stats.CacheHits, stats.CacheBytes)
 	if cs, ok := comp.ReadCacheStats(); ok {
-		fmt.Printf("cache: %d versions, %d/%d bytes, %d hits, %d misses\n",
+		fmt.Fprintf(w, "cache: %d versions, %d/%d bytes, %d hits, %d misses\n",
 			cs.Versions, cs.Bytes, cs.Budget, cs.Hits, cs.Misses)
 	}
 	return nil

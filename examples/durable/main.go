@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -24,12 +25,12 @@ import (
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		n, k      = 6, 3
 		blockSize = 1024
@@ -59,8 +60,8 @@ func run(ctx context.Context) error {
 		client := sec.DialNode(fmt.Sprintf("node-%d", i), addr.String())
 		defer client.Close()
 		clients[i] = client
-		fmt.Printf("node %d: durable storage in %s, serving on %s\n", i, dirs[i], addr)
 	}
+	fmt.Fprintf(w, "%d disk-backed storage nodes serving over TCP\n", n)
 
 	cluster := sec.NewCluster(clients)
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
@@ -90,14 +91,14 @@ func run(ctx context.Context) error {
 			return err
 		}
 		versions = append(versions, v)
-		fmt.Printf("committed v%d: %d shard writes, all fsynced to disk\n", info.Version, info.ShardWrites)
+		fmt.Fprintf(w, "committed v%d: %d shard writes, all fsynced to disk\n", info.Version, info.ShardWrites)
 	}
 	manifest := archive.Manifest()
 
 	// Crash the whole cluster: every server goes away. With MemNodes this
 	// would be the end of the archive; the disk nodes only lose their
 	// processes.
-	fmt.Println("\ncrashing all six nodes...")
+	fmt.Fprintln(w, "\ncrashing all six nodes...")
 	addrs := make([]string, n)
 	for i, s := range servers {
 		addrs[i] = mustAddr(clients[i])
@@ -106,7 +107,7 @@ func run(ctx context.Context) error {
 		}
 	}
 	if _, _, err := archive.RetrieveContext(ctx, 1); err != nil {
-		fmt.Printf("retrieval now fails as expected: %v\n", err)
+		fmt.Fprintf(w, "retrieval now fails as expected: %v\n", err)
 	} else {
 		return fmt.Errorf("retrieval unexpectedly succeeded with every node dead")
 	}
@@ -114,7 +115,7 @@ func run(ctx context.Context) error {
 	// Restart each node over its directory, on the same address. A fresh
 	// archive handle (as a new client process would build) reads the whole
 	// history back from disk.
-	fmt.Println("\nrestarting all six nodes over the same directories...")
+	fmt.Fprintln(w, "\nrestarting all six nodes over the same directories...")
 	restarted := make([]*sec.DiskNode, n)
 	for i := range servers {
 		node, err := sec.OpenDiskNode(fmt.Sprintf("node-%d", i), dirs[i])
@@ -127,7 +128,7 @@ func run(ctx context.Context) error {
 			return err
 		}
 		defer server.Close()
-		fmt.Printf("node %d: %d shards back online\n", i, node.Len())
+		fmt.Fprintf(w, "node %d: %d shards back online\n", i, node.Len())
 	}
 	restored, err := sec.OpenArchive(manifest, cluster)
 	if err != nil {
@@ -142,12 +143,12 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("version %d mismatch after restart", l+1)
 		}
 	}
-	fmt.Printf("all %d versions retrieved intact after the restart\n", len(versions))
+	fmt.Fprintf(w, "all %d versions retrieved intact after the restart\n", len(versions))
 
 	// Bit rot: flip one bit in one shard file on node 4's disk. The node's
 	// per-shard CRC32C catches it at read time and a repairing scrub
 	// rewrites the shard from the surviving rows.
-	fmt.Println("\nflipping one bit in a shard file on node 4's disk...")
+	fmt.Fprintln(w, "\nflipping one bit in a shard file on node 4's disk...")
 	if err := flipOneBit(restarted[4]); err != nil {
 		return err
 	}
@@ -155,7 +156,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scrub: %d corrupt shard detected, %d repaired\n", report.ShardsCorrupt, report.Repaired)
+	fmt.Fprintf(w, "scrub: %d corrupt shard detected, %d repaired\n", report.ShardsCorrupt, report.Repaired)
 	if report.ShardsCorrupt != 1 || report.Repaired != 1 {
 		return fmt.Errorf("unexpected scrub report %+v", report)
 	}
@@ -166,7 +167,7 @@ func run(ctx context.Context) error {
 	if report.ShardsCorrupt != 0 || report.ShardsMissing != 0 {
 		return fmt.Errorf("archive still damaged after repair: %+v", report)
 	}
-	fmt.Println("second scrub clean: the archive healed itself")
+	fmt.Fprintln(w, "second scrub clean: the archive healed itself")
 	return nil
 }
 

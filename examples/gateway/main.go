@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sync"
@@ -23,12 +24,12 @@ import (
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		n, k      = 6, 3
 		blockSize = 1024
@@ -65,7 +66,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	defer gwServer.Close()
-	fmt.Printf("gateway serving archives on %s (manifests in %s)\n\n", gwAddr, root)
+	fmt.Fprintf(w, "gateway serving archives over TCP\n\n")
 
 	// Every client is a plain secclient.Dial against the gateway address;
 	// none of them holds a manifest or talks to a storage node.
@@ -86,17 +87,18 @@ func run(ctx context.Context) error {
 	// each expects the version count it last saw, and on a conflict it
 	// re-reads and retries. Every version number is committed exactly once.
 	var wg sync.WaitGroup
-	conflicts := make([]int, 2)
-	for w := 0; w < 2; w++ {
+	conflicts, errs := make([]int, 2), make([]error, 2)
+	for writer := 0; writer < 2; writer++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(writer int) {
 			defer wg.Done()
 			client := secclient.Dial(gwAddr.String())
 			defer client.Close()
 			for {
 				info, err := client.Info(ctx, "wiki")
 				if err != nil {
-					log.Fatal(err)
+					errs[writer] = err
+					return
 				}
 				if info.Versions >= versions {
 					return
@@ -104,15 +106,19 @@ func run(ctx context.Context) error {
 				_, err = client.CommitAt(ctx, "wiki", info.Versions, payload(info.Versions+1))
 				switch {
 				case errors.Is(err, sec.ErrConflict):
-					conflicts[w]++ // the other writer got there first: re-read, retry
+					conflicts[writer]++ // the other writer got there first: re-read, retry
 				case err != nil:
-					log.Fatal(err)
+					errs[writer] = err
+					return
 				}
 			}
-		}(w)
+		}(writer)
 	}
 	wg.Wait()
-	fmt.Printf("two writers raced to %d versions: %d + %d optimistic conflicts retried\n",
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "two writers raced to %d versions: %d + %d optimistic conflicts retried\n",
 		versions, conflicts[0], conflicts[1])
 
 	// A reader sees exactly the committed bytes for every version.
@@ -127,7 +133,7 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("version %d served wrong bytes", v)
 		}
 	}
-	fmt.Printf("reader verified all %d versions byte-identical over TCP\n\n", versions)
+	fmt.Fprintf(w, "reader verified all %d versions byte-identical over TCP\n\n", versions)
 
 	// The shared read cache: the writer's reads warmed it, so a DIFFERENT
 	// client's read of the tip is served from gateway memory.
@@ -140,7 +146,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fresh client read v%d: %d node reads, %d cache hits (shared cache, warmed by other clients)\n",
+	fmt.Fprintf(w, "fresh client read v%d: %d node reads, %d cache hits (shared cache, warmed by other clients)\n",
 		got.Version, got.Stats.NodeReads, got.Stats.CacheHits)
 
 	// The second archive is independent: its own chain, its own cache, its
@@ -152,11 +158,11 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("archive %q independent on the same gateway: %d version(s), %d live nodes\n",
+	fmt.Fprintf(w, "archive %q independent on the same gateway: %d version(s), %d live nodes\n",
 		info.Manifest.Name, info.Versions, len(info.Nodes))
 
 	stats := gw.Stats()
-	fmt.Printf("\ngateway totals: %d commits, %d retrieves, %d conflicts rejected typed\n",
+	fmt.Fprintf(w, "\ngateway totals: %d commits, %d retrieves, %d conflicts rejected typed\n",
 		stats.Commits, stats.Retrieves, stats.Conflicts)
 	return nil
 }

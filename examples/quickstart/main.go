@@ -7,19 +7,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	sec "github.com/secarchive/sec"
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		n, k      = 20, 10
 		blockSize = 1024
@@ -56,7 +58,7 @@ func run(ctx context.Context) error {
 	version := make([]byte, archive.Capacity())
 	rng.Read(version)
 	gammas := []int{3, 8, 3, 6}
-	fmt.Println("committing 5 versions (gammas 3, 8, 3, 6)...")
+	fmt.Fprintln(w, "committing 5 versions (gammas 3, 8, 3, 6)...")
 	for v := 0; v < 5; v++ {
 		if v > 0 {
 			version, err = sec.SparseEdit(rng, version, blockSize, gammas[v-1])
@@ -75,11 +77,11 @@ func run(ctx context.Context) error {
 		if info.StoredDelta {
 			what = fmt.Sprintf("delta with gamma=%d", info.Gamma)
 		}
-		fmt.Printf("  v%d stored as %s (%d shard writes)\n", info.Version, what, info.ShardWrites)
+		fmt.Fprintf(w, "  v%d stored as %s (%d shard writes)\n", info.Version, what, info.ShardWrites)
 	}
 
-	fmt.Println("\nreads to retrieve each version (paper Fig. 9):")
-	fmt.Println("  l    SEC    non-differential")
+	fmt.Fprintln(w, "\nreads to retrieve each version (paper Fig. 9):")
+	fmt.Fprintln(w, "  l    SEC    non-differential")
 	for l := 1; l <= 5; l++ {
 		content, stats, err := archive.RetrieveContext(ctx, l)
 		if err != nil {
@@ -89,7 +91,7 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %d    %2d     %2d   (%d bytes, %d sparse reads)\n",
+		fmt.Fprintf(w, "  %d    %2d     %2d   (%d bytes, %d sparse reads)\n",
 			l, stats.NodeReads, base.NodeReads, len(content), stats.SparseReads)
 	}
 
@@ -101,7 +103,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nwhole archive: SEC %d reads vs non-differential %d reads (%.0f%% saving)\n",
+	fmt.Fprintf(w, "\nwhole archive: SEC %d reads vs non-differential %d reads (%.0f%% saving)\n",
 		all.NodeReads, baseAll.NodeReads,
 		float64(baseAll.NodeReads-all.NodeReads)/float64(baseAll.NodeReads)*100)
 	return nil

@@ -8,19 +8,23 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"maps"
+	"os"
+	"slices"
 	"strings"
 
 	sec "github.com/secarchive/sec"
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	repo, err := sec.NewRepository(sec.RepositoryConfig{
 		Scheme:    sec.BasicSEC,
 		Code:      sec.NonSystematicCauchy,
@@ -55,9 +59,9 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	fmt.Println("log:")
+	fmt.Fprintln(w, "log:")
 	for _, c := range repo.Log() {
-		fmt.Printf("  r%d  %-20s", c.Revision, c.Message)
+		fmt.Fprintf(w, "  r%d  %-20s", c.Revision, c.Message)
 		var changes []string
 		for _, ch := range c.Changes {
 			kind := "full"
@@ -66,23 +70,23 @@ func run(ctx context.Context) error {
 			}
 			changes = append(changes, fmt.Sprintf("%s (%s)", ch.Path, kind))
 		}
-		fmt.Printf("  %s\n", strings.Join(changes, ", "))
+		fmt.Fprintf(w, "  %s\n", strings.Join(changes, ", "))
 	}
 
-	fmt.Println("\ncheckout r1:")
+	fmt.Fprintln(w, "\ncheckout r1:")
 	state, stats, err := repo.CheckoutContext(ctx, 1)
 	if err != nil {
 		return err
 	}
-	for path := range state {
-		fmt.Printf("  %s (%d bytes)\n", path, len(state[path]))
+	for _, path := range slices.Sorted(maps.Keys(state)) {
+		fmt.Fprintf(w, "  %s (%d bytes)\n", path, len(state[path]))
 	}
-	fmt.Printf("  -> %d node reads\n", stats.NodeReads)
+	fmt.Fprintf(w, "  -> %d node reads\n", stats.NodeReads)
 	if string(state["main.go"]) != mainV1 {
 		return fmt.Errorf("r1 main.go mismatch")
 	}
 
-	fmt.Println("\ncheckout head:")
+	fmt.Fprintln(w, "\ncheckout head:")
 	state, stats, err = repo.CheckoutContext(ctx, repo.Head())
 	if err != nil {
 		return err
@@ -90,12 +94,12 @@ func run(ctx context.Context) error {
 	if string(state["main.go"]) != mainV2 {
 		return fmt.Errorf("head main.go mismatch")
 	}
-	fmt.Printf("  %d files, %d node reads (%d sparse)\n", len(state), stats.NodeReads, stats.SparseReads)
+	fmt.Fprintf(w, "  %d files, %d node reads (%d sparse)\n", len(state), stats.NodeReads, stats.SparseReads)
 
 	content, stats, err := repo.CheckoutFileContext(ctx, "main.go", 2)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nmain.go@r2 retrieved with %d reads (%d sparse):\n%s", stats.NodeReads, stats.SparseReads, content)
+	fmt.Fprintf(w, "\nmain.go@r2 retrieved with %d reads (%d sparse):\n%s", stats.NodeReads, stats.SparseReads, content)
 	return nil
 }

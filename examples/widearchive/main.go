@@ -10,19 +10,21 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	sec "github.com/secarchive/sec"
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		n, k      = 200, 100
 		blockSize = 64 // object capacity: 6400 bytes
@@ -32,7 +34,7 @@ func run(ctx context.Context) error {
 		Scheme: sec.BasicSEC, Code: sec.NonSystematicCauchy,
 		N: n, K: k, BlockSize: blockSize,
 	}, sec.NewMemCluster(n))
-	fmt.Printf("GF(2^8) with (n,k)=(%d,%d): %v\n", n, k, err)
+	fmt.Fprintf(w, "GF(2^8) with (n,k)=(%d,%d): %v\n", n, k, err)
 
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
 		Name:      "wide",
@@ -46,7 +48,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("GF(2^16) archive created: %d shards per object, any %d decode\n\n", n, k)
+	fmt.Fprintf(w, "GF(2^16) archive created: %d shards per object, any %d decode\n\n", n, k)
 
 	rng := rand.New(rand.NewSource(21))
 	v1 := make([]byte, archive.Capacity())
@@ -66,7 +68,7 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("v%d: delta gamma=%d -> sparse read needs %d of %d shards\n",
+		fmt.Fprintf(w, "v%d: delta gamma=%d -> sparse read needs %d of %d shards\n",
 			info.Version, info.Gamma, 2*info.Gamma, n)
 	}
 
@@ -78,8 +80,8 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("content mismatch")
 	}
 	baseline := 4 * k
-	fmt.Printf("\nreading all 4 versions' chain: %d node reads (%d sparse reads)\n", stats.NodeReads, stats.SparseReads)
-	fmt.Printf("non-differential baseline: %d reads -> SEC saves %.0f%%\n",
+	fmt.Fprintf(w, "\nreading all 4 versions' chain: %d node reads (%d sparse reads)\n", stats.NodeReads, stats.SparseReads)
+	fmt.Fprintf(w, "non-differential baseline: %d reads -> SEC saves %.0f%%\n",
 		baseline, float64(baseline-stats.NodeReads)/float64(baseline)*100)
 
 	// Survive a third of the cluster failing.
@@ -87,6 +89,6 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("formula (3) predicted %d reads - matching the measurement\n", planned)
+	fmt.Fprintf(w, "formula (3) predicted %d reads - matching the measurement\n", planned)
 	return nil
 }

@@ -9,19 +9,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	sec "github.com/secarchive/sec"
 )
 
 func main() {
-	if err := run(context.Background()); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(ctx context.Context) error {
+func run(ctx context.Context, w io.Writer) error {
 	const (
 		n, k      = 12, 6
 		blockSize = 512 // article capacity: 3 KiB
@@ -46,11 +48,11 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	fmt.Printf("article: %d bytes in %d blocks of %d\n\n", article.Len(), k, blockSize)
+	fmt.Fprintf(w, "article: %d bytes in %d blocks of %d\n\n", article.Len(), k, blockSize)
 	if _, err := history.CommitContext(ctx, article.Bytes()); err != nil {
 		return err
 	}
-	fmt.Println("rev 1: initial import (stored in full)")
+	fmt.Fprintln(w, "rev 1: initial import (stored in full)")
 	for rev := 2; rev <= revisions; rev++ {
 		// An editor rewrites a ~200-byte span: a sentence or two.
 		start, end, err := article.Revise(rng, 150+rng.Intn(100))
@@ -61,11 +63,11 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("rev %d: edited bytes [%d,%d) -> delta gamma=%d, %d shard writes\n",
+		fmt.Fprintf(w, "rev %d: edited bytes [%d,%d) -> delta gamma=%d, %d shard writes\n",
 			rev, start, end, info.Gamma, info.ShardWrites)
 	}
 
-	fmt.Println("\nreading back the whole history:")
+	fmt.Fprintln(w, "\nreading back the whole history:")
 	versions, stats, err := history.RetrieveAllContext(ctx, revisions)
 	if err != nil {
 		return err
@@ -73,11 +75,11 @@ func run(ctx context.Context) error {
 	if string(versions[revisions-1]) != string(article.Bytes()) {
 		return fmt.Errorf("latest revision does not match the working copy")
 	}
-	fmt.Printf("  %d revisions reconstructed with %d node reads (%d sparse, %d full objects)\n",
+	fmt.Fprintf(w, "  %d revisions reconstructed with %d node reads (%d sparse, %d full objects)\n",
 		len(versions), stats.NodeReads, stats.SparseReads, stats.FullReads)
-	fmt.Printf("  non-differential baseline would need %d reads\n", revisions*k)
+	fmt.Fprintf(w, "  non-differential baseline would need %d reads\n", revisions*k)
 	saving := float64(revisions*k-stats.NodeReads) / float64(revisions*k) * 100
-	fmt.Printf("  SEC saves %.0f%% of the I/O\n", saving)
+	fmt.Fprintf(w, "  SEC saves %.0f%% of the I/O\n", saving)
 
 	// Vandalism check: diff two revisions.
 	v3, _, err := history.RetrieveContext(ctx, 3)
@@ -94,6 +96,6 @@ func run(ctx context.Context) error {
 			changed++
 		}
 	}
-	fmt.Printf("\nrev 3 -> rev 4 changed %d bytes (localized edit)\n", changed)
+	fmt.Fprintf(w, "\nrev 3 -> rev 4 changed %d bytes (localized edit)\n", changed)
 	return nil
 }

@@ -169,7 +169,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 	if info.Version != len(versions)+1 {
 		t.Fatalf("continued commit got version %d", info.Version)
 	}
-	got, _, err := recovered.LatestContext(t.Context())
+	got, _, err := recovered.RetrieveContext(t.Context(), recovered.Versions())
 	if err != nil {
 		t.Fatal(err)
 	}

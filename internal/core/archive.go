@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sync"
 
@@ -49,9 +50,9 @@ type Archive struct {
 	changed    []int
 
 	// rcache, when non-nil, is the decoded-version read cache
-	// (Config.ReadCacheBytes). Versions are immutable, so its entries
-	// outlive commits and compactions; each commit adds its own version,
-	// and only a repair or a repairing scrub that rewrote shards empties it.
+	// (Config.ReadCacheBytes). It takes only versions just committed or
+	// verified against their digest, and versions are immutable, so its
+	// entries outlive commits, compactions, repairs and scrubs.
 	rcache *versionCache
 }
 
@@ -178,16 +179,6 @@ func New(cfg Config, cluster *store.Cluster) (*Archive, error) {
 	return a, nil
 }
 
-// invalidateReadCache clears the decoded-version cache (no-op when the
-// cache is disabled). Called after a repair or a repairing scrub rewrote
-// shards: a version decoded before may have used a row that was silently
-// corrupt, and nothing else tells a good decode from a bad one.
-func (a *Archive) invalidateReadCache() {
-	if a.rcache != nil {
-		a.rcache.invalidate()
-	}
-}
-
 // ReadCacheStats snapshots the decoded-version read cache counters; ok is
 // false when the cache is disabled (Config.ReadCacheBytes == 0).
 func (a *Archive) ReadCacheStats() (CacheStats, bool) {
@@ -226,7 +217,9 @@ func (a *Archive) Versions() int {
 // block by block with the latest version, and only the gamma blocks that
 // changed are copied, XORed and encoded. A commit deletes nothing: what it
 // supersedes is queued for ReclaimSupersededContext, which the owner calls
-// once it has persisted the manifest that stops naming it.
+// once it has persisted the manifest that stops naming it. The commit
+// records the object's CRC32C, against which every read of the version is
+// checked (verify).
 func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo, error) {
 	if err := a.blocking.CheckLength(len(object)); err != nil {
 		return CommitInfo{}, err
@@ -239,6 +232,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	if err := a.ensureNodes(version); err != nil {
 		return CommitInfo{}, err
 	}
+	crc := crc32.Checksum(object, castagnoli)
 	if version == 1 {
 		blocks, err := a.blocking.Split(object)
 		if err != nil {
@@ -248,7 +242,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		if err := a.writeObject(ctx, a.fullCodeword(1), blocks, &info.ShardWrites); err != nil {
 			return CommitInfo{}, err
 		}
-		a.entries = append(a.entries, entry{hasFull: true, length: len(object)})
+		a.entries = append(a.entries, entry{hasFull: true, length: len(object), crc: &crc})
 		a.changed = append(a.changed, 1)
 		a.setCache(1, blocks, len(object))
 		return info, nil
@@ -276,7 +270,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		storeFull = true
 		info.Checkpoint = true
 	}
-	e := entry{hasFull: storeFull, gamma: gamma, length: len(object), checkpoint: info.Checkpoint}
+	e := entry{hasFull: storeFull, gamma: gamma, length: len(object), checkpoint: info.Checkpoint, crc: &crc}
 	if storeDelta {
 		cw, err := a.storeDelta(ctx, deltaID(a.cfg.Name, version), version, d, &info.ShardWrites)
 		if err != nil {
@@ -413,40 +407,14 @@ func (a *Archive) RetrievePartsContext(ctx context.Context, l int) (parts [][]by
 	return parts, held.lend(), stats, nil
 }
 
-// LatestContext reconstructs the most recent version. When the writer-side
-// latest-version cache is in hand (the archive committed or restored it
-// this process), the read is served from memory with zero node reads and
-// reported as a cache hit; otherwise it falls back to a stored retrieval.
-func (a *Archive) LatestContext(ctx context.Context) ([]byte, RetrievalStats, error) {
-	if object, ok := a.CachedLatest(); ok {
-		return object, RetrievalStats{CacheHits: 1, CacheBytes: len(object)}, nil
-	}
-	return a.RetrieveContext(ctx, a.Versions())
-}
-
-// CachedLatest returns the in-memory copy of the latest version, if the
-// archive has one (the cache the paper suggests keeping for delta
-// computation). No node reads are performed.
-func (a *Archive) CachedLatest() ([]byte, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.cache == nil {
-		return nil, false
-	}
-	object, err := a.blocking.Join(a.cache, a.cacheLen)
-	if err != nil {
-		return nil, false
-	}
-	return object, true
-}
-
 // RetrieveAllContext reconstructs versions 1..l in order (the whole-
 // archive read of formula (4) when l = L), under the context's deadline
 // and cancellation. When the decoded-version cache holds every version of
 // the prefix, the read is served from memory as one cache hit with zero
 // node reads. Otherwise it is one planned walk: one probe round and one
 // batch per node for the whole prefix, whose versions the cache does not
-// keep, so a checkout does not evict the hot set.
+// keep, so a checkout does not evict the hot set; each version it returns is
+// verified against its digest.
 func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, RetrievalStats, error) {
 	//lint:allow lockheld archive read lock held across retrieval by design; writers are rare and reads are concurrent under RLock
 	a.mu.RLock()
@@ -468,6 +436,9 @@ func (a *Archive) RetrieveAllContext(ctx context.Context, l int) ([][]byte, Retr
 	defer held.release() // every version is joined into a copy of its own
 	out := make([][]byte, l)
 	for j := range out {
+		if err := a.verify(j+1, inHand[j+1]); err != nil {
+			return nil, stats, err
+		}
 		out[j], err = a.blocking.Join(inHand[j+1], a.entries[j].length)
 		if err != nil {
 			return nil, stats, err
@@ -504,9 +475,11 @@ func (a *Archive) cachedPrefixLocked(l int, stats *RetrievalStats) ([][]byte, bo
 }
 
 // retrieveBlocksLocked reconstructs the blocks of version l, adding reads
-// to stats, and returns them with the loan they are made of (runWalk). With
-// the decoded-version cache on, the cache keeps the walk and the loan is
-// dropped: it comes back empty. Caller holds at least a read lock.
+// to stats, and returns them, verified, with the loan they are made of
+// (runWalk). With the decoded-version cache on, every version the walk
+// decoded is verified too, the cache keeps those with a digest and the loan
+// is dropped: it comes back empty. A version that fails its digest fails the
+// read and leaves the cache as it was. Caller holds at least a read lock.
 func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *RetrievalStats) ([][]byte, loan, error) {
 	planned := obs.Start(ctx, "plan")
 	w, err := a.planChain(l)
@@ -518,13 +491,22 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 	if err != nil {
 		return nil, nil, err
 	}
+	for v, blocks := range inHand {
+		if v == l || a.rcache != nil {
+			if err := a.verify(v, blocks); err != nil {
+				return nil, held, err
+			}
+		}
+	}
 	if a.rcache != nil {
-		// Keep every version the walk decoded: the requested version and
-		// all chain prefixes on the way. Cached blocks are shared
-		// read-only, between versions too, and are the GC's: the loan is
-		// dropped, never released.
+		// Keep every verified version the walk decoded: the requested
+		// version and all chain prefixes on the way. Cached blocks are
+		// shared read-only, between versions too, and are the GC's: the
+		// loan is dropped, never released.
 		for v, blocks := range inHand {
-			a.rcache.put(v, blocks, a.entries[v-1].length)
+			if a.entries[v-1].crc != nil {
+				a.rcache.put(v, blocks, a.entries[v-1].length)
+			}
 		}
 		held = nil
 	}
@@ -650,7 +632,8 @@ func (a *Archive) ensureNodes(version int) error {
 }
 
 // restoreCacheLocked rebuilds the latest-version cache from storage after
-// the archive was reopened from a manifest.
+// the archive was reopened from a manifest. The read verifies the tip:
+// every later commit's delta is computed against it.
 func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 	var stats RetrievalStats
 	blocks, _, err := a.retrieveBlocksLocked(ctx, len(a.entries), &stats) // kept: the loan is dropped
@@ -673,6 +656,38 @@ func (a *Archive) setCache(version int, blocks [][]byte, length int) {
 	if a.rcache != nil {
 		a.rcache.put(version, blocks, length)
 	}
+}
+
+// castagnoli is the CRC32C table of version digests.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// verify checks the blocks of version v against the CRC32C its commit
+// recorded of its length bytes, and the zero padding past them. A wrong row
+// that a decode used spreads through every version the walk builds on it,
+// and into every delta computed from one - a commit diffs the whole blocks
+// of the tip, padding included - so no decoded version leaves core, enters
+// a cache or feeds a commit or a compaction unverified. A mismatch is
+// store.ErrCorrupt, naming the version. A version whose entry holds no
+// digest passes unchecked.
+func (a *Archive) verify(v int, blocks [][]byte) error {
+	e := &a.entries[v-1]
+	if e.crc == nil {
+		return nil
+	}
+	var crc uint32
+	rest := e.length
+	for _, b := range blocks {
+		n := min(rest, len(b))
+		crc = crc32.Update(crc, castagnoli, b[:n])
+		if !delta.IsZero([][]byte{b[n:]}) {
+			return fmt.Errorf("core: version %d decoded with non-zero bytes past its length %d: %w", v, e.length, store.ErrCorrupt)
+		}
+		rest -= n
+	}
+	if crc != *e.crc {
+		return fmt.Errorf("core: version %d decoded with CRC32C %08x, committed as %08x: %w", v, crc, *e.crc, store.ErrCorrupt)
+	}
+	return nil
 }
 
 // blockLenOf returns the uniform block length of a non-empty block vector

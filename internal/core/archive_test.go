@@ -516,40 +516,6 @@ func TestPuncturedDeltasSaveStorageAndStillDecode(t *testing.T) {
 	}
 }
 
-func TestCachedLatest(t *testing.T) {
-	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), store.NewMemCluster(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.CachedLatest(); ok {
-		t.Error("empty archive claims a cached version")
-	}
-	v := []byte{1, 2, 3, 4, 5}
-	mustCommit(t, a, v)
-	got, ok := a.CachedLatest()
-	if !ok || !bytes.Equal(got, v) {
-		t.Errorf("CachedLatest = %v,%v", got, ok)
-	}
-}
-
-func TestLatest(t *testing.T) {
-	a, err := New(testConfig(OptimizedSEC, erasure.SystematicCauchy), store.NewMemCluster(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Repeat([]byte{1}, a.Capacity())
-	v2 := editBlocks(v1, a.Config().BlockSize, 0)
-	mustCommit(t, a, v1)
-	mustCommit(t, a, v2)
-	got, _, err := a.LatestContext(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, v2) {
-		t.Error("Latest mismatch")
-	}
-}
-
 func TestConcurrentRetrieves(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)

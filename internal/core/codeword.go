@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"github.com/secarchive/sec/internal/delta"
@@ -157,6 +158,12 @@ type entry struct {
 	// off and width are the delta's byte window: its codeword encodes bytes
 	// [off, off+width) of each block. Valid when hasDelta.
 	off, width int
+	// crc is the CRC32C of the version's length bytes, taken by its commit
+	// and checked by verify; nil when the build that committed it recorded
+	// none, and the version then reads unverified. Nothing else sets it: compaction and
+	// the Reversed SEC supersede change how a version is stored, not what
+	// it is.
+	crc *uint32
 }
 
 // setDelta records cw, just written, as the entry's delta against base.
@@ -185,6 +192,10 @@ func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 	if e.hasDelta && e.width != blockSize {
 		window = &Window{Off: e.off, Width: e.width}
 	}
+	var digest string
+	if e.crc != nil {
+		digest = fmt.Sprintf("%08x", *e.crc)
+	}
 	return ManifestEntry{
 		Version:    version,
 		Full:       e.hasFull,
@@ -196,6 +207,7 @@ func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 		Compressed: e.compressed,
 		Support:    append([]int(nil), e.support...),
 		Window:     window,
+		CRC32C:     digest,
 	}
 }
 
@@ -238,6 +250,15 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 		}
 		window = *w
 	}
+	var crc *uint32
+	if me.CRC32C != "" {
+		d, err := strconv.ParseUint(me.CRC32C, 16, 32)
+		if err != nil || len(me.CRC32C) != 8 {
+			return entry{}, fmt.Errorf("core: manifest version %d has invalid CRC32C %q", me.Version, me.CRC32C)
+		}
+		crc = new(uint32)
+		*crc = uint32(d)
+	}
 	return entry{
 		hasFull:    me.Full,
 		hasDelta:   me.Delta,
@@ -249,6 +270,7 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 		support:    append([]int(nil), me.Support...),
 		off:        window.Off,
 		width:      window.Width,
+		crc:        crc,
 	}, nil
 }
 

@@ -59,7 +59,7 @@ func TestCommitStoresWhatTheDenseEncoderWould(t *testing.T) {
 				for i := range object {
 					object[i] = 0xA5
 				}
-				if latest, ok := a.CachedLatest(); !ok || !bytes.Equal(latest, versions[len(versions)-1]) {
+				if latest, err := a.blocking.Join(a.cache, a.cacheLen); err != nil || !bytes.Equal(latest, versions[len(versions)-1]) {
 					t.Fatalf("version %d: the latest-version cache changed with the caller's object", info.Version)
 				}
 			}

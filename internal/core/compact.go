@@ -175,6 +175,14 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 		if next[v-1].hasDelta && entryBase(next, v) == anchor {
 			continue // already based exactly at its nearest anchor
 		}
+		// Both ends of the merge are checked before anything is written
+		// from them: a wrong decode stored as a delta or a checkpoint
+		// would outlive every row it came from.
+		for _, u := range []int{anchor, v} {
+			if err := a.verify(u, mat[u]); err != nil {
+				return info, fmt.Errorf("core: compaction aborted: %w", err)
+			}
+		}
 		merged, err := delta.Diff(mat[anchor], mat[v])
 		if err != nil {
 			return info, err

@@ -20,7 +20,11 @@ import (
 // from before the generation existed and one of 256-byte blocks from
 // before windows existed. It also holds plain and CDEC deltas stored at
 // their windows, and the three windows Open refuses: one on an entry
-// without a delta, one past the block size and one of zero width.
+// without a delta, one past the block size and one of zero width. And it
+// holds a compacted chain whose entries carry their digests, and the same
+// manifest with every digest stripped, as a build from before digests
+// writes it back, and a digest that is not eight hex digits, which Open
+// refuses.
 func FuzzLoadManifest(f *testing.F) {
 	// Seed with a real manifest.
 	cluster := store.NewMemCluster(0)
@@ -73,8 +77,8 @@ func resave(t *testing.T, a *Archive) []byte {
 // refused-* one does not load.
 func TestSavedManifestsResaveByteIdentical(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLoadManifest/*")
-	if err != nil || len(files) < 16 {
-		t.Fatalf("corpus has %d files (err %v), want the 16 committed", len(files), err)
+	if err != nil || len(files) < 19 {
+		t.Fatalf("corpus has %d files (err %v), want the 19 committed", len(files), err)
 	}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -159,6 +160,12 @@ type ManifestEntry struct {
 	// zero. It is absent when the window is the whole block, so manifests
 	// written before windows existed reopen unchanged.
 	Window *Window `json:"window,omitempty"`
+	// CRC32C is the CRC32C (Castagnoli) of the version's Length bytes, in
+	// eight hex digits, fixed by its commit: every copy of the version a
+	// read hands out is checked against it. It is absent from manifests
+	// written before digests existed and from entries an older build wrote
+	// back, whose versions read unverified.
+	CRC32C string `json:"crc32c,omitempty"`
 }
 
 // Window is the byte range [Off, Off+Width) of each block that a delta
@@ -220,7 +227,8 @@ var (
 	// of the state it is applied to: a record in between is missing.
 	ErrGenerationGap = errors.New("core: manifest record skips a generation")
 	// ErrImmutable rejects a manifest record that drops a version or gives
-	// a committed one another length: how it is stored may change, not what.
+	// a committed one another length or digest: how it is stored may
+	// change, not what.
 	ErrImmutable = errors.New("core: manifest record rewrites a committed version")
 )
 
@@ -305,6 +313,8 @@ func (m *Manifest) Apply(rec ManifestRecord) error {
 			next++
 		case e.Length != m.Entries[e.Version-1].Length:
 			return fmt.Errorf("%w: record %d gives version %d length %d", ErrImmutable, rec.Generation, e.Version, e.Length)
+		case e.CRC32C != "" && m.Entries[e.Version-1].CRC32C != "" && e.CRC32C != m.Entries[e.Version-1].CRC32C:
+			return fmt.Errorf("%w: record %d gives version %d CRC32C %s", ErrImmutable, rec.Generation, e.Version, e.CRC32C)
 		}
 		prev = e.Version
 	}
@@ -313,6 +323,8 @@ func (m *Manifest) Apply(rec ManifestRecord) error {
 	}
 	for _, e := range rec.Entries {
 		if e.Version <= held {
+			// A record an older build wrote omits the digest, which still holds.
+			e.CRC32C = cmp.Or(e.CRC32C, m.Entries[e.Version-1].CRC32C)
 			m.Entries[e.Version-1] = e
 		} else {
 			m.Entries = append(m.Entries, e)

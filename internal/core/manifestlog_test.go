@@ -186,7 +186,7 @@ func logBase() Manifest {
 }
 
 func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
-	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 2, Length: 10}
+	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 2, Length: 10, CRC32C: "0000002a"}
 	next := ManifestRecord{Generation: 4, Versions: 3, Entries: []ManifestEntry{v3}}
 
 	m := logBase()
@@ -198,9 +198,10 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 	if err := m.Apply(next); err != nil || m.Generation != 4 || m.Entries[2].Gamma != 1 {
 		t.Errorf("duplicate record: err %v, generation %d, entry %+v", err, m.Generation, m.Entries[2])
 	}
-	// Compaction may restate how a committed version is stored.
+	// Compaction may restate how a committed version is stored. A record an
+	// older build wrote carries no digest, and the held one stays.
 	rebase := ManifestRecord{Generation: 5, Versions: 3, Entries: []ManifestEntry{{Version: 3, Delta: true, Gamma: 1, Length: 10, Base: 1}}}
-	if err := m.Apply(rebase); err != nil || m.Generation != 5 || m.Entries[2].Base != 1 {
+	if err := m.Apply(rebase); err != nil || m.Generation != 5 || m.Entries[2].Base != 1 || m.Entries[2].CRC32C != v3.CRC32C {
 		t.Fatalf("rebase record: err %v, generation %d, entry %+v", err, m.Generation, m.Entries[2])
 	}
 
@@ -212,6 +213,7 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 		{"generation gap", ManifestRecord{Generation: 7, Versions: 3}, ErrGenerationGap},
 		{"fewer versions", ManifestRecord{Generation: 6, Versions: 2}, ErrImmutable},
 		{"committed length changes", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 2, Delta: true, Gamma: 1, Length: 11}}}, ErrImmutable},
+		{"committed digest changes", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 3, Delta: true, Gamma: 1, Length: 10, Base: 1, CRC32C: "0000002b"}}}, ErrImmutable},
 		{"appended version missing", ManifestRecord{Generation: 6, Versions: 4}, store.ErrCorrupt},
 		{"append skips a version", ManifestRecord{Generation: 6, Versions: 5, Entries: []ManifestEntry{{Version: 5, Full: true}}}, store.ErrCorrupt},
 		{"version beyond the count", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 4, Full: true}}}, store.ErrCorrupt},
@@ -239,7 +241,8 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 
 // fuzzLogSeeds are the shapes FuzzManifestLog starts from: clean records,
 // a torn tail, a flipped bit, a forged length, duplicate and descending
-// generations, and an entry list far larger than the chain. The same inputs
+// generations, an entry list far larger than the chain, and a record that
+// changes a held digest. The same inputs
 // are committed under testdata/fuzz/FuzzManifestLog, where whatever the
 // fuzzer finds later joins them.
 func fuzzLogSeeds() [][]byte {
@@ -248,6 +251,8 @@ func fuzzLogSeeds() [][]byte {
 	}
 	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 1, Length: 12}
 	v4 := ManifestEntry{Version: 4, Full: true, Delta: true, Gamma: 3, Length: 9}
+	withDigest := v3
+	withDigest.CRC32C = "0000002a"
 	clean := bytes.Join([][]byte{rec(4, 3, v3), rec(5, 4, v4), rec(6, 4, ManifestEntry{Version: 3, Delta: true, Gamma: 2, Length: 12, Base: 1})}, nil)
 	flipped := bytes.Clone(clean)
 	flipped[len(flipped)/2] ^= 0x10
@@ -266,6 +271,7 @@ func fuzzLogSeeds() [][]byte {
 		bytes.Join([][]byte{rec(5, 4, v3, v4), rec(4, 3, v3)}, nil),
 		rec(4, 300, many...),
 		nil,
+		bytes.Join([][]byte{rec(4, 3, withDigest), rec(5, 3, ManifestEntry{Version: 3, Delta: true, Gamma: 1, Length: 12, Base: 1, CRC32C: "0000002b"})}, nil),
 	}
 }
 

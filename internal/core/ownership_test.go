@@ -143,8 +143,8 @@ func decodedVersionsDoNotAliasTheirShards(t *testing.T, kind erasure.Kind, compr
 		t.Fatalf("commit against refusing nodes: %v", err)
 	}
 	scribble()
-	latest, ok := a.CachedLatest()
-	if !ok || !bytes.Equal(latest, versions[3]) {
+	latest, err := a.blocking.Join(a.cache, a.cacheLen)
+	if err != nil || !bytes.Equal(latest, versions[3]) {
 		t.Errorf("restored latest-version cache aliases the frames it was decoded from")
 	}
 }

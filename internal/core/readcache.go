@@ -7,14 +7,14 @@ import "sync"
 // retrievals materialize. Each commit caches its own version, and a chain
 // walk that decodes versions 5, 6, and 7 to serve version 7 caches all
 // three, so a later Retrieve of any of them - the hot latest version above
-// all - completes with zero node reads. Coherence follows from
-// immutability: a committed version's bytes never change, so neither a
-// commit nor a compaction (which changes how a version is stored, not what
-// it is) touches an entry. Only a repair or a repairing scrub that
-// rewrote shards empties the cache, because a decode made before it may
-// have used a row that was silently corrupt. Cached block vectors are
-// shared read-only with callers and with each other; nothing in the
-// archive mutates decoded blocks in place.
+// all - completes with zero node reads. A decoded version is kept only once
+// it matched the CRC32C its commit recorded (Archive.verify), so a row that
+// was silently wrong never reaches the cache, and a version with no digest
+// is served but not kept. Coherence then follows from immutability: a
+// committed version's bytes never change, so no commit, compaction (which
+// changes how a version is stored, not what it is), repair or scrub touches
+// an entry. Cached block vectors are shared read-only with callers and with
+// each other; nothing in the archive mutates decoded blocks in place.
 //
 // Versions share blocks: a delta of sparsity gamma leaves k - gamma blocks
 // of its base in place, in a commit's blocks and in a walk's alike. The
@@ -172,17 +172,6 @@ func (c *versionCache) remove(version int) {
 	if it, ok := c.entries[version]; ok {
 		c.removeLocked(it)
 	}
-}
-
-// invalidate clears every cached version; the hit/miss counters survive so
-// operators can see cache behavior across repairs.
-func (c *versionCache) invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[int]*cacheItem)
-	c.refs = make(map[*byte]int)
-	c.head, c.tail = nil, nil
-	c.size = 0
 }
 
 // stats snapshots the cache counters.

@@ -56,9 +56,6 @@ func (a *Archive) RepairNodeContext(ctx context.Context, node int) (RepairReport
 	err := a.eachStored(ctx, "repair", func(cw codeword) error {
 		return a.repairObject(ctx, cw, node, &report)
 	})
-	if report.ShardsRepaired > 0 {
-		a.invalidateReadCache()
-	}
 	return report, err
 }
 

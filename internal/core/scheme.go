@@ -173,9 +173,10 @@ type Config struct {
 	// walked to reach it - and later retrievals of a cached version, or
 	// whole-prefix reads whose every version is cached, are served from
 	// memory with zero node reads (RetrievalStats.CacheHits). The budget
-	// counts a block that several versions share once. Versions are
-	// immutable, so commits and compactions leave entries in place; only
-	// a repair or a repairing scrub that rewrote shards clears the cache.
+	// counts a block that several versions share once. A retrieved
+	// version is kept only once it matched its commit's CRC32C, so the
+	// cache holds no bytes a wrong row decoded; versions are immutable, so
+	// commits, compactions, repairs and scrubs leave entries in place.
 	// Disabled by default so read counts match the paper's formulas
 	// exactly.
 	ReadCacheBytes int

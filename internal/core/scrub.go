@@ -63,9 +63,6 @@ func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, e
 	err := a.eachStored(ctx, "scrub", func(cw codeword) error {
 		return a.scrubObject(ctx, cw, repair, &report)
 	})
-	if repair && report.Repaired > 0 {
-		a.invalidateReadCache()
-	}
 	return report, err
 }
 

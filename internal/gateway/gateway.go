@@ -5,9 +5,9 @@
 // queue (typed store.ErrBusy/store.ErrConflict rejections), and shares
 // each archive's decoded-version read cache across every client — so a
 // version one client committed is served to all others from memory. The
-// cache holds immutable versions, which no commit or compaction changes,
-// and the repair that empties it empties it for every client at once
-// (there is exactly one core.Archive per name).
+// cache holds immutable versions, each verified against its digest, which
+// no commit, compaction or repair changes, and there is exactly one
+// core.Archive per name.
 //
 // The Gateway implements transport.ArchiveBackend, so it can be served
 // over TCP (transport.NewServer(nil, transport.WithArchiveBackend(gw)),

@@ -131,7 +131,8 @@ var (
 	// ErrShardNotFound reports a missing shard.
 	ErrShardNotFound = store.ErrNotFound
 	// ErrShardCorrupt reports a shard that is present but failed integrity
-	// verification; Scrub(true) or RepairNode heal it.
+	// verification, or a decoded version that does not match the CRC32C its
+	// commit recorded; Scrub(true) or RepairNode heal it.
 	ErrShardCorrupt = store.ErrCorrupt
 	// ErrNoSuchVersion reports a version number outside 1..L.
 	ErrNoSuchVersion = core.ErrNoSuchVersion
@@ -175,13 +176,6 @@ func NewDiskNode(id, dir string) (*DiskNode, error) { return store.NewDiskNode(i
 // restart), refusing directories not initialized by NewDiskNode.
 func OpenDiskNode(id, dir string) (*DiskNode, error) { return store.OpenDiskNode(id, dir) }
 
-// NewDiskCluster returns a growable cluster of disk-backed nodes rooted at
-// baseDir, pre-populated with size nodes. Reopening the same baseDir
-// reattaches to the shards already on disk.
-func NewDiskCluster(baseDir string, size int) (*Cluster, error) {
-	return store.NewDiskCluster(baseDir, size)
-}
-
 // Transport: serving nodes over TCP and connecting to them.
 type (
 	// NodeServer serves a storage node over TCP.
@@ -212,17 +206,10 @@ func WithNodeTimeout(d time.Duration) transport.ClientOption {
 	return transport.WithTimeout(d)
 }
 
-// Resilience: per-node health, and which failures a cluster retries.
-
 // NodeHealth is a snapshot of one node's observed health: success, failure
 // and probe-failure counters, and the read latency estimate by which reads
 // list a slow node last.
 type NodeHealth = store.NodeHealth
-
-// Retryable reports whether err is transient, the failures every cluster
-// re-issues (3 attempts, jittered backoff from 5ms): node-down and transport
-// failures are; not-found, corruption, and context cancellation are not.
-func Retryable(err error) bool { return store.Retryable(err) }
 
 // Version-store layer (the paper's SVN/wiki motivating applications).
 type (
