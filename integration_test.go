@@ -79,7 +79,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 		}
 		commit()
 	}
-	if err := archive.SaveToClusterContext(t.Context()); err != nil {
+	if _, err := archive.PublishContext(t.Context(), true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,7 +138,7 @@ func TestIntegrationFullLifecycleOverTCP(t *testing.T) {
 
 	// Phase 5: the client machine is lost; recover metadata from the
 	// cluster and read everything back through a fresh archive handle.
-	recovered, err := core.LoadFromClusterContext(t.Context(), "lifecycle", cluster)
+	recovered, err := core.OpenContext(t.Context(), "lifecycle", cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,13 +504,13 @@ func TestIntegrationCompressedChainAcrossClusterKinds(t *testing.T) {
 				versions = append(versions, append([]byte(nil), v...))
 				compressed = append(compressed, info.Compressed)
 			}
-			if err := archive.SaveToClusterContext(t.Context()); err != nil {
+			if _, err := archive.PublishContext(t.Context(), true); err != nil {
 				t.Fatal(err)
 			}
 
 			// The recovered handle must see the same mixed chain: the
 			// compression markers live in the manifest, not the client.
-			recovered, err := core.LoadFromClusterContext(t.Context(), "mixed", cluster)
+			recovered, err := core.OpenContext(t.Context(), "mixed", cluster, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

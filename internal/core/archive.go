@@ -35,19 +35,20 @@ type Archive struct {
 	blocking delta.Blocking
 	cluster  *store.Cluster
 
-	mu       sync.RWMutex
-	entries  []entry
-	cache    [][]byte // blocks of the latest version, for delta computation; read-only
-	cacheLen int      // byte length of the cached version
+	mu      sync.RWMutex
+	entries []entry
+	cache   [][]byte // blocks of the latest version, for delta computation; read-only
 	// superseded queues every codeword a change has replaced - the old
 	// tip's full under Reversed SEC, compaction's old deltas - until the
 	// owner that persists the manifest reclaims them (ReclaimSupersededContext);
 	// deletions that left orphans stay queued.
 	superseded []codeword
 	// generation counts the publishes of this archive's metadata, changed
-	// lists the versions whose entries moved since (NextRecord, Snapshot).
+	// lists the versions whose entries moved since (nextRecordLocked).
 	generation uint64
 	changed    []int
+	// pub is what the nodes hold of the manifest (PublishContext).
+	pub publishState
 
 	// rcache, when non-nil, is the decoded-version read cache
 	// (Config.ReadCacheBytes). It takes only versions just committed or
@@ -114,10 +115,9 @@ type RetrievalStats struct {
 	// CompressedReads counts objects decoded from CDEC-compacted
 	// codewords (gamma reads each; see Config.CompressDeltas).
 	CompressedReads int
-	// CacheHits counts retrievals served wholly from memory - the
-	// decoded-version cache (Config.ReadCacheBytes) or the writer-side
-	// latest-version cache - with zero node reads. CacheBytes totals the
-	// object bytes those hits served.
+	// CacheHits counts retrievals served wholly from the decoded-version
+	// cache (Config.ReadCacheBytes), with zero node reads. CacheBytes
+	// totals the object bytes those hits served.
 	CacheHits  int
 	CacheBytes int
 	// Objects details every object read, in read order.
@@ -641,7 +641,6 @@ func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 		return err
 	}
 	a.cache = blocks
-	a.cacheLen = a.entries[len(a.entries)-1].length
 	return nil
 }
 
@@ -652,7 +651,6 @@ func (a *Archive) restoreCacheLocked(ctx context.Context) error {
 // do.
 func (a *Archive) setCache(version int, blocks [][]byte, length int) {
 	a.cache = blocks
-	a.cacheLen = length
 	if a.rcache != nil {
 		a.rcache.put(version, blocks, length)
 	}

@@ -105,7 +105,7 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 //
 // New codewords are written under fresh object names first and the
 // in-memory manifest is swapped atomically (a concurrent Save or
-// SaveToCluster sees either the old chain or the new one, both fully
+// PublishContext sees either the old chain or the new one, both fully
 // readable); a pass interrupted before the swap leaves the old chain
 // untouched plus some orphan shards that the next successful pass
 // overwrites. The superseded delta codewords are queued, not deleted:

@@ -127,15 +127,14 @@ func TestGetBatchCallersReturnWhatTheyAreLent(t *testing.T) {
 	v1 := bytes.Repeat([]byte{5}, a.Capacity())
 	mustCommit(t, a, v1)
 	mustCommit(t, a, editBlocks(v1, a.cfg.BlockSize, 1))
-	if err := a.SaveToClusterContext(ctx); err != nil {
+	if _, err := a.PublishContext(ctx, true); err != nil {
 		t.Fatal(err)
 	}
 	mustCommit(t, a, editBlocks(v1, a.cfg.BlockSize, 2))
-	rec, ok := a.NextRecord() // a record beyond the snapshot, for recovery to replay
-	if !ok {
-		t.Fatal("the third commit changed nothing")
+	if _, err := a.PublishContext(ctx, false); err != nil { // a record beyond the snapshot, for recovery to replay
+		t.Fatal(err)
 	}
-	a.ReplicateContext(ctx, Publication{Generation: rec.Generation, Record: rec.Frame(a.Name())})
+	gen := a.Manifest().Generation
 	check := func(what string, op func() error) {
 		t.Helper()
 		lent0, returned0 := lent.Load(), returned.Load()
@@ -165,9 +164,9 @@ func TestGetBatchCallersReturnWhatTheyAreLent(t *testing.T) {
 		return err
 	})
 	check("manifest recovery", func() error {
-		m, snapshot, err := ManifestFromCluster(ctx, "t", cluster)
-		if err == nil && (m.Generation != rec.Generation || snapshot >= rec.Generation) {
-			t.Errorf("recovered generation %d from snapshot %d, want %d from an earlier one", m.Generation, snapshot, rec.Generation)
+		m, snapshot, err := manifestFromCluster(ctx, "t", cluster)
+		if err == nil && (m.Generation != gen || snapshot >= gen) {
+			t.Errorf("recovered generation %d from snapshot %d, want %d from an earlier one", m.Generation, snapshot, gen)
 		}
 		return err
 	})

@@ -208,20 +208,6 @@ func (a *Archive) Save(w io.Writer) error {
 	return err
 }
 
-// Snapshot closes the current generation - changes no record carried yet
-// bump it by one - and returns the manifest JSON, as Save writes it, with
-// its generation, which it therefore shares with no other state.
-func (a *Archive) Snapshot() ([]byte, uint64) {
-	a.mu.Lock()
-	if len(a.changed) > 0 {
-		a.generation++
-		a.changed = a.changed[:0]
-	}
-	m := a.manifestLocked()
-	a.mu.Unlock()
-	return m.encode(), m.Generation
-}
-
 var (
 	// ErrGenerationGap rejects a manifest record that is not the successor
 	// of the state it is applied to: a record in between is missing.
@@ -232,27 +218,26 @@ var (
 	ErrImmutable = errors.New("core: manifest record rewrites a committed version")
 )
 
-// ManifestRecord is one publish of an archive's metadata: the generation it
+// manifestRecord is one publish of an archive's metadata: the generation it
 // produces, the version count it leaves, and only the entries that changed
 // since the publish before - one for a Basic or Optimized SEC commit, two
 // when Reversed SEC rewrites the previous tip, a compaction's rebased set.
-type ManifestRecord struct {
+type manifestRecord struct {
 	Generation uint64          `json:"generation"`
 	Versions   int             `json:"versions"`
 	Entries    []ManifestEntry `json:"entries"`
 }
 
-// NextRecord closes the current generation: if the chain changed since the
-// last publish it bumps the generation by one and returns what changed.
-func (a *Archive) NextRecord() (rec ManifestRecord, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// nextRecordLocked closes the current generation: if the chain changed
+// since the last publish it bumps the generation by one and returns what
+// changed. Caller holds the write lock.
+func (a *Archive) nextRecordLocked() (rec manifestRecord, ok bool) {
 	if len(a.changed) == 0 {
-		return ManifestRecord{}, false
+		return manifestRecord{}, false
 	}
 	slices.Sort(a.changed)
 	a.generation++
-	rec = ManifestRecord{Generation: a.generation, Versions: len(a.entries)}
+	rec = manifestRecord{Generation: a.generation, Versions: len(a.entries)}
 	for _, v := range slices.Compact(a.changed) {
 		rec.Entries = append(rec.Entries, a.entries[v-1].manifestEntry(v, a.cfg.BlockSize))
 	}
@@ -265,35 +250,35 @@ func recordID(name string, gen uint64) string {
 	return fmt.Sprintf("%s/manifest/%d", name, gen)
 }
 
-// Frame encodes the record once, as the nodes store it: compact JSON in a
+// frame encodes the record once, as the nodes store it: compact JSON in a
 // store.EncodeFrame frame keyed by recordID.
-func (r ManifestRecord) Frame(name string) []byte {
+func (r manifestRecord) frame(name string) []byte {
 	payload, _ := json.Marshal(r) // ints, bools and slices of them: cannot fail
 	return store.EncodeFrame(recordID(name, r.Generation), payload)
 }
 
 // decodeRecord parses the frame at the start of raw and returns its size.
-func decodeRecord(name string, raw []byte) (ManifestRecord, int, error) {
+func decodeRecord(name string, raw []byte) (manifestRecord, int, error) {
 	key, payload, n, err := store.DecodeFrame(raw)
 	if err != nil {
-		return ManifestRecord{}, 0, err
+		return manifestRecord{}, 0, err
 	}
-	var rec ManifestRecord
+	var rec manifestRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return ManifestRecord{}, 0, fmt.Errorf("%w: manifest record: %v", store.ErrCorrupt, err)
+		return manifestRecord{}, 0, fmt.Errorf("%w: manifest record: %v", store.ErrCorrupt, err)
 	}
 	if key != recordID(name, rec.Generation) {
-		return ManifestRecord{}, 0, fmt.Errorf("%w: frame %q holds generation %d of %q", store.ErrCorrupt, key, rec.Generation, name)
+		return manifestRecord{}, 0, fmt.Errorf("%w: frame %q holds generation %d of %q", store.ErrCorrupt, key, rec.Generation, name)
 	}
 	return rec, n, nil
 }
 
-// Apply advances the manifest by one record. One at or below the manifest's
+// apply advances the manifest by one record. One at or below the manifest's
 // generation was applied already and is skipped; one beyond the successor is
 // ErrGenerationGap; one that rewrites history ErrImmutable; one that does
 // not describe exactly the versions it appends is damage (store.ErrCorrupt).
 // A rejected record leaves the manifest untouched.
-func (m *Manifest) Apply(rec ManifestRecord) error {
+func (m *Manifest) apply(rec manifestRecord) error {
 	if rec.Generation <= m.Generation {
 		return nil
 	}
@@ -336,7 +321,8 @@ func (m *Manifest) Apply(rec ManifestRecord) error {
 
 // Open reconstructs an archive from its manifest against a cluster holding
 // its shards. The latest-version cache is restored lazily on the next
-// Commit.
+// Commit. What the nodes hold of it is unknown (OpenContext knows), so the
+// first record it publishes comes with a fold.
 func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	cfg, err := m.config(m.Name)
 	if err != nil {
@@ -346,7 +332,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.generation = m.Generation
+	a.generation, a.pub.folded = m.Generation, m.Generation
 	a.entries = make([]entry, len(m.Entries))
 	for i, me := range m.Entries {
 		if me.Version != i+1 {
@@ -433,10 +419,6 @@ func replicaRing(object string, size int) []int {
 	return ring
 }
 
-// replicas is how many nodes hold each manifest object: n-k+1, so that any
-// n-k node losses - what the codewords it describes survive - leave a copy.
-func (a *Archive) replicas() int { return a.cfg.N - a.cfg.K + 1 }
-
 // ManifestRing lists every cluster node in the order a publish tries them
 // for the record of generation gen, or for the snapshot when gen is 0. The
 // first n-k+1 hold it when every put succeeds; a failed put moves its copy
@@ -457,7 +439,8 @@ func (a *Archive) ManifestRing(gen uint64) []int {
 // last node error, when fewer than n-k+1 nodes accepted.
 func (a *Archive) replicate(ctx context.Context, object string, data []byte) error {
 	defer obs.Start(ctx, "replicate").End()
-	ring, owed := replicaRing(object, a.cluster.Size()), a.replicas()
+	need := a.cfg.N - a.cfg.K + 1
+	ring, owed := replicaRing(object, a.cluster.Size()), need
 	var last error
 	for owed > 0 && len(ring) > 0 && ctx.Err() == nil {
 		refs := make([]store.ShardRef, min(owed, len(ring)))
@@ -480,52 +463,11 @@ func (a *Archive) replicate(ctx context.Context, object string, data []byte) err
 	case ctx.Err() != nil:
 		return fmt.Errorf("core: replicating %s: %w", object, ctx.Err())
 	default:
-		return fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, a.replicas()-owed, a.replicas(), last)
+		return fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, need-owed, need, last)
 	}
 }
 
-// Publication is what one publish owes the nodes: the framed Record of
-// Generation (nil when nothing changed) and, when the publish folded, the
-// Snapshot and the generations First..Last of the records it folds in.
-type Publication struct {
-	Generation       uint64
-	Record, Snapshot []byte
-	First, Last      uint64
-}
-
-// ReplicateContext ships a publication to the nodes: one replicate for the
-// record and, after a fold, one for the snapshot and - once n-k+1 nodes hold
-// it - one DeleteBatch round on every node for the records it replaces,
-// best effort (one left on an unreachable node is never replayed). It fails,
-// with replicate's error and before anything further, when the record or
-// the snapshot reached fewer than n-k+1 nodes: the publication is then not
-// durable.
-func (a *Archive) ReplicateContext(ctx context.Context, p Publication) error {
-	if p.Record != nil {
-		if err := a.replicate(ctx, recordID(a.cfg.Name, p.Generation), p.Record); err != nil {
-			return err
-		}
-	}
-	if p.Snapshot != nil {
-		if err := a.replicate(ctx, manifestID(a.cfg.Name), p.Snapshot); err != nil {
-			return err
-		}
-		a.cluster.DeleteBatch(ctx, onEveryNode(a.cluster, recordIDs(a.cfg.Name, p.First, p.Last)...))
-	}
-	return nil
-}
-
-// SaveToClusterContext replicates a snapshot of the manifest onto n-k+1
-// cluster nodes (a gateway's create puts its first one so), making the
-// archive self-contained: a client holding only its name and the node
-// addresses can LoadFromClusterContext. Every publish bumps the
-// generation, so the freshest replica has the largest.
-func (a *Archive) SaveToClusterContext(ctx context.Context) error {
-	snap, _ := a.Snapshot()
-	return a.replicate(ctx, manifestID(a.cfg.Name), snap)
-}
-
-// ManifestFromCluster rebuilds the named archive's manifest from what its
+// manifestFromCluster rebuilds the named archive's manifest from what its
 // publishes replicated: one GetBatch round fetches every node's snapshot,
 // the largest generation (snapshot) wins - never the most entries, which a
 // compaction leaves unchanged - and catchUp replays from there, which
@@ -535,7 +477,7 @@ func (a *Archive) SaveToClusterContext(ctx context.Context) error {
 // ended the search, the last node failure when some node could not be asked
 // (it may hold a replica), and store.ErrNotFound only when every node
 // answered and none holds one.
-func ManifestFromCluster(ctx context.Context, name string, cluster *store.Cluster) (m Manifest, snapshot uint64, err error) {
+func manifestFromCluster(ctx context.Context, name string, cluster *store.Cluster) (m Manifest, snapshot uint64, err error) {
 	var best *Manifest
 	var unasked error
 	for _, res := range cluster.GetBatch(ctx, onEveryNode(cluster, manifestID(name))) {
@@ -606,7 +548,7 @@ func applyRecords(ctx context.Context, m *Manifest, results []store.ShardResult,
 			if res.Err != nil || err != nil {
 				continue // absent or damaged here: another node's copy may be whole
 			}
-			if err := m.Apply(rec); err != nil {
+			if err := m.apply(rec); err != nil {
 				return true, fmt.Errorf("core: replaying manifest records of %q: %w", m.Name, err)
 			}
 			break
@@ -620,16 +562,6 @@ func applyRecords(ctx context.Context, m *Manifest, results []store.ShardResult,
 		}
 	}
 	return false, nil
-}
-
-// LoadFromClusterContext reopens the named archive from the manifest its
-// publishes replicated (ManifestFromCluster).
-func LoadFromClusterContext(ctx context.Context, name string, cluster *store.Cluster) (*Archive, error) {
-	m, _, err := ManifestFromCluster(ctx, name, cluster)
-	if err != nil {
-		return nil, err
-	}
-	return Open(m, cluster)
 }
 
 func parsePlacement(name string, n int) (store.Placement, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -244,6 +245,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// publishFolded publishes a's changes and folds them into one snapshot on
+// the nodes.
+func publishFolded(ctx context.Context, a *Archive) error {
+	_, err := a.PublishContext(ctx, true)
+	return err
+}
+
 func TestSaveToClusterAndLoadFromCluster(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
@@ -252,16 +260,16 @@ func TestSaveToClusterAndLoadFromCluster(t *testing.T) {
 	}
 	v1 := bytes.Repeat([]byte{4}, a.Capacity())
 	mustCommit(t, a, v1)
-	if err := a.SaveToClusterContext(t.Context()); err != nil {
+	if err := publishFolded(t.Context(), a); err != nil {
 		t.Fatal(err)
 	}
 	v2 := editBlocks(v1, 4, 0)
 	mustCommit(t, a, v2)
-	if err := a.SaveToClusterContext(t.Context()); err != nil {
+	if err := publishFolded(t.Context(), a); err != nil {
 		t.Fatal(err)
 	}
 
-	b, err := LoadFromClusterContext(t.Context(), "t", cluster)
+	b, err := OpenContext(t.Context(), "t", cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +293,7 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 	}
 	v1 := bytes.Repeat([]byte{4}, a.Capacity())
 	mustCommit(t, a, v1)
-	if err := a.SaveToClusterContext(t.Context()); err != nil {
+	if err := publishFolded(t.Context(), a); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 is down during the second save, so its replica goes stale.
@@ -293,11 +301,11 @@ func TestLoadFromClusterPicksFreshestReplica(t *testing.T) {
 	if err := cluster.Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SaveToClusterContext(t.Context()); err != nil {
+	if err := publishFolded(t.Context(), a); err != nil {
 		t.Fatal(err)
 	}
 	cluster.HealAll()
-	b, err := LoadFromClusterContext(t.Context(), "t", cluster)
+	b, err := OpenContext(t.Context(), "t", cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +335,7 @@ func TestLoadFromClusterSkipsStaleSameLengthReplica(t *testing.T) {
 		versions = append(versions, object)
 		mustCommit(t, a, object)
 	}
-	if err := a.SaveToClusterContext(t.Context()); err != nil {
+	if err := publishFolded(t.Context(), a); err != nil {
 		t.Fatal(err)
 	}
 	info, err := a.CompactToContext(t.Context(), 1)
@@ -342,7 +350,7 @@ func TestLoadFromClusterSkipsStaleSameLengthReplica(t *testing.T) {
 	if err := cluster.Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SaveToClusterContext(t.Context()); err != nil {
+	if err := publishFolded(t.Context(), a); err != nil {
 		t.Fatal(err)
 	}
 	if deleted, _, err := a.ReclaimSupersededContext(t.Context()); err != nil || deleted == 0 {
@@ -350,11 +358,13 @@ func TestLoadFromClusterSkipsStaleSameLengthReplica(t *testing.T) {
 	}
 	cluster.HealAll()
 
-	b, err := LoadFromClusterContext(t.Context(), "t", cluster)
+	b, err := OpenContext(t.Context(), "t", cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := b.Manifest(), a.Manifest(); !reflect.DeepEqual(got, want) {
+	want := a.Manifest()
+	want.Generation += 2 // a load from the nodes skips two generations
+	if got := b.Manifest(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("loaded the stale replica:\n got %+v\nwant %+v", got, want)
 	}
 	for v, want := range versions {
@@ -380,7 +390,11 @@ func TestManifestWithoutGenerationLoadsAsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a, err := LoadFromClusterContext(t.Context(), "t", cluster)
+	m, _, err := manifestFromCluster(t.Context(), "t", cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(m, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +411,7 @@ func TestManifestWithoutGenerationLoadsAsZero(t *testing.T) {
 }
 
 func TestLoadFromClusterMissing(t *testing.T) {
-	if _, err := LoadFromClusterContext(t.Context(), "ghost", store.NewMemCluster(3)); err == nil {
+	if _, err := OpenContext(t.Context(), "ghost", store.NewMemCluster(3), nil); err == nil {
 		t.Error("want error, got nil")
 	}
 }
@@ -412,7 +426,7 @@ func TestSaveToClusterAllNodesDown(t *testing.T) {
 	if err := cluster.Fail(0, 1, 2, 3, 4, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SaveToClusterContext(t.Context()); err == nil {
+	if err := publishFolded(t.Context(), a); err == nil {
 		t.Error("want error with every node down")
 	}
 }

@@ -13,16 +13,16 @@ import (
 )
 
 // replay applies framed records in order, each the way catch-up applies
-// what a node answers - decodeRecord, then Apply - and returns how many
+// what a node answers - decodeRecord, then apply - and returns how many
 // leading bytes hold intact frames: it ends at the first torn or damaged
-// one. An intact record that cannot follow is Apply's error.
+// one. An intact record that cannot follow is apply's error.
 func replay(m *Manifest, frames []byte) (valid int, err error) {
 	for valid < len(frames) {
 		rec, n, err := decodeRecord(m.Name, frames[valid:])
 		if err != nil {
 			return valid, nil
 		}
-		if err := m.Apply(rec); err != nil {
+		if err := m.apply(rec); err != nil {
 			return valid, err
 		}
 		valid += n
@@ -50,18 +50,25 @@ type replayChecker struct {
 
 func newReplayChecker(t *testing.T, a *Archive) *replayChecker {
 	t.Helper()
-	snap, _ := a.Snapshot()
+	snap := a.Manifest().encode()
 	return &replayChecker{t: t, a: a, first: snap, recent: snap}
+}
+
+// nextRecord takes the record a publish would send now, if anything changed.
+func nextRecord(a *Archive) (manifestRecord, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.nextRecordLocked()
 }
 
 func (c *replayChecker) check(op string) {
 	c.t.Helper()
 	before := c.a.Manifest().Generation
-	if rec, ok := c.a.NextRecord(); ok {
+	if rec, ok := nextRecord(c.a); ok {
 		if rec.Generation != before+1 {
 			c.t.Fatalf("after %s: record generation %d follows %d", op, rec.Generation, before)
 		}
-		c.log = append(c.log, rec.Frame(c.a.Name())...)
+		c.log = append(c.log, rec.frame(c.a.Name())...)
 	}
 	var want bytes.Buffer
 	if err := c.a.Save(&want); err != nil {
@@ -187,41 +194,41 @@ func logBase() Manifest {
 
 func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 2, Length: 10, CRC32C: "0000002a"}
-	next := ManifestRecord{Generation: 4, Versions: 3, Entries: []ManifestEntry{v3}}
+	next := manifestRecord{Generation: 4, Versions: 3, Entries: []ManifestEntry{v3}}
 
 	m := logBase()
-	if err := m.Apply(next); err != nil || m.Generation != 4 || len(m.Entries) != 3 {
+	if err := m.apply(next); err != nil || m.Generation != 4 || len(m.Entries) != 3 {
 		t.Fatalf("successor record: err %v, generation %d, %d entries", err, m.Generation, len(m.Entries))
 	}
 	// A record that arrives twice is skipped, not an error.
 	m.Entries[2].Gamma = 1
-	if err := m.Apply(next); err != nil || m.Generation != 4 || m.Entries[2].Gamma != 1 {
+	if err := m.apply(next); err != nil || m.Generation != 4 || m.Entries[2].Gamma != 1 {
 		t.Errorf("duplicate record: err %v, generation %d, entry %+v", err, m.Generation, m.Entries[2])
 	}
 	// Compaction may restate how a committed version is stored. A record an
 	// older build wrote carries no digest, and the held one stays.
-	rebase := ManifestRecord{Generation: 5, Versions: 3, Entries: []ManifestEntry{{Version: 3, Delta: true, Gamma: 1, Length: 10, Base: 1}}}
-	if err := m.Apply(rebase); err != nil || m.Generation != 5 || m.Entries[2].Base != 1 || m.Entries[2].CRC32C != v3.CRC32C {
+	rebase := manifestRecord{Generation: 5, Versions: 3, Entries: []ManifestEntry{{Version: 3, Delta: true, Gamma: 1, Length: 10, Base: 1}}}
+	if err := m.apply(rebase); err != nil || m.Generation != 5 || m.Entries[2].Base != 1 || m.Entries[2].CRC32C != v3.CRC32C {
 		t.Fatalf("rebase record: err %v, generation %d, entry %+v", err, m.Generation, m.Entries[2])
 	}
 
 	for _, tc := range []struct {
 		name string
-		rec  ManifestRecord
+		rec  manifestRecord
 		want error
 	}{
-		{"generation gap", ManifestRecord{Generation: 7, Versions: 3}, ErrGenerationGap},
-		{"fewer versions", ManifestRecord{Generation: 6, Versions: 2}, ErrImmutable},
-		{"committed length changes", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 2, Delta: true, Gamma: 1, Length: 11}}}, ErrImmutable},
-		{"committed digest changes", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 3, Delta: true, Gamma: 1, Length: 10, Base: 1, CRC32C: "0000002b"}}}, ErrImmutable},
-		{"appended version missing", ManifestRecord{Generation: 6, Versions: 4}, store.ErrCorrupt},
-		{"append skips a version", ManifestRecord{Generation: 6, Versions: 5, Entries: []ManifestEntry{{Version: 5, Full: true}}}, store.ErrCorrupt},
-		{"version beyond the count", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 4, Full: true}}}, store.ErrCorrupt},
-		{"versions out of order", ManifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 2, Delta: true, Gamma: 1, Length: 12}, {Version: 1, Full: true, Length: 12}}}, store.ErrCorrupt},
+		{"generation gap", manifestRecord{Generation: 7, Versions: 3}, ErrGenerationGap},
+		{"fewer versions", manifestRecord{Generation: 6, Versions: 2}, ErrImmutable},
+		{"committed length changes", manifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 2, Delta: true, Gamma: 1, Length: 11}}}, ErrImmutable},
+		{"committed digest changes", manifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 3, Delta: true, Gamma: 1, Length: 10, Base: 1, CRC32C: "0000002b"}}}, ErrImmutable},
+		{"appended version missing", manifestRecord{Generation: 6, Versions: 4}, store.ErrCorrupt},
+		{"append skips a version", manifestRecord{Generation: 6, Versions: 5, Entries: []ManifestEntry{{Version: 5, Full: true}}}, store.ErrCorrupt},
+		{"version beyond the count", manifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 4, Full: true}}}, store.ErrCorrupt},
+		{"versions out of order", manifestRecord{Generation: 6, Versions: 3, Entries: []ManifestEntry{{Version: 2, Delta: true, Gamma: 1, Length: 12}, {Version: 1, Full: true, Length: 12}}}, store.ErrCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := fmt.Sprintf("%+v", m)
-			if err := m.Apply(tc.rec); !errors.Is(err, tc.want) {
+			if err := m.apply(tc.rec); !errors.Is(err, tc.want) {
 				t.Errorf("err %v, want %v", err, tc.want)
 			}
 			if after := fmt.Sprintf("%+v", m); after != before {
@@ -229,9 +236,9 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 			}
 			// The same record stops a log replay with the same error, after
 			// the intact frames before it.
-			intact := append(next.Frame("t"), rebase.Frame("t")...)
+			intact := append(next.frame("t"), rebase.frame("t")...)
 			replayed := logBase()
-			valid, err := replay(&replayed, append(bytes.Clone(intact), tc.rec.Frame("t")...))
+			valid, err := replay(&replayed, append(bytes.Clone(intact), tc.rec.frame("t")...))
 			if valid != len(intact) || !errors.Is(err, tc.want) {
 				t.Errorf("replay stopped at byte %d with %v, want %d and %v", valid, err, len(intact), tc.want)
 			}
@@ -247,7 +254,7 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 // fuzzer finds later joins them.
 func fuzzLogSeeds() [][]byte {
 	rec := func(gen uint64, versions int, entries ...ManifestEntry) []byte {
-		return ManifestRecord{Generation: gen, Versions: versions, Entries: entries}.Frame("t")
+		return manifestRecord{Generation: gen, Versions: versions, Entries: entries}.frame("t")
 	}
 	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 1, Length: 12}
 	v4 := ManifestEntry{Version: 4, Full: true, Delta: true, Gamma: 3, Length: 9}

@@ -143,7 +143,7 @@ func decodedVersionsDoNotAliasTheirShards(t *testing.T, kind erasure.Kind, compr
 		t.Fatalf("commit against refusing nodes: %v", err)
 	}
 	scribble()
-	latest, err := a.blocking.Join(a.cache, a.cacheLen)
+	latest, err := a.blocking.Join(a.cache, a.entries[len(a.entries)-1].length)
 	if err != nil || !bytes.Equal(latest, versions[3]) {
 		t.Errorf("restored latest-version cache aliases the frames it was decoded from")
 	}

@@ -36,7 +36,9 @@ type RepairReport struct {
 //
 // The paper's static-resilience analysis assumes "no further remedial
 // actions"; RepairNodeContext is the remedial action that restores the
-// archive to full redundancy afterwards.
+// archive to full redundancy afterwards. A replaced device lost its copies
+// of the manifest objects as well, so once the repair succeeds the next
+// publish folds, which puts the snapshot back on its n-k+1 nodes.
 func (a *Archive) RepairNodeContext(ctx context.Context, node int) (RepairReport, error) {
 	//lint:allow lockheld repair reads the whole chain; the read lock keeps compaction from moving shards mid-repair
 	a.mu.RLock()
@@ -56,6 +58,9 @@ func (a *Archive) RepairNodeContext(ctx context.Context, node int) (RepairReport
 	err := a.eachStored(ctx, "repair", func(cw codeword) error {
 		return a.repairObject(ctx, cw, node, &report)
 	})
+	if err == nil {
+		a.pub.refold.Store(true)
+	}
 	return report, err
 }
 

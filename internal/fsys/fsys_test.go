@@ -145,18 +145,48 @@ func TestRecorderLogsAndCrashesAtACall(t *testing.T) {
 	}
 	for at := 1; at <= len(want); at++ {
 		r := NewRecorder()
-		r.CrashAt(at)
+		r.StopAt(at)
 		if err := run(r); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("crash at call %d: err = %v", at, err)
 		}
 		if got := len(r.Calls()); got != at-1 {
 			t.Fatalf("crash at call %d logged %d calls", at, got)
 		}
+		r.Crash()
 		r.Restart()
 		// /a itself was never synced into the root, so nothing survives.
 		if _, err := r.Stat("/a"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("crash at call %d: /a survived: %v", at, err)
 		}
+	}
+}
+
+// TestRecorderStopsAtACall: a stop fails the armed call and every later
+// one, as a crash does, but leaves the tree as the process left it, in the
+// same boot, for Clone; a Crash afterwards drops what was not synced.
+func TestRecorderStopsAtACall(t *testing.T) {
+	r := NewRecorder()
+	boot := r.Boot()
+	r.StopAt(3)
+	writeFile(t, r, "/f", "x", false) // create, write
+	if err := r.SyncDir("/"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("the armed call: err = %v, want ErrCrashed", err)
+	}
+	if _, err := r.ReadFile("/f"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("a read after the stop: err = %v, want ErrCrashed", err)
+	}
+	if got := len(r.Calls()); got != 2 {
+		t.Fatalf("the stop logged %d calls, want 2", got)
+	}
+	live := r.Clone()
+	live.Restart()
+	if got, _ := readString(t, live, "/f"); got != "x" || live.Boot() != boot {
+		t.Errorf("the stopped tree holds %q at /f in boot %q, want %q in %q", got, live.Boot(), "x", boot)
+	}
+	r.Crash()
+	r.Restart()
+	if _, ok := readString(t, r, "/f"); ok || r.Boot() == boot {
+		t.Errorf("a crash after the stop kept /f or boot %q", boot)
 	}
 }
 

@@ -32,14 +32,14 @@ type Call struct {
 // directory holding the name is synced. Crash is a power loss: it drops
 // everything that is not durable - file contents roll back to their last
 // sync, and directories to their entries at their last SyncDir, which can
-// unlink whole subtrees - and starts a new boot. CrashAt arms a crash at a
-// chosen call. The root directory "/" is durable from the start; paths are
-// cleaned and taken as absolute.
+// unlink whole subtrees - and starts a new boot. StopAt stops the process
+// at a chosen call. The root directory "/" is durable from the start; paths
+// are cleaned and taken as absolute.
 type Recorder struct {
 	mu      sync.Mutex
 	root    *inode
 	calls   []Call
-	crashAt int // 1-based index of the call that crashes; 0: none armed
+	stopAt  int // 1-based index of the call that stops; 0: none armed
 	crashed bool
 	temps   int
 	boots   int // crashes so far: the boot is the next one
@@ -126,13 +126,15 @@ func (r *Recorder) Count(ops ...string) int {
 // Syncs counts the fsyncs so far, of files and of directories.
 func (r *Recorder) Syncs() int { return r.Count("sync", "syncdir") }
 
-// CrashAt arms a crash at the n-th logged call (counted from the recorder's
-// start, 1-based): that call does not happen, everything not yet durable is
-// dropped, and it and every later call fail with ErrCrashed.
-func (r *Recorder) CrashAt(n int) {
+// StopAt arms a stop at the n-th logged call (counted from the recorder's
+// start, 1-based): a process that died there. That call does not happen,
+// and it and every later call fail with ErrCrashed, but nothing is dropped:
+// Clone copies the tree as the process left it, and Crash then drops what a
+// power loss would.
+func (r *Recorder) StopAt(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.crashAt = n
+	r.stopAt = n
 }
 
 // Crash drops everything not yet durable now, starts a new boot, and fails
@@ -140,20 +142,16 @@ func (r *Recorder) CrashAt(n int) {
 func (r *Recorder) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.crashLocked()
-}
-
-// Restart brings a crashed recorder back, on what was durable at the crash.
-func (r *Recorder) Restart() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.crashed, r.crashAt = false, 0
-}
-
-func (r *Recorder) crashLocked() {
 	r.crashed = true
 	r.boots++
 	r.root.rollBack()
+}
+
+// Restart brings a crashed or stopped recorder back, on what it held then.
+func (r *Recorder) Restart() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.crashed, r.stopAt = false, 0
 }
 
 // rollBack drops what is not durable below and at n.
@@ -168,14 +166,14 @@ func (n *inode) rollBack() {
 	}
 }
 
-// log records one call that changes the tree, crashing first if it is the
+// log records one call that changes the tree, stopping first if it is the
 // armed one. Callers hold r.mu.
 func (r *Recorder) log(op, path string) error {
 	if r.crashed {
 		return ErrCrashed
 	}
-	if len(r.calls)+1 == r.crashAt {
-		r.crashLocked()
+	if len(r.calls)+1 == r.stopAt {
+		r.crashed = true
 		return ErrCrashed
 	}
 	r.calls = append(r.calls, Call{Op: op, Path: path})

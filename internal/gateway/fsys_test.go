@@ -24,14 +24,14 @@ func TestPublishFsyncs(t *testing.T) {
 	plain, folds := 0, 0
 	for v := 1; v <= 40; v++ {
 		object[v%len(object)] ^= byte(v) | 1
-		before, folded := len(rec.Calls()), foldedAt(st)
+		before, folded := len(rec.Calls()), foldedAt(g.Cluster(), st)
 		if _, err := g.Commit(ctx, "a", -1, object); err != nil {
 			t.Fatalf("commit %d: %v", v, err)
 		}
 		if calls := rec.Calls()[before:]; len(calls) != 0 {
 			t.Fatalf("commit %d wrote under the root: %v", v, calls)
 		}
-		if foldedAt(st) == folded {
+		if foldedAt(g.Cluster(), st) == folded {
 			plain++
 		} else {
 			folds++

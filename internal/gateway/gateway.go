@@ -286,31 +286,19 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 
 // load performs the actual open-by-name.
 func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, error) {
-	name, cluster := st.name, g.cfg.Cluster
+	name := st.name
 	st.meta.fs, st.meta.path = g.cfg.fs, g.manifestPath(name)
-	m, trusted := st.meta.read()
+	cached, err := st.meta.read(name)
 	from := "manifest " + st.meta.path
-	var err error
-	switch {
-	case m.Name != "" && m.Name != name:
-		err = fmt.Errorf("it names archive %q: %w", m.Name, store.ErrConflict)
-	case !trusted:
-		from = "its cluster manifest"
-		m, st.meta.folded, err = core.ManifestFromCluster(ctx, name, cluster)
-		if errors.Is(err, store.ErrNotFound) {
-			return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
-		}
-		// The nodes may hold writes beyond m that this load did not see: a
-		// writer that crashed may have left, on fewer than n-k+1 nodes now
-		// down, a record one generation past m and the snapshot of a fold
-		// at that same generation. Skipping two generations puts the fold
-		// this load owes strictly above both, where no load reads them.
-		m.Generation += 2
-		st.meta.mustFold = true
-	}
 	var archive *core.Archive
 	if err == nil {
-		archive, err = core.Open(m, cluster)
+		if cached == nil {
+			from = "its cluster manifest"
+		}
+		archive, err = core.OpenContext(ctx, name, g.cfg.Cluster, cached)
+	}
+	if cached == nil && errors.Is(err, store.ErrNotFound) {
+		return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("gateway: opening archive %q from %s: %w", name, from, err)
@@ -337,10 +325,10 @@ func (g *Gateway) publish(ctx context.Context, st *archiveState, closing bool) (
 }
 
 // admit opens the named archive and, for a writer, takes its writer slot,
-// counting a full queue as a busy rejection, and folds an archive a failed
-// publish left unpublished before the writer stores anything: while that
-// fold cannot reach n-k+1 nodes, the writer is refused with its error. The
-// caller must call release when done (for a reader it does nothing).
+// counting a full queue as a busy rejection, and publishes before the writer
+// stores anything, which pays a fold the archive owes: while that fold
+// cannot reach n-k+1 nodes, the writer is refused with its error. The caller
+// must call release when done (for a reader it does nothing).
 func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *archiveState, release func(), err error) {
 	st, err = g.open(ctx, name)
 	if err != nil || !writer {
@@ -355,11 +343,9 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 		}
 		return nil, nil, err
 	}
-	if st.meta.pending() {
-		if _, _, _, err := g.publish(ctx, st, false); err != nil {
-			st.release()
-			return nil, nil, err
-		}
+	if err := st.meta.publish(ctx, st.archive, false); err != nil {
+		st.release()
+		return nil, nil, err
 	}
 	return st, st.release, nil
 }
@@ -397,19 +383,9 @@ func (g *Gateway) Create(ctx context.Context, name string, spec transport.Archiv
 		return transport.ArchiveInfo{}, err
 	}
 	// Concurrent opens of the name wait on ready, as for a load; a failed
-	// create leaves the name free again.
-	st.archive, st.err = core.Open(spec.Manifest(name), g.cfg.Cluster)
-	if st.err == nil { // the root misses an archive whose session died before its Close
-		switch _, _, err := core.ManifestFromCluster(ctx, name, g.cfg.Cluster); {
-		case err == nil:
-			st.err = fmt.Errorf("gateway: archive %q already exists on the nodes: %w", name, store.ErrConflict)
-		case !errors.Is(err, store.ErrNotFound):
-			st.err = fmt.Errorf("gateway: creating archive %q: %w", name, err)
-		}
-	}
-	if st.err == nil {
-		st.err = st.archive.SaveToClusterContext(ctx)
-	}
+	// create leaves the name free again. The nodes know an archive whose
+	// session died before its Close, which the root misses.
+	st.archive, st.err = core.CreateContext(ctx, name, spec, g.cfg.Cluster)
 	if st.err != nil {
 		g.mu.Lock()
 		delete(g.archives, name)
@@ -621,9 +597,9 @@ func (g *Gateway) Scrub(ctx context.Context, name string, repair bool) (core.Scr
 
 // Repair reconstructs the archive's shards on one cluster node, holding
 // the writer slot so rebuilt shards never race a commit, and then publishes
-// a fold: the snapshot goes back to its n-k+1 ring nodes, the replaced
-// node among them, and replaces the records only the old node may have
-// held a copy of.
+// the fold the repair owes: the snapshot goes back to its n-k+1 ring nodes,
+// the replaced node among them, and replaces the records only the old node
+// may have held a copy of.
 func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.RepairReport, error) {
 	ctx = obs.RecordInto(ctx, &g.spans)
 	st, release, err := g.admit(ctx, name, true)
@@ -635,7 +611,6 @@ func (g *Gateway) Repair(ctx context.Context, name string, node int) (core.Repai
 	if err != nil {
 		return report, err
 	}
-	st.meta.refold()
 	if _, _, _, err := g.publish(ctx, st, false); err != nil {
 		return report, err
 	}

@@ -141,7 +141,7 @@ func TestGatewayRetrieveReadsWhatCoreReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	direct, err := core.LoadFromClusterContext(ctx, "chain", cluster)
+	direct, err := core.OpenContext(ctx, "chain", cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +603,7 @@ func TestGatewayCloseFoldsEveryArchivePastAStuckLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if st := resident(t, g, names[i]); foldedAt(st) == st.archive.Manifest().Generation {
+		if st := resident(t, g, names[i]); foldedAt(cluster, st) == st.archive.Manifest().Generation {
 			t.Fatalf("%s holds no record beyond its fold before Close", names[i])
 		}
 	}

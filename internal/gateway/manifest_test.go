@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,11 +34,38 @@ func resident(t *testing.T, g *Gateway, name string) *archiveState {
 }
 
 // foldedAt returns the generation of the snapshot the archive's last fold
-// put on the nodes: a publish that moves it folded.
-func foldedAt(st *archiveState) uint64 {
-	st.meta.mu.Lock()
-	defer st.meta.mu.Unlock()
-	return st.meta.folded
+// put on the nodes, the largest any node holds: a publish that moves it
+// folded.
+func foldedAt(cluster *store.Cluster, st *archiveState) (folded uint64) {
+	for i := 0; i < cluster.Size(); i++ {
+		node, err := cluster.Node(i)
+		if err != nil {
+			panic(err)
+		}
+		if raw, err := node.Get(context.Background(), store.ShardID{Object: st.name + "/manifest"}); err == nil {
+			folded = max(folded, snapshotGeneration(raw))
+		}
+	}
+	return folded
+}
+
+// snapshotGeneration reads the generation at the head of a snapshot,
+// without decoding its entries; a snapshot of generation 0 omits it.
+func snapshotGeneration(raw []byte) uint64 {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		return 0
+	}
+	for {
+		key, err := dec.Token()
+		if err != nil || key != "name" && key != "generation" {
+			return 0
+		}
+		var gen uint64
+		if err := dec.Decode(&gen); key == "generation" && err == nil {
+			return gen
+		}
+	}
 }
 
 // recordsOn sums the manifest records of generations up to gen resident on
@@ -92,7 +118,7 @@ func TestPublishWritesOneRecord(t *testing.T) {
 		for b := 0; b < gammas[v%len(gammas)]; b++ {
 			object[((v+b)%k)*blockSize+v%blockSize] ^= byte(v) | 1
 		}
-		before, folded := cluster.WireStats().BytesWritten, foldedAt(st)
+		before, folded := cluster.WireStats().BytesWritten, foldedAt(cluster, st)
 		info, err := g.Commit(ctx, "a", -1, object)
 		if err != nil {
 			t.Fatalf("commit %d: %v", v, err)
@@ -110,7 +136,7 @@ func TestPublishWritesOneRecord(t *testing.T) {
 		if metadata <= 0 {
 			t.Fatalf("commit %d: %d metadata bytes written beside its %d shards of %d bytes", v, metadata, info.ShardWrites, width)
 		}
-		if foldedAt(st) == folded {
+		if foldedAt(cluster, st) == folded {
 			publishBytes[v] = metadata
 		} else {
 			folds++
@@ -202,14 +228,15 @@ func TestPublishOneBatchRoundPerNode(t *testing.T) {
 	for v := 1; v <= 12; v++ {
 		object = bytes.Clone(object)
 		object[(v%4)*8] ^= 0xFF
-		before, folded := sum(), foldedAt(st)
+		folded := foldedAt(cluster, st) // before the count: it reads the nodes
+		before := sum()
 		if _, err := g.Commit(ctx, "a", -1, object); err != nil {
 			t.Fatal(err)
 		}
 		after := sum()
 		puts, deletes := after.PutBatches-before.PutBatches, after.DeleteBatches-before.DeleteBatches
 		wantPuts, wantDeletes := uint64(nodes+holders), uint64(0)
-		if foldedAt(st) != folded {
+		if foldedAt(cluster, st) != folded {
 			wantPuts, wantDeletes = nodes+2*holders, nodes
 			folding++
 		} else {
@@ -261,7 +288,7 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 	st := resident(t, g, "a")
 	holders := st.archive.ManifestRing(0)[:3] // n-k+1 of testSpec's (6,4)
 	versions := 0
-	for versions < 3 || foldedAt(st) == st.archive.Manifest().Generation {
+	for versions < 3 || foldedAt(cluster, st) == st.archive.Manifest().Generation {
 		versions++
 		if _, err := g.Commit(ctx, "a", -1, payloadFor(32, versions)); err != nil {
 			t.Fatal(err)
@@ -307,108 +334,52 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 	}
 }
 
-// crashRig runs one archive whose gateway root is a recording file system
-// (rigRoot) on nodes that can stop the world: when armed with a trigger, the
-// first node mutation the trigger matches - or, armed with armRename, the
-// first root rename - captures the root and freezes every node against
-// further mutations: the process died at that instant, and what the root
-// images and the nodes hold is what a restart finds. Armed with armAfter,
-// the matched mutations are applied instead, the root is captured after the
-// first of them, and the world freezes at the next mutation the trigger does
-// not match: the process died right after what the trigger names, on every
-// node. The first node of the snapshot's replica ring can also be made to
-// lag: it then refuses manifest objects (snapshot, records and their
-// deletes) while still taking shards, the way a node that was briefly away
-// misses a fold.
+// crashRig runs one archive whose gateway root is a recording file system,
+// on memory nodes that count the get batches naming manifest objects - an
+// open that asks the nodes for the manifest - and that can be frozen: from
+// then on they refuse every mutation, so a restart must not need one.
 type crashRig struct {
 	t       *testing.T
 	root    *fsys.Recorder
 	cluster *store.Cluster
 	gw      *Gateway
 
-	mu      sync.Mutex
-	trigger func(op string, ids []store.ShardID) bool
-	after   bool                   // armAfter: apply the matched mutations, freeze after them
-	rename  func(path string) bool // armRename: freeze before the matched root rename
-	frozen  bool
-	lagging bool
-	lag     int // the node that lags: the snapshot ring's first
-	// process is the root as the crash left it, in the same boot; power is
-	// what a power loss at that instant leaves: only what was synced, in a
-	// new boot.
-	process, power *fsys.Recorder
-
+	frozen        atomic.Bool
 	manifestReads atomic.Int64 // get-batches naming manifest objects
 	object        []byte
-	attempted     [][]byte // every payload handed to Commit, acknowledged or not
-	acked         int
-}
-
-// rigRoot is the rig's gateway root: a recorder that checks every rename
-// against the armed rename trigger first.
-type rigRoot struct {
-	*fsys.Recorder
-	rig *crashRig
-}
-
-func (f rigRoot) Rename(oldpath, newpath string) error {
-	r := f.rig
-	r.mu.Lock()
-	if !r.frozen && r.rename != nil && r.rename(newpath) {
-		r.capture()
-		r.frozen = true
-	}
-	r.mu.Unlock()
-	return f.Recorder.Rename(oldpath, newpath)
+	attempted     [][]byte // every payload handed to Commit
 }
 
 type crashNode struct {
 	*store.MemNode
-	rig   *crashRig
-	index int
+	rig *crashRig
 }
 
-// mutate applies one node mutation unless the world is frozen (or the node
-// lags and it touches a manifest object), crashing first where the armed
-// trigger says.
-func (n crashNode) mutate(op string, ids []store.ShardID, apply func() []error) []error {
-	r := n.rig
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	matched := !r.frozen && r.trigger != nil && r.trigger(op, ids)
-	if matched && !r.after || !matched && r.after && r.process != nil {
-		if r.process == nil {
-			r.capture()
-		}
-		r.frozen = true
+// refused fails every shard of a batch while the rig is frozen, and is nil
+// otherwise.
+func (n crashNode) refused(op string, ids []store.ShardID) []error {
+	if !n.rig.frozen.Load() {
+		return nil
 	}
-	if r.frozen || r.lagging && n.index == r.lag && strings.Contains(ids[0].Object, "/manifest") {
-		errs := make([]error, len(ids))
-		for i := range errs {
-			errs[i] = fmt.Errorf("crash rig: %s refused: %w", op, store.ErrNodeDown)
-		}
-		return errs
-	}
-	errs := apply()
-	if matched && r.process == nil {
-		r.capture() // armAfter: the root as it stands once the matched mutation is done
+	errs := make([]error, len(ids))
+	for i := range errs {
+		errs[i] = fmt.Errorf("crash rig: %s refused: %w", op, store.ErrNodeDown)
 	}
 	return errs
 }
 
-// capture takes the root images of a crash now. Callers hold r.mu.
-func (r *crashRig) capture() {
-	r.process, r.power = r.root.Clone(), r.root.Clone()
-	r.power.Crash()
-	r.power.Restart()
-}
-
 func (n crashNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]byte) []error {
-	return n.mutate("put", ids, func() []error { return n.MemNode.PutBatch(ctx, ids, data) })
+	if errs := n.refused("put", ids); errs != nil {
+		return errs
+	}
+	return n.MemNode.PutBatch(ctx, ids, data)
 }
 
 func (n crashNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
-	return n.mutate("delete", ids, func() []error { return n.MemNode.DeleteBatch(ctx, ids) })
+	if errs := n.refused("delete", ids); errs != nil {
+		return errs
+	}
+	return n.MemNode.DeleteBatch(ctx, ids)
 }
 
 func (n crashNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
@@ -418,42 +389,32 @@ func (n crashNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.Sh
 	return n.MemNode.GetBatch(ctx, ids)
 }
 
-// newCrashRig creates archive "a" under the given scheme ("" for the
-// default) with auto-compaction on, so publishes carry rebases and reclaims
-// as well as appends.
-func newCrashRig(t *testing.T, scheme string) *crashRig {
+// newCrashRig creates archive "a" with auto-compaction on, so publishes
+// carry rebases and reclaims as well as appends.
+func newCrashRig(t *testing.T) *crashRig {
 	t.Helper()
 	r := &crashRig{t: t, root: fsys.NewRecorder(), object: payloadFor(32, 1)}
 	nodes := make([]store.Node, 6)
 	for i := range nodes {
-		nodes[i] = crashNode{MemNode: store.NewMemNode(fmt.Sprintf("mem-%d", i)), rig: r, index: i}
+		nodes[i] = crashNode{MemNode: store.NewMemNode(fmt.Sprintf("mem-%d", i)), rig: r}
 	}
 	r.cluster = store.NewCluster(nodes)
 	r.gw = r.gateway(r.root)
 	spec := testSpec()
-	spec.Scheme, spec.MaxChainLength = scheme, 3
+	spec.MaxChainLength = 3
 	if _, err := r.gw.Create(t.Context(), "a", spec); err != nil {
 		t.Fatal(err)
 	}
-	r.lag = r.state().archive.ManifestRing(0)[0]
 	return r
 }
 
 // gateway starts a gateway over the rig's nodes with its root at /gw on
-// root, through rigRoot when root is the rig's own.
+// root.
 func (r *crashRig) gateway(root *fsys.Recorder) *Gateway {
-	var files fsys.FS = root
-	if root == r.root {
-		files = rigRoot{Recorder: root, rig: r}
-	}
-	return newTestGateway(r.t, Config{Cluster: r.cluster, Root: "/gw", fs: files})
+	return newTestGateway(r.t, Config{Cluster: r.cluster, Root: "/gw", fs: root})
 }
 
-func (r *crashRig) state() *archiveState { return resident(r.t, r.gw, "a") }
-
-// commit appends one sparse edit through g (nil: the rig's gateway); a
-// commit the crash interrupts may fail or not, and counts as acknowledged
-// only if it returned before the crash.
+// commit appends one sparse edit through g (nil: the rig's gateway).
 func (r *crashRig) commit(g *Gateway) {
 	r.t.Helper()
 	if g == nil {
@@ -463,57 +424,19 @@ func (r *crashRig) commit(g *Gateway) {
 	r.object = bytes.Clone(r.object)
 	r.object[(v%4)*8+v%8] ^= byte(v) | 1
 	r.attempted = append(r.attempted, r.object)
-	_, err := g.Commit(r.t.Context(), "a", -1, r.object)
-	r.mu.Lock()
-	crashed := r.frozen
-	r.mu.Unlock()
-	if crashed {
-		return
-	}
-	if err != nil {
+	if _, err := g.Commit(r.t.Context(), "a", -1, r.object); err != nil {
 		r.t.Fatalf("commit %d: %v", v, err)
 	}
-	r.acked = v
-}
-
-func (r *crashRig) arm(trigger func(op string, ids []store.ShardID) bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.trigger = trigger
-}
-
-func (r *crashRig) armAfter(trigger func(op string, ids []store.ShardID) bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.trigger, r.after = trigger, true
-}
-
-func (r *crashRig) armRename(trigger func(path string) bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rename = trigger
-}
-
-func (r *crashRig) setLagging(lagging bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lagging = lagging
-}
-
-func (r *crashRig) crashed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.process != nil
 }
 
 // commitUntilRecords commits until at least n records extend the snapshot
 // on the nodes (so the next publishes append rather than fold).
 func (r *crashRig) commitUntilRecords(n int) {
 	r.t.Helper()
-	st := r.state()
+	st := resident(r.t, r.gw, "a")
 	for i := 0; i < 64; i++ {
 		r.commit(nil)
-		if st.archive.Manifest().Generation-foldedAt(st) >= uint64(n) {
+		if st.archive.Manifest().Generation-foldedAt(r.cluster, st) >= uint64(n) {
 			return
 		}
 	}
@@ -521,11 +444,9 @@ func (r *crashRig) commitUntilRecords(n int) {
 }
 
 // verify restarts over the given root (a fresh recorder: the root is lost,
-// only the nodes remain) and checks the crash contract: every acknowledged
-// version is there and decodes byte-identical, anything beyond is a whole
-// version of an unacknowledged commit or absent, and no read names a
-// codeword a reclaim has deleted (it would not decode). It reports whether
-// the open asked the nodes for the manifest.
+// only the nodes remain) and checks that every committed version is there
+// and decodes byte-identical. It reports whether the open asked the nodes
+// for the manifest.
 func (r *crashRig) verify(what string, root *fsys.Recorder) (askedNodes bool) {
 	r.t.Helper()
 	return r.verifyOn(what, r.gateway(root))
@@ -540,8 +461,8 @@ func (r *crashRig) verifyOn(what string, g *Gateway) (askedNodes bool) {
 	if err != nil {
 		r.t.Fatalf("%s: reopening: %v", what, err)
 	}
-	if info.Versions < r.acked || info.Versions > len(r.attempted) {
-		r.t.Fatalf("%s: reopened with %d versions, %d were acknowledged and %d attempted", what, info.Versions, r.acked, len(r.attempted))
+	if info.Versions != len(r.attempted) {
+		r.t.Fatalf("%s: reopened with %d versions, %d were committed", what, info.Versions, len(r.attempted))
 	}
 	for v := 1; v <= info.Versions; v++ {
 		got, err := g.Retrieve(r.t.Context(), "a", v)
@@ -555,138 +476,6 @@ func (r *crashRig) verifyOn(what string, g *Gateway) (askedNodes bool) {
 	return r.manifestReads.Load() != reads
 }
 
-// verifyFromNodes restarts from each root a crash leaves - the process's,
-// the one a power loss leaves, and none - and wants each to load from the
-// nodes.
-func (r *crashRig) verifyFromNodes() {
-	r.t.Helper()
-	for _, restart := range []struct {
-		what string
-		root *fsys.Recorder
-	}{
-		{"from the root as the process left it", r.process},
-		{"from the root after a power loss", r.power},
-		{"from the nodes, root lost", fsys.NewRecorder()},
-	} {
-		if !r.verify(restart.what, restart.root) {
-			r.t.Errorf("%s: the open trusted the root and asked the nodes nothing", restart.what)
-		}
-	}
-}
-
-// snapshotOn returns the generation of the snapshot a node holds, -1 for
-// none.
-func (r *crashRig) snapshotOn(node int) int {
-	r.t.Helper()
-	n, err := r.cluster.Node(node)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	raw, err := n.Get(r.t.Context(), store.ShardID{Object: "a/manifest"})
-	if err != nil {
-		return -1
-	}
-	var m core.Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		r.t.Fatal(err)
-	}
-	return int(m.Generation)
-}
-
-func isRecord(ids []store.ShardID) bool { return strings.Contains(ids[0].Object, "/manifest/") }
-
-// TestCrashPoints enumerates by hand the instants between the writes of a
-// publish, of a fold and of a Close, and restarts from each: from the root
-// as the process left it, from the root after a power loss, and from the
-// nodes alone with the root lost - with one of the snapshot's holders a fold
-// behind the others. No instant leaves a clean mark, so every restart asks
-// the nodes. A publish writes nothing under the root (TestPublishFsyncs)
-// and a Close two files, each by one rename (pinned below), so the two
-// Close instants are the only ones between root writes.
-func TestCrashPoints(t *testing.T) {
-	closeAt := func(path string) func(t *testing.T, r *crashRig) {
-		return func(t *testing.T, r *crashRig) {
-			r.commitUntilRecords(1) // the Close has records to fold
-			r.armRename(func(p string) bool { return p == path })
-			if err := r.gw.Close(t.Context()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	instants := []struct {
-		name   string
-		scheme string
-		crash  func(t *testing.T, r *crashRig)
-	}{
-		{"the record on the nodes, before the acknowledgement", "", func(t *testing.T, r *crashRig) {
-			r.commitUntilRecords(1)
-			r.armAfter(func(op string, ids []store.ShardID) bool { return op == "put" && isRecord(ids) })
-			r.commit(nil)
-			r.acked = len(r.attempted) // on n-k+1 nodes: acknowledged or not, it stays
-		}},
-		{"between the fold's snapshot put and its record deletes", "", func(t *testing.T, r *crashRig) {
-			r.commitUntilRecords(1)
-			r.arm(func(op string, ids []store.ShardID) bool { return op == "delete" && isRecord(ids) })
-			for !r.crashed() {
-				r.commit(nil)
-			}
-		}},
-		{"Close between its node fold and the root snapshot", "", closeAt("/gw/a.json")},
-		{"Close between the root snapshot and the mark", "", closeAt("/gw/a.json.clean")},
-		// Reversed SEC supersedes the old tip's full with every commit: the
-		// record that stops naming it must be durable before it goes.
-		{"right after the old tip's full codeword is deleted", "reversed-sec", func(t *testing.T, r *crashRig) {
-			r.armAfter(func(op string, ids []store.ShardID) bool {
-				return op == "delete" && strings.HasSuffix(ids[0].Object, "-full")
-			})
-			r.commit(nil)
-		}},
-	}
-	for _, tc := range instants {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newCrashRig(t, tc.scheme)
-			// The snapshot ring's first node misses one whole fold, then is
-			// back for the rest.
-			r.setLagging(true)
-			r.commitUntilRecords(2)
-			st := r.state()
-			for folded := foldedAt(st); foldedAt(st) == folded; {
-				r.commit(nil)
-			}
-			r.setLagging(false)
-			if lag, fresh := r.snapshotOn(r.lag), r.snapshotOn(st.archive.ManifestRing(0)[1]); lag >= fresh {
-				t.Fatalf("node %d holds the snapshot of generation %d, the next ring node of %d: it is not lagging", r.lag, lag, fresh)
-			}
-			tc.crash(t, r)
-			if !r.crashed() {
-				t.Fatal("the crash point was never reached")
-			}
-			r.verifyFromNodes()
-		})
-	}
-	// The root instants above are all there are: a Close writes two files,
-	// each whole into a temporary file and then renamed.
-	t.Run("what a Close writes under the root", func(t *testing.T) {
-		r := newCrashRig(t, "")
-		r.commitUntilRecords(1)
-		before := len(r.root.Calls())
-		if err := r.gw.Close(t.Context()); err != nil {
-			t.Fatal(err)
-		}
-		var calls []string
-		for _, c := range r.root.Calls()[before:] {
-			if c.Op == "rename" {
-				calls = append(calls, c.Op+" "+c.Path)
-			} else {
-				calls = append(calls, c.Op)
-			}
-		}
-		if want := []string{"create", "write", "rename /gw/a.json", "create", "write", "rename /gw/a.json.clean"}; !slices.Equal(calls, want) {
-			t.Errorf("Close made %v under the root, want %v", calls, want)
-		}
-	})
-}
-
 // TestTornAndDamagedLog damages the root a clean Close left - cuts the mark
 // at every byte and the snapshot at every byte of its last entry, and flips
 // a bit in the middle of each - and restarts in the boot that wrote it. The
@@ -694,12 +483,12 @@ func TestCrashPoints(t *testing.T) {
 // one is not trusted, and the open serves every acknowledged version from
 // the nodes.
 func TestTornAndDamagedLog(t *testing.T) {
-	r := newCrashRig(t, "")
+	r := newCrashRig(t)
 	r.commitUntilRecords(3)
 	if err := r.gw.Close(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	r.arm(func(string, []store.ShardID) bool { return true }) // freeze at the next mutation: restarts below must not write to the nodes
+	r.frozen.Store(true) // restarts below must not write to the nodes
 	if r.verify("the root as Close left it", r.root.Clone()) {
 		t.Error("an undamaged root in the boot that wrote it: the open asked the nodes")
 	}
@@ -786,7 +575,7 @@ func TestDamagedLogRefusedWhileNodesAreDown(t *testing.T) {
 	// damaged root's generation: three records on the nodes.
 	g := newTestGateway(t, Config{Cluster: cluster, Root: root})
 	st := resident(t, g, "a")
-	for foldedAt(st)+3 > st.archive.Manifest().Generation {
+	for foldedAt(cluster, st)+3 > st.archive.Manifest().Generation {
 		commit(g)
 	}
 	lastHolders := st.archive.ManifestRing(st.archive.Manifest().Generation)[:2]
@@ -851,7 +640,7 @@ func writeBack(t *testing.T, rec *fsys.Recorder, dir string) {
 // a publish in a session that opened clean, whose removal of the mark the
 // power loss rolled back.
 func TestRootTrustedOnlyInTheBootThatWroteIt(t *testing.T) {
-	r := newCrashRig(t, "")
+	r := newCrashRig(t)
 	r.commitUntilRecords(2)
 	if err := r.gw.Close(t.Context()); err != nil {
 		t.Fatal(err)
@@ -1019,7 +808,7 @@ func TestPublishAcknowledgedAtNMinusKPlusOne(t *testing.T) {
 	c.refuse(0, 1, 2)
 	st := resident(t, g, "a")
 	v := 0
-	for v < 2 || foldedAt(st) != st.archive.Manifest().Generation {
+	for v < 2 || foldedAt(c.cluster, st) != st.archive.Manifest().Generation {
 		v++ // until a commit folds: the next publishes its record alone
 		if err := commit(v); err != nil {
 			t.Fatalf("commit %d with n-k+1 nodes taking manifest puts: %v", v, err)

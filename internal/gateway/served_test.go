@@ -272,11 +272,7 @@ func TestServedCacheUnderCommitAndCompact(t *testing.T) {
 	// The cache served most reads; what the compactions stored under it
 	// must read back the same through a cold archive of the manifest the
 	// nodes hold.
-	m, _, err := core.ManifestFromCluster(ctx, name, fixture.cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := core.Open(m, fixture.cluster)
+	cold, err := core.OpenContext(ctx, name, fixture.cluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func runBatch[R any](ctx context.Context, c *Cluster, kind batchKind[R], refs []
 	out := make([]R, len(refs))
 	var pos []int // the positions a pass issues; nil is every ref
 	for attempt := 1; ; attempt++ {
-		runNodeBatches(c.groupByNode(refs, data, pos), func(b *nodeBatch) {
+		runNodeBatches(c.groupByNode(refs, data, pos), c.inOrder.Load(), func(b *nodeBatch) {
 			if b.nodeErr != nil {
 				for _, i := range b.idx {
 					out[i] = kind.failed(b.nodeErr)
@@ -253,10 +253,10 @@ func (c *Cluster) DeleteBatch(ctx context.Context, refs []ShardRef) []error {
 }
 
 // runNodeBatches executes one function per node batch, in parallel when
-// more than one node is involved (each batch writes disjoint result
-// positions, so no further synchronization is needed).
-func runNodeBatches(batches []*nodeBatch, run func(*nodeBatch)) {
-	if len(batches) <= 1 {
+// more than one node is involved and not inOrder (each batch writes
+// disjoint result positions, so no further synchronization is needed).
+func runNodeBatches(batches []*nodeBatch, inOrder bool, run func(*nodeBatch)) {
+	if len(batches) <= 1 || inOrder {
 		for _, b := range batches {
 			run(b)
 		}

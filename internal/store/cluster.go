@@ -33,7 +33,15 @@ type Cluster struct {
 
 	// wire holds the client-side wire counters (see WireStats).
 	wire wireCounters
+
+	// inOrder runs a fan-out's node batches one after another (RunInOrder).
+	inOrder atomic.Bool
 }
+
+// RunInOrder makes the cluster run each fan-out's node batches one after
+// another, in the order its refs first name each node, so that the nodes
+// see every call in one order from run to run: for crash enumeration.
+func (c *Cluster) RunInOrder() { c.inOrder.Store(true) }
 
 // WireStats counts the shard operations this cluster client completed and
 // the payload bytes they moved, from the client's side of the wire. Node-

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,11 +76,12 @@ var _ FaultInjector = (*DiskNode)(nil)
 // temporary files from an interrupted writer are discarded, and any shards
 // already present are served as-is.
 func NewDiskNode(id, dir string) (*DiskNode, error) {
-	return newDiskNodeOn(fsys.OS{}, id, dir)
+	return NewDiskNodeOn(fsys.OS{}, id, dir)
 }
 
-// newDiskNodeOn is NewDiskNode on the given file system.
-func newDiskNodeOn(f fsys.FS, id, dir string) (*DiskNode, error) {
+// NewDiskNodeOn is NewDiskNode on the given file system: a test runs nodes
+// on fsys.Recorders to crash them at any call.
+func NewDiskNodeOn(f fsys.FS, id, dir string) (*DiskNode, error) {
 	if err := f.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating disk node %s: %w", id, err)
 	}
@@ -137,9 +140,6 @@ func (n *DiskNode) removeTempFiles() error {
 
 // ID returns the node identifier.
 func (n *DiskNode) ID() string { return n.id }
-
-// Dir returns the node's root directory.
-func (n *DiskNode) Dir() string { return n.dir }
 
 func (n *DiskNode) shardRoot() string { return filepath.Join(n.dir, "shards") }
 
@@ -259,9 +259,9 @@ func (n *DiskNode) PutBatch(ctx context.Context, ids []ShardID, data [][]byte) [
 		dirty[dir] = append(dirty[dir], i)
 	}
 	var writes, bytesWritten uint64
-	for dir, positions := range dirty {
+	for _, dir := range slices.Sorted(maps.Keys(dirty)) { // one order from run to run
 		err := n.fs.SyncDir(dir)
-		for _, i := range positions {
+		for _, i := range dirty[dir] {
 			if err != nil {
 				errs[i] = shardErr("put", ids[i], n.id, err)
 				continue
@@ -304,7 +304,7 @@ func (n *DiskNode) DeleteBatch(ctx context.Context, ids []ShardID) []error {
 		deletes++
 		dirty[dir] = struct{}{}
 	}
-	for dir := range dirty {
+	for _, dir := range slices.Sorted(maps.Keys(dirty)) {
 		_ = n.fs.SyncDir(dir) // best effort: a resurrected shard is re-deletable
 	}
 	n.mu.Lock()

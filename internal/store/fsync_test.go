@@ -16,7 +16,7 @@ import (
 // twelve fan-out directories.
 func TestDiskNodePutBatchFsyncs(t *testing.T) {
 	rec := fsys.NewRecorder()
-	n, err := newDiskNodeOn(rec, "disk", "/node")
+	n, err := NewDiskNodeOn(rec, "disk", "/node")
 	if err != nil {
 		t.Fatal(err)
 	}

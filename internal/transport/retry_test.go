@@ -42,10 +42,25 @@ func (c *dyingConn) Read(p []byte) (int, error) {
 	return 0, errors.New("killed by test")
 }
 
+// slowGets is a memory node whose get batches take delay while it is set.
+type slowGets struct {
+	*store.MemNode
+	delay atomic.Int64 // nanoseconds
+}
+
+func (n *slowGets) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	time.Sleep(time.Duration(n.delay.Load()))
+	return n.MemNode.GetBatch(ctx, ids)
+}
+
+// swappedNode is a cluster node whose client the test can replace, keeping
+// what the cluster has learnt of the node.
+type swappedNode struct{ store.Node }
+
 // The cluster is the one layer that re-issues a node's transient failures,
 // so the retry tests drive a RemoteNode through a plain one-node cluster.
 func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
-	mem := store.NewMemNode("backing")
+	mem := &slowGets{MemNode: store.NewMemNode("backing")}
 	killer := &killFirstConns{remaining: 3}
 	srv := NewServer(mem, WithConnWrapper(killer.wrap))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -64,15 +79,34 @@ func TestRetryPolicySurvivesDyingConnections(t *testing.T) {
 	}
 	_ = bare.Close()
 
+	// Two dying connections leave the third attempt: the node is not held
+	// silent, and its shard is re-issued. A failure is silent only when it
+	// takes over four times the median latency estimate, so the node first
+	// answers one get batch slowly: its estimate is then above a quarter of
+	// the 2 s timeout, which bounds how long a failure can take, and no
+	// failure is silent however slow the machine. The sample goes through a
+	// client of its own, whose pooled connection the kills would miss.
+	killer.mu.Lock()
+	killer.remaining = 0
+	killer.mu.Unlock()
+	sampler := NewRemoteNode("sampler", addr.String(), WithTimeout(2*time.Second))
+	t.Cleanup(func() { _ = sampler.Close() })
+	node := &swappedNode{Node: sampler}
+	cluster := store.NewCluster([]store.Node{node})
+	mem.delay.Store(int64(600 * time.Millisecond))
+	if _, err := cluster.Get(t.Context(), 0, store.ShardID{Object: "absent"}); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("the latency sample: %v", err)
+	}
+	mem.delay.Store(0)
+	if h := cluster.Health()[0]; h.Latency < 600*time.Millisecond {
+		t.Fatalf("latency estimate %v after a 600 ms get batch", h.Latency)
+	}
+	client := NewRemoteNode("retrying", addr.String(), WithTimeout(2*time.Second))
+	t.Cleanup(func() { _ = client.Close() })
+	node.Node = client
 	killer.mu.Lock()
 	killer.remaining = 2
 	killer.mu.Unlock()
-
-	// Two dying connections leave the third attempt: each dies fast, so the
-	// node is not held silent and its shard is re-issued.
-	client := NewRemoteNode("retrying", addr.String(), WithTimeout(2*time.Second))
-	t.Cleanup(func() { _ = client.Close() })
-	cluster := store.NewCluster([]store.Node{client})
 	if err := cluster.Put(t.Context(), 0, id, []byte{42}); err != nil {
 		t.Fatalf("Put with retry: %v", err)
 	}
