@@ -243,7 +243,8 @@ func verifyRestart(t *testing.T, what string, nodes *fsys.Recorder, root fsys.FS
 // root after the same power loss, and from the nodes alone with the root
 // lost. Each restart reads every acknowledged version back byte-identical.
 // The count of instants is pinned, and namedInstants finds among them the
-// five instants earlier tests picked by hand.
+// five instants earlier tests picked by hand; each of those runs as a
+// subtest under its name.
 func TestEveryCrashInstant(t *testing.T) {
 	base := crashBaseState(t)
 
@@ -260,25 +261,29 @@ func TestEveryCrashInstant(t *testing.T) {
 	named := namedInstants(t, calls, *w.spans)
 
 	for at := 1; at <= len(calls); at++ {
-		run := base.Clone()
-		run.StopAt(at)
-		acked := crashRun(t, openWorld(t, run, run, false))
-		process := run.Clone() // the machine as the process left it
-		process.Restart()
-		power := func() *fsys.Recorder { // and after a power loss
-			p := run.Clone()
-			p.Crash()
-			p.Restart()
-			return p
+		crashAt := func(t *testing.T) {
+			run := base.Clone()
+			run.StopAt(at)
+			acked := crashRun(t, openWorld(t, run, run, false))
+			process := run.Clone() // the machine as the process left it
+			process.Restart()
+			power := func() *fsys.Recorder { // and after a power loss
+				p := run.Clone()
+				p.Crash()
+				p.Restart()
+				return p
+			}
+			what := fmt.Sprintf("stopped at call %d of %d (%s %s)", at, len(calls), calls[at-1].Op, calls[at-1].Path)
+			verifyRestart(t, what+", from the root as the process left it", power(), process, acked)
+			onePower := power()
+			verifyRestart(t, what+", from the root after a power loss", onePower, onePower, acked)
+			verifyRestart(t, what+", from the nodes with the root lost", power(), fsys.NewRecorder(), acked)
 		}
-		what := fmt.Sprintf("stopped at call %d of %d (%s %s)", at, len(calls), calls[at-1].Op, calls[at-1].Path)
 		if name, ok := named[at]; ok {
-			what += ", " + name
+			t.Run(name, crashAt)
+		} else {
+			crashAt(t)
 		}
-		verifyRestart(t, what+", from the root as the process left it", power(), process, acked)
-		onePower := power()
-		verifyRestart(t, what+", from the root after a power loss", onePower, onePower, acked)
-		verifyRestart(t, what+", from the nodes with the root lost", power(), fsys.NewRecorder(), acked)
 	}
 }
 
@@ -337,10 +342,12 @@ func namedInstants(t *testing.T, calls []fsys.Call, spans []batchSpan) map[int]s
 			root = append(root, c.Op)
 		}
 	}
-	want := []string{"remove /gw/a.json.clean", "create", "write", "rename /gw/a.json", "create", "write", "rename /gw/a.json.clean"}
-	if strings.Join(root, ", ") != strings.Join(want, ", ") {
-		t.Errorf("the run made %v under the root, want %v", root, want)
-	}
+	t.Run("what the run writes under the root", func(t *testing.T) {
+		want := []string{"remove /gw/a.json.clean", "create", "write", "rename /gw/a.json", "create", "write", "rename /gw/a.json.clean"}
+		if strings.Join(root, ", ") != strings.Join(want, ", ") {
+			t.Errorf("the run made %v under the root, want %v", root, want)
+		}
+	})
 	find("Close between its node fold and the root snapshot", closeFold)
 	find("Close between the root snapshot and the mark", closeMark)
 	return named
