@@ -1,10 +1,7 @@
 // Cluster: a SEC archive over real TCP storage nodes with injected
 // failures. Six node servers run in-process; the archive writes shards over
 // the network, three nodes then "crash", and degraded reads reconstruct
-// every version from the survivors. The crashes go through the cluster's
-// Fail and HealAll, so the cluster knows of them, and once they heal it
-// forgets what it remembered of the nodes' liveness: the next read asks
-// them again, however slowly they failed.
+// every version from the survivors.
 //
 // Run with: go run ./examples/cluster
 package main
@@ -45,11 +42,10 @@ func run(ctx context.Context, w io.Writer) error {
 		defer server.Close()
 		client := sec.DialNode(fmt.Sprintf("node-%d", i), addr.String())
 		defer client.Close()
-		nodes[i] = crashable{StorageNode: client, backing: backings[i]}
+		nodes[i] = client
 	}
 	fmt.Fprintf(w, "%d storage nodes serving over TCP\n", n)
 
-	cluster := sec.NewCluster(nodes)
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
 		Name:      "clustered",
 		Scheme:    sec.BasicSEC,
@@ -57,7 +53,7 @@ func run(ctx context.Context, w io.Writer) error {
 		N:         n,
 		K:         k,
 		BlockSize: blockSize,
-	}, cluster)
+	}, sec.NewCluster(nodes))
 	if err != nil {
 		return err
 	}
@@ -88,8 +84,8 @@ func run(ctx context.Context, w io.Writer) error {
 
 	// Crash n-k = 3 nodes. The archive still reconstructs everything.
 	fmt.Fprintln(w, "\ncrashing nodes 0, 2, 4...")
-	if err := cluster.Fail(0, 2, 4); err != nil {
-		return err
+	for _, i := range []int{0, 2, 4} {
+		backings[i].SetFailed(true)
 	}
 	got, stats, err = archive.RetrieveContext(ctx, 2)
 	if err != nil {
@@ -103,9 +99,7 @@ func run(ctx context.Context, w io.Writer) error {
 
 	// One more failure exceeds the fault tolerance for the full version.
 	fmt.Fprintln(w, "\ncrashing node 1 as well (only 2 survivors)...")
-	if err := cluster.Fail(1); err != nil {
-		return err
-	}
+	backings[1].SetFailed(true)
 	if _, _, err := archive.RetrieveContext(ctx, 2); err != nil {
 		fmt.Fprintf(w, "retrieval now fails as expected: %v\n", err)
 	} else {
@@ -113,19 +107,12 @@ func run(ctx context.Context, w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\nhealing all nodes...")
-	cluster.HealAll()
+	for _, b := range backings {
+		b.SetFailed(false)
+	}
 	if _, _, err := archive.RetrieveContext(ctx, 2); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "retrieval works again")
 	return nil
 }
-
-// crashable is the client of one node server whose crash the cluster
-// injects: SetFailed crashes or restarts the server's backing node.
-type crashable struct {
-	sec.StorageNode
-	backing *sec.MemNode
-}
-
-func (n crashable) SetFailed(failed bool) { n.backing.SetFailed(failed) }

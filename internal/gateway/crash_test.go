@@ -32,6 +32,10 @@ type crashWorld struct {
 	// that was briefly away misses a fold.
 	lag     int
 	lagging atomic.Bool
+	// manifestReads counts the get batches that name a manifest object: an
+	// open that loads from the nodes makes them, one that trusts the root
+	// none.
+	manifestReads atomic.Int64
 }
 
 // batchSpan is one node batch of a traced world: calls from+1 to to of the
@@ -75,6 +79,13 @@ func (n worldNode) PutBatch(ctx context.Context, ids []store.ShardID, data [][]b
 
 func (n worldNode) DeleteBatch(ctx context.Context, ids []store.ShardID) []error {
 	return n.mutate("delete", ids, func() []error { return n.DiskNode.DeleteBatch(ctx, ids) })
+}
+
+func (n worldNode) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	if len(ids) > 0 && strings.Contains(ids[0].Object, "/manifest") {
+		n.w.manifestReads.Add(1)
+	}
+	return n.DiskNode.GetBatch(ctx, ids)
 }
 
 // openWorld starts the system with its nodes on nodes and its gateway root
@@ -133,15 +144,10 @@ const (
 // with auto-compaction at chain length 3, crashBase versions committed, and
 // a clean Close; the first node of the snapshot's ring missed the manifest
 // objects of the second half, and holds a snapshot a fold behind the others.
-// The node directories are made durable here, as a DiskNode does not sync
-// the directory it is created in; the root is not.
 func crashBaseState(t *testing.T) *fsys.Recorder {
 	t.Helper()
 	rec := fsys.NewRecorder()
 	w := openWorld(t, rec, rec, false)
-	if err := rec.SyncDir("/"); err != nil {
-		t.Fatal(err)
-	}
 	ctx := t.Context()
 	spec := testSpec()
 	spec.Scheme, spec.MaxChainLength = "reversed-sec", 3
@@ -210,8 +216,9 @@ func crashRun(t *testing.T, w *crashWorld) (acked int) {
 // root and checks the crash contract: every acknowledged version is there,
 // every version the reopened manifest names reads back byte-identical - a
 // version beyond the acknowledged ones is the commit the crash interrupted -
-// and no read fails, ErrCorrupt included.
-func verifyRestart(t *testing.T, what string, nodes *fsys.Recorder, root fsys.FS, acked int) {
+// and no read fails, ErrCorrupt included. It reports whether the open asked
+// the nodes for the manifest.
+func verifyRestart(t *testing.T, what string, nodes *fsys.Recorder, root fsys.FS, acked int) (askedNodes bool) {
 	t.Helper()
 	w := openWorld(t, nodes, root, false)
 	ctx := t.Context()
@@ -232,6 +239,7 @@ func verifyRestart(t *testing.T, what string, nodes *fsys.Recorder, root fsys.FS
 			t.Fatalf("%s: version %d of %d differs", what, v, info.Versions)
 		}
 	}
+	return w.manifestReads.Load() > 0
 }
 
 // TestEveryCrashInstant enumerates the crash instants of a commit, a publish
@@ -242,7 +250,10 @@ func verifyRestart(t *testing.T, what string, nodes *fsys.Recorder, root fsys.FS
 // what they had not synced: from the root as the process left it, from the
 // root after the same power loss, and from the nodes alone with the root
 // lost. Each restart reads every acknowledged version back byte-identical.
-// The count of instants is pinned, and namedInstants finds among them the
+// Each asks the nodes for the manifest, except a restart from the root as
+// the process left it while the root holds a clean mark: before the run's
+// first publish removes the base state's mark, and once its Close has
+// renamed the new one into place. The count of instants is pinned, and namedInstants finds among them the
 // five instants earlier tests picked by hand; each of those runs as a
 // subtest under its name.
 func TestEveryCrashInstant(t *testing.T) {
@@ -259,6 +270,18 @@ func TestEveryCrashInstant(t *testing.T) {
 		t.Errorf("the run makes %d mutating calls, pinned at %d", len(calls), crashInstants)
 	}
 	named := namedInstants(t, calls, *w.spans)
+	unmarked, marked := 0, 0 // the calls that remove and that write the mark
+	for i, c := range calls {
+		switch {
+		case c.Op == "remove" && c.Path == "/gw/a.json.clean":
+			unmarked = i + 1
+		case c.Op == "rename" && c.Path == "/gw/a.json.clean":
+			marked = i + 1
+		}
+	}
+	if unmarked == 0 || marked < unmarked {
+		t.Fatalf("the run removes the clean mark at call %d and writes it at call %d", unmarked, marked)
+	}
 
 	for at := 1; at <= len(calls); at++ {
 		crashAt := func(t *testing.T) {
@@ -274,10 +297,17 @@ func TestEveryCrashInstant(t *testing.T) {
 				return p
 			}
 			what := fmt.Sprintf("stopped at call %d of %d (%s %s)", at, len(calls), calls[at-1].Op, calls[at-1].Path)
-			verifyRestart(t, what+", from the root as the process left it", power(), process, acked)
+			trusted := at <= unmarked || at > marked
+			if asked := verifyRestart(t, what+", from the root as the process left it", power(), process, acked); asked == trusted {
+				t.Errorf("%s, from the root as the process left it: the open asked the nodes %v, want %v", what, asked, !trusted)
+			}
 			onePower := power()
-			verifyRestart(t, what+", from the root after a power loss", onePower, onePower, acked)
-			verifyRestart(t, what+", from the nodes with the root lost", power(), fsys.NewRecorder(), acked)
+			if !verifyRestart(t, what+", from the root after a power loss", onePower, onePower, acked) {
+				t.Errorf("%s, from the root after a power loss: the open trusted the root and asked the nodes nothing", what)
+			}
+			if !verifyRestart(t, what+", from the nodes with the root lost", power(), fsys.NewRecorder(), acked) {
+				t.Errorf("%s, from the nodes with the root lost: the open asked the nodes nothing", what)
+			}
 		}
 		if name, ok := named[at]; ok {
 			t.Run(name, crashAt)

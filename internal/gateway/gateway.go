@@ -327,8 +327,10 @@ func (g *Gateway) publish(ctx context.Context, st *archiveState, closing bool) (
 // admit opens the named archive and, for a writer, takes its writer slot,
 // counting a full queue as a busy rejection, and publishes before the writer
 // stores anything, which pays a fold the archive owes: while that fold
-// cannot reach n-k+1 nodes, the writer is refused with its error. The caller
-// must call release when done (for a reader it does nothing).
+// cannot reach n-k+1 nodes, the writer is refused with its error. An archive
+// the root holds as it stands under a trusted mark owes nothing, and keeps
+// its mark until a change is published. The caller must call release when
+// done (for a reader it does nothing).
 func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *archiveState, release func(), err error) {
 	st, err = g.open(ctx, name)
 	if err != nil || !writer {
@@ -343,7 +345,7 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 		}
 		return nil, nil, err
 	}
-	if err := st.meta.publish(ctx, st.archive, false); err != nil {
+	if err := st.meta.owed(ctx, st.archive); err != nil {
 		st.release()
 		return nil, nil, err
 	}

@@ -104,6 +104,20 @@ func (l *manifestState) publish(ctx context.Context, archive *core.Archive, clos
 	return nil
 }
 
+// owed publishes before a writer stores anything, which pays a fold the
+// archive owes. While the root holds the archive as it stands under a
+// trusted mark, nothing has changed since the open that trusted it and
+// nothing is owed: the mark stays until a change is published.
+func (l *manifestState) owed(ctx context.Context, archive *core.Archive) error {
+	l.mu.Lock()
+	cached := l.cached
+	l.mu.Unlock()
+	if cached {
+		return nil
+	}
+	return l.publish(ctx, archive, false)
+}
+
 // writeFile atomically replaces the file at path.
 func writeFile(f fsys.FS, path string, data []byte) error {
 	tmp, err := f.CreateTemp(filepath.Dir(path), ".manifest-*")

@@ -684,6 +684,35 @@ func TestRootTrustedOnlyInTheBootThatWroteIt(t *testing.T) {
 	}
 }
 
+// TestWriterThatStoresNothingKeepsTheMark: in a session that opened from a
+// clean root, writers admitted that store nothing - a commit refused by its
+// expectation and a repairing scrub - publish nothing, so the mark stays, the
+// Close writes nothing under the root, and the next open still trusts it.
+func TestWriterThatStoresNothingKeepsTheMark(t *testing.T) {
+	r := newCrashRig(t)
+	r.commitUntilRecords(1)
+	if err := r.gw.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	before := len(r.root.Calls())
+	g := r.gateway(r.root)
+	if _, err := g.Commit(t.Context(), "a", len(r.attempted)+1, r.attempted[0]); !errors.Is(err, store.ErrConflict) {
+		t.Fatalf("a commit with a stale expectation: %v, want a conflict", err)
+	}
+	if _, err := g.Scrub(t.Context(), "a", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if calls := r.root.Calls()[before:]; len(calls) != 0 {
+		t.Errorf("a session that stored nothing wrote under the root: %v", calls)
+	}
+	if r.verify("a restart after a session that stored nothing", r.root) {
+		t.Error("a restart after a session that stored nothing asked the nodes")
+	}
+}
+
 // rigNode is one node of a chaosRig: a ChaosNode (for SetFailed) that
 // counts the codeword shards - every object but the manifest's - it is
 // asked to put, and while told to refuses batches naming archive a's

@@ -72,7 +72,8 @@ var _ Node = (*DiskNode)(nil)
 var _ FaultInjector = (*DiskNode)(nil)
 
 // NewDiskNode creates (or reopens) a disk-backed node rooted at dir. The
-// directory and its format marker are created if missing, leftover
+// directory and its format marker are created if missing, and synced into
+// the directory that holds dir, so a power loss keeps them; leftover
 // temporary files from an interrupted writer are discarded, and any shards
 // already present are served as-is.
 func NewDiskNode(id, dir string) (*DiskNode, error) {
@@ -89,7 +90,11 @@ func NewDiskNodeOn(f fsys.FS, id, dir string) (*DiskNode, error) {
 	raw, err := f.ReadFile(marker)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		if err := writeFileAtomic(f, marker, []byte(diskMarkerContent)); err != nil {
+		err := writeFileAtomic(f, marker, []byte(diskMarkerContent))
+		if err == nil {
+			err = f.SyncDir(filepath.Dir(dir))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("store: initializing disk node %s: %w", id, err)
 		}
 	case err != nil:
