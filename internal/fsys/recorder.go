@@ -110,21 +110,16 @@ func (r *Recorder) Calls() []Call {
 	return slices.Clone(r.calls)
 }
 
-// Count returns how many logged calls have one of the given ops.
-func (r *Recorder) Count(ops ...string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Syncs counts the fsyncs so far, of files and of directories.
+func (r *Recorder) Syncs() int {
 	n := 0
-	for _, c := range r.calls {
-		if slices.Contains(ops, c.Op) {
+	for _, c := range r.Calls() {
+		if c.Op == "sync" || c.Op == "syncdir" {
 			n++
 		}
 	}
 	return n
 }
-
-// Syncs counts the fsyncs so far, of files and of directories.
-func (r *Recorder) Syncs() int { return r.Count("sync", "syncdir") }
 
 // StopAt arms a stop at the n-th logged call (counted from the recorder's
 // start, 1-based): a process that died there. That call does not happen,

@@ -288,22 +288,22 @@ func (g *Gateway) open(ctx context.Context, name string) (*archiveState, error) 
 func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, error) {
 	name := st.name
 	st.meta.fs, st.meta.path = g.cfg.fs, g.manifestPath(name)
-	cached, err := st.meta.read(name)
 	from := "manifest " + st.meta.path
-	var archive *core.Archive
-	if err == nil {
-		if cached == nil {
-			from = "its cluster manifest"
-		}
-		archive, err = core.OpenContext(ctx, name, g.cfg.Cluster, cached)
-	}
-	if cached == nil && errors.Is(err, store.ErrNotFound) {
-		return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
-	}
+	cached, err := st.meta.read(name)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: opening archive %q from %s: %w", name, from, err)
 	}
-	return archive, nil
+	archive, err := core.OpenContext(ctx, name, g.cfg.Cluster, cached)
+	switch {
+	case err == nil:
+		return archive, nil
+	case cached != nil:
+	case errors.Is(err, store.ErrNotFound):
+		return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
+	default:
+		from = "its cluster manifest"
+	}
+	return nil, fmt.Errorf("gateway: opening archive %q from %s: %w", name, from, err)
 }
 
 // publish makes a change to the chain durable and then frees what it
@@ -327,10 +327,8 @@ func (g *Gateway) publish(ctx context.Context, st *archiveState, closing bool) (
 // admit opens the named archive and, for a writer, takes its writer slot,
 // counting a full queue as a busy rejection, and publishes before the writer
 // stores anything, which pays a fold the archive owes: while that fold
-// cannot reach n-k+1 nodes, the writer is refused with its error. An archive
-// the root holds as it stands under a trusted mark owes nothing, and keeps
-// its mark until a change is published. The caller must call release when
-// done (for a reader it does nothing).
+// cannot reach n-k+1 nodes, the writer is refused with its error. The caller
+// must call release when done (for a reader it does nothing).
 func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *archiveState, release func(), err error) {
 	st, err = g.open(ctx, name)
 	if err != nil || !writer {
@@ -345,9 +343,14 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 		}
 		return nil, nil, err
 	}
-	if err := st.meta.owed(ctx, st.archive); err != nil {
-		st.release()
-		return nil, nil, err
+	st.meta.mu.Lock()
+	owed := !st.meta.cached // the root holds it as it stands: nothing changed
+	st.meta.mu.Unlock()
+	if owed {
+		if err := st.meta.publish(ctx, st.archive, false); err != nil {
+			st.release()
+			return nil, nil, err
+		}
 	}
 	return st, st.release, nil
 }

@@ -30,8 +30,6 @@ type manifestState struct {
 	marked, cached bool
 }
 
-func markPath(path string) string { return path + ".clean" }
-
 // cleanMark is what the mark beside a root snapshot holds: the boot that
 // wrote it and the snapshot's CRC-32. Close writes it once the nodes hold
 // nothing beyond that snapshot, and the first publish after an open removes
@@ -52,7 +50,7 @@ func (l *manifestState) read(name string) ([]byte, error) {
 	if l.path == "" {
 		return nil, nil
 	}
-	mark, err := l.fs.ReadFile(markPath(l.path))
+	mark, err := l.fs.ReadFile(l.path + ".clean")
 	l.marked = err == nil
 	raw, err := l.fs.ReadFile(l.path)
 	if err != nil {
@@ -85,7 +83,7 @@ func (l *manifestState) publish(ctx context.Context, archive *core.Archive, clos
 	}
 	l.cached = false
 	if l.marked {
-		if err := l.fs.Remove(markPath(l.path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := l.fs.Remove(l.path + ".clean"); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("gateway: removing the clean mark: %w", err)
 		}
 		l.marked = false
@@ -94,28 +92,11 @@ func (l *manifestState) publish(ctx context.Context, archive *core.Archive, clos
 	if err != nil || !closing || l.path == "" {
 		return err
 	}
-	if err := writeFile(l.fs, l.path, snap); err != nil {
-		return err
+	if err = writeFile(l.fs, l.path, snap); err == nil {
+		err = writeFile(l.fs, l.path+".clean", cleanMark(l.fs.Boot(), snap))
 	}
-	if err := writeFile(l.fs, markPath(l.path), cleanMark(l.fs.Boot(), snap)); err != nil {
-		return err
-	}
-	l.marked, l.cached = true, true
-	return nil
-}
-
-// owed publishes before a writer stores anything, which pays a fold the
-// archive owes. While the root holds the archive as it stands under a
-// trusted mark, nothing has changed since the open that trusted it and
-// nothing is owed: the mark stays until a change is published.
-func (l *manifestState) owed(ctx context.Context, archive *core.Archive) error {
-	l.mu.Lock()
-	cached := l.cached
-	l.mu.Unlock()
-	if cached {
-		return nil
-	}
-	return l.publish(ctx, archive, false)
+	l.marked, l.cached = err == nil, err == nil
+	return err
 }
 
 // writeFile atomically replaces the file at path.

@@ -90,11 +90,10 @@ func NewDiskNodeOn(f fsys.FS, id, dir string) (*DiskNode, error) {
 	raw, err := f.ReadFile(marker)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		err := writeFileAtomic(f, marker, []byte(diskMarkerContent))
-		if err == nil {
-			err = f.SyncDir(filepath.Dir(dir))
+		if err := writeFileAtomic(f, marker, []byte(diskMarkerContent)); err != nil {
+			return nil, fmt.Errorf("store: initializing disk node %s: %w", id, err)
 		}
-		if err != nil {
+		if err := f.SyncDir(filepath.Dir(dir)); err != nil {
 			return nil, fmt.Errorf("store: initializing disk node %s: %w", id, err)
 		}
 	case err != nil:
