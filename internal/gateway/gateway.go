@@ -297,7 +297,7 @@ func (g *Gateway) load(ctx context.Context, st *archiveState) (*core.Archive, er
 	switch {
 	case err == nil:
 		return archive, nil
-	case cached != nil:
+	case cached != nil: // the root's snapshot failed to open
 	case errors.Is(err, store.ErrNotFound):
 		return nil, fmt.Errorf("gateway: unknown archive %q: %w", name, err)
 	default:
@@ -344,7 +344,7 @@ func (g *Gateway) admit(ctx context.Context, name string, writer bool) (st *arch
 		return nil, nil, err
 	}
 	st.meta.mu.Lock()
-	owed := !st.meta.cached // the root holds it as it stands: nothing changed
+	owed := !st.meta.cached // under a trusted mark nothing changed: nothing is owed
 	st.meta.mu.Unlock()
 	if owed {
 		if err := st.meta.publish(ctx, st.archive, false); err != nil {
