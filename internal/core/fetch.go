@@ -104,16 +104,13 @@ func (s *shardSet) missing(rows []int) []int {
 	return missing
 }
 
-// take returns up to k fetched rows (sorted) and their shards.
-func (s *shardSet) take(k int) ([]int, [][]byte) {
+// take returns every fetched row (sorted) and its shard.
+func (s *shardSet) take() ([]int, [][]byte) {
 	rows := make([]int, 0, len(s.data))
 	for r := range s.data {
 		rows = append(rows, r)
 	}
 	slices.Sort(rows)
-	if len(rows) > k {
-		rows = rows[:k]
-	}
 	shards := make([][]byte, len(rows))
 	for i, r := range rows {
 		shards[i] = s.data[r]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -125,5 +126,69 @@ func TestLivenessCancelledWalkDoubtsNobody(t *testing.T) {
 	}
 	if got := pings.Load(); got != 0 {
 		t.Errorf("the read after a cancelled walk sent %d pings, want 0", got)
+	}
+}
+
+// getCounted wraps a node and counts the get batches it is sent.
+type getCounted struct {
+	store.Node
+	gets *atomic.Int64
+}
+
+func (n getCounted) GetBatch(ctx context.Context, ids []store.ShardID) []store.ShardResult {
+	n.gets.Add(1)
+	return n.Node.GetBatch(ctx, ids)
+}
+
+// TestLivenessMaintenanceAsksADeadNodeOncePerWalk: a node that crashed
+// without the cluster being told costs a maintenance walk the retry rule's
+// batches once, on the first codeword it meets; from then on each
+// codeword's probe round finds the node down and sends it nothing. A scrub
+// counts the node's rows unreachable, and a repair of another node then
+// rebuilds every row from k reads on the others.
+func TestLivenessMaintenanceAsksADeadNodeOncePerWalk(t *testing.T) {
+	const n, k, versions, dead, wiped = 12, 10, 50, 3, 5
+	gets := make([]atomic.Int64, n)
+	nodes := make([]store.Node, n)
+	for i := range nodes {
+		nodes[i] = getCounted{Node: store.NewMemNode(fmt.Sprintf("node-%d", i)), gets: &gets[i]}
+	}
+	cluster := store.NewCluster(nodes)
+	a, err := New(Config{Name: "walk", Scheme: BasicSEC, Code: erasure.NonSystematicCauchy, N: n, K: k, BlockSize: 64}, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := bytes.Repeat([]byte{5}, a.Capacity())
+	for v := range versions {
+		object = editBlocks(object, 64, v%k)
+		mustCommit(t, a, object)
+	}
+	nodes[dead].(getCounted).Node.(*store.MemNode).SetFailed(true)
+
+	gets[dead].Store(0)
+	scrub, err := a.ScrubContext(t.Context(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (ScrubReport{ShardsChecked: versions * (n - 1), ShardsUnreachable: versions}); scrub != want {
+		t.Errorf("scrub report = %+v, want %+v", scrub, want)
+	}
+	if got := gets[dead].Load(); got > 3 {
+		t.Errorf("the scrub sent the dead node %d get batches, want at most 3 (one retry round)", got)
+	}
+
+	if deleted := wipeArchiveShards(t, a, cluster, wiped); deleted != versions {
+		t.Fatalf("deleted %d shards, want %d", deleted, versions)
+	}
+	gets[dead].Store(0)
+	repair, err := a.RepairNodeContext(t.Context(), wiped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (RepairReport{ShardsChecked: versions, ShardsRepaired: versions, NodeReads: versions * k}); repair != want {
+		t.Errorf("repair report = %+v, want %+v", repair, want)
+	}
+	if got := gets[dead].Load(); got > 3 {
+		t.Errorf("the repair sent the dead node %d get batches, want at most 3 (one retry round)", got)
 	}
 }

@@ -20,15 +20,16 @@ import (
 // nodes that flap between the probe and the read.
 func readAttempts(cw codeword) int { return 3 + cw.code.N() - cw.code.K() }
 
-// readAnyK owns the full read of one stored codeword - a reader's, and node
-// repair's, whose set starts with the row it rebuilds dead (rebuildShard):
-// top the set up to any K rows of the code from live nodes, one batch per
-// node, and decode. Rows that fail, a wrong length included (getShards), are
-// marked dead, a node that fails is doubted by the cluster, and only the
-// deficit is re-fetched against the re-probed live set - the probe pings
-// just the doubted nodes - on the next attempt. The set carries the rows
-// already in hand - prefetched by the chain planner, or fetched by a sparse
-// attempt that could not complete - and they count toward the K. A done
+// readAnyK owns the full read of one stored codeword - a reader's, and the
+// maintenance walk's, whose set starts with the rows it rewrites dead
+// (maintainCodeword): top the set up to any K rows of the code from live
+// nodes, one batch per node, and decode from the first K rows in hand that are independent. Rows
+// that fail, a wrong length included (getShards), are marked dead, a node
+// that fails is doubted by the cluster, and only the deficit is re-fetched
+// against the re-probed live set - the probe pings just the doubted nodes -
+// on the next attempt. The set carries the rows already in hand -
+// prefetched by the chain planner, fetched by a sparse attempt that could
+// not complete, or read by the walk - and they count toward the K. A done
 // context aborts the loop immediately: cancellation is not a node failure,
 // so no further liveness probing or re-planning is worth doing.
 //
@@ -52,7 +53,7 @@ func (a *Archive) readAnyK(ctx context.Context, cw codeword, set *shardSet, held
 			a.fetchPlanned(ctx, set, cw, rows)
 		}
 		if len(set.data) >= k {
-			rows, shards := set.take(k)
+			rows, shards := set.take()
 			//lint:allow poolcheck the set is lent to the walk's holder, which releases it once nothing reads the versions made of it, or drops it to the GC
 			bufs := erasure.GetBuffers(k, len(shards[0]))
 			held.keep(bufs)
