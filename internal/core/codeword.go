@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
 	"github.com/secarchive/sec/internal/delta"
 	"github.com/secarchive/sec/internal/erasure"
+	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/wide"
 )
 
@@ -15,10 +17,11 @@ import (
 // version x_j under the archive's (N, K) code, a plain delta z_j under the
 // delta code (the same code, less Config.PunctureDeltas trailing rows), and a
 // CDEC-compacted delta, whose gamma non-zero blocks alone are encoded with a
-// (gamma+N-K, gamma) code and whose support rides in the manifest. A delta of
-// either kind is stored at its byte window: its rows are only the bytes
-// [off, off+width) of each block, outside which every block it changed is
-// zero, and the window rides in the manifest too. Everything else in the
+// (gamma+N-K, gamma) code. A delta of either kind is stored at its byte
+// windows: each block it changed is zero outside a window of its own (one
+// window for all of them, for CDEC), and its rows encode only those
+// windows, moved to offset 0. Its support and the windows' offsets ride in
+// the manifest. Everything else in the
 // package handles a codeword value and asks it the things that depend on the
 // kind: which code, how wide a row is, how many rows are stored (code.N()),
 // which rows a reader fetches first (readPlan), how decoded blocks become the
@@ -151,13 +154,22 @@ type entry struct {
 	checkpoint bool
 	// compressed marks a delta stored in CDEC-compacted form: the
 	// codeword encodes only the gamma non-zero blocks with a
-	// (gamma+N-K, gamma) code, and support records which blocks those are
-	// (strictly increasing). Valid when hasDelta.
+	// (gamma+N-K, gamma) code. Valid when hasDelta.
 	compressed bool
-	support    []int
-	// off and width are the delta's byte window: its codeword encodes bytes
-	// [off, off+width) of each block. Valid when hasDelta.
+	// support lists the blocks the delta changed, strictly increasing: the
+	// blocks a CDEC codeword encodes, and the ones a plain delta's decode
+	// must find. It is nil for a delta that changed nothing and for a plain
+	// delta whose manifest recorded none (a build from before supports wrote
+	// it), which reads blind. Valid when hasDelta.
+	support []int
+	// width, off and offs are the delta's byte windows: its rows are width
+	// bytes, and block support[i] is zero outside bytes
+	// [offs[i], offs[i]+width). off is the first block's offset, and every
+	// block's where offs is nil: a CDEC delta's, one whose blocks share it,
+	// and a plain one without a support, whatever blocks its decode finds.
+	// Valid when hasDelta.
 	off, width int
+	offs       []int
 	// crc is the CRC32C of the version's length bytes, taken by its commit
 	// and checked by verify; nil when the build that committed it recorded
 	// none, and the version then reads unverified. Nothing else sets it: compaction and
@@ -169,28 +181,33 @@ type entry struct {
 // setDelta records cw, just written, as the entry's delta against base.
 func (e *entry) setDelta(cw codeword, base int) {
 	e.hasDelta, e.base = true, base
-	e.gamma, e.compressed, e.support = cw.gamma, cw.cdec(), cw.support
-	e.off, e.width = cw.off, cw.width
+	e.gamma, e.compressed, e.support = cw.gamma, cw.compressed, cw.support
+	e.off, e.width, e.offs = cw.off, cw.width, cw.offs
 }
 
 // dropDelta records that the version no longer stores a delta.
 func (e *entry) dropDelta() {
 	e.hasDelta, e.base = false, 0
 	e.gamma, e.compressed, e.support = 0, false, nil
-	e.off, e.width = 0, 0
+	e.off, e.width, e.offs = 0, 0, nil
 }
 
 // manifestEntry renders the entry of the given version of an archive of
 // the given block size. A window that is the whole block is left out, so a
-// chain of full-width deltas renders as it did before windows existed.
+// chain of full-width deltas renders as it did before windows existed, and
+// the offsets of the blocks are listed only where they differ.
 func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 	base := 0
 	if e.hasDelta && e.base != 0 && e.base != version-1 {
 		base = e.base // only non-default bases persist
 	}
 	var window *Window
+	var offsets []int
 	if e.hasDelta && e.width != blockSize {
 		window = &Window{Off: e.off, Width: e.width}
+		if slices.ContainsFunc(e.offs, func(off int) bool { return off != e.off }) {
+			offsets = slices.Clone(e.offs)
+		}
 	}
 	var digest string
 	if e.crc != nil {
@@ -207,21 +224,26 @@ func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 		Compressed: e.compressed,
 		Support:    append([]int(nil), e.support...),
 		Window:     window,
+		Offsets:    offsets,
 		CRC32C:     digest,
 	}
 }
 
 // entryOf is the inverse of manifestEntry for an archive of dimension k and
-// the given block size. It checks what depends on the kind of the delta and
-// its window; Open checks the rest.
+// the given block size. It checks what depends on the kind of the delta,
+// its support and its windows; Open checks the rest.
 func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
-	if me.Compressed {
-		if !me.Delta {
-			return entry{}, fmt.Errorf("core: manifest version %d is compressed but stores no delta", me.Version)
-		}
-		if me.Gamma < 1 || me.Gamma > k-1 {
-			return entry{}, fmt.Errorf("core: manifest version %d compressed with invalid gamma %d", me.Version, me.Gamma)
-		}
+	switch {
+	case me.Compressed && !me.Delta:
+		return entry{}, fmt.Errorf("core: manifest version %d is compressed but stores no delta", me.Version)
+	case me.Compressed && (me.Gamma < 1 || me.Gamma > k-1):
+		return entry{}, fmt.Errorf("core: manifest version %d compressed with invalid gamma %d", me.Version, me.Gamma)
+	case len(me.Support) > 0 && !me.Delta:
+		return entry{}, fmt.Errorf("core: manifest version %d has a support list but stores no delta", me.Version)
+	case len(me.Offsets) > 0 && (me.Compressed || len(me.Support) == 0):
+		return entry{}, fmt.Errorf("core: manifest version %d has per-block offsets but no plain delta's support", me.Version)
+	}
+	if me.Compressed || len(me.Support) > 0 {
 		if len(me.Support) != me.Gamma {
 			return entry{}, fmt.Errorf("core: manifest version %d has %d support indices for gamma %d", me.Version, len(me.Support), me.Gamma)
 		}
@@ -232,8 +254,6 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 			}
 			prev = s
 		}
-	} else if len(me.Support) != 0 {
-		return entry{}, fmt.Errorf("core: manifest version %d has a support list but is not compressed", me.Version)
 	}
 	var window Window // no delta, no window
 	if me.Delta {
@@ -249,6 +269,16 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 			return entry{}, fmt.Errorf("core: manifest version %d has window [%d,%d) outside its %d-byte blocks", me.Version, w.Off, w.Off+w.Width, blockSize)
 		}
 		window = *w
+	}
+	if len(me.Offsets) > 0 {
+		if len(me.Offsets) != me.Gamma || me.Window == nil || me.Offsets[0] != window.Off {
+			return entry{}, fmt.Errorf("core: manifest version %d has offsets %v for gamma %d and window %v", me.Version, me.Offsets, me.Gamma, me.Window)
+		}
+		for _, off := range me.Offsets {
+			if off < 0 || off+window.Width > blockSize {
+				return entry{}, fmt.Errorf("core: manifest version %d has a block window [%d,%d) outside its %d-byte blocks", me.Version, off, off+window.Width, blockSize)
+			}
+		}
 	}
 	var crc *uint32
 	if me.CRC32C != "" {
@@ -268,6 +298,7 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 		checkpoint: me.Checkpoint,
 		compressed: me.Compressed,
 		support:    append([]int(nil), me.Support...),
+		offs:       append([]int(nil), me.Offsets...),
 		off:        window.Off,
 		width:      window.Width,
 		crc:        crc,
@@ -283,11 +314,16 @@ type codeword struct {
 	code    codec  // rows 0..code.N()-1 are stored, any code.K() of them decode
 	delta   bool   // a delta z_version, not the full x_version
 	gamma   int    // block sparsity of a delta; 0 for a full codeword
-	support []int  // CDEC only: which blocks the gamma encoded blocks are
-	// off and width place its rows in the blocks: every row is width bytes,
-	// bytes [off, off+width) of the block-long row the full-width encode
-	// would give (zero outside them). A full codeword is BlockSize wide.
+	// compressed marks a CDEC-compacted delta, whose code encodes the
+	// blocks support names; a plain delta's support, when its entry records
+	// one, is the blocks its decode must find.
+	compressed bool
+	support    []int
+	// width, off and offs place a delta's blocks, as entry's do: every row
+	// is width bytes, and encodes each block's window moved to offset 0. A
+	// full codeword is BlockSize wide, at offset 0.
 	off, width int
+	offs       []int
 }
 
 // fullCodeword describes the full codeword of version v.
@@ -298,12 +334,11 @@ func (a *Archive) fullCodeword(v int) codeword {
 // deltaKind describes the stored delta of an entry without naming it, which
 // is all the planner needs to price one (it prices the whole chain per read).
 func (a *Archive) deltaKind(e entry) (codeword, error) {
-	cw := codeword{code: a.deltaCode, delta: true, gamma: e.gamma, off: e.off, width: e.width}
+	cw := codeword{code: a.deltaCode, delta: true, gamma: e.gamma, compressed: e.compressed, support: e.support, off: e.off, width: e.width, offs: e.offs}
 	if !e.compressed {
 		return cw, nil
 	}
 	var err error
-	cw.support = e.support
 	cw.code, err = a.compressedCode(e.gamma)
 	return cw, err
 }
@@ -363,16 +398,25 @@ func (a *Archive) eachStored(ctx context.Context, pass string, do func(codeword)
 
 // storeDelta writes the delta d under id in the form the archive's policy
 // picks, and returns the codeword it now is. Either form encodes only the
-// gamma non-zero blocks, and only their window, which d comes at as
-// delta.Diff and Blocking.Diff return it: CDEC-compacted when gamma
-// is eligible, with the (gamma+N-K, gamma) code and the support in the
-// manifest entry; plain otherwise, with the gamma columns of the delta code
-// the support names. The object name says neither, so a commit and every
-// later rebase of the version choose afresh and a compressed chain stays
-// compressed through compaction.
+// gamma non-zero blocks, and only their windows, and records the support:
+// CDEC-compacted when gamma is eligible, with the (gamma+N-K, gamma) code
+// and one window for every block (delta.CompactDelta.Shared), since a build
+// from before per-block windows reads a CDEC entry as it is; plain
+// otherwise, with the gamma columns of the delta code the support names and
+// each block at its own window, as delta.Diff and Blocking.Diff return it.
+// The object name says neither, so a commit and every later rebase of the
+// version choose afresh and a compressed chain stays compressed through
+// compaction.
 func (a *Archive) storeDelta(ctx context.Context, id string, version int, d delta.CompactDelta, writes *int) (codeword, error) {
-	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: d.Gamma(), off: d.Off, width: d.Width()}
-	if !a.compressEligible(cw.gamma) {
+	compressed := a.compressEligible(d.Gamma())
+	if compressed {
+		d = d.Shared()
+	}
+	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: d.Gamma(), compressed: compressed, support: d.Support, width: d.Width(), offs: d.Offs}
+	if cw.gamma > 0 {
+		cw.off = d.Off(0)
+	}
+	if !compressed {
 		return cw, a.putEncoded(ctx, cw, cw.width, writes, func(dst [][]byte) error {
 			return cw.code.EncodeSparseInto(d.Support, d.Blocks, dst)
 		})
@@ -381,12 +425,11 @@ func (a *Archive) storeDelta(ctx context.Context, id string, version int, d delt
 	if cw.code, err = a.compressedCode(cw.gamma); err != nil {
 		return cw, err
 	}
-	cw.support = d.Support
 	return cw, a.writeObject(ctx, cw, d.Blocks, writes)
 }
 
 // cdec reports whether the codeword is a CDEC-compacted delta.
-func (cw codeword) cdec() bool { return cw.support != nil }
+func (cw codeword) cdec() bool { return cw.compressed }
 
 // empty reports whether the codeword is a delta that changed nothing: it is
 // stored like any other, but no reader ever fetches it.
@@ -440,28 +483,50 @@ func (cw codeword) cost() int {
 }
 
 // decodeSparse recovers a plain delta from the rows of a sparse read plan,
-// finding its support blind; its blocks are the codeword's window.
+// finding its support blind; placed checks it against the recorded one.
 func (a *Archive) decodeSparse(cw codeword, rows []int, shards [][]byte) (delta.CompactDelta, error) {
 	support, blocks, err := cw.code.DecodeSparseSupport(rows, shards, cw.gamma)
-	return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Off: cw.off, Support: support, Blocks: blocks}, err
+	if err != nil {
+		return delta.CompactDelta{}, err
+	}
+	return a.placed(cw, support, blocks)
 }
 
 // expand turns the code.K() blocks a full decode of the codeword recovered
 // into the delta the walk applies, never expanded: a full codeword is every
 // block of its version (the delta from nothing), a CDEC-compacted delta is
 // the blocks its recorded support names, and a plain delta is whichever of
-// its k blocks are not zero. A delta's blocks are its window.
+// its k blocks are not zero. A delta's blocks are its windows (placed).
 func (a *Archive) expand(cw codeword, blocks [][]byte) (delta.CompactDelta, error) {
-	d := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Off: cw.off, Blocks: blocks}
 	switch {
 	case !cw.delta:
-		d.Support = allRows(a.cfg.K)
+		return delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Support: allRows(a.cfg.K), Blocks: blocks}, nil
 	case cw.cdec():
-		d.Support = cw.support
+		return a.placed(cw, cw.support, blocks)
 	default:
 		view, err := delta.View(blocks)
-		d.Support, d.Blocks = view.Support, view.Blocks
-		return d, err
+		if err != nil {
+			return delta.CompactDelta{}, err
+		}
+		return a.placed(cw, view.Support, view.Blocks)
+	}
+}
+
+// placed returns the blocks of support that a decode of the delta cw
+// recovered, each at its window's offset. A delta whose entry records its
+// support must decode to exactly those blocks: one that finds others is
+// damage, refused with store.ErrCorrupt naming the codeword, and its bytes
+// are never applied.
+func (a *Archive) placed(cw codeword, support []int, blocks [][]byte) (delta.CompactDelta, error) {
+	if cw.support != nil && !slices.Equal(support, cw.support) {
+		return delta.CompactDelta{}, fmt.Errorf("core: delta %s decoded to blocks %v, its entry records %v: %w", cw.id, support, cw.support, store.ErrCorrupt)
+	}
+	d := delta.CompactDelta{K: a.cfg.K, BlockSize: a.cfg.BlockSize, Offs: cw.offs, Support: support, Blocks: blocks}
+	if cw.offs == nil && cw.off != 0 {
+		d.Offs = make([]int, len(support))
+		for i := range d.Offs {
+			d.Offs[i] = cw.off
+		}
 	}
 	return d, nil
 }

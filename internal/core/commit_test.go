@@ -89,9 +89,11 @@ func TestCommitStoresWhatTheDenseEncoderWould(t *testing.T) {
 // nodesHoldTheDenseEncoding compares every row of every codeword the chain
 // lists, as its node holds it, with the dense encoding of what the codeword
 // stands for: the Split version for a full codeword; for a delta, the
-// delta.Compute of its version against its base, expanded for a plain delta
-// and its support's blocks alone for a CDEC-compacted one. A row is the
-// codeword's window of the dense row, which is zero outside it.
+// delta.Compute of its version against its base, with each changed block
+// cut to its window and moved to offset 0, expanded for a plain delta and
+// its support's blocks alone for a CDEC-compacted one. A delta's recorded
+// support is the delta's, and each of its blocks is zero outside its
+// window.
 func nodesHoldTheDenseEncoding(t *testing.T, a *Archive, cluster *store.Cluster, versions [][]byte, when string) {
 	t.Helper()
 	split := func(v int) [][]byte {
@@ -109,13 +111,28 @@ func nodesHoldTheDenseEncoding(t *testing.T, a *Archive, cluster *store.Cluster,
 				if err != nil {
 					t.Fatal(err)
 				}
-				if blocks = z; cw.cdec() {
-					if !reflect.DeepEqual(cw.support, delta.Support(z)) {
-						t.Fatalf("%s: %s lists support %v, the delta's is %v", when, cw.id, cw.support, delta.Support(z))
+				if !reflect.DeepEqual(cw.support, delta.Support(z)) {
+					t.Fatalf("%s: %s lists support %v, the delta's is %v", when, cw.id, cw.support, delta.Support(z))
+				}
+				blocks = nil
+				if !cw.cdec() {
+					blocks = make([][]byte, a.cfg.K)
+					for i := range blocks {
+						blocks[i] = make([]byte, cw.width)
 					}
-					blocks = nil
-					for _, s := range cw.support {
-						blocks = append(blocks, z[s])
+				}
+				for i, s := range cw.support {
+					off := cw.off
+					if cw.offs != nil {
+						off = cw.offs[i]
+					}
+					if delta.Sparsity([][]byte{z[s][:off], z[s][off+cw.width:]}) != 0 {
+						t.Fatalf("%s: %s: block %d is not zero outside its window [%d,%d)", when, cw.id, s, off, off+cw.width)
+					}
+					if cw.cdec() {
+						blocks = append(blocks, z[s][off:off+cw.width])
+					} else {
+						blocks[s] = z[s][off : off+cw.width]
 					}
 				}
 			}
@@ -132,11 +149,8 @@ func nodesHoldTheDenseEncoding(t *testing.T, a *Archive, cluster *store.Cluster,
 				if err != nil {
 					t.Fatalf("%s: %s#%d: %v", when, cw.id, row, err)
 				}
-				if !bytes.Equal(got, want[row][cw.off:cw.off+cw.width]) {
-					t.Errorf("%s: %s#%d differs from the dense encoding at [%d,%d)", when, cw.id, row, cw.off, cw.off+cw.width)
-				}
-				if delta.Sparsity([][]byte{want[row][:cw.off], want[row][cw.off+cw.width:]}) != 0 {
-					t.Errorf("%s: %s#%d: the dense row is not zero outside [%d,%d)", when, cw.id, row, cw.off, cw.off+cw.width)
+				if !bytes.Equal(got, want[row]) {
+					t.Errorf("%s: %s#%d differs from the dense encoding of its windows", when, cw.id, row)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/secarchive/sec/internal/erasure"
@@ -81,7 +82,7 @@ func TestCompressedRoundTripAllCodes(t *testing.T) {
 			if !m.Entries[2].Compressed || len(m.Entries[2].Support) != 2 {
 				t.Errorf("v3 manifest entry = %+v", m.Entries[2])
 			}
-			if m.Entries[3].Compressed || m.Entries[3].Support != nil {
+			if m.Entries[3].Compressed || !slices.Equal(m.Entries[3].Support, []int{0, 1, 2}) {
 				t.Errorf("v4 manifest entry = %+v", m.Entries[3])
 			}
 			for v, want := range versions {
@@ -184,7 +185,9 @@ func TestCompressedManifestRoundTrip(t *testing.T) {
 
 // TestCompressedManifestValidation rejects manifests whose compressed
 // entries are malformed: the support is the only record of where the
-// non-zero blocks go, so a damaged one must fail closed at Open time.
+// non-zero blocks go, so a damaged one must fail closed at Open time. A
+// support on an entry without a delta, and per-block offsets on a
+// compressed one, fail as well.
 func TestCompressedManifestValidation(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	a, err := New(compressConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
@@ -204,7 +207,10 @@ func TestCompressedManifestValidation(t *testing.T) {
 		{"support too long", func(m *Manifest) { m.Entries[1].Support = []int{0, 1} }},
 		{"support out of range", func(m *Manifest) { m.Entries[1].Support = []int{3} }},
 		{"support negative", func(m *Manifest) { m.Entries[1].Support = []int{-1} }},
-		{"support without compressed", func(m *Manifest) { m.Entries[1].Compressed = false }},
+		{"support without a delta", func(m *Manifest) { m.Entries[0].Gamma = 1; m.Entries[0].Support = []int{0} }},
+		{"offsets on a compressed delta", func(m *Manifest) {
+			m.Entries[1].Window, m.Entries[1].Offsets = &Window{Width: 1}, []int{0}
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -19,12 +19,15 @@ import (
 // GF16, dispersed, punctured, a full chain policy, compacted bases, one
 // from before the generation existed and one of 256-byte blocks from
 // before windows existed. It also holds plain and CDEC deltas stored at
-// their windows, and the three windows Open refuses: one on an entry
-// without a delta, one past the block size and one of zero width. And it
-// holds a compacted chain whose entries carry their digests, and the same
+// one window each, and the three windows Open refuses: one on an entry
+// without a delta, one past the block size and one of zero width. It holds
+// a compacted chain whose entries carry their digests, and the same
 // manifest with every digest stripped, as a build from before digests
 // writes it back, and a digest that is not eight hex digits, which Open
-// refuses.
+// refuses. And it holds plain deltas that record their support, each block
+// at its own window (per-block-windows), and the three forms of them Open
+// refuses: offsets without a support, a support whose length is not gamma,
+// and an offset whose window leaves the block.
 func FuzzLoadManifest(f *testing.F) {
 	// Seed with a real manifest.
 	cluster := store.NewMemCluster(0)
@@ -77,8 +80,8 @@ func resave(t *testing.T, a *Archive) []byte {
 // refused-* one does not load.
 func TestSavedManifestsResaveByteIdentical(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzLoadManifest/*")
-	if err != nil || len(files) < 19 {
-		t.Fatalf("corpus has %d files (err %v), want the 19 committed", len(files), err)
+	if err != nil || len(files) < 23 {
+		t.Fatalf("corpus has %d files (err %v), want the 23 committed", len(files), err)
 	}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {

@@ -148,18 +148,26 @@ type ManifestEntry struct {
 	Checkpoint bool `json:"checkpoint,omitempty"`
 	// Compressed marks a delta stored in CDEC-compacted form: the
 	// codeword encodes only the Gamma non-zero blocks with a
-	// (Gamma+N-K, Gamma) code. Support lists those blocks' indices
-	// (strictly increasing), the client-side metadata retrieval needs to
-	// expand the decoded vector. Both fields are absent for uncompressed
-	// entries, so manifests written before compression existed reopen
-	// unchanged.
-	Compressed bool  `json:"compressed,omitempty"`
-	Support    []int `json:"support,omitempty"`
-	// Window is the delta's byte window: its codeword encodes only those
-	// bytes of each block, outside which every block the delta changed is
-	// zero. It is absent when the window is the whole block, so manifests
+	// (Gamma+N-K, Gamma) code. It is absent for plain deltas, so manifests
+	// written before compression existed reopen unchanged.
+	Compressed bool `json:"compressed,omitempty"`
+	// Support lists the indices of the Gamma blocks the delta changed,
+	// strictly increasing: the client-side metadata a CDEC read needs to
+	// expand the decoded vector, and a plain read checks its decode
+	// against. It is absent when Gamma is 0. A plain delta written before
+	// supports were recorded has none and reads blind; a build from before
+	// then refuses a plain entry with one, so it cannot write the entry
+	// back without its Offsets.
+	Support []int `json:"support,omitempty"`
+	// Window is the delta's byte window: its codeword encodes only Width
+	// bytes of each block it changed, outside which the block is zero, from
+	// Off on. It is absent when the window is the whole block, so manifests
 	// written before windows existed reopen unchanged.
 	Window *Window `json:"window,omitempty"`
+	// Offsets, aligned with Support, gives each block's own window offset
+	// where a plain delta's blocks do not all sit at Window.Off; the first
+	// is Window.Off.
+	Offsets []int `json:"offsets,omitempty"`
 	// CRC32C is the CRC32C (Castagnoli) of the version's Length bytes, in
 	// eight hex digits, fixed by its commit: every copy of the version a
 	// read hands out is checked against it. It is absent from manifests
@@ -169,7 +177,8 @@ type ManifestEntry struct {
 }
 
 // Window is the byte range [Off, Off+Width) of each block that a delta
-// codeword encodes, and so the length of each of its shards.
+// codeword encodes (ManifestEntry.Offsets moves it per block), and so the
+// length of each of its shards.
 type Window struct {
 	Off   int `json:"off"`
 	Width int `json:"width"`

@@ -3,6 +3,7 @@ package delta
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"github.com/secarchive/sec/internal/gf"
 )
@@ -17,28 +18,30 @@ import (
 // client-side metadata, exactly like the paper's per-delta gamma_j.
 //
 // The same sparsity holds inside a block, and the compact form uses it
-// too: every changed block is zero outside one byte window [Off, Off+w),
-// and the form keeps only that window of each. Row i of a codeword is
-// sum_j G_ij * z_j byte by byte, so it is zero outside the window as well:
-// a codeword encoded from the windowed blocks is the full-width codeword
-// cut to the window.
+// too: every changed block is zero outside one byte window of its own, and
+// the form keeps only that window of each, all of one width, the widest of
+// them. Row i of a codeword is sum_j G_ij * z_j byte by byte, so a codeword
+// encoded from the windows, each moved to offset 0, is the full-width
+// codeword of the delta whose blocks are moved there: the offsets ride with
+// the support as metadata.
 
-// windowAlign is the granularity of a delta's byte window: its edges fall
+// windowAlign is the granularity of a block's byte window: its edges fall
 // on multiples of it (or on the block's end), and it is never narrower.
 const windowAlign = 64
 
 // CompactDelta is the compacted form of a sparse delta: the blocking shape,
 // the support (indices of the non-zero blocks, strictly increasing), and
-// the window of the non-zero blocks in support order. The zero-gamma delta
+// the window of each non-zero block in support order. The zero-gamma delta
 // compacts to an empty support with no blocks.
 type CompactDelta struct {
 	// K and BlockSize are the blocking shape of the expanded delta.
 	K         int
 	BlockSize int
-	// Off places the blocks inside the changed blocks: Blocks[i] is bytes
-	// [Off, Off+len(Blocks[i])) of block Support[i], which is zero outside
-	// them. A full-width form has Off 0 and blocks BlockSize bytes long.
-	Off int
+	// Offs places the blocks inside the changed blocks: Blocks[i] is bytes
+	// [Offs[i], Offs[i]+len(Blocks[i])) of block Support[i], which is zero
+	// outside them. Nil places every block at offset 0, as the full-width
+	// form, whose blocks are BlockSize bytes long, has them.
+	Offs []int
 	// Support lists the non-zero block indices in increasing order.
 	Support []int
 	// Blocks holds the windows of the non-zero blocks, aligned with
@@ -49,8 +52,8 @@ type CompactDelta struct {
 // Gamma returns the delta's sparsity (the number of non-zero blocks).
 func (c CompactDelta) Gamma() int { return len(c.Support) }
 
-// Width returns the byte width of the delta's window, the length of each of
-// its blocks. A delta that changed nothing has the narrowest window its
+// Width returns the byte width of the delta's windows, the length of each
+// of its blocks. A delta that changed nothing has the narrowest window its
 // blocking allows (windowOf).
 func (c CompactDelta) Width() int {
 	if len(c.Blocks) > 0 {
@@ -58,6 +61,14 @@ func (c CompactDelta) Width() int {
 	}
 	off, end := windowOf(c.BlockSize, 0, 0)
 	return end - off
+}
+
+// Off returns the offset of the i-th block inside block Support[i].
+func (c CompactDelta) Off(i int) int {
+	if c.Offs == nil {
+		return 0
+	}
+	return c.Offs[i]
 }
 
 // validate checks the compact form's internal consistency.
@@ -68,11 +79,11 @@ func (c CompactDelta) validate() error {
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("delta: compact form block size must be positive, got %d", c.BlockSize)
 	}
-	if c.Off < 0 {
-		return fmt.Errorf("delta: compact form window offset %d is negative", c.Off)
-	}
 	if len(c.Blocks) != len(c.Support) {
 		return fmt.Errorf("delta: compact form has %d blocks for %d support indices", len(c.Blocks), len(c.Support))
+	}
+	if c.Offs != nil && len(c.Offs) != len(c.Support) {
+		return fmt.Errorf("delta: compact form has %d offsets for %d support indices", len(c.Offs), len(c.Support))
 	}
 	prev := -1
 	for i, s := range c.Support {
@@ -83,16 +94,16 @@ func (c CompactDelta) validate() error {
 			return fmt.Errorf("delta: support indices not strictly increasing at %d", s)
 		}
 		prev = s
-		if w := len(c.Blocks[i]); w == 0 || w != len(c.Blocks[0]) || c.Off+w > c.BlockSize {
-			return fmt.Errorf("delta: compact block %d has %d bytes at offset %d, want %d within %d", i, w, c.Off, len(c.Blocks[0]), c.BlockSize)
+		if w, off := len(c.Blocks[i]), c.Off(i); w == 0 || w != len(c.Blocks[0]) || off < 0 || off+w > c.BlockSize {
+			return fmt.Errorf("delta: compact block %d has %d bytes at offset %d, want %d within %d", i, w, off, len(c.Blocks[0]), c.BlockSize)
 		}
 	}
 	return nil
 }
 
-// windowOf returns the window [off, end) of a delta whose changed blocks
-// are zero outside bytes [lo, hi) (lo = hi = 0 when nothing changed): that
-// range rounded out to windowAlign boundaries or the block's end, and never
+// windowOf returns the window [off, end) of a block whose change is zero
+// outside bytes [lo, hi) (lo = hi = 0 when nothing changed): that range
+// rounded out to windowAlign boundaries or the block's end, and never
 // narrower than windowAlign. A block under two windows is never windowed.
 // So a window keeps whole the 2-byte symbols of GF(2^16), and no code meets
 // a block under 64 bytes that it did not meet before windows existed.
@@ -137,11 +148,11 @@ func View(blocks [][]byte) (CompactDelta, error) {
 }
 
 // Diff returns the compact delta next - prev between two versions of the
-// same shape, at its window. Each pair of blocks is compared first; where
-// two differ, the comparison also finds the bytes they differ in, and only
-// the window of those blocks is XORed, into fresh memory, so gamma, the
-// support and the window come out of the one pass and neither input is
-// written.
+// same shape, each changed block at its own window. Each pair of blocks is
+// compared first; where two differ, the comparison also finds the bytes
+// they differ in, and only the window of that pair is XORed, into fresh
+// memory, so gamma, the support and the windows come out of the one pass
+// and neither input is written.
 func Diff(prev, next [][]byte) (CompactDelta, error) {
 	if len(prev) != len(next) {
 		return CompactDelta{}, fmt.Errorf("delta: version block counts differ: %d vs %d", len(prev), len(next))
@@ -150,29 +161,29 @@ func Diff(prev, next [][]byte) (CompactDelta, error) {
 		return CompactDelta{}, fmt.Errorf("delta: diffing an empty block vector")
 	}
 	c := CompactDelta{K: len(prev), BlockSize: len(prev[0])}
-	var changed byteRange
+	width := 0
 	for i := range prev {
 		if len(prev[i]) != c.BlockSize || len(next[i]) != c.BlockSize {
 			return CompactDelta{}, fmt.Errorf("delta: block %d sizes differ: %d vs %d, want %d", i, len(prev[i]), len(next[i]), c.BlockSize)
 		}
 		if !bytes.Equal(prev[i], next[i]) {
-			c.Support = append(c.Support, i)
-			changed.cover(prev[i], next[i])
+			width = max(width, c.cover(i, prev[i], next[i]))
 		}
 	}
-	c.fill(prev, next, changed)
+	c.fill(prev, next, width)
 	return c, nil
 }
 
 // Diff splits object into K blocks against prev, the blocks of the version
 // before it, and returns the new version's blocks with the compact delta
-// between the two, at its window. Each block of object is compared with its
-// predecessor first, the zero padding of a short object included. An
-// unchanged block of next is prev's own block; a changed one is a fresh
-// copy, and the window of it and its predecessor is XORed into fresh delta
-// memory, so gamma, the support and the window come out of the one pass.
-// Neither prev nor object is written, and nothing returned aliases object.
-// It fails, like Split, if object exceeds the capacity.
+// between the two, each changed block at its own window. Each block of
+// object is compared with its predecessor first, the zero padding of a
+// short object included. An unchanged block of next is prev's own block; a
+// changed one is a fresh copy, and the window of it and its predecessor is
+// XORed into fresh delta memory, so gamma, the support and the windows come
+// out of the one pass. Neither prev nor object is written, and nothing
+// returned aliases object. It fails, like Split, if object exceeds the
+// capacity.
 func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDelta, err error) {
 	if err := b.CheckLength(len(object)); err != nil {
 		return nil, CompactDelta{}, err
@@ -182,7 +193,7 @@ func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDe
 	}
 	next = make([][]byte, b.K)
 	d = CompactDelta{K: b.K, BlockSize: b.BlockSize}
-	var changed byteRange
+	width := 0
 	for i, old := range prev {
 		lo := min(i*b.BlockSize, len(object))
 		src := object[lo:min(lo+b.BlockSize, len(object))]
@@ -192,21 +203,17 @@ func (b Blocking) Diff(prev [][]byte, object []byte) (next [][]byte, d CompactDe
 		}
 		next[i] = make([]byte, b.BlockSize)
 		copy(next[i], src)
-		d.Support = append(d.Support, i)
-		changed.cover(old, next[i])
+		width = max(width, d.cover(i, old, next[i]))
 	}
-	d.fill(prev, next, changed)
+	d.fill(prev, next, width)
 	return next, d, nil
 }
 
-// byteRange is the bytes [lo, hi) some pairs of blocks differ in; the zero
-// value covers none.
-type byteRange struct{ lo, hi int }
-
-// cover widens the range to the bytes where a and b, of one length, differ:
-// from the first such byte to the last. They must differ somewhere. Each end
-// is found by comparing runs of bytes, then single bytes.
-func (r *byteRange) cover(a, b []byte) {
+// cover adds block s, where a and b (of one length) differ, to the support,
+// and the offset of its window to Offs, and returns the window's width.
+// Each end of the bytes they differ in is found by comparing runs of
+// bytes, then single bytes.
+func (c *CompactDelta) cover(s int, a, b []byte) (width int) {
 	const run = 256
 	lo, hi := 0, len(a)
 	for lo+run <= hi && bytes.Equal(a[lo:lo+run], b[lo:lo+run]) {
@@ -221,29 +228,57 @@ func (r *byteRange) cover(a, b []byte) {
 	for a[hi-1] == b[hi-1] {
 		hi--
 	}
-	if r.hi == 0 || lo < r.lo {
-		r.lo = lo
-	}
-	r.hi = max(r.hi, hi)
+	off, end := windowOf(len(a), lo, hi)
+	c.Support, c.Offs = append(c.Support, s), append(c.Offs, off)
+	return end - off
 }
 
-// fill sets the blocks of a delta whose support is set, and whose changed
-// blocks differ only in the range changed, to the window of prev + next, in
-// one fresh allocation.
-func (c *CompactDelta) fill(prev, next [][]byte, changed byteRange) {
+// fill sets the blocks of a delta that cover built to prev + next at their
+// windows, each widened to width, the widest of them, in one fresh
+// allocation. A window widens to the right or, where that would leave the
+// block, to the left, so that it ends at the block's end.
+func (c *CompactDelta) fill(prev, next [][]byte, width int) {
 	if len(c.Support) == 0 {
 		return
 	}
-	off, end := windowOf(c.BlockSize, changed.lo, changed.hi)
-	w := end - off
-	c.Off, c.Blocks = off, make([][]byte, len(c.Support))
-	buf := make([]byte, len(c.Support)*w)
+	c.Blocks = make([][]byte, len(c.Support))
+	buf := make([]byte, len(c.Support)*width)
 	for i, s := range c.Support {
-		z := buf[i*w : (i+1)*w : (i+1)*w]
-		copy(z, next[s][off:end])
-		gf.AddSlice(z, prev[s][off:end])
-		c.Blocks[i] = z
+		off := min(c.Offs[i], c.BlockSize-width)
+		z := buf[i*width : (i+1)*width : (i+1)*width]
+		copy(z, next[s][off:off+width])
+		gf.AddSlice(z, prev[s][off:off+width])
+		c.Offs[i], c.Blocks[i] = off, z
 	}
+}
+
+// Shared returns the delta with every block at one offset, as a reader
+// that knows one offset for the whole delta places it. A delta whose blocks
+// share one already is returned as it is; any other moves to the one
+// window of all its blocks' non-zero bytes together (windowOf), in fresh
+// memory.
+func (c CompactDelta) Shared() CompactDelta {
+	if !slices.ContainsFunc(c.Offs, func(off int) bool { return off != c.Offs[0] }) {
+		return c
+	}
+	lo, hi := c.BlockSize, 0
+	for i, blk := range c.Blocks {
+		if first := firstNonZero(blk); first < len(blk) {
+			lo, hi = min(lo, c.Off(i)+first), max(hi, c.Off(i)+endNonZero(blk))
+		}
+	}
+	off, end := windowOf(c.BlockSize, min(lo, hi), hi)
+	w := end - off
+	s := CompactDelta{K: c.K, BlockSize: c.BlockSize, Offs: make([]int, len(c.Support)), Support: c.Support, Blocks: make([][]byte, len(c.Support))}
+	buf := make([]byte, len(c.Support)*w)
+	for i, blk := range c.Blocks {
+		z := buf[i*w : (i+1)*w : (i+1)*w]
+		if first := firstNonZero(blk); first < len(blk) {
+			copy(z[c.Off(i)+first-off:], blk[first:endNonZero(blk)])
+		}
+		s.Offs[i], s.Blocks[i] = off, z
+	}
+	return s
 }
 
 // ApplyTo returns base + c without expanding c: a vector that shares with
@@ -268,12 +303,12 @@ func (c CompactDelta) ApplyTo(base [][]byte) ([][]byte, error) {
 			return nil, fmt.Errorf("delta: block %d sizes differ: %d vs %d", s, len(base[s]), c.BlockSize)
 		}
 		out[s] = append([]byte(nil), base[s]...)
-		gf.AddSlice(out[s][c.Off:c.Off+len(c.Blocks[i])], c.Blocks[i])
+		gf.AddSlice(out[s][c.Off(i):c.Off(i)+len(c.Blocks[i])], c.Blocks[i])
 	}
 	return out, nil
 }
 
-// Expand reconstructs the full k-block delta: the support blocks' windows
+// Expand reconstructs the full k-block delta: each support block's window
 // in place, zero bytes everywhere else. The result is a fresh allocation.
 func (c CompactDelta) Expand() ([][]byte, error) {
 	if err := c.validate(); err != nil {
@@ -284,7 +319,7 @@ func (c CompactDelta) Expand() ([][]byte, error) {
 		blocks[i] = make([]byte, c.BlockSize)
 	}
 	for i, s := range c.Support {
-		copy(blocks[s][c.Off:], c.Blocks[i])
+		copy(blocks[s][c.Off(i):], c.Blocks[i])
 	}
 	return blocks, nil
 }

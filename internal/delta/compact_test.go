@@ -22,42 +22,28 @@ func randomSparseDelta(rng *rand.Rand, k, blockSize, gamma int) [][]byte {
 	return blocks
 }
 
-// narrow is the reference window finder: c cut to its window (windowOf),
-// the bytes from the first non-zero byte of any block to the last, rounded
-// out, found from the bytes themselves. Its blocks are sub-slices of c's. A
-// delta already at its window, or whose window would reach outside the one
-// it has, comes back as it is; so does one whose blocks are all zero. Diff
-// finds the window while it compares; FuzzDiff holds it to this one.
+// narrow is the reference window finder: the full-width c with each block
+// cut to its own window, windowOf the bytes from its first non-zero byte to
+// its last, found from the bytes themselves, and every window widened to
+// the widest: to the right, or to the left where the block ends first. Its
+// blocks are sub-slices of c's; a delta that changed nothing comes back as
+// it is. Diff finds the windows while it compares; FuzzDiff holds it to
+// this one.
 func narrow(c CompactDelta) CompactDelta {
-	lo, hi := c.BlockSize, 0
-	for _, blk := range c.Blocks {
-		if first := firstNonZero(blk); first < len(blk) {
-			lo, hi = min(lo, c.Off+first), max(hi, c.Off+endNonZero(blk))
-		}
-	}
-	if hi == 0 {
+	if len(c.Support) == 0 {
 		return c
 	}
-	off, end := windowOf(c.BlockSize, lo, hi)
-	if width := c.Width(); off < c.Off || end > c.Off+width || end-off == width {
-		return c
-	}
-	n := c
-	n.Off, n.Blocks = off, make([][]byte, len(c.Blocks))
+	n, width := c, 0
+	n.Offs, n.Blocks = make([]int, len(c.Blocks)), make([][]byte, len(c.Blocks))
 	for i, blk := range c.Blocks {
-		n.Blocks[i] = blk[off-c.Off : end-c.Off : end-c.Off]
+		off, end := windowOf(c.BlockSize, firstNonZero(blk), endNonZero(blk))
+		n.Offs[i], width = off, max(width, end-off)
+	}
+	for i, blk := range c.Blocks {
+		off := min(n.Offs[i], c.BlockSize-width)
+		n.Offs[i], n.Blocks[i] = off, blk[off:off+width:off+width]
 	}
 	return n
-}
-
-// endNonZero returns one past blk's last non-zero byte, or 0 when it has
-// none.
-func endNonZero(blk []byte) int {
-	i := len(blk)
-	for i > 0 && blk[i-1] == 0 {
-		i--
-	}
-	return i
 }
 
 func TestCompactExpandRoundTrip(t *testing.T) {
@@ -90,10 +76,11 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 
 // TestDiffOfVectors holds the compare-then-XOR diff of two materialized
 // versions, the one compaction stores as it comes, to the expanding
-// reference: the same support, window and blocks as a view of Compute
-// narrowed to its window, every delta block a fresh allocation, the inputs
-// untouched, and a shape mismatch refused. Changes at 512-byte blocks are cut
-// to a random byte range, so their deltas are windowed.
+// reference: the same support, windows and blocks as a view of Compute
+// narrowed to its windows, every delta block a fresh allocation, the inputs
+// untouched, and a shape mismatch refused. Each change at 512-byte blocks
+// is cut to a random byte range of its own, so its delta is windowed, each
+// block at its own offset.
 func TestDiffOfVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const k = 7
@@ -101,14 +88,12 @@ func TestDiffOfVectors(t *testing.T) {
 		for gamma := 0; gamma <= k; gamma++ {
 			prev := randomSparseDelta(rng, k, blockSize, k)
 			change := randomSparseDelta(rng, k, blockSize, gamma)
-			if lo := rng.Intn(blockSize); blockSize == 512 {
-				hi := lo + 1 + rng.Intn(blockSize-lo)
-				for _, blk := range change {
-					if !isZeroBlock(blk) {
-						clear(blk[:lo])
-						clear(blk[hi:])
-						blk[lo] |= 1
-					}
+			for _, blk := range change {
+				if lo := rng.Intn(blockSize); blockSize == 512 && !isZeroBlock(blk) {
+					hi := lo + 1 + rng.Intn(blockSize-lo)
+					clear(blk[:lo])
+					clear(blk[hi:])
+					blk[lo] |= 1
 				}
 			}
 			next, err := Apply(prev, change)
@@ -163,10 +148,12 @@ func TestCompactValidation(t *testing.T) {
 		{"zero block size", CompactDelta{K: 1, BlockSize: 0}},
 		{"support out of range", CompactDelta{K: 2, BlockSize: 1, Support: []int{2}, Blocks: [][]byte{{1}}}},
 		{"support not increasing", CompactDelta{K: 4, BlockSize: 1, Support: []int{1, 1}, Blocks: [][]byte{{1}, {2}}}},
-		{"block past the block size", CompactDelta{K: 2, BlockSize: 2, Off: 1, Support: []int{0}, Blocks: [][]byte{{1, 2}}}},
+		{"block past the block size", CompactDelta{K: 2, BlockSize: 2, Offs: []int{1}, Support: []int{0}, Blocks: [][]byte{{1, 2}}}},
+		{"second block past the block size", CompactDelta{K: 2, BlockSize: 2, Offs: []int{0, 1}, Support: []int{0, 1}, Blocks: [][]byte{{1, 2}, {3, 4}}}},
 		{"blocks of two widths", CompactDelta{K: 2, BlockSize: 2, Support: []int{0, 1}, Blocks: [][]byte{{1, 2}, {3}}}},
 		{"empty block", CompactDelta{K: 2, BlockSize: 2, Support: []int{0}, Blocks: [][]byte{{}}}},
-		{"negative offset", CompactDelta{K: 2, BlockSize: 2, Off: -1, Support: []int{0}, Blocks: [][]byte{{1}}}},
+		{"negative offset", CompactDelta{K: 2, BlockSize: 2, Offs: []int{-1}, Support: []int{0}, Blocks: [][]byte{{1}}}},
+		{"offsets/support misaligned", CompactDelta{K: 2, BlockSize: 2, Offs: []int{0, 1}, Support: []int{0}, Blocks: [][]byte{{1}}}},
 		{"support/blocks misaligned", CompactDelta{K: 2, BlockSize: 1, Support: []int{0, 1}, Blocks: [][]byte{{1}}}},
 	}
 	for _, tc := range cases {
@@ -181,11 +168,15 @@ func TestCompactValidation(t *testing.T) {
 
 // FuzzCompactDelta holds the compact forms the archive uses to the expanded
 // vector they stand for. The vector is k zero blocks with raw written into
-// them from byte at on, so its non-zero bytes may sit in a narrow window.
-// View, then narrow, then Expand reproduces the vector byte-identically;
-// narrow's window is aligned, covers every non-zero byte and is where narrow
-// leaves it; and ApplyTo of the windowed form equals ApplyTo of the
-// full-width form. The seed corpus lives in testdata/fuzz/FuzzCompactDelta.
+// them from byte at on, so its non-zero bytes may sit in a narrow window of
+// one block, or at the end of one block and the start of the next. View,
+// then narrow, then Expand reproduces the vector byte-identically; each of
+// narrow's windows covers its block's non-zero bytes, starts on an aligned
+// byte or ends at the block's end, and is as wide as the widest block's own
+// window (windowOf); and ApplyTo of the windowed form equals ApplyTo of the
+// full-width form. Shared puts every block at one offset and stands for
+// the same vector. The seed corpus
+// lives in testdata/fuzz/FuzzCompactDelta.
 func FuzzCompactDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k, blockSize, at int, raw []byte) {
 		k, blockSize = 1+int(uint(k)%16), 1+int(uint(blockSize)%1024)
@@ -204,40 +195,51 @@ func FuzzCompactDelta(f *testing.F) {
 			t.Fatalf("View rejected a valid vector: %v", err)
 		}
 		windowed := narrow(full)
-		if again := narrow(windowed); !reflect.DeepEqual(again, windowed) {
-			t.Fatalf("narrow moved its own window: %+v to %+v", windowed, again)
-		}
-		off, end := windowed.Off, windowed.Off+windowed.Width()
-		switch {
-		case blockSize < 2*windowAlign && (off != 0 || end != blockSize):
-			t.Fatalf("a %d-byte block was windowed to [%d,%d)", blockSize, off, end)
-		case end-off < min(windowAlign, blockSize) || end > blockSize:
-			t.Fatalf("window [%d,%d) of a %d-byte block", off, end, blockSize)
-		case off%windowAlign != 0 || end%windowAlign != 0 && end != blockSize:
-			t.Fatalf("window [%d,%d) is not aligned", off, end)
-		}
-		for _, blk := range blocks {
-			if first := firstNonZero(blk); first < len(blk) && (first < off || endNonZero(blk) > end) {
-				t.Fatalf("window [%d,%d) misses bytes [%d,%d)", off, end, first, endNonZero(blk))
+		width, widest := windowed.Width(), 0
+		for i, s := range windowed.Support {
+			blk := blocks[s]
+			own, ownEnd := windowOf(blockSize, firstNonZero(blk), endNonZero(blk))
+			widest = max(widest, ownEnd-own)
+			off, end := windowed.Off(i), windowed.Off(i)+width
+			switch {
+			case blockSize < 2*windowAlign && (off != 0 || end != blockSize):
+				t.Fatalf("a %d-byte block was windowed to [%d,%d)", blockSize, off, end)
+			case width < min(windowAlign, blockSize) || off < 0 || end > blockSize:
+				t.Fatalf("window [%d,%d) of a %d-byte block", off, end, blockSize)
+			case off%windowAlign != 0 && end != blockSize:
+				t.Fatalf("block %d's window [%d,%d) is not aligned", s, off, end)
+			case firstNonZero(blk) < off || endNonZero(blk) > end:
+				t.Fatalf("block %d's window [%d,%d) misses bytes [%d,%d)", s, off, end, firstNonZero(blk), endNonZero(blk))
 			}
 		}
-		expanded, err := windowed.Expand()
-		if err != nil {
-			t.Fatalf("Expand: %v", err)
+		if windowed.Gamma() > 0 && width != widest {
+			t.Fatalf("windows are %d bytes wide, the widest block needs %d", width, widest)
 		}
-		if !Equal(blocks, expanded) {
-			t.Fatal("View, narrow, Expand is not the identity")
+		shared := windowed.Shared()
+		for i := range shared.Support {
+			if shared.Off(i) != shared.Off(0) {
+				t.Fatalf("Shared left blocks at offsets %v", shared.Offs)
+			}
 		}
-		want, err := full.ApplyTo(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := windowed.ApplyTo(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(got, want) {
-			t.Fatal("ApplyTo of the windowed form differs from the full-width form's")
+		for _, form := range []CompactDelta{windowed, shared} {
+			expanded, err := form.Expand()
+			if err != nil {
+				t.Fatalf("Expand: %v", err)
+			}
+			if !Equal(blocks, expanded) {
+				t.Fatalf("View, narrow, Expand is not the identity (offsets %v)", form.Offs)
+			}
+			want, err := full.ApplyTo(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := form.ApplyTo(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(got, want) {
+				t.Fatalf("ApplyTo of the form at offsets %v differs from the full-width form's", form.Offs)
+			}
 		}
 	})
 }

@@ -288,3 +288,13 @@ func firstNonZero(blk []byte) int {
 	}
 	return i
 }
+
+// endNonZero returns one past blk's last non-zero byte, or 0 when it has
+// none.
+func endNonZero(blk []byte) int {
+	i := len(blk)
+	for i > 0 && blk[i-1] == 0 {
+		i--
+	}
+	return i
+}

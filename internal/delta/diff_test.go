@@ -8,10 +8,9 @@ import (
 
 // FuzzDiff holds Blocking.Diff, the commit's one pass over an object, to
 // the expanding reference it replaces: next is Split(object), the delta is
-// a view of Compute(prev, next) narrowed to its window, neither input is
-// written, every unchanged
-// block of next is prev's own block, and nothing else returned aliases prev
-// or object. The object is prev's bytes cut or zero-extended to cut bytes,
+// a view of Compute(prev, next) with each block narrowed to its own window,
+// neither input is written, every unchanged block of next is prev's own
+// block, and nothing else returned aliases prev or object. The object is prev's bytes cut or zero-extended to cut bytes,
 // with edits applied as (low, high, xor) position triples; a cut past the
 // capacity must be refused. The seed corpus lives in testdata/fuzz/FuzzDiff.
 func FuzzDiff(f *testing.F) {
