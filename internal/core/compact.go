@@ -372,14 +372,16 @@ func (a *Archive) ChainStats() (depths, plannedReads []int, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dist, _, _, _, err := a.planAll(0) // exhaustive: prices every version
+	st, err := a.planAll(0) // exhaustive: prices every version
 	if err != nil {
 		return nil, nil, err
 	}
+	plannedReads = make([]int, L)
 	for v := 1; v <= L; v++ {
-		if dist[v] == unreachedCost {
+		if st[v].dist == unreachedCost {
 			return nil, nil, fmt.Errorf("core: version %d unreachable from any full version", v)
 		}
+		plannedReads[v-1] = st[v].dist
 	}
-	return allDepths[1:], dist[1 : L+1], nil
+	return allDepths[1:], plannedReads, nil
 }

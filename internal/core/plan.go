@@ -1,8 +1,9 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // planItem/planHeap implement the retrieval planner's priority queue:
@@ -11,7 +12,6 @@ type planItem struct{ v, dist, hops int }
 
 type planHeap []planItem
 
-func (h planHeap) Len() int { return len(h) }
 func (h planHeap) Less(i, j int) bool {
 	if h[i].dist != h[j].dist {
 		return h[i].dist < h[j].dist
@@ -22,8 +22,34 @@ func (h planHeap) Less(i, j int) bool {
 	return h[i].v < h[j].v
 }
 func (h planHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *planHeap) Push(x any)   { *h = append(*h, x.(planItem)) }
-func (h *planHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// push and pop are container/heap's Push and Pop, without boxing the item.
+func (h *planHeap) push(it planItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0 && q.Less(i, (i-1)/2); i = (i - 1) / 2 {
+		q.Swap(i, (i-1)/2)
+	}
+}
+
+func (h *planHeap) pop() planItem {
+	q := *h
+	n := len(q) - 1
+	q.Swap(0, n)
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && q.Less(c+1, c) {
+			c++
+		}
+		if c >= n || !q.Less(c, i) {
+			break
+		}
+		q.Swap(i, c)
+		i = c
+	}
+	*h = q[:n]
+	return q[n]
+}
 
 // step is one codeword read of a planned walk. With via == 0 it reads the
 // full codeword of version to. Otherwise it reads the stored delta of version
@@ -73,18 +99,18 @@ func (a *Archive) planChain(l int) (walk, error) {
 	if l < 1 || l > len(a.entries) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
 	}
-	dist, hops, via, prev, err := a.planAll(l)
+	st, err := a.planAll(l)
 	if err != nil {
 		return nil, err
 	}
-	if dist[l] == unreachedCost {
+	if st[l].dist == unreachedCost {
 		return nil, fmt.Errorf("core: version %d unreachable from any full version", l)
 	}
-	w := make(walk, hops[l]+1)
+	w := make(walk, st[l].hops+1)
 	v := l
-	for i := hops[l]; i > 0; i-- {
-		w[i] = step{from: prev[v], to: v, via: via[v]}
-		v = prev[v]
+	for i := st[l].hops; i > 0; i-- {
+		w[i] = step{from: st[v].prev, to: v, via: st[v].via}
+		v = st[v].prev
 	}
 	w[0] = step{to: v}
 	return w, nil
@@ -138,73 +164,90 @@ func (a *Archive) planPrefix(l int) (walk, error) {
 // unreachedCost marks versions the planner could not reach.
 const unreachedCost = int(^uint(0) >> 1)
 
-// planAll runs the planner's Dijkstra pass over the whole version graph,
-// returning per-version cost, hop count, the delta applied to reach each
-// version, and the path predecessor. With target > 0 the pass stops once
-// that version settles; target 0 prices every version (one pass instead
-// of one per version, for whole-archive summaries).
-func (a *Archive) planAll(target int) (dist, hops, via, prev []int, err error) {
+// planState is what the planner knows of one version: the cost of the
+// cheapest read that has it in hand, the delta applications on that read,
+// the delta applied last (0 at an anchor) and the version it was applied
+// to, and whether the cost is settled.
+type planState struct {
+	dist, hops, via, prev int
+	done                  bool
+}
+
+// planAll runs the planner's Dijkstra pass over the version graph and
+// returns the state of every version, indexed by version number. With
+// target > 0 the pass stops once that version settles; target 0 prices
+// every version (one pass instead of one per version, for whole-archive
+// summaries). The graph is never built: the edges of a settled version are
+// its own delta, back to its base, and the deltas based on it, which are
+// its successor's on an uncompacted chain and otherwise come from the one
+// sorted list of rebased deltas. So planning a read of an early version of
+// a long chain walks the versions on its way, and allocates for the chain
+// only the states.
+func (a *Archive) planAll(target int) ([]planState, error) {
 	L := len(a.entries)
-	type edge struct {
-		to, via, w int // neighbor version, delta version applied, read cost
-	}
-	adj := make([][]edge, L+1)
-	for j := 1; j <= L; j++ {
-		e := a.entries[j-1]
-		if !e.hasDelta {
-			continue
-		}
-		b := entryBase(a.entries, j)
-		if b < 1 || b > L || b == j {
-			return nil, nil, nil, nil, fmt.Errorf("core: version %d has invalid delta base %d", j, b)
-		}
-		cw, err := a.deltaKind(e)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("core: version %d: %w", j, err)
-		}
-		w := cw.cost()
-		adj[b] = append(adj[b], edge{to: j, via: j, w: w})
-		adj[j] = append(adj[j], edge{to: b, via: j, w: w})
-	}
-	dist = make([]int, L+1)
-	hops = make([]int, L+1)
-	via = make([]int, L+1)  // delta applied to reach the version (0 at anchors)
-	prev = make([]int, L+1) // predecessor version on the best path
-	done := make([]bool, L+1)
-	for v := 1; v <= L; v++ {
-		dist[v] = unreachedCost
-	}
+	st := make([]planState, L+1)
 	// Lazy-deletion Dijkstra off a heap keyed (cost, hops, version), so a
 	// retrieval plans in O(E log L) even on very long archives; stale heap
 	// entries are skipped on pop. Anchors enter in ascending version order,
 	// so equal-cost ties settle toward forward plans, matching the original
-	// nearest-anchor planner.
-	h := make(planHeap, 0, L)
+	// nearest-anchor planner; as they all cost K at 0 hops, they enter as a
+	// sorted slice, which is a heap.
+	var h planHeap
+	var rebased [][2]int // {base, version} of every delta not based on its predecessor
 	for v := 1; v <= L; v++ {
-		if a.entries[v-1].hasFull {
-			dist[v] = a.cfg.K
-			hops[v] = 0
+		st[v].dist = unreachedCost
+		e := &a.entries[v-1]
+		if e.hasFull {
+			st[v].dist = a.cfg.K
 			h = append(h, planItem{v: v, dist: a.cfg.K})
 		}
+		if !e.hasDelta {
+			continue
+		}
+		if b := entryBase(a.entries, v); b < 1 || b > L || b == v {
+			return nil, fmt.Errorf("core: version %d has invalid delta base %d", v, b)
+		} else if b != v-1 {
+			rebased = append(rebased, [2]int{b, v})
+		}
 	}
-	heap.Init(&h)
-	for h.Len() > 0 && (target == 0 || !done[target]) {
-		it := heap.Pop(&h).(planItem)
+	slices.SortStableFunc(rebased, func(x, y [2]int) int { return cmp.Compare(x[0], y[0]) })
+	var vias []int // the deltas a settled version's edges apply, ascending
+	for len(h) > 0 && (target == 0 || !st[target].done) {
+		it := h.pop()
 		u := it.v
-		if done[u] || it.dist != dist[u] || it.hops != hops[u] {
+		if st[u].done || it.dist != st[u].dist || it.hops != st[u].hops {
 			continue // stale entry superseded by a later relaxation
 		}
-		done[u] = true
-		for _, e := range adj[u] {
-			nd, nh := dist[u]+e.w, hops[u]+1
-			if nd < dist[e.to] || (nd == dist[e.to] && nh < hops[e.to]) {
-				dist[e.to], hops[e.to] = nd, nh
-				via[e.to], prev[e.to] = e.via, u
-				heap.Push(&h, planItem{v: e.to, dist: nd, hops: nh})
+		st[u].done = true
+		vias = vias[:0]
+		if a.entries[u-1].hasDelta {
+			vias = append(vias, u)
+		}
+		if u < L && a.entries[u].hasDelta && entryBase(a.entries, u+1) == u {
+			vias = append(vias, u+1)
+		}
+		i, _ := slices.BinarySearchFunc(rebased, u, func(r [2]int, u int) int { return cmp.Compare(r[0], u) })
+		for ; i < len(rebased) && rebased[i][0] == u; i++ {
+			vias = append(vias, rebased[i][1])
+		}
+		slices.Sort(vias)
+		for _, j := range vias {
+			cw, err := a.deltaKind(a.entries[j-1])
+			if err != nil {
+				return nil, fmt.Errorf("core: version %d: %w", j, err)
+			}
+			to := j // forward: x_u + z_j = x_j
+			if j == u {
+				to = entryBase(a.entries, u) // backward: x_u + z_u = x_base
+			}
+			nd, nh := st[u].dist+cw.cost(), st[u].hops+1
+			if nd < st[to].dist || (nd == st[to].dist && nh < st[to].hops) {
+				st[to].dist, st[to].hops, st[to].via, st[to].prev = nd, nh, j, u
+				h.push(planItem{v: to, dist: nd, hops: nh})
 			}
 		}
 	}
-	return dist, hops, via, prev, nil
+	return st, nil
 }
 
 // PlannedReads returns the number of node reads formula (3) predicts for
