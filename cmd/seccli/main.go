@@ -200,17 +200,16 @@ func cmdInit(ctx context.Context, out io.Writer, client *secclient.Client, gw, g
 	fs := flag.NewFlagSet("init", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		scheme      = fs.String("scheme", "basic-sec", "storage scheme")
-		code        = fs.String("code", "non-systematic-cauchy", "erasure code construction")
-		n           = fs.Int("n", 6, "shards per object")
-		k           = fs.Int("k", 3, "data blocks per object")
-		blockSize   = fs.Int("blocksize", 1024, "bytes per block")
-		name        = fs.String("name", "archive", "archive name (shard ID prefix)")
-		maxChain    = fs.Int("max-chain", 0, "auto-compact when a chain exceeds this many deltas (0 = never)")
-		checkpoint  = fs.Int("checkpoint-every", 0, "store/retain a full codeword at least every N versions (0 = scheme default)")
-		compress    = fs.Bool("compress", false, "store sparse deltas compressed: gamma non-zero blocks under a (gamma+n-k, gamma) code")
-		compressMax = fs.Int("compress-gamma-max", 0, "largest gamma stored compressed (0 = k-1; needs -compress)")
-		readCache   = fs.Int("read-cache-bytes", 0, "decoded-version read cache budget in bytes (0 = disabled)")
+		scheme     = fs.String("scheme", "basic-sec", "storage scheme")
+		code       = fs.String("code", "non-systematic-cauchy", "erasure code construction")
+		n          = fs.Int("n", 6, "shards per object")
+		k          = fs.Int("k", 3, "data blocks per object")
+		blockSize  = fs.Int("blocksize", 1024, "bytes per block")
+		name       = fs.String("name", "archive", "archive name (shard ID prefix)")
+		maxChain   = fs.Int("max-chain", 0, "auto-compact when a chain exceeds this many deltas (0 = never)")
+		checkpoint = fs.Int("checkpoint-every", 0, "store/retain a full codeword at least every N versions (0 = scheme default)")
+		compress   = fs.Bool("compress", false, "store sparse deltas (gamma <= k-1) compressed: gamma non-zero blocks under a (gamma+n-k, gamma) code")
+		readCache  = fs.Int("read-cache-bytes", 0, "decoded-version read cache budget in bytes (0 = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -223,16 +222,15 @@ func cmdInit(ctx context.Context, out io.Writer, client *secclient.Client, gw, g
 		archiveName = globalName
 	}
 	info, err := client.Create(ctx, archiveName, secclient.Spec{
-		Scheme:           *scheme,
-		Code:             *code,
-		N:                *n,
-		K:                *k,
-		BlockSize:        *blockSize,
-		MaxChainLength:   *maxChain,
-		CheckpointEvery:  *checkpoint,
-		CompressDeltas:   *compress,
-		CompressGammaMax: *compressMax,
-		ReadCacheBytes:   *readCache,
+		Scheme:          *scheme,
+		Code:            *code,
+		N:               *n,
+		K:               *k,
+		BlockSize:       *blockSize,
+		MaxChainLength:  *maxChain,
+		CheckpointEvery: *checkpoint,
+		CompressDeltas:  *compress,
+		ReadCacheBytes:  *readCache,
 	})
 	if err != nil {
 		return err
@@ -340,11 +338,7 @@ func cmdInfo(ctx context.Context, out io.Writer, client *secclient.Client, resol
 	header := fmt.Sprintf("archive %q: scheme=%s code=%s (n,k)=(%d,%d) blocksize=%d versions=%d",
 		m.Name, m.Scheme, m.Code, m.N, m.K, m.BlockSize, info.Versions)
 	if m.CompressDeltas {
-		gmax := m.CompressGammaMax
-		if gmax == 0 {
-			gmax = m.K - 1
-		}
-		header += fmt.Sprintf(" compress=on(gamma<=%d)", gmax)
+		header += fmt.Sprintf(" compress=on(gamma<=%d)", m.K-1)
 	}
 	if info.Cache != nil {
 		header += fmt.Sprintf(" read-cache=%dB", info.Cache.Budget)

@@ -468,10 +468,13 @@ func TestCLIUsageListsAllFlagsAndSubcommands(t *testing.T) {
 	if err := run(t.Context(), []string{"-nodes", "127.0.0.1:1", "init", "-h"}, &out); err != nil {
 		t.Fatalf("init -h: %v", err)
 	}
-	for _, want := range []string{"-scheme", "-max-chain", "-checkpoint-every", "-compress", "-compress-gamma-max", "-read-cache-bytes"} {
+	for _, want := range []string{"-scheme", "-max-chain", "-checkpoint-every", "-compress", "-read-cache-bytes"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("init usage missing %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "-compress-gamma-max") {
+		t.Errorf("init usage names the retired -compress-gamma-max:\n%s", out.String())
 	}
 	out.Reset()
 	if err := run(t.Context(), []string{"-nodes", "127.0.0.1:1", "compact", "-h"}, &out); err != nil {

@@ -163,8 +163,8 @@ func New(cfg Config, cluster *store.Cluster) (*Archive, error) {
 		return nil, errNilCluster
 	}
 	a := &Archive{cfg: cfg, cluster: cluster}
-	err := a.buildCodecs()
-	if err != nil {
+	var err error
+	if a.code, err = cfg.newCodec(cfg.N, cfg.K); err != nil {
 		return nil, err
 	}
 	if a.blocking, err = delta.NewBlocking(cfg.K, cfg.BlockSize); err != nil {

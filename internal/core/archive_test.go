@@ -72,8 +72,6 @@ func TestNewValidation(t *testing.T) {
 		{"n == k", func(c *Config) { c.N = 3 }, "n > k > 0"},
 		{"k == 0", func(c *Config) { c.K = 0 }, "n > k > 0"},
 		{"zero block size", func(c *Config) { c.BlockSize = 0 }, ""},
-		{"negative puncture", func(c *Config) { c.PunctureDeltas = -1 }, ""},
-		{"puncture to n<=k", func(c *Config) { c.PunctureDeltas = 3 }, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -482,37 +480,72 @@ func TestReversedSECOrphansWhenNodeDown(t *testing.T) {
 	}
 }
 
-func TestPuncturedDeltasSaveStorageAndStillDecode(t *testing.T) {
+// TestLegacyPuncturedDeltasReadAndRepair: a build that punctured deltas
+// stored each one on its first n-t rows only, under a manifest that carries
+// "puncture_deltas": t. That manifest loads with the key ignored and saves
+// without it, its deltas read through the archive's (n, k) code, and each
+// absent trailing row is a lost row: a node repair or scrub -repair
+// rewrites it.
+func TestLegacyPuncturedDeltasReadAndRepair(t *testing.T) {
+	const punctured = 3
 	cluster := store.NewMemCluster(0)
-	cfg := Config{
-		Name:           "p",
-		Scheme:         BasicSEC,
-		Code:           erasure.NonSystematicCauchy,
-		N:              8,
-		K:              3,
-		BlockSize:      4,
-		PunctureDeltas: 3, // deltas stored on 5 of 8 nodes
-	}
-	a, err := New(cfg, cluster)
+	a, err := New(Config{Name: "p", Scheme: BasicSEC, Code: erasure.NonSystematicCauchy, N: 8, K: 3, BlockSize: 4}, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 := bytes.Repeat([]byte{2}, a.Capacity())
 	v2 := editBlocks(v1, 4, 1)
-	i1 := mustCommit(t, a, v1)
-	i2 := mustCommit(t, a, v2)
-	if i1.ShardWrites != 8 {
-		t.Errorf("full version wrote %d shards, want 8", i1.ShardWrites)
+	versions := [][]byte{v1, v2, editBlocks(v2, 4, 0, 2)}
+	for _, v := range versions {
+		mustCommit(t, a, v)
 	}
-	if i2.ShardWrites != 5 {
-		t.Errorf("punctured delta wrote %d shards, want 5", i2.ShardWrites)
+	for v := 2; v <= 3; v++ {
+		for row := 8 - punctured; row < 8; row++ {
+			nd, err := cluster.Node(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nd.Delete(t.Context(), store.ShardID{Object: deltaID("p", v), Row: row}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	got, stats := mustRetrieve(t, a, 2)
-	if !bytes.Equal(got, v2) {
-		t.Error("punctured retrieval mismatch")
+	saved := string(resave(t, a))
+	legacy := strings.Replace(saved, "\"block_size\": 4,\n", "\"block_size\": 4,\n  \"puncture_deltas\": 3,\n", 1)
+	if legacy == saved {
+		t.Fatal("saved manifest has no block_size line")
 	}
-	if stats.NodeReads != 3+2 {
-		t.Errorf("NodeReads = %d, want 5", stats.NodeReads)
+	b, err := Load(strings.NewReader(legacy), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(resave(t, b)); got != saved {
+		t.Errorf("legacy manifest re-saved as\n%s\nwant\n%s", got, saved)
+	}
+	for i, want := range versions {
+		if got, _ := mustRetrieve(t, b, i+1); !bytes.Equal(got, want) {
+			t.Errorf("version %d mismatch", i+1)
+		}
+	}
+	// Node 7 holds v1's row and now owes both deltas theirs.
+	repair, err := b.RepairNodeContext(t.Context(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repair.ShardsChecked != 3 || repair.ShardsRepaired != 2 {
+		t.Errorf("node 7 repair = %+v, want 3 checked, 2 repaired", repair)
+	}
+	for _, want := range []ScrubReport{
+		{ShardsChecked: 24, ShardsMissing: 4, Repaired: 4},
+		{ShardsChecked: 24},
+	} {
+		got, err := b.ScrubContext(t.Context(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("scrub -repair = %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -129,7 +129,6 @@ func censusKinds() []censusKind {
 		{"non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
 		{"systematic(6,3)", core.Config{Code: sys, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
 		{"non-systematic(8,4)", core.Config{Code: ns, N: 8, K: 4}, 0, 256, nil},
-		{"punctured(8,3)", core.Config{Code: ns, N: 8, K: 3, PunctureDeltas: 3}, 0, 256, nil},
 		{"cdec(8,4)", core.Config{Code: ns, N: 8, K: 4, CompressDeltas: true}, 0, 256, map[string]censusReads{"[0 2 4 6]": {5, 0, 1}}},
 		{"gf16(6,3)", core.Config{Code: ns, N: 6, K: 3, Field: core.GF16}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
 		{"reversed(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: ns, N: 6, K: 3}, 0, 64, nil},
@@ -194,8 +193,8 @@ func censusChain(t *testing.T, cfg core.Config, cluster *store.Cluster) (*core.A
 // path, which versions survive the nodes down reports dead, and whether a
 // wiped node x can be rebuilt: every codeword with a row on x needs its code's
 // k rows on other live nodes. A full codeword survives with k live rows, a
-// CDEC one (gamma + n - k rows) with gamma, and a plain delta (n rows less the
-// punctured ones) with gamma = 0, with k, or, when 2*gamma < k, if criterion2
+// CDEC one (gamma + n - k rows) with gamma, and a plain delta (n rows) with
+// gamma = 0, with k, or, when 2*gamma < k, if criterion2
 // finds 2*gamma of its live rows that satisfy Criterion 2. A version survives
 // if a search reaches it from a surviving full codeword over surviving
 // deltas, each joining its version and its base.
@@ -213,7 +212,7 @@ func censusOracle(m core.Manifest, place store.Placement, criterion2 func(live [
 		case e.Compressed:
 			cws = append(cws, codeword{e.Version, base, e.Gamma + m.N - m.K, e.Gamma, e.Gamma, false})
 		case e.Delta:
-			cws = append(cws, codeword{e.Version, base, m.N - m.PunctureDeltas, m.K, e.Gamma, true})
+			cws = append(cws, codeword{e.Version, base, m.N, m.K, e.Gamma, true})
 		}
 	}
 	liveRows := func(cw codeword, lost int) (live []int) {

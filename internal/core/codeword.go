@@ -14,8 +14,7 @@ import (
 )
 
 // This file is the one place that knows the kinds of stored codeword: a full
-// version x_j under the archive's (N, K) code, a plain delta z_j under the
-// delta code (the same code, less Config.PunctureDeltas trailing rows), and a
+// version x_j and a plain delta z_j under the archive's (N, K) code, and a
 // CDEC-compacted delta, whose gamma non-zero blocks alone are encoded with a
 // (gamma+N-K, gamma) code. A delta of either kind is stored at its byte
 // windows: each block it changed is zero outside a window of its own (one
@@ -41,7 +40,6 @@ type codec interface {
 	K() int
 	Systematic() bool
 	MaxSparseGamma() int
-	Encode(blocks [][]byte) ([][]byte, error)
 	EncodeInto(blocks, dst [][]byte) error
 	EncodeSparseInto(support []int, blocks, dst [][]byte) error
 	DecodeFullInto(rows []int, shards, dst [][]byte) error
@@ -52,8 +50,7 @@ type codec interface {
 
 // codecs are the codes an archive's codewords are written with.
 type codecs struct {
-	code      codec // full codewords
-	deltaCode codec // plain deltas
+	code codec // full codewords and plain deltas
 	// ccMu guards ccache, the lazily built CDEC codecs keyed by gamma
 	// (k' = gamma, n' = gamma + N - K). Retrievals run concurrently under
 	// the archive read lock, so codec construction has its own mutex.
@@ -62,42 +59,25 @@ type codecs struct {
 }
 
 // newCodec builds the (n, k) code of the configured construction over the
-// configured field, less its last punctured rows: the one switch on the field.
-func (c Config) newCodec(n, k, punctured int) (codec, error) {
+// configured field: the one switch on the field.
+func (c Config) newCodec(n, k int) (codec, error) {
 	if c.Field == GF16 {
-		code, err := wide.NewCauchy(n, k)
-		if err != nil || punctured == 0 {
-			return code, err
-		}
-		return code.Punctured(punctured)
+		return wide.NewCauchy(n, k)
 	}
-	code, err := erasure.New(c.Code, n, k)
-	if err != nil || punctured == 0 {
-		return code, err
-	}
-	return code.Punctured(punctured)
-}
-
-// buildCodecs constructs the full-object and delta codecs for the config.
-func (a *Archive) buildCodecs() (err error) {
-	if a.code, err = a.cfg.newCodec(a.cfg.N, a.cfg.K, 0); err != nil {
-		return err
-	}
-	a.deltaCode = a.code
-	if a.cfg.PunctureDeltas > 0 {
-		a.deltaCode, err = a.cfg.newCodec(a.cfg.N, a.cfg.K, a.cfg.PunctureDeltas)
-	}
-	return err
+	return erasure.New(c.Code, n, k)
 }
 
 // compressEligible reports whether a delta of the given sparsity should be
-// stored in CDEC-compacted form: Config.CompressGammaMax defaults to K-1.
+// stored in CDEC-compacted form: every delta that is sparse at all.
 func (a *Archive) compressEligible(gamma int) bool {
-	limit := a.cfg.K - 1
-	if a.cfg.CompressGammaMax > 0 {
-		limit = a.cfg.CompressGammaMax
-	}
-	return a.cfg.CompressDeltas && gamma >= 1 && gamma <= limit
+	return a.cfg.CompressDeltas && gamma >= 1 && gamma <= a.cfg.K-1
+}
+
+// promotionLimit is the sparsity above which compaction stores a merged
+// delta as a full checkpoint instead: the densest delta a sparse read can
+// still serve, as a denser one costs a full codeword's k reads.
+func (a *Archive) promotionLimit() int {
+	return a.code.MaxSparseGamma()
 }
 
 // compressedCode returns the (gamma+N-K, gamma) codec for CDEC-compacted
@@ -114,7 +94,7 @@ func (a *Archive) compressedCode(gamma int) (codec, error) {
 		return c, nil
 	}
 	n := gamma + a.cfg.N - a.cfg.K
-	c, err := a.cfg.newCodec(n, gamma, 0)
+	c, err := a.cfg.newCodec(n, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("core: building compressed (%d,%d) code: %w", n, gamma, err)
 	}
@@ -123,16 +103,6 @@ func (a *Archive) compressedCode(gamma int) (codec, error) {
 	}
 	a.ccache[gamma] = c
 	return c, nil
-}
-
-// promotionLimit is the sparsity above which compaction stores a merged
-// delta as a full checkpoint instead: Config.CompactGammaLimit, defaulting to
-// the densest delta a sparse read can still serve.
-func (a *Archive) promotionLimit() int {
-	if a.cfg.CompactGammaLimit > 0 {
-		return a.cfg.CompactGammaLimit
-	}
-	return a.deltaCode.MaxSparseGamma()
 }
 
 // entry records what the archive stores for one version.
@@ -334,7 +304,7 @@ func (a *Archive) fullCodeword(v int) codeword {
 // deltaKind describes the stored delta of an entry without naming it, which
 // is all the planner needs to price one (it prices the whole chain per read).
 func (a *Archive) deltaKind(e entry) (codeword, error) {
-	cw := codeword{code: a.deltaCode, delta: true, gamma: e.gamma, compressed: e.compressed, support: e.support, off: e.off, width: e.width, offs: e.offs}
+	cw := codeword{code: a.code, delta: true, gamma: e.gamma, compressed: e.compressed, support: e.support, off: e.off, width: e.width, offs: e.offs}
 	if !e.compressed {
 		return cw, nil
 	}
@@ -412,7 +382,7 @@ func (a *Archive) storeDelta(ctx context.Context, id string, version int, d delt
 	if compressed {
 		d = d.Shared()
 	}
-	cw := codeword{id: id, version: version, code: a.deltaCode, delta: true, gamma: d.Gamma(), compressed: compressed, support: d.Support, width: d.Width(), offs: d.Offs}
+	cw := codeword{id: id, version: version, code: a.code, delta: true, gamma: d.Gamma(), compressed: compressed, support: d.Support, width: d.Width(), offs: d.Offs}
 	if cw.gamma > 0 {
 		cw.off = d.Off(0)
 	}

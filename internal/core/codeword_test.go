@@ -50,8 +50,7 @@ func TestNodesHoldWhatTheChainLists(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"plain", func(*Config) {}},
-		{"cdec", func(c *Config) { c.CompressDeltas, c.CompressGammaMax = true, 2 }},
-		{"punctured", func(c *Config) { c.PunctureDeltas = 2 }},
+		{"cdec", func(c *Config) { c.CompressDeltas = true }},
 		{"gf16-cdec", func(c *Config) { c.Field, c.CompressDeltas = GF16, true }},
 		{"checkpoint-cdec", func(c *Config) { c.CheckpointEvery, c.CompressDeltas = 4, true }},
 	}
@@ -165,8 +164,8 @@ func TestNodesHoldWhatTheChainLists(t *testing.T) {
 // needs to know asks the codeword (see the head of codeword.go).
 func TestKindVocabularyConfined(t *testing.T) {
 	vocabulary := map[string]bool{
-		"compressed": true, "support": true, "deltaCode": true, "compressedCode": true, "entryDeltaCode": true,
-		"sparseGamma": true, "compressEligible": true, "compressGammaMax": true, "plannedDeltaReads": true,
+		"compressed": true, "support": true, "compressedCode": true, "entryDeltaCode": true,
+		"sparseGamma": true, "compressEligible": true, "plannedDeltaReads": true,
 		"plannedEntryReads": true, "CompressedReadCost": true, "ReadCost": true, "MaxSparseGamma": true,
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {

@@ -38,8 +38,8 @@ type CompactionInfo struct {
 	NodeReads int
 	// PlannedReadGain sums, over every rewritten version, how many planned
 	// node reads one retrieval of it saves versus the old chain (the
-	// delta.MergeGain of each merge; promotions count their whole old
-	// delta walk as saved).
+	// walk's planned cost less the merged delta's; promotions count their
+	// whole old delta walk as saved).
 	PlannedReadGain int
 }
 
@@ -98,10 +98,9 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 // cancellation. Versions deeper than maxLen are rebased: the deltas
 // between the version and its nearest full anchor are merged into one
 // anchor-relative delta (stored as a fresh codeword), or - when the merged
-// delta's recomputed sparsity exceeds the promotion limit (see
-// Config.CompactGammaLimit) - the version is promoted to a full
-// checkpoint. Every version remains retrievable byte-identically
-// throughout.
+// delta is denser than a sparse read can serve (promotionLimit) - the
+// version is promoted to a full checkpoint. Every version remains
+// retrievable byte-identically throughout.
 //
 // New codewords are written under fresh object names first and the
 // in-memory manifest is swapped atomically (a concurrent Save or
@@ -192,8 +191,8 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 		// to v (planned against the still-unswapped entries, each codeword
 		// charging what its kind costs to read) versus one read of the
 		// rewritten delta (zero for a promotion, which anchors v outright).
-		// On chains without compression this is exactly delta.MergeGain of
-		// the walk's gammas.
+		// On chains without compression this is the sum of the walk's
+		// delta.ReadCost less the merged delta's.
 		oldWalk, err := a.planChain(v)
 		if err != nil {
 			return info, err
@@ -340,9 +339,10 @@ func maxDepth(depths []int) int {
 	return deepest
 }
 
-// ChainDepth returns how many delta applications the shallowest retrieval
-// of version l needs (0 when its full codeword is stored). It is the
-// quantity MaxChainLength bounds.
+// ChainDepth returns how many delta applications the shallowest walk from a
+// full codeword to version l takes (0 when its full codeword is stored). It
+// is the quantity MaxChainLength bounds; a read takes the planner's
+// cheapest walk, which can take more.
 func (a *Archive) ChainDepth(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

@@ -782,8 +782,6 @@ func TestConfigLifecycleValidation(t *testing.T) {
 	}{
 		{"negative max chain", func(c *Config) { c.MaxChainLength = -1 }},
 		{"negative checkpoint interval", func(c *Config) { c.CheckpointEvery = -2 }},
-		{"negative gamma limit", func(c *Config) { c.CompactGammaLimit = -1 }},
-		{"gamma limit above k", func(c *Config) { c.CompactGammaLimit = 4 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

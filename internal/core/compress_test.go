@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/secarchive/sec/internal/erasure"
@@ -24,9 +25,6 @@ func TestCompressValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"gamma max over k-1", func(c *Config) { c.CompressGammaMax = 3 }},
-		{"negative gamma max", func(c *Config) { c.CompressGammaMax = -1 }},
-		{"compress + puncture", func(c *Config) { c.CompressDeltas = true; c.PunctureDeltas = 1 }},
 		{"negative cache budget", func(c *Config) { c.ReadCacheBytes = -1 }},
 	}
 	for _, tt := range tests {
@@ -109,32 +107,53 @@ func TestCompressedRoundTripAllCodes(t *testing.T) {
 	}
 }
 
-// TestCompressGammaMaxThreshold pins the policy knob: deltas up to the
-// bound are compressed, denser ones take the plain delta path, and both
-// kinds coexist on one chain.
-func TestCompressGammaMaxThreshold(t *testing.T) {
-	cfg := compressConfig(BasicSEC, erasure.NonSystematicCauchy)
-	cfg.CompressGammaMax = 1
-	a, err := New(cfg, store.NewMemCluster(0))
+// commitPlain commits object as a plain delta into a compressing archive,
+// as a build with a compress threshold below gamma stored it.
+func commitPlain(t *testing.T, a *Archive, object []byte) CommitInfo {
+	t.Helper()
+	a.cfg.CompressDeltas = false
+	defer func() { a.cfg.CompressDeltas = true }()
+	return mustCommit(t, a, object)
+}
+
+// TestLegacyPlainDeltaInCompressedChain: a build with a compress threshold
+// stored deltas above it plain, under a manifest that carries
+// "compress_gamma_max". That manifest loads with the key ignored, and the
+// plain delta stays plain beside the compressed ones and reads as one.
+func TestLegacyPlainDeltaInCompressedChain(t *testing.T) {
+	cluster := store.NewMemCluster(0)
+	a, err := New(compressConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 := bytes.Repeat([]byte{7}, a.Capacity())
 	v2 := editBlocks(v1, 4, 2)    // gamma=1: compressed
-	v3 := editBlocks(v2, 4, 0, 1) // gamma=2 > bound: plain delta
+	v3 := editBlocks(v2, 4, 0, 1) // gamma=2, above the old threshold: plain
 	i1 := mustCommit(t, a, v1)
 	i2 := mustCommit(t, a, v2)
-	i3 := mustCommit(t, a, v3)
+	i3 := commitPlain(t, a, v3)
 	if i1.Compressed || !i2.Compressed || i3.Compressed {
 		t.Errorf("Compressed flags = %v %v %v", i1.Compressed, i2.Compressed, i3.Compressed)
 	}
+	saved := string(resave(t, a))
+	legacy := strings.Replace(saved, "\"compress_deltas\": true,\n", "\"compress_deltas\": true,\n  \"compress_gamma_max\": 1,\n", 1)
+	if legacy == saved {
+		t.Fatal("saved manifest has no compress_deltas line")
+	}
+	b, err := Load(strings.NewReader(legacy), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(resave(t, b)); got != saved {
+		t.Errorf("legacy manifest re-saved as\n%s\nwant\n%s", got, saved)
+	}
 	for v, want := range [][]byte{v1, v2, v3} {
-		got, _ := mustRetrieve(t, a, v+1)
+		got, _ := mustRetrieve(t, b, v+1)
 		if !bytes.Equal(got, want) {
 			t.Errorf("v%d mismatch", v+1)
 		}
 	}
-	_, stats := mustRetrieve(t, a, 3)
+	_, stats := mustRetrieve(t, b, 3)
 	if stats.CompressedReads != 1 {
 		t.Errorf("mixed chain stats = %+v, want exactly 1 compressed object read", stats)
 	}

@@ -29,7 +29,6 @@ func TestLengthCensus(t *testing.T) {
 		"non-systematic(6,3)":           164,
 		"systematic(6,3)":               164,
 		"non-systematic(8,4)":           648,
-		"punctured(8,3)":                466,
 		"cdec(8,4)":                     384,
 		"gf16(6,3)":                     164,
 		"reversed(6,3)":                 164,
@@ -180,7 +179,7 @@ func lengthTargets(t *testing.T, m core.Manifest) []lengthTarget {
 			full = &lengthTarget{id: core.FullIDForExternal(m.Name, e.Version), version: e.Version, rows: m.N, k: m.K}
 		}
 		if e.Delta && e.Gamma > 0 && e.Base == 0 && delta == nil {
-			delta = &lengthTarget{id: core.DeltaIDForExternal(m.Name, e.Version), version: e.Version, rows: m.N - m.PunctureDeltas, k: m.K}
+			delta = &lengthTarget{id: core.DeltaIDForExternal(m.Name, e.Version), version: e.Version, rows: m.N, k: m.K}
 			if e.Compressed {
 				delta.rows, delta.k = e.Gamma+m.N-m.K, e.Gamma
 			}

@@ -20,28 +20,28 @@ import (
 // Config.Spec and Open convert between the two. Zero-valued policy fields
 // keep their defaults.
 type Spec struct {
-	Scheme         string `json:"scheme"`
-	Code           string `json:"code"`
-	Field          string `json:"field,omitempty"`
-	N              int    `json:"n"`
-	K              int    `json:"k"`
-	BlockSize      int    `json:"block_size"`
-	PunctureDeltas int    `json:"puncture_deltas,omitempty"`
-	Placement      string `json:"placement,omitempty"`
-	// MaxChainLength, CheckpointEvery, and CompactGammaLimit persist the
-	// chain-lifecycle policy so an archive reopened from its manifest keeps
-	// compacting the way it was created to.
-	MaxChainLength    int `json:"max_chain_length,omitempty"`
-	CheckpointEvery   int `json:"checkpoint_every,omitempty"`
-	CompactGammaLimit int `json:"compact_gamma_limit,omitempty"`
-	// CompressDeltas, CompressGammaMax, and ReadCacheBytes persist the CDEC
-	// compression policy and the decoded-version cache budget so a reopened
-	// archive keeps storing and serving the way it was created to. All
-	// three are absent from pre-compression manifests, which unmarshal to
-	// the defaults (both features off).
-	CompressDeltas   bool `json:"compress_deltas,omitempty"`
-	CompressGammaMax int  `json:"compress_gamma_max,omitempty"`
-	ReadCacheBytes   int  `json:"read_cache_bytes,omitempty"`
+	Scheme    string `json:"scheme"`
+	Code      string `json:"code"`
+	Field     string `json:"field,omitempty"`
+	N         int    `json:"n"`
+	K         int    `json:"k"`
+	BlockSize int    `json:"block_size"`
+	Placement string `json:"placement,omitempty"`
+	// MaxChainLength and CheckpointEvery persist the chain-lifecycle
+	// policy so an archive reopened from its manifest keeps compacting the
+	// way it was created to.
+	MaxChainLength  int `json:"max_chain_length,omitempty"`
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	// CompressDeltas and ReadCacheBytes persist the CDEC compression
+	// policy and the decoded-version cache budget so a reopened archive
+	// keeps storing and serving the way it was created to. Both are absent
+	// from pre-compression manifests, which unmarshal to the defaults
+	// (both features off).
+	CompressDeltas bool `json:"compress_deltas,omitempty"`
+	ReadCacheBytes int  `json:"read_cache_bytes,omitempty"`
+	// The keys puncture_deltas, compact_gamma_limit and compress_gamma_max
+	// of older manifests are ignored: their deltas read through the
+	// archive's code, a punctured one's missing rows as lost rows.
 }
 
 // Spec renders the settings in the string forms a manifest persists, with
@@ -49,20 +49,17 @@ type Spec struct {
 func (c Config) Spec() Spec {
 	c = c.withDefaults()
 	return Spec{
-		Scheme:            c.Scheme.String(),
-		Code:              c.Code.String(),
-		Field:             c.Field.String(),
-		N:                 c.N,
-		K:                 c.K,
-		BlockSize:         c.BlockSize,
-		PunctureDeltas:    c.PunctureDeltas,
-		Placement:         c.Placement.Name(),
-		MaxChainLength:    c.MaxChainLength,
-		CheckpointEvery:   c.CheckpointEvery,
-		CompactGammaLimit: c.CompactGammaLimit,
-		CompressDeltas:    c.CompressDeltas,
-		CompressGammaMax:  c.CompressGammaMax,
-		ReadCacheBytes:    c.ReadCacheBytes,
+		Scheme:          c.Scheme.String(),
+		Code:            c.Code.String(),
+		Field:           c.Field.String(),
+		N:               c.N,
+		K:               c.K,
+		BlockSize:       c.BlockSize,
+		Placement:       c.Placement.Name(),
+		MaxChainLength:  c.MaxChainLength,
+		CheckpointEvery: c.CheckpointEvery,
+		CompressDeltas:  c.CompressDeltas,
+		ReadCacheBytes:  c.ReadCacheBytes,
 	}
 }
 
@@ -86,21 +83,18 @@ func (s Spec) config(name string) (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Name:              name,
-		Scheme:            scheme,
-		Code:              kind,
-		Field:             field,
-		N:                 s.N,
-		K:                 s.K,
-		BlockSize:         s.BlockSize,
-		Placement:         placement,
-		PunctureDeltas:    s.PunctureDeltas,
-		MaxChainLength:    s.MaxChainLength,
-		CheckpointEvery:   s.CheckpointEvery,
-		CompactGammaLimit: s.CompactGammaLimit,
-		CompressDeltas:    s.CompressDeltas,
-		CompressGammaMax:  s.CompressGammaMax,
-		ReadCacheBytes:    s.ReadCacheBytes,
+		Name:            name,
+		Scheme:          scheme,
+		Code:            kind,
+		Field:           field,
+		N:               s.N,
+		K:               s.K,
+		BlockSize:       s.BlockSize,
+		Placement:       placement,
+		MaxChainLength:  s.MaxChainLength,
+		CheckpointEvery: s.CheckpointEvery,
+		CompressDeltas:  s.CompressDeltas,
+		ReadCacheBytes:  s.ReadCacheBytes,
 	}, nil
 }
 

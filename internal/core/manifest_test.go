@@ -69,9 +69,7 @@ func TestManifestSaveLoadRoundTrip(t *testing.T) {
 
 func TestManifestFields(t *testing.T) {
 	cluster := store.NewMemCluster(0)
-	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
-	cfg.PunctureDeltas = 2
-	a, err := New(cfg, cluster)
+	a, err := New(testConfig(BasicSEC, erasure.NonSystematicCauchy), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +77,7 @@ func TestManifestFields(t *testing.T) {
 	mustCommit(t, a, v1)
 	mustCommit(t, a, editBlocks(v1, 4, 1))
 	m := a.Manifest()
-	if m.N != 6 || m.K != 3 || m.BlockSize != 4 || m.PunctureDeltas != 2 {
+	if m.N != 6 || m.K != 3 || m.BlockSize != 4 {
 		t.Errorf("manifest config = %+v", m)
 	}
 	if m.Scheme != "basic-sec" || m.Code != "non-systematic-cauchy" || m.Placement != "colocated" {
@@ -106,20 +104,17 @@ func TestSpecCarriesEveryConfigField(t *testing.T) {
 		"Name": "heads the manifest, beside the spec",
 	}
 	values := map[string]any{
-		"Scheme":            ReversedSEC,
-		"Code":              erasure.SystematicVandermonde,
-		"Field":             GF16,
-		"N":                 7,
-		"K":                 2,
-		"BlockSize":         8,
-		"Placement":         store.DispersedPlacement{N: 6},
-		"PunctureDeltas":    1,
-		"MaxChainLength":    2,
-		"CheckpointEvery":   3,
-		"CompactGammaLimit": 1,
-		"CompressDeltas":    true,
-		"CompressGammaMax":  1,
-		"ReadCacheBytes":    4096,
+		"Scheme":          ReversedSEC,
+		"Code":            erasure.SystematicVandermonde,
+		"Field":           GF16,
+		"N":               7,
+		"K":               2,
+		"BlockSize":       8,
+		"Placement":       store.DispersedPlacement{N: 6},
+		"MaxChainLength":  2,
+		"CheckpointEvery": 3,
+		"CompressDeltas":  true,
+		"ReadCacheBytes":  4096,
 	}
 	for _, field := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		if _, ok := notInSpec[field.Name]; ok {

@@ -106,7 +106,7 @@ func TestManifestReplayEquivalence(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"mixed chain", Config{Scheme: BasicSEC, CompressDeltas: true, CompressGammaMax: 1}},
+		{"mixed chain", Config{Scheme: BasicSEC, CompressDeltas: true}},
 		{"optimized", Config{Scheme: OptimizedSEC, CheckpointEvery: 4}},
 		{"reversed tip rewrites", Config{Scheme: ReversedSEC}},
 		{"reversed with checkpoints", Config{Scheme: ReversedSEC, CheckpointEvery: 3}},

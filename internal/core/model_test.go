@@ -167,22 +167,21 @@ func allNodesUp(cluster *store.Cluster) bool {
 }
 
 // mixedChain commits the five-version chain that walks every reader: a full
-// codeword, a sparse delta (2*gamma < k), a dense delta (gamma = k, read in
-// full), a CDEC-compressed delta (gamma within CompressGammaMax) and an
-// all-zero delta that costs nothing.
+// codeword, a plain sparse delta (2*gamma < k, stored as a build with a
+// compress threshold of 1 stored it), a dense delta (gamma = k, read in
+// full), a CDEC-compressed delta and an all-zero delta that costs nothing.
 func mixedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 	t.Helper()
 	const blockSize = 16
 	cluster := store.NewMemCluster(0)
 	a, err := New(Config{
-		Name:             "mixed",
-		Scheme:           BasicSEC,
-		Code:             erasure.NonSystematicCauchy,
-		N:                10,
-		K:                5,
-		BlockSize:        blockSize,
-		CompressDeltas:   true,
-		CompressGammaMax: 1,
+		Name:           "mixed",
+		Scheme:         BasicSEC,
+		Code:           erasure.NonSystematicCauchy,
+		N:              10,
+		K:              5,
+		BlockSize:      blockSize,
+		CompressDeltas: true,
 	}, cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,9 @@ func mixedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 	v4 := editBlocks(v3, blockSize, 2)
 	versions := [][]byte{v1, v2, v3, v4, v4}
 	for i, v := range versions {
-		if _, err := a.CommitContext(t.Context(), v); err != nil {
+		if i == 1 {
+			commitPlain(t, a, v)
+		} else if _, err := a.CommitContext(t.Context(), v); err != nil {
 			t.Fatalf("commit %d: %v", i+1, err)
 		}
 	}

@@ -126,45 +126,6 @@ func TestRepairNodeIdempotent(t *testing.T) {
 	}
 }
 
-func TestRepairNodeWithPuncturedDeltas(t *testing.T) {
-	cluster := store.NewMemCluster(0)
-	cfg := Config{
-		Name:           "pr",
-		Scheme:         BasicSEC,
-		Code:           erasure.NonSystematicCauchy,
-		N:              8,
-		K:              3,
-		BlockSize:      4,
-		PunctureDeltas: 2, // delta rows 0..5 only
-	}
-	a, err := New(cfg, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Repeat([]byte{3}, a.Capacity())
-	mustCommit(t, a, v1)
-	mustCommit(t, a, editBlocks(v1, 4, 0))
-
-	// Node 7 holds only the full version's shard (deltas are punctured
-	// past row 5); node 2 holds both.
-	wipeArchiveShards(t, a, cluster, 7)
-	report, err := a.RepairNodeContext(t.Context(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ShardsChecked != 1 || report.ShardsRepaired != 1 {
-		t.Errorf("node 7 report = %+v", report)
-	}
-	wipeArchiveShards(t, a, cluster, 2)
-	report, err = a.RepairNodeContext(t.Context(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ShardsChecked != 2 || report.ShardsRepaired != 2 {
-		t.Errorf("node 2 report = %+v", report)
-	}
-}
-
 func TestRepairNodeWithSecondNodePartiallyWiped(t *testing.T) {
 	// Node 3 is replaced empty; node 1 has additionally lost SOME shards
 	// (partial wipe). Repairing node 3 must route around node 1's holes by

@@ -123,14 +123,12 @@ type Config struct {
 	// Placement maps shards to cluster nodes. Defaults to colocated,
 	// the placement the paper shows is optimal.
 	Placement store.Placement
-	// PunctureDeltas drops this many trailing shards from every stored
-	// delta (0 = none). This implements the storage-overhead reduction
-	// the paper flags as future work for non-systematic SEC; resilience
-	// of deltas degrades accordingly.
-	PunctureDeltas int
-	// MaxChainLength bounds how many delta applications any version's
-	// retrieval may need (0 = unbounded). When set, a commit that pushes
-	// some version's chain depth beyond the bound triggers compaction:
+	// MaxChainLength bounds every version's chain depth (0 = unbounded):
+	// the delta applications on the shallowest walk from a full codeword
+	// to it (ChainDepth). A read takes the planner's cheapest walk
+	// instead, which on Reversed SEC can apply more deltas than the bound.
+	// When set, a commit that pushes some version's chain depth beyond the
+	// bound triggers compaction:
 	// over-deep versions are rebased onto their nearest full anchor with a
 	// merged (XOR-composed) delta, or promoted to a full checkpoint when
 	// the merged delta is dense. The superseded delta codewords are queued
@@ -141,15 +139,9 @@ type Config struct {
 	// scheme stores). Checkpoints bound chain growth proactively at commit
 	// time, where MaxChainLength bounds it reactively by compaction.
 	CheckpointEvery int
-	// CompactGammaLimit is the sparsity above which compaction promotes a
-	// merged delta to a full checkpoint instead of storing it (0 = the
-	// delta code's maximum sparse-readable gamma). A merged delta denser
-	// than the limit would cost as much to read as a full codeword while
-	// being less resilient, so promotion is strictly better.
-	CompactGammaLimit int
 	// CompressDeltas enables compressed differential erasure coding
 	// (CDEC, the paper's follow-up work): a delta whose sparsity gamma is
-	// within CompressGammaMax is compacted to its gamma non-zero blocks
+	// between 1 and K-1 is compacted to its gamma non-zero blocks
 	// before encoding and stored as a codeword of a (gamma+N-K, gamma)
 	// code. The parity count is unchanged, so a compressed delta tolerates
 	// the same N-K node failures, while both its stored size and its
@@ -159,13 +151,7 @@ type Config struct {
 	// per-delta gamma does. Off by default, preserving the paper's exact
 	// storage and read accounting; archives with existing uncompressed
 	// deltas keep reading them unchanged (chains may mix freely).
-	// Incompatible with PunctureDeltas, which shapes delta codewords the
-	// other way.
 	CompressDeltas bool
-	// CompressGammaMax is the largest gamma stored compressed (0 means
-	// K-1: every delta that is sparse at all). Denser deltas fall back to
-	// the uncompressed path. Only meaningful with CompressDeltas.
-	CompressGammaMax int
 	// ReadCacheBytes budgets an in-memory LRU cache of decoded versions
 	// (0 = disabled, the default). With a budget set, each commit keeps
 	// its own version and single-version retrievals keep the versions
@@ -204,23 +190,11 @@ func (c Config) validate() error {
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("core: block size must be positive, got %d", c.BlockSize)
 	}
-	if c.PunctureDeltas < 0 {
-		return fmt.Errorf("core: negative puncture count %d", c.PunctureDeltas)
-	}
 	if c.MaxChainLength < 0 {
 		return fmt.Errorf("core: negative max chain length %d", c.MaxChainLength)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("core: negative checkpoint interval %d", c.CheckpointEvery)
-	}
-	if c.CompactGammaLimit < 0 || c.CompactGammaLimit > c.K {
-		return fmt.Errorf("core: compact gamma limit %d outside [0,%d]", c.CompactGammaLimit, c.K)
-	}
-	if c.CompressGammaMax < 0 || c.CompressGammaMax > c.K-1 {
-		return fmt.Errorf("core: compress gamma max %d outside [0,%d]", c.CompressGammaMax, c.K-1)
-	}
-	if c.CompressDeltas && c.PunctureDeltas > 0 {
-		return fmt.Errorf("core: CompressDeltas and PunctureDeltas are mutually exclusive")
 	}
 	if c.ReadCacheBytes < 0 {
 		return fmt.Errorf("core: negative read cache budget %d", c.ReadCacheBytes)

@@ -96,7 +96,7 @@ func TestDiffOfVectors(t *testing.T) {
 					blk[lo] |= 1
 				}
 			}
-			next, err := Apply(prev, change)
+			next, err := Compute(prev, change)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestDiffOfVectors(t *testing.T) {
 					next[i] = prev[i] // shared, as a walk's versions are
 				}
 			}
-			before, beforeNext := Clone(prev), Clone(next)
+			before, beforeNext := clone(prev), clone(next)
 			got, err := Diff(prev, next)
 			if err != nil {
 				t.Fatal(err)
@@ -273,9 +273,9 @@ func TestApplyToMatchesApplyAndSharesTheRest(t *testing.T) {
 			base[i] = make([]byte, blockSize)
 			rng.Read(base[i])
 		}
-		before := Clone(base)
+		before := clone(base)
 		d := randomSparseDelta(rng, k, blockSize, gamma)
-		want, err := Apply(base, d)
+		want, err := Compute(base, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,42 +152,6 @@ func Compute(prev, next [][]byte) ([][]byte, error) {
 	return d, nil
 }
 
-// Apply returns base + d (XOR), reconstructing the next version from the
-// previous one, or the previous from the next: XOR deltas are their own
-// inverse. The result is a fresh allocation.
-func Apply(base, d [][]byte) ([][]byte, error) {
-	return Compute(base, d) // XOR is symmetric; reuse the checked implementation.
-}
-
-// Compose returns the delta equivalent to applying d1 then d2.
-func Compose(d1, d2 [][]byte) ([][]byte, error) {
-	return Compute(d1, d2)
-}
-
-// Merge XOR-composes adjacent deltas into the single delta spanning them:
-// if z_i = x_i - x_{i-1} for i = a+1..b, Merge(z_{a+1}, ..., z_b) is
-// x_b - x_a. Over a characteristic-2 field composition is plain block-wise
-// XOR, so Merge is associative and commutative, and merging a delta with
-// itself yields the zero delta. The merged delta's sparsity must be
-// recomputed (see Sparsity): overlapping edits cancel and disjoint edits
-// accumulate, so gamma(Merge(z1, z2)) can be anything from 0 to
-// gamma(z1)+gamma(z2). Merge of no deltas is an error (the shape of the
-// zero delta would be unknown); a single delta is cloned.
-func Merge(deltas ...[][]byte) ([][]byte, error) {
-	if len(deltas) == 0 {
-		return nil, fmt.Errorf("delta: merge of zero deltas")
-	}
-	merged := Clone(deltas[0])
-	for _, d := range deltas[1:] {
-		next, err := Compose(merged, d)
-		if err != nil {
-			return nil, err
-		}
-		merged = next
-	}
-	return merged, nil
-}
-
 // ReadCost is the paper's per-object read count eta: 0 for an all-zero
 // delta, 2*gamma when gamma admits a sparse read (gamma <= maxSparseGamma),
 // and k (a full decode) otherwise. The retrieval planner prices every
@@ -204,21 +168,6 @@ func ReadCost(gamma, k, maxSparseGamma int) int {
 	}
 }
 
-// MergeGain models what replacing a chain of deltas with their merge saves
-// on a single retrieval that walks the whole chain: the summed read cost of
-// the individual deltas minus the read cost of the merged delta (whose
-// recomputed sparsity is mergedGamma). A negative gain means the merged
-// delta is so much denser than its parts that one retrieval would read
-// more after merging; chain-lifecycle planners weigh this against the
-// chain-length bound they must enforce.
-func MergeGain(k, maxSparseGamma int, gammas []int, mergedGamma int) int {
-	total := 0
-	for _, g := range gammas {
-		total += ReadCost(g, k, maxSparseGamma)
-	}
-	return total - ReadCost(mergedGamma, k, maxSparseGamma)
-}
-
 // Sparsity returns the number of non-zero blocks: the paper's gamma.
 func Sparsity(blocks [][]byte) int {
 	gamma := 0
@@ -230,29 +179,9 @@ func Sparsity(blocks [][]byte) int {
 	return gamma
 }
 
-// Support returns the indices of the non-zero blocks, in increasing order.
-func Support(blocks [][]byte) []int {
-	var sup []int
-	for i, blk := range blocks {
-		if !isZeroBlock(blk) {
-			sup = append(sup, i)
-		}
-	}
-	return sup
-}
-
 // IsZero reports whether every block is entirely zero.
 func IsZero(blocks [][]byte) bool {
 	return Sparsity(blocks) == 0
-}
-
-// Clone deep-copies a block vector.
-func Clone(blocks [][]byte) [][]byte {
-	c := make([][]byte, len(blocks))
-	for i, blk := range blocks {
-		c[i] = append([]byte(nil), blk...)
-	}
-	return c
 }
 
 // Equal reports whether two block vectors have identical shapes and

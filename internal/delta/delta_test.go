@@ -132,7 +132,18 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-func TestComputeApplyInverse(t *testing.T) {
+// clone deep-copies a block vector.
+func clone(blocks [][]byte) [][]byte {
+	c := make([][]byte, len(blocks))
+	for i, blk := range blocks {
+		c[i] = bytes.Clone(blk)
+	}
+	return c
+}
+
+// TestComputeIsItsOwnInverse: the XOR delta of two versions turns either
+// one into the other.
+func TestComputeIsItsOwnInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	b, err := NewBlocking(6, 32)
 	if err != nil {
@@ -154,19 +165,19 @@ func TestComputeApplyInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forward, err := Apply(prev, d)
+	forward, err := Compute(prev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(forward, next) {
-		t.Error("Apply(prev, delta) != next")
+		t.Error("prev + delta != next")
 	}
-	backward, err := Apply(next, d)
+	backward, err := Compute(next, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(backward, prev) {
-		t.Error("Apply(next, delta) != prev (XOR deltas must be self-inverse)")
+		t.Error("next + delta != prev (XOR deltas must be self-inverse)")
 	}
 }
 
@@ -179,63 +190,22 @@ func TestComputeShapeErrors(t *testing.T) {
 	}
 }
 
-func TestComposeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	b, err := NewBlocking(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	versions := make([][][]byte, 3)
-	for i := range versions {
-		data := make([]byte, b.Capacity())
-		rng.Read(data)
-		v, err := b.Split(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions[i] = v
-	}
-	d12, err := Compute(versions[0], versions[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d23, err := Compute(versions[1], versions[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	composed, err := Compose(d12, d23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Compute(versions[0], versions[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(composed, direct) {
-		t.Error("Compose(d12,d23) != Compute(v1,v3)")
-	}
-}
-
-func TestSparsityAndSupport(t *testing.T) {
+func TestSparsity(t *testing.T) {
 	tests := []struct {
-		name        string
-		blocks      [][]byte
-		wantGamma   int
-		wantSupport []int
+		name      string
+		blocks    [][]byte
+		wantGamma int
 	}{
-		{"all zero", [][]byte{{0, 0}, {0, 0}, {0, 0}}, 0, nil},
-		{"one sparse", [][]byte{{0, 0}, {0, 9}, {0, 0}}, 1, []int{1}},
-		{"dense", [][]byte{{1, 0}, {0, 9}, {4, 4}}, 3, []int{0, 1, 2}},
-		{"single byte changes count whole block", [][]byte{{0, 1}, {0, 0}}, 1, []int{0}},
-		{"empty vector", nil, 0, nil},
+		{"all zero", [][]byte{{0, 0}, {0, 0}, {0, 0}}, 0},
+		{"one sparse", [][]byte{{0, 0}, {0, 9}, {0, 0}}, 1},
+		{"dense", [][]byte{{1, 0}, {0, 9}, {4, 4}}, 3},
+		{"single byte changes count whole block", [][]byte{{0, 1}, {0, 0}}, 1},
+		{"empty vector", nil, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Sparsity(tt.blocks); got != tt.wantGamma {
 				t.Errorf("Sparsity = %d, want %d", got, tt.wantGamma)
-			}
-			if got := Support(tt.blocks); !reflect.DeepEqual(got, tt.wantSupport) {
-				t.Errorf("Support = %v, want %v", got, tt.wantSupport)
 			}
 			if got, want := IsZero(tt.blocks), tt.wantGamma == 0; got != want {
 				t.Errorf("IsZero = %v, want %v", got, want)
@@ -273,17 +243,8 @@ func TestSparsityMatchesPaperExample(t *testing.T) {
 	if got := Sparsity(d); got != 1 {
 		t.Errorf("gamma = %d, want 1", got)
 	}
-	if got := Support(d); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("support = %v, want [0]", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	orig := [][]byte{{1, 2}, {3, 4}}
-	c := Clone(orig)
-	c[0][0] = 99
-	if orig[0][0] != 1 {
-		t.Error("Clone aliases its input")
+	if !isZeroBlock(d[1]) || !isZeroBlock(d[2]) {
+		t.Error("blocks 1 and 2 changed")
 	}
 }
 
@@ -305,5 +266,18 @@ func TestEqual(t *testing.T) {
 				t.Errorf("Equal = %v, want %v", got, tt.want)
 			}
 		})
+	}
+}
+
+func TestReadCost(t *testing.T) {
+	k, maxSparse := 10, 4
+	if got := ReadCost(0, k, maxSparse); got != 0 {
+		t.Errorf("zero delta cost = %d, want 0", got)
+	}
+	if got := ReadCost(3, k, maxSparse); got != 6 {
+		t.Errorf("sparse cost = %d, want 6", got)
+	}
+	if got := ReadCost(5, k, maxSparse); got != k {
+		t.Errorf("dense cost = %d, want %d", got, k)
 	}
 }

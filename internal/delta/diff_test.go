@@ -28,7 +28,7 @@ func FuzzDiff(f *testing.F) {
 		for i := 0; i+2 < len(edits) && len(object) > 0; i += 3 {
 			object[(int(edits[i])|int(edits[i+1])<<8)%len(object)] ^= edits[i+2]
 		}
-		prevBefore, objectBefore := Clone(prev), append([]byte(nil), object...)
+		prevBefore, objectBefore := clone(prev), append([]byte(nil), object...)
 
 		next, d, err := b.Diff(prev, object)
 		if !Equal(prev, prevBefore) || !bytes.Equal(object, objectBefore) {

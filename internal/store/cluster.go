@@ -43,47 +43,27 @@ type Cluster struct {
 // see every call in one order from run to run: for crash enumeration.
 func (c *Cluster) RunInOrder() { c.inOrder.Store(true) }
 
-// WireStats counts the shard operations this cluster client completed and
-// the payload bytes they moved, from the client's side of the wire. Node-
-// side NodeStats count what each node served (to anyone, since its last
-// reset); WireStats counts what THIS client actually transferred, retries
-// included - each successful attempt counts once, each re-issued shard of
-// a retried batch counts again. Framing overhead is excluded: the numbers
-// are shard payload bytes, the quantity the paper's I/O model prices.
-type WireStats struct {
-	// Gets, Puts, and Deletes count successfully completed shard
-	// operations (batch shards count individually).
-	Gets, Puts, Deletes uint64
-	// BytesRead and BytesWritten total the payload bytes of those
-	// operations.
-	BytesRead, BytesWritten uint64
-}
-
-// Add returns the element-wise sum of two wire-stat snapshots.
-func (s WireStats) Add(o WireStats) WireStats {
-	return WireStats{
-		Gets:         s.Gets + o.Gets,
-		Puts:         s.Puts + o.Puts,
-		Deletes:      s.Deletes + o.Deletes,
-		BytesRead:    s.BytesRead + o.BytesRead,
-		BytesWritten: s.BytesWritten + o.BytesWritten,
-	}
-}
-
 type wireCounters struct {
-	gets, puts, deletes     atomic.Uint64
+	reads, writes, deletes  atomic.Uint64
 	bytesRead, bytesWritten atomic.Uint64
 }
 
-func (w *wireCounters) countGet(n int) { w.gets.Add(1); w.bytesRead.Add(uint64(n)) }
-func (w *wireCounters) countPut(n int) { w.puts.Add(1); w.bytesWritten.Add(uint64(n)) }
+func (w *wireCounters) countGet(n int) { w.reads.Add(1); w.bytesRead.Add(uint64(n)) }
+func (w *wireCounters) countPut(n int) { w.writes.Add(1); w.bytesWritten.Add(uint64(n)) }
 func (w *wireCounters) countDelete()   { w.deletes.Add(1) }
 
-// WireStats snapshots the cluster client's wire counters.
-func (c *Cluster) WireStats() WireStats {
-	return WireStats{
-		Gets:         c.wire.gets.Load(),
-		Puts:         c.wire.puts.Load(),
+// WireStats snapshots the shard operations this cluster client completed
+// and the payload bytes they moved, from the client's side of the wire: a
+// node's Stats count what it served (to anyone, since its last reset); these
+// count what THIS client actually transferred, retries included - each
+// successful attempt counts once, each re-issued shard of a retried batch
+// counts again, and batch shards count individually. Framing overhead is
+// excluded: the numbers are shard payload bytes, the quantity the paper's
+// I/O model prices.
+func (c *Cluster) WireStats() NodeStats {
+	return NodeStats{
+		Reads:        c.wire.reads.Load(),
+		Writes:       c.wire.writes.Load(),
 		Deletes:      c.wire.deletes.Load(),
 		BytesRead:    c.wire.bytesRead.Load(),
 		BytesWritten: c.wire.bytesWritten.Load(),
@@ -92,8 +72,8 @@ func (c *Cluster) WireStats() WireStats {
 
 // ResetWireStats zeroes the cluster client's wire counters.
 func (c *Cluster) ResetWireStats() {
-	c.wire.gets.Store(0)
-	c.wire.puts.Store(0)
+	c.wire.reads.Store(0)
+	c.wire.writes.Store(0)
 	c.wire.deletes.Store(0)
 	c.wire.bytesRead.Store(0)
 	c.wire.bytesWritten.Store(0)

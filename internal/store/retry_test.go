@@ -135,7 +135,7 @@ func TestClusterRetryPolicyGetBatch(t *testing.T) {
 	if n.batches != 2 {
 		t.Errorf("the node saw %d batches, want 2", n.batches)
 	}
-	if gets := c.WireStats().Gets; gets != 2 {
+	if gets := c.WireStats().Reads; gets != 2 {
 		t.Errorf("the cluster counted %d gets, want 2: one per shard that arrived", gets)
 	}
 }

@@ -34,13 +34,13 @@ func TestWireStatsCountOpsAndBytes(t *testing.T) {
 	}
 
 	got := c.WireStats()
-	want := WireStats{Gets: 1, Puts: 2, Deletes: 1, BytesRead: 100, BytesWritten: 150}
+	want := NodeStats{Reads: 1, Writes: 2, Deletes: 1, BytesRead: 100, BytesWritten: 150}
 	if got != want {
 		t.Errorf("WireStats = %+v, want %+v", got, want)
 	}
 
 	c.ResetWireStats()
-	if got := c.WireStats(); got != (WireStats{}) {
+	if got := c.WireStats(); got != (NodeStats{}) {
 		t.Errorf("WireStats after reset = %+v, want zero", got)
 	}
 
@@ -51,7 +51,7 @@ func TestWireStatsCountOpsAndBytes(t *testing.T) {
 		t.Fatalf("GetBatch results = %+v", results)
 	}
 	got = c.WireStats()
-	want = WireStats{Gets: 1, BytesRead: 100}
+	want = NodeStats{Reads: 1, BytesRead: 100}
 	if got != want {
 		t.Errorf("WireStats after batch = %+v, want %+v", got, want)
 	}
@@ -65,17 +65,8 @@ func TestWireStatsCountOpsAndBytes(t *testing.T) {
 		}
 	}
 	got = c.WireStats()
-	want = WireStats{Puts: 2, BytesWritten: 50}
+	want = NodeStats{Writes: 2, BytesWritten: 50}
 	if got != want {
 		t.Errorf("WireStats after put batch = %+v, want %+v", got, want)
-	}
-}
-
-func TestWireStatsAdd(t *testing.T) {
-	a := WireStats{Gets: 1, Puts: 2, Deletes: 3, BytesRead: 10, BytesWritten: 20}
-	b := WireStats{Gets: 10, Puts: 20, Deletes: 30, BytesRead: 100, BytesWritten: 200}
-	want := WireStats{Gets: 11, Puts: 22, Deletes: 33, BytesRead: 110, BytesWritten: 220}
-	if got := a.Add(b); got != want {
-		t.Errorf("Add = %+v, want %+v", got, want)
 	}
 }

@@ -98,8 +98,10 @@ func (v ArchiveVersion) object() parts {
 // the manifest entry with the chain shape retrieval would traverse.
 type ArchiveLogEntry struct {
 	core.ManifestEntry
-	// ChainDepth counts the codewords retrieval of this version decodes;
-	// PlannedReads counts the node reads it costs (paper formulas (3)/(4)
+	// ChainDepth counts the delta applications on the shallowest walk from
+	// a full codeword to this version, the depth MaxChainLength bounds (a
+	// read takes the cheapest walk, which can apply more); PlannedReads
+	// counts the node reads a read costs (paper formulas (3)/(4)
 	// generalized over the compacted chain).
 	ChainDepth   int `json:"chain_depth"`
 	PlannedReads int `json:"planned_reads"`

@@ -41,9 +41,8 @@ func (goldenBackend) fail(name string) error {
 }
 
 var goldenSpec = ArchiveSpec{
-	Scheme: "reversed-sec", Code: "systematic-cauchy", Field: "gf8", N: 6, K: 3, BlockSize: 4, PunctureDeltas: 1,
-	Placement: "colocated", MaxChainLength: 4, CheckpointEvery: 8, CompactGammaLimit: 2,
-	CompressDeltas: true, CompressGammaMax: 2, ReadCacheBytes: 4096,
+	Scheme: "reversed-sec", Code: "systematic-cauchy", Field: "gf8", N: 6, K: 3, BlockSize: 4,
+	Placement: "colocated", MaxChainLength: 4, CheckpointEvery: 8, CompressDeltas: true, ReadCacheBytes: 4096,
 }
 
 var goldenInfo = ArchiveInfo{

@@ -136,8 +136,8 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
 
 // TestLoadKeepsChainPolicy is the regression test for a reloaded
 // repository forgetting its chain policy: the saved manifest carried the
-// compression and cache knobs but not MaxChainLength, CheckpointEvery or
-// CompactGammaLimit, so a file first tracked after a Load grew an
+// compression and cache knobs but not MaxChainLength or CheckpointEvery,
+// so a file first tracked after a Load grew an
 // unbounded chain. The whole spec is saved now: the same six edits bound
 // their chain alike before and after the reload.
 func TestLoadKeepsChainPolicy(t *testing.T) {
@@ -184,7 +184,8 @@ func sixEdits(t *testing.T, repo *Repository, path string) []int {
 }
 
 // savedByEarlierRelease is a repository manifest as Save wrote it before
-// the settings became core.Spec: no "field" and no "placement" key.
+// the settings became core.Spec: no "field" and no "placement" key, and a
+// compaction limit that is no longer a setting.
 const savedByEarlierRelease = `{
   "spec": {
     "scheme": "basic-sec",
@@ -216,86 +217,76 @@ const savedByEarlierRelease = `{
 
 // TestLoadsRepositorySavedByEarlierRelease: the older saved form still
 // loads with its chain policy - a file first tracked after the load keeps
-// within its bound - and saves back unchanged.
+// within its bound - and saves back unchanged but for the retired key.
 func TestLoadsRepositorySavedByEarlierRelease(t *testing.T) {
 	repo, err := Load(strings.NewReader(savedByEarlierRelease), store.NewMemCluster(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repo.Head() != 1 || repo.spec.MaxChainLength != 2 || repo.spec.CheckpointEvery != 5 || repo.spec.CompactGammaLimit != 2 || repo.spec.ReadCacheBytes != 1024 {
+	if repo.Head() != 1 || repo.spec.MaxChainLength != 2 || repo.spec.CheckpointEvery != 5 || repo.spec.ReadCacheBytes != 1024 {
 		t.Fatalf("loaded head %d with spec %+v", repo.Head(), repo.spec)
 	}
 	var buf bytes.Buffer
 	if err := repo.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != savedByEarlierRelease {
-		t.Errorf("re-saved as\n%s", buf.String())
+	if want := strings.Replace(savedByEarlierRelease, "    \"compact_gamma_limit\": 2,\n", "", 1); buf.String() != want {
+		t.Errorf("re-saved as\n%s\nwant\n%s", buf.String(), want)
 	}
 	if depths := sixEdits(t, repo, "new.txt"); slices.Max(depths) > 2 {
 		t.Errorf("a file tracked after the load has chain depths %v, want within the saved bound 2", depths)
 	}
 }
 
-// TestRepositoryKeepsEverySpecField creates repositories that between them
-// set every Spec field (compression and puncturing exclude each other) and
-// saves and reloads each: the reloaded repository holds the same spec, and
-// a file first tracked after the reload gets an archive with it.
+// TestRepositoryKeepsEverySpecField creates a repository that sets every
+// Spec field and saves and reloads it: the reloaded repository holds the
+// same spec, and a file first tracked after the reload gets an archive with
+// it.
 func TestRepositoryKeepsEverySpecField(t *testing.T) {
-	base := core.Config{
-		Scheme:            core.ReversedSEC,
-		Code:              erasure.NonSystematicCauchy,
-		Field:             core.GF16,
-		N:                 6,
-		K:                 3,
-		BlockSize:         4,
-		Placement:         store.DispersedPlacement{N: 6},
-		MaxChainLength:    2,
-		CheckpointEvery:   3,
-		CompactGammaLimit: 2,
-		CompressGammaMax:  1,
-		ReadCacheBytes:    1024,
+	cfg := core.Config{
+		Scheme:          core.ReversedSEC,
+		Code:            erasure.NonSystematicCauchy,
+		Field:           core.GF16,
+		N:               6,
+		K:               3,
+		BlockSize:       4,
+		Placement:       store.DispersedPlacement{N: 6},
+		MaxChainLength:  2,
+		CheckpointEvery: 3,
+		CompressDeltas:  true,
+		ReadCacheBytes:  1024,
 	}
-	punctured, compressed := base, base
-	punctured.PunctureDeltas = 1
-	compressed.CompressDeltas = true
-	set := make([]bool, reflect.TypeOf(core.Spec{}).NumField())
-	for _, cfg := range []core.Config{punctured, compressed} {
-		want := cfg.Spec()
-		for i := range set {
-			set[i] = set[i] || !reflect.ValueOf(want).Field(i).IsZero()
-		}
-		cluster := store.NewMemCluster(0)
-		repo, err := NewRepository(cfg, cluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := repo.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		reopened, err := Load(&buf, cluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reopened.spec != want {
-			t.Errorf("reloaded spec %+v, want %+v", reopened.spec, want)
-		}
-		if _, err := reopened.CommitContext(t.Context(), "add", map[string][]byte{"f": []byte("content")}); err != nil {
-			t.Fatal(err)
-		}
-		info, err := reopened.client.Info(t.Context(), archiveName("f"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Manifest.Spec != want {
-			t.Errorf("file archive created after the reload has spec %+v, want %+v", info.Manifest.Spec, want)
+	want := cfg.Spec()
+	for i := range reflect.TypeOf(want).NumField() {
+		if reflect.ValueOf(want).Field(i).IsZero() {
+			t.Errorf("the test config leaves Spec.%s unset", reflect.TypeOf(want).Field(i).Name)
 		}
 	}
-	for i, ok := range set {
-		if !ok {
-			t.Errorf("no case sets Spec.%s", reflect.TypeOf(core.Spec{}).Field(i).Name)
-		}
+	cluster := store.NewMemCluster(0)
+	repo, err := NewRepository(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := repo.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Load(&buf, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.spec != want {
+		t.Errorf("reloaded spec %+v, want %+v", reopened.spec, want)
+	}
+	if _, err := reopened.CommitContext(t.Context(), "add", map[string][]byte{"f": []byte("content")}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := reopened.client.Info(t.Context(), archiveName("f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Manifest.Spec != want {
+		t.Errorf("file archive created after the reload has spec %+v, want %+v", info.Manifest.Spec, want)
 	}
 }
 

@@ -92,15 +92,6 @@ func (c *Code) SparseReadRows(live []int, gamma int) []int {
 	return nil
 }
 
-// Punctured returns the code restricted to the first n-t shards. n-t must
-// remain at least k+1.
-func (c *Code) Punctured(t int) (*Code, error) {
-	if t < 0 || c.n-t <= c.k {
-		return nil, fmt.Errorf("wide: cannot puncture %d of %d shards with k=%d", t, c.n, c.k)
-	}
-	return &Code{n: c.n - t, k: c.k, gen: c.gen[:c.n-t], checks: lru.New[[][]uint16](maxCachedChecks)}, nil
-}
-
 // Encode maps k equally sized even-length byte blocks to n coded shards.
 func (c *Code) Encode(blocks [][]byte) ([][]byte, error) {
 	shards := make([][]byte, c.n)

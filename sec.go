@@ -95,9 +95,6 @@ type (
 	StorageNode = store.Node
 	// NodeStats is an I/O counter snapshot.
 	NodeStats = store.NodeStats
-	// WireStats is a cluster's client-side wire accounting: successful
-	// shard operations and the payload bytes they moved.
-	WireStats = store.WireStats
 	// ShardID identifies one coded shard on a node.
 	ShardID = store.ShardID
 	// Placement maps shards of stored objects to cluster nodes.
