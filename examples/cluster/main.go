@@ -46,6 +46,7 @@ func run(ctx context.Context, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%d storage nodes serving over TCP\n", n)
 
+	cluster := sec.NewCluster(nodes)
 	archive, err := sec.NewArchive(sec.ArchiveConfig{
 		Name:      "clustered",
 		Scheme:    sec.BasicSEC,
@@ -53,7 +54,7 @@ func run(ctx context.Context, w io.Writer) error {
 		N:         n,
 		K:         k,
 		BlockSize: blockSize,
-	}, sec.NewCluster(nodes))
+	}, cluster)
 	if err != nil {
 		return err
 	}
@@ -107,8 +108,14 @@ func run(ctx context.Context, w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\nhealing all nodes...")
-	for _, b := range backings {
+	// Each healed node is pinged, as an operator confirms a repair: the
+	// cluster remembers the nodes failing, and may keep one whose failure
+	// was slow out of its reads for a second unless it answers.
+	for i, b := range backings {
 		b.SetFailed(false)
+		if !cluster.Available(ctx, i) {
+			return fmt.Errorf("node %d is not answering after healing", i)
+		}
 	}
 	if _, _, err := archive.RetrieveContext(ctx, 2); err != nil {
 		return err

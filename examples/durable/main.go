@@ -128,6 +128,12 @@ func run(ctx context.Context, w io.Writer) error {
 			return err
 		}
 		defer server.Close()
+		// Ping the node, as an operator confirms a restart: the cluster
+		// remembers it failing in the crash, and may keep a node whose
+		// failure was slow out of its reads for a second unless it answers.
+		if !cluster.Available(ctx, i) {
+			return fmt.Errorf("node %d is not answering after its restart", i)
+		}
 		fmt.Fprintf(w, "node %d: %d shards back online\n", i, node.Len())
 	}
 	restored, err := sec.OpenArchive(manifest, cluster)

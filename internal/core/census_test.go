@@ -100,9 +100,16 @@ func TestFailureCensus(t *testing.T) {
 				t.Errorf("%d patterns, want %d; spot rows never reached: %v", patterns, kind.patterns, kind.spots)
 			}
 			// Dispersed, group 0 whole and group 1 hit: v2 lives exactly when its
-			// delta does, so the paper's count of a delta's patterns applies.
-			if c := analysis.CensusFor(code, 1); kind.cfg.Placement != nil && spareGroup0 != c.MDSRecoverable+c.SparseOnly {
-				t.Errorf("v2 read back under %d patterns that spare group 0, want %d", spareGroup0, c.MDSRecoverable+c.SparseOnly)
+			// delta does, so the paper's count of a delta's patterns applies. A
+			// CDEC delta of gamma 1 is lost only with all its n-k+1 rows: of the
+			// 2^n-1 patterns that hit group 1, the 2^(k-1) that take them all.
+			c := analysis.CensusFor(code, 1)
+			want := c.MDSRecoverable + c.SparseOnly
+			if kind.cfg.CompressDeltas {
+				want = 1<<kind.cfg.N - 1 - 1<<(kind.cfg.K-1)
+			}
+			if kind.cfg.Placement != nil && spareGroup0 != want {
+				t.Errorf("v2 read back under %d patterns that spare group 0, want %d", spareGroup0, want)
 			}
 		})
 	}
@@ -124,6 +131,7 @@ type censusKind struct {
 // rows it reaches.
 func censusKinds() []censusKind {
 	ns, sys := erasure.NonSystematicCauchy, erasure.SystematicCauchy
+	nsv, sysv := erasure.NonSystematicVandermonde, erasure.SystematicVandermonde
 	dispersed := store.DispersedPlacement{N: 6}
 	return []censusKind{
 		{"non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
@@ -136,6 +144,13 @@ func censusKinds() []censusKind {
 		{"dispersed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"dispersed/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"windowed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, BlockSize: 256}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
+		{"vandermonde(6,3)", core.Config{Code: nsv, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[0 2 4]": {5, 1, 0}}},
+		{"systematic-vandermonde(6,3)", core.Config{Code: sysv, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
+		{"optimized(6,3)", core.Config{Scheme: core.OptimizedSEC, Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[0 2 4]": {5, 1, 0}}},
+		{"cdec(6,3)", core.Config{Code: ns, N: 6, K: 3, CompressDeltas: true}, 0, 64, map[string]censusReads{"[]": {4, 0, 1}, "[0 2 4]": {4, 0, 1}}},
+		{"cdec/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, CompressDeltas: true}, 0, 64, map[string]censusReads{"[]": {4, 0, 1}, "[0 1 2]": {4, 0, 1}}},
+		{"reversed/cdec(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: ns, N: 6, K: 3, CompressDeltas: true}, 0, 64, nil},
+		{"dispersed/cdec(6,3)", core.Config{Code: ns, N: 6, K: 3, CompressDeltas: true, Placement: dispersed}, 0, 4096, nil},
 	}
 }
 

@@ -104,6 +104,19 @@ func (s *shardSet) missing(rows []int) []int {
 	return missing
 }
 
+// heldFirst reorders rows so that those already fetched come first, each
+// part in its given order: a plan that takes the first rows it can use then
+// reads only what it does not hold.
+func (s *shardSet) heldFirst(rows []int) []int {
+	out := make([]int, 0, len(rows))
+	for _, r := range rows {
+		if _, ok := s.data[r]; ok {
+			out = append(out, r)
+		}
+	}
+	return append(out, s.missing(rows)...)
+}
+
 // take returns every fetched row (sorted) and its shard.
 func (s *shardSet) take() ([]int, [][]byte) {
 	rows := make([]int, 0, len(s.data))

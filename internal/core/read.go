@@ -163,7 +163,7 @@ func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet, 
 		if err := chainAbort(ctx, set.err); err != nil {
 			return delta.CompactDelta{}, ObjectRead{}, err
 		}
-		rows, sparse := cw.readPlan(a.liveRows(ctx, cw, set.dead), true, k)
+		rows, sparse := cw.readPlan(set.heldFirst(a.liveRows(ctx, cw, set.dead)), true, k)
 		if !sparse {
 			break
 		}
@@ -175,7 +175,10 @@ func (a *Archive) readCodeword(ctx context.Context, cw codeword, set *shardSet, 
 			trySparse = false
 		}
 		// Otherwise some sparse rows are gone: re-plan against the
-		// shrunken live set, keeping what arrived.
+		// shrunken live set, keeping what arrived. The rows in hand are
+		// listed first, so the plan reuses them rather than paying for
+		// others - a row on a node marked slow since it was fetched would
+		// otherwise be listed last and read again elsewhere.
 	}
 	blocks, err := a.readAnyK(ctx, cw, set, held)
 	if err != nil {

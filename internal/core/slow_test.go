@@ -143,3 +143,43 @@ func TestRepairSourcesAvoidSlowNode(t *testing.T) {
 		t.Error("node 0 served no get with only it, the rebuilt node and one more up")
 	}
 }
+
+// TestSparseReplanKeepsRowMarkedSlow reads a gamma = 1 delta whose prefetched
+// sparse rows are 0 and 1 while node 0 is slowed and node 1 has died unseen:
+// the prefetch batch marks node 0 slow and finds node 1 down. The re-plan
+// keeps row 0, already in hand, and reads one more row, so the delta costs
+// 2 reads and the version k + 2 = 5, as with node 0 fast.
+func TestSparseReplanKeepsRowMarkedSlow(t *testing.T) {
+	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)
+	cluster, chaos := chaosCluster(cfg.N)
+	a, err := New(cfg, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := make([]byte, a.Capacity())
+	rand.New(rand.NewSource(3)).Read(v1)
+	v2 := editBlocks(v1, cfg.BlockSize, 0)
+	mustCommit(t, a, v1)
+	mustCommit(t, a, v2)
+	if _, stats := mustRetrieve(t, a, 2); stats.NodeReads != 5 {
+		t.Fatalf("healthy read: %d node reads, want 5", stats.NodeReads)
+	}
+
+	slowReads(chaos)
+	node1, err := cluster.Node(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node1.(*store.MemNode).SetFailed(true) // behind the cluster's back: nothing doubts it
+	got, stats := mustRetrieve(t, a, 2)
+	if !bytes.Equal(got, v2) {
+		t.Error("wrong bytes")
+	}
+	if !store.Slow(cluster.Health())[0] {
+		h, _ := cluster.NodeHealth(0)
+		t.Fatalf("node 0 not marked slow by the read: %+v", h)
+	}
+	if stats.NodeReads != 5 || stats.SparseReads != 1 {
+		t.Errorf("read of v2: %d node reads (%d sparse), want 5 (1 sparse): %+v", stats.NodeReads, stats.SparseReads, stats.Objects)
+	}
+}
