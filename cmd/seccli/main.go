@@ -206,7 +206,7 @@ func cmdInit(ctx context.Context, out io.Writer, client *secclient.Client, gw, g
 		k          = fs.Int("k", 3, "data blocks per object")
 		blockSize  = fs.Int("blocksize", 1024, "bytes per block")
 		name       = fs.String("name", "archive", "archive name (shard ID prefix)")
-		maxChain   = fs.Int("max-chain", 0, "auto-compact when a chain exceeds this many deltas (0 = never)")
+		maxChain   = fs.Int("max-chain", 0, "auto-compact when a version's planned read would apply more than this many deltas (0 = never)")
 		checkpoint = fs.Int("checkpoint-every", 0, "store/retain a full codeword at least every N versions (0 = scheme default)")
 		compress   = fs.Bool("compress", false, "store sparse deltas (gamma <= k-1) compressed: gamma non-zero blocks under a (gamma+n-k, gamma) code")
 		readCache  = fs.Int("read-cache-bytes", 0, "decoded-version read cache budget in bytes (0 = disabled)")
@@ -456,7 +456,7 @@ func cmdScrub(ctx context.Context, out io.Writer, client *secclient.Client, reso
 func cmdCompact(ctx context.Context, out io.Writer, client *secclient.Client, resolve nameFunc, args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
 	fs.SetOutput(out)
-	maxChain := fs.Int("max-chain", 0, "chain-depth bound to enforce (default: the archive's configured MaxChainLength)")
+	maxChain := fs.Int("max-chain", 0, "most deltas any version's planned read may apply afterwards (default: the archive's configured MaxChainLength)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

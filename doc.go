@@ -39,8 +39,8 @@
 //   - MaxChainLength bounds how many delta applications any retrieval may
 //     need. A commit that pushes a version past the bound triggers
 //     compaction, and Archive.CompactToContext runs the same pass on
-//     demand: over-deep versions are rebased onto their nearest full
-//     anchor with a merged (XOR-composed) delta whose sparsity is
+//     demand: over-deep versions are rebased onto the full anchor their
+//     read starts from with a merged (XOR-composed) delta whose sparsity is
 //     recomputed, merged deltas too dense to sparse-read are promoted to
 //     full checkpoints, and the manifest is swapped atomically.
 //   - Nothing a commit or compaction supersedes (the old tip's full under

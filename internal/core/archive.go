@@ -83,7 +83,7 @@ type CommitInfo struct {
 	// fills them.
 	OrphanShards, ReclaimedShards int
 	// Compaction reports the auto-compaction this commit triggered (nil
-	// when MaxChainLength is unset or no chain exceeded it).
+	// when MaxChainLength is unset or no planned walk exceeded it).
 	Compaction *CompactionInfo
 }
 
@@ -266,7 +266,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	// full codeword, store a full codeword alongside the delta so no chain
 	// grows unboundedly deep (Reversed SEC checkpoints at supersede time
 	// below instead, since it stores a full every commit).
-	if !storeFull && a.cfg.CheckpointEvery > 0 && version-a.lastFullBelow(version) >= a.cfg.CheckpointEvery {
+	if !storeFull && a.cfg.CheckpointEvery > 0 && version-lastFullBelow(a.entries, version) >= a.cfg.CheckpointEvery {
 		storeFull = true
 		info.Checkpoint = true
 	}
@@ -295,7 +295,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		prev := version - 1
 		if pe := &a.entries[prev-1]; pe.hasFull {
 			keep := pe.checkpoint
-			if !keep && a.cfg.CheckpointEvery > 0 && prev-a.lastFullBelow(prev) >= a.cfg.CheckpointEvery {
+			if !keep && a.cfg.CheckpointEvery > 0 && prev-lastFullBelow(a.entries, prev) >= a.cfg.CheckpointEvery {
 				pe.checkpoint = true
 				info.Checkpoint = true
 				keep = true
@@ -310,29 +310,18 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 	}
 	a.setCache(version, blocks, len(object))
 	if a.cfg.MaxChainLength > 0 {
-		if depths, _, _, err := chainDepthsOf(a.entries); err == nil && maxDepth(depths) > a.cfg.MaxChainLength {
-			ci, err := a.compactLocked(ctx, a.cfg.MaxChainLength)
-			if err != nil {
-				// The commit itself is durable and the chain is intact; only
-				// the maintenance pass failed. Surface it without undoing
-				// the commit - the caller can retry CompactToContext.
-				return info, fmt.Errorf("core: version %d committed, but auto-compaction failed: %w", version, err)
-			}
+		ci, err := a.compactLocked(ctx, a.cfg.MaxChainLength)
+		if err != nil {
+			// The commit itself is durable and the chain is intact; only
+			// the maintenance pass failed. Surface it without undoing the
+			// commit - the caller can retry CompactToContext.
+			return info, fmt.Errorf("core: version %d committed, but auto-compaction failed: %w", version, err)
+		}
+		if ci.Changed() {
 			info.Compaction = &ci
 		}
 	}
 	return info, nil
-}
-
-// lastFullBelow returns the largest version below v whose full codeword is
-// stored, or 0 when none is.
-func (a *Archive) lastFullBelow(v int) int {
-	for j := v - 1; j >= 1; j-- {
-		if a.entries[j-1].hasFull {
-			return j
-		}
-	}
-	return 0
 }
 
 // commitPlan decides what to store for a non-first version.

@@ -20,14 +20,14 @@ import (
 // windows: each block it changed is zero outside a window of its own (one
 // window for all of them, for CDEC), and its rows encode only those
 // windows, moved to offset 0. Its support and the windows' offsets ride in
-// the manifest. Everything else in the
-// package handles a codeword value and asks it the things that depend on the
-// kind: which code, how wide a row is, how many rows are stored (code.N()),
-// which rows a reader fetches first (readPlan), how decoded blocks become the
-// delta the walk applies (expand, decodeSparse), and what the planner charges
-// (cost). The shape of the chain - which versions hold a full codeword, which
-// a delta, against which base - is the planner's and compaction's business and
-// stays with them. TestKindVocabularyConfined keeps it so.
+// the manifest. Everything else in the package handles a codeword value and
+// asks it the things that depend on the kind: which code, how wide a row is,
+// how many rows are stored (code.N()), which rows a reader fetches first
+// (readPlan), how decoded blocks become the delta the walk applies (expand,
+// decodeSparse), and what the planner charges for an entry's delta
+// (deltaCost). The shape of the chain - which versions hold a full codeword,
+// which a delta, against which base - is the planner's and compaction's
+// business and stays with them. TestKindVocabularyConfined keeps it so.
 
 // codec is the erasure-code surface the archive needs; both the GF(2^8)
 // backend (erasure.Code, all four constructions) and the GF(2^16) wide
@@ -301,22 +301,15 @@ func (a *Archive) fullCodeword(v int) codeword {
 	return codeword{id: fullID(a.cfg.Name, v), version: v, code: a.code, width: a.cfg.BlockSize}
 }
 
-// deltaKind describes the stored delta of an entry without naming it, which
-// is all the planner needs to price one (it prices the whole chain per read).
-func (a *Archive) deltaKind(e entry) (codeword, error) {
-	cw := codeword{code: a.code, delta: true, gamma: e.gamma, compressed: e.compressed, support: e.support, off: e.off, width: e.width, offs: e.offs}
+// deltaCodeword describes the stored delta of version v.
+func (a *Archive) deltaCodeword(v int) (codeword, error) {
+	e := a.entries[v-1]
+	cw := codeword{id: a.deltaObjectID(v), version: v, code: a.code, delta: true, gamma: e.gamma, compressed: e.compressed, support: e.support, off: e.off, width: e.width, offs: e.offs}
 	if !e.compressed {
 		return cw, nil
 	}
 	var err error
 	cw.code, err = a.compressedCode(e.gamma)
-	return cw, err
-}
-
-// deltaCodeword describes the stored delta of version v.
-func (a *Archive) deltaCodeword(v int) (codeword, error) {
-	cw, err := a.deltaKind(a.entries[v-1])
-	cw.id, cw.version = a.deltaObjectID(v), v
 	return cw, err
 }
 
@@ -435,21 +428,23 @@ func (cw codeword) readPlan(candidates []int, trySparse bool, need int) (rows []
 	return candidates[:need], false
 }
 
-// cost is what the planner charges for reading the codeword with every node
-// live (formulas (3) and (4)): k rows of a full codeword, the paper's eta for
-// a plain delta - min(2*gamma, k) where a sparse read serves it, k where none
-// does, nothing for an empty one - and gamma rows of a CDEC-compacted one. It
-// delegates to the delta package's cost model, which the lifecycle planners
-// share, so the two cannot drift apart.
-func (cw codeword) cost() int {
-	switch {
-	case !cw.delta:
-		return cw.code.K()
-	case cw.cdec():
-		return delta.CompressedReadCost(cw.gamma)
-	default:
-		return delta.ReadCost(cw.gamma, cw.code.K(), cw.code.MaxSparseGamma())
+// deltaCost is what the planner charges for reading the stored delta of e
+// with every node live (formulas (3) and (4)): the paper's eta for a plain
+// delta - min(2*gamma, k) where a sparse read serves it, k where none does,
+// nothing for an empty one - and gamma rows of a CDEC-compacted one. It reads
+// the entry's sparsity and kind alone, so planning builds no codec, and it
+// delegates to the delta package's cost model, so the two cannot drift apart.
+func (a *Archive) deltaCost(e entry) int {
+	if e.compressed {
+		return delta.CompressedReadCost(e.gamma)
 	}
+	return delta.ReadCost(e.gamma, a.cfg.K, a.promotionLimit())
+}
+
+// mergedCost is what deltaCost charges for a delta of the given sparsity
+// written now: storeDelta picks its kind.
+func (a *Archive) mergedCost(gamma int) int {
+	return a.deltaCost(entry{gamma: gamma, compressed: a.compressEligible(gamma)})
 }
 
 // decodeSparse recovers a plain delta from the rows of a sparse read plan,

@@ -3,16 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/secarchive/sec/internal/delta"
 )
 
-// This file implements the chain-lifecycle subsystem: bounding how deep
-// any version sits in the delta chain. Unbounded chains make both the
-// paper's retrieval cost (formula (3)) and repair traffic grow linearly
+// This file implements the chain-lifecycle subsystem: bounding how many
+// deltas the planned read of any version applies. Unbounded chains make both
+// the paper's retrieval cost (formula (3)) and repair traffic grow linearly
 // with every commit; Section IV-D leaves merging delta codewords as future
 // work, and this is that mechanism. Compaction rebases over-deep versions
-// onto their nearest full anchor with a merged (XOR-composed) delta whose
+// onto the anchor of their planned walk with a merged (XOR-composed) delta whose
 // sparsity is recomputed, promotes merged deltas too dense to sparse-read
 // into full checkpoints, swaps the manifest atomically, and queues the
 // superseded delta codewords for the reclaim that follows the publish.
@@ -34,7 +36,8 @@ type CompactionInfo struct {
 	// and the new one both read whole until the reclaim.
 	SupersededShards int
 	// NodeReads counts the shard reads spent materializing versions for
-	// merging, the maintenance cost of the pass.
+	// merging, the maintenance cost of the pass: on a healthy cluster,
+	// PlannedReadsAll(L) of the chain the pass started from.
 	NodeReads int
 	// PlannedReadGain sums, over every rewritten version, how many planned
 	// node reads one retrieval of it saves versus the old chain (the
@@ -93,14 +96,17 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 	return deleted, orphans
 }
 
-// CompactToContext rewrites the chain so that no version's retrieval needs
-// more than maxLen delta applications, under the context's deadline and
-// cancellation. Versions deeper than maxLen are rebased: the deltas
-// between the version and its nearest full anchor are merged into one
-// anchor-relative delta (stored as a fresh codeword), or - when the merged
-// delta is denser than a sparse read can serve (promotionLimit) - the
-// version is promoted to a full checkpoint. Every version remains
-// retrievable byte-identically throughout.
+// CompactToContext rewrites the chain so that no version's planned read
+// applies more than maxLen deltas, under the context's deadline and
+// cancellation. Every version whose planned walk applies more is rewritten:
+// its delta is replaced by one merged delta against the anchor its walk
+// starts from (or the nearest earlier full version, when that merge is
+// sparser and reads no dearer), stored as a fresh codeword, or - when the
+// merged delta is denser than a sparse read can serve (promotionLimit) - the
+// version is promoted to a full checkpoint. A rewrite can open a cheaper but
+// longer walk to another version, so rewrite rounds repeat until the planner
+// finds every version within the bound. Every version remains retrievable
+// byte-identically throughout.
 //
 // New codewords are written under fresh object names first and the
 // in-memory manifest is swapped atomically (a concurrent Save or
@@ -112,8 +118,8 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 // one, calls ReclaimSupersededContext.
 //
 // Compaction holds the archive lock for the whole pass (it materializes
-// every version it rebases), so it is a maintenance operation to schedule
-// like scrub and repair, not a hot-path call.
+// every version), so it is a maintenance operation to schedule like scrub
+// and repair, not a hot-path call.
 func (a *Archive) CompactToContext(ctx context.Context, maxLen int) (CompactionInfo, error) {
 	if maxLen < 1 {
 		return CompactionInfo{}, fmt.Errorf("core: max chain length %d must be positive", maxLen)
@@ -127,25 +133,24 @@ func (a *Archive) CompactToContext(ctx context.Context, maxLen int) (CompactionI
 // compactLocked runs one compaction pass. Caller holds the write lock.
 func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo, error) {
 	info := CompactionInfo{MaxChainLength: maxLen}
-	depths, _, every, err := chainDepthsOf(a.entries)
+	before, err := a.planEvery(a.entries)
 	if err != nil {
 		return info, err
 	}
-	var targets []int
-	for v := 1; v <= len(a.entries); v++ {
-		if depths[v] > maxLen {
-			targets = append(targets, v)
-		}
-	}
+	targets := overBound(before, maxLen)
 	if len(targets) == 0 {
 		return info, nil
 	}
 
-	// Materialize every version with the fewest reads a single pass can
-	// manage - each full codeword once, each stored delta once, the reads
-	// RetrieveAll(L) performs - as one planned walk: one batch per node.
+	// Materialize every version as RetrieveAll(L) does - one planned prefix
+	// walk, which reads a version by its own delta wherever its base is in
+	// hand - with one batch per node.
+	w, err := a.planPrefix(len(a.entries))
+	if err != nil {
+		return info, err
+	}
 	var stats RetrievalStats
-	mat, _, err := a.runWalk(ctx, every, &stats) // kept past the walk: the loan is dropped
+	mat, _, err := a.runWalk(ctx, w, &stats) // kept past the walk: the loan is dropped
 	if err != nil {
 		return info, fmt.Errorf("core: compaction aborted while materializing the chain: %w", err)
 	}
@@ -155,98 +160,100 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 
 	// Plan and write against a working copy; a.entries stays untouched (and
 	// every version readable from the old objects) until everything new is
-	// durably stored.
-	next := append([]entry(nil), a.entries...)
+	// durably stored. written holds the codeword the pass last wrote for
+	// each version it rewrote: a later round that rewrites the version
+	// again supersedes it.
+	next := slices.Clone(a.entries)
+	written := map[int]codeword{}
 	var superseded []codeword
-	for _, v := range targets {
-		// Every version that violated the bound is pinned at depth <= 1: a
-		// merged delta straight off an anchor, or a checkpoint. Re-derive
-		// the nearest anchor against the working chain - a checkpoint
-		// promoted earlier in this pass may be closer now, giving a sparser
-		// merge. Rebasing all violators (rather than the minimal set) is
-		// what leaves their old chain deltas unreferenced, so the pass can
-		// reclaim them.
-		_, anchorOf, _, err := chainDepthsOf(next)
-		if err != nil {
-			return info, err
-		}
-		anchor := anchorOf[v]
-		if next[v-1].hasDelta && entryBase(next, v) == anchor {
-			continue // already based exactly at its nearest anchor
-		}
-		// Both ends of the merge are checked before anything is written
-		// from them: a wrong decode stored as a delta or a checkpoint
-		// would outlive every row it came from.
-		for _, u := range []int{anchor, v} {
-			if err := a.verify(u, mat[u]); err != nil {
-				return info, fmt.Errorf("core: compaction aborted: %w", err)
-			}
-		}
-		merged, err := delta.Diff(mat[anchor], mat[v])
-		if err != nil {
-			return info, err
-		}
-		gamma := merged.Gamma()
-		// Price the rewrite with the planner's own costs: the old chain walk
-		// to v (planned against the still-unswapped entries, each codeword
-		// charging what its kind costs to read) versus one read of the
-		// rewritten delta (zero for a promotion, which anchors v outright).
-		// On chains without compression this is the sum of the walk's
-		// delta.ReadCost less the merged delta's.
-		oldWalk, err := a.planChain(v)
-		if err != nil {
-			return info, err
-		}
-		gain, err := a.walkCost(oldWalk)
-		if err != nil {
-			return info, err
-		}
-		gain -= a.cfg.K
-		var old codeword
-		if next[v-1].hasDelta {
-			if old, err = a.deltaCodeword(v); err != nil {
-				return info, err
-			}
-		}
-		if gamma > limit {
-			// Dense merged delta: a sparse read could not serve it, so a
-			// full checkpoint costs the same k reads while restoring full
-			// resilience - promote.
-			if err := a.writeObject(ctx, a.fullCodeword(v), mat[v], &info.ShardWrites); err != nil {
-				return info, err
-			}
-			next[v-1].hasFull = true
-			next[v-1].checkpoint = true
-			next[v-1].dropDelta()
-			info.Promoted = append(info.Promoted, v)
-		} else {
-			newID := rebasedDeltaID(a.cfg.Name, v, anchor)
-			if anchor == v-1 {
-				// A promotion above turned the chain predecessor into the
-				// nearest anchor: the merged delta IS the original chain
-				// delta, stored under its original name.
-				newID = deltaID(a.cfg.Name, v)
-			}
-			cw, err := a.storeDelta(ctx, newID, v, merged, &info.ShardWrites)
+	for len(targets) > 0 {
+		rewrote := false
+		for _, v := range targets {
+			// Rewriting every violator (rather than a minimal set) is what
+			// leaves their old deltas unreferenced, so the pass can
+			// reclaim them.
+			anchor, merged, err := a.mergeBase(next, mat, v)
 			if err != nil {
 				return info, err
 			}
-			gain -= cw.cost()
-			next[v-1].setDelta(cw, anchor)
-			info.Rebased = append(info.Rebased, v)
+			if next[v-1].hasDelta && entryBase(next, v) == anchor {
+				continue // already based exactly at its anchor
+			}
+			// Both ends of the merge are checked before anything is written
+			// from them: a wrong decode stored as a delta or a checkpoint
+			// would outlive every row it came from.
+			for _, u := range []int{anchor, v} {
+				if err := a.verify(u, mat[u]); err != nil {
+					return info, fmt.Errorf("core: compaction aborted: %w", err)
+				}
+			}
+			old, again := written[v]
+			if !again && next[v-1].hasDelta {
+				if old, err = a.deltaCodeword(v); err != nil {
+					return info, err
+				}
+			}
+			var cw codeword
+			if merged.Gamma() > limit {
+				// Dense merged delta: a sparse read could not serve it, so a
+				// full checkpoint costs the same k reads while restoring full
+				// resilience - promote.
+				cw = a.fullCodeword(v)
+				if err := a.writeObject(ctx, cw, mat[v], &info.ShardWrites); err != nil {
+					return info, err
+				}
+				next[v-1].hasFull = true
+				next[v-1].checkpoint = true
+				next[v-1].dropDelta()
+			} else {
+				id := rebasedDeltaID(a.cfg.Name, v, anchor)
+				if anchor == v-1 {
+					// A promotion turned the chain predecessor into the
+					// anchor: the merged delta IS the original chain delta,
+					// stored under its original name.
+					id = deltaID(a.cfg.Name, v)
+				}
+				if cw, err = a.storeDelta(ctx, id, v, merged, &info.ShardWrites); err != nil {
+					return info, err
+				}
+				next[v-1].setDelta(cw, anchor)
+			}
+			if old.id != "" {
+				superseded = append(superseded, old)
+			}
+			// A name written again holds live content.
+			superseded = slices.DeleteFunc(superseded, func(g codeword) bool { return g.id == cw.id })
+			written[v] = cw
+			rewrote = true
 		}
-		info.PlannedReadGain += gain
-		if old.id != "" {
-			superseded = append(superseded, old)
-			info.SupersededShards += old.code.N()
+		if !rewrote {
+			return info, fmt.Errorf("core: compaction cannot bring versions %v within %d delta applications", targets, maxLen)
 		}
+		// The rewrites may have opened cheaper, longer walks: plan the
+		// working chain again, which also refuses to swap in a manifest
+		// that would strand a version.
+		st, err := a.planEvery(next)
+		if err != nil {
+			return info, fmt.Errorf("core: compaction would strand a version: %w", err)
+		}
+		targets = overBound(st, maxLen)
 	}
 
-	// Every compacted chain still reaches every version? Refuse to swap a
-	// manifest that would strand one - this cannot happen for the rebase
-	// moves above, but the invariant is cheap to hold on to.
-	if _, _, _, err := chainDepthsOf(next); err != nil {
-		return info, fmt.Errorf("core: compaction would strand a version: %w", err)
+	// Price each rewrite with the planner's own costs: the old chain's walk
+	// to v less one read of the rewritten delta (nothing for a promotion,
+	// which anchors v outright).
+	for _, v := range slices.Sorted(maps.Keys(written)) {
+		gain := before[v].dist - a.cfg.K
+		if next[v-1].hasDelta {
+			gain -= a.deltaCost(next[v-1])
+			info.Rebased = append(info.Rebased, v)
+		} else {
+			info.Promoted = append(info.Promoted, v)
+		}
+		info.PlannedReadGain += gain
+	}
+	for _, g := range superseded {
+		info.SupersededShards += g.code.N()
 	}
 
 	// The manifest swap: one assignment under the write lock. From here on
@@ -262,6 +269,46 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 	return info, nil
 }
 
+// mergeBase picks the version compaction merges target v against on the
+// working chain next, and returns it with the merged delta: the anchor of v's
+// cheapest walk - a checkpoint promoted earlier in the pass may be nearer
+// now - or the nearest earlier full version when that merge is sparser and
+// reads no dearer than the walk. The anchor's merge reads no dearer either:
+// its sparsity is at most the sum of the sparsities along the walk.
+func (a *Archive) mergeBase(next []entry, mat map[int][][]byte, v int) (int, delta.CompactDelta, error) {
+	st, err := a.planAll(next, v)
+	if err != nil {
+		return 0, delta.CompactDelta{}, err
+	}
+	anchor := anchorOf(st, v)
+	merged, err := delta.Diff(mat[anchor], mat[v])
+	if err != nil {
+		return 0, delta.CompactDelta{}, err
+	}
+	if f := lastFullBelow(next, v); f != 0 && f != anchor {
+		alt, err := delta.Diff(mat[f], mat[v])
+		if err != nil {
+			return 0, delta.CompactDelta{}, err
+		}
+		if alt.Gamma() < merged.Gamma() && a.cfg.K+a.mergedCost(alt.Gamma()) <= st[v].dist {
+			return f, alt, nil
+		}
+	}
+	return anchor, merged, nil
+}
+
+// overBound lists, ascending, the versions whose planned walk applies more
+// than maxLen deltas.
+func overBound(st []planState, maxLen int) []int {
+	var over []int
+	for v := 1; v < len(st); v++ {
+		if st[v].hops > maxLen {
+			over = append(over, v)
+		}
+	}
+	return over
+}
+
 // entryBase returns the version entries[v-1]'s delta applies to (the
 // chain predecessor when unset).
 func entryBase(entries []entry, v int) int {
@@ -271,117 +318,46 @@ func entryBase(entries []entry, v int) int {
 	return v - 1
 }
 
-// chainDepthsOf runs a breadth-first search from every version with a full
-// codeword across the delta edges (each stored delta connects its base and
-// its version, usable in both directions). depths[v] is the number of
-// delta applications the shallowest retrieval of v needs; anchorOf[v] is
-// the anchor it starts from (ties resolved toward the smaller anchor, then
-// the smaller intermediate version, so results are deterministic). every is
-// the search itself as a walk: each full codeword, then the versions
-// spreading outward from the anchors one delta application per step, so
-// reading the whole archive costs one full read per anchor plus one delta
-// read per version without one. An unreachable version is an error: it
-// would be unretrievable.
-func chainDepthsOf(entries []entry) (depths, anchorOf []int, every walk, err error) {
-	L := len(entries)
-	adj := make([][]step, L+1) // adj[u]: the deltas with an end at u, as steps away from u
-	for j := 1; j <= L; j++ {
-		if !entries[j-1].hasDelta {
-			continue
-		}
-		b := entryBase(entries, j)
-		if b < 1 || b > L || b == j {
-			return nil, nil, nil, fmt.Errorf("core: version %d has invalid delta base %d", j, b)
-		}
-		adj[b] = append(adj[b], step{from: b, to: j, via: j})
-		adj[j] = append(adj[j], step{from: j, to: b, via: j})
-	}
-	depths = make([]int, L+1)
-	anchorOf = make([]int, L+1)
-	for v := range depths {
-		depths[v] = -1
-	}
-	every = make(walk, 0, L)
-	for v := 1; v <= L; v++ {
-		if entries[v-1].hasFull {
-			depths[v] = 0
-			anchorOf[v] = v
-			every = append(every, step{to: v})
+// lastFullBelow returns the largest version below v whose full codeword
+// entries store, or 0 when none is.
+func lastFullBelow(entries []entry, v int) int {
+	for j := v - 1; j >= 1; j-- {
+		if entries[j-1].hasFull {
+			return j
 		}
 	}
-	for next := 0; next < len(every); next++ {
-		u := every[next].to
-		for _, s := range adj[u] {
-			if depths[s.to] != -1 {
-				continue
-			}
-			depths[s.to] = depths[u] + 1
-			anchorOf[s.to] = anchorOf[u]
-			every = append(every, s)
-		}
-	}
-	for v := 1; v <= L; v++ {
-		if depths[v] == -1 {
-			return nil, nil, nil, fmt.Errorf("core: version %d unreachable from any full version", v)
-		}
-	}
-	return depths, anchorOf, every, nil
+	return 0
 }
 
-// maxDepth returns the deepest chain position (0 for an empty archive).
-func maxDepth(depths []int) int {
-	deepest := 0
-	for _, d := range depths[1:] {
-		if d > deepest {
-			deepest = d
-		}
-	}
-	return deepest
-}
-
-// ChainDepth returns how many delta applications the shallowest walk from a
-// full codeword to version l takes (0 when its full codeword is stored). It
-// is the quantity MaxChainLength bounds; a read takes the planner's
-// cheapest walk, which can take more.
+// ChainDepth returns how many delta applications the planned read of
+// version l applies (0 when it reads l's full codeword): the walk Retrieve
+// takes, and the quantity MaxChainLength bounds.
 func (a *Archive) ChainDepth(l int) (int, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if l < 1 || l > len(a.entries) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
-	}
-	depths, _, _, err := chainDepthsOf(a.entries)
+	w, err := a.planChain(l)
 	if err != nil {
 		return 0, err
 	}
-	return depths[l], nil
+	return len(w) - 1, nil
 }
 
 // ChainStats reports every version's chain depth and planned read cost
-// (formula (3)) in one BFS plus one Dijkstra pass, for callers
-// summarizing whole archives (seccli info); element i describes version
-// i+1. Calling ChainDepth and PlannedReads per version would redo the
-// graph work L times over.
+// (formula (3)) from one planner pass, for callers summarizing whole
+// archives (seccli info, the gateway's Log); element i describes version
+// i+1. Calling ChainDepth and PlannedReads per version would plan L times
+// over.
 func (a *Archive) ChainStats() (depths, plannedReads []int, err error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	st, err := a.planEvery(a.entries)
+	if err != nil {
+		return nil, nil, err
+	}
 	L := len(a.entries)
-	if L == 0 {
-		return nil, nil, nil
-	}
-	allDepths, _, _, err := chainDepthsOf(a.entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := a.planAll(0) // exhaustive: prices every version
-	if err != nil {
-		return nil, nil, err
-	}
-	plannedReads = make([]int, L)
+	depths, plannedReads = make([]int, L), make([]int, L)
 	for v := 1; v <= L; v++ {
-		if st[v].dist == unreachedCost {
-			return nil, nil, fmt.Errorf("core: version %d unreachable from any full version", v)
-		}
-		plannedReads[v-1] = st[v].dist
+		depths[v-1], plannedReads[v-1] = st[v].hops, st[v].dist
 	}
-	return allDepths[1:], plannedReads, nil
+	return depths, plannedReads, nil
 }

@@ -371,6 +371,136 @@ func TestAutoCompactionOnCommit(t *testing.T) {
 	}
 }
 
+// TestAutoCompactionBoundsThePlannedWalk holds MaxChainLength to what a read
+// does: after every commit, the planned walk of every version applies at most
+// the bound's number of deltas, and ChainDepth reports that number. The chains
+// are (12,10) archives of 64-byte blocks, 40 commits of 1-3 random edited
+// blocks with every sixth commit dense, under every differential scheme, with
+// and without CDEC. On Reversed SEC the cheapest walk can run through more
+// sparse deltas than the shallowest one, so a bound on the shallowest walk
+// would let reads past it. Some of these compactions take a second round of
+// rewrites; after each commit's reclaim the nodes hold exactly the codewords
+// the manifest names, and every version still reads back.
+func TestAutoCompactionBoundsThePlannedWalk(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		for _, scheme := range []Scheme{BasicSEC, OptimizedSEC, ReversedSEC} {
+			for _, cdec := range []bool{false, true} {
+				bound := 2 + int(seed%4)
+				cfg := Config{
+					Name: "b", Scheme: scheme, Code: erasure.NonSystematicCauchy, N: 12, K: 10, BlockSize: 64,
+					MaxChainLength: bound, CompressDeltas: cdec,
+				}
+				cluster := store.NewMemCluster(12)
+				a, err := New(cfg, cluster)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				object := make([]byte, a.Capacity())
+				rng.Read(object)
+				var versions [][]byte
+				for j := 1; j <= 40; j++ {
+					if j > 1 {
+						blocks := rng.Perm(cfg.K)[:1+rng.Intn(3)]
+						if j%6 == 0 {
+							blocks = rng.Perm(cfg.K)
+						}
+						object = editBlocks(object, cfg.BlockSize, blocks...)
+					}
+					versions = append(versions, object)
+					mustCommit(t, a, object)
+					if _, orphans, err := a.ReclaimSupersededContext(t.Context()); err != nil || orphans != 0 {
+						t.Fatalf("seed %d %v cdec=%v commit %d: reclaim left %d orphans (%v)", seed, scheme, cdec, j, orphans, err)
+					}
+					named := 0
+					for v := 1; v <= j; v++ {
+						cws, err := a.stored(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, cw := range cws {
+							named += cw.code.N()
+						}
+					}
+					if held := shardCount(t, cluster); held != named {
+						t.Fatalf("seed %d %v cdec=%v after commit %d: the nodes hold %d shards, the manifest names %d", seed, scheme, cdec, j, held, named)
+					}
+					for v := 1; v <= j; v++ {
+						w, err := a.planChain(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						depth, err := a.ChainDepth(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if hops := len(w) - 1; hops > bound || depth != hops {
+							t.Fatalf("seed %d %v cdec=%v after commit %d: v%d planned walk applies %d deltas (bound %d), ChainDepth %d",
+								seed, scheme, cdec, j, v, hops, bound, depth)
+						}
+					}
+				}
+				all, _, err := a.RetrieveAllContext(t.Context(), len(versions))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v, want := range versions {
+					if !bytes.Equal(all[v], want) {
+						t.Fatalf("seed %d %v cdec=%v: v%d differs", seed, scheme, cdec, v+1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompactionReadsWhatThePlannerPredicts pins a pass's materialization to
+// the RetrieveAll walk: its NodeReads equal PlannedReadsAll(L) of the chain it
+// started from, on every scheme with and without CDEC, for a first pass over
+// an uncompacted (12,10) chain of 60 versions and for a second pass after 20
+// more commits.
+func TestCompactionReadsWhatThePlannerPredicts(t *testing.T) {
+	for _, scheme := range []Scheme{BasicSEC, OptimizedSEC, ReversedSEC, NonDifferential} {
+		for _, cdec := range []bool{false, true} {
+			cfg := Config{Name: "r", Scheme: scheme, Code: erasure.NonSystematicCauchy, N: 12, K: 10, BlockSize: 64, CompressDeltas: cdec}
+			rng := rand.New(rand.NewSource(7))
+			edit := func(int) []int { return rng.Perm(cfg.K)[:1+rng.Intn(3)] }
+			a, versions := buildChain(t, store.NewMemCluster(12), cfg, 7, 60, edit)
+			object := versions[len(versions)-1]
+			for pass := 1; pass <= 2; pass++ {
+				if pass == 2 {
+					for range 20 {
+						object = editBlocks(object, cfg.BlockSize, edit(0)...)
+						versions = append(versions, object)
+						mustCommit(t, a, object)
+					}
+				}
+				want, err := a.PlannedReadsAll(a.Versions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				info, err := a.CompactToContext(t.Context(), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compacts := scheme != NonDifferential
+				if !compacts {
+					want = 0 // every version is full: the pass finds nothing to do and reads nothing
+				}
+				if info.Changed() != compacts || info.NodeReads != want {
+					t.Errorf("%v cdec=%v pass %d: compaction changed=%v read %d shards, want changed=%v and PlannedReadsAll(%d) = %d",
+						scheme, cdec, pass, info.Changed(), info.NodeReads, compacts, a.Versions(), want)
+				}
+			}
+			for v, want := range versions {
+				if got, _ := mustRetrieve(t, a, v+1); !bytes.Equal(got, want) {
+					t.Fatalf("%v cdec=%v: v%d differs after compaction", scheme, cdec, v+1)
+				}
+			}
+		}
+	}
+}
+
 func TestCheckpointEveryBasic(t *testing.T) {
 	cluster := store.NewMemCluster(6)
 	cfg := testConfig(BasicSEC, erasure.NonSystematicCauchy)

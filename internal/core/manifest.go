@@ -362,10 +362,8 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	// A version may store neither a full nor its own delta (Reversed SEC
 	// reaches version 1 through version 2's delta), but every version must
 	// be reachable from some full codeword along the delta graph.
-	if len(a.entries) > 0 {
-		if _, _, _, err := chainDepthsOf(a.entries); err != nil {
-			return nil, fmt.Errorf("core: manifest describes an unretrievable chain: %w", err)
-		}
+	if _, err := a.planEvery(a.entries); err != nil {
+		return nil, fmt.Errorf("core: manifest describes an unretrievable chain: %w", err)
 	}
 	if err := cluster.EnsureSize(cfg.Placement.NodesRequired(max(len(m.Entries), 1), m.N)); err != nil {
 		return nil, err

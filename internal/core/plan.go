@@ -59,28 +59,25 @@ func (h *planHeap) pop() planItem {
 type step struct{ from, to, via int }
 
 // walk is a planned multi-version read, in execution order. Every such read
-// is one: a single version (planChain), a prefix (planPrefix) or the whole
-// archive (chainDepthsOf). runWalk executes the list and walkCost prices it,
-// so what a read is predicted to cost and what it fetches cannot drift apart.
+// is one: a single version (planChain), or a prefix (planPrefix), which for
+// the whole archive is also what compaction materializes. runWalk executes
+// the list and walkCost prices it, so what a read is predicted to cost and
+// what it fetches cannot drift apart.
 type walk []step
 
 // walkCost is the number of node reads the walk costs with every node live:
 // K per full codeword, what its kind charges per stored delta (formulas (3)
 // and (4)).
-func (a *Archive) walkCost(w walk) (int, error) {
+func (a *Archive) walkCost(w walk) int {
 	cost := 0
 	for _, s := range w {
 		if s.via == 0 {
 			cost += a.cfg.K
-			continue
+		} else {
+			cost += a.deltaCost(a.entries[s.via-1])
 		}
-		cw, err := a.deltaKind(a.entries[s.via-1])
-		if err != nil {
-			return 0, err
-		}
-		cost += cw.cost()
 	}
-	return cost, nil
+	return cost
 }
 
 // planChain finds the cheapest way to materialize version l. Deltas form a
@@ -99,7 +96,7 @@ func (a *Archive) planChain(l int) (walk, error) {
 	if l < 1 || l > len(a.entries) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, l, len(a.entries))
 	}
-	st, err := a.planAll(l)
+	st, err := a.planAll(a.entries, l)
 	if err != nil {
 		return nil, err
 	}
@@ -165,17 +162,29 @@ func (a *Archive) planPrefix(l int) (walk, error) {
 const unreachedCost = int(^uint(0) >> 1)
 
 // planState is what the planner knows of one version: the cost of the
-// cheapest read that has it in hand, the delta applications on that read,
-// the delta applied last (0 at an anchor) and the version it was applied
-// to, and whether the cost is settled.
+// cheapest read that has it in hand, the delta applications on that read
+// (its chain depth, which MaxChainLength bounds), the delta applied last (0
+// at an anchor) and the version it was applied to, and whether the cost is
+// settled.
 type planState struct {
 	dist, hops, via, prev int
 	done                  bool
 }
 
-// planAll runs the planner's Dijkstra pass over the version graph and
-// returns the state of every version, indexed by version number. With
-// target > 0 the pass stops once that version settles; target 0 prices
+// anchorOf returns the version whose full codeword the planned walk to v
+// starts from.
+func anchorOf(st []planState, v int) int {
+	for st[v].via != 0 {
+		v = st[v].prev
+	}
+	return v
+}
+
+// planAll runs the planner's Dijkstra pass over the version graph entries
+// describe (the archive's, or compaction's working copy) and returns the
+// state of every version, indexed by version number. It is the one pass over
+// that graph: reads, chain depths, compaction and Open's check all take it.
+// With target > 0 the pass stops once that version settles; target 0 prices
 // every version (one pass instead of one per version, for whole-archive
 // summaries). The graph is never built: the edges of a settled version are
 // its own delta, back to its base, and the deltas based on it, which are
@@ -183,8 +192,8 @@ type planState struct {
 // sorted list of rebased deltas. So planning a read of an early version of
 // a long chain walks the versions on its way, and allocates for the chain
 // only the states.
-func (a *Archive) planAll(target int) ([]planState, error) {
-	L := len(a.entries)
+func (a *Archive) planAll(entries []entry, target int) ([]planState, error) {
+	L := len(entries)
 	st := make([]planState, L+1)
 	// Lazy-deletion Dijkstra off a heap keyed (cost, hops, version), so a
 	// retrieval plans in O(E log L) even on very long archives; stale heap
@@ -196,7 +205,7 @@ func (a *Archive) planAll(target int) ([]planState, error) {
 	var rebased [][2]int // {base, version} of every delta not based on its predecessor
 	for v := 1; v <= L; v++ {
 		st[v].dist = unreachedCost
-		e := &a.entries[v-1]
+		e := &entries[v-1]
 		if e.hasFull {
 			st[v].dist = a.cfg.K
 			h = append(h, planItem{v: v, dist: a.cfg.K})
@@ -204,7 +213,7 @@ func (a *Archive) planAll(target int) ([]planState, error) {
 		if !e.hasDelta {
 			continue
 		}
-		if b := entryBase(a.entries, v); b < 1 || b > L || b == v {
+		if b := entryBase(entries, v); b < 1 || b > L || b == v {
 			return nil, fmt.Errorf("core: version %d has invalid delta base %d", v, b)
 		} else if b != v-1 {
 			rebased = append(rebased, [2]int{b, v})
@@ -220,10 +229,10 @@ func (a *Archive) planAll(target int) ([]planState, error) {
 		}
 		st[u].done = true
 		vias = vias[:0]
-		if a.entries[u-1].hasDelta {
+		if entries[u-1].hasDelta {
 			vias = append(vias, u)
 		}
-		if u < L && a.entries[u].hasDelta && entryBase(a.entries, u+1) == u {
+		if u < L && entries[u].hasDelta && entryBase(entries, u+1) == u {
 			vias = append(vias, u+1)
 		}
 		i, _ := slices.BinarySearchFunc(rebased, u, func(r [2]int, u int) int { return cmp.Compare(r[0], u) })
@@ -232,19 +241,31 @@ func (a *Archive) planAll(target int) ([]planState, error) {
 		}
 		slices.Sort(vias)
 		for _, j := range vias {
-			cw, err := a.deltaKind(a.entries[j-1])
-			if err != nil {
-				return nil, fmt.Errorf("core: version %d: %w", j, err)
-			}
 			to := j // forward: x_u + z_j = x_j
 			if j == u {
-				to = entryBase(a.entries, u) // backward: x_u + z_u = x_base
+				to = entryBase(entries, u) // backward: x_u + z_u = x_base
 			}
-			nd, nh := st[u].dist+cw.cost(), st[u].hops+1
+			nd, nh := st[u].dist+a.deltaCost(entries[j-1]), st[u].hops+1
 			if nd < st[to].dist || (nd == st[to].dist && nh < st[to].hops) {
 				st[to].dist, st[to].hops, st[to].via, st[to].prev = nd, nh, j, u
 				h.push(planItem{v: to, dist: nd, hops: nh})
 			}
+		}
+	}
+	return st, nil
+}
+
+// planEvery prices every version entries describe, refusing a chain in which
+// some version no full codeword reaches: that version would be
+// unretrievable.
+func (a *Archive) planEvery(entries []entry) ([]planState, error) {
+	st, err := a.planAll(entries, 0)
+	if err != nil {
+		return nil, err
+	}
+	for v := 1; v < len(st); v++ {
+		if st[v].dist == unreachedCost {
+			return nil, fmt.Errorf("core: version %d unreachable from any full version", v)
 		}
 	}
 	return st, nil
@@ -259,7 +280,7 @@ func (a *Archive) PlannedReads(l int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return a.walkCost(w)
+	return a.walkCost(w), nil
 }
 
 // PlannedReadsAll returns the number of node reads formula (4) predicts for
@@ -271,5 +292,5 @@ func (a *Archive) PlannedReadsAll(l int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return a.walkCost(w)
+	return a.walkCost(w), nil
 }

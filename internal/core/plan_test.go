@@ -23,12 +23,8 @@ func wholeGraphPlan(t *testing.T, a *Archive, target int) []planState {
 			continue
 		}
 		b := entryBase(a.entries, j)
-		cw, err := a.deltaKind(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adj[b] = append(adj[b], edge{to: j, via: j, w: cw.cost()})
-		adj[j] = append(adj[j], edge{to: b, via: j, w: cw.cost()})
+		adj[b] = append(adj[b], edge{to: j, via: j, w: a.deltaCost(e)})
+		adj[j] = append(adj[j], edge{to: b, via: j, w: a.deltaCost(e)})
 	}
 	st := make([]planState, L+1)
 	var h planHeap
@@ -87,7 +83,7 @@ func TestPlannerMatchesTheWholeGraph(t *testing.T) {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
-			got, err := a.planAll(0)
+			got, err := a.planAll(a.entries, 0)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -131,5 +127,25 @@ func TestPlanningAnEarlyVersionAllocatesNoGraph(t *testing.T) {
 	})
 	if allocs > 10 {
 		t.Fatalf("planning version 3 of 300 allocates %v times, want at most 10", allocs)
+	}
+}
+
+// TestChainStatsAllocatesNoMoreForALongerChain pins what a whole-archive
+// summary (seccli info, the gateway's Log) costs in allocations: one planner
+// pass and the two result slices, the same handful for 1 000 versions as for
+// 100.
+func TestChainStatsAllocatesNoMoreForALongerChain(t *testing.T) {
+	cfg := Config{Name: "p", Scheme: ReversedSEC, Code: erasure.NonSystematicCauchy, N: 12, K: 10, BlockSize: 8}
+	allocs := map[int]float64{}
+	for _, L := range []int{100, 1000} {
+		a, _ := buildChain(t, store.NewMemCluster(12), cfg, 1, L, func(j int) []int { return []int{j % cfg.K} })
+		allocs[L] = testing.AllocsPerRun(20, func() {
+			if _, _, err := a.ChainStats(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1000] != allocs[100] || allocs[1000] > 8 {
+		t.Fatalf("ChainStats allocates %v times on 100 versions and %v on 1 000, want the same handful (at most 8)", allocs[100], allocs[1000])
 	}
 }

@@ -124,14 +124,12 @@ type Config struct {
 	// the placement the paper shows is optimal.
 	Placement store.Placement
 	// MaxChainLength bounds every version's chain depth (0 = unbounded):
-	// the delta applications on the shallowest walk from a full codeword
-	// to it (ChainDepth). A read takes the planner's cheapest walk
-	// instead, which on Reversed SEC can apply more deltas than the bound.
-	// When set, a commit that pushes some version's chain depth beyond the
-	// bound triggers compaction:
-	// over-deep versions are rebased onto their nearest full anchor with a
-	// merged (XOR-composed) delta, or promoted to a full checkpoint when
-	// the merged delta is dense. The superseded delta codewords are queued
+	// the delta applications of the walk the planner takes to read it
+	// (ChainDepth). When set, a commit that pushes some version's chain
+	// depth beyond the bound triggers compaction: over-deep versions are
+	// rebased onto the full anchor their walk starts from with a merged
+	// (XOR-composed) delta, or promoted to a full checkpoint when the
+	// merged delta is dense. The superseded delta codewords are queued
 	// like everything a commit supersedes, for ReclaimSupersededContext.
 	MaxChainLength int
 	// CheckpointEvery stores (or, for Reversed SEC, retains) a full

@@ -155,7 +155,7 @@ func Compute(prev, next [][]byte) ([][]byte, error) {
 // ReadCost is the paper's per-object read count eta: 0 for an all-zero
 // delta, 2*gamma when gamma admits a sparse read (gamma <= maxSparseGamma),
 // and k (a full decode) otherwise. The retrieval planner prices every
-// delta edge with it (core's codeword.cost delegates here), so any
+// delta edge with it (core's deltaCost delegates here), so any
 // lifecycle policy built on ReadCost shares the planner's exact model.
 func ReadCost(gamma, k, maxSparseGamma int) int {
 	switch {

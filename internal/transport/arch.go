@@ -98,11 +98,10 @@ func (v ArchiveVersion) object() parts {
 // the manifest entry with the chain shape retrieval would traverse.
 type ArchiveLogEntry struct {
 	core.ManifestEntry
-	// ChainDepth counts the delta applications on the shallowest walk from
-	// a full codeword to this version, the depth MaxChainLength bounds (a
-	// read takes the cheapest walk, which can apply more); PlannedReads
-	// counts the node reads a read costs (paper formulas (3)/(4)
-	// generalized over the compacted chain).
+	// ChainDepth counts the delta applications of the walk a read of this
+	// version takes, the depth MaxChainLength bounds; PlannedReads counts
+	// the node reads that walk costs (paper formulas (3)/(4) generalized
+	// over the compacted chain).
 	ChainDepth   int `json:"chain_depth"`
 	PlannedReads int `json:"planned_reads"`
 }
