@@ -17,7 +17,6 @@ import (
 	"github.com/secarchive/sec/internal/sparse"
 	"github.com/secarchive/sec/internal/store"
 	"github.com/secarchive/sec/internal/transport"
-	"github.com/secarchive/sec/internal/wide"
 )
 
 // benchExperiment regenerates one paper table/figure per iteration.
@@ -498,28 +497,6 @@ func BenchmarkDecodeSparseByGamma(b *testing.B) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// Ablation: symbol width. The GF(2^16) backend unlocks n+k > 256 at some
-// throughput cost; compare encode speed at equal (n,k) and payload.
-func BenchmarkEncodeWideGF16_20_10(b *testing.B) {
-	code, err := wide.NewCauchy(20, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	blocks := make([][]byte, 10)
-	for i := range blocks {
-		blocks[i] = make([]byte, 4096)
-		rng.Read(blocks[i])
-	}
-	b.SetBytes(int64(10 * 4096))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(blocks); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func New(cfg Config, cluster *store.Cluster) (*Archive, error) {
 	}
 	a := &Archive{cfg: cfg, cluster: cluster}
 	var err error
-	if a.code, err = cfg.newCodec(cfg.N, cfg.K); err != nil {
+	if a.code, err = erasure.New(cfg.Code, cfg.N, cfg.K); err != nil {
 		return nil, err
 	}
 	if a.blocking, err = delta.NewBlocking(cfg.K, cfg.BlockSize); err != nil {
@@ -678,7 +678,7 @@ func (a *Archive) verify(v int, blocks [][]byte) error {
 }
 
 // blockLenOf returns the uniform block length of a non-empty block vector
-// (codecs validate uniformity; k is always positive).
+// (the codes validate uniformity; k is always positive).
 func blockLenOf(blocks [][]byte) int {
 	if len(blocks) == 0 {
 		return 0

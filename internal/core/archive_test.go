@@ -72,6 +72,7 @@ func TestNewValidation(t *testing.T) {
 		{"n == k", func(c *Config) { c.N = 3 }, "n > k > 0"},
 		{"k == 0", func(c *Config) { c.K = 0 }, "n > k > 0"},
 		{"zero block size", func(c *Config) { c.BlockSize = 0 }, ""},
+		{"n+k > 256", func(c *Config) { c.N, c.K = 200, 100 }, "n+k <= 256"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"github.com/secarchive/sec/internal/delta"
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
-	"github.com/secarchive/sec/internal/wide"
 )
 
 // This file is the one place that knows the kinds of stored codeword: a full
@@ -29,42 +28,14 @@ import (
 // which a delta, against which base - is the planner's and compaction's
 // business and stays with them. TestKindVocabularyConfined keeps it so.
 
-// codec is the erasure-code surface the archive needs; both the GF(2^8)
-// backend (erasure.Code, all four constructions) and the GF(2^16) wide
-// backend (wide.Code, non-systematic Cauchy with n+k > 256) satisfy it.
-// The Into variants encode/decode into caller-provided buffers; the archive
-// hot paths pair them with the erasure package's buffer pool so steady-state
-// commits, repairs, and scrubs do not allocate shard buffers.
-type codec interface {
-	N() int
-	K() int
-	Systematic() bool
-	MaxSparseGamma() int
-	EncodeInto(blocks, dst [][]byte) error
-	EncodeSparseInto(support []int, blocks, dst [][]byte) error
-	DecodeFullInto(rows []int, shards, dst [][]byte) error
-	DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (support []int, values [][]byte, err error)
-	SparseReadRows(live []int, gamma int) []int
-	Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error)
-}
-
 // codecs are the codes an archive's codewords are written with.
 type codecs struct {
-	code codec // full codewords and plain deltas
-	// ccMu guards ccache, the lazily built CDEC codecs keyed by gamma
+	code *erasure.Code // full codewords and plain deltas
+	// ccMu guards ccache, the lazily built CDEC codes keyed by gamma
 	// (k' = gamma, n' = gamma + N - K). Retrievals run concurrently under
-	// the archive read lock, so codec construction has its own mutex.
+	// the archive read lock, so code construction has its own mutex.
 	ccMu   sync.Mutex
-	ccache map[int]codec
-}
-
-// newCodec builds the (n, k) code of the configured construction over the
-// configured field: the one switch on the field.
-func (c Config) newCodec(n, k int) (codec, error) {
-	if c.Field == GF16 {
-		return wide.NewCauchy(n, k)
-	}
-	return erasure.New(c.Code, n, k)
+	ccache map[int]*erasure.Code
 }
 
 // compressEligible reports whether a delta of the given sparsity should be
@@ -80,11 +51,11 @@ func (a *Archive) promotionLimit() int {
 	return a.code.MaxSparseGamma()
 }
 
-// compressedCode returns the (gamma+N-K, gamma) codec for CDEC-compacted
+// compressedCode returns the (gamma+N-K, gamma) code for CDEC-compacted
 // deltas of the given sparsity, building and caching it on first use. The
 // parity count matches the archive's code, so compressed codewords tolerate
 // the same N-K node failures.
-func (a *Archive) compressedCode(gamma int) (codec, error) {
+func (a *Archive) compressedCode(gamma int) (*erasure.Code, error) {
 	if gamma < 1 || gamma > a.cfg.K-1 {
 		return nil, fmt.Errorf("core: no compressed code for gamma %d (k=%d)", gamma, a.cfg.K)
 	}
@@ -94,12 +65,12 @@ func (a *Archive) compressedCode(gamma int) (codec, error) {
 		return c, nil
 	}
 	n := gamma + a.cfg.N - a.cfg.K
-	c, err := a.cfg.newCodec(n, gamma)
+	c, err := erasure.New(a.cfg.Code, n, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("core: building compressed (%d,%d) code: %w", n, gamma, err)
 	}
 	if a.ccache == nil {
-		a.ccache = make(map[int]codec)
+		a.ccache = make(map[int]*erasure.Code)
 	}
 	a.ccache[gamma] = c
 	return c, nil
@@ -279,11 +250,11 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 // lie and how it was encoded. It is a plain value; the superseded queue keeps
 // the codewords commits and compaction replaced exactly as they were written.
 type codeword struct {
-	id      string // object name on the nodes
-	version int    // the version it belongs to, which places its rows
-	code    codec  // rows 0..code.N()-1 are stored, any code.K() of them decode
-	delta   bool   // a delta z_version, not the full x_version
-	gamma   int    // block sparsity of a delta; 0 for a full codeword
+	id      string        // object name on the nodes
+	version int           // the version it belongs to, which places its rows
+	code    *erasure.Code // rows 0..code.N()-1 are stored, any code.K() of them decode
+	delta   bool          // a delta z_version, not the full x_version
+	gamma   int           // block sparsity of a delta; 0 for a full codeword
 	// compressed marks a CDEC-compacted delta, whose code encodes the
 	// blocks support names; a plain delta's support, when its entry records
 	// one, is the blocks its decode must find.
@@ -432,7 +403,7 @@ func (cw codeword) readPlan(candidates []int, trySparse bool, need int) (rows []
 // with every node live (formulas (3) and (4)): the paper's eta for a plain
 // delta - min(2*gamma, k) where a sparse read serves it, k where none does,
 // nothing for an empty one - and gamma rows of a CDEC-compacted one. It reads
-// the entry's sparsity and kind alone, so planning builds no codec, and it
+// the entry's sparsity and kind alone, so planning builds no CDEC code, and it
 // delegates to the delta package's cost model, so the two cannot drift apart.
 func (a *Archive) deltaCost(e entry) int {
 	if e.compressed {

@@ -51,7 +51,6 @@ func TestNodesHoldWhatTheChainLists(t *testing.T) {
 	}{
 		{"plain", func(*Config) {}},
 		{"cdec", func(c *Config) { c.CompressDeltas = true }},
-		{"gf16-cdec", func(c *Config) { c.Field, c.CompressDeltas = GF16, true }},
 		{"checkpoint-cdec", func(c *Config) { c.CheckpointEvery, c.CompressDeltas = 4, true }},
 	}
 	gammas := []int{1, 2, 0, 3, 5, 1, 2, 3, 0, 5, 1, 2, 3, 1, 2} // twelve edits, then three more

@@ -33,7 +33,6 @@ func TestCommitStoresWhatTheDenseEncoderWould(t *testing.T) {
 		{"non-systematic-cauchy", func(*Config) {}},
 		{"systematic-cauchy", func(c *Config) { c.Code = erasure.SystematicCauchy }},
 		{"cdec", func(c *Config) { c.CompressDeltas = true }},
-		{"gf16", func(c *Config) { c.Field = GF16 }},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {

@@ -117,9 +117,12 @@ func (a *Archive) reclaimLocked(ctx context.Context) (deleted, orphans int) {
 // both manifests stay whole until the caller, having persisted the new
 // one, calls ReclaimSupersededContext.
 //
-// Compaction holds the archive lock for the whole pass (it materializes
-// every version), so it is a maintenance operation to schedule like scrub
-// and repair, not a hot-path call.
+// Compaction holds the archive lock for the whole pass, and a pass that finds
+// a version over the bound materializes every version. It is not only a
+// maintenance operation to schedule like scrub and repair: with
+// Config.MaxChainLength set, every commit runs a pass under the commit's
+// lock, and each commit whose chain grew past the bound pays for reading the
+// whole archive.
 func (a *Archive) CompactToContext(ctx context.Context, maxLen int) (CompactionInfo, error) {
 	if maxLen < 1 {
 		return CompactionInfo{}, fmt.Errorf("core: max chain length %d must be positive", maxLen)

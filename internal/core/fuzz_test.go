@@ -16,7 +16,7 @@ import (
 // never panic, and what Save writes of any manifest it accepts must load
 // and save again to the same bytes. The committed corpus holds manifests
 // an earlier release saved: one per scheme, CDEC entries with a support
-// under a compress threshold, GF16, dispersed, punctured, a full chain
+// under a compress threshold, dispersed, punctured, a full chain
 // policy with a compaction limit (the three settings since retired, whose
 // keys load ignored), compacted bases, one
 // from before the generation existed and one of 256-byte blocks from
@@ -29,7 +29,9 @@ import (
 // refuses. And it holds plain deltas that record their support, each block
 // at its own window (per-block-windows), and the three forms of them Open
 // refuses: offsets without a support, a support whose length is not gamma,
-// and an offset whose window leaves the block.
+// and an offset whose window leaves the block. Last, it holds a manifest of
+// a GF(2^16) archive an earlier release saved, which Open refuses by the
+// field it names.
 func FuzzLoadManifest(f *testing.F) {
 	// Seed with a real manifest.
 	cluster := store.NewMemCluster(0)

@@ -30,7 +30,6 @@ func TestLengthCensus(t *testing.T) {
 		"systematic(6,3)":               164,
 		"non-systematic(8,4)":           648,
 		"cdec(8,4)":                     384,
-		"gf16(6,3)":                     164,
 		"reversed(6,3)":                 164,
 		"non-systematic(12,10)":         312,
 		"dispersed/non-systematic(6,3)": 164,

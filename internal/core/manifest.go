@@ -18,7 +18,9 @@ import (
 // the head of every Manifest, the payload of a create request and what a
 // repository saves for the archives it creates. Config is the typed form;
 // Config.Spec and Open convert between the two. Zero-valued policy fields
-// keep their defaults.
+// keep their defaults. Field names the coding field: every archive codes
+// over GF(2^8) and saves "gf8", and the key stays so that a manifest naming
+// another field is refused rather than read as GF(2^8).
 type Spec struct {
 	Scheme    string `json:"scheme"`
 	Code      string `json:"code"`
@@ -44,6 +46,10 @@ type Spec struct {
 	// archive's code, a punctured one's missing rows as lost rows.
 }
 
+// gf8 is the coding field every manifest names: GF(2^8), in which the
+// erasure package's codes live.
+const gf8 = "gf8"
+
 // Spec renders the settings in the string forms a manifest persists, with
 // the defaults applied. Name is not in it: the name heads the manifest.
 func (c Config) Spec() Spec {
@@ -51,7 +57,7 @@ func (c Config) Spec() Spec {
 	return Spec{
 		Scheme:          c.Scheme.String(),
 		Code:            c.Code.String(),
-		Field:           c.Field.String(),
+		Field:           gf8,
 		N:               c.N,
 		K:               c.K,
 		BlockSize:       c.BlockSize,
@@ -74,9 +80,8 @@ func (s Spec) config(name string) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	field, err := ParseField(s.Field)
-	if err != nil {
-		return Config{}, err
+	if s.Field != "" && s.Field != gf8 {
+		return Config{}, fmt.Errorf("core: unsupported coding field %q: archives code over GF(2^8), %q", s.Field, gf8)
 	}
 	placement, err := parsePlacement(s.Placement, s.N)
 	if err != nil {
@@ -86,7 +91,6 @@ func (s Spec) config(name string) (Config, error) {
 		Name:            name,
 		Scheme:          scheme,
 		Code:            kind,
-		Field:           field,
 		N:               s.N,
 		K:               s.K,
 		BlockSize:       s.BlockSize,

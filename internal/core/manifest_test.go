@@ -106,7 +106,6 @@ func TestSpecCarriesEveryConfigField(t *testing.T) {
 	values := map[string]any{
 		"Scheme":          ReversedSEC,
 		"Code":            erasure.SystematicVandermonde,
-		"Field":           GF16,
 		"N":               7,
 		"K":               2,
 		"BlockSize":       8,

@@ -65,44 +65,6 @@ func ParseScheme(name string) (Scheme, error) {
 	return 0, fmt.Errorf("core: unknown scheme %q", name)
 }
 
-// Field selects the symbol width of the erasure code.
-type Field int
-
-// Coding fields.
-const (
-	// GF8 codes over GF(2^8): all four constructions, n+k <= 256. The
-	// default.
-	GF8 Field = iota
-	// GF16 codes over GF(2^16) for very wide configurations
-	// (n+k > 256). Only the non-systematic Cauchy construction is
-	// available, and the block size must be even (16-bit symbols).
-	GF16
-)
-
-// String returns the field name used in manifests.
-func (f Field) String() string {
-	switch f {
-	case GF8:
-		return "gf8"
-	case GF16:
-		return "gf16"
-	default:
-		return fmt.Sprintf("Field(%d)", int(f))
-	}
-}
-
-// ParseField maps a field name back to its value; the empty string is GF8.
-func ParseField(name string) (Field, error) {
-	switch name {
-	case "", GF8.String():
-		return GF8, nil
-	case GF16.String():
-		return GF16, nil
-	default:
-		return 0, fmt.Errorf("core: unknown coding field %q", name)
-	}
-}
-
 // Config describes an archive. The zero value is not valid; all fields
 // without stated defaults are required.
 type Config struct {
@@ -112,9 +74,6 @@ type Config struct {
 	Scheme Scheme
 	// Code selects the erasure code construction.
 	Code erasure.Kind
-	// Field selects the symbol width (default GF8; GF16 unlocks
-	// n+k > 256 with the non-systematic Cauchy construction).
-	Field Field
 	// N and K are the code parameters: N shards per object, any K
 	// reconstruct.
 	N, K int
@@ -196,18 +155,6 @@ func (c Config) validate() error {
 	}
 	if c.ReadCacheBytes < 0 {
 		return fmt.Errorf("core: negative read cache budget %d", c.ReadCacheBytes)
-	}
-	switch c.Field {
-	case GF8:
-	case GF16:
-		if c.Code != erasure.NonSystematicCauchy {
-			return fmt.Errorf("core: GF16 supports only the non-systematic Cauchy construction, got %v", c.Code)
-		}
-		if c.BlockSize%2 != 0 {
-			return fmt.Errorf("core: GF16 needs an even block size, got %d", c.BlockSize)
-		}
-	default:
-		return fmt.Errorf("core: invalid coding field %d", int(c.Field))
 	}
 	return nil
 }

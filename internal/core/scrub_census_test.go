@@ -33,7 +33,6 @@ func TestScrubCensus(t *testing.T) {
 		"systematic(6,3)":               {588, 158, 390, 40, 0},
 		"non-systematic(8,4)":           {2934, 330, 2604, 0, 0},
 		"cdec(8,4)":                     {1653, 231, 1422, 0, 0},
-		"gf16(6,3)":                     {588, 158, 430, 0, 0},
 		"reversed(6,3)":                 {588, 158, 430, 0, 0},
 		"non-systematic(12,10)":         {2054, 74, 1964, 8, 8},
 		"dispersed/non-systematic(6,3)": {588, 158, 430, 0, 0},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -423,21 +422,20 @@ func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
 }
 
 // TestScrubNeverMakesCorruptionPermanent flips one byte in each of some rows
-// of a codeword, full or CDEC delta, on codes over both fields. The rows of a
+// of a codeword, full or CDEC delta, on several codes. The rows of a
 // codeword here are a code of distance n-k+1, so a flip in up to (n-k)/2
 // rows leaves one codeword nearest them, wherever the flips are: scrub with
 // repair must heal those rows byte-identical, write no other row, and the
 // versions must read back whole. Row 5 of a (12,10) code lies in every
 // window of k consecutive rows, and the parity check heals it all the same.
 // Flips past the first k rows are their own syndrome and heal without a
-// search, three of them in a (200,100) GF(2^16) codeword included. Beyond
-// what the search may spend - three flips elsewhere in that codeword - no
-// codeword can be verified, so scrub must write nothing and count the object
-// as unverified.
+// search, three of them in a (40,10) codeword included. Beyond what the
+// search may spend - six flips among that codeword's first k rows, within
+// its radius of 15 but C(40,6) supports away - no codeword can be verified,
+// so scrub must write nothing and count the object as unverified.
 func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 	for _, tt := range []struct {
 		name      string
-		field     Field
 		kind      erasure.Kind
 		n, k      int
 		blockSize int
@@ -445,22 +443,21 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 		rows      []int
 		heal      bool
 	}{
-		{"cauchy-12-10/row0", GF8, erasure.NonSystematicCauchy, 12, 10, 64, false, []int{0}, true},
-		{"cauchy-6-4/row0", GF8, erasure.NonSystematicCauchy, 6, 4, 64, false, []int{0}, true},
-		{"systematic-12-10/row0", GF8, erasure.SystematicCauchy, 12, 10, 64, false, []int{0}, true},
-		{"cauchy-12-10/row5", GF8, erasure.NonSystematicCauchy, 12, 10, 64, false, []int{5}, true},
-		{"gf16-6-3/row1", GF16, erasure.NonSystematicCauchy, 6, 3, 64, false, []int{1}, true},
-		{"systematic-vandermonde-12-10/row11", GF8, erasure.SystematicVandermonde, 12, 10, 64, false, []int{11}, true},
-		{"cdec-6-3/row2", GF8, erasure.NonSystematicCauchy, 6, 3, 64, true, []int{2}, true},
-		{"cauchy-8-4/rows1,6", GF8, erasure.NonSystematicCauchy, 8, 4, 64, false, []int{1, 6}, true},
-		{"gf16-200-100/row150", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{150}, true},
-		{"gf16-200-100/rows197,199", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{197, 199}, true},
-		{"gf16-200-100/rows197,198,199", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{197, 198, 199}, true},
-		{"gf16-200-100/rows3,99,190", GF16, erasure.NonSystematicCauchy, 200, 100, 16, false, []int{3, 99, 190}, false},
+		{"cauchy-12-10/row0", erasure.NonSystematicCauchy, 12, 10, 64, false, []int{0}, true},
+		{"cauchy-6-4/row0", erasure.NonSystematicCauchy, 6, 4, 64, false, []int{0}, true},
+		{"systematic-12-10/row0", erasure.SystematicCauchy, 12, 10, 64, false, []int{0}, true},
+		{"cauchy-12-10/row5", erasure.NonSystematicCauchy, 12, 10, 64, false, []int{5}, true},
+		{"systematic-vandermonde-12-10/row11", erasure.SystematicVandermonde, 12, 10, 64, false, []int{11}, true},
+		{"cdec-6-3/row2", erasure.NonSystematicCauchy, 6, 3, 64, true, []int{2}, true},
+		{"cauchy-8-4/rows1,6", erasure.NonSystematicCauchy, 8, 4, 64, false, []int{1, 6}, true},
+		{"cauchy-40-10/row35", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{35}, true},
+		{"cauchy-40-10/rows37,39", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{37, 39}, true},
+		{"cauchy-40-10/rows37,38,39", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{37, 38, 39}, true},
+		{"cauchy-40-10/rows0-5", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{0, 1, 2, 3, 4, 5}, false},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cluster := store.NewMemCluster(0)
-			cfg := Config{Name: "t", Scheme: BasicSEC, Field: tt.field, Code: tt.kind, N: tt.n, K: tt.k, BlockSize: tt.blockSize, CompressDeltas: tt.cdec}
+			cfg := Config{Name: "t", Scheme: BasicSEC, Code: tt.kind, N: tt.n, K: tt.k, BlockSize: tt.blockSize, CompressDeltas: tt.cdec}
 			a, err := New(cfg, cluster)
 			if err != nil {
 				t.Fatal(err)
@@ -656,9 +653,9 @@ func TestScrubNonMDSRowSets(t *testing.T) {
 
 // healthyScrubArchive is a (12,10) Basic SEC archive of 4 KiB blocks over
 // memory nodes holding 8 codewords: a full version and 7 one-block deltas.
-func healthyScrubArchive(tb testing.TB, field Field, kind erasure.Kind) *Archive {
+func healthyScrubArchive(tb testing.TB, kind erasure.Kind) *Archive {
 	tb.Helper()
-	a, err := New(Config{Name: "t", Scheme: BasicSEC, Field: field, Code: kind, N: 12, K: 10, BlockSize: 4096}, store.NewMemCluster(0))
+	a, err := New(Config{Name: "t", Scheme: BasicSEC, Code: kind, N: 12, K: 10, BlockSize: 4096}, store.NewMemCluster(0))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -679,8 +676,8 @@ func healthyScrubArchive(tb testing.TB, field Field, kind erasure.Kind) *Archive
 // parity-check product into pooled memory, so a scrub of 8 healthy (12,10)
 // codewords allocates less than one 4 KiB block per codeword beyond what
 // reading their shards allocates - where a reference codeword of 12 blocks
-// would be 48 KiB - over either field. The race detector empties pools at random, so the bound is
-// checked in a run without it.
+// would be 48 KiB. The race detector empties pools at random, so the bound
+// is checked in a run without it.
 func TestScrubHealthyAllocatesNoCodeword(t *testing.T) {
 	ctx := t.Context()
 	perCodeword := func(pass func()) uint64 {
@@ -693,11 +690,8 @@ func TestScrubHealthyAllocatesNoCodeword(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / (passes * 8)
 	}
-	for _, code := range []struct {
-		field Field
-		kind  erasure.Kind
-	}{{GF8, erasure.NonSystematicCauchy}, {GF8, erasure.SystematicCauchy}, {GF16, erasure.NonSystematicCauchy}} {
-		a, kind := healthyScrubArchive(t, code.field, code.kind), fmt.Sprintf("%v %v", code.field, code.kind)
+	for _, kind := range []erasure.Kind{erasure.NonSystematicCauchy, erasure.SystematicCauchy} {
+		a := healthyScrubArchive(t, kind)
 		read := perCodeword(func() {
 			if err := a.eachStored(ctx, "read", func(cw codeword) error {
 				releaseAll(a.getRows(ctx, cw, allRows(cw.code.N())))
@@ -728,7 +722,7 @@ func TestScrubHealthyAllocatesNoCodeword(t *testing.T) {
 func BenchmarkScrubHealthy(b *testing.B) {
 	for _, kind := range []erasure.Kind{erasure.NonSystematicCauchy, erasure.SystematicCauchy} {
 		b.Run(kind.String(), func(b *testing.B) {
-			a := healthyScrubArchive(b, GF8, kind)
+			a := healthyScrubArchive(b, kind)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {

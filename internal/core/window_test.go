@@ -35,7 +35,6 @@ func TestStoredRowsEncodeEachBlocksWindow(t *testing.T) {
 		{"non-systematic", Config{Code: erasure.NonSystematicCauchy}},
 		{"systematic", Config{Code: erasure.SystematicCauchy}},
 		{"cdec", Config{Code: erasure.NonSystematicCauchy, CompressDeltas: true}},
-		{"gf16", Config{Code: erasure.NonSystematicCauchy, Field: GF16}},
 		{"reversed", Config{Code: erasure.NonSystematicCauchy, Scheme: ReversedSEC}},
 	}
 	for _, kind := range kinds {

@@ -104,9 +104,9 @@ func (c CompactDelta) validate() error {
 // windowOf returns the window [off, end) of a block whose change is zero
 // outside bytes [lo, hi) (lo = hi = 0 when nothing changed): that range
 // rounded out to windowAlign boundaries or the block's end, and never
-// narrower than windowAlign. A block under two windows is never windowed.
-// So a window keeps whole the 2-byte symbols of GF(2^16), and no code meets
-// a block under 64 bytes that it did not meet before windows existed.
+// narrower than windowAlign. A block under two windows is never windowed,
+// so no code meets a block under 64 bytes that it did not meet before
+// windows existed.
 func windowOf(blockSize, lo, hi int) (off, end int) {
 	if blockSize < 2*windowAlign {
 		return 0, blockSize

@@ -212,10 +212,15 @@ func (g *Gateway) Stats() Stats {
 	}
 }
 
+// maxNameLen bounds an archive name so that the longest file a Root holds
+// for it, <name>.json.clean, fits the 255 bytes a file name may have.
+const maxNameLen = 255 - len(".json.clean")
+
 // validName guards the default Root-relative manifest layout (and the
-// shard object namespace) against path-shaped archive names.
+// shard object namespace) against path-shaped archive names, and against
+// names no file can carry: too long for the clean mark, or holding NUL.
 func validName(name string) error {
-	if name == "" || len(name) > 255 {
+	if name == "" || len(name) > maxNameLen || strings.IndexByte(name, 0) >= 0 {
 		return fmt.Errorf("gateway: invalid archive name %q", name)
 	}
 	if strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +184,55 @@ func TestGatewayCreateConflicts(t *testing.T) {
 		if _, err := g.Create(t.Context(), name, testSpec()); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
+	}
+}
+
+// TestGatewayNamesFitTheRoot: the longest name Create takes, 244 bytes,
+// leaves room under a real root for <name>.json.clean, so the archive
+// commits, closes cleanly and reopens from the root under its clean mark. A
+// name one byte longer, and one holding NUL, would leave Close unable to
+// cache the manifest, and Create refuses both.
+func TestGatewayNamesFitTheRoot(t *testing.T) {
+	ctx := t.Context()
+	root, cluster := t.TempDir(), store.NewMemCluster(6)
+	g := newTestGateway(t, Config{Cluster: cluster, Root: root})
+	for _, name := range []string{strings.Repeat("n", maxNameLen+1), "a\x00b"} {
+		if _, err := g.Create(ctx, name, testSpec()); err == nil {
+			t.Errorf("name of %d bytes %q accepted", len(name), name[:min(len(name), 8)])
+		}
+	}
+	name := strings.Repeat("n", 244)
+	if _, err := g.Create(ctx, name, testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	want := payloadFor(32, 1)
+	if _, err := g.Commit(ctx, name, -1, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, name+".json.clean")); err != nil {
+		t.Fatalf("no clean mark under the root: %v", err)
+	}
+
+	g2 := newTestGateway(t, Config{Cluster: cluster, Root: root})
+	st, err := g2.open(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.meta.cached && g2.cfg.fs.Boot() != "" {
+		t.Error("the reopen did not trust the root's manifest under its clean mark")
+	}
+	got, err := g2.Retrieve(ctx, name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.Join(got.Parts, nil), want) {
+		t.Error("the reopened archive served different bytes")
+	}
+	if err := g2.Close(ctx); err != nil {
+		t.Fatalf("Close after the reopen: %v", err)
 	}
 }
 

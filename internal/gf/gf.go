@@ -1,11 +1,9 @@
-// Package gf implements arithmetic over the binary extension fields
-// GF(2^8) and GF(2^16).
+// Package gf implements arithmetic over the binary extension field GF(2^8).
 //
 // The erasure codes in this module operate symbol-wise over GF(2^8): a
 // storage object is striped into k blocks and every byte position is an
 // independent codeword symbol. GF(2^8) supports Cauchy constructions with
-// n+k <= 256, which covers all configurations studied in the SEC paper;
-// GF(2^16) is provided for larger code dimensions.
+// n+k <= 256, which covers all configurations studied in the SEC paper.
 //
 // Addition in characteristic-2 fields is XOR, so Add and Sub coincide.
 // Multiplication uses a full 64 KiB product table; division and inversion

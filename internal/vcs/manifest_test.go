@@ -246,7 +246,6 @@ func TestRepositoryKeepsEverySpecField(t *testing.T) {
 	cfg := core.Config{
 		Scheme:          core.ReversedSEC,
 		Code:            erasure.NonSystematicCauchy,
-		Field:           core.GF16,
 		N:               6,
 		K:               3,
 		BlockSize:       4,

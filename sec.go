@@ -59,18 +59,6 @@ const (
 // CodeKind selects the erasure-code construction.
 type CodeKind = erasure.Kind
 
-// CodeField selects the coding symbol width.
-type CodeField = core.Field
-
-// Coding fields.
-const (
-	// GF8 codes over GF(2^8): all constructions, n+k <= 256 (default).
-	GF8 = core.GF8
-	// GF16 codes over GF(2^16): non-systematic Cauchy with n+k up to
-	// 65536, for very wide archives.
-	GF16 = core.GF16
-)
-
 // Erasure code constructions.
 const (
 	// NonSystematicCauchy is the paper's G_N: any 2*gamma shards

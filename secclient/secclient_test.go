@@ -154,6 +154,25 @@ func TestClientErrBusyUnderSaturatedWriterQueue(t *testing.T) {
 	}
 }
 
+// TestClientCreateRefusesOtherFields: a create naming a coding field other
+// than GF(2^8) is refused through the SDK with an error naming the field,
+// and leaves no archive behind; one naming gf8 is made.
+func TestClientCreateRefusesOtherFields(t *testing.T) {
+	client := dial(t, startGateway(t, store.NewMemCluster(6), 0))
+	ctx := t.Context()
+	for _, field := range []string{"gf16", "gf32"} {
+		if _, err := client.Create(ctx, field, secclient.Spec{Field: field, N: 6, K: 3, BlockSize: 4}); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("Create with field %s: err = %v, want an error naming it", field, err)
+		}
+		if _, err := client.Latest(ctx, field); !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("after a refused create of %s: Latest err = %v, want store.ErrNotFound", field, err)
+		}
+	}
+	if _, err := client.Create(ctx, "gf8", secclient.Spec{Field: "gf8", N: 6, K: 3, BlockSize: 4}); err != nil {
+		t.Errorf("Create with field gf8: %v", err)
+	}
+}
+
 // TestClientErrConflictOnStaleCommitAt drives optimistic concurrency
 // through the SDK: a CommitAt whose expectation is stale must come back
 // as a typed ErrConflict over the wire, and the archive must be left
