@@ -429,10 +429,11 @@ func TestScrubMajorityOutvotesCorruptShard(t *testing.T) {
 // versions must read back whole. Row 5 of a (12,10) code lies in every
 // window of k consecutive rows, and the parity check heals it all the same.
 // Flips past the first k rows are their own syndrome and heal without a
-// search, three of them in a (40,10) codeword included. Beyond what the
-// search may spend - six flips among that codeword's first k rows, within
-// its radius of 15 but C(40,6) supports away - no codeword can be verified,
-// so scrub must write nothing and count the object as unverified.
+// search, three of them included, in a (40,10) codeword and in a (156,100)
+// one, the widest the field holds. Beyond what the search may spend - six
+// flips among the (40,10) codeword's first k rows, within its radius of 15
+// but C(40,6) supports away - no codeword can be verified, so scrub must
+// write nothing and count the object as unverified.
 func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 	for _, tt := range []struct {
 		name      string
@@ -448,12 +449,16 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 		{"systematic-12-10/row0", erasure.SystematicCauchy, 12, 10, 64, false, []int{0}, true},
 		{"cauchy-12-10/row5", erasure.NonSystematicCauchy, 12, 10, 64, false, []int{5}, true},
 		{"systematic-vandermonde-12-10/row11", erasure.SystematicVandermonde, 12, 10, 64, false, []int{11}, true},
+		{"cauchy-6-3/row1", erasure.NonSystematicCauchy, 6, 3, 64, false, []int{1}, true},
 		{"cdec-6-3/row2", erasure.NonSystematicCauchy, 6, 3, 64, true, []int{2}, true},
 		{"cauchy-8-4/rows1,6", erasure.NonSystematicCauchy, 8, 4, 64, false, []int{1, 6}, true},
 		{"cauchy-40-10/row35", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{35}, true},
 		{"cauchy-40-10/rows37,39", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{37, 39}, true},
 		{"cauchy-40-10/rows37,38,39", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{37, 38, 39}, true},
 		{"cauchy-40-10/rows0-5", erasure.NonSystematicCauchy, 40, 10, 16, false, []int{0, 1, 2, 3, 4, 5}, false},
+		{"cauchy-156-100/row150", erasure.NonSystematicCauchy, 156, 100, 16, false, []int{150}, true},
+		{"cauchy-156-100/rows153,155", erasure.NonSystematicCauchy, 156, 100, 16, false, []int{153, 155}, true},
+		{"cauchy-156-100/rows153,154,155", erasure.NonSystematicCauchy, 156, 100, 16, false, []int{153, 154, 155}, true},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			cluster := store.NewMemCluster(0)

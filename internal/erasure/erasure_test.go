@@ -54,6 +54,12 @@ func TestNewValidation(t *testing.T) {
 		{"n == k", NonSystematicCauchy, 3, 3, true},
 		{"k == 0", NonSystematicCauchy, 3, 0, true},
 		{"field exhausted", NonSystematicCauchy, 250, 20, true},
+		{"cauchy at the field edge", NonSystematicCauchy, 156, 100, false},
+		{"cauchy past the field edge", NonSystematicCauchy, 157, 100, true},
+		{"systematic cauchy at the field edge", SystematicCauchy, 256, 100, false},
+		{"systematic cauchy past the field edge", SystematicCauchy, 257, 100, true},
+		{"vandermonde at the field edge", NonSystematicVandermonde, 255, 100, false},
+		{"vandermonde past the field edge", NonSystematicVandermonde, 256, 100, true},
 		{"unknown kind", Kind(99), 6, 3, true},
 	}
 	for _, tt := range tests {
