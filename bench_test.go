@@ -344,15 +344,14 @@ func BenchmarkDecodeFull20_10(b *testing.B) {
 	}
 }
 
-// Ablation: support-enumeration vs Berlekamp-Massey sparse decoding at the
-// same I/O (2*gamma shards of a (24,12) code, gamma=3).
-func benchSparseDecode(b *testing.B, kind erasure.Kind) {
-	b.Helper()
+// Sparse decoding by support enumeration from 2*gamma shards of a (24,12)
+// code, gamma=3.
+func BenchmarkSparseDecodeEnumCauchy(b *testing.B) {
 	const (
 		n, k, gamma = 24, 12, 3
 		blockSize   = 1024
 	)
-	code, err := erasure.New(kind, n, k)
+	code, err := erasure.New(erasure.NonSystematicCauchy, n, k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,16 +389,8 @@ func benchSparseDecode(b *testing.B, kind erasure.Kind) {
 	}
 }
 
-func BenchmarkSparseDecodeEnumCauchy(b *testing.B) {
-	benchSparseDecode(b, erasure.NonSystematicCauchy)
-}
-
-func BenchmarkSparseDecodeSyndromeVandermonde(b *testing.B) {
-	benchSparseDecode(b, erasure.NonSystematicVandermonde)
-}
-
 // Ablation: generic sparse recovery cost as gamma grows (enumeration is
-// C(k,gamma); syndrome decoding is polynomial).
+// C(k,gamma)).
 func BenchmarkSparseRecoverEnumByGamma(b *testing.B) {
 	const k = 16
 	for _, gamma := range []int{1, 2, 3, 4} {

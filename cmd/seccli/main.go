@@ -201,7 +201,7 @@ func cmdInit(ctx context.Context, out io.Writer, client *secclient.Client, gw, g
 	fs.SetOutput(out)
 	var (
 		scheme     = fs.String("scheme", "basic-sec", "storage scheme")
-		code       = fs.String("code", "non-systematic-cauchy", "erasure code construction")
+		code       = fs.String("code", "non-systematic-cauchy", "erasure code construction: non-systematic-cauchy or systematic-cauchy")
 		n          = fs.Int("n", 6, "shards per object")
 		k          = fs.Int("k", 3, "data blocks per object")
 		blockSize  = fs.Int("blocksize", 1024, "bytes per block")

@@ -364,6 +364,35 @@ func TestCLIInitRefusesOverwrite(t *testing.T) {
 	}
 }
 
+// TestCLIInitRefusesRetiredCodes: init names the two codes in its help, and
+// refuses a Vandermonde code, which an earlier release offered, by name
+// before any node is read or written.
+func TestCLIInitRefusesRetiredCodes(t *testing.T) {
+	nodes, backings := startNodes(t, 6)
+	manifest := filepath.Join(t.TempDir(), "archive.json")
+	var out bytes.Buffer
+	if err := run(t.Context(), []string{"-nodes", nodes, "-manifest", manifest, "init", "-h"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if help := out.String(); !strings.Contains(help, "non-systematic-cauchy or systematic-cauchy") {
+		t.Errorf("init -h does not name the two codes:\n%s", help)
+	}
+	for _, code := range []string{"non-systematic-vandermonde", "systematic-vandermonde"} {
+		err := run(t.Context(), []string{"-nodes", nodes, "-manifest", manifest, "init", "-code", code}, &out)
+		if err == nil || !strings.Contains(err.Error(), `"`+code+`"`) {
+			t.Errorf("init -code %s: err = %v, want an error naming it", code, err)
+		}
+	}
+	for i, node := range backings {
+		if stats := node.Stats(); stats != (store.NodeStats{}) || node.Len() != 0 {
+			t.Errorf("node %d after the refused inits: %+v, %d shards, want no I/O", i, stats, node.Len())
+		}
+	}
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Errorf("refused init left a manifest: %v", err)
+	}
+}
+
 func TestCLICompact(t *testing.T) {
 	nodes, backings := startNodes(t, 6)
 	dir := t.TempDir()

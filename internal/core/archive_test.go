@@ -56,8 +56,6 @@ var allSchemes = []Scheme{BasicSEC, OptimizedSEC, ReversedSEC, NonDifferential}
 var allCodeKinds = []erasure.Kind{
 	erasure.NonSystematicCauchy,
 	erasure.SystematicCauchy,
-	erasure.NonSystematicVandermonde,
-	erasure.SystematicVandermonde,
 }
 
 func TestNewValidation(t *testing.T) {

@@ -128,7 +128,6 @@ type censusKind struct {
 // rows it reaches.
 func censusKinds() []censusKind {
 	ns, sys := erasure.NonSystematicCauchy, erasure.SystematicCauchy
-	nsv, sysv := erasure.NonSystematicVandermonde, erasure.SystematicVandermonde
 	dispersed := store.DispersedPlacement{N: 6}
 	return []censusKind{
 		{"non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
@@ -140,8 +139,6 @@ func censusKinds() []censusKind {
 		{"dispersed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"dispersed/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"windowed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, BlockSize: 256}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
-		{"vandermonde(6,3)", core.Config{Code: nsv, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[0 2 4]": {5, 1, 0}}},
-		{"systematic-vandermonde(6,3)", core.Config{Code: sysv, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
 		{"optimized(6,3)", core.Config{Scheme: core.OptimizedSEC, Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[0 2 4]": {5, 1, 0}}},
 		{"cdec(6,3)", core.Config{Code: ns, N: 6, K: 3, CompressDeltas: true}, 0, 64, map[string]censusReads{"[]": {4, 0, 1}, "[0 2 4]": {4, 0, 1}}},
 		{"cdec/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, CompressDeltas: true}, 0, 64, map[string]censusReads{"[]": {4, 0, 1}, "[0 1 2]": {4, 0, 1}}},

@@ -52,7 +52,6 @@ func TestNodesHoldWhatTheChainLists(t *testing.T) {
 		{"plain", func(*Config) {}},
 		{"cdec", func(c *Config) { c.CompressDeltas = true }},
 		{"systematic-cdec", func(c *Config) { c.Code, c.CompressDeltas = erasure.SystematicCauchy, true }},
-		{"vandermonde-cdec", func(c *Config) { c.Code, c.CompressDeltas = erasure.NonSystematicVandermonde, true }},
 		{"checkpoint-cdec", func(c *Config) { c.CheckpointEvery, c.CompressDeltas = 4, true }},
 	}
 	gammas := []int{1, 2, 0, 3, 5, 1, 2, 3, 0, 5, 1, 2, 3, 1, 2} // twelve edits, then three more

@@ -33,8 +33,6 @@ func TestCommitStoresWhatTheDenseEncoderWould(t *testing.T) {
 		{"non-systematic-cauchy", func(*Config) {}},
 		{"systematic-cauchy", func(c *Config) { c.Code = erasure.SystematicCauchy }},
 		{"cdec", func(c *Config) { c.CompressDeltas = true }},
-		{"non-systematic-vandermonde", func(c *Config) { c.Code = erasure.NonSystematicVandermonde }},
-		{"systematic-vandermonde", func(c *Config) { c.Code = erasure.SystematicVandermonde }},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {

@@ -31,7 +31,9 @@ import (
 // refuses: offsets without a support, a support whose length is not gamma,
 // and an offset whose window leaves the block. Last, it holds a manifest of
 // a GF(2^16) archive an earlier release saved, which Open refuses by the
-// field it names.
+// field it names, and one of a non-systematic Vandermonde archive
+// (refused-code-vandermonde, the CDEC manifest cdec-support holds but for
+// its code), which Open refuses by the code it names.
 func FuzzLoadManifest(f *testing.F) {
 	// Seed with a real manifest.
 	cluster := store.NewMemCluster(0)
@@ -90,8 +92,8 @@ func TestSavedManifestsResaveByteIdentical(t *testing.T) {
 		"cdec-support": "  \"compress_gamma_max\": 1,\n",
 	}
 	files, err := filepath.Glob("testdata/fuzz/FuzzLoadManifest/*")
-	if err != nil || len(files) < 23 {
-		t.Fatalf("corpus has %d files (err %v), want the 23 committed", len(files), err)
+	if err != nil || len(files) < 24 {
+		t.Fatalf("corpus has %d files (err %v), want the 24 committed", len(files), err)
 	}
 	for _, file := range files {
 		t.Run(filepath.Base(file), func(t *testing.T) {

@@ -35,8 +35,6 @@ func TestLengthCensus(t *testing.T) {
 		"dispersed/non-systematic(6,3)": 164,
 		"dispersed/systematic(6,3)":     164,
 		"windowed/non-systematic(6,3)":  164,
-		"vandermonde(6,3)":              164,
-		"systematic-vandermonde(6,3)":   164,
 		"optimized(6,3)":                164,
 		"cdec(6,3)":                     110,
 		"cdec/systematic(6,3)":          110,

@@ -29,9 +29,8 @@ type ScrubReport struct {
 	// cannot be verified or repaired.
 	ObjectsUndecodable int
 	// ObjectsUnverified counts stored objects that can be decoded but whose
-	// shards no codeword accounts for within the unique-decoding radius of
-	// their m intact rows - (m-k)/2 on an MDS code, less on systematic
-	// Vandermonde rows of smaller distance: exactly k shards present, more
+	// shards no codeword accounts for within the unique-decoding radius
+	// (m-k)/2 of their m intact rows: exactly k shards present, more
 	// corrupt shards than the radius among them, a search for them that
 	// outgrew m-k+1 full decodes, or shards left that do not decode. Scrub
 	// writes none of their shards, because a rewrite from a decode it cannot
@@ -66,9 +65,9 @@ type RepairReport struct {
 // reader's probe round finds down are not read but reported unreachable.
 //
 // The m intact shards of an object (present and of its width) are a
-// punctured code of distance m-k+1 (on an MDS code), and Locate names the
-// rows that differ from the one codeword within (m-k)/2 of them: a healthy
-// object costs one syndrome product. Objects with fewer than k intact shards are counted as
+// punctured code of distance m-k+1, and Locate names the rows that differ
+// from the one codeword within (m-k)/2 of them: a healthy object costs one
+// syndrome product. Objects with fewer than k intact shards are counted as
 // undecodable, and objects no codeword accounts for as unverified; neither
 // gets a shard rewritten.
 func (a *Archive) ScrubContext(ctx context.Context, repair bool) (ScrubReport, error) {

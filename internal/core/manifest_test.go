@@ -105,7 +105,7 @@ func TestSpecCarriesEveryConfigField(t *testing.T) {
 	}
 	values := map[string]any{
 		"Scheme":          ReversedSEC,
-		"Code":            erasure.SystematicVandermonde,
+		"Code":            erasure.SystematicCauchy,
 		"N":               7,
 		"K":               2,
 		"BlockSize":       8,

@@ -38,8 +38,6 @@ func TestScrubCensus(t *testing.T) {
 		"dispersed/non-systematic(6,3)": {588, 158, 430, 0, 0},
 		"dispersed/systematic(6,3)":     {588, 158, 390, 40, 0},
 		"windowed/non-systematic(6,3)":  {588, 158, 430, 0, 0},
-		"vandermonde(6,3)":              {588, 158, 430, 0, 0},
-		"systematic-vandermonde(6,3)":   {588, 158, 290, 132, 8},
 		"optimized(6,3)":                {588, 158, 430, 0, 0},
 		"cdec(6,3)":                     {369, 116, 253, 0, 0},
 		"cdec/systematic(6,3)":          {369, 116, 227, 26, 0},

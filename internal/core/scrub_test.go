@@ -448,7 +448,6 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 		{"cauchy-6-4/row0", erasure.NonSystematicCauchy, 6, 4, 64, false, []int{0}, true},
 		{"systematic-12-10/row0", erasure.SystematicCauchy, 12, 10, 64, false, []int{0}, true},
 		{"cauchy-12-10/row5", erasure.NonSystematicCauchy, 12, 10, 64, false, []int{5}, true},
-		{"systematic-vandermonde-12-10/row11", erasure.SystematicVandermonde, 12, 10, 64, false, []int{11}, true},
 		{"cauchy-6-3/row1", erasure.NonSystematicCauchy, 6, 3, 64, false, []int{1}, true},
 		{"cdec-6-3/row2", erasure.NonSystematicCauchy, 6, 3, 64, true, []int{2}, true},
 		{"cauchy-8-4/rows1,6", erasure.NonSystematicCauchy, 8, 4, 64, false, []int{1, 6}, true},
@@ -553,103 +552,6 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 				}
 				if !bytes.Equal(got, want) {
 					t.Errorf("version %d reads back other bytes after scrub", v+1)
-				}
-			}
-		})
-	}
-}
-
-// TestScrubNonMDSRowSets: systematic Vandermonde is not MDS, so the rows
-// left of a (14,6) codeword when some are missing can be a code of less
-// distance than m-k+1, and their first k rows need not decode. With rows 0,
-// 2, 3, 6, 8, 11, 12 and 13 left (distance 2), a flip in row 13 is also one
-// flip in row 12 away from another codeword: scrub must not guess, write
-// nothing, count the object unverified and go on to the next. With rows 1,
-// 2, 4, 6, 7, 10, 11, 12 and 13 left (distance 3), the flip is located and
-// the rows left after it - rows 1, 2, 4, 6, 7 and 10 first, which do not
-// decode - give the codeword back, so every damaged row heals.
-func TestScrubNonMDSRowSets(t *testing.T) {
-	for _, tt := range []struct {
-		name    string
-		missing []int
-		heal    bool
-	}{
-		{"distance-2", []int{1, 4, 5, 7, 9, 10}, false},
-		{"distance-3", []int{0, 3, 5, 8, 9}, true},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			ctx := t.Context()
-			cluster := store.NewMemCluster(0)
-			a, err := New(Config{Name: "t", Scheme: BasicSEC, Code: erasure.SystematicVandermonde, N: 14, K: 6, BlockSize: 64}, cluster)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1 := make([]byte, a.Capacity())
-			for i := range v1 {
-				v1[i] = byte(i*7 + 3)
-			}
-			versions := [][]byte{v1, editBlocks(v1, 64, 2)}
-			mustCommit(t, a, versions[0])
-			mustCommit(t, a, versions[1])
-			node := func(row int) store.Node {
-				node, err := cluster.Node(row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return node
-			}
-			id := func(row int) store.ShardID { return store.ShardID{Object: "t/v1-full", Row: row} }
-			writes := func() (total uint64) {
-				for row := range 14 {
-					total += node(row).(*store.MemNode).Stats().Writes
-				}
-				return total
-			}
-			healthy := make([][]byte, 14)
-			for row := range healthy {
-				data, err := node(row).Get(ctx, id(row))
-				if err != nil {
-					t.Fatal(err)
-				}
-				healthy[row] = bytes.Clone(data)
-			}
-			for _, row := range tt.missing {
-				if err := node(row).Delete(ctx, id(row)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			flipped := bytes.Clone(healthy[13])
-			flipped[3] ^= 0x40
-			if err := node(13).Put(ctx, id(13), flipped); err != nil {
-				t.Fatal(err)
-			}
-			before := writes()
-
-			report, err := a.ScrubContext(ctx, true)
-			if err != nil {
-				t.Fatalf("scrub ended the pass: %v", err)
-			}
-			want := ScrubReport{ShardsChecked: 28, ShardsMissing: len(tt.missing), ObjectsUnverified: 1}
-			if tt.heal {
-				want = ScrubReport{ShardsChecked: 28, ShardsMissing: len(tt.missing), ShardsCorrupt: 1, Repaired: len(tt.missing) + 1}
-			}
-			if report != want {
-				t.Errorf("report = %+v, want %+v", report, want)
-			}
-			if got := writes() - before; got != uint64(want.Repaired) {
-				t.Errorf("scrub wrote %d shards, want %d", got, want.Repaired)
-			}
-			if !tt.heal {
-				return
-			}
-			for row := range 14 {
-				if data, err := node(row).Get(ctx, id(row)); err != nil || !bytes.Equal(data, healthy[row]) {
-					t.Errorf("row %d did not heal: %v", row, err)
-				}
-			}
-			for v, want := range versions {
-				if got, _, err := a.RetrieveContext(ctx, v+1); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("version %d does not read back after scrub: %v", v+1, err)
 				}
 			}
 		})

@@ -48,8 +48,8 @@ func markSlow(t *testing.T, a *Archive, cluster *store.Cluster, versions [][]byt
 // every scheme over every code kind with node 0 slowed. Once the first reads
 // have marked it slow, every version reads back byte-identical, at the read
 // count it had before, and without one get at node 0: full reads, sparse
-// plans (the Vandermonde kinds' windows included) and CDEC deltas all find
-// their rows elsewhere in a (6,3) code that has lost nothing.
+// plans and CDEC deltas all find their rows elsewhere in a (6,3) code that
+// has lost nothing.
 func TestSlowNodeChainRetrievalByteIdentical(t *testing.T) {
 	for _, scheme := range allSchemes {
 		for _, kind := range allCodeKinds {

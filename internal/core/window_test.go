@@ -36,8 +36,6 @@ func TestStoredRowsEncodeEachBlocksWindow(t *testing.T) {
 		{"systematic", Config{Code: erasure.SystematicCauchy}},
 		{"cdec", Config{Code: erasure.NonSystematicCauchy, CompressDeltas: true}},
 		{"reversed", Config{Code: erasure.NonSystematicCauchy, Scheme: ReversedSEC}},
-		{"vandermonde", Config{Code: erasure.NonSystematicVandermonde}},
-		{"systematic-vandermonde", Config{Code: erasure.SystematicVandermonde}},
 	}
 	for _, kind := range kinds {
 		for _, blockSize := range []int{64, 128, 200, 4096, 200 << 10} {

@@ -61,7 +61,7 @@ func TestDecodeMatrixCacheKeepsHotEntries(t *testing.T) {
 // TestEncodeIntoDecodeFullIntoRoundTrip checks the Into variants agree with
 // the allocating paths and with the original data.
 func TestEncodeIntoDecodeFullIntoRoundTrip(t *testing.T) {
-	for _, kind := range []Kind{NonSystematicCauchy, SystematicCauchy, NonSystematicVandermonde, SystematicVandermonde} {
+	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			const n, k, blockLen = 9, 4, 97
 			code, err := New(kind, n, k)

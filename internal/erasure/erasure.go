@@ -7,8 +7,7 @@
 // Example 1 (every square submatrix invertible, so every 2*gamma-row
 // submatrix satisfies Criterion 2); SystematicCauchy is the G_S = [I; B] of
 // Example 2 (only parity-row submatrices satisfy Criterion 2, limiting
-// sparse reads to gamma <= (n-k)/2). The Vandermonde kinds are an extension
-// enabling Berlekamp-Massey sparse decoding on consecutive shard windows.
+// sparse reads to gamma <= (n-k)/2). Both are MDS: any k rows decode.
 package erasure
 
 import (
@@ -33,12 +32,6 @@ const (
 	NonSystematicCauchy Kind = iota + 1
 	// SystematicCauchy is the paper's G_S = [I_k; B] with Cauchy B.
 	SystematicCauchy
-	// NonSystematicVandermonde evaluates monomials at alpha^i; consecutive
-	// shard windows admit fast syndrome-based sparse decoding.
-	NonSystematicVandermonde
-	// SystematicVandermonde is [I_k; V] with V the first n-k Vandermonde
-	// rows; parity windows admit fast syndrome-based sparse decoding.
-	SystematicVandermonde
 )
 
 // String returns the construction name.
@@ -48,10 +41,6 @@ func (k Kind) String() string {
 		return "non-systematic-cauchy"
 	case SystematicCauchy:
 		return "systematic-cauchy"
-	case NonSystematicVandermonde:
-		return "non-systematic-vandermonde"
-	case SystematicVandermonde:
-		return "systematic-vandermonde"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -60,18 +49,19 @@ func (k Kind) String() string {
 // Systematic reports whether the construction stores the data blocks
 // verbatim in the first k shards.
 func (k Kind) Systematic() bool {
-	return k == SystematicCauchy || k == SystematicVandermonde
+	return k == SystematicCauchy
 }
 
 // ParseKind maps a construction name (as produced by Kind.String) back to
-// its value.
+// its value. Any other name is refused, the two Vandermonde codes an earlier
+// release offered included, with an error naming it and the two codes.
 func ParseKind(name string) (Kind, error) {
-	for _, k := range []Kind{NonSystematicCauchy, SystematicCauchy, NonSystematicVandermonde, SystematicVandermonde} {
+	for _, k := range []Kind{NonSystematicCauchy, SystematicCauchy} {
 		if k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("erasure: unknown construction kind %q", name)
+	return 0, fmt.Errorf("erasure: unsupported construction kind %q: codes are %q and %q", name, NonSystematicCauchy, SystematicCauchy)
 }
 
 // Code is an (n,k) linear erasure code. It is safe for concurrent use.
@@ -83,7 +73,7 @@ type Code struct {
 	mu         sync.Mutex
 	criterion2 map[string]bool           // verified Criterion-2 verdicts per row set
 	inverses   *lru.Cache[matrix.Matrix] // decode matrices per row set
-	checks     *lru.Cache[*parityCheck]  // Locate's parity checks per row set
+	checks     *lru.Cache[matrix.Matrix] // Locate's parity checks per row set
 }
 
 // maxCachedInverses bounds the decode-matrix cache; degraded-read patterns
@@ -95,8 +85,8 @@ const maxCachedInverses = 256
 const maxCachedChecks = 64
 
 // New constructs an (n,k) code of the given kind. n must exceed k, and the
-// construction must fit the field (n+k <= 256 for Cauchy, n <= 255 for
-// Vandermonde).
+// construction must fit the field: n+k <= 256 distinct points for the
+// non-systematic Cauchy matrix, n <= 256 for the systematic one's B.
 func New(kind Kind, n, k int) (*Code, error) {
 	if k <= 0 || n <= k {
 		return nil, fmt.Errorf("erasure: need n > k > 0, got (n,k)=(%d,%d)", n, k)
@@ -114,14 +104,6 @@ func New(kind Kind, n, k int) (*Code, error) {
 		if err == nil {
 			gen = matrix.Identity(k).Stack(b)
 		}
-	case NonSystematicVandermonde:
-		gen, err = matrix.Vandermonde(n, k)
-	case SystematicVandermonde:
-		var v matrix.Matrix
-		v, err = matrix.Vandermonde(n-k, k)
-		if err == nil {
-			gen = matrix.Identity(k).Stack(v)
-		}
 	default:
 		return nil, fmt.Errorf("erasure: unknown construction kind %d", int(kind))
 	}
@@ -135,7 +117,7 @@ func New(kind Kind, n, k int) (*Code, error) {
 		gen:        gen,
 		criterion2: make(map[string]bool),
 		inverses:   lru.New[matrix.Matrix](maxCachedInverses),
-		checks:     lru.New[*parityCheck](maxCachedChecks),
+		checks:     lru.New[matrix.Matrix](maxCachedChecks),
 	}, nil
 }
 
@@ -278,9 +260,9 @@ func putDecodeScratch(sc *decodeScratch) {
 	decodeScratchPool.Put(sc)
 }
 
-// DecodeFull reconstructs the k data blocks from at least k distinct shards.
-// rows[i] is the shard index (generator row) of shards[i]. For MDS
-// constructions any k distinct rows suffice.
+// DecodeFull reconstructs the k data blocks from at least k distinct shards,
+// the first k distinct ones given. rows[i] is the shard index (generator
+// row) of shards[i].
 func (c *Code) DecodeFull(rows []int, shards [][]byte) ([][]byte, error) {
 	sc := getDecodeScratch(c.n)
 	defer putDecodeScratch(sc)
@@ -314,9 +296,8 @@ func (c *Code) DecodeFullInto(rows []int, shards, dst [][]byte) error {
 	return nil
 }
 
-// pickDecodeShards validates a DecodeFull input and selects the first k
-// distinct shard rows on which the generator is independent into the
-// scratch: the first k distinct rows of an MDS code.
+// pickDecodeShards validates a DecodeFull input and selects its first k
+// distinct shard rows into the scratch.
 func (c *Code) pickDecodeShards(rows []int, shards [][]byte, sc *decodeScratch) error {
 	if len(rows) != len(shards) {
 		return fmt.Errorf("erasure: %d rows but %d shards", len(rows), len(shards))
@@ -334,30 +315,12 @@ func (c *Code) pickDecodeShards(rows []int, shards [][]byte, sc *decodeScratch) 
 		sc.seen[r] = true
 		sc.pick = append(sc.pick, r)
 		sc.shards = append(sc.shards, shards[i])
-		if len(sc.pick) == c.k && c.mds() {
-			break
+		if len(sc.pick) == c.k {
+			return nil
 		}
 	}
-	if len(sc.pick) < c.k {
-		return fmt.Errorf("erasure: need %d distinct shards to decode, got %d", c.k, len(sc.pick))
-	}
-	if len(sc.pick) > c.k {
-		// Not every k rows decode: keep the first k that do, if any.
-		if w, _ := c.gen.SelectRows(sc.pick).IndependentRows(); len(w) == c.k {
-			for i, at := range w {
-				sc.pick[i], sc.shards[i] = sc.pick[at], sc.shards[at]
-			}
-		}
-		clear(sc.shards[c.k:])
-		sc.pick, sc.shards = sc.pick[:c.k], sc.shards[:c.k]
-	}
-	return nil
+	return fmt.Errorf("erasure: need %d distinct shards to decode, got %d", c.k, len(sc.pick))
 }
-
-// mds reports whether every k rows of the generator are independent: true
-// of every construction but systematic Vandermonde, whose [I; V] has
-// singular square submatrices.
-func (c *Code) mds() bool { return c.kind != SystematicVandermonde }
 
 // checkDst validates an Into-destination: count blocks of blockLen bytes.
 func (c *Code) checkDst(dst [][]byte, count, blockLen int) error {
@@ -414,15 +377,13 @@ func appendRowKey(dst []byte, rows []int) []byte {
 // within maxErrors of them, in the order given: none when the shards are a
 // codeword. rows[i] is the generator row of shards[i], all distinct, and
 // maxErrors is at most (m-k)/2 for m rows: the distance of those rows is
-// m-k+1 on an MDS code, so within that radius no two codewords lie. On a
-// code that is not MDS the radius is cut to what the rows' distance
-// guarantees (parityCheck). The syndrome H*r of the row set's cached parity
-// check is zero for a codeword and otherwise H*e for the error e, which is
-// its own syndrome when it lies in R, where H is the identity, and is
-// otherwise recovered by the support enumerator as a maxErrors-sparse vector
-// (Proposition 1 with Phi = H). When no codeword lies within maxErrors, or
-// the search would cost more than m-k+1 full decodes (sparse.LocateBudget),
-// the answer is sparse.ErrUnrecoverable.
+// m-k+1, so within that radius no two codewords lie. The syndrome H*r of the
+// row set's cached parity check is zero for a codeword and otherwise H*e for
+// the error e, which is its own syndrome when it lies past the first k rows,
+// where H is the identity, and is otherwise recovered by the support
+// enumerator as a maxErrors-sparse vector (Proposition 1 with Phi = H). When
+// no codeword lies within maxErrors, or the search would cost more than m-k+1
+// full decodes (sparse.LocateBudget), the answer is sparse.ErrUnrecoverable.
 func (c *Code) Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error) {
 	m := len(rows)
 	if len(shards) != m {
@@ -437,22 +398,21 @@ func (c *Code) Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error)
 	if err := uniformLen(shards); err != nil {
 		return nil, err
 	}
-	check, err := c.parityCheck(rows)
+	h, err := c.parityCheck(rows)
 	if err != nil {
 		return nil, err
 	}
 	blockLen := len(shards[0])
 	syndrome := GetBuffers(m-c.k, blockLen)
 	defer syndrome.Release()
-	check.h.MulBlocksInto(shards, syndrome.Blocks)
-	maxErrors = min(maxErrors, check.radius)
+	h.MulBlocksInto(shards, syndrome.Blocks)
 	if at, _ := sparse.Support(syndrome.Blocks); len(at) <= maxErrors {
 		for i, r := range at {
-			at[i] = rows[check.rest[r]]
+			at[i] = rows[c.k+r]
 		}
 		return at, nil
 	}
-	support, _, err := sparse.RecoverSupportWithin(check.h, syndrome.Blocks, maxErrors, sparse.LocateBudget(c.n, c.k, m, blockLen))
+	support, _, err := sparse.RecoverSupportWithin(h, syndrome.Blocks, maxErrors, sparse.LocateBudget(c.n, c.k, m, blockLen))
 	if err != nil {
 		return nil, err
 	}
@@ -463,94 +423,42 @@ func (c *Code) Locate(rows []int, shards [][]byte, maxErrors int) ([]int, error)
 	return located, nil
 }
 
-// parityCheck is Locate's judge of one row set: H = [G_R * G_W^-1 | I] with
-// W the first k rows on which the generator is independent - the first k
-// rows of an MDS code - and R the rest, at positions rest of the rows, each
-// column of H in the place of its row; and the radius within which no two
-// codewords of those rows lie.
-type parityCheck struct {
-	h      matrix.Matrix
-	rest   []int
-	radius int
-}
-
-// parityCheck returns the parity check of the given rows, cached per row set
-// as the decode matrices are. Its radius is (m-k)/2 on an MDS code and
-// checkedRadius otherwise.
-func (c *Code) parityCheck(rows []int) (*parityCheck, error) {
+// parityCheck returns Locate's judge of the given rows, H = [G_R * G_W^-1 | I]
+// with W the first k rows and R the rest, cached per row set as the decode
+// matrices are.
+func (c *Code) parityCheck(rows []int) (matrix.Matrix, error) {
 	sc := getDecodeScratch(c.n)
 	defer putDecodeScratch(sc)
 	sc.key = appendRowKey(sc.key, rows)
-	if check, ok := c.checks.Get(sc.key); ok {
-		return check, nil
+	if h, ok := c.checks.Get(sc.key); ok {
+		return h, nil
 	}
 	key := string(sc.key)
 	for _, r := range rows {
 		if sc.seen[r] {
-			return nil, fmt.Errorf("erasure: shard row %d given twice", r)
+			return matrix.Matrix{}, fmt.Errorf("erasure: shard row %d given twice", r)
 		}
 		sc.seen[r] = true
 	}
-	w, rest := c.gen.SelectRows(rows).IndependentRows()
-	for _, at := range w {
-		sc.pick = append(sc.pick, rows[at])
-	}
-	if len(w) < c.k {
-		return nil, fmt.Errorf("erasure: shard rows %v span fewer than k=%d dimensions", rows, c.k)
-	}
+	sc.pick = append(sc.pick, rows[:c.k]...)
 	inv, err := c.decodeMatrix(sc)
 	if err != nil {
-		return nil, err
+		return matrix.Matrix{}, err
 	}
-	restRows := make([]int, len(rest))
-	for i, at := range rest {
-		restRows[i] = rows[at]
+	parity := c.gen.SelectRows(rows[c.k:]).Mul(inv)
+	h := matrix.New(len(rows)-c.k, len(rows))
+	for i := range parity.Rows() {
+		copy(h.Row(i), parity.Row(i))
+		h.Set(i, c.k+i, 1)
 	}
-	parity := c.gen.SelectRows(restRows).Mul(inv)
-	check := &parityCheck{h: matrix.New(len(rest), len(rows)), rest: rest, radius: len(rest) / 2}
-	for i, at := range rest {
-		for j, wat := range w {
-			check.h.Set(i, wat, parity.At(i, j))
-		}
-		check.h.Set(i, at, 1)
-	}
-	if !c.mds() {
-		check.radius = checkedRadius(check.h)
-	}
-	c.checks.Put(key, check)
-	return check, nil
-}
-
-// maxRadiusChecks bounds the column sets checkedRadius checks for one
-// radius: C(14,6) = 3 003 covers every shape TestLocate runs.
-const maxRadiusChecks = 1 << 13
-
-// checkedRadius returns the largest t for which every 2t columns of the
-// parity check h are independent: no non-zero codeword of its rows then has
-// weight 2t or less, so no two codewords lie within t of any shards. A
-// radius with more than maxRadiusChecks column sets to check is not checked
-// and counts as failed.
-func checkedRadius(h matrix.Matrix) int {
-	t := 0
-	for ; 2*(t+1) <= h.Rows(); t++ {
-		checked, independent := 0, true
-		matrix.Combinations(h.Cols(), 2*(t+1), func(cols []int) bool {
-			checked++
-			independent = checked <= maxRadiusChecks && h.SelectCols(cols).Rank() == len(cols)
-			return independent
-		})
-		if !independent {
-			break
-		}
-	}
-	return t
+	c.checks.Put(key, h)
+	return h, nil
 }
 
 // DecodeSparse recovers a block vector with at most gamma non-zero blocks
 // from the given shards, which must correspond to a row set satisfying
-// Criterion 2 for gamma (at least 2*gamma rows; see SparseReadRows). For
-// Vandermonde constructions with consecutive rows a syndrome decoder is
-// used; otherwise recovery enumerates candidate supports.
+// Criterion 2 for gamma (at least 2*gamma rows; see SparseReadRows), by
+// enumerating candidate supports.
 func (c *Code) DecodeSparse(rows []int, shards [][]byte, gamma int) ([][]byte, error) {
 	support, values, err := c.DecodeSparseSupport(rows, shards, gamma)
 	if err != nil {
@@ -575,44 +483,7 @@ func (c *Code) DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (supp
 	if gamma < 0 || 2*gamma > len(rows) {
 		return nil, nil, fmt.Errorf("erasure: sparsity %d not decodable from %d shards", gamma, len(rows))
 	}
-	if first, ok := c.vandermondeWindow(rows); ok {
-		dec, err := sparse.NewSyndromeDecoder(c.k, first, len(rows))
-		if err == nil {
-			if z, err := dec.Recover(shards, gamma); err == nil {
-				support, values = sparse.Support(z)
-				return support, values, nil
-			}
-			// Fall through to the generic decoder on failure so both
-			// paths agree on the error semantics.
-		}
-	}
 	return sparse.RecoverSupport(c.gen.SelectRows(rows), shards, gamma)
-}
-
-// vandermondeWindow reports whether rows form a consecutive window of
-// Vandermonde evaluation rows, returning the first exponent.
-func (c *Code) vandermondeWindow(rows []int) (int, bool) {
-	var offset int
-	switch c.kind {
-	case NonSystematicVandermonde:
-		offset = 0
-	case SystematicVandermonde:
-		offset = c.k // parity row i is Vandermonde row i-k
-	default:
-		return 0, false
-	}
-	if len(rows) == 0 {
-		return 0, false
-	}
-	for i, r := range rows {
-		if r-offset < 0 {
-			return 0, false
-		}
-		if i > 0 && rows[i] != rows[i-1]+1 {
-			return 0, false
-		}
-	}
-	return rows[0] - offset, true
 }
 
 // RowsSatisfyCriterion2 reports whether the row set's submatrix has every
@@ -637,12 +508,10 @@ func (c *Code) RowsSatisfyCriterion2(rows []int) bool {
 // SparseReadRows selects 2*gamma rows from the live shard set whose
 // submatrix satisfies Criterion 2, or nil if none exists. The order of live
 // is the caller's preference: a reader lists the rows it would rather not
-// read - those on slow nodes - last. Construction-specific fast paths avoid
-// enumeration: any rows work for Cauchy codes, so their plan is the first
-// 2*gamma usable rows as listed, and only parity rows can work for
-// systematic codes. A Vandermonde plan is looked for among the rows listed
-// before the first descent - the preferred rows, when the rest are a slow
-// tail - before among all of them; ascending input has no tail.
+// read - those on slow nodes - last. Every square submatrix of a Cauchy
+// matrix is invertible, so any 2*gamma usable rows satisfy Criterion 2 and
+// the plan is the first 2*gamma as listed; only parity rows are usable on a
+// systematic code.
 func (c *Code) SparseReadRows(live []int, gamma int) []int {
 	need := 2 * gamma
 	if gamma <= 0 || need >= c.k { // sparsity exploitable only when gamma < k/2
@@ -660,58 +529,7 @@ func (c *Code) SparseReadRows(live []int, gamma int) []int {
 	if len(candidates) < need {
 		return nil
 	}
-	switch c.kind {
-	case NonSystematicCauchy, SystematicCauchy:
-		// Every square submatrix of a Cauchy matrix is invertible, so
-		// the first `need` candidates always satisfy Criterion 2.
-		return candidates[:need]
-	default:
-		head := 1
-		for head < len(candidates) && candidates[head] > candidates[head-1] {
-			head++
-		}
-		if rows := c.vandermondeReadRows(candidates[:head], need); rows != nil || head == len(candidates) {
-			return rows
-		}
-		slices.Sort(candidates)
-		return c.vandermondeReadRows(candidates, need)
-	}
-}
-
-// vandermondeReadRows picks need rows satisfying Criterion 2 from ascending
-// candidates: the first consecutive window (syndrome-decodable), else the
-// first verified subset in lexicographic order, else nil.
-func (c *Code) vandermondeReadRows(candidates []int, need int) []int {
-	if len(candidates) < need {
-		return nil
-	}
-	for i := 0; i+need <= len(candidates); i++ {
-		window := candidates[i : i+need]
-		if window[need-1]-window[0] == need-1 {
-			return append([]int(nil), window...)
-		}
-	}
-	var found []int
-	matrix.Combinations(len(candidates), need, func(idx []int) bool {
-		rows := make([]int, need)
-		for i, ci := range idx {
-			rows[i] = candidates[ci]
-		}
-		if c.RowsSatisfyCriterion2(rows) {
-			found = rows
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// CanDecodeFull reports whether the live shard rows contain k rows whose
-// submatrix is invertible. For the MDS constructions this is simply
-// len(distinct live) >= k.
-func (c *Code) CanDecodeFull(live []int) bool {
-	distinct := dedupe(append([]int(nil), live...))
-	return len(distinct) >= c.k
+	return candidates[:need]
 }
 
 // Punctured returns the code obtained by dropping the last t shards, the
@@ -733,7 +551,7 @@ func (c *Code) Punctured(t int) (*Code, error) {
 		gen:        c.gen.SelectRows(rows),
 		criterion2: make(map[string]bool),
 		inverses:   lru.New[matrix.Matrix](maxCachedInverses),
-		checks:     lru.New[*parityCheck](maxCachedChecks),
+		checks:     lru.New[matrix.Matrix](maxCachedChecks),
 	}, nil
 }
 
@@ -751,16 +569,6 @@ func (c *Code) checkRows(rows []int) error {
 		}
 	}
 	return nil
-}
-
-func dedupe(sorted []int) []int {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func uniformLen(blocks [][]byte) error {

@@ -3,19 +3,17 @@ package erasure
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/secarchive/sec/internal/delta"
+	"github.com/secarchive/sec/internal/gf"
 	"github.com/secarchive/sec/internal/matrix"
 )
 
 var allKinds = []Kind{
 	NonSystematicCauchy,
 	SystematicCauchy,
-	NonSystematicVandermonde,
-	SystematicVandermonde,
 }
 
 func randBlocks(rng *rand.Rand, k, blockLen int) [][]byte {
@@ -49,8 +47,6 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"valid cauchy", NonSystematicCauchy, 6, 3, false},
 		{"valid systematic", SystematicCauchy, 6, 3, false},
-		{"valid vandermonde", NonSystematicVandermonde, 20, 10, false},
-		{"valid systematic vandermonde", SystematicVandermonde, 10, 5, false},
 		{"n == k", NonSystematicCauchy, 3, 3, true},
 		{"k == 0", NonSystematicCauchy, 3, 0, true},
 		{"field exhausted", NonSystematicCauchy, 250, 20, true},
@@ -58,8 +54,6 @@ func TestNewValidation(t *testing.T) {
 		{"cauchy past the field edge", NonSystematicCauchy, 157, 100, true},
 		{"systematic cauchy at the field edge", SystematicCauchy, 256, 100, false},
 		{"systematic cauchy past the field edge", SystematicCauchy, 257, 100, true},
-		{"vandermonde at the field edge", NonSystematicVandermonde, 255, 100, false},
-		{"vandermonde past the field edge", NonSystematicVandermonde, 256, 100, true},
 		{"unknown kind", Kind(99), 6, 3, true},
 	}
 	for _, tt := range tests {
@@ -86,34 +80,97 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestAllGeneratorsAreMDS: any k rows of every code decode, which DecodeFull,
+// Locate's parity check and scrub's radius of (m-k)/2 rely on. Every k-row
+// submatrix is checked at the census shapes, at (14,6) and at the shapes
+// TestLocate runs. At the edge of the field, where the k-row submatrices are
+// too many to check, the generator is shown to be a Cauchy matrix, or the
+// identity over one, every square submatrix of which is invertible, and a
+// few k-row submatrices are inverted.
 func TestAllGeneratorsAreMDS(t *testing.T) {
 	for _, kind := range allKinds {
-		c, err := New(kind, 8, 4)
+		for _, shape := range [][2]int{{6, 3}, {8, 4}, {12, 10}, {14, 6}, {14, 8}} {
+			c, err := New(kind, shape[0], shape[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Generator().IsMDSGenerator() {
+				t.Errorf("%v%v generator is not MDS", kind, shape)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(48))
+	for _, shape := range widestShapes {
+		c, err := New(shape.kind, shape.n, shape.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !c.Generator().IsMDSGenerator() {
-			t.Errorf("%v(8,4) generator is not MDS", kind)
+		gen, rows := c.Generator(), make([]int, shape.n)
+		for i := range rows {
+			rows[i] = i
+		}
+		cauchy := gen
+		if c.Systematic() {
+			if !gen.SelectRows(rows[:shape.k]).Equal(matrix.Identity(shape.k)) {
+				t.Errorf("%v(%d,%d): the first k rows are not the identity", shape.kind, shape.n, shape.k)
+			}
+			cauchy = gen.SelectRows(rows[shape.k:])
+		}
+		if !isCauchy(cauchy) {
+			t.Errorf("%v(%d,%d): the generator is not the Cauchy matrix it should be", shape.kind, shape.n, shape.k)
+		}
+		for range 4 {
+			if sub := rng.Perm(shape.n)[:shape.k]; !gen.SelectRows(sub).Invertible() {
+				t.Errorf("%v(%d,%d): rows %v do not decode", shape.kind, shape.n, shape.k, sub)
+			}
 		}
 	}
 }
 
+// isCauchy reports whether entry (i,j) of m is 1/(x_i + y_j) for distinct
+// x_i, distinct y_j and no x_i equal to a y_j. The points are read off the
+// first row and column: with x_0 = 0, y_j = 1/m[0][j] and x_i = 1/m[i][0] +
+// 1/m[0][0], distinct as the first column's and first row's entries are.
+func isCauchy(m matrix.Matrix) bool {
+	col, row := make(map[byte]bool), make(map[byte]bool)
+	for i := range m.Rows() {
+		for j := range m.Cols() {
+			if m.At(i, j) == 0 {
+				return false // no x_i + y_j is infinite
+			}
+		}
+		col[m.At(i, 0)] = true
+	}
+	for j := range m.Cols() {
+		row[m.At(0, j)] = true
+	}
+	if len(col) != m.Rows() || len(row) != m.Cols() {
+		return false
+	}
+	for i := range m.Rows() {
+		for j := range m.Cols() {
+			if gf.Inv(m.At(i, j)) != gf.Inv(m.At(i, 0))^gf.Inv(m.At(0, 0))^gf.Inv(m.At(0, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestSystematicEncodePreservesData(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, kind := range []Kind{SystematicCauchy, SystematicVandermonde} {
-		c, err := New(kind, 10, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks := randBlocks(rng, 5, 16)
-		shards, err := c.Encode(blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if !bytes.Equal(shards[i], blocks[i]) {
-				t.Errorf("%v: systematic shard %d differs from data block", kind, i)
-			}
+	c, err := New(SystematicCauchy, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := randBlocks(rng, 5, 16)
+	shards, err := c.Encode(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if !bytes.Equal(shards[i], blocks[i]) {
+			t.Errorf("systematic shard %d differs from data block", i)
 		}
 	}
 }
@@ -363,51 +420,6 @@ func TestSparseReadRowsRespectsGammaBounds(t *testing.T) {
 	}
 }
 
-func TestSparseReadRowsVandermondePrefersWindows(t *testing.T) {
-	c, err := New(NonSystematicVandermonde, 12, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := c.SparseReadRows([]int{7, 2, 3, 9, 4, 5}, 2)
-	if want := []int{2, 3, 4, 5}; !reflect.DeepEqual(rows, want) {
-		t.Errorf("SparseReadRows = %v, want consecutive window %v", rows, want)
-	}
-}
-
-func TestSparseReadRowsVandermondeFallbackVerifies(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	c, err := New(NonSystematicVandermonde, 12, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Non-consecutive live set: the planner must only return row sets that
-	// actually satisfy Criterion 2, and decoding through them must work.
-	live := []int{0, 2, 5, 9}
-	rows := c.SparseReadRows(live, 2)
-	if rows == nil {
-		t.Skip("no Criterion-2 subset in this live set; nothing to verify")
-	}
-	if !c.RowsSatisfyCriterion2(rows) {
-		t.Fatalf("planner returned rows %v violating Criterion 2", rows)
-	}
-	z := sparseBlocks(rng, 6, 4, 2)
-	shards, err := c.Encode(z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := make([][]byte, len(rows))
-	for i, r := range rows {
-		sub[i] = shards[r]
-	}
-	got, err := c.DecodeSparse(rows, sub, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !delta.Equal(got, z) {
-		t.Error("wrong reconstruction through fallback rows")
-	}
-}
-
 func TestRowsSatisfyCriterion2Caching(t *testing.T) {
 	c, err := New(SystematicCauchy, 6, 3)
 	if err != nil {
@@ -420,19 +432,6 @@ func TestRowsSatisfyCriterion2Caching(t *testing.T) {
 		if c.RowsSatisfyCriterion2([]int{0, 3}) {
 			t.Error("identity+parity rows must not satisfy Criterion 2")
 		}
-	}
-}
-
-func TestCanDecodeFull(t *testing.T) {
-	c, err := New(NonSystematicCauchy, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.CanDecodeFull([]int{5, 1, 3}) {
-		t.Error("3 live shards must decode")
-	}
-	if c.CanDecodeFull([]int{1, 1, 1}) {
-		t.Error("1 distinct live shard cannot decode")
 	}
 }
 
@@ -576,9 +575,7 @@ func TestCodeConcurrentUse(t *testing.T) {
 }
 
 // ascendingPlan is the sparse read plan SparseReadRows chose before it took
-// the caller's order into account: the candidates sorted, Cauchy codes
-// taking the first 2*gamma, Vandermonde codes the first consecutive window
-// and else the first subset, in lexicographic order, satisfying Criterion 2.
+// the caller's order into account: the first 2*gamma candidates, sorted.
 func ascendingPlan(c *Code, live []int, gamma int) []int {
 	need := 2 * gamma
 	var candidates []int
@@ -590,27 +587,7 @@ func ascendingPlan(c *Code, live []int, gamma int) []int {
 	if gamma <= 0 || need >= c.K() || len(candidates) < need {
 		return nil
 	}
-	if c.Kind() == NonSystematicCauchy || c.Kind() == SystematicCauchy {
-		return candidates[:need]
-	}
-	for i := 0; i+need <= len(candidates); i++ {
-		if candidates[i+need-1]-candidates[i] == need-1 {
-			return candidates[i : i+need]
-		}
-	}
-	var found []int
-	matrix.Combinations(len(candidates), need, func(idx []int) bool {
-		rows := make([]int, need)
-		for i, ci := range idx {
-			rows[i] = candidates[ci]
-		}
-		if c.RowsSatisfyCriterion2(rows) {
-			found = rows
-			return false
-		}
-		return true
-	})
-	return found
+	return candidates[:need]
 }
 
 // TestSparseReadRowsKeepsTheCallersOrder runs every live set of a (10,6)

@@ -20,10 +20,9 @@ var locateShapes = [][2]int{{6, 3}, {8, 4}, {12, 10}, {14, 8}}
 // (m-k)/2 of the m present rows of a codeword, on every construction and
 // shape, with every row present and with each single row absent, and holds
 // Locate to naming exactly the flipped rows - or, beyond the radius the
-// rows' distance guarantees (distanceRadius), to refusing them. Only
-// systematic Vandermonde, which is not MDS, has such rows here: all 14 of
-// (14,8), radius 2 of 3, whose 364 three-row patterns are refused. The
-// pattern counts are pinned so that a shape or a radius quietly dropped
+// rows' distance guarantees (distanceRadius), to refusing them. Every code
+// here is MDS, so no rows fall short of their radius and nothing is refused.
+// The pattern counts are pinned so that a shape or a radius quietly dropped
 // shows up.
 func TestLocate(t *testing.T) {
 	const blockLen = 32
@@ -75,8 +74,8 @@ func TestLocate(t *testing.T) {
 			}
 		}
 	}
-	if patterns != 7708 || refused != 364 {
-		t.Errorf("ran %d error patterns, %d of them beyond the distance, want 7708 and 364", patterns, refused)
+	if patterns != 3854 || refused != 0 {
+		t.Errorf("ran %d error patterns, %d of them beyond the distance, want 3854 and 0", patterns, refused)
 	}
 }
 
@@ -251,7 +250,7 @@ func locateOracle(t *testing.T, code *Code, rows []int, shards [][]byte, radius 
 		}
 		data, err := code.DecodeFull(window, windowShards)
 		if err != nil {
-			return true // a singular window of systematic Vandermonde
+			t.Fatal(err)
 		}
 		candidate, err := code.Encode(data)
 		if err != nil {
@@ -267,70 +266,6 @@ func locateOracle(t *testing.T, code *Code, rows []int, shards [][]byte, radius 
 		return !ok
 	})
 	return differ, ok
-}
-
-// TestLocateSingularFirstRows: systematic Vandermonde is not MDS, and the
-// first k rows given need not decode. Rows 1, 2, 4, 6, 7 and 10 of a (14,6)
-// code are singular; with rows 11, 12 and 13 the nine rows are a code of
-// distance 3, Locate builds its parity check on the first k rows that decode
-// and names a flip in any row, and a decode from the rows left, the first k
-// singular or not, gives the codeword back. Rows 0, 2, 3, 6, 8, 11, 12 and
-// 13 are a code of distance 2 - a flip in row 13 is also one flip in row 12
-// away from another codeword - so there Locate refuses every flip rather
-// than guess.
-func TestLocateSingularFirstRows(t *testing.T) {
-	code, err := New(SystematicVandermonde, 14, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := randBlocks(rand.New(rand.NewSource(3)), 6, 32)
-	codeword, err := code.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		rows   []int
-		radius int
-	}{
-		{[]int{1, 2, 4, 6, 7, 10, 11, 12, 13}, 1},
-		{[]int{0, 2, 3, 6, 8, 11, 12, 13}, 0},
-	} {
-		if code.gen.SelectRows(tc.rows[:6]).Invertible() {
-			t.Fatalf("rows %v decode; pick rows that do not", tc.rows[:6])
-		}
-		if got := distanceRadius(code, tc.rows); got != tc.radius {
-			t.Fatalf("rows %v: radius %d, want %d", tc.rows, got, tc.radius)
-		}
-		for flip := -1; flip < len(tc.rows); flip++ {
-			shards := make([][]byte, len(tc.rows))
-			for i, row := range tc.rows {
-				shards[i] = bytes.Clone(codeword[row])
-			}
-			var want []int
-			if flip >= 0 {
-				shards[flip][5] ^= 0x81
-				want = []int{tc.rows[flip]}
-			}
-			got, err := code.Locate(tc.rows, shards, 1)
-			if len(want) > tc.radius {
-				if !errors.Is(err, sparse.ErrUnrecoverable) {
-					t.Errorf("rows %v, flip at %v: Locate = %v, %v, want ErrUnrecoverable", tc.rows, want, got, err)
-				}
-				continue
-			}
-			if err != nil || !slices.Equal(got, want) && len(got)+len(want) > 0 {
-				t.Errorf("rows %v, flip at %v: Locate = %v, %v", tc.rows, want, got, err)
-				continue
-			}
-			trusted, trustedShards := slices.Clone(tc.rows), slices.Clone(shards)
-			if flip >= 0 {
-				trusted, trustedShards = slices.Delete(trusted, flip, flip+1), slices.Delete(trustedShards, flip, flip+1)
-			}
-			if decoded, err := code.DecodeFull(trusted, trustedShards); err != nil || !slices.EqualFunc(decoded, data, bytes.Equal) {
-				t.Errorf("rows %v: decode without flip at %v: %v", tc.rows, want, err)
-			}
-		}
-	}
 }
 
 // TestLocateHealthyAllocatesNothing: once the row set's parity check is

@@ -10,17 +10,15 @@ import (
 	"github.com/secarchive/sec/internal/delta"
 )
 
-// widestShapes are the widest code of each MDS construction that GF(2^8)
-// holds with k = 100: a non-systematic Cauchy code needs n+k distinct field
-// points, a systematic one n, and a Vandermonde code n distinct powers of
-// the generator. One row more is refused (TestNewValidation).
+// widestShapes are the widest code of each construction that GF(2^8) holds
+// with k = 100: a non-systematic Cauchy code needs n+k distinct field points
+// and a systematic one n. One row more is refused (TestNewValidation).
 var widestShapes = []struct {
 	kind Kind
 	n, k int
 }{
 	{NonSystematicCauchy, 156, 100},
 	{SystematicCauchy, 256, 100},
-	{NonSystematicVandermonde, 255, 100},
 }
 
 // TestEncodeDecodeRoundTripWideCode: at the edge of the field, k shards

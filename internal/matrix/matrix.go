@@ -1,7 +1,7 @@
 // Package matrix implements dense matrix algebra over GF(2^8) as needed by
 // the SEC erasure codes: multiplication, Gauss-Jordan inversion, rank,
-// sub-matrix selection, and the Cauchy/Vandermonde constructions whose
-// square-submatrix properties give the paper's design Criteria 1 and 2.
+// sub-matrix selection, and the Cauchy construction whose square-submatrix
+// properties give the paper's design Criteria 1 and 2.
 package matrix
 
 import (
@@ -107,30 +107,6 @@ func CauchyWith(hs, fs []byte) (Matrix, error) {
 		row := m.Row(i)
 		for j, f := range fs {
 			row[j] = gf.Inv(h ^ f)
-		}
-	}
-	return m, nil
-}
-
-// Vandermonde returns the n x k Vandermonde matrix with rows
-// [1, a_i, a_i^2, ..., a_i^(k-1)] for a_i = alpha^i, alpha the field
-// generator. With n <= 255 the evaluation points are pairwise distinct, so
-// every k x k submatrix is invertible and the matrix generates an MDS code.
-// The geometric structure additionally enables Berlekamp-Massey syndrome
-// decoding in the sparse package.
-func Vandermonde(n, k int) (Matrix, error) {
-	if n <= 0 || k <= 0 {
-		return Matrix{}, fmt.Errorf("matrix: Vandermonde dimensions must be positive, got %dx%d", n, k)
-	}
-	if n > gf.Order-1 {
-		return Matrix{}, fmt.Errorf("matrix: Vandermonde needs n <= %d distinct non-zero points, got n=%d", gf.Order-1, n)
-	}
-	m := New(n, k)
-	for i := 0; i < n; i++ {
-		a := gf.Exp(i)
-		row := m.Row(i)
-		for j := 0; j < k; j++ {
-			row[j] = gf.Pow(a, j)
 		}
 	}
 	return m, nil

@@ -174,25 +174,6 @@ func TestCauchyEverySquareSubmatrixInvertible(t *testing.T) {
 	}
 }
 
-func TestVandermondeMDS(t *testing.T) {
-	m, err := Vandermonde(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.IsMDSGenerator() {
-		t.Error("Vandermonde(6,3) is not MDS")
-	}
-}
-
-func TestVandermondeErrors(t *testing.T) {
-	if _, err := Vandermonde(0, 3); err == nil {
-		t.Error("Vandermonde(0,3): want error")
-	}
-	if _, err := Vandermonde(256, 3); err == nil {
-		t.Error("Vandermonde(256,3): want error (points repeat)")
-	}
-}
-
 func TestMulAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {

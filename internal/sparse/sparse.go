@@ -5,17 +5,11 @@
 //
 // Given y = Phi*z where Phi is an m x k matrix whose every m columns are
 // linearly independent (the paper's Criterion 2) and z has at most
-// gamma <= m/2 non-zero blocks, z is uniquely determined by y. Two decoders
-// are provided:
-//
-//   - RecoverEnum works for any Criterion-2 matrix (Cauchy submatrices in
-//     particular) by enumerating candidate supports; the search grows as
-//     C(k, gamma) but runs on a few byte columns of the observations, so
-//     the full block width is solved once.
-//
-//   - SyndromeDecoder exploits Vandermonde structure to find the support
-//     with Berlekamp-Massey + Chien search in O(gamma^2 + k*gamma) per byte
-//     position - the extension discussed in DESIGN.md.
+// gamma <= m/2 non-zero blocks, z is uniquely determined by y. RecoverEnum
+// works for any Criterion-2 matrix (Cauchy submatrices in particular) by
+// enumerating candidate supports; the search grows as C(k, gamma) but runs on
+// a few byte columns of the observations, so the full block width is solved
+// once.
 //
 // Observations and results are block vectors: element j of z is a byte
 // block, and every byte position forms an independent GF(2^8) codeword

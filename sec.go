@@ -67,12 +67,6 @@ const (
 	// SystematicCauchy is the paper's G_S = [I; B]: data shards are
 	// stored verbatim; sparse reads use parity shards.
 	SystematicCauchy = erasure.SystematicCauchy
-	// NonSystematicVandermonde enables fast Berlekamp-Massey sparse
-	// decoding on consecutive shard windows.
-	NonSystematicVandermonde = erasure.NonSystematicVandermonde
-	// SystematicVandermonde combines verbatim data shards with
-	// syndrome-decodable parity windows.
-	SystematicVandermonde = erasure.SystematicVandermonde
 )
 
 // Storage substrate types.

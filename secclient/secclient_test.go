@@ -173,6 +173,25 @@ func TestClientCreateRefusesOtherFields(t *testing.T) {
 	}
 }
 
+// TestClientCreateRefusesRetiredCodes: a create over TCP naming a
+// Vandermonde code, which an earlier release offered, is refused with an
+// error naming it and the two codes, and leaves no archive behind.
+func TestClientCreateRefusesRetiredCodes(t *testing.T) {
+	client := dial(t, startGateway(t, store.NewMemCluster(6), 0))
+	ctx := t.Context()
+	for _, code := range []string{"non-systematic-vandermonde", "systematic-vandermonde"} {
+		_, err := client.Create(ctx, code, secclient.Spec{Code: code, N: 6, K: 3, BlockSize: 4})
+		for _, name := range []string{code, "non-systematic-cauchy", "systematic-cauchy"} {
+			if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+				t.Errorf("Create with code %s: err = %v, want an error naming %q", code, err, name)
+			}
+		}
+		if _, err := client.Latest(ctx, code); !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("after a refused create of %s: Latest err = %v, want store.ErrNotFound", code, err)
+		}
+	}
+}
+
 // TestClientErrConflictOnStaleCommitAt drives optimistic concurrency
 // through the SDK: a CommitAt whose expectation is stale must come back
 // as a typed ErrConflict over the wire, and the archive must be left
