@@ -58,6 +58,17 @@ var allCodeKinds = []erasure.Kind{
 	erasure.SystematicCauchy,
 }
 
+// testShapes are the (n,k) a test runs each scheme and code at: testConfig's
+// (6,3), under the subtest's plain name, and (10,5), where a gamma = 2 delta
+// is sparse (2*gamma < k), under a name ending in its shape.
+var testShapes = []struct {
+	suffix string
+	n, k   int
+}{
+	{"", 6, 3},
+	{"/(10,5)", 10, 5},
+}
+
 func TestNewValidation(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	tests := []struct {
@@ -120,46 +131,51 @@ func TestSchemeStringRoundTrip(t *testing.T) {
 
 // TestRoundTripAllSchemesAndCodes commits a chain of versions with mixed
 // sparsity and verifies every version is reconstructed bit-exactly under
-// every scheme/code combination.
+// every scheme/code combination, at (6,3), where a gamma = 2 delta is read
+// in full, and at (10,5), where it is read sparsely.
 func TestRoundTripAllSchemesAndCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for _, scheme := range allSchemes {
-		for _, kind := range allCodeKinds {
-			t.Run(scheme.String()+"/"+kind.String(), func(t *testing.T) {
-				cluster := store.NewMemCluster(0)
-				a, err := New(testConfig(scheme, kind), cluster)
-				if err != nil {
-					t.Fatal(err)
-				}
-				versions := make([][]byte, 0, 5)
-				v := make([]byte, a.Capacity())
-				rng.Read(v)
-				versions = append(versions, v)
-				mustCommit(t, a, v)
-				for _, gamma := range []int{1, 3, 1, 2} {
-					v = editBlocks(v, a.Config().BlockSize, rng.Perm(a.Config().K)[:gamma]...)
+	for _, shape := range testShapes {
+		for _, scheme := range allSchemes {
+			for _, kind := range allCodeKinds {
+				t.Run(scheme.String()+"/"+kind.String()+shape.suffix, func(t *testing.T) {
+					cluster := store.NewMemCluster(0)
+					cfg := testConfig(scheme, kind)
+					cfg.N, cfg.K = shape.n, shape.k
+					a, err := New(cfg, cluster)
+					if err != nil {
+						t.Fatal(err)
+					}
+					versions := make([][]byte, 0, 5)
+					v := make([]byte, a.Capacity())
+					rng.Read(v)
 					versions = append(versions, v)
-					info := mustCommit(t, a, v)
-					if info.Gamma != gamma {
-						t.Fatalf("commit gamma = %d, want %d", info.Gamma, gamma)
+					mustCommit(t, a, v)
+					for _, gamma := range []int{1, 3, 1, 2} {
+						v = editBlocks(v, a.Config().BlockSize, rng.Perm(a.Config().K)[:gamma]...)
+						versions = append(versions, v)
+						info := mustCommit(t, a, v)
+						if info.Gamma != gamma {
+							t.Fatalf("commit gamma = %d, want %d", info.Gamma, gamma)
+						}
 					}
-				}
-				for l := 1; l <= len(versions); l++ {
-					got, _ := mustRetrieve(t, a, l)
-					if !bytes.Equal(got, versions[l-1]) {
-						t.Errorf("version %d mismatch", l)
+					for l := 1; l <= len(versions); l++ {
+						got, _ := mustRetrieve(t, a, l)
+						if !bytes.Equal(got, versions[l-1]) {
+							t.Errorf("version %d mismatch", l)
+						}
 					}
-				}
-				all, _, err := a.RetrieveAllContext(t.Context(), len(versions))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for l, got := range all {
-					if !bytes.Equal(got, versions[l]) {
-						t.Errorf("RetrieveAll version %d mismatch", l+1)
+					all, _, err := a.RetrieveAllContext(t.Context(), len(versions))
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
+					for l, got := range all {
+						if !bytes.Equal(got, versions[l]) {
+							t.Errorf("RetrieveAll version %d mismatch", l+1)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -133,13 +133,17 @@ func censusKinds() []censusKind {
 		{"non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
 		{"systematic(6,3)", core.Config{Code: sys, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
 		{"non-systematic(8,4)", core.Config{Code: ns, N: 8, K: 4}, 0, 256, nil},
+		{"systematic(8,4)", core.Config{Code: sys, N: 8, K: 4}, 0, 256, nil},
 		{"cdec(8,4)", core.Config{Code: ns, N: 8, K: 4, CompressDeltas: true}, 0, 256, map[string]censusReads{"[0 2 4 6]": {5, 0, 1}}},
+		{"cdec/systematic(8,4)", core.Config{Code: sys, N: 8, K: 4, CompressDeltas: true}, 0, 256, map[string]censusReads{"[0 2 4 6]": {5, 0, 1}}},
 		{"reversed(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: ns, N: 6, K: 3}, 0, 64, nil},
+		{"reversed/systematic(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: sys, N: 6, K: 3}, 0, 64, nil},
 		{"non-systematic(12,10)", core.Config{Code: ns, N: 12, K: 10}, 4, 794, nil},
 		{"dispersed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"dispersed/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, Placement: dispersed}, 0, 4096, nil},
 		{"windowed/non-systematic(6,3)", core.Config{Code: ns, N: 6, K: 3, BlockSize: 256}, 0, 64, map[string]censusReads{"[0 2 4]": {5, 1, 0}}},
 		{"optimized(6,3)", core.Config{Scheme: core.OptimizedSEC, Code: ns, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[0 2 4]": {5, 1, 0}}},
+		{"optimized/systematic(6,3)", core.Config{Scheme: core.OptimizedSEC, Code: sys, N: 6, K: 3}, 0, 64, map[string]censusReads{"[]": {5, 1, 0}, "[4 5]": {6, 0, 0}}},
 		{"cdec(6,3)", core.Config{Code: ns, N: 6, K: 3, CompressDeltas: true}, 0, 64, map[string]censusReads{"[]": {4, 0, 1}, "[0 2 4]": {4, 0, 1}}},
 		{"cdec/systematic(6,3)", core.Config{Code: sys, N: 6, K: 3, CompressDeltas: true}, 0, 64, map[string]censusReads{"[]": {4, 0, 1}, "[0 1 2]": {4, 0, 1}}},
 		{"reversed/cdec(6,3)", core.Config{Scheme: core.ReversedSEC, CheckpointEvery: 2, Code: ns, N: 6, K: 3, CompressDeltas: true}, 0, 64, nil},

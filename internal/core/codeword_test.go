@@ -50,6 +50,7 @@ func TestNodesHoldWhatTheChainLists(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"plain", func(*Config) {}},
+		{"systematic", func(c *Config) { c.Code = erasure.SystematicCauchy }},
 		{"cdec", func(c *Config) { c.CompressDeltas = true }},
 		{"systematic-cdec", func(c *Config) { c.Code, c.CompressDeltas = erasure.SystematicCauchy, true }},
 		{"checkpoint-cdec", func(c *Config) { c.CheckpointEvery, c.CompressDeltas = 4, true }},

@@ -33,6 +33,9 @@ func TestCommitStoresWhatTheDenseEncoderWould(t *testing.T) {
 		{"non-systematic-cauchy", func(*Config) {}},
 		{"systematic-cauchy", func(c *Config) { c.Code = erasure.SystematicCauchy }},
 		{"cdec", func(c *Config) { c.CompressDeltas = true }},
+		{"systematic-cdec", func(c *Config) { c.Code, c.CompressDeltas = erasure.SystematicCauchy, true }},
+		{"optimized-sec", func(c *Config) { c.Scheme = OptimizedSEC }},
+		{"reversed-sec", func(c *Config) { c.Scheme = ReversedSEC }},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {

@@ -29,13 +29,17 @@ func TestLengthCensus(t *testing.T) {
 		"non-systematic(6,3)":           164,
 		"systematic(6,3)":               164,
 		"non-systematic(8,4)":           648,
+		"systematic(8,4)":               648,
 		"cdec(8,4)":                     384,
+		"cdec/systematic(8,4)":          384,
 		"reversed(6,3)":                 164,
+		"reversed/systematic(6,3)":      164,
 		"non-systematic(12,10)":         312,
 		"dispersed/non-systematic(6,3)": 164,
 		"dispersed/systematic(6,3)":     164,
 		"windowed/non-systematic(6,3)":  164,
 		"optimized(6,3)":                164,
+		"optimized/systematic(6,3)":     164,
 		"cdec(6,3)":                     110,
 		"cdec/systematic(6,3)":          110,
 		"reversed/cdec(6,3)":            110,

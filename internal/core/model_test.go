@@ -20,12 +20,12 @@ import (
 // against a trivial in-memory model (a slice of version contents). After
 // every operation the manifest records are held to the same model: an earlier
 // snapshot plus the records since must marshal to the manifest itself (see
-// replayChecker). Every scheme/code combination is exercised with several
+// replayChecker). Every scheme/code combination is exercised with six
 // seeds.
 func TestArchiveAgainstReferenceModel(t *testing.T) {
 	for _, scheme := range allSchemes {
 		for _, kind := range allCodeKinds {
-			for seed := int64(0); seed < 3; seed++ {
+			for seed := int64(0); seed < 6; seed++ {
 				name := fmt.Sprintf("%v/%v/seed=%d", scheme, kind, seed)
 				t.Run(name, func(t *testing.T) {
 					runModelSequence(t, scheme, kind, seed)

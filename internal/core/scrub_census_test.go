@@ -32,13 +32,17 @@ func TestScrubCensus(t *testing.T) {
 		"non-systematic(6,3)":           {588, 158, 430, 0, 0},
 		"systematic(6,3)":               {588, 158, 390, 40, 0},
 		"non-systematic(8,4)":           {2934, 330, 2604, 0, 0},
+		"systematic(8,4)":               {2934, 330, 2604, 0, 0},
 		"cdec(8,4)":                     {1653, 231, 1422, 0, 0},
+		"cdec/systematic(8,4)":          {1653, 231, 1422, 0, 0},
 		"reversed(6,3)":                 {588, 158, 430, 0, 0},
+		"reversed/systematic(6,3)":      {588, 158, 390, 40, 0},
 		"non-systematic(12,10)":         {2054, 74, 1964, 8, 8},
 		"dispersed/non-systematic(6,3)": {588, 158, 430, 0, 0},
 		"dispersed/systematic(6,3)":     {588, 158, 390, 40, 0},
 		"windowed/non-systematic(6,3)":  {588, 158, 430, 0, 0},
 		"optimized(6,3)":                {588, 158, 430, 0, 0},
+		"optimized/systematic(6,3)":     {588, 158, 390, 40, 0},
 		"cdec(6,3)":                     {369, 116, 253, 0, 0},
 		"cdec/systematic(6,3)":          {369, 116, 227, 26, 0},
 		"reversed/cdec(6,3)":            {369, 116, 253, 0, 0},

@@ -448,6 +448,7 @@ func TestScrubNeverMakesCorruptionPermanent(t *testing.T) {
 		{"cauchy-6-4/row0", erasure.NonSystematicCauchy, 6, 4, 64, false, []int{0}, true},
 		{"systematic-12-10/row0", erasure.SystematicCauchy, 12, 10, 64, false, []int{0}, true},
 		{"cauchy-12-10/row5", erasure.NonSystematicCauchy, 12, 10, 64, false, []int{5}, true},
+		{"systematic-12-10/row11", erasure.SystematicCauchy, 12, 10, 64, false, []int{11}, true},
 		{"cauchy-6-3/row1", erasure.NonSystematicCauchy, 6, 3, 64, false, []int{1}, true},
 		{"cdec-6-3/row2", erasure.NonSystematicCauchy, 6, 3, 64, true, []int{2}, true},
 		{"cauchy-8-4/rows1,6", erasure.NonSystematicCauchy, 8, 4, 64, false, []int{1, 6}, true},

@@ -48,43 +48,46 @@ func markSlow(t *testing.T, a *Archive, cluster *store.Cluster, versions [][]byt
 // every scheme over every code kind with node 0 slowed. Once the first reads
 // have marked it slow, every version reads back byte-identical, at the read
 // count it had before, and without one get at node 0: full reads, sparse
-// plans and CDEC deltas all find their rows elsewhere in a (6,3) code that
-// has lost nothing.
+// plans and CDEC deltas all find their rows elsewhere in a (6,3) or (10,5)
+// code that has lost nothing.
 func TestSlowNodeChainRetrievalByteIdentical(t *testing.T) {
-	for _, scheme := range allSchemes {
-		for _, kind := range allCodeKinds {
-			t.Run(fmt.Sprintf("%v/%v", scheme, kind), func(t *testing.T) {
-				cfg := testConfig(scheme, kind)
-				cluster, chaos := chaosCluster(cfg.N)
-				a, err := New(cfg, cluster)
-				if err != nil {
-					t.Fatal(err)
-				}
-				v1 := make([]byte, a.Capacity())
-				rand.New(rand.NewSource(2)).Read(v1)
-				v2 := editBlocks(v1, cfg.BlockSize, 0)
-				v3 := editBlocks(v2, cfg.BlockSize, 1, 2)
-				versions := [][]byte{v1, v2, v3, v3}
-				for _, v := range versions {
-					mustCommit(t, a, v)
-				}
+	for _, shape := range testShapes {
+		for _, scheme := range allSchemes {
+			for _, kind := range allCodeKinds {
+				t.Run(fmt.Sprintf("%v/%v%s", scheme, kind, shape.suffix), func(t *testing.T) {
+					cfg := testConfig(scheme, kind)
+					cfg.N, cfg.K = shape.n, shape.k
+					cluster, chaos := chaosCluster(cfg.N)
+					a, err := New(cfg, cluster)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v1 := make([]byte, a.Capacity())
+					rand.New(rand.NewSource(2)).Read(v1)
+					v2 := editBlocks(v1, cfg.BlockSize, 0)
+					v3 := editBlocks(v2, cfg.BlockSize, 1, 2)
+					versions := [][]byte{v1, v2, v3, v3}
+					for _, v := range versions {
+						mustCommit(t, a, v)
+					}
 
-				slowReads(chaos)
-				reads := markSlow(t, a, cluster, versions)
-				delayed := chaos.InjectionStats().Delayed
-				for l, want := range versions {
-					got, stats := mustRetrieve(t, a, l+1)
-					if !bytes.Equal(got, want) {
-						t.Errorf("version %d: wrong bytes with node 0 read last", l+1)
+					slowReads(chaos)
+					reads := markSlow(t, a, cluster, versions)
+					delayed := chaos.InjectionStats().Delayed
+					for l, want := range versions {
+						got, stats := mustRetrieve(t, a, l+1)
+						if !bytes.Equal(got, want) {
+							t.Errorf("version %d: wrong bytes with node 0 read last", l+1)
+						}
+						if stats.NodeReads != reads[l] {
+							t.Errorf("version %d: %d node reads with node 0 read last, want %d as when it was read", l+1, stats.NodeReads, reads[l])
+						}
 					}
-					if stats.NodeReads != reads[l] {
-						t.Errorf("version %d: %d node reads with node 0 read last, want %d as when it was read", l+1, stats.NodeReads, reads[l])
+					if got := chaos.InjectionStats().Delayed - delayed; got != 0 {
+						t.Errorf("node 0 served %d gets after it was marked slow, want 0", got)
 					}
-				}
-				if got := chaos.InjectionStats().Delayed - delayed; got != 0 {
-					t.Errorf("node 0 served %d gets after it was marked slow, want 0", got)
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -36,6 +36,8 @@ func TestStoredRowsEncodeEachBlocksWindow(t *testing.T) {
 		{"systematic", Config{Code: erasure.SystematicCauchy}},
 		{"cdec", Config{Code: erasure.NonSystematicCauchy, CompressDeltas: true}},
 		{"reversed", Config{Code: erasure.NonSystematicCauchy, Scheme: ReversedSEC}},
+		{"systematic-cdec", Config{Code: erasure.SystematicCauchy, CompressDeltas: true}},
+		{"systematic-reversed", Config{Code: erasure.SystematicCauchy, Scheme: ReversedSEC}},
 	}
 	for _, kind := range kinds {
 		for _, blockSize := range []int{64, 128, 200, 4096, 200 << 10} {

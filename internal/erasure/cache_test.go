@@ -59,51 +59,60 @@ func TestDecodeMatrixCacheKeepsHotEntries(t *testing.T) {
 }
 
 // TestEncodeIntoDecodeFullIntoRoundTrip checks the Into variants agree with
-// the allocating paths and with the original data.
+// the allocating paths and with the original data, at (9,4) and at (12,10).
 func TestEncodeIntoDecodeFullIntoRoundTrip(t *testing.T) {
-	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			const n, k, blockLen = 9, 4, 97
-			code, err := New(kind, n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(11))
-			blocks := make([][]byte, k)
-			for i := range blocks {
-				blocks[i] = make([]byte, blockLen)
-				rng.Read(blocks[i])
-			}
-			want, err := code.Encode(blocks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardBufs := GetBuffers(n, blockLen)
-			defer shardBufs.Release()
-			if err := code.EncodeInto(blocks, shardBufs.Blocks); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], shardBufs.Blocks[i]) {
-					t.Fatalf("EncodeInto shard %d differs from Encode", i)
+	for _, shape := range []struct {
+		suffix string
+		n, k   int
+	}{{"", 9, 4}, {"(12,10)", 12, 10}} {
+		for _, kind := range allKinds {
+			t.Run(kind.String()+shape.suffix, func(t *testing.T) {
+				n, k := shape.n, shape.k
+				const blockLen = 97
+				code, err := New(kind, n, k)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			rows := []int{n - 1, 1, n - 2, 3}
-			shards := make([][]byte, len(rows))
-			for i, r := range rows {
-				shards[i] = shardBufs.Blocks[r]
-			}
-			dataBufs := GetBuffers(k, blockLen)
-			defer dataBufs.Release()
-			if err := code.DecodeFullInto(rows, shards, dataBufs.Blocks); err != nil {
-				t.Fatal(err)
-			}
-			for i := range blocks {
-				if !bytes.Equal(blocks[i], dataBufs.Blocks[i]) {
-					t.Fatalf("DecodeFullInto block %d differs from original", i)
+				rng := rand.New(rand.NewSource(11))
+				blocks := make([][]byte, k)
+				for i := range blocks {
+					blocks[i] = make([]byte, blockLen)
+					rng.Read(blocks[i])
 				}
-			}
-		})
+				want, err := code.Encode(blocks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardBufs := GetBuffers(n, blockLen)
+				defer shardBufs.Release()
+				if err := code.EncodeInto(blocks, shardBufs.Blocks); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if !bytes.Equal(want[i], shardBufs.Blocks[i]) {
+						t.Fatalf("EncodeInto shard %d differs from Encode", i)
+					}
+				}
+				rows := []int{n - 1, 1, n - 2, 3}
+				if len(rows) != k {
+					rows = rng.Perm(n)[:k]
+				}
+				shards := make([][]byte, len(rows))
+				for i, r := range rows {
+					shards[i] = shardBufs.Blocks[r]
+				}
+				dataBufs := GetBuffers(k, blockLen)
+				defer dataBufs.Release()
+				if err := code.DecodeFullInto(rows, shards, dataBufs.Blocks); err != nil {
+					t.Fatal(err)
+				}
+				for i := range blocks {
+					if !bytes.Equal(blocks[i], dataBufs.Blocks[i]) {
+						t.Fatalf("DecodeFullInto block %d differs from original", i)
+					}
+				}
+			})
+		}
 	}
 }
 

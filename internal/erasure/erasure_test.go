@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/secarchive/sec/internal/delta"
@@ -50,11 +51,14 @@ func TestNewValidation(t *testing.T) {
 		{"n == k", NonSystematicCauchy, 3, 3, true},
 		{"k == 0", NonSystematicCauchy, 3, 0, true},
 		{"field exhausted", NonSystematicCauchy, 250, 20, true},
+		{"systematic field exhausted", SystematicCauchy, 257, 20, true},
 		{"cauchy at the field edge", NonSystematicCauchy, 156, 100, false},
 		{"cauchy past the field edge", NonSystematicCauchy, 157, 100, true},
 		{"systematic cauchy at the field edge", SystematicCauchy, 256, 100, false},
 		{"systematic cauchy past the field edge", SystematicCauchy, 257, 100, true},
 		{"unknown kind", Kind(99), 6, 3, true},
+		{"retired vandermonde kind", Kind(3), 20, 10, true},
+		{"retired systematic vandermonde kind", Kind(4), 10, 5, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -77,6 +81,38 @@ func TestKindString(t *testing.T) {
 	}
 	if got := Kind(99).String(); got != "Kind(99)" {
 		t.Errorf("unknown kind String = %q", got)
+	}
+}
+
+// TestParseKind: the two codes' names parse back to their kinds, and any
+// other name, the two Vandermonde codes an earlier release offered
+// included, is refused with an error quoting it and the two codes.
+func TestParseKind(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		want Kind // 0: refused
+	}{
+		{"non-systematic-cauchy", NonSystematicCauchy},
+		{"systematic-cauchy", SystematicCauchy},
+		{"non-systematic-vandermonde", 0},
+		{"systematic-vandermonde", 0},
+		{"cauchy", 0},
+		{"reed-solomon", 0},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := ParseKind(tt.name)
+			if tt.want != 0 {
+				if err != nil || got != tt.want {
+					t.Errorf("ParseKind(%q) = %v, %v, want %v", tt.name, got, err, tt.want)
+				}
+				return
+			}
+			for _, quoted := range []string{tt.name, "non-systematic-cauchy", "systematic-cauchy"} {
+				if err == nil || !strings.Contains(err.Error(), `"`+quoted+`"`) {
+					t.Errorf("ParseKind(%q) = %v, %v, want an error quoting %q", tt.name, got, err, quoted)
+				}
+			}
+		})
 	}
 }
 
