@@ -172,6 +172,10 @@ type ManifestEntry struct {
 	// written before digests existed and from entries an older build wrote
 	// back, whose versions read unverified.
 	CRC32C string `json:"crc32c,omitempty"`
+	// tail holds the tagged fields of a binary entry (nodeformat.go) that
+	// this build does not know, so that a decoded entry re-encodes as it
+	// was. Open drops them.
+	tail []byte
 }
 
 // Window is the byte range [Off, Off+Width) of each block that a delta
@@ -203,7 +207,8 @@ func (a *Archive) manifestLocked() Manifest {
 	return m
 }
 
-// encode renders the indented JSON that exports, snapshots and replicas share.
+// encode renders the indented JSON of exports and the gateway root. The
+// nodes hold the binary form, nodeSnapshot.
 func (m Manifest) encode() []byte {
 	data, _ := json.MarshalIndent(m, "", "  ") // strings, numbers and bools: cannot fail
 	return append(data, '\n')
@@ -233,6 +238,9 @@ type manifestRecord struct {
 	Generation uint64          `json:"generation"`
 	Versions   int             `json:"versions"`
 	Entries    []ManifestEntry `json:"entries"`
+	// k sizes the supports' bitmaps in the binary form: the archive's k.
+	// A legacy JSON record has none.
+	k int
 }
 
 // nextRecordLocked closes the current generation: if the chain changed
@@ -244,7 +252,7 @@ func (a *Archive) nextRecordLocked() (rec manifestRecord, ok bool) {
 	}
 	slices.Sort(a.changed)
 	a.generation++
-	rec = manifestRecord{Generation: a.generation, Versions: len(a.entries)}
+	rec = manifestRecord{Generation: a.generation, Versions: len(a.entries), k: a.cfg.K}
 	for _, v := range slices.Compact(a.changed) {
 		rec.Entries = append(rec.Entries, a.entries[v-1].manifestEntry(v, a.cfg.BlockSize))
 	}
@@ -257,22 +265,34 @@ func recordID(name string, gen uint64) string {
 	return fmt.Sprintf("%s/manifest/%d", name, gen)
 }
 
-// frame encodes the record once, as the nodes store it: compact JSON in a
-// store.EncodeFrame frame keyed by recordID.
+// frame encodes the record once, as the nodes store it: the binary form
+// (nodeformat.go) in a store.EncodeFrame frame keyed by recordID.
 func (r manifestRecord) frame(name string) []byte {
-	payload, _ := json.Marshal(r) // ints, bools and slices of them: cannot fail
-	return store.EncodeFrame(recordID(name, r.Generation), payload)
+	return store.EncodeFrame(recordID(name, r.Generation), r.appendRecord(nil))
 }
 
 // decodeRecord parses the frame at the start of raw and returns its size.
+// Its payload is the binary form, or the compact JSON of a build from
+// before it, which starts with '{'. An intact frame of another format is
+// errNewerFormat.
 func decodeRecord(name string, raw []byte) (manifestRecord, int, error) {
 	key, payload, n, err := store.DecodeFrame(raw)
 	if err != nil {
 		return manifestRecord{}, 0, err
 	}
 	var rec manifestRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return manifestRecord{}, 0, fmt.Errorf("%w: manifest record: %v", store.ErrCorrupt, err)
+	switch {
+	case len(payload) > 0 && payload[0] == nodeFormat:
+		rec, err = decodeRecordPayload(payload[1:])
+	case len(payload) > 0 && payload[0] == '{':
+		if err = json.Unmarshal(payload, &rec); err != nil {
+			err = fmt.Errorf("%w: manifest record: %v", store.ErrCorrupt, err)
+		}
+	default:
+		err = fmt.Errorf("%w: record %q", errNewerFormat, key)
+	}
+	if err != nil {
+		return manifestRecord{}, 0, err
 	}
 	if key != recordID(name, rec.Generation) {
 		return manifestRecord{}, 0, fmt.Errorf("%w: frame %q holds generation %d of %q", store.ErrCorrupt, key, rec.Generation, name)
@@ -440,35 +460,36 @@ func (a *Archive) ManifestRing(gen uint64) []int {
 // first of its ring (replicaRing), one PutBatch round, and for every put
 // that fails the next node along, until n-k+1 have accepted or every node
 // was tried. Metadata is small, so plain replication (not erasure coding)
-// keeps it; n-k+1 copies survive what the data does. It fails, with the
-// last node error, when fewer than n-k+1 nodes accepted.
-func (a *Archive) replicate(ctx context.Context, object string, data []byte) error {
+// keeps it; n-k+1 copies survive what the data does. It returns the nodes
+// that accepted, and fails, with the last node error, when fewer than n-k+1
+// did.
+func (a *Archive) replicate(ctx context.Context, object string, data []byte) (holders []int, err error) {
 	defer obs.Start(ctx, "replicate").End()
 	need := a.cfg.N - a.cfg.K + 1
-	ring, owed := replicaRing(object, a.cluster.Size()), need
+	ring := replicaRing(object, a.cluster.Size())
 	var last error
-	for owed > 0 && len(ring) > 0 && ctx.Err() == nil {
-		refs := make([]store.ShardRef, min(owed, len(ring)))
+	for len(holders) < need && len(ring) > 0 && ctx.Err() == nil {
+		refs := make([]store.ShardRef, min(need-len(holders), len(ring)))
 		payloads := make([][]byte, len(refs))
 		for i := range refs {
 			refs[i], payloads[i] = store.ShardRef{Node: ring[i], ID: store.ShardID{Object: object}}, data
 		}
 		ring = ring[len(refs):]
-		for _, err := range a.cluster.PutBatch(ctx, refs, payloads) {
+		for i, err := range a.cluster.PutBatch(ctx, refs, payloads) {
 			if err == nil {
-				owed--
+				holders = append(holders, refs[i].Node)
 			} else {
 				last = err
 			}
 		}
 	}
 	switch {
-	case owed == 0:
-		return nil
+	case len(holders) == need:
+		return holders, nil
 	case ctx.Err() != nil:
-		return fmt.Errorf("core: replicating %s: %w", object, ctx.Err())
+		return holders, fmt.Errorf("core: replicating %s: %w", object, ctx.Err())
 	default:
-		return fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, need-owed, need, last)
+		return holders, fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, len(holders), need, last)
 	}
 }
 
@@ -492,10 +513,12 @@ func manifestFromCluster(ctx context.Context, name string, cluster *store.Cluste
 			}
 			continue
 		}
-		var m Manifest
-		err := json.Unmarshal(res.Data, &m)
+		m, err := DecodeSnapshot(res.Data)
 		release(res) // m is memory of its own
-		if err != nil || m.Name != name {
+		switch {
+		case errors.Is(err, errNewerFormat):
+			return m, 0, fmt.Errorf("core: loading manifest for %q: %w", name, err)
+		case err != nil || m.Name != name:
 			continue // damaged replica
 		}
 		if best == nil || m.Generation > best.Generation {
@@ -550,6 +573,9 @@ func applyRecords(ctx context.Context, m *Manifest, results []store.ShardResult,
 				unasked, lastErr = unasked+1, res.Err
 			}
 			rec, _, err := decodeRecord(m.Name, res.Data)
+			if res.Err == nil && errors.Is(err, errNewerFormat) {
+				return true, fmt.Errorf("core: replaying manifest records of %q: %w", m.Name, err)
+			}
 			if res.Err != nil || err != nil {
 				continue // absent or damaged here: another node's copy may be whole
 			}

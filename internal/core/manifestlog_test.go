@@ -249,9 +249,10 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 // fuzzLogSeeds are the shapes FuzzManifestLog starts from: clean records,
 // a torn tail, a flipped bit, a forged length, duplicate and descending
 // generations, an entry list far larger than the chain, and a record that
-// changes a held digest. The same inputs
-// are committed under testdata/fuzz/FuzzManifestLog, where whatever the
-// fuzzer finds later joins them.
+// changes a held digest. The same inputs,
+// framed as the JSON records of builds before the binary node format, are
+// committed under testdata/fuzz/FuzzManifestLog, where whatever the fuzzer
+// finds later joins them; the seeds here frame them in the binary form.
 func fuzzLogSeeds() [][]byte {
 	rec := func(gen uint64, versions int, entries ...ManifestEntry) []byte {
 		return manifestRecord{Generation: gen, Versions: versions, Entries: entries}.frame("t")

@@ -13,14 +13,16 @@ import (
 
 // publishState is what the nodes hold of the archive's manifest, as far as
 // its publishes know: a snapshot, <name>/manifest, of generation folded and
-// snapBytes bytes, and the records that extend it, recordBytes in all, one
-// per publish since, <name>/manifest/<generation>. Each is on n-k+1 nodes,
-// so that it survives what the codewords it describes survive.
+// snapBytes bytes, and the records that extend it, one per publish since,
+// <name>/manifest/<generation>, of which node i holds resident[i] bytes.
+// Each is on n-k+1 nodes, so that it survives what the codewords it
+// describes survive.
 type publishState struct {
 	mu sync.Mutex // orders publishes
 	// snapBytes is zero after Create and Open, so their first publish folds.
-	snapBytes, recordBytes int
-	folded                 uint64
+	snapBytes int
+	resident  map[int]int
+	folded    uint64
 	// refold makes the next publish fold whatever the sizes: a publish
 	// failed, leaving the archive unpublished; the archive was loaded from
 	// the nodes, which may hold writes beyond what the load saw; or a node
@@ -31,17 +33,19 @@ type publishState struct {
 
 // PublishContext makes the archive's changes since the last publish durable
 // on the nodes: one record, of the next generation, on n-k+1 nodes. Then it
-// folds when the records would outweigh the snapshot they extend, when a
-// fold is owed (publishState.refold), and, with fold set, whenever a record
-// extends the snapshot: it replicates a snapshot of the whole manifest to
-// n-k+1 nodes and then deletes the records it replaces from every node, best
-// effort. The rule is geometric, so a publish costs amortised O(1) bytes and
-// a load from the nodes replays at most one snapshot's worth. With nothing
-// changed and no fold owed or asked for, it sends nothing. When it folds, or
-// fold is set, it returns the snapshot the nodes then hold, the whole
-// manifest. It fails, before anything further, when the record or the
-// snapshot reached fewer than n-k+1 nodes: the archive is then unpublished,
-// and the next publish folds. Publishes run one at a time.
+// folds when the records on some node would outweigh the snapshot they
+// extend, when a fold is owed (publishState.refold), and, with fold set,
+// whenever a record extends the snapshot: it replicates a snapshot of the
+// whole manifest to n-k+1 nodes and then deletes the records it replaces
+// from every node, best effort. The rule is geometric, so a publish costs
+// amortised O(1) bytes and a node holds at most a snapshot's worth of
+// records, which a load from the nodes replays. With nothing
+// changed and no fold owed or asked for, it sends nothing. With fold set it
+// returns the whole manifest the nodes then hold, as the plain JSON Save
+// writes; the nodes hold it in binary (nodeformat.go). It fails, before
+// anything further, when the record or the snapshot reached fewer than
+// n-k+1 nodes: the archive is then unpublished, and the next publish folds.
+// Publishes run one at a time.
 func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error) {
 	//lint:allow lockheld each publish is the successor of the one before it: they go one at a time
 	a.pub.mu.Lock()
@@ -51,20 +55,27 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 	if rec, ok := a.nextRecordLocked(); ok {
 		record = rec.frame(a.cfg.Name)
 	}
-	gen, owed := a.generation, a.pub.recordBytes+len(record)
+	gen, owed := a.generation, a.pub.owed(a.ManifestRing(a.generation)[:a.cfg.N-a.cfg.K+1], len(record))
 	folding := a.pub.refold.Load() || owed > a.pub.snapBytes || fold && owed > 0
-	var snap []byte
+	var snap, root []byte
 	if folding || fold {
-		snap = a.manifestLocked().encode()
+		m := a.manifestLocked()
+		if folding {
+			snap = m.nodeSnapshot()
+		}
+		if fold {
+			root = m.encode()
+		}
 	}
 	a.mu.Unlock()
 
+	var holders []int
 	var err error
 	if record != nil {
-		err = a.replicate(ctx, recordID(a.cfg.Name, gen), record)
+		holders, err = a.replicate(ctx, recordID(a.cfg.Name, gen), record)
 	}
 	if err == nil && folding {
-		if err = a.replicate(ctx, manifestID(a.cfg.Name), snap); err == nil {
+		if _, err = a.replicate(ctx, manifestID(a.cfg.Name), snap); err == nil {
 			a.cluster.DeleteBatch(ctx, onEveryNode(a.cluster, recordIDs(a.cfg.Name, a.pub.folded+1, gen)...))
 		}
 	}
@@ -72,12 +83,31 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 		a.pub.refold.Store(true)
 		return nil, err
 	}
-	a.pub.recordBytes += len(record)
+	if a.pub.resident == nil {
+		a.pub.resident = make(map[int]int)
+	}
+	for _, node := range holders {
+		a.pub.resident[node] += len(record)
+	}
 	if folding {
-		a.pub.snapBytes, a.pub.recordBytes, a.pub.folded = len(snap), 0, gen
+		a.pub.snapBytes, a.pub.folded = len(snap), gen
+		clear(a.pub.resident)
 		a.pub.refold.Store(false)
 	}
-	return snap, nil
+	return root, nil
+}
+
+// owed returns the most record bytes a node would hold with a record of
+// size bytes on each of holders.
+func (p *publishState) owed(holders []int, size int) int {
+	owed := 0
+	for _, node := range holders {
+		owed = max(owed, p.resident[node]+size)
+	}
+	for _, b := range p.resident {
+		owed = max(owed, b)
+	}
+	return owed
 }
 
 // CreateContext creates the named archive from spec and replicates its
@@ -96,16 +126,16 @@ func CreateContext(ctx context.Context, name string, spec Spec, cluster *store.C
 	case !errors.Is(err, store.ErrNotFound):
 		return nil, fmt.Errorf("core: creating archive %q: %w", name, err)
 	}
-	if err := a.replicate(ctx, manifestID(name), a.Manifest().encode()); err != nil {
+	if _, err := a.replicate(ctx, manifestID(name), a.Manifest().nodeSnapshot()); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
 // OpenContext reopens the named archive from the manifest its publishes left
-// on the nodes (manifestFromCluster). Given cached - a snapshot as
+// on the nodes (manifestFromCluster). Given cached - the manifest as
 // PublishContext returned it with fold set, which the caller vouches is all
-// the nodes hold - it opens that and asks the nodes nothing; a snapshot of
+// the nodes hold - it opens that and asks the nodes nothing; a manifest of
 // another archive is store.ErrConflict.
 //
 // A load from the nodes leaves the next publish a fold two generations past
@@ -123,7 +153,7 @@ func OpenContext(ctx context.Context, name string, cluster *store.Cluster, cache
 		case a.cfg.Name != name:
 			return nil, fmt.Errorf("core: the manifest of %q names archive %q: %w", name, a.cfg.Name, store.ErrConflict)
 		}
-		a.pub.snapBytes = len(cached)
+		a.pub.snapBytes = len(a.Manifest().nodeSnapshot())
 		return a, nil
 	}
 	m, snapshot, err := manifestFromCluster(ctx, name, cluster)

@@ -31,13 +31,15 @@ type manifestState struct {
 }
 
 // cleanMark is what the mark beside a root snapshot holds: the boot that
-// wrote it and the snapshot's CRC-32. Close writes it once the nodes hold
-// nothing beyond that snapshot, and the first publish after an open removes
-// it, so a mark vouches that the snapshot is the whole manifest. The root
-// is never synced, and only a power loss, which starts a new boot, can roll
-// it back: the mark is good for the boot that wrote it.
+// wrote it, the snapshot's CRC-32 and the format of the manifest on the
+// nodes (2, binary). Close writes it once the nodes hold nothing beyond that
+// snapshot, and the first publish after an open removes it, so a mark
+// vouches that the snapshot is the whole manifest. The root is never
+// synced, and only a power loss, which starts a new boot, can roll it back:
+// the mark is good for the boot that wrote it. A build whose marks name no
+// format never trusts this one, and asks the nodes, which it cannot read.
 func cleanMark(boot string, snap []byte) []byte {
-	return fmt.Appendf(nil, "%s %08x\n", boot, crc32.ChecksumIEEE(snap))
+	return fmt.Appendf(nil, "%s %08x format-2\n", boot, crc32.ChecksumIEEE(snap))
 }
 
 // read returns the snapshot under the root when the open may trust it:

@@ -171,6 +171,64 @@ func TestPublishWritesOneRecord(t *testing.T) {
 	}
 }
 
+// TestPublishMetadataStaysSmall gates the size of the manifest a commit
+// writes, on TestPublishWritesOneRecord's chain ((12,10), 4 KiB blocks,
+// 1 000 commits of one to three edits): in the binary node format a
+// non-folding publish writes at most 80 bytes to each of its n-k+1 = 3
+// record holders on average, and the manifest, folds included, is at most a
+// quarter of all the bytes written. In the JSON format of earlier builds
+// the publish wrote about 640 bytes and the manifest was 61 % of the bytes.
+func TestPublishMetadataStaysSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("commits 1 000 versions of 40 KiB")
+	}
+	const (
+		n, k, blockSize = 12, 10, 4096
+		commits         = 1000
+	)
+	cluster := store.NewMemCluster(n)
+	g := newTestGateway(t, Config{Cluster: cluster})
+	ctx := t.Context()
+	if _, err := g.Create(ctx, "a", transport.ArchiveSpec{N: n, K: k, BlockSize: blockSize}); err != nil {
+		t.Fatal(err)
+	}
+	st := resident(t, g, "a")
+	object := make([]byte, k*blockSize)
+	gammas := []int{1, 1, 2, 1, 3}
+	var publishes, folds, publishBytes, foldBytes, metadata int64
+	start := cluster.WireStats().BytesWritten
+	for v := 1; v <= commits; v++ {
+		for b := 0; b < gammas[v%len(gammas)]; b++ {
+			object[((v+b)%k)*blockSize+v%blockSize] ^= byte(v) | 1
+		}
+		before, folded := cluster.WireStats().BytesWritten, foldedAt(cluster, st)
+		info, err := g.Commit(ctx, "a", -1, object)
+		if err != nil {
+			t.Fatalf("commit %d: %v", v, err)
+		}
+		width := blockSize
+		if w := st.archive.Manifest().Entries[info.Version-1].Window; info.StoredDelta && w != nil {
+			width = w.Width
+		}
+		bytes := int64(cluster.WireStats().BytesWritten-before) - int64(info.ShardWrites*width)
+		metadata += bytes
+		if foldedAt(cluster, st) == folded {
+			publishes, publishBytes = publishes+1, publishBytes+bytes
+		} else {
+			folds, foldBytes = folds+1, foldBytes+bytes
+		}
+	}
+	written := int64(cluster.WireStats().BytesWritten - start)
+	t.Logf("%d non-folding publishes of %d B on average, %d folds of %d B on average; manifest %d of %d bytes written (%.1f %%)",
+		publishes, publishBytes/publishes, folds, foldBytes/max(folds, 1), metadata, written, 100*float64(metadata)/float64(written))
+	if mean := publishBytes / publishes; mean > 3*80 {
+		t.Errorf("a non-folding publish writes %d bytes on average, want at most 3 x 80", mean)
+	}
+	if share := float64(metadata) / float64(written); share > 0.25 {
+		t.Errorf("the manifest is %.1f %% of the %d bytes written, want at most 25 %%", 100*share, written)
+	}
+}
+
 // startRemoteNodes serves n empty memory nodes on loopback TCP and returns
 // a cluster dialling them plus the servers, for RPC accounting.
 func startRemoteNodes(t *testing.T, n int) (*store.Cluster, []*transport.Server) {
@@ -684,6 +742,43 @@ func TestRootTrustedOnlyInTheBootThatWroteIt(t *testing.T) {
 	}
 }
 
+// TestMarkNamesTheNodeFormat: the clean mark names the binary format the
+// nodes hold, so the mark a build from before it writes for the same
+// snapshot - the boot and the CRC alone - is not trusted. Such a build, for
+// its part, never trusts this build's mark, and asks the nodes, which hold
+// what it cannot read.
+func TestMarkNamesTheNodeFormat(t *testing.T) {
+	r := newCrashRig(t)
+	r.commitUntilRecords(1)
+	if err := r.gw.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	r.frozen.Store(true)
+	const markFile = "/gw/a.json.clean"
+	mark, err := r.root.ReadFile(markFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older, ok := bytes.CutSuffix(mark, []byte(" format-2\n"))
+	if !ok {
+		t.Fatalf("the mark %q names no node format", mark)
+	}
+	root := r.root.Clone()
+	f, err := root.OpenFile(markFile, os.O_WRONLY|os.O_TRUNC, 0)
+	if err == nil {
+		_, err = f.Write(append(older, '\n'))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.verify("a mark without the format", root) {
+		t.Error("a mark that names no node format was trusted")
+	}
+	if r.verify("the mark as Close left it", r.root.Clone()) {
+		t.Error("the mark as Close left it was not trusted")
+	}
+}
+
 // TestWriterThatStoresNothingKeepsTheMark: in a session that opened from a
 // clean root, writers admitted that store nothing - a commit refused by its
 // expectation and a repairing scrub - publish nothing, so the mark stays, the
@@ -904,7 +999,10 @@ func TestUnseenRecordIsNeverRead(t *testing.T) {
 	}
 	raw, err := c.nodes[0].Get(ctx, store.ShardID{Object: "a/manifest"})
 	var stray core.Manifest
-	if err != nil || json.Unmarshal(raw, &stray) != nil || len(stray.Entries) != 3 {
+	if err == nil {
+		stray, err = core.DecodeSnapshot(raw)
+	}
+	if err != nil || len(stray.Entries) != 3 {
 		t.Fatalf("node 0's snapshot is not the refold's (err %v, %d versions)", err, len(stray.Entries))
 	}
 
@@ -964,8 +1062,8 @@ func TestRepairPutsSnapshotBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repaired node %d, a snapshot holder, holds no snapshot: %v", holder, err)
 	}
-	var m core.Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
+	m, err := core.DecodeSnapshot(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if want := st.archive.Manifest(); m.Generation != want.Generation || len(m.Entries) != len(want.Entries) {

@@ -102,40 +102,6 @@ func Inv(a byte) byte {
 	return _tables.inv[a]
 }
 
-// Exp returns alpha^i where alpha = 0x02 is the generator. The exponent may
-// be any integer; it is reduced modulo 255.
-func Exp(i int) byte {
-	i %= 255
-	if i < 0 {
-		i += 255
-	}
-	return _tables.exp[i]
-}
-
-// Log returns log_alpha(a) in [0,255). It panics if a is zero, which has no
-// logarithm.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return _tables.log[a]
-}
-
-// Pow returns a^e in GF(2^8) for e >= 0, with the convention a^0 = 1 (also
-// for a = 0, matching Vandermonde-matrix usage).
-func Pow(a byte, e int) byte {
-	if e < 0 {
-		panic(fmt.Sprintf("gf: negative exponent %d", e))
-	}
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	return _tables.exp[(_tables.log[a]*e)%255]
-}
-
 // AddSlice sets dst[i] ^= src[i] for every position. The slices must have
 // equal length; dst and src may be the same slice (but must not otherwise
 // overlap).

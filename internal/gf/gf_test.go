@@ -92,92 +92,22 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
-func TestLogZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Log(0) did not panic")
-		}
-	}()
-	Log(0)
-}
-
-func TestExpLogRoundTrip(t *testing.T) {
-	for a := 1; a < 256; a++ {
-		if got := Exp(Log(byte(a))); got != byte(a) {
-			t.Fatalf("Exp(Log(%d)) = %d", a, got)
-		}
-	}
-	// The generator has full multiplicative order 255.
+// TestTablesGeneratorHasFullOrder: the exp and log tables Div and the
+// inverse table are built from are inverse bijections, and alpha = 0x02
+// has multiplicative order 255.
+func TestTablesGeneratorHasFullOrder(t *testing.T) {
 	seen := make(map[byte]bool, 255)
 	for i := 0; i < 255; i++ {
-		seen[Exp(i)] = true
+		seen[_tables.exp[i]] = true
 	}
-	if len(seen) != 255 {
-		t.Fatalf("generator produced %d distinct powers, want 255", len(seen))
+	if len(seen) != 255 || seen[0] {
+		t.Fatalf("generator produced %d distinct non-zero powers, want 255", len(seen))
 	}
-}
-
-func TestExpNegativeAndLarge(t *testing.T) {
-	tests := []struct {
-		name string
-		i    int
-		want byte
-	}{
-		{"zero", 0, 1},
-		{"full period", 255, 1},
-		{"double period", 510, 1},
-		{"negative one equals 254", -1, Exp(254)},
-		{"negative period", -255, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Exp(tt.i); got != tt.want {
-				t.Errorf("Exp(%d) = %d, want %d", tt.i, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestPow(t *testing.T) {
-	tests := []struct {
-		name string
-		a    byte
-		e    int
-		want byte
-	}{
-		{"a^0 = 1", 7, 0, 1},
-		{"0^0 = 1 (Vandermonde convention)", 0, 0, 1},
-		{"0^3 = 0", 0, 3, 0},
-		{"a^1 = a", 113, 1, 113},
-		{"generator^255 = 1", 2, 255, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Pow(tt.a, tt.e); got != tt.want {
-				t.Errorf("Pow(%d,%d) = %d, want %d", tt.a, tt.e, got, tt.want)
-			}
-		})
-	}
-	// Pow agrees with repeated multiplication.
-	f := func(a byte, e uint8) bool {
-		want := byte(1)
-		for i := 0; i < int(e); i++ {
-			want = Mul(want, a)
+	for a := 1; a < 256; a++ {
+		if got := _tables.exp[_tables.log[a]]; got != byte(a) {
+			t.Fatalf("exp[log[%d]] = %d", a, got)
 		}
-		return Pow(a, int(e)) == want
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPowNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pow(2,-1) did not panic")
-		}
-	}()
-	Pow(2, -1)
 }
 
 func TestAddSlice(t *testing.T) {
