@@ -172,10 +172,6 @@ type ManifestEntry struct {
 	// written before digests existed and from entries an older build wrote
 	// back, whose versions read unverified.
 	CRC32C string `json:"crc32c,omitempty"`
-	// tail holds the tagged fields of a binary entry (nodeformat.go) that
-	// this build does not know, so that a decoded entry re-encodes as it
-	// was. Open drops them.
-	tail []byte
 }
 
 // Window is the byte range [Off, Off+Width) of each block that a delta
@@ -460,36 +456,35 @@ func (a *Archive) ManifestRing(gen uint64) []int {
 // first of its ring (replicaRing), one PutBatch round, and for every put
 // that fails the next node along, until n-k+1 have accepted or every node
 // was tried. Metadata is small, so plain replication (not erasure coding)
-// keeps it; n-k+1 copies survive what the data does. It returns the nodes
-// that accepted, and fails, with the last node error, when fewer than n-k+1
-// did.
-func (a *Archive) replicate(ctx context.Context, object string, data []byte) (holders []int, err error) {
+// keeps it; n-k+1 copies survive what the data does. It fails, with the
+// last node error, when fewer than n-k+1 nodes accepted.
+func (a *Archive) replicate(ctx context.Context, object string, data []byte) error {
 	defer obs.Start(ctx, "replicate").End()
 	need := a.cfg.N - a.cfg.K + 1
-	ring := replicaRing(object, a.cluster.Size())
+	ring, owed := replicaRing(object, a.cluster.Size()), need
 	var last error
-	for len(holders) < need && len(ring) > 0 && ctx.Err() == nil {
-		refs := make([]store.ShardRef, min(need-len(holders), len(ring)))
+	for owed > 0 && len(ring) > 0 && ctx.Err() == nil {
+		refs := make([]store.ShardRef, min(owed, len(ring)))
 		payloads := make([][]byte, len(refs))
 		for i := range refs {
 			refs[i], payloads[i] = store.ShardRef{Node: ring[i], ID: store.ShardID{Object: object}}, data
 		}
 		ring = ring[len(refs):]
-		for i, err := range a.cluster.PutBatch(ctx, refs, payloads) {
+		for _, err := range a.cluster.PutBatch(ctx, refs, payloads) {
 			if err == nil {
-				holders = append(holders, refs[i].Node)
+				owed--
 			} else {
 				last = err
 			}
 		}
 	}
 	switch {
-	case len(holders) == need:
-		return holders, nil
+	case owed == 0:
+		return nil
 	case ctx.Err() != nil:
-		return holders, fmt.Errorf("core: replicating %s: %w", object, ctx.Err())
+		return fmt.Errorf("core: replicating %s: %w", object, ctx.Err())
 	default:
-		return holders, fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, len(holders), need, last)
+		return fmt.Errorf("core: %s reached %d of the %d nodes it needs: %w", object, need-owed, need, last)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -30,15 +29,9 @@ import (
 //	tail     uvarint tag, uvarint length, that many bytes; ... ; tag 0
 //
 // where a field the flags do not name is absent. The tail holds the fields
-// later builds add, and this one knows no tag. An even tag is a field that
-// degrades, which a build that does not know it skips: it keeps the bytes
-// only so that decoding and re-encoding round-trips, and Open drops them,
-// as the entry they describe may change under a build that cannot update
-// them. An odd tag is a field whose loss would break a read, and a build
-// that does not know it refuses the object as a newer format.
-// Every varint is canonical (no redundant high zero byte), so a value has
-// one encoding and whatever decodes re-encodes byte-identical
-// (FuzzNodeManifest).
+// later builds add, and a build skips every tag it does not know; this one
+// knows none. A field whose loss would break a read is not a tag: it takes
+// a new format number, which older builds refuse.
 
 // nodeFormat tags the binary form: a record's first payload byte and a
 // snapshot envelope's "format". A legacy JSON record starts with '{'.
@@ -202,7 +195,6 @@ func appendEntry(b []byte, e ManifestEntry, prev, width int) []byte {
 		crc, _ := strconv.ParseUint(e.CRC32C, 16, 32) // eight hex digits: manifestEntry and the decoder render it so
 		b = binary.BigEndian.AppendUint32(b, uint32(crc))
 	}
-	b = append(b, e.tail...)
 	return append(b, 0)
 }
 
@@ -217,8 +209,9 @@ func (r *decoder) fail() {
 	r.err, r.buf = errMalformed, nil
 }
 
+// bytes reads n bytes; a negative n is a count that overflowed an int.
 func (r *decoder) bytes(n int) []byte {
-	if n > len(r.buf) {
+	if n < 0 || n > len(r.buf) {
 		r.fail()
 	}
 	if r.err != nil {
@@ -236,10 +229,9 @@ func (r *decoder) byte() byte {
 	return 0
 }
 
-// uvarint reads a uvarint; one whose last byte is zero is not canonical.
 func (r *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf)
-	if n <= 0 || n > 1 && r.buf[n-1] == 0 {
+	if n <= 0 {
 		r.fail()
 		return 0
 	}
@@ -247,10 +239,11 @@ func (r *decoder) uvarint() uint64 {
 	return v
 }
 
-// int reads a uvarint that must fit an int32, and so an int anywhere.
+// int reads a uvarint that must fit an int: what the encoder wrote of a
+// non-negative int.
 func (r *decoder) int() int {
 	v := r.uvarint()
-	if v > math.MaxInt32 {
+	if v > math.MaxInt {
 		r.fail()
 		return 0
 	}
@@ -274,11 +267,7 @@ func (r *decoder) entries(width int) []ManifestEntry {
 
 func (r *decoder) entry(prev, width int) ManifestEntry {
 	zigzag := r.uvarint() // binary.AppendVarint's encoding
-	step := int64(zigzag>>1) ^ -int64(zigzag&1)
-	if step < -math.MaxInt32 || step > math.MaxInt32 {
-		r.fail()
-	}
-	e := ManifestEntry{Version: prev + int(step)}
+	e := ManifestEntry{Version: prev + int(int64(zigzag>>1)^-int64(zigzag&1))}
 	flags := r.byte()
 	e.Full, e.Delta, e.Checkpoint, e.Compressed = flags&flagFull != 0, flags&flagDelta != 0, flags&flagCheckpoint != 0, flags&flagCompressed != 0
 	e.Gamma, e.Length, e.Base = r.int(), r.int(), r.int()
@@ -311,20 +300,8 @@ func (r *decoder) entry(prev, width int) ManifestEntry {
 			e.CRC32C = fmt.Sprintf("%08x", binary.BigEndian.Uint32(crc))
 		}
 	}
-	tail := r.buf
-	for r.err == nil {
-		tag := r.uvarint()
-		if tag == 0 {
-			break
-		}
-		if tag%2 == 1 && r.err == nil {
-			r.err, r.buf = fmt.Errorf("%w: entry field %d", errNewerFormat, tag), nil
-			break
-		}
-		r.bytes(r.int())
-	}
-	if n := len(tail) - len(r.buf) - 1; r.err == nil && n > 0 {
-		e.tail = bytes.Clone(tail[:n]) // the node's buffer is released
+	for tag := r.uvarint(); tag != 0 && r.err == nil; tag = r.uvarint() {
+		r.bytes(r.int()) // a field of a later build
 	}
 	return e
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -371,13 +373,56 @@ func TestNewerFormatIsRefused(t *testing.T) {
 	}
 }
 
+// TestWideIntsReopenFromNodes: the binary form carries every int the JSON
+// did. An archive created with a 4 GiB read cache and 2 GiB blocks, whose
+// snapshot holds a version of 5 GiB and whose record adds one of 6 GiB - 1,
+// reopens from the nodes alone with each field as it was, and a create of
+// its name is still a conflict.
+func TestWideIntsReopenFromNodes(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("an int of 32 bits holds none of the sizes")
+	}
+	wide := 31 // a variable, so that the sizes compile where an int is 32 bits
+	blockSize := 1 << wide
+	mem, cluster := memNodes(6, nil)
+	cfg := Config{Name: "w", Scheme: BasicSEC, Code: erasure.NonSystematicCauchy, N: 6, K: 3, BlockSize: blockSize, ReadCacheBytes: 2 * blockSize}
+	a, err := CreateContext(t.Context(), "w", cfg.Spec(), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenContext(t.Context(), "w", cluster, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Config(); got.ReadCacheBytes != 2*blockSize || got.BlockSize != blockSize {
+		t.Fatalf("reopened from the nodes with %+v", got)
+	}
+	m := a.Manifest()
+	m.Generation = 5
+	m.Entries = []ManifestEntry{{Version: 1, Full: true, Length: 5 * blockSize / 2, CRC32C: "0000002a"}}
+	putOnRing(t, mem, 6, 3, manifestID("w"), m.nodeSnapshot())
+	rec := manifestRecord{Generation: 6, Versions: 2, k: 3, Entries: []ManifestEntry{{Version: 2, Full: true, Length: 3*blockSize - 1}}}
+	putOnRing(t, mem, 6, 3, recordID("w", 6), rec.frame("w"))
+	b, err := OpenContext(t.Context(), "w", cluster, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.Manifest()
+	if want := append(m.Entries, rec.Entries...); got.Spec != m.Spec || !reflect.DeepEqual(got.Entries, want) {
+		t.Errorf("reopened from the nodes as %+v %+v, want %+v %+v", got.Spec, got.Entries, m.Spec, want)
+	}
+	if _, err := CreateContext(t.Context(), "w", cfg.Spec(), cluster); !errors.Is(err, store.ErrConflict) {
+		t.Errorf("create over the archive: err = %v, want a conflict", err)
+	}
+}
+
 // nodeManifestSeeds are the shapes FuzzNodeManifest starts from, each under
 // the name it is committed as in testdata/fuzz/FuzzNodeManifest: records
 // and snapshot bodies of a chain with supports, windows, offsets, digests
-// and CDEC deltas; entry tails with tags no build knows yet, an even one
-// that is skipped and an odd one that refuses the record; varints cut
-// short; a support bitmap with more bits set than the entry's gamma; and a
-// record frame a build before the binary format wrote.
+// and CDEC deltas; entries with tagged fields no build knows yet, which a
+// decode skips; varints cut short; a support bitmap with more bits set than
+// the entry's gamma, and one wider than an int counts; and a record frame a
+// build before the binary format wrote.
 func nodeManifestSeeds(t testing.TB) map[string][]byte {
 	cfg := upgradeConfig("t")
 	a, err := New(cfg, store.NewMemCluster(6))
@@ -399,61 +444,71 @@ func nodeManifestSeeds(t testing.TB) map[string][]byte {
 		records = append(records, rec)
 	}
 	m := a.Manifest()
-	tagged := records[len(records)-1]
-	tagged.Entries = slices.Clone(tagged.Entries)
-	tagged.Entries[0].tail = []byte{6, 3, 'a', 'b', 'c'} // tag 6, three bytes
-	critical := records[len(records)-1]
-	critical.Entries = slices.Clone(critical.Entries)
-	critical.Entries[0].tail = []byte{6, 0, 9, 1, 'x'} // tag 9 must be understood
+	last := records[len(records)-1]
+	upTo := func(rec manifestRecord, i int) manifestRecord {
+		rec.Entries = rec.Entries[:i+1]
+		return rec
+	}
 	body := m.appendBody(nil)
-	taggedBody := Manifest{Spec: m.Spec, Entries: slices.Clone(m.Entries)}
-	taggedBody.Entries[1].tail = []byte{0x82, 0x01, 0} // tag 130, empty
-	dense := records[len(records)-1]
+	dense := last
 	dense.Entries = []ManifestEntry{{Version: dense.Versions, Delta: true, Gamma: 1, Length: 768, Compressed: true, Support: []int{0, 2}, CRC32C: "0000002a"}}
 	frame := func(rec manifestRecord, payload []byte) []byte {
 		return store.EncodeFrame(recordID("t", rec.Generation), payload)
 	}
-	last := records[len(records)-1]
 	return map[string][]byte{
-		"record":                   last.frame("t"),
-		"records":                  bytes.Join([][]byte{records[5].frame("t"), records[6].frame("t")}, nil),
-		"snapshot-body":            body,
-		"snapshot":                 m.nodeSnapshot(),
-		"unknown-tag":              tagged.frame("t"),
-		"unknown-odd-tag":          critical.frame("t"),
-		"unknown-tag-body":         taggedBody.appendBody(nil),
-		"truncated-varint":         frame(last, []byte{nodeFormat, 0x80}),
-		"truncated-varint-entry":   frame(last, append(last.appendRecord(nil)[:4], 0xff)),
-		"truncated-varint-body":    append(body[:len(body)-1:len(body)-1], 0x80),
-		"bitmap-more-than-gamma":   dense.frame("t"),
+		"record":        last.frame("t"),
+		"records":       bytes.Join([][]byte{records[5].frame("t"), records[6].frame("t")}, nil),
+		"snapshot-body": body,
+		"snapshot":      m.nodeSnapshot(),
+		// tag 6 of three bytes
+		"unknown-tag": frame(last, withTags(last.appendRecord(nil), upTo(last, 0).appendRecord(nil), 6, 3, 'a', 'b', 'c')),
+		// tag 6, empty, then tag 9 of one byte
+		"unknown-tags": frame(last, withTags(last.appendRecord(nil), upTo(last, 0).appendRecord(nil), 6, 0, 9, 1, 'x')),
+		// tag 130, empty, on the second entry
+		"unknown-tag-body":       withTags(body, Manifest{Spec: m.Spec, Entries: m.Entries[:2]}.appendBody(nil), 0x82, 0x01, 0),
+		"truncated-varint":       frame(last, []byte{nodeFormat, 0x80}),
+		"truncated-varint-entry": frame(last, append(last.appendRecord(nil)[:4], 0xff)),
+		"truncated-varint-body":  append(body[:len(body)-1:len(body)-1], 0x80),
+		"bitmap-more-than-gamma": dense.frame("t"),
+		// a bitmap width of math.MaxInt, whose byte count overflows an int
+		"bitmap-wider-than-an-int": frame(last, append(binary.AppendUvarint([]byte{nodeFormat, 8, 8}, math.MaxInt), 2, flagDelta|flagSupport, 1, 1, 0)),
 		"legacy-json-frame":        legacyFrame("t", last),
-		"non-canonical-varint":     frame(last, []byte{nodeFormat, 0x84, 0x00, 1, 3}),
 		"unknown-record-format":    frame(last, []byte{nodeFormat + 1}),
 		"snapshot-of-newer-format": bytes.Replace(m.nodeSnapshot(), []byte(`"format":2`), []byte(`"format":3`), 1),
 	}
 }
 
+// withTags returns the encoding full with tags inserted into the tail of
+// the entry that ends prefix, an encoding of full's entries up to it.
+func withTags(full, prefix []byte, tags ...byte) []byte {
+	end := len(prefix) - 1 // the entry's closing tag 0
+	return slices.Concat(full[:end], tags, full[end:])
+}
+
 // FuzzNodeManifest feeds arbitrary bytes to the decoders of the binary node
 // format: as a record frame of archive "t", as a snapshot body and as a
 // snapshot object. None may panic, and whatever decodes in the binary form
-// re-encodes byte-identical: a record's payload, and a body. A legacy JSON
-// record frame is only decoded: its JSON may hold what the binary form
-// cannot, such as negative numbers, which Open refuses. The committed
-// corpus holds nodeManifestSeeds.
+// re-encodes to bytes that decode to the same: a record's payload, and a
+// body. A legacy JSON record frame is only decoded: its JSON may hold what
+// the binary form cannot, such as negative numbers, which Open refuses.
+// The committed corpus holds nodeManifestSeeds.
 func FuzzNodeManifest(f *testing.F) {
 	for _, seed := range nodeManifestSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, _, err := decodeRecord("t", data); err == nil {
-			_, payload, _, _ := store.DecodeFrame(data)
-			if again := rec.appendRecord(nil); payload[0] == nodeFormat && !bytes.Equal(again, payload) {
-				t.Fatalf("record payload %x re-encodes as %x", payload, again)
+			if _, payload, _, _ := store.DecodeFrame(data); payload[0] == nodeFormat {
+				again, err := decodeRecordPayload(rec.appendRecord(nil)[1:])
+				if err != nil || !reflect.DeepEqual(again, rec) {
+					t.Fatalf("record payload %x decodes to\n%+v\nand re-encoded to\n%+v (err %v)", payload, rec, again, err)
+				}
 			}
 		}
 		if spec, entries, err := decodeBody(data); err == nil {
-			if again := (Manifest{Spec: spec, Entries: entries}).appendBody(nil); !bytes.Equal(again, data) {
-				t.Fatalf("snapshot body %x re-encodes as %x", data, again)
+			spec2, entries2, err := decodeBody(Manifest{Spec: spec, Entries: entries}.appendBody(nil))
+			if err != nil || spec2 != spec || !reflect.DeepEqual(entries2, entries) {
+				t.Fatalf("snapshot body %x decodes to\n%+v %+v\nand re-encoded to\n%+v %+v (err %v)", data, spec, entries, spec2, entries2, err)
 			}
 		}
 		_, _ = DecodeSnapshot(data)
@@ -461,10 +516,9 @@ func FuzzNodeManifest(f *testing.F) {
 }
 
 // TestNodeManifestSeeds: each seed of FuzzNodeManifest is what its name
-// says - the intact ones decode, the unknown even tag is kept, the damaged
-// ones are malformed, and the newer formats and the unknown odd tag are
-// refused - and is committed under its
-// name byte-identical, so that the binary form cannot move unnoticed.
+// says - the intact ones decode, unknown tags included, the damaged ones
+// are malformed, and the newer formats are refused - and is committed under
+// its name byte-identical, so that the binary form cannot move unnoticed.
 func TestNodeManifestSeeds(t *testing.T) {
 	seeds := nodeManifestSeeds(t)
 	decodes := func(name string) error {
@@ -490,11 +544,11 @@ func TestNodeManifestSeeds(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			err := decodes(name)
 			switch {
-			case strings.HasPrefix(name, "truncated") || name == "bitmap-more-than-gamma" || name == "non-canonical-varint":
+			case strings.HasPrefix(name, "truncated") || strings.HasPrefix(name, "bitmap"):
 				if !errors.Is(err, errMalformed) {
 					t.Errorf("err = %v, want malformed", err)
 				}
-			case strings.Contains(name, "newer") || strings.HasPrefix(name, "unknown-record") || name == "unknown-odd-tag":
+			case strings.Contains(name, "newer") || strings.HasPrefix(name, "unknown-record"):
 				if !errors.Is(err, errNewerFormat) {
 					t.Errorf("err = %v, want a newer format", err)
 				}
@@ -510,8 +564,13 @@ func TestNodeManifestSeeds(t *testing.T) {
 			}
 		})
 	}
-	rec, _, err := decodeRecord("t", seeds["unknown-tag"])
-	if err != nil || !bytes.Equal(rec.Entries[0].tail, []byte{6, 3, 'a', 'b', 'c'}) {
-		t.Errorf("the unknown tag decodes to tail %v (err %v)", rec.Entries[0].tail, err)
+	plain, _, err := decodeRecord("t", seeds["record"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"unknown-tag", "unknown-tags"} {
+		if rec, _, err := decodeRecord("t", seeds[name]); err != nil || !reflect.DeepEqual(rec, plain) {
+			t.Errorf("%s decodes to\n%+v (err %v)\nwant the record without its tags\n%+v", name, rec, err, plain)
+		}
 	}
 }

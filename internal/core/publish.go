@@ -14,15 +14,18 @@ import (
 // publishState is what the nodes hold of the archive's manifest, as far as
 // its publishes know: a snapshot, <name>/manifest, of generation folded and
 // snapBytes bytes, and the records that extend it, one per publish since,
-// <name>/manifest/<generation>, of which node i holds resident[i] bytes.
-// Each is on n-k+1 nodes, so that it survives what the codewords it
-// describes survive.
+// <name>/manifest/<generation>. Each is on n-k+1 nodes, so that it survives
+// what the codewords it describes survive.
 type publishState struct {
 	mu sync.Mutex // orders publishes
-	// snapBytes is zero after Create and Open, so their first publish folds.
+	// snapBytes is zero after Create and Open, so their first publish
+	// folds, and -1 after an open from a trusted root until a record
+	// extends the snapshot (snapBytesLocked).
 	snapBytes int
-	resident  map[int]int
-	folded    uint64
+	// held is the bytes of the records since the fold on each node, where
+	// their rings put them when every put succeeds.
+	held   map[int]int
+	folded uint64
 	// refold makes the next publish fold whatever the sizes: a publish
 	// failed, leaving the archive unpublished; the archive was loaded from
 	// the nodes, which may hold writes beyond what the load saw; or a node
@@ -33,30 +36,36 @@ type publishState struct {
 
 // PublishContext makes the archive's changes since the last publish durable
 // on the nodes: one record, of the next generation, on n-k+1 nodes. Then it
-// folds when the records on some node would outweigh the snapshot they
-// extend, when a fold is owed (publishState.refold), and, with fold set,
-// whenever a record extends the snapshot: it replicates a snapshot of the
-// whole manifest to n-k+1 nodes and then deletes the records it replaces
-// from every node, best effort. The rule is geometric, so a publish costs
-// amortised O(1) bytes and a node holds at most a snapshot's worth of
-// records, which a load from the nodes replays. With nothing
-// changed and no fold owed or asked for, it sends nothing. With fold set it
-// returns the whole manifest the nodes then hold, as the plain JSON Save
-// writes; the nodes hold it in binary (nodeformat.go). It fails, before
-// anything further, when the record or the snapshot reached fewer than
-// n-k+1 nodes: the archive is then unpublished, and the next publish folds.
-// Publishes run one at a time.
+// folds when the records on one of its nodes would outweigh the snapshot
+// they extend, when a fold is owed (publishState.refold), and, with fold
+// set, whenever a record extends the snapshot: it replicates a snapshot of
+// the whole manifest to n-k+1 nodes and then deletes the records it
+// replaces from every node, best effort. The rule is geometric, so a
+// publish costs amortised O(1) bytes. While every put succeeds a node holds
+// at most a snapshot's worth of records, and a load from the nodes, which
+// asks every node, replays at most n snapshots' worth. With nothing changed
+// and no fold owed or asked for, it sends nothing. With fold set it returns
+// the whole manifest the nodes then hold, as the plain JSON Save writes;
+// the nodes hold it in binary (nodeformat.go). It fails, before anything
+// further, when the record or the snapshot reached fewer than n-k+1 nodes:
+// the archive is then unpublished, and the next publish folds. Publishes
+// run one at a time.
 func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error) {
 	//lint:allow lockheld each publish is the successor of the one before it: they go one at a time
 	a.pub.mu.Lock()
 	defer a.pub.mu.Unlock()
 	a.mu.Lock()
 	var record []byte
+	var ring []int
 	if rec, ok := a.nextRecordLocked(); ok {
-		record = rec.frame(a.cfg.Name)
+		record, ring = rec.frame(a.cfg.Name), a.ManifestRing(a.generation)[:a.cfg.N-a.cfg.K+1]
 	}
-	gen, owed := a.generation, a.pub.owed(a.ManifestRing(a.generation)[:a.cfg.N-a.cfg.K+1], len(record))
-	folding := a.pub.refold.Load() || owed > a.pub.snapBytes || fold && owed > 0
+	gen, most := a.generation, 0
+	for _, node := range ring {
+		most = max(most, a.pub.held[node]+len(record))
+	}
+	// Every generation past the snapshot's is a record that extends it.
+	folding := a.pub.refold.Load() || record != nil && most > a.snapBytesLocked() || fold && gen > a.pub.folded
 	var snap, root []byte
 	if folding || fold {
 		m := a.manifestLocked()
@@ -69,13 +78,12 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 	}
 	a.mu.Unlock()
 
-	var holders []int
 	var err error
 	if record != nil {
-		holders, err = a.replicate(ctx, recordID(a.cfg.Name, gen), record)
+		err = a.replicate(ctx, recordID(a.cfg.Name, gen), record)
 	}
 	if err == nil && folding {
-		if _, err = a.replicate(ctx, manifestID(a.cfg.Name), snap); err == nil {
+		if err = a.replicate(ctx, manifestID(a.cfg.Name), snap); err == nil {
 			a.cluster.DeleteBatch(ctx, onEveryNode(a.cluster, recordIDs(a.cfg.Name, a.pub.folded+1, gen)...))
 		}
 	}
@@ -83,31 +91,30 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 		a.pub.refold.Store(true)
 		return nil, err
 	}
-	if a.pub.resident == nil {
-		a.pub.resident = make(map[int]int)
-	}
-	for _, node := range holders {
-		a.pub.resident[node] += len(record)
-	}
 	if folding {
 		a.pub.snapBytes, a.pub.folded = len(snap), gen
-		clear(a.pub.resident)
+		clear(a.pub.held)
 		a.pub.refold.Store(false)
+	} else if record != nil {
+		if a.pub.held == nil {
+			a.pub.held = make(map[int]int)
+		}
+		for _, node := range ring {
+			a.pub.held[node] += len(record)
+		}
 	}
 	return root, nil
 }
 
-// owed returns the most record bytes a node would hold with a record of
-// size bytes on each of holders.
-func (p *publishState) owed(holders []int, size int) int {
-	owed := 0
-	for _, node := range holders {
-		owed = max(owed, p.resident[node]+size)
+// snapBytesLocked returns the size of the snapshot the records extend. An
+// open from a trusted root does not encode the snapshot to size it: the
+// first record after it sizes the manifest as it then stands, which is
+// near enough for the fold rule.
+func (a *Archive) snapBytesLocked() int {
+	if a.pub.snapBytes < 0 {
+		a.pub.snapBytes = len(a.manifestLocked().nodeSnapshot())
 	}
-	for _, b := range p.resident {
-		owed = max(owed, b)
-	}
-	return owed
+	return a.pub.snapBytes
 }
 
 // CreateContext creates the named archive from spec and replicates its
@@ -126,7 +133,7 @@ func CreateContext(ctx context.Context, name string, spec Spec, cluster *store.C
 	case !errors.Is(err, store.ErrNotFound):
 		return nil, fmt.Errorf("core: creating archive %q: %w", name, err)
 	}
-	if _, err := a.replicate(ctx, manifestID(name), a.Manifest().nodeSnapshot()); err != nil {
+	if err := a.replicate(ctx, manifestID(name), a.Manifest().nodeSnapshot()); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -153,7 +160,7 @@ func OpenContext(ctx context.Context, name string, cluster *store.Cluster, cache
 		case a.cfg.Name != name:
 			return nil, fmt.Errorf("core: the manifest of %q names archive %q: %w", name, a.cfg.Name, store.ErrConflict)
 		}
-		a.pub.snapBytes = len(a.Manifest().nodeSnapshot())
+		a.pub.snapBytes = -1
 		return a, nil
 	}
 	m, snapshot, err := manifestFromCluster(ctx, name, cluster)
