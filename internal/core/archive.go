@@ -239,10 +239,11 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 			return CommitInfo{}, err
 		}
 		info := CommitInfo{Version: 1, StoredFull: true}
-		if err := a.writeObject(ctx, a.fullCodeword(1), blocks, &info.ShardWrites); err != nil {
+		full := a.fullCodeword(1)
+		if err := a.writeObject(ctx, full, blocks, &info.ShardWrites); err != nil {
 			return CommitInfo{}, err
 		}
-		a.entries = append(a.entries, entry{hasFull: true, length: len(object), crc: &crc})
+		a.entries = append(a.entries, entry{full: &full, length: len(object), crc: &crc})
 		a.changed = append(a.changed, 1)
 		a.setCache(1, blocks, len(object))
 		return info, nil
@@ -270,19 +271,21 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		storeFull = true
 		info.Checkpoint = true
 	}
-	e := entry{hasFull: storeFull, gamma: gamma, length: len(object), checkpoint: info.Checkpoint, crc: &crc}
+	e := entry{measured: gamma, length: len(object), checkpoint: info.Checkpoint, crc: &crc}
 	if storeDelta {
 		cw, err := a.storeDelta(ctx, deltaID(a.cfg.Name, version), version, d, &info.ShardWrites)
 		if err != nil {
 			return CommitInfo{}, err
 		}
-		e.setDelta(cw, 0)
+		e.delta = &cw
 		info.StoredDelta, info.Compressed = true, cw.cdec()
 	}
 	if storeFull {
-		if err := a.writeObject(ctx, a.fullCodeword(version), blocks, &info.ShardWrites); err != nil {
+		full := a.fullCodeword(version)
+		if err := a.writeObject(ctx, full, blocks, &info.ShardWrites); err != nil {
 			return CommitInfo{}, err
 		}
+		e.full = &full
 		info.StoredFull = true
 	}
 	a.entries = append(a.entries, e)
@@ -293,7 +296,7 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 		// exception - a full retained under CheckpointEvery (or placed by
 		// compaction) stays so old versions keep a nearby anchor.
 		prev := version - 1
-		if pe := &a.entries[prev-1]; pe.hasFull {
+		if pe := &a.entries[prev-1]; pe.full != nil {
 			keep := pe.checkpoint
 			if !keep && a.cfg.CheckpointEvery > 0 && prev-lastFullBelow(a.entries, prev) >= a.cfg.CheckpointEvery {
 				pe.checkpoint = true
@@ -302,8 +305,8 @@ func (a *Archive) CommitContext(ctx context.Context, object []byte) (CommitInfo,
 				a.changed = append(a.changed, prev)
 			}
 			if !keep {
-				a.superseded = append(a.superseded, a.fullCodeword(prev))
-				pe.hasFull = false
+				a.superseded = append(a.superseded, *pe.full)
+				pe.full = nil
 				a.changed = append(a.changed, prev)
 			}
 		}
@@ -518,8 +521,10 @@ func (a *Archive) retrieveBlocksLocked(ctx context.Context, l int, stats *Retrie
 func (a *Archive) runWalk(ctx context.Context, w walk, stats *RetrievalStats) (inHand map[int][][]byte, held loan, err error) {
 	cws := make([]codeword, len(w))
 	for i, s := range w {
-		if cws[i], err = a.stepCodeword(s); err != nil {
-			return nil, nil, err
+		if s.via == 0 {
+			cws[i] = *a.entries[s.to-1].full
+		} else {
+			cws[i] = *a.entries[s.via-1].delta
 		}
 	}
 	sets := a.prefetch(ctx, cws)
@@ -694,20 +699,14 @@ func deltaID(name string, version int) string {
 	return fmt.Sprintf("%s/v%d-delta", name, version)
 }
 
-// rebasedDeltaID names a delta object whose base is not the chain
-// predecessor. The base is part of the object name so a compaction that
-// rebases a version writes a fresh object: until the manifest swap, the
-// old chain remains fully readable, and afterwards the old object is
-// garbage-collected by name.
+// rebasedDeltaID names the delta object of a version against base: deltaID
+// for the chain predecessor, and otherwise a name that carries the base, so
+// a compaction that rebases a version writes a fresh object: until the
+// manifest swap, the old chain remains fully readable, and afterwards the
+// old object is garbage-collected by name.
 func rebasedDeltaID(name string, version, base int) string {
-	return fmt.Sprintf("%s/v%d-delta-b%d", name, version, base)
-}
-
-// deltaObjectID returns the stored object name of a version's delta,
-// accounting for compaction rebases.
-func (a *Archive) deltaObjectID(version int) string {
-	if b := a.entries[version-1].base; b != 0 && b != version-1 {
-		return rebasedDeltaID(a.cfg.Name, version, b)
+	if base == version-1 {
+		return deltaID(name, version)
 	}
-	return deltaID(a.cfg.Name, version)
+	return fmt.Sprintf("%s/v%d-delta-b%d", name, version, base)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -76,16 +77,25 @@ func (a *Archive) compressedCode(gamma int) (*erasure.Code, error) {
 	return c, nil
 }
 
-// entry records what the archive stores for one version.
+// entry records what the archive stores for one version: the codewords the
+// nodes hold for it, nil where it stores none, and the facts of the version
+// itself. A codeword is set whole where it is written (a commit, a
+// compaction's rebase or promotion) or loaded (entryOf), dropped where it is
+// superseded, and never edited in place, so a copy of the chain -
+// compaction's working one - shares them safely.
 type entry struct {
-	hasFull  bool
-	hasDelta bool
-	gamma    int // block sparsity of the delta, valid when hasDelta
+	full  *codeword // x_version
+	delta *codeword // z_version, against base
+	// measured is the block sparsity the version's commit measured against
+	// its predecessor, which the manifest shows as its gamma where it stores
+	// no delta (Optimized SEC stores a dense version whole); a promotion
+	// sets it to 0. Where a delta is stored, the manifest shows the delta's.
+	measured int
 	length   int // original object length in bytes
 	// base is the version the delta is computed against: x_version =
 	// x_base + z_version. Zero means the implicit chain predecessor
 	// (version-1); compaction rebases deltas onto nearer anchors, recording
-	// the anchor here. Valid when hasDelta.
+	// the anchor here. Valid when delta is set.
 	base int
 	// checkpoint marks a full codeword placed (or retained) by the chain
 	// lifecycle - an auto-checkpoint commit, a CheckpointEvery retention,
@@ -93,24 +103,6 @@ type entry struct {
 	// Reversed SEC never deletes a checkpointed full when the chain tip
 	// moves on.
 	checkpoint bool
-	// compressed marks a delta stored in CDEC-compacted form: the
-	// codeword encodes only the gamma non-zero blocks with a
-	// (gamma+N-K, gamma) code. Valid when hasDelta.
-	compressed bool
-	// support lists the blocks the delta changed, strictly increasing: the
-	// blocks a CDEC codeword encodes, and the ones a plain delta's decode
-	// must find. It is nil for a delta that changed nothing and for a plain
-	// delta whose manifest recorded none (a build from before supports wrote
-	// it), which reads blind. Valid when hasDelta.
-	support []int
-	// width, off and offs are the delta's byte windows: its rows are width
-	// bytes, and block support[i] is zero outside bytes
-	// [offs[i], offs[i]+width). off is the first block's offset, and every
-	// block's where offs is nil: a CDEC delta's, one whose blocks share it,
-	// and a plain one without a support, whatever blocks its decode finds.
-	// Valid when hasDelta.
-	off, width int
-	offs       []int
 	// crc is the CRC32C of the version's length bytes, taken by its commit
 	// and checked by verify; nil when the build that committed it recorded
 	// none, and the version then reads unverified. Nothing else sets it: compaction and
@@ -119,61 +111,42 @@ type entry struct {
 	crc *uint32
 }
 
-// setDelta records cw, just written, as the entry's delta against base.
-func (e *entry) setDelta(cw codeword, base int) {
-	e.hasDelta, e.base = true, base
-	e.gamma, e.compressed, e.support = cw.gamma, cw.compressed, cw.support
-	e.off, e.width, e.offs = cw.off, cw.width, cw.offs
-}
-
-// dropDelta records that the version no longer stores a delta.
-func (e *entry) dropDelta() {
-	e.hasDelta, e.base = false, 0
-	e.gamma, e.compressed, e.support = 0, false, nil
-	e.off, e.width, e.offs = 0, 0, nil
-}
-
 // manifestEntry renders the entry of the given version of an archive of
 // the given block size. A window that is the whole block is left out, so a
 // chain of full-width deltas renders as it did before windows existed, and
 // the offsets of the blocks are listed only where they differ.
 func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
-	base := 0
-	if e.hasDelta && e.base != 0 && e.base != version-1 {
-		base = e.base // only non-default bases persist
+	me := ManifestEntry{
+		Version:    version,
+		Full:       e.full != nil,
+		Gamma:      e.measured,
+		Length:     e.length,
+		Checkpoint: e.checkpoint,
 	}
-	var window *Window
-	var offsets []int
-	if e.hasDelta && e.width != blockSize {
-		window = &Window{Off: e.off, Width: e.width}
-		if slices.ContainsFunc(e.offs, func(off int) bool { return off != e.off }) {
-			offsets = slices.Clone(e.offs)
+	if d := e.delta; d != nil {
+		me.Delta, me.Gamma, me.Compressed, me.Support = true, d.gamma, d.compressed, append([]int(nil), d.support...)
+		if e.base != version-1 {
+			me.Base = e.base // only non-default bases persist
+		}
+		if d.width != blockSize {
+			me.Window = &Window{Off: d.off, Width: d.width}
+			if slices.ContainsFunc(d.offs, func(off int) bool { return off != d.off }) {
+				me.Offsets = slices.Clone(d.offs)
+			}
 		}
 	}
-	var digest string
 	if e.crc != nil {
-		digest = fmt.Sprintf("%08x", *e.crc)
+		me.CRC32C = fmt.Sprintf("%08x", *e.crc)
 	}
-	return ManifestEntry{
-		Version:    version,
-		Full:       e.hasFull,
-		Delta:      e.hasDelta,
-		Gamma:      e.gamma,
-		Length:     e.length,
-		Base:       base,
-		Checkpoint: e.checkpoint,
-		Compressed: e.compressed,
-		Support:    append([]int(nil), e.support...),
-		Window:     window,
-		Offsets:    offsets,
-		CRC32C:     digest,
-	}
+	return me
 }
 
-// entryOf is the inverse of manifestEntry for an archive of dimension k and
-// the given block size. It checks what depends on the kind of the delta,
-// its support and its windows; Open checks the rest.
-func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
+// entryOf is the inverse of manifestEntry: the entry of a manifest's
+// version, with the codewords it names, each CDEC code fetched here once. It
+// checks what depends on the kind of the delta, its support and its windows;
+// Open checks the rest.
+func (a *Archive) entryOf(me ManifestEntry) (entry, error) {
+	k, blockSize := a.cfg.K, a.cfg.BlockSize
 	switch {
 	case me.Compressed && !me.Delta:
 		return entry{}, fmt.Errorf("core: manifest version %d is compressed but stores no delta", me.Version)
@@ -196,10 +169,7 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 			prev = s
 		}
 	}
-	var window Window // no delta, no window
-	if me.Delta {
-		window.Width = blockSize
-	}
+	window := Window{Width: blockSize}
 	if w := me.Window; w != nil {
 		switch {
 		case !me.Delta:
@@ -230,20 +200,23 @@ func entryOf(me ManifestEntry, k, blockSize int) (entry, error) {
 		crc = new(uint32)
 		*crc = uint32(d)
 	}
-	return entry{
-		hasFull:    me.Full,
-		hasDelta:   me.Delta,
-		gamma:      me.Gamma,
-		length:     me.Length,
-		base:       me.Base,
-		checkpoint: me.Checkpoint,
-		compressed: me.Compressed,
-		support:    append([]int(nil), me.Support...),
-		offs:       append([]int(nil), me.Offsets...),
-		off:        window.Off,
-		width:      window.Width,
-		crc:        crc,
-	}, nil
+	e := entry{measured: me.Gamma, length: me.Length, base: me.Base, checkpoint: me.Checkpoint, crc: crc}
+	if me.Full {
+		full := a.fullCodeword(me.Version)
+		e.full = &full
+	}
+	if me.Delta {
+		id := rebasedDeltaID(a.cfg.Name, me.Version, cmp.Or(me.Base, me.Version-1))
+		d := codeword{id: id, version: me.Version, code: a.code, delta: true, gamma: me.Gamma, compressed: me.Compressed, support: append([]int(nil), me.Support...), off: window.Off, width: window.Width, offs: append([]int(nil), me.Offsets...)}
+		if d.compressed {
+			var err error
+			if d.code, err = a.compressedCode(d.gamma); err != nil {
+				return entry{}, err
+			}
+		}
+		e.delta = &d
+	}
+	return e, nil
 }
 
 // codeword describes one stored object: what it is called, where its rows
@@ -257,12 +230,17 @@ type codeword struct {
 	gamma   int           // block sparsity of a delta; 0 for a full codeword
 	// compressed marks a CDEC-compacted delta, whose code encodes the
 	// blocks support names; a plain delta's support, when its entry records
-	// one, is the blocks its decode must find.
+	// one, is the blocks its decode must find. support is nil for a delta
+	// that changed nothing and for a plain delta whose manifest recorded none
+	// (a build from before supports wrote it), which reads blind.
 	compressed bool
 	support    []int
-	// width, off and offs place a delta's blocks, as entry's do: every row
-	// is width bytes, and encodes each block's window moved to offset 0. A
-	// full codeword is BlockSize wide, at offset 0.
+	// width, off and offs are a delta's byte windows: every row is width
+	// bytes, and block support[i] is zero outside bytes [offs[i],
+	// offs[i]+width), which it encodes moved to offset 0. off is the first
+	// block's offset, and every block's where offs is nil: a CDEC delta's,
+	// one whose blocks share it, and a plain one without a support, whatever
+	// blocks its decode finds. A full codeword is BlockSize wide, at offset 0.
 	off, width int
 	offs       []int
 }
@@ -272,42 +250,19 @@ func (a *Archive) fullCodeword(v int) codeword {
 	return codeword{id: fullID(a.cfg.Name, v), version: v, code: a.code, width: a.cfg.BlockSize}
 }
 
-// deltaCodeword describes the stored delta of version v.
-func (a *Archive) deltaCodeword(v int) (codeword, error) {
-	e := a.entries[v-1]
-	cw := codeword{id: a.deltaObjectID(v), version: v, code: a.code, delta: true, gamma: e.gamma, compressed: e.compressed, support: e.support, off: e.off, width: e.width, offs: e.offs}
-	if !e.compressed {
-		return cw, nil
-	}
-	var err error
-	cw.code, err = a.compressedCode(e.gamma)
-	return cw, err
-}
-
-// stepCodeword describes the codeword a step of a walk reads.
-func (a *Archive) stepCodeword(s step) (codeword, error) {
-	if s.via == 0 {
-		return a.fullCodeword(s.to), nil
-	}
-	return a.deltaCodeword(s.via)
-}
-
 // stored lists the codewords the chain holds for version v: none (Reversed
 // SEC reaches an old version through its successor's delta), its full
 // codeword, its delta, or both, full first.
-func (a *Archive) stored(v int) ([]codeword, error) {
+func (a *Archive) stored(v int) []codeword {
+	e := &a.entries[v-1]
 	var cws []codeword
-	if a.entries[v-1].hasFull {
-		cws = append(cws, a.fullCodeword(v))
+	if e.full != nil {
+		cws = append(cws, *e.full)
 	}
-	if a.entries[v-1].hasDelta {
-		cw, err := a.deltaCodeword(v)
-		if err != nil {
-			return nil, err
-		}
-		cws = append(cws, cw)
+	if e.delta != nil {
+		cws = append(cws, *e.delta)
 	}
-	return cws, nil
+	return cws
 }
 
 // eachStored calls do for every codeword the chain lists, in version order,
@@ -317,11 +272,7 @@ func (a *Archive) eachStored(ctx context.Context, pass string, do func(codeword)
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: %s aborted at version %d: %w", pass, v, err)
 		}
-		cws, err := a.stored(v)
-		if err != nil {
-			return fmt.Errorf("core: %s of version %d: %w", pass, v, err)
-		}
-		for _, cw := range cws {
+		for _, cw := range a.stored(v) {
 			if err := do(cw); err != nil {
 				return err
 			}
@@ -399,23 +350,24 @@ func (cw codeword) readPlan(candidates []int, trySparse bool, need int) (rows []
 	return candidates[:need], false
 }
 
-// deltaCost is what the planner charges for reading the stored delta of e
+// deltaCost is what the planner charges for reading the stored delta cw
 // with every node live (formulas (3) and (4)): the paper's eta for a plain
 // delta - min(2*gamma, k) where a sparse read serves it, k where none does,
 // nothing for an empty one - and gamma rows of a CDEC-compacted one. It reads
-// the entry's sparsity and kind alone, so planning builds no CDEC code, and it
-// delegates to the delta package's cost model, so the two cannot drift apart.
-func (a *Archive) deltaCost(e entry) int {
-	if e.compressed {
-		return delta.CompressedReadCost(e.gamma)
+// the delta's sparsity and kind alone, so a codeword that is only priced
+// needs no code, and it delegates to the delta package's cost model, so the
+// two cannot drift apart.
+func (a *Archive) deltaCost(cw codeword) int {
+	if cw.compressed {
+		return delta.CompressedReadCost(cw.gamma)
 	}
-	return delta.ReadCost(e.gamma, a.cfg.K, a.promotionLimit())
+	return delta.ReadCost(cw.gamma, a.cfg.K, a.promotionLimit())
 }
 
 // mergedCost is what deltaCost charges for a delta of the given sparsity
 // written now: storeDelta picks its kind.
 func (a *Archive) mergedCost(gamma int) int {
-	return a.deltaCost(entry{gamma: gamma, compressed: a.compressEligible(gamma)})
+	return a.deltaCost(codeword{gamma: gamma, compressed: a.compressEligible(gamma)})
 }
 
 // decodeSparse recovers a plain delta from the rows of a sparse read plan,

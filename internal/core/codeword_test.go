@@ -14,22 +14,13 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-func mustStored(t *testing.T, a *Archive, v int) []codeword {
-	t.Helper()
-	cws, err := a.stored(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cws
-}
-
 // rowsListed sums, over every codeword the chain lists, the rows it is
 // stored as: the rows the nodes should hold, no more and no fewer.
 func rowsListed(t *testing.T, a *Archive) int {
 	t.Helper()
 	rows := 0
 	for v := 1; v <= len(a.entries); v++ {
-		for _, cw := range mustStored(t, a, v) {
+		for _, cw := range a.stored(v) {
 			rows += cw.code.N()
 		}
 	}

@@ -105,7 +105,7 @@ func nodesHoldTheDenseEncoding(t *testing.T, a *Archive, cluster *store.Cluster,
 		return blocks
 	}
 	for v := 1; v <= len(a.entries); v++ {
-		for _, cw := range mustStored(t, a, v) {
+		for _, cw := range a.stored(v) {
 			blocks := split(v)
 			if cw.delta {
 				z, err := delta.Compute(split(entryBase(a.entries, v)), blocks)

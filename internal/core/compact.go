@@ -163,11 +163,10 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 
 	// Plan and write against a working copy; a.entries stays untouched (and
 	// every version readable from the old objects) until everything new is
-	// durably stored. written holds the codeword the pass last wrote for
-	// each version it rewrote: a later round that rewrites the version
-	// again supersedes it.
+	// durably stored. The copy shares the codewords, which no one edits:
+	// a rewrite sets a new one.
 	next := slices.Clone(a.entries)
-	written := map[int]codeword{}
+	rewritten := map[int]bool{}
 	var superseded []codeword
 	for len(targets) > 0 {
 		rewrote := false
@@ -179,7 +178,8 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 			if err != nil {
 				return info, err
 			}
-			if next[v-1].hasDelta && entryBase(next, v) == anchor {
+			e := &next[v-1]
+			if e.delta != nil && entryBase(next, v) == anchor {
 				continue // already based exactly at its anchor
 			}
 			// Both ends of the merge are checked before anything is written
@@ -190,12 +190,9 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 					return info, fmt.Errorf("core: compaction aborted: %w", err)
 				}
 			}
-			old, again := written[v]
-			if !again && next[v-1].hasDelta {
-				if old, err = a.deltaCodeword(v); err != nil {
-					return info, err
-				}
-			}
+			// The delta the rewrite replaces: the chain's, or the one an
+			// earlier round of this pass wrote.
+			old := e.delta
 			var cw codeword
 			if merged.Gamma() > limit {
 				// Dense merged delta: a sparse read could not serve it, so a
@@ -205,28 +202,22 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 				if err := a.writeObject(ctx, cw, mat[v], &info.ShardWrites); err != nil {
 					return info, err
 				}
-				next[v-1].hasFull = true
-				next[v-1].checkpoint = true
-				next[v-1].dropDelta()
+				e.full, e.delta, e.base, e.measured, e.checkpoint = &cw, nil, 0, 0, true
 			} else {
-				id := rebasedDeltaID(a.cfg.Name, v, anchor)
-				if anchor == v-1 {
-					// A promotion turned the chain predecessor into the
-					// anchor: the merged delta IS the original chain delta,
-					// stored under its original name.
-					id = deltaID(a.cfg.Name, v)
-				}
-				if cw, err = a.storeDelta(ctx, id, v, merged, &info.ShardWrites); err != nil {
+				// Where a promotion turned the chain predecessor into the
+				// anchor, the merged delta IS the original chain delta,
+				// stored under its original name.
+				if cw, err = a.storeDelta(ctx, rebasedDeltaID(a.cfg.Name, v, anchor), v, merged, &info.ShardWrites); err != nil {
 					return info, err
 				}
-				next[v-1].setDelta(cw, anchor)
+				e.delta, e.base = &cw, anchor
 			}
-			if old.id != "" {
-				superseded = append(superseded, old)
+			if old != nil {
+				superseded = append(superseded, *old)
 			}
 			// A name written again holds live content.
 			superseded = slices.DeleteFunc(superseded, func(g codeword) bool { return g.id == cw.id })
-			written[v] = cw
+			rewritten[v] = true
 			rewrote = true
 		}
 		if !rewrote {
@@ -245,10 +236,10 @@ func (a *Archive) compactLocked(ctx context.Context, maxLen int) (CompactionInfo
 	// Price each rewrite with the planner's own costs: the old chain's walk
 	// to v less one read of the rewritten delta (nothing for a promotion,
 	// which anchors v outright).
-	for _, v := range slices.Sorted(maps.Keys(written)) {
+	for _, v := range slices.Sorted(maps.Keys(rewritten)) {
 		gain := before[v].dist - a.cfg.K
-		if next[v-1].hasDelta {
-			gain -= a.deltaCost(next[v-1])
+		if d := next[v-1].delta; d != nil {
+			gain -= a.deltaCost(*d)
 			info.Rebased = append(info.Rebased, v)
 		} else {
 			info.Promoted = append(info.Promoted, v)
@@ -325,7 +316,7 @@ func entryBase(entries []entry, v int) int {
 // entries store, or 0 when none is.
 func lastFullBelow(entries []entry, v int) int {
 	for j := v - 1; j >= 1; j-- {
-		if entries[j-1].hasFull {
+		if entries[j-1].full != nil {
 			return j
 		}
 	}

@@ -414,11 +414,7 @@ func TestAutoCompactionBoundsThePlannedWalk(t *testing.T) {
 					}
 					named := 0
 					for v := 1; v <= j; v++ {
-						cws, err := a.stored(v)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, cw := range cws {
+						for _, cw := range a.stored(v) {
 							named += cw.code.N()
 						}
 					}

@@ -50,10 +50,7 @@ func TestReadsReturnEveryLentSet(t *testing.T) {
 		t.Fatalf("the release gave back %d sets, want 2", returned-returned0)
 	}
 
-	cw, err := a.deltaCodeword(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cw := *a.entries[2].delta
 	for _, err := range a.cluster.DeleteBatch(ctx, a.rowRefs(cw, allRows(cw.code.N()))) {
 		if err != nil {
 			t.Fatal(err)

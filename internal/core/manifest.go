@@ -375,7 +375,7 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 				return nil, fmt.Errorf("core: manifest version %d has invalid delta base %d", me.Version, me.Base)
 			}
 		}
-		if a.entries[i], err = entryOf(me, m.K, m.BlockSize); err != nil {
+		if a.entries[i], err = a.entryOf(me); err != nil {
 			return nil, err
 		}
 	}

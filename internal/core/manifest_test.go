@@ -95,10 +95,13 @@ func TestManifestFields(t *testing.T) {
 }
 
 // TestSpecCarriesEveryConfigField sets each Config field in turn to a valid
-// non-default value, saves the archive and loads it back: the value must
-// survive. A Config field added without a Spec field to persist it fails
-// here until it has one (and a value below), or is listed as one no spec
-// carries.
+// non-default value and reopens the archive both ways it is persisted: saved
+// as JSON and loaded back, and created on the nodes and opened from them with
+// no root, which reads the spec from the binary snapshot body (appendBody,
+// decodeBody). The value must survive both. A Config field added without a
+// Spec field to persist it fails here until it has one (and a value below),
+// or is listed as one no spec carries; a Spec field the snapshot body leaves
+// out fails the node path.
 func TestSpecCarriesEveryConfigField(t *testing.T) {
 	notInSpec := map[string]string{
 		"Name": "heads the manifest, beside the spec",
@@ -131,20 +134,36 @@ func TestSpecCarriesEveryConfigField(t *testing.T) {
 				t.Fatalf("test value %v is the base config's", value)
 			}
 			set.Set(reflect.ValueOf(value))
-			a, err := New(cfg, store.NewMemCluster(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := a.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			b, err := Load(&buf, store.NewMemCluster(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := reflect.ValueOf(b.Config()).FieldByIndex(field.Index).Interface(); !reflect.DeepEqual(got, value) {
-				t.Errorf("Config.%s = %v after Save and Load, want %v", field.Name, got, value)
+			for _, path := range []struct {
+				name   string
+				reopen func() (*Archive, error)
+			}{
+				{"Save and Load", func() (*Archive, error) {
+					a, err := New(cfg, store.NewMemCluster(0))
+					if err != nil {
+						return nil, err
+					}
+					var buf bytes.Buffer
+					if err := a.Save(&buf); err != nil {
+						return nil, err
+					}
+					return Load(&buf, store.NewMemCluster(0))
+				}},
+				{"CreateContext and OpenContext", func() (*Archive, error) {
+					cluster := store.NewMemCluster(0)
+					if _, err := CreateContext(t.Context(), cfg.Name, cfg.Spec(), cluster); err != nil {
+						return nil, err
+					}
+					return OpenContext(t.Context(), cfg.Name, cluster, nil)
+				}},
+			} {
+				b, err := path.reopen()
+				if err != nil {
+					t.Fatalf("%s: %v", path.name, err)
+				}
+				if got := reflect.ValueOf(b.Config()).FieldByIndex(field.Index).Interface(); !reflect.DeepEqual(got, value) {
+					t.Errorf("Config.%s = %v after %s, want %v", field.Name, got, path.name, value)
+				}
 			}
 		})
 	}

@@ -255,7 +255,7 @@ func rebasedChain(t *testing.T) (*Archive, *store.Cluster, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.entries[4].setDelta(cw, 6)
+	a.entries[4].delta, a.entries[4].base = &cw, 6
 	return a, cluster, versions
 }
 
@@ -274,7 +274,7 @@ func loseOneRowPerCodeword(t *testing.T, a *Archive, cluster *store.Cluster) {
 		}
 	}
 	for v := 1; v <= len(a.entries); v++ {
-		for _, cw := range mustStored(t, a, v) {
+		for _, cw := range a.stored(v) {
 			switch {
 			case cw.empty():
 			case cw.cdec():

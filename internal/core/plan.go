@@ -74,7 +74,7 @@ func (a *Archive) walkCost(w walk) int {
 		if s.via == 0 {
 			cost += a.cfg.K
 		} else {
-			cost += a.deltaCost(a.entries[s.via-1])
+			cost += a.deltaCost(*a.entries[s.via-1].delta)
 		}
 	}
 	return cost
@@ -137,11 +137,11 @@ func (a *Archive) planPrefix(l int) (walk, error) {
 		}
 		e := a.entries[j-1]
 		switch {
-		case e.hasDelta && inHand[entryBase(a.entries, j)]:
+		case e.delta != nil && inHand[entryBase(a.entries, j)]:
 			w = append(w, step{from: entryBase(a.entries, j), to: j, via: j})
-		case e.hasFull:
+		case e.full != nil:
 			w = append(w, step{to: j})
-		case e.hasDelta:
+		case e.delta != nil:
 			own, err := a.planChain(j)
 			if err != nil {
 				return nil, err
@@ -206,11 +206,11 @@ func (a *Archive) planAll(entries []entry, target int) ([]planState, error) {
 	for v := 1; v <= L; v++ {
 		st[v].dist = unreachedCost
 		e := &entries[v-1]
-		if e.hasFull {
+		if e.full != nil {
 			st[v].dist = a.cfg.K
 			h = append(h, planItem{v: v, dist: a.cfg.K})
 		}
-		if !e.hasDelta {
+		if e.delta == nil {
 			continue
 		}
 		if b := entryBase(entries, v); b < 1 || b > L || b == v {
@@ -229,10 +229,10 @@ func (a *Archive) planAll(entries []entry, target int) ([]planState, error) {
 		}
 		st[u].done = true
 		vias = vias[:0]
-		if entries[u-1].hasDelta {
+		if entries[u-1].delta != nil {
 			vias = append(vias, u)
 		}
-		if u < L && entries[u].hasDelta && entryBase(entries, u+1) == u {
+		if u < L && entries[u].delta != nil && entryBase(entries, u+1) == u {
 			vias = append(vias, u+1)
 		}
 		i, _ := slices.BinarySearchFunc(rebased, u, func(r [2]int, u int) int { return cmp.Compare(r[0], u) })
@@ -245,7 +245,7 @@ func (a *Archive) planAll(entries []entry, target int) ([]planState, error) {
 			if j == u {
 				to = entryBase(entries, u) // backward: x_u + z_u = x_base
 			}
-			nd, nh := st[u].dist+a.deltaCost(entries[j-1]), st[u].hops+1
+			nd, nh := st[u].dist+a.deltaCost(*entries[j-1].delta), st[u].hops+1
 			if nd < st[to].dist || (nd == st[to].dist && nh < st[to].hops) {
 				st[to].dist, st[to].hops, st[to].via, st[to].prev = nd, nh, j, u
 				h.push(planItem{v: to, dist: nd, hops: nh})

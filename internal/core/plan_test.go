@@ -18,19 +18,19 @@ func wholeGraphPlan(t *testing.T, a *Archive, target int) []planState {
 	type edge struct{ to, via, w int }
 	adj := make([][]edge, L+1)
 	for j := 1; j <= L; j++ {
-		e := a.entries[j-1]
-		if !e.hasDelta {
+		d := a.entries[j-1].delta
+		if d == nil {
 			continue
 		}
 		b := entryBase(a.entries, j)
-		adj[b] = append(adj[b], edge{to: j, via: j, w: a.deltaCost(e)})
-		adj[j] = append(adj[j], edge{to: b, via: j, w: a.deltaCost(e)})
+		adj[b] = append(adj[b], edge{to: j, via: j, w: a.deltaCost(*d)})
+		adj[j] = append(adj[j], edge{to: b, via: j, w: a.deltaCost(*d)})
 	}
 	st := make([]planState, L+1)
 	var h planHeap
 	for v := 1; v <= L; v++ {
 		st[v].dist = unreachedCost
-		if a.entries[v-1].hasFull {
+		if a.entries[v-1].full != nil {
 			st[v].dist = a.cfg.K
 			h = append(h, planItem{v: v, dist: a.cfg.K})
 		}

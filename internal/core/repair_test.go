@@ -22,7 +22,7 @@ func wipeArchiveShards(t *testing.T, a *Archive, cluster *store.Cluster, node in
 	}
 	deleted := 0
 	for v := 1; v <= a.Versions(); v++ {
-		for _, cw := range mustStored(t, a, v) {
+		for _, cw := range a.stored(v) {
 			for row := 0; row < cw.code.N(); row++ {
 				if a.nodeOf(cw, row) == node && nd.Delete(t.Context(), store.ShardID{Object: cw.id, Row: row}) == nil {
 					deleted++

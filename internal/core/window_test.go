@@ -67,7 +67,7 @@ func TestStoredRowsEncodeEachBlocksWindow(t *testing.T) {
 				if windowed != wantWindowed || whole != wantWhole {
 					t.Errorf("%d deltas stored at a window, %d whole; want %d and %d", windowed, whole, wantWindowed, wantWhole)
 				}
-				if v3 := a.entries[2]; blockSize >= 4096 && !v3.compressed && (v3.width != 64 || !slices.Equal(v3.offs, []int{blockSize - 64, 64})) {
+				if v3 := a.entries[2].delta; blockSize >= 4096 && !v3.compressed && (v3.width != 64 || !slices.Equal(v3.offs, []int{blockSize - 64, 64})) {
 					t.Errorf("v3 is stored %d bytes wide at offsets %v, want 64 at [%d 64]", v3.width, v3.offs, blockSize-64)
 				}
 				checkReadsArePlanned(t, a, versions)
@@ -117,8 +117,8 @@ func windowVersions(blockSize int) [][]byte {
 func deltaWidths(a *Archive) (windowed, whole int) {
 	for _, e := range a.entries {
 		switch {
-		case !e.hasDelta:
-		case e.width < a.cfg.BlockSize:
+		case e.delta == nil:
+		case e.delta.width < a.cfg.BlockSize:
 			windowed++
 		default:
 			whole++
@@ -176,10 +176,7 @@ func TestSparseEditRowsAreOneEditWide(t *testing.T) {
 		}
 	}
 	for v := 2; v <= len(versions); v++ {
-		cw, err := a.deltaCodeword(v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cw := *a.entries[v-1].delta
 		ref := a.rowRefs(cw, []int{0})[0]
 		node, err := cluster.Node(ref.Node)
 		if err != nil {

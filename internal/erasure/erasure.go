@@ -13,9 +13,7 @@ package erasure
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/secarchive/sec/internal/lru"
@@ -70,10 +68,8 @@ type Code struct {
 	kind Kind
 	gen  matrix.Matrix
 
-	mu         sync.Mutex
-	criterion2 map[string]bool           // verified Criterion-2 verdicts per row set
-	inverses   *lru.Cache[matrix.Matrix] // decode matrices per row set
-	checks     *lru.Cache[matrix.Matrix] // Locate's parity checks per row set
+	inverses *lru.Cache[matrix.Matrix] // decode matrices per row set
+	checks   *lru.Cache[matrix.Matrix] // Locate's parity checks per row set
 }
 
 // maxCachedInverses bounds the decode-matrix cache; degraded-read patterns
@@ -111,13 +107,12 @@ func New(kind Kind, n, k int) (*Code, error) {
 		return nil, fmt.Errorf("erasure: building %v(%d,%d): %w", kind, n, k, err)
 	}
 	return &Code{
-		n:          n,
-		k:          k,
-		kind:       kind,
-		gen:        gen,
-		criterion2: make(map[string]bool),
-		inverses:   lru.New[matrix.Matrix](maxCachedInverses),
-		checks:     lru.New[matrix.Matrix](maxCachedChecks),
+		n:        n,
+		k:        k,
+		kind:     kind,
+		gen:      gen,
+		inverses: lru.New[matrix.Matrix](maxCachedInverses),
+		checks:   lru.New[matrix.Matrix](maxCachedChecks),
 	}, nil
 }
 
@@ -486,25 +481,6 @@ func (c *Code) DecodeSparseSupport(rows []int, shards [][]byte, gamma int) (supp
 	return sparse.RecoverSupport(c.gen.SelectRows(rows), shards, gamma)
 }
 
-// RowsSatisfyCriterion2 reports whether the row set's submatrix has every
-// len(rows)-column subset linearly independent, i.e. whether those shards
-// determine any (len(rows)/2)-sparse vector. Verdicts are verified by
-// elimination and cached.
-func (c *Code) RowsSatisfyCriterion2(rows []int) bool {
-	key := rowKey(rows)
-	c.mu.Lock()
-	verdict, ok := c.criterion2[key]
-	c.mu.Unlock()
-	if ok {
-		return verdict
-	}
-	verdict = c.gen.SelectRows(rows).ColumnsIndependent()
-	c.mu.Lock()
-	c.criterion2[key] = verdict
-	c.mu.Unlock()
-	return verdict
-}
-
 // SparseReadRows selects 2*gamma rows from the live shard set whose
 // submatrix satisfies Criterion 2, or nil if none exists. The order of live
 // is the caller's preference: a reader lists the rows it would rather not
@@ -545,13 +521,12 @@ func (c *Code) Punctured(t int) (*Code, error) {
 		rows[i] = i
 	}
 	return &Code{
-		n:          c.n - t,
-		k:          c.k,
-		kind:       c.kind,
-		gen:        c.gen.SelectRows(rows),
-		criterion2: make(map[string]bool),
-		inverses:   lru.New[matrix.Matrix](maxCachedInverses),
-		checks:     lru.New[matrix.Matrix](maxCachedChecks),
+		n:        c.n - t,
+		k:        c.k,
+		kind:     c.kind,
+		gen:      c.gen.SelectRows(rows),
+		inverses: lru.New[matrix.Matrix](maxCachedInverses),
+		checks:   lru.New[matrix.Matrix](maxCachedChecks),
 	}, nil
 }
 
@@ -582,17 +557,4 @@ func uniformLen(blocks [][]byte) error {
 		}
 	}
 	return nil
-}
-
-func rowKey(rows []int) string {
-	sorted := append([]int(nil), rows...)
-	sort.Ints(sorted)
-	var b strings.Builder
-	for i, r := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(r))
-	}
-	return b.String()
 }

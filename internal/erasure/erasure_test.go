@@ -456,21 +456,6 @@ func TestSparseReadRowsRespectsGammaBounds(t *testing.T) {
 	}
 }
 
-func TestRowsSatisfyCriterion2Caching(t *testing.T) {
-	c, err := New(SystematicCauchy, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // repeated queries hit the cache
-		if !c.RowsSatisfyCriterion2([]int{4, 3}) {
-			t.Error("parity rows must satisfy Criterion 2")
-		}
-		if c.RowsSatisfyCriterion2([]int{0, 3}) {
-			t.Error("identity+parity rows must not satisfy Criterion 2")
-		}
-	}
-}
-
 func TestCriterion2RowSetsMatchPaper(t *testing.T) {
 	gn, err := New(NonSystematicCauchy, 6, 3)
 	if err != nil {

@@ -65,10 +65,11 @@ func servedStackParts(t testing.TB, nodes int) (*secclient.Client, *gateway.Gate
 // admission, persist and replicate, the archive's plan and decode, the
 // cluster's per-node batches - is on the read measured here but the first
 // three; a read the decoded-version cache serves allocates nothing at all,
-// and one decoded from a (12,10) codeword over memory nodes allocates 184
+// and one decoded from a (12,10) codeword over memory nodes allocates 178
 // times: 197, as before the span sites were there, less the 13 of the
-// version graph the planner no longer builds. The span sites themselves
-// allocate nothing on an untraced context.
+// version graph the planner no longer builds and the 6 of the three object
+// names the walk no longer renders, which its entries hold. The span sites
+// themselves allocate nothing on an untraced context.
 func TestUntracedRequestsAllocateNothingMore(t *testing.T) {
 	ctx := t.Context()
 	var ring obs.LazyRing
@@ -91,7 +92,7 @@ func TestUntracedRequestsAllocateNothingMore(t *testing.T) {
 		name   string
 		cache  int
 		allocs float64
-	}{{"decoded", 0, 184}, {"cached", 1 << 20, 0}} {
+	}{{"decoded", 0, 178}, {"cached", 1 << 20, 0}} {
 		if _, err := gw.Create(ctx, read.name, secclient.Spec{N: 12, K: 10, BlockSize: 4096, ReadCacheBytes: read.cache}); err != nil {
 			t.Fatal(err)
 		}

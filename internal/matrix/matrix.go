@@ -516,16 +516,6 @@ func (m Matrix) Invertible() bool {
 	return m.Rank() == m.rows
 }
 
-// Solve solves the square system m * x = y, returning x, or ErrSingular if
-// m is not invertible.
-func (m Matrix) Solve(y []byte) ([]byte, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.MulVec(y), nil
-}
-
 func swapRows(m Matrix, i, j int) {
 	ri, rj := m.Row(i), m.Row(j)
 	for c := range ri {

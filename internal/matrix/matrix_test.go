@@ -318,23 +318,6 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randInvertible(rng, 5)
-	x := make([]byte, 5)
-	rng.Read(x)
-	y := m.MulVec(x)
-	got, err := m.Solve(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if got[i] != x[i] {
-			t.Fatalf("Solve = %v, want %v", got, x)
-		}
-	}
-}
-
 func TestSelectRowsAndCols(t *testing.T) {
 	m, err := FromRows([][]byte{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	if err != nil {

@@ -88,11 +88,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *dialConfig) { c.opts = append(c.opts, transport.WithTimeout(d)) }
 }
 
-// WithPoolSize caps the client's pooled connections to the gateway.
-func WithPoolSize(size int) Option {
-	return func(c *dialConfig) { c.opts = append(c.opts, transport.WithPoolSize(size)) }
-}
-
 // WithTrace returns ctx marked with trace id: every operation run under it
 // carries the id to the gateway, which passes it on in the node batches the
 // operation causes, and each hop records its spans under it (the
