@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -453,6 +454,42 @@ func TestSparseReadRowsRespectsGammaBounds(t *testing.T) {
 	// gamma >= k/2: min(2*gamma, k) = k, no sparse advantage.
 	if rows := c.SparseReadRows(live, 2); rows != nil {
 		t.Errorf("2*gamma >= k should not plan a sparse read, got %v", rows)
+	}
+}
+
+// TestSparseReadRowsSatisfyCriterion2 checks the claim SparseReadRows
+// rests on: the first 2*gamma usable rows of any live set form a
+// Criterion-2 submatrix, so taking them needs no search.
+func TestSparseReadRowsSatisfyCriterion2(t *testing.T) {
+	for _, kind := range allKinds {
+		for _, nk := range [][2]int{{6, 3}, {9, 5}} {
+			c, err := New(kind, nk[0], nk[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gamma := 1; 2*gamma < c.K(); gamma++ {
+				valid := map[string]bool{}
+				for _, set := range c.Criterion2RowSets(2 * gamma) {
+					valid[fmt.Sprint(set)] = true
+				}
+				for size := 2 * gamma; size <= c.N(); size++ {
+					matrix.Combinations(c.N(), size, func(idx []int) bool {
+						live := slices.Clone(idx)
+						rows := c.SparseReadRows(live, gamma)
+						if rows == nil {
+							if !c.Systematic() {
+								t.Errorf("%v (%d,%d) live %v gamma %d: no plan", kind, c.N(), c.K(), live, gamma)
+							}
+							return true
+						}
+						if !valid[fmt.Sprint(slices.Sorted(slices.Values(rows)))] {
+							t.Errorf("%v (%d,%d) live %v gamma %d: rows %v fail Criterion 2", kind, c.N(), c.K(), live, gamma, rows)
+						}
+						return true
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package matrix
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/secarchive/sec/internal/gf"
@@ -315,6 +316,52 @@ func TestRank(t *testing.T) {
 				t.Errorf("Rank = %d, want %d", got, tt.want)
 			}
 		})
+	}
+}
+
+// TestIndependentRows pins the split that sparse recovery uses to pick
+// the rows it solves on: the first rows, in order, that are independent of
+// those before them, at most as many as there are columns.
+func TestIndependentRows(t *testing.T) {
+	m, err := FromRows([][]byte{
+		{1, 2, 3},
+		{0, 1, 4},
+		{1, 3, 7}, // row 0 + row 1 in GF(2^8)
+		{0, 0, 0},
+		{0, 0, 9},
+		{5, 6, 7}, // past the column count
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, others := m.IndependentRows()
+	if !slices.Equal(rows, []int{0, 1, 4}) || !slices.Equal(others, []int{2, 3, 5}) {
+		t.Errorf("IndependentRows = %v, %v; want [0 1 4], [2 3 5]", rows, others)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		r, c := 1+rng.Intn(8), 1+rng.Intn(6)
+		m := randMatrix(rng, r, c)
+		if rng.Intn(2) == 0 { // make a later row repeat an earlier one
+			copy(m.Row(r-1), m.Row(rng.Intn(r)))
+		}
+		rows, others := m.IndependentRows()
+		if len(rows) != m.Rank() {
+			t.Fatalf("trial %d: %d independent rows, rank %d", trial, len(rows), m.Rank())
+		}
+		if got := m.SelectRows(rows).Rank(); got != len(rows) {
+			t.Fatalf("trial %d: rows %v have rank %d", trial, rows, got)
+		}
+		all := slices.Sorted(slices.Values(append(slices.Clone(rows), others...)))
+		for i, x := range all {
+			if x != i {
+				t.Fatalf("trial %d: rows %v and others %v do not split 0..%d", trial, rows, others, r-1)
+			}
+		}
+		if !slices.IsSorted(rows) || !slices.IsSorted(others) {
+			t.Fatalf("trial %d: rows %v or others %v out of order", trial, rows, others)
+		}
 	}
 }
 
