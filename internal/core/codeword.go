@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -112,9 +113,7 @@ type entry struct {
 }
 
 // manifestEntry renders the entry of the given version of an archive of
-// the given block size. A window that is the whole block is left out, so a
-// chain of full-width deltas renders as it did before windows existed, and
-// the offsets of the blocks are listed only where they differ.
+// the given block size: the JSON view. appendEntry is the node one.
 func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 	me := ManifestEntry{
 		Version:    version,
@@ -124,21 +123,68 @@ func (e entry) manifestEntry(version, blockSize int) ManifestEntry {
 		Checkpoint: e.checkpoint,
 	}
 	if d := e.delta; d != nil {
-		me.Delta, me.Gamma, me.Compressed, me.Support = true, d.gamma, d.compressed, append([]int(nil), d.support...)
-		if e.base != version-1 {
-			me.Base = e.base // only non-default bases persist
-		}
-		if d.width != blockSize {
+		base, window, offs := e.shown(version, blockSize)
+		me.Delta, me.Gamma, me.Compressed, me.Support, me.Base, me.Offsets = true, d.gamma, d.compressed, append([]int(nil), d.support...), base, slices.Clone(offs)
+		if window {
 			me.Window = &Window{Off: d.off, Width: d.width}
-			if slices.ContainsFunc(d.offs, func(off int) bool { return off != d.off }) {
-				me.Offsets = slices.Clone(d.offs)
-			}
 		}
 	}
 	if e.crc != nil {
 		me.CRC32C = fmt.Sprintf("%08x", *e.crc)
 	}
 	return me
+}
+
+// appendEntry appends the entry e of version v, coded against version
+// prev, of an archive of the given k and block size (nodeformat.go).
+func appendEntry(b []byte, e *entry, v, prev, k, blockSize int) []byte {
+	flags := boolByte(e.full != nil)*flagFull | boolByte(e.checkpoint)*flagCheckpoint | boolByte(e.crc != nil)*flagCRC
+	gamma, base, window, offs, d := e.measured, 0, false, []int(nil), e.delta
+	if d != nil {
+		gamma = d.gamma
+		base, window, offs = e.shown(v, blockSize)
+		flags |= flagDelta | boolByte(d.compressed)*flagCompressed | boolByte(window)*flagWindow |
+			boolByte(len(d.support) > 0)*flagSupport | boolByte(offs != nil)*flagOffsets
+	}
+	b = append(binary.AppendVarint(b, int64(v-prev)), flags)
+	for _, x := range []int{gamma, e.length, base} {
+		b = binary.AppendUvarint(b, uint64(x))
+	}
+	if flags&flagSupport != 0 {
+		bitmap := len(b)
+		for range (k + 7) / 8 { // append(b, make(...)...) allocates under -race
+			b = append(b, 0)
+		}
+		for _, s := range d.support {
+			b[bitmap+s/8] |= 1 << (s % 8)
+		}
+	}
+	if window {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(d.off)), uint64(d.width))
+	}
+	for _, off := range offs {
+		b = binary.AppendUvarint(b, uint64(off))
+	}
+	if e.crc != nil {
+		b = binary.BigEndian.AppendUint32(b, *e.crc)
+	}
+	return append(b, 0)
+}
+
+// shown is what both renderings show of the entry's delta beside its
+// support: a base only where it is not the chain predecessor; a window only
+// where it is narrower than the block, so a chain of full-width deltas
+// renders as it did before windows existed; and the blocks' offsets only
+// where they differ.
+func (e *entry) shown(version, blockSize int) (base int, window bool, offs []int) {
+	d := e.delta
+	if e.base != version-1 {
+		base = e.base
+	}
+	if window = d.width != blockSize; window && slices.ContainsFunc(d.offs, func(off int) bool { return off != d.off }) {
+		offs = d.offs
+	}
+	return base, window, offs
 }
 
 // entryOf is the inverse of manifestEntry: the entry of a manifest's

@@ -186,25 +186,28 @@ type Window struct {
 // the last publish; changes committed since are in Entries already.
 func (a *Archive) Manifest() Manifest {
 	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.manifestLocked()
+	gen, entries := a.generation, slices.Clone(a.entries)
+	a.mu.RUnlock()
+	return a.manifest(gen, entries)
 }
 
-func (a *Archive) manifestLocked() Manifest {
+// manifest renders the JSON view of the archive at generation gen holding
+// entries: a copy of the chain, which shares the codewords nothing edits.
+func (a *Archive) manifest(gen uint64, entries []entry) Manifest {
 	m := Manifest{
 		Name:       a.cfg.Name,
-		Generation: a.generation,
+		Generation: gen,
 		Spec:       a.cfg.Spec(),
-		Entries:    make([]ManifestEntry, len(a.entries)),
+		Entries:    make([]ManifestEntry, len(entries)),
 	}
-	for i := range a.entries {
-		m.Entries[i] = a.entries[i].manifestEntry(i+1, a.cfg.BlockSize)
+	for i := range entries {
+		m.Entries[i] = entries[i].manifestEntry(i+1, a.cfg.BlockSize)
 	}
 	return m
 }
 
 // encode renders the indented JSON of exports and the gateway root. The
-// nodes hold the binary form, nodeSnapshot.
+// nodes hold the binary form, Archive.nodeSnapshot.
 func (m Manifest) encode() []byte {
 	data, _ := json.MarshalIndent(m, "", "  ") // strings, numbers and bools: cannot fail
 	return append(data, '\n')
@@ -234,37 +237,30 @@ type manifestRecord struct {
 	Generation uint64          `json:"generation"`
 	Versions   int             `json:"versions"`
 	Entries    []ManifestEntry `json:"entries"`
-	// k sizes the supports' bitmaps in the binary form: the archive's k.
-	// A legacy JSON record has none.
-	k int
 }
 
 // nextRecordLocked closes the current generation: if the chain changed
-// since the last publish it bumps the generation by one and returns what
-// changed. Caller holds the write lock.
-func (a *Archive) nextRecordLocked() (rec manifestRecord, ok bool) {
+// since the last publish it bumps the generation by one and returns the
+// record of what changed as the nodes store it, binary (nodeformat.go) in a
+// frame keyed by recordID. Caller holds the write lock.
+func (a *Archive) nextRecordLocked() []byte {
 	if len(a.changed) == 0 {
-		return manifestRecord{}, false
+		return nil
 	}
 	slices.Sort(a.changed)
 	a.generation++
-	rec = manifestRecord{Generation: a.generation, Versions: len(a.entries), k: a.cfg.K}
+	b, prev := appendRecordHead(make([]byte, 0, 16+entryBytes*len(a.changed)), a.generation, len(a.entries), a.cfg.K), 0
 	for _, v := range slices.Compact(a.changed) {
-		rec.Entries = append(rec.Entries, a.entries[v-1].manifestEntry(v, a.cfg.BlockSize))
+		b = appendEntry(b, &a.entries[v-1], v, prev, a.cfg.K, a.cfg.BlockSize)
+		prev = v
 	}
 	a.changed = a.changed[:0]
-	return rec, true
+	return store.EncodeFrame(recordID(a.cfg.Name, a.generation), b)
 }
 
 // recordID names a record, inside its frame and as a replicated object.
 func recordID(name string, gen uint64) string {
 	return fmt.Sprintf("%s/manifest/%d", name, gen)
-}
-
-// frame encodes the record once, as the nodes store it: the binary form
-// (nodeformat.go) in a store.EncodeFrame frame keyed by recordID.
-func (r manifestRecord) frame(name string) []byte {
-	return store.EncodeFrame(recordID(name, r.Generation), r.appendRecord(nil))
 }
 
 // decodeRecord parses the frame at the start of raw and returns its size.

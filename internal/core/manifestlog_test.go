@@ -54,21 +54,51 @@ func newReplayChecker(t *testing.T, a *Archive) *replayChecker {
 	return &replayChecker{t: t, a: a, first: snap, recent: snap}
 }
 
-// nextRecord takes the record a publish would send now, if anything changed.
-func nextRecord(a *Archive) (manifestRecord, bool) {
+// nextRecord takes the record a publish would send now, framed, or nil
+// when nothing changed.
+func nextRecord(a *Archive) []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.nextRecordLocked()
 }
 
+// recordFrame frames rec as archive a frames a record of its own: each
+// entry through entryOf, then appendEntry. It panics where entryOf refuses
+// an entry.
+func recordFrame(a *Archive, rec manifestRecord) []byte {
+	payload, _, err := appendEntries(appendRecordHead(nil, rec.Generation, rec.Versions, a.cfg.K), a, rec.Entries)
+	if err != nil {
+		panic(err)
+	}
+	return store.EncodeFrame(recordID(a.cfg.Name, rec.Generation), payload)
+}
+
+// appendEntries appends entries, each coded against the one before, as
+// archive a encodes its own: through entryOf, then appendEntry. It returns
+// the JSON view of each entry entryOf made, and fails where it refuses one.
+func appendEntries(b []byte, a *Archive, entries []ManifestEntry) ([]byte, []ManifestEntry, error) {
+	var views []ManifestEntry
+	prev := 0
+	for _, me := range entries {
+		e, err := a.entryOf(me)
+		if err != nil {
+			return nil, nil, err
+		}
+		b = appendEntry(b, &e, me.Version, prev, a.cfg.K, a.cfg.BlockSize)
+		views = append(views, e.manifestEntry(me.Version, a.cfg.BlockSize))
+		prev = me.Version
+	}
+	return b, views, nil
+}
+
 func (c *replayChecker) check(op string) {
 	c.t.Helper()
 	before := c.a.Manifest().Generation
-	if rec, ok := nextRecord(c.a); ok {
-		if rec.Generation != before+1 {
-			c.t.Fatalf("after %s: record generation %d follows %d", op, rec.Generation, before)
+	if frame := nextRecord(c.a); frame != nil {
+		if rec, _, err := decodeRecord(c.a.Name(), frame); err != nil || rec.Generation != before+1 {
+			c.t.Fatalf("after %s: record generation %d follows %d (err %v)", op, rec.Generation, before, err)
 		}
-		c.log = append(c.log, rec.frame(c.a.Name())...)
+		c.log = append(c.log, frame...)
 	}
 	var want bytes.Buffer
 	if err := c.a.Save(&want); err != nil {
@@ -192,6 +222,21 @@ func logBase() Manifest {
 	}
 }
 
+// logArchive is an archive of logBase's spec, which frames the records the
+// record tests and the fuzzer replay over it.
+func logArchive() *Archive {
+	m := logBase()
+	cfg, err := m.config(m.Name)
+	if err != nil {
+		panic(err)
+	}
+	a, err := New(cfg, store.NewMemCluster(m.N))
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 2, Length: 10, CRC32C: "0000002a"}
 	next := manifestRecord{Generation: 4, Versions: 3, Entries: []ManifestEntry{v3}}
@@ -236,9 +281,10 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 			}
 			// The same record stops a log replay with the same error, after
 			// the intact frames before it.
-			intact := append(next.frame("t"), rebase.frame("t")...)
+			a := logArchive()
+			intact := append(recordFrame(a, next), recordFrame(a, rebase)...)
 			replayed := logBase()
-			valid, err := replay(&replayed, append(bytes.Clone(intact), tc.rec.frame("t")...))
+			valid, err := replay(&replayed, append(bytes.Clone(intact), recordFrame(a, tc.rec)...))
 			if valid != len(intact) || !errors.Is(err, tc.want) {
 				t.Errorf("replay stopped at byte %d with %v, want %d and %v", valid, err, len(intact), tc.want)
 			}
@@ -254,8 +300,9 @@ func TestManifestApplyRejectsWhatMayNotFollow(t *testing.T) {
 // committed under testdata/fuzz/FuzzManifestLog, where whatever the fuzzer
 // finds later joins them; the seeds here frame them in the binary form.
 func fuzzLogSeeds() [][]byte {
+	a := logArchive()
 	rec := func(gen uint64, versions int, entries ...ManifestEntry) []byte {
-		return manifestRecord{Generation: gen, Versions: versions, Entries: entries}.frame("t")
+		return recordFrame(a, manifestRecord{Generation: gen, Versions: versions, Entries: entries})
 	}
 	v3 := ManifestEntry{Version: 3, Delta: true, Gamma: 1, Length: 12}
 	v4 := ManifestEntry{Version: 4, Full: true, Delta: true, Gamma: 3, Length: 9}

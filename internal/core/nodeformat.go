@@ -6,17 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/secarchive/sec/internal/store"
 )
 
 // This file is the binary form in which the nodes hold an archive's
-// manifest, format 2 (the JSON that builds before it wrote is format 1).
-// A record's payload is the format byte, then varints: the generation, the
-// version count and the width of the support bitmaps, then the changed
+// manifest, format 2 (the JSON that builds before it wrote is format 1),
+// written from the entries and their codewords. A record's payload is the
+// format byte, then varints: the generation, the version count and the
+// width of the support bitmaps, k (appendRecordHead), then the changed
 // entries until the payload ends. A snapshot is a compact JSON envelope,
-// nodeSnapshot, whose body is the spec and every entry. Each entry is
+// Archive.nodeSnapshot, whose body is the spec and every entry. Each entry
+// (appendEntry, beside the JSON view in codeword.go) is
 //
 //	varint   version, less the previous entry's (0 before the first)
 //	byte     flags: full, delta, checkpoint, compressed, window, CRC32C,
@@ -31,7 +32,8 @@ import (
 // where a field the flags do not name is absent. The tail holds the fields
 // later builds add, and a build skips every tag it does not know; this one
 // knows none. A field whose loss would break a read is not a tag: it takes
-// a new format number, which older builds refuse.
+// a new format number, which older builds refuse. The decoders return the
+// JSON view, so entryOf checks what the nodes hold as it checks an import.
 
 // nodeFormat tags the binary form: a record's first payload byte and a
 // snapshot envelope's "format". A legacy JSON record starts with '{'.
@@ -70,11 +72,17 @@ type nodeSnapshot struct {
 	Body       []byte `json:"body"`
 }
 
-// nodeSnapshot renders the manifest as the nodes hold it.
-func (m Manifest) nodeSnapshot() []byte {
-	data, _ := json.Marshal(nodeSnapshot{Name: m.Name, Generation: m.Generation, Format: nodeFormat, Body: m.appendBody(nil)})
+// nodeSnapshot renders the snapshot object of the archive at generation
+// gen holding entries: the chain, or a copy of it taken under the lock.
+func (a *Archive) nodeSnapshot(gen uint64, entries []entry) []byte {
+	body := appendBody(make([]byte, 0, 64+entryBytes*len(entries)), a.cfg.Spec(), entries)
+	data, _ := json.Marshal(nodeSnapshot{Name: a.cfg.Name, Generation: gen, Format: nodeFormat, Body: body})
 	return data
 }
+
+// entryBytes sizes a buffer of entries: about what one with a support, a
+// window and a CRC32C takes, so that a long chain grows it a few times.
+const entryBytes = 24
 
 // DecodeSnapshot parses the snapshot object <name>/manifest as a node holds
 // it: the envelope, or a JSON manifest an earlier build wrote. An intact
@@ -99,9 +107,9 @@ func DecodeSnapshot(raw []byte) (Manifest, error) {
 	}
 }
 
-// appendBody appends a snapshot's body: the spec, then every entry.
-func (m Manifest) appendBody(b []byte) []byte {
-	s := m.Spec
+// appendBody appends a snapshot's body: the spec, then the entries of
+// versions 1..len(entries).
+func appendBody(b []byte, s Spec, entries []entry) []byte {
 	for _, str := range []string{s.Scheme, s.Code, s.Field, s.Placement} {
 		b = binary.AppendUvarint(b, uint64(len(str)))
 		b = append(b, str...)
@@ -110,7 +118,10 @@ func (m Manifest) appendBody(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
 	b = append(b, boolByte(s.CompressDeltas))
-	return appendEntries(b, m.Entries, s.K)
+	for i := range entries {
+		b = appendEntry(b, &entries[i], i+1, i, s.K, s.BlockSize)
+	}
+	return b
 }
 
 // decodeBody is the inverse of appendBody.
@@ -133,69 +144,22 @@ func decodeBody(body []byte) (s Spec, entries []ManifestEntry, err error) {
 	return s, entries, r.err
 }
 
-// appendRecord appends a record's payload: the format byte, the header and
-// the changed entries. The bitmaps are r.k bits wide, or as wide as the
-// largest support index needs.
-func (r manifestRecord) appendRecord(b []byte) []byte {
-	width := r.k
-	for _, e := range r.Entries {
-		for _, s := range e.Support {
-			width = max(width, s+1)
-		}
-	}
+// appendRecordHead appends the head of a record's payload, which the
+// changed entries follow: the format byte, the generation, the version
+// count and the width of the support bitmaps, the archive's k.
+func appendRecordHead(b []byte, gen uint64, versions, k int) []byte {
 	b = append(b, nodeFormat)
-	b = binary.AppendUvarint(b, r.Generation)
-	b = binary.AppendUvarint(b, uint64(r.Versions))
-	b = binary.AppendUvarint(b, uint64(width))
-	return appendEntries(b, r.Entries, width)
+	b = binary.AppendUvarint(b, gen)
+	b = binary.AppendUvarint(b, uint64(versions))
+	return binary.AppendUvarint(b, uint64(k))
 }
 
-// decodeRecordPayload is the inverse of appendRecord, past its format byte.
+// decodeRecordPayload decodes a record's payload past its format byte.
 func decodeRecordPayload(payload []byte) (manifestRecord, error) {
 	r := decoder{buf: payload}
-	rec := manifestRecord{Generation: r.uvarint(), Versions: r.int(), k: r.int()}
-	rec.Entries = r.entries(rec.k)
+	rec := manifestRecord{Generation: r.uvarint(), Versions: r.int()}
+	rec.Entries = r.entries(r.int())
 	return rec, r.err
-}
-
-// appendEntries appends entries, each version coded against the one before.
-func appendEntries(b []byte, entries []ManifestEntry, width int) []byte {
-	prev := 0
-	for _, e := range entries {
-		b = appendEntry(b, e, prev, width)
-		prev = e.Version
-	}
-	return b
-}
-
-func appendEntry(b []byte, e ManifestEntry, prev, width int) []byte {
-	flags := boolByte(e.Full)*flagFull | boolByte(e.Delta)*flagDelta | boolByte(e.Checkpoint)*flagCheckpoint |
-		boolByte(e.Compressed)*flagCompressed | boolByte(e.Window != nil)*flagWindow | boolByte(e.CRC32C != "")*flagCRC |
-		boolByte(len(e.Support) > 0)*flagSupport | boolByte(len(e.Offsets) > 0)*flagOffsets
-	b = binary.AppendVarint(b, int64(e.Version-prev))
-	b = append(b, flags)
-	for _, v := range []int{e.Gamma, e.Length, e.Base} {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	if len(e.Support) > 0 {
-		bitmap := len(b)
-		b = append(b, make([]byte, (width+7)/8)...)
-		for _, s := range e.Support {
-			b[bitmap+s/8] |= 1 << (s % 8)
-		}
-	}
-	if e.Window != nil {
-		b = binary.AppendUvarint(b, uint64(e.Window.Off))
-		b = binary.AppendUvarint(b, uint64(e.Window.Width))
-	}
-	for _, off := range e.Offsets {
-		b = binary.AppendUvarint(b, uint64(off))
-	}
-	if e.CRC32C != "" {
-		crc, _ := strconv.ParseUint(e.CRC32C, 16, 32) // eight hex digits: manifestEntry and the decoder render it so
-		b = binary.BigEndian.AppendUint32(b, uint32(crc))
-	}
-	return append(b, 0)
 }
 
 // decoder reads a binary manifest object. The first failure sticks: every

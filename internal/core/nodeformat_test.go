@@ -18,6 +18,7 @@ import (
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
+	"github.com/secarchive/sec/internal/testutil"
 )
 
 // formatNode is a memory node that fails its test when anything puts a
@@ -155,11 +156,21 @@ func commitEdits(t *testing.T, a *Archive, rng *rand.Rand, object []byte, count 
 			t.Fatal(err)
 		}
 		versions = append(versions, object)
-		if rec, ok := nextRecord(a); ok {
-			records = append(records, rec)
+		if frame := nextRecord(a); frame != nil {
+			records = append(records, decodedRecord(t, a.cfg.Name, frame))
 		}
 	}
 	return versions, records
+}
+
+// decodedRecord decodes the record frame of the named archive.
+func decodedRecord(t testing.TB, name string, frame []byte) manifestRecord {
+	t.Helper()
+	rec, _, err := decodeRecord(name, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func readsBack(t *testing.T, a *Archive, versions [][]byte) {
@@ -261,7 +272,7 @@ func TestEnvelopeThenJSONRecordReplays(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	versions, _ := commitEdits(t, a, rng, make([]byte, 3*256), 3)
-	putOnRing(t, mem, 6, 3, manifestID("e"), a.Manifest().nodeSnapshot())
+	putOnRing(t, mem, 6, 3, manifestID("e"), a.nodeSnapshot(a.generation, a.entries))
 	more, records := commitEdits(t, a, rng, versions[len(versions)-1], 2)
 	versions = append(versions, more...)
 	for _, rec := range records {
@@ -376,8 +387,9 @@ func TestNewerFormatIsRefused(t *testing.T) {
 // TestWideIntsReopenFromNodes: the binary form carries every int the JSON
 // did. An archive created with a 4 GiB read cache and 2 GiB blocks, whose
 // snapshot holds a version of 5 GiB and whose record adds one of 6 GiB - 1,
-// reopens from the nodes alone with each field as it was, and a create of
-// its name is still a conflict.
+// each encoded by an archive opened from that manifest, reopens from the
+// nodes alone with each field as it was, and a create of its name is still
+// a conflict.
 func TestWideIntsReopenFromNodes(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("an int of 32 bits holds none of the sizes")
@@ -400,9 +412,13 @@ func TestWideIntsReopenFromNodes(t *testing.T) {
 	m := a.Manifest()
 	m.Generation = 5
 	m.Entries = []ManifestEntry{{Version: 1, Full: true, Length: 5 * blockSize / 2, CRC32C: "0000002a"}}
-	putOnRing(t, mem, 6, 3, manifestID("w"), m.nodeSnapshot())
-	rec := manifestRecord{Generation: 6, Versions: 2, k: 3, Entries: []ManifestEntry{{Version: 2, Full: true, Length: 3*blockSize - 1}}}
-	putOnRing(t, mem, 6, 3, recordID("w", 6), rec.frame("w"))
+	opened, err := Open(m, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putOnRing(t, mem, 6, 3, manifestID("w"), opened.nodeSnapshot(m.Generation, opened.entries))
+	rec := manifestRecord{Generation: 6, Versions: 2, Entries: []ManifestEntry{{Version: 2, Full: true, Length: 3*blockSize - 1}}}
+	putOnRing(t, mem, 6, 3, recordID("w", 6), recordFrame(opened, rec))
 	b, err := OpenContext(t.Context(), "w", cluster, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -417,19 +433,19 @@ func TestWideIntsReopenFromNodes(t *testing.T) {
 }
 
 // nodeManifestSeeds are the shapes FuzzNodeManifest starts from, each under
-// the name it is committed as in testdata/fuzz/FuzzNodeManifest: records
-// and snapshot bodies of a chain with supports, windows, offsets, digests
-// and CDEC deltas; entries with tagged fields no build knows yet, which a
-// decode skips; varints cut short; a support bitmap with more bits set than
-// the entry's gamma, and one wider than an int counts; and a record frame a
-// build before the binary format wrote.
+// the name it is committed as in testdata/fuzz/FuzzNodeManifest: the
+// records and the snapshot of an archive's own commits, a chain with
+// supports, windows, offsets, digests and CDEC deltas, and byte edits of
+// them: entries with tagged fields no build knows yet, which a decode
+// skips, and varints cut short. Literal bytes give a support bitmap with
+// more bits set than the entry's gamma, and one wider than an int counts,
+// and a record frame a build before the binary format wrote.
 func nodeManifestSeeds(t testing.TB) map[string][]byte {
-	cfg := upgradeConfig("t")
-	a, err := New(cfg, store.NewMemCluster(6))
+	a, err := New(upgradeConfig("t"), store.NewMemCluster(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var records []manifestRecord
+	var records [][]byte
 	object := make([]byte, 3*256)
 	rng := rand.New(rand.NewSource(4))
 	for v := 1; v <= 8; v++ {
@@ -440,41 +456,43 @@ func nodeManifestSeeds(t testing.TB) map[string][]byte {
 		if _, err := a.CommitContext(context.Background(), object); err != nil {
 			t.Fatal(err)
 		}
-		rec, _ := nextRecord(a)
-		records = append(records, rec)
+		records = append(records, nextRecord(a))
 	}
-	m := a.Manifest()
+	k, blockSize := a.cfg.K, a.cfg.BlockSize
 	last := records[len(records)-1]
-	upTo := func(rec manifestRecord, i int) manifestRecord {
-		rec.Entries = rec.Entries[:i+1]
-		return rec
-	}
-	body := m.appendBody(nil)
-	dense := last
-	dense.Entries = []ManifestEntry{{Version: dense.Versions, Delta: true, Gamma: 1, Length: 768, Compressed: true, Support: []int{0, 2}, CRC32C: "0000002a"}}
-	frame := func(rec manifestRecord, payload []byte) []byte {
+	rec := decodedRecord(t, "t", last)
+	_, payload, _, _ := store.DecodeFrame(last)
+	payload = slices.Clip(payload)
+	// The head of the last record and its first entry, whose tail the tags
+	// extend.
+	first := rec.Entries[0].Version
+	firstEntry := appendEntry(appendRecordHead(nil, rec.Generation, rec.Versions, k), &a.entries[first-1], first, 0, k, blockSize)
+	spec, body, snapshot := a.cfg.Spec(), appendBody(nil, a.cfg.Spec(), a.entries), a.nodeSnapshot(a.generation, a.entries)
+	frame := func(payload []byte) []byte {
 		return store.EncodeFrame(recordID("t", rec.Generation), payload)
 	}
 	return map[string][]byte{
-		"record":        last.frame("t"),
-		"records":       bytes.Join([][]byte{records[5].frame("t"), records[6].frame("t")}, nil),
+		"record":        last,
+		"records":       bytes.Join(records[5:7], nil),
 		"snapshot-body": body,
-		"snapshot":      m.nodeSnapshot(),
+		"snapshot":      snapshot,
 		// tag 6 of three bytes
-		"unknown-tag": frame(last, withTags(last.appendRecord(nil), upTo(last, 0).appendRecord(nil), 6, 3, 'a', 'b', 'c')),
+		"unknown-tag": frame(withTags(payload, firstEntry, 6, 3, 'a', 'b', 'c')),
 		// tag 6, empty, then tag 9 of one byte
-		"unknown-tags": frame(last, withTags(last.appendRecord(nil), upTo(last, 0).appendRecord(nil), 6, 0, 9, 1, 'x')),
+		"unknown-tags": frame(withTags(payload, firstEntry, 6, 0, 9, 1, 'x')),
 		// tag 130, empty, on the second entry
-		"unknown-tag-body":       withTags(body, Manifest{Spec: m.Spec, Entries: m.Entries[:2]}.appendBody(nil), 0x82, 0x01, 0),
-		"truncated-varint":       frame(last, []byte{nodeFormat, 0x80}),
-		"truncated-varint-entry": frame(last, append(last.appendRecord(nil)[:4], 0xff)),
+		"unknown-tag-body":       withTags(body, appendBody(nil, spec, a.entries[:2]), 0x82, 0x01, 0),
+		"truncated-varint":       frame([]byte{nodeFormat, 0x80}),
+		"truncated-varint-entry": frame(append(payload[:4:4], 0xff)),
 		"truncated-varint-body":  append(body[:len(body)-1:len(body)-1], 0x80),
-		"bitmap-more-than-gamma": dense.frame("t"),
+		// version 8 of 8 at generation 8: a CDEC delta of gamma 1 and
+		// length 768 with a CRC32C, whose bitmap sets blocks 0 and 2
+		"bitmap-more-than-gamma": frame([]byte{nodeFormat, 8, 8, 3, 16, flagDelta | flagCompressed | flagCRC | flagSupport, 1, 0x80, 6, 0, 0b101, 0, 0, 0, 0x2a, 0}),
 		// a bitmap width of math.MaxInt, whose byte count overflows an int
-		"bitmap-wider-than-an-int": frame(last, append(binary.AppendUvarint([]byte{nodeFormat, 8, 8}, math.MaxInt), 2, flagDelta|flagSupport, 1, 1, 0)),
-		"legacy-json-frame":        legacyFrame("t", last),
-		"unknown-record-format":    frame(last, []byte{nodeFormat + 1}),
-		"snapshot-of-newer-format": bytes.Replace(m.nodeSnapshot(), []byte(`"format":2`), []byte(`"format":3`), 1),
+		"bitmap-wider-than-an-int": frame(append(binary.AppendUvarint([]byte{nodeFormat, 8, 8}, math.MaxInt), 2, flagDelta|flagSupport, 1, 1, 0)),
+		"legacy-json-frame":        legacyFrame("t", rec),
+		"unknown-record-format":    frame([]byte{nodeFormat + 1}),
+		"snapshot-of-newer-format": bytes.Replace(snapshot, []byte(`"format":2`), []byte(`"format":3`), 1),
 	}
 }
 
@@ -487,28 +505,42 @@ func withTags(full, prefix []byte, tags ...byte) []byte {
 
 // FuzzNodeManifest feeds arbitrary bytes to the decoders of the binary node
 // format: as a record frame of archive "t", as a snapshot body and as a
-// snapshot object. None may panic, and whatever decodes in the binary form
-// re-encodes to bytes that decode to the same: a record's payload, and a
-// body. A legacy JSON record frame is only decoded: its JSON may hold what
-// the binary form cannot, such as negative numbers, which Open refuses.
-// The committed corpus holds nodeManifestSeeds.
+// snapshot object. None may panic. Whatever decodes in the binary form
+// re-encodes: a body's spec to the same spec, and every entry that entryOf
+// accepts for the seeds' archive from the entry it makes, to bytes that
+// decode to that entry's JSON view (manifestEntry), the record's head
+// unchanged. A legacy JSON record frame is only decoded: its JSON may hold
+// what the binary form cannot, such as negative numbers, which Open
+// refuses. The committed corpus holds nodeManifestSeeds.
 func FuzzNodeManifest(f *testing.F) {
 	for _, seed := range nodeManifestSeeds(f) {
 		f.Add(seed)
 	}
+	a, err := New(upgradeConfig("t"), store.NewMemCluster(6))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, _, err := decodeRecord("t", data); err == nil {
-			if _, payload, _, _ := store.DecodeFrame(data); payload[0] == nodeFormat {
-				again, err := decodeRecordPayload(rec.appendRecord(nil)[1:])
-				if err != nil || !reflect.DeepEqual(again, rec) {
-					t.Fatalf("record payload %x decodes to\n%+v\nand re-encoded to\n%+v (err %v)", payload, rec, again, err)
+			_, payload, _, _ := store.DecodeFrame(data)
+			if payload[0] == nodeFormat {
+				if b, views, err := appendEntries(appendRecordHead(nil, rec.Generation, rec.Versions, a.cfg.K), a, rec.Entries); err == nil {
+					again, err := decodeRecordPayload(b[1:])
+					if want := (manifestRecord{Generation: rec.Generation, Versions: rec.Versions, Entries: views}); err != nil || !reflect.DeepEqual(again, want) {
+						t.Fatalf("record payload %x decodes to\n%+v\nwhose entries re-encode to\n%+v\nwant\n%+v (err %v)", payload, rec, again, want, err)
+					}
 				}
 			}
 		}
 		if spec, entries, err := decodeBody(data); err == nil {
-			spec2, entries2, err := decodeBody(Manifest{Spec: spec, Entries: entries}.appendBody(nil))
-			if err != nil || spec2 != spec || !reflect.DeepEqual(entries2, entries) {
-				t.Fatalf("snapshot body %x decodes to\n%+v %+v\nand re-encoded to\n%+v %+v (err %v)", data, spec, entries, spec2, entries2, err)
+			if again, _, err := decodeBody(appendBody(nil, spec, nil)); err != nil || again != spec {
+				t.Fatalf("snapshot body %x decodes to spec %+v, which re-encodes to %+v (err %v)", data, spec, again, err)
+			}
+			if b, views, err := appendEntries(appendBody(nil, a.cfg.Spec(), nil), a, entries); err == nil {
+				_, again, err := decodeBody(b)
+				if err != nil || !reflect.DeepEqual(again, views) {
+					t.Fatalf("snapshot body %x decodes to\n%+v\nwhose entries re-encode to\n%+v\nwant\n%+v (err %v)", data, entries, again, views, err)
+				}
 			}
 		}
 		_, _ = DecodeSnapshot(data)
@@ -573,4 +605,74 @@ func TestNodeManifestSeeds(t *testing.T) {
 			t.Errorf("%s decodes to\n%+v (err %v)\nwant the record without its tags\n%+v", name, rec, err, plain)
 		}
 	}
+}
+
+// foldChain commits L versions to a (12,10) archive of 256-byte blocks,
+// each an edit of one or two blocks at a byte that moves, so that every
+// delta records a support, a window narrower than its block and, for two
+// blocks at different bytes, offsets of its own; every entry has a CRC32C.
+func foldChain(tb testing.TB, L int) *Archive {
+	tb.Helper()
+	a, err := New(Config{Name: "f", Scheme: BasicSEC, Code: erasure.NonSystematicCauchy, N: 12, K: 10, BlockSize: 256}, store.NewMemCluster(12))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	object := make([]byte, a.Capacity())
+	for v := 1; v <= L; v++ {
+		object = bytes.Clone(object)
+		for b := 0; b <= v%2; b++ {
+			object[((v+5*b)%10)*256+(v+97*b)%256] ^= byte(v) | 1
+		}
+		if _, err := a.CommitContext(context.Background(), object); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return a
+}
+
+// TestNodeSnapshotAllocatesNoMoreForALongerChain pins what encoding the
+// manifest costs a publish in allocations, since it is written from the
+// entries themselves: the node snapshot of a (12,10) archive whose entries
+// carry supports, windows and CRC32Cs takes the same handful for 1 000
+// versions as for 100, and a record of one entry the same few.
+func TestNodeSnapshotAllocatesNoMoreForALongerChain(t *testing.T) {
+	snapshot, record := map[int]float64{}, map[int]float64{}
+	for _, L := range []int{100, 1000} {
+		a := foldChain(t, L)
+		if e := a.Manifest().Entries[L-1]; len(e.Support) == 0 || e.Window == nil || e.CRC32C == "" {
+			t.Fatalf("version %d has no support, window or CRC32C to encode: %+v", L, e)
+		}
+		snapshot[L] = testing.AllocsPerRun(20, func() {
+			a.nodeSnapshot(a.generation, a.entries)
+		})
+		record[L] = testing.AllocsPerRun(20, func() {
+			a.changed = append(a.changed[:0], L)
+			a.nextRecordLocked()
+		})
+	}
+	// Under the race detector a sync.Pool drops a random quarter of what is
+	// put back, and json.Marshal and fmt pool their state: a few more
+	// allocations come and go.
+	slack := 0.0
+	if testutil.RaceEnabled {
+		slack = 4
+	}
+	if math.Abs(snapshot[1000]-snapshot[100]) > slack || snapshot[1000] > 8+slack {
+		t.Errorf("the node snapshot allocates %v times for 100 versions and %v for 1 000, want the same handful (at most 8)", snapshot[100], snapshot[1000])
+	}
+	if math.Abs(record[1000]-record[100]) > slack || record[1000] > 6+slack {
+		t.Errorf("a one-entry record allocates %v times at 100 versions and %v at 1 000, want the same few (at most 6)", record[100], record[1000])
+	}
+}
+
+// BenchmarkNodeSnapshot is what a fold encodes: the node snapshot of a
+// 1 000-version (12,10) archive (foldChain).
+func BenchmarkNodeSnapshot(b *testing.B) {
+	a := foldChain(b, 1000)
+	b.ReportAllocs()
+	var size int
+	for b.Loop() {
+		size = len(a.nodeSnapshot(a.generation, a.entries))
+	}
+	b.ReportMetric(float64(size), "B/snapshot")
 }

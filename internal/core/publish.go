@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +20,8 @@ import (
 type publishState struct {
 	mu sync.Mutex // orders publishes
 	// snapBytes is zero after Create and Open, so their first publish
-	// folds, and -1 after an open from a trusted root until a record
-	// extends the snapshot (snapBytesLocked).
+	// folds. An open from a trusted root encodes the snapshot once to size
+	// it exactly: the root is the snapshot the nodes hold.
 	snapBytes int
 	// held is the bytes of the records since the fold on each node, where
 	// their rings put them when every put succeeds.
@@ -46,38 +47,40 @@ type publishState struct {
 // asks every node, replays at most n snapshots' worth. With nothing changed
 // and no fold owed or asked for, it sends nothing. With fold set it returns
 // the whole manifest the nodes then hold, as the plain JSON Save writes;
-// the nodes hold it in binary (nodeformat.go). It fails, before anything
-// further, when the record or the snapshot reached fewer than n-k+1 nodes:
-// the archive is then unpublished, and the next publish folds. Publishes
-// run one at a time.
+// the nodes hold it in binary (nodeformat.go), and both are rendered from
+// a copy of the chain after the lock. It fails, before anything further,
+// when the record or the snapshot reached fewer than n-k+1 nodes: the
+// archive is then unpublished, and the next publish folds. Publishes run
+// one at a time.
 func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error) {
 	//lint:allow lockheld each publish is the successor of the one before it: they go one at a time
 	a.pub.mu.Lock()
 	defer a.pub.mu.Unlock()
 	a.mu.Lock()
-	var record []byte
+	record := a.nextRecordLocked()
 	var ring []int
-	if rec, ok := a.nextRecordLocked(); ok {
-		record, ring = rec.frame(a.cfg.Name), a.ManifestRing(a.generation)[:a.cfg.N-a.cfg.K+1]
+	if record != nil {
+		ring = a.ManifestRing(a.generation)[:a.cfg.N-a.cfg.K+1]
 	}
 	gen, most := a.generation, 0
 	for _, node := range ring {
 		most = max(most, a.pub.held[node]+len(record))
 	}
 	// Every generation past the snapshot's is a record that extends it.
-	folding := a.pub.refold.Load() || record != nil && most > a.snapBytesLocked() || fold && gen > a.pub.folded
-	var snap, root []byte
+	folding := a.pub.refold.Load() || record != nil && most > a.pub.snapBytes || fold && gen > a.pub.folded
+	var entries []entry
 	if folding || fold {
-		m := a.manifestLocked()
-		if folding {
-			snap = m.nodeSnapshot()
-		}
-		if fold {
-			root = m.encode()
-		}
+		entries = slices.Clone(a.entries)
 	}
 	a.mu.Unlock()
 
+	var snap, root []byte
+	if folding {
+		snap = a.nodeSnapshot(gen, entries)
+	}
+	if fold {
+		root = a.manifest(gen, entries).encode()
+	}
 	var err error
 	if record != nil {
 		err = a.replicate(ctx, recordID(a.cfg.Name, gen), record)
@@ -106,17 +109,6 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 	return root, nil
 }
 
-// snapBytesLocked returns the size of the snapshot the records extend. An
-// open from a trusted root does not encode the snapshot to size it: the
-// first record after it sizes the manifest as it then stands, which is
-// near enough for the fold rule.
-func (a *Archive) snapBytesLocked() int {
-	if a.pub.snapBytes < 0 {
-		a.pub.snapBytes = len(a.manifestLocked().nodeSnapshot())
-	}
-	return a.pub.snapBytes
-}
-
 // CreateContext creates the named archive from spec and replicates its
 // first snapshot to n-k+1 nodes, once every node has answered that it holds
 // no snapshot of the name: one that does makes it store.ErrConflict, and
@@ -133,7 +125,7 @@ func CreateContext(ctx context.Context, name string, spec Spec, cluster *store.C
 	case !errors.Is(err, store.ErrNotFound):
 		return nil, fmt.Errorf("core: creating archive %q: %w", name, err)
 	}
-	if err := a.replicate(ctx, manifestID(name), a.Manifest().nodeSnapshot()); err != nil {
+	if err := a.replicate(ctx, manifestID(name), a.nodeSnapshot(a.generation, a.entries)); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -160,7 +152,7 @@ func OpenContext(ctx context.Context, name string, cluster *store.Cluster, cache
 		case a.cfg.Name != name:
 			return nil, fmt.Errorf("core: the manifest of %q names archive %q: %w", name, a.cfg.Name, store.ErrConflict)
 		}
-		a.pub.snapBytes = -1
+		a.pub.snapBytes = len(a.nodeSnapshot(a.generation, a.entries))
 		return a, nil
 	}
 	m, snapshot, err := manifestFromCluster(ctx, name, cluster)

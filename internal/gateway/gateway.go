@@ -520,9 +520,10 @@ func (g *Gateway) Log(ctx context.Context, name string) ([]transport.ArchiveLogE
 // one after another): an operator reading Info wants the nodes' word for it,
 // not what the read path remembers of them.
 func (g *Gateway) info(ctx context.Context, st *archiveState, ping bool) transport.ArchiveInfo {
+	m := st.archive.Manifest() // Versions counts its entries: a commit may land after it
 	info := transport.ArchiveInfo{
-		Manifest:      st.archive.Manifest(),
-		Versions:      st.archive.Versions(),
+		Manifest:      m,
+		Versions:      len(m.Entries),
 		Capacity:      st.archive.Capacity(),
 		QueuedWriters: st.queuedWriters(),
 	}

@@ -120,6 +120,44 @@ func TestGatewayCreateCommitRetrieve(t *testing.T) {
 	}
 }
 
+// TestInfoCountsTheManifestItReturns: Info's version count is that of the
+// manifest it returns, also while commits land between the two.
+func TestInfoCountsTheManifestItReturns(t *testing.T) {
+	g := newTestGateway(t, Config{})
+	ctx := t.Context()
+	if _, err := g.Create(ctx, "logs", testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	const commits = 200
+	done := make(chan error, 1)
+	go func() {
+		for v := 1; v <= commits; v++ {
+			if _, err := g.Commit(ctx, "logs", -1, payloadFor(32, v)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		info, err := g.Info(ctx, "logs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Versions != len(info.Manifest.Entries) {
+			t.Fatalf("Info counts %d versions and returns a manifest of %d", info.Versions, len(info.Manifest.Entries))
+		}
+	}
+}
+
 // TestGatewayRetrieveReadsWhatCoreReads is the gateway parity gate as a
 // count: serving a retrieve adds no node traffic. Every version of a
 // sparse-delta chain costs the same node reads - in the retrieval's own

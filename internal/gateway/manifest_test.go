@@ -82,6 +82,17 @@ func recordsOn(ctx context.Context, node store.Node, name string, gen uint64) (c
 	return count, size
 }
 
+// recordBytes sums the bytes of the manifest records of generations
+// folded+1..gen that a node holds.
+func recordBytes(ctx context.Context, node store.Node, name string, folded, gen uint64) (size int) {
+	for g := folded + 1; g <= gen; g++ {
+		if data, err := node.Get(ctx, store.ShardID{Object: fmt.Sprintf("%s/manifest/%d", name, g)}); err == nil {
+			size += len(data)
+		}
+	}
+	return size
+}
+
 // TestPublishWritesOneRecord is the O(1) claim as deterministic counts, on
 // the benchmark's shape ((12,10), 40 KiB objects, sparse edits): what a
 // non-folding publish writes does not grow with the chain, the whole
@@ -146,7 +157,7 @@ func TestPublishWritesOneRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("after commit %d: no snapshot on its first ring node: %v", v, err)
 		}
-		if _, size := recordsOn(ctx, holder, "a", st.archive.Manifest().Generation); size > len(snap) {
+		if size := recordBytes(ctx, holder, "a", foldedAt(cluster, st), st.archive.Manifest().Generation); size > len(snap) {
 			t.Fatalf("after commit %d: %d bytes of records on the snapshot's first ring node extend a %d-byte snapshot", v, size, len(snap))
 		}
 	}
@@ -168,6 +179,110 @@ func TestPublishWritesOneRecord(t *testing.T) {
 	}
 	if limit := 4 * int(math.Log2(commits)); folds < 2 || folds > limit {
 		t.Errorf("%d folds over %d commits, want a logarithmic number (2..%d)", folds, commits, limit)
+	}
+}
+
+// TestFoldRuleHoldsAcrossATrustedReopen extends TestPublishWritesOneRecord's
+// rule - the records on a node never outweigh the snapshot there - to a
+// gateway closed and reopened in the same boot, on the same shape. The open
+// trusts the root under its clean mark and asks the nodes nothing, and it
+// sizes the snapshot they hold exactly: commit after commit until the next
+// fold, a publish folds exactly when its record would make the records on
+// one of its nodes outweigh that snapshot, and after every commit that does
+// not fold no node holds more records than the snapshot's bytes. A snapshot
+// sized with the first record's entry already in it would let this chain's
+// commit 106 leave 971 bytes of records on a node beside its 969 bytes,
+// folding one record late.
+func TestFoldRuleHoldsAcrossATrustedReopen(t *testing.T) {
+	const (
+		n, k, blockSize = 12, 10, 4096
+		holders         = n - k + 1
+		before          = 40 // commits before the reopen
+	)
+	cluster := store.NewMemCluster(n)
+	cfg := Config{Cluster: cluster, Root: "/gw", fs: fsys.NewRecorder()}
+	g := newTestGateway(t, cfg)
+	ctx := t.Context()
+	if _, err := g.Create(ctx, "a", transport.ArchiveSpec{N: n, K: k, BlockSize: blockSize}); err != nil {
+		t.Fatal(err)
+	}
+	object := make([]byte, k*blockSize)
+	gammas := []int{1, 1, 2, 1, 3}
+	// commit appends version v and returns the bytes it wrote beside its
+	// shards.
+	commit := func(g *Gateway, st *archiveState, v int) int {
+		for b := 0; b < gammas[v%len(gammas)]; b++ {
+			object[((v+b)%k)*blockSize+v%blockSize] ^= byte(v) | 1
+		}
+		written := cluster.WireStats().BytesWritten
+		info, err := g.Commit(ctx, "a", -1, object)
+		if err != nil {
+			t.Fatalf("commit %d: %v", v, err)
+		}
+		width := blockSize
+		if w := st.archive.Manifest().Entries[info.Version-1].Window; info.StoredDelta && w != nil {
+			width = w.Width
+		}
+		return int(cluster.WireStats().BytesWritten-written) - info.ShardWrites*width
+	}
+	st := resident(t, g, "a")
+	for v := 1; v <= before; v++ {
+		commit(g, st, v)
+	}
+	if err := g.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	g = newTestGateway(t, cfg)
+	reads := cluster.WireStats().Reads
+	st = resident(t, g, "a")
+	if cluster.WireStats().Reads != reads {
+		t.Fatal("the reopen in the same boot asked the nodes: the root was not trusted")
+	}
+	nodes := make([]store.Node, n)
+	for i := range nodes {
+		var err error
+		if nodes[i], err = cluster.Node(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := before + 1; ; v++ {
+		if v > 20*before {
+			t.Fatal("no fold after the reopen")
+		}
+		gen, folded := st.archive.Manifest().Generation, foldedAt(cluster, st)
+		snap, err := nodes[st.archive.ManifestRing(0)[0]].Get(ctx, store.ShardID{Object: "a/manifest"})
+		if err != nil {
+			t.Fatalf("before commit %d: no snapshot on its first ring node: %v", v, err)
+		}
+		held := make([]int, n)
+		for i, node := range nodes {
+			held[i] = recordBytes(ctx, node, "a", folded, gen)
+		}
+		metadata := commit(g, st, v)
+		folds := foldedAt(cluster, st) != folded
+		if folds {
+			resnap, err := nodes[st.archive.ManifestRing(0)[0]].Get(ctx, store.ShardID{Object: "a/manifest"})
+			if err != nil {
+				t.Fatalf("after commit %d: no snapshot on its first ring node: %v", v, err)
+			}
+			metadata -= holders * len(resnap)
+		}
+		record, most := metadata/holders, 0
+		for _, node := range st.archive.ManifestRing(gen + 1)[:holders] {
+			most = max(most, held[node]+record)
+		}
+		if folds != (most > len(snap)) {
+			t.Fatalf("commit %d: its %d-byte record leaves at most %d bytes of records on a node beside a %d-byte snapshot, and it folded: %v", v, record, most, len(snap), folds)
+		}
+		if folds {
+			return
+		}
+		for i, node := range nodes {
+			if size := recordBytes(ctx, node, "a", folded, gen+1); size > len(snap) {
+				t.Fatalf("after commit %d: %d bytes of records on node %d extend a %d-byte snapshot", v, size, i, len(snap))
+			}
+		}
 	}
 }
 
