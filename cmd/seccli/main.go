@@ -1,8 +1,9 @@
 // Command seccli manages a SEC versioned archive stored across secnode
-// servers. The archive's metadata lives in a local manifest file; shards
-// live on the nodes. With -gw the same commands run against a secgw
-// gateway daemon instead: the gateway owns the manifest and the cluster
-// connections, and seccli becomes a thin remote client. Both modes run
+// servers. The nodes hold the archive's shards and its manifest; a local
+// manifest file caches the manifest in the form the nodes hold, and
+// `export` writes it as JSON. With -gw the same commands run against a
+// secgw gateway daemon instead: the gateway owns the manifest and the
+// cluster connections, and seccli becomes a thin remote client. Both modes run
 // through the secclient SDK, so local and remote use are one code path.
 //
 // Usage:
@@ -20,6 +21,7 @@
 //	seccli -nodes ... -manifest a.json scrub -repair
 //	seccli -nodes ... -manifest a.json compact -max-chain 4
 //	seccli -nodes ... -manifest recovered.json attach -name archive
+//	seccli -nodes ... -manifest a.json export -out a.export.json
 //	seccli -gw 127.0.0.1:7080 -name archive commit document.bin
 //
 // Global flags:
@@ -76,7 +78,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		timeout      = fs.Duration("timeout", 0, "deadline for the whole operation (0 = no deadline; signals still cancel)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: seccli [flags] <init|commit|get|info|repair|scrub|compact|attach> [subcommand flags]")
+		fmt.Fprintln(fs.Output(), "usage: seccli [flags] <init|commit|get|info|repair|scrub|compact|attach|export> [subcommand flags]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +88,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return errors.New("missing subcommand: init, commit, get, info, repair, scrub, compact or attach")
+		return errors.New("missing subcommand: init, commit, get, info, repair, scrub, compact, attach or export")
 	}
 	if *gwFlag == "" && *nodesFlag == "" {
 		return errors.New("-nodes is required (or -gw to use a gateway)")
@@ -114,8 +116,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		// Close folds the manifest on the nodes and caches it in -manifest,
-		// plain JSON, with the clean mark that lets the next command skip
+		// Close folds the manifest on the nodes and caches that snapshot in
+		// -manifest, with the clean mark that lets the next command skip
 		// the nodes.
 		defer func() { err = errors.Join(err, gw.Close(ctx)) }()
 		client = secclient.Embed(gw)
@@ -145,6 +147,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return cmdCompact(ctx, out, client, name, subArgs)
 	case "attach":
 		return cmdAttach(ctx, out, client, *gwFlag, *nameFlag, *manifestPath, subArgs)
+	case "export":
+		return cmdExport(ctx, out, client, name, subArgs)
 	default:
 		return fmt.Errorf("unknown subcommand %q", sub)
 	}
@@ -517,4 +521,37 @@ func cmdAttach(ctx context.Context, out io.Writer, client *secclient.Client, gw,
 	}
 	fmt.Fprintf(out, "attached to archive %q: %d versions, %s\n", archiveName, info.Versions, where)
 	return nil
+}
+
+// cmdExport writes the archive's manifest, as its gateway serves it, in the
+// JSON Archive.Save writes: what other programs and builds that read only
+// JSON (their core.Load or sec.OpenArchive) open against the same nodes.
+func cmdExport(ctx context.Context, out io.Writer, client *secclient.Client, resolve nameFunc, args []string) error {
+	fs := flag.NewFlagSet("export", flag.ContinueOnError)
+	fs.SetOutput(out)
+	outPath := fs.String("out", "", "output file (default: stdout)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	name, err := resolve()
+	if err != nil {
+		return err
+	}
+	info, err := client.Info(ctx, name)
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(info.Manifest, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if *outPath == "" {
+		_, err = out.Write(data)
+		return err
+	}
+	return os.WriteFile(*outPath, data, 0o644)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	sec "github.com/secarchive/sec"
+	"github.com/secarchive/sec/internal/core"
 	"github.com/secarchive/sec/internal/faults"
 	"github.com/secarchive/sec/internal/gateway"
 	"github.com/secarchive/sec/internal/store"
@@ -351,6 +352,65 @@ func TestCLIAttachRecoversLostManifest(t *testing.T) {
 	}
 }
 
+// TestCLIExport: export writes the manifest of the archive its embedded
+// gateway serves as the JSON Save writes, and it and the -manifest file -
+// the snapshot the nodes hold - are one manifest: each loads and saves the
+// same bytes.
+func TestCLIExport(t *testing.T) {
+	nodes, _ := startNodes(t, 6)
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "archive.json")
+	var out bytes.Buffer
+	if err := run(t.Context(), []string{"-nodes", nodes, "-manifest", manifest, "init", "-blocksize", "8"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte{3}, 24)
+	for v := range 3 {
+		content = bytes.Clone(content)
+		content[v*8] ^= 1
+		file := filepath.Join(dir, fmt.Sprintf("v%d.bin", v))
+		if err := os.WriteFile(file, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(t.Context(), []string{"-nodes", nodes, "-manifest", manifest, "commit", file}, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exported := filepath.Join(dir, "export.json")
+	if err := run(t.Context(), []string{"-nodes", nodes, "-manifest", manifest, "export", "-out", exported}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(t.Context(), []string{"-nodes", nodes, "-manifest", manifest, "export"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var saved [][]byte
+	for _, path := range []string{manifest, exported} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.Load(bytes.NewReader(raw), store.NewMemCluster(6))
+		if err != nil {
+			t.Fatalf("loading %s: %v", filepath.Base(path), err)
+		}
+		var buf bytes.Buffer
+		if err := a.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, buf.Bytes())
+		if a.Versions() != 3 {
+			t.Errorf("%s holds %d versions, want 3", filepath.Base(path), a.Versions())
+		}
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Errorf("the root saves as\n%s\nits export as\n%s", saved[0], saved[1])
+	}
+	if !bytes.Equal(out.Bytes(), saved[1]) {
+		t.Errorf("export to stdout wrote\n%s\nwant what Save writes:\n%s", out.Bytes(), saved[1])
+	}
+}
+
 func TestCLIInitRefusesOverwrite(t *testing.T) {
 	nodes, _ := startNodes(t, 6)
 	dir := t.TempDir()
@@ -487,7 +547,7 @@ func TestCLIUsageListsAllFlagsAndSubcommands(t *testing.T) {
 		t.Fatalf("-h: %v", err)
 	}
 	usage := out.String()
-	for _, want := range []string{"-nodes", "-manifest", "-timeout", "-gw", "-name", "init", "commit", "get", "info", "repair", "scrub", "compact", "attach"} {
+	for _, want := range []string{"-nodes", "-manifest", "-timeout", "-gw", "-name", "init", "commit", "get", "info", "repair", "scrub", "compact", "attach", "export"} {
 		if !strings.Contains(usage, want) {
 			t.Errorf("usage output missing %q:\n%s", want, usage)
 		}

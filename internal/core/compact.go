@@ -336,22 +336,24 @@ func (a *Archive) ChainDepth(l int) (int, error) {
 	return len(w) - 1, nil
 }
 
-// ChainStats reports every version's chain depth and planned read cost
-// (formula (3)) from one planner pass, for callers summarizing whole
-// archives (seccli info, the gateway's Log); element i describes version
-// i+1. Calling ChainDepth and PlannedReads per version would plan L times
-// over.
-func (a *Archive) ChainStats() (depths, plannedReads []int, err error) {
+// ChainStats renders every version's manifest entry with its chain depth
+// and planned read cost (formula (3)) for callers summarizing whole archives
+// (seccli info, the gateway's Log); element i describes version i+1. All
+// three describe one state: a copy of the chain, planned in one pass after
+// the lock, where per-version calls would plan L times over.
+func (a *Archive) ChainStats() (entries []ManifestEntry, depths, plannedReads []int, err error) {
 	a.mu.RLock()
-	defer a.mu.RUnlock()
-	st, err := a.planEvery(a.entries)
+	chain := slices.Clone(a.entries)
+	a.mu.RUnlock()
+	st, err := a.planEvery(chain)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	L := len(a.entries)
-	depths, plannedReads = make([]int, L), make([]int, L)
-	for v := 1; v <= L; v++ {
-		depths[v-1], plannedReads[v-1] = st[v].hops, st[v].dist
+	L := len(chain)
+	entries, depths, plannedReads = make([]ManifestEntry, L), make([]int, L), make([]int, L)
+	for i := range chain {
+		entries[i] = chain[i].manifestEntry(i+1, a.cfg.BlockSize)
+		depths[i], plannedReads[i] = st[i+1].hops, st[i+1].dist
 	}
-	return depths, plannedReads, nil
+	return entries, depths, plannedReads, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/secarchive/sec/internal/delta"
@@ -182,16 +183,20 @@ func TestCompactAcceptance(t *testing.T) {
 }
 
 // TestChainStatsMatchesPerVersionCalls pins the batched summary to the
-// per-version planner across a compacted (non-trivial) graph.
+// per-version planner and to the manifest across a compacted (non-trivial)
+// graph.
 func TestChainStatsMatchesPerVersionCalls(t *testing.T) {
 	cluster := store.NewMemCluster(20)
 	a, _ := chain20x10(t, cluster)
 	if _, err := a.CompactToContext(t.Context(), 4); err != nil {
 		t.Fatal(err)
 	}
-	depths, planned, err := a.ChainStats()
+	entries, depths, planned, err := a.ChainStats()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := a.Manifest().Entries; !reflect.DeepEqual(entries, want) {
+		t.Errorf("ChainStats renders %+v, the manifest holds %+v", entries, want)
 	}
 	for v := 1; v <= a.Versions(); v++ {
 		d, err := a.ChainDepth(v)

@@ -522,7 +522,7 @@ func TestCompressedChainStats(t *testing.T) {
 	mustCommit(t, a, v1)
 	mustCommit(t, a, v2)
 	mustCommit(t, a, v3)
-	_, planned, err := a.ChainStats()
+	_, _, planned, err := a.ChainStats()
 	if err != nil {
 		t.Fatal(err)
 	}

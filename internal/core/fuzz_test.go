@@ -12,9 +12,10 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
-// FuzzLoadManifest feeds arbitrary JSON to the manifest loader: it must
-// never panic, and what Save writes of any manifest it accepts must load
-// and save again to the same bytes. The committed corpus holds manifests
+// FuzzLoadManifest feeds arbitrary JSON to the manifest loader, which reads
+// Save's JSON and the node snapshot's envelope alike: it must never panic,
+// and what Save writes of any manifest it accepts must load and save again
+// to the same bytes. It is seeded with both forms of one archive. The committed corpus holds manifests
 // an earlier release saved: one per scheme, CDEC entries with a support
 // under a compress threshold, dispersed, punctured, a full chain
 // policy with a compaction limit (the three settings since retired, whose
@@ -49,6 +50,7 @@ func FuzzLoadManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
+	f.Add(string(a.nodeSnapshot(a.generation, a.entries)))
 	f.Add(`{}`)
 	f.Add(`{"scheme":"basic-sec","code":"non-systematic-cauchy","n":6,"k":3,"block_size":4}`)
 	f.Add(`not json at all`)

@@ -182,18 +182,13 @@ type Window struct {
 	Width int `json:"width"`
 }
 
-// Manifest captures the archive's current state. Its Generation is that of
-// the last publish; changes committed since are in Entries already.
+// Manifest captures the archive's current state, rendered after the lock
+// from a copy of the chain. Its Generation is that of the last publish;
+// changes committed since are in Entries already.
 func (a *Archive) Manifest() Manifest {
 	a.mu.RLock()
 	gen, entries := a.generation, slices.Clone(a.entries)
 	a.mu.RUnlock()
-	return a.manifest(gen, entries)
-}
-
-// manifest renders the JSON view of the archive at generation gen holding
-// entries: a copy of the chain, which shares the codewords nothing edits.
-func (a *Archive) manifest(gen uint64, entries []entry) Manifest {
 	m := Manifest{
 		Name:       a.cfg.Name,
 		Generation: gen,
@@ -206,16 +201,12 @@ func (a *Archive) manifest(gen uint64, entries []entry) Manifest {
 	return m
 }
 
-// encode renders the indented JSON of exports and the gateway root. The
-// nodes hold the binary form, Archive.nodeSnapshot.
-func (m Manifest) encode() []byte {
-	data, _ := json.MarshalIndent(m, "", "  ") // strings, numbers and bools: cannot fail
-	return append(data, '\n')
-}
-
-// Save writes the manifest as JSON.
+// Save writes the manifest as indented JSON: an export, for other programs
+// and for builds that read no other form. The program keeps the manifest in
+// the binary form alone (Archive.nodeSnapshot); Load reads either.
 func (a *Archive) Save(w io.Writer) error {
-	_, err := w.Write(a.Manifest().encode())
+	data, _ := json.MarshalIndent(a.Manifest(), "", "  ") // strings, numbers and bools: cannot fail
+	_, err := w.Write(append(data, '\n'))
 	return err
 }
 
@@ -387,10 +378,15 @@ func Open(m Manifest, cluster *store.Cluster) (*Archive, error) {
 	return a, nil
 }
 
-// Load reads a JSON manifest and opens the archive.
+// Load reads a manifest in either form DecodeSnapshot reads - the snapshot
+// the nodes and the gateway root hold, or Save's JSON - and opens it.
 func Load(r io.Reader, cluster *store.Cluster) (*Archive, error) {
+	raw, err := io.ReadAll(r)
 	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	if err == nil {
+		m, err = DecodeSnapshot(raw)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding manifest: %w", err)
 	}
 	return Open(m, cluster)

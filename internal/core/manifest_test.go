@@ -12,6 +12,17 @@ import (
 	"github.com/secarchive/sec/internal/store"
 )
 
+// encode renders m as Save renders an archive's manifest, for manifests no
+// archive holds: a replayed one, or a JSON snapshot as earlier builds put
+// on the nodes.
+func (m Manifest) encode() []byte {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		panic(err)
+	}
+	return append(data, '\n')
+}
+
 func TestManifestSaveLoadRoundTrip(t *testing.T) {
 	cluster := store.NewMemCluster(0)
 	a, err := New(testConfig(OptimizedSEC, erasure.SystematicCauchy), cluster)

@@ -84,9 +84,10 @@ func (a *Archive) nodeSnapshot(gen uint64, entries []entry) []byte {
 // window and a CRC32C takes, so that a long chain grows it a few times.
 const entryBytes = 24
 
-// DecodeSnapshot parses the snapshot object <name>/manifest as a node holds
-// it: the envelope, or a JSON manifest an earlier build wrote. An intact
-// envelope of a format other than 2 is refused as newer.
+// DecodeSnapshot parses a manifest in either form the program meets: the
+// envelope, as the nodes and the gateway root hold it, or a JSON manifest -
+// Save's export, or a snapshot an earlier build wrote. An intact envelope of
+// a format other than 2 is refused as newer.
 func DecodeSnapshot(raw []byte) (Manifest, error) {
 	var s struct {
 		Manifest

@@ -7,6 +7,7 @@ import (
 
 	"github.com/secarchive/sec/internal/erasure"
 	"github.com/secarchive/sec/internal/store"
+	"github.com/secarchive/sec/internal/testutil"
 )
 
 // wholeGraphPlan is the planner as it was before planAll stopped building
@@ -131,21 +132,26 @@ func TestPlanningAnEarlyVersionAllocatesNoGraph(t *testing.T) {
 }
 
 // TestChainStatsAllocatesNoMoreForALongerChain pins what a whole-archive
-// summary (seccli info, the gateway's Log) costs in allocations: one planner
-// pass and the two result slices, the same handful for 1 000 versions as for
-// 100.
+// summary (seccli info, the gateway's Log) costs in allocations beyond the
+// manifest entries it renders, which Manifest renders alike: one planner
+// pass and the two result slices, the same handful for 1 000 versions as
+// for 100. Rendering an entry formats its CRC32C through fmt, whose state
+// a sync.Pool keeps, and under the race detector a pool drops a random
+// quarter of what is put back: the bound holds only without it.
 func TestChainStatsAllocatesNoMoreForALongerChain(t *testing.T) {
 	cfg := Config{Name: "p", Scheme: ReversedSEC, Code: erasure.NonSystematicCauchy, N: 12, K: 10, BlockSize: 8}
 	allocs := map[int]float64{}
 	for _, L := range []int{100, 1000} {
 		a, _ := buildChain(t, store.NewMemCluster(12), cfg, 1, L, func(j int) []int { return []int{j % cfg.K} })
-		allocs[L] = testing.AllocsPerRun(20, func() {
-			if _, _, err := a.ChainStats(); err != nil {
+		stats := testing.AllocsPerRun(20, func() {
+			if _, _, _, err := a.ChainStats(); err != nil {
 				t.Fatal(err)
 			}
 		})
+		rendered := testing.AllocsPerRun(20, func() { a.Manifest() })
+		allocs[L] = stats - rendered
 	}
-	if allocs[1000] != allocs[100] || allocs[1000] > 8 {
-		t.Fatalf("ChainStats allocates %v times on 100 versions and %v on 1 000, want the same handful (at most 8)", allocs[100], allocs[1000])
+	if (allocs[1000] != allocs[100] || allocs[1000] > 8) && !testutil.RaceEnabled {
+		t.Fatalf("ChainStats allocates %v times beyond Manifest on 100 versions and %v on 1 000, want the same handful (at most 8)", allocs[100], allocs[1000])
 	}
 }

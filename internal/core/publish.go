@@ -20,8 +20,8 @@ import (
 type publishState struct {
 	mu sync.Mutex // orders publishes
 	// snapBytes is zero after Create and Open, so their first publish
-	// folds. An open from a trusted root encodes the snapshot once to size
-	// it exactly: the root is the snapshot the nodes hold.
+	// folds. An open from a trusted root takes it from the root, which is
+	// the snapshot the nodes hold.
 	snapBytes int
 	// held is the bytes of the records since the fold on each node, where
 	// their rings put them when every put succeeds.
@@ -46,12 +46,11 @@ type publishState struct {
 // at most a snapshot's worth of records, and a load from the nodes, which
 // asks every node, replays at most n snapshots' worth. With nothing changed
 // and no fold owed or asked for, it sends nothing. With fold set it returns
-// the whole manifest the nodes then hold, as the plain JSON Save writes;
-// the nodes hold it in binary (nodeformat.go), and both are rendered from
-// a copy of the chain after the lock. It fails, before anything further,
-// when the record or the snapshot reached fewer than n-k+1 nodes: the
-// archive is then unpublished, and the next publish folds. Publishes run
-// one at a time.
+// the snapshot the nodes then hold, byte for byte (nodeformat.go), which
+// OpenContext takes back; it is encoded from a copy of the chain after the
+// lock. It fails, before anything further, when the record or the snapshot
+// reached fewer than n-k+1 nodes: the archive is then unpublished, and the
+// next publish folds. Publishes run one at a time.
 func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error) {
 	//lint:allow lockheld each publish is the successor of the one before it: they go one at a time
 	a.pub.mu.Lock()
@@ -74,12 +73,9 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 	}
 	a.mu.Unlock()
 
-	var snap, root []byte
-	if folding {
+	var snap []byte
+	if folding || fold {
 		snap = a.nodeSnapshot(gen, entries)
-	}
-	if fold {
-		root = a.manifest(gen, entries).encode()
 	}
 	var err error
 	if record != nil {
@@ -106,7 +102,7 @@ func (a *Archive) PublishContext(ctx context.Context, fold bool) ([]byte, error)
 			a.pub.held[node] += len(record)
 		}
 	}
-	return root, nil
+	return snap, nil
 }
 
 // CreateContext creates the named archive from spec and replicates its
@@ -132,7 +128,7 @@ func CreateContext(ctx context.Context, name string, spec Spec, cluster *store.C
 }
 
 // OpenContext reopens the named archive from the manifest its publishes left
-// on the nodes (manifestFromCluster). Given cached - the manifest as
+// on the nodes (manifestFromCluster). Given cached - the snapshot as
 // PublishContext returned it with fold set, which the caller vouches is all
 // the nodes hold - it opens that and asks the nodes nothing; a manifest of
 // another archive is store.ErrConflict.
@@ -152,7 +148,7 @@ func OpenContext(ctx context.Context, name string, cluster *store.Cluster, cache
 		case a.cfg.Name != name:
 			return nil, fmt.Errorf("core: the manifest of %q names archive %q: %w", name, a.cfg.Name, store.ErrConflict)
 		}
-		a.pub.snapBytes = len(a.nodeSnapshot(a.generation, a.entries))
+		a.pub.snapBytes = len(cached)
 		return a, nil
 	}
 	m, snapshot, err := manifestFromCluster(ctx, name, cluster)

@@ -45,10 +45,10 @@ type Config struct {
 	// Cluster is the storage fleet every archive stripes over. Required.
 	Cluster *store.Cluster
 	// Root is the directory archive manifests are cached under: one
-	// <name>.json per archive and beside it <name>.json.clean, the mark
-	// that lets an open in the same boot skip the nodes, both written by
-	// Close. The nodes hold every manifest; empty means archives are always
-	// reopened from them.
+	// <name>.json per archive, the snapshot the nodes hold, and beside it
+	// <name>.json.clean, the mark that lets an open in the same boot skip
+	// the nodes, both written by Close. The nodes hold every manifest;
+	// empty means archives are always reopened from them.
 	Root string
 	// ManifestPath overrides the manifest location per archive. It exists
 	// so an embedded gateway can pin an archive to an exact file (the
@@ -502,13 +502,12 @@ func (g *Gateway) Log(ctx context.Context, name string) ([]transport.ArchiveLogE
 	if err != nil {
 		return nil, err
 	}
-	m := st.archive.Manifest()
-	depths, planned, err := st.archive.ChainStats()
+	chain, depths, planned, err := st.archive.ChainStats()
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]transport.ArchiveLogEntry, len(m.Entries))
-	for i, e := range m.Entries {
+	entries := make([]transport.ArchiveLogEntry, len(chain))
+	for i, e := range chain {
 		entries[i] = transport.ArchiveLogEntry{ManifestEntry: e, ChainDepth: depths[i], PlannedReads: planned[i]}
 	}
 	g.logs.Add(1)

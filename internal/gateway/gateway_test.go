@@ -158,6 +158,52 @@ func TestInfoCountsTheManifestItReturns(t *testing.T) {
 	}
 }
 
+// TestLogPairsEachEntryWithItsChain: every entry Log returns comes with the
+// chain depth of the state it describes, also while commits land between
+// Log calls. On Reversed SEC each commit moves the full codeword to the new
+// tip, so an entry that stores a full is read in no delta step, and one that
+// stores none in at least one; an entry of one state beside the depth of
+// the next breaks that.
+func TestLogPairsEachEntryWithItsChain(t *testing.T) {
+	g := newTestGateway(t, Config{})
+	ctx := t.Context()
+	spec := testSpec()
+	spec.Scheme = "reversed-sec"
+	if _, err := g.Create(ctx, "logs", spec); err != nil {
+		t.Fatal(err)
+	}
+	const commits = 200
+	done := make(chan error, 1)
+	go func() {
+		for v := 1; v <= commits; v++ {
+			if _, err := g.Commit(ctx, "logs", -1, payloadFor(32, v)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		entries, err := g.Log(ctx, "logs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Full != (e.ChainDepth == 0) {
+				t.Fatalf("Log of %d versions: version %d stores a full: %v, at chain depth %d", len(entries), e.Version, e.Full, e.ChainDepth)
+			}
+		}
+	}
+}
+
 // TestGatewayRetrieveReadsWhatCoreReads is the gateway parity gate as a
 // count: serving a retrieve adds no node traffic. Every version of a
 // sparse-delta chain costs the same node reads - in the retrieval's own

@@ -18,8 +18,8 @@ import (
 
 // manifestState is the root's share of one resident archive's metadata.
 // The nodes hold the manifest, and core.Archive.PublishContext keeps it
-// there; the root at path only caches it: the JSON snapshot that Close
-// writes once its fold is on the nodes, and beside it the clean mark
+// there; the root at path only caches it: the snapshot that Close's fold
+// put on the nodes, byte for byte, and beside it the clean mark
 // (cleanMark). Without a path the nodes alone hold it.
 type manifestState struct {
 	mu   sync.Mutex // orders publishes against Close
@@ -31,15 +31,16 @@ type manifestState struct {
 }
 
 // cleanMark is what the mark beside a root snapshot holds: the boot that
-// wrote it, the snapshot's CRC-32 and the format of the manifest on the
-// nodes (2, binary). Close writes it once the nodes hold nothing beyond that
-// snapshot, and the first publish after an open removes it, so a mark
+// wrote it, the snapshot's CRC-32 and the form of the root, the node
+// snapshot of format 2. Close writes it once the nodes hold nothing beyond
+// that snapshot, and the first publish after an open removes it, so a mark
 // vouches that the snapshot is the whole manifest. The root is never
 // synced, and only a power loss, which starts a new boot, can roll it back:
-// the mark is good for the boot that wrote it. A build whose marks name no
-// format never trusts this one, and asks the nodes, which it cannot read.
+// the mark is good for the boot that wrote it. A build whose marks name
+// another root form - none, or "format-2" over a JSON root - never trusts
+// this one, and asks the nodes; nor does this build trust its marks.
 func cleanMark(boot string, snap []byte) []byte {
-	return fmt.Appendf(nil, "%s %08x format-2\n", boot, crc32.ChecksumIEEE(snap))
+	return fmt.Appendf(nil, "%s %08x format-2 root\n", boot, crc32.ChecksumIEEE(snap))
 }
 
 // read returns the snapshot under the root when the open may trust it:

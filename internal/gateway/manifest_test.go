@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -66,20 +67,6 @@ func snapshotGeneration(raw []byte) uint64 {
 			return gen
 		}
 	}
-}
-
-// recordsOn sums the manifest records of generations up to gen resident on
-// a node, walking down from the latest until one is missing.
-func recordsOn(ctx context.Context, node store.Node, name string, gen uint64) (count int, size int) {
-	for ; gen >= 1; gen-- {
-		data, err := node.Get(ctx, store.ShardID{Object: fmt.Sprintf("%s/manifest/%d", name, gen)})
-		if err != nil {
-			break
-		}
-		count++
-		size += len(data)
-	}
-	return count, size
 }
 
 // recordBytes sums the bytes of the manifest records of generations
@@ -446,11 +433,12 @@ func TestPublishOneBatchRoundPerNode(t *testing.T) {
 	}
 }
 
-// TestCleanCloseLeavesPlainJSON: after Close a root holds one JSON manifest
-// per archive and its clean mark, the nodes hold no records and the
-// snapshot is on its n-k+1 ring nodes and no other, and the manifest is
-// what core.Load - the reader every earlier release has - opens.
-func TestCleanCloseLeavesPlainJSON(t *testing.T) {
+// TestCleanCloseLeavesTheNodeSnapshot: after Close a root holds one
+// manifest per archive and its clean mark, and the manifest is byte for byte
+// the snapshot on the nodes, which core.Load opens. The nodes hold no
+// record of any generation, and the snapshot is on its n-k+1 ring nodes and
+// no other.
+func TestCleanCloseLeavesTheNodeSnapshot(t *testing.T) {
 	cluster := store.NewMemCluster(6)
 	root := t.TempDir()
 	g := newTestGateway(t, Config{Cluster: cluster, Root: root})
@@ -477,12 +465,11 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 	if len(names) != 2 || filepath.Base(names[0]) != "a.json" || filepath.Base(names[1]) != "a.json.clean" {
 		t.Errorf("root after Close holds %v, want a.json and its mark", names)
 	}
-	f, err := os.Open(filepath.Join(root, "a.json"))
+	snap, err := os.ReadFile(filepath.Join(root, "a.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	a, err := core.Load(f, cluster)
+	a, err := core.Load(bytes.NewReader(snap), cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,13 +482,16 @@ func TestCleanCloseLeavesPlainJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if count, _ := recordsOn(ctx, node, "a", gen); count != 0 {
-			t.Errorf("node %d holds %d manifest records after Close", i, count)
+		if size := recordBytes(ctx, node, "a", 0, gen); size != 0 {
+			t.Errorf("node %d holds %d bytes of manifest records after Close", i, size)
 		}
-		_, err = node.Get(ctx, store.ShardID{Object: "a/manifest"})
-		if holds := slices.Contains(holders, i); holds && err != nil {
+		held, err := node.Get(ctx, store.ShardID{Object: "a/manifest"})
+		switch holds := slices.Contains(holders, i); {
+		case holds && err != nil:
 			t.Errorf("node %d, a snapshot holder, holds no snapshot after Close: %v", i, err)
-		} else if !holds && !errors.Is(err, store.ErrNotFound) {
+		case holds && !bytes.Equal(held, snap):
+			t.Errorf("node %d holds the snapshot %q, the root %q", i, held, snap)
+		case !holds && !errors.Is(err, store.ErrNotFound):
 			t.Errorf("node %d, not among the holders %v, answers %v for the snapshot after Close", i, holders, err)
 		}
 	}
@@ -650,8 +640,8 @@ func (r *crashRig) verifyOn(what string, g *Gateway) (askedNodes bool) {
 }
 
 // TestTornAndDamagedLog damages the root a clean Close left - cuts the mark
-// at every byte and the snapshot at every byte of its last entry, and flips
-// a bit in the middle of each - and restarts in the boot that wrote it. The
+// at every byte and the snapshot at every byte of its body, and flips a bit
+// in the middle of each - and restarts in the boot that wrote it. The
 // root as Close left it is trusted and the nodes are not asked; each damaged
 // one is not trusted, and the open serves every acknowledged version from
 // the nodes.
@@ -685,7 +675,7 @@ func TestTornAndDamagedLog(t *testing.T) {
 		first func([]byte) int // the first byte a cut lands at
 	}{
 		{markFile, func([]byte) int { return 0 }},
-		{snapFile, func(snap []byte) int { return bytes.LastIndex(snap, []byte(`"version"`)) }},
+		{snapFile, func(snap []byte) int { return bytes.Index(snap, []byte(`"body"`)) }},
 	} {
 		contents, err := r.root.ReadFile(file.path)
 		if err != nil {
@@ -857,11 +847,12 @@ func TestRootTrustedOnlyInTheBootThatWroteIt(t *testing.T) {
 	}
 }
 
-// TestMarkNamesTheNodeFormat: the clean mark names the binary format the
-// nodes hold, so the mark a build from before it writes for the same
-// snapshot - the boot and the CRC alone - is not trusted. Such a build, for
-// its part, never trusts this build's mark, and asks the nodes, which hold
-// what it cannot read.
+// TestMarkNamesTheNodeFormat: the clean mark names the form of the root,
+// the node snapshot of format 2, so the marks that builds from before it
+// write for the same file - the boot and the CRC alone, or those and the
+// word format-2 that named the nodes' form beside a JSON root - are not
+// trusted. Such a build, for its part, never trusts this build's mark, and
+// asks the nodes.
 func TestMarkNamesTheNodeFormat(t *testing.T) {
 	r := newCrashRig(t)
 	r.commitUntilRecords(1)
@@ -874,23 +865,72 @@ func TestMarkNamesTheNodeFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	older, ok := bytes.CutSuffix(mark, []byte(" format-2\n"))
+	older, ok := bytes.CutSuffix(mark, []byte(" format-2 root\n"))
 	if !ok {
-		t.Fatalf("the mark %q names no node format", mark)
+		t.Fatalf("the mark %q names no root form", mark)
 	}
-	root := r.root.Clone()
-	f, err := root.OpenFile(markFile, os.O_WRONLY|os.O_TRUNC, 0)
-	if err == nil {
-		_, err = f.Write(append(older, '\n'))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.verify("a mark without the format", root) {
-		t.Error("a mark that names no node format was trusted")
+	for _, word := range []string{"", " format-2"} {
+		root := r.root.Clone()
+		f, err := root.OpenFile(markFile, os.O_WRONLY|os.O_TRUNC, 0)
+		if err == nil {
+			_, err = f.Write(fmt.Appendf(nil, "%s%s\n", older, word))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.verify(fmt.Sprintf("a mark ending %q", word), root) {
+			t.Errorf("a mark ending %q was trusted", word)
+		}
 	}
 	if r.verify("the mark as Close left it", r.root.Clone()) {
 		t.Error("the mark as Close left it was not trusted")
+	}
+}
+
+// TestOlderRootIsLoadedFromTheNodes: a root as the builds before the root
+// took the node form left it - Save's JSON, and the mark "<boot> <crc>
+// format-2" - is not trusted in the boot that wrote it. The open asks the
+// nodes and serves every version; its Close leaves the node snapshot with
+// this build's mark, which the next open trusts.
+func TestOlderRootIsLoadedFromTheNodes(t *testing.T) {
+	r := newCrashRig(t)
+	r.commitUntilRecords(2)
+	var saved bytes.Buffer
+	if err := resident(t, r.gw, "a").archive.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.gw.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	root := r.root.Clone()
+	for path, data := range map[string][]byte{
+		"/gw/a.json":       saved.Bytes(),
+		"/gw/a.json.clean": fmt.Appendf(nil, "%s %08x format-2\n", root.Boot(), crc32.ChecksumIEEE(saved.Bytes())),
+	} {
+		f, err := root.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0)
+		if err == nil {
+			_, err = f.Write(data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := r.gateway(root)
+	if !r.verifyOn("an older build's root", g) {
+		t.Error("the open trusted an older build's JSON root")
+	}
+	if err := g.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := root.ReadFile("/gw/a.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := core.DecodeSnapshot(snap); err != nil || bytes.Equal(snap, saved.Bytes()) || len(m.Entries) != len(r.attempted) {
+		t.Errorf("the Close after an older root left %q (err %v)", snap, err)
+	}
+	if r.verify("the root that Close rewrote", root) {
+		t.Error("the root that Close rewrote was not trusted")
 	}
 }
 
